@@ -1,8 +1,8 @@
 """Shared fixtures for the pytest-benchmark suite.
 
 Each benchmark measures the wall-clock cost of one code path the paper's
-evaluation talks about; the simulated-latency tables (what EXPERIMENTS.md
-records) come from ``python -m repro.bench`` instead.
+evaluation talks about; the simulated-latency tables (what ``BENCH_smoke.json``
+and ``BENCH_large.json`` record) come from ``python -m repro.bench`` instead.
 """
 
 from __future__ import annotations

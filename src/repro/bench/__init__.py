@@ -1,8 +1,9 @@
 """Benchmark harness reproducing the paper's evaluation claims (E1..E9).
 
-``python -m repro.bench`` runs every experiment and prints the tables that
-EXPERIMENTS.md records; ``benchmarks/`` contains the pytest-benchmark wrappers
-that measure the wall-clock cost of the same code paths.
+``python -m repro.bench`` runs every experiment and prints its tables; the
+committed ``BENCH_smoke.json`` and ``BENCH_large.json`` record them for the
+smoke and large tiers.  ``benchmarks/`` contains the pytest-benchmark
+wrappers that measure the wall-clock cost of the same code paths.
 """
 
 from repro.bench.metrics import ExperimentResult, format_table

@@ -5,8 +5,9 @@ numbered tables, so each quantitative or comparative claim becomes one
 experiment here.  Every experiment builds a fresh simulated system, drives it
 through the public API, and reports *simulated* milliseconds (comparable in
 shape to the paper's 200 MHz-era measurements) plus whatever counts the claim
-is about.  ``python -m repro.bench`` prints all tables; EXPERIMENTS.md records
-paper-vs-measured.  E11-E14 go beyond the paper: E11 measures the
+is about.  ``python -m repro.bench`` prints all tables, each under the paper
+claim it answers (``paper_claim``); ``BENCH_smoke.json`` and
+``BENCH_large.json`` record them.  E11-E14 go beyond the paper: E11 measures the
 scale-out layer (sharded multi-DLFM deployments, WAL group commit, batched
 link pipelines), E12 measures shard replication (WAL-stream shipping to
 witness replicas, read availability across a primary crash and failover),

@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiments", nargs="*",
                         help="experiment ids to run (default: all)")
     parser.add_argument("--markdown", action="store_true",
-                        help="emit markdown tables (for EXPERIMENTS.md)")
+                        help="emit markdown tables")
     parser.add_argument("--smoke", action="store_true",
                         help="run every experiment with a tiny configuration "
                              "(fast CI sanity mode); writes BENCH_smoke.json "

@@ -774,12 +774,12 @@ class DataLinksFileManager:
         self.replica_soft = None
         migrated = {"token_entries": 0, "sync_entries": 0}
         if soft is not None:
-            for entry in soft.token_entries:
+            for entry in soft.all_token_entries():
                 self.repository.add_token_entry(entry["path"], entry["userid"],
                                                 entry["token_type"],
                                                 entry["expires_at"])
                 migrated["token_entries"] += 1
-            for entry in soft.sync_entries:
+            for entry in soft.all_sync_entries():
                 self.repository.add_sync_entry(entry["path"], entry["access"],
                                                entry["userid"])
                 migrated["sync_entries"] += 1
@@ -798,8 +798,10 @@ class DataLinksFileManager:
             return {"replica": False}
         soft = self.replica_soft
         return {"replica": True,
-                "soft_token_entries": len(soft.token_entries) if soft else 0,
-                "soft_sync_entries": len(soft.sync_entries) if soft else 0,
+                "soft_token_entries":
+                    len(soft.all_token_entries()) if soft else 0,
+                "soft_sync_entries":
+                    len(soft.all_sync_entries()) if soft else 0,
                 **self.replica.status()}
 
     def replica_catch_up(self, outcomes: dict) -> dict:

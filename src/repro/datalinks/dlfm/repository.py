@@ -14,18 +14,23 @@ Tables
                     managed file, used to reject conflicting opens and
                     unlink operations.
 ``token_entries``   token registry of Section 4.1: one row per validated
-                    token, keyed by user id (not process id).
+                    token, keyed by file and user id (not process id) and
+                    indexed on ``(path, userid)`` so the open-time check
+                    examines only the caller's own entries.
 ``update_tracking`` files with an update in progress (Section 4.4) and the
                     pre-update attributes needed to detect modification.
 ``file_versions``   committed versions with their archive object and the
                     database state identifier they belong to.
 ``archive_queue``   pending asynchronous archive jobs; a pending job blocks
                     further updates of the same file.
+
+``sync_entries``, ``token_entries``, ``file_versions`` and ``archive_queue``
+draw their integer keys from ``MAX(key) + 1``, which the store answers from
+the primary-key index at constant cost (:meth:`Database.max_key`).
 """
 
 from __future__ import annotations
 
-from repro.storage import database as database_module
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.transaction import Transaction
@@ -79,7 +84,8 @@ class DLFMRepository:
             Column("token_type", DataType.TEXT, nullable=False),      # "R" | "W"
             Column("expires_at", DataType.TIMESTAMP, nullable=False),
         ], ("entry_id",)))
-        db.create_index("token_entries_path", "token_entries", ("path",))
+        db.create_index("token_entries_path_userid", "token_entries",
+                        ("path", "userid"))
 
         db.create_table(_table("update_tracking", [
             Column("path", DataType.TEXT, nullable=False),
@@ -144,26 +150,10 @@ class DLFMRepository:
         return self.db.wal.records_from(lsn, durable_only=False)
 
     # ------------------------------------------------------------------ helpers --
-    def _next_id(self, table: str, column: str) -> int:
-        if database_module.FAST_SCANS:
-            # ``scan_max`` charges exactly what the reference full-table
-            # select below charges, but serves the maximum from a tracker
-            # keyed to the heap's mutation counter -- this runs on every
-            # sync-entry / token-entry registration, over tables that only
-            # ever grow, so the reference path is quadratic in run length.
-            best = self.db.scan_max(table, column)
-            return best + 1 if best is not None and best > 0 else 1
-        rows = self.db.select(table, lock=False)
-        if not rows:
-            return 1
-        # Explicit loop: a genexpr under ``max`` costs a resumed frame per
-        # row, and this runs on every sync-entry / token-entry registration.
-        best = 0
-        for row in rows:
-            value = row[column]
-            if value > best:
-                best = value
-        return best + 1
+    def _next_id(self, table: str) -> int:
+        """The next free integer primary key of *table*."""
+
+        return (self.db.max_key(table) or 0) + 1
 
     # ------------------------------------------------------------ linked files --
     def insert_linked_file(self, row: dict, txn: Transaction | None = None) -> None:
@@ -188,7 +178,7 @@ class DLFMRepository:
     # ------------------------------------------------------------- sync entries --
     def add_sync_entry(self, path: str, access: str, userid: int,
                        txn: Transaction | None = None) -> int:
-        entry_id = self._next_id("sync_entries", "entry_id")
+        entry_id = self._next_id("sync_entries")
         self.db.insert("sync_entries", {
             "entry_id": entry_id,
             "path": path,
@@ -220,7 +210,7 @@ class DLFMRepository:
     # ------------------------------------------------------------ token entries --
     def add_token_entry(self, path: str, userid: int, token_type: str,
                         expires_at: float) -> int:
-        entry_id = self._next_id("token_entries", "entry_id")
+        entry_id = self._next_id("token_entries")
         self.db.insert("token_entries", {
             "entry_id": entry_id,
             "path": path,
@@ -232,7 +222,11 @@ class DLFMRepository:
 
     def find_token_entry(self, path: str, userid: int, *, for_write: bool,
                          now: float) -> dict | None:
-        """Find a live token entry authorizing the requested kind of access."""
+        """Find a live token entry authorizing the requested kind of access.
+
+        Served by the ``(path, userid)`` index: only the caller's own
+        entries are examined, first live match in registration order.
+        """
 
         rows = self.db.select("token_entries", {"path": path, "userid": userid},
                               lock=False)
@@ -265,7 +259,7 @@ class DLFMRepository:
                     txn: Transaction | None = None) -> dict:
         version_no = self.latest_version_no(path) + 1
         row = {
-            "version_id": self._next_id("file_versions", "version_id"),
+            "version_id": self._next_id("file_versions"),
             "path": path,
             "version_no": version_no,
             "archive_id": archive_id,
@@ -307,7 +301,7 @@ class DLFMRepository:
         from this repository's own sequence.
         """
 
-        next_id = self._next_id("file_versions", "version_id")
+        next_id = self._next_id("file_versions")
         for offset, row in enumerate(rows):
             clean = {key: value for key, value in row.items()
                      if not key.startswith("_")}
@@ -318,7 +312,7 @@ class DLFMRepository:
     # ------------------------------------------------------------ archive queue --
     def enqueue_archive_job(self, path: str, state_id: int,
                             txn: Transaction | None = None) -> int:
-        job_id = self._next_id("archive_queue", "job_id")
+        job_id = self._next_id("archive_queue")
         self.db.insert("archive_queue", {
             "job_id": job_id,
             "path": path,

@@ -443,9 +443,9 @@ class ReplicaApplier:
 
         self._db.catalog.load_snapshot(snapshot)
         self._db.catalog.rebuild_indexes()
-        # Fresh heaps, fresh mutation counters: stale scan-max trackers
-        # must not validate against them (see Database.reset_catalog).
-        self._db._max_trackers.clear()
+        # Fresh heaps, fresh mutation counters: stale key maxima must not
+        # validate against them (see Database.reset_catalog).
+        self._db._max_keys.clear()
         self._pending.clear()
         self._prepared.clear()
         self.applied_lsn = state_lsn
@@ -479,49 +479,73 @@ class WitnessSoftState:
     """
 
     def __init__(self):
-        self.token_entries: list[dict] = []
-        self.sync_entries: list[dict] = []
+        #: ``(path, userid) -> [(token_type, expires_at), ...]`` in
+        #: registration order: a follower read looks at the caller's own
+        #: entries only, like the repository's ``(path, userid)`` index.
+        self.token_entries: dict[tuple, list[tuple]] = {}
+        #: ``path -> [(access, userid), ...]`` in open order.
+        self.sync_entries: dict[str, list[tuple]] = {}
 
     # ----------------------------------------------------------------- tokens --
     def add_token_entry(self, path: str, userid: int, token_type: str,
                         expires_at: float) -> None:
-        self.token_entries.append({"path": path, "userid": userid,
-                                   "token_type": token_type,
-                                   "expires_at": expires_at})
+        self.token_entries.setdefault((path, userid), []).append(
+            (token_type, expires_at))
 
     def find_token_entry(self, path: str, userid: int, *, for_write: bool,
                          now: float) -> dict | None:
-        for entry in self.token_entries:
-            if entry["path"] != path or entry["userid"] != userid:
+        for token_type, expires_at in \
+                self.token_entries.get((path, userid), ()):
+            if expires_at < now:
                 continue
-            if entry["expires_at"] < now:
+            if for_write and token_type != "W":
                 continue
-            if for_write and entry["token_type"] != "W":
-                continue
-            return entry
+            return {"path": path, "userid": userid,
+                    "token_type": token_type, "expires_at": expires_at}
         return None
 
     def purge_expired_tokens(self, now: float) -> int:
-        before = len(self.token_entries)
-        self.token_entries = [entry for entry in self.token_entries
-                              if entry["expires_at"] >= now]
-        return before - len(self.token_entries)
+        purged = 0
+        for key, entries in list(self.token_entries.items()):
+            live = [entry for entry in entries if entry[1] >= now]
+            purged += len(entries) - len(live)
+            if live:
+                self.token_entries[key] = live
+            else:
+                del self.token_entries[key]
+        return purged
+
+    def all_token_entries(self) -> list[dict]:
+        """Every token entry, each key's entries in registration order."""
+
+        return [{"path": path, "userid": userid,
+                 "token_type": token_type, "expires_at": expires_at}
+                for (path, userid), entries in self.token_entries.items()
+                for token_type, expires_at in entries]
 
     # ------------------------------------------------------------ sync entries --
     def add_sync_entry(self, path: str, access: str, userid: int) -> None:
-        self.sync_entries.append({"path": path, "access": access,
-                                  "userid": userid})
+        self.sync_entries.setdefault(path, []).append((access, userid))
 
     def remove_sync_entry(self, path: str, access: str, userid: int) -> int:
-        for index, entry in enumerate(self.sync_entries):
-            if (entry["path"], entry["access"], entry["userid"]) == \
-                    (path, access, userid):
-                del self.sync_entries[index]
-                return 1
-        return 0
+        entries = self.sync_entries.get(path, [])
+        try:
+            entries.remove((access, userid))
+        except ValueError:
+            return 0
+        if not entries:
+            del self.sync_entries[path]
+        return 1
 
     def sync_entries_for(self, path: str) -> list[dict]:
-        return [entry for entry in self.sync_entries if entry["path"] == path]
+        return [{"path": path, "access": access, "userid": userid}
+                for access, userid in self.sync_entries.get(path, ())]
+
+    def all_sync_entries(self) -> list[dict]:
+        """Every Sync entry, each path's entries in open order."""
+
+        return [entry for path in self.sync_entries
+                for entry in self.sync_entries_for(path)]
 
     def clear(self) -> None:
         self.token_entries.clear()

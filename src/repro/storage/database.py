@@ -41,11 +41,10 @@ from repro.util.lsn import LSN
 
 SYSTEM_TXN_ID = 0
 
-#: Gates the statement fast paths that bypass the general scan machinery:
-#: the point-SELECT short cut in :meth:`Database.select` and the cached
-#: column-maximum scan behind :meth:`Database.scan_max` callers.  ``False``
-#: routes every statement through the reference implementation; both modes
-#: produce bit-identical rows and simulated charges (see
+#: Gates the statement fast path that bypasses the general scan machinery:
+#: the point-SELECT short cut in :meth:`Database.select`.  ``False`` routes
+#: every select through the reference implementation; both modes produce
+#: bit-identical rows and simulated charges (see
 #: tests/test_bulk_fastpaths.py).
 FAST_SCANS = True
 
@@ -112,12 +111,12 @@ class Database:
         #: Extended per-table plans (:class:`_TablePlan`), validated against
         #: the catalog's version counter on every probe.
         self._plans: dict[str, _TablePlan] = {}
-        #: ``{table: {column: (max_value, heap_mutations_seen)}}`` -- the
-        #: cached scan maxima behind :meth:`scan_max`.  A cached entry is
-        #: valid only while its heap's mutation counter is unchanged, so
-        #: writes that bypass this facade (replication redo, recovery,
-        #: rollback) invalidate it implicitly.
-        self._max_trackers: dict[str, dict[str, tuple]] = {}
+        #: ``{table: (max_key, heap_mutations_seen)}`` -- the cached key
+        #: maxima behind :meth:`max_key`.  A cached entry is valid only
+        #: while its heap's mutation counter is unchanged, so writes that
+        #: bypass this facade (replication redo, recovery, rollback)
+        #: invalidate it implicitly.
+        self._max_keys: dict[str, tuple] = {}
         # Primed per-statement charge amounts (see _prime_charges).
         self._primed_charge_clock = None
         self._amt_stmt = 0.0
@@ -181,8 +180,8 @@ class Database:
         ``sql_statement_base``, ``index_probe``, ``row_read`` and
         ``log_write`` amounts are constant products of the clock's unit
         costs and this database's ``cost_scale``; the per-statement entry
-        points (begin/commit/insert/select/scan_max and the point-select
-        short cut) write the clock advance out inline against these
+        points (begin/commit/insert/select and the point-select short
+        cut) write the clock advance out inline against these
         precomputed amounts -- the same unrolling the physical file system
         applies to its fixed per-syscall charges.
         """
@@ -580,21 +579,20 @@ class Database:
                 acquire(txn_id, ("key", table, key), LockMode.EXCLUSIVE)
                 locks_taken = 1
             rid = plan.heap.insert(normalized)
-            trackers = self._max_trackers.get(table)
-            if trackers:
-                # Keep warm scan maxima warm: if nothing else touched the
-                # heap since the tracker was taken, this insert's value is
-                # the only candidate for a new maximum.  Otherwise leave the
-                # tracker stale -- scan_max rescans on the counter mismatch.
+            cached = self._max_keys.get(table)
+            if cached is not None:
+                # Keep a warm key maximum warm: if nothing else touched the
+                # heap since it was taken, this insert's key is the only
+                # candidate for a new maximum.  Otherwise leave it stale --
+                # max_key rescans on the counter mismatch.
                 heap_mutations = plan.heap.mutations
-                for column, cached in trackers.items():
-                    if cached[1] == heap_mutations - 1:
-                        best = cached[0]
-                        value = normalized[column]
-                        if best is None or \
-                                (value is not None and value > best):
-                            best = value
-                        trackers[column] = (best, heap_mutations)
+                if cached[1] == heap_mutations - 1:
+                    best = cached[0]
+                    value = normalized[pk_single]
+                    if best is None or \
+                            (value is not None and value > best):
+                        best = value
+                    self._max_keys[table] = (best, heap_mutations)
             acquire(txn_id, ("row", table, rid), LockMode.EXCLUSIVE)
             locks_taken += 1
             for index in plan.indexes:
@@ -875,69 +873,38 @@ class Database:
                                  label=self._read_label)
         return matched
 
-    def scan_max(self, table: str, column: str):
-        """Maximum of *column* over *table*'s live rows (``None`` if empty).
+    def max_key(self, table: str):
+        """``MAX`` over *table*'s single-column primary key (``None`` if empty).
 
-        Charged exactly like the unlocked full-table ``select`` a caller
-        would otherwise issue -- one ``sql_statement_base`` plus a
-        ``row_read`` per live row -- but the value comes from a cached
-        per-column maximum validated against the heap's mutation counter,
-        so repeated scans of a monotonically growing table (the DLFM's id
-        allocation) stop re-walking every row.  A mutation that bypassed
-        this facade (replication redo, recovery, rollback, snapshot
-        restore) bumps the counter and forces a rescan, so the cached
-        maximum can never go stale.
+        Charged as what a DBMS does for ``MAX`` over an indexed key,
+        independent of table size: one ``sql_statement_base``, one
+        ``index_probe`` (the descent to the last key) and one ``row_read``
+        (the aggregate's single result row).  The value comes from a cached
+        maximum validated against the heap's mutation counter, so id
+        allocation over a growing table does not re-walk every row either.
+        A mutation that bypassed this facade (replication redo, recovery,
+        rollback, snapshot restore) bumps the counter and forces a rescan,
+        so the cached maximum can never go stale.
         """
 
-        clock = self.clock
-        if clock is not None:
-            if self._primed_charge_clock is not clock:
-                self._prime_charges(clock)
-            amount = self._amt_stmt
-            clock._now += amount
-            key = self._key_stmt
-            cells = clock.stats._cells
-            try:
-                cell = cells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells[key] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
-        try:
-            plan = self._plans[table]
-        except KeyError:
-            plan = self._build_plan(table)
-        else:
-            catalog = self.catalog
-            if plan.catalog is not catalog or plan.version != catalog.version:
-                plan = self._build_plan(table)
-        rows = plan.rows
-        if clock is not None and rows:
-            clock.charge_run("row_read", len(rows), scale=self.cost_scale,
-                             label=self._read_label)
+        plan = self._plan(table)
+        column = plan.pk_single
+        if column is None:
+            raise ValueError(
+                f"table {table}: max_key needs a single-column primary key")
+        self._charge("sql_statement_base")
+        self._charge("index_probe")
+        self._charge("row_read")
         mutations = plan.heap.mutations
-        trackers = self._max_trackers.get(table)
-        if trackers is None:
-            trackers = self._max_trackers[table] = {}
-        else:
-            cached = trackers.get(column)
-            if cached is not None and cached[1] == mutations:
-                return cached[0]
+        cached = self._max_keys.get(table)
+        if cached is not None and cached[1] == mutations:
+            return cached[0]
         best = None
-        for row in rows.values():
+        for row in plan.rows.values():
             value = row[column]
             if value is not None and (best is None or value > best):
                 best = value
-        trackers[column] = (best, mutations)
+        self._max_keys[table] = (best, mutations)
         return best
 
     def update(self, table: str, where, changes: dict,
@@ -1120,14 +1087,10 @@ class Database:
                         continue
                     key = (bindings[single],)
                 else:
-                    complete = True
-                    for column in columns:
-                        if column not in bindings:
-                            complete = False
-                            break
-                    if not complete:
+                    try:
+                        key = index.key_of(bindings)
+                    except KeyError:    # a key column is not bound
                         continue
-                    key = tuple(bindings[column] for column in columns)
                 if entries is not None:
                     try:
                         bucket = entries[key]
@@ -1227,9 +1190,9 @@ class Database:
     def reset_catalog(self) -> None:
         self.catalog = Catalog()
         # The rebuilt catalog gets fresh heaps whose mutation counters
-        # restart, so a surviving scan-max tracker could validate against a
-        # coincidentally equal count while holding a pre-crash maximum.
-        self._max_trackers.clear()
+        # restart, so a surviving key maximum could validate against a
+        # coincidentally equal count while holding a pre-crash value.
+        self._max_keys.clear()
 
     def crash(self) -> None:
         """Simulate a crash: volatile state and unflushed log records are lost."""
@@ -1245,7 +1208,7 @@ class Database:
 
         # Recovery rebuilds the catalog (checkpoint snapshot or reset), so
         # every heap gets a fresh mutation counter; see reset_catalog.
-        self._max_trackers.clear()
+        self._max_keys.clear()
         summary = RecoveryManager(self).recover()
         checkpoint = self._checkpoint
         if checkpoint is not None:
@@ -1284,8 +1247,8 @@ class Database:
 
         state_id = self.backups.restore(image)
         # The snapshot load rebuilt every heap (fresh mutation counters);
-        # surviving scan-max trackers would validate against stale counts.
-        self._max_trackers.clear()
+        # surviving key maxima would validate against stale counts.
+        self._max_keys.clear()
         self.checkpoint()
         return state_id
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 
 from repro.errors import DuplicateKeyError
 
@@ -16,20 +17,24 @@ class HashIndex:
         self.columns = tuple(columns)
         self.unique = unique
         self._single = self.columns[0] if len(self.columns) == 1 else None
+        # Composite keys come out of one C-level call (``itemgetter`` with
+        # several names returns the tuple); a single name would return the
+        # bare value, hence the ``_single`` special case.
+        self._composite = itemgetter(*self.columns) \
+            if self._single is None else None
         self._entries: dict[tuple, set[int]] = {}
 
     def key_of(self, row: dict) -> tuple:
         single = self._single
         if single is not None:
             return (row[single],)
-        return tuple(row[column] for column in self.columns)
+        return self._composite(row)
 
     def insert(self, row: dict, rid: int) -> None:
         # ``key_of`` is inlined here (and in ``remove``): index maintenance
         # runs once per index per DML row and the extra frame was measurable.
         single = self._single
-        key = (row[single],) if single is not None else \
-            tuple(row[column] for column in self.columns)
+        key = (row[single],) if single is not None else self._composite(row)
         entries = self._entries
         try:
             bucket = entries[key]
@@ -43,8 +48,7 @@ class HashIndex:
 
     def remove(self, row: dict, rid: int) -> None:
         single = self._single
-        key = (row[single],) if single is not None else \
-            tuple(row[column] for column in self.columns)
+        key = (row[single],) if single is not None else self._composite(row)
         entries = self._entries
         try:
             bucket = entries[key]

@@ -230,6 +230,10 @@ class WebServerWorkload:
             def read_page(session, reader_index, op_index):
                 session.read_url(urls_by_reader[reader_index][op_index])
 
+            # The serialized handout left each client's clock at the host
+            # time of its own handout; align them so the whole pool starts
+            # inside the measured window (throughput <= limit / think).
+            pool.sync_clients()
             pool.run([len(urls) for urls in urls_by_reader], read_page)
             summary = pool.summary()
             per_server_mb = [

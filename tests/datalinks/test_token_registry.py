@@ -1,0 +1,253 @@
+"""The DLFM token registry against oracles that are not the code.
+
+Two checks on the constant-time registry (a third -- the ``(path, userid)``
+index moves no simulated charge -- sits with the other ledger-identity
+suites in ``tests/test_bulk_fastpaths.py``):
+
+* a seeded property test drives random register / expire / purge / find
+  sequences through :class:`DLFMRepository` and :class:`WitnessSoftState`
+  and holds both to a brute-force list: the entry returned is the *first
+  live match in registration order*, whatever index serves the lookup;
+* ids handed out by ``MAX(key) + 1`` stay unique across the events that
+  rebuild or bypass the cached maximum -- crash + recovery, failover with
+  soft-state migration, prefix hand-off (the PR 9 bug class).
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.datalinks.control_modes import ControlMode
+from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
+from repro.datalinks.dlfm.repository import DLFMRepository
+from repro.datalinks.replication import WitnessSoftState
+from repro.datalinks.sharding import ShardedDataLinksDeployment
+from repro.simclock import SimClock
+from repro.storage.database import Database
+from repro.storage.schema import Column, TableSchema
+from repro.storage.values import DataType
+from tests.conftest import FILES_TABLE, build_system
+
+ID_COLUMNS = {"token_entries": "entry_id", "sync_entries": "entry_id",
+              "file_versions": "version_id", "archive_queue": "job_id"}
+
+
+# ---------------------------------------------------------------------------
+# find_token_entry vs a brute-force list
+# ---------------------------------------------------------------------------
+class ListOracle:
+    """The registry as the paper states it: a list, scanned in order."""
+
+    def __init__(self):
+        self.entries: list[tuple] = []       # (path, userid, type, expires_at)
+
+    def add_token_entry(self, path, userid, token_type, expires_at):
+        self.entries.append((path, userid, token_type, expires_at))
+
+    def find_token_entry(self, path, userid, *, for_write, now):
+        for entry in self.entries:
+            if entry[0] == path and entry[1] == userid \
+                    and entry[3] >= now \
+                    and (entry[2] == "W" or not for_write):
+                return entry
+        return None
+
+    def purge_expired_tokens(self, now):
+        before = len(self.entries)
+        self.entries = [entry for entry in self.entries if entry[3] >= now]
+        return before - len(self.entries)
+
+
+def _as_tuple(entry):
+    if entry is None:
+        return None
+    return (entry["path"], entry["userid"], entry["token_type"],
+            entry["expires_at"])
+
+
+class TestFindTokenEntryOracle:
+    PATHS = ("/a/hot.html", "/a/warm.html", "/b/cold.html")
+    USERS = (3001, 3002, 3003, 3004)
+
+    @pytest.mark.parametrize("seed", [7, 20260926, 424242])
+    def test_repository_and_soft_state_match_the_list(self, seed):
+        rng = random.Random(seed)
+        repository = DLFMRepository(Database(
+            "registry", SimClock(), cost_scale=0.1, stats_prefix="dlfm."))
+        soft, oracle = WitnessSoftState(), ListOracle()
+        now = 0.0
+        finds = hits = 0
+        for step in range(600):
+            action = rng.random()
+            if action < 0.40:
+                # Every expiry is distinct, so it identifies its entry:
+                # returning a later registration instead of the first live
+                # one cannot pass.
+                expires_at = now + rng.choice((4.0, 20.0, 60.0)) + step * 1e-6
+                entry = (rng.choice(self.PATHS), rng.choice(self.USERS),
+                         rng.choice("RRW"), expires_at)
+                for store in (repository, soft, oracle):
+                    store.add_token_entry(*entry)
+            elif action < 0.55:
+                now += rng.uniform(0.0, 6.0)
+            elif action < 0.62:
+                purged = oracle.purge_expired_tokens(now)
+                assert repository.purge_expired_tokens(now) == purged
+                assert soft.purge_expired_tokens(now) == purged
+            else:
+                path, userid = rng.choice(self.PATHS), rng.choice(self.USERS)
+                for_write = rng.random() < 0.4
+                want = oracle.find_token_entry(path, userid,
+                                               for_write=for_write, now=now)
+                for store in (repository, soft):
+                    got = store.find_token_entry(path, userid,
+                                                 for_write=for_write, now=now)
+                    assert _as_tuple(got) == want, \
+                        f"step {step}: {type(store).__name__}"
+                finds += 1
+                hits += want is not None
+        # The program must exercise both outcomes to mean anything.
+        assert finds > 100 and 0 < hits < finds
+        assert sorted(map(_as_tuple, soft.all_token_entries())) == \
+            sorted(oracle.entries)
+
+
+# ---------------------------------------------------------------------------
+# id uniqueness across the events that invalidate the cached maximum
+# ---------------------------------------------------------------------------
+def _assert_unique_ids(session, table, doc_ids, repository):
+    """Every id column is duplicate-free, with rows in all four tables.
+
+    Sync entries only live while a file is open, so the check runs with an
+    update held open on every document (one live ``write`` entry each).
+    """
+
+    updates = []
+    try:
+        for doc_id in doc_ids:
+            url = session.get_datalink(table, {"doc_id": doc_id}, "body",
+                                       access="write", ttl=1e9)
+            updates.append(session.update_file(url, truncate=True))
+            updates[-1].begin()
+        for name, column in ID_COLUMNS.items():
+            ids = [row[column]
+                   for row in repository.db.select(name, lock=False)]
+            assert ids, f"the scenario left {name} empty"
+            assert len(ids) == len(set(ids)), \
+                f"{name}.{column} repeats: {sorted(ids)}"
+    finally:
+        for update in updates:
+            update.abort()
+
+
+def _read_and_edit(session, table, doc_ids, run_archiver, tag):
+    """Tokenized reads plus one update-in-place per document: every id
+    sequence (token, Sync, version, archive job) advances."""
+
+    for doc_id in doc_ids:
+        where = {"doc_id": doc_id}
+        session.read_url(session.get_datalink(table, where, "body",
+                                              access="read", ttl=1e9))
+        url = session.get_datalink(table, where, "body", access="write",
+                                   ttl=1e9)
+        with session.update_file(url, truncate=True) as update:
+            update.replace(f"{tag} {doc_id}".encode())
+        run_archiver()
+
+
+SHARD_TABLE = "registry_docs"
+
+
+def _build_deployment():
+    deployment = ShardedDataLinksDeployment(
+        2, replication=True, flush_policy="immediate", group_commit_window=1)
+    deployment.create_table(TableSchema(SHARD_TABLE, [
+        Column("doc_id", DataType.INTEGER, nullable=False),
+        datalink_column("body", DatalinkOptions(control_mode=ControlMode.RDD,
+                                                recovery=True)),
+        Column("body_size", DataType.INTEGER),
+        Column("body_mtime", DataType.TIMESTAMP),
+    ], primary_key=("doc_id",)))
+    deployment.register_metadata_columns(SHARD_TABLE, "body", "body_size",
+                                         "body_mtime")
+    return deployment, deployment.session("alice", uid=1001)
+
+
+def _link(deployment, session, prefix, doc_ids):
+    for doc_id in doc_ids:
+        url = deployment.put_file(session, f"{prefix}/doc{doc_id:03d}.dat",
+                                  f"doc {doc_id}".encode())
+        session.insert(SHARD_TABLE, {"doc_id": doc_id, "body": url,
+                                     "body_size": 0, "body_mtime": 0.0})
+    deployment.system.run_archiver()
+    deployment.system.flush_logs()
+
+
+class TestIdsStayUnique:
+    def test_across_crash_and_recover(self):
+        system, alice, _, _ = build_system(ControlMode.RDD, files=3)
+        repository = system.file_server("fs1").dlfm.repository
+        _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
+                       "before")
+        system.flush_logs()
+        system.crash_file_server("fs1")
+        system.recover_file_server("fs1")
+        _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
+                       "after")
+        _assert_unique_ids(alice, FILES_TABLE, range(3), repository)
+
+    def test_across_failover_soft_state_migration(self):
+        deployment, session = _build_deployment()
+        prefix = next(f"/f{index}" for index in range(100)
+                      if deployment.shard_of(f"/f{index}/x") == "shard0")
+        _link(deployment, session, prefix, range(3))
+        replica = deployment.replicas["shard0"]
+        witness = replica.witness
+        urls = [session.get_datalink(SHARD_TABLE, {"doc_id": doc_id}, "body",
+                                     access="read", ttl=1e9)
+                for doc_id in range(3)]
+        # Serving-node entries replicate into the witness heaps; reads
+        # through the witness accrue soft entries beside them.
+        for url in urls:
+            assert deployment.read_url(session, url)
+            assert session.read_url(url, server=witness.name)
+        assert witness.dlfm.replica_status()["soft_token_entries"] >= 3
+        deployment.system.flush_logs()
+        deployment.crash_shard("shard0")
+        summary = deployment.fail_over("shard0")
+        assert summary["soft_state"]["token_entries"] >= 3
+        # The restarted ex-primary stays fenced; it only has to be up for
+        # the system-wide archiver pass.
+        deployment.recover_shard("shard0")
+        _read_and_edit(session, SHARD_TABLE, range(3),
+                       deployment.system.run_archiver, "promoted")
+        _assert_unique_ids(session, SHARD_TABLE, range(3),
+                           witness.dlfm.repository)
+
+    def test_across_rebalance_import(self):
+        deployment, session = _build_deployment()
+        _link(deployment, session, "/moving", range(3))
+        source = deployment.shard_of("/moving/doc000.dat")
+        dest = next(name for name in deployment.shard_names if name != source)
+        # The destination already owns versions of its own, so imported
+        # version rows must be renumbered past them.
+        own = next(f"/own{index}" for index in range(100)
+                   if deployment.shard_of(f"/own{index}/x") == dest)
+        _link(deployment, session, own, range(10, 13))
+        run_archiver = deployment.system.run_archiver
+        _read_and_edit(session, SHARD_TABLE, range(3), run_archiver, "source")
+        _read_and_edit(session, SHARD_TABLE, range(10, 13), run_archiver,
+                       "dest")
+        deployment.system.flush_logs()
+        assert deployment.rebalance_prefix("/moving", dest)["moved"]
+        everything = list(range(3)) + list(range(10, 13))
+        _read_and_edit(session, SHARD_TABLE, everything, run_archiver,
+                       "moved")
+        repository = deployment.router.serving_server(dest).dlfm.repository
+        moved = [row for row in repository.db.select("file_versions",
+                                                     lock=False)
+                 if row["path"].startswith("/moving/")]
+        assert len(moved) >= 6          # imported chain + post-move versions
+        _assert_unique_ids(session, SHARD_TABLE, everything, repository)

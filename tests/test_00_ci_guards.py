@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments import ALL_EXPERIMENTS, LARGE_PARAMS
+from repro.bench.experiments import (ALL_EXPERIMENTS, LARGE_PARAMS,
+                                     SMOKE_PARAMS)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -36,6 +37,42 @@ E14_LARGE_MAX_PROFILE_CALLS = 13_890_412
 #: is the measured timing the wall-clock budget test diffs against.
 REQUIRED_ENTRY_FIELDS = ("experiment_id", "title", "headers", "rows",
                         "sim_ms", "wall_clock_s")
+
+
+#: The closed-loop sweeps: experiment, row marker, throughput column, the
+#: parameter holding how many counted units one admitted operation carries
+#: (``None`` = one), and the admission-limit / think-time parameters.
+SWEEPS = (
+    ("E9", "session sweep", "ops_per_sim_s", None,
+     "admission_limit", "client_think_s"),
+    ("E11", "client sweep", "links_per_sim_s", "rows_per_transaction",
+     "sweep_admission_limit", "sweep_think_s"),
+    ("E12", "routed read sweep", "follower_reads_per_sim_s", None,
+     "sweep_admission_limit", "sweep_think_s"),
+)
+
+
+def assert_sweeps_obey_the_admission_ceiling(payload: dict, params: dict):
+    """Operational law for a closed loop behind ``limit`` slots: a client
+    holds its slot for at least the think time ``Z``, so no sweep step can
+    complete more than ``limit / Z`` operations per simulated second.
+    The committed columns are rounded to one decimal, hence the 0.05."""
+
+    checked = 0
+    for name, marker, column, units_key, limit_key, think_key in SWEEPS:
+        tier = params.get(name, {})
+        limit, think_s = tier.get(limit_key), tier.get(think_key)
+        if not limit or not think_s:
+            continue
+        ceiling = limit / think_s * (tier[units_key] if units_key else 1)
+        for row in payload["experiments"][name]["rows"]:
+            if marker not in row["configuration"]:
+                continue
+            checked += 1
+            assert row[column] <= ceiling + 0.05, (
+                f"{name} {row['configuration']!r}: {column} {row[column]} "
+                f"is above the admission ceiling limit/think = {ceiling}")
+    assert checked, "no sweep step was checked against its ceiling"
 
 
 def test_every_source_file_compiles():
@@ -81,6 +118,9 @@ class TestCommittedArtifactShape:
                     f"{name} row keys diverge from its headers"
             assert isinstance(entry["wall_clock_s"], (int, float))
 
+    def test_sweeps_stay_under_the_admission_ceiling(self, payload):
+        assert_sweeps_obey_the_admission_ceiling(payload, SMOKE_PARAMS)
+
 
 class TestCommittedLargeArtifactShape:
     """The committed BENCH_large.json (the million-link capacity tier)
@@ -116,6 +156,9 @@ class TestCommittedLargeArtifactShape:
                 assert set(row) == set(headers), \
                     f"{name} row keys diverge from its headers"
             assert isinstance(entry["wall_clock_s"], (int, float))
+
+    def test_sweeps_stay_under_the_admission_ceiling(self, payload):
+        assert_sweeps_obey_the_admission_ceiling(payload, LARGE_PARAMS)
 
     def test_e14_million_link_capacity(self, payload):
         """Every E14-large variant clears the 10^6 charged-op floor and

@@ -19,6 +19,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,43 @@ class TestSimulatedResultsInvariant:
             f"baseline: {mismatches}; if the change is intentional, "
             "regenerate the artifact with `python -m repro.bench --smoke` "
             "from the repository root and commit it")
+
+
+class TestHashSeedDeterminism:
+    """Simulated results must not depend on set or dict-key hash order.
+
+    Index buckets are sets and several registries are keyed by tuples of
+    strings, whose iteration order follows ``PYTHONHASHSEED``.  The seed is
+    fixed at interpreter start, so this runs ``python -m repro.bench
+    --smoke`` in two fresh processes and compares every simulated field.
+    """
+
+    def test_smoke_is_identical_under_two_hash_seeds(self, tmp_path):
+        source = str(REPO_ROOT / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        payloads = []
+        for hash_seed in ("0", "1"):
+            json_path = tmp_path / f"hashseed{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=source + (os.pathsep + inherited
+                                            if inherited else ""))
+            subprocess.run(
+                [sys.executable, "-m", "repro.bench", "--smoke",
+                 "--json", str(json_path)],
+                cwd=tmp_path, env=env, check=True, timeout=300,
+                stdout=subprocess.DEVNULL)
+            with open(json_path, "r", encoding="utf-8") as stream:
+                payloads.append(json.load(stream)["experiments"])
+        first, second = payloads
+        assert set(first) == set(second)
+        differing = [f"{name}.{key}"
+                     for name, entry in first.items()
+                     for key in set(entry) | set(second[name])
+                     if _is_sim_key(key)
+                     and entry.get(key) != second[name].get(key)]
+        assert not differing, (
+            "simulated fields depend on PYTHONHASHSEED (an unordered set or "
+            f"dict drives simulated work somewhere): {differing}")
 
 
 class TestWallClockBudget:

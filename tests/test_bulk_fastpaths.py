@@ -3,7 +3,7 @@
 Three module flags gate the million-link-tier fast paths:
 
 * :data:`repro.storage.database.FAST_SCANS` -- the unlocked point-SELECT
-  short cut and the cached ``scan_max`` used by the DLFM's id allocation;
+  short cut;
 * :data:`repro.datalinks.engine.BULK_TOKEN_HANDOUT` -- the batched
   ``get_datalink_many`` host transaction that mints a whole read plan's
   tokens without the per-call session/engine dispatch frames;
@@ -17,6 +17,10 @@ total, every domain timestamp, and the cluster wall clock.  These tests
 assert that first on seeded random programs against twin reference
 implementations, then flag-on vs flag-off on the real E1/E9/E14
 smoke-configuration workloads (E14 includes the end-of-run audit).
+
+:meth:`Database.max_key` (the DLFM's id allocation) has no reference twin:
+it is the only path, charged at constant cost, and is checked here against
+a brute-force maximum and a fixed charge ledger.
 """
 
 from __future__ import annotations
@@ -74,103 +78,127 @@ def _make_docs_db(clock=None) -> Database:
     return db
 
 
-class TestScanMaxIdentity:
-    """``scan_max`` vs a full-scan select, across arbitrary mutations.
+class TestMaxKey:
+    """``max_key``: brute-force value, constant charges, tracker validity.
 
-    Twin databases run one seeded mutation program; at every probe step
-    one computes the maximum through :meth:`Database.scan_max` and the
-    other through the unlocked full-table ``select`` it replaces.  The
-    values, the charge ledgers, and the clocks must stay identical --
-    including across mutations that bypass the Database facade entirely
-    (direct heap inserts, the way replication redo lands rows), which
-    must invalidate the cached maximum through the heap's mutation
-    counter.
+    The value is served from a cached maximum keyed to the heap's mutation
+    counter; it must equal a brute-force maximum over the live rows across
+    arbitrary mutations -- including ones that bypass the Database facade
+    entirely (direct heap inserts, the way replication redo lands rows).
+    The charge is what a DBMS pays for ``MAX`` over an indexed key and
+    must not depend on the table size.
     """
 
     def _program(self, seed: int):
         rng = random.Random(seed)
+        # Keys arrive out of order, so the maximum is not simply the last
+        # insert: facade inserts draw even keys, bypassing ones odd keys.
+        even = rng.sample(range(0, 2000, 2), 150)
+        odd = rng.sample(range(1, 2000, 2), 150)
         ops = []
-        next_key = 0
-        live = []
+        deletable = []
         for step in range(150):
             action = rng.randrange(8)
             if action < 4:
-                value = None if rng.random() < 0.15 else rng.randrange(10_000)
-                ops.append(("insert", next_key, value))
-                live.append(next_key)
-                next_key += 1
-            elif action == 4 and live:
-                ops.append(("delete", live.pop(rng.randrange(len(live)))))
+                ops.append(("insert", even[step]))
+                deletable.append(even[step])
+            elif action == 4 and deletable:
+                # Half the deletes take the largest facade key, which
+                # lowers the answer whenever it was the overall maximum.
+                victim = max(deletable) if rng.random() < 0.5 \
+                    else deletable[rng.randrange(len(deletable))]
+                deletable.remove(victim)
+                ops.append(("delete", victim))
             elif action == 5:
                 # A redo-style mutation that bypasses the Database facade:
                 # the heap sees it, the statement layer never does.
-                ops.append(("bypass", 10_000 + step, rng.randrange(10_000)))
+                ops.append(("bypass", odd[step]))
             else:
                 ops.append(("probe",))
         ops.append(("probe",))
         return ops
 
     @pytest.mark.parametrize("seed", [11, 20260807, 555001])
-    def test_matches_full_scan_reference(self, seed):
-        fast = _make_docs_db()
-        reference = _make_docs_db()
+    def test_matches_brute_force_maximum(self, seed):
+        db = _make_docs_db()
+        live = set()
         for op in self._program(seed):
             if op[0] == "insert":
-                row = {"k": op[1], "v": op[2], "w": op[1] % 7}
-                fast.insert("docs", row)
-                reference.insert("docs", row)
+                db.insert("docs", {"k": op[1], "v": op[1] % 11, "w": None})
+                live.add(op[1])
             elif op[0] == "delete":
-                fast.delete("docs", {"k": op[1]})
-                reference.delete("docs", {"k": op[1]})
+                db.delete("docs", {"k": op[1]})
+                live.discard(op[1])
             elif op[0] == "bypass":
-                row = {"k": op[1], "v": op[2], "w": None}
-                fast._plan("docs").heap.insert(dict(row))
-                reference._plan("docs").heap.insert(dict(row))
+                db._plan("docs").heap.insert({"k": op[1], "v": 0, "w": None})
+                live.add(op[1])
             else:
-                got = fast.scan_max("docs", "v")
-                rows = reference.select("docs", lock=False)
-                values = [row["v"] for row in rows if row["v"] is not None]
-                want = max(values) if values else None
-                assert got == want
-                assert fast.clock.now() == reference.clock.now()
-        assert _stats_cells(fast.clock.stats) == \
-            _stats_cells(reference.clock.stats)
+                assert db.max_key("docs") == (max(live) if live else None)
+
+    @pytest.mark.parametrize("rows", [0, 1, 40, 400])
+    def test_charge_is_constant_in_table_size(self, rows):
+        db = _make_docs_db()
+        costs = db.clock.costs
+        for key in range(rows):
+            db.insert("docs", {"k": key, "v": key, "w": None})
+        before, started = _stats_cells(db.clock.stats), db.clock.now()
+        assert db.max_key("docs") == (rows - 1 if rows else None)
+        after = _stats_cells(db.clock.stats)
+        moved = {label: (cell[0] - before.get(label, (0, 0.0))[0])
+                 for label, cell in after.items()
+                 if cell != before.get(label)}
+        assert moved == {"sql_statement_base": 1, "index_probe": 1,
+                         "row_read": 1}
+        assert db.clock.now() - started == pytest.approx(
+            costs.sql_statement_base + costs.index_probe + costs.row_read)
+
+    def test_needs_a_single_column_primary_key(self):
+        db = Database("fastpaths", SimClock())
+        db.create_table(TableSchema("pairs", [
+            Column("a", DataType.INTEGER, nullable=False),
+            Column("b", DataType.INTEGER, nullable=False),
+        ], primary_key=("a", "b")))
+        with pytest.raises(ValueError):
+            db.max_key("pairs")
 
     def test_warm_tracker_survives_facade_inserts(self):
         db = _make_docs_db(SimClock())
         for key in range(20):
-            db.insert("docs", {"k": key, "v": key * 3, "w": None})
-        assert db.scan_max("docs", "v") == 57
+            db.insert("docs", {"k": key * 3, "v": key, "w": None})
+        assert db.max_key("docs") == 57
         # Facade inserts keep the tracker warm incrementally ...
-        db.insert("docs", {"k": 100, "v": 900, "w": None})
-        assert db.scan_max("docs", "v") == 900
+        db.insert("docs", {"k": 900, "v": 100, "w": None})
+        assert db.max_key("docs") == 900
         # ... and a bypassing heap mutation forces the rescan.
-        db._plan("docs").heap.insert({"k": 200, "v": 1234, "w": None})
-        assert db.scan_max("docs", "v") == 1234
+        db._plan("docs").heap.insert({"k": 1234, "v": 200, "w": None})
+        assert db.max_key("docs") == 1234
 
     def test_tracker_invalidated_by_crash_recovery(self):
         # A crash rebuilds the catalog with fresh heaps whose mutation
         # counters restart at zero; a tracker taken before the crash must
         # not validate against the new heap's coincidentally equal count
         # (the bug showed up as duplicate token-entry ids after failover).
+        # Here the crash loses an uncommitted key 99, and one insert after
+        # recovery brings the new heap to the same count of two mutations.
         db = _make_docs_db(SimClock())
-        db.insert("docs", {"k": 1, "v": 10, "w": None})
-        assert db.scan_max("docs", "v") == 10
-        db.wal.flush()
+        db.insert("docs", {"k": 10, "v": 1, "w": None})
+        txn = db.begin()
+        db.insert("docs", {"k": 99, "v": 2, "w": None}, txn)
+        assert db.max_key("docs") == 99
         db.crash()
         db.recover()
-        db.insert("docs", {"k": 2, "v": 20, "w": None})
-        assert db.scan_max("docs", "v") == 20
+        db.insert("docs", {"k": 20, "v": 2, "w": None})
+        assert db.max_key("docs") == 20
 
     def test_tracker_invalidated_by_restore(self):
         db = _make_docs_db(SimClock())
-        db.insert("docs", {"k": 1, "v": 10, "w": None})
+        db.insert("docs", {"k": 10, "v": 1, "w": None})
         image = db.backup("before")
-        db.insert("docs", {"k": 2, "v": 99, "w": None})
-        assert db.scan_max("docs", "v") == 99
+        db.insert("docs", {"k": 99, "v": 2, "w": None})
+        assert db.max_key("docs") == 99
         db.restore(image)
-        db.insert("docs", {"k": 2, "v": 20, "w": None})
-        assert db.scan_max("docs", "v") == 20
+        db.insert("docs", {"k": 20, "v": 2, "w": None})
+        assert db.max_key("docs") == 20
 
 
 class TestPointSelectIdentity:
@@ -313,10 +341,15 @@ class TestSmokeWorkloadLedgerIdentity:
                                page_size=params["page_size"],
                                file_servers=2,
                                control_mode=ControlMode.RDD,
-                               clients=2)
+                               clients=2,
+                               admission_limit=params["admission_limit"],
+                               client_think_s=params["client_think_s"])
         workload = WebServerWorkload(config).setup()
         workload.run()
-        return _group_snapshot(workload.system.clocks)
+        steps = workload.run_session_sweep(params["session_sweep"])
+        snapshot = _group_snapshot(workload.system.clocks)
+        snapshot["sweep"] = steps
+        return snapshot
 
     def _run_e14(self) -> dict:
         from repro.bench.experiments import SMOKE_PARAMS
@@ -353,3 +386,27 @@ class TestSmokeWorkloadLedgerIdentity:
                 f"label {label!r}: bulk fast path {fast['merged'][label]} != "
                 f"scalar reference {cell}")
         assert fast == reference
+
+    def test_composite_token_index_moves_no_simulated_charge(self,
+                                                             monkeypatch):
+        """The ``(path, userid)`` index on ``token_entries`` is
+        simulator-only: candidate enumeration is uncharged and the matched
+        rows are the same, so every clock cell of the E9 smoke run (mix
+        plus session sweep) equals the path-only index's bit for bit."""
+
+        composite = self._run_e9()
+        assert "dlfm.row_read" in composite["merged"]
+
+        create_index = Database.create_index
+        narrowed = []
+
+        def path_only(self, index_name, table, columns, **options):
+            if table == "token_entries":
+                narrowed.append(tuple(columns))
+                columns = ("path",)
+            return create_index(self, index_name, table, columns, **options)
+
+        monkeypatch.setattr(Database, "create_index", path_only)
+        reference = self._run_e9()
+        assert narrowed and set(narrowed) == {("path", "userid")}
+        assert composite == reference
