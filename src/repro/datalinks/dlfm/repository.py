@@ -21,8 +21,9 @@ Tables
                     pre-update attributes needed to detect modification.
 ``file_versions``   committed versions with their archive object and the
                     database state identifier they belong to.
-``archive_queue``   pending asynchronous archive jobs; a pending job blocks
-                    further updates of the same file.
+``archive_queue``   asynchronous archive jobs not yet run -- a finished job
+                    is deleted, so the table holds unfinished work only; a
+                    queued job blocks further updates of the same file.
 
 ``sync_entries``, ``token_entries``, ``file_versions`` and ``archive_queue``
 draw their integer keys from ``MAX(key) + 1``, which the store answers from
@@ -109,7 +110,6 @@ class DLFMRepository:
         db.create_table(_table("archive_queue", [
             Column("job_id", DataType.INTEGER, nullable=False),
             Column("path", DataType.TEXT, nullable=False),
-            Column("state", DataType.TEXT, nullable=False, default="PENDING"),
             Column("state_id", DataType.INTEGER, nullable=False, default=0),
             Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
         ], ("job_id",)))
@@ -316,22 +316,20 @@ class DLFMRepository:
         self.db.insert("archive_queue", {
             "job_id": job_id,
             "path": path,
-            "state": "PENDING",
             "state_id": state_id,
             "created_at": self.db.now(),
         }, txn)
         return job_id
 
     def pending_archive_jobs(self, path: str | None = None) -> list[dict]:
-        where = {"state": "PENDING"}
-        if path is not None:
-            where["path"] = path
+        """Queued jobs (of *path*, or all) in enqueue order."""
+
+        where = {"path": path} if path is not None else None
         rows = self.db.select("archive_queue", where, lock=False)
         return sorted(rows, key=lambda row: row["job_id"])
 
     def complete_archive_job(self, job_id: int) -> int:
-        return self.db.update("archive_queue", {"job_id": job_id}, {"state": "DONE"})
+        return self.db.delete("archive_queue", {"job_id": job_id})
 
     def cancel_archive_jobs(self, path: str) -> int:
-        return self.db.delete("archive_queue",
-                              lambda row: row["path"] == path and row["state"] == "PENDING")
+        return self.db.delete("archive_queue", {"path": path})

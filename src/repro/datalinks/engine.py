@@ -59,6 +59,7 @@ from repro.errors import (
 )
 from repro.simclock import SimClock
 from repro.storage.database import Database
+from repro.storage.query import Condition
 from repro.storage.transaction import Transaction
 from repro.storage.values import DataType
 from repro.util.lsn import LSN
@@ -98,6 +99,43 @@ class _MetadataRule:
     column: str
     size_column: str | None
     mtime_column: str | None
+
+
+class _ReferencesFile(Condition):
+    """Rows whose DATALINK *column* references *path* as served by *server*.
+
+    *server* is a physical node; the rows' URLs stay logical, so the test
+    goes through the router: a URL names the node directly, or its owner
+    shard's write traffic currently resolves there (a promoted witness
+    after failover, the destination shard after a prefix rebalance).
+    Binding the column to the path lets an index over the column -- keyed
+    by referenced file, see :mod:`repro.storage.index` -- enumerate only
+    the rows naming that path; without one the statement scans.
+    """
+
+    def __init__(self, router, column: str, server: str, path: str):
+        self.router = router
+        self.column = column
+        self.server = server
+        self.path = path
+
+    def matches(self, row: dict) -> bool:
+        url = row.get(self.column)
+        if not url:
+            return False
+        parsed = parse_url(url)
+        if parsed.path != self.path:
+            return False
+        if parsed.server == self.server:
+            return True
+        router = self.router
+        if router is None:
+            return False
+        owner = router.owner_shard(parsed.server, parsed.path)
+        return router.writable_node(owner) == self.server
+
+    def equality_bindings(self) -> dict:
+        return {self.column: self.path}
 
 
 class DataLinksEngine:
@@ -229,9 +267,19 @@ class DataLinksEngine:
     def register_metadata_columns(self, table: str, column: str,
                                   size_column: str | None = None,
                                   mtime_column: str | None = None) -> None:
-        """Declare which columns hold the auto-maintained file metadata."""
+        """Declare which columns hold the auto-maintained file metadata.
+
+        Metadata maintenance asks "which rows reference this file?" on
+        every close of an updated file, so the DATALINK column gets an
+        index if it has none (plain catalog DDL: index definitions are not
+        part of the cost model's statement stream).
+        """
 
         self._metadata_rules.append(_MetadataRule(table, column, size_column, mtime_column))
+        catalog = self.db.catalog
+        if not any(index.columns == (column,)
+                   for index in catalog.iter_indexes(table)):
+            catalog.create_index(f"{table}_{column}_file", table, (column,))
 
     # ------------------------------------------------------------- transactions --
     def begin(self) -> HostTransaction:
@@ -730,26 +778,11 @@ class DataLinksEngine:
         """Update registered size/mtime columns of rows referencing this file.
 
         *server* is the physical node whose close processing drives the
-        update.  The referencing rows' URLs stay logical, so the match
-        goes through the router: a URL names this node directly, or its
-        owner shard's write traffic currently resolves here (a promoted
-        witness after failover, the destination shard after a prefix
-        rebalance).
+        update.  One UPDATE per rule, whose condition
+        (:class:`_ReferencesFile`) is served by the column's file-keyed
+        index: the statement examines the rows naming *path*, not the
+        table.
         """
-
-        def references(row, column: str) -> bool:
-            url = row.get(column)
-            if not url:
-                return False
-            parsed = parse_url(url)
-            if parsed.path != path:
-                return False
-            if parsed.server == server:
-                return True
-            if self.router is None:
-                return False
-            owner = self.router.owner_shard(parsed.server, parsed.path)
-            return self.router.writable_node(owner) == server
 
         touched = 0
         for rule in self._metadata_rules:
@@ -762,7 +795,7 @@ class DataLinksEngine:
                 continue
             touched += self.db.update(
                 rule.table,
-                lambda row, column=rule.column: references(row, column),
+                _ReferencesFile(self.router, rule.column, server, path),
                 changes, host_txn.txn)
         return touched
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from repro.errors import NoSuchTableError, TableExistsError
 from repro.storage.heap import HeapTable
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import HashIndex, OrderedIndex, referenced_file
 from repro.storage.schema import TableSchema
+from repro.storage.values import DataType
 
 
 class Catalog:
@@ -72,7 +73,17 @@ class Catalog:
         self._require(table)
         self.version += 1
         index_cls = OrderedIndex if ordered else HashIndex
-        index = index_cls(index_name, table, tuple(columns), unique=unique)
+        columns = tuple(columns)
+        # DATALINK columns are keyed by the file they reference (see
+        # repro.storage.index); the schema decides, so index definitions in
+        # snapshots stay plain column lists and rebuild the same index.
+        schema = self._schemas[table]
+        derive = tuple(
+            referenced_file
+            if schema.column(column).dtype is DataType.DATALINK else None
+            for column in columns)
+        index = index_cls(index_name, table, columns, unique=unique,
+                          derive=derive if any(derive) else None)
         for rid, row in self._heaps[table].scan_live():
             index.insert(row, rid)
         self._indexes[table].append(index)
@@ -128,24 +139,43 @@ class Catalog:
                     index.insert(row, rid)
 
     # -- checkpoint / backup ------------------------------------------------------
+    def index_defs(self) -> dict:
+        """``{table: [index definition, ...]}`` -- the index DDL, replayable
+        through :meth:`ensure_indexes`."""
+
+        return {
+            name: [
+                {
+                    "name": index.name,
+                    "columns": index.columns,
+                    "unique": index.unique,
+                    "ordered": isinstance(index, OrderedIndex),
+                }
+                for index in indexes
+            ]
+            for name, indexes in self._indexes.items()
+        }
+
+    def ensure_indexes(self, index_defs: dict) -> None:
+        """Create every defined index its (existing) table does not have."""
+
+        for table, definitions in index_defs.items():
+            if table not in self._schemas:
+                continue
+            for definition in definitions:
+                if (table, definition["name"]) not in self._index_by_name:
+                    self.create_index(definition["name"], table,
+                                      definition["columns"],
+                                      unique=definition["unique"],
+                                      ordered=definition["ordered"])
+
     def snapshot(self) -> dict:
         """Deep snapshot of schemas and heap contents (indexes are derivable)."""
 
         return {
             "schemas": {name: schema.copy() for name, schema in self._schemas.items()},
             "heaps": {name: heap.snapshot() for name, heap in self._heaps.items()},
-            "index_defs": {
-                name: [
-                    {
-                        "name": index.name,
-                        "columns": index.columns,
-                        "unique": index.unique,
-                        "ordered": isinstance(index, OrderedIndex),
-                    }
-                    for index in indexes
-                ]
-                for name, indexes in self._indexes.items()
-            },
+            "index_defs": self.index_defs(),
         }
 
     def load_snapshot(self, snapshot: dict) -> None:
@@ -163,8 +193,4 @@ class Catalog:
             heap.load_snapshot(snapshot["heaps"][name])
             self._heaps[name] = heap
             self._indexes[name] = []
-        for name, definitions in snapshot["index_defs"].items():
-            for definition in definitions:
-                self.create_index(definition["name"], name, definition["columns"],
-                                  unique=definition["unique"],
-                                  ordered=definition["ordered"])
+        self.ensure_indexes(snapshot["index_defs"])

@@ -129,6 +129,11 @@ class Database:
         self._amt_read = 0.0
         self._next_txn_id = 1
         self._checkpoint: dict | None = None
+        #: Index definitions as of the last crash.  Index DDL is durable
+        #: when it returns but is not WAL-logged (no LSN moves for it), so
+        #: the definitions are kept beside the checkpoint and replayed by
+        #: :meth:`recover` onto whatever tables redo brings back.
+        self._index_defs: dict = {}
         self._restored_to: LSN | None = None
         self._crashed = False
 
@@ -210,7 +215,7 @@ class Database:
         plan.heap = heap
         plan.rows = heap._rows
         plan.pk_index = pk_index
-        plan.pk_entries = getattr(pk_index, "_entries", None)
+        plan.pk_entries = getattr(pk_index, "raw_entries", None)
         pk_cols = schema.primary_key
         plan.pk_cols = pk_cols
         plan.pk_single = pk_cols[0] if len(pk_cols) == 1 else None
@@ -218,7 +223,7 @@ class Database:
         plan.index_plans = tuple(
             (index, index.columns,
              index.columns[0] if len(index.columns) == 1 else None,
-             getattr(index, "_entries", None))
+             getattr(index, "raw_entries", None))
             for index in indexes)
         plan.unique_plans = tuple(
             entry for entry in plan.index_plans if entry[0].unique)
@@ -749,7 +754,8 @@ class Database:
         if pk_single is not None:
             if len(where) != 1:
                 return None
-            if pk_single in where and plan.pk_index is not None:
+            entries = plan.pk_entries
+            if pk_single in where and entries is not None:
                 if clock is not None:
                     amount = self._amt_probe
                     clock._now += amount
@@ -770,21 +776,18 @@ class Database:
                             cell[1] += amount
                         except KeyError:
                             mcells[key] = [1, amount]
-                entries = plan.pk_entries
-                if entries is None:
-                    bucket = plan.pk_index.bucket((where[pk_single],))
-                else:
-                    try:
-                        bucket = entries[(where[pk_single],)]
-                    except KeyError:
-                        return []
+                try:
+                    bucket = entries[(where[pk_single],)]
+                except KeyError:
+                    return []
         elif plan.pk_cols and len(where) == len(plan.pk_cols):
             complete = True
             for column in plan.pk_cols:
                 if column not in where:
                     complete = False
                     break
-            if complete and plan.pk_index is not None:
+            entries = plan.pk_entries
+            if complete and entries is not None:
                 if clock is not None:
                     amount = self._amt_probe
                     clock._now += amount
@@ -805,15 +808,11 @@ class Database:
                             cell[1] += amount
                         except KeyError:
                             mcells[label] = [1, amount]
-                key = tuple(where[column] for column in plan.pk_cols)
-                entries = plan.pk_entries
-                if entries is None:
-                    bucket = plan.pk_index.bucket(key)
-                else:
-                    try:
-                        bucket = entries[key]
-                    except KeyError:
-                        return []
+                try:
+                    bucket = entries[tuple(where[column]
+                                           for column in plan.pk_cols)]
+                except KeyError:
+                    return []
         if bucket is None:
             if len(where) != 1:
                 return None
@@ -1087,8 +1086,12 @@ class Database:
                         continue
                     key = (bindings[single],)
                 else:
+                    # ``bucket`` takes stored column values (it derives a
+                    # derived key itself); ``key_of`` on a raw hash index
+                    # yields the same tuple in one C-level call.
                     try:
-                        key = index.key_of(bindings)
+                        key = index.key_of(bindings) if entries is not None \
+                            else tuple([bindings[column] for column in columns])
                     except KeyError:    # a key column is not bound
                         continue
                 if entries is not None:
@@ -1198,6 +1201,8 @@ class Database:
         """Simulate a crash: volatile state and unflushed log records are lost."""
 
         self.wal.lose_unflushed()
+        if not self._crashed:
+            self._index_defs = self.catalog.index_defs()
         self.reset_catalog()
         self._transactions.clear()
         self.locks.clear()
@@ -1210,6 +1215,7 @@ class Database:
         # every heap gets a fresh mutation counter; see reset_catalog.
         self._max_keys.clear()
         summary = RecoveryManager(self).recover()
+        self.catalog.ensure_indexes(self._index_defs)
         checkpoint = self._checkpoint
         if checkpoint is not None:
             self._next_txn_id = max(self._next_txn_id, checkpoint["next_txn_id"])

@@ -1,4 +1,16 @@
-"""Secondary indexes: hash indexes for equality and an ordered index for ranges."""
+"""Secondary indexes: hash indexes for equality and an ordered index for ranges.
+
+An index over a ``DATALINK`` column is keyed by the *file the value
+references* (:func:`referenced_file`), not by the URL's spelling: the catalog
+passes the per-column derivation (``derive``) when it builds the index from
+the schema, and every entry point below -- maintenance and lookup alike --
+takes stored column values and derives the key itself.  ``dlfs://a/x``,
+``http://b/x`` and ``dlfs://a/x;token=t`` therefore share one bucket, which
+is what lets "which rows reference this file?" be answered without a scan.
+An equality lookup by URL finds a superset (every row naming that path);
+the statement's own predicate narrows it, as it does for any candidate set.
+A *unique* index over a DATALINK column admits one row per referenced path.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +18,65 @@ import bisect
 from operator import itemgetter
 
 from repro.errors import DuplicateKeyError
+from repro.util.urls import parse_url
+
+
+def referenced_file(value):
+    """The file a DATALINK value references: the path of its URL.
+
+    A bare path (what a lookup binds to ask which rows reference a file)
+    is its own key, and ``None`` (a NULL DATALINK) stays ``None``.
+    """
+
+    if value is None or value[:1] == "/":
+        return value
+    return parse_url(value).path
+
+
+def _key(values, derive: tuple | None) -> tuple:
+    """The index key for stored column *values* (in column order)."""
+
+    if derive is None:
+        return tuple(values)
+    return tuple(value if function is None else function(value)
+                 for value, function in zip(values, derive))
 
 
 class HashIndex:
-    """Equality index mapping a key tuple to the set of row ids holding it."""
+    """Equality index mapping a key tuple to the set of row ids holding it.
 
-    def __init__(self, name: str, table: str, columns: tuple[str, ...], unique: bool = False):
+    ``derive`` (one entry per column, ``None`` for "the stored value") makes
+    the key a function of the stored values; see the module docstring.
+    """
+
+    def __init__(self, name: str, table: str, columns: tuple[str, ...],
+                 unique: bool = False, derive: tuple | None = None):
         self.name = name
         self.table = table
         self.columns = tuple(columns)
         self.unique = unique
-        self._single = self.columns[0] if len(self.columns) == 1 else None
+        self.derive = derive
+        self._single = self.columns[0] \
+            if len(self.columns) == 1 and derive is None else None
         # Composite keys come out of one C-level call (``itemgetter`` with
         # several names returns the tuple); a single name would return the
-        # bare value, hence the ``_single`` special case.
-        self._composite = itemgetter(*self.columns) \
-            if self._single is None else None
+        # bare value, hence the ``_single`` special case.  A derived key
+        # takes the same slot, so maintenance below needs no third branch.
+        if derive is not None:
+            self._composite = lambda values, columns=self.columns: _key(
+                [values[column] for column in columns], derive)
+        else:
+            self._composite = itemgetter(*self.columns) \
+                if self._single is None else None
         self._entries: dict[tuple, set[int]] = {}
+
+    @property
+    def raw_entries(self) -> dict | None:
+        """The key -> rids dict, for callers that probe it with tuples of
+        stored column values; ``None`` when keys are derived (such callers
+        must go through :meth:`bucket`, which derives)."""
+
+        return self._entries if self.derive is None else None
 
     def key_of(self, row: dict) -> tuple:
         single = self._single
@@ -59,15 +113,15 @@ class HashIndex:
             del entries[key]
 
     def lookup(self, key: tuple) -> set[int]:
-        return set(self._entries.get(tuple(key), ()))
+        return set(self._entries.get(_key(key, self.derive), ()))
 
     def bucket(self, key: tuple):
         """The rid collection for *key* without copying (read-only view)."""
 
-        return self._entries.get(tuple(key), ())
+        return self._entries.get(_key(key, self.derive), ())
 
     def contains(self, key: tuple) -> bool:
-        return tuple(key) in self._entries
+        return _key(key, self.derive) in self._entries
 
     def clear(self) -> None:
         self._entries.clear()
@@ -80,19 +134,23 @@ class OrderedIndex:
     """A sorted (key, rid) index supporting range scans.
 
     Backed by a sorted list with binary search -- adequate for the table
-    sizes the reproduction works with and entirely deterministic.
+    sizes the reproduction works with and entirely deterministic.  With
+    ``derive`` (see :class:`HashIndex`) the order, and the bounds of
+    :meth:`range_scan`, are those of the derived keys.
     """
 
-    def __init__(self, name: str, table: str, columns: tuple[str, ...], unique: bool = False):
+    def __init__(self, name: str, table: str, columns: tuple[str, ...],
+                 unique: bool = False, derive: tuple | None = None):
         self.name = name
         self.table = table
         self.columns = tuple(columns)
         self.unique = unique
+        self.derive = derive
         self._keys: list[tuple] = []
         self._rids: list[int] = []
 
     def key_of(self, row: dict) -> tuple:
-        return tuple(row[column] for column in self.columns)
+        return _key([row[column] for column in self.columns], self.derive)
 
     def insert(self, row: dict, rid: int) -> None:
         key = self.key_of(row)
@@ -116,7 +174,7 @@ class OrderedIndex:
             position += 1
 
     def lookup(self, key: tuple) -> set[int]:
-        key = tuple(key)
+        key = _key(key, self.derive)
         result: set[int] = set()
         position = bisect.bisect_left(self._keys, key)
         while position < len(self._keys) and self._keys[position] == key:

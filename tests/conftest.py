@@ -129,3 +129,45 @@ def rdd_system():
 @pytest.fixture
 def rdb_system():
     return build_system(ControlMode.RDB)
+
+
+SHARD_TABLE = "registry_docs"
+
+
+def build_deployment() -> tuple:
+    """A 2-shard replicated deployment with an rdd/recovery files table and
+    metadata rules; returns ``(deployment, alice_session)``."""
+
+    from repro.datalinks.sharding import ShardedDataLinksDeployment
+
+    deployment = ShardedDataLinksDeployment(
+        2, replication=True, flush_policy="immediate", group_commit_window=1)
+    deployment.create_table(TableSchema(SHARD_TABLE, [
+        Column("doc_id", DataType.INTEGER, nullable=False),
+        datalink_column("body", DatalinkOptions(control_mode=ControlMode.RDD,
+                                                recovery=True)),
+        Column("body_size", DataType.INTEGER),
+        Column("body_mtime", DataType.TIMESTAMP),
+    ], primary_key=("doc_id",)))
+    deployment.register_metadata_columns(SHARD_TABLE, "body", "body_size",
+                                         "body_mtime")
+    return deployment, deployment.session("alice", uid=ALICE_UID)
+
+
+def prefix_on(deployment, shard: str, stem: str = "/f") -> str:
+    """A top-level directory that static hashing places on *shard*."""
+
+    return next(f"{stem}{index}" for index in range(100)
+                if deployment.shard_of(f"{stem}{index}/x") == shard)
+
+
+def link_docs(deployment, session, prefix: str, doc_ids) -> None:
+    """Stage and link ``{prefix}/docNNN.dat`` for each id, then archive."""
+
+    for doc_id in doc_ids:
+        url = deployment.put_file(session, f"{prefix}/doc{doc_id:03d}.dat",
+                                  f"doc {doc_id}".encode())
+        session.insert(SHARD_TABLE, {"doc_id": doc_id, "body": url,
+                                     "body_size": 0, "body_mtime": 0.0})
+    deployment.system.run_archiver()
+    deployment.system.flush_logs()

@@ -8,9 +8,11 @@ suites in ``tests/test_bulk_fastpaths.py``):
   sequences through :class:`DLFMRepository` and :class:`WitnessSoftState`
   and holds both to a brute-force list: the entry returned is the *first
   live match in registration order*, whatever index serves the lookup;
-* ids handed out by ``MAX(key) + 1`` stay unique across the events that
-  rebuild or bypass the cached maximum -- crash + recovery, failover with
-  soft-state migration, prefix hand-off (the PR 9 bug class).
+* ids handed out by ``MAX(key) + 1`` stay unique among live rows across
+  the events that rebuild or bypass the cached maximum -- crash + recovery,
+  failover with soft-state migration, prefix hand-off (the PR 9 bug class)
+  -- and archive jobs, whose rows live only until the archiver has run
+  them, still complete in enqueue order.
 """
 
 from __future__ import annotations
@@ -20,18 +22,15 @@ import random
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
-from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.dlfm.repository import DLFMRepository
 from repro.datalinks.replication import WitnessSoftState
-from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.simclock import SimClock
 from repro.storage.database import Database
-from repro.storage.schema import Column, TableSchema
-from repro.storage.values import DataType
-from tests.conftest import FILES_TABLE, build_system
+from tests.conftest import (FILES_TABLE, SHARD_TABLE, build_deployment,
+                            build_system, link_docs, prefix_on)
 
 ID_COLUMNS = {"token_entries": "entry_id", "sync_entries": "entry_id",
-              "file_versions": "version_id", "archive_queue": "job_id"}
+              "file_versions": "version_id"}
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +116,31 @@ class TestFindTokenEntryOracle:
 # ---------------------------------------------------------------------------
 # id uniqueness across the events that invalidate the cached maximum
 # ---------------------------------------------------------------------------
-def _assert_unique_ids(session, table, doc_ids, repository):
+def _assert_unique_ids(session, table, doc_ids, repository, run_archiver):
     """Every id column is duplicate-free, with rows in all four tables.
 
-    Sync entries only live while a file is open, so the check runs with an
-    update held open on every document (one live ``write`` entry each).
+    Archive jobs only live until the archiver runs them, so one update per
+    document is left queued: the job ids are distinct and the archiver then
+    completes the jobs in enqueue order (one new version each, in that
+    order) and leaves the queue empty.  Sync entries only live while a
+    file is open, so the other three tables are checked with an update
+    held open on every document (one live ``write`` entry each).
     """
+
+    order = list(doc_ids)[::-1]
+    _read_and_edit(session, table, order, lambda: None, "queued")
+    jobs = repository.pending_archive_jobs()
+    job_ids = [job["job_id"] for job in jobs]
+    assert len(jobs) == len(order) and len(set(job_ids)) == len(job_ids)
+    newest_before = max(row["version_id"] for row in
+                        repository.db.select("file_versions", lock=False))
+    run_archiver()
+    assert repository.db.select("archive_queue", lock=False) == []
+    archived = sorted((row for row in
+                       repository.db.select("file_versions", lock=False)
+                       if row["version_id"] > newest_before),
+                      key=lambda row: row["version_id"])
+    assert [row["path"] for row in archived] == [job["path"] for job in jobs]
 
     updates = []
     try:
@@ -157,34 +175,6 @@ def _read_and_edit(session, table, doc_ids, run_archiver, tag):
         run_archiver()
 
 
-SHARD_TABLE = "registry_docs"
-
-
-def _build_deployment():
-    deployment = ShardedDataLinksDeployment(
-        2, replication=True, flush_policy="immediate", group_commit_window=1)
-    deployment.create_table(TableSchema(SHARD_TABLE, [
-        Column("doc_id", DataType.INTEGER, nullable=False),
-        datalink_column("body", DatalinkOptions(control_mode=ControlMode.RDD,
-                                                recovery=True)),
-        Column("body_size", DataType.INTEGER),
-        Column("body_mtime", DataType.TIMESTAMP),
-    ], primary_key=("doc_id",)))
-    deployment.register_metadata_columns(SHARD_TABLE, "body", "body_size",
-                                         "body_mtime")
-    return deployment, deployment.session("alice", uid=1001)
-
-
-def _link(deployment, session, prefix, doc_ids):
-    for doc_id in doc_ids:
-        url = deployment.put_file(session, f"{prefix}/doc{doc_id:03d}.dat",
-                                  f"doc {doc_id}".encode())
-        session.insert(SHARD_TABLE, {"doc_id": doc_id, "body": url,
-                                     "body_size": 0, "body_mtime": 0.0})
-    deployment.system.run_archiver()
-    deployment.system.flush_logs()
-
-
 class TestIdsStayUnique:
     def test_across_crash_and_recover(self):
         system, alice, _, _ = build_system(ControlMode.RDD, files=3)
@@ -196,13 +186,13 @@ class TestIdsStayUnique:
         system.recover_file_server("fs1")
         _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
                        "after")
-        _assert_unique_ids(alice, FILES_TABLE, range(3), repository)
+        _assert_unique_ids(alice, FILES_TABLE, range(3), repository,
+                           system.run_archiver)
 
     def test_across_failover_soft_state_migration(self):
-        deployment, session = _build_deployment()
-        prefix = next(f"/f{index}" for index in range(100)
-                      if deployment.shard_of(f"/f{index}/x") == "shard0")
-        _link(deployment, session, prefix, range(3))
+        deployment, session = build_deployment()
+        prefix = prefix_on(deployment, "shard0")
+        link_docs(deployment, session, prefix, range(3))
         replica = deployment.replicas["shard0"]
         witness = replica.witness
         urls = [session.get_datalink(SHARD_TABLE, {"doc_id": doc_id}, "body",
@@ -224,18 +214,18 @@ class TestIdsStayUnique:
         _read_and_edit(session, SHARD_TABLE, range(3),
                        deployment.system.run_archiver, "promoted")
         _assert_unique_ids(session, SHARD_TABLE, range(3),
-                           witness.dlfm.repository)
+                           witness.dlfm.repository,
+                           deployment.system.run_archiver)
 
     def test_across_rebalance_import(self):
-        deployment, session = _build_deployment()
-        _link(deployment, session, "/moving", range(3))
+        deployment, session = build_deployment()
+        link_docs(deployment, session, "/moving", range(3))
         source = deployment.shard_of("/moving/doc000.dat")
         dest = next(name for name in deployment.shard_names if name != source)
         # The destination already owns versions of its own, so imported
         # version rows must be renumbered past them.
-        own = next(f"/own{index}" for index in range(100)
-                   if deployment.shard_of(f"/own{index}/x") == dest)
-        _link(deployment, session, own, range(10, 13))
+        own = prefix_on(deployment, dest, "/own")
+        link_docs(deployment, session, own, range(10, 13))
         run_archiver = deployment.system.run_archiver
         _read_and_edit(session, SHARD_TABLE, range(3), run_archiver, "source")
         _read_and_edit(session, SHARD_TABLE, range(10, 13), run_archiver,
@@ -250,4 +240,75 @@ class TestIdsStayUnique:
                                                      lock=False)
                  if row["path"].startswith("/moving/")]
         assert len(moved) >= 6          # imported chain + post-move versions
-        _assert_unique_ids(session, SHARD_TABLE, everything, repository)
+        _assert_unique_ids(session, SHARD_TABLE, everything, repository,
+                           run_archiver)
+
+
+# ---------------------------------------------------------------------------
+# the archive queue holds unfinished work only
+# ---------------------------------------------------------------------------
+def _queue(repository):
+    return repository.db.select("archive_queue", lock=False)
+
+
+class TestArchiveQueueDrains:
+    def test_empty_on_primary_and_witness_after_every_cycle(self):
+        deployment, session = build_deployment()
+        prefix = prefix_on(deployment, "shard0")
+        link_docs(deployment, session, prefix, range(3))
+        replica = deployment.replicas["shard0"]
+        primary = deployment.system.file_server("shard0").dlfm.repository
+        witness = replica.witness.dlfm.repository
+        versions = len(primary.db.select("file_versions", lock=False))
+        for cycle in range(4):
+            _read_and_edit(session, SHARD_TABLE, range(3),
+                           deployment.system.run_archiver, f"cycle {cycle}")
+            deployment.system.flush_logs()
+            assert _queue(primary) == [] and _queue(witness) == []
+        # The jobs ran: one more version per update, mirrored on the witness.
+        assert len(primary.db.select("file_versions", lock=False)) == \
+            versions + 12
+        assert len(witness.db.select("file_versions", lock=False)) == \
+            versions + 12
+
+    def test_a_promoted_witness_archives_the_jobs_it_inherited(self):
+        deployment, session = build_deployment()
+        prefix = prefix_on(deployment, "shard0")
+        link_docs(deployment, session, prefix, range(2))
+        witness = deployment.replicas["shard0"].witness.dlfm
+        _read_and_edit(session, SHARD_TABLE, range(2), lambda: None, "queued")
+        deployment.system.flush_logs()
+        paths = [job["path"] for job in witness.repository.pending_archive_jobs()]
+        assert len(paths) == 2          # replicated, and left alone: redo-only
+        assert witness.process_archive_jobs() == 0
+        before = {path: witness.repository.latest_version_no(path)
+                  for path in paths}
+        deployment.crash_shard("shard0")
+        deployment.fail_over("shard0")
+        assert witness.process_archive_jobs() == 2
+        assert _queue(witness.repository) == []
+        assert {path: witness.repository.latest_version_no(path)
+                for path in paths} == {path: number + 1
+                                       for path, number in before.items()}
+
+    def test_a_queued_job_blocks_the_next_update_until_cancelled(self):
+        from repro.errors import FileSystemError, UpdateInProgressError
+
+        system, alice, paths, _ = build_system(ControlMode.RDD, files=3)
+        dlfm = system.file_server("fs1").dlfm
+        _read_and_edit(alice, FILES_TABLE, range(3), lambda: None, "queued")
+        assert [job["path"] for job in dlfm.repository.pending_archive_jobs()] \
+            == paths
+        url = alice.get_datalink(FILES_TABLE, {"doc_id": 1}, "body",
+                                 access="write", ttl=1e9)
+        with pytest.raises(FileSystemError) as info:
+            alice.update_file(url, truncate=True).begin()
+        assert isinstance(info.value.__cause__, UpdateInProgressError)
+        assert dlfm.repository.cancel_archive_jobs(paths[1]) == 1
+        assert [job["path"] for job in dlfm.repository.pending_archive_jobs()] \
+            == [paths[0], paths[2]]
+        with alice.update_file(url, truncate=True) as update:
+            update.replace(b"unblocked")
+        assert dlfm.has_pending_archives(paths[1])
+        assert system.run_archiver() == 3
+        assert _queue(dlfm.repository) == []

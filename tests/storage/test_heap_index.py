@@ -126,3 +126,67 @@ class TestOrderedIndex:
         index.insert({"k": 1}, 2)
         index.remove({"k": 1}, 1)
         assert index.lookup((1,)) == {2}
+
+
+class TestDatalinkIndexes:
+    """An index over a DATALINK column is keyed by the referenced file."""
+
+    def _db(self, primary_key):
+        from repro.storage.database import Database
+
+        db = Database("links")
+        db.create_table(TableSchema("links", [
+            Column("k", DataType.INTEGER, nullable=False),
+            Column("url", DataType.DATALINK),
+        ], primary_key=primary_key))
+        if primary_key != ("url",):
+            db.create_index("links_url", "links", ("url",))
+        return db
+
+    URLS = ("dlfs://a/x", "http://b/x", "dlfs://a/x;token=t", "dlfs://a/y",
+            None)
+
+    @pytest.mark.parametrize("index_cls", [HashIndex, OrderedIndex])
+    def test_spellings_of_one_path_share_a_bucket(self, index_cls):
+        from repro.storage.index import referenced_file
+
+        index = index_cls("idx", "t", ("k", "url"),
+                          derive=(None, referenced_file))
+        # (The ordered index cannot sort NULL keys, derived or not.)
+        urls = self.URLS if index_cls is HashIndex else self.URLS[:-1]
+        for rid, url in enumerate(urls, 1):
+            index.insert({"k": 0, "url": url}, rid)
+        assert index.lookup((0, "/x")) == {1, 2, 3}
+        assert index.lookup((0, "dlfs://elsewhere/x")) == {1, 2, 3}
+        assert index.lookup((0, "dlfs://a/y")) == {4}
+        if index_cls is HashIndex:
+            assert index.lookup((0, None)) == {5}
+        assert index.lookup((1, "/x")) == set()
+        index.remove({"k": 0, "url": "http://b/x"}, 2)
+        assert index.lookup((0, "/x")) == {1, 3}
+
+    def test_the_catalog_derives_from_the_column_type(self):
+        db = self._db(("k",))
+        index = db.catalog.index_by_name("links", "links_url")
+        assert index.derive is not None and index.raw_entries is None
+        assert db.catalog.index_by_name("links", "links_pk").derive is None
+
+    def test_equality_select_still_compares_the_whole_value(self):
+        db = self._db(("k",))
+        for k, url in enumerate(self.URLS):
+            db.insert("links", {"k": k, "url": url})
+        assert [row["k"] for row in
+                db.select("links", {"url": "http://b/x"}, lock=False)] == [1]
+        assert db.select("links", {"url": "http://nowhere/x"},
+                         lock=False) == []
+
+    def test_a_datalink_primary_key_admits_one_row_per_file(self):
+        db = self._db(("url",))
+        db.insert("links", {"k": 1, "url": "dlfs://a/x"})
+        db.insert("links", {"k": 2, "url": "dlfs://a/y"})
+        with pytest.raises(DuplicateKeyError):
+            db.insert("links", {"k": 3, "url": "http://b/x"})
+        # The point SELECT must not hand back the other spelling's row.
+        assert db.select("links", {"url": "http://b/x"}, lock=False) == []
+        assert [row["k"] for row in
+                db.select("links", {"url": "dlfs://a/x"}, lock=False)] == [1]

@@ -410,3 +410,88 @@ class TestSmokeWorkloadLedgerIdentity:
         reference = self._run_e9()
         assert narrowed and set(narrowed) == {("path", "userid")}
         assert composite == reference
+
+
+def _update_in_place_mix(files: int, updates: int, seed: int = 42):
+    """A seeded read/update-in-place mix with an archiver poll per update;
+    returns ``(system, run)`` where ``run()`` drives the mix."""
+
+    from repro.datalinks.control_modes import ControlMode
+    from tests.conftest import FILES_TABLE, build_system
+
+    system, alice, _, _ = build_system(ControlMode.RDD, size=512, files=files)
+    rng = random.Random(seed)
+    plan = [(rng.randrange(files), rng.random() < 0.5, rng.randrange(64, 512))
+            for _ in range(updates * 2)]
+
+    def run() -> None:
+        for doc_id, is_update, size in plan:
+            where = {"doc_id": doc_id}
+            if is_update:
+                url = alice.get_datalink(FILES_TABLE, where, "body",
+                                         access="write")
+                with alice.update_file(url, truncate=True) as update:
+                    update.replace(b"u" * size)
+                system.run_archiver()
+            else:
+                alice.read_url(alice.get_datalink(FILES_TABLE, where, "body",
+                                                  access="read"))
+    return system, run
+
+
+class TestUpdateInPlaceIsTableSizeIndependent:
+    """The file-keyed reference index and the draining archive queue are
+    simulator-only, and they make update-in-place O(rows touched)."""
+
+    def test_reference_index_moves_no_simulated_charge(self, monkeypatch):
+        """Candidate enumeration is uncharged and the matched rows are the
+        same, so every clock cell in every domain equals the run whose
+        metadata statement falls back to the full scan."""
+
+        from repro.storage.catalog import Catalog
+        from tests.conftest import FILES_TABLE
+
+        system, run = _update_in_place_mix(files=12, updates=30)
+        index = system.host_db.catalog.index_by_name(
+            FILES_TABLE, f"{FILES_TABLE}_body_file")
+        assert index is not None and len(index) == 12
+        run()
+        indexed = _group_snapshot(system.clocks)
+        assert indexed["merged"]["row_write"][0] > 30
+
+        create_index = Catalog.create_index
+        skipped = []
+
+        def no_reference_index(self, index_name, table, columns, **options):
+            if index_name.endswith("_file"):
+                skipped.append(index_name)
+                return None
+            return create_index(self, index_name, table, columns, **options)
+
+        monkeypatch.setattr(Catalog, "create_index", no_reference_index)
+        system, run = _update_in_place_mix(files=12, updates=30)
+        assert skipped == [f"{FILES_TABLE}_body_file"]
+        assert [index.name for index in
+                system.host_db.catalog.indexes_of(FILES_TABLE)] == \
+            [f"{FILES_TABLE}_pk"]
+        run()
+        assert _group_snapshot(system.clocks) == indexed
+
+    def test_call_count_does_not_grow_with_the_table(self):
+        """Deterministic scaling guard: the same 50 operations (updates
+        with archiver polls, and reads) cost the same number of Python
+        calls on 100 documents as on 1 600 -- counts, not wall clock."""
+
+        import cProfile
+        import pstats
+
+        calls = {}
+        for files in (100, 1600):
+            _, run = _update_in_place_mix(files=files, updates=25, seed=7)
+            profile = cProfile.Profile()
+            profile.enable()
+            run()
+            profile.disable()
+            calls[files] = pstats.Stats(profile).total_calls
+        small, large = calls[100], calls[1600]
+        assert abs(large - small) / small < 0.05, calls
