@@ -15,13 +15,16 @@ Fairness is FIFO in simulated arrival time: the drivers
 non-decreasing client-clock order, and :meth:`acquire` always hands the
 earliest-freeing slot to the caller, so no later arrival can overtake an
 earlier one and queued clients drain round-robin.  The controller is
-pure simulation bookkeeping -- a min-heap of slot free times -- and adds
-O(log limit) work per operation regardless of how many clients queue.
+pure simulation bookkeeping -- a min-heap of slot free times, in clock
+ticks so ordering is exact -- and adds O(log limit) work per operation
+regardless of how many clients queue.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+
+from repro.simclock import TICKS_PER_SECOND
 
 
 class AdmissionTicket:
@@ -34,10 +37,12 @@ class AdmissionTicket:
 
     __slots__ = ("arrival", "admitted_at", "queue_delay", "released_at")
 
-    def __init__(self, arrival: float, admitted_at: float):
-        self.arrival = arrival
-        self.admitted_at = admitted_at
-        self.queue_delay = admitted_at - arrival
+    def __init__(self, arrival: int, admitted_at: int):
+        """Both instants are clock ticks; the ticket reports seconds."""
+
+        self.arrival = arrival / TICKS_PER_SECOND
+        self.admitted_at = admitted_at / TICKS_PER_SECOND
+        self.queue_delay = (admitted_at - arrival) / TICKS_PER_SECOND
         self.released_at = None
 
 
@@ -59,14 +64,14 @@ class AdmissionController:
         if limit < 1:
             raise ValueError("admission limit must be at least 1")
         self.limit = limit
-        #: Min-heap of slot free times; ``limit`` entries, always full --
-        #: acquire replaces the popped entry at release time.
-        self._free: list[float] = [0.0] * limit
+        #: Min-heap of slot free times (ticks); ``limit`` entries, always
+        #: full -- acquire replaces the popped entry at release time.
+        self._free: list[int] = [0] * limit
         self._held = 0
         self.admitted = 0
         self.queued = 0
-        self.total_queue_delay = 0.0
-        self.max_queue_delay = 0.0
+        self._total_delay_ticks = 0
+        self._max_delay_ticks = 0
         self.max_held = 0
 
     def acquire(self, clock) -> AdmissionTicket:
@@ -76,16 +81,16 @@ class AdmissionController:
             raise RuntimeError(
                 f"admission controller over-committed: {self._held} slots "
                 f"held with limit {self.limit}")
-        arrival = clock.now()
+        arrival = clock.ticks
         free_at = heappop(self._free)
         start = free_at if free_at > arrival else arrival
         delay = start - arrival
-        if delay > 0.0:
-            clock.sync_to(start)
+        if delay > 0:
+            clock.sync_ticks(start)
             self.queued += 1
-            self.total_queue_delay += delay
-            if delay > self.max_queue_delay:
-                self.max_queue_delay = delay
+            self._total_delay_ticks += delay
+            if delay > self._max_delay_ticks:
+                self._max_delay_ticks = delay
         self.admitted += 1
         self._held += 1
         if self._held > self.max_held:
@@ -95,8 +100,9 @@ class AdmissionController:
     def release(self, ticket: AdmissionTicket, clock) -> None:
         """Return *ticket*'s slot, free from the client's current time."""
 
-        ticket.released_at = clock.now()
-        heappush(self._free, ticket.released_at)
+        released = clock.ticks
+        ticket.released_at = released / TICKS_PER_SECOND
+        heappush(self._free, released)
         self._held -= 1
 
     def stats(self) -> dict:
@@ -107,6 +113,8 @@ class AdmissionController:
             "admitted": self.admitted,
             "queued": self.queued,
             "max_held": self.max_held,
-            "total_queue_delay_ms": self.total_queue_delay * 1000.0,
-            "max_queue_delay_ms": self.max_queue_delay * 1000.0,
+            "total_queue_delay_ms":
+                self._total_delay_ticks * 1000 / TICKS_PER_SECOND,
+            "max_queue_delay_ms":
+                self._max_delay_ticks * 1000 / TICKS_PER_SECOND,
         }

@@ -63,24 +63,25 @@ class SyncedFileSystem:
             return attribute
 
         def synced_call(*args, **kwargs):
-            # The body of ``synchronized_call`` with the four clock calls
-            # (send_time / sync_to / now / receive) written out as direct
-            # attribute work: this wrapper brackets every proxied syscall.
+            # The body of ``synchronized_call`` with the three clock calls
+            # (send_ticks / sync_ticks / receive_ticks) written out as
+            # direct attribute work: this wrapper brackets every proxied
+            # syscall.
             frames = client._overlap_frames
-            instant = frames[-1][0] if frames else client._now
-            if instant > server._now:
-                server._now = instant
+            instant = frames[-1][0] if frames else client.ticks
+            if instant > server.ticks:
+                server.ticks = instant
             try:
                 return attribute(*args, **kwargs)
             finally:
-                instant = server._now
+                instant = server.ticks
                 frames = client._overlap_frames
                 if frames:
                     frame = frames[-1]
                     if instant > frame[1]:
                         frame[1] = instant
-                elif instant > client._now:
-                    client._now = instant
+                elif instant > client.ticks:
+                    client.ticks = instant
 
         # Cache the bound wrapper so later accesses skip __getattr__.
         self.__dict__[name] = synced_call

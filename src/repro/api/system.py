@@ -165,7 +165,7 @@ class DataLinksSystem:
                             strict_read_upcalls=strict_read_upcalls,
                             token_secret=token_secret)
         # A node provisioned now joins the cluster at the current time.
-        server.clock.sync_to(self.clock.now())
+        server.clock.sync_ticks(self.clock.ticks)
         server.dlfm.repository.db.set_flush_policy(self._flush_policy,
                                                    self._group_commit_window)
         self.file_servers[name] = server

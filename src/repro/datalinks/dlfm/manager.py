@@ -28,7 +28,7 @@ from repro.errors import (
     ControlModeError,
     UpdateInProgressError,
 )
-from repro.simclock import SimClock, synchronized_call
+from repro.simclock import TICKS_PER_SECOND, SimClock, synchronized_call
 from repro.storage.backup import BackupImage
 from repro.storage.database import Database
 from repro.storage.transaction import Transaction
@@ -103,8 +103,8 @@ class DataLinksFileManager:
         return self.files.dbms_uid if self.files is not None else DEFAULT_DBMS_UID
 
     def _now(self) -> float:
-        clock = self.clock
-        return clock._now if clock is not None else 0.0
+        clock = self.clock     # ``clock.now()`` written out (one frame fewer)
+        return clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
 
     # -------------------------------------------------------------- fencing -----
     def set_fencing(self, guard) -> None:

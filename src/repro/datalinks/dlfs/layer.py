@@ -98,9 +98,9 @@ class DataLinksFileSystem(FilterVFS):
         # files linked with strict_read_sync.  Off by default because of the
         # per-open cost (quantified by experiment E10).
         self.strict_read_upcalls = strict_read_upcalls
-        # Primed per-interception charge amount (see fs_lookup).
-        self._primed_clock = None
-        self._amt_filter = 0.0
+        if clock is not None:
+            # Meter of the per-interception charge (see fs_lookup).
+            self._filter = clock.meter("dlfs_filter")
 
     # ------------------------------------------------------------------ helpers --
     def _charge(self) -> None:
@@ -140,30 +140,9 @@ class DataLinksFileSystem(FilterVFS):
         # measurable on the million-link tier.
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_filter = clock._units["dlfs_filter"]
-                except KeyError:
-                    self._amt_filter = clock.costs.dlfs_filter
-                self._primed_clock = clock
-            amount = self._amt_filter
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["dlfs_filter"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["dlfs_filter"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["dlfs_filter"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["dlfs_filter"] = [1, amount]
+            amount, meter = self._filter
+            clock.ticks += amount
+            meter[0] += 1
         # split_token_from_name written out inline -- every pathname
         # resolution passes through here and most names carry no token.
         index = name.rfind(_TOKEN_SEPARATOR)
@@ -190,30 +169,9 @@ class DataLinksFileSystem(FilterVFS):
     def fs_open(self, vnode, flags, cred):
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_filter = clock._units["dlfs_filter"]
-                except KeyError:
-                    self._amt_filter = clock.costs.dlfs_filter
-                self._primed_clock = clock
-            amount = self._amt_filter
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["dlfs_filter"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["dlfs_filter"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["dlfs_filter"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["dlfs_filter"] = [1, amount]
+            amount, meter = self._filter
+            clock.ticks += amount
+            meter[0] += 1
         attrs = self.lower.fs_getattr(vnode, self.dbms_cred)
         wants_write = (flags._value_ & WRITE_MASK) != 0
         state = {"linked": False, "write": wants_write, "userid": cred.uid}
@@ -268,30 +226,9 @@ class DataLinksFileSystem(FilterVFS):
     def fs_close(self, handle, cred):
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_filter = clock._units["dlfs_filter"]
-                except KeyError:
-                    self._amt_filter = clock.costs.dlfs_filter
-                self._primed_clock = clock
-            amount = self._amt_filter
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["dlfs_filter"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["dlfs_filter"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["dlfs_filter"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["dlfs_filter"] = [1, amount]
+            amount, meter = self._filter
+            clock.ticks += amount
+            meter[0] += 1
         state = handle.layer_state.get(LAYER_KEY, {})
         self.lower.fs_close(handle, cred)
         if not state.get("linked"):

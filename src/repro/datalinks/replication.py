@@ -268,7 +268,7 @@ class ReplicaApplier:
                     # ``row_write`` charges), so flush the batched run
                     # first and charge this record's write in place.
                     if run:
-                        self._charge_row_writes(run)
+                        db._charge_run("row_write", run)
                         run = 0
                     if redo(record):
                         applied += 1
@@ -277,32 +277,13 @@ class ReplicaApplier:
                     applied += 1
                     run += 1
             if run:
-                self._charge_row_writes(run)
+                db._charge_run("row_write", run)
             self.applied_records += applied
         try:
             del self._prepared[txn_id]
         except KeyError:
             pass
         self.applied_commits += 1
-
-    def _charge_row_writes(self, count: int) -> None:
-        """One aggregated ``row_write`` advance for *count* redone records.
-
-        ``charge_run`` replays the per-record amounts in order, so the
-        simulated clock and stats match *count* scalar charges exactly.
-        """
-
-        db = self._db
-        clock = db.clock
-        if clock is None:
-            return
-        labels = db._charge_labels
-        try:
-            label = labels["row_write"]
-        except KeyError:
-            label = labels["row_write"] = \
-                db.stats_prefix + "row_write" if db.stats_prefix else None
-        clock.charge_run("row_write", count, scale=db.cost_scale, label=label)
 
     def _drop_txn(self, txn_id: int) -> None:
         try:

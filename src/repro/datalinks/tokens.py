@@ -36,7 +36,7 @@ import hmac
 from dataclasses import dataclass
 
 from repro.errors import InvalidTokenError, TokenExpiredError
-from repro.simclock import SimClock
+from repro.simclock import TICKS_PER_SECOND, SimClock
 
 _SIGNATURE_HEX_CHARS = 16
 DEFAULT_TOKEN_TTL = 60.0
@@ -137,7 +137,8 @@ class TokenCache:
             token = None
         if token is not None:
             clock = self._clock
-            remaining = token.expires_at - (clock._now if clock is not None else 0.0)
+            remaining = token.expires_at - (
+                clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0)
             if remaining >= ttl * self.min_remaining_fraction:
                 self.hits += 1
                 return token.render()
@@ -230,7 +231,7 @@ class TokenManager:
         clock = self._clock
         if clock is not None:
             clock.charge("token_generate")
-            now = clock._now
+            now = clock.ticks / TICKS_PER_SECOND
         else:
             now = 0.0
         expires_at = now + (ttl if ttl is not None else self.default_ttl)
@@ -248,7 +249,8 @@ class TokenManager:
         expected = self._sign(path, token.token_type, token.expires_at)
         if not hmac.compare_digest(expected, token.signature):
             raise InvalidTokenError(f"bad token signature for {path!r}")
-        if (clock._now if clock is not None else 0.0) > token.expires_at:
+        now = clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
+        if now > token.expires_at:
             raise TokenExpiredError(
                 f"token for {path!r} expired at {token.expires_at:.3f}")
         return token

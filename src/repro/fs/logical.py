@@ -82,11 +82,11 @@ class LogicalFileSystem:
 
     def __init__(self, clock=None):
         self.clock = clock
-        # Primed per-syscall charge amount: the hot syscalls (open, close,
-        # read, write) write ``clock.charge("syscall_base")`` out inline
-        # against this cached unit, like the physical layer's fixed charges.
-        self._primed_clock = None
-        self._amt_syscall = 0.0
+        if clock is not None:
+            # The hot syscalls (open, close, read, write) write
+            # ``clock.charge("syscall_base")`` out inline against this
+            # meter, like the physical layer's fixed charges.
+            self._syscall = clock.meter("syscall_base")
         self._mounts: list[_Mount] = []
         self._open_files: dict[int, OpenFile] = {}
         self._next_fd = 3          # 0..2 are conventionally reserved
@@ -328,30 +328,9 @@ class LogicalFileSystem:
 
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
-            amount = self._amt_syscall
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["syscall_base"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
+            amount, meter = self._syscall
+            clock.ticks += amount
+            meter[0] += 1
         # Probe the full-resolution cache inline: open() needs the parent
         # vnode when it has to fall back to fs_create, so it cannot use
         # the _lookup() wrapper (a second parent resolution would replay
@@ -390,30 +369,9 @@ class LogicalFileSystem:
     def close(self, fd: int) -> None:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
-            amount = self._amt_syscall
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["syscall_base"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
+            amount, meter = self._syscall
+            clock.ticks += amount
+            meter[0] += 1
         open_file = self._require_fd(fd)
         open_file.vfs.fs_close(open_file.handle, open_file.cred)
         del self._open_files[fd]
@@ -421,30 +379,9 @@ class LogicalFileSystem:
     def read(self, fd: int, length: int = -1) -> bytes:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
-            amount = self._amt_syscall
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["syscall_base"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
+            amount, meter = self._syscall
+            clock.ticks += amount
+            meter[0] += 1
         open_file = self._require_fd(fd)
         if not (open_file.flags._value_ & READ_MASK):
             raise fs_error(Errno.EBADF, f"fd {fd} is not open for reading")
@@ -462,30 +399,9 @@ class LogicalFileSystem:
     def write(self, fd: int, data: bytes) -> int:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
-            amount = self._amt_syscall
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["syscall_base"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
+            amount, meter = self._syscall
+            clock.ticks += amount
+            meter[0] += 1
         open_file = self._require_fd(fd)
         if not (open_file.flags._value_ & WRITE_MASK):
             raise fs_error(Errno.EBADF, f"fd {fd} is not open for writing")
@@ -509,30 +425,9 @@ class LogicalFileSystem:
     def stat(self, path: str, cred: Credentials) -> FileAttributes:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
-            amount = self._amt_syscall
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["syscall_base"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
+            amount, meter = self._syscall
+            clock.ticks += amount
+            meter[0] += 1
         vfs, vnode = self._resolve(path, cred)
         return vfs.fs_getattr(vnode, cred)
 
@@ -592,60 +487,18 @@ class LogicalFileSystem:
     def chmod(self, path: str, mode: int, cred: Credentials) -> None:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
-            amount = self._amt_syscall
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["syscall_base"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
+            amount, meter = self._syscall
+            clock.ticks += amount
+            meter[0] += 1
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, mode=mode)
 
     def chown(self, path: str, uid: int, gid: int, cred: Credentials) -> None:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
-            amount = self._amt_syscall
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["syscall_base"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
+            amount, meter = self._syscall
+            clock.ticks += amount
+            meter[0] += 1
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, uid=uid, gid=gid)
 

@@ -4,13 +4,11 @@ Implements every VFS entry point over inodes and a block device, with
 standard UNIX permission checks.  This is the layer DLFS sits on top of; it
 knows nothing about DataLinks.
 
-Every entry point charges its fixed primitives straight into the clock's
-stats cells (the body of :meth:`repro.simclock.SimClock.charge` written
-out): the VFS layer is the single hottest surface of the simulator and the
-call overhead of routing each fixed-cost event through the scalar charge
-path dominated whole-experiment profiles.  The inlined bookkeeping performs
-the identical float additions in the identical order, so simulated clocks
-and stats stay bit-identical to the scalar path.
+The hot entry points write their fixed charges out inline against
+``(ticks, meter)`` pairs (see :meth:`repro.simclock.SimClock.meter`): the
+VFS layer is the single hottest surface of the simulator and the call
+overhead of routing each fixed-cost event through ``charge()`` dominated
+whole-experiment profiles.  Cold entry points call ``charge()``.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from repro.fs.vfs import (
     VFSOperations,
     Vnode,
 )
+from repro.simclock import TICKS_PER_SECOND
 
 ROOT_INO = 1
 
@@ -63,41 +62,27 @@ class PhysicalFileSystem(VFSOperations):
         #: layer's full-resolution cache checks both counters, so a cached
         #: final vnode never survives its name being rebound.
         self.bind_version = 0
-        # Per-clock pre-resolved charge amounts (see ``_prime``).
-        self._primed_clock = None
-        self._amt_vfs = 0.0
-        self._amt_lookup = 0.0
-        self._amt_meta = 0.0
-        self._amt_seek = 0.0
-        self._unit_transfer = 0.0
+        if clock is not None:
+            # Meters of the hot entry points' fixed charges (the clock
+            # never rebinds, so they are resolved once, here).
+            self._vfs = clock.meter("vfs_op")
+            self._lookup = clock.meter("directory_lookup")
+            self._seek = clock.meter("disk_seek")
+            # The transfer's amount varies: its unit (a zero-byte
+            # transfer), its exact per-byte rate and its ledger cell.
+            self._transfer = (
+                clock.unit_ticks("disk_transfer_per_byte"),
+                *clock.byte_rate("disk_transfer_per_byte"),
+                clock.stats.cell("disk_transfer_per_byte"))
         root = self._new_inode(FileType.DIRECTORY, DEFAULT_DIR_MODE, root_uid, root_gid)
         assert root.ino == ROOT_INO
 
     # ------------------------------------------------------------------ helpers --
-    def _prime(self, clock) -> None:
-        """Resolve this clock's per-event amounts for the fixed primitives.
-
-        The amounts equal exactly what one scalar ``charge(primitive)``
-        would add (``unit * 1 * 1.0``), so replaying them inline is
-        bit-identical to the scalar path.
-        """
-
-        entries = clock.compile_charges(
-            (("vfs_op", 1.0, None), ("directory_lookup", 1.0, None),
-             ("fs_metadata_update", 1.0, None), ("disk_seek", 1.0, None)))[1]
-        self._amt_vfs = entries[0][0]
-        self._amt_lookup = entries[1][0]
-        self._amt_meta = entries[2][0]
-        self._amt_seek = entries[3][0]
-        try:
-            self._unit_transfer = clock._units["disk_transfer_per_byte"]
-        except KeyError:
-            self._unit_transfer = getattr(clock.costs, "disk_transfer_per_byte")
-        self._primed_clock = clock
-
     def _now(self) -> float:
+        # ``clock.now()`` written out, here and at the inline timestamp
+        # reads below: inode times are float seconds, the clock is ticks.
         clock = self.clock
-        return clock._now if clock is not None else 0.0
+        return clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
 
     def _charge(self, primitive: str, *, times: int = 1, nbytes: int = 0) -> None:
         if self.clock is not None:
@@ -107,7 +92,7 @@ class PhysicalFileSystem(VFSOperations):
         # One clock read: birth timestamps are all stamped at the same
         # instant (no charge can land between the three reads).
         clock = self.clock
-        born = clock._now if clock is not None else 0.0
+        born = clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
         inode = Inode(ino=self._next_ino, ftype=ftype, mode=mode, uid=uid, gid=gid,
                       atime=born, mtime=born, ctime=born)
         self._inodes[inode.ino] = inode
@@ -152,45 +137,14 @@ class PhysicalFileSystem(VFSOperations):
     def fs_lookup(self, dir_vnode: Vnode, name: str, cred: Credentials) -> Vnode:
         # The hottest VFS entry point (every path component of every
         # resolution lands here): helpers *and* the two fixed charges are
-        # inlined into direct loads and float additions.
+        # inlined into direct loads and integer additions.
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            amount = self._amt_vfs
-            second = self._amt_lookup
-            now = clock._now
-            now += amount
-            now += second
-            clock._now = now
-            cells = clock.stats._cells
-            try:
-                cell = cells["vfs_op"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["vfs_op"] = [1, amount]
-            try:
-                cell = cells["directory_lookup"]
-                cell[0] += 1
-                cell[1] += second
-            except KeyError:
-                cells["directory_lookup"] = [1, second]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
-                try:
-                    cell = mcells["directory_lookup"]
-                    cell[0] += 1
-                    cell[1] += second
-                except KeyError:
-                    mcells["directory_lookup"] = [1, second]
+            amount, meter = self._vfs
+            second, meter2 = self._lookup
+            clock.ticks += amount + second
+            meter[0] += 1
+            meter2[0] += 1
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -221,38 +175,11 @@ class PhysicalFileSystem(VFSOperations):
                            f"no entry {name!r} in inode {directory.ino}") from None
         return Vnode(fs_id=self.fs_id, ino=ino)
 
-    def _charge_one(self, clock, key: str, amount: float) -> None:
-        """Inline-helper twin of ``clock.charge(key)`` for cold call sites.
-
-        Kept as a method (one frame) where the caller is not hot enough to
-        justify writing the bookkeeping out; the arithmetic is identical.
-        """
-
-        clock._now += amount
-        cells = clock.stats._cells
-        try:
-            cell = cells[key]
-            cell[0] += 1
-            cell[1] += amount
-        except KeyError:
-            cells[key] = [1, amount]
-        mirror = clock._mirror_stats
-        if mirror is not None:
-            mcells = mirror._cells
-            try:
-                cell = mcells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                mcells[key] = [1, amount]
-
     def fs_create(self, dir_vnode: Vnode, name: str, mode: int,
                   cred: Credentials) -> Vnode:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -267,18 +194,17 @@ class PhysicalFileSystem(VFSOperations):
         inode = self._new_inode(FileType.REGULAR, mode or DEFAULT_FILE_MODE,
                                 cred.uid, cred.gid)
         directory.entries[name] = inode.ino
-        directory.mtime = clock._now if clock is not None else 0.0
+        directory.mtime = clock.ticks / TICKS_PER_SECOND \
+            if clock is not None else 0.0
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
         return Vnode(fs_id=self.fs_id, ino=inode.ino)
 
     def fs_mkdir(self, dir_vnode: Vnode, name: str, mode: int,
                  cred: Credentials) -> Vnode:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -294,17 +220,16 @@ class PhysicalFileSystem(VFSOperations):
         inode = self._new_inode(FileType.DIRECTORY, mode or DEFAULT_DIR_MODE,
                                 cred.uid, cred.gid)
         directory.entries[name] = inode.ino
-        directory.mtime = clock._now if clock is not None else 0.0
+        directory.mtime = clock.ticks / TICKS_PER_SECOND \
+            if clock is not None else 0.0
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
         return Vnode(fs_id=self.fs_id, ino=inode.ino)
 
     def fs_remove(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -319,14 +244,15 @@ class PhysicalFileSystem(VFSOperations):
             raise fs_error(Errno.EISDIR, f"{name!r} is a directory")
         self.bind_version += 1
         del directory.entries[name]
-        directory.mtime = clock._now if clock is not None else 0.0
+        directory.mtime = clock.ticks / TICKS_PER_SECOND \
+            if clock is not None else 0.0
         inode.nlink -= 1
         if inode.nlink <= 0:
             for block in inode.blocks:
                 self.device.free_block(block)
             del self._inodes[inode.ino]
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
 
     def fs_rmdir(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
         self._charge("vfs_op")
@@ -370,9 +296,7 @@ class PhysicalFileSystem(VFSOperations):
     def fs_readdir(self, dir_vnode: Vnode, cred: Credentials) -> list[str]:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -386,29 +310,12 @@ class PhysicalFileSystem(VFSOperations):
     def fs_open(self, vnode: Vnode, flags: OpenFlags, cred: Credentials) -> OpenHandle:
         # open/close/readwrite/getattr sit on the per-operation data path:
         # their fixed charges are unrolled like ``fs_lookup``'s, one frame
-        # fewer per syscall than the ``_charge_one`` helper.
+        # fewer per syscall than a ``charge()`` call.
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            amount = self._amt_vfs
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["vfs_op"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
+            amount, meter = self._vfs
+            clock.ticks += amount
+            meter[0] += 1
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -421,58 +328,25 @@ class PhysicalFileSystem(VFSOperations):
                     write=wants_write)
         if flag_bits & TRUNCATE_MASK:
             self._truncate(inode, 0)
-        inode.atime = clock._now if clock is not None else 0.0
+        inode.atime = clock.ticks / TICKS_PER_SECOND \
+            if clock is not None else 0.0
         return OpenHandle(vnode=vnode, flags=flags)
 
     def fs_close(self, handle: OpenHandle, cred: Credentials) -> None:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            amount = self._amt_vfs
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["vfs_op"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
+            amount, meter = self._vfs
+            clock.ticks += amount
+            meter[0] += 1
         # The native file system has no per-open state beyond the handle.
 
     def fs_readwrite(self, vnode: Vnode, offset: int, *, data: bytes | None = None,
                      length: int = 0, write: bool, cred: Credentials) -> bytes | int:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            amount = self._amt_vfs
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["vfs_op"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
+            amount, meter = self._vfs
+            clock.ticks += amount
+            meter[0] += 1
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -483,117 +357,44 @@ class PhysicalFileSystem(VFSOperations):
             if data is None:
                 raise fs_error(Errno.EINVAL, "write without data")
             if clock is not None:
-                # charge(nbytes=...) inlined: ``unit * nbytes``, except that
-                # a zero-byte transfer falls back to one unit (``times=1``),
-                # exactly as the scalar charge path does.
+                # charge("disk_seek") then charge("disk_transfer_per_byte",
+                # nbytes=...) written out; a zero-byte transfer charges one
+                # unit, exactly as ``charge`` does.
                 nbytes = len(data)
-                transfer = self._unit_transfer * nbytes if nbytes \
-                    else self._unit_transfer * 1
-                amount = self._amt_seek
-                # Two separate ``+=`` steps: float addition is not
-                # associative, and the clock value must stay bit-identical
-                # to the scalar seek-then-transfer charge sequence.
-                clock._now += amount
-                clock._now += transfer
-                cells = clock.stats._cells
-                try:
-                    cell = cells["disk_seek"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells["disk_seek"] = [1, amount]
-                try:
-                    cell = cells["disk_transfer_per_byte"]
-                    cell[0] += 1
-                    cell[1] += transfer
-                except KeyError:
-                    cells["disk_transfer_per_byte"] = [1, transfer]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells["disk_seek"]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells["disk_seek"] = [1, amount]
-                    try:
-                        cell = mcells["disk_transfer_per_byte"]
-                        cell[0] += 1
-                        cell[1] += transfer
-                    except KeyError:
-                        mcells["disk_transfer_per_byte"] = [1, transfer]
+                unit, num2, den, den2, cell = self._transfer
+                transfer = (nbytes * num2 + den) // den2 if nbytes else unit
+                amount, meter = self._seek
+                clock.ticks += amount + transfer
+                meter[0] += 1
+                cell[0] += 1
+                cell[1] += transfer
             self._write_range(inode, offset, data)
-            inode.mtime = clock._now if clock is not None else 0.0
+            inode.mtime = clock.ticks / TICKS_PER_SECOND \
+                if clock is not None else 0.0
             inode.ctime = inode.mtime
             return len(data)
         if clock is not None:
-            amount = self._amt_seek
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["disk_seek"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["disk_seek"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["disk_seek"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["disk_seek"] = [1, amount]
+            amount, meter = self._seek
+            clock.ticks += amount
+            meter[0] += 1
         content = self._read_range(inode, offset, length)
         if clock is not None:
             nbytes = len(content)
-            transfer = self._unit_transfer * nbytes if nbytes \
-                else self._unit_transfer * 1
-            clock._now += transfer
-            cells = clock.stats._cells
-            try:
-                cell = cells["disk_transfer_per_byte"]
-                cell[0] += 1
-                cell[1] += transfer
-            except KeyError:
-                cells["disk_transfer_per_byte"] = [1, transfer]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["disk_transfer_per_byte"]
-                    cell[0] += 1
-                    cell[1] += transfer
-                except KeyError:
-                    mcells["disk_transfer_per_byte"] = [1, transfer]
-        inode.atime = clock._now if clock is not None else 0.0
+            unit, num2, den, den2, cell = self._transfer
+            transfer = (nbytes * num2 + den) // den2 if nbytes else unit
+            clock.ticks += transfer
+            cell[0] += 1
+            cell[1] += transfer
+        inode.atime = clock.ticks / TICKS_PER_SECOND \
+            if clock is not None else 0.0
         return content
 
     def fs_getattr(self, vnode: Vnode, cred: Credentials):
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            amount = self._amt_vfs
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["vfs_op"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
+            amount, meter = self._vfs
+            clock.ticks += amount
+            meter[0] += 1
         try:
             return self._inodes[vnode.ino].attributes()
         except KeyError:
@@ -612,9 +413,7 @@ class PhysicalFileSystem(VFSOperations):
 
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -640,17 +439,16 @@ class PhysicalFileSystem(VFSOperations):
             inode.mtime = float(attrs["mtime"])
         if "atime" in attrs:
             inode.atime = float(attrs["atime"])
-        inode.ctime = clock._now if clock is not None else 0.0
+        inode.ctime = clock.ticks / TICKS_PER_SECOND \
+            if clock is not None else 0.0
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
         return inode.attributes()
 
     def fs_lockctl(self, vnode: Vnode, request: LockRequest, cred: Credentials) -> bool:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         return self.locks.apply(vnode.ino, request)
 
     # ------------------------------------------------------------- block helpers --

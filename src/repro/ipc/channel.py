@@ -52,7 +52,7 @@ class Channel:
 
     __slots__ = ("_daemon", "_clock", "_latency_primitive", "_sender",
                  "_epoch_provider", "_dispatch", "_callee_clock", "_cross",
-                 "_amt_caller_lat", "_amt_callee_lat", "_amt_caller_send")
+                 "_caller_lat", "_callee_lat", "_caller_send")
 
     def __init__(self, daemon, clock: SimClock | None,
                  latency_primitive: str = "upcall_round_trip", sender: str = "",
@@ -71,19 +71,14 @@ class Channel:
         self._callee_clock = getattr(daemon, "clock", None)
         self._cross = (clock is not None and self._callee_clock is not None
                        and clock is not self._callee_clock)
-        # Fixed per-message charge amounts, resolved once per channel (the
-        # clocks never rebind, see above): the exchange hot path writes
+        # Meters of the fixed per-message charges, resolved once per channel
+        # (the clocks never rebind, see above): the exchange hot path writes
         # the latency/message_send charges out inline against these.
-        def _unit(target, primitive):
-            if target is None:
-                return 0.0
-            try:
-                return target._units[primitive]
-            except KeyError:
-                return getattr(target.costs, primitive)
-        self._amt_caller_lat = _unit(clock, latency_primitive)
-        self._amt_callee_lat = _unit(self._callee_clock, latency_primitive)
-        self._amt_caller_send = _unit(clock, "message_send")
+        if clock is not None:
+            self._caller_lat = clock.meter(latency_primitive)
+            self._caller_send = clock.meter("message_send")
+        if self._cross:
+            self._callee_lat = self._callee_clock.meter(latency_primitive)
 
     def request(self, kind: str, **payload) -> dict:
         """Synchronous round trip: send, wait for the reply, merge clocks."""
@@ -121,74 +116,27 @@ class Channel:
             raise DaemonUnavailableError(
                 f"daemon {self._daemon.name!r} is not running")
         if cross:
-            # sync_to(send_time()) with both sides inlined: this pair runs
-            # once per message and the attribute reads replace two method
-            # frames (semantics identical, see SimClock.sync_to/send_time).
+            # sync_ticks(send_ticks()) with both sides inlined: this pair
+            # runs once per message and the attribute reads replace two
+            # method frames (see SimClock.sync_ticks/send_ticks).
             frames = caller._overlap_frames
-            sent = frames[-1][0] if frames else caller._now
-            if sent > callee._now:
-                callee._now = sent
+            sent = frames[-1][0] if frames else caller.ticks
+            if sent > callee.ticks:
+                callee.ticks = sent
             # The latency/message_send charges are written out inline too
-            # (amounts precomputed at channel construction): one exchange
-            # is two to three fixed charges, each a frame saved.
-            amount = self._amt_callee_lat
-            callee._now += amount
-            key = self._latency_primitive
-            cells = callee.stats._cells
-            try:
-                cell = cells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells[key] = [1, amount]
-            mirror = callee._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
+            # (meters resolved at channel construction): one exchange is
+            # two to three fixed charges, each a frame saved.
+            amount, meter = self._callee_lat
+            callee.ticks += amount
+            meter[0] += 1
             if not wait:
-                amount = self._amt_caller_send
-                caller._now += amount
-                cells = caller.stats._cells
-                try:
-                    cell = cells["message_send"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells["message_send"] = [1, amount]
-                mirror = caller._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells["message_send"]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells["message_send"] = [1, amount]
+                amount, meter = self._caller_send
+                caller.ticks += amount
+                meter[0] += 1
         elif caller is not None:
-            amount = self._amt_caller_lat
-            caller._now += amount
-            key = self._latency_primitive
-            cells = caller.stats._cells
-            try:
-                cell = cells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells[key] = [1, amount]
-            mirror = caller._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
+            amount, meter = self._caller_lat
+            caller.ticks += amount
+            meter[0] += 1
         epoch_provider = self._epoch_provider
         epoch = epoch_provider() if epoch_provider is not None else None
         dispatch = self._dispatch
@@ -202,24 +150,25 @@ class Channel:
                 # round-trip sync instead of handing the error over for
                 # free.
                 if cross:
-                    caller.receive(callee._now)
+                    caller.receive_ticks(callee.ticks)
                 raise
             if cross and wait:
-                # caller.receive(callee.now()), inlined like the send side.
-                done = callee._now
+                # caller.receive_ticks(callee.ticks), inlined like the
+                # send side.
+                done = callee.ticks
                 frames = caller._overlap_frames
                 if frames:
                     frame = frames[-1]
                     if done > frame[1]:
                         frame[1] = done
-                elif done > caller._now:
-                    caller._now = done
+                elif done > caller.ticks:
+                    caller.ticks = done
             return result
         reply = self._daemon.handle(Message(kind, payload, self._sender, epoch))
         if cross and (wait or not reply.ok):
             # See above: a failed pipelined send costs the caller a full
             # round trip, exactly like a synchronous request.
-            caller.receive(callee._now)
+            caller.receive_ticks(callee.ticks)
         return reply.unwrap()
 
     def post_group(self, kind: str, payloads) -> list[dict]:
@@ -252,77 +201,32 @@ class Channel:
                     f"daemon {daemon.name!r} is not running")
             if cross:
                 frames = caller._overlap_frames
-                sent = frames[-1][0] if frames else caller._now
-                if sent > callee._now:
-                    callee._now = sent
-                amount = self._amt_callee_lat
-                callee._now += amount
-                cells = callee.stats._cells
-                try:
-                    cell = cells[latency]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells[latency] = [1, amount]
-                mirror = callee._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[latency]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[latency] = [1, amount]
-                amount = self._amt_caller_send
-                caller._now += amount
-                cells = caller.stats._cells
-                try:
-                    cell = cells["message_send"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells["message_send"] = [1, amount]
-                mirror = caller._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells["message_send"]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells["message_send"] = [1, amount]
+                sent = frames[-1][0] if frames else caller.ticks
+                if sent > callee.ticks:
+                    callee.ticks = sent
+                amount, meter = self._callee_lat
+                callee.ticks += amount
+                meter[0] += 1
+                amount, meter = self._caller_send
+                caller.ticks += amount
+                meter[0] += 1
             elif caller is not None:
-                amount = self._amt_caller_lat
-                caller._now += amount
-                cells = caller.stats._cells
-                try:
-                    cell = cells[latency]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells[latency] = [1, amount]
-                mirror = caller._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[latency]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[latency] = [1, amount]
+                amount, meter = self._caller_lat
+                caller.ticks += amount
+                meter[0] += 1
             epoch = epoch_provider() if epoch_provider is not None else None
             if dispatch is not None:
                 try:
                     results.append(dispatch(kind, payload, epoch))
                 except ReproError:
                     if cross:
-                        caller.receive(callee._now)
+                        caller.receive_ticks(callee.ticks)
                     raise
             else:
                 reply = daemon.handle(
                     Message(kind, payload, self._sender, epoch))
                 if cross and not reply.ok:
-                    caller.receive(callee._now)
+                    caller.receive_ticks(callee.ticks)
                 results.append(reply.unwrap())
         return results
 

@@ -21,9 +21,9 @@ class Daemon:
         self.running = True
         self._handlers: dict[str, callable] = {}
         self.requests_served = 0
-        # Primed per-dispatch charge amount (see dispatch).
-        self._primed_clock = None
-        self._amt_dispatch = 0.0
+        if clock is not None:
+            # Meter of the per-dispatch charge (see dispatch).
+            self._dispatch_meter = clock.meter("daemon_dispatch")
         #: Optional placement-epoch validator: a callable taking the
         #: envelope's ``placement_epoch`` and raising
         #: :class:`~repro.errors.PlacementEpochError` when it is stale.
@@ -64,32 +64,10 @@ class Daemon:
         clock = self.clock
         if clock is not None:
             # ``clock.charge("daemon_dispatch")`` written out inline: this
-            # runs once per upcall/replication message, and the fixed
-            # amount is cached on first use per clock.
-            if self._primed_clock is not clock:
-                try:
-                    self._amt_dispatch = clock._units["daemon_dispatch"]
-                except KeyError:
-                    self._amt_dispatch = clock.costs.daemon_dispatch
-                self._primed_clock = clock
-            amount = self._amt_dispatch
-            clock._now += amount
-            cells = clock.stats._cells
-            try:
-                cell = cells["daemon_dispatch"]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells["daemon_dispatch"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["daemon_dispatch"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["daemon_dispatch"] = [1, amount]
+            # runs once per upcall/replication message.
+            amount, meter = self._dispatch_meter
+            clock.ticks += amount
+            meter[0] += 1
         if self.epoch_gate is not None and placement_epoch is not None:
             self.epoch_gate(placement_epoch)
         try:

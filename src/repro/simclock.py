@@ -1,5 +1,5 @@
-"""Simulated time: per-node clock domains with merge-at-sync, plus the
-calibrated cost model.
+"""Simulated time: exact integer ticks, per-node clock domains with
+merge-at-sync, plus the calibrated cost model.
 
 The paper reports latencies measured on a 200 MHz PowerPC 604 testbed with a
 kernel VFS layer (Section 3.2): retrieving a DATALINK column costs less than
@@ -9,6 +9,37 @@ through DataLinks is below 1 %.  We cannot interpose on a real kernel from
 Python, so every component charges its work to a simulated clock using a
 :class:`CostModel` calibrated from those published figures, and benchmarks
 report *simulated* milliseconds.
+
+**The unit.**  Simulated time is an integer count of *ticks*; one tick is
+one picosecond (:data:`TICKS_PER_SECOND` = 10**12).  Every clock value,
+every ledger total and every timestamp two clocks exchange is an ``int``,
+so addition is associative: the order, grouping or batching of charges can
+never change a clock or a total.  ``charge_run(p, n)`` is therefore one
+multiply, ``charge_batch(pattern, n)`` one multiply on the clock plus one
+bump per distinct label, and both equal the same events issued one by one
+through :meth:`SimClock.charge` *by construction* -- there is no replay
+loop and no reference twin to keep in step.  For the same reason a charge
+is booked once, in its own domain's ledger; the group-wide ledger is the
+sum over the domains, computed when it is read.
+
+**Where rounding happens.**  :class:`CostModel` stays in float seconds (it
+is what people calibrate and override).  Each clock derives integer unit
+ticks from it once, reading every float as the decimal it prints as
+(``0.05e-3`` is exactly 50 000 000 ticks).  A ``scale`` (the DLFM
+repository's ``dlfm_repository_scale``, a database's ``cost_scale``) is
+applied to the *unit* and rounded there, once, so ``n`` scaled charges are
+exactly ``n`` times one.  Per-byte rates are not integral in ticks
+(``disk_transfer_per_byte`` = 120 ms/MiB = 29 296 875/256 ps), so a
+per-byte charge is ``round(nbytes * exact rational rate)`` -- rounded at
+the charge, at most half a tick off the exact product.
+
+**The float edge.**  Seconds (and milliseconds) appear only where values
+leave the simulator: :meth:`SimClock.now`, :meth:`SimClock.send_time`,
+:meth:`SimClock.advance`, :class:`Stopwatch`, the reading side of
+:class:`ClockStats`, and the group's ``global_now`` / ``stats_by_domain`` /
+``times_by_domain``.  Each conversion is one correctly rounded division of
+the exact tick count.  Code that *orders* events (IPC merges, the admission
+heap, the client-pool heap) compares ticks with ticks.
 
 Time is **not** one global serial tape.  The paper's testbed had real
 hardware concurrency -- the host database, each file server's DLFM and the
@@ -43,22 +74,24 @@ so the simulation models one :class:`ClockDomain` per node, grouped in a
 ``charge()``/``measure()`` and only differ in *which* clock they hold.  A
 bare :class:`SimClock` (no group) behaves exactly like the old serial model,
 which is also what ``serial_clock=True`` deployments use for A/B comparisons.
+
+**Inline charge sites.**  The hottest fixed-cost sites (VFS entry points,
+statement charges, IPC latency) do not call :meth:`SimClock.charge`; they
+take a ``(ticks, meter)`` pair from :meth:`SimClock.meter` once and write
+the charge out as ``clock.ticks += ticks; meter[0] += 1`` -- one add and one
+counter bump (see :class:`ClockStats` for how meters are read back).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, fields
-from itertools import repeat as _repeat
+from fractions import Fraction
 
-#: Debug switch for the batched-charge fast path.  When ``False``,
-#: :meth:`SimClock.charge_run` and :meth:`SimClock.charge_batch` replay
-#: every event through the scalar :meth:`SimClock.charge` path -- the
-#: per-record reference implementation the batched ledger is asserted
-#: against (see ``tests/test_batched_charges.py``).  Both modes produce
-#: bit-identical clocks and statistics; the fast path just hoists the
-#: per-event dict probes and call overhead out of the loop.
-BATCHED_CHARGES = True
+#: Ticks per simulated second: one tick is one picosecond.
+TICKS_PER_SECOND = 10 ** 12
+_TICKS_PER_MS = 10 ** 9
 
 #: Debug switch for per-client session clock domains.  When ``False``,
 #: :meth:`ClockDomainGroup.session_domains` hands every simulated client
@@ -71,6 +104,12 @@ BATCHED_CHARGES = True
 #: Single-client runs are byte-identical either way (asserted by
 #: ``tests/test_session_domains.py``).
 SESSION_DOMAINS = True
+
+
+def to_ticks(seconds: float) -> int:
+    """Seconds to ticks, rounded to the nearest tick (the inbound float edge)."""
+
+    return round(seconds * TICKS_PER_SECOND)
 
 
 @dataclass
@@ -139,68 +178,174 @@ class CostModel:
         return CostModel(**values)
 
 
+@functools.lru_cache(maxsize=64)
+def _tick_tables(costs: tuple) -> tuple[dict, dict, dict]:
+    """``(units, rates, scaled)`` for a cost model given as its
+    ``(primitive, seconds)`` items -- derived once per distinct model.
+
+    ``units[p]`` is the integer tick cost of one *p*.  ``rates[p]`` is the
+    exact ticks-per-byte rational behind it as ``(2 * num, den, 2 * den)``,
+    the operands of one round-half-up integer division.  Each float is read
+    as the decimal it prints as, so the calibrated constants come out exact.
+    ``scaled`` memoizes ``(p, scale) -> round(units[p] * scale)``, so a
+    scaled unit is rounded once and every later charge is a dict probe.
+    All three are pure functions of the model, shared by every clock on it.
+    """
+
+    units, rates = {}, {}
+    for name, seconds in costs:
+        exact = Fraction(repr(float(seconds))) * TICKS_PER_SECOND
+        units[name] = round(exact)
+        rates[name] = (2 * exact.numerator, exact.denominator,
+                       2 * exact.denominator)
+    return units, rates, {}
+
+
 class ClockStats:
-    """Aggregated charge counters kept by :class:`SimClock`.
+    """The charge ledger of one :class:`SimClock`: per label, a count and ticks.
 
     Charges are keyed by *label* -- normally the primitive name, but callers
     can supply an explicit label (e.g. the DLFM repository prefixes its
     database charges with ``dlfm.`` so they never conflate with the host
     database's charges for the same primitive).
 
-    Counts and totals live in one plain dict of ``[count, total]`` cells so
-    the per-charge bookkeeping is a single dict probe plus two in-place
-    updates with no tuple allocation -- this runs on every single
-    ``charge()`` and (for clock domains) twice, so it is the hottest code
-    in the simulator.
+    A label's events are booked in two kinds of integer storage, both
+    created on first request (a clock that never charges holds none):
+
+    * its **cell** ``[count, ticks]`` takes charges whose amount varies
+      (``times=``, ``nbytes=``) -- two in-place updates per charge;
+    * a **meter** ``[count, unit]`` per fixed amount (handed out by
+      :meth:`SimClock.meter`) takes charges of exactly ``unit`` ticks --
+      one counter bump per charge, the ticks are ``count * unit``,
+      multiplied out when the ledger is read.
+
+    Readers merge the two and report seconds (``total``, ``charges``,
+    ``grand_total``) or milliseconds (``as_dict``); ``ticks`` and ``ledger``
+    give the exact integers.  Labels never charged (count 0) are not
+    reported.
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ("_cells", "_meters")
 
     def __init__(self):
-        #: label -> [count, total] (a mutable cell updated in place).
+        #: label -> [count, ticks]
         self._cells: dict[str, list] = {}
+        #: label -> [[count, unit], ...], one meter per distinct unit
+        self._meters: dict[str, list] = {}
 
-    def record(self, label: str, amount: float) -> None:
+    def cell(self, label: str) -> list:
+        """The mutable ``[count, ticks]`` cell of *label*."""
+
         try:
-            cell = self._cells[label]
-            cell[0] += 1
-            cell[1] += amount
+            return self._cells[label]
         except KeyError:
-            self._cells[label] = [1, amount]
+            cell = self._cells[label] = [0, 0]
+            return cell
+
+    # -- the two primitives every reader is built on ---------------------------
+    def _entry(self, label: str) -> tuple:
+        """``(count, ticks)`` of one label."""
+
+        count, ticks = self._cells.get(label, (0, 0))
+        for events, unit in self._meters.get(label, ()):
+            count += events
+            ticks += events * unit
+        return (count, ticks)
+
+    def _rows(self) -> list:
+        """Every ``(label, count, ticks)`` booked, several per label."""
+
+        rows = [(label, cell[0], cell[1])
+                for label, cell in self._cells.items()]
+        for label, meters in self._meters.items():
+            for events, unit in meters:
+                rows.append((label, events, events * unit))
+        return rows
+
+    # -- readers -----------------------------------------------------------------
+    def ledger(self) -> dict:
+        """``{label: (count, ticks)}`` of every charged label -- exact."""
+
+        merged: dict[str, list] = {}
+        for label, count, ticks in self._rows():
+            if not count:
+                continue
+            try:
+                slot = merged[label]
+                slot[0] += count
+                slot[1] += ticks
+            except KeyError:
+                merged[label] = [count, ticks]
+        return {label: (slot[0], slot[1]) for label, slot in merged.items()}
+
+    def ticks(self, label: str) -> int:
+        return self._entry(label)[1]
 
     def total(self, label: str) -> float:
-        cell = self._cells.get(label)
-        return cell[1] if cell is not None else 0.0
+        return self._entry(label)[1] / TICKS_PER_SECOND
 
     def count(self, label: str) -> int:
-        cell = self._cells.get(label)
-        return cell[0] if cell is not None else 0
+        return self._entry(label)[0]
 
     def labels(self) -> list[str]:
-        return sorted(self._cells)
+        return sorted(self.ledger())
 
     def total_count(self) -> int:
         """Total charged operations, summed across every label."""
 
-        return sum(cell[0] for cell in self._cells.values())
+        total = 0
+        for _, count, _ in self._rows():
+            total += count
+        return total
 
     @property
     def charges(self) -> dict:
-        """``{label: (count, total)}`` -- compatibility view."""
+        """``{label: (count, total seconds)}`` -- compatibility view."""
 
-        return {label: (cell[0], cell[1])
-                for label, cell in self._cells.items()}
+        return {label: (count, ticks / TICKS_PER_SECOND)
+                for label, (count, ticks) in self.ledger().items()}
 
     def as_dict(self) -> dict:
         """``{label: {"count": n, "total_ms": t}}`` for reporting."""
 
-        return {label: {"count": cell[0], "total_ms": cell[1] * 1000.0}
-                for label, cell in sorted(self._cells.items())}
+        return {label: {"count": count, "total_ms": ticks / _TICKS_PER_MS}
+                for label, (count, ticks) in sorted(self.ledger().items())}
 
     def grand_total(self) -> float:
         """Total simulated seconds charged across every label."""
 
-        return sum(cell[1] for cell in self._cells.values())
+        total = 0
+        for _, _, ticks in self._rows():
+            total += ticks
+        return total / TICKS_PER_SECOND
+
+
+class GroupStats(ClockStats):
+    """The group-wide ledger: the sum over the domains, computed on read.
+
+    A live view -- it owns no storage, so it can be held across work and
+    read again.  Integer sums are exact in any order, which is what makes
+    this equal to a ledger that had booked every charge a second time.
+    """
+
+    __slots__ = ("_group",)
+
+    def __init__(self, group: "ClockDomainGroup"):
+        self._group = group
+
+    def _entry(self, label: str) -> tuple:
+        count = ticks = 0
+        for domain in self._group.domains.values():
+            events, amount = domain.stats._entry(label)
+            count += events
+            ticks += amount
+        return (count, ticks)
+
+    def _rows(self) -> list:
+        rows = []
+        for domain in self._group.domains.values():
+            rows += domain.stats._rows()
+        return rows
 
 
 class SimClock:
@@ -209,78 +354,81 @@ class SimClock:
     Components never sleep; they call :meth:`charge` with the name of a
     primitive from :class:`CostModel` (optionally scaled by a byte count or
     an explicit repeat factor) and the clock advances by the calibrated cost.
+    :attr:`ticks` is the clock value, an exact integer; :meth:`now` is the
+    same instant in float seconds.
 
     Synchronization protocol (used between :class:`ClockDomain` instances,
-    but defined here so any two clocks can rendezvous):
+    but defined here so any two clocks can rendezvous).  Each step exists in
+    exact ticks and, for callers at the float edge, in seconds:
 
-    * :meth:`send_time` -- the timestamp an outgoing message carries;
-    * :meth:`sync_to` -- one-way merge: a node receiving a message cannot be
-      earlier than the message's send time;
-    * :meth:`receive` -- the caller's side of a reply: advance to the
-      reply's timestamp (max-merge, never backwards);
-    * :meth:`overlap` -- scatter-gather window: every ``send_time`` inside
+    * :meth:`send_ticks` / :meth:`send_time` -- the timestamp an outgoing
+      message carries;
+    * :meth:`sync_ticks` / :meth:`sync_to` -- one-way merge: a node
+      receiving a message cannot be earlier than the message's send time;
+    * :meth:`receive_ticks` / :meth:`receive` -- the caller's side of a
+      reply: advance to the reply's timestamp (max-merge, never backwards);
+    * :meth:`overlap` -- scatter-gather window: every send timestamp inside
       the window is the window's start, and replies accumulate into a
       pending max applied when the window closes, so a fan-out to N peers
       costs the *slowest* reply instead of the sum of all replies.
     """
 
     def __init__(self, cost_model: CostModel | None = None, start: float = 0.0,
-                 name: str = "clock", units: dict | None = None):
+                 name: str = "clock", tables: tuple | None = None):
         self.costs = cost_model if cost_model is not None else CostModel()
-        # Per-primitive unit costs as a plain dict: ``charge()`` looks the
-        # primitive up here instead of getattr() on the dataclass.  Clocks
-        # sharing one cost model (every domain of a group) may share the
-        # derived dict via ``units`` -- it is read-only after construction.
-        if units is not None:
-            self._units = units
-        else:
-            self._units = {field.name: getattr(self.costs, field.name)
-                           for field in fields(self.costs)}
+        # Integer unit ticks, exact per-byte rates and the scaled-unit memo
+        # (see ``_tick_tables``); every field of the model is a primitive.
+        # A group hands its domains the tables it looked up once.
+        self._units, self._rates, self._scaled = tables or \
+            _tick_tables(tuple(vars(self.costs).items()))
         self.name = name
-        self._now = float(start)
+        #: The clock value: simulated picoseconds since the clock was created.
+        self.ticks = to_ticks(start) if start else 0
         self.stats = ClockStats()
-        #: Second :class:`ClockStats` every charge is mirrored into (a
-        #: :class:`ClockDomain` points this at its group's merged stats).
-        self._mirror_stats: ClockStats | None = None
-        # Scatter-gather frames: [fork_time, pending_reply_max] per level.
-        self._overlap_frames: list[list[float]] = []
+        # Scatter-gather frames: [fork_ticks, pending_reply_max] per level.
+        self._overlap_frames: list[list[int]] = []
 
     # -- time ----------------------------------------------------------------
     def now(self) -> float:
-        """Current simulated time in seconds since the clock was created.
+        """Current simulated time in seconds since the clock was created."""
 
-        Hot paths that stamp thousands of timestamps per run (inode
-        access times, token clocks) may read the backing ``_now``
-        attribute directly; it is always the same float this returns.
-        """
-
-        return self._now
+        return self.ticks / TICKS_PER_SECOND
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by *seconds* (must be non-negative)."""
 
         if seconds < 0:
             raise ValueError("cannot move the simulated clock backwards")
-        self._now += seconds
-        return self._now
+        self.ticks += to_ticks(seconds)
+        return self.now()
 
     # -- synchronization ------------------------------------------------------
-    def send_time(self) -> float:
+    def send_ticks(self) -> int:
         """The timestamp an outgoing message carries (the overlap fork time
         inside a scatter-gather window, the current time otherwise)."""
 
         if self._overlap_frames:
             return self._overlap_frames[-1][0]
-        return self._now
+        return self.ticks
 
-    def sync_to(self, instant: float) -> float:
+    def send_time(self) -> float:
+        """:meth:`send_ticks` in seconds."""
+
+        return self.send_ticks() / TICKS_PER_SECOND
+
+    def sync_ticks(self, instant: int) -> None:
         """One-way max-merge: jump forward to *instant* if it is later."""
 
-        if instant > self._now:
-            self._now = instant
-        return self._now
+        if instant > self.ticks:
+            self.ticks = instant
 
-    def receive(self, instant: float) -> float:
+    def sync_to(self, seconds: float) -> float:
+        """:meth:`sync_ticks` for an instant given in seconds."""
+
+        self.sync_ticks(to_ticks(seconds))
+        return self.now()
+
+    def receive_ticks(self, instant: int) -> None:
         """Merge an incoming reply timestamp.
 
         Inside an overlap window the reply only raises the window's pending
@@ -292,22 +440,24 @@ class SimClock:
             frame = self._overlap_frames[-1]
             if instant > frame[1]:
                 frame[1] = instant
-            return self._now
-        if instant > self._now:
-            self._now = instant
-        return self._now
+        elif instant > self.ticks:
+            self.ticks = instant
+
+    def receive(self, seconds: float) -> float:
+        """:meth:`receive_ticks` for an instant given in seconds."""
+
+        self.receive_ticks(to_ticks(seconds))
+        return self.now()
 
     def begin_overlap(self) -> None:
         """Open a scatter-gather window anchored at the current time."""
 
-        self._overlap_frames.append([self._now, self._now])
+        self._overlap_frames.append([self.ticks, self.ticks])
 
     def end_overlap(self) -> None:
         """Close the innermost window: advance to the max gathered reply."""
 
-        fork, pending = self._overlap_frames.pop()
-        del fork
-        self.receive(pending)
+        self.receive_ticks(self._overlap_frames.pop()[1])
 
     @contextlib.contextmanager
     def overlap(self):
@@ -320,206 +470,150 @@ class SimClock:
             self.end_overlap()
 
     # -- cost charging -------------------------------------------------------
+    def unit_ticks(self, primitive: str, scale: float = 1.0) -> int:
+        """Ticks of one *primitive* at *scale* -- the scaled unit is rounded
+        once, the first time it is asked for."""
+
+        if scale == 1.0:
+            try:
+                return self._units[primitive]
+            except KeyError:
+                raise AttributeError(
+                    f"cost model has no primitive {primitive!r}") from None
+        try:
+            return self._scaled[primitive, scale]
+        except KeyError:
+            ticks = self._scaled[primitive, scale] = \
+                round(self.unit_ticks(primitive) * scale)
+            return ticks
+
+    def byte_rate(self, primitive: str) -> tuple:
+        """*primitive*'s exact ticks-per-byte rate as ``(2 * num, den,
+        2 * den)``: *n* bytes cost ``(n * 2num + den) // 2den`` ticks."""
+
+        return self._rates[primitive]
+
+    def meter(self, primitive: str, scale: float = 1.0,
+              label: str | None = None) -> tuple:
+        """``(ticks, meter)`` for an inline fixed-cost charge site.
+
+        One charge at the site is ``clock.ticks += ticks; meter[0] += 1``
+        -- one add and one counter bump, booking exactly what
+        ``charge(primitive, scale=scale, label=label)`` books, without the
+        call and the dict probes.  The pair belongs to this clock.
+        """
+
+        # ``unit_ticks`` written out: components resolve their meters at
+        # construction, which small runs are made of.
+        try:
+            ticks = self._units[primitive] if scale == 1.0 \
+                else self._scaled[primitive, scale]
+        except KeyError:
+            ticks = self.unit_ticks(primitive, scale)
+        key = label or primitive
+        try:
+            meters = self.stats._meters[key]
+        except KeyError:
+            meters = self.stats._meters[key] = []
+        for meter in meters:
+            if meter[1] == ticks:
+                return (ticks, meter)
+        meter = [0, ticks]
+        meters.append(meter)
+        return (ticks, meter)
+
     def charge(self, primitive: str, *, times: int = 1, nbytes: int = 0,
                scale: float = 1.0, label: str | None = None) -> float:
         """Charge the cost of *primitive* and advance the clock.
 
         ``times`` repeats the primitive; ``nbytes`` is used for per-byte
         primitives (``disk_transfer_per_byte``, ``archive_per_byte``) where
-        the charged amount is ``cost * nbytes`` instead of ``cost * times``.
-        ``scale`` multiplies the final amount (used e.g. for the DLFM's lean
+        the charged amount is ``rate * nbytes`` instead of ``unit * times``.
+        ``scale`` multiplies the unit (used e.g. for the DLFM's lean
         repository).  ``label`` overrides the stats key (the charge is
         recorded under *label* instead of the primitive name, so scaled
-        charges can be attributed separately).  Returns the amount of
-        simulated time charged.
+        charges can be attributed separately).  The whole call is one ledger
+        event.  Returns the simulated seconds charged.
         """
 
+        # ``unit_ticks`` / ``byte_rate`` / ``stats.cell`` written out: this
+        # is the call every non-inlined charge site makes.
         try:
-            unit = self._units[primitive]
+            if nbytes:
+                num2, den, den2 = self._rates[primitive]
+                amount = (nbytes * num2 + den) // den2
+                if scale != 1.0:
+                    amount = round(amount * scale)
+            elif scale == 1.0:
+                amount = self._units[primitive] * times
+            else:
+                amount = self._scaled[primitive, scale] * times
         except KeyError:
-            unit = getattr(self.costs, primitive)
-        amount = unit * nbytes if nbytes else unit * times
-        amount *= scale
-        self._now += amount
-        # The stats bookkeeping is inlined (not routed through
-        # ``ClockStats.record``): this path runs hundreds of thousands of
-        # times per experiment and the call overhead dominates.  The
-        # try/except form wins because the key almost always exists after
-        # the first charge.  The float additions happen in exactly the same
-        # order as before (``0.0 + x == x`` for the first charge), which is
-        # what keeps simulated totals bit-identical.
+            amount = self.unit_ticks(primitive, scale) * times
+        self.ticks += amount
         key = label or primitive
         cells = self.stats._cells
         try:
             cell = cells[key]
-            cell[0] += 1
-            cell[1] += amount
         except KeyError:   # first charge under this key
-            cells[key] = [1, amount]
-        mirror = self._mirror_stats
-        if mirror is not None:
-            cells = mirror._cells
-            try:
-                cell = cells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells[key] = [1, amount]
-        return amount
+            cell = cells[key] = [0, 0]
+        cell[0] += 1
+        cell[1] += amount
+        return amount / TICKS_PER_SECOND
 
     def charge_run(self, primitive: str, times: int, *, scale: float = 1.0,
                    label: str | None = None) -> float:
         """Charge *times* back-to-back unit charges of *primitive*.
 
-        Bit-identical to ``times`` scalar :meth:`charge` calls: float
-        addition is order-dependent, so the per-event amount is still added
-        in a loop (a single ``amount * times`` advance would drift), but the
-        loop runs on local accumulators with the unit lookup, stats probes
-        and call overhead hoisted out -- one aggregated ledger write-back
-        instead of one full bookkeeping pass per record.  Returns the total
-        simulated time charged.
+        *times* ledger events for one multiply.  Returns the simulated
+        seconds charged.
         """
 
         if times <= 0:
             return 0.0
-        if not BATCHED_CHARGES:
-            total = 0.0
-            for _ in _repeat(None, times):
-                total += self.charge(primitive, scale=scale, label=label)
-            return total
         try:
-            unit = self._units[primitive]
+            amount = (self._units[primitive] if scale == 1.0
+                      else self._scaled[primitive, scale]) * times
         except KeyError:
-            unit = getattr(self.costs, primitive)
-        # Exactly the scalar path's arithmetic for one event (``times=1``).
-        amount = unit * 1
-        amount *= scale
-        key = label or primitive
-        cells = self.stats._cells
-        try:
-            cell = cells[key]
-        except KeyError:   # ``0.0 + x == x``, so starting empty is exact
-            cell = cells[key] = [0, 0.0]
-        now = self._now
-        total = cell[1]
-        charged = 0.0
-        mirror = self._mirror_stats
-        if mirror is None:
-            for _ in _repeat(None, times):
-                now += amount
-                total += amount
-                charged += amount
-        else:
-            mcells = mirror._cells
-            try:
-                mcell = mcells[key]
-            except KeyError:
-                mcell = mcells[key] = [0, 0.0]
-            mtotal = mcell[1]
-            for _ in _repeat(None, times):
-                now += amount
-                total += amount
-                mtotal += amount
-                charged += amount
-            mcell[0] += times
-            mcell[1] = mtotal
-        self._now = now
+            amount = self.unit_ticks(primitive, scale) * times
+        self.ticks += amount
+        cell = self.stats.cell(label or primitive)
         cell[0] += times
-        cell[1] = total
-        return charged
+        cell[1] += amount
+        return amount / TICKS_PER_SECOND
 
     def compile_charges(self, events) -> tuple:
         """Pre-resolve a repeating charge pattern for :meth:`charge_batch`.
 
         *events* is a sequence of ``(primitive, scale, label)`` triples --
-        one cycle of the pattern, in charge order.  The unit lookups and
-        stats keys are resolved once here instead of once per replayed
-        event.  The compiled pattern is clock-specific (units come from this
-        clock's cost model).
+        one cycle of the pattern.  Returns ``(ticks per cycle, [[meter,
+        events per cycle], ...])`` with one entry per distinct meter.  The
+        compiled pattern belongs to this clock (its units, its ledger).
         """
 
-        events = tuple(events)
-        entries = []
+        cycle = 0
+        entries: list[list] = []
         for primitive, scale, label in events:
-            try:
-                unit = self._units[primitive]
-            except KeyError:
-                unit = getattr(self.costs, primitive)
-            amount = unit * 1
-            amount *= scale
-            entries.append((amount, label or primitive))
-        return (events, tuple(entries))
+            ticks, meter = self.meter(primitive, scale, label)
+            cycle += ticks
+            for entry in entries:
+                if entry[0] is meter:
+                    entry[1] += 1
+                    break
+            else:
+                entries.append([meter, 1])
+        return (cycle, entries)
 
     def charge_batch(self, compiled: tuple, cycles: int = 1) -> None:
-        """Replay a compiled charge pattern *cycles* times.
+        """Charge a compiled pattern *cycles* times: one multiply on the
+        clock, one bump per distinct meter."""
 
-        Bit-identical to charging every event of every cycle through the
-        scalar :meth:`charge` path in order: the clock receives the
-        per-event amounts in exactly the original sequence and each stats
-        cell accumulates its own amounts in arrival order.  All dict probes
-        happen once per distinct label instead of once per event.
-        """
-
-        events, entries = compiled
-        if cycles <= 0 or not entries:
+        if cycles <= 0:
             return
-        if not BATCHED_CHARGES:
-            for _ in _repeat(None, cycles):
-                for primitive, scale, label in events:
-                    self.charge(primitive, scale=scale, label=label)
-            return
-        cells = self.stats._cells
-        mirror = self._mirror_stats
-        mcells = mirror._cells if mirror is not None else None
-        # label -> [own_total, mirror_total, events_per_cycle, cell, mcell].
-        # Own and mirrored cells receive the same additions in the same
-        # order but start from different bases, so each keeps its own
-        # running accumulator.
-        ledger: dict[str, list] = {}
-        for amount, key in entries:
-            try:
-                ledger[key][2] += 1
-            except KeyError:
-                try:
-                    cell = cells[key]
-                except KeyError:
-                    cell = cells[key] = [0, 0.0]
-                mcell = None
-                if mcells is not None:
-                    try:
-                        mcell = mcells[key]
-                    except KeyError:
-                        mcell = mcells[key] = [0, 0.0]
-                ledger[key] = [
-                    cell[1], mcell[1] if mcell is not None else 0.0,
-                    1, cell, mcell]
-        now = self._now
-        if mcells is None:
-            for _ in _repeat(None, cycles):
-                for amount, key in entries:
-                    now += amount
-                    ledger[key][0] += amount
-        else:
-            for _ in _repeat(None, cycles):
-                for amount, key in entries:
-                    now += amount
-                    slot = ledger[key]
-                    slot[0] += amount
-                    slot[1] += amount
-        self._now = now
-        for slot in ledger.values():
-            total, mtotal, per_cycle, cell, mcell = slot
-            count = per_cycle * cycles
-            cell[0] += count
-            cell[1] = total
-            if mcell is not None:
-                mcell[0] += count
-                mcell[1] = mtotal
-
-    def _record(self, label: str, amount: float) -> None:
-        self.stats.record(label, amount)
-        if self._mirror_stats is not None:
-            self._mirror_stats.record(label, amount)
+        cycle, entries = compiled
+        self.ticks += cycle * cycles
+        for meter, events in entries:
+            meter[0] += events * cycles
 
     def measure(self) -> "Stopwatch":
         """Return a :class:`Stopwatch` started at the current simulated time."""
@@ -532,20 +626,20 @@ def synchronized_call(caller, callee):
     """Two-way merge around a synchronous cross-domain call.
 
     The callee cannot start before the caller's message was sent
-    (``callee.sync_to(caller.send_time())``), and the caller cannot continue
-    before the callee finished (``caller.receive(callee.now())``, applied
-    even when the body raises -- failures take time too).  A no-op when the
-    two clocks are the same object or either is ``None``.
+    (``callee.sync_ticks(caller.send_ticks())``), and the caller cannot
+    continue before the callee finished (``caller.receive_ticks(callee.ticks)``,
+    applied even when the body raises -- failures take time too).  A no-op
+    when the two clocks are the same object or either is ``None``.
     """
 
     if caller is None or callee is None or caller is callee:
         yield
         return
-    callee.sync_to(caller.send_time())
+    callee.sync_ticks(caller.send_ticks())
     try:
         yield
     finally:
-        caller.receive(callee.now())
+        caller.receive_ticks(callee.ticks)
 
 
 def rendezvous(*clocks) -> float:
@@ -553,16 +647,16 @@ def rendezvous(*clocks) -> float:
 
     Commutative and idempotent -- ``rendezvous(a, b)`` and
     ``rendezvous(b, a)`` leave both clocks at the same instant.  Returns
-    that instant.
+    that instant, in seconds.
     """
 
     present = [clock for clock in clocks if clock is not None]
     if not present:
         return 0.0
-    instant = max(clock.now() for clock in present)
+    instant = max(clock.ticks for clock in present)
     for clock in present:
-        clock.sync_to(instant)
-    return instant
+        clock.sync_ticks(instant)
+    return instant / TICKS_PER_SECOND
 
 
 def gather(target, clocks) -> float:
@@ -570,58 +664,51 @@ def gather(target, clocks) -> float:
 
     The batched counterpart of ``rendezvous(target, c)`` once per client:
     N client domains merging through the host cost one ``max()`` scan and
-    a single :meth:`SimClock.receive` on the target, after which every
-    client syncs forward to the merged instant.  ``None`` entries and the
-    target itself are skipped, so the call degenerates to a no-op when
+    a single :meth:`SimClock.receive_ticks` on the target, after which
+    every client syncs forward to the merged instant.  ``None`` entries and
+    the target itself are skipped, so the call degenerates to a no-op when
     every client shares the target clock (the serialized reference path).
-    Returns the merged instant.
+    Returns the merged instant, in seconds.
     """
 
     present = [clock for clock in clocks
                if clock is not None and clock is not target]
-    instant = target.now()
+    instant = target.ticks
     for clock in present:
-        t = clock._now
-        if t > instant:
-            instant = t
-    target.receive(instant)
+        if clock.ticks > instant:
+            instant = clock.ticks
+    target.receive_ticks(instant)
     for clock in present:
-        clock.sync_to(instant)
-    return instant
+        clock.sync_ticks(instant)
+    return instant / TICKS_PER_SECOND
 
 
 class ClockDomain(SimClock):
     """One simulated node's clock inside a :class:`ClockDomainGroup`.
 
     A domain is a full :class:`SimClock` (components hold it and call
-    ``charge()``/``measure()`` unchanged) that additionally:
-
-    * mirrors every charge into the group's merged statistics, so
-      cluster-wide counts stay available no matter which node did the work;
-    * treats :meth:`advance` as *cluster* idle time -- explicit waiting
-      (editor think time, TTL expiry in tests) passes for every node, which
-      matches the old serial model; :meth:`advance_local` advances only
-      this domain.
+    ``charge()``/``measure()`` unchanged) that additionally treats
+    :meth:`advance` as *cluster* idle time -- explicit waiting (editor think
+    time, TTL expiry in tests) passes for every node, which matches the old
+    serial model; :meth:`advance_local` advances only this domain.  Its
+    ledger is one term of the group's (:class:`GroupStats`).
     """
 
     def __init__(self, group: "ClockDomainGroup", name: str,
                  cost_model: CostModel | None = None, start: float = 0.0,
-                 units: dict | None = None):
-        super().__init__(cost_model, start=start, name=name, units=units)
+                 tables: tuple | None = None):
+        super().__init__(cost_model, start=start, name=name, tables=tables)
         self.group = group
-        # Charges mirror into the group's merged stats via the base-class
-        # fast path instead of a ``_record`` override.
-        if group.stats is not self.stats:
-            self._mirror_stats = group.stats
 
     def advance(self, seconds: float) -> float:
         """Let *seconds* of idle wall time pass for the whole cluster."""
 
         if seconds < 0:
             raise ValueError("cannot move the simulated clock backwards")
+        idle = to_ticks(seconds)
         for domain in self.group.domains.values():
-            domain.advance_local(seconds)
-        return self._now
+            domain.ticks += idle
+        return self.now()
 
     def advance_local(self, seconds: float) -> float:
         """Advance only this domain (a node busy on unmodelled local work)."""
@@ -643,14 +730,13 @@ class ClockDomainGroup:
         self.costs = cost_model if cost_model is not None else \
             (root.costs if root is not None else CostModel())
         self.serial = serial or root is not None
-        self.stats = root.stats if root is not None else ClockStats()
+        #: The group-wide ledger, summed over the domains on every read.
+        self.stats = GroupStats(self)
         self.domains: dict[str, SimClock] = {}
         self._root = root
-        #: Per-primitive units dict shared by every domain of this group
-        #: (they all charge against the same ``self.costs``); built by the
-        #: first domain and reused so creating 10^4 client domains does
-        #: not re-derive it 10^4 times.
-        self._shared_units: dict | None = None
+        #: Tick tables of ``self.costs``, looked up once for every domain
+        #: (10^4 client domains must not hash the model 10^4 times).
+        self._tables = _tick_tables(tuple(vars(self.costs).items()))
         if root is not None:
             self.domains["serial"] = root
 
@@ -666,19 +752,22 @@ class ClockDomainGroup:
                 self.domains["serial"] = self._root
             return self._root
         if name not in self.domains:
-            domain = ClockDomain(self, name, self.costs,
-                                 units=self._shared_units)
-            if self._shared_units is None:
-                self._shared_units = domain._units
-            self.domains[name] = domain
+            self.domains[name] = ClockDomain(self, name, self.costs,
+                                             tables=self._tables)
         return self.domains[name]
+
+    @property
+    def ticks(self) -> int:
+        """The cluster wall clock in ticks: the max over every domain."""
+
+        if not self.domains:
+            return 0
+        return max(domain.ticks for domain in self.domains.values())
 
     def global_now(self) -> float:
         """The cluster wall clock: the max over every domain's time."""
 
-        if not self.domains:
-            return self._root.now() if self._root is not None else 0.0
-        return max(domain.now() for domain in self.domains.values())
+        return self.ticks / TICKS_PER_SECOND
 
     # ``now()``/``measure()`` make the group usable wherever a clock-like
     # object is expected, measuring cluster wall-clock progress.
@@ -718,11 +807,11 @@ class ClockDomainGroup:
         if not SESSION_DOMAINS or self.serial:
             return [base] * count
         pool = count if limit is None else max(1, min(count, limit))
-        start = base.now()
+        start = base.ticks
         clocks = []
         for index in range(pool):
             domain = self.domain(f"{prefix}{index}")
-            domain.sync_to(start)
+            domain.sync_ticks(start)
             clocks.append(domain)
         if pool == count:
             return clocks
@@ -737,7 +826,7 @@ class ClockDomainGroup:
     def times_by_domain(self) -> dict:
         """``{domain: now_in_ms}`` -- each node's local time, for reporting."""
 
-        return {name: domain.now() * 1000.0
+        return {name: domain.ticks / _TICKS_PER_MS
                 for name, domain in sorted(self.domains.items())}
 
 
@@ -746,30 +835,32 @@ class Stopwatch:
 
     Works over a single :class:`SimClock`/:class:`ClockDomain` (elapsed time
     on that node) or a :class:`ClockDomainGroup` (elapsed cluster wall-clock
-    time, i.e. ``global_now`` deltas).
+    time, i.e. ``global_now`` deltas).  The interval is taken in ticks and
+    converted once, so it does not lose precision late in a long run.
     """
 
     def __init__(self, clock):
         self._clock = clock
-        self.start = clock.now()
-        self.stop: float | None = None
+        self._start = clock.ticks
+        self._stop: int | None = None
 
     def __enter__(self) -> "Stopwatch":
-        self.start = self._clock.now()
+        self._start = self._clock.ticks
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop = self._clock.now()
+        self._stop = self._clock.ticks
 
     @property
     def elapsed(self) -> float:
         """Elapsed simulated seconds (to the stop point, or to now)."""
 
-        end = self.stop if self.stop is not None else self._clock.now()
-        return end - self.start
+        end = self._stop if self._stop is not None else self._clock.ticks
+        return (end - self._start) / TICKS_PER_SECOND
 
     @property
     def elapsed_ms(self) -> float:
         """Elapsed simulated milliseconds."""
 
-        return self.elapsed * 1000.0
+        end = self._stop if self._stop is not None else self._clock.ticks
+        return (end - self._start) / _TICKS_PER_MS

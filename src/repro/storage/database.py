@@ -28,7 +28,7 @@ from repro.errors import (
     PreparedStateError,
     TransactionNotActive,
 )
-from repro.simclock import SimClock
+from repro.simclock import TICKS_PER_SECOND, SimClock
 from repro.storage.backup import BackupImage, BackupManager
 from repro.storage.catalog import Catalog
 from repro.storage.lock_manager import LockManager, LockMode
@@ -94,20 +94,8 @@ class Database:
         self.locks = LockManager()
         self.backups = BackupManager(self)
         self._transactions: dict[int, Transaction] = {}
-        self._charge_labels: dict[str, str | None] = {}
-        self._lock_label = stats_prefix + "lock_acquire" if stats_prefix else None
-        self._read_label = stats_prefix + "row_read" if stats_prefix else None
-        self._write_label = stats_prefix + "row_write" if stats_prefix else None
-        self._stmt_label = stats_prefix + "sql_statement_base" if stats_prefix else None
-        self._log_label = stats_prefix + "log_write" if stats_prefix else None
-        self._probe_label = stats_prefix + "index_probe" if stats_prefix else None
-        # Lazily compiled per-row charge patterns (see SimClock.charge_batch):
-        # DML loops defer their per-match charges and apply them as one
-        # batch replay per statement instead of two clock calls per row.
-        self._pair_lock_read = None
-        self._pair_lock_write = None
-        self._insert_pattern = None          # (lock, lock, row_write)
-        self._insert_pattern_nokey = None    # (lock, row_write)
+        if clock is not None:
+            self._prime()
         #: Extended per-table plans (:class:`_TablePlan`), validated against
         #: the catalog's version counter on every probe.
         self._plans: dict[str, _TablePlan] = {}
@@ -117,16 +105,6 @@ class Database:
         #: bypass this facade (replication redo, recovery, rollback)
         #: invalidate it implicitly.
         self._max_keys: dict[str, tuple] = {}
-        # Primed per-statement charge amounts (see _prime_charges).
-        self._primed_charge_clock = None
-        self._amt_stmt = 0.0
-        self._amt_probe = 0.0
-        self._amt_log = 0.0
-        self._key_stmt = "sql_statement_base"
-        self._key_probe = "index_probe"
-        self._key_log = "log_write"
-        self._key_read = "row_read"
-        self._amt_read = 0.0
         self._next_txn_id = 1
         self._checkpoint: dict | None = None
         #: Index definitions as of the last crash.  Index DDL is durable
@@ -140,68 +118,47 @@ class Database:
     # ------------------------------------------------------------------ utils --
     def now(self) -> float:
         clock = self.clock
-        return clock._now if clock is not None else 0.0
+        return clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
 
-    def _charge(self, primitive: str, *, times: int = 1, nbytes: int = 0) -> None:
+    def _charge(self, primitive: str) -> None:
         clock = self.clock
-        if clock is None:
-            return
-        labels = self._charge_labels
-        try:
-            label = labels[primitive]
-        except KeyError:
-            label = labels[primitive] = \
-                self.stats_prefix + primitive if self.stats_prefix else None
-        # ``clock.charge(...)`` written out inline (identical arithmetic,
-        # one frame fewer): _charge sits under every DDL/abort/force path.
-        try:
-            unit = clock._units[primitive]
-        except KeyError:
-            unit = getattr(clock.costs, primitive)
-        amount = unit * nbytes if nbytes else unit * times
-        amount *= self.cost_scale
-        clock._now += amount
-        key = label or primitive
-        cells = clock.stats._cells
-        try:
-            cell = cells[key]
-            cell[0] += 1
-            cell[1] += amount
-        except KeyError:
-            cells[key] = [1, amount]
-        mirror = clock._mirror_stats
-        if mirror is not None:
-            mcells = mirror._cells
-            try:
-                cell = mcells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                mcells[key] = [1, amount]
+        if clock is not None:
+            amount, meter = self._meters[primitive]
+            clock.ticks += amount
+            meter[0] += 1
 
-    def _prime_charges(self, clock) -> None:
-        """Cache the fixed statement-shaped charge amounts for *clock*.
+    def _charge_run(self, primitive: str, times: int) -> None:
+        """*times* back-to-back unit charges of *primitive*: one multiply."""
 
-        ``sql_statement_base``, ``index_probe``, ``row_read`` and
-        ``log_write`` amounts are constant products of the clock's unit
-        costs and this database's ``cost_scale``; the per-statement entry
-        points (begin/commit/insert/select and the point-select short
-        cut) write the clock advance out inline against these
-        precomputed amounts -- the same unrolling the physical file system
-        applies to its fixed per-syscall charges.
+        clock = self.clock
+        if clock is not None:
+            amount, meter = self._meters[primitive]
+            clock.ticks += amount * times
+            meter[0] += times
+
+    def _prime(self) -> None:
+        """Resolve this database's six primitives against its clock, once.
+
+        Each becomes a ``(ticks, meter)`` pair (see :meth:`SimClock.meter`)
+        scaled by ``cost_scale`` and booked under ``stats_prefix``; the hot
+        entry points write their charges out inline against the pairs, and
+        per-row DML charges are multiplied out once per statement.  A
+        component's clock never rebinds, so this runs from ``__init__``.
         """
 
-        units = clock._units
-        scale = self.cost_scale
-        self._amt_stmt = units["sql_statement_base"] * scale
-        self._amt_probe = units["index_probe"] * scale
-        self._amt_log = units["log_write"] * scale
-        self._amt_read = units["row_read"] * scale
-        self._key_stmt = self._stmt_label or "sql_statement_base"
-        self._key_probe = self._probe_label or "index_probe"
-        self._key_log = self._log_label or "log_write"
-        self._key_read = self._read_label or "row_read"
-        self._primed_charge_clock = clock
+        clock, scale, prefix = self.clock, self.cost_scale, self.stats_prefix
+        self._meters = {
+            primitive: clock.meter(primitive, scale,
+                                   prefix + primitive if prefix else None)
+            for primitive in ("sql_statement_base", "index_probe",
+                              "log_write", "row_read", "row_write",
+                              "lock_acquire")}
+        self._stmt = self._meters["sql_statement_base"]
+        self._probe = self._meters["index_probe"]
+        self._log = self._meters["log_write"]
+        self._read = self._meters["row_read"]
+        self._write = self._meters["row_write"]
+        self._lock = self._meters["lock_acquire"]
 
     def _build_plan(self, table: str) -> _TablePlan:
         """Build (and cache) the extended :class:`_TablePlan` for *table*."""
@@ -288,27 +245,9 @@ class Database:
         self.wal.append(transaction.txn_id, LogRecordType.BEGIN)
         clock = self.clock
         if clock is not None:
-            if self._primed_charge_clock is not clock:
-                self._prime_charges(clock)
-            amount = self._amt_stmt
-            clock._now += amount
-            key = self._key_stmt
-            cells = clock.stats._cells
-            try:
-                cell = cells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells[key] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
+            amount, meter = self._stmt
+            clock.ticks += amount
+            meter[0] += 1
         return transaction
 
     def transaction(self, txn_id: int) -> Transaction:
@@ -342,29 +281,15 @@ class Database:
         if self.wal.note_commit():
             clock = self.clock
             if clock is not None:
-                if self._primed_charge_clock is not clock:
-                    self._prime_charges(clock)
-                amount = self._amt_log
-                clock._now += amount
-                key = self._key_log
-                cells = clock.stats._cells
-                try:
-                    cell = cells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells[key] = [1, amount]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[key]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[key] = [1, amount]
+                amount, meter = self._log
+                clock.ticks += amount
+                meter[0] += 1
         txn.state = TxnState.COMMITTED
         # ``_finish`` inlined: commit is the per-transaction hot path.
+        try:
+            del self._transactions[txn.txn_id]
+        except KeyError:      # begun before a crash() emptied the table
+            pass
         self.locks.release_all(txn.txn_id)
         callbacks = txn.on_commit
         if callbacks:
@@ -407,6 +332,9 @@ class Database:
         self._finish(txn, txn.on_abort)
 
     def _finish(self, txn: Transaction, callbacks: list) -> None:
+        # A finished transaction leaves the table: only active and prepared
+        # (in-doubt) ones are ever looked up again.
+        self._transactions.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
         for callback in callbacks:
             callback()
@@ -506,27 +434,9 @@ class Database:
         if txn is not None and txn.state is TxnState.ACTIVE:
             clock = self.clock
             if clock is not None:
-                if self._primed_charge_clock is not clock:
-                    self._prime_charges(clock)
-                amount = self._amt_stmt
-                clock._now += amount
-                key = self._key_stmt
-                cells = clock.stats._cells
-                try:
-                    cell = cells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells[key] = [1, amount]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[key]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[key] = [1, amount]
+                amount, meter = self._stmt
+                clock.ticks += amount
+                meter[0] += 1
             try:
                 plan = self._plans[table]
             except KeyError:
@@ -564,11 +474,10 @@ class Database:
         # The per-row charges -- lock_acquire for the key lock (when the
         # table has a primary key), lock_acquire for the row lock, and
         # row_write -- are contiguous in clock time (nothing between them
-        # touches the clock), so they are deferred and replayed as one
-        # compiled batch when the insert completes.  On a partial failure
+        # touches the clock), so they are deferred and charged together
+        # when the insert completes.  On a partial failure
         # (a lock conflict, a duplicate secondary key) only the lock
-        # charges actually incurred are replayed, exactly matching the
-        # per-row reference.
+        # charges actually incurred are charged.
         clock = self.clock
         txn_id = active.txn_id
         acquire = self.locks.acquire
@@ -606,25 +515,15 @@ class Database:
                                      rid=rid, after=dict(normalized))
             active.records.append(record)
         except BaseException:
-            if clock is not None and locks_taken:
-                clock.charge_run("lock_acquire", locks_taken,
-                                 scale=self.cost_scale, label=self._lock_label)
+            if locks_taken:
+                self._charge_run("lock_acquire", locks_taken)
             raise
         if clock is not None:
-            if locks_taken == 2:
-                pattern = self._insert_pattern
-                if pattern is None:
-                    pattern = self._insert_pattern = clock.compile_charges(
-                        (("lock_acquire", self.cost_scale, self._lock_label),
-                         ("lock_acquire", self.cost_scale, self._lock_label),
-                         ("row_write", self.cost_scale, self._write_label)))
-            else:
-                pattern = self._insert_pattern_nokey
-                if pattern is None:
-                    pattern = self._insert_pattern_nokey = clock.compile_charges(
-                        (("lock_acquire", self.cost_scale, self._lock_label),
-                         ("row_write", self.cost_scale, self._write_label)))
-            clock.charge_batch(pattern, 1)
+            lock, lock_meter = self._lock
+            write, write_meter = self._write
+            clock.ticks += lock * locks_taken + write
+            lock_meter[0] += locks_taken
+            write_meter[0] += 1
         return rid
 
     def select(self, table: str, where=None, txn: Transaction | None = None, *,
@@ -638,27 +537,9 @@ class Database:
 
         clock = self.clock
         if clock is not None:
-            if self._primed_charge_clock is not clock:
-                self._prime_charges(clock)
-            amount = self._amt_stmt
-            clock._now += amount
-            key = self._key_stmt
-            cells = clock.stats._cells
-            try:
-                cell = cells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells[key] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
+            amount, meter = self._stmt
+            clock.ticks += amount
+            meter[0] += 1
         # ``self._plan(table)`` written out inline: the cache probe is two
         # attribute loads on the hot hit path, and select is the single
         # most-issued statement on the million-link tier.
@@ -677,12 +558,11 @@ class Database:
                 return matched
         predicate, bindings = compile_where(where)
         candidates = self._candidate_rows(plan, bindings, clock)
-        # Per-match charges are deferred and applied as one batch replay
-        # after the loop: nothing between two matches touches the clock, so
-        # the aggregate is float-identical to charging inside the loop (see
-        # SimClock.charge_batch).  When an acquire raises mid-statement the
-        # ``finally`` still replays the completed matches -- exactly the
-        # charges the per-row reference would have made before the raise.
+        # Per-match charges are deferred and applied as one batch after
+        # the loop: nothing between two matches reads the clock, and tick
+        # sums are exact in any grouping.  When
+        # an acquire raises mid-statement the ``finally`` still charges the
+        # completed matches.
         # Candidates are the *stored* row dicts: the predicate filters them
         # without a per-candidate copy, and only matches are materialized.
         if txn is not None and lock:
@@ -690,35 +570,25 @@ class Database:
             txn_id = txn.txn_id
             acquire = self.locks.acquire
             rows = []
-            if clock is not None:
-                matched_count = 0
-                try:
-                    if predicate is _match_all:
-                        for rid, row in candidates:
-                            acquire(txn_id, ("row", table, rid), mode)
-                            matched_count += 1
-                            rows.append(dict(row, _rid=rid))
-                    else:
-                        for rid, row in candidates:
-                            if not predicate(row):
-                                continue
-                            acquire(txn_id, ("row", table, rid), mode)
-                            matched_count += 1
-                            rows.append(dict(row, _rid=rid))
-                finally:
-                    if matched_count:
-                        pattern = self._pair_lock_read
-                        if pattern is None:
-                            pattern = self._pair_lock_read = clock.compile_charges(
-                                (("lock_acquire", self.cost_scale, self._lock_label),
-                                 ("row_read", self.cost_scale, self._read_label)))
-                        clock.charge_batch(pattern, matched_count)
-                return rows
-            for rid, row in candidates:
-                if not predicate(row):
-                    continue
-                acquire(txn_id, ("row", table, rid), mode)
-                rows.append(dict(row, _rid=rid))
+            try:
+                if predicate is _match_all:
+                    for rid, row in candidates:
+                        acquire(txn_id, ("row", table, rid), mode)
+                        rows.append(dict(row, _rid=rid))
+                else:
+                    for rid, row in candidates:
+                        if not predicate(row):
+                            continue
+                        acquire(txn_id, ("row", table, rid), mode)
+                        rows.append(dict(row, _rid=rid))
+            finally:
+                if clock is not None:
+                    count = len(rows)
+                    lock, lock_meter = self._lock
+                    read, read_meter = self._read
+                    clock.ticks += (lock + read) * count
+                    lock_meter[0] += count
+                    read_meter[0] += count
             return rows
         if predicate is _match_all:
             rows = [dict(row, _rid=rid) for rid, row in candidates]
@@ -726,8 +596,10 @@ class Database:
             rows = [dict(row, _rid=rid) for rid, row in candidates
                     if predicate(row)]
         if clock is not None and rows:
-            clock.charge_run("row_read", len(rows), scale=self.cost_scale,
-                             label=self._read_label)
+            amount, meter = self._read
+            count = len(rows)
+            clock.ticks += amount * count
+            meter[0] += count
         return rows
 
     def select_one(self, table: str, where=None, txn: Transaction | None = None,
@@ -757,25 +629,9 @@ class Database:
             entries = plan.pk_entries
             if pk_single in where and entries is not None:
                 if clock is not None:
-                    amount = self._amt_probe
-                    clock._now += amount
-                    key = self._key_probe
-                    cells = clock.stats._cells
-                    try:
-                        cell = cells[key]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        cells[key] = [1, amount]
-                    mirror = clock._mirror_stats
-                    if mirror is not None:
-                        mcells = mirror._cells
-                        try:
-                            cell = mcells[key]
-                            cell[0] += 1
-                            cell[1] += amount
-                        except KeyError:
-                            mcells[key] = [1, amount]
+                    amount, meter = self._probe
+                    clock.ticks += amount
+                    meter[0] += 1
                 try:
                     bucket = entries[(where[pk_single],)]
                 except KeyError:
@@ -789,25 +645,9 @@ class Database:
             entries = plan.pk_entries
             if complete and entries is not None:
                 if clock is not None:
-                    amount = self._amt_probe
-                    clock._now += amount
-                    label = self._key_probe
-                    cells = clock.stats._cells
-                    try:
-                        cell = cells[label]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        cells[label] = [1, amount]
-                    mirror = clock._mirror_stats
-                    if mirror is not None:
-                        mcells = mirror._cells
-                        try:
-                            cell = mcells[label]
-                            cell[0] += 1
-                            cell[1] += amount
-                        except KeyError:
-                            mcells[label] = [1, amount]
+                    amount, meter = self._probe
+                    clock.ticks += amount
+                    meter[0] += 1
                 try:
                     bucket = entries[tuple(where[column]
                                            for column in plan.pk_cols)]
@@ -844,32 +684,11 @@ class Database:
             if not matched:
                 return []
         if clock is not None:
-            if len(matched) == 1:
-                # The single-match case dominates; ``charge_run(..., 1)``
-                # written out inline (identical arithmetic either way).
-                amount = self._amt_read
-                clock._now += amount
-                key = self._key_read
-                cells = clock.stats._cells
-                try:
-                    cell = cells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells[key] = [1, amount]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[key]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[key] = [1, amount]
-            else:
-                clock.charge_run("row_read", len(matched),
-                                 scale=self.cost_scale,
-                                 label=self._read_label)
+            # ``_charge_run("row_read", n)`` written out: one multiply.
+            amount, meter = self._read
+            count = len(matched)
+            clock.ticks += amount * count
+            meter[0] += count
         return matched
 
     def max_key(self, table: str):
@@ -891,9 +710,15 @@ class Database:
         if column is None:
             raise ValueError(
                 f"table {table}: max_key needs a single-column primary key")
-        self._charge("sql_statement_base")
-        self._charge("index_probe")
-        self._charge("row_read")
+        clock = self.clock
+        if clock is not None:
+            stmt, stmt_meter = self._stmt
+            probe, probe_meter = self._probe
+            read, read_meter = self._read
+            clock.ticks += stmt + probe + read
+            stmt_meter[0] += 1
+            probe_meter[0] += 1
+            read_meter[0] += 1
         mutations = plan.heap.mutations
         cached = self._max_keys.get(table)
         if cached is not None and cached[1] == mutations:
@@ -914,8 +739,9 @@ class Database:
             active.require_active()
             clock = self.clock
             if clock is not None:
-                clock.charge("sql_statement_base", scale=self.cost_scale,
-                             label=self._stmt_label)
+                amount, meter = self._stmt
+                clock.ticks += amount
+                meter[0] += 1
             plan = self._plan(table)
             schema = plan.schema
             heap = plan.heap
@@ -962,8 +788,9 @@ class Database:
             active.require_active()
             clock = self.clock
             if clock is not None:
-                clock.charge("sql_statement_base", scale=self.cost_scale,
-                             label=self._stmt_label)
+                amount, meter = self._stmt
+                clock.ticks += amount
+                meter[0] += 1
             plan = self._plan(table)
             heap = plan.heap
             indexes = plan.indexes
@@ -999,22 +826,19 @@ class Database:
 
         *finished* rows each owe a (lock_acquire, row_write) pair;
         *acquired_pending* marks a row whose lock was taken but whose write
-        never completed (validation or uniqueness raised), which owes the
-        lone lock_acquire the per-row reference charged before raising.
+        never completed (validation or uniqueness raised), which owes its
+        lone lock_acquire.
         """
 
         clock = self.clock
         if clock is None:
             return
-        if finished:
-            pattern = self._pair_lock_write
-            if pattern is None:
-                pattern = self._pair_lock_write = clock.compile_charges(
-                    (("lock_acquire", self.cost_scale, self._lock_label),
-                     ("row_write", self.cost_scale, self._write_label)))
-            clock.charge_batch(pattern, finished)
-        if acquired_pending:
-            self._charge("lock_acquire")
+        locks = finished + 1 if acquired_pending else finished
+        lock, lock_meter = self._lock
+        write, write_meter = self._write
+        clock.ticks += lock * locks + write * finished
+        lock_meter[0] += locks
+        write_meter[0] += finished
 
     @staticmethod
     def _strip_internal(row: dict) -> dict:
@@ -1057,8 +881,9 @@ class Database:
                     key = tuple(bindings[c] for c in plan.pk_cols)
             if key is not None and plan.pk_index is not None:
                 if clock is not None:
-                    clock.charge("index_probe", scale=self.cost_scale,
-                                 label=self._probe_label)
+                    amount, meter = self._probe
+                    clock.ticks += amount
+                    meter[0] += 1
                 entries = plan.pk_entries
                 if entries is not None:
                     try:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.simclock import gather
+from repro.simclock import TICKS_PER_SECOND, gather, to_ticks
 from repro.workloads.generator import OperationStats
 
 
@@ -59,6 +59,7 @@ class ClientPool:
         self.system = system
         self.count = count
         self.think_s = think_s
+        self._think_ticks = to_ticks(think_s) if think_s > 0.0 else 0
         self.clocks = system.client_domains(count, limit=limit, prefix=prefix)
         if session_factory is None:
             def session_factory(name, uid, clock):
@@ -80,11 +81,10 @@ class ClientPool:
         catch-up to the cluster's current time as latency.
         """
 
-        if instant is None:
-            instant = self.system.clock.now()
+        ticks = self.system.clock.ticks if instant is None \
+            else to_ticks(instant)
         for clock in self.clocks:
-            if clock.now() < instant:
-                clock.sync_to(instant)
+            clock.sync_ticks(ticks)
 
     def run(self, ops_per_client, op) -> float:
         """Run the given operations per client; returns elapsed sim-seconds.
@@ -98,7 +98,7 @@ class ClientPool:
         """
 
         host = self.system.clock
-        start = host.now()
+        start = host.ticks
         admission = self.system.admission
         if isinstance(ops_per_client, int):
             counts = [ops_per_client] * self.count
@@ -113,7 +113,7 @@ class ClientPool:
             else:
                 self._run_interleaved(counts, op, admission)
         gather(host, self.clocks)
-        self.elapsed_s = host.now() - start
+        self.elapsed_s = (host.ticks - start) / TICKS_PER_SECOND
         return self.elapsed_s
 
     # ------------------------------------------------------------------ internals --
@@ -121,16 +121,16 @@ class ClientPool:
         """One client operation: admit -> think -> op -> release."""
 
         clock = self.clocks[index]
-        arrival = clock.now()
+        arrival = clock.ticks
         ticket = admission.acquire(clock) if admission is not None else None
         try:
-            if self.think_s > 0.0:
-                clock.advance_local(self.think_s)
+            # ``clock.advance_local(self.think_s)``, converted once.
+            clock.ticks += self._think_ticks
             op(self.sessions[index], index, op_index)
         finally:
             if ticket is not None:
                 admission.release(ticket, clock)
-        self.latency.record(clock.now() - arrival)
+        self.latency.record((clock.ticks - arrival) / TICKS_PER_SECOND)
         self.queue_delay.record(ticket.queue_delay if ticket is not None
                                 else 0.0)
 
@@ -138,14 +138,14 @@ class ClientPool:
         """Heap-ordered replay: always run the earliest-arriving client."""
 
         clocks = self.clocks
-        heap = [(clocks[index]._now, index, 0)
+        heap = [(clocks[index].ticks, index, 0)
                 for index in range(self.count) if counts[index] > 0]
         heapq.heapify(heap)
         push, pop = heapq.heappush, heapq.heappop
         while heap:
             entry_time, index, op_index = pop(heap)
             clock = clocks[index]
-            now = clock._now
+            now = clock.ticks
             if now > entry_time:
                 # A poolmate advanced this shared domain; this client's
                 # turn actually starts now.  Re-enter in arrival order.
@@ -154,7 +154,7 @@ class ClientPool:
             self._run_one(index, op_index, op, admission)
             next_op = op_index + 1
             if next_op < counts[index]:
-                push(heap, (clock._now, index, next_op))
+                push(heap, (clock.ticks, index, next_op))
 
     def _run_serial(self, counts, op, admission) -> None:
         """All clients share one clock: the round-robin reference path."""

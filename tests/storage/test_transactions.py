@@ -137,3 +137,57 @@ class TestTwoPhaseCommit:
         with pytest.raises(TransactionNotActive):
             people_db.insert("people", {"person_id": 72, "name": "late"}, txn)
         people_db.abort_prepared(txn)
+
+
+class TestFinishedTransactionsAreForgotten:
+    """The transaction table holds only what can still be looked up:
+    active and prepared (in-doubt) transactions."""
+
+    def test_autocommit_statements_leave_the_table_empty(self, people_db):
+        for index in range(200):
+            people_db.insert("people", {"person_id": 100 + index,
+                                        "name": f"p{index}"})
+        people_db.update("people", {"person_id": 100}, {"name": "renamed"})
+        people_db.delete("people", {"person_id": 101})
+        assert people_db._transactions == {}
+        assert people_db.active_transactions() == []
+
+    def test_commit_abort_and_commit_many_all_forget(self, people_db):
+        committed, aborted = people_db.begin(), people_db.begin()
+        people_db.insert("people", {"person_id": 10, "name": "a"}, committed)
+        people_db.insert("people", {"person_id": 11, "name": "b"}, aborted)
+        batch = [people_db.begin() for _ in range(3)]
+        assert len(people_db.active_transactions()) == 5
+        people_db.commit(committed)
+        people_db.abort(aborted)
+        people_db.commit_many(batch)
+        assert people_db._transactions == {}
+        with pytest.raises(TransactionNotActive):
+            people_db.transaction(committed.txn_id)
+
+    def test_prepared_branch_survives_crash_until_resolved(self, people_db):
+        txn = people_db.begin()
+        people_db.insert("people", {"person_id": 10, "name": "doubt"}, txn)
+        people_db.prepare(txn, extra={"host_txn": 7})
+        assert people_db.in_doubt_transactions() == [txn]
+        people_db.crash()
+        people_db.recover()
+        in_doubt = people_db.in_doubt_transactions()
+        assert [t.txn_id for t in in_doubt] == [txn.txn_id]
+        assert people_db.transaction(txn.txn_id) is in_doubt[0]
+        people_db.commit_prepared(in_doubt[0])
+        assert people_db.in_doubt_transactions() == []
+        assert people_db._transactions == {}
+        assert people_db.select_one("people", {"person_id": 10}) is not None
+
+    def test_backup_is_still_refused_while_a_transaction_is_active(
+            self, people_db):
+        from repro.errors import BackupError
+
+        for index in range(20):           # finished ones do not count
+            people_db.insert("people", {"person_id": 50 + index, "name": "x"})
+        txn = people_db.begin()
+        with pytest.raises(BackupError):
+            people_db.backup()
+        people_db.commit(txn)
+        assert people_db.backup().state_id == people_db.state_identifier()

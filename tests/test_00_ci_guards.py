@@ -243,3 +243,79 @@ class TestCommittedLargeArtifactShape:
              f"vs {p99_peak} ms at the top of the sweep")
         assert sweep[-1][1]["queue_p99_ms"] > sweep[0][1]["queue_p99_ms"], \
             "queue delay must be what grows past the admission limit"
+
+
+class TestIntegerTimeStaysOneDesign:
+    """Simulated time is integer ticks with one ledger: the bookkeeping
+    that float time needed must not grow back outside ``simclock.py``."""
+
+    @pytest.fixture(scope="class")
+    def sources(self) -> dict:
+        return {path.relative_to(SRC_ROOT).as_posix():
+                path.read_text(encoding="utf-8")
+                for path in sorted((SRC_ROOT / "repro").rglob("*.py"))}
+
+    def test_ledger_internals_stay_inside_simclock(self, sources):
+        import re
+
+        # ``_cells`` as a name of its own (not inside ``header_cells``).
+        words = re.compile(r"(?<![A-Za-z0-9])_cells\b|_mirror_stats")
+        offenders = [
+            f"{name}: {match.group()}"
+            for name, text in sources.items() if name != "repro/simclock.py"
+            for match in words.finditer(text)]
+        assert not offenders, \
+            f"charge sites reach into the clock's ledger: {offenders}"
+        assert "_mirror_stats" not in sources["repro/simclock.py"]
+
+    def test_no_batched_charges_flag(self, sources):
+        assert not [name for name, text in sources.items()
+                    if "BATCHED_CHARGES" in text]
+
+    def test_no_hand_rolled_ledger_block_at_a_charge_site(self, sources):
+        """The old inline site was ``try: cell = cells[key]; cell[0] += 1
+        ... except KeyError: cells[key] = [1, amount]``.  A site is now a
+        clock advance plus one meter bump; ledger storage is requested
+        from ``ClockStats`` (``cell`` / ``meter``), never built in place."""
+
+        import re
+
+        block = re.compile(
+            r"try:\n\s+\w+ = \w+\[[^\]]+\]\n\s+\w+\[0\] \+= [^\n]+\n"
+            r"(?:\s+\w+\[1\] \+= [^\n]+\n)?\s*except KeyError:\n"
+            r"\s+\w+\[[^\]]+\] = \[")
+        offenders = [name for name, text in sources.items()
+                     if name != "repro/simclock.py" and block.search(text)]
+        assert not offenders, \
+            f"a try/except KeyError ledger block grew back in {offenders}"
+
+    def test_every_clock_value_and_ledger_total_is_an_int(self):
+        from repro.bench.experiments import ALL_EXPERIMENTS
+        from repro.simclock import ClockDomainGroup
+
+        groups = []
+        original = ClockDomainGroup.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            groups.append(self)
+
+        ClockDomainGroup.__init__ = recording
+        try:
+            ALL_EXPERIMENTS["E12"](**SMOKE_PARAMS["E12"])
+        finally:
+            ClockDomainGroup.__init__ = original
+        domains = [domain for group in groups
+                   for domain in group.domains.values()]
+        assert len(domains) > 3
+        charged = 0
+        for group in groups:
+            assert type(group.ticks) is int
+            for domain in group.domains.values():
+                assert type(domain.ticks) is int, domain.name
+                for label, (count, ticks) in domain.stats.ledger().items():
+                    assert type(count) is int and type(ticks) is int, label
+                    charged += count
+            for count, ticks in group.stats.ledger().values():
+                assert type(count) is int and type(ticks) is int
+        assert charged > 100

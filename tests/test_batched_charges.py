@@ -1,16 +1,13 @@
-"""Batched charge application vs the per-record reference path.
+"""Batched charges equal the same events charged one by one -- exactly.
 
-``SimClock.charge_run`` and ``SimClock.charge_batch`` accumulate a whole
-run of charges in a local ledger and write the clock and its statistics
-back once.  The module flag :data:`repro.simclock.BATCHED_CHARGES` gates
-the fast path: when ``False`` both methods replay every event through the
-scalar :meth:`~repro.simclock.SimClock.charge` reference implementation.
-
-These tests assert the two modes are *bit-identical* -- every
-:class:`~repro.simclock.ClockStats` label's count and total, every
-domain's timestamp, and the cluster wall clock -- first on seeded random
-charge programs, then on the real E1/E11/E14 smoke-configuration
-workloads, whose hot paths are exactly what the ledger exists for.
+Simulated time is an integer tick count, so ``charge_run(p, n)`` (one
+multiply) and ``charge_batch(pattern, n)`` (one multiply on the clock, one
+bump per distinct meter) must leave *exactly* the clock value and *exactly*
+the per-label ``(count, ticks)`` of the same events issued one at a time
+through the scalar :meth:`~repro.simclock.SimClock.charge` -- which is the
+reference: there is no flag and no second implementation to compare with.
+The property is checked on seeded random patterns and cycle counts, up to
+a million cycles, and under any permutation or chunking of the events.
 """
 
 from __future__ import annotations
@@ -19,163 +16,113 @@ import random
 
 import pytest
 
-import repro.simclock as simclock
-from repro.simclock import ClockDomainGroup, CostModel
+from repro.simclock import CostModel, SimClock
 
 PRIMITIVES = ["sql_statement_base", "row_write", "row_read", "log_write",
-              "token_generate", "daemon_dispatch", "disk_seek"]
+              "lock_acquire", "token_generate", "daemon_dispatch",
+              "disk_seek"]
+SCALES = [1.0, 0.1, 0.37]
+LABELS = [None, "scoped.a", "scoped.b"]
 
 
-def _stats_cells(stats) -> dict:
-    """``{label: (count, total)}`` -- exact, no rounding."""
-
-    return {label: (cell[0], cell[1])
-            for label, cell in stats._cells.items()}
+def _state(clock: SimClock) -> tuple:
+    return clock.ticks, clock.stats.ledger()
 
 
-def _group_snapshot(group: ClockDomainGroup) -> dict:
-    return {
-        "global": group.global_now(),
-        "domains": {name: domain.now()
-                    for name, domain in group.domains.items()},
-        "merged": _stats_cells(group.stats),
-        "per_domain": {name: _stats_cells(domain.stats)
-                       for name, domain in group.domains.items()},
-    }
+def _random_events(rng: random.Random, length: int) -> list:
+    return [(rng.choice(PRIMITIVES), rng.choice(SCALES), rng.choice(LABELS))
+            for _ in range(length)]
 
 
-def _with_flag(monkeypatch, value: bool, scenario):
-    monkeypatch.setattr(simclock, "BATCHED_CHARGES", value)
-    return scenario()
+def _charge_one_by_one(clock: SimClock, events) -> None:
+    for primitive, scale, label in events:
+        clock.charge(primitive, scale=scale, label=label)
 
 
-class TestChargeProgramIdentity:
-    """Seeded random programs of charge/charge_run/charge_batch."""
-
-    def _run_program(self, seed: int) -> dict:
-        rng = random.Random(seed)
-        group = ClockDomainGroup(CostModel())
-        domains = [group.domain(f"node{index}") for index in range(3)]
-        compiled = {}
-        for step in range(300):
-            domain = rng.choice(domains)
-            action = rng.randrange(4)
-            if action == 0:
-                domain.charge(rng.choice(PRIMITIVES),
-                              times=rng.randrange(1, 3),
-                              scale=rng.choice([1.0, 0.1]))
-            elif action == 1:
-                domain.charge_run(rng.choice(PRIMITIVES),
-                                  rng.randrange(0, 6),
-                                  scale=rng.choice([1.0, 0.1]),
-                                  label=rng.choice([None, "scoped.run"]))
-            elif action == 2:
-                events = tuple(
-                    (rng.choice(PRIMITIVES), rng.choice([1.0, 0.1]),
-                     rng.choice([None, "scoped.batch"]))
-                    for _ in range(rng.randrange(1, 4)))
-                key = (domain.name, events)
-                if key not in compiled:
-                    compiled[key] = domain.compile_charges(events)
-                domain.charge_batch(compiled[key], rng.randrange(0, 5))
-            else:
-                # Cross-domain merges between charges, so ledger
-                # write-backs interleave with externally moved clocks.
-                other = rng.choice(domains)
-                other.sync_to(domain.send_time())
-        return _group_snapshot(group)
-
+class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("seed", [7, 20260807, 424242])
-    def test_fast_path_matches_scalar_reference(self, seed, monkeypatch):
-        fast = _with_flag(monkeypatch, True, lambda: self._run_program(seed))
-        reference = _with_flag(monkeypatch, False,
-                               lambda: self._run_program(seed))
-        assert fast == reference
+    def test_charge_run_is_n_scalar_charges(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            primitive, scale, label = _random_events(rng, 1)[0]
+            times = rng.randrange(0, 50)
+            batched, scalar = SimClock(), SimClock()
+            batched.charge_run(primitive, times, scale=scale, label=label)
+            _charge_one_by_one(scalar, [(primitive, scale, label)] * times)
+            assert _state(batched) == _state(scalar)
 
-    def test_flag_actually_gates_the_path(self, monkeypatch):
-        """Sanity: the reference mode really routes through ``charge``."""
+    @pytest.mark.parametrize("seed", [11, 1999, 31337])
+    def test_charge_batch_is_the_pattern_replayed_in_order(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            events = _random_events(rng, rng.randrange(1, 6))
+            cycles = rng.randrange(0, 30)
+            batched, scalar = SimClock(), SimClock()
+            batched.charge_batch(batched.compile_charges(events), cycles)
+            _charge_one_by_one(scalar, events * cycles)
+            assert _state(batched) == _state(scalar)
 
-        calls = []
-        original = simclock.SimClock.charge
+    def test_a_million_cycles_is_one_multiply(self):
+        events = [("lock_acquire", 0.1, "dlfm.lock_acquire"),
+                  ("row_read", 0.1, "dlfm.row_read"),
+                  ("lock_acquire", 0.1, "dlfm.lock_acquire")]
+        cycles = 10 ** 6
+        clock = SimClock()
+        clock.charge_batch(clock.compile_charges(events), cycles)
+        clock.charge_run("disk_seek", cycles, scale=0.37)
+        # The oracle is the scalar charge's own amount, multiplied out.
+        one = SimClock()
+        _charge_one_by_one(one, events + [("disk_seek", 0.37, None)])
+        assert clock.ticks == one.ticks * cycles
+        assert clock.stats.ledger() == {
+            label: (count * cycles, ticks * cycles)
+            for label, (count, ticks) in one.stats.ledger().items()}
 
-        def counting_charge(self, primitive, **kwargs):
-            calls.append(primitive)
-            return original(self, primitive, **kwargs)
+    @pytest.mark.parametrize("seed", [3, 2001, 777])
+    def test_any_permutation_or_chunking_of_the_events(self, seed):
+        """The events of ``pattern x cycles`` in any order, cut into runs,
+        batches and scalar charges at random, land on the same state."""
 
-        monkeypatch.setattr(simclock.SimClock, "charge", counting_charge)
-        monkeypatch.setattr(simclock, "BATCHED_CHARGES", False)
-        clock = simclock.SimClock()
-        clock.charge_run("row_write", 4)
-        clock.charge_batch(clock.compile_charges(
-            [("row_read", 1.0, None)]), 3)
-        assert calls == ["row_write"] * 4 + ["row_read"] * 3
-        calls.clear()
-        monkeypatch.setattr(simclock, "BATCHED_CHARGES", True)
-        clock.charge_run("row_write", 4)
-        assert calls == []
+        rng = random.Random(seed)
+        events = _random_events(rng, rng.randrange(2, 6))
+        cycles = rng.randrange(2, 12)
+        reference = SimClock()
+        _charge_one_by_one(reference, events * cycles)
 
+        shuffled = events * cycles
+        rng.shuffle(shuffled)
+        clock = SimClock()
+        position = 0
+        while position < len(shuffled):
+            chunk = shuffled[position:position + rng.randrange(1, 7)]
+            position += len(chunk)
+            style = rng.randrange(3)
+            if style == 0:
+                _charge_one_by_one(clock, chunk)
+            elif style == 1:
+                clock.charge_batch(clock.compile_charges(chunk), 1)
+            else:
+                for event in set(chunk):
+                    primitive, scale, label = event
+                    clock.charge_run(primitive, chunk.count(event),
+                                     scale=scale, label=label)
+        assert _state(clock) == _state(reference)
 
-class TestSmokeWorkloadLedgerIdentity:
-    """The real E1/E11/E14 smoke configurations, flag on vs off."""
+    def test_inline_meter_site_is_one_scalar_charge(self):
+        """What the hand-inlined sites do (``SimClock.meter``)."""
 
-    def _run_e1(self) -> dict:
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
-        from repro.datalinks.control_modes import ControlMode
+        inline, scalar = SimClock(), SimClock()
+        ticks, meter = inline.meter("row_write", 0.1, "dlfm.row_write")
+        for _ in range(5):
+            inline.ticks += ticks
+            meter[0] += 1
+            scalar.charge("row_write", scale=0.1, label="dlfm.row_write")
+        assert _state(inline) == _state(scalar)
 
-        system, owner, _ = build_microsystem(ControlMode.RDB, size=4096,
-                                             files=10)
-        for _ in range(2):
-            system.engine.select(FILES_TABLE, {"file_id": 3}, lock=False)
-            system.engine.get_datalink(FILES_TABLE, {"file_id": 3}, "doc",
-                                       access="read")
-        return _group_snapshot(system.clocks)
-
-    def _run_e11(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
-        from repro.datalinks.control_modes import ControlMode
-        from repro.workloads.scaleout import ScaleOutConfig, ScaleOutWorkload
-
-        params = SMOKE_PARAMS["E11"]
-        config = ScaleOutConfig(shards=params["shards"],
-                                clients=params["clients"],
-                                transactions_per_client=params[
-                                    "transactions_per_client"],
-                                rows_per_transaction=params[
-                                    "rows_per_transaction"],
-                                file_size=params["file_size"],
-                                control_mode=ControlMode.RDB)
-        workload = ScaleOutWorkload(config).setup()
-        workload.run()
-        return _group_snapshot(workload.deployment.clocks)
-
-    def _run_e14(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
-        from repro.datalinks.balancer import BalancerConfig
-        from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
-
-        params = SMOKE_PARAMS["E14"]
-        config = HotspotConfig(
-            shards=params["shards"], prefixes=params["prefixes"],
-            rounds=params["rounds"],
-            links_per_round=params["links_per_round"],
-            reads_per_round=params["reads_per_round"],
-            file_size=params["file_size"],
-            balancer=BalancerConfig(window_ops_min=8, move_budget=2,
-                                    cooldown_ticks=1,
-                                    imbalance_tolerance=1.1,
-                                    split_threshold=0.6))
-        workload = HotspotWorkload(config).setup()
-        workload.run()
-        return _group_snapshot(workload.deployment.system.clocks)
-
-    @pytest.mark.parametrize("scenario", ["_run_e1", "_run_e11", "_run_e14"])
-    def test_every_label_count_and_total_matches(self, scenario, monkeypatch):
-        runner = getattr(self, scenario)
-        fast = _with_flag(monkeypatch, True, runner)
-        reference = _with_flag(monkeypatch, False, runner)
-        assert set(fast["merged"]) == set(reference["merged"])
-        for label, cell in reference["merged"].items():
-            assert fast["merged"][label] == cell, (
-                f"label {label!r}: batched {fast['merged'][label]} != "
-                f"per-record reference {cell}")
-        assert fast == reference
+    def test_scaled_model_and_zero_model(self):
+        for factor in (0.0, 0.37, 2.0):
+            model = CostModel().scaled(factor)
+            batched, scalar = SimClock(model), SimClock(model)
+            batched.charge_run("row_read", 1000, scale=0.1)
+            _charge_one_by_one(scalar, [("row_read", 0.1, None)] * 1000)
+            assert _state(batched) == _state(scalar)

@@ -44,16 +44,15 @@ FLAGS = ((database_module, "FAST_SCANS"),
 
 
 def _stats_cells(stats) -> dict:
-    """``{label: (count, total)}`` -- exact, no rounding."""
+    """``{label: (count, ticks)}`` -- exact integers."""
 
-    return {label: (cell[0], cell[1])
-            for label, cell in stats._cells.items()}
+    return stats.ledger()
 
 
 def _group_snapshot(group) -> dict:
     return {
-        "global": group.global_now(),
-        "domains": {name: domain.now()
+        "global": group.ticks,
+        "domains": {name: domain.ticks
                     for name, domain in group.domains.items()},
         "merged": _stats_cells(group.stats),
         "per_domain": {name: _stats_cells(domain.stats)

@@ -309,11 +309,10 @@ class TestCoalescedChannelEquivalence:
                         outcomes.append(fanned.request("work", cost=1))
         return {
             "outcomes": outcomes,
-            "global": group.global_now(),
-            "domains": {name: domain.now()
+            "global": group.ticks,
+            "domains": {name: domain.ticks
                         for name, domain in group.domains.items()},
-            "stats": {label: (cell[0], cell[1])
-                      for label, cell in group.stats._cells.items()},
+            "stats": group.stats.ledger(),
             "served": {worker.name: worker.requests_served
                        for worker in workers + [local]},
         }
@@ -424,3 +423,198 @@ class TestPipelinedErrorLatency:
         # up to the shard's completion of the failed link batch.
         assert deployment.clock.now() >= shard_clock.now()
         deployment.abort(host_txn)
+
+
+class TestExactIntegerTime:
+    """Simulated time is an exact integer tick count (1 tick = 1 ps).
+
+    The oracles here are not the code under test: decimal/rational
+    arithmetic from the calibrated constants, and sums recomputed from the
+    per-domain ledgers.
+    """
+
+    def test_default_costs_are_integral_in_ticks(self):
+        from dataclasses import fields
+        from fractions import Fraction
+
+        from repro.simclock import TICKS_PER_SECOND
+
+        assert TICKS_PER_SECOND == 10 ** 12
+        clock = SimClock()
+        per_byte = {"disk_transfer_per_byte", "archive_per_byte",
+                    "blob_db_per_byte"}
+        for field in fields(CostModel):
+            value = getattr(clock.costs, field.name)
+            ticks = clock.unit_ticks(field.name)
+            assert isinstance(ticks, int)
+            if field.name in per_byte:
+                # Not integral (114 440.917... ps); the unit is the nearest
+                # tick and charges round per charge (next test).
+                assert abs(ticks - value * 1e12) <= 0.5
+                continue
+            # The calibrated fixed costs are whole picoseconds.
+            assert ticks == pytest.approx(value * 1e12, rel=1e-9)
+            assert Fraction(repr(value)) * 10 ** 12 == ticks
+
+    @pytest.mark.parametrize("primitive, ms_per_mib", [
+        ("disk_transfer_per_byte", 120), ("archive_per_byte", 150)])
+    def test_per_byte_rates_round_within_half_a_tick(self, primitive,
+                                                     ms_per_mib):
+        from fractions import Fraction
+
+        rate = Fraction(ms_per_mib, 1000) / (1024 * 1024) * 10 ** 12
+        rng = random.Random(20010402)
+        sizes = [1, 2, 3, 255, 256, 257, 4096, 16 * 1024, 1 << 20,
+                 (1 << 30) - 1, 1 << 30]
+        sizes += [rng.randrange(1, 1 << 30) for _ in range(200)]
+        for nbytes in sizes:
+            clock = SimClock()
+            clock.charge(primitive, nbytes=nbytes)
+            assert isinstance(clock.ticks, int)
+            assert abs(clock.ticks - nbytes * rate) <= Fraction(1, 2)
+
+    @pytest.mark.parametrize("serial", [False, True])
+    def test_group_ledger_is_the_sum_of_the_domain_ledgers(self, serial):
+        """A seeded mixed workload with pooled client domains."""
+
+        from repro.api.system import DataLinksSystem
+        from repro.datalinks.control_modes import ControlMode
+        from repro.datalinks.datalink_type import (DatalinkOptions,
+                                                   datalink_column)
+        from repro.storage.schema import Column, TableSchema
+        from repro.storage.values import DataType
+        from repro.workloads.clients import ClientPool
+
+        system = DataLinksSystem(serial_clock=serial)
+        for server in ("fs1", "fs2"):
+            system.add_file_server(server)
+        system.create_table(TableSchema("docs", [
+            Column("doc_id", DataType.INTEGER, nullable=False),
+            datalink_column("body", DatalinkOptions(
+                control_mode=ControlMode.RDD)),
+        ], primary_key=("doc_id",)))
+        owner = system.session("owner", uid=2001)
+        rng = random.Random(99)
+        for index in range(6):
+            url = owner.put_file(f"fs{1 + index % 2}", f"/d/doc{index}.dat",
+                                 bytes(rng.randrange(256)
+                                       for _ in range(300 + 97 * index)))
+            owner.insert("docs", {"doc_id": index, "body": url})
+        urls = owner.get_datalink_many(
+            "docs", [{"doc_id": index} for index in range(6)], "body",
+            access="read", ttl=10_000.0)
+        pool = ClientPool(system, 9, limit=4, think_s=0.25)
+        picks = [[rng.randrange(6) for _ in range(3)] for _ in range(9)]
+        pool.run(3, lambda session, client, op_index:
+                 session.read_url(urls[picks[client][op_index]]))
+        system.run_archiver()
+
+        clocks = system.clocks
+        expected: dict = {}
+        for domain in clocks.domains.values():
+            for label, (count, ticks) in domain.stats.ledger().items():
+                assert isinstance(count, int) and isinstance(ticks, int)
+                slot = expected.setdefault(label, [0, 0])
+                slot[0] += count
+                slot[1] += ticks
+        merged = clocks.stats.ledger()
+        assert merged == {label: tuple(slot)
+                          for label, slot in expected.items()}
+        assert merged       # the workload charged something
+        assert clocks.stats.total_count() == sum(
+            count for count, _ in merged.values())
+        for label, (count, ticks) in merged.items():
+            assert clocks.stats.count(label) == count
+            assert clocks.stats.ticks(label) == ticks
+        if serial:
+            assert list(clocks.domains) == ["serial"]
+
+    @pytest.mark.parametrize("seed", [5, 77, 20260927])
+    def test_merges_never_move_a_clock_backwards_in_ticks(self, seed):
+        from repro.simclock import gather, synchronized_call
+
+        rng = random.Random(seed)
+        group = ClockDomainGroup(CostModel())
+        clocks = [group.domain(f"n{index}") for index in range(5)]
+        bare = SimClock(start=rng.uniform(0, 3))
+        everyone = clocks + [bare]
+        for _ in range(600):
+            before = [clock.ticks for clock in everyone]
+            a, b = rng.sample(everyone, 2)
+            action = rng.randrange(8)
+            if action == 0:
+                a.charge(rng.choice(PRIMITIVES), times=rng.randrange(1, 4))
+            elif action == 1:
+                a.sync_ticks(b.send_ticks())
+            elif action == 2:
+                a.receive_ticks(b.ticks)
+            elif action == 3:
+                with a.overlap():
+                    a.receive_ticks(b.ticks)
+                    assert a.send_ticks() == before[everyone.index(a)]
+            elif action == 4:
+                instant = rendezvous(a, b)
+                assert a.ticks == b.ticks
+                assert instant == a.now()
+            elif action == 5:
+                others = rng.sample(everyone, 3)
+                gather(a, others)
+                assert all(other.ticks == a.ticks for other in others)
+            elif action == 6:
+                with synchronized_call(a, b):
+                    b.charge("disk_seek")
+                assert a.ticks >= b.ticks
+            else:
+                a.advance(rng.uniform(0, 0.01))
+            for clock, old in zip(everyone, before):
+                assert isinstance(clock.ticks, int)
+                assert clock.ticks >= old
+
+    def test_merges_commute_in_ticks(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            starts = [rng.randrange(0, 10 ** 15) for _ in range(4)]
+
+            def fresh():
+                clocks = [SimClock() for _ in starts]
+                for clock, ticks in zip(clocks, starts):
+                    clock.ticks = ticks
+                return clocks
+
+            forward, backward = fresh(), fresh()
+            rendezvous(*forward)
+            rendezvous(*reversed(backward))
+            assert [c.ticks for c in forward] == [max(starts)] * 4
+            assert [c.ticks for c in backward] == [max(starts)] * 4
+            # Two one-way merges into the same clock, in either order.
+            x, y = fresh()[:2], fresh()[:2]
+            target_a, target_b = SimClock(), SimClock()
+            target_a.sync_ticks(x[0].ticks)
+            target_a.sync_ticks(x[1].ticks)
+            target_b.sync_ticks(y[1].ticks)
+            target_b.sync_ticks(y[0].ticks)
+            assert target_a.ticks == target_b.ticks == max(starts[:2])
+
+    def test_float_edge_reproduces_tick_differences_on_a_long_run(self):
+        """``now()`` differences over a 10^5-second run match the exact
+        tick differences to 1e-12 relative."""
+
+        from repro.simclock import TICKS_PER_SECOND
+
+        rng = random.Random(4)
+        clock = SimClock()
+        start_ticks, start_now = clock.ticks, clock.now()
+        checkpoints = []
+        while clock.ticks < 10 ** 5 * TICKS_PER_SECOND:
+            clock.charge("disk_seek", times=rng.randrange(1, 10 ** 6))
+            clock.charge("disk_transfer_per_byte",
+                         nbytes=rng.randrange(1, 1 << 30))
+            checkpoints.append((clock.ticks, clock.now()))
+        for ticks, now in checkpoints:
+            exact = (ticks - start_ticks) / TICKS_PER_SECOND
+            assert now - start_now == pytest.approx(exact, rel=1e-12)
+        # Late in the run a stopwatch still resolves a single cheap charge.
+        with clock.measure() as watch:
+            clock.charge("row_read")
+        assert watch.elapsed == 50_000_000 / TICKS_PER_SECOND
+        assert watch.elapsed_ms == 0.05

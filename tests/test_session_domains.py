@@ -24,28 +24,11 @@ import pytest
 import repro.simclock as simclock
 from repro.api.admission import AdmissionController
 from repro.api.system import DataLinksSystem
-from repro.simclock import ClockDomainGroup, gather
+from repro.simclock import ClockDomainGroup, SimClock, gather
 from repro.workloads.clients import ClientPool
 from repro.workloads.failover import FailoverConfig, FailoverWorkload
 from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
 from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
-
-
-class FakeClock:
-    """now()/sync_to() shim so admission properties run without a system."""
-
-    def __init__(self, now: float = 0.0):
-        self._now = now
-
-    def now(self) -> float:
-        return self._now
-
-    def sync_to(self, instant: float) -> None:
-        if instant > self._now:
-            self._now = instant
-
-    def advance(self, amount: float) -> None:
-        self._now += amount
 
 
 class TestAdmissionProperties:
@@ -60,7 +43,7 @@ class TestAdmissionProperties:
                           for _ in range(rng.randint(20, 60)))
         tickets = []
         for arrival in arrivals:
-            clock = FakeClock(arrival)
+            clock = SimClock(start=arrival)
             ticket = controller.acquire(clock)
             # Queue delay is exactly the jump charged to the client.
             assert ticket.queue_delay >= 0.0
@@ -101,7 +84,7 @@ class TestAdmissionProperties:
         controller = AdmissionController(limit)
         delays = []
         for _ in range(clients):
-            clock = FakeClock(1.0)
+            clock = SimClock(start=1.0)
             ticket = controller.acquire(clock)
             clock.advance(service)
             controller.release(ticket, clock)
@@ -114,7 +97,7 @@ class TestAdmissionProperties:
 
     def test_over_commit_is_rejected(self):
         controller = AdmissionController(1)
-        clock = FakeClock()
+        clock = SimClock()
         controller.acquire(clock)
         with pytest.raises(RuntimeError):
             controller.acquire(clock)
