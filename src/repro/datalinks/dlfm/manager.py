@@ -382,10 +382,7 @@ class DataLinksFileManager:
         moving prefixes with a retryable error.
         """
 
-        # ``self.repository.linked_file_by_ino(ino)`` with its select_one
-        # wrapper unrolled: this lookup runs once per validated read.
-        rows = self.repository.db.select("linked_files", {"ino": ino},
-                                         lock=False)
+        rows = self.repository.links_by_ino(ino)
         if rows:
             return rows[0]
         for snapshot in self._moving_exports.values():

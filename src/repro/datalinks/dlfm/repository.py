@@ -28,6 +28,51 @@ Tables
 ``sync_entries``, ``token_entries``, ``file_versions`` and ``archive_queue``
 draw their integer keys from ``MAX(key) + 1``, which the store answers from
 the primary-key index at constant cost (:meth:`Database.max_key`).
+
+Statement catalog
+-----------------
+Every statement the repository issues is prepared once, on first use (see
+:mod:`repro.storage.database`).  Each is charged ``sql_statement_base``;
+a select adds ``row_read`` per row returned, a write ``lock_acquire`` +
+``row_write`` per row (an insert one more ``lock_acquire`` for its key),
+and a write outside a transaction its own BEGIN and COMMIT (one more
+``sql_statement_base``, ``log_write`` per forced flush).  "pk" is the one
+charged access path (``index_probe``); index enumeration and scans are
+free.
+
+=========================  ==============================  ==================
+handle                     shape                           access path
+=========================  ==============================  ==================
+``links_by_path``          select linked_files (path)      pk
+``links_by_ino``           select linked_files (ino)       linked_files_ino
+``_all_links``             select linked_files             scan
+``_insert_link``           insert linked_files             --
+``_update_link``           update linked_files (path)      pk
+``_delete_link``           delete linked_files (path)      pk
+``_sync_by_path``          select sync_entries (path)      sync_entries_path
+``_sync_exact``            select sync_entries (path,      sync_entries_path,
+                           access, userid)                 residual test
+``_insert_sync``           insert sync_entries             --
+``_delete_sync``           delete sync_entries (entry_id)  pk
+``_delete_sync_by_path``   delete sync_entries (path)      sync_entries_path
+``_delete_all_sync``       delete sync_entries             scan
+``_tokens_by_owner``       select token_entries (path,     token_entries_
+                           userid)                         path_userid
+``_insert_token``          insert token_entries            --
+``_delete_tokens``         delete token_entries, predicate scan
+``_tracking_by_path``      select update_tracking (path)   pk
+``_all_tracking``          select update_tracking          scan
+``_insert_tracking``       insert update_tracking          --
+``_delete_tracking``       delete update_tracking (path)   pk
+``_versions_by_path``      select file_versions (path)     file_versions_path
+``_insert_version``        insert file_versions            --
+``_delete_versions``       delete file_versions (path)     file_versions_path
+``_jobs_by_path``          select archive_queue (path)     archive_queue_path
+``_all_jobs``              select archive_queue            scan
+``_insert_job``            insert archive_queue            --
+``_delete_job``            delete archive_queue (job_id)   pk
+``_delete_jobs_by_path``   delete archive_queue (path)     archive_queue_path
+=========================  ==============================  ==================
 """
 
 from __future__ import annotations
@@ -42,8 +87,56 @@ def _table(name: str, columns: list[Column], pk: tuple[str, ...]) -> TableSchema
     return TableSchema(name, columns, primary_key=pk)
 
 
+class _Statement:
+    """One entry of the statement catalog, declared on the class: prepared
+    against the instance's database on first use and from then on a plain
+    instance attribute (a repository built for a short experiment issues a
+    handful of the 27, and pays for those only)."""
+
+    def __init__(self, kind: str, *shape):
+        self.prepare = "prepare_" + kind
+        self.shape = shape          # table[, bound columns]
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, repository, owner):
+        statement = repository.__dict__[self.name] = getattr(
+            repository.db, self.prepare)(*self.shape)
+        return statement
+
+
 class DLFMRepository:
     """Typed accessors over the DLFM's private database."""
+
+    links_by_path = _Statement("select", "linked_files", ("path",))
+    links_by_ino = _Statement("select", "linked_files", ("ino",))
+    _all_links = _Statement("select", "linked_files")
+    _insert_link = _Statement("insert", "linked_files")
+    _update_link = _Statement("update", "linked_files", ("path",))
+    _delete_link = _Statement("delete", "linked_files", ("path",))
+    _sync_by_path = _Statement("select", "sync_entries", ("path",))
+    _sync_exact = _Statement("select", "sync_entries",
+                             ("path", "access", "userid"))
+    _insert_sync = _Statement("insert", "sync_entries")
+    _delete_sync = _Statement("delete", "sync_entries", ("entry_id",))
+    _delete_sync_by_path = _Statement("delete", "sync_entries", ("path",))
+    _delete_all_sync = _Statement("delete", "sync_entries")
+    _tokens_by_owner = _Statement("select", "token_entries", ("path", "userid"))
+    _insert_token = _Statement("insert", "token_entries")
+    _delete_tokens = _Statement("delete", "token_entries")
+    _tracking_by_path = _Statement("select", "update_tracking", ("path",))
+    _all_tracking = _Statement("select", "update_tracking")
+    _insert_tracking = _Statement("insert", "update_tracking")
+    _delete_tracking = _Statement("delete", "update_tracking", ("path",))
+    _versions_by_path = _Statement("select", "file_versions", ("path",))
+    _insert_version = _Statement("insert", "file_versions")
+    _delete_versions = _Statement("delete", "file_versions", ("path",))
+    _jobs_by_path = _Statement("select", "archive_queue", ("path",))
+    _all_jobs = _Statement("select", "archive_queue")
+    _insert_job = _Statement("insert", "archive_queue")
+    _delete_job = _Statement("delete", "archive_queue", ("job_id",))
+    _delete_jobs_by_path = _Statement("delete", "archive_queue", ("path",))
 
     def __init__(self, database: Database):
         self.db = database
@@ -157,61 +250,61 @@ class DLFMRepository:
 
     # ------------------------------------------------------------ linked files --
     def insert_linked_file(self, row: dict, txn: Transaction | None = None) -> None:
-        self.db.insert("linked_files", row, txn)
+        self._insert_link(row, txn=txn)
 
     def delete_linked_file(self, path: str, txn: Transaction | None = None) -> int:
-        return self.db.delete("linked_files", {"path": path}, txn)
+        return self._delete_link(path, txn=txn)
 
     def linked_file(self, path: str) -> dict | None:
-        return self.db.select_one("linked_files", {"path": path}, lock=False)
+        rows = self.links_by_path(path)
+        return rows[0] if rows else None
 
     def linked_file_by_ino(self, ino: int) -> dict | None:
-        return self.db.select_one("linked_files", {"ino": ino}, lock=False)
+        rows = self.links_by_ino(ino)
+        return rows[0] if rows else None
 
     def linked_files(self) -> list[dict]:
-        return self.db.select("linked_files", lock=False)
+        return self._all_links()
 
     def update_linked_file(self, path: str, changes: dict,
                            txn: Transaction | None = None) -> int:
-        return self.db.update("linked_files", {"path": path}, changes, txn)
+        return self._update_link(changes, path, txn=txn)
 
     # ------------------------------------------------------------- sync entries --
     def add_sync_entry(self, path: str, access: str, userid: int,
                        txn: Transaction | None = None) -> int:
         entry_id = self._next_id("sync_entries")
-        self.db.insert("sync_entries", {
+        self._insert_sync({
             "entry_id": entry_id,
             "path": path,
             "access": access,
             "userid": userid,
             "opened_at": self.db.now(),
-        }, txn)
+        }, txn=txn)
         return entry_id
 
     def remove_sync_entry(self, path: str, access: str, userid: int,
                           txn: Transaction | None = None) -> int:
         """Remove one matching Sync-table entry (opens and closes pair up)."""
 
-        rows = self.db.select("sync_entries",
-                              {"path": path, "access": access, "userid": userid},
-                              lock=False)
+        rows = self._sync_exact(path, access, userid)
         if not rows:
             return 0
-        entry_id = rows[0]["entry_id"]
-        return self.db.delete("sync_entries", {"entry_id": entry_id}, txn)
+        return self._delete_sync(rows[0]["entry_id"], txn=txn)
 
     def sync_entries(self, path: str) -> list[dict]:
-        return self.db.select("sync_entries", {"path": path}, lock=False)
+        return self._sync_by_path(path)
 
     def clear_sync_entries(self, path: str | None = None) -> int:
-        where = {"path": path} if path is not None else None
-        return self.db.delete("sync_entries", where)
+        if path is None:
+            return self._delete_all_sync()
+        return self._delete_sync_by_path(path)
 
     # ------------------------------------------------------------ token entries --
     def add_token_entry(self, path: str, userid: int, token_type: str,
                         expires_at: float) -> int:
         entry_id = self._next_id("token_entries")
-        self.db.insert("token_entries", {
+        self._insert_token({
             "entry_id": entry_id,
             "path": path,
             "userid": userid,
@@ -228,9 +321,7 @@ class DLFMRepository:
         entries are examined, first live match in registration order.
         """
 
-        rows = self.db.select("token_entries", {"path": path, "userid": userid},
-                              lock=False)
-        for row in rows:
+        for row in self._tokens_by_owner(path, userid):
             if row["expires_at"] < now:
                 continue
             if for_write and row["token_type"] != "W":
@@ -239,20 +330,21 @@ class DLFMRepository:
         return None
 
     def purge_expired_tokens(self, now: float) -> int:
-        return self.db.delete("token_entries", lambda row: row["expires_at"] < now)
+        return self._delete_tokens(match=lambda row: row["expires_at"] < now)
 
     # ---------------------------------------------------------- update tracking --
     def add_tracking(self, row: dict, txn: Transaction | None = None) -> None:
-        self.db.insert("update_tracking", row, txn)
+        self._insert_tracking(row, txn=txn)
 
     def tracking(self, path: str) -> dict | None:
-        return self.db.select_one("update_tracking", {"path": path}, lock=False)
+        rows = self._tracking_by_path(path)
+        return rows[0] if rows else None
 
     def all_tracking(self) -> list[dict]:
-        return self.db.select("update_tracking", lock=False)
+        return self._all_tracking()
 
     def remove_tracking(self, path: str, txn: Transaction | None = None) -> int:
-        return self.db.delete("update_tracking", {"path": path}, txn)
+        return self._delete_tracking(path, txn=txn)
 
     # ------------------------------------------------------------ file versions --
     def add_version(self, path: str, archive_id: int, state_id: int,
@@ -266,30 +358,30 @@ class DLFMRepository:
             "state_id": state_id,
             "created_at": self.db.now(),
         }
-        self.db.insert("file_versions", row, txn)
+        self._insert_version(row, txn=txn)
         return row
 
     def latest_version_no(self, path: str) -> int:
-        versions = self.versions(path)
         best = 0
-        for row in versions:
-            number = row["version_no"]
-            if number > best:
-                best = number
+        for row in self._versions_by_path(path):
+            if row["version_no"] > best:
+                best = row["version_no"]
         return best
 
     def versions(self, path: str) -> list[dict]:
-        rows = self.db.select("file_versions", {"path": path}, lock=False)
-        return sorted(rows, key=lambda row: row["version_no"])
+        return sorted(self._versions_by_path(path),
+                      key=lambda row: row["version_no"])
 
     def latest_version(self, path: str, *, max_state_id: int | None = None) -> dict | None:
-        candidates = self.versions(path)
-        if max_state_id is not None:
-            candidates = [row for row in candidates if row["state_id"] <= max_state_id]
-        return candidates[-1] if candidates else None
+        latest = None
+        for row in self._versions_by_path(path):
+            if (max_state_id is None or row["state_id"] <= max_state_id) and \
+                    (latest is None or row["version_no"] >= latest["version_no"]):
+                latest = row
+        return latest
 
     def delete_versions(self, path: str, txn: Transaction | None = None) -> int:
-        return self.db.delete("file_versions", {"path": path}, txn)
+        return self._delete_versions(path, txn=txn)
 
     def import_version_rows(self, rows: list[dict],
                             txn: Transaction | None = None) -> int:
@@ -306,30 +398,29 @@ class DLFMRepository:
             clean = {key: value for key, value in row.items()
                      if not key.startswith("_")}
             clean["version_id"] = next_id + offset
-            self.db.insert("file_versions", clean, txn)
+            self._insert_version(clean, txn=txn)
         return len(rows)
 
     # ------------------------------------------------------------ archive queue --
     def enqueue_archive_job(self, path: str, state_id: int,
                             txn: Transaction | None = None) -> int:
         job_id = self._next_id("archive_queue")
-        self.db.insert("archive_queue", {
+        self._insert_job({
             "job_id": job_id,
             "path": path,
             "state_id": state_id,
             "created_at": self.db.now(),
-        }, txn)
+        }, txn=txn)
         return job_id
 
     def pending_archive_jobs(self, path: str | None = None) -> list[dict]:
         """Queued jobs (of *path*, or all) in enqueue order."""
 
-        where = {"path": path} if path is not None else None
-        rows = self.db.select("archive_queue", where, lock=False)
+        rows = self._all_jobs() if path is None else self._jobs_by_path(path)
         return sorted(rows, key=lambda row: row["job_id"])
 
     def complete_archive_job(self, job_id: int) -> int:
-        return self.db.delete("archive_queue", {"job_id": job_id})
+        return self._delete_job(job_id)
 
     def cancel_archive_jobs(self, path: str) -> int:
-        return self.db.delete("archive_queue", {"path": path})
+        return self._delete_jobs_by_path(path)

@@ -59,7 +59,6 @@ from repro.errors import (
 )
 from repro.simclock import SimClock
 from repro.storage.database import Database
-from repro.storage.query import Condition
 from repro.storage.transaction import Transaction
 from repro.storage.values import DataType
 from repro.util.lsn import LSN
@@ -99,43 +98,38 @@ class _MetadataRule:
     column: str
     size_column: str | None
     mtime_column: str | None
+    #: The prepared UPDATE binding *column* to a referenced file's path.
+    update: object
 
 
-class _ReferencesFile(Condition):
-    """Rows whose DATALINK *column* references *path* as served by *server*.
+def _references_file(router, column: str, server: str, path: str):
+    """Predicate: the row's DATALINK *column* references *path* as served
+    by *server*.
 
     *server* is a physical node; the rows' URLs stay logical, so the test
     goes through the router: a URL names the node directly, or its owner
     shard's write traffic currently resolves there (a promoted witness
-    after failover, the destination shard after a prefix rebalance).
-    Binding the column to the path lets an index over the column -- keyed
-    by referenced file, see :mod:`repro.storage.index` -- enumerate only
-    the rows naming that path; without one the statement scans.
+    after failover, the destination shard after a prefix rebalance).  The
+    statement it refines binds the column to the path, so an index over the
+    column -- keyed by referenced file, see :mod:`repro.storage.index` --
+    enumerates only the rows naming that path; without one it scans.
     """
 
-    def __init__(self, router, column: str, server: str, path: str):
-        self.router = router
-        self.column = column
-        self.server = server
-        self.path = path
-
-    def matches(self, row: dict) -> bool:
-        url = row.get(self.column)
+    def matches(row: dict) -> bool:
+        url = row.get(column)
         if not url:
             return False
         parsed = parse_url(url)
-        if parsed.path != self.path:
+        if parsed.path != path:
             return False
-        if parsed.server == self.server:
+        if parsed.server == server:
             return True
-        router = self.router
         if router is None:
             return False
         owner = router.owner_shard(parsed.server, parsed.path)
-        return router.writable_node(owner) == self.server
+        return router.writable_node(owner) == server
 
-    def equality_bindings(self) -> dict:
-        return {self.column: self.path}
+    return matches
 
 
 class DataLinksEngine:
@@ -145,6 +139,8 @@ class DataLinksEngine:
                  default_token_ttl: float = 60.0):
         self.db = host_db
         self.clock = clock
+        if clock is not None:
+            self._dispatch = clock.meter("datalink_engine_dispatch")
         self.default_token_ttl = default_token_ttl
         self._servers: dict[str, _FileServerEntry] = {}
         self._metadata_rules: list[_MetadataRule] = []
@@ -275,11 +271,13 @@ class DataLinksEngine:
         part of the cost model's statement stream).
         """
 
-        self._metadata_rules.append(_MetadataRule(table, column, size_column, mtime_column))
         catalog = self.db.catalog
         if not any(index.columns == (column,)
                    for index in catalog.iter_indexes(table)):
             catalog.create_index(f"{table}_{column}_file", table, (column,))
+        self._metadata_rules.append(_MetadataRule(
+            table, column, size_column, mtime_column,
+            self.db.prepare_update(table, (column,))))
 
     # ------------------------------------------------------------- transactions --
     def begin(self) -> HostTransaction:
@@ -288,8 +286,11 @@ class DataLinksEngine:
     def commit(self, host_txn: HostTransaction) -> LSN:
         """Two-phase commit across the host database and every enlisted DLFM."""
 
-        if self.clock is not None and host_txn.servers:
-            self.clock.charge("datalink_engine_dispatch")
+        clock = self.clock
+        if clock is not None and host_txn.servers:
+            amount, meter = self._dispatch
+            clock.ticks += amount
+            meter[0] += 1
         self._fire("commit:begin")
         # The prepare fan-out overlaps across participants: every vote
         # request departs at the window's start and the coordinator waits
@@ -331,8 +332,11 @@ class DataLinksEngine:
 
         if not host_txns:
             return self.db.state_identifier()
-        if self.clock is not None:
-            self.clock.charge("datalink_engine_dispatch")
+        clock = self.clock
+        if clock is not None:
+            amount, meter = self._dispatch
+            clock.ticks += amount
+            meter[0] += 1
         by_server: dict[str, list[int]] = {}
         for host_txn in host_txns:
             for server in host_txn.servers:
@@ -625,12 +629,16 @@ class DataLinksEngine:
         :class:`ControlModeError`, mirroring SQL errors in the prototype.
         """
 
-        if self.clock is not None:
-            self.clock.charge("datalink_engine_dispatch")
+        clock = self.clock
+        if clock is not None:
+            amount, meter = self._dispatch
+            clock.ticks += amount
+            meter[0] += 1
         txn = host_txn.txn if host_txn is not None else None
-        row = self.db.select_one(table, where, txn)
-        if row is None:
+        rows = self.db.select(table, where, txn)
+        if not rows:
             return None
+        row = rows[0]
         schema_column = self.db.catalog.schema(table).column(column)
         if schema_column.dtype is not DataType.DATALINK:
             raise ControlModeError(f"column {column!r} is not a DATALINK column")
@@ -678,10 +686,20 @@ class DataLinksEngine:
         mode = None
         token_ttl = ttl
         results = []
+        shape = select = None
         for where in wheres:
             if clock is not None:
-                clock.charge("datalink_engine_dispatch")
-            rows = db.select(table, where, txn)
+                amount, meter = self._dispatch
+                clock.ticks += amount
+                meter[0] += 1
+            if type(where) is dict:
+                # One prepared statement per where shape, fetched once.
+                if tuple(where) != shape:
+                    shape = tuple(where)
+                    select = db.prepare_select(table, shape)
+                rows = select(*where.values(), txn=txn)
+            else:
+                rows = db.select(table, where, txn)
             if not rows:
                 results.append(None)
                 continue
@@ -778,10 +796,9 @@ class DataLinksEngine:
         """Update registered size/mtime columns of rows referencing this file.
 
         *server* is the physical node whose close processing drives the
-        update.  One UPDATE per rule, whose condition
-        (:class:`_ReferencesFile`) is served by the column's file-keyed
-        index: the statement examines the rows naming *path*, not the
-        table.
+        update.  One prepared UPDATE per rule, bound to *path* through the
+        column's file-keyed index and refined by :func:`_references_file`:
+        the statement examines the rows naming *path*, not the table.
         """
 
         touched = 0
@@ -793,10 +810,9 @@ class DataLinksEngine:
                 changes[rule.mtime_column] = float(mtime)
             if not changes:
                 continue
-            touched += self.db.update(
-                rule.table,
-                _ReferencesFile(self.router, rule.column, server, path),
-                changes, host_txn.txn)
+            touched += rule.update(
+                changes, path, txn=host_txn.txn,
+                match=_references_file(self.router, rule.column, server, path))
         return touched
 
     # ------------------------------------------------------------- link plumbing --

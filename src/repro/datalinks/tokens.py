@@ -203,6 +203,9 @@ class TokenManager:
         self._secret = secret.encode("utf-8")
         self._clock = clock
         self.default_ttl = default_ttl
+        if clock is not None:
+            self._generate = clock.meter("token_generate")
+            self._validate = clock.meter("token_validate")
 
     def _now(self) -> float:
         return self._clock.now() if self._clock is not None else 0.0
@@ -230,7 +233,9 @@ class TokenManager:
 
         clock = self._clock
         if clock is not None:
-            clock.charge("token_generate")
+            amount, meter = self._generate
+            clock.ticks += amount
+            meter[0] += 1
             now = clock.ticks / TICKS_PER_SECOND
         else:
             now = 0.0
@@ -244,7 +249,9 @@ class TokenManager:
 
         clock = self._clock
         if clock is not None:
-            clock.charge("token_validate")
+            amount, meter = self._validate
+            clock.ticks += amount
+            meter[0] += 1
         token = AccessToken.parse(token_text)
         expected = self._sign(path, token.token_type, token.expires_at)
         if not hmac.compare_digest(expected, token.signature):

@@ -16,11 +16,40 @@ All costs are charged to the node's :class:`~repro.simclock.SimClock`
 SQL work; ``stats_prefix`` additionally keeps a scaled embedded store's
 charges (the DLFM repository) separate from host-database charges in the
 statistics.
+
+Prepared statements
+-------------------
+Equality-keyed DML has one implementation, the *prepared statement*:
+``prepare_select`` / ``prepare_insert`` / ``prepare_update`` /
+``prepare_delete`` resolve a statement shape -- a table and the columns its
+``where`` binds by equality -- once and return a handle called with
+positional values (``stmt(*values)``, ``stmt(row)``, ``stmt(changes,
+*values)``, optional ``txn=``).  Resolving picks the table plan and the
+access path: the first index whose columns are all bound (a complete primary
+key is the one charged ``index_probe``; any other index enumerates
+candidates for free), else the heap scan, plus the equality test left for
+the unindexed columns.  ``Database.select`` / ``insert`` / ``update`` /
+``delete`` only fetch the handle for ``(table, tuple(where))`` from one
+cache and call it; a callable, ``None`` or ``{}`` ``where`` is the shape
+that binds nothing, the scan.  A handle re-resolves itself whenever
+``db.catalog`` or its ``version`` is not what it last saw, so DDL,
+``crash()``, ``recover()`` and ``restore()`` need no invalidation hook.
+
+A write handle called without ``txn`` is a *single-statement transaction*:
+it logs BEGIN, the statement's records and COMMIT, applies the flush policy
+(and so feeds the flush listeners) and charges exactly what ``begin()`` +
+statement + ``commit()`` charge, but builds no :class:`Transaction`, never
+enters the transaction table and takes no lock -- it *checks* each lock it
+owes.  Checking equals taking here: the simulation is single-threaded,
+nothing runs between the statement's first row and its COMMIT, and COMMIT
+would release the locks, so "does anyone hold this?" is all a lock could
+decide.  On a held resource the handle calls ``locks.acquire`` so the
+conflict or deadlock error and the wait-for edge are a real transaction's,
+and any failure after BEGIN takes :meth:`Database.abort` (undo, ABORT
+record, forced flush).
 """
 
 from __future__ import annotations
-
-import contextlib
 
 from repro.errors import (
     DuplicateKeyError,
@@ -32,7 +61,7 @@ from repro.simclock import TICKS_PER_SECOND, SimClock
 from repro.storage.backup import BackupImage, BackupManager
 from repro.storage.catalog import Catalog
 from repro.storage.lock_manager import LockManager, LockMode
-from repro.storage.query import _match_all, compile_where
+from repro.storage.query import compile_where
 from repro.storage.recovery import RecoveryManager
 from repro.storage.schema import TableSchema
 from repro.storage.transaction import Transaction, TxnState
@@ -41,29 +70,20 @@ from repro.util.lsn import LSN
 
 SYSTEM_TXN_ID = 0
 
-#: Gates the statement fast path that bypasses the general scan machinery:
-#: the point-SELECT short cut in :meth:`Database.select`.  ``False`` routes
-#: every select through the reference implementation; both modes produce
-#: bit-identical rows and simulated charges (see
-#: tests/test_bulk_fastpaths.py).
-FAST_SCANS = True
-
 
 class _TablePlan:
-    """Pre-resolved per-table execution state for the DML hot paths.
+    """Pre-resolved per-table execution state shared by a table's statements.
 
     Everything a statement needs -- schema, heap row store, primary-key
-    index internals, secondary-index enumeration order, unique constraints
-    -- resolved once and validated per use against the owning catalog's
-    ``version`` counter (and catalog identity, which changes on
-    ``reset_catalog``).  ``rows`` aliases the heap's internal dict; the heap
-    only rebinds it in ``load_snapshot``, which always happens on a fresh
-    heap behind a catalog version bump.
+    index, index enumeration order, unique constraints -- resolved once and
+    validated per use against the owning catalog's ``version`` counter (and
+    catalog identity, which changes on ``reset_catalog``).  ``rows`` aliases
+    the heap's internal dict; the heap only rebinds it in ``load_snapshot``,
+    which always happens on a fresh heap behind a catalog version bump.
     """
 
     __slots__ = ("catalog", "version", "schema", "heap", "rows", "pk_index",
-                 "pk_entries", "pk_cols", "pk_single", "indexes",
-                 "index_plans", "unique_plans")
+                 "pk_cols", "pk_single", "indexes", "unique_plans")
 
 
 class Database:
@@ -99,6 +119,9 @@ class Database:
         #: Extended per-table plans (:class:`_TablePlan`), validated against
         #: the catalog's version counter on every probe.
         self._plans: dict[str, _TablePlan] = {}
+        #: ``{(kind, table, bound columns): prepared statement}`` -- the one
+        #: cache behind :meth:`prepare_select` and friends.
+        self._statements: dict[tuple, _Prepared] = {}
         #: ``{table: (max_key, heap_mutations_seen)}`` -- the cached key
         #: maxima behind :meth:`max_key`.  A cached entry is valid only
         #: while its heap's mutation counter is unchanged, so writes that
@@ -172,18 +195,15 @@ class Database:
         plan.heap = heap
         plan.rows = heap._rows
         plan.pk_index = pk_index
-        plan.pk_entries = getattr(pk_index, "raw_entries", None)
         pk_cols = schema.primary_key
         plan.pk_cols = pk_cols
         plan.pk_single = pk_cols[0] if len(pk_cols) == 1 else None
         plan.indexes = indexes
-        plan.index_plans = tuple(
+        plan.unique_plans = tuple(
             (index, index.columns,
              index.columns[0] if len(index.columns) == 1 else None,
-             getattr(index, "raw_entries", None))
-            for index in indexes)
-        plan.unique_plans = tuple(
-            entry for entry in plan.index_plans if entry[0].unique)
+             index.raw_entries)
+            for index in indexes if index.unique)
         self._plans[table] = plan
         return plan
 
@@ -406,20 +426,35 @@ class Database:
     def create_table(self, schema: TableSchema, txn: Transaction | None = None):
         """Create a table (auto-committed when no transaction is supplied)."""
 
-        with self._autotxn(txn) as active:
-            self._charge("sql_statement_base")
-            heap = self.catalog.create_table(schema)
-            self.wal.append(active.txn_id, LogRecordType.CREATE_TABLE,
-                            table=schema.name, extra={"schema": schema.copy()})
-            return heap
+        return self._ddl(schema.name, schema, txn)
 
     def drop_table(self, name: str, txn: Transaction | None = None) -> None:
-        with self._autotxn(txn) as active:
+        self._ddl(name, None, txn)
+
+    def _ddl(self, name: str, schema: TableSchema | None,
+             txn: Transaction | None):
+        """Create table *name* from *schema* (or drop it: no schema) in
+        *txn*, or in a plain ``begin`` / ``commit`` of its own."""
+
+        active = self.begin() if txn is None else txn
+        try:
             self._charge("sql_statement_base")
-            schema = self.catalog.schema(name)
-            self.catalog.drop_table(name)
-            self.wal.append(active.txn_id, LogRecordType.DROP_TABLE,
-                            table=name, extra={"schema": schema.copy()})
+            if schema is not None:
+                kind = LogRecordType.CREATE_TABLE
+                heap = self.catalog.create_table(schema)
+            else:
+                kind = LogRecordType.DROP_TABLE
+                schema = self.catalog.schema(name)
+                heap = self.catalog.drop_table(name)
+            self.wal.append(active.txn_id, kind, name,
+                            extra={"schema": schema.copy()})
+        except BaseException:
+            if txn is None:
+                self.abort(active)
+            raise
+        if txn is None:
+            self.commit(active)
+        return heap
 
     def create_index(self, index_name: str, table: str, columns, *,
                      unique: bool = False, ordered: bool = False):
@@ -428,29 +463,36 @@ class Database:
                                          unique=unique, ordered=ordered)
 
     # ------------------------------------------------------------------- DML --
+    def _prepared(self, kind, table: str, columns: tuple):
+        key = (kind, table, columns)
+        try:
+            return self._statements[key]
+        except KeyError:
+            statement = self._statements[key] = kind(self, table, columns)
+            return statement
+
+    def prepare_select(self, table: str, columns=()) -> "PreparedSelect":
+        """The SELECT binding *columns* by equality (none: the heap scan)."""
+
+        return self._prepared(PreparedSelect, table, tuple(columns))
+
+    def prepare_insert(self, table: str) -> "PreparedInsert":
+        return self._prepared(PreparedInsert, table, ())
+
+    def prepare_update(self, table: str, columns=()) -> "PreparedUpdate":
+        return self._prepared(PreparedUpdate, table, tuple(columns))
+
+    def prepare_delete(self, table: str, columns=()) -> "PreparedDelete":
+        return self._prepared(PreparedDelete, table, tuple(columns))
+
     def insert(self, table: str, row: dict, txn: Transaction | None = None) -> int:
         """Insert *row* into *table*; returns the new row id."""
 
-        if txn is not None and txn.state is TxnState.ACTIVE:
-            clock = self.clock
-            if clock is not None:
-                amount, meter = self._stmt
-                clock.ticks += amount
-                meter[0] += 1
-            try:
-                plan = self._plans[table]
-            except KeyError:
-                plan = self._build_plan(table)
-            else:
-                catalog = self.catalog
-                if plan.catalog is not catalog or \
-                        plan.version != catalog.version:
-                    plan = self._build_plan(table)
-            return self._insert_row(table, row, txn, plan)
-        with self._autotxn(txn) as active:
-            active.require_active()
-            self._charge("sql_statement_base")
-            return self._insert_row(table, row, active, self._plan(table))
+        try:
+            statement = self._statements[PreparedInsert, table, ()]
+        except KeyError:
+            statement = self.prepare_insert(table)
+        return statement(row, txn=txn)[0]
 
     def insert_many(self, table: str, rows: list[dict],
                     txn: Transaction | None = None) -> list[int]:
@@ -461,70 +503,7 @@ class Database:
         ingest measurably cheaper than row-at-a-time inserts.
         """
 
-        with self._autotxn(txn) as active:
-            active.require_active()
-            self._charge("sql_statement_base")
-            plan = self._plan(table)
-            return [self._insert_row(table, row, active, plan) for row in rows]
-
-    def _insert_row(self, table: str, row: dict, active: Transaction,
-                    plan: _TablePlan) -> int:
-        normalized = plan.schema.validate_row(self._strip_internal(row))
-        self._check_unique(table, normalized, None, plan)
-        # The per-row charges -- lock_acquire for the key lock (when the
-        # table has a primary key), lock_acquire for the row lock, and
-        # row_write -- are contiguous in clock time (nothing between them
-        # touches the clock), so they are deferred and charged together
-        # when the insert completes.  On a partial failure
-        # (a lock conflict, a duplicate secondary key) only the lock
-        # charges actually incurred are charged.
-        clock = self.clock
-        txn_id = active.txn_id
-        acquire = self.locks.acquire
-        locks_taken = 0
-        try:
-            pk_single = plan.pk_single
-            if pk_single is not None:
-                acquire(txn_id, ("key", table, (normalized[pk_single],)),
-                        LockMode.EXCLUSIVE)
-                locks_taken = 1
-            elif plan.pk_cols:
-                key = tuple(normalized[name] for name in plan.pk_cols)
-                acquire(txn_id, ("key", table, key), LockMode.EXCLUSIVE)
-                locks_taken = 1
-            rid = plan.heap.insert(normalized)
-            cached = self._max_keys.get(table)
-            if cached is not None:
-                # Keep a warm key maximum warm: if nothing else touched the
-                # heap since it was taken, this insert's key is the only
-                # candidate for a new maximum.  Otherwise leave it stale --
-                # max_key rescans on the counter mismatch.
-                heap_mutations = plan.heap.mutations
-                if cached[1] == heap_mutations - 1:
-                    best = cached[0]
-                    value = normalized[pk_single]
-                    if best is None or \
-                            (value is not None and value > best):
-                        best = value
-                    self._max_keys[table] = (best, heap_mutations)
-            acquire(txn_id, ("row", table, rid), LockMode.EXCLUSIVE)
-            locks_taken += 1
-            for index in plan.indexes:
-                index.insert(normalized, rid)
-            record = self.wal.append(txn_id, LogRecordType.INSERT, table=table,
-                                     rid=rid, after=dict(normalized))
-            active.records.append(record)
-        except BaseException:
-            if locks_taken:
-                self._charge_run("lock_acquire", locks_taken)
-            raise
-        if clock is not None:
-            lock, lock_meter = self._lock
-            write, write_meter = self._write
-            clock.ticks += lock * locks_taken + write
-            lock_meter[0] += locks_taken
-            write_meter[0] += 1
-        return rid
+        return self.prepare_insert(table)(*rows, txn=txn)
 
     def select(self, table: str, where=None, txn: Transaction | None = None, *,
                for_update: bool = False, lock: bool = True) -> list[dict]:
@@ -535,161 +514,20 @@ class Database:
         strict two-phase locking.
         """
 
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._stmt
-            clock.ticks += amount
-            meter[0] += 1
-        # ``self._plan(table)`` written out inline: the cache probe is two
-        # attribute loads on the hot hit path, and select is the single
-        # most-issued statement on the million-link tier.
+        match = None
+        if type(where) is not dict:
+            match, where = compile_where(where)
         try:
-            plan = self._plans[table]
+            statement = self._statements[PreparedSelect, table, tuple(where)]
         except KeyError:
-            plan = self._build_plan(table)
-        else:
-            catalog = self.catalog
-            if plan.catalog is not catalog or plan.version != catalog.version:
-                plan = self._build_plan(table)
-        if FAST_SCANS and type(where) is dict and where and \
-                (txn is None or not lock):
-            matched = self._point_select(plan, where, clock)
-            if matched is not None:
-                return matched
-        predicate, bindings = compile_where(where)
-        candidates = self._candidate_rows(plan, bindings, clock)
-        # Per-match charges are deferred and applied as one batch after
-        # the loop: nothing between two matches reads the clock, and tick
-        # sums are exact in any grouping.  When
-        # an acquire raises mid-statement the ``finally`` still charges the
-        # completed matches.
-        # Candidates are the *stored* row dicts: the predicate filters them
-        # without a per-candidate copy, and only matches are materialized.
-        if txn is not None and lock:
-            mode = LockMode.EXCLUSIVE if for_update else LockMode.SHARED
-            txn_id = txn.txn_id
-            acquire = self.locks.acquire
-            rows = []
-            try:
-                if predicate is _match_all:
-                    for rid, row in candidates:
-                        acquire(txn_id, ("row", table, rid), mode)
-                        rows.append(dict(row, _rid=rid))
-                else:
-                    for rid, row in candidates:
-                        if not predicate(row):
-                            continue
-                        acquire(txn_id, ("row", table, rid), mode)
-                        rows.append(dict(row, _rid=rid))
-            finally:
-                if clock is not None:
-                    count = len(rows)
-                    lock, lock_meter = self._lock
-                    read, read_meter = self._read
-                    clock.ticks += (lock + read) * count
-                    lock_meter[0] += count
-                    read_meter[0] += count
-            return rows
-        if predicate is _match_all:
-            rows = [dict(row, _rid=rid) for rid, row in candidates]
-        else:
-            rows = [dict(row, _rid=rid) for rid, row in candidates
-                    if predicate(row)]
-        if clock is not None and rows:
-            amount, meter = self._read
-            count = len(rows)
-            clock.ticks += amount * count
-            meter[0] += count
-        return rows
+            statement = self.prepare_select(table, where)
+        return statement(*where.values(), txn=txn, for_update=for_update,
+                         lock=lock, match=match)
 
     def select_one(self, table: str, where=None, txn: Transaction | None = None,
                    **kwargs) -> dict | None:
         rows = self.select(table, where, txn, **kwargs)
         return rows[0] if rows else None
-
-    def _point_select(self, plan: _TablePlan, where: dict, clock):
-        """Unlocked point-SELECT short cut (:data:`FAST_SCANS`).
-
-        Handles the dominant statement shape -- an equality ``where`` dict
-        whose keys are exactly one index's columns -- without compiling a
-        predicate or materializing a candidate list, replaying the general
-        path's charges verbatim: an ``index_probe`` for a complete
-        primary-key probe, nothing for secondary-index enumeration, and a
-        ``row_read`` per match.  Returns ``None``, before any charge beyond
-        the caller's ``sql_statement_base``, when the shape is not covered
-        (the caller falls back to the general path).
-        """
-
-        rows = plan.rows
-        bucket = None
-        pk_single = plan.pk_single
-        if pk_single is not None:
-            if len(where) != 1:
-                return None
-            entries = plan.pk_entries
-            if pk_single in where and entries is not None:
-                if clock is not None:
-                    amount, meter = self._probe
-                    clock.ticks += amount
-                    meter[0] += 1
-                try:
-                    bucket = entries[(where[pk_single],)]
-                except KeyError:
-                    return []
-        elif plan.pk_cols and len(where) == len(plan.pk_cols):
-            complete = True
-            for column in plan.pk_cols:
-                if column not in where:
-                    complete = False
-                    break
-            entries = plan.pk_entries
-            if complete and entries is not None:
-                if clock is not None:
-                    amount, meter = self._probe
-                    clock.ticks += amount
-                    meter[0] += 1
-                try:
-                    bucket = entries[tuple(where[column]
-                                           for column in plan.pk_cols)]
-                except KeyError:
-                    return []
-        if bucket is None:
-            if len(where) != 1:
-                return None
-            # Single-column secondary probe: the first index on exactly the
-            # bound column, enumeration deliberately uncharged (matching
-            # ``_candidate_rows``).
-            for index, columns, single, entries in plan.index_plans:
-                if single is None or single not in where:
-                    continue
-                if entries is None:
-                    return None
-                try:
-                    bucket = entries[(where[single],)]
-                except KeyError:
-                    return []
-                break
-            if bucket is None:
-                return None
-        if len(bucket) == 1:
-            for rid in bucket:
-                break
-            row = rows.get(rid)
-            if row is None:
-                return []
-            matched = [dict(row, _rid=rid)]
-        else:
-            matched = [dict(rows[rid], _rid=rid)
-                       for rid in sorted(bucket) if rid in rows]
-            if not matched:
-                return []
-        if clock is not None:
-            # ``_charge_run("row_read", n)`` written out: one multiply.
-            amount, meter = self._read
-            count = len(matched)
-            clock.ticks += amount * count
-            meter[0] += count
-        return matched
 
     def max_key(self, table: str):
         """``MAX`` over *table*'s single-column primary key (``None`` if empty).
@@ -735,87 +573,20 @@ class Database:
                txn: Transaction | None = None) -> int:
         """Update matching rows with *changes*; returns the number touched."""
 
-        with self._autotxn(txn) as active:
-            active.require_active()
-            clock = self.clock
-            if clock is not None:
-                amount, meter = self._stmt
-                clock.ticks += amount
-                meter[0] += 1
-            plan = self._plan(table)
-            schema = plan.schema
-            heap = plan.heap
-            indexes = plan.indexes
-            predicate, bindings = compile_where(where)
-            changes = self._strip_internal(changes)
-            touched = 0
-            # Charges are deferred exactly as in ``select``: each finished
-            # row owes a (lock_acquire, row_write) pair, and a row that got
-            # its lock but failed validation owes the lone lock_acquire the
-            # per-row reference would have charged before raising.
-            acquired = False
-            acquire = self.locks.acquire
-            txn_id = active.txn_id
-            try:
-                for rid, row in self._candidate_rows(plan, bindings, clock):
-                    if not predicate(row):
-                        continue
-                    acquire(txn_id, ("row", table, rid), LockMode.EXCLUSIVE)
-                    acquired = True
-                    new_row = dict(row)
-                    new_row.update(changes)
-                    normalized = schema.validate_row(new_row)
-                    self._check_unique(table, normalized, rid, plan)
-                    for index in indexes:
-                        index.remove(row, rid)
-                    heap.update(rid, normalized)
-                    for index in indexes:
-                        index.insert(normalized, rid)
-                    record = self.wal.append(txn_id, LogRecordType.UPDATE,
-                                             table=table, rid=rid, before=dict(row),
-                                             after=dict(normalized))
-                    active.records.append(record)
-                    acquired = False
-                    touched += 1
-            finally:
-                self._settle_write_charges(touched, acquired)
-            return touched
+        match = None
+        if type(where) is not dict:
+            match, where = compile_where(where)
+        return self.prepare_update(table, where)(
+            changes, *where.values(), txn=txn, match=match)
 
     def delete(self, table: str, where, txn: Transaction | None = None) -> int:
         """Delete matching rows; returns the number removed."""
 
-        with self._autotxn(txn) as active:
-            active.require_active()
-            clock = self.clock
-            if clock is not None:
-                amount, meter = self._stmt
-                clock.ticks += amount
-                meter[0] += 1
-            plan = self._plan(table)
-            heap = plan.heap
-            indexes = plan.indexes
-            predicate, bindings = compile_where(where)
-            removed = 0
-            acquired = False
-            acquire = self.locks.acquire
-            txn_id = active.txn_id
-            try:
-                for rid, row in self._candidate_rows(plan, bindings, clock):
-                    if not predicate(row):
-                        continue
-                    acquire(txn_id, ("row", table, rid), LockMode.EXCLUSIVE)
-                    acquired = True
-                    for index in indexes:
-                        index.remove(row, rid)
-                    heap.delete(rid)
-                    record = self.wal.append(txn_id, LogRecordType.DELETE,
-                                             table=table, rid=rid, before=dict(row))
-                    active.records.append(record)
-                    acquired = False
-                    removed += 1
-            finally:
-                self._settle_write_charges(removed, acquired)
-            return removed
+        match = None
+        if type(where) is not dict:
+            match, where = compile_where(where)
+        return self.prepare_delete(table, where)(
+            *where.values(), txn=txn, match=match)
 
     def count(self, table: str, where=None) -> int:
         return len(self.select(table, where, txn=None, lock=False))
@@ -840,111 +611,8 @@ class Database:
         lock_meter[0] += locks
         write_meter[0] += finished
 
-    @staticmethod
-    def _strip_internal(row: dict) -> dict:
-        # Fast path: rows without internal ("_"-prefixed) keys -- the vast
-        # majority -- are returned as-is (callers only read the result).
-        # ``key[:1]`` is a zero-call prefix test, unlike ``startswith``.
-        for key in row:
-            if key[:1] == "_":
-                return {k: v for k, v in row.items() if k[:1] != "_"}
-        return row
-
-    def _candidate_rows(self, plan: _TablePlan, bindings: dict, clock):
-        """(rid, row) candidates, using the primary-key index when possible.
-
-        Returns a fully materialized list rather than a generator: the
-        callers drive tight loops and the generator resumption cost was
-        measurable.  The rows are the heap's *stored* dicts (no copy): DML
-        callers materialize copies only for rows that actually match, and
-        the heap replaces (never mutates) stored dicts on update, so a
-        reference taken here stays pre-update even while the statement
-        mutates the table.
-        """
-
-        if bindings:
-            rows = plan.rows
-            # Single-column keys dominate; the plan pre-resolves the single
-            # key column so the common probe is two dict tests.
-            key = None
-            pk_single = plan.pk_single
-            if pk_single is not None:
-                if pk_single in bindings:
-                    key = (bindings[pk_single],)
-            elif plan.pk_cols:
-                complete = True
-                for column in plan.pk_cols:
-                    if column not in bindings:
-                        complete = False
-                        break
-                if complete:
-                    key = tuple(bindings[c] for c in plan.pk_cols)
-            if key is not None and plan.pk_index is not None:
-                if clock is not None:
-                    amount, meter = self._probe
-                    clock.ticks += amount
-                    meter[0] += 1
-                entries = plan.pk_entries
-                if entries is not None:
-                    try:
-                        bucket = entries[key]
-                    except KeyError:
-                        return ()
-                else:
-                    bucket = plan.pk_index.bucket(key)
-                if len(bucket) == 1:
-                    for rid in bucket:
-                        break
-                    return [(rid, rows[rid])] if rid in rows else []
-                return [(rid, rows[rid])
-                        for rid in sorted(bucket) if rid in rows]
-            # Enumerate through any secondary index whose columns are all
-            # bound by equality.  This is deliberately NOT charged: the
-            # historical cost model full-scanned here without a probe, and
-            # candidate enumeration is free (only *matches* are charged
-            # ``row_read``).  Sorting the bucket reproduces the heap's
-            # stable scan order, so matches, locks and charges come out in
-            # exactly the same sequence as the scan they replace.
-            for index, columns, single, entries in plan.index_plans:
-                if single is not None:
-                    if single not in bindings:
-                        continue
-                    key = (bindings[single],)
-                else:
-                    # ``bucket`` takes stored column values (it derives a
-                    # derived key itself); ``key_of`` on a raw hash index
-                    # yields the same tuple in one C-level call.
-                    try:
-                        key = index.key_of(bindings) if entries is not None \
-                            else tuple([bindings[column] for column in columns])
-                    except KeyError:    # a key column is not bound
-                        continue
-                if entries is not None:
-                    try:
-                        bucket = entries[key]
-                    except KeyError:
-                        return ()
-                else:
-                    bucket = index.bucket(key)
-                if len(bucket) == 1:
-                    for rid in bucket:
-                        break
-                    return [(rid, rows[rid])] if rid in rows else []
-                return [(rid, rows[rid])
-                        for rid in sorted(bucket) if rid in rows]
-        # Full scan (``HeapTable.scan_live`` inlined, including its cached
-        # sorted-rid order maintenance).
-        heap = plan.heap
-        rows = heap._rows
-        order = heap._sorted_rids
-        if order is None:
-            order = heap._sorted_rids = sorted(rows)
-        return [(rid, rows[rid]) for rid in order]
-
     def _check_unique(self, table: str, row: dict, exclude_rid: int | None,
-                      plan: _TablePlan | None = None) -> None:
-        if plan is None:
-            plan = self._plan(table)
+                      plan: _TablePlan) -> None:
         for index, columns, single, entries in plan.unique_plans:
             key = (row[single],) if single is not None else \
                 tuple(row[column] for column in columns)
@@ -959,9 +627,6 @@ class Database:
                 if rid != exclude_rid:
                     raise DuplicateKeyError(
                         f"table {table}: duplicate key {key!r} for index {index.name}")
-
-    def _autotxn(self, txn: Transaction | None) -> "_AutoTxn":
-        return _AutoTxn(self, txn)
 
     # ---------------------------------------------------------------- undo ----
     def apply_undo(self, record, during_recovery: bool = False) -> None:
@@ -1084,34 +749,349 @@ class Database:
         return state_id
 
 
-class _AutoTxn:
-    """Plain context manager behind :meth:`Database._autotxn`.
+class _Prepared:
+    """One statement shape -- a table and the columns its ``where`` binds by
+    equality -- resolved against the catalog (see the module docstring)."""
 
-    Hand-rolled instead of ``@contextlib.contextmanager``: auto-transactions
-    wrap every DML statement, and the generator-based manager's frame
-    juggling showed up in profiles.
-    """
+    __slots__ = ("db", "table", "columns", "catalog", "version", "plan",
+                 "index", "entries", "charged", "key_at", "residual")
 
-    __slots__ = ("_database", "_txn", "_auto")
+    def __init__(self, db: Database, table: str, columns: tuple):
+        self.db = db
+        self.table = table
+        self.columns = columns
+        self._resolve()
 
-    def __init__(self, database: Database, txn: Transaction | None):
-        self._database = database
-        self._txn = txn
-        self._auto: Transaction | None = None
+    def _resolve(self) -> None:
+        """Pick the access path: the first index whose columns are all bound
+        (the primary-key index comes first and is the only charged probe)."""
 
-    def __enter__(self) -> Transaction:
-        if self._txn is not None:
-            return self._txn
-        self._auto = self._database.begin()
-        return self._auto
+        columns = self.columns
+        plan = self.db._plan(self.table)
+        self.index = self.entries = self.key_at = None
+        self.charged = False
+        for index in plan.indexes:
+            for column in index.columns:
+                if column not in columns:
+                    break
+            else:
+                self.index = index
+                self.charged = index is plan.pk_index
+                # ``None`` for derived (DATALINK) keys: those go through
+                # ``bucket()``, which finds a superset, so the key columns
+                # stay in the residual test.
+                self.entries = index.raw_entries
+                if index.columns != columns:
+                    self.key_at = tuple([columns.index(column)
+                                         for column in index.columns])
+                break
+        self.residual = tuple([
+            (column, at) for at, column in enumerate(columns)
+            if self.entries is None or column not in self.index.columns])
+        self.plan = plan
+        self.catalog = plan.catalog
+        self.version = plan.version
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        auto = self._auto
-        if auto is None:
-            return False
-        if exc_type is not None:
-            if not auto.is_finished:
-                self._database.abort(auto)
-            return False
-        self._database.commit(auto)
-        return False
+    def _find(self, values: tuple, clock, match) -> list:
+        """``(rid, stored row)`` matches in heap order.
+
+        The rows are the heap's *stored* dicts (no copy): callers copy what
+        they return or log, and the heap replaces (never mutates) stored
+        dicts on update, so a reference taken here stays pre-update even
+        while the statement mutates the table.  Enumerating candidates is
+        free; only a complete primary key owes an ``index_probe``.  *match*
+        (a row predicate: a callable or ``Condition`` where) replaces the
+        residual equality test -- it implies the bindings it came with.
+        """
+
+        plan = self.plan
+        rows = plan.rows
+        index = self.index
+        if index is None:
+            heap = plan.heap
+            order = heap._sorted_rids
+            if order is None:
+                order = heap._sorted_rids = sorted(rows)
+            pairs = [(rid, rows[rid]) for rid in order]
+        else:
+            if self.charged and clock is not None:
+                amount, meter = self.db._probe
+                clock.ticks += amount
+                meter[0] += 1
+            key_at = self.key_at
+            if key_at is None:
+                key = values
+            elif len(key_at) == 1:
+                key = (values[key_at[0]],)
+            else:
+                key = tuple([values[at] for at in key_at])
+            entries = self.entries
+            if entries is None:
+                bucket = index.bucket(key)
+            else:
+                try:
+                    bucket = entries[key]
+                except KeyError:
+                    return ()
+            if len(bucket) == 1:
+                for rid in bucket:
+                    break
+                pairs = [(rid, rows[rid])] if rid in rows else ()
+            else:
+                # Sorting reproduces the heap's stable scan order.
+                pairs = [(rid, rows[rid])
+                         for rid in sorted(bucket) if rid in rows]
+        if match is not None:
+            return [pair for pair in pairs if match(pair[1])]
+        residual = self.residual
+        if not residual:
+            return pairs
+        kept = []
+        for pair in pairs:
+            row = pair[1]
+            for column, at in residual:
+                if row.get(column) != values[at]:
+                    break
+            else:
+                kept.append(pair)
+        return kept
+
+
+class PreparedSelect(_Prepared):
+    """``stmt(*values, txn=None, for_update=False, lock=True)`` -> rows."""
+
+    __slots__ = ()
+
+    def __call__(self, *values, txn: Transaction | None = None,
+                 for_update: bool = False, lock: bool = True, match=None):
+        db = self.db
+        catalog = db.catalog
+        if catalog is not self.catalog or catalog.version != self.version:
+            self._resolve()
+        clock = db.clock
+        if clock is not None:
+            amount, meter = db._stmt
+            clock.ticks += amount
+            meter[0] += 1
+        pairs = self._find(values, clock, match)
+        if not pairs:
+            return []
+        if txn is not None and lock:
+            # Per-match charges are applied as one batch: nothing between
+            # two matches reads the clock.  When an acquire raises
+            # mid-statement the ``finally`` still charges the completed ones.
+            mode = LockMode.EXCLUSIVE if for_update else LockMode.SHARED
+            table = self.table
+            txn_id = txn.txn_id
+            acquire = db.locks.acquire
+            rows = []
+            try:
+                for rid, row in pairs:
+                    acquire(txn_id, ("row", table, rid), mode)
+                    rows.append(dict(row, _rid=rid))
+            finally:
+                if clock is not None:
+                    count = len(rows)
+                    lock, lock_meter = db._lock
+                    read, read_meter = db._read
+                    clock.ticks += (lock + read) * count
+                    lock_meter[0] += count
+                    read_meter[0] += count
+            return rows
+        if len(pairs) == 1:
+            rid, row = pairs[0]
+            rows = [dict(row, _rid=rid)]
+        else:
+            rows = [dict(row, _rid=rid) for rid, row in pairs]
+        if clock is not None:
+            amount, meter = db._read
+            count = len(rows)
+            clock.ticks += amount * count
+            meter[0] += count
+        return rows
+
+
+class _PreparedWrite(_Prepared):
+    """A write statement; without ``txn`` it is its own transaction."""
+
+    __slots__ = ()
+
+    def __call__(self, *args, txn: Transaction | None = None, match=None):
+        db = self.db
+        if txn is None and db._crashed:
+            raise TransactionNotActive(
+                f"database {db.name} crashed; run recover() first")
+        catalog = db.catalog
+        if catalog is not self.catalog or catalog.version != self.version:
+            self._resolve()
+        clock = db.clock
+        if txn is not None:
+            if txn.state is not TxnState.ACTIVE:
+                txn.require_active()
+            if clock is not None:
+                amount, meter = db._stmt
+                clock.ticks += amount
+                meter[0] += 1
+            return self._run(args, match, txn.txn_id, txn.records, False)
+        # Single-statement transaction (module docstring): BEGIN, the
+        # statement, COMMIT -- the records, flush and charges of
+        # ``begin()`` / statement / ``commit()`` without their bookkeeping.
+        txn_id = db._next_txn_id
+        db._next_txn_id = txn_id + 1
+        wal = db.wal
+        wal.append(txn_id, LogRecordType.BEGIN)
+        if clock is not None:       # BEGIN's and the statement's
+            amount, meter = db._stmt
+            clock.ticks += amount * 2
+            meter[0] += 2
+        records = []
+        try:
+            result = self._run(args, match, txn_id, records, True)
+        except BaseException:
+            db.abort(Transaction(txn_id, records=records))
+            raise
+        wal.append(txn_id, LogRecordType.COMMIT)
+        if wal.note_commit() and clock is not None:
+            amount, meter = db._log
+            clock.ticks += amount
+            meter[0] += 1
+        return result
+
+
+class PreparedInsert(_PreparedWrite):
+    """``stmt(*rows, txn=None)`` -> row ids: one statement, charged once."""
+
+    __slots__ = ()
+
+    def _run(self, rows, match, txn_id: int, records: list, single: bool):
+        db = self.db
+        table = self.table
+        plan = self.plan
+        heap = plan.heap
+        pk_single = plan.pk_single
+        locks = db.locks
+        held = locks._holders
+        rids = list(rows)       # one slot per row, filled with its row id
+        for at, row in enumerate(rows):
+            normalized = plan.schema.validate_row(row)
+            db._check_unique(table, normalized, None, plan)
+            # The per-row charges -- lock_acquire for the key lock (when
+            # the table has a primary key) and for the row lock, and
+            # row_write -- are contiguous in clock time, so they are charged
+            # together when the row completes; on a partial failure only
+            # the lock charges actually incurred are.
+            locks_taken = 0
+            try:
+                if plan.pk_cols:
+                    key = (normalized[pk_single],) if pk_single is not None \
+                        else tuple([normalized[c] for c in plan.pk_cols])
+                    resource = ("key", table, key)
+                    if not single or resource in held:
+                        locks.acquire(txn_id, resource, LockMode.EXCLUSIVE)
+                    locks_taken = 1
+                rid = heap.insert(normalized)
+                cached = db._max_keys.get(table)
+                if cached is not None and cached[1] == heap.mutations - 1:
+                    # Keep a warm key maximum warm: nothing else touched
+                    # the heap since it was taken, so this key is the only
+                    # candidate for a new maximum.  Otherwise leave it
+                    # stale -- max_key rescans on the counter mismatch.
+                    best = cached[0]
+                    value = normalized[pk_single]
+                    if best is None or (value is not None and value > best):
+                        best = value
+                    db._max_keys[table] = (best, heap.mutations)
+                resource = ("row", table, rid)
+                if not single or resource in held:
+                    locks.acquire(txn_id, resource, LockMode.EXCLUSIVE)
+                locks_taken += 1
+                for index in plan.indexes:
+                    index.insert(normalized, rid)
+                records.append(db.wal.append(
+                    txn_id, LogRecordType.INSERT, table, rid, None,
+                    dict(normalized)))
+            except BaseException:
+                db._charge_run("lock_acquire", locks_taken)
+                raise
+            clock = db.clock
+            if clock is not None:
+                lock, lock_meter = db._lock
+                write, write_meter = db._write
+                clock.ticks += lock * locks_taken + write
+                lock_meter[0] += locks_taken
+                write_meter[0] += 1
+            rids[at] = rid
+        return rids
+
+
+class PreparedUpdate(_PreparedWrite):
+    """``stmt(changes, *values, txn=None)`` -> rows touched."""
+
+    __slots__ = ()
+
+    def _run(self, args, match, txn_id: int, records: list, single: bool):
+        db = self.db
+        table = self.table
+        plan = self.plan
+        heap = plan.heap
+        indexes = plan.indexes
+        locks = db.locks
+        held = locks._holders
+        touched = 0
+        # Charges are deferred as in the locked select: each finished row
+        # owes a (lock_acquire, row_write) pair, and a row that got its
+        # lock but failed validation owes the lone lock_acquire.
+        acquired = False
+        try:
+            for rid, row in self._find(args[1:], db.clock, match):
+                resource = ("row", table, rid)
+                if not single or resource in held:
+                    locks.acquire(txn_id, resource, LockMode.EXCLUSIVE)
+                acquired = True
+                new_row = dict(row)
+                new_row.update(args[0])
+                normalized = plan.schema.validate_row(new_row)
+                db._check_unique(table, normalized, rid, plan)
+                for index in indexes:
+                    index.remove(row, rid)
+                heap.update(rid, normalized)
+                for index in indexes:
+                    index.insert(normalized, rid)
+                records.append(db.wal.append(
+                    txn_id, LogRecordType.UPDATE, table, rid, dict(row),
+                    dict(normalized)))
+                acquired = False
+                touched += 1
+        finally:
+            db._settle_write_charges(touched, acquired)
+        return touched
+
+
+class PreparedDelete(_PreparedWrite):
+    """``stmt(*values, txn=None)`` -> rows removed."""
+
+    __slots__ = ()
+
+    def _run(self, values, match, txn_id: int, records: list, single: bool):
+        db = self.db
+        table = self.table
+        plan = self.plan
+        heap = plan.heap
+        indexes = plan.indexes
+        locks = db.locks
+        held = locks._holders
+        removed = 0
+        try:
+            for rid, row in self._find(values, db.clock, match):
+                resource = ("row", table, rid)
+                if not single or resource in held:
+                    locks.acquire(txn_id, resource, LockMode.EXCLUSIVE)
+                for index in indexes:
+                    index.remove(row, rid)
+                heap.delete(rid)
+                records.append(db.wal.append(
+                    txn_id, LogRecordType.DELETE, table, rid, dict(row)))
+                removed += 1
+        finally:
+            db._settle_write_charges(removed, False)
+        return removed

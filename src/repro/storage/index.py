@@ -69,14 +69,10 @@ class HashIndex:
             self._composite = itemgetter(*self.columns) \
                 if self._single is None else None
         self._entries: dict[tuple, set[int]] = {}
-
-    @property
-    def raw_entries(self) -> dict | None:
-        """The key -> rids dict, for callers that probe it with tuples of
-        stored column values; ``None`` when keys are derived (such callers
-        must go through :meth:`bucket`, which derives)."""
-
-        return self._entries if self.derive is None else None
+        #: The key -> rids dict, for callers that probe it with tuples of
+        #: stored column values; ``None`` when keys are derived (such callers
+        #: must go through :meth:`bucket`, which derives).
+        self.raw_entries = self._entries if derive is None else None
 
     def key_of(self, row: dict) -> tuple:
         single = self._single
@@ -146,6 +142,7 @@ class OrderedIndex:
         self.columns = tuple(columns)
         self.unique = unique
         self.derive = derive
+        self.raw_entries = None     # no key -> rids dict: use :meth:`bucket`
         self._keys: list[tuple] = []
         self._rids: list[int] = []
 

@@ -139,46 +139,20 @@ class Not(Condition):
         return not self.part.matches(row)
 
 
-def _match_all(row: dict) -> bool:
-    return True
-
-
 def compile_where(where) -> tuple:
     """Normalize a *where* argument.
 
-    Returns ``(predicate, equality_bindings)`` where *predicate* is a callable
-    ``row -> bool`` and *equality_bindings* is a dict of column equality
-    constraints usable for index selection (empty when unknown).
+    Returns ``(predicate, equality_bindings)``: the columns the statement
+    binds by equality (which select its prepared shape and access path, see
+    :mod:`repro.storage.database`) and the row predicate to apply to the
+    candidates -- ``None`` when the bindings are the whole condition (a
+    dict, or no condition at all).
     """
 
     if where is None:
-        return _match_all, {}
-    if type(where) is dict or isinstance(where, dict):
-        bindings = where
-        # Specialized closures for the 1- and 2-column conjunctions that
-        # dominate real traffic: a direct comparison beats a generator
-        # expression per candidate row by a wide margin.  The bindings
-        # alias the caller's dict (no defensive copy): both the planner
-        # and these closures extract what they need before returning to
-        # the caller, and the closures capture values, not the dict.
-        if len(bindings) == 1:
-            [(column, value)] = bindings.items()
-
-            def predicate(row: dict, column=column, value=value) -> bool:
-                return row.get(column) == value
-        elif len(bindings) == 2:
-            (col_a, val_a), (col_b, val_b) = bindings.items()
-
-            def predicate(row: dict, col_a=col_a, val_a=val_a,
-                          col_b=col_b, val_b=val_b) -> bool:
-                return row.get(col_a) == val_a and row.get(col_b) == val_b
-        else:
-            items = tuple(bindings.items())
-
-            def predicate(row: dict, items=items) -> bool:
-                return all(row.get(column) == value for column, value in items)
-
-        return predicate, bindings
+        return None, {}
+    if isinstance(where, dict):
+        return None, where
     if isinstance(where, Condition):
         return where.matches, where.equality_bindings()
     if callable(where):

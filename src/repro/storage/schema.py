@@ -91,14 +91,16 @@ class TableSchema:
     def validate_row(self, row: dict) -> dict:
         """Validate and normalize *row*.
 
-        Unknown keys are rejected, missing columns receive their default,
-        values are type-checked, and NOT NULL constraints are enforced.
-        Returns a new dict laid out in column order.
+        Unknown keys are rejected -- bar internal ("_"-prefixed) ones such
+        as the ``_rid`` a select attaches, which are dropped -- missing
+        columns receive their default, values are type-checked, and NOT
+        NULL constraints are enforced.  Returns a new dict laid out in
+        column order.
         """
 
         by_name = self._by_name
         for key in row:
-            if key not in by_name:
+            if key not in by_name and key[:1] != "_":
                 raise NoSuchColumnError(f"table {self.name}: no column {key!r}")
         normalized: dict = {}
         # The compiled plan makes the common case (value already of the

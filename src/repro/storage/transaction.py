@@ -12,7 +12,7 @@ the host database transaction").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TransactionNotActive
 from repro.storage.wal import LogRecord
@@ -33,18 +33,23 @@ class Savepoint:
     record_count: int
 
 
-@dataclass
 class Transaction:
     """One database transaction."""
 
-    txn_id: int
-    state: TxnState = TxnState.ACTIVE
-    records: list[LogRecord] = field(default_factory=list)
-    savepoints: list[Savepoint] = field(default_factory=list)
-    # Callbacks run after commit / after abort (used by higher layers to
-    # release external resources such as file ownership).
-    on_commit: list = field(default_factory=list)
-    on_abort: list = field(default_factory=list)
+    __slots__ = ("txn_id", "state", "records", "savepoints", "on_commit",
+                 "on_abort")
+
+    def __init__(self, txn_id: int, state: TxnState = TxnState.ACTIVE,
+                 records: list[LogRecord] | None = None):
+        self.txn_id = txn_id
+        self.state = state
+        #: Data log records written on the transaction's behalf (undo chain).
+        self.records = [] if records is None else records
+        self.savepoints: list[Savepoint] = []
+        # Callbacks run after commit / after abort (used by higher layers to
+        # release external resources such as file ownership).
+        self.on_commit: list = []
+        self.on_abort: list = []
 
     @property
     def is_active(self) -> bool:

@@ -32,7 +32,7 @@ overlaps foreground work (see :mod:`repro.simclock`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.util.lsn import LSN
 
@@ -70,24 +70,23 @@ class LogRecordType(enum.Enum):
     SAVEPOINT = "SAVEPOINT"
 
 
-@dataclass(slots=True)
+#: The ``extra`` of every record that carries none, shared: readers only
+#: index, ``.get`` and ``in`` it.
+_NO_EXTRA = MappingProxyType({})
+
+
 class LogRecord:
     """One WAL record.
 
     ``before``/``after`` carry full row images for data records, keeping undo
     and redo trivially idempotent.  ``extra`` carries record-type specific
-    payload (schema for CREATE_TABLE, undone LSN for CLR, ...).
+    payload (schema for CREATE_TABLE, undone LSN for CLR, ...).  Records are
+    built only by :meth:`WriteAheadLog.append`, which fills the slots in
+    place: a constructor frame per record was measurable there.
     """
 
-    lsn: LSN
-    txn_id: int
-    type: LogRecordType
-    table: str | None = None
-    rid: int | None = None
-    before: dict | None = None
-    after: dict | None = None
-    prev_lsn: LSN | None = None
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("lsn", "txn_id", "type", "table", "rid", "before", "after",
+                 "extra")
 
 
 class WriteAheadLog:
@@ -127,11 +126,22 @@ class WriteAheadLog:
         return self._pending_commits
 
     # -- append / flush --------------------------------------------------------
-    def append(self, txn_id: int, type: LogRecordType, **fields_) -> LogRecord:
+    def append(self, txn_id: int, type: LogRecordType, table: str | None = None,
+               rid: int | None = None, before: dict | None = None,
+               after: dict | None = None, extra=_NO_EXTRA) -> LogRecord:
         """Append a record, assigning the next LSN; does not flush."""
 
-        record = LogRecord(lsn=LSN(self._next_lsn), txn_id=txn_id, type=type, **fields_)
-        self._next_lsn += 1
+        lsn = self._next_lsn
+        self._next_lsn = lsn + 1
+        record = LogRecord()
+        record.lsn = LSN(lsn)
+        record.txn_id = txn_id
+        record.type = type
+        record.table = table
+        record.rid = rid
+        record.before = before
+        record.after = after
+        record.extra = extra
         self._records.append(record)
         by_txn = self._by_txn
         try:

@@ -312,3 +312,25 @@ class TestArchiveQueueDrains:
         assert dlfm.has_pending_archives(paths[1])
         assert system.run_archiver() == 3
         assert _queue(dlfm.repository) == []
+
+
+class TestVersionChainOrder:
+    def test_latest_version_ignores_row_order_after_an_import(self):
+        """A prefix hand-off imports version rows in whatever order the
+        exporter held them; "latest" is by ``version_no``, not by row."""
+
+        repository = DLFMRepository(Database("repo", SimClock()))
+        imported = [{"version_id": 90 + index, "_rid": 7, "path": "/f",
+                     "version_no": number, "archive_id": 100 + number,
+                     "state_id": 10 * number, "created_at": 0.0}
+                    for index, number in enumerate((3, 1, 2))]
+        assert repository.import_version_rows(imported) == 3
+        assert [row["version_no"] for row in repository.versions("/f")] \
+            == [1, 2, 3]
+        assert repository.latest_version_no("/f") == 3
+        assert repository.latest_version("/f")["archive_id"] == 103
+        assert repository.latest_version(
+            "/f", max_state_id=25)["version_no"] == 2
+        assert repository.latest_version("/f", max_state_id=5) is None
+        assert repository.add_version("/f", 104, 40)["version_no"] == 4
+        assert repository.latest_version_no("/other") == 0

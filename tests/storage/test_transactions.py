@@ -186,8 +186,196 @@ class TestFinishedTransactionsAreForgotten:
 
         for index in range(20):           # finished ones do not count
             people_db.insert("people", {"person_id": 50 + index, "name": "x"})
+        people_db.delete("people", {"person_id": 50})
+        people_db.backup()                # right after autocommit statements
         txn = people_db.begin()
         with pytest.raises(BackupError):
             people_db.backup()
         people_db.commit(txn)
         assert people_db.backup().state_id == people_db.state_identifier()
+
+
+def _people_twin() -> "Database":
+    """A fresh ``people`` database (three rows, unique ``name``) on its own
+    clock; two calls give bit-identical twins."""
+
+    from repro.simclock import SimClock
+    from repro.storage.database import Database
+    from repro.storage.schema import Column, TableSchema
+    from repro.storage.values import DataType
+
+    db = Database("twin", SimClock())
+    db.create_table(TableSchema("people", [
+        Column("person_id", DataType.INTEGER, nullable=False),
+        Column("name", DataType.TEXT, nullable=False),
+        Column("age", DataType.INTEGER),
+    ], primary_key=("person_id",)))
+    db.create_index("people_name", "people", ("name",), unique=True)
+    for person_id, name in ((1, "ada"), (2, "grace"), (3, "edsger")):
+        db.insert("people", {"person_id": person_id, "name": name, "age": 30})
+    return db
+
+
+def _observable_state(db) -> dict:
+    """Everything a failed statement could have disturbed."""
+
+    records = db.wal.records()
+    return {
+        "heap": db.catalog.heap("people").snapshot(),
+        "indexes": {index.name: sorted((key, sorted(rids))
+                                       for key, rids in index._entries.items())
+                    for index in db.catalog.indexes_of("people")},
+        "max_key": db.max_key("people"),
+        "wal": [(int(r.lsn), r.txn_id, r.type, r.table, r.rid, r.before,
+                 r.after, {key: value for key, value in r.extra.items()
+                           if key != "schema"}) for r in records],
+        "flushed": db.wal.flushed_lsn == db.wal.tail_lsn(),
+        "ledger": db.clock.stats.ledger(),
+        "ticks": db.clock.ticks,
+        "locks": {resource: dict(holders)
+                  for resource, holders in db.locks._holders.items()},
+        "waits": dict(db.locks._waits_for),
+        "transactions": sorted(db._transactions),
+    }
+
+
+class TestSingleStatementTransactions:
+    """A write without ``txn`` is BEGIN / statement / COMMIT with no
+    transaction object and no lock taken; every failure must leave exactly
+    what explicit ``begin`` / statement / ``abort`` leaves."""
+
+    @staticmethod
+    def _hold_key_10(db):
+        """An open transaction holding key 10's lock but no row."""
+
+        holder = db.begin()
+        db.insert("people", {"person_id": 10, "name": "tmp"}, holder)
+        db.delete("people", {"person_id": 10}, holder)
+
+    @staticmethod
+    def _hold_row_3(db):
+        db.update("people", {"person_id": 3}, {"age": 31}, db.begin())
+
+    #: name -> (set-up, statement); the statement must fail after BEGIN.
+    CASES = {
+        "duplicate primary key": (None, lambda db, txn: db.prepare_insert(
+            "people")({"person_id": 2, "name": "new"}, txn=txn)),
+        "duplicate unique secondary key": (None, lambda db, txn: db.insert(
+            "people", {"person_id": 9, "name": "grace"}, txn)),
+        "key lock held by an open transaction": (
+            "_hold_key_10", lambda db, txn: db.prepare_insert("people")(
+                {"person_id": 10, "name": "new"}, txn=txn)),
+        "delete of a locked row": (
+            "_hold_row_3", lambda db, txn: db.prepare_delete(
+                "people", ("person_id",))(3, txn=txn)),
+        "multi-row delete reaching a locked row": (
+            "_hold_row_3", lambda db, txn: db.delete("people", None, txn)),
+        "multi-row update reaching a duplicate key": (
+            None, lambda db, txn: db.prepare_update("people")(
+                {"name": "same"}, txn=txn)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failure_equals_explicit_begin_statement_abort(self, case):
+        from repro.errors import DuplicateKeyError, LockConflictError
+
+        setup, statement = self.CASES[case]
+        outcomes = []
+        for explicit in (False, True):
+            db = _people_twin()
+            if setup:
+                getattr(self, setup)(db)
+            txn = db.begin() if explicit else None
+            with pytest.raises((DuplicateKeyError, LockConflictError)) as info:
+                statement(db, txn)
+            if explicit:
+                db.abort(txn)
+            state = _observable_state(db)
+            assert state["wal"][-1][2].value == "ABORT" and state["flushed"]
+            outcomes.append((type(info.value), state))
+        assert outcomes[0] == outcomes[1]
+        if case.startswith("multi-row"):
+            # The rows finished before the failure were undone.
+            types = [entry[2].value for entry in outcomes[0][1]["wal"]]
+            tail = types[len(types) - 1 - types[::-1].index("BEGIN"):]
+            undone = tail.count("CLR")
+            assert undone >= 1 and tail == (
+                ["BEGIN"] + [case.split()[1].upper()] * undone
+                + ["CLR"] * undone + ["ABORT"])
+
+    def test_success_matches_explicit_commit_and_holds_nothing(self):
+        outcomes = []
+        for explicit in (False, True):
+            db = _people_twin()
+            txn = db.begin() if explicit else None
+            db.insert("people", {"person_id": 7, "name": "new"}, txn)
+            if explicit:
+                db.commit(txn)
+            db.update("people", {"person_id": 7}, {"age": 1})
+            db.delete("people", {"name": "ada"})
+            outcomes.append(_observable_state(db))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0]["locks"] == {} and outcomes[0]["transactions"] == []
+
+    def test_handles_survive_ddl_crash_restore_and_catalog_reset(self, people_db):
+        db = people_db
+        by_age = db.prepare_select("people", ("age",))
+        by_id = db.prepare_select("people", ("person_id",))
+        insert = db.prepare_insert("people")
+
+        def check(expect_ids):
+            assert sorted(row["person_id"] for row in by_age(36)) == expect_ids
+            assert [row["name"] for row in by_id(1)] == ["ada"]
+            assert by_id(999) == []
+
+        check([1])
+        db.create_index("people_age", "people", ("age",))
+        assert by_age.index is None          # resolved before the DDL ...
+        check([1])
+        assert by_age.index.name == "people_age"     # ... re-resolved by it
+        insert({"person_id": 4, "name": "twin", "age": 36})
+        check([1, 4])
+        image = db.backup("with 4")
+        db.crash()
+        db.recover()
+        check([1, 4])
+        insert({"person_id": 5, "name": "late", "age": 36})
+        check([1, 4, 5])
+        for index in db.catalog.indexes_of("people"):
+            assert len(index) == 5
+        db.restore(image)
+        check([1, 4])
+        insert({"person_id": 5, "name": "again", "age": 36})
+        check([1, 4, 5])
+        db.reset_catalog()
+        from repro.errors import NoSuchTableError
+        with pytest.raises(NoSuchTableError):
+            by_id(1)
+        db.recover()                         # redo from the restore checkpoint
+        check([1, 4, 5])
+
+    def test_flush_listener_sees_one_durable_batch_per_policy(self, people_db):
+        from repro.storage.wal import FlushPolicy
+
+        db = people_db
+        batches = []
+        cursor = [db.wal.flushed_lsn]
+
+        def ship(wal):
+            records = wal.records_from(cursor[0])
+            cursor[0] = wal.flushed_lsn
+            batches.append([record.type.value for record in records])
+
+        db.wal.add_flush_listener(ship)
+        db.insert("people", {"person_id": 20, "name": "immediate"})
+        assert batches == [["BEGIN", "INSERT", "COMMIT"]]
+        del batches[:]
+        db.set_flush_policy(FlushPolicy.GROUP, group_commit_window=3)
+        log_writes = db.clock.stats.count("log_write")
+        for person_id in (21, 22):
+            db.insert("people", {"person_id": person_id, "name": "grouped"})
+        assert batches == [] and db.wal.pending_commits == 2
+        assert db.clock.stats.count("log_write") == log_writes
+        db.insert("people", {"person_id": 23, "name": "grouped"})
+        assert batches == [["BEGIN", "INSERT", "COMMIT"] * 3]
+        assert db.clock.stats.count("log_write") == log_writes + 1

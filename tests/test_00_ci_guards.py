@@ -268,9 +268,14 @@ class TestIntegerTimeStaysOneDesign:
             f"charge sites reach into the clock's ledger: {offenders}"
         assert "_mirror_stats" not in sources["repro/simclock.py"]
 
-    def test_no_batched_charges_flag(self, sources):
-        assert not [name for name, text in sources.items()
-                    if "BATCHED_CHARGES" in text]
+    #: Retired reference-path flags and the machinery they gated: every
+    #: operation has one implementation (ROADMAP item 1).
+    RETIRED = ("BATCHED_CHARGES", "FAST_SCANS", "_point_select", "_AutoTxn")
+
+    def test_retired_flags_and_twins_stay_gone(self, sources):
+        offenders = [f"{name}: {word}" for name, text in sources.items()
+                     for word in self.RETIRED if word in text]
+        assert not offenders, f"a retired path grew back: {offenders}"
 
     def test_no_hand_rolled_ledger_block_at_a_charge_site(self, sources):
         """The old inline site was ``try: cell = cells[key]; cell[0] += 1

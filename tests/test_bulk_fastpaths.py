@@ -1,9 +1,7 @@
 """Bulk per-link fast paths vs their scalar reference implementations.
 
-Three module flags gate the million-link-tier fast paths:
+Two module flags gate the million-link-tier fast paths:
 
-* :data:`repro.storage.database.FAST_SCANS` -- the unlocked point-SELECT
-  short cut;
 * :data:`repro.datalinks.engine.BULK_TOKEN_HANDOUT` -- the batched
   ``get_datalink_many`` host transaction that mints a whole read plan's
   tokens without the per-call session/engine dispatch frames;
@@ -20,7 +18,9 @@ smoke-configuration workloads (E14 includes the end-of-run audit).
 
 :meth:`Database.max_key` (the DLFM's id allocation) has no reference twin:
 it is the only path, charged at constant cost, and is checked here against
-a brute-force maximum and a fixed charge ledger.
+a brute-force maximum and a fixed charge ledger.  Neither has a dict
+``where``: it is one prepared statement (no flag), checked against a
+predicate scan written in the test.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import random
 import pytest
 
 import repro.datalinks.engine as engine_module
-import repro.storage.database as database_module
 import repro.workloads.audit as audit_module
 from repro.simclock import SimClock
 from repro.storage.database import Database
@@ -38,8 +37,7 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 
 #: The fast-path flags toggled together by the workload-level tests.
-FLAGS = ((database_module, "FAST_SCANS"),
-         (engine_module, "BULK_TOKEN_HANDOUT"),
+FLAGS = ((engine_module, "BULK_TOKEN_HANDOUT"),
          (audit_module, "BATCHED_AUDIT"))
 
 
@@ -201,44 +199,107 @@ class TestMaxKey:
 
 
 class TestPointSelectIdentity:
-    """Unlocked point selects, flag on vs flag off, across where shapes."""
+    """A dict ``where`` is one prepared statement, whatever its access path.
+
+    Seeded property test against a reference written here: the same
+    equality conjunction as a Python predicate, which the database can
+    only answer by scanning the heap.  The dict form must return the same
+    rows in the same order and leave the same per-label ledger and clock
+    ticks, plus the ``index_probe`` a complete primary key owes --
+    enumerating candidates through any other index is free.
+    """
 
     _WHERE_SHAPES = (
         {"k": 3},            # single-PK hit
         {"k": 999},          # single-PK miss
         {"v": 6},            # secondary-index bucket (duplicates)
         {"v": -1},           # secondary-index miss
-        {"w": 2},            # unindexed column: general-path fallback
-        {"k": 3, "v": 9},    # two-column where: general-path fallback
+        {"w": 2},            # unindexed column: heap scan
+        {"k": 3, "v": 9},    # primary key plus a residual column
         None,                # full scan
-        {},                  # empty where: general path
+        {},                  # empty where: full scan
+        {"w": 2, "x": 1},    # composite secondary key
+        {"x": 0, "w": 3},    # ... bound in the other order
+        {"v": 6, "w": 2, "x": 0},   # 3 columns: index on v, residual w, x
+        {"link": "dlfs://srv/f/7"},     # DATALINK-derived index
+        {"link": "http://other/f/7"},   # same file, other spelling: no row
+        {"link": "dlfs://srv/f/7", "w": 2},
     )
 
-    def _scenario(self, seed: int) -> tuple:
-        rng = random.Random(seed)
-        db = _make_docs_db()
-        for key in range(40):
-            db.insert("docs", {"k": key, "v": (key % 10) * 3, "w": key % 5})
-        for victim in rng.sample(range(40), 6):
-            db.delete("docs", {"k": victim})
-        results = []
-        for step in range(60):
-            where = self._WHERE_SHAPES[rng.randrange(len(self._WHERE_SHAPES))]
-            results.append(db.select("docs",
-                                     dict(where) if where is not None
-                                     else None, lock=False))
-        # Locked transactional selects must bypass the short cut entirely.
-        txn = db.begin()
-        results.append(db.select("docs", {"k": 3}, txn))
-        db.commit(txn)
-        return results, _stats_cells(db.clock.stats), db.clock.now()
+    def _make_db(self) -> Database:
+        db = Database("shapes", SimClock())
+        db.create_table(TableSchema("docs", [
+            Column("k", DataType.INTEGER, nullable=False),
+            Column("v", DataType.INTEGER),
+            Column("w", DataType.INTEGER),
+            Column("x", DataType.INTEGER),
+            Column("link", DataType.DATALINK),
+        ], primary_key=("k",)))
+        db.create_index("docs_by_v", "docs", ("v",))
+        db.create_index("docs_by_w_x", "docs", ("w", "x"))
+        db.create_index("docs_by_link", "docs", ("link",))
+        return db
+
+    @staticmethod
+    def _measured(db, call):
+        before, ticks = _stats_cells(db.clock.stats), db.clock.ticks
+        rows = call()
+        after = _stats_cells(db.clock.stats)
+        moved = {label: (cell[0] - before.get(label, (0, 0))[0],
+                         cell[1] - before.get(label, (0, 0))[1])
+                 for label, cell in after.items() if cell != before.get(label)}
+        return rows, moved, db.clock.ticks - ticks
 
     @pytest.mark.parametrize("seed", [5, 20260807, 909090])
-    def test_fast_path_matches_general_path(self, seed, monkeypatch):
-        fast = _with_flags(monkeypatch, True, lambda: self._scenario(seed))
-        reference = _with_flags(monkeypatch, False,
-                                lambda: self._scenario(seed))
-        assert fast == reference
+    def test_dict_where_matches_predicate_scan(self, seed):
+        rng = random.Random(seed)
+        db = self._make_db()
+        for key in range(40):
+            db.insert("docs", {"k": key, "v": (key % 10) * 3, "w": key % 5,
+                               "x": key % 2,
+                               "link": f"dlfs://srv/f/{key % 20}"})
+        for victim in rng.sample(range(40), 6):
+            db.delete("docs", {"k": victim})
+        probe_ticks = db.clock.unit_ticks("index_probe", 1.0)
+        for _ in range(80):
+            where = self._WHERE_SHAPES[rng.randrange(len(self._WHERE_SHAPES))]
+            bound = dict(where or {})
+            if bound and rng.random() < 0.5:
+                # Re-draw one bound value so hits and misses both occur.
+                column = rng.choice(sorted(bound))
+                if column != "link":
+                    bound[column] = rng.randrange(-1, 12)
+            rows, moved, ticks = self._measured(
+                db, lambda: db.select(
+                    "docs", None if where is None else dict(bound),
+                    lock=False))
+            expected, owed, owed_ticks = self._measured(
+                db, lambda: db.select(
+                    "docs", lambda row: all(row[column] == value
+                                            for column, value in bound.items()),
+                    lock=False))
+            if "k" in bound:
+                count, total = owed.get("index_probe", (0, 0))
+                owed["index_probe"] = (count + 1, total + probe_ticks)
+                owed_ticks += probe_ticks
+            assert rows == expected, where
+            assert moved == owed, where
+            assert ticks == owed_ticks, where
+
+    def test_locked_transactional_selects_still_lock(self):
+        db = self._make_db()
+        for key in range(6):
+            db.insert("docs", {"k": key, "v": key % 2, "w": 0, "x": 0,
+                               "link": None})
+        txn = db.begin()
+        rows, moved, _ = self._measured(
+            db, lambda: db.select("docs", {"v": 1}, txn))
+        assert [row["k"] for row in rows] == [1, 3, 5]
+        assert moved["lock_acquire"][0] == moved["row_read"][0] == 3
+        assert db.locks.locks_of(txn.txn_id) == {
+            ("row", "docs", row["_rid"]) for row in rows}
+        db.commit(txn)
+        assert db.locks.locks_of(txn.txn_id) == set()
 
 
 class TestBulkHandoutTokenStream:
