@@ -33,6 +33,13 @@ from repro.fs.inode import FileAttributes
 from repro.fs.logical import LogicalFileSystem
 from repro.fs.vfs import Credentials, OpenFlags
 from repro.simclock import synchronized_call
+from repro.util.urls import parse_url
+
+#: The host barrier of every session that runs on the host clock itself.
+_NO_BARRIER = contextlib.nullcontext()
+#: ``put_file`` creates parent directories as the superuser.
+_ROOT_CRED = Credentials(uid=0, gid=0, username="root")
+
 
 class SyncedFileSystem:
     """A file server's LFS as seen from another clock domain.
@@ -46,7 +53,13 @@ class SyncedFileSystem:
     accrues on the server's timeline, and the client's clock merges up to
     the completion -- so a client-side stopwatch sees the true end-to-end
     latency, including any queueing behind other work on that server.
+
+    Built by :func:`synced_lfs`, one per (client domain, server) with two
+    distinct clocks (a caller on the server's clock gets the LFS itself),
+    so an instance is three references and the brackets belong to the class.
     """
+
+    __slots__ = ("_lfs", "_client_clock", "_server_clock")
 
     def __init__(self, lfs: LogicalFileSystem, client_clock, server_clock):
         self._lfs = lfs
@@ -54,38 +67,43 @@ class SyncedFileSystem:
         self._server_clock = server_clock
 
     def __getattr__(self, name: str):
-        attribute = getattr(self._lfs, name)
-        if not callable(attribute):
-            return attribute
+        # Everything but the system calls bracketed below is the LFS's own.
+        return getattr(self._lfs, name)
+
+
+def _bracketed(syscall):
+    """*syscall* of the LFS as a :class:`SyncedFileSystem` method, inside
+    the body of ``synchronized_call`` with its three clock calls (send_ticks
+    / sync_ticks / receive_ticks) written out as direct attribute work."""
+
+    def synced_call(self, *args, **kwargs):
         client, server = self._client_clock, self._server_clock
-        if client is None or server is None or client is server:
-            self.__dict__[name] = attribute
-            return attribute
-
-        def synced_call(*args, **kwargs):
-            # The body of ``synchronized_call`` with the three clock calls
-            # (send_ticks / sync_ticks / receive_ticks) written out as
-            # direct attribute work: this wrapper brackets every proxied
-            # syscall.
+        frames = client._overlap_frames
+        instant = frames[-1][0] if frames else client.ticks
+        if instant > server.ticks:
+            server.ticks = instant
+        try:
+            return syscall(self._lfs, *args, **kwargs)
+        finally:
+            instant = server.ticks
             frames = client._overlap_frames
-            instant = frames[-1][0] if frames else client.ticks
-            if instant > server.ticks:
-                server.ticks = instant
-            try:
-                return attribute(*args, **kwargs)
-            finally:
-                instant = server.ticks
-                frames = client._overlap_frames
-                if frames:
-                    frame = frames[-1]
-                    if instant > frame[1]:
-                        frame[1] = instant
-                elif instant > client.ticks:
-                    client.ticks = instant
+            if frames:
+                frame = frames[-1]
+                if instant > frame[1]:
+                    frame[1] = instant
+            elif instant > client.ticks:
+                client.ticks = instant
 
-        # Cache the bound wrapper so later accesses skip __getattr__.
-        self.__dict__[name] = synced_call
-        return synced_call
+    return synced_call
+
+
+for _name in ("open", "close", "read", "write", "lseek", "stat", "fstat",
+              "exists", "unlink", "rename", "mkdir", "makedirs", "rmdir",
+              "listdir", "chmod", "chown", "truncate", "lock_file",
+              "unlock_file", "read_file", "write_file"):
+    setattr(SyncedFileSystem, _name,
+            _bracketed(getattr(LogicalFileSystem, _name)))
+del _name
 
 
 def synced_lfs(system, server_name: str, client_clock=None):
@@ -97,8 +115,7 @@ def synced_lfs(system, server_name: str, client_clock=None):
     are cached on the system -- per server name for host-clock callers (a
     name binds to one :class:`FileServer` for the system's lifetime;
     ``add_file_server`` refuses duplicates), per ``(server, client)`` pair
-    otherwise -- so the proxy and the per-method wrappers it accumulates
-    are reused across every session call.
+    otherwise -- so the proxy is reused across every session call.
     """
 
     try:
@@ -190,7 +207,7 @@ class Session:
     :meth:`repro.api.system.DataLinksSystem.client_domains`); it defaults
     to the host domain, the classic co-located client.  A session on its
     own domain barriers through the host for SQL-path work
-    (:meth:`_host_barrier`) and syncs file-system calls directly against
+    (``_host_barrier``) and syncs file-system calls directly against
     the serving node's domain, so its timeline measures true end-to-end
     latency including queueing behind other clients.
     """
@@ -199,19 +216,12 @@ class Session:
         self.system = system
         self.cred = cred
         self.clock = system.clock if clock is None else clock
-        #: True when this session rides its own client domain (the SQL
-        #: path must then two-way merge with the host domain per call).
-        self._remote = self.clock is not system.clock
+        #: The context SQL-path work runs in: a session riding its own
+        #: client domain two-way merges with the host domain per call,
+        #: through this one bracket; on the host clock nothing merges.
+        self._host_barrier = _NO_BARRIER if self.clock is system.clock \
+            else synchronized_call(self.clock, system.clock)
         self._txn: HostTransaction | None = None
-
-    def _host_barrier(self):
-        """Two-way merge with the host domain around SQL-path work.
-
-        A no-op context for host-clock sessions (``synchronized_call``
-        yields immediately when caller and callee are the same clock).
-        """
-
-        return synchronized_call(self.clock, self.system.clock)
 
     @contextlib.contextmanager
     def admitted(self):
@@ -238,21 +248,21 @@ class Session:
     def begin(self) -> HostTransaction:
         if self._txn is not None:
             raise DataLinksError("a transaction is already active in this session")
-        with self._host_barrier():
+        with self._host_barrier:
             self._txn = self.system.engine.begin()
         return self._txn
 
     def commit(self) -> None:
         if self._txn is None:
             raise DataLinksError("no active transaction")
-        with self._host_barrier():
+        with self._host_barrier:
             self.system.engine.commit(self._txn)
         self._txn = None
 
     def abort(self) -> None:
         if self._txn is None:
             raise DataLinksError("no active transaction")
-        with self._host_barrier():
+        with self._host_barrier:
             self.system.engine.abort(self._txn)
         self._txn = None
 
@@ -293,36 +303,36 @@ class Session:
         from repro.storage.sql import SQLExecutor
 
         executor = SQLExecutor(self.system.host_db, engine=self.system.engine)
-        with self._host_barrier():
+        with self._host_barrier:
             return executor.execute(statement, self._txn)
 
     def insert(self, table: str, row: dict) -> int:
-        with self._host_barrier():
+        with self._host_barrier:
             return self.system.engine.insert(table, row, self._txn)
 
     def insert_many(self, table: str, rows: list[dict]) -> list[int]:
         """Multi-row INSERT with batched (pipelined) link processing."""
 
-        with self._host_barrier():
+        with self._host_barrier:
             return self.system.engine.insert_many(table, rows, self._txn)
 
     def update(self, table: str, where, changes: dict) -> int:
-        with self._host_barrier():
+        with self._host_barrier:
             return self.system.engine.update(table, where, changes, self._txn)
 
     def delete(self, table: str, where) -> int:
-        with self._host_barrier():
+        with self._host_barrier:
             return self.system.engine.delete(table, where, self._txn)
 
     def select(self, table: str, where=None, **kwargs) -> list[dict]:
-        with self._host_barrier():
+        with self._host_barrier:
             return self.system.engine.select(table, where, self._txn, **kwargs)
 
     def get_datalink(self, table: str, where, column: str, *,
                      access: str = "read", ttl: float | None = None) -> str | None:
         """Retrieve a DATALINK URL with an embedded access token."""
 
-        with self._host_barrier():
+        with self._host_barrier:
             return self.system.engine.get_datalink(
                 table, where, column, access=access,
                 host_txn=self._txn, ttl=ttl)
@@ -337,7 +347,7 @@ class Session:
         :meth:`repro.datalinks.engine.DataLinksEngine.get_datalink_many`).
         """
 
-        with self._host_barrier():
+        with self._host_barrier:
             return self.system.engine.get_datalink_many(
                 table, wheres, column, access=access,
                 host_txn=self._txn, ttl=ttl)
@@ -359,10 +369,9 @@ class Session:
 
         lfs = synced_lfs(self.system, server, self.clock)
         directory = path.rsplit("/", 1)[0] or "/"
-        root_cred = Credentials(uid=0, gid=0, username="root")
         if directory != "/":
-            lfs.makedirs(directory, root_cred)
-            lfs.chown(directory, self.cred.uid, self.cred.gid, root_cred)
+            lfs.makedirs(directory, _ROOT_CRED)
+            lfs.chown(directory, self.cred.uid, self.cred.gid, _ROOT_CRED)
         lfs.write_file(path, content, self.cred)
         return self.system.engine.make_url(server, path)
 
@@ -424,8 +433,6 @@ class Session:
         return lfs.open(tokenized_path(url), flags, self.cred)
 
     def _server_of(self, url: str) -> str:
-        from repro.util.urls import parse_url
-
         return parse_url(url).server
 
     def _route_url(self, url: str, *, write: bool) -> str:
@@ -439,8 +446,6 @@ class Session:
         servers the router does not manage -- resolve to the URL's server,
         the pre-routing behavior.
         """
-
-        from repro.util.urls import parse_url
 
         parsed = parse_url(url)
         router = self.system.engine.router

@@ -18,8 +18,6 @@ model.
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.datalinks.backup_coordinator import BackupCoordinator, SystemBackup
 from repro.datalinks.dlfm.archive import ArchiveServer
 from repro.datalinks.dlfm.daemons import MainDaemon, UpcallDaemon
@@ -269,8 +267,7 @@ class DataLinksSystem:
             server.dlfm.repository.db.wal.flush()
 
     # ----------------------------------------------------------------- background --
-    @contextlib.contextmanager
-    def _at_server(self, server: FileServer):
+    def _at_server(self, server: FileServer) -> synchronized_call:
         """Run an administrative request on *server* and wait for it.
 
         The request departs from the host/console domain and the caller's
@@ -278,8 +275,7 @@ class DataLinksSystem:
         admin round trip between clock domains.
         """
 
-        with synchronized_call(self.clock, server.clock):
-            yield server
+        return synchronized_call(self.clock, server.clock)
 
     def run_archiver(self) -> int:
         """Process pending asynchronous archive jobs on every file server."""

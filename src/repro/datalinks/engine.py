@@ -47,7 +47,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, options_of_column
 from repro.datalinks.dlfm.daemons import DLFMConnection, MainDaemon
 from repro.datalinks.tokens import TokenCache, TokenManager, TokenType
@@ -64,12 +63,8 @@ from repro.storage.values import DataType
 from repro.util.lsn import LSN
 from repro.util.urls import format_url, parse_url
 
-#: Gates the vectorized token-handout fast path
-#: (:meth:`DataLinksEngine.get_datalink_many`).  ``False`` replays the batch
-#: through the scalar :meth:`~DataLinksEngine.get_datalink` per row; both
-#: modes produce bit-identical token streams and simulated charges (see
-#: tests/test_bulk_fastpaths.py).
-BULK_TOKEN_HANDOUT = True
+#: The scatter-gather window of an engine that has no clock.
+_NO_WINDOW = contextlib.nullcontext()
 
 
 @dataclass
@@ -100,6 +95,83 @@ class _MetadataRule:
     mtime_column: str | None
     #: The prepared UPDATE binding *column* to a referenced file's path.
     update: object
+
+
+class _ColumnPlan:
+    """What token handout needs of one ``(table, column)``, resolved once.
+
+    All of it is fixed by the schema: that the column is a DATALINK, its
+    control mode, its default token TTL and, per access kind the mode
+    grants, the token type to mint (``None``: the URL goes out bare).  Like
+    a prepared statement the plan re-resolves itself when ``db.catalog`` or
+    ``catalog.version`` differs, so DDL, ``crash`` / ``recover`` and
+    ``restore`` need no hook; ``selects`` holds such a statement, the
+    SELECT, per ``where`` shape.
+    """
+
+    __slots__ = ("table", "column", "selects", "catalog", "version", "mode",
+                 "ttl", "token_types")
+
+    def __init__(self, table: str, column: str):
+        self.table = table
+        self.column = column
+        self.selects: dict[tuple, object] = {}
+        self.catalog = None
+
+    def resolve(self, catalog) -> None:
+        schema_column = catalog.schema(self.table).column(self.column)
+        if schema_column.dtype is not DataType.DATALINK:
+            raise ControlModeError(
+                f"column {self.column!r} is not a DATALINK column")
+        options = options_of_column(schema_column)
+        self.mode = mode = options.control_mode
+        self.ttl = options.token_ttl
+        self.token_types = {
+            "read": TokenType.READ if mode.requires_read_token else None}
+        if mode.supports_update:
+            self.token_types["write"] = TokenType.WRITE
+        self.catalog = catalog
+        self.version = catalog.version
+
+    def refusal(self, access: str) -> ControlModeError:
+        """Why ``token_types`` has no entry for *access*."""
+
+        if access != "write":
+            return ControlModeError(f"unknown access kind {access!r}")
+        mode = self.mode
+        return ControlModeError(
+            f"files linked in {mode.value} mode cannot be updated through "
+            f"the database (write access is "
+            f"{'blocked' if mode.write_blocked else 'file-system controlled'})")
+
+
+class _StatementTransaction:
+    """``with _StatementTransaction(engine, host_txn) as active``: the
+    caller's transaction, or one begun for this statement alone -- committed
+    when the block ends, aborted when it raises an ``Exception``."""
+
+    __slots__ = ("_engine", "_given", "_own")
+
+    def __init__(self, engine: "DataLinksEngine",
+                 host_txn: HostTransaction | None):
+        self._engine = engine
+        self._given = host_txn
+        self._own = None
+
+    def __enter__(self) -> HostTransaction:
+        if self._given is not None:
+            return self._given
+        self._own = self._engine.begin()
+        return self._own
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        own = self._own
+        if own is None:
+            return
+        if exc_type is None:
+            self._engine.commit(own)
+        elif issubclass(exc_type, Exception):
+            self._engine.abort(own)
 
 
 def _references_file(router, column: str, server: str, path: str):
@@ -144,6 +216,7 @@ class DataLinksEngine:
         self.default_token_ttl = default_token_ttl
         self._servers: dict[str, _FileServerEntry] = {}
         self._metadata_rules: list[_MetadataRule] = []
+        self._column_plans: dict[tuple, _ColumnPlan] = {}
         #: Fault-injection hooks: ``{point_name: callable}``.  The commit
         #: protocol fires points named ``commit:begin``,
         #: ``commit:prepared:<server>``, ``commit:before_host_commit``,
@@ -162,15 +235,10 @@ class DataLinksEngine:
         if hook is not None:
             hook()
 
-    @contextlib.contextmanager
     def _overlap(self):
         """Scatter-gather window on the host clock for participant fan-outs."""
 
-        if self.clock is None:
-            yield
-            return
-        with self.clock.overlap():
-            yield
+        return self.clock.overlap() if self.clock is not None else _NO_WINDOW
 
     # -------------------------------------------------------------- token cache --
     def enable_token_cache(self, min_remaining_fraction: float = 0.5) -> TokenCache:
@@ -442,25 +510,11 @@ class DataLinksEngine:
         return {name: entry.manager.resolve_in_doubt()
                 for name, entry in sorted(self._servers.items())}
 
-    @contextlib.contextmanager
-    def _auto(self, host_txn: HostTransaction | None):
-        if host_txn is not None:
-            yield host_txn
-            return
-        auto = self.begin()
-        try:
-            yield auto
-        except Exception:
-            self.abort(auto)
-            raise
-        else:
-            self.commit(auto)
-
     # --------------------------------------------------------------------- DML --
     def insert(self, table: str, row: dict, host_txn: HostTransaction | None = None) -> int:
         """INSERT with link processing for every non-null DATALINK value."""
 
-        with self._auto(host_txn) as active:
+        with _StatementTransaction(self, host_txn) as active:
             rid = self.db.insert(table, row, active.txn)
             for column in self.db.catalog.schema(table).datalink_columns():
                 url = row.get(column.name)
@@ -478,7 +532,7 @@ class DataLinksEngine:
         per row -- the batched link pipeline of the scale-out design.
         """
 
-        with self._auto(host_txn) as active:
+        with _StatementTransaction(self, host_txn) as active:
             rids = self.db.insert_many(table, rows, active.txn)
             links: dict[str, list[tuple[str, DatalinkOptions]]] = {}
             for column in self.db.catalog.schema(table).datalink_columns():
@@ -500,7 +554,7 @@ class DataLinksEngine:
         round trip per enlisted server, not one per row.
         """
 
-        with self._auto(host_txn) as active:
+        with _StatementTransaction(self, host_txn) as active:
             schema = self.db.catalog.schema(table)
             doomed = self.db.select(table, where, active.txn, for_update=True)
             count = self.db.delete(table, where, active.txn)
@@ -524,7 +578,7 @@ class DataLinksEngine:
         IPC round trips per enlisted server.
         """
 
-        with self._auto(host_txn) as active:
+        with _StatementTransaction(self, host_txn) as active:
             schema = self.db.catalog.schema(table)
             datalink_changes = [column for column in schema.datalink_columns()
                                 if column.name in changes]
@@ -629,166 +683,83 @@ class DataLinksEngine:
         :class:`ControlModeError`, mirroring SQL errors in the prototype.
         """
 
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._dispatch
-            clock.ticks += amount
-            meter[0] += 1
-        txn = host_txn.txn if host_txn is not None else None
-        rows = self.db.select(table, where, txn)
-        if not rows:
-            return None
-        row = rows[0]
-        schema_column = self.db.catalog.schema(table).column(column)
-        if schema_column.dtype is not DataType.DATALINK:
-            raise ControlModeError(f"column {column!r} is not a DATALINK column")
-        url_text = row.get(column)
-        if not url_text:
-            return None
-        options = options_of_column(schema_column)
-        mode = options.control_mode
-        parsed = parse_url(url_text)
-        token = self._token_for(parsed.server, parsed.path, mode, access,
-                                ttl if ttl is not None else options.token_ttl)
-        return parsed.with_token(token).render()
+        return self._handout(table, where, column, access,
+                             host_txn.txn if host_txn is not None else None,
+                             ttl)
 
     def get_datalink_many(self, table: str, wheres, column: str, *,
                           access: str = "read",
                           host_txn: HostTransaction | None = None,
                           ttl: float | None = None) -> list:
-        """Mint a whole read plan's tokens as one vectorized handout.
+        """Mint a whole read plan's tokens in one call.
 
-        Semantically ``[self.get_datalink(table, where, column, ...) for
-        where in wheres]`` -- and that scalar loop is exactly what runs when
-        :data:`BULK_TOKEN_HANDOUT` is off.  The fast path hoists the
-        per-call machinery out of the loop -- schema and option resolution,
-        the router and server-entry lookups, the token-cache probe -- while
-        keeping every per-row charge in scalar order, so the token stream
-        and all simulated timestamps are bit-identical to the reference:
-        handout is host-side SQL whose rows mint back to back, nothing
-        between two rows touches any clock, which is what makes the hoist
-        safe.
+        ``[self.get_datalink(table, where, column, ...) for where in
+        wheres]`` without the per-call session and keyword frames: the same
+        per-row handout, row after row.
         """
 
-        if not BULK_TOKEN_HANDOUT:
-            return [self.get_datalink(table, where, column, access=access,
-                                      host_txn=host_txn, ttl=ttl)
-                    for where in wheres]
-        clock = self.clock
         txn = host_txn.txn if host_txn is not None else None
-        db = self.db
-        router = self.router
-        servers = self._servers
-        token_cache = self.token_cache
-        want_write = access == "write"
-        schema_column = None
-        is_datalink = False
-        mode = None
-        token_ttl = ttl
-        results = []
-        shape = select = None
-        for where in wheres:
-            if clock is not None:
-                amount, meter = self._dispatch
-                clock.ticks += amount
-                meter[0] += 1
-            if type(where) is dict:
-                # One prepared statement per where shape, fetched once.
-                if tuple(where) != shape:
-                    shape = tuple(where)
-                    select = db.prepare_select(table, shape)
-                rows = select(*where.values(), txn=txn)
-            else:
-                rows = db.select(table, where, txn)
-            if not rows:
-                results.append(None)
-                continue
-            if schema_column is None:
-                schema_column = self.db.catalog.schema(table).column(column)
-                is_datalink = schema_column.dtype is DataType.DATALINK
-            if not is_datalink:
-                raise ControlModeError(
-                    f"column {column!r} is not a DATALINK column")
-            url_text = rows[0].get(column)
-            if not url_text:
-                results.append(None)
-                continue
-            if mode is None:
-                options = options_of_column(schema_column)
-                mode = options.control_mode
-                if token_ttl is None:
-                    token_ttl = options.token_ttl
-            parsed = parse_url(url_text)
-            # ``_token_for`` inlined: owner-shard resolution, the server
-            # entry, and the access checks in the scalar's exact order.
-            server = parsed.server if router is None else \
-                router.owner_shard(parsed.server, parsed.path)
-            name = server if router is None else router.writable_node(server)
-            try:
-                entry = servers[name]
-            except KeyError:
-                raise DataLinksError(
-                    f"no file server registered under {server!r}") from None
-            if want_write:
-                if not mode.supports_update:
-                    raise ControlModeError(
-                        f"files linked in {mode.value} mode cannot be updated "
-                        f"through the database (write access is "
-                        f"{'blocked' if mode.write_blocked else 'file-system controlled'})")
-                token_type = TokenType.WRITE
-            elif access != "read":
-                raise ControlModeError(f"unknown access kind {access!r}")
-            elif mode.requires_read_token:
-                token_type = TokenType.READ
-            else:
-                results.append(parsed.with_token(None).render())
-                continue
-            path = parsed.path
-            if token_cache is not None:
-                token = token_cache.lookup(server, path, token_type,
-                                           token_ttl)
-                if token is None:
-                    token = entry.tokens.generate(path, token_type, token_ttl)
-                    token_cache.store(server, path, token_type, token_ttl,
-                                      token)
-            else:
-                token = entry.tokens.generate(path, token_type, token_ttl)
-            results.append(parsed.with_token(token).render())
-        return results
+        handout = self._handout
+        return [handout(table, where, column, access, txn, ttl)
+                for where in wheres]
 
-    def _token_for(self, server: str, path: str, mode: ControlMode, access: str,
-                   ttl: float) -> str | None:
+    def _handout(self, table: str, where, column: str, access: str,
+                 txn: Transaction | None, ttl: float | None) -> str | None:
+        """One row's handout: dispatch, SELECT, token, tokenized URL."""
+
+        clock = self.clock
+        if clock is not None:
+            amount, meter = self._dispatch
+            clock.ticks += amount
+            meter[0] += 1
+        try:
+            plan = self._column_plans[table, column]
+        except KeyError:
+            plan = self._column_plans[table, column] = \
+                _ColumnPlan(table, column)
+        db = self.db
+        if type(where) is dict:
+            shape = tuple(where)
+            try:
+                select = plan.selects[shape]
+            except KeyError:
+                select = plan.selects[shape] = db.prepare_select(table, shape)
+            rows = select(*where.values(), txn=txn)
+        else:
+            rows = db.select(table, where, txn)
+        if not rows:
+            return None
+        catalog = db.catalog
+        if catalog is not plan.catalog or catalog.version != plan.version:
+            plan.resolve(catalog)
+        url_text = rows[0].get(column)
+        if not url_text:
+            return None
+        parsed = parse_url(url_text)
+        path = parsed.path
         # Tokens must be signed with the secret of the node that will
         # validate them: the prefix's current owner (witnesses share their
         # primary's secret, so failover needs no re-signing; a rebalanced
         # prefix validates on the destination shard).
-        server = self._owner(server, path)
+        server = self._owner(parsed.server, path)
         entry = self._entry(server)
-        if access == "write":
-            if not mode.supports_update:
-                raise ControlModeError(
-                    f"files linked in {mode.value} mode cannot be updated through "
-                    f"the database (write access is "
-                    f"{'blocked' if mode.write_blocked else 'file-system controlled'})")
-            return self._generate_token(entry, server, path, TokenType.WRITE, ttl)
-        if access != "read":
-            raise ControlModeError(f"unknown access kind {access!r}")
-        if mode.requires_read_token:
-            return self._generate_token(entry, server, path, TokenType.READ, ttl)
-        return None
-
-    def _generate_token(self, entry: _FileServerEntry, server: str, path: str,
-                        token_type: TokenType, ttl: float) -> str:
-        """Generate a token, reusing a cached live one when caching is on."""
-
-        if self.token_cache is not None:
-            cached = self.token_cache.lookup(server, path, token_type, ttl)
-            if cached is not None:
-                return cached
-        token = entry.tokens.generate(path, token_type, ttl)
-        if self.token_cache is not None:
-            self.token_cache.store(server, path, token_type, ttl, token)
-        return token
+        try:
+            token_type = plan.token_types[access]
+        except KeyError:
+            raise plan.refusal(access) from None
+        token = None
+        if token_type is not None:
+            if ttl is None:
+                ttl = plan.ttl
+            # A cached live token is handed out again when caching is on.
+            cache = self.token_cache
+            if cache is not None:
+                token = cache.lookup(server, path, token_type, ttl)
+            if token is None:
+                token = entry.tokens.generate(path, token_type, ttl)
+                if cache is not None:
+                    cache.store(server, path, token_type, ttl, token)
+        return parsed.with_token(token).render()
 
     # ------------------------------------------------------- metadata maintenance --
     def update_file_metadata(self, server: str, path: str, size: int, mtime: float,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import InvalidTokenError, TokenExpiredError
 from repro.simclock import TICKS_PER_SECOND, SimClock
@@ -63,9 +63,8 @@ class TokenType(enum.Enum):
 _TOKEN_TYPES_BY_CODE = {member.value: member for member in TokenType}
 
 
-@dataclass(frozen=True, slots=True)
-class AccessToken:
-    """A parsed access token."""
+class AccessToken(NamedTuple):
+    """A parsed access token (a named tuple, see :mod:`repro.fs.inode`)."""
 
     token_type: TokenType
     expires_at: float
@@ -88,7 +87,7 @@ class AccessToken:
             expires_at = float(expiry_text)
         except ValueError:
             raise InvalidTokenError(f"malformed token {text!r}") from None
-        return cls(token_type=token_type, expires_at=expires_at, signature=signature)
+        return cls(token_type, expires_at, signature)
 
 
 class TokenCache:

@@ -1,9 +1,23 @@
-"""Inodes and file attribute snapshots."""
+"""Inodes and file attribute snapshots.
+
+**Why the value objects are tuples.**  :class:`FileAttributes` -- like
+:class:`repro.fs.vfs.Vnode`, :class:`repro.util.urls.DatalinkURL` and
+:class:`repro.datalinks.tokens.AccessToken` -- is a
+:class:`typing.NamedTuple`, not a frozen dataclass.  These are built on
+every operation (a read takes two attribute snapshots to learn one size),
+and a frozen slotted dataclass pays one ``object.__setattr__`` per field
+inside a generated ``__init__`` where a tuple is one C call.  The contract
+is the same: immutable, hashable, equal by value, built by keyword or by
+position, properties and methods kept.  What an inode fixes for life is not
+rebuilt at all: the file system makes its :class:`~repro.fs.vfs.Vnode` once,
+with the inode, and hands that one out.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class FileType(enum.Enum):
@@ -36,28 +50,21 @@ class Inode:
     ctime: float = 0.0
     blocks: list[int] = field(default_factory=list)
     entries: dict[str, int] = field(default_factory=dict)   # directories only
+    #: The owning file system's :class:`~repro.fs.vfs.Vnode` for this
+    #: inode, made with it: neither half of it can change.
+    vnode: tuple | None = None
 
     @property
     def is_directory(self) -> bool:
         return self.ftype is FileType.DIRECTORY
 
     def attributes(self) -> "FileAttributes":
-        return FileAttributes(
-            ino=self.ino,
-            ftype=self.ftype,
-            mode=self.mode,
-            uid=self.uid,
-            gid=self.gid,
-            size=self.size,
-            nlink=self.nlink,
-            atime=self.atime,
-            mtime=self.mtime,
-            ctime=self.ctime,
-        )
+        return FileAttributes(self.ino, self.ftype, self.mode, self.uid,
+                              self.gid, self.size, self.nlink, self.atime,
+                              self.mtime, self.ctime)
 
 
-@dataclass(frozen=True, slots=True)
-class FileAttributes:
+class FileAttributes(NamedTuple):
     """An immutable snapshot of an inode's metadata (what ``stat`` returns)."""
 
     ino: int

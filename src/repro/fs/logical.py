@@ -27,6 +27,7 @@ from repro.fs.vfs import (
     VFSOperations,
     Vnode,
 )
+from repro.util.urls import split_token_from_name
 
 _WRITE_TRUNC = OpenFlags.WRITE | OpenFlags.TRUNCATE
 _WRITE_TRUNC_CREATE = _WRITE_TRUNC | OpenFlags.CREATE
@@ -561,8 +562,6 @@ class LogicalFileSystem:
 @functools.lru_cache(maxsize=8192)
 def _normalize_path_for_table(path: str) -> str:
     """Strip an embedded token from the final component for bookkeeping."""
-
-    from repro.util.urls import split_token_from_name
 
     normalized = _normalize(path)
     parent, _, name = normalized.rpartition("/")

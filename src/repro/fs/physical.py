@@ -93,10 +93,12 @@ class PhysicalFileSystem(VFSOperations):
         # instant (no charge can land between the three reads).
         clock = self.clock
         born = clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
-        inode = Inode(ino=self._next_ino, ftype=ftype, mode=mode, uid=uid, gid=gid,
-                      atime=born, mtime=born, ctime=born)
-        self._inodes[inode.ino] = inode
-        self._next_ino += 1
+        ino = self._next_ino
+        inode = Inode(ino=ino, ftype=ftype, mode=mode, uid=uid, gid=gid,
+                      atime=born, mtime=born, ctime=born,
+                      vnode=Vnode(self.fs_id, ino))
+        self._inodes[ino] = inode
+        self._next_ino = ino + 1
         return inode
 
     def inode(self, ino: int) -> Inode:
@@ -107,9 +109,6 @@ class PhysicalFileSystem(VFSOperations):
 
     def _inode_of(self, vnode: Vnode) -> Inode:
         return self.inode(vnode.ino)
-
-    def _vnode_of(self, inode: Inode) -> Vnode:
-        return Vnode(fs_id=self.fs_id, ino=inode.ino)
 
     def _check(self, inode: Inode, cred: Credentials, *, read: bool = False,
                write: bool = False, exec_: bool = False) -> None:
@@ -132,7 +131,7 @@ class PhysicalFileSystem(VFSOperations):
 
     # ------------------------------------------------------------ directory ops --
     def root_vnode(self) -> Vnode:
-        return Vnode(fs_id=self.fs_id, ino=ROOT_INO)
+        return self._inodes[ROOT_INO].vnode
 
     def fs_lookup(self, dir_vnode: Vnode, name: str, cred: Credentials) -> Vnode:
         # The hottest VFS entry point (every path component of every
@@ -169,11 +168,10 @@ class PhysicalFileSystem(VFSOperations):
         if name in (".", ""):
             return dir_vnode
         try:
-            ino = directory.entries[name]
+            return self._inodes[directory.entries[name]].vnode
         except KeyError:
             raise fs_error(Errno.ENOENT,
                            f"no entry {name!r} in inode {directory.ino}") from None
-        return Vnode(fs_id=self.fs_id, ino=ino)
 
     def fs_create(self, dir_vnode: Vnode, name: str, mode: int,
                   cred: Credentials) -> Vnode:
@@ -198,7 +196,7 @@ class PhysicalFileSystem(VFSOperations):
             if clock is not None else 0.0
         if clock is not None:
             clock.charge("fs_metadata_update")
-        return Vnode(fs_id=self.fs_id, ino=inode.ino)
+        return inode.vnode
 
     def fs_mkdir(self, dir_vnode: Vnode, name: str, mode: int,
                  cred: Credentials) -> Vnode:
@@ -224,7 +222,7 @@ class PhysicalFileSystem(VFSOperations):
             if clock is not None else 0.0
         if clock is not None:
             clock.charge("fs_metadata_update")
-        return Vnode(fs_id=self.fs_id, ino=inode.ino)
+        return inode.vnode
 
     def fs_remove(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
         clock = self.clock
@@ -453,21 +451,17 @@ class PhysicalFileSystem(VFSOperations):
 
     # ------------------------------------------------------------- block helpers --
     def _read_range(self, inode: Inode, offset: int, length: int) -> bytes:
-        if offset >= inode.size:
+        size = inode.size
+        if offset >= size:
             return b""
-        end = inode.size if length <= 0 else min(inode.size, offset + length)
+        end = size if length <= 0 or offset + length > size else offset + length
+        # The whole block span in one device call and one join; the slice
+        # trims the partial first and last blocks.
         block_size = self.device.block_size
-        chunks = []
-        position = offset
-        while position < end:
-            block_index = position // block_size
-            block_offset = position % block_size
-            take = min(block_size - block_offset, end - position)
-            block_no = inode.blocks[block_index]
-            block = self.device.read_block(block_no)
-            chunks.append(block[block_offset: block_offset + take])
-            position += take
-        return b"".join(chunks)
+        data = b"".join(self.device.read_blocks(inode.blocks[
+            offset // block_size: (end + block_size - 1) // block_size]))
+        skip = offset % block_size
+        return data[skip: skip + end - offset]
 
     def _write_range(self, inode: Inode, offset: int, data: bytes) -> None:
         block_size = self.device.block_size

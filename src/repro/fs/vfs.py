@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.fs.inode import FileAttributes
 
@@ -74,12 +75,12 @@ class Credentials:
         return self.uid == 0
 
 
-@dataclass(frozen=True, slots=True)
-class Vnode:
+class Vnode(NamedTuple):
     """A reference to a file object inside one VFS instance.
 
     Vnodes compare by (file system identity, inode number) so a vnode obtained
-    through a filter layer equals the vnode of the underlying file.
+    through a filter layer equals the vnode of the underlying file.  A file
+    system makes one per inode and hands that out (see :mod:`repro.fs.inode`).
     """
 
     fs_id: str

@@ -80,11 +80,17 @@ statement charges, IPC latency) do not call :meth:`SimClock.charge`; they
 take a ``(ticks, meter)`` pair from :meth:`SimClock.meter` once and write
 the charge out as ``clock.ticks += ticks; meter[0] += 1`` -- one add and one
 counter bump (see :class:`ClockStats` for how meters are read back).
+
+**Why the brackets are classes.**  :class:`synchronized_call` and
+:meth:`SimClock.overlap` wrap every cross-domain call and every fan-out.
+As ``@contextlib.contextmanager`` functions each use built a generator and
+a ``_GeneratorContextManager`` and resumed the generator twice; as small
+``__slots__`` classes a use is one object and two method calls, and a
+bracket, which only names two clocks, can be made once and reused.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -449,25 +455,11 @@ class SimClock:
         self.receive_ticks(to_ticks(seconds))
         return self.now()
 
-    def begin_overlap(self) -> None:
-        """Open a scatter-gather window anchored at the current time."""
+    def overlap(self) -> "_OverlapWindow":
+        """``with clock.overlap():`` -- a scatter-gather window anchored at
+        the current time; closing it advances to the max gathered reply."""
 
-        self._overlap_frames.append([self.ticks, self.ticks])
-
-    def end_overlap(self) -> None:
-        """Close the innermost window: advance to the max gathered reply."""
-
-        self.receive_ticks(self._overlap_frames.pop()[1])
-
-    @contextlib.contextmanager
-    def overlap(self):
-        """Context manager around :meth:`begin_overlap`/:meth:`end_overlap`."""
-
-        self.begin_overlap()
-        try:
-            yield self
-        finally:
-            self.end_overlap()
+        return _OverlapWindow(self)
 
     # -- cost charging -------------------------------------------------------
     def unit_ticks(self, primitive: str, scale: float = 1.0) -> int:
@@ -621,25 +613,52 @@ class SimClock:
         return Stopwatch(self)
 
 
-@contextlib.contextmanager
-def synchronized_call(caller, callee):
+class _OverlapWindow:
+    """One scatter-gather window of a clock (see :meth:`SimClock.overlap`)."""
+
+    __slots__ = ("_clock",)
+
+    def __init__(self, clock: SimClock):
+        self._clock = clock
+
+    def __enter__(self) -> SimClock:
+        clock = self._clock
+        clock._overlap_frames.append([clock.ticks, clock.ticks])
+        return clock
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        clock = self._clock
+        clock.receive_ticks(clock._overlap_frames.pop()[1])
+
+
+class synchronized_call:
     """Two-way merge around a synchronous cross-domain call.
 
     The callee cannot start before the caller's message was sent
     (``callee.sync_ticks(caller.send_ticks())``), and the caller cannot
     continue before the callee finished (``caller.receive_ticks(callee.ticks)``,
     applied even when the body raises -- failures take time too).  A no-op
-    when the two clocks are the same object or either is ``None``.
+    when the two clocks are the same object or either is ``None``.  It
+    keeps nothing between uses: one instance can be entered again, or nested.
     """
 
-    if caller is None or callee is None or caller is callee:
-        yield
-        return
-    callee.sync_ticks(caller.send_ticks())
-    try:
-        yield
-    finally:
-        caller.receive_ticks(callee.ticks)
+    __slots__ = ("_caller", "_callee")
+
+    def __init__(self, caller, callee):
+        if caller is None or callee is None or caller is callee:
+            caller = callee = None
+        self._caller = caller
+        self._callee = callee
+
+    def __enter__(self) -> None:
+        caller = self._caller
+        if caller is not None:
+            self._callee.sync_ticks(caller.send_ticks())
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        caller = self._caller
+        if caller is not None:
+            caller.receive_ticks(self._callee.ticks)
 
 
 def rendezvous(*clocks) -> float:

@@ -223,22 +223,14 @@ class WriteAheadLog:
     def records_from(self, lsn: LSN, durable_only: bool = True) -> list[LogRecord]:
         """Records with LSN strictly greater than *lsn*.
 
-        LSNs are append-ordered, so the start position is found by binary
-        search -- a WAL shipper polling after every flush stays O(log n +
-        shipped) instead of rescanning the whole log each time.
+        LSNs are dense -- :meth:`append` numbers from 1 and
+        :meth:`lose_unflushed` resumes at last + 1 -- so the record with
+        LSN *n* sits at position *n* - 1 and the suffix is one slice.
         """
 
         limit = self._flushed_count if durable_only else len(self._records)
-        target = int(lsn)
-        records = self._records
-        low, high = 0, limit
-        while low < high:
-            mid = (low + high) // 2
-            if records[mid].lsn > target:
-                high = mid
-            else:
-                low = mid + 1
-        return records[low:limit]
+        start = int(lsn)
+        return self._records[start if start > 0 else 0:limit]
 
     def records_of(self, txn_id: int, durable_only: bool = False) -> list[LogRecord]:
         # Served from a per-transaction index: scanning the whole log here

@@ -8,21 +8,21 @@ validates the token during ``fs_lookup``.
 
 Parsing and formatting are memoized: the engine re-parses the same URL text
 on every operation (token minting, routing, open, update, unlink all start
-from the URL), and :class:`DatalinkURL` is frozen, so cached instances are
-safely shared between call sites.
+from the URL), and :class:`DatalinkURL` is immutable (a named tuple, see
+:mod:`repro.fs.inode`), so cached instances are safely shared between call
+sites.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TOKEN_SEPARATOR = ";token="
 DEFAULT_SCHEME = "dlfs"
 
 
-@dataclass(frozen=True, slots=True)
-class DatalinkURL:
+class DatalinkURL(NamedTuple):
     """A parsed DATALINK reference.
 
     ``path`` is always absolute (leading ``/``) and never carries a token;
@@ -90,7 +90,7 @@ def parse_url(text: str) -> DatalinkURL:
         path = path[:slash + 1] + segment[:index]
     if not server:
         raise ValueError(f"DATALINK URL is missing a server: {text!r}")
-    return DatalinkURL(scheme=scheme, server=server, path=path, token=token)
+    return DatalinkURL(scheme, server, path, token)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -100,7 +100,7 @@ def format_url(server: str, path: str, *, scheme: str = DEFAULT_SCHEME,
 
     if not path.startswith("/"):
         path = "/" + path
-    return DatalinkURL(scheme=scheme, server=server, path=path, token=token).render()
+    return DatalinkURL(scheme, server, path, token).render()
 
 
 def split_token_from_name(name: str) -> tuple[str, str | None]:

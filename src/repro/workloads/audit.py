@@ -85,8 +85,8 @@ def _audit_batched(deployment, session, table: str, key_column: str,
     token_ttl = ttl if ttl is not None else options.token_ttl
     needs_token = mode.requires_read_token
     # Per-server (open, read, close) triplets through the clock-synced
-    # proxies -- the attribute loads resolve the cached ``synced_call``
-    # wrappers once per server instead of once per row.
+    # proxies -- the attribute loads bind the ``synced_call`` methods
+    # once per server instead of once per row.
     proxies: dict = {}
     lost = 0
     for row in deployment.host_db.select(table, lock=False):

@@ -1,5 +1,7 @@
 """Unit tests for the write-ahead log and the lock manager."""
 
+import random
+
 import pytest
 
 from repro.errors import DeadlockError, LockConflictError
@@ -42,6 +44,41 @@ class TestWriteAheadLog:
         wal.flush()
         later = wal.records_from(first.lsn)
         assert [r.type for r in later] == [LogRecordType.COMMIT]
+
+    @pytest.mark.parametrize("seed", [2, 99, 20261002])
+    def test_records_from_is_the_lsn_filter_because_lsns_are_dense(self, seed):
+        """``records_from`` takes the suffix by position.  The reference is
+        the filter it stands for, over every cursor a shipper could hold,
+        after each step of a seeded mix of appends, flushes, crashes and
+        group-commit windows -- and position ``i`` holds LSN ``i + 1``
+        throughout, which is what lets a position stand for an LSN."""
+
+        rng = random.Random(seed)
+        wal = WriteAheadLog(flush_policy=rng.choice(["immediate", "group"]),
+                            group_window=rng.randint(2, 5))
+        for step in range(120):
+            action = rng.randrange(10)
+            if action < 5:
+                wal.append(rng.randrange(1, 6), LogRecordType.INSERT,
+                           table="t", rid=step, after={"a": step})
+            elif action < 7:
+                wal.append(rng.randrange(1, 6), LogRecordType.COMMIT)
+                wal.note_commit()
+            elif action == 7:
+                wal.flush()
+            elif action == 8:
+                wal.lose_unflushed()
+            else:
+                wal.set_flush_policy(rng.choice(["immediate", "group"]),
+                                     rng.randint(1, 4))
+            everything = wal.records()
+            assert [int(r.lsn) for r in everything] == \
+                list(range(1, len(everything) + 1))
+            for durable_only in (True, False):
+                visible = wal.records(durable_only=durable_only)
+                for lsn in range(-1, int(wal.tail_lsn()) + 2):
+                    assert wal.records_from(lsn, durable_only=durable_only) \
+                        == [r for r in visible if r.lsn > lsn], (step, lsn)
 
     def test_records_of_transaction(self):
         wal = WriteAheadLog()

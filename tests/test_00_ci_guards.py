@@ -270,7 +270,8 @@ class TestIntegerTimeStaysOneDesign:
 
     #: Retired reference-path flags and the machinery they gated: every
     #: operation has one implementation (ROADMAP item 1).
-    RETIRED = ("BATCHED_CHARGES", "FAST_SCANS", "_point_select", "_AutoTxn")
+    RETIRED = ("BATCHED_CHARGES", "FAST_SCANS", "_point_select", "_AutoTxn",
+               "BULK_TOKEN_HANDOUT")
 
     def test_retired_flags_and_twins_stay_gone(self, sources):
         offenders = [f"{name}: {word}" for name, text in sources.items()
@@ -324,3 +325,63 @@ class TestIntegerTimeStaysOneDesign:
             for count, ticks in group.stats.ledger().values():
                 assert type(count) is int and type(ticks) is int
         assert charged > 100
+
+
+class TestNothingRebuiltPerRead:
+    """Per-operation code builds only what is per-operation: the value
+    objects are tuples, the clock bracket is a class, and the read path
+    runs no ``import`` statement."""
+
+    def test_the_clock_bracket_is_a_class_not_a_generator(self):
+        import inspect
+
+        from repro import simclock
+
+        assert inspect.isclass(simclock.synchronized_call)
+        assert not inspect.isgeneratorfunction(simclock.synchronized_call)
+        assert "__dict__" not in dir(simclock.synchronized_call(None, None))
+        assert not inspect.isgeneratorfunction(simclock.SimClock.overlap)
+
+    def test_the_value_objects_are_tuples(self):
+        from repro.datalinks.tokens import AccessToken
+        from repro.fs.inode import FileAttributes
+        from repro.fs.vfs import Vnode
+        from repro.util.urls import DatalinkURL
+
+        for cls in (FileAttributes, Vnode, DatalinkURL, AccessToken):
+            assert issubclass(cls, tuple), cls
+            assert cls.__slots__ == (), cls
+
+    #: Functions every read runs: ``{file: {(class or None, function)}}``.
+    READ_PATH = {
+        "repro/api/session.py": {
+            ("Session", "read_url"), ("Session", "_route_url"),
+            ("Session", "_server_of"), ("Session", "get_datalink"),
+            ("Session", "get_datalink_many")},
+        "repro/datalinks/uip.py": {
+            (None, "tokenized_path"), (None, "open_for_read")},
+        "repro/fs/logical.py": {(None, "_normalize_path_for_table")},
+    }
+
+    def test_no_import_statement_on_the_read_path(self):
+        import ast
+
+        for relpath, wanted in self.READ_PATH.items():
+            tree = ast.parse((SRC_ROOT / relpath).read_text(encoding="utf-8"))
+            scopes = [(None, tree)] + [
+                (node.name, node) for node in tree.body
+                if isinstance(node, ast.ClassDef)]
+            found = set()
+            for owner, scope in scopes:
+                for node in scope.body:
+                    if not isinstance(node, ast.FunctionDef) \
+                            or (owner, node.name) not in wanted:
+                        continue
+                    found.add((owner, node.name))
+                    imports = [inner.lineno for inner in ast.walk(node)
+                               if isinstance(inner, (ast.Import,
+                                                     ast.ImportFrom))]
+                    assert not imports, (
+                        f"{relpath}: {node.name} runs an import statement "
+                        f"per call (line {imports})")
+            assert found == wanted, f"{relpath}: missing {wanted - found}"

@@ -1,20 +1,16 @@
 """Bulk per-link fast paths vs their scalar reference implementations.
 
-Two module flags gate the million-link-tier fast paths:
+One module flag is left: :data:`repro.workloads.audit.BATCHED_AUDIT` -- the
+committed-link audit with its per-row machinery hoisted out of the loop.
+It must be *bit-identical* to the scalar reference it replaces: same
+result values, same token streams, and the same simulated ledger -- every
+:class:`~repro.simclock.ClockStats` label's count and total, every domain
+timestamp, and the cluster wall clock -- flag-on vs flag-off on the real
+E14 smoke configuration (which ends with the audit).
 
-* :data:`repro.datalinks.engine.BULK_TOKEN_HANDOUT` -- the batched
-  ``get_datalink_many`` host transaction that mints a whole read plan's
-  tokens without the per-call session/engine dispatch frames;
-* :data:`repro.workloads.audit.BATCHED_AUDIT` -- the committed-link audit
-  with its per-row machinery hoisted out of the loop.
-
-Every fast path must be *bit-identical* to the scalar reference it
-replaces: same result values, same token streams, and the same simulated
-ledger -- every :class:`~repro.simclock.ClockStats` label's count and
-total, every domain timestamp, and the cluster wall clock.  These tests
-assert that first on seeded random programs against twin reference
-implementations, then flag-on vs flag-off on the real E1/E9/E14
-smoke-configuration workloads (E14 includes the end-of-run audit).
+``get_datalink_many`` has no flag and no twin in ``src/``: it loops the
+per-row handout ``get_datalink`` calls, and is checked against the scalar
+loop written here, on twin systems.
 
 :meth:`Database.max_key` (the DLFM's id allocation) has no reference twin:
 it is the only path, charged at constant cost, and is checked here against
@@ -29,7 +25,6 @@ import random
 
 import pytest
 
-import repro.datalinks.engine as engine_module
 import repro.workloads.audit as audit_module
 from repro.simclock import SimClock
 from repro.storage.database import Database
@@ -37,8 +32,7 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 
 #: The fast-path flags toggled together by the workload-level tests.
-FLAGS = ((engine_module, "BULK_TOKEN_HANDOUT"),
-         (audit_module, "BATCHED_AUDIT"))
+FLAGS = ((audit_module, "BATCHED_AUDIT"),)
 
 
 def _stats_cells(stats) -> dict:
@@ -302,93 +296,110 @@ class TestPointSelectIdentity:
         assert db.locks.locks_of(txn.txn_id) == set()
 
 
-class TestBulkHandoutTokenStream:
-    """``get_datalink_many`` vs the scalar per-where handout loop."""
+class TestBulkHandoutIsTheScalarLoop:
+    """``get_datalink_many(wheres)`` against the reference written here:
+    ``[get_datalink(where) for where in wheres]`` on a twin system -- same
+    values (hence the same token stream), same error at the same row, same
+    per-label ledger in every domain and the same ticks."""
 
-    _WHERES = ({"file_id": 3}, {"file_id": 1}, {"file_id": 3},
-               {"file_id": 99}, {"file_id": 7}, {"file_id": 1},
-               {"file_id": 0})
+    #: file_ids 0..5 are linked files, 50 holds a NULL url, 99 is no row.
+    FILES = 6
 
-    def _scenario(self) -> tuple:
+    def _twin(self, mode, token_cache: bool):
         from repro.bench.experiments import FILES_TABLE, build_microsystem
-        from repro.datalinks.control_modes import ControlMode
 
-        system, _, _ = build_microsystem(ControlMode.RDB, size=4096, files=10)
-        urls = system.engine.get_datalink_many(
-            FILES_TABLE, [dict(where) for where in self._WHERES], "doc",
-            access="read")
-        return urls, _group_snapshot(system.clocks)
+        system, _, _ = build_microsystem(mode, size=512, files=self.FILES)
+        system.engine.insert(FILES_TABLE, {"file_id": 50, "doc": None,
+                                           "doc_size": 0, "doc_mtime": 0.0})
+        if token_cache:
+            system.engine.enable_token_cache()
+        return system
 
-    def test_urls_and_ledger_match_scalar_reference(self, monkeypatch):
-        fast = _with_flags(monkeypatch, True, self._scenario)
-        reference = _with_flags(monkeypatch, False, self._scenario)
-        urls, _ = fast
-        assert urls[3] is None          # the miss stays a miss
-        assert all(url is not None for index, url in enumerate(urls)
-                   if index != 3)
-        assert fast == reference
+    def _wheres(self, rng, count: int) -> list:
+        wheres = []
+        for _ in range(count):
+            kind = rng.randrange(8)
+            if kind == 0:
+                wheres.append({"file_id": 99})
+            elif kind == 1:
+                wheres.append({"file_id": 50})
+            elif kind == 2:
+                # Not a dict: the statement goes through ``db.select``.
+                wanted = rng.randrange(self.FILES)
+                wheres.append(lambda row, wanted=wanted:
+                              row["file_id"] == wanted)
+            else:
+                # Repeats included: they are what the token cache serves.
+                wheres.append({"file_id": rng.randrange(self.FILES)})
+        return wheres
 
-    def test_write_access_errors_match_scalar_reference(self, monkeypatch):
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
-        from repro.datalinks.control_modes import ControlMode
+    @staticmethod
+    def _outcome(system, call) -> tuple:
         from repro.errors import DataLinksError
 
-        def attempt():
-            system, _, _ = build_microsystem(ControlMode.RDB, size=1024,
-                                             files=2)
-            # rdb blocks writes: the bulk path must raise the same
-            # refusal, at the same point, as the scalar handout.
-            with pytest.raises(DataLinksError) as excinfo:
-                system.engine.get_datalink_many(
-                    FILES_TABLE, [{"file_id": 0}], "doc", access="write")
-            return str(excinfo.value)
+        try:
+            value = call()
+        except DataLinksError as error:
+            value = (type(error).__name__, str(error))
+        return value, _group_snapshot(system.clocks)
 
-        fast = _with_flags(monkeypatch, True, attempt)
-        reference = _with_flags(monkeypatch, False, attempt)
-        assert fast == reference
-
-    def test_flag_actually_gates_the_path(self, monkeypatch):
-        """Sanity: the reference mode really routes through ``get_datalink``."""
-
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
+    @pytest.mark.parametrize("token_cache", [False, True])
+    @pytest.mark.parametrize("seed", [3, 777, 20261002])
+    def test_values_errors_ledger_and_ticks_match(self, seed, token_cache):
+        from repro.bench.experiments import FILES_TABLE
         from repro.datalinks.control_modes import ControlMode
 
-        calls = []
-        original = engine_module.DataLinksEngine.get_datalink
+        rng = random.Random(seed)
+        seen = {"token": 0, "bare": 0, "none": 0, "refused": 0}
+        for mode in (ControlMode.RDB, ControlMode.RFD, ControlMode.RDD):
+            for access in ("read", "write"):
+                wheres = self._wheres(rng, 14)
+                ttl = rng.choice([None, 30.0])
+                bulk = self._twin(mode, token_cache)
+                scalar = self._twin(mode, token_cache)
+                got = self._outcome(bulk, lambda: bulk.engine.get_datalink_many(
+                    FILES_TABLE, wheres, "doc", access=access, ttl=ttl))
+                want = self._outcome(scalar, lambda: [
+                    scalar.engine.get_datalink(FILES_TABLE, where, "doc",
+                                               access=access, ttl=ttl)
+                    for where in wheres])
+                assert got == want, (mode, access)
+                urls = got[0]
+                if mode is ControlMode.RDB and access == "write":
+                    # rdb blocks writes: refused at the first row with a url.
+                    assert urls[0] == "ControlModeError" \
+                        and "cannot be updated" in urls[1]
+                    seen["refused"] += 1
+                    continue
+                for url in urls:
+                    kind = "none" if url is None else \
+                        "token" if ";token=" in url else "bare"
+                    seen[kind] += 1
+                if token_cache:
+                    assert bulk.engine.token_cache_stats() == \
+                        scalar.engine.token_cache_stats()
+        assert all(seen.values()), seen
 
-        def counting(self, *args, **kwargs):
-            calls.append(args[0])
-            return original(self, *args, **kwargs)
+    def test_unknown_access_kind_is_refused_like_the_scalar(self):
+        from repro.bench.experiments import FILES_TABLE
+        from repro.datalinks.control_modes import ControlMode
 
-        monkeypatch.setattr(engine_module.DataLinksEngine, "get_datalink",
-                            counting)
-        system, _, _ = build_microsystem(ControlMode.RDB, size=1024, files=4)
-        wheres = [{"file_id": index} for index in range(4)]
-        monkeypatch.setattr(engine_module, "BULK_TOKEN_HANDOUT", False)
-        system.engine.get_datalink_many(FILES_TABLE, wheres, "doc")
-        assert len(calls) == 4
-        calls.clear()
-        monkeypatch.setattr(engine_module, "BULK_TOKEN_HANDOUT", True)
-        system.engine.get_datalink_many(FILES_TABLE, wheres, "doc")
-        assert calls == []
+        bulk = self._twin(ControlMode.RDD, False)
+        scalar = self._twin(ControlMode.RDD, False)
+        got = self._outcome(bulk, lambda: bulk.engine.get_datalink_many(
+            FILES_TABLE, [{"file_id": 99}, {"file_id": 1}], "doc",
+            access="append"))
+        want = self._outcome(scalar, lambda: [
+            scalar.engine.get_datalink(FILES_TABLE, where, "doc",
+                                       access="append")
+            for where in ({"file_id": 99}, {"file_id": 1})])
+        assert got == want
+        assert got[0] == ("ControlModeError", "unknown access kind 'append'")
 
 
 class TestSmokeWorkloadLedgerIdentity:
-    """The real E1/E9/E14 smoke configurations, all flags on vs all off."""
-
-    def _run_e1(self) -> dict:
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
-        from repro.datalinks.control_modes import ControlMode
-
-        system, _, _ = build_microsystem(ControlMode.RDB, size=4096, files=10)
-        for _ in range(2):
-            system.engine.select(FILES_TABLE, {"file_id": 3}, lock=False)
-            system.engine.get_datalink(FILES_TABLE, {"file_id": 3}, "doc",
-                                       access="read")
-        system.engine.get_datalink_many(
-            FILES_TABLE, [{"file_id": index} for index in (1, 3, 3, 99)],
-            "doc", access="read")
-        return _group_snapshot(system.clocks)
+    """The real E14 smoke configuration, ``BATCHED_AUDIT`` on vs off (and
+    the E9 one as the fixture of the composite-index check)."""
 
     def _run_e9(self) -> dict:
         from repro.bench.experiments import SMOKE_PARAMS
@@ -435,11 +446,9 @@ class TestSmokeWorkloadLedgerIdentity:
         snapshot["counters"] = dict(metrics.counters)
         return snapshot
 
-    @pytest.mark.parametrize("scenario", ["_run_e1", "_run_e9", "_run_e14"])
-    def test_every_label_count_and_total_matches(self, scenario, monkeypatch):
-        runner = getattr(self, scenario)
-        fast = _with_flags(monkeypatch, True, runner)
-        reference = _with_flags(monkeypatch, False, runner)
+    def test_every_label_count_and_total_matches(self, monkeypatch):
+        fast = _with_flags(monkeypatch, True, self._run_e14)
+        reference = _with_flags(monkeypatch, False, self._run_e14)
         assert set(fast["merged"]) == set(reference["merged"])
         for label, cell in reference["merged"].items():
             assert fast["merged"][label] == cell, (

@@ -8,6 +8,7 @@ random shard interleavings of a real sharded deployment and across a
 replicated shard's failover/fail-back cycle.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -78,6 +79,110 @@ class TestMergeLaws:
             # the inner gather feeds the outer frame, not now()
             assert clock.now() == pytest.approx(1.0)
         assert clock.now() == pytest.approx(9.0)
+
+
+@contextlib.contextmanager
+def _generator_synchronized_call(caller, callee):
+    """The generator bracket the class replaced, kept as the reference for
+    :class:`TestSynchronizedCallBracket`."""
+
+    if caller is None or callee is None or caller is callee:
+        yield
+        return
+    callee.sync_ticks(caller.send_ticks())
+    try:
+        yield
+    finally:
+        caller.receive_ticks(callee.ticks)
+
+
+class TestSynchronizedCallBracket:
+    def test_body_raising_still_merges_the_caller_forward(self):
+        from repro.simclock import synchronized_call
+
+        caller, callee = SimClock(start=2.0), SimClock(start=1.0)
+        with pytest.raises(RuntimeError):
+            with synchronized_call(caller, callee):
+                assert callee.ticks == caller.ticks   # synced to the send
+                callee.charge("disk_seek")
+                raise RuntimeError("the call failed, after taking its time")
+        assert caller.ticks == callee.ticks > SimClock(start=2.0).ticks
+
+    def test_nested_brackets_and_a_reused_bracket(self):
+        from repro.simclock import synchronized_call
+
+        a, b, c = SimClock(start=3.0), SimClock(), SimClock()
+        outer = synchronized_call(a, b)
+        with outer:
+            b.charge("row_read")
+            with synchronized_call(b, c):
+                c.charge("disk_seek")
+                with outer:                       # stateless: re-enterable
+                    b.charge("row_write")
+            assert b.ticks >= c.ticks
+        assert a.ticks == b.ticks >= c.ticks
+        first = a.ticks
+        with outer:
+            b.charge("row_read")
+        assert a.ticks == b.ticks > first
+
+    @pytest.mark.parametrize("pair", ["none-caller", "none-callee", "same"])
+    def test_no_op_brackets_touch_no_clock_and_leave_nothing_behind(self,
+                                                                    pair):
+        import sys
+
+        from repro.simclock import synchronized_call
+
+        clock, other = SimClock(start=1.0), SimClock(start=5.0)
+        caller, callee = {"none-caller": (None, other),
+                          "none-callee": (clock, None),
+                          "same": (clock, clock)}[pair]
+        bracket = synchronized_call(caller, callee)
+        assert not hasattr(bracket, "__dict__")
+        with bracket, clock.overlap():
+            pass                                   # warm every code path
+        before = (clock.ticks, other.ticks)
+        blocks = sys.getallocatedblocks()
+        for _ in range(500):
+            with bracket:
+                pass
+            with synchronized_call(caller, callee) as nothing:
+                assert nothing is None
+        assert sys.getallocatedblocks() - blocks < 10    # not 500
+        assert (clock.ticks, other.ticks) == before
+        assert clock.stats.ledger() == other.stats.ledger() == {}
+
+    @pytest.mark.parametrize("seed", [1, 58, 20261002])
+    def test_equals_the_generator_bracket_on_a_seeded_sequence(self, seed):
+        from repro.simclock import synchronized_call
+
+        def run(bracket):
+            rng = random.Random(seed)
+            clocks = [SimClock(start=rng.uniform(0, 2)) for _ in range(4)]
+            clocks.append(None)
+            trail = []
+            for _ in range(300):
+                caller, callee, inner = (rng.choice(clocks) for _ in range(3))
+                windowed = caller is not None and rng.random() < 0.3
+                fails = rng.random() < 0.25
+                work = rng.randrange(1, 4)
+                try:
+                    with caller.overlap() if windowed \
+                            else bracket(None, None):
+                        with bracket(caller, callee):
+                            if callee is not None:
+                                callee.charge("disk_seek", times=work)
+                            with bracket(callee, inner):
+                                if inner is not None:
+                                    inner.charge("row_read", times=work)
+                                if fails:
+                                    raise KeyError("body")
+                except KeyError:
+                    pass
+                trail.append([clock.ticks for clock in clocks[:-1]])
+            return trail
+
+        assert run(synchronized_call) == run(_generator_synchronized_call)
 
 
 class TestDomainGroupProperties:

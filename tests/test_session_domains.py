@@ -155,6 +155,156 @@ class TestSessionDomainPooling:
         assert all(clock.now() == pytest.approx(1.25) for clock in clients)
 
 
+class _ClosureProxy:
+    """The proxy :class:`SyncedFileSystem` replaced -- one closure per
+    method per instance, made on first use -- kept as the reference for
+    the bracket's semantics."""
+
+    def __init__(self, lfs, client_clock, server_clock):
+        self._lfs = lfs
+        self._client_clock = client_clock
+        self._server_clock = server_clock
+
+    def __getattr__(self, name):
+        attribute = getattr(self._lfs, name)
+        client, server = self._client_clock, self._server_clock
+
+        def synced_call(*args, **kwargs):
+            frames = client._overlap_frames
+            instant = frames[-1][0] if frames else client.ticks
+            if instant > server.ticks:
+                server.ticks = instant
+            try:
+                return attribute(*args, **kwargs)
+            finally:
+                instant = server.ticks
+                frames = client._overlap_frames
+                if frames:
+                    frame = frames[-1]
+                    if instant > frame[1]:
+                        frame[1] = instant
+                elif instant > client.ticks:
+                    client.ticks = instant
+
+        self.__dict__[name] = synced_call
+        return synced_call
+
+
+class TestSyncedFileSystemProxy:
+    BRACKETED = ("open", "close", "read", "write", "lseek", "stat", "fstat",
+                 "exists", "unlink", "rename", "mkdir", "makedirs", "rmdir",
+                 "listdir", "chmod", "chown", "truncate", "lock_file",
+                 "unlock_file", "read_file", "write_file")
+
+    def test_pooled_proxies_hold_three_references_and_no_functions(self):
+        from repro.api.session import SyncedFileSystem, synced_lfs
+
+        system = DataLinksSystem()
+        servers = [system.add_file_server(f"fs{index}") for index in range(4)]
+        clocks = system.client_domains(1000)
+        proxies = [synced_lfs(system, server.name, clock)
+                   for clock in clocks for server in servers]
+        assert len({id(proxy) for proxy in proxies}) == 4000
+        assert synced_lfs(system, "fs2", clocks[7]) is proxies[7 * 4 + 2]
+        for proxy in proxies[::97]:
+            assert type(proxy) is SyncedFileSystem
+            for name in self.BRACKETED:
+                # A bound method of the class, made on access and gone
+                # after the call: nothing accumulates on the instance.
+                assert getattr(proxy, name).__func__ \
+                    is getattr(SyncedFileSystem, name)
+            # No instance dict (``hasattr`` would be answered by the LFS).
+            with pytest.raises(AttributeError):
+                object.__getattribute__(proxy, "__dict__")
+        assert SyncedFileSystem.__slots__ == \
+            ("_lfs", "_client_clock", "_server_clock")
+        # Everything else is the LFS's own.
+        proxy = proxies[0]
+        assert proxy.clock is servers[0].lfs.clock
+        assert proxy.open_descriptors() == []
+        assert proxy.open_file_entry.__self__ is servers[0].lfs
+        with pytest.raises(AttributeError):
+            proxy.no_such_syscall
+
+    def test_host_clock_callers_share_one_proxy_per_server(self):
+        from repro.api.session import synced_lfs
+
+        system = DataLinksSystem()
+        server = system.add_file_server("fs0")
+        assert synced_lfs(system, "fs0") is synced_lfs(system, "fs0",
+                                                       system.clock)
+        # A caller on the server's own clock needs no bracket at all.
+        assert synced_lfs(system, "fs0", server.clock) is server.lfs
+
+    @pytest.mark.parametrize("seed", [4, 321, 20261002])
+    def test_bracket_equals_the_closure_proxy_on_a_seeded_sequence(self,
+                                                                   seed):
+        from repro.api.session import SyncedFileSystem
+        from repro.errors import FileSystemError
+        from repro.fs.vfs import Credentials, OpenFlags
+
+        cred = Credentials(uid=0, gid=0, username="root")
+
+        def run(proxy_class):
+            rng = random.Random(seed)
+            system = DataLinksSystem()
+            server = system.add_file_server("fs0")
+            clients = system.client_domains(3)
+            proxies = [proxy_class(server.lfs, client, server.clock)
+                       for client in clients]
+            written = []
+            trail = []
+            for step in range(160):
+                index = rng.randrange(3)
+                client, proxy = clients[index], proxies[index]
+                client.advance_local(rng.uniform(0, 0.01))
+                before = (client.ticks, server.clock.ticks)
+                windowed = rng.random() < 0.25
+                action = rng.randrange(5)
+                if windowed:
+                    client._overlap_frames.append([client.ticks,
+                                                   client.ticks])
+                sent = client.send_ticks()
+                try:
+                    if action == 0 or not written:
+                        path = f"/f{step}.bin"
+                        proxy.write_file(path, bytes(rng.randrange(1, 9000)),
+                                         cred)
+                        written.append(path)
+                        outcome = path
+                    elif action == 1:
+                        outcome = len(proxy.read_file(rng.choice(written),
+                                                      cred))
+                    elif action == 2:
+                        fd = proxy.open(rng.choice(written), OpenFlags.READ,
+                                        cred)
+                        outcome = (len(proxy.read(fd, 100)),
+                                   proxy.fstat(fd).size)
+                        proxy.close(fd)
+                    elif action == 3:
+                        outcome = proxy.stat("/missing", cred)   # raises
+                    else:
+                        outcome = proxy.exists(rng.choice(written), cred)
+                except FileSystemError as error:
+                    outcome = error.errno
+                # The server never ran behind the client's send instant ...
+                assert server.clock.ticks >= sent
+                if windowed:
+                    # ... inside a window the reply only raises its
+                    # pending max; the client moves when it closes.
+                    assert client.ticks == before[0]
+                    fork, pending = client._overlap_frames.pop()
+                    assert pending >= server.clock.ticks >= fork
+                    client.receive_ticks(pending)
+                # ... and the client is never behind the completion.
+                assert client.ticks >= server.clock.ticks >= before[1]
+                trail.append((outcome, [c.ticks for c in clients],
+                              server.clock.ticks))
+            return trail, system.clocks.stats.ledger()
+
+        assert run(SyncedFileSystem) == run(_ClosureProxy)
+
+
 class TestSessionDomainEquivalence:
     """SESSION_DOMAINS on/off: single-client runs are byte-identical."""
 
