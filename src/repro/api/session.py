@@ -223,27 +223,6 @@ class Session:
             else synchronized_call(self.clock, system.clock)
         self._txn: HostTransaction | None = None
 
-    @contextlib.contextmanager
-    def admitted(self):
-        """Hold a host admission slot for the duration of the block.
-
-        Yields the :class:`~repro.api.admission.AdmissionTicket` (``None``
-        when the system runs without admission control).  Queue delay is
-        charged to this session's clock by the controller, so a stopwatch
-        around the whole block measures end-to-end latency including the
-        wait for a connection slot.
-        """
-
-        controller = getattr(self.system, "admission", None)
-        if controller is None:
-            yield None
-            return
-        ticket = controller.acquire(self.clock)
-        try:
-            yield ticket
-        finally:
-            controller.release(ticket, self.clock)
-
     # -------------------------------------------------------------- transactions --
     def begin(self) -> HostTransaction:
         if self._txn is not None:

@@ -207,10 +207,8 @@ class DataLinksSystem:
         """Clock domains for *count* concurrent clients (pooled at *limit*).
 
         Delegates to :meth:`repro.simclock.ClockDomainGroup.session_domains`
-        with the host domain as the base: with
-        :data:`repro.simclock.SESSION_DOMAINS` off (or in serial mode)
-        every client shares the host clock, the serialized reference
-        model.
+        with the host domain as the base: in serial mode
+        (``serial_clock=True``) every client shares the host clock.
         """
 
         return self.clocks.session_domains(count, self.clock, limit=limit,
@@ -220,10 +218,10 @@ class DataLinksSystem:
         """Gate client operations behind *limit* host connection slots.
 
         Returns the :class:`~repro.api.admission.AdmissionController`.
-        Sessions hold a slot across an operation via
-        :meth:`repro.api.session.Session.admitted`; when every slot is
-        busy the client's clock waits (measured queue delay) until the
-        earliest slot frees, FIFO in simulated arrival order.
+        A :class:`~repro.workloads.clients.ClientPool` holds a slot across
+        each client operation; when every slot is busy the client's clock
+        waits (measured queue delay) until the earliest slot frees, FIFO
+        in simulated arrival order.
         """
 
         from repro.api.admission import AdmissionController

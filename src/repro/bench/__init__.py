@@ -2,8 +2,7 @@
 
 ``python -m repro.bench`` runs every experiment and prints its tables; the
 committed ``BENCH_smoke.json`` and ``BENCH_large.json`` record them for the
-smoke and large tiers.  ``benchmarks/`` contains the pytest-benchmark
-wrappers that measure the wall-clock cost of the same code paths.
+smoke and large tiers.
 """
 
 from repro.bench.metrics import ExperimentResult, format_table

@@ -1497,6 +1497,6 @@ def run_experiment(experiment_id: str, smoke: bool = False,
     return factory(**params.get(identifier, {}))
 
 
-# Public aliases used by the pytest-benchmark wrappers in ``benchmarks/``.
+# Public name of the one-server micro system, for tests that need the E1
+# fixture without running the experiment.
 build_microsystem = _build_system
-measure_simulated = _measure

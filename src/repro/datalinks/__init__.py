@@ -34,29 +34,6 @@ from repro.datalinks.control_modes import AccessControl, ControlMode
 from repro.datalinks.tokens import AccessToken, TokenManager, TokenType
 from repro.datalinks.datalink_type import DatalinkOptions, OnUnlink
 
-
-def __getattr__(name: str):
-    # Lazy: sharding builds on repro.api, which imports this package.
-    if name in ("ShardedDataLinksDeployment", "ShardRouter"):
-        from repro.datalinks import sharding
-
-        return getattr(sharding, name)
-    if name in ("EpochRegistry", "EpochGuard", "ReplicatedShard",
-                "ReplicaApplier", "WalShipper", "WitnessSoftState"):
-        from repro.datalinks import replication
-
-        return getattr(replication, name)
-    if name in ("ReplicationRouter", "NodeRole"):
-        from repro.datalinks import routing
-
-        return getattr(routing, name)
-    if name in ("PlacementMap", "PlacementGuard"):
-        from repro.datalinks import placement
-
-        return getattr(placement, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AccessControl",
     "ControlMode",
@@ -65,16 +42,4 @@ __all__ = [
     "TokenType",
     "DatalinkOptions",
     "OnUnlink",
-    "ShardedDataLinksDeployment",
-    "ShardRouter",
-    "EpochRegistry",
-    "EpochGuard",
-    "ReplicatedShard",
-    "ReplicaApplier",
-    "WalShipper",
-    "WitnessSoftState",
-    "ReplicationRouter",
-    "NodeRole",
-    "PlacementMap",
-    "PlacementGuard",
 ]

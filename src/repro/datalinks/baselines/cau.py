@@ -107,6 +107,3 @@ class CopyAndUpdateManager:
         del self._copies[key]
         self.checkins += 1
         return {"published": True, "lost_update": intervening and policy == "overwrite"}
-
-    def outstanding_copies(self) -> list[PrivateCopy]:
-        return list(self._copies.values())

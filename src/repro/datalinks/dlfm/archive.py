@@ -76,9 +76,5 @@ class ArchiveServer:
     def exists(self, archive_id: int) -> bool:
         return archive_id in self._objects
 
-    def objects_for(self, server: str, path: str | None = None) -> list[ArchiveObject]:
-        return [obj for obj in self._objects.values()
-                if obj.server == server and (path is None or obj.path == path)]
-
     def __len__(self) -> int:
         return len(self._objects)

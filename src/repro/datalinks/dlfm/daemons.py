@@ -230,12 +230,10 @@ class DLFMConnection:
                  client_name: str = "engine", epoch_provider=None):
         connect_channel = Channel(main_daemon, clock,
                                   latency_primitive="db_dlfm_message",
-                                  sender=client_name,
                                   epoch_provider=epoch_provider)
         agent = connect_channel.request("connect", client_name=client_name)["agent"]
         self.agent = agent
         self._channel = Channel(agent, clock, latency_primitive="db_dlfm_message",
-                                sender=client_name,
                                 epoch_provider=epoch_provider)
 
     def link_file(self, host_txn_id: int, path: str, options: DatalinkOptions) -> dict:

@@ -259,10 +259,6 @@ class DLFMRepository:
         rows = self.links_by_path(path)
         return rows[0] if rows else None
 
-    def linked_file_by_ino(self, ino: int) -> dict | None:
-        rows = self.links_by_ino(ino)
-        return rows[0] if rows else None
-
     def linked_files(self) -> list[dict]:
         return self._all_links()
 

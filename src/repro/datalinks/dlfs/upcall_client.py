@@ -17,9 +17,9 @@ class UpcallClient:
     into file-system errors.
     """
 
-    def __init__(self, upcall_daemon, clock=None, sender: str = "dlfs"):
+    def __init__(self, upcall_daemon, clock=None):
         self._channel = Channel(upcall_daemon, clock,
-                                latency_primitive="upcall_round_trip", sender=sender)
+                                latency_primitive="upcall_round_trip")
 
     def validate_token(self, ino: int, token: str, userid: int) -> dict:
         return self._channel.request("validate_token", ino=ino, token=token,

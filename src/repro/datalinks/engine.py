@@ -255,9 +255,6 @@ class DataLinksEngine:
             self.clock, min_remaining_fraction=min_remaining_fraction)
         return self.token_cache
 
-    def disable_token_cache(self) -> None:
-        self.token_cache = None
-
     def token_cache_stats(self) -> dict:
         if self.token_cache is None:
             return {"enabled": False}
@@ -280,9 +277,6 @@ class DataLinksEngine:
         self._servers[name] = _FileServerEntry(name=name, manager=manager,
                                                connection=connection, tokens=tokens)
         manager.attach_engine(self)
-
-    def file_server_names(self) -> list[str]:
-        return sorted(self._servers)
 
     def set_router(self, router) -> None:
         """Route DLFM traffic through a replication-aware router.
@@ -793,16 +787,8 @@ class DataLinksEngine:
         owner = self._owner(parsed.server, parsed.path)
         self._dispatch_links(host_txn, owner, None, [(parsed.path, options)])
 
-    def _unlink(self, host_txn: HostTransaction, url: str) -> None:
-        parsed = parse_url(url)
-        owner = self._owner(parsed.server, parsed.path)
-        self._dispatch_links(host_txn, owner, [parsed.path], None)
-
     # --------------------------------------------------------------- convenience --
     def make_url(self, server: str, path: str) -> str:
         """Format a bare DATALINK URL for *path* on *server*."""
 
         return format_url(server, path)
-
-    def options_for(self, table: str, column: str) -> DatalinkOptions:
-        return options_of_column(self.db.catalog.schema(table).column(column))

@@ -10,8 +10,8 @@ makes placement *dynamic* while keeping it a single source of truth:
   the stable hash and stamps the whole map with a monotonically increasing
   **placement epoch**.  The epoch is threaded through the DataLinks
   engine's DLFM connections, sharded-deployment dispatch and the daemon
-  IPC envelopes (:class:`~repro.ipc.message.Message` carries it), so a
-  consumer acting on a stale map gets a
+  IPC (:meth:`~repro.ipc.daemon.Daemon.dispatch` takes it beside the
+  payload), so a consumer acting on a stale map gets a
   :class:`~repro.errors.PlacementEpochError` redirect-and-retry instead of
   silently writing to the wrong owner;
 * :class:`PlacementGuard` is the node-side enforcement.  One guard is

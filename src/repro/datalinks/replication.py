@@ -881,8 +881,7 @@ class ReplicatedShard:
         node = self.nodes[node_name]
         applier = node.dlfm.enable_replica_mode(failpoints=self.failpoints)
         channel = Channel(self._daemons[node_name], self.serving.clock,
-                          latency_primitive="db_dlfm_message",
-                          sender=f"wal-ship:{self.name}:{node_name}")
+                          latency_primitive="db_dlfm_message")
         shipper = WalShipper(self.serving.dlfm.repository, channel,
                              failpoints=self.failpoints)
         if base is not None:

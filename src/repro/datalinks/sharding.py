@@ -258,17 +258,6 @@ class ShardedDataLinksDeployment:
     def replicated(self) -> bool:
         return bool(self.replicas)
 
-    def serving_file_server(self, shard: str) -> FileServer:
-        """The node currently holding *shard*'s serving lease.
-
-        Raises :class:`~repro.errors.DaemonUnavailableError` when that node
-        is down -- for an unreplicated shard that means the shard's URL
-        prefix is unreadable until recovery; for a replicated shard it
-        means :meth:`fail_over` has not promoted a witness yet.
-        """
-
-        return self.router.serving_server(shard)
-
     def read_url(self, session, url: str) -> bytes:
         """Read a (tokenized) DATALINK URL through the routing layer.
 
@@ -405,12 +394,6 @@ class ShardedDataLinksDeployment:
         if not replica.primary.running:
             self.recover_shard(name)
         return replica.fail_back()
-
-    def rejoin_shard(self, name: str) -> dict:
-        """Re-admit *name*'s recovered ex-primary as a read-serving witness
-        without failing back (the witness keeps the serving lease)."""
-
-        return self._replica(name).rejoin(self._replica(name).home_primary)
 
     # ---------------------------------------------------------------- rebalancing --
     def rebalance_prefix(self, prefix: str, dest_shard: str) -> dict:

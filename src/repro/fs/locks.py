@@ -55,14 +55,5 @@ class FileLockTable:
         if not holders:
             del self._locks[ino]
 
-    def release_owner(self, owner: object) -> None:
-        """Drop every lock held by *owner* (process exit, transaction end)."""
-
-        for ino in list(self._locks):
-            self.release(ino, owner)
-
     def holders(self, ino: int) -> list[object]:
         return [lock.owner for lock in self._locks.get(ino, ())]
-
-    def is_locked(self, ino: int) -> bool:
-        return bool(self._locks.get(ino))

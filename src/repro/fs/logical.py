@@ -68,16 +68,6 @@ def _normalize(path: str) -> str:
     return "/" + "/".join(parts)
 
 
-def _split(path: str) -> tuple[str, str]:
-    """Split into (parent directory, final component)."""
-
-    normalized = _normalize(path)
-    if normalized == "/":
-        raise fs_error(Errno.EINVAL, "cannot split the root path")
-    parent, _, name = normalized.rpartition("/")
-    return (parent or "/", name)
-
-
 class LogicalFileSystem:
     """Mount table + open-file table + the system-call API."""
 

@@ -31,17 +31,12 @@ class OpenFlags(enum.Flag):
     APPEND = enum.auto()
 
     @property
-    def wants_read(self) -> bool:
-        # Plain int mask tests: flag-enum ``&``/``|`` allocate a new Flag
-        # member per operation, and these predicates run on every open.
-        return (self._value_ & _READ_MASK) != 0
-
-    @property
     def wants_write(self) -> bool:
+        # A plain int mask test: flag-enum ``&``/``|`` allocate a new Flag
+        # member per operation, and this predicate runs on every open.
         return (self._value_ & _WRITE_MASK) != 0
 
 
-_READ_MASK = OpenFlags.READ.value
 _WRITE_MASK = (OpenFlags.WRITE.value | OpenFlags.APPEND.value
                | OpenFlags.TRUNCATE.value)
 
@@ -51,7 +46,7 @@ _WRITE_MASK = (OpenFlags.WRITE.value | OpenFlags.APPEND.value
 CREATE_MASK = OpenFlags.CREATE.value
 APPEND_MASK = OpenFlags.APPEND.value
 TRUNCATE_MASK = OpenFlags.TRUNCATE.value
-READ_MASK = _READ_MASK
+READ_MASK = OpenFlags.READ.value
 WRITE_MASK = _WRITE_MASK
 
 

@@ -9,8 +9,7 @@ calibrated IPC latency, so message *counts* and their cost remain visible in
 the benchmarks (e.g. "one extra upcall per read open under full control").
 """
 
-from repro.ipc.message import Message, Reply
 from repro.ipc.channel import Channel
 from repro.ipc.daemon import Daemon
 
-__all__ = ["Message", "Reply", "Channel", "Daemon"]
+__all__ = ["Channel", "Daemon"]

@@ -23,17 +23,7 @@ behavior: one latency charge plus the handler's work on the shared timeline.
 from __future__ import annotations
 
 from repro.errors import DaemonUnavailableError, ReproError
-from repro.ipc.message import Message, Reply
 from repro.simclock import SimClock
-
-#: When True (the default) exchanges take the coalesced fast path: the
-#: daemon's :meth:`~repro.ipc.daemon.Daemon.dispatch` is called directly
-#: and no Message/Reply envelope is allocated.  Setting this to False
-#: forces the reference envelope path.  Both paths charge the exact same
-#: costs in the exact same order -- ``tests/test_clock_domains.py``
-#: asserts byte-identical timestamps and statistics across seeded random
-#: interleavings of the two.
-COALESCED = True
 
 
 class Channel:
@@ -44,31 +34,29 @@ class Channel:
     ``db_dlfm_message`` for DBMS-agent-to-child-agent traffic).
 
     ``epoch_provider`` (optional) threads the sender's placement epoch
-    through every message envelope: the callable is sampled at send time
-    and stamped into :attr:`Message.placement_epoch`, so the receiving
+    through every message: the callable is sampled at send time and handed
+    to :meth:`~repro.ipc.daemon.Daemon.dispatch`, so the receiving
     daemon's epoch gate can refuse requests routed by a stale placement
     map (see :mod:`repro.datalinks.placement`).
     """
 
-    __slots__ = ("_daemon", "_clock", "_latency_primitive", "_sender",
+    __slots__ = ("_daemon", "_clock", "_latency_primitive",
                  "_epoch_provider", "_dispatch", "_callee_clock", "_cross",
                  "_caller_lat", "_callee_lat", "_caller_send")
 
     def __init__(self, daemon, clock: SimClock | None,
-                 latency_primitive: str = "upcall_round_trip", sender: str = "",
+                 latency_primitive: str = "upcall_round_trip",
                  epoch_provider=None):
         self._daemon = daemon
         self._clock = clock
         self._latency_primitive = latency_primitive
-        self._sender = sender
         self._epoch_provider = epoch_provider
-        # Resolved once: the envelope-free dispatch entry point (None for
-        # duck-typed daemons that only implement ``handle``), the callee's
+        # Resolved once: the daemon's dispatch entry point, the callee's
         # clock, and whether this channel crosses clock domains.  Every
         # component assigns its clock in ``__init__`` and never rebinds it,
         # so sampling at channel construction is safe.
-        self._dispatch = getattr(daemon, "dispatch", None)
-        self._callee_clock = getattr(daemon, "clock", None)
+        self._dispatch = daemon.dispatch
+        self._callee_clock = daemon.clock
         self._cross = (clock is not None and self._callee_clock is not None
                        and clock is not self._callee_clock)
         # Meters of the fixed per-message charges, resolved once per channel
@@ -139,97 +127,25 @@ class Channel:
             meter[0] += 1
         epoch_provider = self._epoch_provider
         epoch = epoch_provider() if epoch_provider is not None else None
-        dispatch = self._dispatch
-        if dispatch is not None and COALESCED:
-            try:
-                result = dispatch(kind, payload, epoch)
-            except ReproError:
-                # A pipelined send whose handler failed surfaces the error
-                # at statement time, which in real life means the caller
-                # waited for the failure to come back: charge the
-                # round-trip sync instead of handing the error over for
-                # free.
-                if cross:
-                    caller.receive_ticks(callee.ticks)
-                raise
-            if cross and wait:
-                # caller.receive_ticks(callee.ticks), inlined like the
-                # send side.
-                done = callee.ticks
-                frames = caller._overlap_frames
-                if frames:
-                    frame = frames[-1]
-                    if done > frame[1]:
-                        frame[1] = done
-                elif done > caller.ticks:
-                    caller.ticks = done
-            return result
-        reply = self._daemon.handle(Message(kind, payload, self._sender, epoch))
-        if cross and (wait or not reply.ok):
-            # See above: a failed pipelined send costs the caller a full
-            # round trip, exactly like a synchronous request.
-            caller.receive_ticks(callee.ticks)
-        return reply.unwrap()
-
-    def post_group(self, kind: str, payloads) -> list[dict]:
-        """Pipelined batch: post every payload dict in *payloads*, in order.
-
-        Semantically identical to calling :meth:`post` once per payload --
-        same per-message charges in the same order, same liveness and error
-        behavior -- but the channel bookkeeping (clock-topology resolution,
-        handler lookup, envelope allocation) is hoisted out of the loop, so
-        a batch of N messages to one destination costs O(1) bookkeeping.
-        Link batches and WAL shipping send through this.
-        """
-
-        caller = self._clock
-        daemon = self._daemon
-        callee = self._callee_clock
-        cross = self._cross
-        latency = self._latency_primitive
-        epoch_provider = self._epoch_provider
-        dispatch = self._dispatch if COALESCED else None
-        results = []
-        for payload in payloads:
-            # Liveness is re-checked per message (a handler may stop its
-            # own daemon mid-batch), but that is an attribute test, not a
-            # per-message channel setup.
-            if not daemon.running:
-                if caller is not None:
-                    caller.charge(latency if not cross else "message_send")
-                raise DaemonUnavailableError(
-                    f"daemon {daemon.name!r} is not running")
+        try:
+            result = self._dispatch(kind, payload, epoch)
+        except ReproError:
+            # A pipelined send whose handler failed surfaces the error at
+            # statement time, which in real life means the caller waited
+            # for the failure to come back: charge the round-trip sync
+            # instead of handing the error over for free.
             if cross:
-                frames = caller._overlap_frames
-                sent = frames[-1][0] if frames else caller.ticks
-                if sent > callee.ticks:
-                    callee.ticks = sent
-                amount, meter = self._callee_lat
-                callee.ticks += amount
-                meter[0] += 1
-                amount, meter = self._caller_send
-                caller.ticks += amount
-                meter[0] += 1
-            elif caller is not None:
-                amount, meter = self._caller_lat
-                caller.ticks += amount
-                meter[0] += 1
-            epoch = epoch_provider() if epoch_provider is not None else None
-            if dispatch is not None:
-                try:
-                    results.append(dispatch(kind, payload, epoch))
-                except ReproError:
-                    if cross:
-                        caller.receive_ticks(callee.ticks)
-                    raise
-            else:
-                reply = daemon.handle(
-                    Message(kind, payload, self._sender, epoch))
-                if cross and not reply.ok:
-                    caller.receive_ticks(callee.ticks)
-                results.append(reply.unwrap())
-        return results
-
-    @property
-    def daemon_name(self) -> str:
-        return self._daemon.name
+                caller.receive_ticks(callee.ticks)
+            raise
+        if cross and wait:
+            # caller.receive_ticks(callee.ticks), inlined like the send
+            # side.
+            done = callee.ticks
+            frames = caller._overlap_frames
+            if frames:
+                frame = frames[-1]
+                if done > frame[1]:
+                    frame[1] = done
+            elif done > caller.ticks:
+                caller.ticks = done
+        return result

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.errors import ProtocolError, ReproError
-from repro.ipc.message import Message, Reply
+from repro.errors import ProtocolError
 from repro.simclock import SimClock
 
 
@@ -25,7 +24,7 @@ class Daemon:
             # Meter of the per-dispatch charge (see dispatch).
             self._dispatch_meter = clock.meter("daemon_dispatch")
         #: Optional placement-epoch validator: a callable taking the
-        #: envelope's ``placement_epoch`` and raising
+        #: request's ``placement_epoch`` and raising
         #: :class:`~repro.errors.PlacementEpochError` when it is stale.
         #: DLFM-facing daemons wire this to their manager so a request
         #: routed by an outdated placement map is redirected, never applied.
@@ -40,25 +39,16 @@ class Daemon:
     def stop(self) -> None:
         self.running = False
 
-    def handle(self, message: Message) -> Reply:
-        """Dispatch *message* to its handler, wrapping errors in the reply."""
-
-        try:
-            payload = self.dispatch(message.kind, message.payload,
-                                    message.placement_epoch)
-        except ReproError as error:
-            return Reply.failure(error)
-        return Reply(True, payload)
-
     def dispatch(self, kind: str, payload: dict,
                  placement_epoch: int | None = None) -> dict:
-        """Envelope-free twin of :meth:`handle`.
+        """Run the handler registered for *kind* with *payload*.
 
-        Same charge, gate, bookkeeping and handler semantics, but takes the
-        request fields directly and *raises* :class:`ReproError` failures
-        instead of wrapping them in a :class:`Reply`.  Channels use this on
-        their fast path so an exchange allocates no Message/Reply pair.
-        Returns a fresh payload dict (never the handler's own).
+        Charges ``daemon_dispatch``, applies the epoch gate (a ``None``
+        epoch means the sender is placement-agnostic -- upcalls, WAL
+        shipping -- and no check applies), counts the request and returns
+        a fresh payload dict (never the handler's own).  Failures raise:
+        an unknown *kind* is a :class:`~repro.errors.ProtocolError`, a
+        handler's error propagates as it is.
         """
 
         clock = self.clock

@@ -99,18 +99,6 @@ from fractions import Fraction
 TICKS_PER_SECOND = 10 ** 12
 _TICKS_PER_MS = 10 ** 9
 
-#: Debug switch for per-client session clock domains.  When ``False``,
-#: :meth:`ClockDomainGroup.session_domains` hands every simulated client
-#: the *base* (host) clock -- the serialized reference model where all
-#: sessions share one timeline -- and the client-pool drivers degrade to
-#: the old round-robin-on-the-host behaviour.  When ``True`` (default),
-#: each client session (or pooled group of sessions) owns a
-#: :class:`ClockDomain` that barriers through the host like any IPC, so
-#: concurrent clients genuinely overlap and queueing delay is measurable.
-#: Single-client runs are byte-identical either way (asserted by
-#: ``tests/test_session_domains.py``).
-SESSION_DOMAINS = True
-
 
 def to_ticks(seconds: float) -> int:
     """Seconds to ticks, rounded to the nearest tick (the inbound float edge)."""
@@ -806,13 +794,13 @@ class ClockDomainGroup:
                         prefix: str = "client") -> list:
         """Clock domains for *count* simulated client sessions.
 
-        Returns a list of *count* clocks, one per client.  With
-        :data:`SESSION_DOMAINS` off (the serialized reference path) or in
-        serial mode every entry is *base* (default: the ``host`` domain),
-        which reproduces the old model where all sessions ride the host
-        timeline.  Otherwise each client gets its own domain, pooled
-        round-robin over at most *limit* distinct domains so wall clock
-        stays flat at 10^4 clients.  Pooled domain names are stable
+        Returns a list of *count* clocks, one per client.  In serial mode
+        every entry is *base* (default: the ``host`` domain): all sessions
+        ride the host timeline.  Otherwise each client gets its own domain
+        that barriers through the host like any IPC, so concurrent clients
+        genuinely overlap and queueing delay is measurable; domains are
+        pooled round-robin over at most *limit* distinct ones so wall
+        clock stays flat at 10^4 clients.  Pooled domain names are stable
         across calls (``client0``, ``client1``, ...) and every pooled
         domain is synced forward to *base*'s current time, so a new sweep
         step starts no earlier than the host -- safe because the drivers
@@ -823,7 +811,7 @@ class ClockDomainGroup:
             base = self.domain("host")
         if count <= 0:
             return []
-        if not SESSION_DOMAINS or self.serial:
+        if self.serial:
             return [base] * count
         pool = count if limit is None else max(1, min(count, limit))
         start = base.ticks

@@ -64,7 +64,6 @@ class BackupManager:
         if database.clock is not None:
             database.clock.charge("backup_per_row", times=max(1, database.total_rows()))
         database.catalog.load_snapshot(image.catalog_snapshot)
-        database.note_restored_to(image.state_id)
         return image.state_id
 
     def images(self) -> list[BackupImage]:

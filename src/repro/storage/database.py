@@ -135,7 +135,6 @@ class Database:
         #: the definitions are kept beside the checkpoint and replayed by
         #: :meth:`recover` onto whatever tables redo brings back.
         self._index_defs: dict = {}
-        self._restored_to: LSN | None = None
         self._crashed = False
 
     # ------------------------------------------------------------------ utils --
@@ -245,13 +244,6 @@ class Database:
             self.wal.flush()
             self._charge("log_write")
         return self.wal.flushed_lsn
-
-    def note_restored_to(self, state_id: LSN) -> None:
-        self._restored_to = state_id
-
-    @property
-    def restored_to(self) -> LSN | None:
-        return self._restored_to
 
     # ----------------------------------------------------------- transactions --
     def begin(self) -> Transaction:

@@ -67,14 +67,6 @@ class HeapTable:
         except KeyError:
             raise NoSuchRowError(f"table {self.schema.name}: no row {rid}") from None
 
-    def get_live(self, rid: int) -> dict:
-        """The *stored* row dict under *rid* -- callers must not mutate it."""
-
-        try:
-            return self._rows[rid]
-        except KeyError:
-            raise NoSuchRowError(f"table {self.schema.name}: no row {rid}") from None
-
     def exists(self, rid: int) -> bool:
         return rid in self._rows
 

@@ -52,10 +52,6 @@ class Transaction:
         self.on_abort: list = []
 
     @property
-    def is_active(self) -> bool:
-        return self.state is TxnState.ACTIVE
-
-    @property
     def is_finished(self) -> bool:
         return self.state in (TxnState.COMMITTED, TxnState.ABORTED)
 

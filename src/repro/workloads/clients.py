@@ -25,10 +25,9 @@ a min-heap, so admission arrivals are non-decreasing (the FIFO-fairness
 property the admission tests assert).  Pooled domains (``limit``) reuse
 one domain for several clients; a popped entry whose domain has advanced
 past it (a poolmate ran) is lazily re-pushed at the domain's current
-time, preserving arrival order.  With
-:data:`repro.simclock.SESSION_DOMAINS` off every client shares the host
-clock and the pool degrades to the serialized round-robin reference
-path.  After the run the host :func:`~repro.simclock.gather`\\ s every
+time, preserving arrival order.  When every client rides one clock (a
+serial-clock system, or ``limit=1``) the pool runs them round-robin on
+it.  After the run the host :func:`~repro.simclock.gather`\\ s every
 client domain in one aggregated merge, so elapsed cluster time is the
 slowest client's completion.
 """
@@ -157,7 +156,7 @@ class ClientPool:
                 push(heap, (clock.ticks, index, next_op))
 
     def _run_serial(self, counts, op, admission) -> None:
-        """All clients share one clock: the round-robin reference path."""
+        """All clients share one clock: round-robin, no heap needed."""
 
         for op_index in range(max(counts)):
             for index in range(self.count):

@@ -1,6 +1,6 @@
 """Seeded property tests for the autonomous placement balancer.
 
-Four governance properties, each driven by deterministic (seeded)
+Five governance properties, each driven by deterministic (seeded)
 traffic so failures replay exactly:
 
 * the per-tick move budget is never exceeded -- co-location moves for a
@@ -10,18 +10,25 @@ traffic so failures replay exactly:
   within tolerance it issues no further moves, however long the traffic
   keeps running;
 * a split followed by a merge round-trips: every committed link still
-  resolves, and the placement epoch only ever moves forward.
+  resolves, and the placement epoch only ever moves forward;
+* a split subtree that goes idle is merged back by the balancer itself,
+  its scattered pieces brought home within the move budget first.
 """
+
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.datalinks.balancer import BalancerConfig
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
+from repro.datalinks.placement import path_under
 from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import PlacementError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
+from repro.workloads.audit import audit_committed_links
 from repro.workloads.generator import UniformChooser, ZipfChooser
 
 TABLE = "balanced_docs"
@@ -274,3 +281,135 @@ class TestSplitMergeRoundTrip:
         assert deployment.rebalance_prefix(prefix, other)["moved"]
         assert pmap.owner_of(prefix) == other
         assert_all_readable(deployment, session, urls)
+
+
+class TestIdleSplitIsMergedBack:
+    """``PlacementBalancer._try_merge``, reached the way ``tick`` reaches
+    it: one prefix runs hot until the balancer splits it, some of its
+    sub-prefixes are moved away, the traffic stops, and after
+    ``merge_idle_ticks`` quiet ticks the balancer brings the pieces home
+    (budgeted) and collapses the split."""
+
+    PREFIXES = 3
+    IDLE_TICKS = 3
+
+    def split_and_scatter(self, seed, move_budget, scatter):
+        """Returns the deployment with one balancer-made split whose
+        *scatter* sub-prefixes (seed-chosen) live on other shards."""
+
+        rng = random.Random(seed)
+        docs = rng.randint(4, 6)        # one sub-prefix per document
+        deployment, session, urls = build_deployment(
+            prefixes=self.PREFIXES, docs_per_prefix=docs)
+        balancer = deployment.enable_balancer(BalancerConfig(
+            window_ops_min=6, move_budget=move_budget, cooldown_ticks=1,
+            imbalance_tolerance=1.05, split_threshold=0.5,
+            merge_idle_ops=1, merge_idle_ticks=self.IDLE_TICKS))
+        pmap = deployment.router.placement
+        deployment.router.take_traffic_window()   # the ingest is not traffic
+        hot = rng.randrange(self.PREFIXES)
+        parent = f"/b{hot:02d}"
+        # Every routed operation hits one prefix: no move can reduce the
+        # maximum load, so the balancer splits it (needs no budget).
+        drive_reads(deployment, session, SimpleNamespace(choose=lambda: hot),
+                    self.PREFIXES, 12, docs_per_prefix=docs)
+        summary = balancer.tick()
+        assert [split["prefix"] for split in summary["splits"]] == [parent]
+        assert summary["moves"] == []
+        pins = {sub: shard for sub, shard in pmap.overrides.items()
+                if sub != parent and path_under(parent, sub)}
+        assert len(pins) == docs and len(set(pins.values())) == 1
+        home = next(iter(pins.values()))
+        away = [name for name in deployment.shard_names if name != home]
+        scattered = sorted(rng.sample(sorted(pins), scatter))
+        for sub in scattered:
+            assert deployment.rebalance_prefix(sub,
+                                               rng.choice(away))["moved"]
+        return deployment, session, urls, balancer, parent, home, scattered
+
+    @pytest.mark.parametrize("seed, move_budget, scatter", [
+        (3, 1, 0),              # nothing scattered: merged outright
+        (20261002, 1, 1),       # co-locate one piece, then merge
+        (77, 1, 2),             # two pieces, one per tick
+        (4242, 2, 2),           # two pieces in one tick
+    ])
+    def test_pieces_come_home_within_budget_then_the_split_merges(
+            self, seed, move_budget, scatter):
+        deployment, session, urls, balancer, parent, home, scattered = \
+            self.split_and_scatter(seed, move_budget, scatter)
+        pmap = deployment.router.placement
+        epoch_before = pmap.epoch
+        idle = balancer.run(self.IDLE_TICKS + 2)
+
+        # Quiet until the subtree has been idle long enough ...
+        for summary in idle[:self.IDLE_TICKS - 1]:
+            assert summary["moves"] == [] and summary["merges"] == []
+        # ... then the minority pieces go to the majority holder, at most
+        # ``move_budget`` per tick, and nothing else moves.
+        moves = [move for summary in idle for move in summary["moves"]]
+        assert all(len(summary["moves"]) <= move_budget for summary in idle)
+        assert sorted(move["prefix"] for move in moves) == scattered
+        assert all(move["dest"] == home for move in moves)
+        # The tick after the last piece arrives merges the parent.
+        colocate_ticks = -(-scatter // move_budget)
+        merged_at = self.IDLE_TICKS + colocate_ticks
+        assert [(summary["tick"] - idle[0]["tick"] + 1, summary["merges"])
+                for summary in idle if summary["merges"]] == \
+            [(merged_at, [{"prefix": parent, "shard": home,
+                           "epoch": pmap.epoch}])]
+        assert balancer.stats()["merges"] == 1
+        assert balancer.stats()["moves_skipped_budget"] == \
+            (1 if scatter > move_budget else 0)
+        assert parent not in pmap.split_depths
+        assert parent not in balancer._split_idle
+        assert pmap.owner_of(parent) == home
+        # One epoch bump per move and one for the merge.
+        assert pmap.epoch == epoch_before + scatter + 1
+        assert all(pmap.prefix_of(path) == parent
+                   for path in deployment.linked_paths(home)
+                   if path_under(parent, path))
+        assert_all_readable(deployment, session, urls)
+        assert audit_committed_links(deployment, session, TABLE, "doc_id",
+                                     "body", 1e9) == 0
+
+    def test_without_budget_the_pieces_stay_and_nothing_merges(self):
+        deployment, session, urls, balancer, parent, home, scattered = \
+            self.split_and_scatter(seed=909, move_budget=0, scatter=1)
+        pmap = deployment.router.placement
+        epoch_before = pmap.epoch
+        idle = balancer.run(self.IDLE_TICKS + 2)
+        assert all(summary["moves"] == [] and summary["merges"] == []
+                   for summary in idle)
+        # Every due tick wanted one co-location move and had no budget.
+        assert [summary["skipped_budget"] for summary in idle] == \
+            [0] * (self.IDLE_TICKS - 1) + [1, 1, 1]
+        assert balancer.stats()["moves_skipped_budget"] == 3
+        assert balancer.stats()["merges"] == 0
+        assert parent in pmap.split_depths
+        assert balancer._split_idle[parent] == self.IDLE_TICKS + 2
+        assert pmap.owner_of(scattered[0]) != home
+        assert pmap.epoch == epoch_before
+        assert_all_readable(deployment, session, urls)
+        assert audit_committed_links(deployment, session, TABLE, "doc_id",
+                                     "body", 1e9) == 0
+
+    def test_a_down_shard_defers_the_merge_until_it_is_back(self):
+        """While a shard cannot list its files the subtree's holders are
+        unknown: the due merge is retried every tick, raises nothing and
+        moves nothing, and completes once the shard has recovered."""
+
+        deployment, session, urls, balancer, parent, home, scattered = \
+            self.split_and_scatter(seed=5150, move_budget=1, scatter=1)
+        pmap = deployment.router.placement
+        holder = pmap.owner_of(scattered[0])
+        deployment.crash_shard(holder)
+        down = balancer.run(self.IDLE_TICKS + 1)
+        assert all(summary["moves"] == [] and summary["merges"] == []
+                   and summary["refused"] == 0 for summary in down)
+        deployment.recover_shard(holder)
+        back = balancer.run(2)
+        assert [move["prefix"] for move in back[0]["moves"]] == scattered
+        assert [merge["prefix"] for merge in back[1]["merges"]] == [parent]
+        assert_all_readable(deployment, session, urls)
+        assert audit_committed_links(deployment, session, TABLE, "doc_id",
+                                     "body", 1e9) == 0

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import DaemonUnavailableError, DataLinksError, ProtocolError
 from repro.ipc.channel import Channel
 from repro.ipc.daemon import Daemon
-from repro.ipc.message import Message, Reply
 from repro.simclock import SimClock
 
 
@@ -25,27 +24,23 @@ class EchoDaemon(Daemon):
 class TestDaemon:
     def test_dispatch_to_registered_handler(self):
         daemon = EchoDaemon()
-        reply = daemon.handle(Message(kind="echo", payload={"text": "hi"}))
-        assert reply.ok and reply.payload == {"text": "hi"}
+        assert daemon.dispatch("echo", {"text": "hi"}) == {"text": "hi"}
 
     def test_unknown_request_kind(self):
         daemon = EchoDaemon()
-        reply = daemon.handle(Message(kind="nonsense"))
-        assert not reply.ok
         with pytest.raises(ProtocolError):
-            reply.unwrap()
+            daemon.dispatch("nonsense", {})
+        assert daemon.requests_served == 0
 
-    def test_errors_are_wrapped_in_reply(self):
+    def test_handler_errors_raise(self):
         daemon = EchoDaemon()
-        reply = daemon.handle(Message(kind="fail"))
-        assert not reply.ok
         with pytest.raises(DataLinksError):
-            reply.unwrap()
+            daemon.dispatch("fail", {})
 
     def test_request_counter(self):
         daemon = EchoDaemon()
-        daemon.handle(Message(kind="echo", payload={"text": "a"}))
-        daemon.handle(Message(kind="echo", payload={"text": "b"}))
+        daemon.dispatch("echo", {"text": "a"})
+        daemon.dispatch("echo", {"text": "b"})
         assert daemon.requests_served == 2
 
     def test_handle_method_fallback(self):
@@ -53,8 +48,7 @@ class TestDaemon:
             def handle_ping(self) -> dict:
                 return {"pong": True}
 
-        reply = WithMethod("m").handle(Message(kind="ping"))
-        assert reply.payload == {"pong": True}
+        assert WithMethod("m").dispatch("ping", {}) == {"pong": True}
 
 
 class TestChannel:
@@ -82,9 +76,3 @@ class TestChannel:
         channel = Channel(EchoDaemon(), None)
         with pytest.raises(DataLinksError):
             channel.request("fail")
-
-    def test_reply_helpers(self):
-        assert Reply.success(a=1).unwrap() == {"a": 1}
-        failure = Reply.failure(DataLinksError("nope"))
-        with pytest.raises(DataLinksError):
-            failure.unwrap()

@@ -271,7 +271,8 @@ class TestIntegerTimeStaysOneDesign:
     #: Retired reference-path flags and the machinery they gated: every
     #: operation has one implementation (ROADMAP item 1).
     RETIRED = ("BATCHED_CHARGES", "FAST_SCANS", "_point_select", "_AutoTxn",
-               "BULK_TOKEN_HANDOUT")
+               "BULK_TOKEN_HANDOUT", "COALESCED", "BATCHED_AUDIT",
+               "SESSION_DOMAINS", "_audit_batched", "post_group")
 
     def test_retired_flags_and_twins_stay_gone(self, sources):
         offenders = [f"{name}: {word}" for name, text in sources.items()
@@ -325,6 +326,53 @@ class TestIntegerTimeStaysOneDesign:
             for count, ticks in group.stats.ledger().values():
                 assert type(count) is int and type(ticks) is int
         assert charged > 100
+
+
+class TestOnePathPerOperation:
+    """No switch selects between two implementations of one operation.
+    Structural, not a list of names: whatever a future flag is called, a
+    module-level boolean constant or an environment read is what it would
+    have to be made of."""
+
+    def test_no_module_level_boolean_and_no_environment_read(self):
+        import ast
+
+        switches, env_reads = [], []
+        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
+            name = path.relative_to(SRC_ROOT).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign):
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                if isinstance(value, ast.Constant) \
+                        and isinstance(value.value, bool):
+                    switches += [f"{name}:{node.lineno} {target.id}"
+                                 for target in targets
+                                 if isinstance(target, ast.Name)
+                                 and target.id.isupper()]
+            for node in ast.walk(tree):
+                word = node.attr if isinstance(node, ast.Attribute) \
+                    else node.id if isinstance(node, ast.Name) \
+                    else node.name if isinstance(node, ast.alias) else None
+                if word in ("environ", "environb", "getenv"):
+                    env_reads.append(f"{name}:{getattr(node, 'lineno', 0)}")
+        assert not switches, f"module-level on/off switch: {switches}"
+        assert not env_reads, f"environment read under src/: {env_reads}"
+
+    def test_the_message_envelope_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.ipc.message") is None
+
+    def test_the_layered_benchmark_is_the_only_one_under_benchmarks(self):
+        stray = [path.relative_to(REPO_ROOT).as_posix()
+                 for path in (REPO_ROOT / "benchmarks").rglob("*.py")
+                 if "layered" not in path.relative_to(REPO_ROOT).parts]
+        assert not stray, f"a second bench harness grew back: {stray}"
 
 
 class TestNothingRebuiltPerRead:

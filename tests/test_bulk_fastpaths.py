@@ -1,16 +1,13 @@
-"""Bulk per-link fast paths vs their scalar reference implementations.
+"""Bulk per-link paths vs scalar models written here.
 
-One module flag is left: :data:`repro.workloads.audit.BATCHED_AUDIT` -- the
-committed-link audit with its per-row machinery hoisted out of the loop.
-It must be *bit-identical* to the scalar reference it replaces: same
-result values, same token streams, and the same simulated ledger -- every
+No path in ``src/`` has a flag-gated twin; each check below compares the
+one implementation with a reference spelled out in the test: same result
+values, same token streams, and the same simulated ledger -- every
 :class:`~repro.simclock.ClockStats` label's count and total, every domain
-timestamp, and the cluster wall clock -- flag-on vs flag-off on the real
-E14 smoke configuration (which ends with the audit).
+timestamp, and the cluster wall clock.
 
-``get_datalink_many`` has no flag and no twin in ``src/``: it loops the
-per-row handout ``get_datalink`` calls, and is checked against the scalar
-loop written here, on twin systems.
+``get_datalink_many`` loops the per-row handout ``get_datalink`` calls, and
+is checked against the scalar loop written here, on twin systems.
 
 :meth:`Database.max_key` (the DLFM's id allocation) has no reference twin:
 it is the only path, charged at constant cost, and is checked here against
@@ -25,15 +22,10 @@ import random
 
 import pytest
 
-import repro.workloads.audit as audit_module
 from repro.simclock import SimClock
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-
-#: The fast-path flags toggled together by the workload-level tests.
-FLAGS = ((audit_module, "BATCHED_AUDIT"),)
-
 
 def _stats_cells(stats) -> dict:
     """``{label: (count, ticks)}`` -- exact integers."""
@@ -50,12 +42,6 @@ def _group_snapshot(group) -> dict:
         "per_domain": {name: _stats_cells(domain.stats)
                        for name, domain in group.domains.items()},
     }
-
-
-def _with_flags(monkeypatch, value: bool, scenario):
-    for module, name in FLAGS:
-        monkeypatch.setattr(module, name, value)
-    return scenario()
 
 
 def _make_docs_db(clock=None) -> Database:
@@ -398,8 +384,8 @@ class TestBulkHandoutIsTheScalarLoop:
 
 
 class TestSmokeWorkloadLedgerIdentity:
-    """The real E14 smoke configuration, ``BATCHED_AUDIT`` on vs off (and
-    the E9 one as the fixture of the composite-index check)."""
+    """The real E9 smoke configuration as the fixture of the
+    composite-index check."""
 
     def _run_e9(self) -> dict:
         from repro.bench.experiments import SMOKE_PARAMS
@@ -421,40 +407,6 @@ class TestSmokeWorkloadLedgerIdentity:
         snapshot = _group_snapshot(workload.system.clocks)
         snapshot["sweep"] = steps
         return snapshot
-
-    def _run_e14(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
-        from repro.datalinks.balancer import BalancerConfig
-        from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
-
-        params = SMOKE_PARAMS["E14"]
-        config = HotspotConfig(
-            shards=params["shards"], prefixes=params["prefixes"],
-            rounds=params["rounds"],
-            links_per_round=params["links_per_round"],
-            reads_per_round=params["reads_per_round"],
-            file_size=params["file_size"],
-            balancer=BalancerConfig(window_ops_min=8, move_budget=2,
-                                    cooldown_ticks=1,
-                                    imbalance_tolerance=1.1,
-                                    split_threshold=0.6))
-        workload = HotspotWorkload(config).setup()
-        metrics = workload.run()
-        snapshot = _group_snapshot(workload.deployment.system.clocks)
-        # The audit outcome rides along: the batched audit must count the
-        # exact same committed links lost as the scalar loop (zero here).
-        snapshot["counters"] = dict(metrics.counters)
-        return snapshot
-
-    def test_every_label_count_and_total_matches(self, monkeypatch):
-        fast = _with_flags(monkeypatch, True, self._run_e14)
-        reference = _with_flags(monkeypatch, False, self._run_e14)
-        assert set(fast["merged"]) == set(reference["merged"])
-        for label, cell in reference["merged"].items():
-            assert fast["merged"][label] == cell, (
-                f"label {label!r}: bulk fast path {fast['merged'][label]} != "
-                f"scalar reference {cell}")
-        assert fast == reference
 
     def test_composite_token_index_moves_no_simulated_charge(self,
                                                              monkeypatch):

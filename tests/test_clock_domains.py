@@ -325,20 +325,48 @@ class TestShardedDeploymentTime:
             assert domain.now() >= before.get(name, 0.0)
 
 
-class TestCoalescedChannelEquivalence:
-    """The coalesced (envelope-free) exchange fast path vs the reference
-    Message/Reply path, across seeded random batch interleavings.
+class TestChannelMergesAtSync:
+    """``Channel._exchange`` writes its tick arithmetic out inline (no
+    ``sync_ticks`` / ``charge`` / ``receive_ticks`` frames).  This holds it
+    to the documented protocol: seeded random traffic -- synchronous
+    requests, pipelined posts, handler failures, method-style handlers,
+    dead-daemon refusals and scatter-gather windows, over three
+    cross-domain channels and one same-domain channel -- must leave every
+    domain's timestamp, every statistics cell, every payload and every
+    ``requests_served`` exactly where :meth:`_model_exchange`, merge-at-sync
+    spelled with the public clock calls only, leaves them."""
 
-    :data:`repro.ipc.channel.COALESCED` gates whether an exchange calls the
-    daemon's ``dispatch`` directly or routes through ``handle`` with a full
-    envelope.  Both must charge the exact same costs in the exact same
-    order, so every domain's timestamp, the cluster wall clock, every
-    statistics cell and every returned payload must be identical -- over
-    random mixes of synchronous requests, pipelined posts, coalesced
-    ``post_group`` batches, handler failures, dead-daemon refusals and
-    scatter-gather windows."""
+    @staticmethod
+    def _model_exchange(caller, daemon, latency, kind, payload, wait):
+        from repro.errors import DaemonUnavailableError, ReproError
 
-    def _run_traffic(self, seed: int) -> dict:
+        callee = daemon.clock
+        cross = callee is not caller
+        if not daemon.running:
+            # The attempt costs the caller; the dead node's clock stands.
+            caller.charge(latency if wait or not cross else "message_send")
+            raise DaemonUnavailableError(daemon.name)
+        if cross:
+            callee.sync_ticks(caller.send_ticks())
+            if not wait:
+                caller.charge("message_send")
+        callee.charge(latency)
+        callee.charge("daemon_dispatch")
+        handler = daemon._handlers.get(kind) or getattr(daemon,
+                                                        f"handle_{kind}")
+        daemon.requests_served += 1
+        try:
+            result = handler(**payload)
+        except ReproError:
+            # A failed post is a round trip: the caller waited for it.
+            if cross:
+                caller.receive_ticks(callee.ticks)
+            raise
+        if cross and wait:
+            caller.receive_ticks(callee.ticks)
+        return dict(result)
+
+    def _run_traffic(self, seed: int, through_channels: bool) -> dict:
         from repro.errors import ReproError
         from repro.ipc.channel import Channel
         from repro.ipc.daemon import Daemon
@@ -368,50 +396,55 @@ class TestCoalescedChannelEquivalence:
 
         workers = [Worker(f"shard{index}", group.domain(f"shard{index}"))
                    for index in range(3)]
-        local = Worker("local", host)     # same-domain channel (no merge)
-        channels = [Channel(worker, host,
-                            latency_primitive="db_dlfm_message")
-                    for worker in workers]
-        channels.append(Channel(local,
-                                host, latency_primitive="upcall_round_trip"))
+        workers.append(Worker("local", host))   # same domain: no merge
+        latencies = ["db_dlfm_message"] * 3 + ["upcall_round_trip"]
+        if through_channels:
+            channels = [Channel(worker, host, latency_primitive=latency)
+                        for worker, latency in zip(workers, latencies)]
+
+            def exchange(index, kind, wait, **payload):
+                channel = channels[index]
+                return (channel.request if wait else channel.post)(
+                    kind, **payload)
+        else:
+            def exchange(index, kind, wait, **payload):
+                return self._model_exchange(host, workers[index],
+                                            latencies[index], kind, payload,
+                                            wait)
+
         rng = random.Random(seed)
         outcomes = []
         for _ in range(250):
-            channel = rng.choice(channels)
-            action = rng.randrange(7)
+            index = rng.randrange(4)
+            action = rng.randrange(6)
             if action == 0:
-                outcomes.append(channel.request("work",
-                                                cost=rng.randrange(1, 3)))
+                outcomes.append(exchange(index, "work", True,
+                                         cost=rng.randrange(1, 3)))
             elif action == 1:
-                outcomes.append(channel.post("work",
-                                             cost=rng.randrange(1, 3)))
+                outcomes.append(exchange(index, "work", False,
+                                         cost=rng.randrange(1, 3)))
             elif action == 2:
-                payloads = [{"cost": rng.randrange(1, 3)}
-                            for _ in range(rng.randrange(1, 4))]
-                outcomes.extend(channel.post_group("work", payloads))
-            elif action == 3:
-                exchange = channel.post if rng.randrange(2) else \
-                    channel.request
                 try:
-                    exchange("boom")
+                    exchange(index, "boom", bool(rng.randrange(2)))
                 except ReproError as error:
                     outcomes.append(type(error).__name__)
+            elif action == 3:
+                outcomes.append(exchange(index, "lazy", True,
+                                         cost=rng.randrange(1, 3)))
             elif action == 4:
-                outcomes.append(channel.request("lazy",
-                                                cost=rng.randrange(1, 3)))
-            elif action == 5:
                 # A dead daemon refuses both exchange styles; the attempt
                 # still costs the caller time.
-                channel._daemon.stop()
+                workers[index].stop()
                 try:
-                    channel.request("work")
+                    exchange(index, "work", bool(rng.randrange(2)))
                 except ReproError as error:
                     outcomes.append(type(error).__name__)
-                channel._daemon.start()
+                workers[index].start()
             else:
                 with host.overlap():
-                    for fanned in rng.sample(channels, 2):
-                        outcomes.append(fanned.request("work", cost=1))
+                    for fanned in rng.sample(range(4), 2):
+                        outcomes.append(exchange(fanned, "work", True,
+                                                 cost=1))
         return {
             "outcomes": outcomes,
             "global": group.ticks,
@@ -419,41 +452,19 @@ class TestCoalescedChannelEquivalence:
                         for name, domain in group.domains.items()},
             "stats": group.stats.ledger(),
             "served": {worker.name: worker.requests_served
-                       for worker in workers + [local]},
+                       for worker in workers},
         }
 
     @pytest.mark.parametrize("seed", [11, 20260807, 987654])
-    def test_fast_path_is_byte_identical_to_envelope_path(self, seed,
-                                                          monkeypatch):
-        from repro.ipc import channel as channel_module
-
-        monkeypatch.setattr(channel_module, "COALESCED", True)
-        coalesced = self._run_traffic(seed)
-        monkeypatch.setattr(channel_module, "COALESCED", False)
-        reference = self._run_traffic(seed)
-        assert coalesced == reference
-
-    def test_flag_actually_gates_the_envelope(self, monkeypatch):
-        """Sanity: the reference mode really allocates Message envelopes."""
-
-        from repro.ipc import channel as channel_module
-        from repro.ipc.daemon import Daemon
-
-        group = ClockDomainGroup(CostModel())
-        host, shard = group.domain("host"), group.domain("shard")
-        worker = Daemon("worker", shard)
-        worker.register("noop", lambda: {})
-        handled = []
-        original = worker.handle
-        worker.handle = lambda message: handled.append(message.kind) or \
-            original(message)
-        channel = channel_module.Channel(worker, host)
-        monkeypatch.setattr(channel_module, "COALESCED", True)
-        channel.request("noop")
-        assert handled == []
-        monkeypatch.setattr(channel_module, "COALESCED", False)
-        channel.request("noop")
-        assert handled == ["noop"]
+    def test_channel_equals_the_public_call_model(self, seed):
+        through = self._run_traffic(seed, through_channels=True)
+        model = self._run_traffic(seed, through_channels=False)
+        assert through == model
+        # The traffic reached every branch the model spells out.
+        assert {"DaemonUnavailableError", "ReproError"} <= \
+            {outcome for outcome in through["outcomes"]
+             if isinstance(outcome, str)}
+        assert all(through["served"].values())
 
 
 class TestPipelinedErrorLatency:

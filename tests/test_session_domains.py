@@ -7,9 +7,9 @@ Three suites:
   delay that grows with queue depth, and a connection limit that is never
   exceeded (counted over the simulated ``[admitted_at, released_at)``
   hold intervals, since the Python call stack itself never nests);
-* equivalence tests for :data:`repro.simclock.SESSION_DOMAINS` -- a
-  single-client sweep is byte-identical with the flag on or off, and the
-  flag-off path degrades every pool to the serialized reference loop;
+* equivalence tests for per-client clock domains -- a single-client
+  sweep is byte-identical whether the client owns a domain or rides the
+  host clock, and a pool that shares one clock serializes;
 * invariant tests for multi-client runs -- per-domain monotonicity and
   ``global_now`` dominance, the same contract
   ``tests/test_clock_domains.py`` pins for the node domains.
@@ -21,7 +21,6 @@ import random
 
 import pytest
 
-import repro.simclock as simclock
 from repro.api.admission import AdmissionController
 from repro.api.system import DataLinksSystem
 from repro.simclock import ClockDomainGroup, SimClock, gather
@@ -108,7 +107,7 @@ class TestAdmissionProperties:
 
 
 class TestSessionDomainPooling:
-    """session_domains() shape: pooling, serial degradation, flag off."""
+    """session_domains() shape: pooling and serial degradation."""
 
     def test_each_client_gets_its_own_domain(self):
         group = ClockDomainGroup()
@@ -122,13 +121,6 @@ class TestSessionDomainPooling:
         assert len(clocks) == 7
         assert len({id(clock) for clock in clocks}) == 3
         assert clocks[0] is clocks[3] is clocks[6]
-
-    def test_flag_off_degrades_to_the_base_clock(self, monkeypatch):
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", False)
-        group = ClockDomainGroup()
-        base = group.domain("host")
-        clocks = group.session_domains(4, base)
-        assert clocks == [base] * 4
 
     def test_serial_group_degrades_to_the_base_clock(self):
         group = ClockDomainGroup(serial=True)
@@ -306,7 +298,7 @@ class TestSyncedFileSystemProxy:
 
 
 class TestSessionDomainEquivalence:
-    """SESSION_DOMAINS on/off: single-client runs are byte-identical."""
+    """A lone client measures the same on its own domain as on the host's."""
 
     @staticmethod
     def _webserver_steps():
@@ -327,18 +319,21 @@ class TestSessionDomainEquivalence:
                                        _failover_steps.__func__],
                              ids=["webserver", "failover"])
     def test_single_client_is_byte_identical(self, monkeypatch, steps):
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", True)
         with_domains = steps()
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", False)
-        serialized = steps()
-        assert with_domains == serialized
+        # The reference: every client rides the host clock.
+        monkeypatch.setattr(
+            DataLinksSystem, "client_domains",
+            lambda system, count, **pooling: [system.clock] * count)
+        on_the_host_clock = steps()
+        assert with_domains == on_the_host_clock
 
-    def test_flag_off_serializes_multi_client_runs(self, monkeypatch):
-        """With the flag off every pool shares the host clock, so a
-        multi-session sweep degrades to single-session throughput."""
+    def test_one_shared_clock_serializes_multi_client_runs(self):
+        """A pool whose clients all share one clock (``client_domain_pool=1``)
+        cannot overlap them: a multi-session sweep degrades to
+        single-session throughput and nobody queues."""
 
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", False)
-        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024)
+        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024,
+                               client_domain_pool=1)
         workload = WebServerWorkload(config).setup()
         one, four = workload.run_session_sweep((1, 4))
         assert four["ops_per_sim_s"] == pytest.approx(
