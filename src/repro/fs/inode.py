@@ -11,6 +11,13 @@ is the same: immutable, hashable, equal by value, built by keyword or by
 position, properties and methods kept.  What an inode fixes for life is not
 rebuilt at all: the file system makes its :class:`~repro.fs.vfs.Vnode` once,
 with the inode, and hands that one out.
+
+**Why ``Inode.content`` is one immutable ``bytes``.**  A regular file's
+payload is stored once, whole, on its inode (``blocks`` is only the
+allocation record; the block device counts, it does not store).  A whole-file
+read returns the stored object and a write that covers the file adopts the
+caller's ``bytes``, so the file, its archived version, its witness mirrors
+and the client that handed it in share one object none of them can change.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ class Inode:
     atime: float = 0.0
     mtime: float = 0.0
     ctime: float = 0.0
+    content: bytes = b""                                    # regular files only
     blocks: list[int] = field(default_factory=list)
     entries: dict[str, int] = field(default_factory=dict)   # directories only
     #: The owning file system's :class:`~repro.fs.vfs.Vnode` for this

@@ -4,6 +4,11 @@ Implements every VFS entry point over inodes and a block device, with
 standard UNIX permission checks.  This is the layer DLFS sits on top of; it
 knows nothing about DataLinks.
 
+A file's bytes are one immutable ``bytes`` on its inode; the device only
+allocates blocks and counts the ones a request touches.  So a read is the
+accounting plus a slice, a write is allocation, accounting and one splice,
+and a truncate is a slice or a zero pad (see the block helpers at the end).
+
 The hot entry points write their fixed charges out inline against
 ``(ticks, meter)`` pairs (see :meth:`repro.simclock.SimClock.meter`): the
 VFS layer is the single hottest surface of the simulator and the call
@@ -417,13 +422,10 @@ class PhysicalFileSystem(VFSOperations):
         except KeyError:
             raise fs_error(Errno.ENOENT, f"stale inode {vnode.ino}") from None
         changing_identity = ("mode" in attrs or "uid" in attrs or "gid" in attrs)
-        if changing_identity and inode.ftype is FileType.DIRECTORY:
-            # A walk only permission-checks (and resolves through)
-            # directories, so file-level chmod/chown leaves it valid.
-            self.dir_version += 1
         if changing_identity and not (cred.is_superuser or cred.uid == inode.uid):
             raise fs_error(Errno.EPERM,
                            f"uid {cred.uid} may not change attributes of inode {inode.ino}")
+        identity = (inode.mode, inode.uid, inode.gid)
         if "size" in attrs:
             self._check(inode, cred, write=True)
             self._truncate(inode, int(attrs["size"]))
@@ -433,6 +435,11 @@ class PhysicalFileSystem(VFSOperations):
             inode.uid = int(attrs["uid"])
         if "gid" in attrs:
             inode.gid = int(attrs["gid"])
+        if (inode.ftype is FileType.DIRECTORY
+                and identity != (inode.mode, inode.uid, inode.gid)):
+            # A walk only permission-checks (and resolves through)
+            # directories: a file's chmod/chown, or a no-op one, keeps it valid.
+            self.dir_version += 1
         if "mtime" in attrs:
             inode.mtime = float(attrs["mtime"])
         if "atime" in attrs:
@@ -455,35 +462,34 @@ class PhysicalFileSystem(VFSOperations):
         if offset >= size:
             return b""
         end = size if length <= 0 or offset + length > size else offset + length
-        # The whole block span in one device call and one join; the slice
-        # trims the partial first and last blocks.
         block_size = self.device.block_size
-        data = b"".join(self.device.read_blocks(inode.blocks[
-            offset // block_size: (end + block_size - 1) // block_size]))
-        skip = offset % block_size
-        return data[skip: skip + end - offset]
+        self.device.touch_blocks(inode.blocks[
+            offset // block_size: (end + block_size - 1) // block_size])
+        # A whole-file read is the stored object itself, not a copy.
+        return inode.content[offset:end]
 
     def _write_range(self, inode: Inode, offset: int, data: bytes) -> None:
-        block_size = self.device.block_size
+        device = self.device
+        block_size = device.block_size
+        content = inode.content
         end = offset + len(data)
-        high = end if end > inode.size else inode.size
+        high = end if end > len(content) else len(content)
         needed_blocks = (high + block_size - 1) // block_size
         while len(inode.blocks) < needed_blocks:
-            inode.blocks.append(self.device.allocate_block())
-        position = offset
-        written = 0
-        while written < len(data):
-            block_index = position // block_size
-            block_offset = position % block_size
-            take = min(block_size - block_offset, len(data) - written)
-            block_no = inode.blocks[block_index]
-            block = bytearray(self.device.read_block(block_no))
-            block[block_offset: block_offset + take] = data[written: written + take]
-            self.device.write_block(block_no, bytes(block))
-            position += take
-            written += take
-        if end > inode.size:
-            inode.size = end
+            inode.blocks.append(device.allocate_block())
+        if data:
+            device.touch_blocks(inode.blocks[
+                offset // block_size: (end + block_size - 1) // block_size],
+                write=True)
+        if offset == 0 and end == high:
+            # The write covers the file: adopt the caller's ``bytes`` (a
+            # mutable buffer is copied here, once, so nobody aliases a file).
+            inode.content = bytes(data)
+        else:
+            # A gap between the old end of file and *offset* reads as zeros.
+            inode.content = b"".join((content[:offset].ljust(offset, b"\0"),
+                                      data, content[end:]))
+        inode.size = high
 
     def _truncate(self, inode: Inode, size: int) -> None:
         block_size = self.device.block_size
@@ -493,6 +499,8 @@ class PhysicalFileSystem(VFSOperations):
         del inode.blocks[needed_blocks:]
         while len(inode.blocks) < needed_blocks:
             inode.blocks.append(self.device.allocate_block())
+        # Cut bytes are gone for good: growing again pads with zeros.
+        inode.content = inode.content[:size].ljust(size, b"\0")
         inode.size = size
         inode.mtime = self._now()
 
@@ -508,7 +516,4 @@ class PhysicalFileSystem(VFSOperations):
 
         inode = self.inode(ino)
         self._truncate(inode, 0)
-        if data:
-            self._write_range(inode, 0, data)
-        inode.size = len(data)
-        inode.mtime = self._now()
+        self._write_range(inode, 0, data)

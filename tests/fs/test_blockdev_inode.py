@@ -8,30 +8,41 @@ from repro.fs.inode import FileType, Inode, permission_granted
 
 
 class TestBlockDevice:
-    def test_allocate_read_write_roundtrip(self):
+    """The device allocates and counts; a file's bytes live on its inode."""
+
+    def test_allocation_hands_out_distinct_counted_blocks(self):
         device = BlockDevice(block_size=16)
-        block = device.allocate_block()
-        device.write_block(block, b"hello")
-        data = device.read_block(block)
-        assert data.startswith(b"hello")
-        assert len(data) == 16
+        blocks = [device.allocate_block() for _ in range(3)]
+        assert len(set(blocks)) == 3
+        assert device.allocated_blocks == 3
+        assert device.stats.allocations == 3
+        assert device.stats.reads == device.stats.writes == 0
 
-    def test_short_writes_are_zero_padded(self):
+    def test_a_read_touch_counts_every_block_of_the_span(self):
         device = BlockDevice(block_size=8)
-        block = device.allocate_block()
-        device.write_block(block, b"ab")
-        assert device.read_block(block) == b"ab" + bytes(6)
+        blocks = [device.allocate_block() for _ in range(3)]
+        device.touch_blocks(blocks)
+        device.touch_blocks(blocks[1:2])
+        device.touch_blocks([])
+        assert (device.stats.reads, device.stats.bytes_read) == (4, 32)
+        assert (device.stats.writes, device.stats.bytes_written) == (0, 0)
 
-    def test_oversized_write_rejected(self):
+    def test_a_write_touch_is_a_read_modify_write_of_each_block(self):
         device = BlockDevice(block_size=4)
-        block = device.allocate_block()
-        with pytest.raises(FileSystemError):
-            device.write_block(block, b"too long")
+        blocks = [device.allocate_block() for _ in range(2)]
+        device.touch_blocks(blocks, write=True)
+        assert (device.stats.writes, device.stats.bytes_written) == (2, 8)
+        assert (device.stats.reads, device.stats.bytes_read) == (2, 8)
 
     def test_bad_block_number_rejected(self):
         device = BlockDevice()
-        with pytest.raises(FileSystemError):
-            device.read_block(999)
+        good = device.allocate_block()
+        for write in (False, True):
+            with pytest.raises(FileSystemError) as info:
+                device.touch_blocks([good, 999], write=write)
+            assert info.value.errno is Errno.EINVAL
+            assert "bad block 999" in str(info.value)
+        assert device.stats.reads == device.stats.writes == 0
 
     def test_free_block_is_reused(self):
         device = BlockDevice()
@@ -39,22 +50,26 @@ class TestBlockDevice:
         device.free_block(block)
         assert device.allocate_block() == block
 
+    def test_a_freed_block_is_bad_until_reallocated_and_frees_once(self):
+        device = BlockDevice()
+        block = device.allocate_block()
+        device.free_block(block)
+        device.free_block(block)            # already free: ignored
+        device.free_block(4242)             # never allocated: ignored
+        assert device.stats.frees == 1 and device.allocated_blocks == 0
+        with pytest.raises(FileSystemError):
+            device.touch_blocks([block])
+
     def test_capacity_enforced(self):
         device = BlockDevice(capacity_blocks=2)
-        device.allocate_block()
+        first = device.allocate_block()
         device.allocate_block()
         with pytest.raises(FileSystemError) as info:
             device.allocate_block()
         assert info.value.errno is Errno.ENOSPC
-
-    def test_stats_accumulate(self):
-        device = BlockDevice(block_size=4)
-        block = device.allocate_block()
-        device.write_block(block, b"x")
-        device.read_block(block)
-        assert device.stats.writes == 1
-        assert device.stats.reads == 1
-        assert device.stats.bytes_written == 4
+        assert device.stats.allocations == 2
+        device.free_block(first)            # room again
+        assert device.allocate_block() == first
 
 
 class TestPermissionCheck:

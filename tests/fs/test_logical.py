@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.system import DataLinksSystem
 from repro.errors import Errno, FileSystemError
 from repro.fs.physical import PhysicalFileSystem
 from repro.fs.vfs import FilterVFS, OpenFlags
@@ -184,3 +185,51 @@ class TestMountsAndStacking:
         lfs.rename("/d/f.txt", "/d/g.txt", root_cred)
         lfs.unlink("/d/g.txt", root_cred)
         assert lfs.listdir("/d", root_cred) == []
+
+
+class TestDirectoryIdentityInvalidation:
+    """``dir_version`` drops cached walks only when a directory's owner or
+    mode really changes -- naming the value it already has is not a change."""
+
+    def test_repeated_put_file_into_a_directory_keeps_dir_version(self):
+        system = DataLinksSystem()
+        system.add_file_server("fs1")
+        alice = system.session("alice", uid=1001)
+        alice.put_file("fs1", "/library/first.dat", b"one")
+        physical = system.file_server("fs1").physical
+        version = physical.dir_version
+        for index in range(5):
+            alice.put_file("fs1", f"/library/doc{index}.dat", b"more")
+        assert physical.dir_version == version
+
+    def test_a_noop_chown_or_chmod_of_a_directory_is_not_a_change(
+            self, fs_stack, root_cred, alice_cred):
+        physical, lfs = fs_stack
+        lfs.makedirs("/d", root_cred)
+        lfs.chown("/d", alice_cred.uid, alice_cred.gid, root_cred)
+        lfs.chmod("/d", 0o750, root_cred)
+        version = physical.dir_version
+        lfs.chown("/d", alice_cred.uid, alice_cred.gid, root_cred)
+        lfs.chmod("/d", 0o750, root_cred)
+        assert physical.dir_version == version
+
+    @pytest.mark.parametrize("change", ["chmod", "chown"])
+    def test_a_real_change_bumps_it_and_the_next_open_sees_it(
+            self, fs_stack, root_cred, alice_cred, bob_cred, change):
+        physical, lfs = fs_stack
+        lfs.makedirs("/d", root_cred)
+        lfs.chown("/d", alice_cred.uid, alice_cred.gid, root_cred)
+        lfs.chmod("/d", 0o700, root_cred)
+        lfs.write_file("/d/f.txt", b"mine", alice_cred)
+        # Twice: the second open is served from the resolution caches.
+        assert lfs.read_file("/d/f.txt", alice_cred) == b"mine"
+        assert lfs.read_file("/d/f.txt", alice_cred) == b"mine"
+        version = physical.dir_version
+        if change == "chmod":
+            lfs.chmod("/d", 0o000, root_cred)
+        else:
+            lfs.chown("/d", bob_cred.uid, bob_cred.gid, root_cred)
+        assert physical.dir_version > version
+        with pytest.raises(FileSystemError) as info:
+            lfs.read_file("/d/f.txt", alice_cred)
+        assert info.value.errno is Errno.EACCES

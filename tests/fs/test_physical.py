@@ -139,6 +139,41 @@ class TestDataPath:
         assert pfs.read_whole_file(vnode.ino) == b"v2"
 
 
+def _truncate_through_lfs(lfs, pfs, path, size, cred):
+    lfs.truncate(path, size, cred)
+
+
+def _truncate_through_setattr(lfs, pfs, path, size, cred):
+    vnode = pfs.fs_lookup(pfs.root_vnode(), path.lstrip("/"), cred)
+    pfs.fs_setattr(vnode, cred, size=size)
+
+
+@pytest.mark.parametrize("truncate", [_truncate_through_lfs,
+                                      _truncate_through_setattr])
+class TestTruncatedBytesStayGone:
+    """Bytes cut off by a truncate never come back: growing the file again,
+    or writing past the cut, reads zeros there (POSIX), also inside the
+    block the cut fell in."""
+
+    def test_shrink_then_grow_reads_zeros(self, fs_stack, root, truncate):
+        pfs, lfs = fs_stack
+        lfs.write_file("/f", b"A" * 100, root)
+        truncate(lfs, pfs, "/f", 10, root)
+        truncate(lfs, pfs, "/f", 50, root)
+        assert lfs.read_file("/f", root) == b"A" * 10 + bytes(40)
+
+    def test_shrink_then_write_past_the_cut_reads_zeros(self, fs_stack, root,
+                                                        truncate):
+        pfs, lfs = fs_stack
+        lfs.write_file("/g", b"B" * 100, root)
+        truncate(lfs, pfs, "/g", 10, root)
+        fd = lfs.open("/g", OpenFlags.WRITE, root)
+        lfs.lseek(fd, 40)
+        lfs.write(fd, b"ZZ")
+        lfs.close(fd)
+        assert lfs.read_file("/g", root) == b"B" * 10 + bytes(30) + b"ZZ"
+
+
 class TestPermissions:
     def test_open_denied_without_permission(self, pfs, root, user):
         vnode = _create_file(pfs, root, content=b"secret")

@@ -3,22 +3,34 @@
 ``FileAttributes``, ``Vnode``, ``DatalinkURL`` and ``AccessToken`` are named
 tuples built on every operation; what callers rely on is pinned here
 (immutable, equal and hash-equal by value, keyword and positional
-construction agree, text forms round-trip).  ``_read_range`` takes its whole
-block span in one device call; the per-block loop it replaced is kept here
-as the reference for bytes and device counters.
+construction agree, text forms round-trip).  A file's bytes are one
+immutable ``bytes`` on its inode over a device that only allocates and
+counts: a random history of writes, truncates and reads is held to a
+``bytearray`` model and to closed-form device counters, and a document that
+is ingested, mirrored, archived and read back is the same object at every
+stop.
 """
 
+import os
+from dataclasses import asdict
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datalinks.control_modes import ControlMode
+from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.dlfs.layer import DataLinksFileSystem
+from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.datalinks.tokens import AccessToken, TokenType
 from repro.errors import Errno, FileSystemError
 from repro.fs.blockdev import BlockDevice
 from repro.fs.inode import FileAttributes, FileType
+from repro.fs.logical import LogicalFileSystem
 from repro.fs.physical import PhysicalFileSystem
-from repro.fs.vfs import Credentials, FilterVFS, Vnode
+from repro.fs.vfs import Credentials, FilterVFS, OpenFlags, Vnode
+from repro.storage.schema import Column, TableSchema
+from repro.storage.values import DataType
 from repro.util.urls import DatalinkURL, parse_url
 
 ROOT = Credentials(uid=0, gid=0, username="root")
@@ -143,65 +155,110 @@ class TestTextRoundTrips:
 BLOCK = 16
 
 
-def _per_block_read_range(pfs, inode, offset, length) -> bytes:
-    """The loop ``_read_range`` replaced: one ``read_block`` per block."""
+def _span(start: int, stop: int) -> int:
+    """How many blocks a request over bytes ``[start, stop)`` touches."""
 
-    if offset >= inode.size:
-        return b""
-    end = inode.size if length <= 0 else min(inode.size, offset + length)
-    block_size = pfs.device.block_size
-    chunks = []
-    position = offset
-    while position < end:
-        block_index = position // block_size
-        block_offset = position % block_size
-        take = min(block_size - block_offset, end - position)
-        block = pfs.device.read_block(inode.blocks[block_index])
-        chunks.append(block[block_offset: block_offset + take])
-        position += take
-    return b"".join(chunks)
+    return 0 if stop <= start else (stop - 1) // BLOCK - start // BLOCK + 1
 
 
-def _counted(pfs, read) -> tuple:
-    stats = pfs.device.stats
-    before = (stats.reads, stats.bytes_read)
-    data = read()
-    return data, stats.reads - before[0], stats.bytes_read - before[1]
+def _blocks_of(size: int) -> int:
+    return -(-size // BLOCK)
+
+
+_OFFSETS = st.integers(0, 100)
+_PAYLOADS = st.binary(min_size=1, max_size=40)
+_SIZES = st.one_of(st.integers(0, 100),
+                   st.integers(0, 6).map(lambda k: k * BLOCK))
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), _OFFSETS, _PAYLOADS),
+    st.tuples(st.just("append"), _PAYLOADS),
+    st.tuples(st.just("truncate"), _SIZES),
+    st.tuples(st.just("setattr_size"), _SIZES),
+    st.tuples(st.just("open_truncating")),
+    st.tuples(st.just("read"), st.integers(0, 150), st.integers(-2, 150)),
+), min_size=1, max_size=12)
 
 
 class TestReadRange:
-    @given(grown=st.one_of(st.just(0),
-                           st.integers(0, 6).map(lambda k: k * BLOCK),
-                           st.integers(0, 100)),
-           write_at=st.integers(0, 100),
-           payload=st.binary(max_size=40),
-           reads=st.lists(st.tuples(st.integers(0, 150),
-                                    st.integers(-2, 150)),
-                          min_size=1, max_size=8))
-    @settings(max_examples=200, deadline=None)
-    def test_bytes_and_device_counters_match_the_per_block_loop(
-            self, grown, write_at, payload, reads):
+    @given(steps=_STEPS)
+    @example(steps=[("append", b"AB"), ("truncate", 1), ("truncate", 3)])
+    @example(steps=[("append", b"AB"), ("truncate", 1), ("write", 2, b"C")])
+    @settings(max_examples=250, deadline=None)
+    def test_a_history_matches_a_bytearray_and_closed_form_counters(
+            self, steps):
         pfs = PhysicalFileSystem("pfs0", device=BlockDevice(block_size=BLOCK))
-        vnode = pfs.fs_create(pfs.root_vnode(), "f", 0o644, ROOT)
-        # Grown by truncate (zero-filled blocks), then partly written.
-        pfs.fs_setattr(vnode, ROOT, size=grown)
-        model = bytearray(grown)
-        if payload:
-            pfs.fs_readwrite(vnode, write_at, data=payload, write=True,
-                             cred=ROOT)
-            if write_at + len(payload) > len(model):
-                model.extend(bytes(write_at + len(payload) - len(model)))
-            model[write_at: write_at + len(payload)] = payload
+        lfs = LogicalFileSystem()
+        lfs.mount("/", pfs)
+        lfs.write_file("/f", b"", ROOT)
+        vnode = pfs.fs_lookup(pfs.root_vnode(), "f", ROOT)
         inode = pfs.inode(vnode.ino)
-        assert inode.size == len(model)
-        for offset, length in reads:
-            got = _counted(pfs, lambda: pfs._read_range(inode, offset, length))
-            want = _counted(pfs, lambda: _per_block_read_range(
-                pfs, inode, offset, length))
-            assert got == want, (offset, length)
-            stop = len(model) if length <= 0 else offset + length
-            assert got[0] == bytes(model[offset:stop])
-        assert pfs.read_whole_file(vnode.ino) == bytes(model)
+        model = bytearray()
+        want = dict.fromkeys(asdict(pfs.device.stats), 0)
+
+        def resized(old: int, new: int) -> None:
+            change = _blocks_of(new) - _blocks_of(old)
+            want["allocations" if change > 0 else "frees"] += abs(change)
+
+        def touched(start: int, stop: int, write: bool = False) -> None:
+            count = _span(start, stop)
+            want["reads"] += count
+            want["bytes_read"] += count * BLOCK
+            if write:
+                want["writes"] += count
+                want["bytes_written"] += count * BLOCK
+
+        def written(offset: int, payload: bytes) -> None:
+            stop = offset + len(payload)
+            resized(len(model), max(len(model), stop))
+            touched(offset, stop, write=True)
+            if offset > len(model):         # a sparse gap reads as zeros
+                model.extend(bytes(offset - len(model)))
+            model[offset:stop] = payload
+
+        for step in steps:
+            kind = step[0]
+            if kind == "write":
+                fd = lfs.open("/f", OpenFlags.WRITE, ROOT)
+                lfs.lseek(fd, step[1])
+                assert lfs.write(fd, step[2]) == len(step[2])
+                lfs.close(fd)
+                written(step[1], step[2])
+            elif kind == "append":
+                fd = lfs.open("/f", OpenFlags.WRITE | OpenFlags.APPEND, ROOT)
+                lfs.write(fd, step[1])
+                lfs.close(fd)
+                written(len(model), step[1])
+            elif kind in ("truncate", "setattr_size", "open_truncating"):
+                size = step[1] if len(step) > 1 else 0
+                if kind == "truncate":
+                    lfs.truncate("/f", size, ROOT)
+                elif kind == "setattr_size":
+                    pfs.fs_setattr(vnode, ROOT, size=size)
+                else:
+                    lfs.close(lfs.open(
+                        "/f", OpenFlags.WRITE | OpenFlags.TRUNCATE, ROOT))
+                resized(len(model), size)
+                del model[size:]
+                model.extend(bytes(size - len(model)))
+            else:
+                _, offset, length = step
+                fd = lfs.open("/f", OpenFlags.READ, ROOT)
+                lfs.lseek(fd, offset)
+                got = lfs.read(fd, length)
+                lfs.close(fd)
+                # ``fs_readwrite`` reads to end of file for a length <= 0.
+                stop = len(model) if length <= 0 else offset + length
+                assert got == bytes(model[offset:stop]), step
+                touched(offset, min(stop, len(model)))
+            # After every step: the whole file, its size, its block count.
+            assert lfs.read_file("/f", ROOT) == bytes(model), step
+            touched(0, len(model))
+            assert pfs.read_whole_file(vnode.ino) == bytes(model)
+            touched(0, len(model))
+            assert inode.size == len(model)
+            assert len(inode.blocks) == _blocks_of(len(model)) \
+                == pfs.device.allocated_blocks
+            assert asdict(pfs.device.stats) == want, step
 
     def test_a_bad_block_is_einval_naming_it(self):
         pfs = PhysicalFileSystem("pfs0", device=BlockDevice(block_size=BLOCK))
@@ -215,5 +272,97 @@ class TestReadRange:
         assert excinfo.value.errno is Errno.EINVAL
         assert "bad block 4242" in str(excinfo.value)
         with pytest.raises(FileSystemError) as excinfo:
-            pfs.device.read_blocks([4242])
+            pfs.fs_readwrite(vnode, BLOCK, data=b"y", write=True, cred=ROOT)
         assert "bad block 4242" in str(excinfo.value)
+        with pytest.raises(FileSystemError) as excinfo:
+            pfs.device.touch_blocks([4242])
+        assert "bad block 4242" in str(excinfo.value)
+
+
+SHARED_TABLE = "shared_docs"
+
+
+def _replicated_deployment():
+    deployment = ShardedDataLinksDeployment(2, replication=True)
+    deployment.create_table(TableSchema(SHARED_TABLE, [
+        Column("doc_id", DataType.INTEGER, nullable=False),
+        datalink_column("body", DatalinkOptions(control_mode=ControlMode.RFF,
+                                                recovery=True)),
+    ], primary_key=("doc_id",)))
+    return deployment, deployment.session("alice", uid=1001)
+
+
+class TestContentIsStoredOnce:
+    """Every hop hands the same immutable object on: the file, its archived
+    version and its witness mirror are one ``bytes``, the caller's."""
+
+    @pytest.mark.parametrize("size", [1, 4096, 4100, 16384])
+    def test_ingest_mirror_archive_and_read_back_share_one_object(self, size):
+        deployment, session = _replicated_deployment()
+        content = os.urandom(size)
+        path = "/shared/doc.dat"
+        url = deployment.put_file(session, path, content)
+        session.insert(SHARED_TABLE, {"doc_id": 0, "body": url})
+        assert deployment.system.run_archiver() == 1
+        replica = deployment.replicas[deployment.shard_of(path)]
+        for node in (replica.serving, replica.witness):
+            assert node.raw_lfs.read_file(path, node.files.dlfm_cred) \
+                is content
+            assert node.files.read(path) is content
+        (archived,) = deployment.system.archive._objects.values()
+        assert archived.content is content
+        assert deployment.system.archive.retrieve(archived.archive_id) \
+            is content
+        read_url = session.get_datalink(SHARED_TABLE, {"doc_id": 0}, "body")
+        assert session.read_url(read_url) is content
+        # Restoring the committed version puts the same object back.
+        replica.serving.files.overwrite(path, b"scribbled over")
+        assert replica.serving.dlfm.restore_last_committed(path)
+        assert replica.serving.files.read(path) is content
+
+    def test_update_in_place_archives_and_rolls_back_to_the_same_objects(
+            self, rfd_system):
+        system, alice, paths, _ = rfd_system
+        files = system.file_server("fs1").files
+        new = os.urandom(5000)
+        url = alice.get_datalink("docs", {"doc_id": 0}, "body", access="write")
+        with alice.update_file(url, truncate=True) as update:
+            update.replace(new)
+        assert system.run_archiver() == 1
+        assert files.read(paths[0]) is new
+        newest = max(system.archive._objects.values(),
+                     key=lambda version: version.archive_id)
+        assert newest.content is new
+        # An aborted update restores the committed version: that object.
+        url = alice.get_datalink("docs", {"doc_id": 0}, "body", access="write")
+        update = alice.update_file(url, truncate=True).begin()
+        update.replace(b"abandoned draft")
+        update.abort()
+        assert files.read(paths[0]) is new
+
+    def test_a_mutable_buffer_is_copied_once_on_the_way_in(self, fs_stack,
+                                                           root_cred):
+        physical, lfs = fs_stack
+        buffer = bytearray(b"draft " * 100)
+        lfs.write_file("/m.txt", buffer, root_cred)
+        stored = lfs.read_file("/m.txt", root_cred)
+        assert type(stored) is bytes and stored == bytes(buffer)
+        buffer[:5] = b"FINAL"                       # the caller's, not the file's
+        assert lfs.read_file("/m.txt", root_cred) is stored
+        lfs.write_file("/v.txt", memoryview(stored)[6:12], root_cred)
+        assert lfs.read_file("/v.txt", root_cred) == b"draft "
+        assert type(lfs.read_file("/v.txt", root_cred)) is bytes
+
+    def test_a_partial_write_leaves_earlier_readers_their_bytes(self, fs_stack,
+                                                                root_cred):
+        physical, lfs = fs_stack
+        content = os.urandom(100)
+        lfs.write_file("/p.bin", content, root_cred)
+        before = lfs.read_file("/p.bin", root_cred)
+        fd = lfs.open("/p.bin", OpenFlags.WRITE, root_cred)
+        lfs.lseek(fd, 10)
+        lfs.write(fd, b"patched")
+        lfs.close(fd)
+        assert before is content and before[10:17] != b"patched"
+        assert lfs.read_file("/p.bin", root_cred) == \
+            content[:10] + b"patched" + content[17:]

@@ -272,7 +272,10 @@ class TestIntegerTimeStaysOneDesign:
     #: operation has one implementation (ROADMAP item 1).
     RETIRED = ("BATCHED_CHARGES", "FAST_SCANS", "_point_select", "_AutoTxn",
                "BULK_TOKEN_HANDOUT", "COALESCED", "BATCHED_AUDIT",
-               "SESSION_DOMAINS", "_audit_batched", "post_group")
+               "SESSION_DOMAINS", "_audit_batched", "post_group",
+               # Per-block payloads (spelt as calls: ``write_blocked`` is a
+               # different word): file bytes live once, on the inode.
+               "read_blocks", ".read_block(", ".write_block(")
 
     def test_retired_flags_and_twins_stay_gone(self, sources):
         offenders = [f"{name}: {word}" for name, text in sources.items()
@@ -433,3 +436,56 @@ class TestNothingRebuiltPerRead:
                         f"{relpath}: {node.name} runs an import statement "
                         f"per call (line {imports})")
             assert found == wanted, f"{relpath}: missing {wanted - found}"
+
+
+class TestFileBytesAreStoredOnce:
+    """A file's content is one immutable ``bytes`` on its inode, shared with
+    the archive and the mirrors: the file-system layers hold no second copy
+    and no zero-filled block payload can come back."""
+
+    FILES, SIZE = 200, 4100
+
+    def test_staging_linking_and_archiving_copies_no_content(self):
+        import os
+        import tracemalloc
+
+        from repro.datalinks.control_modes import ControlMode
+        from tests.conftest import FILES_TABLE, build_system
+
+        system, alice, _, _ = build_system(ControlMode.RFF, files=0)
+        contents = [os.urandom(self.SIZE) for _ in range(self.FILES)]
+        tracemalloc.start()
+        try:
+            for index, content in enumerate(contents):
+                url = alice.put_file("fs1", f"/docs/doc{index}.dat", content)
+                alice.insert(FILES_TABLE, {"doc_id": index, "body": url})
+            assert system.run_archiver() == self.FILES
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size for stat in snapshot.filter_traces([
+            tracemalloc.Filter(True, "*/repro/fs/*"),
+            tracemalloc.Filter(True, "*/repro/datalinks/dlfm/archive.py"),
+        ]).statistics("filename"))
+        assert len(system.archive) == self.FILES
+        assert held < 0.5 * self.FILES * self.SIZE, \
+            (f"fs/ + dlfm/archive.py hold {held} B for "
+             f"{self.FILES * self.SIZE} B of content the caller keeps alive")
+
+    def test_nothing_under_fs_builds_a_block_sized_buffer(self):
+        import ast
+
+        offenders = []
+        for path in sorted((SRC_ROOT / "repro" / "fs").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("bytes", "bytearray")):
+                    continue
+                words = {getattr(inner, "attr", None) or
+                         getattr(inner, "id", None)
+                         for arg in node.args for inner in ast.walk(arg)}
+                if "block_size" in words:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders, \
+            f"a zero-filled block payload grew back: {offenders}"
