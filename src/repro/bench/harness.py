@@ -1,13 +1,13 @@
 """Run every experiment and render the results (text, markdown, JSON).
 
-``python -m repro.bench --smoke`` additionally writes a ``BENCH_smoke.json``
-artifact -- a per-experiment summary of the simulated-millisecond columns --
-so future changes have a perf trajectory to compare against (``--json PATH``
-overrides the location; ``--json`` also works for full, non-smoke runs).
-The default artifact path is relative to the current working directory; run
-the command from the repository root so the checked-in copy there -- the
-trajectory's committed baseline -- is the one refreshed, and commit it
-whenever a change moves the numbers.
+A full run of the smoke or the large tier (``python -m repro.bench --smoke``,
+``--scale large``; no experiment ids) additionally writes ``BENCH_smoke.json``
+/ ``BENCH_large.json`` -- a per-experiment summary of the simulated-millisecond
+columns, the perf trajectory future changes compare against -- into the
+current working directory: run it from the repository root to refresh the
+committed baseline, and commit it whenever a change moves the numbers.  A
+partial run (ids given) or a default-tier run writes an artifact only where
+``--json PATH`` says.
 
 Wall-clock plumbing: each experiment's ``wall_clock_s`` is measured around
 its run, and when a previous artifact exists at the output path its values
@@ -24,10 +24,9 @@ top-N cumulative-time rows to the artifact (and prints them), so "what got
 slow" is answered by the artifact itself instead of an ad-hoc rerun.
 Sweep experiments additionally attribute the deterministic call count
 per sweep *step* (``profile_steps`` in the artifact entry, keyed by the
-step's row label): the harness installs a pause-read-resume snapshot of
-the live profiler as
-:data:`repro.bench.experiments.PROFILE_SNAPSHOT`, and the sweep loops
-record the delta each step consumed.
+step's row label): the experiment's
+:class:`~repro.bench.runner.RunContext` reads the live profiler between
+steps and books the delta each step consumed.
 """
 
 from __future__ import annotations
@@ -41,13 +40,11 @@ import pstats
 import sys
 import time
 
-from repro.bench import experiments as experiments_module
-from repro.bench.experiments import (ALL_EXPERIMENTS, LARGE_PARAMS,
-                                     run_experiment)
-from repro.bench.metrics import ExperimentResult
+from repro.bench.metrics import ExperimentResult, format_table
+from repro.bench.runner import EXPERIMENTS, RunContext, run_experiment
 
-SMOKE_ARTIFACT = "BENCH_smoke.json"
-LARGE_ARTIFACT = "BENCH_large.json"
+#: Default artifact of a full run of a tier (the default tier has none).
+TIER_ARTIFACTS = {"smoke": "BENCH_smoke.json", "large": "BENCH_large.json"}
 PROFILE_TOP_N = 15
 
 
@@ -78,24 +75,21 @@ def _profile_summary(profiler: cProfile.Profile,
     return {"total_calls": stats.total_calls, "rows": rows}
 
 
-def _snapshot_for(profiler: cProfile.Profile):
-    """A call-count snapshot callable for *profiler* (per-step attribution).
+def _run_once(identifier: str, scale: str,
+              profiler: cProfile.Profile | None = None) -> tuple:
+    """One pass of an experiment, instrumented when a *profiler* is given:
+    ``(result, wall seconds, profile_steps)``."""
 
-    Installed as :data:`repro.bench.experiments.PROFILE_SNAPSHOT` around
-    a profiled run: sweep experiments invoke it between steps to charge
-    each step its own deterministic slice of the call count.  The
-    profiler is paused for the duration of the read so the snapshot's
-    own bookkeeping never lands in the profile.
-    """
-
-    def snapshot() -> int:
-        profiler.disable()
-        try:
-            return sum(entry.callcount for entry in profiler.getstats())
-        finally:
-            profiler.enable()
-
-    return snapshot
+    context = RunContext(profiler)
+    started = time.time()
+    if profiler is not None:
+        profiler.enable()
+    try:
+        result = run_experiment(identifier, scale, context)
+    finally:
+        if profiler is not None:
+            profiler.disable()
+    return result, time.time() - started, context.profile_steps
 
 
 def _render_profile(identifier: str, summary: dict) -> str:
@@ -126,11 +120,10 @@ def _load_baseline(path: str) -> dict:
 
 
 def write_artifact(results: list[ExperimentResult], wall_clock: dict,
-                   path: str, smoke: bool,
+                   path: str, scale: str,
                    profiles: dict | None = None,
-                   wall_clock_samples: dict | None = None,
-                   mode: str | None = None) -> None:
-    """Write the JSON perf artifact for *results* to *path*.
+                   wall_clock_samples: dict | None = None) -> None:
+    """Write the JSON perf artifact for *results* (run at *scale*) to *path*.
 
     A pre-existing artifact at *path* supplies the wall-clock baseline the
     new numbers are diffed against (``wall_clock_delta_s`` per experiment,
@@ -159,11 +152,11 @@ def write_artifact(results: list[ExperimentResult], wall_clock: dict,
         if profiles and identifier in profiles:
             entry["profile"] = profiles[identifier]["rows"]
             entry["profile_calls"] = profiles[identifier]["total_calls"]
-            if result.extra.get("profile_steps"):
-                entry["profile_steps"] = result.extra["profile_steps"]
+            if profiles[identifier]["steps"]:
+                entry["profile_steps"] = profiles[identifier]["steps"]
         experiments[identifier] = entry
     payload = {
-        "mode": mode if mode is not None else ("smoke" if smoke else "full"),
+        "mode": scale if scale != "default" else "full",
         "experiments": experiments,
     }
     total = sum(wall_clock.get(result.experiment_id, 0.0) for result in results)
@@ -183,37 +176,36 @@ def write_artifact(results: list[ExperimentResult], wall_clock: dict,
 
 
 def run_all(experiment_ids: list[str] | None = None, *,
-            markdown: bool = False, smoke: bool = False,
-            scale: str | None = None, json_path: str | None = None,
+            markdown: bool = False, scale: str = "default",
+            json_path: str | None = None,
             profile: bool = False, best_of: int = 1,
             stream=None) -> list[ExperimentResult]:
     """Run the selected experiments (all by default), printing each table.
 
-    ``smoke=True`` (equivalently ``scale="smoke"``) uses the tiny
-    per-experiment configurations -- a fast sanity pass over every
-    experiment's full code path -- and, unless ``json_path`` says
-    otherwise, writes the :data:`SMOKE_ARTIFACT` perf summary next to the
-    current working directory.  ``scale="large"`` runs the scaled-up tier
-    (by default only the experiments with large configurations,
-    :data:`~repro.bench.experiments.LARGE_PARAMS`).  ``profile=True``
-    additionally wraps every experiment in :mod:`cProfile` and attaches
-    the deterministic total call count plus the top-N cumulative table to
-    its artifact entry.  ``best_of`` re-times each experiment that many
-    times: ``wall_clock_s`` is the fastest sample and the artifact records
-    the full ``wall_clock_samples_s`` list (simulated results come from
-    the first run; reruns are timing-only and discarded).
+    ``scale="smoke"`` uses the tiny per-experiment configurations,
+    ``scale="large"`` the scaled-up tier (by default only the experiments
+    that declare large sizes).  A full run of either (no
+    ``experiment_ids``) writes its :data:`TIER_ARTIFACTS` perf summary
+    into the current working directory unless ``json_path`` says
+    otherwise; a partial run writes only where ``json_path`` says, so it
+    never replaces a committed all-experiment baseline.
+    ``profile=True`` additionally wraps every experiment in
+    :mod:`cProfile` and attaches the deterministic total call count plus
+    the top-N cumulative table to its artifact entry.  ``best_of``
+    re-times each experiment that many times: ``wall_clock_s`` is the
+    fastest sample and the artifact records the full
+    ``wall_clock_samples_s`` list (simulated results come from one run;
+    the others are timing-only and discarded).
     """
 
     stream = stream if stream is not None else sys.stdout
-    if scale is None:
-        scale = "smoke" if smoke else "default"
-    smoke = scale == "smoke"
     if experiment_ids:
         ids = [identifier.upper() for identifier in experiment_ids]
-    elif scale == "large":
-        ids = sorted(LARGE_PARAMS)
     else:
-        ids = sorted(ALL_EXPERIMENTS)
+        ids = sorted(identifier for identifier, spec in EXPERIMENTS.items()
+                     if scale in spec.tiers)
+        if json_path is None:
+            json_path = TIER_ARTIFACTS.get(scale)
     best_of = max(1, best_of)
     results = []
     wall_clock: dict[str, float] = {}
@@ -234,36 +226,13 @@ def run_all(experiment_ids: list[str] | None = None, *,
                 # first-run cache fills depend on what ran earlier in
                 # the process).  So all best-of samples come from clean
                 # passes first, and the profiled pass runs last, warm.
-                samples = []
-                for _ in range(best_of):
-                    started = time.time()
-                    run_experiment(identifier, scale=scale)
-                    samples.append(time.time() - started)
-                experiments_module.PROFILE_SNAPSHOT = _snapshot_for(profiler)
-                try:
-                    profiler.enable()
-                    result = run_experiment(identifier, scale=scale)
-                    profiler.disable()
-                finally:
-                    experiments_module.PROFILE_SNAPSHOT = None
+                samples = [_run_once(identifier, scale)[1]
+                           for _ in range(best_of)]
+                result, _, steps = _run_once(identifier, scale, profiler)
             else:
-                started = time.time()
-                if profiler is not None:
-                    experiments_module.PROFILE_SNAPSHOT = \
-                        _snapshot_for(profiler)
-                try:
-                    if profiler is not None:
-                        profiler.enable()
-                    result = run_experiment(identifier, scale=scale)
-                    if profiler is not None:
-                        profiler.disable()
-                finally:
-                    experiments_module.PROFILE_SNAPSHOT = None
-                samples = [time.time() - started]
-                for _ in range(best_of - 1):
-                    started = time.time()
-                    run_experiment(identifier, scale=scale)
-                    samples.append(time.time() - started)
+                result, first, steps = _run_once(identifier, scale, profiler)
+                samples = [first] + [_run_once(identifier, scale)[1]
+                                     for _ in range(best_of - 1)]
             elapsed = min(samples)
             wall_clock[identifier] = elapsed
             wall_samples[identifier] = samples
@@ -277,24 +246,32 @@ def run_all(experiment_ids: list[str] | None = None, *,
             else:
                 print(f"(wall clock: {elapsed:.1f} s)", file=stream)
             if profiler is not None:
-                profiles[identifier] = _profile_summary(profiler)
+                profiles[identifier] = {**_profile_summary(profiler),
+                                        "steps": steps}
                 print(_render_profile(identifier, profiles[identifier]),
                       file=stream)
             print("", file=stream)
     finally:
         if gc_was_enabled:
             gc.enable()
-    if json_path is None and smoke:
-        json_path = SMOKE_ARTIFACT
-    elif json_path is None and scale == "large":
-        json_path = LARGE_ARTIFACT
     if json_path:
-        write_artifact(results, wall_clock, json_path, smoke,
+        write_artifact(results, wall_clock, json_path, scale,
                        profiles=profiles or None,
-                       wall_clock_samples=wall_samples,
-                       mode=scale if scale != "default" else "full")
+                       wall_clock_samples=wall_samples)
         print(f"wrote {json_path}", file=stream)
     return results
+
+
+def list_experiments() -> None:
+    """Print the index of declared experiments -- id, title, paper sections,
+    columns and tiers -- as a markdown table.  Runs nothing: it is the
+    declarations alone, and ``README.md`` carries a copy."""
+
+    rows = [[spec.experiment_id, spec.title, spec.sections,
+             ", ".join(spec.columns), ", ".join(spec.tiers)]
+            for spec in EXPERIMENTS.values()]
+    print(format_table(["id", "title", "sections", "columns", "tiers"], rows,
+                       markdown=True))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -304,22 +281,28 @@ def main(argv: list[str] | None = None) -> int:
                     "E1..E10) plus the scale-out study (E11), the "
                     "replica-failover study (E12), the online-"
                     "rebalancing study (E13) and the autonomous-"
-                    "balancer study (E14).")
+                    "balancer study (E14).  A full run of the smoke or "
+                    "the large tier also writes that tier's BENCH_*.json.")
     parser.add_argument("experiments", nargs="*",
                         help="experiment ids to run (default: all)")
+    parser.add_argument("--list", action="store_true",
+                        help="print the index of experiments (id, title, "
+                             "paper sections, columns, tiers) from their "
+                             "declarations and exit; runs nothing")
     parser.add_argument("--markdown", action="store_true",
                         help="emit markdown tables")
     parser.add_argument("--smoke", action="store_true",
                         help="run every experiment with a tiny configuration "
-                             "(fast CI sanity mode); writes BENCH_smoke.json "
-                             "(shorthand for --scale smoke)")
+                             "(fast CI sanity mode; shorthand for --scale "
+                             "smoke)")
     parser.add_argument("--scale", choices=("smoke", "default", "large"),
                         default=None,
                         help="configuration tier: smoke (tiny CI configs), "
                              "default (full paper-shaped configs) or large "
                              "(scaled-up stress tier -- E14 at ~100x the "
                              "smoke operation count, E9 with thousands of "
-                             "client sessions; not part of tier-1 CI)")
+                             "client sessions; not part of tier-1 CI); "
+                             "default: default")
     parser.add_argument("--profile", action="store_true",
                         help="wrap each experiment in cProfile and attach the "
                              "deterministic total call count plus the "
@@ -332,8 +315,14 @@ def main(argv: list[str] | None = None) -> int:
                              "across reruns; default: 1)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write a JSON perf summary to PATH (default: "
-                             f"{SMOKE_ARTIFACT} in smoke mode, off otherwise)")
+                             f"{TIER_ARTIFACTS['smoke']} / "
+                             f"{TIER_ARTIFACTS['large']} for a run of the "
+                             "whole smoke / large tier; off when experiment "
+                             "ids are given and for the default tier)")
     args = parser.parse_args(argv)
+    if args.list:
+        list_experiments()
+        return 0
     scale = args.scale if args.scale is not None else \
         ("smoke" if args.smoke else "default")
     run_all(args.experiments or None, markdown=args.markdown, scale=scale,

@@ -8,7 +8,7 @@ trajectory that can be diffed across commits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _jsonable(value):
@@ -29,7 +29,6 @@ class ExperimentResult:
     headers: list
     rows: list
     notes: str = ""
-    extra: dict = field(default_factory=dict)
 
     def _dict_rows(self) -> list[dict]:
         rows = []

@@ -30,6 +30,9 @@ serial-clock system, or ``limit=1``) the pool runs them round-robin on
 it.  After the run the host :func:`~repro.simclock.gather`\\ s every
 client domain in one aggregated merge, so elapsed cluster time is the
 slowest client's completion.
+
+:func:`closed_loop_sweep` is the one driver of those sweeps: a pool per
+swept client count, all steps behind one admission gate.
 """
 
 from __future__ import annotations
@@ -179,3 +182,53 @@ class ClientPool:
             "queue_p50_ms": self.queue_delay.p50 * 1000.0,
             "queue_p99_ms": self.queue_delay.p99 * 1000.0,
         }
+
+
+def closed_loop_sweep(system, counts, stage, *,
+                      admission_limit: int | None = None,
+                      think_s: float = 0.0,
+                      domain_pool: int | None = None):
+    """Sweep closed-loop client counts over *system*: one record per count.
+
+    Each step drives ``count`` clients through a fresh :class:`ClientPool`
+    (``think_s`` of think time per operation, at most ``domain_pool``
+    distinct clock domains) behind one host admission gate of
+    ``admission_limit`` slots shared by all steps (``None``: no gate, no
+    saturation knee); the gate comes off when the sweep ends, fails or is
+    closed early.  ``stage(step_index, count)`` is a generator holding what
+    differs between workloads, resumed at the three points where the driver
+    acts: it stages what must exist before the clients do (a pool's domains
+    start at the cluster time of its creation) and yields ``(username,
+    uid_base)``; receives the new pool, hands out what needs its sessions
+    and yields ``(ops_per_client, op)``, the arguments of
+    :meth:`ClientPool.run`; and after the run yields its own columns.
+
+    The record is ``clients``, ``operations``, ``ops_per_sim_s``, the
+    end-to-end ``latency_{mean,p50,p99}_ms`` (queue delay + think +
+    service) and the admission ``queue_{p50,p99}_ms``, rounded as the
+    bench artifacts record them, plus the stage's columns.
+    """
+
+    if admission_limit is not None:
+        system.enable_admission(admission_limit)
+    try:
+        for step_index, count in enumerate(counts):
+            script = stage(step_index, count)
+            username, uid_base = next(script)
+            pool = ClientPool(system, count, limit=domain_pool,
+                              think_s=think_s, username=username,
+                              uid_base=uid_base)
+            ops_per_client, op = script.send(pool)
+            pool.run(ops_per_client, op)
+            summary = pool.summary()
+            record = {"clients": count,
+                      "operations": summary["operations"],
+                      "ops_per_sim_s": round(summary["ops_per_sim_s"], 1)}
+            for column in ("latency_mean_ms", "latency_p50_ms",
+                           "latency_p99_ms", "queue_p50_ms", "queue_p99_ms"):
+                record[column] = round(summary[column], 3)
+            record.update(next(script))
+            yield record
+    finally:
+        if admission_limit is not None:
+            system.disable_admission()

@@ -32,6 +32,7 @@ Counters: ``links``, ``reads_ok``/``reads_failed`` and their
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.datalinks.control_modes import ControlMode
@@ -40,7 +41,6 @@ from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-from repro.workloads.clients import ClientPool
 from repro.workloads.generator import WorkloadMetrics, make_content
 
 DOCS_TABLE = "replicated_docs"
@@ -214,83 +214,44 @@ class FailoverWorkload:
         metrics.record("follower_batch", timer.elapsed)
 
     # ------------------------------------------------------------- client sweep --
-    def run_read_sweep(self, client_counts, *, reads_per_client: int = 1,
-                       admission_limit: int | None = None,
-                       think_s: float = 0.0,
-                       domain_pool: int | None = None,
-                       step_hook=None) -> list[dict]:
-        """Sweep concurrent reader clients over the healthy cluster.
+    def sweep_step(self, step_index: int, clients: int,
+                   reads_per_client: int = 1):
+        """One step of a routed-reader sweep over the healthy cluster (the
+        *stage* of :func:`~repro.workloads.clients.closed_loop_sweep`).
 
-        The per-client replacement for the single
-        :meth:`_follower_batch` overlap window: each step drives
-        ``clients`` readers through a
-        :class:`~repro.workloads.clients.ClientPool` -- every reader on
-        its own clock domain, admitted through the host connection gate
-        (``admission_limit``), its reads routed over the serving node and
-        eligible witnesses and synced against the chosen node's domain.
-        Tokens are handed out up front (host-side SQL, unmeasured).
-        Requires :meth:`setup`; ingests the configured files first if no
-        run has.  ``step_hook`` (when given) is called once after each
-        step and its return recorded as the step's ``profile_calls``.
-        Returns one summary dict per step with end-to-end latency and
-        queue-delay percentiles.
+        The per-client replacement for the single :meth:`_follower_batch`
+        overlap window: every reader's reads are routed over the serving
+        node and eligible witnesses and synced against the chosen node's
+        domain.  Tokens are handed out up front (host-side SQL, unmeasured,
+        before the pool exists so its clients arrive at the cluster's
+        current time).  Requires :meth:`setup`; ingests the configured
+        files first if no run has.
         """
 
         config = self.config
         deployment = self.deployment
-        system = deployment.system
         if not self._ingested:
             self._ingest(WorkloadMetrics(started_at=deployment.clock.now()))
-            system.flush_logs()
-        admission = None
-        if admission_limit is not None:
-            admission = system.enable_admission(admission_limit)
-        steps = []
-        for step_index, clients in enumerate(client_counts):
-            urls_by_reader = []
-            cursor = 0
-            for _ in range(clients):
-                urls = []
-                for _ in range(reads_per_client):
-                    doc_id = cursor % len(self._paths)
-                    cursor += 1
-                    urls.append(self._session.get_datalink(
-                        DOCS_TABLE, {"doc_id": doc_id}, "body",
-                        access="read", ttl=config.token_ttl))
-                urls_by_reader.append(urls)
-            # The pool is created after the host-side token handout so
-            # its clients arrive at the cluster's current time.
-            pool = ClientPool(system, clients, limit=domain_pool,
-                              think_s=think_s,
-                              username=f"reader{step_index}c",
-                              uid_base=READER_UID + 1000)
-            failures = [0]
+            deployment.system.flush_logs()
+        doc_ids = itertools.cycle(range(len(self._paths)))
+        urls_by_reader = [
+            [self._session.get_datalink(DOCS_TABLE, {"doc_id": next(doc_ids)},
+                                        "body", access="read",
+                                        ttl=config.token_ttl)
+             for _ in range(reads_per_client)]
+            for _ in range(clients)]
+        yield f"reader{step_index}c", READER_UID + 1000
+        failures = [0]
 
-            def routed_read(session, reader_index, op_index):
-                try:
-                    deployment.read_url(session,
-                                        urls_by_reader[reader_index][op_index])
-                except ReproError:
-                    failures[0] += 1
+        def routed_read(session, reader_index, op_index):
+            try:
+                deployment.read_url(session,
+                                    urls_by_reader[reader_index][op_index])
+            except ReproError:
+                failures[0] += 1
 
-            pool.run(reads_per_client, routed_read)
-            summary = pool.summary()
-            steps.append({
-                "clients": clients,
-                "reads": summary["operations"] - failures[0],
-                "reads_failed": failures[0],
-                "read_mean_ms": round(summary["latency_mean_ms"], 3),
-                "read_p50_ms": round(summary["latency_p50_ms"], 3),
-                "read_p99_ms": round(summary["latency_p99_ms"], 3),
-                "queue_p50_ms": round(summary["queue_p50_ms"], 3),
-                "queue_p99_ms": round(summary["queue_p99_ms"], 3),
-                "reads_per_sim_s": round(summary["ops_per_sim_s"], 1),
-            })
-            if step_hook is not None:
-                steps[-1]["profile_calls"] = step_hook()
-        if admission is not None:
-            system.disable_admission()
-        return steps
+        yield reads_per_client, routed_read
+        yield {"reads_failed": failures[0]}
 
     def _write_phase(self, metrics: WorkloadMetrics) -> None:
         """Victim-prefix link transactions after the crash (write availability)."""

@@ -33,7 +33,6 @@ from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-from repro.workloads.clients import ClientPool
 from repro.workloads.generator import WorkloadMetrics, make_content
 
 DOCS_TABLE = "ingested_docs"
@@ -71,7 +70,10 @@ class ScaleOutWorkload:
                 group_commit_window=config.group_commit_window,
                 serial_clock=config.serial_clock)
         self._sessions = []
+        self._stager = None     # host-side session staging the sweep's files
         self._staged: list[list[tuple[int, str]]] = []
+        #: Next unused ``doc_id`` of the client sweep's freshly staged files.
+        self._next_sweep_doc = 1_000_000
 
     # -------------------------------------------------------------------- setup --
     def setup(self) -> "ScaleOutWorkload":
@@ -94,6 +96,8 @@ class ScaleOutWorkload:
             deployment.session(f"client{index}", uid=FIRST_CLIENT_UID + index)
             for index in range(config.clients)
         ]
+        self._stager = deployment.session("sweep_stager",
+                                          uid=FIRST_CLIENT_UID - 1)
         doc_id = 0
         self._staged = []
         for client in range(config.clients):
@@ -157,111 +161,64 @@ class ScaleOutWorkload:
         return metrics.counters.get("links", 0) / metrics.elapsed
 
     # ------------------------------------------------------------- client sweep --
-    def run_client_sweep(self, client_counts, *,
-                         transactions_per_client: int = 1,
-                         rows_per_transaction: int | None = None,
-                         admission_limit: int | None = None,
-                         think_s: float = 0.0,
-                         domain_pool: int | None = None,
-                         step_hook=None) -> list[dict]:
-        """Sweep concurrent ingest clients, each on its own clock domain.
+    def sweep_step(self, step_index: int, clients: int):
+        """One step of a concurrent ingest-client sweep (the *stage* of
+        :func:`~repro.workloads.clients.closed_loop_sweep`).
 
         The per-client replacement for the round-robin host-clock
-        interleaving of :meth:`run`: each step stages fresh files
-        (unmeasured, through a host-side stager session), then drives
-        ``clients`` writers through a
-        :class:`~repro.workloads.clients.ClientPool`.  Every writer is
-        admitted through the host connection gate, thinks, and commits
-        one multi-row link transaction through *its own* session -- the
-        SQL path barriers client <-> host per call, so concurrent
-        commits genuinely queue on the host's 2PC timeline and the
-        curve saturates on whichever is tighter, the admission limit or
-        the host commit path.  Requires :meth:`setup` (the table must
-        exist).  ``step_hook`` (when given) is called once after each
-        step and its return recorded as the step's ``profile_calls``.
-        Returns one summary dict per step with transaction latency and
-        queue-delay percentiles.
+        interleaving of :meth:`run`: one transaction's worth of fresh files
+        is staged per client (unmeasured, by a host-side stager session,
+        before the pool exists so its clients arrive once the files do),
+        then every writer commits one multi-row link transaction through
+        *its own* session -- the SQL path barriers client <-> host per
+        call, so concurrent commits genuinely queue on the host's 2PC
+        timeline.  Requires :meth:`setup` (the table must exist).
         """
 
         config = self.config
         deployment = self.deployment
         system = deployment.system
-        rows_per_txn = config.rows_per_transaction \
-            if rows_per_transaction is None else rows_per_transaction
-        admission = None
-        if admission_limit is not None:
-            admission = system.enable_admission(admission_limit)
-        stager = deployment.session("sweep_stager", uid=FIRST_CLIENT_UID - 1)
-        next_doc = 1_000_000
-        steps = []
-        for step_index, clients in enumerate(client_counts):
-            staged: list[list[list[dict]]] = []
-            for _ in range(clients):
-                txns = []
-                for _ in range(transactions_per_client):
-                    payload = []
-                    for _ in range(rows_per_txn):
-                        path = (f"/ingest{next_doc % (config.shards * 4)}"
-                                f"/sweep{next_doc:07d}.dat")
-                        content = make_content(config.file_size,
-                                               tag=f"sweep{next_doc}",
-                                               version=0)
-                        deployment.put_file(stager, path, content)
-                        payload.append({"doc_id": next_doc,
-                                        "body": deployment.url_for(path),
-                                        "body_size": config.file_size})
-                        next_doc += 1
-                    txns.append(payload)
-                staged.append(txns)
-            # The pool is created after staging so its clients arrive at
-            # the cluster's current time, not before the staged files
-            # existed.
-            pool = ClientPool(system, clients, limit=domain_pool,
-                              think_s=think_s,
-                              username=f"ingest{step_index}c",
-                              uid_base=FIRST_CLIENT_UID + 1000)
-            flushes_before = system.host_db.wal.flush_count
-            linked_before = dict(
-                deployment.stats()["linked_files_per_shard"])
-            failures = [0]
+        staged = []
+        for _ in range(clients):
+            payload = []
+            for _ in range(config.rows_per_transaction):
+                doc_id = self._next_sweep_doc
+                self._next_sweep_doc += 1
+                path = (f"/ingest{doc_id % (config.shards * 4)}"
+                        f"/sweep{doc_id:07d}.dat")
+                content = make_content(config.file_size,
+                                       tag=f"sweep{doc_id}", version=0)
+                deployment.put_file(self._stager, path, content)
+                payload.append({"doc_id": doc_id,
+                                "body": deployment.url_for(path),
+                                "body_size": config.file_size})
+            staged.append(payload)
+        pool = yield f"ingest{step_index}c", FIRST_CLIENT_UID + 1000
+        flushes_before = system.host_db.wal.flush_count
+        linked_before = dict(deployment.stats()["linked_files_per_shard"])
+        failures = [0]
 
-            def link_txn(session, client_index, txn_index):
-                try:
-                    session.begin()
-                    session.insert_many(DOCS_TABLE,
-                                        staged[client_index][txn_index])
-                    session.commit()
-                except ReproError:
-                    failures[0] += 1
-                    if session.in_transaction:
-                        session.abort()
+        def link_txn(session, client_index, txn_index):
+            try:
+                session.begin()
+                session.insert_many(DOCS_TABLE, staged[client_index])
+                session.commit()
+            except ReproError:
+                failures[0] += 1
+                if session.in_transaction:
+                    session.abort()
 
-            pool.run(transactions_per_client, link_txn)
-            deployment.drain()
-            summary = pool.summary()
-            committed = summary["operations"] - failures[0]
-            elapsed = pool.elapsed_s
-            linked_after = deployment.stats()["linked_files_per_shard"]
-            steps.append({
-                "clients": clients,
-                "transactions": committed,
-                "links": committed * rows_per_txn,
-                "txn_mean_ms": round(summary["latency_mean_ms"], 3),
-                "txn_p50_ms": round(summary["latency_p50_ms"], 3),
-                "txn_p99_ms": round(summary["latency_p99_ms"], 3),
-                "queue_p50_ms": round(summary["queue_p50_ms"], 3),
-                "queue_p99_ms": round(summary["queue_p99_ms"], 3),
-                "links_per_sim_s": round(
-                    committed * rows_per_txn / elapsed, 1)
-                    if elapsed > 0 else 0.0,
-                "host_log_flushes": system.host_db.wal.flush_count
-                    - flushes_before,
-                "max_links_per_shard": max(
-                    linked_after[name] - linked_before.get(name, 0)
-                    for name in linked_after) if linked_after else 0,
-            })
-            if step_hook is not None:
-                steps[-1]["profile_calls"] = step_hook()
-        if admission is not None:
-            system.disable_admission()
-        return steps
+        yield 1, link_txn
+        deployment.drain()
+        links = (clients - failures[0]) * config.rows_per_transaction
+        linked_after = deployment.stats()["linked_files_per_shard"]
+        yield {
+            "links": links,
+            "links_per_sim_s": round(links / pool.elapsed_s, 1)
+                if pool.elapsed_s > 0 else 0.0,
+            "host_log_flushes": system.host_db.wal.flush_count
+                - flushes_before,
+            "max_links_per_shard": max(
+                linked_after[name] - linked_before.get(name, 0)
+                for name in linked_after) if linked_after else 0,
+        }

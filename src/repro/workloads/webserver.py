@@ -23,7 +23,6 @@ from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.errors import FileSystemError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-from repro.workloads.clients import ClientPool
 from repro.workloads.generator import WorkloadMetrics, ZipfChooser, make_content
 
 PAGES_TABLE = "web_pages"
@@ -51,16 +50,6 @@ class WebSiteConfig:
     #: the same hot (Zipf-skewed) pages re-requests the same capabilities,
     #: which is exactly the hit pattern the cache exists for.
     token_cache: bool = True
-    #: Admission-control knobs for :meth:`WebServerWorkload.
-    #: run_session_sweep`.  ``admission_limit`` caps concurrent host
-    #: connection slots (``None`` admits instantly -- no saturation
-    #: knee); ``client_think_s`` is per-read client think time spent
-    #: while holding the slot (persistent-connection semantics);
-    #: ``client_domain_pool`` caps distinct client clock domains
-    #: (``None`` gives every swept session its own domain).
-    admission_limit: int | None = None
-    client_think_s: float = 0.0
-    client_domain_pool: int | None = None
 
 
 class WebServerWorkload:
@@ -168,96 +157,51 @@ class WebServerWorkload:
         return timer.elapsed
 
     # -------------------------------------------------------------- session sweep --
-    def run_session_sweep(self, session_counts, *,
-                          operations: int | None = None,
-                          token_ttl: float = 3600.0,
-                          step_hook=None) -> list[dict]:
-        """Sweep concurrent reader-session counts over the linked site.
+    def sweep_step(self, step_index: int, sessions: int):
+        """One step of a concurrent reader-session sweep over the linked site
+        (the *stage* of :func:`~repro.workloads.clients.closed_loop_sweep`).
 
-        Each step spreads a Zipf read schedule round-robin over
-        ``sessions`` visitor sessions driven by a
-        :class:`~repro.workloads.clients.ClientPool`: every session rides
-        its own client clock domain, acquires a host admission slot
-        (``admission_limit``), thinks for ``client_think_s`` while
-        holding it, reads its page against the serving node's domain and
-        releases.  A session's page tokens are minted up front in one
-        vectorized :meth:`~repro.api.session.Session.get_datalink_many`
-        handout -- the batch a web tier prefetches for its connection
-        pool.  Per-read end-to-end latency includes the measured
-        admission queue delay (reported separately as ``queue_*``), so
-        once ``sessions`` exceeds the admission limit the step reports a
-        genuine saturation knee: throughput flattens at the limit while
-        p99 keeps growing with session count.  Steps where ``sessions``
-        exceeds the schedule length grow the schedule so every session
-        issues at least one read.  ``step_hook`` (when given) is called
-        once after each step and its return value recorded as the step's
-        ``profile_calls`` -- the bench harness uses it to attribute
-        deterministic profiler call counts per sweep step.  Returns one
-        summary dict per step.
+        A Zipf read schedule is spread round-robin over ``sessions`` visitor
+        sessions, grown where needed so every session issues at least one
+        read.  A session's page tokens are minted up front in one vectorized
+        :meth:`~repro.api.session.Session.get_datalink_many` handout -- the
+        batch a web tier prefetches for its connection pool -- so the pool
+        exists before the handout, whose cost is reported as ``handout_ms``;
+        ``max_mb_read_per_server`` is the busiest file server's share.
         """
 
         config = self.config
-        system = self.system
-        clock = system.clock
-        base_operations = config.operations if operations is None else operations
-        admission = None
-        if config.admission_limit is not None:
-            admission = system.enable_admission(config.admission_limit)
-        steps = []
-        for step_index, sessions in enumerate(session_counts):
-            step_ops = max(base_operations, sessions)
-            chooser = ZipfChooser(config.pages, config.zipf_theta,
-                                  config.seed + 1 + step_index)
-            schedule = chooser.choose_many(step_ops)
-            pool = ClientPool(system, sessions,
-                              limit=config.client_domain_pool,
-                              think_s=config.client_think_s,
-                              username=f"sweep{step_index}_", uid_base=5001)
-            bytes_before = [
-                self.system.file_server(f"web{index}").physical.device
-                    .stats.bytes_read
-                for index in range(config.file_servers)
-            ]
-            urls_by_reader = []
-            with clock.measure() as handout_timer:
-                for reader_index, reader in enumerate(pool.sessions):
-                    wheres = [{"page_id": page_id}
-                              for page_id in schedule[reader_index::sessions]]
-                    urls_by_reader.append(
-                        reader.get_datalink_many(PAGES_TABLE, wheres, "body",
-                                                 access="read", ttl=token_ttl))
+        clock = self.system.clock
+        chooser = ZipfChooser(config.pages, config.zipf_theta,
+                              config.seed + 1 + step_index)
+        schedule = chooser.choose_many(max(config.operations, sessions))
+        devices = [self.system.file_server(f"web{index}").physical.device
+                   for index in range(config.file_servers)]
+        bytes_before = [device.stats.bytes_read for device in devices]
+        pool = yield f"sweep{step_index}_", 5001
+        urls_by_reader = []
+        with clock.measure() as handout_timer:
+            for reader_index, reader in enumerate(pool.sessions):
+                wheres = [{"page_id": page_id}
+                          for page_id in schedule[reader_index::sessions]]
+                urls_by_reader.append(
+                    reader.get_datalink_many(PAGES_TABLE, wheres, "body",
+                                             access="read", ttl=3600.0))
 
-            def read_page(session, reader_index, op_index):
-                session.read_url(urls_by_reader[reader_index][op_index])
+        def read_page(session, reader_index, op_index):
+            session.read_url(urls_by_reader[reader_index][op_index])
 
-            # The serialized handout left each client's clock at the host
-            # time of its own handout; align them so the whole pool starts
-            # inside the measured window (throughput <= limit / think).
-            pool.sync_clients()
-            pool.run([len(urls) for urls in urls_by_reader], read_page)
-            summary = pool.summary()
-            per_server_mb = [
-                (self.system.file_server(f"web{index}").physical.device
-                     .stats.bytes_read - bytes_before[index]) / (1024 * 1024)
-                for index in range(config.file_servers)
-            ]
-            steps.append({
-                "sessions": sessions,
-                "reads": summary["operations"],
-                "handout_ms": round(handout_timer.elapsed * 1000, 3),
-                "mean_read_ms": round(summary["latency_mean_ms"], 3),
-                "read_p50_ms": round(summary["latency_p50_ms"], 3),
-                "read_p99_ms": round(summary["latency_p99_ms"], 3),
-                "queue_p50_ms": round(summary["queue_p50_ms"], 3),
-                "queue_p99_ms": round(summary["queue_p99_ms"], 3),
-                "ops_per_sim_s": round(summary["ops_per_sim_s"], 1),
-                "max_mb_read_per_server": round(max(per_server_mb), 1),
-            })
-            if step_hook is not None:
-                steps[-1]["profile_calls"] = step_hook()
-        if admission is not None:
-            system.disable_admission()
-        return steps
+        # The serialized handout left each client's clock at the host
+        # time of its own handout; align them so the whole pool starts
+        # inside the measured window (throughput <= limit / think).
+        pool.sync_clients()
+        yield [len(urls) for urls in urls_by_reader], read_page
+        yield {
+            "handout_ms": round(handout_timer.elapsed * 1000, 3),
+            "max_mb_read_per_server": round(max(
+                (device.stats.bytes_read - before) / (1024 * 1024)
+                for device, before in zip(devices, bytes_before)), 1),
+        }
 
     @property
     def urls(self) -> list[str]:

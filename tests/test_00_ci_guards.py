@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments import (ALL_EXPERIMENTS, LARGE_PARAMS,
-                                     SMOKE_PARAMS)
+from repro.bench.runner import EXPERIMENTS, run_experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -39,29 +38,27 @@ REQUIRED_ENTRY_FIELDS = ("experiment_id", "title", "headers", "rows",
                         "sim_ms", "wall_clock_s")
 
 
-#: The closed-loop sweeps: experiment, row marker, throughput column, the
-#: parameter holding how many counted units one admitted operation carries
-#: (``None`` = one), and the admission-limit / think-time parameters.
+#: The closed-loop sweeps: experiment, row marker, throughput column and
+#: the size holding how many counted units one admitted operation carries
+#: (``None`` = one).  Every sweep spells its gate ``admission_limit`` and
+#: its think time ``think_s``.
 SWEEPS = (
-    ("E9", "session sweep", "ops_per_sim_s", None,
-     "admission_limit", "client_think_s"),
-    ("E11", "client sweep", "links_per_sim_s", "rows_per_transaction",
-     "sweep_admission_limit", "sweep_think_s"),
-    ("E12", "routed read sweep", "follower_reads_per_sim_s", None,
-     "sweep_admission_limit", "sweep_think_s"),
+    ("E9", "session sweep", "ops_per_sim_s", None),
+    ("E11", "client sweep", "links_per_sim_s", "rows_per_transaction"),
+    ("E12", "routed read sweep", "follower_reads_per_sim_s", None),
 )
 
 
-def assert_sweeps_obey_the_admission_ceiling(payload: dict, params: dict):
+def assert_sweeps_obey_the_admission_ceiling(payload: dict, scale: str):
     """Operational law for a closed loop behind ``limit`` slots: a client
     holds its slot for at least the think time ``Z``, so no sweep step can
     complete more than ``limit / Z`` operations per simulated second.
     The committed columns are rounded to one decimal, hence the 0.05."""
 
     checked = 0
-    for name, marker, column, units_key, limit_key, think_key in SWEEPS:
-        tier = params.get(name, {})
-        limit, think_s = tier.get(limit_key), tier.get(think_key)
+    for name, marker, column, units_key in SWEEPS:
+        tier = EXPERIMENTS[name].sizes(scale)
+        limit, think_s = tier["admission_limit"], tier["think_s"]
         if not limit or not think_s:
             continue
         ceiling = limit / think_s * (tier[units_key] if units_key else 1)
@@ -103,7 +100,7 @@ class TestCommittedArtifactShape:
         assert summary["total_s"] > 0
 
     def test_covers_every_experiment(self, payload):
-        assert set(payload["experiments"]) == set(ALL_EXPERIMENTS)
+        assert set(payload["experiments"]) == set(EXPERIMENTS)
 
     def test_entries_are_well_formed(self, payload):
         for name, entry in payload["experiments"].items():
@@ -119,7 +116,7 @@ class TestCommittedArtifactShape:
             assert isinstance(entry["wall_clock_s"], (int, float))
 
     def test_sweeps_stay_under_the_admission_ceiling(self, payload):
-        assert_sweeps_obey_the_admission_ceiling(payload, SMOKE_PARAMS)
+        assert_sweeps_obey_the_admission_ceiling(payload, "smoke")
 
 
 class TestCommittedLargeArtifactShape:
@@ -142,7 +139,8 @@ class TestCommittedLargeArtifactShape:
         assert summary["total_s"] > 0
 
     def test_covers_the_large_tier(self, payload):
-        assert set(payload["experiments"]) == set(LARGE_PARAMS)
+        assert set(payload["experiments"]) == {
+            name for name, spec in EXPERIMENTS.items() if "large" in spec.tiers}
 
     def test_entries_are_well_formed(self, payload):
         for name, entry in payload["experiments"].items():
@@ -158,7 +156,7 @@ class TestCommittedLargeArtifactShape:
             assert isinstance(entry["wall_clock_s"], (int, float))
 
     def test_sweeps_stay_under_the_admission_ceiling(self, payload):
-        assert_sweeps_obey_the_admission_ceiling(payload, LARGE_PARAMS)
+        assert_sweeps_obey_the_admission_ceiling(payload, "large")
 
     def test_e14_million_link_capacity(self, payload):
         """Every E14-large variant clears the 10^6 charged-op floor and
@@ -210,7 +208,7 @@ class TestCommittedLargeArtifactShape:
         knee, and a p99 that keeps growing with queued sessions --
         queueing, not Python-side table effects, is what saturates."""
 
-        limit = LARGE_PARAMS["E9"].get("admission_limit")
+        limit = EXPERIMENTS["E9"].sizes("large")["admission_limit"]
         if not limit:
             pytest.skip("E9-large runs without an admission limit")
         entry = payload["experiments"]["E9"]
@@ -275,7 +273,13 @@ class TestIntegerTimeStaysOneDesign:
                "SESSION_DOMAINS", "_audit_batched", "post_group",
                # Per-block payloads (spelt as calls: ``write_blocked`` is a
                # different word): file bytes live once, on the inode.
-               "read_blocks", ".read_block(", ".write_block(")
+               "read_blocks", ".read_block(", ".write_block(",
+               # Experiments are declared once and run by one runner; the
+               # closed-loop sweeps have one driver and one spelling.
+               "PROFILE_SNAPSHOT", "step_hook", "run_session_sweep",
+               "run_client_sweep", "run_read_sweep", "SMOKE_PARAMS",
+               "LARGE_PARAMS", "SCALE_PARAMS", "sweep_admission_limit",
+               "sweep_think_s", "client_think_s", "client_domain_pool")
 
     def test_retired_flags_and_twins_stay_gone(self, sources):
         offenders = [f"{name}: {word}" for name, text in sources.items()
@@ -300,7 +304,6 @@ class TestIntegerTimeStaysOneDesign:
             f"a try/except KeyError ledger block grew back in {offenders}"
 
     def test_every_clock_value_and_ledger_total_is_an_int(self):
-        from repro.bench.experiments import ALL_EXPERIMENTS
         from repro.simclock import ClockDomainGroup
 
         groups = []
@@ -312,7 +315,7 @@ class TestIntegerTimeStaysOneDesign:
 
         ClockDomainGroup.__init__ = recording
         try:
-            ALL_EXPERIMENTS["E12"](**SMOKE_PARAMS["E12"])
+            run_experiment("E12", "smoke")
         finally:
             ClockDomainGroup.__init__ = original
         domains = [domain for group in groups
@@ -365,6 +368,42 @@ class TestOnePathPerOperation:
                     env_reads.append(f"{name}:{getattr(node, 'lineno', 0)}")
         assert not switches, f"module-level on/off switch: {switches}"
         assert not env_reads, f"environment read under src/: {env_reads}"
+
+    def test_the_bench_builds_systems_in_one_place_and_patches_no_module(self):
+        """Under ``src/repro/bench/`` exactly one function constructs a
+        ``DataLinksSystem`` (the runner context's ``build_host`` -- the
+        injection point for a cost model), and no module assigns an
+        attribute on another imported module (a harness-to-experiments
+        global by another name)."""
+
+        import ast
+
+        builders, patches = [], []
+        for path in sorted((SRC_ROOT / "repro" / "bench").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    imported.update((alias.asname or alias.name).split(".")[0]
+                                    for alias in node.names)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    builders += [
+                        f"{path.name}:{node.name}" for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                        and call.func.id == "DataLinksSystem"]
+            for node in ast.walk(tree):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target] if isinstance(
+                        node, (ast.AugAssign, ast.AnnAssign)) else []
+                patches += [
+                    f"{path.name}:{node.lineno} {target.value.id}.{target.attr}"
+                    for target in targets
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id in imported]
+        assert builders == ["runner.py:build_host"], builders
+        assert not patches, f"a module global set from outside: {patches}"
 
     def test_the_message_envelope_module_is_gone(self):
         import importlib.util

@@ -48,7 +48,7 @@ def _is_sim_key(key: str) -> bool:
 
 def _run_smoke(tmp_path: Path, tag: str) -> dict:
     json_path = tmp_path / f"bench_{tag}.json"
-    run_all(smoke=True, json_path=str(json_path), stream=io.StringIO())
+    run_all(scale="smoke", json_path=str(json_path), stream=io.StringIO())
     with open(json_path, "r", encoding="utf-8") as stream:
         return json.load(stream)
 
@@ -217,12 +217,12 @@ class TestCallCountBudget:
 
         import pstats
 
-        from repro.bench.experiments import run_experiment
+        from repro.bench.runner import run_experiment
 
-        run_experiment(self.EXPERIMENT, smoke=True)  # warm the caches
+        run_experiment(self.EXPERIMENT, "smoke")  # warm the caches
         profiler = cProfile.Profile()
         profiler.enable()
-        run_experiment(self.EXPERIMENT, smoke=True)
+        run_experiment(self.EXPERIMENT, "smoke")
         profiler.disable()
         fresh = pstats.Stats(profiler).total_calls
         budget = int(baseline * self.ALLOWED_GROWTH)
@@ -337,7 +337,7 @@ class TestLargeTierInvariant:
 
         import pstats
 
-        from repro.bench.experiments import run_experiment
+        from repro.bench.runner import run_experiment
 
         run_experiment("E14", scale="large")  # warm the caches
         profiler = cProfile.Profile()

@@ -292,9 +292,10 @@ class TestBulkHandoutIsTheScalarLoop:
     FILES = 6
 
     def _twin(self, mode, token_cache: bool):
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
+        from repro.bench.runner import FILES_TABLE, RunContext
 
-        system, _, _ = build_microsystem(mode, size=512, files=self.FILES)
+        system, _, _ = RunContext().build_microsystem(mode, size=512,
+                                                      files=self.FILES)
         system.engine.insert(FILES_TABLE, {"file_id": 50, "doc": None,
                                            "doc_size": 0, "doc_mtime": 0.0})
         if token_cache:
@@ -332,7 +333,7 @@ class TestBulkHandoutIsTheScalarLoop:
     @pytest.mark.parametrize("token_cache", [False, True])
     @pytest.mark.parametrize("seed", [3, 777, 20261002])
     def test_values_errors_ledger_and_ticks_match(self, seed, token_cache):
-        from repro.bench.experiments import FILES_TABLE
+        from repro.bench.runner import FILES_TABLE
         from repro.datalinks.control_modes import ControlMode
 
         rng = random.Random(seed)
@@ -367,7 +368,7 @@ class TestBulkHandoutIsTheScalarLoop:
         assert all(seen.values()), seen
 
     def test_unknown_access_kind_is_refused_like_the_scalar(self):
-        from repro.bench.experiments import FILES_TABLE
+        from repro.bench.runner import FILES_TABLE
         from repro.datalinks.control_modes import ControlMode
 
         bulk = self._twin(ControlMode.RDD, False)
@@ -388,22 +389,24 @@ class TestSmokeWorkloadLedgerIdentity:
     composite-index check."""
 
     def _run_e9(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
+        from repro.bench.runner import EXPERIMENTS
         from repro.datalinks.control_modes import ControlMode
+        from repro.workloads.clients import closed_loop_sweep
         from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
 
-        params = SMOKE_PARAMS["E9"]
-        config = WebSiteConfig(pages=params["pages"],
-                               operations=params["operations"],
-                               page_size=params["page_size"],
+        sizes = EXPERIMENTS["E9"].sizes("smoke")
+        config = WebSiteConfig(pages=sizes["pages"],
+                               operations=sizes["operations"],
+                               page_size=sizes["page_size"],
                                file_servers=2,
                                control_mode=ControlMode.RDD,
-                               clients=2,
-                               admission_limit=params["admission_limit"],
-                               client_think_s=params["client_think_s"])
+                               clients=2)
         workload = WebServerWorkload(config).setup()
         workload.run()
-        steps = workload.run_session_sweep(params["session_sweep"])
+        steps = list(closed_loop_sweep(
+            workload.system, sizes["sweep"], workload.sweep_step,
+            admission_limit=sizes["admission_limit"],
+            think_s=sizes["think_s"]))
         snapshot = _group_snapshot(workload.system.clocks)
         snapshot["sweep"] = steps
         return snapshot

@@ -1,44 +1,56 @@
 """The reproduced experiments must run and reproduce the paper's qualitative claims."""
 
+import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments import (
-    ALL_EXPERIMENTS,
-    SMOKE_PARAMS,
-    experiment_e1,
-    experiment_e2,
-    experiment_e3,
-    experiment_e5,
-    experiment_e6,
-    experiment_e7,
-    experiment_e8,
-    experiment_e11,
-    experiment_e12,
-    run_experiment,
-)
+from repro.bench.harness import run_all
 from repro.bench.metrics import ExperimentResult, format_table
-from repro.workloads.editors import EditorConfig
+from repro.bench.runner import EXPERIMENTS, SCALES, run_experiment
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestHarness:
     def test_registry_covers_all_experiments(self):
         expected = {f"E{i}" for i in range(1, 15)}
-        assert set(ALL_EXPERIMENTS) == expected
+        assert set(EXPERIMENTS) == expected
 
     def test_smoke_params_cover_every_experiment(self):
-        assert set(SMOKE_PARAMS) == set(ALL_EXPERIMENTS)
+        """Every declaration resolves every tier to the keyword sizes of its
+        function: the overrides of ``smoke`` / ``large`` name default sizes."""
 
-    @pytest.mark.parametrize("experiment_id", sorted(ALL_EXPERIMENTS))
+        for spec in EXPERIMENTS.values():
+            assert "smoke" in spec.tiers and "default" in spec.tiers
+            for scale in SCALES:
+                assert set(spec.sizes(scale)) == set(spec.default), \
+                    f"{spec.experiment_id} {scale} overrides an unknown size"
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
     def test_every_experiment_completes_in_smoke_mode(self, experiment_id):
-        """CI gate: ``python -m repro.bench --smoke`` must cover E1..E12."""
+        """CI gate: ``python -m repro.bench --smoke`` must cover E1..E14."""
 
-        result = run_experiment(experiment_id, smoke=True)
+        result = run_experiment(experiment_id, "smoke")
         assert isinstance(result, ExperimentResult)
         assert result.experiment_id == experiment_id
         assert result.rows
+        assert result.headers == list(EXPERIMENTS[experiment_id].columns)
+
+    def test_a_row_that_strays_from_the_declared_columns_is_refused(
+            self, monkeypatch):
+        spec = EXPERIMENTS["E6"]
+        monkeypatch.setitem(
+            EXPERIMENTS, "E6", dataclasses.replace(
+                spec, run=lambda context: [{"scenario": "x", "passed": "yes"}]))
+        with pytest.raises(ValueError, match="declared columns"):
+            run_experiment("E6", "smoke")
+
+    def test_unknown_scale(self):
+        with pytest.raises(KeyError):
+            run_experiment("E1", "huge")
 
     def test_run_experiment_by_id_case_insensitive(self):
         result = run_experiment("e1")
@@ -53,10 +65,8 @@ class TestHarness:
         """``python -m repro.bench --smoke`` writes BENCH_smoke.json with a
         per-experiment simulated-ms summary for the perf trajectory."""
 
-        from repro.bench.harness import run_all
-
         artifact = tmp_path / "BENCH_smoke.json"
-        run_all(["E1", "E11"], smoke=True, json_path=str(artifact),
+        run_all(["E1", "E11"], scale="smoke", json_path=str(artifact),
                 stream=io.StringIO())
         payload = json.loads(artifact.read_text())
         assert payload["mode"] == "smoke"
@@ -67,6 +77,70 @@ class TestHarness:
                    for key in e11["sim_ms"])
         # every cell is JSON-round-trippable (LSNs and such become strings)
         json.dumps(payload)
+
+    def test_only_a_full_tier_run_defaults_its_artifact_path(
+            self, tmp_path, monkeypatch):
+        """``python -m repro.bench E9 --smoke`` from the repository root must
+        not replace the committed 14-experiment baseline with one entry."""
+
+        monkeypatch.chdir(tmp_path)
+        run_all(["E1"], scale="smoke", stream=io.StringIO())
+        assert list(tmp_path.iterdir()) == []
+        run_all(scale="smoke", stream=io.StringIO())
+        assert [path.name for path in tmp_path.iterdir()] == ["BENCH_smoke.json"]
+        payload = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+        assert set(payload["experiments"]) == set(EXPERIMENTS)
+
+    def test_profiled_sweeps_attribute_calls_per_step(self, tmp_path):
+        """``--profile`` books each sweep step's deterministic call count
+        under the step's row label; an unprofiled run books nothing."""
+
+        sweeps = ["E9", "E11", "E12"]
+        artifact = tmp_path / "profiled.json"
+        run_all(sweeps, scale="smoke", profile=True, json_path=str(artifact),
+                stream=io.StringIO())
+        for name, entry in json.loads(
+                artifact.read_text())["experiments"].items():
+            swept = [row["configuration"] for row in entry["rows"]
+                     if "sweep" in row["configuration"]]
+            steps = entry["profile_steps"]
+            assert len(swept) == 2 and list(steps) == swept, name
+            assert all(type(calls) is int and calls > 0
+                       for calls in steps.values()), name
+            assert sum(steps.values()) < entry["profile_calls"], name
+        run_all(sweeps, scale="smoke", json_path=str(artifact),
+                stream=io.StringIO())
+        for entry in json.loads(artifact.read_text())["experiments"].values():
+            assert "profile_steps" not in entry and "profile" not in entry
+
+    def test_listing_runs_nothing_and_is_the_readme_index(
+            self, monkeypatch, capsys):
+        """``--list`` and a walk of the declarations give id, title,
+        sections, claim, columns and per-tier sizes without building a
+        system; ``README.md`` carries the ``--list`` table verbatim."""
+
+        from repro.api.system import DataLinksSystem
+        from repro.bench.harness import main
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("listing experiments built a system")
+
+        monkeypatch.setattr(DataLinksSystem, "__init__", refuse)
+        assert main(["--list"]) == 0
+        listing = capsys.readouterr().out
+        for spec in EXPERIMENTS.values():
+            assert spec.title and spec.sections and spec.paper_claim
+            assert len(spec.columns) >= 3
+            assert all(isinstance(spec.sizes(scale), dict)
+                       for scale in spec.tiers)
+            row = next(line for line in listing.splitlines()
+                       if line.startswith(f"| {spec.experiment_id} "))
+            for cell in (spec.title, spec.sections, ", ".join(spec.columns),
+                         ", ".join(spec.tiers)):
+                assert cell in row
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        assert listing.strip() in readme, \
+            "README.md's experiment index is not `python -m repro.bench --list`"
 
     def test_table_formatting_text_and_markdown(self):
         headers = ["name", "value"]
@@ -82,12 +156,12 @@ class TestHarness:
 
 class TestExperimentClaims:
     def test_e1_datalink_retrieval_under_three_ms(self):
-        result = experiment_e1(repeats=10)
+        result = run_experiment("E1")
         token_rows = [row for row in result.rows if "token" in row["statement"]]
         assert token_rows and all(row["within_3ms"] == "yes" for row in token_rows)
 
     def test_e2_reads_outside_full_control_avoid_upcalls(self):
-        result = experiment_e2(repeats=5)
+        result = run_experiment("E2")
         by_mode = {row["mode"]: row for row in result.rows}
         for mode in ("rff", "rfb", "rfd"):
             assert by_mode[mode]["upcalls_per_open"] == 0
@@ -97,14 +171,14 @@ class TestExperimentClaims:
             assert 0.0 < by_mode[mode]["added_vs_unlinked_ms"] < 5.0
 
     def test_e3_overhead_shrinks_with_file_size_and_blob_does_not(self):
-        result = experiment_e3(sizes=(64 * 1024, 1024 * 1024), repeats=2)
-        small, large = result.rows
+        result = run_experiment("E3")
+        small, large, _ = result.rows          # 64 KB, 1 MB, 4 MB
         assert large["fs_overhead_pct"] < small["fs_overhead_pct"]
         assert large["fs_overhead_pct"] < 3.0
         assert large["blob_overhead_pct"] > 10 * large["fs_overhead_pct"]
 
     def test_e5_scheme_comparison_shape(self):
-        result = experiment_e5(EditorConfig(editors=4, files=2, edits_per_editor=2))
+        result = run_experiment("E5")
         by_scheme = {row["scheme"]: row for row in result.rows}
         assert by_scheme["uip"]["lost_updates"] == 0
         assert by_scheme["cico"]["lost_updates"] == 0
@@ -113,22 +187,20 @@ class TestExperimentClaims:
         assert by_scheme["cau-detect"]["rejected_checkins"] > 0
 
     def test_e6_atomicity_scenarios_all_pass(self):
-        result = experiment_e6()
+        result = run_experiment("E6")
         assert all(row["pass"] == "yes" for row in result.rows)
 
     def test_e7_coordinated_restore_consistency(self):
-        result = experiment_e7()
+        result = run_experiment("E7")
         assert all(row["file_content_matches"] == "yes" for row in result.rows)
         assert all(row["metadata_matches"] == "yes" for row in result.rows)
 
     def test_e8_sync_semantics_match_paper(self):
-        result = experiment_e8()
+        result = run_experiment("E8")
         assert all(row["matches_paper"] == "yes" for row in result.rows)
 
     def test_e12_replica_failover_gives_full_availability(self):
-        result = experiment_e12(shards=2, files=12, reads_per_phase=12,
-                                file_size=512, rows_per_transaction=4,
-                                follower_read_batch=12, writes_per_phase=4)
+        result = run_experiment("E12")
         baseline = next(row for row in result.rows
                         if "no replication" in row["configuration"])
         replicated = next(row for row in result.rows
@@ -165,7 +237,7 @@ class TestExperimentClaims:
         """CI gate: the smoke-mode E12 rows (what BENCH_smoke.json records)
         carry the write-availability and follower-read columns."""
 
-        result = run_experiment("E12", smoke=True)
+        result = run_experiment("E12", "smoke")
         required = {"write_availability_pct", "writes_ok_after",
                     "follower_reads_per_sim_s", "victim_availability_pct",
                     "failover_ms"}
@@ -185,11 +257,7 @@ class TestExperimentClaims:
         nonzero foreground link+read throughput *during* the move, and the
         moved prefix promotable from the destination's witness set."""
 
-        from repro.bench.experiments import experiment_e13
-
-        result = experiment_e13(shards=2, hot_files=6, cold_files=6,
-                                file_size=512, reads_per_phase=12,
-                                links_per_phase=4)
+        result = run_experiment("E13")
         by_phase = {row["phase"]: row for row in result.rows}
         during = next(row for row in result.rows
                       if row["phase"].startswith("during move"))
@@ -222,7 +290,7 @@ class TestExperimentClaims:
         carry the availability and loss columns, and the dual-served
         read availability stays at 100% during the move."""
 
-        result = run_experiment("E13", smoke=True)
+        result = run_experiment("E13", "smoke")
         required = {"read_availability_pct", "link_availability_pct",
                     "committed_links_lost", "moved_files", "links_blocked",
                     "ops_per_sim_s", "move_ms"}
@@ -241,9 +309,7 @@ class TestExperimentClaims:
         hash placement on max-shard load share and p99 link latency,
         respects its move budget, and loses no committed links."""
 
-        from repro.bench.experiments import experiment_e14
-
-        result = experiment_e14()
+        result = run_experiment("E14")
         by_variant = {row["variant"]: row for row in result.rows}
         static, balanced = by_variant["static hash"], by_variant["balanced"]
         # the balancer acted, and entirely on its own initiative
@@ -265,7 +331,7 @@ class TestExperimentClaims:
         records) carry the comparison columns and still show the
         balanced variant winning within its budget."""
 
-        result = run_experiment("E14", smoke=True)
+        result = run_experiment("E14", "smoke")
         required = {"variant", "max_shard_load_share", "link_p99_ms",
                     "read_p99_ms", "moves", "max_moves_per_tick",
                     "move_budget", "splits", "links_blocked",
@@ -286,15 +352,14 @@ class TestExperimentClaims:
         """The web workload runs with the host token cache on by default and
         the rdd row shows the hot-page hit rate."""
 
-        result = run_experiment("E9", smoke=True)
+        result = run_experiment("E9", "smoke")
         assert "token_cache_hit_pct" in result.headers
         rdd = next(row for row in result.rows
                    if "rdd" in row["configuration"])
         assert rdd["token_cache_hit_pct"] > 0.0
 
     def test_e11_scaleout_beats_baseline_by_1_5x(self):
-        result = experiment_e11(shards=8, clients=4, transactions_per_client=3,
-                                rows_per_transaction=16, file_size=512)
+        result = run_experiment("E11")
         by_config = {row["configuration"]: row for row in result.rows}
         scaled = by_config["8 shards, batched links, group commit"]
         baseline = by_config["1 server, per-row links, immediate flush"]
@@ -309,8 +374,7 @@ class TestExperimentClaims:
         >=1.5x over 1 shard purely from clock-domain overlap, and the
         per-node clock must never run slower than the old serial model."""
 
-        result = experiment_e11(shards=8, clients=4, transactions_per_client=3,
-                                rows_per_transaction=16, file_size=512)
+        result = run_experiment("E11")
         by_config = {row["configuration"]: row for row in result.rows}
         parallel = by_config["8 shards, per-row links, immediate flush"]
         one_server = by_config["1 server, per-row links, immediate flush"]
@@ -328,7 +392,7 @@ class TestExperimentClaims:
         assert serial_8["links_per_sim_s"] <= serial_1["links_per_sim_s"]
 
     def test_e1_token_cache_row_reports_hits(self):
-        result = experiment_e1(repeats=5)
+        result = run_experiment("E1")
         cache_rows = [row for row in result.rows
                       if "token cache" in row["statement"]]
         assert len(cache_rows) == 1

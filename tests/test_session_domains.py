@@ -17,14 +17,16 @@ Three suites:
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
 from repro.api.admission import AdmissionController
 from repro.api.system import DataLinksSystem
+from repro.errors import FileSystemError
 from repro.simclock import ClockDomainGroup, SimClock, gather
-from repro.workloads.clients import ClientPool
+from repro.workloads.clients import ClientPool, closed_loop_sweep
 from repro.workloads.failover import FailoverConfig, FailoverWorkload
 from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
 from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
@@ -302,18 +304,21 @@ class TestSessionDomainEquivalence:
 
     @staticmethod
     def _webserver_steps():
-        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024,
-                               admission_limit=2, client_think_s=0.05)
+        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024)
         workload = WebServerWorkload(config).setup()
-        return workload.run_session_sweep((1,))
+        return list(closed_loop_sweep(workload.system, (1,),
+                                      workload.sweep_step,
+                                      admission_limit=2, think_s=0.05))
 
     @staticmethod
     def _failover_steps():
         config = FailoverConfig(shards=2, files=8, file_size=512,
                                 rows_per_transaction=4)
         workload = FailoverWorkload(config).setup()
-        return workload.run_read_sweep((1,), reads_per_client=4,
-                                       admission_limit=2)
+        return list(closed_loop_sweep(
+            workload.deployment.system, (1,),
+            functools.partial(workload.sweep_step, reads_per_client=4),
+            admission_limit=2))
 
     @pytest.mark.parametrize("steps", [_webserver_steps.__func__,
                                        _failover_steps.__func__],
@@ -328,17 +333,67 @@ class TestSessionDomainEquivalence:
         assert with_domains == on_the_host_clock
 
     def test_one_shared_clock_serializes_multi_client_runs(self):
-        """A pool whose clients all share one clock (``client_domain_pool=1``)
+        """A pool whose clients all share one clock (``domain_pool=1``)
         cannot overlap them: a multi-session sweep degrades to
         single-session throughput and nobody queues."""
 
-        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024,
-                               client_domain_pool=1)
+        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024)
         workload = WebServerWorkload(config).setup()
-        one, four = workload.run_session_sweep((1, 4))
+        one, four = closed_loop_sweep(workload.system, (1, 4),
+                                      workload.sweep_step, domain_pool=1)
         assert four["ops_per_sim_s"] == pytest.approx(
             one["ops_per_sim_s"], rel=0.2)
         assert four["queue_p99_ms"] == 0.0
+
+
+class TestSweepAdmissionBracket:
+    """The sweep's admission gate comes off however the sweep ends."""
+
+    @staticmethod
+    def _system_and_stage():
+        system = DataLinksSystem()
+        system.add_file_server("gate0")
+        url = system.session("seed", uid=920).put_file(
+            "gate0", "/gate/doc.dat", b"z" * 1024)
+
+        def stage(step_index, count):
+            yield f"gate{step_index}c", 921
+
+            def read(session, client_index, op_index):
+                if step_index == 1 and client_index == 1:
+                    # A real read of a file that is not there: EACCES/ENOENT.
+                    session.read_url(url.replace("doc.dat", "gone.dat"))
+                session.read_url(url)
+
+            yield 2, read
+            yield {"step": step_index}
+
+        return system, stage
+
+    def test_a_step_that_raises_propagates_and_removes_the_gate(self):
+        system, stage = self._system_and_stage()
+        sweep = closed_loop_sweep(system, (2, 3), stage,
+                                  admission_limit=2, think_s=0.01)
+        first = next(sweep)
+        assert (first["clients"], first["operations"], first["step"]) \
+            == (2, 4, 0)
+        gate = system.admission
+        assert gate is not None and gate.limit == 2
+        with pytest.raises(FileSystemError):
+            next(sweep)
+        assert system.admission is None
+        # One gate served both steps, and the failing client gave its
+        # slot back on the way out.
+        assert gate.admitted > 4
+        assert gate.stats()["max_held"] <= 2
+
+    def test_closing_the_sweep_early_removes_the_gate(self):
+        system, stage = self._system_and_stage()
+        sweep = closed_loop_sweep(system, (2, 3), stage, admission_limit=2)
+        next(sweep)
+        assert system.admission is not None
+        sweep.close()
+        assert system.admission is None
 
 
 class TestMultiClientInvariants:
