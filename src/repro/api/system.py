@@ -113,19 +113,18 @@ class DataLinksSystem:
     lets one log force cover up to ``group_commit_window`` commits.  The knob
     can also be flipped at runtime through :meth:`set_flush_policy` or
     :meth:`repro.api.session.Session.set_flush_policy`.
+
+    The system owns its clocks: one
+    :class:`~repro.simclock.ClockDomainGroup` calibrated by ``cost_model``,
+    one domain per node; ``serial_clock=True`` (the one serial baseline)
+    makes every domain the same shared timeline.
     """
 
-    def __init__(self, cost_model: CostModel | None = None,
-                 clock: SimClock | None = None, *,
+    def __init__(self, cost_model: CostModel | None = None, *,
                  flush_policy: str = "immediate",
                  group_commit_window: int = 8,
                  serial_clock: bool = False):
-        if clock is not None:
-            # An explicitly supplied clock is adopted as the single shared
-            # timeline (legacy behavior / serial-clock studies).
-            self.clocks = ClockDomainGroup(root=clock)
-        else:
-            self.clocks = ClockDomainGroup(cost_model, serial=serial_clock)
+        self.clocks = ClockDomainGroup(cost_model, serial=serial_clock)
         #: The host database node's clock domain (also where co-located
         #: clients -- sessions -- experience time).
         self.clock = self.clocks.domain("host")

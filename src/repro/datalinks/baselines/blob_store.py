@@ -15,6 +15,7 @@ which is exactly the overhead DataLinks avoids.
 from __future__ import annotations
 
 from repro.errors import DataLinksError
+from repro.simclock import SimClock
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
@@ -25,7 +26,10 @@ BLOB_TABLE = "_blob_files"
 class BlobFileStore:
     """A file API implemented over a BLOB column."""
 
-    def __init__(self, host_db: Database, clock=None, table: str = BLOB_TABLE):
+    def __init__(self, host_db: Database, clock: SimClock,
+                 table: str = BLOB_TABLE):
+        if not isinstance(clock, SimClock):
+            raise TypeError(f"BlobFileStore needs a SimClock, got {clock!r}")
         self._db = host_db
         self._clock = clock
         self._table = table
@@ -38,14 +42,10 @@ class BlobFileStore:
             ], primary_key=("path",)))
 
     def _charge_bytes(self, nbytes: int) -> None:
-        if self._clock is not None:
-            self._clock.charge("blob_request_overhead")
-            self._clock.charge("blob_db_per_byte", nbytes=nbytes)
-            self._clock.charge("disk_transfer_per_byte", nbytes=nbytes)
-            self._clock.charge("disk_seek")
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
+        self._clock.charge("blob_request_overhead")
+        self._clock.charge("blob_db_per_byte", nbytes=nbytes)
+        self._clock.charge("disk_transfer_per_byte", nbytes=nbytes)
+        self._clock.charge("disk_seek")
 
     # ----------------------------------------------------------------------- API --
     def write(self, path: str, content: bytes) -> None:
@@ -53,7 +53,8 @@ class BlobFileStore:
 
         self._charge_bytes(len(content))
         existing = self._db.select_one(self._table, {"path": path}, lock=False)
-        row = {"content": bytes(content), "size": len(content), "mtime": self._now()}
+        row = {"content": bytes(content), "size": len(content),
+               "mtime": self._clock.now()}
         if existing is None:
             row["path"] = path
             self._db.insert(self._table, row)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CheckoutConflictError, DataLinksError
+from repro.simclock import SimClock
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
@@ -38,7 +39,10 @@ class Checkout:
 class CheckInCheckOutManager:
     """DBMS-mediated exclusive check-outs of external files."""
 
-    def __init__(self, host_db: Database, clock=None):
+    def __init__(self, host_db: Database, clock: SimClock):
+        if not isinstance(clock, SimClock):
+            raise TypeError(
+                f"CheckInCheckOutManager needs a SimClock, got {clock!r}")
         self._db = host_db
         self._clock = clock
         if not self._db.catalog.has_table(CHECKOUT_TABLE):
@@ -50,9 +54,6 @@ class CheckInCheckOutManager:
             ], primary_key=("server", "path")))
         self.conflicts = 0
         self.checkouts_granted = 0
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
 
     # ---------------------------------------------------------------- check-out --
     def check_out(self, server: str, path: str, userid: int) -> Checkout:
@@ -68,11 +69,11 @@ class CheckInCheckOutManager:
             "server": server,
             "path": path,
             "userid": userid,
-            "checked_out_at": self._now(),
+            "checked_out_at": self._clock.now(),
         })
         self.checkouts_granted += 1
         return Checkout(server=server, path=path, userid=userid,
-                        checked_out_at=self._now())
+                        checked_out_at=self._clock.now())
 
     # ----------------------------------------------------------------- check-in --
     def check_in(self, server: str, path: str, userid: int) -> float:
@@ -84,7 +85,7 @@ class CheckInCheckOutManager:
             raise DataLinksError(
                 f"{path!r} on {server!r} is not checked out by user {userid}")
         self._db.delete(CHECKOUT_TABLE, {"server": server, "path": path})
-        return self._now() - row["checked_out_at"]
+        return self._clock.now() - row["checked_out_at"]
 
     # --------------------------------------------------------------------- query --
     def holder_of(self, server: str, path: str) -> int | None:

@@ -34,43 +34,44 @@ class ArchiveObject:
 class ArchiveServer:
     """Stores archived file versions and accounts for archive bandwidth."""
 
-    clock: SimClock | None = None
+    clock: SimClock
     _objects: dict[int, ArchiveObject] = field(default_factory=dict)
     _next_id: int = 1
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.clock, SimClock):
+            raise TypeError(f"ArchiveServer needs a SimClock, got {self.clock!r}")
+
     def store(self, server: str, path: str, content: bytes,
-              caller_clock: SimClock | None = None) -> int:
+              caller_clock: SimClock) -> int:
         """Archive *content*; returns the archive id.
 
         ``caller_clock`` is the storing node's clock domain: the transfer is
         synchronous, so both domains rendezvous around it.
         """
 
-        if self.clock is not None:
-            rendezvous(self.clock, caller_clock)
-            self.clock.charge("archive_job_overhead")
-            self.clock.charge("archive_per_byte", nbytes=len(content))
-            rendezvous(self.clock, caller_clock)
+        rendezvous(self.clock, caller_clock)
+        self.clock.charge("archive_job_overhead")
+        self.clock.charge("archive_per_byte", nbytes=len(content))
+        rendezvous(self.clock, caller_clock)
         obj = ArchiveObject(
             archive_id=self._next_id,
             server=server,
             path=path,
             content=bytes(content),
-            created_at=self.clock.now() if self.clock is not None else 0.0,
+            created_at=self.clock.now(),
         )
         self._objects[obj.archive_id] = obj
         self._next_id += 1
         return obj.archive_id
 
-    def retrieve(self, archive_id: int,
-                 caller_clock: SimClock | None = None) -> bytes:
+    def retrieve(self, archive_id: int, caller_clock: SimClock) -> bytes:
         """Fetch the archived content for *archive_id*."""
 
         obj = self._objects[archive_id]
-        if self.clock is not None:
-            rendezvous(self.clock, caller_clock)
-            self.clock.charge("archive_per_byte", nbytes=len(obj.content))
-            rendezvous(self.clock, caller_clock)
+        rendezvous(self.clock, caller_clock)
+        self.clock.charge("archive_per_byte", nbytes=len(obj.content))
+        rendezvous(self.clock, caller_clock)
         return obj.content
 
     def exists(self, archive_id: int) -> bool:

@@ -19,12 +19,13 @@ from __future__ import annotations
 from repro.datalinks.datalink_type import DatalinkOptions
 from repro.ipc.channel import Channel
 from repro.ipc.daemon import Daemon
+from repro.simclock import SimClock
 
 
 class UpcallDaemon(Daemon):
     """Services upcalls from DLFS."""
 
-    def __init__(self, manager, clock=None):
+    def __init__(self, manager, clock: SimClock):
         super().__init__(name=f"dlfm-upcall-{manager.server_name}", clock=clock)
         self._manager = manager
         self.epoch_gate = manager.check_placement_epoch
@@ -53,7 +54,7 @@ class UpcallDaemon(Daemon):
 class ChildAgent(Daemon):
     """Serves link/unlink and transaction-control requests for one connection."""
 
-    def __init__(self, manager, connection_id: int, clock=None):
+    def __init__(self, manager, connection_id: int, clock: SimClock):
         super().__init__(name=f"dlfm-agent-{manager.server_name}-{connection_id}",
                          clock=clock)
         self._manager = manager
@@ -75,7 +76,7 @@ class ChildAgent(Daemon):
     def _charge_per_item(self, count: int) -> None:
         # A batch crosses the process boundary once but is still demultiplexed
         # item by item inside the agent.
-        if self.clock is not None and count > 1:
+        if count > 1:
             self.clock.charge("daemon_dispatch", times=count - 1)
 
     def _link_file(self, host_txn_id: int, path: str, options: dict) -> dict:
@@ -170,7 +171,7 @@ class ReplicaDaemon(Daemon):
     a crashed DLFM refuses link traffic.
     """
 
-    def __init__(self, manager, clock=None):
+    def __init__(self, manager, clock: SimClock):
         super().__init__(name=f"dlfm-replica-{manager.server_name}", clock=clock)
         self._manager = manager
         self.epoch_gate = manager.check_placement_epoch
@@ -187,7 +188,7 @@ class ReplicaDaemon(Daemon):
 class MainDaemon(Daemon):
     """Accepts connections from database agents and spawns child agents."""
 
-    def __init__(self, manager, clock=None):
+    def __init__(self, manager, clock: SimClock):
         super().__init__(name=f"dlfm-main-{manager.server_name}", clock=clock)
         self._manager = manager
         self.epoch_gate = manager.check_placement_epoch
@@ -226,7 +227,7 @@ class DLFMConnection:
     engine's scatter-gather window).
     """
 
-    def __init__(self, main_daemon: MainDaemon, clock=None,
+    def __init__(self, main_daemon: MainDaemon, clock: SimClock,
                  client_name: str = "engine", epoch_provider=None):
         connect_channel = Channel(main_daemon, clock,
                                   latency_primitive="db_dlfm_message",

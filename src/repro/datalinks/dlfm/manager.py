@@ -28,7 +28,7 @@ from repro.errors import (
     ControlModeError,
     UpdateInProgressError,
 )
-from repro.simclock import TICKS_PER_SECOND, SimClock, synchronized_call
+from repro.simclock import SimClock, synchronized_call
 from repro.storage.backup import BackupImage
 from repro.storage.database import Database
 from repro.storage.transaction import Transaction
@@ -42,7 +42,7 @@ class DataLinksFileManager:
     """DLFM for one file server."""
 
     def __init__(self, server_name: str, files: FileServerFiles,
-                 archive: ArchiveServer, clock: SimClock | None = None,
+                 archive: ArchiveServer, clock: SimClock,
                  token_secret: str | None = None):
         self.server_name = server_name
         self.clock = clock
@@ -50,7 +50,7 @@ class DataLinksFileManager:
         self.archive = archive
         self.token_secret = token_secret or f"dlfm-secret-{server_name}"
         self.tokens = TokenManager(self.token_secret, clock)
-        repository_scale = clock.costs.dlfm_repository_scale if clock is not None else 1.0
+        repository_scale = clock.costs.dlfm_repository_scale
         # The repository's charges are label-prefixed so its scaled
         # statements never conflate with host-database charges for the same
         # primitive in clock statistics.
@@ -101,10 +101,6 @@ class DataLinksFileManager:
     @property
     def dbms_uid(self) -> int:
         return self.files.dbms_uid if self.files is not None else DEFAULT_DBMS_UID
-
-    def _now(self) -> float:
-        clock = self.clock     # ``clock.now()`` written out (one frame fewer)
-        return clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
 
     # -------------------------------------------------------------- fencing -----
     def set_fencing(self, guard) -> None:
@@ -339,7 +335,7 @@ class DataLinksFileManager:
 
     def _find_token_entry(self, path: str, userid: int, *,
                           for_write: bool) -> dict | None:
-        now = self._now()
+        now = self.clock.now()
         if self.replica_soft is not None:
             entry = self.replica_soft.find_token_entry(
                 path, userid, for_write=for_write, now=now)
@@ -561,7 +557,7 @@ class DataLinksFileManager:
                 f"write access to {path!r} is not managed by the database "
                 f"(mode {mode.value})")
         entry = self.repository.find_token_entry(path, userid, for_write=True,
-                                                 now=self._now())
+                                                 now=self.clock.now())
         if entry is None:
             raise AccessDeniedError(
                 f"no valid write token registered for user {userid} on {path!r}")
@@ -585,7 +581,7 @@ class DataLinksFileManager:
         self.repository.add_tracking({
             "path": path,
             "userid": userid,
-            "started_at": self._now(),
+            "started_at": self.clock.now(),
             "pre_mtime": attrs.mtime,
             "pre_size": attrs.size,
             "restore_version": self.repository.latest_version_no(path),
@@ -723,10 +719,10 @@ class DataLinksFileManager:
             # Redo-only witness: repository maintenance runs on the serving
             # node and replicates over (see process_archive_jobs); only the
             # node-local follower-read soft state is purged here.
-            purged = self.replica_soft.purge_expired_tokens(self._now()) \
+            purged = self.replica_soft.purge_expired_tokens(self.clock.now()) \
                 if self.replica_soft is not None else 0
             return {"purged_tokens": purged, "pruned_versions": 0}
-        purged_tokens = self.repository.purge_expired_tokens(self._now())
+        purged_tokens = self.repository.purge_expired_tokens(self.clock.now())
         pruned_versions = 0
         if keep_versions is not None and keep_versions >= 1:
             for row in self.repository.linked_files():

@@ -49,6 +49,7 @@ from repro.fs.vfs import (
     OpenHandle,
     Vnode,
 )
+from repro.simclock import SimClock
 from repro.util.urls import TOKEN_SEPARATOR, split_token_from_name
 
 _TOKEN_SEPARATOR = TOKEN_SEPARATOR
@@ -82,7 +83,7 @@ def _translate(error: DataLinksError) -> FileSystemError:
 class DataLinksFileSystem(FilterVFS):
     """The DLFS interposition layer for one file server."""
 
-    def __init__(self, lower, upcall_client, dbms_uid: int, clock=None,
+    def __init__(self, lower, upcall_client, dbms_uid: int, clock: SimClock,
                  dbms_cred: Credentials | None = None,
                  strict_read_upcalls: bool = False):
         super().__init__(lower, fs_id=f"dlfs({lower.fs_id})")
@@ -98,15 +99,10 @@ class DataLinksFileSystem(FilterVFS):
         # files linked with strict_read_sync.  Off by default because of the
         # per-open cost (quantified by experiment E10).
         self.strict_read_upcalls = strict_read_upcalls
-        if clock is not None:
-            # Meter of the per-interception charge (see fs_lookup).
-            self._filter = clock.meter("dlfs_filter")
+        # Meter of the per-interception charge (see fs_lookup).
+        self._filter = clock.meter("dlfs_filter")
 
     # ------------------------------------------------------------------ helpers --
-    def _charge(self) -> None:
-        if self.clock is not None:
-            self.clock.charge("dlfs_filter")
-
     def _upcall(self, call):
         try:
             return call()
@@ -125,9 +121,7 @@ class DataLinksFileSystem(FilterVFS):
         if lower is None:
             return None
         lower_clock, lower_events, anchor = lower
-        if self.clock is None:
-            return lower
-        if lower_clock is not None and lower_clock is not self.clock:
+        if lower_clock is not self.clock:
             # Split-clock stacks cannot replay as one pattern; resolve live.
             return None
         return (self.clock, (("dlfs_filter", 1.0, None), *lower_events), anchor)
@@ -138,11 +132,9 @@ class DataLinksFileSystem(FilterVFS):
         # ``_upcall`` try/except and the ``dlfs_filter`` charge out inline:
         # the lambda, dispatcher and charge frames per interception were
         # measurable on the million-link tier.
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._filter
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._filter
+        self.clock.ticks += amount
+        meter[0] += 1
         # split_token_from_name written out inline -- every pathname
         # resolution passes through here and most names carry no token.
         index = name.rfind(_TOKEN_SEPARATOR)
@@ -161,17 +153,15 @@ class DataLinksFileSystem(FilterVFS):
         return vnode
 
     def fs_create(self, dir_vnode, name, mode, cred):
-        self._charge()
+        self.clock.charge("dlfs_filter")
         bare, _ = split_token_from_name(name)
         return self.lower.fs_create(dir_vnode, bare, mode, cred)
 
     # --------------------------------------------------------------------- open --
     def fs_open(self, vnode, flags, cred):
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._filter
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._filter
+        self.clock.ticks += amount
+        meter[0] += 1
         attrs = self.lower.fs_getattr(vnode, self.dbms_cred)
         wants_write = (flags._value_ & WRITE_MASK) != 0
         state = {"linked": False, "write": wants_write, "userid": cred.uid}
@@ -224,11 +214,9 @@ class DataLinksFileSystem(FilterVFS):
 
     # --------------------------------------------------------------------- close --
     def fs_close(self, handle, cred):
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._filter
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._filter
+        self.clock.ticks += amount
+        meter[0] += 1
         state = handle.layer_state.get(LAYER_KEY, {})
         self.lower.fs_close(handle, cred)
         if not state.get("linked"):
@@ -259,7 +247,7 @@ class DataLinksFileSystem(FilterVFS):
         return ControlMode.from_string(reply["mode"]).referential_integrity
 
     def fs_remove(self, dir_vnode, name, cred):
-        self._charge()
+        self.clock.charge("dlfs_filter")
         bare, _ = split_token_from_name(name)
         vnode = self.lower.fs_lookup(dir_vnode, bare, self.dbms_cred)
         if self._protects_namespace(vnode):
@@ -269,7 +257,7 @@ class DataLinksFileSystem(FilterVFS):
         return self.lower.fs_remove(dir_vnode, bare, cred)
 
     def fs_rename(self, src_dir, src_name, dst_dir, dst_name, cred):
-        self._charge()
+        self.clock.charge("dlfs_filter")
         bare_src, _ = split_token_from_name(src_name)
         bare_dst, _ = split_token_from_name(dst_name)
         vnode = self.lower.fs_lookup(src_dir, bare_src, self.dbms_cred)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.ipc.channel import Channel
+from repro.simclock import SimClock
 
 
 class UpcallClient:
@@ -17,7 +18,7 @@ class UpcallClient:
     into file-system errors.
     """
 
-    def __init__(self, upcall_daemon, clock=None):
+    def __init__(self, upcall_daemon, clock: SimClock):
         self._channel = Channel(upcall_daemon, clock,
                                 latency_primitive="upcall_round_trip")
 

@@ -44,7 +44,6 @@ Scale-out additions (beyond the paper):
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 from repro.datalinks.datalink_type import DatalinkOptions, options_of_column
@@ -62,9 +61,6 @@ from repro.storage.transaction import Transaction
 from repro.storage.values import DataType
 from repro.util.lsn import LSN
 from repro.util.urls import format_url, parse_url
-
-#: The scatter-gather window of an engine that has no clock.
-_NO_WINDOW = contextlib.nullcontext()
 
 
 @dataclass
@@ -207,12 +203,11 @@ def _references_file(router, column: str, server: str, path: str):
 class DataLinksEngine:
     """DATALINK processing inside the host database."""
 
-    def __init__(self, host_db: Database, clock: SimClock | None = None,
+    def __init__(self, host_db: Database, clock: SimClock,
                  default_token_ttl: float = 60.0):
         self.db = host_db
         self.clock = clock
-        if clock is not None:
-            self._dispatch = clock.meter("datalink_engine_dispatch")
+        self._dispatch = clock.meter("datalink_engine_dispatch")
         self.default_token_ttl = default_token_ttl
         self._servers: dict[str, _FileServerEntry] = {}
         self._metadata_rules: list[_MetadataRule] = []
@@ -234,11 +229,6 @@ class DataLinksEngine:
         hook = self.failpoints.get(point)
         if hook is not None:
             hook()
-
-    def _overlap(self):
-        """Scatter-gather window on the host clock for participant fan-outs."""
-
-        return self.clock.overlap() if self.clock is not None else _NO_WINDOW
 
     # -------------------------------------------------------------- token cache --
     def enable_token_cache(self, min_remaining_fraction: float = 0.5) -> TokenCache:
@@ -348,16 +338,15 @@ class DataLinksEngine:
     def commit(self, host_txn: HostTransaction) -> LSN:
         """Two-phase commit across the host database and every enlisted DLFM."""
 
-        clock = self.clock
-        if clock is not None and host_txn.servers:
+        if host_txn.servers:
             amount, meter = self._dispatch
-            clock.ticks += amount
+            self.clock.ticks += amount
             meter[0] += 1
         self._fire("commit:begin")
         # The prepare fan-out overlaps across participants: every vote
         # request departs at the window's start and the coordinator waits
         # for the slowest vote, not the sum of all votes.
-        with self._overlap():
+        with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 if not self._entry(server).connection.prepare(host_txn.txn_id):
                     # The server is enlisted, so it once held a branch; a
@@ -377,7 +366,7 @@ class DataLinksEngine:
             # every pending commit in the window.
             self.db.force_log()
         self._fire("commit:after_host_commit")
-        with self._overlap():
+        with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 self._entry(server).connection.commit(host_txn.txn_id)
                 self._fire(f"commit:committed:{server}")
@@ -394,17 +383,15 @@ class DataLinksEngine:
 
         if not host_txns:
             return self.db.state_identifier()
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._dispatch
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._dispatch
+        self.clock.ticks += amount
+        meter[0] += 1
         by_server: dict[str, list[int]] = {}
         for host_txn in host_txns:
             for server in host_txn.servers:
                 by_server.setdefault(server, []).append(host_txn.txn_id)
         self._fire("group:begin")
-        with self._overlap():
+        with self.clock.overlap():
             for server in sorted(by_server):
                 votes = self._entry(server).connection.prepare_many(by_server[server])
                 if not all(votes):
@@ -417,7 +404,7 @@ class DataLinksEngine:
         self._fire("group:before_host_commit")
         state_id = self.db.commit_many([host_txn.txn for host_txn in host_txns])
         self._fire("group:after_host_commit")
-        with self._overlap():
+        with self.clock.overlap():
             for server in sorted(by_server):
                 self._entry(server).connection.commit_many(by_server[server])
                 self._fire(f"group:committed:{server}")
@@ -433,7 +420,7 @@ class DataLinksEngine:
         in-doubt branches from the host outcome during recovery.
         """
 
-        with self._overlap():
+        with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 try:
                     self._entry(server).connection.commit(host_txn.txn_id)
@@ -462,7 +449,7 @@ class DataLinksEngine:
         crashed DLFM lost its volatile branch anyway, and a prepared branch
         it persisted is resolved by presumed abort during its recovery."""
 
-        with self._overlap():
+        with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 try:
                     self._entry(server).connection.abort(host_txn.txn_id)
@@ -701,11 +688,9 @@ class DataLinksEngine:
                  txn: Transaction | None, ttl: float | None) -> str | None:
         """One row's handout: dispatch, SELECT, token, tokenized URL."""
 
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._dispatch
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._dispatch
+        self.clock.ticks += amount
+        meter[0] += 1
         try:
             plan = self._column_plans[table, column]
         except KeyError:

@@ -59,7 +59,7 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.ipc.channel import Channel
-from repro.simclock import rendezvous, synchronized_call
+from repro.simclock import SimClock, rendezvous, synchronized_call
 from repro.storage.wal import LogRecordType
 from repro.util.lsn import LSN
 
@@ -668,8 +668,11 @@ class ReplicatedShard:
     """
 
     def __init__(self, name: str, primary, witnesses, registry: EpochRegistry,
-                 engine, clock=None):
+                 engine, clock: SimClock):
         from repro.datalinks.dlfm.daemons import ReplicaDaemon
+
+        if not isinstance(clock, SimClock):
+            raise TypeError(f"ReplicatedShard needs a SimClock, got {clock!r}")
 
         self.name = name
         self.registry = registry

@@ -100,7 +100,6 @@ class ShardedDataLinksDeployment:
 
     def __init__(self, shards: int = 4, *,
                  cost_model: CostModel | None = None,
-                 clock: SimClock | None = None,
                  shard_prefix: str = "shard",
                  prefix_depth: int = 1,
                  flush_policy: str = "group",
@@ -114,7 +113,7 @@ class ShardedDataLinksDeployment:
                  serial_clock: bool = False):
         if shards < 1:
             raise DataLinksError("a sharded deployment needs at least one shard")
-        self.system = DataLinksSystem(cost_model, clock,
+        self.system = DataLinksSystem(cost_model,
                                       flush_policy=flush_policy,
                                       group_commit_window=group_commit_window,
                                       serial_clock=serial_clock)

@@ -111,9 +111,11 @@ class TokenCache:
     miss, so ``max_entries`` should stay generously above the working set.
     """
 
-    def __init__(self, clock: SimClock | None = None,
+    def __init__(self, clock: SimClock,
                  min_remaining_fraction: float = 0.5,
                  max_entries: int = 4096):
+        if not isinstance(clock, SimClock):
+            raise TypeError(f"TokenCache needs a SimClock, got {clock!r}")
         self._clock = clock
         self.min_remaining_fraction = float(min_remaining_fraction)
         self.max_entries = int(max_entries)
@@ -121,9 +123,6 @@ class TokenCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
 
     def lookup(self, server: str, path: str, token_type: TokenType,
                ttl: float) -> str | None:
@@ -135,9 +134,8 @@ class TokenCache:
         except KeyError:
             token = None
         if token is not None:
-            clock = self._clock
-            remaining = token.expires_at - (
-                clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0)
+            remaining = token.expires_at - \
+                self._clock.ticks / TICKS_PER_SECOND
             if remaining >= ttl * self.min_remaining_fraction:
                 self.hits += 1
                 return token.render()
@@ -149,7 +147,7 @@ class TokenCache:
     def evict_expired(self) -> int:
         """Drop every entry whose token has expired; returns the count."""
 
-        now = self._now()
+        now = self._clock.now()
         doomed = [key for key, token in self._entries.items()
                   if token.expires_at <= now]
         for key in doomed:
@@ -197,17 +195,13 @@ class TokenManager:
     the key shared between DB2 and the DLFM in the real system.
     """
 
-    def __init__(self, secret: str, clock: SimClock | None = None,
+    def __init__(self, secret: str, clock: SimClock,
                  default_ttl: float = DEFAULT_TOKEN_TTL):
         self._secret = secret.encode("utf-8")
         self._clock = clock
         self.default_ttl = default_ttl
-        if clock is not None:
-            self._generate = clock.meter("token_generate")
-            self._validate = clock.meter("token_validate")
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
+        self._generate = clock.meter("token_generate")
+        self._validate = clock.meter("token_validate")
 
     def _sign(self, path: str, token_type: TokenType, expires_at: float) -> str:
         # Signatures are pure functions of (secret, path, type, expiry) and
@@ -231,13 +225,10 @@ class TokenManager:
         """Create a token string for *path* valid for *ttl* simulated seconds."""
 
         clock = self._clock
-        if clock is not None:
-            amount, meter = self._generate
-            clock.ticks += amount
-            meter[0] += 1
-            now = clock.ticks / TICKS_PER_SECOND
-        else:
-            now = 0.0
+        amount, meter = self._generate
+        clock.ticks += amount
+        meter[0] += 1
+        now = clock.ticks / TICKS_PER_SECOND
         expires_at = now + (ttl if ttl is not None else self.default_ttl)
         signature = self._sign(path, token_type, expires_at)
         return AccessToken(token_type, expires_at, signature).render()
@@ -247,15 +238,14 @@ class TokenManager:
         """Check signature and expiry; returns the parsed token or raises."""
 
         clock = self._clock
-        if clock is not None:
-            amount, meter = self._validate
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._validate
+        clock.ticks += amount
+        meter[0] += 1
         token = AccessToken.parse(token_text)
         expected = self._sign(path, token.token_type, token.expires_at)
         if not hmac.compare_digest(expected, token.signature):
             raise InvalidTokenError(f"bad token signature for {path!r}")
-        now = clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
+        now = clock.ticks / TICKS_PER_SECOND
         if now > token.expires_at:
             raise TokenExpiredError(
                 f"token for {path!r} expired at {token.expires_at:.3f}")

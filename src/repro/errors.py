@@ -170,6 +170,15 @@ class DataLinksError(ReproError):
     """Base class for DataLinks-specific failures."""
 
 
+class MalformedURLError(DataLinksError, ValueError):
+    """Text handed in as a DATALINK URL is not ``scheme://server/path``.
+
+    Also a :class:`ValueError`: the column-value check
+    (:mod:`repro.storage.values`) catches it as one to report a
+    ``TypeMismatchError`` on the write side.
+    """
+
+
 class InvalidTokenError(DataLinksError):
     """An access token failed validation (bad signature or wrong type)."""
 

@@ -27,6 +27,7 @@ from repro.fs.vfs import (
     VFSOperations,
     Vnode,
 )
+from repro.simclock import SimClock
 from repro.util.urls import split_token_from_name
 
 _WRITE_TRUNC = OpenFlags.WRITE | OpenFlags.TRUNCATE
@@ -71,13 +72,12 @@ def _normalize(path: str) -> str:
 class LogicalFileSystem:
     """Mount table + open-file table + the system-call API."""
 
-    def __init__(self, clock=None):
+    def __init__(self, clock: SimClock):
         self.clock = clock
-        if clock is not None:
-            # The hot syscalls (open, close, read, write) write
-            # ``clock.charge("syscall_base")`` out inline against this
-            # meter, like the physical layer's fixed charges.
-            self._syscall = clock.meter("syscall_base")
+        # The hot syscalls (open, close, read, write) write
+        # ``clock.charge("syscall_base")`` out inline against this
+        # meter, like the physical layer's fixed charges.
+        self._syscall = clock.meter("syscall_base")
         self._mounts: list[_Mount] = []
         self._open_files: dict[int, OpenFile] = {}
         self._next_fd = 3          # 0..2 are conventionally reserved
@@ -143,10 +143,6 @@ class LogicalFileSystem:
         raise fs_error(Errno.ENOENT, f"no file system mounted for {path!r}")
 
     # -------------------------------------------------------------- resolution --
-    def _charge(self, primitive: str, *, times: int = 1) -> None:
-        if self.clock is not None:
-            self.clock.charge(primitive, times=times)
-
     def _walk(self, vfs: VFSOperations, relative: str, cred: Credentials,
               stop_before_last: bool) -> tuple[Vnode, str | None]:
         """Walk *relative* inside *vfs*; optionally stop at the parent."""
@@ -177,15 +173,10 @@ class LogicalFileSystem:
         if raw is None:
             profile = None
         else:
+            # A stack that charges nothing per lookup still caches: its
+            # compiled pattern is empty and replaying it adds nothing.
             clock, events, anchor = raw
-            compiled = clock.compile_charges(events) \
-                if clock is not None and events else None
-            profile = (clock, compiled, anchor) \
-                if compiled is not None or clock is None else None
-            if clock is not None and not events:
-                # A clocked stack that charges nothing per lookup still
-                # caches; there is just nothing to replay.
-                profile = (clock, None, anchor)
+            profile = (clock, clock.compile_charges(events), anchor)
         self._walk_profiles[vfs] = profile
         return profile
 
@@ -206,8 +197,7 @@ class LogicalFileSystem:
             else:
                 if anchor.dir_version == version \
                         and (owner is cred or owner == cred):
-                    if compiled is not None:
-                        clock.charge_batch(compiled, depth)
+                    clock.charge_batch(compiled, depth)
                     return vfs, parent, name
         try:
             vfs, relative = self._resolve_cache[normalized]
@@ -281,8 +271,7 @@ class LogicalFileSystem:
             if (anchor.dir_version == dversion
                     and anchor.bind_version == bversion
                     and (owner is cred or owner == cred)):
-                if compiled is not None:
-                    clock.charge_batch(compiled, cycles)
+                clock.charge_batch(compiled, cycles)
                 return vfs, vnode
         vfs, parent, name = self._resolve_parent(path, cred)
         vnode = vfs.fs_lookup(parent, name, cred)
@@ -317,11 +306,9 @@ class LogicalFileSystem:
         layer can validate it.
         """
 
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._syscall
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._syscall
+        self.clock.ticks += amount
+        meter[0] += 1
         # Probe the full-resolution cache inline: open() needs the parent
         # vnode when it has to fall back to fs_create, so it cannot use
         # the _lookup() wrapper (a second parent resolution would replay
@@ -337,8 +324,7 @@ class LogicalFileSystem:
                     and anchor.bind_version == bversion
                     and (owner is cred or owner == cred)):
                 hit = True
-                if compiled is not None:
-                    cclock.charge_batch(compiled, cycles)
+                cclock.charge_batch(compiled, cycles)
         if not hit:
             vfs, parent, name = self._resolve_parent(path, cred)
             try:
@@ -358,21 +344,17 @@ class LogicalFileSystem:
         return fd
 
     def close(self, fd: int) -> None:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._syscall
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._syscall
+        self.clock.ticks += amount
+        meter[0] += 1
         open_file = self._require_fd(fd)
         open_file.vfs.fs_close(open_file.handle, open_file.cred)
         del self._open_files[fd]
 
     def read(self, fd: int, length: int = -1) -> bytes:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._syscall
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._syscall
+        self.clock.ticks += amount
+        meter[0] += 1
         open_file = self._require_fd(fd)
         if not (open_file.flags._value_ & READ_MASK):
             raise fs_error(Errno.EBADF, f"fd {fd} is not open for reading")
@@ -388,11 +370,9 @@ class LogicalFileSystem:
         return data
 
     def write(self, fd: int, data: bytes) -> int:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._syscall
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._syscall
+        self.clock.ticks += amount
+        meter[0] += 1
         open_file = self._require_fd(fd)
         if not (open_file.flags._value_ & WRITE_MASK):
             raise fs_error(Errno.EBADF, f"fd {fd} is not open for writing")
@@ -406,7 +386,7 @@ class LogicalFileSystem:
         return written
 
     def lseek(self, fd: int, offset: int) -> int:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         open_file = self._require_fd(fd)
         if offset < 0:
             raise fs_error(Errno.EINVAL, "negative seek offset")
@@ -414,11 +394,9 @@ class LogicalFileSystem:
         return offset
 
     def stat(self, path: str, cred: Credentials) -> FileAttributes:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._syscall
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._syscall
+        self.clock.ticks += amount
+        meter[0] += 1
         vfs, vnode = self._resolve(path, cred)
         return vfs.fs_getattr(vnode, cred)
 
@@ -434,12 +412,12 @@ class LogicalFileSystem:
             return False
 
     def unlink(self, path: str, cred: Credentials) -> None:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         vfs, parent, name = self._resolve_parent(path, cred)
         vfs.fs_remove(parent, name, cred)
 
     def rename(self, old_path: str, new_path: str, cred: Credentials) -> None:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         old_vfs, old_parent, old_name = self._resolve_parent(old_path, cred)
         new_vfs, new_parent, new_name = self._resolve_parent(new_path, cred)
         if old_vfs is not new_vfs:
@@ -447,7 +425,7 @@ class LogicalFileSystem:
         old_vfs.fs_rename(old_parent, old_name, new_parent, new_name, cred)
 
     def mkdir(self, path: str, cred: Credentials, mode: int = DEFAULT_DIR_MODE) -> None:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         vfs, parent, name = self._resolve_parent(path, cred)
         vfs.fs_mkdir(parent, name, mode, cred)
 
@@ -466,49 +444,45 @@ class LogicalFileSystem:
                     raise
 
     def rmdir(self, path: str, cred: Credentials) -> None:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         vfs, parent, name = self._resolve_parent(path, cred)
         vfs.fs_rmdir(parent, name, cred)
 
     def listdir(self, path: str, cred: Credentials) -> list[str]:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         vfs, vnode = self._resolve(path, cred)
         return vfs.fs_readdir(vnode, cred)
 
     def chmod(self, path: str, mode: int, cred: Credentials) -> None:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._syscall
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._syscall
+        self.clock.ticks += amount
+        meter[0] += 1
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, mode=mode)
 
     def chown(self, path: str, uid: int, gid: int, cred: Credentials) -> None:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._syscall
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._syscall
+        self.clock.ticks += amount
+        meter[0] += 1
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, uid=uid, gid=gid)
 
     def truncate(self, path: str, size: int, cred: Credentials) -> None:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, size=size)
 
     def lock_file(self, fd: int, exclusive: bool = True) -> bool:
         """Take a whole-file advisory lock on behalf of this descriptor."""
 
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         open_file = self._require_fd(fd)
         kind = LockKind.EXCLUSIVE if exclusive else LockKind.SHARED
         request = LockRequest(kind=kind, owner=("fd", fd))
         return open_file.vfs.fs_lockctl(open_file.vnode, request, open_file.cred)
 
     def unlock_file(self, fd: int) -> None:
-        self._charge("syscall_base")
+        self.clock.charge("syscall_base")
         open_file = self._require_fd(fd)
         request = LockRequest(kind=LockKind.UNLOCK, owner=("fd", fd))
         open_file.vfs.fs_lockctl(open_file.vnode, request, open_file.cred)

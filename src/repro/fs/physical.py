@@ -39,7 +39,7 @@ from repro.fs.vfs import (
     VFSOperations,
     Vnode,
 )
-from repro.simclock import TICKS_PER_SECOND
+from repro.simclock import TICKS_PER_SECOND, SimClock
 
 ROOT_INO = 1
 
@@ -48,7 +48,7 @@ class PhysicalFileSystem(VFSOperations):
     """An inode-based file system on a simulated block device."""
 
     def __init__(self, name: str = "pfs0", device: BlockDevice | None = None,
-                 clock=None, root_uid: int = 0, root_gid: int = 0):
+                 *, clock: SimClock, root_uid: int = 0, root_gid: int = 0):
         self.fs_id = name
         self.device = device if device is not None else BlockDevice(name=f"{name}-disk")
         self.clock = clock
@@ -67,37 +67,27 @@ class PhysicalFileSystem(VFSOperations):
         #: layer's full-resolution cache checks both counters, so a cached
         #: final vnode never survives its name being rebound.
         self.bind_version = 0
-        if clock is not None:
-            # Meters of the hot entry points' fixed charges (the clock
-            # never rebinds, so they are resolved once, here).
-            self._vfs = clock.meter("vfs_op")
-            self._lookup = clock.meter("directory_lookup")
-            self._seek = clock.meter("disk_seek")
-            # The transfer's amount varies: its unit (a zero-byte
-            # transfer), its exact per-byte rate and its ledger cell.
-            self._transfer = (
-                clock.unit_ticks("disk_transfer_per_byte"),
-                *clock.byte_rate("disk_transfer_per_byte"),
-                clock.stats.cell("disk_transfer_per_byte"))
+        # Meters of the hot entry points' fixed charges (the clock
+        # never rebinds, so they are resolved once, here).
+        self._vfs = clock.meter("vfs_op")
+        self._lookup = clock.meter("directory_lookup")
+        self._seek = clock.meter("disk_seek")
+        # The transfer's amount varies: its unit (a zero-byte
+        # transfer), its exact per-byte rate and its ledger cell.
+        self._transfer = (
+            clock.unit_ticks("disk_transfer_per_byte"),
+            *clock.byte_rate("disk_transfer_per_byte"),
+            clock.stats.cell("disk_transfer_per_byte"))
         root = self._new_inode(FileType.DIRECTORY, DEFAULT_DIR_MODE, root_uid, root_gid)
         assert root.ino == ROOT_INO
 
     # ------------------------------------------------------------------ helpers --
-    def _now(self) -> float:
-        # ``clock.now()`` written out, here and at the inline timestamp
-        # reads below: inode times are float seconds, the clock is ticks.
-        clock = self.clock
-        return clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
-
-    def _charge(self, primitive: str, *, times: int = 1, nbytes: int = 0) -> None:
-        if self.clock is not None:
-            self.clock.charge(primitive, times=times, nbytes=nbytes)
-
     def _new_inode(self, ftype: FileType, mode: int, uid: int, gid: int) -> Inode:
         # One clock read: birth timestamps are all stamped at the same
-        # instant (no charge can land between the three reads).
-        clock = self.clock
-        born = clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
+        # instant (no charge can land between the three reads).  Here and
+        # at the hot entry points below ``clock.now()`` is written out:
+        # inode times are float seconds, the clock is ticks.
+        born = self.clock.ticks / TICKS_PER_SECOND
         ino = self._next_ino
         inode = Inode(ino=ino, ftype=ftype, mode=mode, uid=uid, gid=gid,
                       atime=born, mtime=born, ctime=born,
@@ -128,8 +118,7 @@ class PhysicalFileSystem(VFSOperations):
             raise fs_error(Errno.ENOTDIR, f"inode {inode.ino} is not a directory")
 
     def walk_profile(self):
-        events = () if self.clock is None else \
-            (("vfs_op", 1.0, None), ("directory_lookup", 1.0, None))
+        events = (("vfs_op", 1.0, None), ("directory_lookup", 1.0, None))
         # The anchor is this file system itself: the cache reads the two
         # version counters straight off it (attribute loads, no calls).
         return (self.clock, events, self)
@@ -142,13 +131,11 @@ class PhysicalFileSystem(VFSOperations):
         # The hottest VFS entry point (every path component of every
         # resolution lands here): helpers *and* the two fixed charges are
         # inlined into direct loads and integer additions.
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._vfs
-            second, meter2 = self._lookup
-            clock.ticks += amount + second
-            meter[0] += 1
-            meter2[0] += 1
+        amount, meter = self._vfs
+        second, meter2 = self._lookup
+        self.clock.ticks += amount + second
+        meter[0] += 1
+        meter2[0] += 1
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -181,8 +168,7 @@ class PhysicalFileSystem(VFSOperations):
     def fs_create(self, dir_vnode: Vnode, name: str, mode: int,
                   cred: Credentials) -> Vnode:
         clock = self.clock
-        if clock is not None:
-            clock.charge("vfs_op")
+        clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -197,17 +183,14 @@ class PhysicalFileSystem(VFSOperations):
         inode = self._new_inode(FileType.REGULAR, mode or DEFAULT_FILE_MODE,
                                 cred.uid, cred.gid)
         directory.entries[name] = inode.ino
-        directory.mtime = clock.ticks / TICKS_PER_SECOND \
-            if clock is not None else 0.0
-        if clock is not None:
-            clock.charge("fs_metadata_update")
+        directory.mtime = clock.ticks / TICKS_PER_SECOND
+        clock.charge("fs_metadata_update")
         return inode.vnode
 
     def fs_mkdir(self, dir_vnode: Vnode, name: str, mode: int,
                  cred: Credentials) -> Vnode:
         clock = self.clock
-        if clock is not None:
-            clock.charge("vfs_op")
+        clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -223,16 +206,13 @@ class PhysicalFileSystem(VFSOperations):
         inode = self._new_inode(FileType.DIRECTORY, mode or DEFAULT_DIR_MODE,
                                 cred.uid, cred.gid)
         directory.entries[name] = inode.ino
-        directory.mtime = clock.ticks / TICKS_PER_SECOND \
-            if clock is not None else 0.0
-        if clock is not None:
-            clock.charge("fs_metadata_update")
+        directory.mtime = clock.ticks / TICKS_PER_SECOND
+        clock.charge("fs_metadata_update")
         return inode.vnode
 
     def fs_remove(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
         clock = self.clock
-        if clock is not None:
-            clock.charge("vfs_op")
+        clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -247,18 +227,16 @@ class PhysicalFileSystem(VFSOperations):
             raise fs_error(Errno.EISDIR, f"{name!r} is a directory")
         self.bind_version += 1
         del directory.entries[name]
-        directory.mtime = clock.ticks / TICKS_PER_SECOND \
-            if clock is not None else 0.0
+        directory.mtime = clock.ticks / TICKS_PER_SECOND
         inode.nlink -= 1
         if inode.nlink <= 0:
             for block in inode.blocks:
                 self.device.free_block(block)
             del self._inodes[inode.ino]
-        if clock is not None:
-            clock.charge("fs_metadata_update")
+        clock.charge("fs_metadata_update")
 
     def fs_rmdir(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
-        self._charge("vfs_op")
+        self.clock.charge("vfs_op")
         directory = self._inode_of(dir_vnode)
         self._require_dir(directory)
         self._check(directory, cred, write=True, exec_=True)
@@ -272,12 +250,12 @@ class PhysicalFileSystem(VFSOperations):
         self.bind_version += 1
         del directory.entries[name]
         del self._inodes[target.ino]
-        directory.mtime = self._now()
-        self._charge("fs_metadata_update")
+        directory.mtime = self.clock.now()
+        self.clock.charge("fs_metadata_update")
 
     def fs_rename(self, src_dir: Vnode, src_name: str, dst_dir: Vnode,
                   dst_name: str, cred: Credentials) -> None:
-        self._charge("vfs_op")
+        self.clock.charge("vfs_op")
         source = self._inode_of(src_dir)
         destination = self._inode_of(dst_dir)
         self._require_dir(source)
@@ -292,14 +270,12 @@ class PhysicalFileSystem(VFSOperations):
             self.dir_version += 1
         self.bind_version += 1
         destination.entries[dst_name] = source.entries.pop(src_name)
-        source.mtime = self._now()
-        destination.mtime = self._now()
-        self._charge("fs_metadata_update")
+        source.mtime = self.clock.now()
+        destination.mtime = self.clock.now()
+        self.clock.charge("fs_metadata_update")
 
     def fs_readdir(self, dir_vnode: Vnode, cred: Credentials) -> list[str]:
-        clock = self.clock
-        if clock is not None:
-            clock.charge("vfs_op")
+        self.clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -315,10 +291,9 @@ class PhysicalFileSystem(VFSOperations):
         # their fixed charges are unrolled like ``fs_lookup``'s, one frame
         # fewer per syscall than a ``charge()`` call.
         clock = self.clock
-        if clock is not None:
-            amount, meter = self._vfs
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._vfs
+        clock.ticks += amount
+        meter[0] += 1
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -331,25 +306,21 @@ class PhysicalFileSystem(VFSOperations):
                     write=wants_write)
         if flag_bits & TRUNCATE_MASK:
             self._truncate(inode, 0)
-        inode.atime = clock.ticks / TICKS_PER_SECOND \
-            if clock is not None else 0.0
+        inode.atime = clock.ticks / TICKS_PER_SECOND
         return OpenHandle(vnode=vnode, flags=flags)
 
     def fs_close(self, handle: OpenHandle, cred: Credentials) -> None:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._vfs
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._vfs
+        self.clock.ticks += amount
+        meter[0] += 1
         # The native file system has no per-open state beyond the handle.
 
     def fs_readwrite(self, vnode: Vnode, offset: int, *, data: bytes | None = None,
                      length: int = 0, write: bool, cred: Credentials) -> bytes | int:
         clock = self.clock
-        if clock is not None:
-            amount, meter = self._vfs
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._vfs
+        clock.ticks += amount
+        meter[0] += 1
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -359,45 +330,38 @@ class PhysicalFileSystem(VFSOperations):
         if write:
             if data is None:
                 raise fs_error(Errno.EINVAL, "write without data")
-            if clock is not None:
-                # charge("disk_seek") then charge("disk_transfer_per_byte",
-                # nbytes=...) written out; a zero-byte transfer charges one
-                # unit, exactly as ``charge`` does.
-                nbytes = len(data)
-                unit, num2, den, den2, cell = self._transfer
-                transfer = (nbytes * num2 + den) // den2 if nbytes else unit
-                amount, meter = self._seek
-                clock.ticks += amount + transfer
-                meter[0] += 1
-                cell[0] += 1
-                cell[1] += transfer
-            self._write_range(inode, offset, data)
-            inode.mtime = clock.ticks / TICKS_PER_SECOND \
-                if clock is not None else 0.0
-            inode.ctime = inode.mtime
-            return len(data)
-        if clock is not None:
-            amount, meter = self._seek
-            clock.ticks += amount
-            meter[0] += 1
-        content = self._read_range(inode, offset, length)
-        if clock is not None:
-            nbytes = len(content)
+            # charge("disk_seek") then charge("disk_transfer_per_byte",
+            # nbytes=...) written out; a zero-byte transfer charges one
+            # unit, exactly as ``charge`` does.
+            nbytes = len(data)
             unit, num2, den, den2, cell = self._transfer
             transfer = (nbytes * num2 + den) // den2 if nbytes else unit
-            clock.ticks += transfer
+            amount, meter = self._seek
+            clock.ticks += amount + transfer
+            meter[0] += 1
             cell[0] += 1
             cell[1] += transfer
-        inode.atime = clock.ticks / TICKS_PER_SECOND \
-            if clock is not None else 0.0
+            self._write_range(inode, offset, data)
+            inode.mtime = clock.ticks / TICKS_PER_SECOND
+            inode.ctime = inode.mtime
+            return len(data)
+        amount, meter = self._seek
+        clock.ticks += amount
+        meter[0] += 1
+        content = self._read_range(inode, offset, length)
+        nbytes = len(content)
+        unit, num2, den, den2, cell = self._transfer
+        transfer = (nbytes * num2 + den) // den2 if nbytes else unit
+        clock.ticks += transfer
+        cell[0] += 1
+        cell[1] += transfer
+        inode.atime = clock.ticks / TICKS_PER_SECOND
         return content
 
     def fs_getattr(self, vnode: Vnode, cred: Credentials):
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._vfs
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._vfs
+        self.clock.ticks += amount
+        meter[0] += 1
         try:
             return self._inodes[vnode.ino].attributes()
         except KeyError:
@@ -415,8 +379,7 @@ class PhysicalFileSystem(VFSOperations):
         """
 
         clock = self.clock
-        if clock is not None:
-            clock.charge("vfs_op")
+        clock.charge("vfs_op")
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -444,16 +407,12 @@ class PhysicalFileSystem(VFSOperations):
             inode.mtime = float(attrs["mtime"])
         if "atime" in attrs:
             inode.atime = float(attrs["atime"])
-        inode.ctime = clock.ticks / TICKS_PER_SECOND \
-            if clock is not None else 0.0
-        if clock is not None:
-            clock.charge("fs_metadata_update")
+        inode.ctime = clock.ticks / TICKS_PER_SECOND
+        clock.charge("fs_metadata_update")
         return inode.attributes()
 
     def fs_lockctl(self, vnode: Vnode, request: LockRequest, cred: Credentials) -> bool:
-        clock = self.clock
-        if clock is not None:
-            clock.charge("vfs_op")
+        self.clock.charge("vfs_op")
         return self.locks.apply(vnode.ino, request)
 
     # ------------------------------------------------------------- block helpers --
@@ -502,7 +461,7 @@ class PhysicalFileSystem(VFSOperations):
         # Cut bytes are gone for good: growing again pads with zeros.
         inode.content = inode.content[:size].ljust(size, b"\0")
         inode.size = size
-        inode.mtime = self._now()
+        inode.mtime = self.clock.now()
 
     # ------------------------------------------------------------------- utility --
     def read_whole_file(self, ino: int) -> bytes:

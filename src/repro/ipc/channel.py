@@ -29,6 +29,9 @@ from repro.simclock import SimClock
 class Channel:
     """A request/reply channel to one daemon.
 
+    ``clock`` is the caller's clock (required, like the daemon's own): the
+    channel crosses clock domains exactly when the two are different objects.
+
     ``latency_primitive`` names the :class:`~repro.simclock.CostModel` entry
     charged per round trip (``upcall_round_trip`` for DLFS-to-DLFM upcalls,
     ``db_dlfm_message`` for DBMS-agent-to-child-agent traffic).
@@ -44,7 +47,7 @@ class Channel:
                  "_epoch_provider", "_dispatch", "_callee_clock", "_cross",
                  "_caller_lat", "_callee_lat", "_caller_send")
 
-    def __init__(self, daemon, clock: SimClock | None,
+    def __init__(self, daemon, clock: SimClock,
                  latency_primitive: str = "upcall_round_trip",
                  epoch_provider=None):
         self._daemon = daemon
@@ -57,14 +60,12 @@ class Channel:
         # so sampling at channel construction is safe.
         self._dispatch = daemon.dispatch
         self._callee_clock = daemon.clock
-        self._cross = (clock is not None and self._callee_clock is not None
-                       and clock is not self._callee_clock)
+        self._cross = clock is not self._callee_clock
         # Meters of the fixed per-message charges, resolved once per channel
         # (the clocks never rebind, see above): the exchange hot path writes
         # the latency/message_send charges out inline against these.
-        if clock is not None:
-            self._caller_lat = clock.meter(latency_primitive)
-            self._caller_send = clock.meter("message_send")
+        self._caller_lat = clock.meter(latency_primitive)
+        self._caller_send = clock.meter("message_send")
         if self._cross:
             self._callee_lat = self._callee_clock.meter(latency_primitive)
 
@@ -98,9 +99,8 @@ class Channel:
             # node's clock must not advance): a synchronous request waits a
             # full round trip for the failure, a pipelined send only pays
             # the enqueue cost.
-            if caller is not None:
-                caller.charge(self._latency_primitive if wait or not cross
-                              else "message_send")
+            caller.charge(self._latency_primitive if wait or not cross
+                          else "message_send")
             raise DaemonUnavailableError(
                 f"daemon {self._daemon.name!r} is not running")
         if cross:
@@ -121,7 +121,7 @@ class Channel:
                 amount, meter = self._caller_send
                 caller.ticks += amount
                 meter[0] += 1
-        elif caller is not None:
+        else:
             amount, meter = self._caller_lat
             caller.ticks += amount
             meter[0] += 1

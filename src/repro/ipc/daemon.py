@@ -14,15 +14,14 @@ class Daemon:
     how DLFM crashes are simulated.
     """
 
-    def __init__(self, name: str, clock: SimClock | None = None):
+    def __init__(self, name: str, clock: SimClock):
         self.name = name
         self.clock = clock
         self.running = True
         self._handlers: dict[str, callable] = {}
         self.requests_served = 0
-        if clock is not None:
-            # Meter of the per-dispatch charge (see dispatch).
-            self._dispatch_meter = clock.meter("daemon_dispatch")
+        # Meter of the per-dispatch charge (see dispatch).
+        self._dispatch_meter = clock.meter("daemon_dispatch")
         #: Optional placement-epoch validator: a callable taking the
         #: request's ``placement_epoch`` and raising
         #: :class:`~repro.errors.PlacementEpochError` when it is stale.
@@ -51,13 +50,11 @@ class Daemon:
         handler's error propagates as it is.
         """
 
-        clock = self.clock
-        if clock is not None:
-            # ``clock.charge("daemon_dispatch")`` written out inline: this
-            # runs once per upcall/replication message.
-            amount, meter = self._dispatch_meter
-            clock.ticks += amount
-            meter[0] += 1
+        # ``clock.charge("daemon_dispatch")`` written out inline: this
+        # runs once per upcall/replication message.
+        amount, meter = self._dispatch_meter
+        self.clock.ticks += amount
+        meter[0] += 1
         if self.epoch_gate is not None and placement_epoch is not None:
             self.epoch_gate(placement_epoch)
         try:

@@ -69,11 +69,14 @@ so the simulation models one :class:`ClockDomain` per node, grouped in a
 * :meth:`ClockDomainGroup.global_now` (the max over domains) is the cluster
   wall clock used for experiment reporting.
 
-:class:`SimClock` remains the single-timeline facade -- a
-:class:`ClockDomain` *is* a :class:`SimClock`, so components keep calling
-``charge()``/``measure()`` and only differ in *which* clock they hold.  A
-bare :class:`SimClock` (no group) behaves exactly like the old serial model,
-which is also what ``serial_clock=True`` deployments use for A/B comparisons.
+:class:`SimClock` is one timeline -- a :class:`ClockDomain` *is* a
+:class:`SimClock`, so components call ``charge()``/``measure()`` and only
+differ in *which* clock they hold.  Every component holds one: the clock is
+a required constructor argument everywhere, never ``None`` and never
+conjured by the component itself (two parts of one stack on two private
+timelines would turn every channel between them cross-domain).  A bare
+:class:`SimClock` (no group) is the single serial timeline, which is also
+what ``serial_clock=True`` deployments ride for A/B comparisons.
 
 **Inline charge sites.**  The hottest fixed-cost sites (VFS entry points,
 statement charges, IPC latency) do not call :meth:`SimClock.charge`; they
@@ -626,42 +629,37 @@ class synchronized_call:
     (``callee.sync_ticks(caller.send_ticks())``), and the caller cannot
     continue before the callee finished (``caller.receive_ticks(callee.ticks)``,
     applied even when the body raises -- failures take time too).  A no-op
-    when the two clocks are the same object or either is ``None``.  It
-    keeps nothing between uses: one instance can be entered again, or nested.
+    when the two clocks are the same object.  It keeps nothing between
+    uses: one instance can be entered again, or nested.
     """
 
     __slots__ = ("_caller", "_callee")
 
-    def __init__(self, caller, callee):
-        if caller is None or callee is None or caller is callee:
-            caller = callee = None
+    def __init__(self, caller: SimClock, callee: SimClock):
         self._caller = caller
         self._callee = callee
 
     def __enter__(self) -> None:
-        caller = self._caller
-        if caller is not None:
-            self._callee.sync_ticks(caller.send_ticks())
+        caller, callee = self._caller, self._callee
+        if caller is not callee:
+            callee.sync_ticks(caller.send_ticks())
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        caller = self._caller
-        if caller is not None:
-            caller.receive_ticks(self._callee.ticks)
+        caller, callee = self._caller, self._callee
+        if caller is not callee:
+            caller.receive_ticks(callee.ticks)
 
 
 def rendezvous(*clocks) -> float:
-    """Max-merge the given clocks (``None`` entries ignored): a barrier.
+    """Max-merge the given clocks: a barrier.
 
     Commutative and idempotent -- ``rendezvous(a, b)`` and
     ``rendezvous(b, a)`` leave both clocks at the same instant.  Returns
-    that instant, in seconds.
+    that instant, in seconds (0.0 for no clocks at all).
     """
 
-    present = [clock for clock in clocks if clock is not None]
-    if not present:
-        return 0.0
-    instant = max(clock.ticks for clock in present)
-    for clock in present:
+    instant = max((clock.ticks for clock in clocks), default=0)
+    for clock in clocks:
         clock.sync_ticks(instant)
     return instant / TICKS_PER_SECOND
 
@@ -672,14 +670,13 @@ def gather(target, clocks) -> float:
     The batched counterpart of ``rendezvous(target, c)`` once per client:
     N client domains merging through the host cost one ``max()`` scan and
     a single :meth:`SimClock.receive_ticks` on the target, after which
-    every client syncs forward to the merged instant.  ``None`` entries and
-    the target itself are skipped, so the call degenerates to a no-op when
-    every client shares the target clock (the serialized reference path).
-    Returns the merged instant, in seconds.
+    every client syncs forward to the merged instant.  The target itself
+    is skipped, so the call degenerates to a no-op when every client shares
+    the target clock (the serialized reference path).  Returns the merged
+    instant, in seconds.
     """
 
-    present = [clock for clock in clocks
-               if clock is not None and clock is not target]
+    present = [clock for clock in clocks if clock is not target]
     instant = target.ticks
     for clock in present:
         if clock.ticks > instant:
@@ -728,24 +725,19 @@ class ClockDomainGroup:
 
     ``serial=True`` collapses every domain onto a single shared timeline --
     the old serial-clock model, kept for honest A/B comparisons (e.g. the
-    serial-clock rows of experiment E11).  Passing ``root`` adopts an
-    existing :class:`SimClock` as that single timeline.
+    serial-clock rows of experiment E11).
     """
 
     def __init__(self, cost_model: CostModel | None = None, *,
-                 serial: bool = False, root: SimClock | None = None):
-        self.costs = cost_model if cost_model is not None else \
-            (root.costs if root is not None else CostModel())
-        self.serial = serial or root is not None
+                 serial: bool = False):
+        self.costs = cost_model if cost_model is not None else CostModel()
+        self.serial = serial
         #: The group-wide ledger, summed over the domains on every read.
         self.stats = GroupStats(self)
         self.domains: dict[str, SimClock] = {}
-        self._root = root
         #: Tick tables of ``self.costs``, looked up once for every domain
         #: (10^4 client domains must not hash the model 10^4 times).
         self._tables = _tick_tables(tuple(vars(self.costs).items()))
-        if root is not None:
-            self.domains["serial"] = root
 
     def domain(self, name: str) -> SimClock:
         """The clock domain for node *name* (created on first use).
@@ -754,10 +746,7 @@ class ClockDomainGroup:
         """
 
         if self.serial:
-            if self._root is None:
-                self._root = ClockDomain(self, "serial", self.costs)
-                self.domains["serial"] = self._root
-            return self._root
+            name = "serial"
         if name not in self.domains:
             self.domains[name] = ClockDomain(self, name, self.costs,
                                              tables=self._tables)
@@ -789,7 +778,7 @@ class ClockDomainGroup:
 
         return rendezvous(*self.domains.values())
 
-    def session_domains(self, count: int, base: SimClock | None = None, *,
+    def session_domains(self, count: int, base=None, *,
                         limit: int | None = None,
                         prefix: str = "client") -> list:
         """Clock domains for *count* simulated client sessions.

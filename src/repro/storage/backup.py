@@ -40,8 +40,7 @@ class BackupManager:
         database = self._database
         if database.active_transactions():
             raise BackupError("cannot take a backup while transactions are active")
-        if database.clock is not None:
-            database.clock.charge("backup_per_row", times=max(1, database.total_rows()))
+        database.clock.charge("backup_per_row", times=max(1, database.total_rows()))
         image = BackupImage(
             backup_id=self._next_id,
             state_id=database.state_identifier(),
@@ -61,8 +60,7 @@ class BackupManager:
             raise BackupError(f"unknown backup image {image.backup_id}")
         if database.active_transactions():
             raise BackupError("cannot restore while transactions are active")
-        if database.clock is not None:
-            database.clock.charge("backup_per_row", times=max(1, database.total_rows()))
+        database.clock.charge("backup_per_row", times=max(1, database.total_rows()))
         database.catalog.load_snapshot(image.catalog_snapshot)
         return image.state_id
 

@@ -12,10 +12,9 @@ and of the DLFM's private repository on each file server.  It provides:
   the paper uses to coordinate file and database restore.
 
 All costs are charged to the node's :class:`~repro.simclock.SimClock`
-(clock domain) when one is supplied, so benchmarks can attribute latency to
-SQL work; ``stats_prefix`` additionally keeps a scaled embedded store's
-charges (the DLFM repository) separate from host-database charges in the
-statistics.
+(clock domain), so benchmarks can attribute latency to SQL work;
+``stats_prefix`` additionally keeps a scaled embedded store's charges (the
+DLFM repository) separate from host-database charges in the statistics.
 
 Prepared statements
 -------------------
@@ -96,7 +95,7 @@ class Database:
     checkpoints and backups always force the log regardless of policy.
     """
 
-    def __init__(self, name: str, clock: SimClock | None = None,
+    def __init__(self, name: str, clock: SimClock,
                  cost_scale: float = 1.0,
                  flush_policy: FlushPolicy | str = FlushPolicy.IMMEDIATE,
                  group_commit_window: int = 8,
@@ -114,8 +113,7 @@ class Database:
         self.locks = LockManager()
         self.backups = BackupManager(self)
         self._transactions: dict[int, Transaction] = {}
-        if clock is not None:
-            self._prime()
+        self._prime()
         #: Extended per-table plans (:class:`_TablePlan`), validated against
         #: the catalog's version counter on every probe.
         self._plans: dict[str, _TablePlan] = {}
@@ -139,24 +137,19 @@ class Database:
 
     # ------------------------------------------------------------------ utils --
     def now(self) -> float:
-        clock = self.clock
-        return clock.ticks / TICKS_PER_SECOND if clock is not None else 0.0
+        return self.clock.ticks / TICKS_PER_SECOND
 
     def _charge(self, primitive: str) -> None:
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._meters[primitive]
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._meters[primitive]
+        self.clock.ticks += amount
+        meter[0] += 1
 
     def _charge_run(self, primitive: str, times: int) -> None:
         """*times* back-to-back unit charges of *primitive*: one multiply."""
 
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._meters[primitive]
-            clock.ticks += amount * times
-            meter[0] += times
+        amount, meter = self._meters[primitive]
+        self.clock.ticks += amount * times
+        meter[0] += times
 
     def _prime(self) -> None:
         """Resolve this database's six primitives against its clock, once.
@@ -255,11 +248,9 @@ class Database:
         self._next_txn_id += 1
         self._transactions[transaction.txn_id] = transaction
         self.wal.append(transaction.txn_id, LogRecordType.BEGIN)
-        clock = self.clock
-        if clock is not None:
-            amount, meter = self._stmt
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = self._stmt
+        self.clock.ticks += amount
+        meter[0] += 1
         return transaction
 
     def transaction(self, txn_id: int) -> Transaction:
@@ -291,11 +282,9 @@ class Database:
             txn.require_active_or_prepared()
         self.wal.append(txn.txn_id, LogRecordType.COMMIT)
         if self.wal.note_commit():
-            clock = self.clock
-            if clock is not None:
-                amount, meter = self._log
-                clock.ticks += amount
-                meter[0] += 1
+            amount, meter = self._log
+            self.clock.ticks += amount
+            meter[0] += 1
         txn.state = TxnState.COMMITTED
         # ``_finish`` inlined: commit is the per-transaction hot path.
         try:
@@ -540,15 +529,13 @@ class Database:
         if column is None:
             raise ValueError(
                 f"table {table}: max_key needs a single-column primary key")
-        clock = self.clock
-        if clock is not None:
-            stmt, stmt_meter = self._stmt
-            probe, probe_meter = self._probe
-            read, read_meter = self._read
-            clock.ticks += stmt + probe + read
-            stmt_meter[0] += 1
-            probe_meter[0] += 1
-            read_meter[0] += 1
+        stmt, stmt_meter = self._stmt
+        probe, probe_meter = self._probe
+        read, read_meter = self._read
+        self.clock.ticks += stmt + probe + read
+        stmt_meter[0] += 1
+        probe_meter[0] += 1
+        read_meter[0] += 1
         mutations = plan.heap.mutations
         cached = self._max_keys.get(table)
         if cached is not None and cached[1] == mutations:
@@ -593,13 +580,10 @@ class Database:
         lone lock_acquire.
         """
 
-        clock = self.clock
-        if clock is None:
-            return
         locks = finished + 1 if acquired_pending else finished
         lock, lock_meter = self._lock
         write, write_meter = self._write
-        clock.ticks += lock * locks + write * finished
+        self.clock.ticks += lock * locks + write * finished
         lock_meter[0] += locks
         write_meter[0] += finished
 
@@ -756,10 +740,19 @@ class _Prepared:
 
     def _resolve(self) -> None:
         """Pick the access path: the first index whose columns are all bound
-        (the primary-key index comes first and is the only charged probe)."""
+        (the primary-key index comes first and is the only charged probe).
+
+        A bound column the table does not have raises
+        :class:`~repro.errors.NoSuchColumnError` here: once per statement
+        shape and catalog version, never per execution.
+        """
 
         columns = self.columns
         plan = self.db._plan(self.table)
+        known = plan.schema._by_name        # a membership test, no call
+        for column in columns:
+            if column not in known:
+                plan.schema.column(column)      # raises NoSuchColumnError
         self.index = self.entries = self.key_at = None
         self.charged = False
         for index in plan.indexes:
@@ -806,7 +799,7 @@ class _Prepared:
                 order = heap._sorted_rids = sorted(rows)
             pairs = [(rid, rows[rid]) for rid in order]
         else:
-            if self.charged and clock is not None:
+            if self.charged:
                 amount, meter = self.db._probe
                 clock.ticks += amount
                 meter[0] += 1
@@ -861,10 +854,9 @@ class PreparedSelect(_Prepared):
         if catalog is not self.catalog or catalog.version != self.version:
             self._resolve()
         clock = db.clock
-        if clock is not None:
-            amount, meter = db._stmt
-            clock.ticks += amount
-            meter[0] += 1
+        amount, meter = db._stmt
+        clock.ticks += amount
+        meter[0] += 1
         pairs = self._find(values, clock, match)
         if not pairs:
             return []
@@ -882,24 +874,22 @@ class PreparedSelect(_Prepared):
                     acquire(txn_id, ("row", table, rid), mode)
                     rows.append(dict(row, _rid=rid))
             finally:
-                if clock is not None:
-                    count = len(rows)
-                    lock, lock_meter = db._lock
-                    read, read_meter = db._read
-                    clock.ticks += (lock + read) * count
-                    lock_meter[0] += count
-                    read_meter[0] += count
+                count = len(rows)
+                lock, lock_meter = db._lock
+                read, read_meter = db._read
+                clock.ticks += (lock + read) * count
+                lock_meter[0] += count
+                read_meter[0] += count
             return rows
         if len(pairs) == 1:
             rid, row = pairs[0]
             rows = [dict(row, _rid=rid)]
         else:
             rows = [dict(row, _rid=rid) for rid, row in pairs]
-        if clock is not None:
-            amount, meter = db._read
-            count = len(rows)
-            clock.ticks += amount * count
-            meter[0] += count
+        amount, meter = db._read
+        count = len(rows)
+        clock.ticks += amount * count
+        meter[0] += count
         return rows
 
 
@@ -920,10 +910,9 @@ class _PreparedWrite(_Prepared):
         if txn is not None:
             if txn.state is not TxnState.ACTIVE:
                 txn.require_active()
-            if clock is not None:
-                amount, meter = db._stmt
-                clock.ticks += amount
-                meter[0] += 1
+            amount, meter = db._stmt
+            clock.ticks += amount
+            meter[0] += 1
             return self._run(args, match, txn.txn_id, txn.records, False)
         # Single-statement transaction (module docstring): BEGIN, the
         # statement, COMMIT -- the records, flush and charges of
@@ -932,10 +921,9 @@ class _PreparedWrite(_Prepared):
         db._next_txn_id = txn_id + 1
         wal = db.wal
         wal.append(txn_id, LogRecordType.BEGIN)
-        if clock is not None:       # BEGIN's and the statement's
-            amount, meter = db._stmt
-            clock.ticks += amount * 2
-            meter[0] += 2
+        amount, meter = db._stmt    # BEGIN's and the statement's
+        clock.ticks += amount * 2
+        meter[0] += 2
         records = []
         try:
             result = self._run(args, match, txn_id, records, True)
@@ -943,7 +931,7 @@ class _PreparedWrite(_Prepared):
             db.abort(Transaction(txn_id, records=records))
             raise
         wal.append(txn_id, LogRecordType.COMMIT)
-        if wal.note_commit() and clock is not None:
+        if wal.note_commit():
             amount, meter = db._log
             clock.ticks += amount
             meter[0] += 1
@@ -1005,13 +993,11 @@ class PreparedInsert(_PreparedWrite):
             except BaseException:
                 db._charge_run("lock_acquire", locks_taken)
                 raise
-            clock = db.clock
-            if clock is not None:
-                lock, lock_meter = db._lock
-                write, write_meter = db._write
-                clock.ticks += lock * locks_taken + write
-                lock_meter[0] += locks_taken
-                write_meter[0] += 1
+            lock, lock_meter = db._lock
+            write, write_meter = db._write
+            db.clock.ticks += lock * locks_taken + write
+            lock_meter[0] += locks_taken
+            write_meter[0] += 1
             rids[at] = rid
         return rids
 

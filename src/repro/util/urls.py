@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
+from repro.errors import MalformedURLError
+
 TOKEN_SEPARATOR = ";token="
 DEFAULT_SCHEME = "dlfs"
 
@@ -75,10 +77,10 @@ def parse_url(text: str) -> DatalinkURL:
     """
 
     if "://" not in text:
-        raise ValueError(f"not a DATALINK URL: {text!r}")
+        raise MalformedURLError(f"not a DATALINK URL: {text!r}")
     scheme, rest = text.split("://", 1)
     if "/" not in rest:
-        raise ValueError(f"DATALINK URL is missing a path: {text!r}")
+        raise MalformedURLError(f"DATALINK URL is missing a path: {text!r}")
     server, path = rest.split("/", 1)
     path = "/" + path
     token = None
@@ -89,7 +91,8 @@ def parse_url(text: str) -> DatalinkURL:
         token = segment[index + len(TOKEN_SEPARATOR):]
         path = path[:slash + 1] + segment[:index]
     if not server:
-        raise ValueError(f"DATALINK URL is missing a server: {text!r}")
+        raise MalformedURLError(
+            f"DATALINK URL is missing a server: {text!r}")
     return DatalinkURL(scheme, server, path, token)
 
 

@@ -205,7 +205,7 @@ class TestTokenExpiryEdges:
         from repro.datalinks.dlfm.repository import DLFMRepository
         from repro.storage.database import Database
 
-        repository = DLFMRepository(Database("dlfm-test"))
+        repository = DLFMRepository(Database("dlfm-test", SimClock()))
         repository.add_token_entry("/f", 1001, "R", expires_at=5.0)
         assert repository.find_token_entry("/f", 1001, for_write=False,
                                            now=5.0) is not None

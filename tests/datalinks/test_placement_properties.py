@@ -216,7 +216,7 @@ class _PlacementDriver:
         if not node.running:
             return
         holder = {"epoch": pmap.epoch}
-        connection = DLFMConnection(node.main_daemon, None,
+        connection = DLFMConnection(node.main_daemon, self.deployment.clock,
                                     client_name="stale-probe",
                                     epoch_provider=lambda: holder["epoch"])
         holder["epoch"] = pmap.epoch - 1
@@ -284,7 +284,7 @@ def test_stale_epoch_rejected_even_when_the_map_would_agree():
     owner = deployment.shard_of(other_path)
     node = deployment.replicas[owner].serving
     holder = {"epoch": deployment.router.placement.epoch}
-    connection = DLFMConnection(node.main_daemon, None,
+    connection = DLFMConnection(node.main_daemon, deployment.clock,
                                 client_name="stale-probe",
                                 epoch_provider=lambda: holder["epoch"])
     holder["epoch"] = 1

@@ -252,7 +252,8 @@ class TestAtomicityAndVersions:
             update.replace(b"exactly this content")
         system.run_archiver()
         latest = dlfm.repository.latest_version(paths[0])
-        assert system.archive.retrieve(latest["archive_id"]) == b"exactly this content"
+        assert system.archive.retrieve(latest["archive_id"], system.clock) \
+            == b"exactly this content"
 
     def test_explicit_admin_abort_of_file_update(self, rfd_system):
         system, alice, paths, _ = rfd_system

@@ -5,11 +5,12 @@ import pytest
 from repro.errors import Errno, FileSystemError
 from repro.fs.physical import PhysicalFileSystem
 from repro.fs.vfs import Credentials, LockKind, LockRequest, OpenFlags
+from repro.simclock import SimClock
 
 
 @pytest.fixture
 def pfs():
-    return PhysicalFileSystem("pfs0")
+    return PhysicalFileSystem("pfs0", clock=SimClock())
 
 
 @pytest.fixture

@@ -29,6 +29,7 @@ from repro.fs.inode import FileAttributes, FileType
 from repro.fs.logical import LogicalFileSystem
 from repro.fs.physical import PhysicalFileSystem
 from repro.fs.vfs import Credentials, FilterVFS, OpenFlags, Vnode
+from repro.simclock import SimClock
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import DatalinkURL, parse_url
@@ -78,10 +79,12 @@ class TestValueObjectContract:
 
 class TestVnodeIdentity:
     def test_vnode_through_the_dlfs_filter_is_the_physical_one(self):
-        pfs = PhysicalFileSystem("pfs0")
+        clock = SimClock()
+        pfs = PhysicalFileSystem("pfs0", clock=clock)
         directory = pfs.fs_mkdir(pfs.root_vnode(), "d", 0o755, ROOT)
         created = pfs.fs_create(directory, "f.txt", 0o644, ROOT)
-        dlfs = DataLinksFileSystem(pfs, upcall_client=None, dbms_uid=77)
+        dlfs = DataLinksFileSystem(pfs, upcall_client=None, dbms_uid=77,
+                                   clock=clock)
         for layer in (pfs, FilterVFS(pfs), dlfs):
             root = layer.root_vnode()
             assert root == pfs.root_vnode() == Vnode("pfs0", 1)
@@ -93,14 +96,14 @@ class TestVnodeIdentity:
         assert pfs.fs_lookup(directory, ".", ROOT) is directory
 
     def test_lookup_of_a_missing_name_is_enoent(self):
-        pfs = PhysicalFileSystem("pfs0")
+        pfs = PhysicalFileSystem("pfs0", clock=SimClock())
         with pytest.raises(FileSystemError) as excinfo:
             pfs.fs_lookup(pfs.root_vnode(), "absent", ROOT)
         assert excinfo.value.errno is Errno.ENOENT
         assert "absent" in str(excinfo.value)
 
     def test_attribute_snapshot_does_not_follow_the_inode(self):
-        pfs = PhysicalFileSystem("pfs0")
+        pfs = PhysicalFileSystem("pfs0", clock=SimClock())
         vnode = pfs.fs_create(pfs.root_vnode(), "f", 0o600, ROOT)
         before = pfs.fs_getattr(vnode, ROOT)
         pfs.fs_readwrite(vnode, 0, data=b"12345", write=True, cred=ROOT)
@@ -186,8 +189,10 @@ class TestReadRange:
     @settings(max_examples=250, deadline=None)
     def test_a_history_matches_a_bytearray_and_closed_form_counters(
             self, steps):
-        pfs = PhysicalFileSystem("pfs0", device=BlockDevice(block_size=BLOCK))
-        lfs = LogicalFileSystem()
+        clock = SimClock()
+        pfs = PhysicalFileSystem("pfs0", device=BlockDevice(block_size=BLOCK),
+                                 clock=clock)
+        lfs = LogicalFileSystem(clock)
         lfs.mount("/", pfs)
         lfs.write_file("/f", b"", ROOT)
         vnode = pfs.fs_lookup(pfs.root_vnode(), "f", ROOT)
@@ -261,7 +266,8 @@ class TestReadRange:
             assert asdict(pfs.device.stats) == want, step
 
     def test_a_bad_block_is_einval_naming_it(self):
-        pfs = PhysicalFileSystem("pfs0", device=BlockDevice(block_size=BLOCK))
+        pfs = PhysicalFileSystem("pfs0", device=BlockDevice(block_size=BLOCK),
+                                 clock=SimClock())
         vnode = pfs.fs_create(pfs.root_vnode(), "f", 0o644, ROOT)
         pfs.fs_readwrite(vnode, 0, data=b"x" * (3 * BLOCK), write=True,
                          cred=ROOT)
@@ -311,8 +317,8 @@ class TestContentIsStoredOnce:
             assert node.files.read(path) is content
         (archived,) = deployment.system.archive._objects.values()
         assert archived.content is content
-        assert deployment.system.archive.retrieve(archived.archive_id) \
-            is content
+        assert deployment.system.archive.retrieve(
+            archived.archive_id, caller_clock=deployment.clock) is content
         read_url = session.get_datalink(SHARED_TABLE, {"doc_id": 0}, "body")
         assert session.read_url(read_url) is content
         # Restoring the committed version puts the same object back.

@@ -9,7 +9,7 @@ from repro.simclock import SimClock
 
 
 class EchoDaemon(Daemon):
-    def __init__(self, clock=None):
+    def __init__(self, clock):
         super().__init__("echo", clock)
         self.register("echo", self._echo)
         self.register("fail", self._fail)
@@ -23,22 +23,22 @@ class EchoDaemon(Daemon):
 
 class TestDaemon:
     def test_dispatch_to_registered_handler(self):
-        daemon = EchoDaemon()
+        daemon = EchoDaemon(SimClock())
         assert daemon.dispatch("echo", {"text": "hi"}) == {"text": "hi"}
 
     def test_unknown_request_kind(self):
-        daemon = EchoDaemon()
+        daemon = EchoDaemon(SimClock())
         with pytest.raises(ProtocolError):
             daemon.dispatch("nonsense", {})
         assert daemon.requests_served == 0
 
     def test_handler_errors_raise(self):
-        daemon = EchoDaemon()
+        daemon = EchoDaemon(SimClock())
         with pytest.raises(DataLinksError):
             daemon.dispatch("fail", {})
 
     def test_request_counter(self):
-        daemon = EchoDaemon()
+        daemon = EchoDaemon(SimClock())
         daemon.dispatch("echo", {"text": "a"})
         daemon.dispatch("echo", {"text": "b"})
         assert daemon.requests_served == 2
@@ -48,7 +48,7 @@ class TestDaemon:
             def handle_ping(self) -> dict:
                 return {"pong": True}
 
-        assert WithMethod("m").dispatch("ping", {}) == {"pong": True}
+        assert WithMethod("m", SimClock()).dispatch("ping", {}) == {"pong": True}
 
 
 class TestChannel:
@@ -73,6 +73,7 @@ class TestChannel:
         assert channel.request("echo", text="x") == {"text": "x"}
 
     def test_request_propagates_daemon_error(self):
-        channel = Channel(EchoDaemon(), None)
+        clock = SimClock()
+        channel = Channel(EchoDaemon(clock), clock)
         with pytest.raises(DataLinksError):
             channel.request("fail")

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (
     DuplicateKeyError,
     LockConflictError,
+    NoSuchColumnError,
     NoSuchTableError,
     NullViolationError,
     TableExistsError,
@@ -174,3 +175,39 @@ class TestRowLocking:
         people_db.abort(txn1)
         # ...and leaves no partial change behind
         assert people_db.select_one("people", {"person_id": 1})["age"] == 36
+
+
+class TestUnknownWhereColumn:
+    """A ``where`` that binds a column the table does not have is refused,
+    like ``insert`` and ``changes=`` always were -- it used to match nothing
+    (a typo'd update or delete was a silent no-op)."""
+
+    @pytest.mark.parametrize("statement", [
+        lambda db: db.select("people", {"zzz": 0}),
+        lambda db: db.select_one("people", {"person_id": 1, "zzz": 0}),
+        lambda db: db.update("people", {"zzz": 0}, {"age": 1}),
+        lambda db: db.delete("people", {"zzz": 0}),
+        lambda db: db.select("people", Eq("zzz", 0)),
+        lambda db: db.prepare_select("people", ("zzz",)),
+        lambda db: db.prepare_update("people", ("zzz",)),
+        lambda db: db.prepare_delete("people", ("person_id", "zzz")),
+    ], ids=["select", "select_one", "update", "delete", "condition",
+            "prepare_select", "prepare_update", "prepare_delete"])
+    def test_every_statement_kind_refuses_it(self, people_db, statement):
+        with pytest.raises(NoSuchColumnError, match="zzz"):
+            statement(people_db)
+        assert people_db.count("people") == 3
+
+    def test_a_handle_outlives_its_column_and_says_so(self, people_db):
+        by_age = people_db.prepare_select("people", ("age",))
+        assert [row["name"] for row in by_age(45)] == ["grace"]
+        people_db.drop_table("people")
+        people_db.create_table(TableSchema("people", [
+            Column("person_id", DataType.INTEGER, nullable=False),
+            Column("name", DataType.TEXT, nullable=False),
+        ], primary_key=("person_id",)))
+        with pytest.raises(NoSuchColumnError, match="age"):
+            by_age(45)
+        people_db.insert("people", {"person_id": 1, "name": "ada"})
+        by_id = people_db.prepare_select("people", ("person_id",))
+        assert [row["name"] for row in by_id(1)] == ["ada"]

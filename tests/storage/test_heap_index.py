@@ -132,9 +132,10 @@ class TestDatalinkIndexes:
     """An index over a DATALINK column is keyed by the referenced file."""
 
     def _db(self, primary_key):
+        from repro.simclock import SimClock
         from repro.storage.database import Database
 
-        db = Database("links")
+        db = Database("links", SimClock())
         db.create_table(TableSchema("links", [
             Column("k", DataType.INTEGER, nullable=False),
             Column("url", DataType.DATALINK),

@@ -279,7 +279,10 @@ class TestIntegerTimeStaysOneDesign:
                "PROFILE_SNAPSHOT", "step_hook", "run_session_sweep",
                "run_client_sweep", "run_read_sweep", "SMOKE_PARAMS",
                "LARGE_PARAMS", "SCALE_PARAMS", "sweep_admission_limit",
-               "sweep_think_s", "client_think_s", "client_domain_pool")
+               "sweep_think_s", "client_think_s", "client_domain_pool",
+               # Every component has a clock (structurally:
+               # ``TestOnePathPerOperation.test_no_component_has_a_clockless_twin``).
+               "clock is not None", "SimClock | None", "_NO_WINDOW")
 
     def test_retired_flags_and_twins_stay_gone(self, sources):
         offenders = [f"{name}: {word}" for name, text in sources.items()
@@ -369,6 +372,74 @@ class TestOnePathPerOperation:
         assert not switches, f"module-level on/off switch: {switches}"
         assert not env_reads, f"environment read under src/: {env_reads}"
 
+    #: The four "``None`` means the host clock" defaults: each resolves to
+    #: a real clock on its first line and has both values in use (client
+    #: domains in E9 / E11 / E12, co-located sessions everywhere else).
+    HOST_CLOCK_DEFAULTS = {
+        ("repro/api/session.py", "synced_lfs"),
+        ("repro/api/session.py", "__init__"),
+        ("repro/api/system.py", "session"),
+        ("repro/datalinks/sharding.py", "session"),
+    }
+
+    def test_no_component_has_a_clockless_twin(self):
+        """A constructor-level switch is still a switch: no comparison of
+        a clock (a name or attribute ending in ``clock``) with ``None``
+        and no ``clock=None`` parameter default under ``src/repro/``,
+        outside the four host-clock defaults."""
+
+        import ast
+
+        def is_none(node) -> bool:
+            return isinstance(node, ast.Constant) and node.value is None
+
+        def is_clock(node) -> bool:
+            word = node.id if isinstance(node, ast.Name) \
+                else node.attr if isinstance(node, ast.Attribute) else ""
+            return word.endswith("clock")
+
+        comparisons, defaults = [], []
+        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
+            name = path.relative_to(SRC_ROOT).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = [node for node in ast.walk(tree) if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            allowed = set()
+            for function in functions:
+                spec = function.args
+                positional = spec.posonlyargs + spec.args
+                pairs = list(zip(positional[len(positional)
+                                            - len(spec.defaults):],
+                                 spec.defaults))
+                pairs += [(arg, default) for arg, default in zip(
+                    spec.kwonlyargs, spec.kw_defaults) if default is not None]
+                optional = [arg.arg for arg, default in pairs
+                            if arg.arg.endswith("clock") and is_none(default)]
+                if not optional:
+                    continue
+                if (name, function.name) in self.HOST_CLOCK_DEFAULTS:
+                    allowed.update(ast.walk(function))
+                else:
+                    defaults += [f"{name}:{function.lineno} "
+                                 f"{function.name}({arg}=None)"
+                                 for arg in optional]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.AnnAssign) and is_clock(node.target) \
+                        and is_none(node.value):        # a dataclass field
+                    defaults.append(f"{name}:{node.lineno} "
+                                    f"{ast.unparse(node.target)} = None")
+                if node in allowed or not isinstance(node, ast.Compare) \
+                        or not isinstance(node.ops[0], (ast.Is, ast.IsNot)):
+                    continue
+                left, right = node.left, node.comparators[0]
+                if (is_none(right) and is_clock(left)) \
+                        or (is_none(left) and is_clock(right)):
+                    comparisons.append(
+                        f"{name}:{node.lineno} {ast.unparse(node)}")
+        assert not defaults, f"a clock may not default to None: {defaults}"
+        assert not comparisons, \
+            f"a clockless twin of a charge site: {comparisons}"
+
     def test_the_bench_builds_systems_in_one_place_and_patches_no_module(self):
         """Under ``src/repro/bench/`` exactly one function constructs a
         ``DataLinksSystem`` (the runner context's ``build_host`` -- the
@@ -429,7 +500,8 @@ class TestNothingRebuiltPerRead:
 
         assert inspect.isclass(simclock.synchronized_call)
         assert not inspect.isgeneratorfunction(simclock.synchronized_call)
-        assert "__dict__" not in dir(simclock.synchronized_call(None, None))
+        clock = simclock.SimClock()
+        assert "__dict__" not in dir(simclock.synchronized_call(clock, clock))
         assert not inspect.isgeneratorfunction(simclock.SimClock.overlap)
 
     def test_the_value_objects_are_tuples(self):

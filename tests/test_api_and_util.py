@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
-from repro.errors import DataLinksError
+from repro.errors import DataLinksError, MalformedURLError, ReproError
 from repro.fs.vfs import OpenFlags
 from repro.simclock import CostModel, SimClock
 from repro.util.ids import IdGenerator
@@ -120,3 +120,46 @@ class TestSessionAPI:
             mallory.fs("fs1").write_file(paths[0], b"defaced", create=False)
         # mallory can still read (rfd leaves read access with the file system)
         assert len(mallory.fs("fs1").read_file(paths[0])) == 4096
+
+
+MALFORMED_URLS = ["garbage", "dlfs://fs1", "dlfs:///x"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_URLS)
+class TestMalformedURLIsATypedError:
+    """Text that is not ``scheme://server/path`` is a typed error on the
+    read side too (the write side always said ``TypeMismatchError``): a
+    ``ReproError`` a caller can catch, and still the ``ValueError`` it
+    used to be."""
+
+    def test_parse_url_raises_the_typed_error(self, text):
+        from repro.util.urls import parse_url
+
+        with pytest.raises(MalformedURLError) as excinfo:
+            parse_url(text)
+        assert isinstance(excinfo.value, ReproError)
+        assert isinstance(excinfo.value, ValueError)
+        assert text in str(excinfo.value)
+
+    def test_session_entry_points(self, rfd_system, text):
+        _, alice, _, _ = rfd_system
+        for call in (lambda: alice.read_url(text),
+                     lambda: alice.open_url(text, OpenFlags.READ),
+                     lambda: alice.update_file(text),
+                     lambda: alice.update_files([text])):
+            with pytest.raises(ReproError):
+                call()
+
+    def test_sharded_read_and_update_in_place_entry_points(self, text):
+        from repro.datalinks.sharding import ShardedDataLinksDeployment
+        from repro.datalinks.uip import FileUpdateTransaction, tokenized_path
+
+        deployment = ShardedDataLinksDeployment(shards=2)
+        session = deployment.session("alice", uid=1001)
+        with pytest.raises(ReproError):
+            deployment.read_url(session, text)
+        with pytest.raises(ReproError):
+            tokenized_path(text)
+        shard = deployment.shard(deployment.shard_names[0])
+        with pytest.raises(ReproError):
+            FileUpdateTransaction(shard.lfs, text, session.cred)

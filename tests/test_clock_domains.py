@@ -55,9 +55,7 @@ class TestMergeLaws:
         # a second merge is a no-op
         assert rendezvous(*clocks) == pytest.approx(instant)
 
-    def test_rendezvous_ignores_none(self):
-        clock = SimClock(start=2.0)
-        assert rendezvous(None, clock, None) == pytest.approx(2.0)
+    def test_rendezvous_of_no_clocks_is_zero(self):
         assert rendezvous() == 0.0
 
     def test_overlap_gathers_max_not_sum(self):
@@ -86,7 +84,7 @@ def _generator_synchronized_call(caller, callee):
     """The generator bracket the class replaced, kept as the reference for
     :class:`TestSynchronizedCallBracket`."""
 
-    if caller is None or callee is None or caller is callee:
+    if caller is callee:
         yield
         return
     callee.sync_ticks(caller.send_ticks())
@@ -126,18 +124,14 @@ class TestSynchronizedCallBracket:
             b.charge("row_read")
         assert a.ticks == b.ticks > first
 
-    @pytest.mark.parametrize("pair", ["none-caller", "none-callee", "same"])
-    def test_no_op_brackets_touch_no_clock_and_leave_nothing_behind(self,
-                                                                    pair):
+    def test_a_same_clock_bracket_touches_no_clock_and_leaves_nothing_behind(
+            self):
         import sys
 
         from repro.simclock import synchronized_call
 
         clock, other = SimClock(start=1.0), SimClock(start=5.0)
-        caller, callee = {"none-caller": (None, other),
-                          "none-callee": (clock, None),
-                          "same": (clock, clock)}[pair]
-        bracket = synchronized_call(caller, callee)
+        bracket = synchronized_call(clock, clock)
         assert not hasattr(bracket, "__dict__")
         with bracket, clock.overlap():
             pass                                   # warm every code path
@@ -146,7 +140,7 @@ class TestSynchronizedCallBracket:
         for _ in range(500):
             with bracket:
                 pass
-            with synchronized_call(caller, callee) as nothing:
+            with synchronized_call(clock, clock) as nothing:
                 assert nothing is None
         assert sys.getallocatedblocks() - blocks < 10    # not 500
         assert (clock.ticks, other.ticks) == before
@@ -159,27 +153,24 @@ class TestSynchronizedCallBracket:
         def run(bracket):
             rng = random.Random(seed)
             clocks = [SimClock(start=rng.uniform(0, 2)) for _ in range(4)]
-            clocks.append(None)
             trail = []
             for _ in range(300):
                 caller, callee, inner = (rng.choice(clocks) for _ in range(3))
-                windowed = caller is not None and rng.random() < 0.3
+                windowed = rng.random() < 0.3
                 fails = rng.random() < 0.25
                 work = rng.randrange(1, 4)
                 try:
                     with caller.overlap() if windowed \
-                            else bracket(None, None):
+                            else contextlib.nullcontext():
                         with bracket(caller, callee):
-                            if callee is not None:
-                                callee.charge("disk_seek", times=work)
+                            callee.charge("disk_seek", times=work)
                             with bracket(callee, inner):
-                                if inner is not None:
-                                    inner.charge("row_read", times=work)
+                                inner.charge("row_read", times=work)
                                 if fails:
                                     raise KeyError("body")
                 except KeyError:
                     pass
-                trail.append([clock.ticks for clock in clocks[:-1]])
+                trail.append([clock.ticks for clock in clocks])
             return trail
 
         assert run(synchronized_call) == run(_generator_synchronized_call)

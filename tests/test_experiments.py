@@ -14,6 +14,35 @@ from repro.bench.runner import EXPERIMENTS, SCALES, run_experiment
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def _section_table() -> str:
+    """README's paper-section -> module table, from a scan of the module
+    docstrings under ``src/repro/`` for ``Section N`` / ``Sections N, M and
+    K`` references -- nothing else: no section number is written by hand."""
+
+    import ast
+    import re
+
+    number = r"\d+(?:\.\d+)*"
+    cites = re.compile(rf"Sections?\s+({number}(?:(?:,\s*|,?\s+and\s+){number})*)")
+    modules_of: dict[str, list] = {}
+    root = REPO_ROOT / "src" / "repro"
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        module = ".".join(part for part in parts if part != "__init__") \
+            or "repro"
+        docstring = ast.get_docstring(
+            ast.parse(path.read_text(encoding="utf-8"))) or ""
+        for section in {section for cited in cites.findall(docstring)
+                        for section in re.findall(number, cited)}:
+            modules_of.setdefault(section, []).append(module)
+    lines = ["| section | modules whose docstring cites it |", "|---|---|"]
+    for section in sorted(modules_of,
+                          key=lambda text: [int(n) for n in text.split(".")]):
+        modules = ", ".join(f"`{module}`" for module in modules_of[section])
+        lines.append(f"| {section} | {modules} |")
+    return "\n".join(lines)
+
+
 class TestHarness:
     def test_registry_covers_all_experiments(self):
         expected = {f"E{i}" for i in range(1, 15)}
@@ -141,6 +170,9 @@ class TestHarness:
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         assert listing.strip() in readme, \
             "README.md's experiment index is not `python -m repro.bench --list`"
+        assert _section_table() in readme, \
+            "README.md's section table is not the docstring scan:\n" \
+            + _section_table()
 
     def test_table_formatting_text_and_markdown(self):
         headers = ["name", "value"]

@@ -128,7 +128,7 @@ _operations = st.lists(
 
 class TestDatabaseMatchesModel:
     def _new_db(self) -> Database:
-        db = Database("prop")
+        db = Database("prop", SimClock())
         db.create_table(TableSchema("kv", [
             Column("key", DataType.INTEGER, nullable=False),
             Column("value", DataType.INTEGER),
@@ -220,7 +220,7 @@ class TestFileSystemProperties:
         st.tuples(st.integers(0, 3000), st.binary(min_size=1, max_size=500)),
         min_size=1, max_size=12))
     def test_writes_match_bytearray_model(self, writes):
-        pfs = PhysicalFileSystem("prop")
+        pfs = PhysicalFileSystem("prop", clock=SimClock())
         root = Credentials(uid=0)
         vnode = pfs.fs_create(pfs.root_vnode(), "f.bin", 0o644, root)
         model = bytearray()
@@ -239,7 +239,7 @@ class TestFileSystemProperties:
     @SETTINGS
     @given(names=st.lists(_names, min_size=1, max_size=8, unique=True))
     def test_created_names_are_exactly_what_readdir_lists(self, names):
-        pfs = PhysicalFileSystem("prop")
+        pfs = PhysicalFileSystem("prop", clock=SimClock())
         root = Credentials(uid=0)
         for name in names:
             pfs.fs_create(pfs.root_vnode(), name, 0o644, root)
