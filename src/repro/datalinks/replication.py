@@ -310,10 +310,12 @@ class ReplicaApplier:
         effective = record.type
         if record.type is LogRecordType.CLR:
             effective = LogRecordType(record.extra["redo_as"])
-        after = dict(record.after) if record.after is not None else None
+        # The witness row *is* the primary's image (nobody mutates one; see
+        # repro.storage.heap) -- except a link row, copied to rebind ``ino``.
+        after = record.after
         is_link_row = record.table == "linked_files" and self._files is not None
         if after is not None and is_link_row:
-            after["ino"] = self._local_ino(after["path"], record.rid)
+            after = dict(after, ino=self._local_ino(after["path"], record.rid))
         if effective in (LogRecordType.INSERT, LogRecordType.UPDATE):
             if heap.exists(record.rid):
                 before = heap.get(record.rid)
@@ -627,17 +629,23 @@ class WalShipper:
                 continue            # checkpoints etc.: nothing to apply
             txn_id = record.txn_id
             if txn_id not in hard_txn:
-                hard_txn[txn_id] = self._txn_touches_hard_state(txn_id)
+                hard_txn[txn_id] = self._txn_touches_hard_state(record)
             if hard_txn[txn_id]:
                 count += 1
         return count
 
-    def _txn_touches_hard_state(self, txn_id: int) -> bool:
-        for record in self._repository.db.wal.records_of(txn_id,
-                                                         durable_only=False):
+    @staticmethod
+    def _txn_touches_hard_state(outcome) -> bool:
+        """Whether the transaction *outcome* ends wrote a hard-state table:
+        a walk back over its own records (``LogRecord.prev``), so a paused
+        witness with a long backlog costs O(transaction) per outcome."""
+
+        record = outcome.prev
+        while record is not None:
             if record.table is not None and \
                     record.table not in _SOFT_STATE_TABLES:
                 return True
+            record = record.prev
         return False
 
     def pause(self) -> None:

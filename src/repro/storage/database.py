@@ -46,6 +46,15 @@ decide.  On a held resource the handle calls ``locks.acquire`` so the
 conflict or deadlock error and the wait-for edge are a real transaction's,
 and any failure after BEGIN takes :meth:`Database.abort` (undo, ABORT
 record, forced flush).
+
+Row images
+----------
+A row is built once, by ``TableSchema.validate_row``, and shared: the heap
+stores that dict and the statement logs the same dict as ``after`` and, when
+the row is replaced or removed, as ``before``; undo and redo hand the log's
+image back to the heap.  Nobody mutates one (``PreparedUpdate`` copies the
+stored row before applying its changes) and whatever reaches a caller is a
+copy; :mod:`repro.storage.heap` states the rule in full.
 """
 
 from __future__ import annotations
@@ -685,8 +694,7 @@ class Database:
         checkpoint = self._checkpoint
         if checkpoint is not None:
             self._next_txn_id = max(self._next_txn_id, checkpoint["next_txn_id"])
-        for record in self.wal.records(durable_only=True):
-            self._next_txn_id = max(self._next_txn_id, record.txn_id + 1)
+        self._next_txn_id = max(self._next_txn_id, summary["max_txn_id"] + 1)
         self._crashed = False
         return summary
 
@@ -781,12 +789,13 @@ class _Prepared:
         """``(rid, stored row)`` matches in heap order.
 
         The rows are the heap's *stored* dicts (no copy): callers copy what
-        they return or log, and the heap replaces (never mutates) stored
-        dicts on update, so a reference taken here stays pre-update even
-        while the statement mutates the table.  Enumerating candidates is
-        free; only a complete primary key owes an ``index_probe``.  *match*
-        (a row predicate: a callable or ``Condition`` where) replaces the
-        residual equality test -- it implies the bindings it came with.
+        they return, log the dict itself, and nobody mutates a stored dict
+        (module docstring) -- an update replaces it -- so a reference taken
+        here stays pre-update even while the statement mutates the table.
+        Enumerating candidates is free; only a complete primary key owes an
+        ``index_probe``.  *match* (a row predicate: a callable or
+        ``Condition`` where) replaces the residual equality test -- it
+        implies the bindings it came with.
         """
 
         plan = self.plan
@@ -989,7 +998,7 @@ class PreparedInsert(_PreparedWrite):
                     index.insert(normalized, rid)
                 records.append(db.wal.append(
                     txn_id, LogRecordType.INSERT, table, rid, None,
-                    dict(normalized)))
+                    normalized))
             except BaseException:
                 db._charge_run("lock_acquire", locks_taken)
                 raise
@@ -1036,8 +1045,8 @@ class PreparedUpdate(_PreparedWrite):
                 for index in indexes:
                     index.insert(normalized, rid)
                 records.append(db.wal.append(
-                    txn_id, LogRecordType.UPDATE, table, rid, dict(row),
-                    dict(normalized)))
+                    txn_id, LogRecordType.UPDATE, table, rid, row,
+                    normalized))
                 acquired = False
                 touched += 1
         finally:
@@ -1068,7 +1077,7 @@ class PreparedDelete(_PreparedWrite):
                     index.remove(row, rid)
                 heap.delete(rid)
                 records.append(db.wal.append(
-                    txn_id, LogRecordType.DELETE, table, rid, dict(row)))
+                    txn_id, LogRecordType.DELETE, table, rid, row))
                 removed += 1
         finally:
             db._settle_write_charges(removed, False)

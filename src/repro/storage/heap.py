@@ -1,4 +1,20 @@
-"""Heap tables: unordered row storage addressed by row id."""
+"""Heap tables: unordered row storage addressed by row id.
+
+Row images -- who holds them, who may change them
+-------------------------------------------------
+The dict :meth:`TableSchema.validate_row` returns *is* the row.  The heap
+stores it, the write-ahead log records it as the statement's ``after`` (and
+later as the ``before`` of the UPDATE / DELETE that replaces it),
+``Transaction.records`` reaches it through those log records, and a witness
+replica's heap adopts it from the shipped record: one object, held by all
+four.  The rule that makes the sharing safe: **a row image is never mutated
+after ``validate_row`` returns it; whoever wants a changed row copies it
+first** (an UPDATE builds its new row from a copy).  What is handed
+*out* is a copy the caller owns -- :meth:`HeapTable.get`, :meth:`HeapTable.
+scan`, select results -- and so is what outlives a crash:
+:meth:`HeapTable.snapshot` / :meth:`HeapTable.load_snapshot` (checkpoints,
+backup images) copy row by row in both directions.
+"""
 
 from __future__ import annotations
 
@@ -15,11 +31,11 @@ class HeapTable:
     database, which call :meth:`snapshot` / :meth:`load_snapshot`.
 
     Row *values* are always immutable scalars (``validate_value`` normalizes
-    every stored value to int/float/str/bool/bytes/None), so per-row dict
-    copies are as deep as a copy ever needs to be -- snapshots and scans
-    exploit that instead of paying ``copy.deepcopy``.  The scan order
-    (sorted row ids) is cached and invalidated only when the rid *set*
-    changes, so repeated full scans skip the per-call sort.
+    every stored value to int/float/str/bool/bytes/None), so where a copy is
+    owed (module docstring) a per-row ``dict`` copy is as deep as it ever
+    needs to be.  The scan order (sorted row ids) is cached and invalidated
+    only when the rid *set* changes, so repeated full scans skip the
+    per-call sort.
     """
 
     __slots__ = ("schema", "_rows", "_next_rid", "_sorted_rids", "mutations")
@@ -39,7 +55,7 @@ class HeapTable:
 
     # -- basic operations ------------------------------------------------------
     def insert(self, row: dict, rid: int | None = None) -> int:
-        """Store *row*; returns its row id.
+        """Store *row* -- the dict itself, not a copy -- and return its row id.
 
         ``rid`` may be forced by recovery/undo so that row ids are stable
         across redo and rollback.
@@ -56,7 +72,7 @@ class HeapTable:
         else:
             self._next_rid = max(self._next_rid, rid + 1)
             self._sorted_rids = None
-        self._rows[rid] = dict(row)
+        self._rows[rid] = row
         return rid
 
     def get(self, rid: int) -> dict:
@@ -71,15 +87,16 @@ class HeapTable:
         return rid in self._rows
 
     def update(self, rid: int, row: dict) -> None:
-        """Replace the row stored under *rid*."""
+        """Replace the row stored under *rid* with *row* (stored as is)."""
 
         if rid not in self._rows:
             raise NoSuchRowError(f"table {self.schema.name}: no row {rid}")
         self.mutations += 1
-        self._rows[rid] = dict(row)
+        self._rows[rid] = row
 
     def delete(self, rid: int) -> dict:
-        """Remove and return the row stored under *rid*."""
+        """Remove and return the row stored under *rid* (the stored image:
+        the log may still hold it)."""
 
         try:
             row = self._rows.pop(rid)

@@ -10,6 +10,10 @@ is what lets "which rows reference this file?" be answered without a scan.
 An equality lookup by URL finds a superset (every row naming that path);
 the statement's own predicate narrows it, as it does for any candidate set.
 A *unique* index over a DATALINK column admits one row per referenced path.
+
+Indexes hold row ids, never rows: the dicts passed to ``insert`` / ``remove``
+are read for their key and not kept (who may hold a row image is
+:mod:`repro.storage.heap`'s rule).
 """
 
 from __future__ import annotations
@@ -43,7 +47,13 @@ def _key(values, derive: tuple | None) -> tuple:
 
 
 class HashIndex:
-    """Equality index mapping a key tuple to the set of row ids holding it.
+    """Equality index mapping a key tuple to the row ids holding it.
+
+    A bucket is a ``set`` of row ids -- except in a *unique* index, where a
+    key has one row and the bucket is the 1-tuple ``(rid,)``: 48 bytes, not
+    a one-element set's 216, and most buckets of a keyed table are of this
+    kind.  Readers only iterate, size or sort a bucket, which both shapes
+    allow; ``insert`` / ``remove`` alone know the difference.
 
     ``derive`` (one entry per column, ``None`` for "the stored value") makes
     the key a function of the stored values; see the module docstring.
@@ -68,7 +78,7 @@ class HashIndex:
         else:
             self._composite = itemgetter(*self.columns) \
                 if self._single is None else None
-        self._entries: dict[tuple, set[int]] = {}
+        self._entries: dict[tuple, set[int] | tuple[int]] = {}
         #: The key -> rids dict, for callers that probe it with tuples of
         #: stored column values; ``None`` when keys are derived (such callers
         #: must go through :meth:`bucket`, which derives).
@@ -89,12 +99,15 @@ class HashIndex:
         try:
             bucket = entries[key]
         except KeyError:
-            entries[key] = {rid}
+            entries[key] = (rid,) if self.unique else {rid}
             return
-        if self.unique and bucket and rid not in bucket:
-            raise DuplicateKeyError(
-                f"index {self.name}: duplicate key {key!r} on table {self.table}")
-        bucket.add(rid)
+        if self.unique:
+            if rid not in bucket:
+                raise DuplicateKeyError(
+                    f"index {self.name}: duplicate key {key!r} "
+                    f"on table {self.table}")
+        else:
+            bucket.add(rid)
 
     def remove(self, row: dict, rid: int) -> None:
         single = self._single
@@ -103,6 +116,10 @@ class HashIndex:
         try:
             bucket = entries[key]
         except KeyError:
+            return
+        if self.unique:
+            if rid in bucket:
+                del entries[key]
             return
         bucket.discard(rid)
         if not bucket:

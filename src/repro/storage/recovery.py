@@ -33,7 +33,8 @@ class RecoveryManager:
         durable = db.wal.records(durable_only=True)
 
         redo_count = self._redo(durable, checkpoint_lsn)
-        committed, aborted, in_doubt, losers = self._analyze(durable)
+        committed, aborted, in_doubt, losers, max_txn_id = \
+            self._analyze(durable)
         undo_count = self._undo_losers(durable, losers)
         self._reinstate_in_doubt(durable, in_doubt)
 
@@ -47,6 +48,8 @@ class RecoveryManager:
             "in_doubt": sorted(in_doubt),
             "losers_undone": sorted(losers),
             "undo_records": undo_count,
+            # Transaction ids restart past this (``Database.recover``).
+            "max_txn_id": max_txn_id,
         }
 
     # -- phases -------------------------------------------------------------------
@@ -118,7 +121,7 @@ class RecoveryManager:
         losers = seen - committed - aborted - in_doubt
         # Transaction id 0 is the system/bootstrap pseudo-transaction.
         losers.discard(0)
-        return committed, aborted, in_doubt, losers
+        return committed, aborted, in_doubt, losers, max(seen, default=0)
 
     def _undo_losers(self, durable, losers: set[int]) -> int:
         db = self._db

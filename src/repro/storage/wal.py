@@ -27,6 +27,22 @@ replica can never hold a transaction the primary could lose in a crash).
 Shipping is a *pipelined* send in simulated time: the witness applies the
 batch on its own clock domain and the primary does not wait, so replication
 overlaps foreground work (see :mod:`repro.simclock`).
+
+What the log holds, and for how long
+------------------------------------
+A data record's ``before`` / ``after`` are the row images themselves -- the
+dicts the heap stores or stored, not copies (:mod:`repro.storage.heap` has
+the ownership rule: nobody mutates one).  A transaction's records are found
+through :attr:`LogRecord.prev`, each record's link to the same transaction's
+previous one, starting from a table of the *last record of every transaction
+that has no COMMIT / ABORT yet*.  The table is all the log keeps per
+transaction and an outcome record empties the entry, so a finished
+transaction costs its records and nothing else.  Two readers need the links:
+a recovering DLFM looks up an in-doubt branch's PREPARE
+(:meth:`WriteAheadLog.records_of`; PREPARE keeps the entry), and the WAL
+shipper asks, of each outcome record a witness has not applied, whether its
+transaction wrote hard state -- a walk from that record, O(transaction)
+however long the unshipped backlog is.
 """
 
 from __future__ import annotations
@@ -79,14 +95,17 @@ class LogRecord:
     """One WAL record.
 
     ``before``/``after`` carry full row images for data records, keeping undo
-    and redo trivially idempotent.  ``extra`` carries record-type specific
-    payload (schema for CREATE_TABLE, undone LSN for CLR, ...).  Records are
-    built only by :meth:`WriteAheadLog.append`, which fills the slots in
-    place: a constructor frame per record was measurable there.
+    and redo trivially idempotent; they are shared with the heap, never
+    copied and never mutated (module docstring).  ``extra`` carries
+    record-type specific payload (schema for CREATE_TABLE, undone LSN for
+    CLR, ...).  ``prev`` is the same transaction's previous record (ARIES's
+    prevLSN), ``None`` on its first.  Records are built only by
+    :meth:`WriteAheadLog.append`, which fills the slots in place: a
+    constructor frame per record was measurable there.
     """
 
     __slots__ = ("lsn", "txn_id", "type", "table", "rid", "before", "after",
-                 "extra")
+                 "extra", "prev")
 
 
 class WriteAheadLog:
@@ -95,7 +114,8 @@ class WriteAheadLog:
     def __init__(self, flush_policy: FlushPolicy | str = FlushPolicy.IMMEDIATE,
                  group_window: int = 8):
         self._records: list[LogRecord] = []
-        self._by_txn: dict[int, list[LogRecord]] = {}
+        #: Last record of each transaction with no COMMIT / ABORT yet.
+        self._open: dict[int, LogRecord] = {}
         self._next_lsn = 1
         self._flushed_count = 0
         self.flush_policy = FlushPolicy.from_string(flush_policy)
@@ -142,12 +162,18 @@ class WriteAheadLog:
         record.before = before
         record.after = after
         record.extra = extra
-        self._records.append(record)
-        by_txn = self._by_txn
+        # Subscripts and statements only: a method call per record here is
+        # measurable (and counted by every call-count gate).
+        open_txns = self._open
         try:
-            by_txn[txn_id].append(record)
-        except KeyError:
-            by_txn[txn_id] = [record]
+            prev = record.prev = open_txns[txn_id]
+        except KeyError:            # the transaction's first record
+            prev = record.prev = None
+        if type is not LogRecordType.COMMIT and type is not LogRecordType.ABORT:
+            open_txns[txn_id] = record
+        elif prev is not None:
+            del open_txns[txn_id]
+        self._records.append(record)
         return record
 
     def note_commit(self) -> bool:
@@ -233,17 +259,26 @@ class WriteAheadLog:
         return self._records[start if start > 0 else 0:limit]
 
     def records_of(self, txn_id: int, durable_only: bool = False) -> list[LogRecord]:
-        # Served from a per-transaction index: scanning the whole log here
-        # made replica-staleness checks quadratic in log length.
-        bucket = self._by_txn.get(txn_id)
-        if bucket is None:
-            return []
-        if not durable_only:
-            return list(bucket)
-        if self._flushed_count == 0:
-            return []
-        durable = self._records[self._flushed_count - 1].lsn.value
-        return [record for record in bucket if record.lsn.value <= durable]
+        """The records of *txn_id*, oldest first: its ``prev`` chain, from
+        the open-transaction table or, for a finished transaction (a cold
+        path only tests take), from a backward scan for its last record.
+        A transaction takes no record after its COMMIT / ABORT: the
+        database never reuses an id the log still holds."""
+
+        record = self._open.get(txn_id)
+        if record is None:
+            for candidate in reversed(self._records):
+                if candidate.txn_id == txn_id:
+                    record = candidate
+                    break
+        durable = self.flushed_lsn.value if durable_only else self._next_lsn
+        chain = []
+        while record is not None:
+            if record.lsn.value <= durable:
+                chain.append(record)
+            record = record.prev
+        chain.reverse()
+        return chain
 
     def outcome_of(self, txn_id: int) -> str:
         """The durable outcome of *txn_id* -- ``"committed"``, ``"aborted"``
@@ -266,15 +301,15 @@ class WriteAheadLog:
         """Discard records that were never flushed; returns how many were lost."""
 
         lost = len(self._records) - self._flushed_count
-        durable = self.flushed_lsn.value
-        for record in self._records[self._flushed_count:]:
-            bucket = self._by_txn.get(record.txn_id)
-            if bucket is None:
-                continue
-            while bucket and bucket[-1].lsn.value > durable:
-                bucket.pop()
-            if not bucket:
-                del self._by_txn[record.txn_id]
+        # Newest first, each lost record hands its transaction back to the
+        # record before it: a transaction ends at its last durable record or
+        # leaves the table, and one that lost only its outcome is open again.
+        open_txns = self._open
+        for record in reversed(self._records[self._flushed_count:]):
+            if record.prev is not None:
+                open_txns[record.txn_id] = record.prev
+            else:
+                open_txns.pop(record.txn_id, None)
         del self._records[self._flushed_count:]
         self._next_lsn = (self._records[-1].lsn.value + 1) if self._records else 1
         self._pending_commits = 0

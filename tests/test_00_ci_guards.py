@@ -22,6 +22,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 COMMITTED_ARTIFACT = REPO_ROOT / "BENCH_smoke.json"
 LARGE_ARTIFACT = REPO_ROOT / "BENCH_large.json"
+LAYERED_ARTIFACT = REPO_ROOT / "BENCH_layered.json"
 
 #: The large tier's capacity acceptance bars, checked against the
 #: *committed* artifact (cheap -- no workload runs here; the gated suite
@@ -243,6 +244,74 @@ class TestCommittedLargeArtifactShape:
             "queue delay must be what grows past the admission limit"
 
 
+class TestCommittedLayeredArtifactShape:
+    """``BENCH_layered.json`` is ``python3 benchmarks/layered/run.py
+    --json-out BENCH_layered.json`` at seed 42, regenerated by any PR that
+    claims a perf change.  Checked here: shape, ``failed == 0`` and
+    *simulated identity* -- host numbers in the file are the box's that
+    wrote it and gate nothing.
+
+    ``--json-out`` writes values only: metric units live in
+    ``BENCHMARK.json`` (so "the right units" is "exactly the declared
+    names") and the four digests of ROADMAP's "Layered benchmark" paragraph
+    are printed, not written.  What the file does carry of the simulated
+    run is pinned instead, to the last digit: the three ``sim_*`` end-to-end
+    metrics of the runs those digests name."""
+
+    #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42, unchanged
+    #: since PR 15; digests 9f02af7fd43f2555 / 447e7bd9957e5dbf /
+    #: 5f80905a8dc97eba / 1f1fb72439ab7e2a in this order.
+    SIMULATED = {
+        "web_rfd": (85.10712802577955, 11.292711182022686,
+                    11.349244995017216),
+        "session_knee": (62.78828676495274, 46768.023894838996,
+                         48223.648881357),
+        "edit_uip": (48.9668149410877, 28.468114638002362,
+                     28.519441390997713),
+        "cluster_hotspot": (91.8978824008268, 10.76865838601293,
+                            16.13148742700332),
+    }
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        with LAYERED_ARTIFACT.open(encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.fixture(scope="class")
+    def declared(self):
+        with (REPO_ROOT / "BENCHMARK.json").open(encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_is_a_full_run_at_seed_42(self, payload, declared):
+        assert (payload["seed"], payload["smoke"]) == (42, False)
+        assert payload["seconds"] == declared["run_seconds"]
+        assert "repeat" not in payload
+
+    def test_covers_every_workload_without_a_failed_operation(
+            self, payload, declared):
+        assert list(payload["workloads"]) == \
+            [workload["name"] for workload in declared["workloads"]]
+        for name, entry in payload["workloads"].items():
+            assert entry["correct"] is True, name
+            assert entry["attempted"] > 0 and entry["failed"] == 0, name
+
+    def test_carries_exactly_the_declared_metrics(self, payload, declared):
+        for name, entry in payload["workloads"].items():
+            for group in ("end_to_end", "per_layer"):
+                assert set(entry[group]) == \
+                    {metric["name"] for metric in declared[group]}, \
+                    (name, group)
+                assert all(isinstance(value, (int, float))
+                           for value in entry[group].values()), (name, group)
+
+    def test_simulated_metrics_are_the_pinned_runs(self, payload):
+        assert set(payload["workloads"]) == set(self.SIMULATED)
+        for name, pinned in self.SIMULATED.items():
+            metrics = payload["workloads"][name]["end_to_end"]
+            assert (metrics["sim_ops_per_s"], metrics["sim_p50_ms"],
+                    metrics["sim_p99_ms"]) == pinned, name
+
+
 class TestIntegerTimeStaysOneDesign:
     """Simulated time is integer ticks with one ledger: the bookkeeping
     that float time needed must not grow back outside ``simclock.py``."""
@@ -282,7 +351,10 @@ class TestIntegerTimeStaysOneDesign:
                "sweep_think_s", "client_think_s", "client_domain_pool",
                # Every component has a clock (structurally:
                # ``TestOnePathPerOperation.test_no_component_has_a_clockless_twin``).
-               "clock is not None", "SimClock | None", "_NO_WINDOW")
+               "clock is not None", "SimClock | None", "_NO_WINDOW",
+               # The log links a transaction's records (``LogRecord.prev``);
+               # it indexes no transaction past its outcome record.
+               "_by_txn")
 
     def test_retired_flags_and_twins_stay_gone(self, sources):
         offenders = [f"{name}: {word}" for name, text in sources.items()
