@@ -212,10 +212,12 @@ class DLFMRepository:
     # A shard primary replicates by streaming this repository's durable WAL
     # suffix to its witness; these helpers are the repository-level surface
     # the shipper uses (see :mod:`repro.datalinks.replication`).
-    def add_wal_listener(self, listener) -> None:
-        """Call *listener* with the WAL whenever the durable prefix grows."""
+    def add_wal_listener(self, listener, reader=None) -> None:
+        """Call *listener* with the WAL whenever the durable prefix grows;
+        *reader*'s ``cursor`` pins the log (:meth:`WriteAheadLog.
+        add_flush_listener`)."""
 
-        self.db.wal.add_flush_listener(listener)
+        self.db.wal.add_flush_listener(listener, reader)
 
     def remove_wal_listener(self, listener) -> None:
         self.db.wal.remove_flush_listener(listener)

@@ -39,7 +39,8 @@ This module adds a *serving/witness* replication scheme per shard:
   when it was deposed -- no snapshot resync -- then roles swap back under a
   fence (:meth:`ReplicatedShard.fail_back`).  A snapshot resync remains the
   fallback whenever the deposed node's durable state diverged from the
-  serving lineage (it held records that never shipped).
+  serving lineage (it held records that never shipped) or the serving log
+  has folded away the records it missed.
 
 Failpoints fire at every replication step so the crash-matrix tests can
 inject a primary crash mid-protocol: ``replicate:ship`` (before a WAL batch
@@ -56,6 +57,7 @@ from repro.errors import (
     FencedNodeError,
     FileSystemError,
     IPCError,
+    LogFoldedError,
     ReplicationError,
 )
 from repro.ipc.channel import Channel
@@ -548,7 +550,9 @@ class WalShipper:
     daemon channel.  A witness that is down does not stall the primary --
     the cursor simply stops advancing and the records ship on the next
     successful flush or an explicit :meth:`ship` (the *replica lag* the
-    failover tests exercise).
+    failover tests exercise).  The shipper is the listener's *reader*: the
+    log folds nothing while the cursor is behind its tail (see
+    :mod:`repro.storage.wal`), so a paused or cut-off stream loses nothing.
     """
 
     def __init__(self, repository, channel: Channel,
@@ -560,7 +564,7 @@ class WalShipper:
         self.paused = False
         self.shipped_records = 0
         self.ship_errors = 0
-        repository.add_wal_listener(self._on_flush)
+        repository.add_wal_listener(self._on_flush, reader=self)
 
     def _fire(self, point: str) -> None:
         hook = self.failpoints.get(point)
@@ -865,8 +869,7 @@ class ReplicatedShard:
         # LSNs are append-ordered, so a ship cursor at (or past) the WAL
         # tail means nothing is pending and the lag is exactly zero --
         # no record scan or hard-state classification needed.
-        records = shipper._repository.db.wal._records
-        if not records or records[-1].lsn <= shipper.cursor:
+        if shipper._repository.db.wal.tail_lsn() <= shipper.cursor:
             return 0 <= max_lag
         return shipper.pending_lag() <= max_lag
 
@@ -1154,8 +1157,9 @@ class ReplicatedShard:
         last-applied point in the serving lineage -- and catches up by
         shipping only the records it missed (plus a content delta for files
         ingested while it was gone).  No snapshot resync.  The fallback
-        snapshot path runs only when the deposed node's durable state
-        diverged from the serving lineage.
+        snapshot path runs when the deposed node's durable state diverged
+        from the serving lineage, or when the serving log has folded the
+        records it missed away (:class:`~repro.errors.LogFoldedError`).
         """
 
         node = self.nodes[node_name]
@@ -1174,6 +1178,11 @@ class ReplicatedShard:
                 f"cannot rejoin {node_name!r} to shard {self.name!r}: "
                 f"serving node {self.serving_name!r} is down")
         base = self._rejoin_base.get(node_name)
+        if base is not None:
+            try:
+                self.serving.dlfm.repository.wal_records_since(base)
+            except LogFoldedError:
+                base = None     # what it missed was folded: snapshot resync
         self._daemons[node_name].start()
         shipper = self._subscribe(node_name, base=base)
         if base is None:

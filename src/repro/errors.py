@@ -102,6 +102,10 @@ class PreparedStateError(TransactionError):
     """An operation conflicts with the two-phase-commit state of a branch."""
 
 
+class LogFoldedError(StorageError):
+    """The log records asked for were folded into the checkpoint base."""
+
+
 # ---------------------------------------------------------------------------
 # File system errors (errno-styled)
 # ---------------------------------------------------------------------------

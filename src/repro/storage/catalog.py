@@ -170,7 +170,9 @@ class Catalog:
                                       ordered=definition["ordered"])
 
     def snapshot(self) -> dict:
-        """Deep snapshot of schemas and heap contents (indexes are derivable)."""
+        """Schemas, heap contents and index definitions -- the checkpoint
+        base's and a backup's image of the catalog.  Schemas are copied;
+        heap rows are the shared images (:meth:`HeapTable.snapshot`)."""
 
         return {
             "schemas": {name: schema.copy() for name, schema in self._schemas.items()},

@@ -73,10 +73,13 @@ from repro.storage.query import compile_where
 from repro.storage.recovery import RecoveryManager
 from repro.storage.schema import TableSchema
 from repro.storage.transaction import Transaction, TxnState
-from repro.storage.wal import FlushPolicy, LogRecordType, WriteAheadLog
+from repro.storage.wal import (
+    SYSTEM_TXN_ID,
+    FlushPolicy,
+    LogRecordType,
+    WriteAheadLog,
+)
 from repro.util.lsn import LSN
-
-SYSTEM_TXN_ID = 0
 
 
 class _TablePlan:
@@ -119,6 +122,7 @@ class Database:
         self.catalog = Catalog()
         self.wal = WriteAheadLog(flush_policy=flush_policy,
                                  group_window=group_commit_window)
+        self.wal.take_base = self._take_base
         self.locks = LockManager()
         self.backups = BackupManager(self)
         self._transactions: dict[int, Transaction] = {}
@@ -649,18 +653,39 @@ class Database:
 
     # ------------------------------------------------------- checkpoint/crash --
     def checkpoint(self) -> LSN:
-        """Force the log and snapshot volatile state (a fuzzy checkpoint)."""
+        """Force the log, write a CHECKPOINT record and take the checkpoint
+        base at it (a fuzzy checkpoint: open transactions' effects are in
+        the snapshot, and recovery undoes the losers among them).
+
+        The base is the one a fold of the log takes too (see
+        :mod:`repro.storage.wal`): ``{"lsn", "snapshot", "next_txn_id"}``,
+        where recovery starts.  Unlike a fold, an explicit checkpoint is
+        logged and charged -- one ``log_write`` -- and drops no record
+        itself (its flushes may fold the log, like any other flush).
+        """
 
         self.wal.flush()
         self._charge("log_write")
         record = self.wal.append(SYSTEM_TXN_ID, LogRecordType.CHECKPOINT)
         self.wal.flush()
+        self._take_base()
+        return record.lsn
+
+    def _take_base(self) -> dict | None:
+        """Take the checkpoint base at the log tail and return it -- the one
+        place that does, for :meth:`checkpoint` and for a fold of the log
+        alike.  The snapshot shares the row images (:mod:`repro.storage.
+        heap`).  A crashed or recovering database's catalog is not its
+        state: it takes nothing and returns ``None``."""
+
+        if self._crashed:
+            return None
         self._checkpoint = {
-            "lsn": record.lsn,
+            "lsn": self.wal.tail_lsn(),
             "snapshot": self.catalog.snapshot(),
             "next_txn_id": self._next_txn_id,
         }
-        return record.lsn
+        return self._checkpoint
 
     def last_checkpoint(self) -> dict | None:
         return self._checkpoint

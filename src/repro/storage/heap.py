@@ -11,9 +11,11 @@ four.  The rule that makes the sharing safe: **a row image is never mutated
 after ``validate_row`` returns it; whoever wants a changed row copies it
 first** (an UPDATE builds its new row from a copy).  What is handed
 *out* is a copy the caller owns -- :meth:`HeapTable.get`, :meth:`HeapTable.
-scan`, select results -- and so is what outlives a crash:
-:meth:`HeapTable.snapshot` / :meth:`HeapTable.load_snapshot` (checkpoints,
-backup images) copy row by row in both directions.
+scan`, select results.  :meth:`HeapTable.snapshot` (checkpoint bases,
+backup images) holds the stored images themselves, in a dict of its own;
+:meth:`HeapTable.load_snapshot` copies them row by row on the way back, so a
+heap rebuilt from a snapshot shares no image with the heap it was taken
+from.
 """
 
 from __future__ import annotations
@@ -137,18 +139,16 @@ class HeapTable:
 
     # -- checkpoint / backup support -------------------------------------------
     def snapshot(self) -> dict:
-        """An isolated copy of the heap contents, for checkpoints and backups.
+        """The heap contents, for checkpoint bases and backups: a dict of
+        its own holding the stored row images, which nobody mutates (module
+        docstring)."""
 
-        Per-row shallow copies suffice: stored values are immutable scalars.
-        """
-
-        return {
-            "rows": {rid: dict(row) for rid, row in self._rows.items()},
-            "next_rid": self._next_rid,
-        }
+        return {"rows": dict(self._rows), "next_rid": self._next_rid}
 
     def load_snapshot(self, snapshot: dict) -> None:
-        """Replace the heap contents with a previously taken snapshot."""
+        """Replace the heap contents with a previously taken snapshot, copying
+        each row: per-row shallow copies suffice, stored values are
+        immutable scalars."""
 
         self._rows = {rid: dict(row) for rid, row in snapshot["rows"].items()}
         self._next_rid = snapshot["next_rid"]

@@ -1,13 +1,19 @@
 """ARIES-style crash recovery: analysis, redo, undo.
 
-The database keeps its whole write-ahead log in memory, so recovery can be a
-faithful (if simplified) ARIES: rebuild volatile state from the most recent
-checkpoint snapshot, redo every durable record after the checkpoint, classify
-transactions, then undo the losers while writing compensation records.
-Transactions that voted PREPARE but had not been resolved at crash time are
-*in doubt*: their effects are preserved and their locks re-acquired so the
-two-phase-commit coordinator (the DataLinks engine) can later commit or abort
-them -- this is what lets a DLFM act as a recoverable resource manager.
+Recovery starts from the database's checkpoint base -- the snapshot its last
+explicit checkpoint or its last fold of the log took (see
+:mod:`repro.storage.wal`) -- plus the log suffix the WAL retains, and is a
+faithful (if simplified) ARIES over them: rebuild volatile state from the
+base, redo every durable record after the base LSN, classify the
+transactions of the retained suffix, then undo the losers while writing
+compensation records.  Nothing folded is needed: a fold happens only when no
+transaction is open, so every loser and every in-doubt branch has all its
+records in the suffix, and the summary's transaction lists are the suffix's
+(relative to the base, not to the start of time).  Transactions that voted
+PREPARE but had not been resolved at crash time are *in doubt*: their
+effects are preserved and their locks re-acquired so the two-phase-commit
+coordinator (the DataLinks engine) can later commit or abort them -- this is
+what lets a DLFM act as a recoverable resource manager.
 """
 
 from __future__ import annotations

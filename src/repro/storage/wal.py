@@ -42,7 +42,36 @@ a recovering DLFM looks up an in-doubt branch's PREPARE
 (:meth:`WriteAheadLog.records_of`; PREPARE keeps the entry), and the WAL
 shipper asks, of each outcome record a witness has not applied, whether its
 transaction wrote hard state -- a walk from that record, O(transaction)
-however long the unshipped backlog is.
+however long the unshipped backlog is.  The system pseudo-transaction
+(:data:`SYSTEM_TXN_ID`, which writes only CHECKPOINT records) is not a
+transaction: its records are not linked and it never enters the table.
+
+The log keeps only what can still be read.  A flush that leaves it
+*quiescent* *folds* it once at least :data:`FOLD_AT` records are retained.
+Quiescent means four things: every appended record is durable; no
+transaction is open (a prepared or in-doubt branch is open, the system
+pseudo-transaction never is); every *reader* has shipped to the tail; and
+the owning database is neither crashed nor recovering.  A reader is a flush
+listener registered together with the object whose ``cursor`` -- the last
+LSN it has consumed -- it ships from (each
+:class:`~repro.datalinks.replication.WalShipper`).  A reader behind the
+tail, paused or with its witness unreachable, *pins* the log: nothing
+folds until it has caught up, so nothing it has not shipped is dropped.
+To fold, the database takes its checkpoint base at the tail -- the snapshot
+recovery starts from -- and the log drops every record up to that LSN.  A
+fold appends no record and charges nothing.
+
+Behind the fold the log answers what it answered before.  ``len`` counts
+every record appended and not lost to a crash (LSNs are dense, so it is
+the tail LSN).
+:meth:`~WriteAheadLog.records_from` maps an LSN to a position through the
+fold offset and raises :class:`~repro.errors.LogFoldedError` for a suffix
+that starts below it.  :meth:`~WriteAheadLog.outcome_of` answers a folded
+transaction from two things: the fold *horizon* (at a quiescent fold every
+transaction id the database had handed out was finished) and the table of
+transactions that ended without a COMMIT -- O(aborts), not O(transactions).
+:meth:`~WriteAheadLog.records_of` a folded transaction is empty; open and
+prepared transactions, all its callers ask about, are never folded.
 """
 
 from __future__ import annotations
@@ -50,7 +79,15 @@ from __future__ import annotations
 import enum
 from types import MappingProxyType
 
+from repro.errors import LogFoldedError
 from repro.util.lsn import LSN
+
+#: Retained records at which a quiescent flush folds the log.
+FOLD_AT = 4096
+
+#: The system pseudo-transaction's id: it writes CHECKPOINT records and
+#: nothing else, is never open and has no outcome.
+SYSTEM_TXN_ID = 0
 
 
 class FlushPolicy(enum.Enum):
@@ -113,16 +150,30 @@ class WriteAheadLog:
 
     def __init__(self, flush_policy: FlushPolicy | str = FlushPolicy.IMMEDIATE,
                  group_window: int = 8):
+        #: The retained records: every LSN past ``_folded``, in order.
         self._records: list[LogRecord] = []
         #: Last record of each transaction with no COMMIT / ABORT yet.
         self._open: dict[int, LogRecord] = {}
         self._next_lsn = 1
         self._flushed_count = 0
+        #: LSN of the last record folded away (0: none yet).
+        self._folded = LSN(0)
+        #: Every transaction id below this one but the system's had
+        #: finished at the last fold.
+        self._horizon = 0
+        #: How each transaction that ended without a COMMIT ended:
+        #: ``"aborted"`` (an ABORT record) or ``"unknown"`` (a crash lost
+        #: every record it wrote).
+        self._not_committed: dict[int, str] = {}
         self.flush_policy = FlushPolicy.from_string(flush_policy)
         self.group_window = max(1, int(group_window))
         self._pending_commits = 0
         self.flush_count = 0
-        self._flush_listeners: list = []
+        #: ``{listener: reader or None}`` (see :meth:`add_flush_listener`).
+        self._flush_listeners: dict = {}
+        #: Set by the owning database: takes its checkpoint base at the tail
+        #: and returns it, or ``None`` while it is crashed or recovering.
+        self.take_base = None
 
     # -- flush policy ----------------------------------------------------------
     def set_flush_policy(self, policy: FlushPolicy | str,
@@ -167,12 +218,16 @@ class WriteAheadLog:
         open_txns = self._open
         try:
             prev = record.prev = open_txns[txn_id]
-        except KeyError:            # the transaction's first record
+        except KeyError:            # a first record, or a system one
             prev = record.prev = None
         if type is not LogRecordType.COMMIT and type is not LogRecordType.ABORT:
-            open_txns[txn_id] = record
-        elif prev is not None:
-            del open_txns[txn_id]
+            if txn_id != SYSTEM_TXN_ID:
+                open_txns[txn_id] = record
+        else:
+            if prev is not None:
+                del open_txns[txn_id]
+            if type is LogRecordType.ABORT:
+                self._not_committed[txn_id] = "aborted"
         self._records.append(record)
         return record
 
@@ -193,20 +248,20 @@ class WriteAheadLog:
         return False
 
     # -- replication hooks -----------------------------------------------------
-    def add_flush_listener(self, listener) -> None:
+    def add_flush_listener(self, listener, reader=None) -> None:
         """Register *listener* to be called (with this log) after every flush.
 
         Listeners see the log only once the durable prefix has been
         extended, so :meth:`records_from` called from a listener returns
         exactly the newly durable records past the listener's cursor.
+        *reader*, when given, is the object whose ``cursor`` the listener
+        ships from: the log folds nothing while it is behind the tail.
         """
 
-        if listener not in self._flush_listeners:
-            self._flush_listeners.append(listener)
+        self._flush_listeners.setdefault(listener, reader)
 
     def remove_flush_listener(self, listener) -> None:
-        if listener in self._flush_listeners:
-            self._flush_listeners.remove(listener)
+        self._flush_listeners.pop(listener, None)
 
     def flush(self) -> LSN:
         """Make every appended record durable; returns the tail LSN."""
@@ -220,27 +275,51 @@ class WriteAheadLog:
         if grew and self._flush_listeners:
             for listener in list(self._flush_listeners):
                 listener(self)
+        if count >= FOLD_AT and self.take_base is not None:
+            self._fold()
         # Tail is re-read after the listeners ran (``tail_lsn`` inlined).
-        return records[-1].lsn if records else LSN(0)
+        return records[-1].lsn if records else self._folded
+
+    def _fold(self) -> None:
+        """Drop every record up to the owner's fresh checkpoint base, if
+        the log is quiescent (module docstring)."""
+
+        records = self._records
+        if self._open or self._flushed_count != len(records):
+            return
+        tail = records[-1].lsn
+        for reader in self._flush_listeners.values():
+            if reader is not None and reader.cursor < tail:
+                return
+        base = self.take_base()
+        if base is None:
+            return
+        dropped = base["lsn"] - self._folded
+        del records[:dropped]
+        self._flushed_count -= dropped
+        self._folded = base["lsn"]
+        self._horizon = base["next_txn_id"]
 
     @property
     def flushed_lsn(self) -> LSN:
-        """LSN of the last durable record (0 when nothing is durable)."""
+        """LSN of the last durable record (0 before the first flush); a
+        folded record was durable."""
 
         if self._flushed_count == 0:
-            return LSN(0)
+            return self._folded
         return self._records[self._flushed_count - 1].lsn
 
     def tail_lsn(self) -> LSN:
-        """LSN of the last appended record (0 when the log is empty)."""
+        """LSN of the last appended record (0 before the first), folded or
+        retained."""
 
         if not self._records:
-            return LSN(0)
+            return self._folded
         return self._records[-1].lsn
 
     # -- reading ----------------------------------------------------------------
     def records(self, durable_only: bool = False) -> list[LogRecord]:
-        """All records (or only the durable prefix)."""
+        """The retained records (or only their durable prefix)."""
 
         if durable_only:
             return list(self._records[: self._flushed_count])
@@ -251,26 +330,32 @@ class WriteAheadLog:
 
         LSNs are dense -- :meth:`append` numbers from 1 and
         :meth:`lose_unflushed` resumes at last + 1 -- so the record with
-        LSN *n* sits at position *n* - 1 and the suffix is one slice.
+        LSN *n* sits at position *n* - 1 - (the last folded LSN) and the
+        suffix is one slice.  A suffix that starts below the fold raises
+        :class:`~repro.errors.LogFoldedError`.
         """
 
         limit = self._flushed_count if durable_only else len(self._records)
-        start = int(lsn)
-        return self._records[start if start > 0 else 0:limit]
+        start = lsn - self._folded
+        if start < 0:
+            if self._folded:
+                raise LogFoldedError(
+                    f"records past LSN {int(lsn)} were folded into the "
+                    f"checkpoint base at LSN {int(self._folded)}")
+            start = 0
+        return self._records[start:limit]
 
     def records_of(self, txn_id: int, durable_only: bool = False) -> list[LogRecord]:
-        """The records of *txn_id*, oldest first: its ``prev`` chain, from
-        the open-transaction table or, for a finished transaction (a cold
-        path only tests take), from a backward scan for its last record.
-        A transaction takes no record after its COMMIT / ABORT: the
-        database never reuses an id the log still holds."""
+        """The records of *txn_id*, oldest first: its ``prev`` chain from
+        the open-transaction table or, for a finished transaction or the
+        system pseudo-transaction (a cold path only tests take), a filter
+        of the retained log -- empty once the transaction was folded."""
 
         record = self._open.get(txn_id)
         if record is None:
-            for candidate in reversed(self._records):
-                if candidate.txn_id == txn_id:
-                    record = candidate
-                    break
+            limit = self._flushed_count if durable_only else len(self._records)
+            return [candidate for candidate in self._records[:limit]
+                    if candidate.txn_id == txn_id]
         durable = self.flushed_lsn.value if durable_only else self._next_lsn
         chain = []
         while record is not None:
@@ -282,8 +367,9 @@ class WriteAheadLog:
 
     def outcome_of(self, txn_id: int) -> str:
         """The durable outcome of *txn_id* -- ``"committed"``, ``"aborted"``
-        or ``"unknown"`` -- scanning the durable prefix backwards without
-        copying the log (this runs on every 2PC in-doubt resolution)."""
+        or ``"unknown"`` -- scanning the retained durable records backwards
+        without copying them (this runs on every 2PC in-doubt resolution),
+        then answering a folded transaction from the fold horizon."""
 
         records = self._records
         for position in range(self._flushed_count - 1, -1, -1):
@@ -294,6 +380,8 @@ class WriteAheadLog:
                 return "committed"
             if record.type is LogRecordType.ABORT:
                 return "aborted"
+        if SYSTEM_TXN_ID < txn_id < self._horizon:
+            return self._not_committed.get(txn_id, "committed")
         return "unknown"
 
     # -- crash simulation --------------------------------------------------------
@@ -305,15 +393,24 @@ class WriteAheadLog:
         # record before it: a transaction ends at its last durable record or
         # leaves the table, and one that lost only its outcome is open again.
         open_txns = self._open
+        not_committed = self._not_committed
         for record in reversed(self._records[self._flushed_count:]):
+            txn_id = record.txn_id
+            if record.type is LogRecordType.ABORT:
+                not_committed.pop(txn_id, None)
             if record.prev is not None:
-                open_txns[record.txn_id] = record.prev
-            else:
-                open_txns.pop(record.txn_id, None)
+                open_txns[txn_id] = record.prev
+            elif txn_id != SYSTEM_TXN_ID:
+                # Nothing it wrote survives: it will never have an outcome.
+                open_txns.pop(txn_id, None)
+                not_committed[txn_id] = "unknown"
         del self._records[self._flushed_count:]
-        self._next_lsn = (self._records[-1].lsn.value + 1) if self._records else 1
+        self._next_lsn = (self._records[-1].lsn if self._records
+                          else self._folded) + 1
         self._pending_commits = 0
         return lost
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Every record ever appended and not lost, folded ones included."""
+
+        return self._next_lsn - 1

@@ -1,13 +1,18 @@
-"""Bulk per-link paths vs scalar models written here.
+"""Simulator-side structures leave the simulated ledger exactly as it was.
 
-No path in ``src/`` has a flag-gated twin; each check below compares the
-one implementation with a reference spelled out in the test: same result
-values, same token streams, and the same simulated ledger -- every
-:class:`~repro.simclock.ClockStats` label's count and total, every domain
-timestamp, and the cluster wall clock.
+Each check compares the one implementation in ``src/`` with a reference
+spelled out here -- same result values, same token streams, and the same
+simulated ledger: every :class:`~repro.simclock.ClockStats` label's count
+and total, every domain timestamp, and the cluster wall clock.
 
-``get_datalink_many`` loops the per-row handout ``get_datalink`` calls, and
-is checked against the scalar loop written here, on twin systems.
+* ``TestBulkHandoutIsTheScalarLoop``: ``get_datalink_many`` is the loop of
+  per-row ``get_datalink`` handouts, checked against that loop on twin
+  systems.
+* ``TestSmokeWorkloadLedgerIdentity``: the composite ``(path, userid)``
+  token-registry index moves no simulated charge of the E9 smoke run.
+* ``TestUpdateInPlaceIsTableSizeIndependent``: the file-keyed reference
+  index moves no simulated charge, and update-in-place costs the same
+  number of Python calls whatever the table size.
 """
 
 from __future__ import annotations

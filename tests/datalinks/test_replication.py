@@ -13,9 +13,11 @@ from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.replication import EpochGuard, EpochRegistry
 from repro.datalinks.sharding import ShardedDataLinksDeployment
-from repro.errors import DaemonUnavailableError, FencedNodeError, ReproError
+from repro.errors import (DaemonUnavailableError, FencedNodeError,
+                          LogFoldedError, ReproError)
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
+from repro.storage.wal import FOLD_AT
 from repro.util.urls import parse_url
 
 TABLE = "replica_docs"
@@ -491,6 +493,99 @@ class TestReversedShipFailBack:
         read_url = session.get_datalink(TABLE, {"doc_id": 2}, "body",
                                         access="read", ttl=1e9)
         assert deployment.read_url(session, read_url) == b"post promotion"
+
+
+def _pad(repository, start: int, count: int = FOLD_AT) -> None:
+    """Move a repository log on by ``count`` + 2 records in one
+    single-statement insert into a table of its own (created, and shipped,
+    the first time)."""
+
+    db = repository.db
+    if not db.catalog.has_table("pad"):
+        db.create_table(TableSchema("pad", [
+            Column("p", DataType.INTEGER, nullable=False)], primary_key=("p",)))
+    db.insert_many("pad", [{"p": key} for key in range(start, start + count)])
+
+
+def _repository_rows(node) -> dict:
+    """Every repository table's rows, ``linked_files.ino`` left out (a
+    witness rebinds it to its own inode numbers)."""
+
+    db = node.dlfm.repository.db
+    return {table: {rid: {column: value for column, value in row.items()
+                          if column != "ino"}
+                    for rid, row in db.catalog.heap(table).scan()}
+            for table in db.catalog.table_names()}
+
+
+class TestTheLogFolds:
+    """A repository log folds once it is quiescent and ``FOLD_AT`` records
+    long; a shipper behind the tail pins it, and a rejoin whose missed
+    suffix was folded away takes the snapshot path."""
+
+    def test_a_paused_shipper_pins_the_log_until_it_has_shipped(self):
+        deployment, session = build_deployment()
+        replica = deployment.replicas["shard0"]
+        link(deployment, session, 0, path_on(deployment, "shard0"))
+        shipper = replica.shipper
+        wal = replica.serving.dlfm.repository.db.wal
+        shipper.pause()
+        cursor = shipper.cursor
+        _pad(replica.serving.dlfm.repository, 0)
+        # Quiescent but for the paused stream: nothing past its cursor went.
+        assert len(wal.records()) > FOLD_AT
+        assert len(wal.records_from(cursor)) == len(wal) - cursor
+        assert shipper.lag() == len(wal) - cursor
+        shipper.resume()
+        assert shipper.ship() == len(wal) - cursor
+        wal.flush()
+        assert wal.records() == []
+        with pytest.raises(LogFoldedError):
+            wal.records_from(cursor)
+        assert shipper.lag() == 0
+        assert _repository_rows(replica.witness) == \
+            _repository_rows(replica.serving)
+        assert len(_repository_rows(replica.witness)["pad"]) == FOLD_AT
+
+    def test_an_unreachable_witness_pins_the_log_too(self):
+        deployment, session = build_deployment()
+        replica = deployment.replicas["shard0"]
+        wal = replica.serving.dlfm.repository.db.wal
+        deployment.crash_witness("shard0")
+        _pad(replica.serving.dlfm.repository, 0)
+        assert replica.shipper.ship_errors > 0
+        assert len(wal.records()) > FOLD_AT
+        deployment.recover_witness("shard0")        # a snapshot resync
+        _pad(replica.serving.dlfm.repository, FOLD_AT, 1)
+        assert wal.records() == []
+        assert _repository_rows(replica.witness) == \
+            _repository_rows(replica.serving)
+
+    def test_a_rejoin_below_the_fold_resyncs_from_a_snapshot(self):
+        deployment, session = build_deployment(mode=ControlMode.RDB)
+        replica = deployment.replicas["shard0"]
+        link(deployment, session, 0, path_on(deployment, "shard0", "pre"),
+             b"original")
+        deployment.crash_shard("shard0")
+        deployment.fail_over("shard0")
+        serving = replica.serving
+        during_path = path_on(deployment, "shard0", "fb")
+        url = deployment.put_file(session, during_path, b"written on witness")
+        session.insert(TABLE, {"doc_id": 9, "body": url})
+        # The promoted node's log folds past the deposed primary's
+        # catch-up point.
+        _pad(serving.dlfm.repository, 0)
+        assert serving.dlfm.repository.db.wal.records() == []
+
+        summary = deployment.fail_back("shard0")
+        assert summary["rejoin"]["mode"] == "snapshot"
+        assert replica.full_resyncs == 1 and replica.reversed_catchups == 0
+        deployment.system.flush_logs()
+        assert _repository_rows(replica.primary) == \
+            _repository_rows(replica.witness)
+        read_url = session.get_datalink(TABLE, {"doc_id": 9}, "body",
+                                        access="read", ttl=1e9)
+        assert deployment.read_url(session, read_url) == b"written on witness"
 
 
 class TestFollowerReads:

@@ -2,7 +2,7 @@
 
 Two checks on the constant-time registry (a third -- the ``(path, userid)``
 index moves no simulated charge -- sits with the other ledger-identity
-suites in ``tests/test_bulk_fastpaths.py``):
+suites in ``tests/datalinks/test_ledger_identities.py``):
 
 * a seeded property test drives random register / expire / purge / find
   sequences through :class:`DLFMRepository` and :class:`WitnessSoftState`

@@ -3,7 +3,8 @@
 The rule under test (``repro.storage.heap`` module docstring): the dict
 ``validate_row`` returns is *the* row -- heap, log, ``Transaction.records``
 and a witness replica's heap all hold that one object -- and nobody mutates
-it; what is handed out, and what outlives a crash, is a copy.
+it; what is handed out, and what a heap is rebuilt with from a checkpoint
+base or backup, is a copy.
 
 Two kinds of check:
 
@@ -15,25 +16,34 @@ Two kinds of check:
   ``hypothesis`` sequence of DML, transactions with savepoints, checkpoints,
   crashes, backups and restores drives a primary :class:`Database` feeding a
   witness through :class:`ReplicaApplier`, and after every step both agree
-  with a dict model, no image ever seen in the log has changed, and
-  ``records_of`` equals a filter over the log.
+  with a dict model, no image ever seen in the log has changed,
+  ``records_of`` equals a filter over the log, and ``outcome_of`` of every
+  transaction id ever handed out is what a scan of every record ever made
+  durable says.  A second strategy adds bulk single-statement writes and
+  two-phase-commit votes and runs with a small fold threshold, so the
+  history crosses it many times: the log folds under the same checks.
 """
 
 from __future__ import annotations
 
 import copy
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.datalinks.replication import ReplicaApplier
 from repro.errors import DuplicateKeyError
 from repro.simclock import SimClock
+from repro.storage import wal as wal_module
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-from repro.storage.wal import LogRecordType, WriteAheadLog
+from repro.storage.wal import SYSTEM_TXN_ID, LogRecordType, WriteAheadLog
 
 TABLE = "items"
+#: Rows a bulk step inserts and deletes again: it moves the log on, never
+#: the model.
+PAD = "pad"
 
 
 def _make_db(name: str, flush_policy: str = "immediate",
@@ -109,12 +119,27 @@ class TestOneImagePerRow:
         heap = db.catalog.heap(TABLE)
         stored = heap._rows[rid]
         handed_out = [db.select(TABLE, {"k": 1}, lock=False)[0],
-                      heap.get(rid), dict(heap.scan())[rid],
-                      heap.snapshot()["rows"][rid]]
+                      heap.get(rid), dict(heap.scan())[rid]]
         for row in handed_out:
             assert row is not stored
             row["v"] = "hacked"
         assert stored == {"k": 1, "u": "a", "g": 0, "v": 0}
+
+    def test_a_snapshot_shares_images_and_loading_one_copies(self):
+        """A checkpoint base or backup holds the stored images in a dict of
+        its own; a heap rebuilt from it stores copies of its own."""
+
+        db = _make_db("primary")
+        rid = db.insert(TABLE, {"k": 1, "u": "a", "g": 0, "v": 0})
+        heap = db.catalog.heap(TABLE)
+        snapshot = heap.snapshot()
+        assert snapshot["rows"][rid] is heap._rows[rid]
+        assert snapshot["rows"] is not heap._rows
+        db.insert(TABLE, {"k": 2, "u": "b", "g": 0, "v": 0})
+        assert list(snapshot["rows"]) == [rid]
+        heap.load_snapshot(snapshot)
+        assert heap._rows[rid] is not snapshot["rows"][rid]
+        assert heap._rows[rid] == snapshot["rows"][rid]
 
     def test_undo_and_redo_hand_the_logs_image_back_to_the_heap(self):
         db = _make_db("primary")
@@ -205,6 +230,23 @@ class TestTransactionLinks:
         assert abort.prev is insert and wal._open == {}
         assert wal.records_of(2) == []
 
+    def test_the_system_pseudo_transaction_is_not_a_transaction(self):
+        """CHECKPOINT records are unlinked and never open a transaction, so
+        after a checkpoint the table of open transactions is empty (and a
+        quiescent log can fold); ``records_of`` the system id is still
+        every CHECKPOINT record, and it still has no outcome."""
+
+        db = _make_db("primary")
+        first = db.checkpoint()
+        db.insert(TABLE, {"k": 1, "u": "a", "g": 0, "v": 0})
+        second = db.checkpoint()
+        assert db.wal._open == {}
+        checkpoints = _records(db, LogRecordType.CHECKPOINT)
+        assert [record.lsn for record in checkpoints] == [first, second]
+        assert all(record.prev is None for record in checkpoints)
+        assert db.wal.records_of(SYSTEM_TXN_ID) == checkpoints
+        assert db.wal.outcome_of(SYSTEM_TXN_ID) == "unknown"
+
 
 # ---------------------------------------------------------------------------
 # the model-based history
@@ -220,7 +262,7 @@ _WHERE = st.one_of(st.none(), *(
     for column, values in (("k", _KS), ("u", _US), ("g", _GS), ("v", _VS))))
 _CHANGES = st.fixed_dictionaries(
     {}, optional={"k": _KS, "u": _US, "g": _GS, "v": _VS})
-_STEPS = st.lists(st.one_of(
+_STEP = (
     st.tuples(st.just("insert"), st.lists(_ROW, min_size=1, max_size=1)),
     st.tuples(st.just("insert_many"), st.lists(_ROW, min_size=1, max_size=3)),
     st.tuples(st.just("update"), _WHERE, _CHANGES),
@@ -228,7 +270,19 @@ _STEPS = st.lists(st.one_of(
     st.tuples(st.sampled_from(["begin", "savepoint", "commit", "abort",
                                "checkpoint", "crash", "backup"])),
     st.tuples(st.sampled_from(["rollback", "restore"]), st.integers(0, 3)),
-), min_size=1, max_size=30)
+)
+_STEPS = st.lists(st.one_of(*_STEP), min_size=1, max_size=30)
+#: The fold threshold the folding history runs at: a bulk step moves the
+#: log on by 20 to 52 records, so forty steps cross it many times.
+_SMALL_FOLD = 40
+_FOLD_STEPS = st.lists(st.one_of(
+    *_STEP,
+    st.tuples(st.just("bulk"), st.integers(8, 24)),
+    st.tuples(st.just("prepare")),
+), min_size=1, max_size=40)
+#: What a prepared transaction may no longer do.
+_ACTIVE_ONLY = {"insert", "insert_many", "update", "delete", "savepoint",
+                "rollback", "prepare"}
 
 
 def _copy(state: dict) -> dict:
@@ -255,17 +309,35 @@ class _History:
     transaction's view, while there is one) and ``durable`` (``committed``
     as of the last log force -- what a crash falls back to and what the
     witness has).  At most one explicit transaction is open and every write
-    goes through it, so no lock conflict is part of the history.
+    to the model's table goes through it, so no lock conflict is part of
+    the history.  Once it has voted (``prepare``) it takes no more writes,
+    pins the log until it is committed or aborted, and a crash brings it
+    back in doubt.  A bulk step writes the pad table in single statements,
+    outside any transaction: it moves the log on and leaves the model
+    alone.
+
+    ``outcomes`` is the oracle for ``outcome_of``: every record the primary
+    ever made durable passes a flush listener (before any fold), and the
+    last outcome record of a transaction id is its outcome.
     """
 
     def __init__(self, policy: str, window: int):
         self.primary = _make_db("primary", policy, window)
         self.witness = _make_db("witness")
         _feed(self.primary, ReplicaApplier(self.witness))
+        self.outcomes: dict[int, str] = {}
+        self._watch_outcomes()
+        self.primary.create_table(TableSchema(PAD, [
+            Column("p", DataType.INTEGER, nullable=False)],
+            primary_key=("p",)))
+        self.pad_keys = 0
         self.committed: dict[int, dict] = {}
         self.durable: dict[int, dict] = {}
         self.working: dict[int, dict] | None = None
         self.txn = None
+        self.prepared = False
+        #: ``working`` as of the vote: what an in-doubt branch holds.
+        self.prepared_state: dict[int, dict] | None = None
         self.savepoints: list[tuple[str, dict]] = []
         self.backups: list[tuple] = []
         #: ``{id(record): (record, before, after)}`` with the images deep
@@ -273,8 +345,24 @@ class _History:
         self.images: dict[int, tuple] = {}
         self.txn_ids: set[int] = set()
 
+    def _watch_outcomes(self) -> None:
+        cursor = [0]
+
+        def watch(wal) -> None:
+            for record in wal.records_from(cursor[0]):
+                if record.type is LogRecordType.COMMIT:
+                    self.outcomes[record.txn_id] = "committed"
+                elif record.type is LogRecordType.ABORT:
+                    self.outcomes[record.txn_id] = "aborted"
+            cursor[0] = wal.flushed_lsn
+
+        watch(self.primary.wal)
+        self.primary.wal.add_flush_listener(watch)
+
     # -- one step -------------------------------------------------------------
     def step(self, step: tuple) -> None:
+        if self.prepared and step[0] in _ACTIVE_ONLY:
+            return
         flushes = self.primary.wal.flush_count
         getattr(self, "_" + step[0])(*step[1:])
         if self.primary.wal.flush_count != flushes:
@@ -374,10 +462,24 @@ class _History:
             self.working = _copy(state)
             del self.savepoints[at + 1:]
 
+    def _prepare(self) -> None:
+        if self.txn is not None:
+            self.primary.prepare(self.txn, {"host_txn_id": self.txn.txn_id})
+            self.prepared = True
+            self.prepared_state = _copy(self.working)
+
+    def _bulk(self, size: int) -> None:
+        first = self.pad_keys
+        self.pad_keys += size
+        self.primary.insert_many(PAD, [{"p": key} for key in
+                                       range(first, self.pad_keys)])
+        self.primary.delete(PAD, None)
+
     def _finish(self, outcome) -> None:
         if self.txn is not None:
             outcome(self.txn)
             self.txn = self.working = None
+            self.prepared = False
             self.savepoints = []
 
     def _commit(self) -> None:
@@ -394,9 +496,18 @@ class _History:
     def _crash(self) -> None:
         self.primary.crash()
         self.primary.recover()
-        self.txn = self.working = None
         self.savepoints = []
         self.committed = _copy(self.durable)
+        in_doubt = self.primary.in_doubt_transactions()
+        if in_doubt:
+            # A vote is forced to the log and a group-committed outcome may
+            # not be: the branch is back in doubt, effects and locks held.
+            self.txn, = in_doubt
+            self.working = _copy(self.prepared_state)
+            self.prepared = True
+        else:
+            self.txn = self.working = None
+            self.prepared = False
 
     def _backup(self) -> None:
         if self.txn is None:
@@ -419,6 +530,7 @@ class _History:
         self._check_database(self.witness, self.durable, step)
         self._check_images(step)
         self._check_records_of(step)
+        self._check_outcomes(step)
 
     @staticmethod
     def _check_database(db: Database, state: dict, step) -> None:
@@ -457,6 +569,13 @@ class _History:
                     record for record in log if record.txn_id == txn_id], \
                     (step, txn_id, durable_only)
 
+    def _check_outcomes(self, step) -> None:
+        wal = self.primary.wal
+        assert len(wal) == int(wal.tail_lsn()), step
+        for txn_id in range(-1, self.primary._next_txn_id + 2):
+            assert wal.outcome_of(txn_id) == \
+                self.outcomes.get(txn_id, "unknown"), (step, txn_id)
+
 
 _ROW_A = {"k": 1, "u": "a", "g": 0, "v": None}
 _ROW_B = {"k": 2, "u": "b", "g": 0, "v": 1}
@@ -487,3 +606,56 @@ class TestHistoryAgainstADictModel:
         for step in steps:
             history.step(step)
             history.check(step)
+
+
+class TestHistoryAcrossFolds:
+    """The history again, with bulk single-statement writes and 2PC votes
+    added, at a fold threshold of ``_SMALL_FOLD`` records: the log folds
+    again and again -- right before a crash, under a group-commit tail that
+    the crash loses, between a checkpoint and a restore -- and after every
+    step, every recovery included, the checks above hold against a log of
+    which most was folded away."""
+
+    @given(steps=_FOLD_STEPS, policy=st.sampled_from(["immediate", "group"]),
+           window=st.integers(2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_folding_changes_no_answer(self, steps, policy, window):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wal_module, "FOLD_AT", _SMALL_FOLD)
+            history = _History(policy, window)
+            for step in steps:
+                history.step(step)
+                history.check(step)
+
+    @pytest.mark.parametrize("policy", ["immediate", "group"])
+    def test_a_long_history_folds_many_times_and_a_vote_pins_it(self, policy):
+        row = {"k": 1, "u": "a", "g": 0, "v": None}
+        steps = [("insert", [row]), ("bulk", 24), ("crash",),
+                 ("begin",), ("update", {"k": 1}, {"v": 2}), ("prepare",),
+                 ("bulk", 24), ("bulk", 24), ("crash",), ("bulk", 24),
+                 ("commit",), ("checkpoint",), ("backup",), ("bulk", 24),
+                 ("insert", [dict(row, k=2, u="b")]), ("bulk", 24),
+                 ("restore", 0), ("bulk", 24), ("crash",)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wal_module, "FOLD_AT", _SMALL_FOLD)
+            history = _History(policy, 3)
+            wal = history.primary.wal
+            retained, folded = [], []       # after each step
+            for step in steps:
+                history.step(step)
+                history.check(step)
+                retained.append(len(wal.records()))
+                folded.append(len(wal) - retained[-1])
+        if policy == "immediate":
+            # The first bulk step folded the whole log, and the crash right
+            # after it recovered from the base alone.
+            assert retained[1] == retained[2] == 0 and folded[1] > 0
+        else:
+            # The crash lost the group-commit tail the bulk step left.
+            assert folded[2] == 0 and len(wal) > 0
+        # The vote pinned the log through three bulk steps and a crash, and
+        # its commit let that very flush fold.
+        assert folded[5] == folded[9] and retained[9] > 3 * _SMALL_FOLD
+        assert retained[10] == 0
+        assert len(set(folded)) > 3
+        assert history.committed == {1: dict(row, v=2)}

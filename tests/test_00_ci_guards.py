@@ -335,11 +335,13 @@ class TestIntegerTimeStaysOneDesign:
             f"charge sites reach into the clock's ledger: {offenders}"
         assert "_mirror_stats" not in sources["repro/simclock.py"]
 
-    #: Retired reference-path flags and the machinery they gated: every
-    #: operation has one implementation (ROADMAP item 1).
-    RETIRED = ("BATCHED_CHARGES", "FAST_SCANS", "_point_select", "_AutoTxn",
-               "BULK_TOKEN_HANDOUT", "COALESCED", "BATCHED_AUDIT",
-               "SESSION_DOMAINS", "_audit_batched", "post_group",
+    #: Retired machinery that no structural guard would catch coming
+    #: back: every operation has one implementation (ROADMAP item 1).  The
+    #: reference-path flags themselves are gone from this list: any flag
+    #: is a module-level boolean or an environment read, which
+    #: ``TestOnePathPerOperation`` refuses whatever its name, and so is a
+    #: clock compared with ``None`` or defaulting to it.
+    RETIRED = ("_point_select", "_AutoTxn", "_audit_batched", "post_group",
                # Per-block payloads (spelt as calls: ``write_blocked`` is a
                # different word): file bytes live once, on the inode.
                "read_blocks", ".read_block(", ".write_block(",
@@ -349,9 +351,7 @@ class TestIntegerTimeStaysOneDesign:
                "run_client_sweep", "run_read_sweep", "SMOKE_PARAMS",
                "LARGE_PARAMS", "SCALE_PARAMS", "sweep_admission_limit",
                "sweep_think_s", "client_think_s", "client_domain_pool",
-               # Every component has a clock (structurally:
-               # ``TestOnePathPerOperation.test_no_component_has_a_clockless_twin``).
-               "clock is not None", "SimClock | None", "_NO_WINDOW",
+               "_NO_WINDOW",
                # The log links a transaction's records (``LogRecord.prev``);
                # it indexes no transaction past its outcome record.
                "_by_txn")
@@ -558,6 +558,31 @@ class TestOnePathPerOperation:
                  for path in (REPO_ROOT / "benchmarks").rglob("*.py")
                  if "layered" not in path.relative_to(REPO_ROOT).parts]
         assert not stray, f"a second bench harness grew back: {stray}"
+
+
+class TestTheLogKeepsItsOwnState:
+    """Only ``storage/wal.py`` reads or writes a log's private state: once
+    the log folds, its retained list, flush count and open-transaction
+    table are positions behind a fold offset, and a caller that indexes
+    them directly (the follower-read gate did, ``wal._records[-1]``) reads
+    the wrong thing or fails on an empty retained list."""
+
+    PRIVATE = {"_records", "_flushed_count", "_open", "_next_lsn"}
+
+    def test_no_module_outside_the_wal_touches_its_private_state(self):
+        import ast
+
+        offenders = []
+        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
+            name = path.relative_to(SRC_ROOT).as_posix()
+            if name == "repro/storage/wal.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) \
+                        and node.attr in self.PRIVATE:
+                    offenders.append(f"{name}:{node.lineno} .{node.attr}")
+        assert not offenders, f"the log's private state read from outside: " \
+                              f"{offenders}"
 
 
 class TestNothingRebuiltPerRead:
