@@ -734,21 +734,23 @@ class DataLinksFileManager:
         return {"purged_tokens": purged_tokens, "pruned_versions": pruned_versions}
 
     # ------------------------------------------------------------- replica mode --
-    def enable_replica_mode(self, failpoints: dict | None = None):
-        """Turn this DLFM into a witness replica consuming a shipped WAL stream.
+    def enable_replica_mode(self, shard: str):
+        """Turn this DLFM into a witness replica of *shard* consuming a
+        shipped WAL stream.
 
         Returns the :class:`~repro.datalinks.replication.ReplicaApplier`
         that :meth:`replica_apply` feeds; the applier rebinds
         ``linked_files`` inode numbers to this node's file system as rows
-        arrive.  Follower-read soft state (token-registry and Sync entries)
-        goes to an ephemeral side store while replica mode is on, keeping
-        the repository heaps redo-only.
+        arrive, and fires ``replicate:apply:<shard>`` into the attached
+        engine's failpoint table.  Follower-read soft state (token-registry
+        and Sync entries) goes to an ephemeral side store while replica mode
+        is on, keeping the repository heaps redo-only.
         """
 
         from repro.datalinks.replication import ReplicaApplier, WitnessSoftState
 
-        self.replica = ReplicaApplier(self.repository.db, files=self.files,
-                                       failpoints=failpoints)
+        self.replica = ReplicaApplier(
+            self.repository.db, self._engine.failpoints, shard, files=self.files)
         self.replica_soft = WitnessSoftState()
         return self.replica
 

@@ -24,7 +24,8 @@ Scale-out additions (beyond the paper):
   (:meth:`~repro.storage.database.Database.commit_many`);
 * **failpoints** -- named crash-injection hooks inside the two-phase commit
   so the crash-matrix tests can stop the coordinator at every protocol step
-  (:attr:`DataLinksEngine.failpoints`);
+  (:attr:`DataLinksEngine.failpoints`, the deployment's one table; every
+  point is registered in :mod:`repro.util.failpoints`);
 * **clock-domain awareness** -- link/unlink batches are *pipelined* sends
   (the enlisted shard does the work on its own clock domain while the host
   keeps executing SQL), and the prepare/commit fan-outs run inside an
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.datalinks.datalink_type import DatalinkOptions, options_of_column
 from repro.datalinks.dlfm.daemons import DLFMConnection, MainDaemon
+from repro.util.failpoints import FailpointTable, fire
 from repro.datalinks.tokens import TokenCache, TokenManager, TokenType
 from repro.errors import (
     ControlModeError,
@@ -212,23 +214,13 @@ class DataLinksEngine:
         self._servers: dict[str, _FileServerEntry] = {}
         self._metadata_rules: list[_MetadataRule] = []
         self._column_plans: dict[tuple, _ColumnPlan] = {}
-        #: Fault-injection hooks: ``{point_name: callable}``.  The commit
-        #: protocol fires points named ``commit:begin``,
-        #: ``commit:prepared:<server>``, ``commit:before_host_commit``,
-        #: ``commit:mid_flush`` (COMMIT appended, log not yet forced),
-        #: ``commit:after_host_commit`` and ``commit:committed:<server>``
-        #: (``group:*`` equivalents for group commit); a hook that raises
-        #: simulates a coordinator crash at that step.
-        self.failpoints: dict = {}
+        #: The deployment's one crash-injection table: the commit protocol,
+        #: replication and the rebalance hand-off all fire into it.
+        self.failpoints = FailpointTable()
         #: Optional host-side token cache (see :meth:`enable_token_cache`).
         self.token_cache: TokenCache | None = None
         #: Optional replication-aware router (see :meth:`set_router`).
         self.router = None
-
-    def _fire(self, point: str) -> None:
-        hook = self.failpoints.get(point)
-        if hook is not None:
-            hook()
 
     # -------------------------------------------------------------- token cache --
     def enable_token_cache(self, min_remaining_fraction: float = 0.5) -> TokenCache:
@@ -342,7 +334,7 @@ class DataLinksEngine:
             amount, meter = self._dispatch
             self.clock.ticks += amount
             meter[0] += 1
-        self._fire("commit:begin")
+        fire(self.failpoints, "commit:begin")
         # The prepare fan-out overlaps across participants: every vote
         # request departs at the window's start and the coordinator waits
         # for the slowest vote, not the sum of all votes.
@@ -356,20 +348,20 @@ class DataLinksEngine:
                     raise DataLinksError(
                         f"file server {server!r} lost the branch of transaction "
                         f"{host_txn.txn_id} (restarted?); the transaction must abort")
-                self._fire(f"commit:prepared:{server}")
-        self._fire("commit:before_host_commit")
+                fire(self.failpoints, "commit:prepared", server)
+        fire(self.failpoints, "commit:before_host_commit")
         state_id = self.db.commit(host_txn.txn)
-        self._fire("commit:mid_flush")
+        fire(self.failpoints, "commit:mid_flush")
         if host_txn.servers:
             # The coordinator's COMMIT record must be durable before any
             # participant commits; under group commit this force piggybacks
             # every pending commit in the window.
             self.db.force_log()
-        self._fire("commit:after_host_commit")
+        fire(self.failpoints, "commit:after_host_commit")
         with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 self._entry(server).connection.commit(host_txn.txn_id)
-                self._fire(f"commit:committed:{server}")
+                fire(self.failpoints, "commit:committed", server)
         return state_id
 
     def commit_group(self, host_txns: list[HostTransaction]) -> LSN:
@@ -390,7 +382,7 @@ class DataLinksEngine:
         for host_txn in host_txns:
             for server in host_txn.servers:
                 by_server.setdefault(server, []).append(host_txn.txn_id)
-        self._fire("group:begin")
+        fire(self.failpoints, "group:begin")
         with self.clock.overlap():
             for server in sorted(by_server):
                 votes = self._entry(server).connection.prepare_many(by_server[server])
@@ -400,14 +392,14 @@ class DataLinksEngine:
                     raise DataLinksError(
                         f"file server {server!r} lost the branches of transactions "
                         f"{lost} (restarted?); the commit group must abort")
-                self._fire(f"group:prepared:{server}")
-        self._fire("group:before_host_commit")
+                fire(self.failpoints, "group:prepared", server)
+        fire(self.failpoints, "group:before_host_commit")
         state_id = self.db.commit_many([host_txn.txn for host_txn in host_txns])
-        self._fire("group:after_host_commit")
+        fire(self.failpoints, "group:after_host_commit")
         with self.clock.overlap():
             for server in sorted(by_server):
                 self._entry(server).connection.commit_many(by_server[server])
-                self._fire(f"group:committed:{server}")
+                fire(self.failpoints, "group:committed", server)
         return state_id
 
     def redrive_commit(self, host_txn: HostTransaction) -> None:

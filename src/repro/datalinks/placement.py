@@ -44,7 +44,8 @@ already exists (durable PREPARE votes, presumed abort, in-doubt
 resolution from the coordinator's durable outcome -- across a failover if
 need be):
 
-1. **prepare** -- drain the group-commit queue, flush and ship every WAL so
+1. **prepare** (``rebalance:prepare``, before the prefix is marked) --
+   drain the group-commit queue, flush and ship every WAL so
    the witnesses are caught up, run the source's pending archive jobs for
    the prefix; mark the prefix *moving* in the map (new link/unlink
    traffic for it is refused with a retryable
@@ -118,6 +119,7 @@ redirect-and-retry treatment as after a move.
 
 from __future__ import annotations
 
+from repro.util.failpoints import fire
 from repro.errors import PlacementEpochError, PlacementError, ReproError
 from repro.simclock import synchronized_call
 
@@ -390,12 +392,6 @@ class PlacementGuard:
 # the online hand-off
 # ---------------------------------------------------------------------------
 
-def _fire(failpoints: dict, point: str) -> None:
-    hook = failpoints.get(point)
-    if hook is not None:
-        hook()
-
-
 def _validate(deployment, prefix: str, dest: str):
     """Pre-flight checks; returns ``(placement_map, source_shard)``.
 
@@ -423,8 +419,7 @@ def _validate(deployment, prefix: str, dest: str):
     return pmap, pmap.owner_of(prefix)
 
 
-def rebalance_prefix(deployment, prefix: str, dest: str,
-                     failpoints: dict | None = None) -> dict:
+def rebalance_prefix(deployment, prefix: str, dest: str) -> dict:
     """Move *prefix* from its current owner to *dest* under a 2PC hand-off.
 
     See the module docstring for the protocol.  Returns a summary with the
@@ -432,7 +427,6 @@ def rebalance_prefix(deployment, prefix: str, dest: str,
     whether the commit had to be redriven past a participant crash.
     """
 
-    failpoints = failpoints if failpoints is not None else {}
     router = deployment.router
     engine = deployment.engine
     pmap, source = _validate(deployment, prefix, dest)
@@ -454,7 +448,7 @@ def rebalance_prefix(deployment, prefix: str, dest: str,
     dst_replica = deployment.replicas[dest]
     router.serving_server(dest)          # raises with the cure when down
 
-    _fire(failpoints, "rebalance:prepare")
+    fire(engine.failpoints, "rebalance:prepare")
     pmap.begin_move(prefix, dest)
     try:
         # Settle the cluster: pending commit groups drain, every WAL
@@ -468,11 +462,11 @@ def rebalance_prefix(deployment, prefix: str, dest: str,
         host_txn = engine.begin()
         redriven = False
         try:
-            _fire(failpoints, "rebalance:export")
+            fire(engine.failpoints, "rebalance:export")
             export = engine.rebalance_export(host_txn, source, prefix)
             rows, versions = export["rows"], export["versions"]
 
-            _fire(failpoints, "rebalance:archive")
+            fire(engine.failpoints, "rebalance:archive")
             copied = 0
             for row in rows:
                 path = row["path"]
@@ -484,10 +478,10 @@ def rebalance_prefix(deployment, prefix: str, dest: str,
                                          row["original_gid"])
                 copied += 1
 
-            _fire(failpoints, "rebalance:import")
+            fire(engine.failpoints, "rebalance:import")
             engine.rebalance_import(host_txn, dest, rows, versions)
 
-            _fire(failpoints, "rebalance:fence")
+            fire(engine.failpoints, "rebalance:fence")
             engine.commit(host_txn)
         except Exception:
             if deployment.host_db.txn_outcome(host_txn.txn_id) == "committed":
@@ -520,7 +514,7 @@ def rebalance_prefix(deployment, prefix: str, dest: str,
     deployment.pending_sweeps[prefix] = {
         "prefix": prefix, "source": source, "dest": dest,
         "paths": [row["path"] for row in rows]}
-    _fire(failpoints, "rebalance:sweep")
+    fire(engine.failpoints, "rebalance:sweep")
     sweep = sweep_moved_prefix(deployment, prefix)
     return {"moved": True, "prefix": prefix, "source": source, "dest": dest,
             "epoch": epoch, "moved_files": len(rows),

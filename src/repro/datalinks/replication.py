@@ -42,16 +42,19 @@ This module adds a *serving/witness* replication scheme per shard:
   serving lineage (it held records that never shipped) or the serving log
   has folded away the records it missed.
 
-Failpoints fire at every replication step so the crash-matrix tests can
-inject a primary crash mid-protocol: ``replicate:ship`` (before a WAL batch
-leaves the sender), ``replicate:apply`` (before a witness applies a batch),
-``replicate:promote`` / ``replicate:catchup`` / ``replicate:fence``
-(inside promotion, in that order).
+Failpoints fire at every replication step, scoped by shard, so the
+crash-matrix tests can inject a primary crash mid-protocol:
+``replicate:ship:<shard>`` (before a WAL batch leaves the sender),
+``replicate:apply:<shard>`` (before a witness applies a batch),
+``replicate:{promote,catchup,fence}:<shard>`` (inside promotion, in that
+order).  They fire into the engine's one table; see
+:mod:`repro.util.failpoints`.
 """
 
 from __future__ import annotations
 
 from repro.datalinks.control_modes import ControlMode
+from repro.util.failpoints import fire
 from repro.datalinks.routing import NodeRole
 from repro.errors import (
     FencedNodeError,
@@ -192,10 +195,11 @@ class ReplicaApplier:
     another node).
     """
 
-    def __init__(self, database, files=None, failpoints: dict | None = None):
+    def __init__(self, database, failpoints: dict, shard: str, files=None):
         self._db = database
         self._files = files
-        self.failpoints = failpoints if failpoints is not None else {}
+        self._failpoints = failpoints
+        self._shard = shard
         self._pending: dict[int, list] = {}
         self._prepared: dict[int, int | None] = {}
         self.applied_lsn = LSN(0)
@@ -210,17 +214,12 @@ class ReplicaApplier:
         #: rejoin/resync/promotion refresh the copy and clear the mark.
         self.stale_paths: set[str] = set()
 
-    def _fire(self, point: str) -> None:
-        hook = self.failpoints.get(point)
-        if hook is not None:
-            hook()
-
     # ------------------------------------------------------------------ apply --
     def apply(self, records: list) -> dict:
         """Apply one shipped batch; returns counters for the daemon reply."""
 
-        if records and self.failpoints:
-            self._fire("replicate:apply")
+        if records and self._failpoints:
+            fire(self._failpoints, "replicate:apply", self._shard)
         commits = aborts = 0
         pending = self._pending
         for record in records:
@@ -555,21 +554,17 @@ class WalShipper:
     :mod:`repro.storage.wal`), so a paused or cut-off stream loses nothing.
     """
 
-    def __init__(self, repository, channel: Channel,
-                 failpoints: dict | None = None):
+    def __init__(self, repository, channel: Channel, failpoints: dict,
+                 shard: str):
         self._repository = repository
         self._channel = channel
-        self.failpoints = failpoints if failpoints is not None else {}
+        self._failpoints = failpoints
+        self._shard = shard
         self.cursor: LSN = repository.durable_lsn()
         self.paused = False
         self.shipped_records = 0
         self.ship_errors = 0
         repository.add_wal_listener(self._on_flush, reader=self)
-
-    def _fire(self, point: str) -> None:
-        hook = self.failpoints.get(point)
-        if hook is not None:
-            hook()
 
     def _on_flush(self, wal) -> None:
         if self.paused:
@@ -588,8 +583,8 @@ class WalShipper:
         count = len(records)
         if not count:
             return 0
-        if self.failpoints:
-            self._fire("replicate:ship")
+        if self._failpoints:
+            fire(self._failpoints, "replicate:ship", self._shard)
         # Pipelined: the primary does not wait for the witness to apply.
         self._channel.post("apply_wal", records=records)
         self.cursor = records[-1].lsn
@@ -697,10 +692,6 @@ class ReplicatedShard:
         self.nodes = {primary.name: primary}
         for node in witnesses:
             self.nodes[node.name] = node
-        #: Fault-injection hooks shared by every shipper, applier and
-        #: promotion: ``replicate:ship``, ``replicate:apply``,
-        #: ``replicate:promote``, ``replicate:catchup``, ``replicate:fence``.
-        self.failpoints: dict = {}
         registry.register(name, primary.name)
         #: The current lease holder's name, refreshed by registry push
         #: (``_refresh_serving``): read routing touches this on every
@@ -730,11 +721,6 @@ class ReplicatedShard:
         self.reversed_catchups = 0
         for node in witnesses:
             self._subscribe(node.name)
-
-    def _fire(self, point: str) -> None:
-        hook = self.failpoints.get(point)
-        if hook is not None:
-            hook()
 
     # -------------------------------------------------------------------- roles --
     def _refresh_serving(self) -> None:
@@ -893,11 +879,11 @@ class ReplicatedShard:
         """
 
         node = self.nodes[node_name]
-        applier = node.dlfm.enable_replica_mode(failpoints=self.failpoints)
+        applier = node.dlfm.enable_replica_mode(self.name)
         channel = Channel(self._daemons[node_name], self.serving.clock,
                           latency_primitive="db_dlfm_message")
         shipper = WalShipper(self.serving.dlfm.repository, channel,
-                             failpoints=self.failpoints)
+                             self.engine.failpoints, self.name)
         if base is not None:
             shipper.cursor = base
             applier.applied_lsn = base
@@ -1075,7 +1061,7 @@ class ReplicatedShard:
                 f"cannot promote shard {self.name!r}: witness "
                 f"{target_name!r} lost its replica state and has not "
                 f"resynced from the primary")
-        self._fire("replicate:promote")
+        fire(self.engine.failpoints, "replicate:promote", self.name)
         old_serving_name = self.serving_name
         old_serving = self.nodes[old_serving_name]
         # Promotion is driven by the cluster manager beside the host
@@ -1095,12 +1081,12 @@ class ReplicatedShard:
                             for name, shipper in self._streams.items()}
             for shipper in self._streams.values():
                 shipper.pause()
-            self._fire("replicate:catchup")
+            fire(self.engine.failpoints, "replicate:catchup", self.name)
             applier = target.dlfm.replica
             outcomes = self.engine.host_transaction_outcomes(
                 applier.in_doubt_host_txns())
             summary = target.dlfm.replica_catch_up(outcomes)
-            self._fire("replicate:fence")
+            fire(self.engine.failpoints, "replicate:fence", self.name)
             epoch = self.registry.promote(self.name, target_name)
             # Past the fence: the target is a full primary now.  Sample the
             # inherited Sync entries before the soft-state migration so the

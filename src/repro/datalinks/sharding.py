@@ -161,13 +161,6 @@ class ShardedDataLinksDeployment:
                     node.dlfm.set_placement(guard)
             else:
                 self.shard(name).dlfm.set_placement(guard)
-        #: Fault-injection hooks for the rebalance hand-off:
-        #: ``rebalance:prepare`` / ``rebalance:export`` /
-        #: ``rebalance:archive`` / ``rebalance:import`` /
-        #: ``rebalance:fence`` / ``rebalance:sweep`` (the last fires
-        #: between the committed map swing and the source GC sweep --
-        #: see :mod:`repro.datalinks.placement`).
-        self.rebalance_failpoints: dict = {}
         #: Deferred post-move source sweeps: ``prefix -> sweep entry``.
         #: Entries are recorded before a sweep is attempted and removed
         #: only when it succeeds, so a crash between commit and sweep is
@@ -411,8 +404,7 @@ class ShardedDataLinksDeployment:
         protocol and its failure handling.
         """
 
-        return rebalance_prefix(self, prefix, dest_shard,
-                                self.rebalance_failpoints)
+        return rebalance_prefix(self, prefix, dest_shard)
 
     def redrive_sweeps(self) -> dict:
         """Retry every deferred post-move source sweep.

@@ -12,8 +12,9 @@ through a live prefix move while foreground traffic keeps flowing:
 3. **during**: the hot prefix is rebalanced to another shard
    (:meth:`~repro.datalinks.sharding.ShardedDataLinksDeployment.rebalance_prefix`,
    timed), and the *same* foreground slice runs **inside the hand-off**:
-   hooks on the ``rebalance:export`` / ``rebalance:archive`` /
-   ``rebalance:import`` / ``rebalance:fence`` failpoints issue reads and
+   hooks armed in the engine's failpoint table at the ``rebalance:export`` /
+   ``rebalance:archive`` / ``rebalance:import`` / ``rebalance:fence``
+   points (registered in :mod:`repro.util.failpoints`) issue reads and
    links mid-protocol, so the during-phase numbers are genuinely
    concurrent with the move.  Reads of the *moving* prefix keep being
    served on the source from the pre-export snapshot (dual-serve: the
@@ -243,13 +244,13 @@ class RebalanceWorkload:
             return hook
 
         for point, hot_links in zip(_DURING_POINTS, hot_per_point):
-            deployment.rebalance_failpoints[point] = make_hook(hot_links)
+            deployment.engine.failpoints[point] = make_hook(hot_links)
         try:
             with clock.measure() as timer:
                 summary = deployment.rebalance_prefix(config.hot_prefix,
                                                       self.dest)
         finally:
-            deployment.rebalance_failpoints.clear()
+            deployment.engine.failpoints.clear()
         metrics.record("rebalance", timer.elapsed)
         metrics.counters["moved_files"] = summary["moved_files"]
         metrics.counters["moved_versions"] = summary["moved_versions"]

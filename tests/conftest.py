@@ -1,8 +1,17 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+Property tests run under the ``tier1`` hypothesis profile: derandomized and
+without an example database, so every box draws the same examples and an
+unrelated change cannot go red on a fresh draw.  The search for new
+examples is the opt-in soak, ``--hypothesis-profile=soak``: ``SOAK_FACTOR``
+times the examples, drawn at random.  Every failure a soak finds becomes an
+``@example`` on its test.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.api.system import DataLinksSystem
 from repro.datalinks.control_modes import ControlMode
@@ -19,6 +28,40 @@ from repro.workloads.generator import make_content
 FILES_TABLE = "docs"
 ALICE_UID = 1001
 BOB_UID = 1002
+
+#: Examples per property test under ``tier1`` (hypothesis's default).
+TIER1_EXAMPLES = 100
+SOAK_FACTOR = 20
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("soak", max_examples=SOAK_FACTOR * TIER1_EXAMPLES,
+                          deadline=None)
+settings.load_profile("tier1")
+
+
+def examples(count: int) -> settings:
+    """``@examples(count)``: *count* examples under ``tier1``, scaled with
+    the loaded profile (``SOAK_FACTOR`` times as many under ``soak``)."""
+
+    return settings(max_examples=count * settings.default.max_examples
+                    // TIER1_EXAMPLES)
+
+
+class InjectedCrash(Exception):
+    """Raised by a failpoint hook to stop a protocol mid-step."""
+
+
+def boom(crash=None, raises=InjectedCrash):
+    """A failpoint hook: run *crash* (say, a shard crash) if given, then
+    raise *raises* (``None``: return)."""
+
+    def hook():
+        if crash is not None:
+            crash()
+        if raises is not None:
+            raise raises
+
+    return hook
 
 
 @pytest.fixture

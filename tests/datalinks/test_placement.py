@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
+from tests.conftest import boom
 
 TABLE = "moved_docs"
 
@@ -203,11 +204,11 @@ class TestMoveSemantics:
                 observed["outcome"] = "refused"
                 observed["error"] = str(error)
 
-        deployment.rebalance_failpoints["rebalance:import"] = probe
+        deployment.engine.failpoints["rebalance:import"] = probe
         try:
             deployment.rebalance_prefix("/p", dest)
         finally:
-            deployment.rebalance_failpoints.clear()
+            deployment.engine.failpoints.clear()
         assert observed["outcome"] == "refused"
         assert "being rebalanced" in observed["error"]
         # after the hand-off the same link succeeds, on the destination
@@ -365,11 +366,11 @@ class TestDualServe:
                 served["reads"] += 1
 
         for point in self.POINTS:
-            deployment.rebalance_failpoints[point] = read_all
+            deployment.engine.failpoints[point] = read_all
         try:
             summary = deployment.rebalance_prefix("/p", dest)
         finally:
-            deployment.rebalance_failpoints.clear()
+            deployment.engine.failpoints.clear()
         assert summary["moved"]
         assert served["reads"] == 3 * len(self.POINTS)
         # the snapshot is released once the hand-off resolves
@@ -382,15 +383,13 @@ class TestDualServe:
         source = deployment.shard_of("/p/doc0000.dat")
         dest = other_shard(deployment, source)
 
-        def boom():
-            raise PlacementError("injected mid-move failure")
-
-        deployment.rebalance_failpoints["rebalance:import"] = boom
+        deployment.engine.failpoints["rebalance:import"] = boom(
+            raises=PlacementError("injected mid-move failure"))
         try:
             with pytest.raises(PlacementError, match="injected"):
                 deployment.rebalance_prefix("/p", dest)
         finally:
-            deployment.rebalance_failpoints.clear()
+            deployment.engine.failpoints.clear()
         for node in deployment.replicas[source].nodes.values():
             assert not node.dlfm._moving_exports
         tokenized = session.get_datalink(TABLE, {"doc_id": 0}, "body",
@@ -437,12 +436,12 @@ class TestSourceSweep:
         link_docs(deployment, session, "/p", 1)
         source = deployment.shard_of("/p/doc0000.dat")
         dest = other_shard(deployment, source)
-        deployment.rebalance_failpoints["rebalance:sweep"] = \
-            lambda: deployment.crash_witness(source)
+        deployment.engine.failpoints["rebalance:sweep"] = boom(
+            lambda: deployment.crash_witness(source), raises=None)
         try:
             summary = deployment.rebalance_prefix("/p", dest)
         finally:
-            deployment.rebalance_failpoints.clear()
+            deployment.engine.failpoints.clear()
         assert summary["moved"]
         assert summary["sweep_deferred"]
         assert "/p" in deployment.pending_sweeps

@@ -15,7 +15,7 @@ from repro.errors import FileSystemError, PlacementEpochError, ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import parse_url
-from tests.conftest import FILES_TABLE, build_system
+from tests.conftest import FILES_TABLE, InjectedCrash, boom, build_system
 
 
 def _update(system, session, doc_id, content, archive=True):
@@ -99,14 +99,6 @@ class TestCrashRecovery:
             alice.fs("fs1").unlink(paths[0])
 
 
-class InjectedCrash(Exception):
-    """Raised by a failpoint to stop the coordinator mid-protocol."""
-
-
-def _boom():
-    raise InjectedCrash()
-
-
 def assert_host_dlfm_agreement(system, table=FILES_TABLE, column="body"):
     """The linked files on every DLFM equal the DATALINK column contents."""
 
@@ -166,7 +158,7 @@ class TestCrashMatrix:
     def test_coordinator_crash_at_every_2pc_step(self, point, crash_fs1, expected):
         system, alice, url1, url2 = _two_server_setup()
         host_txn = _start_linking_txn(system, url1, url2)
-        system.engine.failpoints[point] = _boom
+        system.engine.failpoints[point] = boom()
         with pytest.raises(InjectedCrash):
             system.engine.commit(host_txn)
         system.engine.failpoints.clear()
@@ -199,7 +191,7 @@ class TestCrashMatrix:
         system, alice, url1, url2 = _two_server_setup()
         system.set_flush_policy("group", group_commit_window=8)
         host_txn = _start_linking_txn(system, url1, url2)
-        system.engine.failpoints["commit:mid_flush"] = _boom
+        system.engine.failpoints["commit:mid_flush"] = boom()
         with pytest.raises(InjectedCrash):
             system.engine.commit(host_txn)
         system.engine.failpoints.clear()
@@ -242,7 +234,7 @@ class TestCrashMatrix:
     def test_coordinator_crash_during_group_commit(self, point, expected):
         system, alice, url1, url2 = _two_server_setup()
         host_txn = _start_linking_txn(system, url1, url2)
-        system.engine.failpoints[point] = _boom
+        system.engine.failpoints[point] = boom()
         with pytest.raises(InjectedCrash):
             system.engine.commit_group([host_txn])
         system.engine.failpoints.clear()
@@ -350,17 +342,14 @@ class TestReplicationFailoverMatrix:
         transaction aborts and every surviving view agrees."""
 
         deployment, session, paths = _replicated_setup()
-        replica = deployment.replicas[self.VICTIM]
-
-        def crash_primary():
-            deployment.crash_shard(self.VICTIM)
-            raise InjectedCrash()
+        failpoints = deployment.engine.failpoints
 
         host_txn = self._start_txn(deployment, session, paths)
-        replica.failpoints[point] = crash_primary
+        failpoints[f"{point}:{self.VICTIM}"] = boom(
+            lambda: deployment.crash_shard(self.VICTIM))
         with pytest.raises(InjectedCrash):
             deployment.engine.commit(host_txn)
-        replica.failpoints.clear()
+        failpoints.clear()
         try:
             deployment.engine.abort(host_txn)
         except ReproError:
@@ -383,16 +372,16 @@ class TestReplicationFailoverMatrix:
         """A crash inside promotion leaves a retryable, idempotent failover."""
 
         deployment, session, paths = _replicated_setup()
-        replica = deployment.replicas[self.VICTIM]
+        failpoints = deployment.engine.failpoints
         for index, shard in enumerate(sorted(paths)):
             url = deployment.put_file(session, paths[shard], b"stable")
             session.insert(REPL_TABLE, {"doc_id": index, "body": url})
 
         deployment.crash_shard(self.VICTIM)
-        replica.failpoints[point] = _boom
+        failpoints[f"{point}:{self.VICTIM}"] = boom()
         with pytest.raises(InjectedCrash):
             deployment.fail_over(self.VICTIM)
-        replica.failpoints.clear()
+        failpoints.clear()
 
         summary = deployment.fail_over(self.VICTIM)
         assert summary["promoted"] and summary["serving"] == "shard0-r"
@@ -419,13 +408,9 @@ class TestReplicationFailoverMatrix:
         durable outcome, and so does the primary after fail-back."""
 
         deployment, session, paths = _replicated_setup()
-
-        def crash_primary():
-            deployment.crash_shard(self.VICTIM)
-            raise InjectedCrash()
-
         host_txn = self._start_txn(deployment, session, paths)
-        deployment.engine.failpoints[point] = crash_primary
+        deployment.engine.failpoints[point] = boom(
+            lambda: deployment.crash_shard(self.VICTIM))
         with pytest.raises(InjectedCrash):
             deployment.engine.commit(host_txn)
         deployment.engine.failpoints.clear()
@@ -457,8 +442,8 @@ class TestReplicationFailoverMatrix:
         deployment, session, paths = _replicated_setup(
             flush_policy="group", group_commit_window=4)
         host_txn = self._start_txn(deployment, session, paths)
-        deployment.engine.failpoints["group:after_host_commit"] = \
-            lambda: deployment.crash_shard(self.VICTIM)
+        deployment.engine.failpoints["group:after_host_commit"] = boom(
+            lambda: deployment.crash_shard(self.VICTIM), raises=None)
         deployment.commit(host_txn)
         with pytest.raises(ReproError):
             deployment.drain()
@@ -527,7 +512,8 @@ def _read_all(deployment, session):
 class TestRebalanceCrashMatrix:
     """Injected crashes at every step of the prefix hand-off 2PC.
 
-    Source crashes at relink (export), archive hand-off and fence must
+    Source crashes before the move is marked (prepare), at relink
+    (export), archive hand-off and fence must
     roll the move back cleanly (map untouched, prefix still served by the
     source side, retry possible); destination crashes at apply must do the
     same; a destination crash *mid-commit* -- after the coordinator's
@@ -538,23 +524,18 @@ class TestRebalanceCrashMatrix:
 
     SOURCE, DEST = "shard0", "shard1"
 
-    def _crash(self, deployment, shard):
-        def hook():
-            deployment.crash_shard(shard)
-            raise InjectedCrash()
-        return hook
-
-    @pytest.mark.parametrize("point", ["rebalance:export",
+    @pytest.mark.parametrize("point", ["rebalance:prepare",
+                                       "rebalance:export",
                                        "rebalance:archive",
                                        "rebalance:fence"])
     @pytest.mark.parametrize("fail_over", [False, True])
     def test_source_crash_during_handoff_rolls_back(self, point, fail_over):
         deployment, session, paths, prefix = _rebalance_setup()
-        deployment.rebalance_failpoints[point] = \
-            self._crash(deployment, self.SOURCE)
+        deployment.engine.failpoints[point] = boom(
+            lambda: deployment.crash_shard(self.SOURCE))
         with pytest.raises(InjectedCrash):
             deployment.rebalance_prefix(prefix, self.DEST)
-        deployment.rebalance_failpoints.clear()
+        deployment.engine.failpoints.clear()
 
         # the move rolled back: map untouched, no hand-off in flight
         assert deployment.router.placement.epoch == 1
@@ -578,11 +559,11 @@ class TestRebalanceCrashMatrix:
                                        "rebalance:fence"])
     def test_dest_crash_at_apply_rolls_back(self, point):
         deployment, session, paths, prefix = _rebalance_setup()
-        deployment.rebalance_failpoints[point] = \
-            self._crash(deployment, self.DEST)
+        deployment.engine.failpoints[point] = boom(
+            lambda: deployment.crash_shard(self.DEST))
         with pytest.raises(InjectedCrash):
             deployment.rebalance_prefix(prefix, self.DEST)
-        deployment.rebalance_failpoints.clear()
+        deployment.engine.failpoints.clear()
 
         assert deployment.router.placement.epoch == 1
         deployment.recover_shard(self.DEST)
@@ -604,8 +585,8 @@ class TestRebalanceCrashMatrix:
         followed the prefix through the move)."""
 
         deployment, session, paths, prefix = _rebalance_setup()
-        deployment.engine.failpoints["commit:after_host_commit"] = \
-            lambda: deployment.crash_shard(self.DEST)
+        deployment.engine.failpoints["commit:after_host_commit"] = boom(
+            lambda: deployment.crash_shard(self.DEST), raises=None)
         summary = deployment.rebalance_prefix(prefix, self.DEST)
         deployment.engine.failpoints.clear()
 
@@ -634,11 +615,11 @@ class TestRebalanceCrashMatrix:
 
         deployment, session, paths, prefix = _rebalance_setup()
         moved_path = paths[self.SOURCE]
-        deployment.rebalance_failpoints["rebalance:sweep"] = \
-            self._crash(deployment, self.SOURCE)
+        deployment.engine.failpoints["rebalance:sweep"] = boom(
+            lambda: deployment.crash_shard(self.SOURCE))
         with pytest.raises(InjectedCrash):
             deployment.rebalance_prefix(prefix, self.DEST)
-        deployment.rebalance_failpoints.clear()
+        deployment.engine.failpoints.clear()
 
         # the move committed before the crash: map swung, sweep pending
         assert deployment.router.placement.epoch == 2

@@ -22,6 +22,7 @@ from repro.errors import FencedNodeError, ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import parse_url
+from tests.conftest import boom
 
 TABLE = "sharded_docs"
 
@@ -214,8 +215,8 @@ def test_drain_failure_after_host_commit_redrives_participants():
     assert len(enlisted) >= 2
     victim = enlisted[0]  # sorted first => its commit_many fails first
 
-    deployment.engine.failpoints["group:after_host_commit"] = \
-        lambda: deployment.crash_shard(victim)
+    deployment.engine.failpoints["group:after_host_commit"] = boom(
+        lambda: deployment.crash_shard(victim), raises=None)
     deployment.commit(host_txn)
     with pytest.raises(ReproError):
         deployment.drain()

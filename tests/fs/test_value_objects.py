@@ -15,7 +15,7 @@ import os
 from dataclasses import asdict
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.datalinks.control_modes import ControlMode
@@ -33,6 +33,7 @@ from repro.simclock import SimClock
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import DatalinkURL, parse_url
+from tests.conftest import examples
 
 ROOT = Credentials(uid=0, gid=0, username="root")
 
@@ -125,7 +126,7 @@ class TestTextRoundTrips:
            name=_SEGMENT,
            token=st.one_of(st.none(), st.text("RW-.0123abcdef", min_size=1,
                                               max_size=30)))
-    @settings(max_examples=150, deadline=None)
+    @examples(150)
     def test_datalink_url_round_trips(self, scheme, server, directories, name,
                                       token):
         path = "/" + "/".join([*directories, name])
@@ -148,7 +149,7 @@ class TestTextRoundTrips:
     @given(token_type=st.sampled_from(list(TokenType)),
            millis=st.integers(0, 10 ** 12),
            signature=st.text("0123456789abcdef-", min_size=1, max_size=16))
-    @settings(max_examples=150, deadline=None)
+    @examples(150)
     def test_access_token_round_trips(self, token_type, millis, signature):
         token = AccessToken(token_type, millis / 1000, signature)
         assert AccessToken.parse(token.render()) == token
@@ -186,7 +187,7 @@ class TestReadRange:
     @given(steps=_STEPS)
     @example(steps=[("append", b"AB"), ("truncate", 1), ("truncate", 3)])
     @example(steps=[("append", b"AB"), ("truncate", 1), ("write", 2, b"C")])
-    @settings(max_examples=250, deadline=None)
+    @examples(250)
     def test_a_history_matches_a_bytearray_and_closed_form_counters(
             self, steps):
         clock = SimClock()

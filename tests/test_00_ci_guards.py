@@ -560,6 +560,61 @@ class TestOnePathPerOperation:
         assert not stray, f"a second bench harness grew back: {stray}"
 
 
+class TestOneFailpointTable:
+    """Crash injection is one table and one ``fire``
+    (:mod:`repro.util.failpoints`): no component grows its own hook dict,
+    no optional table defaults to a private ``{}``, and no firing site
+    names a point the registry does not hold."""
+
+    #: Where a ``*failpoints`` attribute may be assigned: the engine owns
+    #: the table, a shipper or applier keeps the one it was handed.
+    ATTRIBUTE_OWNERS = {("repro/datalinks/engine.py", "failpoints"),
+                        ("repro/datalinks/replication.py", "_failpoints")}
+
+    def test_one_fire_one_table_and_only_registered_points(self):
+        import ast
+
+        from repro.util.failpoints import SCOPED, registered
+
+        fires, attributes, parameters, points = [], [], [], []
+        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
+            name = path.relative_to(SRC_ROOT).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if node.name in ("fire", "_fire"):
+                        fires.append(f"{name}:{node.name}")
+                    spec = node.args
+                    positional = spec.posonlyargs + spec.args
+                    optional = positional[len(positional) - len(spec.defaults):]
+                    optional += [arg for arg, default in zip(
+                        spec.kwonlyargs, spec.kw_defaults) if default]
+                    parameters += [
+                        f"{name}:{node.lineno} {node.name}({arg.arg})"
+                        for arg in positional + spec.kwonlyargs
+                        if arg.arg.endswith("failpoints")
+                        and (arg.arg != "failpoints" or arg in optional)]
+                elif isinstance(node, ast.Attribute) \
+                        and node.attr.endswith("failpoints") and (
+                            node.attr not in ("failpoints", "_failpoints")
+                            or isinstance(node.ctx, ast.Store)
+                            and (name, node.attr) not in self.ATTRIBUTE_OWNERS):
+                    attributes.append(f"{name}:{node.lineno} .{node.attr}")
+                elif isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Name) \
+                        and node.func.id == "fire":
+                    point = node.args[1]
+                    if not (isinstance(point, ast.Constant)
+                            and (point.value in SCOPED if len(node.args) > 2
+                                 else registered(point.value))):
+                        points.append(f"{name}:{node.lineno} "
+                                      f"{ast.unparse(point)}")
+        assert fires == ["repro/util/failpoints.py:fire"], fires
+        assert not attributes, f"a failpoint table outside the engine: " \
+                               f"{attributes}"
+        assert not parameters, f"an optional or renamed table: {parameters}"
+        assert not points, f"fired at an unregistered point: {points}"
+
+
 class TestTheLogKeepsItsOwnState:
     """Only ``storage/wal.py`` reads or writes a log's private state: once
     the log folds, its retained list, flush count and open-transaction

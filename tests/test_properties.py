@@ -23,8 +23,9 @@ from repro.storage.lock_manager import LockManager, LockMode
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import format_url, parse_url
+from tests.conftest import examples
 
-SETTINGS = settings(max_examples=60, deadline=None,
+SETTINGS = settings(examples(60),
                     suppress_health_check=[HealthCheck.too_slow])
 
 # ---------------------------------------------------------------------------
