@@ -11,9 +11,7 @@ and co-located clients) runs on the ``host`` clock domain, every file
 server runs on its own domain, and the archive mover on the ``archive``
 domain; domains max-merge at IPC and commit barriers (see
 :mod:`repro.simclock`), so N file servers overlap in time the way the
-paper's real testbed machines did.  ``serial_clock=True`` collapses all of
-them back onto one timeline for A/B comparisons against the old serial
-model.
+paper's real testbed machines did.
 """
 
 from __future__ import annotations
@@ -116,15 +114,13 @@ class DataLinksSystem:
 
     The system owns its clocks: one
     :class:`~repro.simclock.ClockDomainGroup` calibrated by ``cost_model``,
-    one domain per node; ``serial_clock=True`` (the one serial baseline)
-    makes every domain the same shared timeline.
+    one domain per node and per client.
     """
 
     def __init__(self, cost_model: CostModel | None = None, *,
                  flush_policy: str = "immediate",
-                 group_commit_window: int = 8,
-                 serial_clock: bool = False):
-        self.clocks = ClockDomainGroup(cost_model, serial=serial_clock)
+                 group_commit_window: int = 8):
+        self.clocks = ClockDomainGroup(cost_model)
         #: The host database node's clock domain (also where co-located
         #: clients -- sessions -- experience time).
         self.clock = self.clocks.domain("host")
@@ -201,17 +197,14 @@ class DataLinksSystem:
         return Session(self, Credentials(uid=uid, gid=gid, username=username),
                        clock=clock)
 
-    def client_domains(self, count: int, *, limit: int | None = None,
-                       prefix: str = "client") -> list:
-        """Clock domains for *count* concurrent clients (pooled at *limit*).
+    def client_domains(self, count: int, *, prefix: str = "client") -> list:
+        """Clock domains for *count* concurrent clients, one each.
 
         Delegates to :meth:`repro.simclock.ClockDomainGroup.session_domains`
-        with the host domain as the base: in serial mode
-        (``serial_clock=True``) every client shares the host clock.
+        with the host domain as the base.
         """
 
-        return self.clocks.session_domains(count, self.clock, limit=limit,
-                                           prefix=prefix)
+        return self.clocks.session_domains(count, self.clock, prefix=prefix)
 
     def enable_admission(self, limit: int):
         """Gate client operations behind *limit* host connection slots.

@@ -64,11 +64,9 @@ Knobs
 ``follower_reads``        let healthy witnesses serve reads (default on)
 ``max_follower_lag``      staleness bound for follower reads, in shipped
                           WAL records (default 0: fully caught up)
-``serial_clock``          collapse every node onto one shared timeline (the
-                          pre-clock-domain serial model, kept for honest A/B
-                          comparisons); by default every shard, witness and
-                          the archive run on their own clock domain and
-                          genuinely overlap (see :mod:`repro.simclock`)
+
+Every shard, witness and the archive run on their own clock domain and
+genuinely overlap (see :mod:`repro.simclock`).
 
 Because enqueued transactions stay ACTIVE (locks held) until the batch
 drains, callers that need a transaction's effects visible immediately should
@@ -87,7 +85,7 @@ from repro.datalinks.replication import EpochRegistry, ReplicatedShard
 from repro.datalinks.routing import ReplicationRouter, ShardRouter
 from repro.errors import DataLinksError, PlacementError, ReplicationError, \
     ReproError
-from repro.simclock import CostModel, SimClock
+from repro.simclock import TICKS_PER_MS, CostModel, SimClock
 from repro.storage.schema import TableSchema
 from repro.util.lsn import LSN
 from repro.util.urls import format_url, parse_url
@@ -109,14 +107,12 @@ class ShardedDataLinksDeployment:
                  witnesses: int = 1,
                  replica_suffix: str = "-r",
                  follower_reads: bool = True,
-                 max_follower_lag: int = 0,
-                 serial_clock: bool = False):
+                 max_follower_lag: int = 0):
         if shards < 1:
             raise DataLinksError("a sharded deployment needs at least one shard")
         self.system = DataLinksSystem(cost_model,
                                       flush_policy=flush_policy,
-                                      group_commit_window=group_commit_window,
-                                      serial_clock=serial_clock)
+                                      group_commit_window=group_commit_window)
         self.shard_names = [f"{shard_prefix}{index}" for index in range(shards)]
         for name in self.shard_names:
             self.system.add_file_server(name,
@@ -515,11 +511,10 @@ class ShardedDataLinksDeployment:
             "linked_files_per_shard": {
                 name: self._linked_count(name) for name in self.shard_names},
             "clock_domains": {
-                "serial": clocks.serial,
-                "global_now_ms": clocks.global_now() * 1000.0,
+                "global_now_ms": clocks.ticks / TICKS_PER_MS,
                 "now_ms_per_domain": clocks.times_by_domain(),
                 "charged_ms_per_domain": {
-                    name: domain.stats.grand_total() * 1000.0
+                    name: domain.stats.total_ticks() / TICKS_PER_MS
                     for name, domain in sorted(clocks.domains.items())},
             },
         }

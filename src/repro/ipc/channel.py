@@ -15,9 +15,9 @@ where simulated time synchronizes (see :mod:`repro.simclock`):
   send time and does the work on its own timeline.  Link batches and WAL
   shipping use this, so shard work and replication overlap the sender.
 
-When caller and callee share one clock (an upcall within a file server, or
-a serial-clock deployment) both methods degrade to the classic serial
-behavior: one latency charge plus the handler's work on the shared timeline.
+When caller and callee share one clock (an upcall within a file server)
+both methods degrade to one latency charge plus the handler's work on the
+shared timeline.
 """
 
 from __future__ import annotations

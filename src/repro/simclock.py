@@ -75,8 +75,10 @@ differ in *which* clock they hold.  Every component holds one: the clock is
 a required constructor argument everywhere, never ``None`` and never
 conjured by the component itself (two parts of one stack on two private
 timelines would turn every channel between them cross-domain).  A bare
-:class:`SimClock` (no group) is the single serial timeline, which is also
-what ``serial_clock=True`` deployments ride for A/B comparisons.
+:class:`SimClock` (no group) is one node's timeline on its own.  There is
+no second, one-timeline mode: what the same work would take with every
+node on one shared clock is read off the group ledger
+(:meth:`ClockDomainGroup.serial_ticks`).
 
 **Inline charge sites.**  The hottest fixed-cost sites (VFS entry points,
 statement charges, IPC latency) do not call :meth:`SimClock.charge`; they
@@ -100,7 +102,8 @@ from fractions import Fraction
 
 #: Ticks per simulated second: one tick is one picosecond.
 TICKS_PER_SECOND = 10 ** 12
-_TICKS_PER_MS = 10 ** 9
+#: Ticks per simulated millisecond, the unit reports are in.
+TICKS_PER_MS = 10 ** 9
 
 
 def to_ticks(seconds: float) -> int:
@@ -216,8 +219,8 @@ class ClockStats:
       one counter bump per charge, the ticks are ``count * unit``,
       multiplied out when the ledger is read.
 
-    Readers merge the two and report seconds (``total``, ``charges``,
-    ``grand_total``) or milliseconds (``as_dict``); ``ticks`` and ``ledger``
+    Readers merge the two and report seconds (``total``, ``charges``) or
+    milliseconds (``as_dict``); ``ticks``, ``total_ticks`` and ``ledger``
     give the exact integers.  Labels never charged (count 0) are not
     reported.
     """
@@ -305,16 +308,16 @@ class ClockStats:
     def as_dict(self) -> dict:
         """``{label: {"count": n, "total_ms": t}}`` for reporting."""
 
-        return {label: {"count": count, "total_ms": ticks / _TICKS_PER_MS}
+        return {label: {"count": count, "total_ms": ticks / TICKS_PER_MS}
                 for label, (count, ticks) in sorted(self.ledger().items())}
 
-    def grand_total(self) -> float:
-        """Total simulated seconds charged across every label."""
+    def total_ticks(self) -> int:
+        """Total ticks charged across every label."""
 
         total = 0
         for _, _, ticks in self._rows():
             total += ticks
-        return total / TICKS_PER_SECOND
+        return total
 
 
 class GroupStats(ClockStats):
@@ -693,9 +696,9 @@ class ClockDomain(SimClock):
     A domain is a full :class:`SimClock` (components hold it and call
     ``charge()``/``measure()`` unchanged) that additionally treats
     :meth:`advance` as *cluster* idle time -- explicit waiting (editor think
-    time, TTL expiry in tests) passes for every node, which matches the old
-    serial model; :meth:`advance_local` advances only this domain.  Its
-    ledger is one term of the group's (:class:`GroupStats`).
+    time, TTL expiry in tests) passes for every node at once;
+    :meth:`advance_local` advances only this domain.  Its ledger is one
+    term of the group's (:class:`GroupStats`).
     """
 
     def __init__(self, group: "ClockDomainGroup", name: str,
@@ -721,17 +724,11 @@ class ClockDomain(SimClock):
 
 
 class ClockDomainGroup:
-    """The set of clock domains of one simulated cluster.
+    """The clock domains of one simulated cluster: one per node and one
+    per client session (:meth:`session_domains`)."""
 
-    ``serial=True`` collapses every domain onto a single shared timeline --
-    the old serial-clock model, kept for honest A/B comparisons (e.g. the
-    serial-clock rows of experiment E11).
-    """
-
-    def __init__(self, cost_model: CostModel | None = None, *,
-                 serial: bool = False):
+    def __init__(self, cost_model: CostModel | None = None):
         self.costs = cost_model if cost_model is not None else CostModel()
-        self.serial = serial
         #: The group-wide ledger, summed over the domains on every read.
         self.stats = GroupStats(self)
         self.domains: dict[str, SimClock] = {}
@@ -740,13 +737,8 @@ class ClockDomainGroup:
         self._tables = _tick_tables(tuple(vars(self.costs).items()))
 
     def domain(self, name: str) -> SimClock:
-        """The clock domain for node *name* (created on first use).
+        """The clock domain for node *name* (created on first use)."""
 
-        In serial mode every name resolves to the same shared clock.
-        """
-
-        if self.serial:
-            name = "serial"
         if name not in self.domains:
             self.domains[name] = ClockDomain(self, name, self.costs,
                                              tables=self._tables)
@@ -779,39 +771,49 @@ class ClockDomainGroup:
         return rendezvous(*self.domains.values())
 
     def session_domains(self, count: int, base=None, *,
-                        limit: int | None = None,
                         prefix: str = "client") -> list:
-        """Clock domains for *count* simulated client sessions.
+        """Clock domains for *count* simulated client sessions, one each.
 
-        Returns a list of *count* clocks, one per client.  In serial mode
-        every entry is *base* (default: the ``host`` domain): all sessions
-        ride the host timeline.  Otherwise each client gets its own domain
-        that barriers through the host like any IPC, so concurrent clients
-        genuinely overlap and queueing delay is measurable; domains are
-        pooled round-robin over at most *limit* distinct ones so wall
-        clock stays flat at 10^4 clients.  Pooled domain names are stable
-        across calls (``client0``, ``client1``, ...) and every pooled
-        domain is synced forward to *base*'s current time, so a new sweep
-        step starts no earlier than the host -- safe because the drivers
+        Each client's domain barriers through *base* (default: the
+        ``host`` domain) like any IPC, so concurrent clients genuinely
+        overlap and queueing delay is measurable.  Names are stable
+        across calls (``client0``, ``client1``, ...) and every domain is
+        synced forward to *base*'s current time, so a new sweep step
+        starts no earlier than the host -- safe because the drivers
         :func:`gather` all clients back through the host at step end.
         """
 
         if base is None:
             base = self.domain("host")
-        if count <= 0:
-            return []
-        if self.serial:
-            return [base] * count
-        pool = count if limit is None else max(1, min(count, limit))
         start = base.ticks
         clocks = []
-        for index in range(pool):
+        for index in range(count):
             domain = self.domain(f"{prefix}{index}")
             domain.sync_ticks(start)
             clocks.append(domain)
-        if pool == count:
-            return clocks
-        return [clocks[index % pool] for index in range(count)]
+        return clocks
+
+    def serial_ticks(self) -> int:
+        """The ticks the charged work would take on one shared timeline.
+
+        A shared clock advances by exactly its charges, and domains
+        charge the same events except one: a :meth:`Channel.post
+        <repro.ipc.channel.Channel.post>` across domains books
+        ``message_send`` on the sender where a shared clock books
+        nothing extra (the latency and the handler's work land on the
+        one timeline either way).  So the group ledger minus its
+        ``message_send`` ticks is the one-timeline elapsed time, and a
+        difference of two readings is that time for the work between
+        them, provided that in the interval
+
+        * every daemon posted to is live -- a post to a dead daemon
+          charges ``message_send`` here where a shared clock charges the
+          full round trip -- and
+        * no :meth:`ClockDomain.advance` runs: idle time moves clocks
+          without booking a charge.
+        """
+
+        return self.stats.total_ticks() - self.stats.ticks("message_send")
 
     def stats_by_domain(self) -> dict:
         """``{domain: {label: {"count", "total_ms"}}}`` per-node breakdown."""
@@ -822,7 +824,7 @@ class ClockDomainGroup:
     def times_by_domain(self) -> dict:
         """``{domain: now_in_ms}`` -- each node's local time, for reporting."""
 
-        return {name: domain.ticks / _TICKS_PER_MS
+        return {name: domain.ticks / TICKS_PER_MS
                 for name, domain in sorted(self.domains.items())}
 
 
@@ -859,4 +861,4 @@ class Stopwatch:
         """Elapsed simulated milliseconds."""
 
         end = self._stop if self._stop is not None else self._clock.ticks
-        return (end - self._start) / _TICKS_PER_MS
+        return (end - self._start) / TICKS_PER_MS

@@ -22,14 +22,13 @@ caller-supplied operation per client with honest closed-loop semantics:
 
 Operations across clients are interleaved in simulated-arrival order via
 a min-heap, so admission arrivals are non-decreasing (the FIFO-fairness
-property the admission tests assert).  Pooled domains (``limit``) reuse
-one domain for several clients; a popped entry whose domain has advanced
-past it (a poolmate ran) is lazily re-pushed at the domain's current
-time, preserving arrival order.  When every client rides one clock (a
-serial-clock system, or ``limit=1``) the pool runs them round-robin on
-it.  After the run the host :func:`~repro.simclock.gather`\\ s every
-client domain in one aggregated merge, so elapsed cluster time is the
-slowest client's completion.
+property the admission tests assert).  A popped entry whose domain has
+advanced past it (cluster idle time, :meth:`ClockDomain.advance
+<repro.simclock.ClockDomain.advance>`, moves every domain) is lazily
+re-pushed at the domain's current time, preserving arrival order.  After
+the run the host :func:`~repro.simclock.gather`\\ s every client domain
+in one aggregated merge, so elapsed cluster time is the slowest client's
+completion.
 
 :func:`closed_loop_sweep` is the one driver of those sweeps: a pool per
 swept client count, all steps behind one admission gate.
@@ -46,23 +45,22 @@ from repro.workloads.generator import OperationStats
 class ClientPool:
     """``count`` concurrent simulated clients with admission and think time.
 
-    ``limit`` pools the client domains (``None`` gives every client its
-    own); ``think_s`` is per-operation client think time;
-    ``session_factory(username, uid, clock)`` overrides session creation
-    (the default goes through ``system.session``).  Admission is whatever
-    ``system.admission`` is configured to -- enable it with
+    Every client gets its own clock domain; ``think_s`` is per-operation
+    client think time; ``session_factory(username, uid, clock)``
+    overrides session creation (the default goes through
+    ``system.session``).  Admission is whatever ``system.admission`` is
+    configured to -- enable it with
     :meth:`~repro.api.system.DataLinksSystem.enable_admission`.
     """
 
-    def __init__(self, system, count: int, *, limit: int | None = None,
-                 think_s: float = 0.0, prefix: str = "client",
-                 username: str = "client", uid_base: int = 5001,
-                 session_factory=None):
+    def __init__(self, system, count: int, *, think_s: float = 0.0,
+                 prefix: str = "client", username: str = "client",
+                 uid_base: int = 5001, session_factory=None):
         self.system = system
         self.count = count
         self.think_s = think_s
         self._think_ticks = to_ticks(think_s) if think_s > 0.0 else 0
-        self.clocks = system.client_domains(count, limit=limit, prefix=prefix)
+        self.clocks = system.client_domains(count, prefix=prefix)
         if session_factory is None:
             def session_factory(name, uid, clock):
                 return system.session(name, uid=uid, clock=clock)
@@ -108,12 +106,7 @@ class ClientPool:
             counts = list(ops_per_client)
             if len(counts) != self.count:
                 raise ValueError("one op count per client required")
-        if self.count > 0 and any(counts):
-            distinct = {id(clock) for clock in self.clocks}
-            if len(distinct) == 1:
-                self._run_serial(counts, op, admission)
-            else:
-                self._run_interleaved(counts, op, admission)
+        self._run_interleaved(counts, op, admission)
         gather(host, self.clocks)
         self.elapsed_s = (host.ticks - start) / TICKS_PER_SECOND
         return self.elapsed_s
@@ -149,22 +142,15 @@ class ClientPool:
             clock = clocks[index]
             now = clock.ticks
             if now > entry_time:
-                # A poolmate advanced this shared domain; this client's
-                # turn actually starts now.  Re-enter in arrival order.
+                # Idle time (ClockDomain.advance moves every domain)
+                # passed since the push; this client's turn actually
+                # starts now.  Re-enter in arrival order.
                 push(heap, (now, index, op_index))
                 continue
             self._run_one(index, op_index, op, admission)
             next_op = op_index + 1
             if next_op < counts[index]:
                 push(heap, (clock.ticks, index, next_op))
-
-    def _run_serial(self, counts, op, admission) -> None:
-        """All clients share one clock: round-robin, no heap needed."""
-
-        for op_index in range(max(counts)):
-            for index in range(self.count):
-                if op_index < counts[index]:
-                    self._run_one(index, op_index, op, admission)
 
     # -------------------------------------------------------------------- results --
     def summary(self) -> dict:
@@ -186,22 +172,21 @@ class ClientPool:
 
 def closed_loop_sweep(system, counts, stage, *,
                       admission_limit: int | None = None,
-                      think_s: float = 0.0,
-                      domain_pool: int | None = None):
+                      think_s: float = 0.0):
     """Sweep closed-loop client counts over *system*: one record per count.
 
     Each step drives ``count`` clients through a fresh :class:`ClientPool`
-    (``think_s`` of think time per operation, at most ``domain_pool``
-    distinct clock domains) behind one host admission gate of
-    ``admission_limit`` slots shared by all steps (``None``: no gate, no
-    saturation knee); the gate comes off when the sweep ends, fails or is
-    closed early.  ``stage(step_index, count)`` is a generator holding what
-    differs between workloads, resumed at the three points where the driver
-    acts: it stages what must exist before the clients do (a pool's domains
-    start at the cluster time of its creation) and yields ``(username,
-    uid_base)``; receives the new pool, hands out what needs its sessions
-    and yields ``(ops_per_client, op)``, the arguments of
-    :meth:`ClientPool.run`; and after the run yields its own columns.
+    (``think_s`` of think time per operation) behind one host admission
+    gate of ``admission_limit`` slots shared by all steps (``None``: no
+    gate, no saturation knee); the gate comes off when the sweep ends,
+    fails or is closed early.  ``stage(step_index, count)`` is a generator
+    holding what differs between workloads, resumed at the three points
+    where the driver acts: it stages what must exist before the clients
+    do (a pool's domains start at the cluster time of its creation) and
+    yields ``(username, uid_base)``; receives the new pool, hands out
+    what needs its sessions and yields ``(ops_per_client, op)``, the
+    arguments of :meth:`ClientPool.run`; and after the run yields its
+    own columns.
 
     The record is ``clients``, ``operations``, ``ops_per_sim_s``, the
     end-to-end ``latency_{mean,p50,p99}_ms`` (queue delay + think +
@@ -215,9 +200,8 @@ def closed_loop_sweep(system, counts, stage, *,
         for step_index, count in enumerate(counts):
             script = stage(step_index, count)
             username, uid_base = next(script)
-            pool = ClientPool(system, count, limit=domain_pool,
-                              think_s=think_s, username=username,
-                              uid_base=uid_base)
+            pool = ClientPool(system, count, think_s=think_s,
+                              username=username, uid_base=uid_base)
             ops_per_client, op = script.send(pool)
             pool.run(ops_per_client, op)
             summary = pool.summary()

@@ -31,6 +31,7 @@ from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import ReproError
+from repro.simclock import TICKS_PER_SECOND
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.workloads.generator import WorkloadMetrics, make_content
@@ -53,7 +54,6 @@ class ScaleOutConfig:
     group_commit_window: int = 8
     control_mode: ControlMode = ControlMode.RFF
     prefix_depth: int = 1
-    serial_clock: bool = False
 
 
 class ScaleOutWorkload:
@@ -67,8 +67,7 @@ class ScaleOutWorkload:
                 config.shards,
                 prefix_depth=config.prefix_depth,
                 flush_policy=config.flush_policy,
-                group_commit_window=config.group_commit_window,
-                serial_clock=config.serial_clock)
+                group_commit_window=config.group_commit_window)
         self._sessions = []
         self._stager = None     # host-side session staging the sweep's files
         self._staged: list[list[tuple[int, str]]] = []
@@ -119,19 +118,26 @@ class ScaleOutWorkload:
         """Ingest every staged transaction; returns metrics with link counts.
 
         ``metrics.counters["links"] / metrics.elapsed`` is the link
-        throughput in links per simulated second.
+        throughput in links per simulated second.  Next to each
+        ``link_txn`` sample, ``serial_txn`` records what the transaction
+        would take with every node on one shared clock, and
+        ``serial_run`` the same for the whole run (both read off
+        :meth:`~repro.simclock.ClockDomainGroup.serial_ticks`).
         """
 
         config = self.config
         deployment = self.deployment
         clock = deployment.clock
+        serial_ticks = deployment.system.clocks.serial_ticks
         metrics = WorkloadMetrics(started_at=clock.now())
+        run_start = serial_ticks()
         # Interleave clients round-robin: txn 0 of every client, then txn 1...
         order = [client * config.transactions_per_client + txn_index
                  for txn_index in range(config.transactions_per_client)
                  for client in range(config.clients)]
         for slot in order:
             rows = self._staged[slot]
+            txn_start = serial_ticks()
             with clock.measure() as timer:
                 host_txn = deployment.begin()
                 payload = [{"doc_id": doc_id,
@@ -145,20 +151,17 @@ class ScaleOutWorkload:
                         deployment.engine.insert(DOCS_TABLE, row, host_txn)
                 deployment.commit(host_txn)
             metrics.record("link_txn", timer.elapsed)
+            metrics.record("serial_txn",
+                           (serial_ticks() - txn_start) / TICKS_PER_SECOND)
             metrics.bump("links", len(rows))
         with clock.measure() as timer:
             deployment.drain()
         if timer.elapsed:
             metrics.record("final_drain", timer.elapsed)
         metrics.finished_at = clock.now()
+        metrics.record("serial_run",
+                       (serial_ticks() - run_start) / TICKS_PER_SECOND)
         return metrics
-
-    def link_throughput(self, metrics: WorkloadMetrics) -> float:
-        """Links per simulated second over the whole run."""
-
-        if metrics.elapsed <= 0:
-            return 0.0
-        return metrics.counters.get("links", 0) / metrics.elapsed
 
     # ------------------------------------------------------------- client sweep --
     def sweep_step(self, step_index: int, clients: int):

@@ -350,11 +350,28 @@ class TestIntegerTimeStaysOneDesign:
                "PROFILE_SNAPSHOT", "step_hook", "run_session_sweep",
                "run_client_sweep", "run_read_sweep", "SMOKE_PARAMS",
                "LARGE_PARAMS", "SCALE_PARAMS", "sweep_admission_limit",
-               "sweep_think_s", "client_think_s", "client_domain_pool",
-               "_NO_WINDOW",
+               "sweep_think_s", "client_think_s", "_NO_WINDOW",
                # The log links a transaction's records (``LogRecord.prev``);
                # it indexes no transaction past its outcome record.
-               "_by_txn")
+               "_by_txn",
+               # One time model: every node and client has its own clock
+               # domain; the one-timeline figure is read off the ledger
+               # (``ClockDomainGroup.serial_ticks``), never run.
+               "serial_clock", "serial=", "domain_pool", "_run_serial")
+
+    def test_every_client_gets_its_own_domain(self):
+        """No pooling knob: a client count is a domain count."""
+
+        import inspect
+
+        from repro.api.system import DataLinksSystem
+        from repro.simclock import ClockDomainGroup
+        from repro.workloads.clients import ClientPool
+
+        for function in (ClientPool.__init__, DataLinksSystem.client_domains,
+                         ClockDomainGroup.session_domains):
+            assert "limit" not in inspect.signature(function).parameters, \
+                function.__qualname__
 
     def test_retired_flags_and_twins_stay_gone(self, sources):
         offenders = [f"{name}: {word}" for name, text in sources.items()

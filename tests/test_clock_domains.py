@@ -221,12 +221,6 @@ class TestDomainGroupProperties:
         assert a.now() == pytest.approx(3.0)
         assert b.now() == 0.0
 
-    def test_serial_group_collapses_to_one_timeline(self):
-        group = ClockDomainGroup(CostModel(), serial=True)
-        assert group.domain("host") is group.domain("shard0")
-        group.domain("host").charge("disk_seek")
-        assert group.global_now() == pytest.approx(group.domain("x").now())
-
     def test_merged_stats_mirror_every_domain(self):
         group = ClockDomainGroup(CostModel())
         group.domain("a").charge("row_write")
@@ -282,6 +276,39 @@ class TestShardedDeploymentTime:
         # host commits synchronize through every enlisted shard, so the host
         # domain can never be ahead of the cluster wall clock by definition
         assert deployment.clock.now() <= clocks.global_now() + 1e-12
+
+    def test_stats_report_milliseconds_in_one_division(self):
+        """``stats()["clock_domains"]`` converts the exact ticks once, like
+        ``times_by_domain``: seconds times 1000.0 rounds twice, and reads
+        differently for about a quarter of all tick values (11 is one)."""
+
+        from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
+        from repro.datalinks.sharding import ShardedDataLinksDeployment
+        from repro.simclock import TICKS_PER_MS
+        from repro.storage.schema import Column, TableSchema
+        from repro.storage.values import DataType
+
+        assert 11 / TICKS_PER_MS != 11 / 10 ** 12 * 1000.0
+        deployment = ShardedDataLinksDeployment(2, group_commit_window=1)
+        deployment.create_table(TableSchema("docs", [
+            Column("doc_id", DataType.INTEGER, nullable=False),
+            datalink_column("body", DatalinkOptions(recovery=False)),
+        ], primary_key=("doc_id",)))
+        session = deployment.session("user", uid=4002)
+        clocks = deployment.clocks
+        for step in range(12):
+            url = deployment.put_file(session, f"/dir{step % 3}/d{step}.dat",
+                                      b"y" * (100 + 37 * step))
+            host_txn = deployment.begin()
+            deployment.engine.insert("docs", {"doc_id": step, "body": url},
+                                     host_txn)
+            deployment.commit(host_txn)
+            clocks.domain("host").ticks += 11   # an odd tick count
+            reported = deployment.stats()["clock_domains"]
+            assert reported["global_now_ms"] == clocks.ticks / TICKS_PER_MS
+            assert reported["charged_ms_per_domain"] == {
+                name: domain.stats.total_ticks() / TICKS_PER_MS
+                for name, domain in sorted(clocks.domains.items())}
 
     def test_failover_merge_does_not_regress_time(self):
         """Promotion and fail-back (cross-domain merges) keep time monotone."""
@@ -532,6 +559,117 @@ class TestPipelinedErrorLatency:
         deployment.abort(host_txn)
 
 
+class TestSerialTicks:
+    """The one-timeline time is read off the group ledger.
+
+    A shared clock advances by exactly the charges it books; clock
+    domains book the same charges plus one ``message_send`` per pipelined
+    post.  Seeded traffic run twice -- every process on one
+    :class:`SimClock`, then each daemon on its own domain -- pins the
+    identity :meth:`ClockDomainGroup.serial_ticks` rests on, and the one
+    place it does not hold: a post to a dead daemon."""
+
+    @staticmethod
+    def _workers(clocks):
+        from repro.errors import ReproError
+        from repro.ipc.daemon import Daemon
+
+        class Worker(Daemon):
+            def __init__(self, name, clock):
+                super().__init__(name, clock)
+                self.register("work", self._work)
+                self.register("boom", self._boom)
+
+            def _work(self, cost=1):
+                self.clock.charge("row_write", times=cost)
+                return {"done": cost}
+
+            def _boom(self):
+                self.clock.charge("disk_seek")
+                raise ReproError("statement-time failure")
+
+        return [Worker(f"shard{index}", clock)
+                for index, clock in enumerate(clocks)]
+
+    def _run_traffic(self, seed, host, clocks):
+        """Requests, posts (some failing) and overlapped fan-outs from
+        *host* to one daemon per entry of *clocks*; returns the posts."""
+
+        from repro.errors import ReproError
+        from repro.ipc.channel import Channel
+
+        channels = [Channel(worker, host, latency_primitive="db_dlfm_message")
+                    for worker in self._workers(clocks)]
+        rng = random.Random(seed)
+        posts = 0
+        for _ in range(200):
+            channel = rng.choice(channels)
+            action = rng.randrange(4)
+            if action == 0:
+                channel.request("work", cost=rng.randrange(1, 4))
+            elif action == 1:
+                channel.post("work", cost=rng.randrange(1, 4))
+                posts += 1
+            elif action == 2:
+                with pytest.raises(ReproError):
+                    channel.post("boom")
+                posts += 1
+            else:
+                with host.overlap():
+                    for fanned in rng.sample(channels, 2):
+                        fanned.request("work", cost=1)
+        return posts
+
+    @pytest.mark.parametrize("seed", [3, 41, 20261015])
+    def test_serial_ticks_equal_one_shared_clock(self, seed):
+        shared = SimClock(CostModel())
+        posts = self._run_traffic(seed, shared, [shared] * 3)
+        group = ClockDomainGroup(CostModel())
+        assert self._run_traffic(
+            seed, group.domain("host"),
+            [group.domain(f"shard{index}") for index in range(3)]) == posts
+        assert posts
+
+        # Work conservation: one timeline advances by its charges.
+        assert shared.ticks == shared.stats.total_ticks()
+        # Charge equivalence: the domains book exactly message_send more.
+        alone, split = shared.stats.ledger(), group.stats.ledger()
+        send = shared.unit_ticks("message_send")
+        assert "message_send" not in alone
+        assert split.pop("message_send") == (posts, posts * send)
+        assert split == alone
+        assert group.serial_ticks() == shared.ticks
+        # The domains overlapped, so the cluster is ahead of one timeline.
+        assert group.ticks < shared.ticks
+
+    def test_a_post_to_a_dead_daemon_breaks_the_identity(self):
+        from repro.errors import DaemonUnavailableError
+        from repro.ipc.channel import Channel
+
+        shared = SimClock(CostModel())
+        group = ClockDomainGroup(CostModel())
+        host = group.domain("host")
+        pairs = []
+        for caller, callee in ((shared, shared),
+                               (host, group.domain("shard0"))):
+            worker, = self._workers([callee])
+            worker.stop()
+            pairs.append(Channel(worker, caller,
+                                 latency_primitive="db_dlfm_message"))
+        for channel in pairs:
+            # A synchronous request waits out the round trip either way.
+            with pytest.raises(DaemonUnavailableError):
+                channel.request("work")
+        assert group.serial_ticks() == shared.ticks
+        for channel in pairs:
+            # A post does not: one timeline waits out the round trip, a
+            # domain pays only the enqueue cost that serial_ticks drops.
+            with pytest.raises(DaemonUnavailableError):
+                channel.post("work")
+        assert shared.ticks - group.serial_ticks() == \
+            shared.unit_ticks("db_dlfm_message")
+
+
 class TestExactIntegerTime:
     """Simulated time is an exact integer tick count (1 tick = 1 ps).
 
@@ -580,9 +718,8 @@ class TestExactIntegerTime:
             assert isinstance(clock.ticks, int)
             assert abs(clock.ticks - nbytes * rate) <= Fraction(1, 2)
 
-    @pytest.mark.parametrize("serial", [False, True])
-    def test_group_ledger_is_the_sum_of_the_domain_ledgers(self, serial):
-        """A seeded mixed workload with pooled client domains."""
+    def test_group_ledger_is_the_sum_of_the_domain_ledgers(self):
+        """A seeded mixed workload with client domains."""
 
         from repro.api.system import DataLinksSystem
         from repro.datalinks.control_modes import ControlMode
@@ -592,7 +729,7 @@ class TestExactIntegerTime:
         from repro.storage.values import DataType
         from repro.workloads.clients import ClientPool
 
-        system = DataLinksSystem(serial_clock=serial)
+        system = DataLinksSystem()
         for server in ("fs1", "fs2"):
             system.add_file_server(server)
         system.create_table(TableSchema("docs", [
@@ -610,7 +747,7 @@ class TestExactIntegerTime:
         urls = owner.get_datalink_many(
             "docs", [{"doc_id": index} for index in range(6)], "body",
             access="read", ttl=10_000.0)
-        pool = ClientPool(system, 9, limit=4, think_s=0.25)
+        pool = ClientPool(system, 9, think_s=0.25)
         picks = [[rng.randrange(6) for _ in range(3)] for _ in range(9)]
         pool.run(3, lambda session, client, op_index:
                  session.read_url(urls[picks[client][op_index]]))
@@ -633,8 +770,6 @@ class TestExactIntegerTime:
         for label, (count, ticks) in merged.items():
             assert clocks.stats.count(label) == count
             assert clocks.stats.ticks(label) == ticks
-        if serial:
-            assert list(clocks.domains) == ["serial"]
 
     @pytest.mark.parametrize("seed", [5, 77, 20260927])
     def test_merges_never_move_a_clock_backwards_in_ticks(self, seed):

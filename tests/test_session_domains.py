@@ -9,7 +9,7 @@ Three suites:
   hold intervals, since the Python call stack itself never nests);
 * equivalence tests for per-client clock domains -- a single-client
   sweep is byte-identical whether the client owns a domain or rides the
-  host clock, and a pool that shares one clock serializes;
+  host clock;
 * invariant tests for multi-client runs -- per-domain monotonicity and
   ``global_now`` dominance, the same contract
   ``tests/test_clock_domains.py`` pins for the node domains.
@@ -108,27 +108,14 @@ class TestAdmissionProperties:
             AdmissionController(0)
 
 
-class TestSessionDomainPooling:
-    """session_domains() shape: pooling and serial degradation."""
+class TestSessionDomainShape:
+    """session_domains() shape: one fresh domain per client."""
 
     def test_each_client_gets_its_own_domain(self):
         group = ClockDomainGroup()
         clocks = group.session_domains(5, prefix="c")
         assert len(clocks) == 5
         assert len({id(clock) for clock in clocks}) == 5
-
-    def test_pooled_domains_cycle(self):
-        group = ClockDomainGroup()
-        clocks = group.session_domains(7, limit=3, prefix="p")
-        assert len(clocks) == 7
-        assert len({id(clock) for clock in clocks}) == 3
-        assert clocks[0] is clocks[3] is clocks[6]
-
-    def test_serial_group_degrades_to_the_base_clock(self):
-        group = ClockDomainGroup(serial=True)
-        base = group.domain("host")
-        clocks = group.session_domains(4, base)
-        assert clocks == [base] * 4
 
     def test_domains_start_at_the_base_time(self):
         group = ClockDomainGroup()
@@ -328,22 +315,9 @@ class TestSessionDomainEquivalence:
         # The reference: every client rides the host clock.
         monkeypatch.setattr(
             DataLinksSystem, "client_domains",
-            lambda system, count, **pooling: [system.clock] * count)
+            lambda system, count, prefix="client": [system.clock] * count)
         on_the_host_clock = steps()
         assert with_domains == on_the_host_clock
-
-    def test_one_shared_clock_serializes_multi_client_runs(self):
-        """A pool whose clients all share one clock (``domain_pool=1``)
-        cannot overlap them: a multi-session sweep degrades to
-        single-session throughput and nobody queues."""
-
-        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024)
-        workload = WebServerWorkload(config).setup()
-        one, four = closed_loop_sweep(workload.system, (1, 4),
-                                      workload.sweep_step, domain_pool=1)
-        assert four["ops_per_sim_s"] == pytest.approx(
-            one["ops_per_sim_s"], rel=0.2)
-        assert four["queue_p99_ms"] == 0.0
 
 
 class TestSweepAdmissionBracket:
