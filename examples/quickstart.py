@@ -47,9 +47,9 @@ Scale-out knobs (step 7):
   so one log force and one prepare/commit message per shard cover a batch;
 * ``Session.insert_many`` / ``DataLinksEngine.insert_many`` ship one batched
   link message per enlisted shard for a multi-row INSERT;
-* ``Session.set_flush_policy("group", n)`` turns WAL group commit on for an
-  existing system (``"immediate"`` restores the classic one-force-per-commit
-  protocol);
+* ``DataLinksSystem(flush_policy="group", group_commit_window=n)`` builds a
+  system with WAL group commit on (the default ``"immediate"`` is the
+  classic one-force-per-commit protocol);
 * ``ShardedDataLinksDeployment(..., replication=True, witnesses=N)`` adds
   witness replicas per shard and a ``ReplicationRouter`` that owns roles
   and routes: reads round-robin over the serving node plus every witness

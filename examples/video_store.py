@@ -12,7 +12,7 @@ Run with:  python examples/video_store.py
 
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import OnUnlink
-from repro.workloads.videostore import VideoStoreConfig, VideoStoreWorkload
+from repro.workloads.videostore import SERVER, VideoStoreConfig, VideoStoreWorkload
 
 
 def main() -> None:
@@ -40,9 +40,9 @@ def main() -> None:
 
     # Retiring a movie removes the row and releases the clip in one transaction.
     workload.retire_movie(5)
-    dlfm = system.file_server(config.server).dlfm
+    dlfm = system.file_server(SERVER).dlfm
     print(f"movie 5 retired; clip still on disk: "
-          f"{system.file_server(config.server).files.exists('/clips/movie00005.mpg')}, "
+          f"{system.file_server(SERVER).files.exists('/clips/movie00005.mpg')}, "
           f"still linked: {dlfm.repository.linked_file('/clips/movie00005.mpg') is not None}")
 
     # Run the mixed workload and report per-operation latency.

@@ -10,11 +10,10 @@ A :class:`Session` binds a user (credentials) to a
   file server's logical file system, including
   :meth:`Session.update_file`, the update-in-place transaction of Section 4.
 
-Scale-out knobs: :meth:`Session.insert_many` ships one batched link message
-per file server for a multi-row INSERT, and
-:meth:`Session.set_flush_policy` switches the system-wide WAL commit flush
-policy between ``"immediate"`` (one log force per commit) and ``"group"``
-(one force covers a window of commits).
+Scale-out: :meth:`Session.insert_many` ships one batched link message per
+file server for a multi-row INSERT.  The WAL commit flush policy is the
+system's, chosen when it is built (see
+:class:`~repro.api.system.DataLinksSystem`).
 """
 
 from __future__ import annotations
@@ -248,27 +247,6 @@ class Session:
     @property
     def in_transaction(self) -> bool:
         return self._txn is not None
-
-    # ---------------------------------------------------------- durability knob --
-    @property
-    def flush_policy(self) -> str:
-        """The system-wide WAL commit flush policy (``immediate``/``group``)."""
-
-        return self.system.flush_policy
-
-    def set_flush_policy(self, policy: str,
-                         group_commit_window: int | None = None) -> None:
-        """Switch WAL group commit on (``"group"``) or off (``"immediate"``).
-
-        With group commit a single log force covers up to
-        ``group_commit_window`` commits.  A crash can lose the last
-        unflushed window of *host-only* commits; a transaction that
-        touched a DLFM always forces the log before the DLFMs commit (the
-        two-phase-commit rule), and any branch left in doubt is resolved
-        from the host's durable outcome during recovery.
-        """
-
-        self.system.set_flush_policy(policy, group_commit_window)
 
     # ---------------------------------------------------------------- SQL path --
     def sql(self, statement: str):

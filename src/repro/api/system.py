@@ -108,9 +108,12 @@ class DataLinksSystem:
     ``flush_policy`` / ``group_commit_window`` configure WAL group commit for
     the host database *and* every file server's DLFM repository:
     ``"immediate"`` forces the log on every commit (default), ``"group"``
-    lets one log force cover up to ``group_commit_window`` commits.  The knob
-    can also be flipped at runtime through :meth:`set_flush_policy` or
-    :meth:`repro.api.session.Session.set_flush_policy`.
+    lets one log force cover up to ``group_commit_window`` commits.  The
+    policy is fixed for the life of the system.  With group commit a crash
+    can lose the last unflushed window of *host-only* commits; a
+    transaction that touched a DLFM always forces the log before the DLFMs
+    commit (the two-phase-commit rule), and any branch left in doubt is
+    resolved from the host's durable outcome during recovery.
 
     The system owns its clocks: one
     :class:`~repro.simclock.ClockDomainGroup` calibrated by ``cost_model``,
@@ -230,24 +233,6 @@ class DataLinksSystem:
     @property
     def flush_policy(self) -> str:
         return self.host_db.wal.flush_policy.value
-
-    def set_flush_policy(self, policy: str,
-                         group_commit_window: int | None = None) -> None:
-        """Change the WAL commit flush policy system-wide at runtime.
-
-        Applies to the host database and every file server's DLFM
-        repository; servers added later inherit the new setting.
-        """
-
-        from repro.storage.wal import FlushPolicy
-
-        policy = FlushPolicy.from_string(policy).value  # validate before mutating
-        self._flush_policy = policy
-        if group_commit_window is not None:
-            self._group_commit_window = group_commit_window
-        self.host_db.set_flush_policy(policy, group_commit_window)
-        for server in self.file_servers.values():
-            server.dlfm.repository.db.set_flush_policy(policy, group_commit_window)
 
     def flush_logs(self) -> None:
         """Force every WAL in the system (drains pending group commits)."""

@@ -805,14 +805,13 @@ def e11(context, shards, clients, transactions_per_client,
         rows_per_transaction, file_size, sweep, admission_limit, think_s):
     """Link throughput of the scale-out layer versus the per-row baseline.
 
-    Links use rdb mode (token-protected reads), so every link drives the
-    full DLFM path -- repository rows plus the link-time ownership takeover
-    on the shard -- the same deployment style E12 replicates.
+    Links use rdb mode (see :class:`ScaleOutWorkload`), the same
+    deployment style E12 replicates.
     """
 
     baseline_label = "1 server, per-row links, immediate flush"
     ingest = {"rows_per_transaction": rows_per_transaction,
-              "file_size": file_size, "control_mode": ControlMode.RDB}
+              "file_size": file_size}
     per_row = {"batch_links": False, "flush_policy": "immediate",
                "group_commit_window": 1}
     batched = {"batch_links": True, "flush_policy": "group",
@@ -999,7 +998,7 @@ def e12(context, sweep, admission_limit, think_s, **cluster):
              "read_availability_pct", "link_availability_pct",
              "ops_per_sim_s", "moved_files", "committed_links_lost",
              "move_ms"),
-    default={"shards": 3, "witnesses": 1, "hot_files": 8, "cold_files": 8,
+    default={"shards": 3, "hot_files": 8, "cold_files": 8,
              "file_size": 1024, "reads_per_phase": 12, "links_per_phase": 4},
     smoke={"shards": 2, "hot_files": 4, "cold_files": 4, "file_size": 256,
            "reads_per_phase": 8, "links_per_phase": 4},

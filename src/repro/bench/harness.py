@@ -55,7 +55,12 @@ def _profile_summary(profiler: cProfile.Profile,
     ``total_calls`` is the profiler's total function-call count across the
     experiment -- unlike the timing columns it is a *deterministic* measure
     of how much work the hot paths do (the simulator is single-threaded and
-    seeded), so successive artifacts can be diffed call-for-call.
+    seeded), so successive artifacts can be diffed call-for-call.  It is
+    summed over the raw entries of ``getstats()``, as
+    :meth:`~repro.bench.runner.RunContext.mark_step` counts: ``pstats``
+    keys entries by (file, line, name) and keeps only one of several code
+    objects that share a key (the generated ``__init__`` of dataclasses),
+    so its ``total_calls`` drops a run-dependent share of the calls.
     """
 
     stats = pstats.Stats(profiler)
@@ -72,7 +77,8 @@ def _profile_summary(profiler: cProfile.Profile,
             "tottime_s": round(tottime, 4),
             "cumtime_s": round(cumtime, 4),
         })
-    return {"total_calls": stats.total_calls, "rows": rows}
+    total = sum(entry.callcount for entry in profiler.getstats())
+    return {"total_calls": total, "rows": rows}
 
 
 def _run_once(identifier: str, scale: str,

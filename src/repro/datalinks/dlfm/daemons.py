@@ -65,13 +65,11 @@ class ChildAgent(Daemon):
         self.register("unlink_batch", self._unlink_batch)
         self.register("rebalance_export", self._rebalance_export)
         self.register("rebalance_import", self._rebalance_import)
-        self.register("begin_branch", self._begin_branch)
         self.register("prepare", self._prepare)
         self.register("commit", self._commit)
         self.register("abort", self._abort)
         self.register("prepare_many", self._prepare_many)
         self.register("commit_many", self._commit_many)
-        self.register("abort_many", self._abort_many)
 
     def _charge_per_item(self, count: int) -> None:
         # A batch crosses the process boundary once but is still demultiplexed
@@ -124,10 +122,6 @@ class ChildAgent(Daemon):
         self._charge_per_item(len(rows))
         return self._manager.rebalance_import(host_txn_id, rows, versions)
 
-    def _begin_branch(self, host_txn_id: int) -> dict:
-        self._manager.begin_branch(host_txn_id)
-        return {}
-
     def _prepare(self, host_txn_id: int) -> dict:
         prepared = self._manager.prepare_branch(host_txn_id)
         return {"prepared": prepared}
@@ -153,12 +147,6 @@ class ChildAgent(Daemon):
             self._manager.commit_branch(txn_id)
         return {}
 
-    def _abort_many(self, host_txn_ids: list) -> dict:
-        self._charge_per_item(len(host_txn_ids))
-        for txn_id in host_txn_ids:
-            self._manager.abort_branch(txn_id)
-        return {}
-
 
 class ReplicaDaemon(Daemon):
     """Receives the primary's shipped repository WAL stream on the witness.
@@ -176,13 +164,9 @@ class ReplicaDaemon(Daemon):
         self._manager = manager
         self.epoch_gate = manager.check_placement_epoch
         self.register("apply_wal", self._apply_wal)
-        self.register("replica_status", self._replica_status)
 
     def _apply_wal(self, records: list) -> dict:
         return self._manager.replica_apply(records)
-
-    def _replica_status(self) -> dict:
-        return self._manager.replica_status()
 
 
 class MainDaemon(Daemon):
@@ -274,9 +258,6 @@ class DLFMConnection:
                                      host_txn_id=host_txn_id,
                                      rows=rows, versions=versions)
 
-    def begin_branch(self, host_txn_id: int) -> None:
-        self._channel.post("begin_branch", host_txn_id=host_txn_id)
-
     def prepare(self, host_txn_id: int) -> bool:
         return self._channel.request("prepare", host_txn_id=host_txn_id)["prepared"]
 
@@ -294,6 +275,3 @@ class DLFMConnection:
 
     def commit_many(self, host_txn_ids: list[int]) -> None:
         self._channel.request("commit_many", host_txn_ids=list(host_txn_ids))
-
-    def abort_many(self, host_txn_ids: list[int]) -> None:
-        self._channel.request("abort_many", host_txn_ids=list(host_txn_ids))

@@ -223,18 +223,17 @@ class DataLinksEngine:
         self.router = None
 
     # -------------------------------------------------------------- token cache --
-    def enable_token_cache(self, min_remaining_fraction: float = 0.5) -> TokenCache:
+    def enable_token_cache(self) -> TokenCache:
         """Cache handed-out tokens so repeated ``get_datalink`` calls for the
         same (path, access) skip HMAC generation while the token is live.
 
-        A cached token is reused only while at least
-        ``min_remaining_fraction`` of the *requested* TTL remains, so a
-        caller never receives a token about to expire.  Returns the cache
-        (its ``hits``/``misses`` counters feed experiment reporting).
+        A cached token is reused only while at least half of the
+        *requested* TTL remains, so a caller never receives a token about
+        to expire.  Returns the cache (its ``hits``/``misses`` counters
+        feed experiment reporting).
         """
 
-        self.token_cache = TokenCache(
-            self.clock, min_remaining_fraction=min_remaining_fraction)
+        self.token_cache = TokenCache(self.clock)
         return self.token_cache
 
     def token_cache_stats(self) -> dict:

@@ -4,8 +4,8 @@ The paper's architecture already allows "files [to] be spread over multiple
 file servers"; this module turns that into an operational scale-out layer:
 
 * :class:`ShardRouter` hash-partitions linked files across N file servers by
-  **URL path prefix** (the first ``prefix_depth`` path components), so whole
-  directories co-locate on one shard.  The hash is only the *initial*
+  **URL path prefix** (the first path component), so whole directories
+  co-locate on one shard.  The hash is only the *initial*
   placement: the deployment wraps it in a versioned
   :class:`~repro.datalinks.placement.PlacementMap` whose **placement
   epoch** stamps every routing decision, and
@@ -51,7 +51,7 @@ stream.
 Knobs
 -----
 ``shards``                number of file servers (``shard0`` .. ``shardN-1``)
-``prefix_depth``          how many leading path components the router hashes
+``cost_model``            calibration of every clock domain
 ``flush_policy``          WAL commit flush policy for host + shard
                           repositories (``"group"`` by default here)
 ``group_commit_window``   commits buffered before the queue auto-drains;
@@ -59,8 +59,8 @@ Knobs
                           two-phase commit)
 ``replication``           add witness replicas per shard, fed by the
                           serving node's repository WAL stream
-``witnesses``             witness replicas per shard (default 1)
-``replica_suffix``        witness server name suffix (default ``"-r"``)
+``witnesses``             witness replicas per shard (default 1, at least 1
+                          under replication), named ``-r``, ``-r2``, ...
 ``follower_reads``        let healthy witnesses serve reads (default on)
 ``max_follower_lag``      staleness bound for follower reads, in shipped
                           WAL records (default 0: fully caught up)
@@ -98,27 +98,25 @@ class ShardedDataLinksDeployment:
 
     def __init__(self, shards: int = 4, *,
                  cost_model: CostModel | None = None,
-                 shard_prefix: str = "shard",
-                 prefix_depth: int = 1,
                  flush_policy: str = "group",
                  group_commit_window: int = 8,
-                 strict_read_upcalls: bool = False,
                  replication: bool = False,
                  witnesses: int = 1,
-                 replica_suffix: str = "-r",
                  follower_reads: bool = True,
                  max_follower_lag: int = 0):
         if shards < 1:
             raise DataLinksError("a sharded deployment needs at least one shard")
+        if replication and witnesses < 1:
+            raise DataLinksError(
+                "a replicated deployment needs at least one witness per shard")
         self.system = DataLinksSystem(cost_model,
                                       flush_policy=flush_policy,
                                       group_commit_window=group_commit_window)
-        self.shard_names = [f"{shard_prefix}{index}" for index in range(shards)]
+        self.shard_names = [f"shard{index}" for index in range(shards)]
         for name in self.shard_names:
-            self.system.add_file_server(name,
-                                        strict_read_upcalls=strict_read_upcalls)
+            self.system.add_file_server(name)
         self.router = ReplicationRouter(
-            ShardRouter(self.shard_names, prefix_depth),
+            ShardRouter(self.shard_names),
             follower_reads=follower_reads, max_follower_lag=max_follower_lag)
         self.engine.set_router(self.router)
         self.group_commit_window = max(1, int(group_commit_window))
@@ -129,12 +127,10 @@ class ShardedDataLinksDeployment:
             self.epochs = EpochRegistry()
             for name in self.shard_names:
                 witness_nodes = []
-                for index in range(1, max(1, int(witnesses)) + 1):
-                    suffix = replica_suffix if index == 1 \
-                        else f"{replica_suffix}{index}"
+                for index in range(1, witnesses + 1):
+                    suffix = "-r" if index == 1 else f"-r{index}"
                     witness_nodes.append(self.system.add_file_server(
                         f"{name}{suffix}",
-                        strict_read_upcalls=strict_read_upcalls,
                         token_secret=self.shard(name).dlfm.token_secret))
                 replica = ReplicatedShard(
                     name, primary=self.shard(name), witnesses=witness_nodes,

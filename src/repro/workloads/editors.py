@@ -34,6 +34,13 @@ from repro.workloads.generator import WorkloadMetrics, make_content
 DOCUMENTS_TABLE = "documents"
 FIRST_EDITOR_UID = 4000
 SHARED_GID = 100
+#: The file server holding the shared documents.
+SERVER = "teamfs"
+#: Seed of the editors' choice of file.
+SEED = 11
+#: A run that has not finished after this many ticks stops and counts
+#: ``aborted_run``.
+MAX_TICKS = 10_000
 
 SCHEME_UIP = "uip"
 SCHEME_CICO = "cico"
@@ -51,9 +58,6 @@ class EditorConfig:
     think_seconds: float = 0.5
     file_size: int = 4 * 1024
     scheme: str = SCHEME_UIP
-    server: str = "teamfs"
-    seed: int = 11
-    max_ticks: int = 10_000
 
 
 @dataclass
@@ -79,7 +83,7 @@ class ConcurrentEditorsWorkload:
         self.paths: list[str] = []
         self.urls: list[str] = []
         self._editors: list[_Editor] = []
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(SEED)
         self.cico: CheckInCheckOutManager | None = None
         self.cau: CopyAndUpdateManager | None = None
         self._versions = 0
@@ -87,9 +91,9 @@ class ConcurrentEditorsWorkload:
     # -------------------------------------------------------------------- setup --
     def setup(self) -> "ConcurrentEditorsWorkload":
         config = self.config
-        if config.server not in self.system.file_servers:
-            self.system.add_file_server(config.server)
-        file_server = self.system.file_server(config.server)
+        if SERVER not in self.system.file_servers:
+            self.system.add_file_server(SERVER)
+        file_server = self.system.file_server(SERVER)
 
         # With UIP the files are linked in rfd mode (database-managed update);
         # the baselines work on unlinked, group-writable files so that the
@@ -108,7 +112,7 @@ class ConcurrentEditorsWorkload:
         for doc_id in range(config.files):
             path = f"/team/doc{doc_id:04d}.txt"
             content = make_content(config.file_size, tag=f"doc{doc_id}", version=0)
-            url = owner.put_file(config.server, path, content)
+            url = owner.put_file(SERVER, path, content)
             file_server.raw_lfs.chmod(path, 0o664, owner_cred(self.system))
             self.paths.append(path)
             self.urls.append(url)
@@ -123,8 +127,7 @@ class ConcurrentEditorsWorkload:
         if config.scheme == SCHEME_CICO:
             self.cico = CheckInCheckOutManager(self.system.host_db, self.system.clock)
         if config.scheme in (SCHEME_CAU_OVERWRITE, SCHEME_CAU_DETECT):
-            self.cau = CopyAndUpdateManager(
-                {config.server: file_server.files})
+            self.cau = CopyAndUpdateManager({SERVER: file_server.files})
 
         for index in range(config.editors):
             uid = FIRST_EDITOR_UID + index
@@ -141,7 +144,7 @@ class ConcurrentEditorsWorkload:
         ticks = 0
         while any(e.remaining > 0 or e.state == "editing" for e in self._editors):
             ticks += 1
-            if ticks > config.max_ticks:
+            if ticks > MAX_TICKS:
                 metrics.bump("aborted_run")
                 break
             clock.advance(config.think_seconds)
@@ -190,10 +193,10 @@ class ConcurrentEditorsWorkload:
                 update.begin()
                 editor.context = {"update": update}
             elif scheme == SCHEME_CICO:
-                self.cico.check_out(self.config.server, path, editor.userid)
+                self.cico.check_out(SERVER, path, editor.userid)
                 editor.context = {}
             else:
-                copy = self.cau.make_copy(self.config.server, path, editor.userid)
+                copy = self.cau.make_copy(SERVER, path, editor.userid)
                 editor.context = {"copy": copy}
             metrics.bump("acquisitions")
             return True
@@ -217,7 +220,7 @@ class ConcurrentEditorsWorkload:
                 self.system.run_archiver()
             elif scheme == SCHEME_CICO:
                 self._write_shared(path, editor, content)
-                self.cico.check_in(config.server, path, editor.userid)
+                self.cico.check_in(SERVER, path, editor.userid)
             else:
                 copy = editor.context["copy"]
                 self.cau.write_copy(copy, content)
@@ -233,7 +236,7 @@ class ConcurrentEditorsWorkload:
             metrics.bump("failed_edits")
 
     def _write_shared(self, path: str, editor: _Editor, content: bytes) -> None:
-        file_server = self.system.file_server(self.config.server)
+        file_server = self.system.file_server(SERVER)
         file_server.lfs.write_file(path, content, editor.session.cred, create=False)
 
 

@@ -45,11 +45,16 @@ from repro.workloads.generator import WorkloadMetrics, make_content
 
 DOCS_TABLE = "replicated_docs"
 READER_UID = 7001
+#: Lifetime of every read token handed out: none expires within a run.
+TOKEN_TTL = 1e9
 
 
 @dataclass
 class FailoverConfig:
-    """Parameters of the replica-failover workload."""
+    """Parameters of the replica-failover workload.
+
+    Files are linked in rdb mode, so every read needs a valid token.
+    """
 
     shards: int = 4
     replication: bool = True
@@ -60,13 +65,6 @@ class FailoverConfig:
     reads_per_phase: int = 48
     follower_read_batch: int = 24
     writes_per_phase: int = 8
-    follower_reads: bool = True
-    max_follower_lag: int = 0
-    control_mode: ControlMode = ControlMode.RDB   # reads need a valid token
-    flush_policy: str = "group"
-    group_commit_window: int = 4
-    prefix_depth: int = 1
-    token_ttl: float = 1e9
 
 
 class FailoverWorkload:
@@ -77,14 +75,8 @@ class FailoverWorkload:
         self.config = config
         self.deployment = deployment if deployment is not None else \
             ShardedDataLinksDeployment(
-                config.shards,
-                prefix_depth=config.prefix_depth,
-                flush_policy=config.flush_policy,
-                group_commit_window=config.group_commit_window,
-                replication=config.replication,
-                witnesses=config.witnesses,
-                follower_reads=config.follower_reads,
-                max_follower_lag=config.max_follower_lag)
+                config.shards, group_commit_window=4,
+                replication=config.replication, witnesses=config.witnesses)
         self._session = None
         self._paths: list[str] = []
         self._ingested = False
@@ -97,7 +89,7 @@ class FailoverWorkload:
         deployment.create_table(TableSchema(DOCS_TABLE, [
             Column("doc_id", DataType.INTEGER, nullable=False),
             datalink_column("body",
-                            DatalinkOptions(control_mode=config.control_mode,
+                            DatalinkOptions(control_mode=ControlMode.RDB,
                                             recovery=False)),
         ], primary_key=("doc_id",)))
         self._session = deployment.session("reader", uid=READER_UID)
@@ -166,7 +158,7 @@ class FailoverWorkload:
             on_victim = deployment.shard_of(path) == self.victim
             url = self._session.get_datalink(
                 DOCS_TABLE, {"doc_id": doc_id}, "body", access="read",
-                ttl=config.token_ttl)
+                ttl=TOKEN_TTL)
             try:
                 with clock.measure() as timer:
                     deployment.read_url(self._session, url)
@@ -202,7 +194,7 @@ class FailoverWorkload:
             doc_id = read % len(self._paths)
             urls.append(self._session.get_datalink(
                 DOCS_TABLE, {"doc_id": doc_id}, "body", access="read",
-                ttl=config.token_ttl))
+                ttl=TOKEN_TTL))
         with clock.measure() as timer:
             with clock.overlap():
                 for url in urls:
@@ -228,7 +220,6 @@ class FailoverWorkload:
         files first if no run has.
         """
 
-        config = self.config
         deployment = self.deployment
         if not self._ingested:
             self._ingest(WorkloadMetrics(started_at=deployment.clock.now()))
@@ -237,7 +228,7 @@ class FailoverWorkload:
         urls_by_reader = [
             [self._session.get_datalink(DOCS_TABLE, {"doc_id": next(doc_ids)},
                                         "body", access="read",
-                                        ttl=config.token_ttl)
+                                        ttl=TOKEN_TTL)
              for _ in range(reads_per_client)]
             for _ in range(clients)]
         yield f"reader{step_index}c", READER_UID + 1000

@@ -60,46 +60,39 @@ from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import PlacementError, ReproError
 from repro.util.urls import parse_url
 from repro.workloads.audit import audit_committed_links
-from repro.workloads.clients import ClientPool
 from repro.workloads.generator import (UniformChooser, WorkloadMetrics,
                                        ZipfChooser, make_content)
 
 DOCS_TABLE = "hotspot_docs"
 READER_UID = 8101
-POOL_READER_UID = 8201
+#: Each prefix holds this many subdirectories, picked uniformly per file.
+SUBDIRS = 4
+#: Files linked under every prefix before the first round.
+SEED_FILES_PER_PREFIX = 2
+#: Zipf skew over the prefixes.
+THETA = 1.1
+#: Seed of the prefix schedule; the subdirectory choice uses ``SEED + 1``.
+SEED = 42
+#: Lifetime of every read token handed out: none expires within a run.
+TOKEN_TTL = 1e9
 
 
 @dataclass
 class HotspotConfig:
-    """Parameters of the skewed-placement workload."""
+    """Parameters of the skewed-placement workload.
+
+    Files are linked in rdb mode, so every read needs a valid token.
+    """
 
     shards: int = 4
-    witnesses: int = 1
     prefixes: int = 8
-    subdirs: int = 4
-    seed_files_per_prefix: int = 2
     rounds: int = 8
     links_per_round: int = 8
     reads_per_round: int = 24
     file_size: int = 512
-    theta: float = 1.1              # zipf skew over the prefixes
-    seed: int = 42
-    control_mode: ControlMode = ControlMode.RDB
-    flush_policy: str = "group"
-    group_commit_window: int = 1
-    token_ttl: float = 1e9
     #: ``None`` runs the static-placement variant; a config enables the
     #: balancer, ticked once per round.
     balancer: BalancerConfig | None = None
-    #: ``0`` (the default) keeps the classic host-session scatter-gather
-    #: burst.  A positive count instead drives each round's reads
-    #: through that many reader sessions on their own client clock
-    #: domains (a :class:`~repro.workloads.clients.ClientPool`): reads
-    #: queue on the serving node's domain per client, honour any host
-    #: admission limit, and their latency is measured on the client's
-    #: own timeline.  Links still burst from the host session (uploads
-    #: are webmaster-side work).
-    reader_sessions: int = 0
 
 
 class HotspotWorkload:
@@ -109,21 +102,15 @@ class HotspotWorkload:
                  deployment: ShardedDataLinksDeployment | None = None):
         self.config = config
         self.deployment = deployment if deployment is not None else \
-            ShardedDataLinksDeployment(
-                config.shards,
-                flush_policy=config.flush_policy,
-                group_commit_window=config.group_commit_window,
-                replication=True,
-                witnesses=config.witnesses)
+            ShardedDataLinksDeployment(config.shards, group_commit_window=1,
+                                       replication=True)
         self.balancer = None
         if config.balancer is not None:
             self.balancer = self.deployment.enable_balancer(config.balancer)
         self._session = None
-        self._reader_pool = None
-        self._prefix_chooser = ZipfChooser(config.prefixes, theta=config.theta,
-                                           seed=config.seed)
-        self._subdir_chooser = UniformChooser(config.subdirs,
-                                              seed=config.seed + 1)
+        self._prefix_chooser = ZipfChooser(config.prefixes, theta=THETA,
+                                           seed=SEED)
+        self._subdir_chooser = UniformChooser(SUBDIRS, seed=SEED + 1)
         self._doc_urls: dict[int, str] = {}
         self._docs_by_prefix: dict[int, list[int]] = {
             index: [] for index in range(config.prefixes)}
@@ -141,21 +128,14 @@ class HotspotWorkload:
         from repro.storage.schema import Column, TableSchema
         from repro.storage.values import DataType
 
-        config = self.config
         deployment = self.deployment
         deployment.create_table(TableSchema(DOCS_TABLE, [
             Column("doc_id", DataType.INTEGER, nullable=False),
             datalink_column("body",
-                            DatalinkOptions(control_mode=config.control_mode,
+                            DatalinkOptions(control_mode=ControlMode.RDB,
                                             recovery=True)),
         ], primary_key=("doc_id",)))
         self._session = deployment.session("hotspot", uid=READER_UID)
-        self._reader_pool = None
-        if config.reader_sessions > 0:
-            self._reader_pool = ClientPool(
-                deployment.system, config.reader_sessions,
-                prefix="hsreader", username="hsreader",
-                uid_base=POOL_READER_UID)
         return self
 
     def _path(self, prefix_index: int) -> str:
@@ -309,51 +289,10 @@ class HotspotWorkload:
         metrics.record(kind, max(0.0, domain.now() - fork))
         metrics.bump("reads_ok")
 
-    def _domain_read(self, session, url: str, metrics: WorkloadMetrics,
-                     kind: str, loads: dict[str, int]) -> None:
-        """One routed read on a reader's own clock domain.
-
-        The per-client counterpart of :meth:`_burst_read`: the read
-        departs at the reader's current time, syncs client <-> serving
-        node, and its latency is the reader's own elapsed time --
-        admission queue delay (if enabled) included.
-        """
-
-        deployment = self.deployment
-        router = deployment.router
-        parsed = parse_url(url)
-        shard = router.owner_shard(parsed.server, parsed.path)
-        fork = session.clock.now()
-        try:
-            server = router.route_read(shard, path=parsed.path)
-            router.note_read(parsed.path)
-            loads[shard] = loads.get(shard, 0) + 1
-            session.read_url(url, server=server.name)
-        except ReproError:
-            metrics.bump("reads_failed")
-            return
-        metrics.record(kind, max(0.0, session.clock.now() - fork))
-        metrics.bump("reads_ok")
-
-    def _pooled_reads(self, read_urls: list[str], metrics: WorkloadMetrics,
-                      kind: str, loads: dict[str, int]) -> None:
-        """Spread the round's reads round-robin over the reader pool."""
-
-        pool = self._reader_pool
-        pool.sync_clients()
-        assignments = [read_urls[index::pool.count]
-                       for index in range(pool.count)]
-
-        def read_op(session, reader_index, op_index):
-            self._domain_read(session, assignments[reader_index][op_index],
-                              metrics, kind, loads)
-
-        pool.run([len(urls) for urls in assignments], read_op)
-
     def _audit_committed_links(self, metrics: WorkloadMetrics) -> None:
         metrics.counters["committed_links_lost"] = audit_committed_links(
             self.deployment, self._session, DOCS_TABLE, "doc_id", "body",
-            self.config.token_ttl)
+            TOKEN_TTL)
 
     # ---------------------------------------------------------------------- run --
     def run(self) -> WorkloadMetrics:
@@ -365,7 +304,7 @@ class HotspotWorkload:
         # targets from round one.
         seed_loads: dict[str, int] = {}
         for prefix_index in range(config.prefixes):
-            for _ in range(config.seed_files_per_prefix):
+            for _ in range(SEED_FILES_PER_PREFIX):
                 self._link(prefix_index, metrics, "link_seed", seed_loads)
         deployment.drain()
         deployment.system.run_archiver()
@@ -387,34 +326,21 @@ class HotspotWorkload:
                 config.links_per_round)
             read_urls = [url for url in self._session.get_datalink_many(
                              DOCS_TABLE, self._handout_wheres(read_plan),
-                             "body", access="read", ttl=config.token_ttl)
+                             "body", access="read", ttl=TOKEN_TTL)
                          if url is not None]
-            if self._reader_pool is not None:
-                # Links burst from the host session; reads run per
-                # reader clock domain through the pool.
-                with clock.overlap():
-                    for prefix_index in link_plan:
-                        self._burst_link(prefix_index, metrics,
-                                         f"link_{stage}", loads)
-                if read_urls:
-                    self._pooled_reads(read_urls, metrics, f"read_{stage}",
-                                       loads)
-            else:
-                reads_per_link = max(1, len(read_urls) //
-                                     max(1, len(link_plan)))
-                with clock.overlap():
-                    # Interleave uploads and reads so node queues build
-                    # the way mixed concurrent traffic builds them.
-                    cursor = 0
-                    for prefix_index in link_plan:
-                        self._burst_link(prefix_index, metrics,
-                                         f"link_{stage}", loads)
-                        for url in read_urls[cursor:cursor + reads_per_link]:
-                            self._burst_read(url, metrics, f"read_{stage}",
-                                             loads)
-                        cursor += reads_per_link
-                    for url in read_urls[cursor:]:
+            reads_per_link = max(1, len(read_urls) // max(1, len(link_plan)))
+            with clock.overlap():
+                # Interleave uploads and reads so node queues build the
+                # way mixed concurrent traffic builds them.
+                cursor = 0
+                for prefix_index in link_plan:
+                    self._burst_link(prefix_index, metrics, f"link_{stage}",
+                                     loads)
+                    for url in read_urls[cursor:cursor + reads_per_link]:
                         self._burst_read(url, metrics, f"read_{stage}", loads)
+                    cursor += reads_per_link
+                for url in read_urls[cursor:]:
+                    self._burst_read(url, metrics, f"read_{stage}", loads)
             self._commit_uploaded(metrics)
             deployment.drain()
             self.round_loads.append(loads)

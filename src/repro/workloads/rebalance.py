@@ -54,26 +54,27 @@ READER_UID = 8001
 #: The hand-off failpoints the during-phase foreground slices ride on.
 _DURING_POINTS = ("rebalance:export", "rebalance:archive",
                   "rebalance:import", "rebalance:fence")
+#: The prefix that moves.
+HOT_PREFIX = "/hot"
+#: Links aimed at the moving prefix while it moves (blocked) and after.
+HOT_LINK_ATTEMPTS = 2
+#: Lifetime of every read token handed out: none expires within a run.
+TOKEN_TTL = 1e9
 
 
 @dataclass
 class RebalanceConfig:
-    """Parameters of the online-rebalance workload."""
+    """Parameters of the online-rebalance workload.
+
+    Files are linked in rdb mode, so every read needs a valid token.
+    """
 
     shards: int = 3
-    witnesses: int = 1
-    hot_prefix: str = "/hot"
     hot_files: int = 8
     cold_files: int = 8
     file_size: int = 1024
     reads_per_phase: int = 12
     links_per_phase: int = 4
-    hot_link_attempts: int = 2     # links aimed at the moving prefix (blocked)
-    control_mode: ControlMode = ControlMode.RDB   # reads need a valid token
-    flush_policy: str = "group"
-    group_commit_window: int = 4
-    prefix_depth: int = 1
-    token_ttl: float = 1e9
 
 
 class RebalanceWorkload:
@@ -83,13 +84,8 @@ class RebalanceWorkload:
                  deployment: ShardedDataLinksDeployment | None = None):
         self.config = config
         self.deployment = deployment if deployment is not None else \
-            ShardedDataLinksDeployment(
-                config.shards,
-                prefix_depth=config.prefix_depth,
-                flush_policy=config.flush_policy,
-                group_commit_window=config.group_commit_window,
-                replication=True,
-                witnesses=config.witnesses)
+            ShardedDataLinksDeployment(config.shards, group_commit_window=4,
+                                       replication=True)
         self._session = None
         self._doc_urls: dict[int, str] = {}
         self._next_doc = 0
@@ -100,16 +96,15 @@ class RebalanceWorkload:
 
     # -------------------------------------------------------------------- setup --
     def setup(self) -> "RebalanceWorkload":
-        config = self.config
         deployment = self.deployment
         deployment.create_table(TableSchema(DOCS_TABLE, [
             Column("doc_id", DataType.INTEGER, nullable=False),
             datalink_column("body",
-                            DatalinkOptions(control_mode=config.control_mode,
+                            DatalinkOptions(control_mode=ControlMode.RDB,
                                             recovery=True)),
         ], primary_key=("doc_id",)))
         self._session = deployment.session("mover", uid=READER_UID)
-        self.source = deployment.shard_of(f"{config.hot_prefix}/probe")
+        self.source = deployment.shard_of(f"{HOT_PREFIX}/probe")
         self.dest = next(name for name in deployment.shard_names
                          if name != self.source)
         return self
@@ -121,7 +116,7 @@ class RebalanceWorkload:
         self._next_cold += 1
         while True:
             path = f"/zone{index % 16}/doc{index:05d}.dat"
-            if self.deployment.router.prefix_of(path) != self.config.hot_prefix:
+            if self.deployment.router.prefix_of(path) != HOT_PREFIX:
                 return path
             index += 1
 
@@ -167,7 +162,7 @@ class RebalanceWorkload:
         try:
             url = self._session.get_datalink(
                 DOCS_TABLE, {"doc_id": doc_id}, "body", access="read",
-                ttl=self.config.token_ttl)
+                ttl=TOKEN_TTL)
             if url is None:
                 metrics.bump(f"reads_failed_{phase}")
                 return
@@ -196,7 +191,7 @@ class RebalanceWorkload:
         for _ in range(links):
             self._link(self._cold_path(), metrics, phase)
         for attempt in range(hot_links):
-            self._link(f"{self.config.hot_prefix}/live{attempt:04d}"
+            self._link(f"{HOT_PREFIX}/live{attempt:04d}"
                        f"-{self._next_doc:05d}.dat", metrics, phase)
 
     def _audit_committed_links(self, metrics: WorkloadMetrics) -> None:
@@ -204,7 +199,7 @@ class RebalanceWorkload:
 
         metrics.counters["committed_links_lost"] = audit_committed_links(
             self.deployment, self._session, DOCS_TABLE, "doc_id", "body",
-            self.config.token_ttl)
+            TOKEN_TTL)
 
     # ---------------------------------------------------------------------- run --
     def run(self) -> WorkloadMetrics:
@@ -215,7 +210,7 @@ class RebalanceWorkload:
 
         # -- ingest ----------------------------------------------------------
         for index in range(config.hot_files):
-            self._link(f"{config.hot_prefix}/doc{index:05d}.dat", metrics,
+            self._link(f"{HOT_PREFIX}/doc{index:05d}.dat", metrics,
                        "ingest")
         for _ in range(config.cold_files):
             self._link(self._cold_path(), metrics, "ingest")
@@ -232,7 +227,7 @@ class RebalanceWorkload:
         # -- during: foreground ops fire inside the hand-off -----------------
         per_point_reads = max(1, config.reads_per_phase // len(_DURING_POINTS))
         per_point_links = max(1, config.links_per_phase // len(_DURING_POINTS))
-        hot_per_point = [config.hot_link_attempts if point == "rebalance:import"
+        hot_per_point = [HOT_LINK_ATTEMPTS if point == "rebalance:import"
                          else 0 for point in _DURING_POINTS]
 
         def make_hook(hot_links: int):
@@ -247,7 +242,7 @@ class RebalanceWorkload:
             deployment.engine.failpoints[point] = make_hook(hot_links)
         try:
             with clock.measure() as timer:
-                summary = deployment.rebalance_prefix(config.hot_prefix,
+                summary = deployment.rebalance_prefix(HOT_PREFIX,
                                                       self.dest)
         finally:
             deployment.engine.failpoints.clear()
@@ -261,7 +256,7 @@ class RebalanceWorkload:
         self._foreground_slice(metrics, "after",
                                reads=config.reads_per_phase,
                                links=config.links_per_phase,
-                               hot_links=config.hot_link_attempts)
+                               hot_links=HOT_LINK_ATTEMPTS)
         deployment.drain()
         self._audit_committed_links(metrics)
 
@@ -274,7 +269,7 @@ class RebalanceWorkload:
         metrics.counters["promoted_serving"] = promotion["serving"]
         hot_docs = [doc_id for doc_id, url in self._doc_urls.items()
                     if deployment.router.prefix_of(parse_url(url).path)
-                    == config.hot_prefix]
+                    == HOT_PREFIX]
         for doc_id in hot_docs[:config.reads_per_phase]:
             self._read(doc_id, metrics, "failover")
 

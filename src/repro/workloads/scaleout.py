@@ -52,12 +52,15 @@ class ScaleOutConfig:
     batch_links: bool = True
     flush_policy: str = "group"
     group_commit_window: int = 8
-    control_mode: ControlMode = ControlMode.RFF
-    prefix_depth: int = 1
 
 
 class ScaleOutWorkload:
-    """Concurrent clients linking files across N DLFM shards."""
+    """Concurrent clients linking files across N DLFM shards.
+
+    Links use rdb mode (token-protected reads), so every link drives the
+    full DLFM path: repository rows plus the link-time ownership takeover
+    on the shard.
+    """
 
     def __init__(self, config: ScaleOutConfig,
                  deployment: ShardedDataLinksDeployment | None = None):
@@ -65,7 +68,6 @@ class ScaleOutWorkload:
         self.deployment = deployment if deployment is not None else \
             ShardedDataLinksDeployment(
                 config.shards,
-                prefix_depth=config.prefix_depth,
                 flush_policy=config.flush_policy,
                 group_commit_window=config.group_commit_window)
         self._sessions = []
@@ -87,7 +89,7 @@ class ScaleOutWorkload:
         deployment.create_table(TableSchema(DOCS_TABLE, [
             Column("doc_id", DataType.INTEGER, nullable=False),
             datalink_column("body",
-                            DatalinkOptions(control_mode=config.control_mode,
+                            DatalinkOptions(control_mode=ControlMode.RDB,
                                             recovery=False)),
             Column("body_size", DataType.INTEGER),
         ], primary_key=("doc_id",)))

@@ -26,6 +26,14 @@ from repro.workloads.generator import UniformChooser, WorkloadMetrics, make_cont
 MOVIES_TABLE = "movies"
 MERCHANT_UID = 2101
 CUSTOMER_UID = 3101
+#: The file server holding the preview clips.
+SERVER = "videofs"
+#: Seed of the movie schedule.
+SEED = 7
+#: Of every 100 operations, the first 80 preview a clip, the next 10
+#: refresh one in place and the rest browse the catalogue.
+PREVIEW_FRACTION = 0.80
+REFRESH_FRACTION = 0.10
 
 
 @dataclass
@@ -33,12 +41,8 @@ class VideoStoreConfig:
     movies: int = 20
     clip_size: int = 64 * 1024
     operations: int = 200
-    preview_fraction: float = 0.80
-    refresh_fraction: float = 0.10
     control_mode: ControlMode = ControlMode.RDD
     on_unlink: OnUnlink = OnUnlink.RESTORE
-    server: str = "videofs"
-    seed: int = 7
 
 
 class VideoStoreWorkload:
@@ -54,8 +58,8 @@ class VideoStoreWorkload:
     # -------------------------------------------------------------------- setup --
     def setup(self) -> "VideoStoreWorkload":
         config = self.config
-        if config.server not in self.system.file_servers:
-            self.system.add_file_server(config.server)
+        if SERVER not in self.system.file_servers:
+            self.system.add_file_server(SERVER)
         self.system.create_table(TableSchema(MOVIES_TABLE, [
             Column("movie_id", DataType.INTEGER, nullable=False),
             Column("title", DataType.TEXT, nullable=False),
@@ -85,7 +89,7 @@ class VideoStoreWorkload:
         self._next_movie_id += 1
         path = f"/clips/movie{movie_id:05d}.mpg"
         content = make_content(config.clip_size, tag=f"clip{movie_id}", version=0)
-        url = self.merchant.put_file(config.server, path, content)
+        url = self.merchant.put_file(SERVER, path, content)
         self.merchant.insert(MOVIES_TABLE, {
             "movie_id": movie_id,
             "title": f"Movie {movie_id}",
@@ -133,17 +137,17 @@ class VideoStoreWorkload:
         config = self.config
         clock = self.system.clock
         metrics = WorkloadMetrics(started_at=clock.now())
-        chooser = UniformChooser(config.movies, config.seed)
+        chooser = UniformChooser(config.movies, SEED)
         movie_schedule = chooser.choose_many(config.operations)
         version = 1
         for op_index in range(config.operations):
             movie_id = movie_schedule[op_index]
             roll = (op_index % 100) / 100.0
-            if roll < config.preview_fraction:
+            if roll < PREVIEW_FRACTION:
                 with clock.measure() as timer:
                     self.preview(movie_id)
                 metrics.record("preview_clip", timer.elapsed)
-            elif roll < config.preview_fraction + config.refresh_fraction:
+            elif roll < PREVIEW_FRACTION + REFRESH_FRACTION:
                 with clock.measure() as timer:
                     self.refresh_clip(movie_id, version)
                 metrics.record("refresh_clip", timer.elapsed)

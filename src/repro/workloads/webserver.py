@@ -27,11 +27,21 @@ from repro.workloads.generator import WorkloadMetrics, ZipfChooser, make_content
 
 PAGES_TABLE = "web_pages"
 WEBMASTER_UID = 2001
+#: Skew of the page popularity.
+ZIPF_THETA = 0.99
+#: Seed of the page schedule; a session sweep's step *i* draws from
+#: ``SEED + 1 + i``.
+SEED = 42
 
 
 @dataclass
 class WebSiteConfig:
-    """Parameters of the web-site workload."""
+    """Parameters of the web-site workload.
+
+    The host-side token cache is always on: a web server re-serving the
+    same hot (Zipf-skewed) pages re-requests the same capabilities, which
+    is exactly the hit pattern the cache exists for.
+    """
 
     pages: int = 50
     page_size: int = 8 * 1024
@@ -39,17 +49,11 @@ class WebSiteConfig:
     read_fraction: float = 0.98
     control_mode: ControlMode = ControlMode.RFD
     file_servers: int = 1
-    zipf_theta: float = 0.99
-    seed: int = 42
     #: Number of reader sessions the operation mix is spread over,
     #: round-robin.  ``1`` (the default) reproduces the classic
     #: single-visitor run byte-for-byte; the large bench tier drives
     #: thousands of concurrent client sessions through the same schedule.
     clients: int = 1
-    #: The host-side token cache is on by default: a web server re-serving
-    #: the same hot (Zipf-skewed) pages re-requests the same capabilities,
-    #: which is exactly the hit pattern the cache exists for.
-    token_cache: bool = True
 
 
 class WebServerWorkload:
@@ -66,7 +70,7 @@ class WebServerWorkload:
         """Create file servers, the pages table, the files and their links."""
 
         config = self.config
-        if config.token_cache and self.system.engine.token_cache is None:
+        if self.system.engine.token_cache is None:
             self.system.engine.enable_token_cache()
         for index in range(config.file_servers):
             name = f"web{index}"
@@ -105,7 +109,7 @@ class WebServerWorkload:
         config = self.config
         clock = self.system.clock
         metrics = WorkloadMetrics(started_at=clock.now())
-        chooser = ZipfChooser(config.pages, config.zipf_theta, config.seed)
+        chooser = ZipfChooser(config.pages, ZIPF_THETA, SEED)
         # The whole run's zipf page schedule is one vectorized draw,
         # replayed operation by operation (bit-identical to per-op draws).
         page_schedule = chooser.choose_many(config.operations)
@@ -172,8 +176,7 @@ class WebServerWorkload:
 
         config = self.config
         clock = self.system.clock
-        chooser = ZipfChooser(config.pages, config.zipf_theta,
-                              config.seed + 1 + step_index)
+        chooser = ZipfChooser(config.pages, ZIPF_THETA, SEED + 1 + step_index)
         schedule = chooser.choose_many(max(config.operations, sessions))
         devices = [self.system.file_server(f"web{index}").physical.device
                    for index in range(config.file_servers)]
@@ -226,7 +229,7 @@ class BlobWebSiteWorkload:
         config = self.config
         clock = self.system.clock
         metrics = WorkloadMetrics(started_at=clock.now())
-        chooser = ZipfChooser(config.pages, config.zipf_theta, config.seed)
+        chooser = ZipfChooser(config.pages, ZIPF_THETA, SEED)
         page_schedule = chooser.choose_many(config.operations)
         updates_budget = int(round(config.operations * (1.0 - config.read_fraction)))
         update_every = max(1, config.operations // max(1, updates_budget)) \

@@ -118,7 +118,8 @@ def bob_cred():
 
 def build_system(mode: ControlMode | None, *, size: int = 4096, files: int = 1,
                  server: str = "fs1", recovery: bool = True,
-                 on_unlink=None, link: bool = True) -> tuple:
+                 on_unlink=None, link: bool = True,
+                 flush_policy: str = "immediate") -> tuple:
     """Build a DataLinksSystem with *files* files, linked when *mode* is given.
 
     ``mode=None`` declares the DATALINK column with default (rff) options and
@@ -129,7 +130,7 @@ def build_system(mode: ControlMode | None, *, size: int = 4096, files: int = 1,
 
     from repro.datalinks.datalink_type import OnUnlink
 
-    system = DataLinksSystem()
+    system = DataLinksSystem(flush_policy=flush_policy)
     system.add_file_server(server)
     options = DatalinkOptions(control_mode=mode if mode is not None else ControlMode.RFF,
                               recovery=recovery,

@@ -13,6 +13,7 @@ from repro.errors import (
     ReferentialIntegrityError,
 )
 from repro.fs.vfs import OpenFlags
+from repro.ipc.channel import Channel
 from tests.conftest import FILES_TABLE, build_system
 
 
@@ -153,3 +154,97 @@ class TestUnlink:
         system, alice, paths, urls = rfd_system
         alice.update(FILES_TABLE, {"doc_id": 0}, {"body": urls[0], "title": "same"})
         assert system.file_server("fs1").dlfm.repository.linked_file(paths[0]) is not None
+
+
+class TestMultiRowUnlink:
+    """``engine.delete`` pays one IPC round trip per enlisted server: a
+    multi-row DELETE ships one ``unlink_batch``, and it unlinks, commits
+    and rolls back exactly as the same rows deleted one at a time."""
+
+    ROWS = 3
+
+    @pytest.fixture
+    def posted(self, monkeypatch):
+        """Kinds of the pipelined messages sent, in order."""
+
+        kinds = []
+        post = Channel.post
+
+        def recording(channel, kind, **payload):
+            kinds.append(kind)
+            return post(channel, kind, **payload)
+
+        monkeypatch.setattr(Channel, "post", recording)
+        return kinds
+
+    def _delete(self, posted, wheres, *, commit=True):
+        """Delete each of *wheres* in one transaction on a fresh system of
+        ``ROWS`` rdd-linked files.  Returns the system, the paths, each
+        file's linked-file row from before the delete, the kinds posted
+        and ``{domain: {label: (count, ticks)}}`` charged by the
+        transaction."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD,
+                                               files=self.ROWS)
+        repository = system.file_server("fs1").dlfm.repository
+        linked = [repository.linked_file(path) for path in paths]
+        domains = system.clocks.domains
+        before = {name: domain.stats.ledger()
+                  for name, domain in domains.items()}
+        posted.clear()
+        alice.begin()
+        for where in wheres:
+            alice.delete(FILES_TABLE, where)
+        if commit:
+            alice.commit()
+        else:
+            alice.abort()
+        charged = {}
+        for name, domain in domains.items():
+            start = before.get(name, {})
+            charged[name] = {
+                label: (count - start.get(label, (0, 0))[0],
+                        ticks - start.get(label, (0, 0))[1])
+                for label, (count, ticks) in domain.stats.ledger().items()}
+        return system, paths, linked, list(posted), charged
+
+    def test_one_unlink_batch_instead_of_a_message_per_row(self, posted):
+        _, _, _, batch_kinds, batched = self._delete(
+            posted, [lambda row: True])
+        _, _, _, row_kinds, per_row = self._delete(
+            posted, [{"doc_id": doc_id} for doc_id in range(self.ROWS)])
+        assert batch_kinds == ["unlink_batch"]
+        assert row_kinds == ["unlink_file"] * self.ROWS
+
+        # The file server does the same work for the rows; the batch
+        # saves ROWS - 1 engine <-> DLFM messages, and the agent still
+        # demultiplexes every item (same daemon_dispatch time).
+        saved = self.ROWS - 1
+        fs_batched, fs_per_row = batched["fs1"], per_row["fs1"]
+        assert fs_per_row.pop("db_dlfm_message")[0] \
+            - fs_batched.pop("db_dlfm_message")[0] == saved
+        assert {label: ticks for label, (_, ticks) in fs_batched.items()} \
+            == {label: ticks for label, (_, ticks) in fs_per_row.items()}
+        assert per_row["host"]["message_send"][0] \
+            - batched["host"]["message_send"][0] == saved
+
+    def test_committed_batch_restores_every_owner_and_mode(self, posted):
+        system, paths, linked, _, _ = self._delete(posted, [None])
+        server = system.file_server("fs1")
+        for path, row in zip(paths, linked):
+            assert server.dlfm.repository.linked_file(path) is None
+            attrs = server.files.stat(path)
+            assert (attrs.uid, attrs.gid, attrs.mode) == (
+                row["original_uid"], row["original_gid"],
+                row["original_mode"])
+
+    def test_aborted_batch_leaves_every_file_linked(self, posted):
+        system, paths, linked, kinds, _ = self._delete(posted, [None],
+                                                       commit=False)
+        assert kinds == ["unlink_batch"]
+        server = system.file_server("fs1")
+        assert system.host_db.count(FILES_TABLE) == self.ROWS
+        for path, row in zip(paths, linked):
+            assert server.dlfm.repository.linked_file(path) == row
+            attrs = server.files.stat(path)
+            assert (attrs.uid, attrs.mode) == (server.dbms_uid, 0o400)

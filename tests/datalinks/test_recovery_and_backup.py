@@ -114,10 +114,11 @@ def assert_host_dlfm_agreement(system, table=FILES_TABLE, column="body"):
             f"{name}: DLFM has {sorted(linked)}, host says {sorted(expected[name])}")
 
 
-def _two_server_setup():
+def _two_server_setup(flush_policy: str = "immediate"):
     """A system with fs1+fs2, one unlinked file on each; returns the URLs."""
 
-    system, alice, paths, urls = build_system(None, files=1)
+    system, alice, paths, urls = build_system(None, files=1,
+                                              flush_policy=flush_policy)
     system.add_file_server("fs2")
     url2 = alice.put_file("fs2", "/mirror/doc.dat", b"mirror copy")
     return system, alice, urls[0], url2
@@ -188,8 +189,8 @@ class TestCrashMatrix:
         """Group commit: host crashes after COMMIT is appended but before the
         group flush -- the commit is lost and every branch rolls back."""
 
-        system, alice, url1, url2 = _two_server_setup()
-        system.set_flush_policy("group", group_commit_window=8)
+        system, alice, url1, url2 = _two_server_setup("group")
+        system.flush_logs()     # the set-up's own commits are durable
         host_txn = _start_linking_txn(system, url1, url2)
         system.engine.failpoints["commit:mid_flush"] = boom()
         with pytest.raises(InjectedCrash):
@@ -210,8 +211,8 @@ class TestCrashMatrix:
         forced the host log before any DLFM committed, so the same crash
         preserves the transaction everywhere."""
 
-        system, alice, url1, url2 = _two_server_setup()
-        system.set_flush_policy("group", group_commit_window=8)
+        system, alice, url1, url2 = _two_server_setup("group")
+        system.flush_logs()     # the set-up's own commits are durable
         host_txn = _start_linking_txn(system, url1, url2)
         system.engine.commit(host_txn)
         assert system.host_db.wal.pending_commits == 0  # forced by the 2PC rule

@@ -808,6 +808,19 @@ class TestReplicationErrors:
         assert "shard9" in str(excinfo.value)
         assert "no such shard" in str(excinfo.value)
 
+    @pytest.mark.parametrize("witnesses", [0, -1])
+    def test_replication_without_a_witness_is_refused(self, witnesses):
+        """``witnesses`` below one under replication is an error, like
+        ``shards`` below one -- not a silent single witness."""
+
+        from repro.errors import DataLinksError
+
+        with pytest.raises(DataLinksError, match="at least one witness"):
+            ShardedDataLinksDeployment(2, replication=True,
+                                       witnesses=witnesses)
+        # Without replication the witness count is unused.
+        assert not ShardedDataLinksDeployment(2, witnesses=0).replicated
+
 
 class TestStalenessBoundCoversBufferedCommits:
     def test_follower_never_serves_unconstrained_mirror_under_group_commit(self):

@@ -357,7 +357,11 @@ class TestIntegerTimeStaysOneDesign:
                # One time model: every node and client has its own clock
                # domain; the one-timeline figure is read off the ledger
                # (``ClockDomainGroup.serial_ticks``), never run.
-               "serial_clock", "serial=", "domain_pool", "_run_serial")
+               "serial_clock", "serial=", "domain_pool", "_run_serial",
+               # A value with one setting in use is a constant: E14 has
+               # one read path, a deployment one naming scheme.
+               "reader_sessions", "_pooled_reads", "shard_prefix",
+               "replica_suffix")
 
     def test_every_client_gets_its_own_domain(self):
         """No pooling knob: a client count is a domain count."""
@@ -575,6 +579,120 @@ class TestOnePathPerOperation:
                  for path in (REPO_ROOT / "benchmarks").rglob("*.py")
                  if "layered" not in path.relative_to(REPO_ROOT).parts]
         assert not stray, f"a second bench harness grew back: {stray}"
+
+
+class TestEveryConfigFieldIsTurned:
+    """A workload-config field that no caller sets is a constant in
+    disguise, and every option doubles what tests and benchmarks must
+    cover.  Each field of a ``*Config`` dataclass under
+    ``src/repro/workloads/`` must be set by a caller outside ``tests/``
+    (``src/``, ``examples/``, ``benchmarks/``): as a keyword of a call to
+    the class, or as a size (any tier) of an experiment that builds the
+    class from its ``**sizes``.  A keyword counts through ``**`` of a dict
+    literal, of a name bound to one, or of a nested function's
+    ``**kwargs`` (then the keywords its callers pass count)."""
+
+    @staticmethod
+    def _configs() -> dict:
+        import dataclasses
+        import importlib
+
+        configs = {}
+        for path in sorted((SRC_ROOT / "repro" / "workloads").glob("*.py")):
+            module = importlib.import_module(f"repro.workloads.{path.stem}")
+            for name, value in vars(module).items():
+                if name.endswith("Config") and dataclasses.is_dataclass(value) \
+                        and value.__module__ == module.__name__:
+                    configs[name] = [field.name
+                                     for field in dataclasses.fields(value)]
+        return configs
+
+    @staticmethod
+    def _keywords_by_class(path: Path, classes, sizes: dict) -> dict:
+        """``{class: keywords}`` of the calls to *classes* in *path*."""
+
+        import ast
+
+        def outermost(node):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield child
+                else:
+                    yield from outermost(child)
+
+        found: dict = {}
+        for scope in outermost(ast.parse(path.read_text(encoding="utf-8"))):
+            nodes = list(ast.walk(scope))
+            bound = {node.targets[0].id: node.value for node in nodes
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Dict)
+                     and len(node.targets) == 1
+                     and isinstance(node.targets[0], ast.Name)}
+            kwargs_of = {node.args.kwarg.arg: node.name for node in nodes
+                         if isinstance(node, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef))
+                         and node is not scope and node.args.kwarg}
+            own = scope.args.kwarg.arg if scope.args.kwarg else None
+            calls = [node for node in nodes if isinstance(node, ast.Call)]
+
+            def keywords(call, seen) -> set:
+                words = {keyword.arg for keyword in call.keywords
+                         if keyword.arg}
+                for keyword in call.keywords:
+                    if keyword.arg is None:
+                        words |= keys(keyword.value, seen)
+                return words
+
+            def keys(node, seen) -> set:
+                if isinstance(node, ast.Dict):
+                    words = set()
+                    for key, value in zip(node.keys, node.values):
+                        if key is None:
+                            words |= keys(value, seen)
+                        elif isinstance(key, ast.Constant):
+                            words.add(key.value)
+                    return words
+                if not isinstance(node, ast.Name) or node.id in seen:
+                    return set()
+                seen = seen | {node.id}
+                if node.id in bound:
+                    return keys(bound[node.id], seen)
+                if node.id == own:
+                    return sizes.get(scope.name, set())
+                if node.id in kwargs_of:
+                    function = kwargs_of[node.id]
+                    return set().union(*(
+                        keywords(call, seen) for call in calls
+                        if isinstance(call.func, ast.Name)
+                        and call.func.id == function))
+                return set()
+
+            for call in calls:
+                name = call.func.id if isinstance(call.func, ast.Name) \
+                    else getattr(call.func, "attr", None)
+                if name in classes:
+                    found.setdefault(name, set()).update(
+                        keywords(call, frozenset()))
+        return found
+
+    def test_every_field_is_set_by_a_caller_outside_the_tests(self):
+        configs = self._configs()
+        assert len(configs) == 7, sorted(configs)
+        sizes = {spec.run.__name__: {key for tier in spec.tiers
+                                     for key in spec.sizes(tier)}
+                 for spec in EXPERIMENTS.values()}
+        callers = [*sorted((SRC_ROOT / "repro").rglob("*.py")),
+                   *sorted((REPO_ROOT / "examples").glob("*.py")),
+                   *sorted((REPO_ROOT / "benchmarks").rglob("*.py"))]
+        set_by_callers: dict = {name: set() for name in configs}
+        for path in callers:
+            for name, words in self._keywords_by_class(
+                    path, configs, sizes).items():
+                set_by_callers[name] |= words
+        unset = [f"{name}.{field}" for name, fields in configs.items()
+                 for field in fields if field not in set_by_callers[name]]
+        assert not unset, \
+            f"config fields no caller sets (make them constants): {unset}"
 
 
 class TestOneFailpointTable:

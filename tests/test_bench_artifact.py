@@ -215,8 +215,6 @@ class TestCallCountBudget:
                         "baseline; regenerate with --profile")
         import cProfile
 
-        import pstats
-
         from repro.bench.runner import run_experiment
 
         run_experiment(self.EXPERIMENT, "smoke")  # warm the caches
@@ -224,7 +222,7 @@ class TestCallCountBudget:
         profiler.enable()
         run_experiment(self.EXPERIMENT, "smoke")
         profiler.disable()
-        fresh = pstats.Stats(profiler).total_calls
+        fresh = sum(entry.callcount for entry in profiler.getstats())
         budget = int(baseline * self.ALLOWED_GROWTH)
         assert fresh <= budget, (
             f"{self.EXPERIMENT} smoke now executes {fresh} Python calls "
@@ -335,8 +333,6 @@ class TestLargeTierInvariant:
                         "profile_calls baseline; regenerate with --profile")
         import cProfile
 
-        import pstats
-
         from repro.bench.runner import run_experiment
 
         run_experiment("E14", scale="large")  # warm the caches
@@ -344,7 +340,7 @@ class TestLargeTierInvariant:
         profiler.enable()
         run_experiment("E14", scale="large")
         profiler.disable()
-        fresh = pstats.Stats(profiler).total_calls
+        fresh = sum(entry.callcount for entry in profiler.getstats())
         budget = int(baseline * 1.10)
         assert fresh <= budget, (
             f"E14-large now executes {fresh} Python calls against the "

@@ -28,7 +28,6 @@ from repro.errors import FileSystemError
 from repro.simclock import ClockDomainGroup, SimClock, gather
 from repro.workloads.clients import ClientPool, closed_loop_sweep
 from repro.workloads.failover import FailoverConfig, FailoverWorkload
-from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
 from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
 
 
@@ -420,16 +419,3 @@ class TestMultiClientInvariants:
         # Three of the four waited, each at least one think+service slot.
         waited = [value for value in pool.queue_delay.samples if value > 0]
         assert len(waited) == 3
-
-    def test_hotspot_reader_pool_round_trips(self):
-        """The E14 per-client-domain read path serves every scheduled
-        read and loses no committed links."""
-
-        config = HotspotConfig(shards=2, witnesses=0, prefixes=4, rounds=2,
-                               links_per_round=2, reads_per_round=6,
-                               file_size=256, reader_sessions=3)
-        workload = HotspotWorkload(config).setup()
-        metrics = workload.run()
-        assert metrics.counters.get("reads_failed", 0) == 0
-        assert metrics.counters["reads_ok"] == 12
-        assert metrics.counters["committed_links_lost"] == 0

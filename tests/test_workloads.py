@@ -19,7 +19,11 @@ from repro.workloads.generator import (
     ZipfChooser,
     make_content,
 )
-from repro.workloads.videostore import VideoStoreConfig, VideoStoreWorkload
+from repro.workloads.videostore import (
+    SERVER as VIDEO_SERVER,
+    VideoStoreConfig,
+    VideoStoreWorkload,
+)
 from repro.workloads.webserver import (
     BlobWebSiteWorkload,
     WebServerWorkload,
@@ -108,7 +112,7 @@ class TestVideoStoreWorkload:
         assert workload.preview(2) == 4096
         workload.retire_movie(3)
         assert workload.browse("drama") is not None
-        dlfm = workload.system.file_server(config.server).dlfm
+        dlfm = workload.system.file_server(VIDEO_SERVER).dlfm
         assert dlfm.repository.linked_file("/clips/movie00003.mpg") is None
 
     def test_retired_movie_clip_handling_respects_on_unlink(self):
@@ -118,7 +122,7 @@ class TestVideoStoreWorkload:
                                   on_unlink=OnUnlink.DELETE)
         workload = VideoStoreWorkload(config).setup()
         workload.retire_movie(0)
-        assert not workload.system.file_server(config.server).files.exists(
+        assert not workload.system.file_server(VIDEO_SERVER).files.exists(
             "/clips/movie00000.mpg")
 
 
