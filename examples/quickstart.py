@@ -9,7 +9,8 @@ This walks through the core loop of the paper:
 3. put a file on the file server and link it by inserting a row;
 4. read the file through the ordinary file-system API;
 5. update it *in place* with a write token -- no unlink/relink needed;
-6. watch the automatically maintained metadata and version history;
+6. watch the automatically maintained metadata and the archived version
+   (the newest one is kept, plus any a retained backup would restore);
 7. scale out: shard linked files over several DLFMs with WAL group commit
    and batched link pipelines;
 8. replicate: give every shard a witness replica fed by the primary's
@@ -139,7 +140,8 @@ def main() -> None:
         update.replace(b"<html>Welcome, v2 -- updated in place!</html>")
     system.run_archiver()
 
-    # 6. Metadata was updated in the same transaction; versions accumulate.
+    # 6. Metadata was updated in the same transaction; the newest version is
+    #    kept (no backup would restore the one it superseded).
     row = system.host_db.select_one("documents", {"doc_id": 1}, lock=False)
     print(f"new content: {alice.fs('fs1').read_file('/docs/welcome.html')!r}")
     print(f"metadata maintained by the DBMS: size={row['body_size']} "

@@ -261,19 +261,16 @@ class DataLinksSystem:
                 jobs += server.process_archive_jobs()
         return jobs
 
-    def run_housekeeping(self, keep_versions: int | None = None) -> dict:
-        """Run DLFM housekeeping on every file server.
-
-        Purges expired token-registry entries and, when *keep_versions* is
-        given, prunes each linked file's version chain down to its newest
-        *keep_versions* entries.  Returns per-server counts.
-        """
+    def run_housekeeping(self) -> dict:
+        """Run DLFM housekeeping on every file server: purge expired
+        token-registry entries.  Returns per-server counts.  Version
+        retention is not housekeeping: each archive job drops what no
+        retained backup can restore."""
 
         results = {}
         for name, server in sorted(self.file_servers.items()):
             with self._at_server(server):
-                results[name] = server.dlfm.run_housekeeping(
-                    keep_versions=keep_versions)
+                results[name] = server.dlfm.run_housekeeping()
         return results
 
     def abort_file_update(self, server: str, path: str) -> bool:

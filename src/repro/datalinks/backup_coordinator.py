@@ -5,10 +5,16 @@ identifier current at its commit; when the database is restored to an earlier
 point in time, each file server restores its linked files to the newest
 archived version whose state identifier does not exceed the restored one, so
 database metadata and external files come back mutually consistent.
+
+That rule is also what a file server may forget: a superseded version whose
+state-id interval ``[its state id, its successor's)`` holds no retained
+backup's state id can never be picked, so its DLFM drops the version and
+frees its archive object (:meth:`BackupCoordinator.state_ids`).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.storage.backup import BackupImage
@@ -32,12 +38,32 @@ class BackupCoordinator:
 
     def __init__(self, host_db: Database, managers: dict):
         self._host_db = host_db
-        self._managers = dict(managers)
+        self._managers: dict = {}
         self._backups: list[SystemBackup] = []
+        #: ``state_id`` of every retained backup, ascending.
+        self._state_ids: list[int] = []
         self._next_id = 1
+        for name, manager in managers.items():
+            self.register_manager(name, manager)
 
     def register_manager(self, name: str, manager) -> None:
+        """Coordinate *manager*, and tell it which database states the
+        retained backups can restore (its version retention reads them)."""
+
         self._managers[name] = manager
+        manager.attach_backups(self.state_ids)
+
+    def state_ids(self) -> list[int]:
+        """The state ids of the retained backups, ascending.
+
+        A restore to backup *b* reads, per file, the newest version whose
+        state id is at most ``b.state_id``; a superseded version that no
+        state id here picks is never read again, and its DLFM drops it.
+        Backups are retained for the life of the coordinator, so the list
+        only grows and a version kept once stays kept.
+        """
+
+        return self._state_ids
 
     # ------------------------------------------------------------------- backup --
     def backup(self, label: str = "") -> SystemBackup:
@@ -57,6 +83,7 @@ class BackupCoordinator:
         )
         self._next_id += 1
         self._backups.append(backup)
+        insort(self._state_ids, backup.state_id)
         return backup
 
     # ------------------------------------------------------------------ restore --

@@ -10,6 +10,20 @@ The archive mover is its own simulated node: it runs on the ``archive``
 clock domain, and each store/retrieve rendezvouses with the calling file
 server's domain (the transfer occupies both ends), so archive bandwidth is
 attributed to the archive device rather than smeared over the file servers.
+
+The archive keeps only what a restore can still read.  A DLFM keeps, per
+linked file, its newest committed version and every superseded version some
+retained backup would pick (:mod:`repro.datalinks.backup_coordinator`), and
+frees the object of each version it drops (:meth:`ArchiveServer.release`)
+once the transaction that dropped the version's row is durable and shipped
+to every witness (``WriteAheadLog.shipped_lsn``), so no promoted witness can
+still hold a row naming a freed object.  The queue of releases waiting for
+that is volatile: a DLFM crash leaks the objects on it, which costs space
+and never leaves a dangling reference.  Ids are never reused: a stale
+reference finds no object rather than someone else's bytes.  Release is a
+metadata operation -- an ADSM-style store marks the object deleted and
+reclaims its space offline -- so it charges nothing and there is no cost
+primitive for it; the bandwidth model covers store and retrieve only.
 """
 
 from __future__ import annotations
@@ -73,6 +87,12 @@ class ArchiveServer:
         self.clock.charge("archive_per_byte", nbytes=len(obj.content))
         rendezvous(self.clock, caller_clock)
         return obj.content
+
+    def release(self, archive_id: int) -> None:
+        """Free the object *archive_id* (module docstring: uncharged, and
+        the id is never handed out again)."""
+
+        del self._objects[archive_id]
 
     def exists(self, archive_id: int) -> bool:
         return archive_id in self._objects

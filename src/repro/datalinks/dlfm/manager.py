@@ -85,6 +85,14 @@ class DataLinksFileManager:
         #: Volatile by design: a crash aborts the branch (restoring the
         #: real rows) and loses the snapshot with it.
         self._moving_exports: dict[int, dict] = {}
+        #: Returns the ascending state ids of the retained backups, asked
+        #: when a new version supersedes an old one; none until a backup
+        #: coordinator attaches (:meth:`attach_backups`).
+        self._backup_state_ids = tuple
+        #: ``[(LSN, archive ids)]``: objects whose last version row the
+        #: transactions up to LSN dropped, freed once that LSN is durable
+        #: and shipped.  Volatile: a crash leaks them (harmless).
+        self._releases: list[tuple] = []
 
     # ---------------------------------------------------------------- wiring -----
     def attach_engine(self, engine) -> None:
@@ -92,6 +100,13 @@ class DataLinksFileManager:
 
         self._engine = engine
         self.links.set_state_id_provider(self._host_state_id)
+
+    def attach_backups(self, state_ids) -> None:
+        """Called by the backup coordinator: *state_ids* returns the state
+        ids of the retained backups, ascending.  Asked afresh each time, so
+        retention keeps no pin set of its own for a crash to lose."""
+
+        self._backup_state_ids = state_ids
 
     def _host_state_id(self) -> int:
         if self._engine is None:
@@ -689,6 +704,7 @@ class DataLinksFileManager:
             # mirroring the primary's row ids.
             return 0
         completed = 0
+        dropped = []
         for job in self.repository.pending_archive_jobs():
             path = job["path"]
             if not self.files.exists(path):
@@ -697,23 +713,36 @@ class DataLinksFileManager:
             content = self.files.read(path)
             archive_id = self.archive.store(self.server_name, path, content,
                                             caller_clock=self.clock)
-            self.repository.add_version(path, archive_id, job["state_id"])
+            dropped += self.repository.add_version(
+                path, archive_id, job["state_id"], self._backup_state_ids())
             self.repository.complete_archive_job(job["job_id"])
             completed += 1
+        if dropped:
+            self._releases.append(
+                (self.repository.db.wal.tail_lsn(), dropped))
+        if self._releases:
+            self._release_shipped()
         return completed
+
+    def _release_shipped(self) -> None:
+        """Free the queued archive objects whose dropping transaction is
+        durable and on every witness: no node can still restore a version
+        row that names them (:mod:`repro.datalinks.dlfm.archive`)."""
+
+        horizon = self.repository.db.wal.shipped_lsn()
+        releases = self._releases
+        while releases and releases[0][0] <= horizon:
+            for archive_id in releases.pop(0)[1]:
+                self.archive.release(archive_id)
 
     def has_pending_archives(self, path: str | None = None) -> bool:
         return bool(self.repository.pending_archive_jobs(path))
 
-    def run_housekeeping(self, keep_versions: int | None = None) -> dict:
-        """Periodic DLFM maintenance.
-
-        * purge token-registry entries whose expiry has passed (the paper's
-          token entries are valid "till time t");
-        * optionally prune each file's committed-version chain to its newest
-          *keep_versions* entries so the archive metadata stays bounded; the
-          newest version is always retained because rollback needs it.
-        """
+    def run_housekeeping(self) -> dict:
+        """Periodic DLFM maintenance: purge token-registry entries whose
+        expiry has passed (the paper's token entries are valid "till time
+        t").  Version retention needs no tick: the archiver drops what no
+        backup can restore as it adds each version."""
 
         if self.replica is not None:
             # Redo-only witness: repository maintenance runs on the serving
@@ -721,17 +750,9 @@ class DataLinksFileManager:
             # node-local follower-read soft state is purged here.
             purged = self.replica_soft.purge_expired_tokens(self.clock.now()) \
                 if self.replica_soft is not None else 0
-            return {"purged_tokens": purged, "pruned_versions": 0}
-        purged_tokens = self.repository.purge_expired_tokens(self.clock.now())
-        pruned_versions = 0
-        if keep_versions is not None and keep_versions >= 1:
-            for row in self.repository.linked_files():
-                versions = self.repository.versions(row["path"])
-                for stale in versions[:-keep_versions]:
-                    self.repository.db.delete(
-                        "file_versions", {"version_id": stale["version_id"]})
-                    pruned_versions += 1
-        return {"purged_tokens": purged_tokens, "pruned_versions": pruned_versions}
+            return {"purged_tokens": purged}
+        return {"purged_tokens":
+                self.repository.purge_expired_tokens(self.clock.now())}
 
     # ------------------------------------------------------------- replica mode --
     def enable_replica_mode(self, shard: str):
@@ -915,6 +936,9 @@ class DataLinksFileManager:
         self.repository.db.crash()
         self.branches.clear()
         self._moving_exports.clear()
+        # The queued LSNs may be lost with the log tail and handed out
+        # again to other records.
+        self._releases.clear()
         if self.replica_soft is not None:
             # Follower-read soft state is volatile, like the branch table.
             self.replica_soft.clear()

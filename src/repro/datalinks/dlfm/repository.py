@@ -20,7 +20,9 @@ Tables
 ``update_tracking`` files with an update in progress (Section 4.4) and the
                     pre-update attributes needed to detect modification.
 ``file_versions``   committed versions with their archive object and the
-                    database state identifier they belong to.
+                    database state identifier they belong to: per file the
+                    newest one, plus each superseded one a retained backup
+                    would restore (:meth:`DLFMRepository.add_version`).
 ``archive_queue``   asynchronous archive jobs not yet run -- a finished job
                     is deleted, so the table holds unfinished work only; a
                     queued job blocks further updates of the same file.
@@ -66,6 +68,8 @@ handle                     shape                           access path
 ``_delete_tracking``       delete update_tracking (path)   pk
 ``_versions_by_path``      select file_versions (path)     file_versions_path
 ``_insert_version``        insert file_versions            --
+``_delete_version``        delete file_versions            pk
+                           (version_id)
 ``_delete_versions``       delete file_versions (path)     file_versions_path
 ``_jobs_by_path``          select archive_queue (path)     archive_queue_path
 ``_all_jobs``              select archive_queue            scan
@@ -77,10 +81,16 @@ handle                     shape                           access path
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.transaction import Transaction
 from repro.storage.values import DataType
+
+
+def _version_no(row: dict) -> int:
+    return row["version_no"]
 
 
 def _table(name: str, columns: list[Column], pk: tuple[str, ...]) -> TableSchema:
@@ -91,7 +101,7 @@ class _Statement:
     """One entry of the statement catalog, declared on the class: prepared
     against the instance's database on first use and from then on a plain
     instance attribute (a repository built for a short experiment issues a
-    handful of the 27, and pays for those only)."""
+    handful of the 28, and pays for those only)."""
 
     def __init__(self, kind: str, *shape):
         self.prepare = "prepare_" + kind
@@ -131,6 +141,7 @@ class DLFMRepository:
     _delete_tracking = _Statement("delete", "update_tracking", ("path",))
     _versions_by_path = _Statement("select", "file_versions", ("path",))
     _insert_version = _Statement("insert", "file_versions")
+    _delete_version = _Statement("delete", "file_versions", ("version_id",))
     _delete_versions = _Statement("delete", "file_versions", ("path",))
     _jobs_by_path = _Statement("select", "archive_queue", ("path",))
     _all_jobs = _Statement("select", "archive_queue")
@@ -346,18 +357,53 @@ class DLFMRepository:
 
     # ------------------------------------------------------------ file versions --
     def add_version(self, path: str, archive_id: int, state_id: int,
-                    txn: Transaction | None = None) -> dict:
-        version_no = self.latest_version_no(path) + 1
+                    backup_state_ids=()) -> list[int]:
+        """Append a version to *path*'s chain and drop every superseded
+        version no retained backup would restore; returns the archive ids
+        of the dropped versions.
+
+        Version V, superseded by V', is picked by a restore to state *b*
+        iff ``V.state_id <= b < V'.state_id``, so V stays iff one of the
+        ascending *backup_state_ids* lies in that interval.  One read of
+        the chain gives the next ``version_no`` and the superseded rows.
+        The insert and the deletes are one local transaction; with nothing
+        to drop, the insert is its own statement, as it always was.
+        """
+
+        chain = self._versions_by_path(path)
+        if len(chain) > 1:
+            chain.sort(key=_version_no)
         row = {
             "version_id": self._next_id("file_versions"),
             "path": path,
-            "version_no": version_no,
+            "version_no": chain[-1]["version_no"] + 1 if chain else 1,
             "archive_id": archive_id,
             "state_id": state_id,
             "created_at": self.db.now(),
         }
-        self._insert_version(row, txn=txn)
-        return row
+        dropped = []
+        successor = state_id
+        for version in reversed(chain):
+            low = version["state_id"]
+            at = bisect_left(backup_state_ids, low)
+            if at == len(backup_state_ids) or \
+                    backup_state_ids[at] >= successor:
+                dropped.append(version)
+            successor = low
+        if not dropped:
+            self._insert_version(row)
+            return []
+        db = self.db
+        txn = db.begin()
+        try:
+            self._insert_version(row, txn=txn)
+            for version in dropped:
+                self._delete_version(version["version_id"], txn=txn)
+        except BaseException:
+            db.abort(txn)
+            raise
+        db.commit(txn)
+        return [version["archive_id"] for version in dropped]
 
     def latest_version_no(self, path: str) -> int:
         best = 0
@@ -367,8 +413,7 @@ class DLFMRepository:
         return best
 
     def versions(self, path: str) -> list[dict]:
-        return sorted(self._versions_by_path(path),
-                      key=lambda row: row["version_no"])
+        return sorted(self._versions_by_path(path), key=_version_no)
 
     def latest_version(self, path: str, *, max_state_id: int | None = None) -> dict | None:
         latest = None

@@ -1092,6 +1092,7 @@ class PreparedDelete(_PreparedWrite):
         indexes = plan.indexes
         locks = db.locks
         held = locks._holders
+        pk_single = plan.pk_single
         removed = 0
         try:
             for rid, row in self._find(values, db.clock, match):
@@ -1101,6 +1102,15 @@ class PreparedDelete(_PreparedWrite):
                 for index in indexes:
                     index.remove(row, rid)
                 heap.delete(rid)
+                cached = db._max_keys.get(table)
+                if cached is not None and cached[1] == heap.mutations - 1:
+                    # As in insert: a warm maximum stays warm when the key
+                    # that left is below it (a NULL key is below all).
+                    # Deleting the maximum itself leaves it stale, and
+                    # max_key rescans.
+                    key = row[pk_single]
+                    if key is None or key < cached[0]:
+                        db._max_keys[table] = (cached[0], heap.mutations)
                 records.append(db.wal.append(
                     txn_id, LogRecordType.DELETE, table, rid, row))
                 removed += 1

@@ -57,6 +57,9 @@ LSN it has consumed -- it ships from (each
 :class:`~repro.datalinks.replication.WalShipper`).  A reader behind the
 tail, paused or with its witness unreachable, *pins* the log: nothing
 folds until it has caught up, so nothing it has not shipped is dropped.
+:meth:`WriteAheadLog.shipped_lsn` is that horizon -- durable, and consumed
+by every reader -- and a fold needs it at the tail; the DLFM frees an
+archive object only once the drop of its last version row is below it.
 To fold, the database takes its checkpoint base at the tail -- the snapshot
 recovery starts from -- and the log drops every record up to that LSN.  A
 fold appends no record and charges nothing.
@@ -280,17 +283,24 @@ class WriteAheadLog:
         # Tail is re-read after the listeners ran (``tail_lsn`` inlined).
         return records[-1].lsn if records else self._folded
 
+    def shipped_lsn(self) -> LSN:
+        """The last LSN that is durable *and* that every reader has
+        consumed: what no crash can take back and no witness still lacks
+        (module docstring)."""
+
+        horizon = self.flushed_lsn
+        for reader in self._flush_listeners.values():
+            if reader is not None and reader.cursor < horizon:
+                horizon = reader.cursor
+        return horizon
+
     def _fold(self) -> None:
         """Drop every record up to the owner's fresh checkpoint base, if
         the log is quiescent (module docstring)."""
 
         records = self._records
-        if self._open or self._flushed_count != len(records):
+        if self._open or self.shipped_lsn() < records[-1].lsn:
             return
-        tail = records[-1].lsn
-        for reader in self._flush_listeners.values():
-            if reader is not None and reader.cursor < tail:
-                return
         base = self.take_base()
         if base is None:
             return

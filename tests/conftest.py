@@ -178,14 +178,16 @@ def rdb_system():
 SHARD_TABLE = "registry_docs"
 
 
-def build_deployment() -> tuple:
+def build_deployment(flush_policy: str = "immediate",
+                     group_commit_window: int = 1) -> tuple:
     """A 2-shard replicated deployment with an rdd/recovery files table and
     metadata rules; returns ``(deployment, alice_session)``."""
 
     from repro.datalinks.sharding import ShardedDataLinksDeployment
 
     deployment = ShardedDataLinksDeployment(
-        2, replication=True, flush_policy="immediate", group_commit_window=1)
+        2, replication=True, flush_policy=flush_policy,
+        group_commit_window=group_commit_window)
     deployment.create_table(TableSchema(SHARD_TABLE, [
         Column("doc_id", DataType.INTEGER, nullable=False),
         datalink_column("body", DatalinkOptions(control_mode=ControlMode.RDD,

@@ -151,24 +151,46 @@ class TestHousekeeping:
         assert dlfm.repository.db.count("token_entries") == 0
 
     def test_version_chain_pruned_but_newest_kept(self, rfd_system):
+        """Without a backup, each archived update replaces the version it
+        supersedes, row and archive object alike."""
+
         system, alice, paths, _ = rfd_system
+        dlfm = system.file_server("fs1").dlfm
         for version in range(4):
             url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
             with alice.update_file(url, truncate=True) as update:
                 update.replace(f"v{version}".encode())
             system.run_archiver()
-        dlfm = system.file_server("fs1").dlfm
-        assert len(dlfm.repository.versions(paths[0])) == 5    # initial + 4 updates
-        counts = system.run_housekeeping(keep_versions=2)
-        assert counts["fs1"]["pruned_versions"] == 3
-        versions = dlfm.repository.versions(paths[0])
-        assert len(versions) == 2
+            (newest,) = dlfm.repository.versions(paths[0])
+            assert newest["version_no"] == version + 2      # initial is 1
+            assert len(system.archive) == 1
+            assert system.archive.exists(newest["archive_id"])
         # rollback still works from the retained newest version
         assert dlfm.restore_last_committed(paths[0]) is True
         assert alice.fs("fs1").read_file(paths[0]) == b"v3"
 
-    def test_housekeeping_without_pruning_keeps_versions(self, rfd_system):
+    def test_housekeeping_keeps_the_versions_a_backup_picks(self, rfd_system):
+        """A superseded version stays exactly while a retained backup would
+        restore it; housekeeping only purges tokens."""
+
         system, alice, paths, _ = rfd_system
-        counts = system.run_housekeeping()
-        assert counts["fs1"]["pruned_versions"] == 0
-        assert len(system.file_server("fs1").dlfm.repository.versions(paths[0])) == 1
+        dlfm = system.file_server("fs1").dlfm
+
+        def update(content: bytes) -> None:
+            url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                     access="write")
+            with alice.update_file(url, truncate=True) as handle:
+                handle.replace(content)
+            system.run_archiver()
+
+        update(b"backed up")
+        backup = system.backup()
+        update(b"superseded")
+        update(b"newest")
+        assert system.run_housekeeping() == {"fs1": {"purged_tokens": 0}}
+        versions = dlfm.repository.versions(paths[0])
+        assert [v["version_no"] for v in versions] == [2, 4]
+        assert versions[0]["state_id"] <= backup.state_id < versions[1]["state_id"]
+        assert len(system.archive) == 2
+        system.restore(backup)
+        assert alice.fs("fs1").read_file(paths[0]) == b"backed up"

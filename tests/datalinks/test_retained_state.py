@@ -25,6 +25,14 @@ the bounded log's sawtooth cancels -- are at most half of what the
 unfolded log retained (2 220.0).  This tree reads 734.9 (CPython 3.11.7):
 what is left is the token registry's growth, one row per read, and the
 checkpoint base's reference to it.
+
+A superseded file version retains nothing (ROADMAP direction 4(a), its
+steady-state slice for version chains).  ``WebServerWorkload`` (200 pages of
+16 KiB, 2 % in-place updates) runs ``WEB_L`` and ``4 * WEB_L`` operations
+with no backup taken: at both sizes the DLFM holds one ``file_versions`` row
+and the archive one object per linked page, so the archive bytes retained
+per superseded update are 0.  Before version retention this run held 220
+and 280 rows, and 16 384 archive bytes (one page) per superseded update.
 """
 
 from __future__ import annotations
@@ -40,10 +48,14 @@ from repro.bench.runner import FILES_TABLE, RunContext
 from repro.datalinks.control_modes import ControlMode
 from repro.storage.index import HashIndex
 from repro.storage.wal import FOLD_AT, LogRecordType
+from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
 
 WARM_UP, READS, FILES = 100, 300, 4
 #: Reads per stage of the folded regime.
 L = 500
+#: Operations of the smaller web-site run (the larger runs four times as
+#: many); the pages and their size are the ROADMAP's measurement's.
+WEB_L, WEB_PAGES, WEB_PAGE_SIZE = 1000, 200, 16 * 1024
 
 #: Live bytes allocated under ``storage/`` per tokenized read at PR 23
 #: (this fixture's own procedure on that tree, CPython 3.11.7): 3 286.4.
@@ -207,3 +219,37 @@ def test_storage_bytes_retained_per_read_once_the_log_folds(folded_reads):
     if per_read is None:
         pytest.skip("tracemalloc was already tracing: no clean baseline")
     assert per_read <= 0.5 * UNFOLDED_STORAGE_BYTES_PER_READ, per_read
+
+
+@pytest.fixture(scope="module")
+def web_sites():
+    """``{operations: (version rows, archive objects, archive bytes,
+    superseded updates)}`` after ``WEB_L`` and ``4 * WEB_L`` operations."""
+
+    retained = {}
+    for operations in (WEB_L, 4 * WEB_L):
+        workload = WebServerWorkload(WebSiteConfig(
+            pages=WEB_PAGES, page_size=WEB_PAGE_SIZE,
+            operations=operations)).setup()
+        workload.run()
+        system = workload.system
+        rows = system.file_server("web0").dlfm.repository.db.select(
+            "file_versions", lock=False)
+        retained[operations] = (
+            len(rows), len(system.archive),
+            sum(len(obj.content) for obj in system.archive._objects.values()),
+            sum(row["version_no"] - 1 for row in rows))
+    return retained
+
+
+def test_one_version_and_one_archive_object_per_linked_page(web_sites):
+    for rows, objects, _, _ in web_sites.values():
+        assert rows == objects == WEB_PAGES
+
+
+def test_archive_bytes_retained_per_superseded_update_are_zero(web_sites):
+    (_, _, small, small_updates), (_, _, large, large_updates) = \
+        web_sites[WEB_L], web_sites[4 * WEB_L]
+    assert large_updates > small_updates > 0
+    assert (large - small) / (large_updates - small_updates) == 0
+    assert small == WEB_PAGES * WEB_PAGE_SIZE

@@ -231,6 +231,9 @@ class TestIdsStayUnique:
         _read_and_edit(session, SHARD_TABLE, range(10, 13), run_archiver,
                        "dest")
         deployment.system.flush_logs()
+        # A backup picks every version archived so far, so the imported
+        # chains are retained beside the post-move versions.
+        deployment.system.backup()
         assert deployment.rebalance_prefix("/moving", dest)["moved"]
         everything = list(range(3)) + list(range(10, 13))
         _read_and_edit(session, SHARD_TABLE, everything, run_archiver,
@@ -265,11 +268,12 @@ class TestArchiveQueueDrains:
                            deployment.system.run_archiver, f"cycle {cycle}")
             deployment.system.flush_logs()
             assert _queue(primary) == [] and _queue(witness) == []
-        # The jobs ran: one more version per update, mirrored on the witness.
-        assert len(primary.db.select("file_versions", lock=False)) == \
-            versions + 12
-        assert len(witness.db.select("file_versions", lock=False)) == \
-            versions + 12
+        # The jobs ran: each update's version replaced the one it
+        # superseded (no backup picks it), on the witness by redo.
+        for repository in (primary, witness):
+            rows = repository.db.select("file_versions", lock=False)
+            assert len(rows) == versions == 3
+            assert {row["version_no"] for row in rows} == {5}
 
     def test_a_promoted_witness_archives_the_jobs_it_inherited(self):
         deployment, session = build_deployment()
@@ -332,5 +336,8 @@ class TestVersionChainOrder:
         assert repository.latest_version(
             "/f", max_state_id=25)["version_no"] == 2
         assert repository.latest_version("/f", max_state_id=5) is None
-        assert repository.add_version("/f", 104, 40)["version_no"] == 4
+        # Version 4 supersedes 3; a backup at state 25 picks version 2.
+        assert repository.add_version("/f", 104, 40, [25]) == [103, 101]
+        assert [(row["version_no"], row["archive_id"])
+                for row in repository.versions("/f")] == [(2, 102), (4, 104)]
         assert repository.latest_version_no("/other") == 0

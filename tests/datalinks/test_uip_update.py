@@ -223,15 +223,18 @@ class TestAtomicityAndVersions:
     def test_each_committed_update_creates_a_new_version(self, rfd_system):
         system, alice, paths, _ = rfd_system
         dlfm = system.file_server("fs1").dlfm
-        initial_versions = len(dlfm.repository.versions(paths[0]))
+        (initial,) = dlfm.repository.versions(paths[0])
         for round_number in range(3):
             url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
             with alice.update_file(url, truncate=True) as update:
                 update.replace(f"round {round_number}".encode())
             system.run_archiver()
-        versions = dlfm.repository.versions(paths[0])
-        assert len(versions) == initial_versions + 3
-        assert [v["version_no"] for v in versions] == list(range(1, len(versions) + 1))
+            # No backup can pick the superseded version: the chain holds
+            # the newest one only, and its number advances.
+            (newest,) = dlfm.repository.versions(paths[0])
+            assert newest["version_no"] == initial["version_no"] + round_number + 1
+            assert system.archive.retrieve(newest["archive_id"], system.clock) \
+                == f"round {round_number}".encode()
 
     def test_version_state_ids_are_monotonic(self, rfd_system):
         system, alice, paths, _ = rfd_system

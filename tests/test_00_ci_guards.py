@@ -258,16 +258,17 @@ class TestCommittedLayeredArtifactShape:
     run is pinned instead, to the last digit: the three ``sim_*`` end-to-end
     metrics of the runs those digests name."""
 
-    #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42, unchanged
-    #: since PR 15; digests 9f02af7fd43f2555 / 447e7bd9957e5dbf /
-    #: 5f80905a8dc97eba / 1f1fb72439ab7e2a in this order.
+    #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42; digests
+    #: c55a20abf5cdf450 / 447e7bd9957e5dbf / 78bbb105f1963191 /
+    #: 1f1fb72439ab7e2a in this order.  Version retention moved web_rfd
+    #: (fewer version rows read) and edit_uip (one delete per update).
     SIMULATED = {
-        "web_rfd": (85.10712802577955, 11.292711182022686,
+        "web_rfd": (85.12801173999098, 11.292711182022686,
                     11.349244995017216),
         "session_knee": (62.78828676495274, 46768.023894838996,
                          48223.648881357),
-        "edit_uip": (48.9668149410877, 28.468114638002362,
-                     28.519441390997713),
+        "edit_uip": (48.893912185977605, 28.530742704987233,
+                     28.582069457996795),
         "cluster_hotspot": (91.8978824008268, 10.76865838601293,
                             16.13148742700332),
     }
@@ -361,7 +362,10 @@ class TestIntegerTimeStaysOneDesign:
                # A value with one setting in use is a constant: E14 has
                # one read path, a deployment one naming scheme.
                "reader_sessions", "_pooled_reads", "shard_prefix",
-               "replica_suffix")
+               "replica_suffix",
+               # Version retention is what the archiver does (the versions
+               # a retained backup picks, and the newest), not a count.
+               "keep_versions")
 
     def test_every_client_gets_its_own_domain(self):
         """No pooling knob: a client count is a domain count."""
