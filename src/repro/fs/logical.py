@@ -28,7 +28,6 @@ from repro.fs.vfs import (
     Vnode,
 )
 from repro.simclock import SimClock
-from repro.util.urls import split_token_from_name
 
 _WRITE_TRUNC = OpenFlags.WRITE | OpenFlags.TRUNCATE
 _WRITE_TRUNC_CREATE = _WRITE_TRUNC | OpenFlags.CREATE
@@ -60,8 +59,10 @@ _PROFILE_UNSET = object()
 
 @functools.lru_cache(maxsize=8192)
 def _normalize(path: str) -> str:
-    """Normalize an absolute path (memoized -- the same few hundred paths
-    are re-resolved on every operation of a workload)."""
+    """Normalize an absolute path (memoized -- the same few hundred
+    directories are re-resolved on every operation of a workload; path
+    resolution normalizes parent directories only, so no token-carrying
+    name comes here)."""
 
     if not path.startswith("/"):
         raise fs_error(Errno.EINVAL, f"path must be absolute: {path!r}")
@@ -81,11 +82,17 @@ class LogicalFileSystem:
         self._mounts: list[_Mount] = []
         self._open_files: dict[int, OpenFile] = {}
         self._next_fd = 3          # 0..2 are conventionally reserved
-        # normalized path -> (vfs, relative); invalidated on mount().  Paths
-        # may embed access tokens (unbounded cardinality), so the cache is
-        # cleared rather than grown past a fixed bound.
+        # Normalized path -> (vfs, relative), and relative path -> its
+        # components.  Resolution puts only directories here (a path's
+        # final component, the one a token rides in, is resolved live),
+        # so the keys are the namespace's few hundred directories plus
+        # mount roots; the bound is a backstop.  Invalidated on mount().
         self._resolve_cache: dict[str, tuple[VFSOperations, str]] = {}
         self._split_cache: dict[str, list[str]] = {}
+        # Mounted prefixes other than "/" (none on a system that mounts
+        # only "/"): a path naming one has no final component in its own
+        # file system.
+        self._mount_points: set[str] = set()
         # Parent-resolution cache: (parent directory, cred.uid) ->
         # everything the resolve produced, plus what a hit must replay
         # (the walk's whole charge pattern, in one batch) and the
@@ -94,7 +101,7 @@ class LogicalFileSystem:
         # anchor's ``dir_version`` and survive file creates/removes/
         # renames; the final component of every path is always looked up
         # live, which is also why the key is the parent directory rather
-        # than the full path -- token-carrying names never poison it.
+        # than the full path -- token-carrying names never reach it.
         # The key uses the uid (an int, so probing never re-hashes the
         # credential object); the full credential rides in the entry and
         # is identity-compared on hit.  The per-VFS pattern and anchor
@@ -104,8 +111,8 @@ class LogicalFileSystem:
         # well.  Unlike parent entries this also pins the *binding* of the
         # final component, so it additionally validates against the
         # anchor's ``bind_version`` (bumped on every create/remove/rename)
-        # and never holds token-carrying paths (their validation upcalls
-        # must stay live).
+        # and never holds a token-carrying path (its validation upcall
+        # must stay live), so its keys are token-free too.
         self._lookup_cache: dict[tuple, tuple] = {}
         self._walk_profiles: dict[VFSOperations, tuple | None] = {}
 
@@ -116,6 +123,8 @@ class LogicalFileSystem:
         prefix = _normalize(prefix)
         self._mounts.append(_Mount(prefix=prefix, vfs=vfs))
         self._mounts.sort(key=lambda mount: len(mount.prefix), reverse=True)
+        if prefix != "/":
+            self._mount_points.add(prefix)
         self._resolve_cache.clear()
         self._parent_cache.clear()
         self._lookup_cache.clear()
@@ -143,28 +152,22 @@ class LogicalFileSystem:
         raise fs_error(Errno.ENOENT, f"no file system mounted for {path!r}")
 
     # -------------------------------------------------------------- resolution --
-    def _walk(self, vfs: VFSOperations, relative: str, cred: Credentials,
-              stop_before_last: bool) -> tuple[Vnode, str | None]:
-        """Walk *relative* inside *vfs*; optionally stop at the parent."""
+    def _walk(self, vfs: VFSOperations, relative: str,
+              cred: Credentials) -> Vnode:
+        """Walk every component of *relative* inside *vfs*."""
 
         cache = self._split_cache
         try:
             parts = cache[relative]
         except KeyError:
             parts = [part for part in relative.split("/") if part]
-            # Token-carrying names give these strings unbounded cardinality,
-            # so the cache is cleared when full rather than grown.
             if len(cache) > 4096:
                 cache.clear()
             cache[relative] = parts
         vnode = vfs.root_vnode()
-        if not parts:
-            return vnode, None
-        walk_parts = parts[:-1] if stop_before_last else parts
-        last = parts[-1] if stop_before_last else None
-        for part in walk_parts:
+        for part in parts:
             vnode = vfs.fs_lookup(vnode, part, cred)
-        return vnode, last
+        return vnode
 
     def _compile_walk_profile(self, vfs: VFSOperations) -> tuple | None:
         """Resolve and memoize *vfs*'s per-lookup charge pattern."""
@@ -181,52 +184,70 @@ class LogicalFileSystem:
         return profile
 
     def _resolve_parent(self, path: str, cred: Credentials):
-        # Tokens ride only in the *final* component, and that component is
-        # always looked up live -- so the cache keys on the parent
-        # directory, not the full path.  (A full-path key would miss on
-        # every freshly minted token even though the walked chain is the
-        # same few directories over and over.)
-        normalized = _normalize(path)
-        parent_dir, _, name = normalized.rpartition("/")
-        if name:
-            try:
-                (anchor, version, vfs, parent, clock, compiled, depth,
-                 owner) = self._parent_cache[(parent_dir or "/", cred.uid)]
-            except KeyError:
-                pass
-            else:
-                if anchor.dir_version == version \
-                        and (owner is cred or owner == cred):
-                    clock.charge_batch(compiled, depth)
-                    return vfs, parent, name
-        try:
-            vfs, relative = self._resolve_cache[normalized]
-        except KeyError:
-            vfs, relative = self.mounted_vfs(path)
-        parent, name = self._walk(vfs, relative, cred, stop_before_last=True)
-        if name is None:
+        """``(vfs, parent vnode, final name, parent depth)`` for *path*.
+
+        Tokens ride only in the *final* component, and that component is
+        always looked up live -- so only the parent directory is
+        normalized, resolved and cached, keyed on the directory rather than
+        the full path.  (A full-path key would miss on every freshly minted
+        token even though the walked chain is the same few directories
+        over and over.)  The depth counts the parent's components below
+        its mount root.
+        """
+
+        if not path.startswith("/"):
+            raise fs_error(Errno.EINVAL, f"path must be absolute: {path!r}")
+        head, _, name = path.rpartition("/")
+        while name in ("", ".") and head:     # a trailing "/" or "/."
+            head, _, name = head.rpartition("/")
+        parent_dir = _normalize(head) if head else "/"
+        if name in ("", ".") or (self._mount_points
+                                 and parent_dir.rstrip("/") + "/" + name
+                                 in self._mount_points):
+            # The root, or a mount root: no final component in its own
+            # file system (``_resolve`` walks it live).
             raise fs_error(Errno.EINVAL, f"path {path!r} has no final component")
+        try:
+            (anchor, version, vfs, parent, clock, compiled, depth,
+             owner) = self._parent_cache[(parent_dir, cred.uid)]
+        except KeyError:
+            pass
+        else:
+            if anchor.dir_version == version \
+                    and (owner is cred or owner == cred):
+                clock.charge_batch(compiled, depth)
+                return vfs, parent, name, depth
+        # The full path's mount is its parent's: a longer prefix matching
+        # the path but not its parent would be the path itself, refused
+        # above.
+        try:
+            vfs, relative = self._resolve_cache[parent_dir]
+        except KeyError:
+            vfs, relative = self.mounted_vfs(parent_dir)
+        parent = self._walk(vfs, relative, cred)
+        depth = len(self._split_cache[relative])
         profile = self._walk_profiles.get(vfs, _PROFILE_UNSET)
         if profile is _PROFILE_UNSET:
             profile = self._compile_walk_profile(vfs)
-        if profile is not None:
-            parts = self._split_cache[relative]
-            depth = len(parts) - 1
-            # A token anywhere in the walked chain would skip its
-            # validation upcall on replay, so such parents are never
-            # cached (the final component is not part of the key).
-            if ";" not in parent_dir:
-                clock, compiled, anchor = profile
-                if len(self._parent_cache) > 4096:
-                    self._parent_cache.clear()
-                self._parent_cache[(parent_dir or "/", cred.uid)] = (
-                    anchor, anchor.dir_version, vfs, parent,
-                    clock, compiled, depth, cred)
-        return vfs, parent, name
+        # A token anywhere in the walked chain would skip its validation
+        # upcall on replay, so such parents are never cached.
+        if profile is not None and ";" not in parent_dir:
+            clock, compiled, anchor = profile
+            if len(self._parent_cache) > 4096:
+                self._parent_cache.clear()
+            self._parent_cache[(parent_dir, cred.uid)] = (
+                anchor, anchor.dir_version, vfs, parent,
+                clock, compiled, depth, cred)
+        return vfs, parent, name, depth
 
-    def _store_lookup(self, path: str, cred: Credentials, vfs, vnode) -> None:
+    def _store_lookup(self, path: str, cred: Credentials, vfs, vnode,
+                      depth: int) -> None:
         """Store-side of the full-resolution cache (miss path only)."""
 
+        if ";" in path:
+            # Token validation upcalls must stay live; never cache a
+            # token-carrying path end to end.
+            return
         profile = self._walk_profiles.get(vfs, _PROFILE_UNSET)
         if profile is _PROFILE_UNSET:
             profile = self._compile_walk_profile(vfs)
@@ -236,22 +257,11 @@ class LogicalFileSystem:
         bversion = getattr(anchor, "bind_version", None)
         if bversion is None:
             return
-        try:
-            relative = self._resolve_cache[path][1]
-        except KeyError:
-            relative = self.mounted_vfs(path)[1]
-        if ";" in relative:
-            # Token validation upcalls must stay live; never cache a
-            # token-carrying path end to end.
-            return
-        parts = self._split_cache.get(relative)
-        if parts is None:
-            parts = [part for part in relative.split("/") if part]
         cache = self._lookup_cache
         if len(cache) > 4096:
             cache.clear()
         cache[(path, cred.uid)] = (anchor, anchor.dir_version, bversion, vfs,
-                                   vnode, clock, compiled, len(parts), cred)
+                                   vnode, clock, compiled, depth + 1, cred)
 
     def _lookup(self, path: str, cred: Credentials) -> tuple[VFSOperations, Vnode]:
         """Resolve *path* to its final vnode through the full cache.
@@ -273,9 +283,9 @@ class LogicalFileSystem:
                     and (owner is cred or owner == cred)):
                 clock.charge_batch(compiled, cycles)
                 return vfs, vnode
-        vfs, parent, name = self._resolve_parent(path, cred)
+        vfs, parent, name, depth = self._resolve_parent(path, cred)
         vnode = vfs.fs_lookup(parent, name, cred)
-        self._store_lookup(path, cred, vfs, vnode)
+        self._store_lookup(path, cred, vfs, vnode, depth)
         return vfs, vnode
 
     def _resolve(self, path: str, cred: Credentials) -> tuple[VFSOperations, Vnode]:
@@ -291,10 +301,9 @@ class LogicalFileSystem:
         except FileSystemError as error:
             if error.errno is not Errno.EINVAL:
                 raise
-            # The mount root itself has no final component; walk it live.
+            # The root or a mount root has no final component; walk it live.
             vfs, relative = self.mounted_vfs(path)
-            vnode, _ = self._walk(vfs, relative, cred, stop_before_last=False)
-            return vfs, vnode
+            return vfs, self._walk(vfs, relative, cred)
 
     # ----------------------------------------------------------------- syscalls --
     def open(self, path: str, flags: OpenFlags, cred: Credentials,
@@ -326,7 +335,7 @@ class LogicalFileSystem:
                 hit = True
                 cclock.charge_batch(compiled, cycles)
         if not hit:
-            vfs, parent, name = self._resolve_parent(path, cred)
+            vfs, parent, name, depth = self._resolve_parent(path, cred)
             try:
                 vnode = vfs.fs_lookup(parent, name, cred)
             except FileSystemError as error:
@@ -334,13 +343,12 @@ class LogicalFileSystem:
                     raise
                 vnode = vfs.fs_create(parent, name, mode, cred)
             else:
-                self._store_lookup(path, cred, vfs, vnode)
+                self._store_lookup(path, cred, vfs, vnode, depth)
         handle = vfs.fs_open(vnode, flags, cred)
         fd = self._next_fd
         self._next_fd += 1
-        self._open_files[fd] = OpenFile(fd=fd, path=_normalize_path_for_table(path),
-                                        vfs=vfs, vnode=vnode, handle=handle,
-                                        flags=flags, cred=cred)
+        self._open_files[fd] = OpenFile(fd=fd, path=path, vfs=vfs, vnode=vnode,
+                                        handle=handle, flags=flags, cred=cred)
         return fd
 
     def close(self, fd: int) -> None:
@@ -413,20 +421,20 @@ class LogicalFileSystem:
 
     def unlink(self, path: str, cred: Credentials) -> None:
         self.clock.charge("syscall_base")
-        vfs, parent, name = self._resolve_parent(path, cred)
+        vfs, parent, name, _ = self._resolve_parent(path, cred)
         vfs.fs_remove(parent, name, cred)
 
     def rename(self, old_path: str, new_path: str, cred: Credentials) -> None:
         self.clock.charge("syscall_base")
-        old_vfs, old_parent, old_name = self._resolve_parent(old_path, cred)
-        new_vfs, new_parent, new_name = self._resolve_parent(new_path, cred)
+        old_vfs, old_parent, old_name, _ = self._resolve_parent(old_path, cred)
+        new_vfs, new_parent, new_name, _ = self._resolve_parent(new_path, cred)
         if old_vfs is not new_vfs:
             raise fs_error(Errno.EXDEV, "rename across file systems")
         old_vfs.fs_rename(old_parent, old_name, new_parent, new_name, cred)
 
     def mkdir(self, path: str, cred: Credentials, mode: int = DEFAULT_DIR_MODE) -> None:
         self.clock.charge("syscall_base")
-        vfs, parent, name = self._resolve_parent(path, cred)
+        vfs, parent, name, _ = self._resolve_parent(path, cred)
         vfs.fs_mkdir(parent, name, mode, cred)
 
     def makedirs(self, path: str, cred: Credentials, mode: int = DEFAULT_DIR_MODE) -> None:
@@ -445,7 +453,7 @@ class LogicalFileSystem:
 
     def rmdir(self, path: str, cred: Credentials) -> None:
         self.clock.charge("syscall_base")
-        vfs, parent, name = self._resolve_parent(path, cred)
+        vfs, parent, name, _ = self._resolve_parent(path, cred)
         vfs.fs_rmdir(parent, name, cred)
 
     def listdir(self, path: str, cred: Credentials) -> list[str]:
@@ -522,12 +530,3 @@ class LogicalFileSystem:
         except KeyError:
             raise fs_error(Errno.EBADF, f"bad file descriptor {fd}") from None
 
-
-@functools.lru_cache(maxsize=8192)
-def _normalize_path_for_table(path: str) -> str:
-    """Strip an embedded token from the final component for bookkeeping."""
-
-    normalized = _normalize(path)
-    parent, _, name = normalized.rpartition("/")
-    bare, _ = split_token_from_name(name)
-    return f"{parent}/{bare}" if parent else f"/{bare}"

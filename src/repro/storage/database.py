@@ -59,6 +59,8 @@ copy; :mod:`repro.storage.heap` states the rule in full.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.errors import (
     DuplicateKeyError,
     NoSuchTableError,
@@ -205,9 +207,7 @@ class Database:
         plan.pk_single = pk_cols[0] if len(pk_cols) == 1 else None
         plan.indexes = indexes
         plan.unique_plans = tuple(
-            (index, index.columns,
-             index.columns[0] if len(index.columns) == 1 else None,
-             index.raw_entries)
+            (index, index.columns, index.raw_entries)
             for index in indexes if index.unique)
         self._plans[table] = plan
         return plan
@@ -602,18 +602,16 @@ class Database:
 
     def _check_unique(self, table: str, row: dict, exclude_rid: int | None,
                       plan: _TablePlan) -> None:
-        for index, columns, single, entries in plan.unique_plans:
-            key = (row[single],) if single is not None else \
-                tuple(row[column] for column in columns)
+        for index, columns, entries in plan.unique_plans:
+            # A unique hash index's bucket is a bare row id; a derived or
+            # ordered one answers through ``bucket()`` (see ``index.py``).
             if entries is not None:
-                try:
-                    bucket = entries[key]
-                except KeyError:
-                    continue
+                bucket = entries.get(index.key_of(row), ())
             else:
-                bucket = index.bucket(key)
-            for rid in bucket:
+                bucket = index.bucket([row[column] for column in columns])
+            for rid in (bucket,) if type(bucket) is int else bucket:
                 if rid != exclude_rid:
+                    key = tuple(row[column] for column in columns)
                     raise DuplicateKeyError(
                         f"table {table}: duplicate key {key!r} for index {index.name}")
 
@@ -763,7 +761,8 @@ class _Prepared:
     equality -- resolved against the catalog (see the module docstring)."""
 
     __slots__ = ("db", "table", "columns", "catalog", "version", "plan",
-                 "index", "entries", "charged", "key_at", "residual")
+                 "index", "entries", "charged", "key_at", "raw_key",
+                 "residual")
 
     def __init__(self, db: Database, table: str, columns: tuple):
         self.db = db
@@ -786,7 +785,7 @@ class _Prepared:
         for column in columns:
             if column not in known:
                 plan.schema.column(column)      # raises NoSuchColumnError
-        self.index = self.entries = self.key_at = None
+        self.index = self.entries = self.key_at = self.raw_key = None
         self.charged = False
         for index in plan.indexes:
             for column in index.columns:
@@ -795,13 +794,16 @@ class _Prepared:
             else:
                 self.index = index
                 self.charged = index is plan.pk_index
+                self.key_at = tuple([columns.index(column)
+                                     for column in index.columns])
                 # ``None`` for derived (DATALINK) keys: those go through
                 # ``bucket()``, which finds a superset, so the key columns
                 # stay in the residual test.
                 self.entries = index.raw_entries
-                if index.columns != columns:
-                    self.key_at = tuple([columns.index(column)
-                                         for column in index.columns])
+                if self.entries is not None:
+                    # The stored key from the bound values: the bare value
+                    # of a one-column key, a tuple of several.
+                    self.raw_key = itemgetter(*self.key_at)
                 break
         self.residual = tuple([
             (column, at) for at, column in enumerate(columns)
@@ -837,22 +839,18 @@ class _Prepared:
                 amount, meter = self.db._probe
                 clock.ticks += amount
                 meter[0] += 1
-            key_at = self.key_at
-            if key_at is None:
-                key = values
-            elif len(key_at) == 1:
-                key = (values[key_at[0]],)
-            else:
-                key = tuple([values[at] for at in key_at])
-            entries = self.entries
-            if entries is None:
-                bucket = index.bucket(key)
+            raw_key = self.raw_key
+            if raw_key is None:
+                bucket = index.bucket([values[at] for at in self.key_at])
             else:
                 try:
-                    bucket = entries[key]
+                    bucket = self.entries[raw_key(values)]
                 except KeyError:
                     return ()
-            if len(bucket) == 1:
+            if type(bucket) is int:
+                # One row: a hash index's bucket is the bare row id.
+                pairs = [(bucket, rows[bucket])] if bucket in rows else ()
+            elif len(bucket) == 1:
                 for rid in bucket:
                     break
                 pairs = [(rid, rows[rid])] if rid in rows else ()

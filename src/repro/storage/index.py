@@ -13,7 +13,10 @@ A *unique* index over a DATALINK column admits one row per referenced path.
 
 Indexes hold row ids, never rows: the dicts passed to ``insert`` / ``remove``
 are read for their key and not kept (who may hold a row image is
-:mod:`repro.storage.heap`'s rule).
+:mod:`repro.storage.heap`'s rule).  A hash index stores no wrapper it can
+do without -- a one-column key is the bare value and a one-row bucket the
+bare row id (:class:`HashIndex`) -- because its entries live as long as the
+rows they index, and some tables gain a row per read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def referenced_file(value):
 
 
 def _key(values, derive: tuple | None) -> tuple:
-    """The index key for stored column *values* (in column order)."""
+    """The ordered-index key for stored column *values* (in column order)."""
 
     if derive is None:
         return tuple(values)
@@ -46,14 +49,32 @@ def _key(values, derive: tuple | None) -> tuple:
                  for value, function in zip(values, derive))
 
 
-class HashIndex:
-    """Equality index mapping a key tuple to the row ids holding it.
+def _hash_key(values, derive: tuple | None):
+    """The hash-index key for stored column *values* (in column order): the
+    bare value of a one-column key, a tuple of several."""
 
-    A bucket is a ``set`` of row ids -- except in a *unique* index, where a
-    key has one row and the bucket is the 1-tuple ``(rid,)``: 48 bytes, not
-    a one-element set's 216, and most buckets of a keyed table are of this
-    kind.  Readers only iterate, size or sort a bucket, which both shapes
-    allow; ``insert`` / ``remove`` alone know the difference.
+    if derive is not None:
+        values = [value if function is None else function(value)
+                  for value, function in zip(values, derive)]
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+class HashIndex:
+    """Equality index mapping a key to the row ids holding it.
+
+    An entry is kept in the smallest shape that holds it, because a keyed
+    table has about as many entries as rows and the DLFM token registry
+    gains a row per tokenized read:
+
+    * a one-column key is the bare value, not a 1-tuple (48 bytes);
+    * a bucket of one row id is that ``int``, not a 1-tuple (48 bytes) or a
+      one-element set (216); it becomes a ``set`` at the second row id and
+      turns back into an ``int`` when it drops to one.  A unique index's
+      buckets are therefore all bare ints.
+
+    :meth:`lookup`, :meth:`contains` and ``len`` hide the shapes; only
+    ``insert`` / ``remove`` and the database's two probes of
+    :attr:`raw_entries` and :meth:`bucket` see them.
 
     ``derive`` (one entry per column, ``None`` for "the stored value") makes
     the key a function of the stored values; see the module docstring.
@@ -66,81 +87,69 @@ class HashIndex:
         self.columns = tuple(columns)
         self.unique = unique
         self.derive = derive
-        self._single = self.columns[0] \
-            if len(self.columns) == 1 and derive is None else None
-        # Composite keys come out of one C-level call (``itemgetter`` with
-        # several names returns the tuple); a single name would return the
-        # bare value, hence the ``_single`` special case.  A derived key
-        # takes the same slot, so maintenance below needs no third branch.
-        if derive is not None:
-            self._composite = lambda values, columns=self.columns: _key(
-                [values[column] for column in columns], derive)
+        #: ``row -> key``.  ``itemgetter`` returns the bare value for one
+        #: name and the tuple for several -- the two key shapes -- in one
+        #: C-level call; a derived key takes the same slot.
+        if derive is None:
+            self.key_of = itemgetter(*self.columns)
         else:
-            self._composite = itemgetter(*self.columns) \
-                if self._single is None else None
-        self._entries: dict[tuple, set[int] | tuple[int]] = {}
-        #: The key -> rids dict, for callers that probe it with tuples of
-        #: stored column values; ``None`` when keys are derived (such callers
-        #: must go through :meth:`bucket`, which derives).
+            self.key_of = lambda row, columns=self.columns: _hash_key(
+                [row[column] for column in columns], derive)
+        self._entries: dict = {}
+        #: The key -> bucket dict, for callers that probe it with keys built
+        #: from stored column values (bare for one column); ``None`` when
+        #: keys are derived (such callers go through :meth:`bucket`).
         self.raw_entries = self._entries if derive is None else None
 
-    def key_of(self, row: dict) -> tuple:
-        single = self._single
-        if single is not None:
-            return (row[single],)
-        return self._composite(row)
-
     def insert(self, row: dict, rid: int) -> None:
-        # ``key_of`` is inlined here (and in ``remove``): index maintenance
-        # runs once per index per DML row and the extra frame was measurable.
-        single = self._single
-        key = (row[single],) if single is not None else self._composite(row)
+        key = self.key_of(row)
         entries = self._entries
-        try:
-            bucket = entries[key]
-        except KeyError:
-            entries[key] = (rid,) if self.unique else {rid}
-            return
-        if self.unique:
-            if rid not in bucket:
-                raise DuplicateKeyError(
-                    f"index {self.name}: duplicate key {key!r} "
-                    f"on table {self.table}")
+        bucket = entries.get(key)
+        if bucket is None:
+            entries[key] = rid
+        elif type(bucket) is int:
+            if bucket != rid:
+                if self.unique:
+                    raise DuplicateKeyError(
+                        f"index {self.name}: duplicate key {key!r} "
+                        f"on table {self.table}")
+                entries[key] = {bucket, rid}
         else:
             bucket.add(rid)
 
     def remove(self, row: dict, rid: int) -> None:
-        single = self._single
-        key = (row[single],) if single is not None else self._composite(row)
+        key = self.key_of(row)
         entries = self._entries
-        try:
-            bucket = entries[key]
-        except KeyError:
+        bucket = entries.get(key)
+        if bucket is None:
             return
-        if self.unique:
-            if rid in bucket:
+        if type(bucket) is int:
+            if bucket == rid:
                 del entries[key]
             return
         bucket.discard(rid)
-        if not bucket:
-            del entries[key]
+        if len(bucket) == 1:
+            (entries[key],) = bucket
 
     def lookup(self, key: tuple) -> set[int]:
-        return set(self._entries.get(_key(key, self.derive), ()))
+        bucket = self.bucket(key)
+        return {bucket} if type(bucket) is int else set(bucket)
 
     def bucket(self, key: tuple):
-        """The rid collection for *key* without copying (read-only view)."""
+        """The bucket for the column values *key*, uncopied (read-only): a
+        row id, a set of two or more, or ``()`` when no row holds *key*."""
 
-        return self._entries.get(_key(key, self.derive), ())
+        return self._entries.get(_hash_key(key, self.derive), ())
 
     def contains(self, key: tuple) -> bool:
-        return _key(key, self.derive) in self._entries
+        return _hash_key(key, self.derive) in self._entries
 
     def clear(self) -> None:
         self._entries.clear()
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._entries.values())
+        return sum(1 if type(bucket) is int else len(bucket)
+                   for bucket in self._entries.values())
 
 
 class OrderedIndex:

@@ -11,7 +11,8 @@ with every transaction finished:
   empty: a transaction's records are linked, not indexed for ever);
 * every row image exists once -- heap rows and log images together are no
   more distinct dicts than there were INSERT and UPDATE records;
-* a unique index holds a key's one row id as a 1-tuple;
+* a hash index wraps nothing: a one-column key is the bare value and a
+  one-row bucket the bare row id, so a unique index holds ints only;
 * the bytes allocated under ``storage/`` and still live, per read, stay
   under three quarters of what PR 23 retained.
 
@@ -22,9 +23,10 @@ at least four times: the log retains at most ``FOLD_AT`` records after
 nine per read, and the live ``storage/`` bytes per read -- measured over
 one fold cycle, from the read that folded to the read that folded next, so
 the bounded log's sawtooth cancels -- are at most half of what the
-unfolded log retained (2 220.0).  This tree reads 734.9 (CPython 3.11.7):
-what is left is the token registry's growth, one row per read, and the
-checkpoint base's reference to it.
+unfolded log retained (2 123.9), and below the 734.9 they were while hash
+index keys and one-row buckets sat in tuples and sets.  This tree reads
+638.5 (CPython 3.11.7): what is left is the token registry's growth, one
+row per read, and the checkpoint base's reference to it.
 
 A superseded file version retains nothing (ROADMAP direction 4(a), its
 steady-state slice for version chains).  ``WebServerWorkload`` (200 pages of
@@ -59,13 +61,17 @@ WEB_L, WEB_PAGES, WEB_PAGE_SIZE = 1000, 200, 16 * 1024
 
 #: Live bytes allocated under ``storage/`` per tokenized read at PR 23
 #: (this fixture's own procedure on that tree, CPython 3.11.7): 3 286.4.
-#: This tree reads 2 220.0 (68 %: nine 104-byte records and their nine
+#: This tree reads 2 123.9 (65 %: nine 104-byte records and their nine
 #: 48-byte LSNs are 1 368 of it); the bound is 75 % of the old figure so
 #: that allocator and patch-release differences cannot trip it.
 PARENT_STORAGE_BYTES_PER_READ = 3286
 #: What this fixture's procedure read before the log folded (CPython
 #: 3.11.7), the base of the folded regime's bound.
-UNFOLDED_STORAGE_BYTES_PER_READ = 2220
+UNFOLDED_STORAGE_BYTES_PER_READ = 2124
+#: What the folded regime read while a hash index kept one-column keys as
+#: 1-tuples and one-row buckets as 1-tuples or one-element sets (CPython
+#: 3.11.7): ROADMAP direction 4's bar, which this tree must stay below.
+WRAPPED_FOLDED_STORAGE_BYTES_PER_READ = 734.9
 
 
 def _reader():
@@ -187,15 +193,22 @@ def test_every_row_image_exists_once(after_reads):
     assert len(images) <= written
 
 
-def test_a_unique_bucket_is_a_tuple(after_reads):
+def test_a_unique_bucket_is_a_bare_rid(after_reads):
+    """No wrapper in a hash index: a one-column key is the bare value and
+    a one-row bucket the bare row id, so a unique index holds ints only."""
+
     db, _ = after_reads
-    unique = [index for table in db.catalog.table_names()
-              for index in db.catalog.indexes_of(table)
-              if isinstance(index, HashIndex) and index.unique]
+    indexes = [index for table in db.catalog.table_names()
+               for index in db.catalog.indexes_of(table)
+               if isinstance(index, HashIndex) and index.derive is None]
+    unique = [index for index in indexes if index.unique]
     assert unique and sum(map(len, unique))
-    for index in unique:
-        for bucket in index._entries.values():
-            assert type(bucket) is tuple and len(bucket) == 1
+    for index in indexes:
+        for key, bucket in index.raw_entries.items():
+            assert (type(key) is tuple) == (len(index.columns) > 1), key
+            assert type(bucket) is int \
+                or (not index.unique and type(bucket) is set
+                    and len(bucket) > 1), bucket
 
 
 def test_storage_bytes_retained_per_read(after_reads):
@@ -219,6 +232,7 @@ def test_storage_bytes_retained_per_read_once_the_log_folds(folded_reads):
     if per_read is None:
         pytest.skip("tracemalloc was already tracing: no clean baseline")
     assert per_read <= 0.5 * UNFOLDED_STORAGE_BYTES_PER_READ, per_read
+    assert per_read < WRAPPED_FOLDED_STORAGE_BYTES_PER_READ, per_read
 
 
 @pytest.fixture(scope="module")

@@ -233,3 +233,66 @@ class TestDirectoryIdentityInvalidation:
         with pytest.raises(FileSystemError) as info:
             lfs.read_file("/d/f.txt", alice_cred)
         assert info.value.errno is Errno.EACCES
+
+
+class TestCachesHoldNoTokens:
+    """A token rides only in a path's final component, which is looked up
+    live, so the path caches key on token-free strings: reads with ever-new
+    tokens leave nothing behind in them."""
+
+    READS = 40
+
+    def test_distinct_tokens_leave_no_cache_key(self, monkeypatch):
+        from repro.bench.runner import FILES_TABLE, RunContext
+        from repro.datalinks.control_modes import ControlMode
+        from repro.fs import logical
+        from repro.util.urls import TOKEN_SEPARATOR
+
+        normalized = []
+        real = logical._normalize
+
+        def recording(path):
+            normalized.append(path)
+            return real(path)
+
+        monkeypatch.setattr(logical, "_normalize", recording)
+        system, owner, _ = RunContext().build_microsystem(
+            ControlMode.RDD, size=64, files=2)
+        urls = set()
+        for at in range(self.READS):
+            url = owner.get_datalink(FILES_TABLE, {"file_id": at % 2}, "doc",
+                                     access="read")
+            urls.add(url)
+            owner.read_url(url)
+        assert len(urls) == self.READS and TOKEN_SEPARATOR in url
+
+        lfs = system.file_server("fs1").lfs
+        caches = {"_resolve_cache": lfs._resolve_cache,
+                  "_split_cache": lfs._split_cache,
+                  "_parent_cache": lfs._parent_cache,
+                  "_lookup_cache": lfs._lookup_cache}
+        assert lfs._parent_cache and lfs._split_cache
+        offenders = [(name, key) for name, cache in caches.items()
+                     for key in cache
+                     if TOKEN_SEPARATOR in (key if type(key) is str else key[0])]
+        offenders += [("_normalize", path) for path in normalized
+                      if TOKEN_SEPARATOR in path]
+        assert not offenders, offenders[:3]
+
+    def test_a_mount_root_has_no_final_component(self, clock, root_cred):
+        from repro.fs.logical import LogicalFileSystem
+
+        lfs = LogicalFileSystem(clock=clock)
+        lfs.mount("/", PhysicalFileSystem("rootfs", clock=clock))
+        lfs.mount("/data", PhysicalFileSystem("datafs", clock=clock))
+        lfs.write_file("/data/d.txt", b"on data fs", root_cred)
+        # Caches "/" as a parent directory, of the root file system.
+        lfs.write_file("/r.txt", b"on root fs", root_cred)
+        for path in ("/data", "/data/", "/", "/."):
+            with pytest.raises(FileSystemError) as info:
+                lfs._resolve_parent(path, root_cred)
+            assert info.value.errno is Errno.EINVAL
+        # ... which ``_resolve`` answers with a live walk of the mount.
+        assert lfs.listdir("/data", root_cred) == ["d.txt"]
+        assert lfs.listdir("/data/.", root_cred) == ["d.txt"]
+        assert lfs.listdir("/", root_cred) == ["r.txt"]

@@ -1,10 +1,14 @@
 """Unit tests for heap tables and secondary indexes."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.errors import DuplicateKeyError, NoSuchRowError
 from repro.storage.heap import HeapTable
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import HashIndex, OrderedIndex, referenced_file
+from tests.conftest import examples
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 
@@ -94,6 +98,77 @@ class TestHashIndex:
         index = HashIndex("idx", "t", ("k",))
         index.remove({"k": 1}, 1)
         assert len(index) == 0
+
+
+class TestHashIndexModel:
+    """Random insert / remove histories against a ``{key: set(rids)}``
+    model, probing ``lookup`` / ``bucket`` / ``contains`` / ``len`` for every
+    key after every step.  ``bucket`` exposes the stored shape, so the
+    history also pins it: ``()`` for no row, the bare row id for one, a set
+    from the second row id on and back to the bare id at one."""
+
+    #: Stored DATALINK values and, independently of ``referenced_file``,
+    #: the file each references: three spellings of ``/x`` share a key.
+    URLS = {"dlfs://a/x": "/x", "http://b/x": "/x", "dlfs://a/x;token=t": "/x",
+            "dlfs://a/y": "/y", None: None}
+    PLAIN = {0: 0, 1: 1, 2: 2}
+
+    STEPS = st.lists(st.tuples(st.sampled_from(["insert", "remove"]),
+                               st.integers(0, 9), st.integers(1, 3)),
+                     max_size=30)
+
+    @pytest.mark.parametrize("unique", [False, True], ids=["plain", "unique"])
+    @pytest.mark.parametrize("width", [1, 2], ids=["one_column", "two_columns"])
+    @pytest.mark.parametrize("derived", [False, True], ids=["stored", "datalink"])
+    @given(steps=STEPS)
+    @examples(40)
+    @example(steps=[("insert", 0, 1), ("insert", 0, 2), ("insert", 0, 2),
+                    ("remove", 0, 1), ("insert", 0, 3), ("remove", 0, 2),
+                    ("remove", 0, 3), ("remove", 0, 3)])
+    def test_matches_the_model(self, unique, width, derived, steps):
+        values = self.URLS if derived else self.PLAIN
+        columns = ("k", "v")[2 - width:]
+        index = HashIndex("idx", "t", columns, unique=unique,
+                          derive=(None, referenced_file)[2 - width:]
+                          if derived else None)
+        # Every row a step can name, as its stored column values.
+        rows = list(dict.fromkeys(combination[2 - width:] for combination
+                                  in itertools.product((0, 1), values)))
+
+        def key(stored):
+            return (*stored[:-1], values[stored[-1]])
+
+        model: dict[tuple, set[int]] = {}
+        for action, at, rid in steps:
+            stored = rows[at % len(rows)]
+            row = dict(zip(columns, stored))
+            rids = model.setdefault(key(stored), set())
+            if action == "remove":
+                index.remove(row, rid)
+                rids.discard(rid)
+            elif unique and rids - {rid}:
+                with pytest.raises(DuplicateKeyError):
+                    index.insert(row, rid)
+            else:
+                index.insert(row, rid)      # again for the same rid: a no-op
+                rids.add(rid)
+            for probe in rows:
+                expected = model.get(key(probe), set())
+                assert index.lookup(probe) == expected
+                assert index.contains(probe) == bool(expected)
+                bucket = index.bucket(probe)
+                if len(expected) == 1:
+                    assert bucket == next(iter(expected))
+                    assert type(bucket) is int
+                elif expected:
+                    assert type(bucket) is set and bucket == expected
+                else:
+                    assert bucket == ()
+            assert len(index) == sum(map(len, model.values()))
+        if not derived:
+            # A one-column key is stored bare, a wider one as its tuple.
+            assert all((type(stored_key) is tuple) == (width == 2)
+                       for stored_key in index.raw_entries)
 
 
 class TestOrderedIndex:

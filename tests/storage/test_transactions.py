@@ -220,11 +220,15 @@ def _observable_state(db) -> dict:
     """Everything a failed statement could have disturbed."""
 
     records = db.wal.records()
+    heap = db.catalog.heap("people")
+    # Through the index API: what each row's key finds, and the entry
+    # count, which catches an entry under a key that no row holds.
     return {
-        "heap": db.catalog.heap("people").snapshot(),
-        "indexes": {index.name: sorted((key, sorted(rids))
-                                       for key, rids in index._entries.items())
-                    for index in db.catalog.indexes_of("people")},
+        "heap": heap.snapshot(),
+        "indexes": {index.name: (len(index), [
+            sorted(index.lookup([row[column] for column in index.columns]))
+            for _, row in heap.scan()])
+            for index in db.catalog.indexes_of("people")},
         "max_key": db.max_key("people"),
         "wal": [(int(r.lsn), r.txn_id, r.type, r.table, r.rid, r.before,
                  r.after, {key: value for key, value in r.extra.items()

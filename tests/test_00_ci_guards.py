@@ -365,7 +365,10 @@ class TestIntegerTimeStaysOneDesign:
                "replica_suffix",
                # Version retention is what the archiver does (the versions
                # a retained backup picks, and the newest), not a count.
-               "keep_versions")
+               "keep_versions",
+               # An open file keeps its path as opened; no per-read cache
+               # of token-stripped spellings.
+               "_normalize_path_for_table")
 
     def test_every_client_gets_its_own_domain(self):
         """No pooling knob: a client count is a domain count."""
@@ -813,7 +816,8 @@ class TestNothingRebuiltPerRead:
             ("Session", "get_datalink_many")},
         "repro/datalinks/uip.py": {
             (None, "tokenized_path"), (None, "open_for_read")},
-        "repro/fs/logical.py": {(None, "_normalize_path_for_table")},
+        "repro/fs/logical.py": {("LogicalFileSystem", "open"),
+                                ("LogicalFileSystem", "_resolve_parent")},
     }
 
     def test_no_import_statement_on_the_read_path(self):
