@@ -296,11 +296,12 @@ class Session:
 
     def get_datalink_many(self, table: str, wheres, column: str, *,
                           access: str = "read", ttl: float | None = None) -> list:
-        """Retrieve many DATALINK URLs in one vectorized token handout.
+        """Retrieve many DATALINK URLs in one set-oriented token handout.
 
         Returns one (tokenized) URL -- or ``None`` -- per ``where`` in
-        *wheres*, exactly as the equivalent :meth:`get_datalink` loop
-        would, at a fraction of the per-call overhead (see
+        *wheres*, in order.  The call is charged one engine dispatch and
+        one SELECT statement per distinct ``where`` shape; each row still
+        pays its own access path, row reads and token (see
         :meth:`repro.datalinks.engine.DataLinksEngine.get_datalink_many`).
         """
 

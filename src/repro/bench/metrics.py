@@ -92,6 +92,8 @@ class ExperimentResult:
 
 
 def _cell(value) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)

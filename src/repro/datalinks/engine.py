@@ -104,7 +104,9 @@ class _ColumnPlan:
     a prepared statement the plan re-resolves itself when ``db.catalog`` or
     ``catalog.version`` differs, so DDL, ``crash`` / ``recover`` and
     ``restore`` need no hook; ``selects`` holds such a statement, the
-    SELECT, per ``where`` shape.
+    SELECT, per ``where`` shape -- one handout pays each shape's statement
+    base once, however many of its keys it binds
+    (:meth:`DataLinksEngine.get_datalink_many`).
     """
 
     __slots__ = ("table", "column", "selects", "catalog", "version", "mode",
@@ -653,31 +655,28 @@ class DataLinksEngine:
         ``access`` is ``"read"`` or ``"write"``; requesting write access on a
         column whose control mode does not manage updates raises
         :class:`ControlModeError`, mirroring SQL errors in the prototype.
+        The handout of one *where*: ``get_datalink_many([where])[0]``.
         """
 
-        return self._handout(table, where, column, access,
-                             host_txn.txn if host_txn is not None else None,
-                             ttl)
+        return self.get_datalink_many(table, [where], column, access=access,
+                                      host_txn=host_txn, ttl=ttl)[0]
 
     def get_datalink_many(self, table: str, wheres, column: str, *,
                           access: str = "read",
                           host_txn: HostTransaction | None = None,
                           ttl: float | None = None) -> list:
-        """Mint a whole read plan's tokens in one call.
+        """The token handout: one (tokenized) URL or ``None`` per ``where``
+        in the list *wheres*, in order.
 
-        ``[self.get_datalink(table, where, column, ...) for where in
-        wheres]`` without the per-call session and keyword frames: the same
-        per-row handout, row after row.
+        The cost rule of a set-oriented SELECT: one
+        ``datalink_engine_dispatch`` per call and one statement per
+        distinct dict-``where`` shape -- its ``sql_statement_base`` once,
+        while each key pays its own access path, row reads and locks.  A
+        ``where`` that is not a dict is its own ``db.select``.  Each
+        ``where`` in turn is selected and, if its row carries a URL, gets
+        its own token (or a live cached one); a refused *access* raises at
+        the first such row, before any later ``where`` is selected.
         """
-
-        txn = host_txn.txn if host_txn is not None else None
-        handout = self._handout
-        return [handout(table, where, column, access, txn, ttl)
-                for where in wheres]
-
-    def _handout(self, table: str, where, column: str, access: str,
-                 txn: Transaction | None, ttl: float | None) -> str | None:
-        """One row's handout: dispatch, SELECT, token, tokenized URL."""
 
         amount, meter = self._dispatch
         self.clock.ticks += amount
@@ -687,49 +686,61 @@ class DataLinksEngine:
         except KeyError:
             plan = self._column_plans[table, column] = \
                 _ColumnPlan(table, column)
+        txn = host_txn.txn if host_txn is not None else None
         db = self.db
-        if type(where) is dict:
-            shape = tuple(where)
+        selects = plan.selects
+        charged = set()     # the shapes whose statement base is paid
+        urls = []
+        for where in wheres:
+            if type(where) is dict:
+                shape = tuple(where)
+                try:
+                    select = selects[shape]
+                except KeyError:
+                    select = selects[shape] = db.prepare_select(table, shape)
+                if shape in charged:
+                    rows = select(*where.values(), txn=txn, base=False)
+                else:
+                    charged.add(shape)
+                    rows = select(*where.values(), txn=txn)
+            else:
+                rows = db.select(table, where, txn)
+            if not rows:
+                urls.append(None)
+                continue
+            catalog = db.catalog
+            if catalog is not plan.catalog or catalog.version != plan.version:
+                plan.resolve(catalog)
+            url_text = rows[0].get(column)
+            if not url_text:
+                urls.append(None)
+                continue
+            parsed = parse_url(url_text)
+            path = parsed.path
+            # Tokens must be signed with the secret of the node that will
+            # validate them: the prefix's current owner (witnesses share
+            # their primary's secret, so failover needs no re-signing; a
+            # rebalanced prefix validates on the destination shard).
+            server = self._owner(parsed.server, path)
+            entry = self._entry(server)
             try:
-                select = plan.selects[shape]
+                token_type = plan.token_types[access]
             except KeyError:
-                select = plan.selects[shape] = db.prepare_select(table, shape)
-            rows = select(*where.values(), txn=txn)
-        else:
-            rows = db.select(table, where, txn)
-        if not rows:
-            return None
-        catalog = db.catalog
-        if catalog is not plan.catalog or catalog.version != plan.version:
-            plan.resolve(catalog)
-        url_text = rows[0].get(column)
-        if not url_text:
-            return None
-        parsed = parse_url(url_text)
-        path = parsed.path
-        # Tokens must be signed with the secret of the node that will
-        # validate them: the prefix's current owner (witnesses share their
-        # primary's secret, so failover needs no re-signing; a rebalanced
-        # prefix validates on the destination shard).
-        server = self._owner(parsed.server, path)
-        entry = self._entry(server)
-        try:
-            token_type = plan.token_types[access]
-        except KeyError:
-            raise plan.refusal(access) from None
-        token = None
-        if token_type is not None:
-            if ttl is None:
-                ttl = plan.ttl
-            # A cached live token is handed out again when caching is on.
-            cache = self.token_cache
-            if cache is not None:
-                token = cache.lookup(server, path, token_type, ttl)
-            if token is None:
-                token = entry.tokens.generate(path, token_type, ttl)
+                raise plan.refusal(access) from None
+            token = None
+            if token_type is not None:
+                if ttl is None:
+                    ttl = plan.ttl
+                # A cached live token is handed out again when caching is on.
+                cache = self.token_cache
                 if cache is not None:
-                    cache.store(server, path, token_type, ttl, token)
-        return parsed.with_token(token).render()
+                    token = cache.lookup(server, path, token_type, ttl)
+                if token is None:
+                    token = entry.tokens.generate(path, token_type, ttl)
+                    if cache is not None:
+                        cache.store(server, path, token_type, ttl, token)
+            urls.append(parsed.with_token(token).render())
+        return urls
 
     # ------------------------------------------------------- metadata maintenance --
     def update_file_metadata(self, server: str, path: str, size: int, mtime: float,

@@ -23,16 +23,20 @@ Equality-keyed DML has one implementation, the *prepared statement*:
 ``prepare_delete`` resolve a statement shape -- a table and the columns its
 ``where`` binds by equality -- once and return a handle called with
 positional values (``stmt(*values)``, ``stmt(row)``, ``stmt(changes,
-*values)``, optional ``txn=``).  Resolving picks the table plan and the
-access path: the first index whose columns are all bound (a complete primary
-key is the one charged ``index_probe``; any other index enumerates
-candidates for free), else the heap scan, plus the equality test left for
-the unindexed columns.  ``Database.select`` / ``insert`` / ``update`` /
-``delete`` only fetch the handle for ``(table, tuple(where))`` from one
-cache and call it; a callable, ``None`` or ``{}`` ``where`` is the shape
-that binds nothing, the scan.  A handle re-resolves itself whenever
-``db.catalog`` or its ``version`` is not what it last saw, so DDL,
-``crash()``, ``recover()`` and ``restore()`` need no invalidation hook.
+*values)``, optional ``txn=``).  A set-oriented SELECT binds many keys
+in one statement: it calls the SELECT handle once per key, all but the
+first with ``base=False``, so the statement pays ``sql_statement_base``
+once while each key pays its own access path, row reads and locks.
+Resolving picks the table plan and the access path: the first index whose
+columns are all bound (a complete primary key is the one charged
+``index_probe``; any other index enumerates candidates for free), else the
+heap scan, plus the equality test left for the unindexed columns.
+``Database.select`` / ``insert`` / ``update`` / ``delete`` only fetch the
+handle for ``(table, tuple(where))`` from one cache and call it; a
+callable, ``None`` or ``{}`` ``where`` is the shape that binds nothing, the
+scan.  A handle re-resolves itself whenever ``db.catalog`` or its
+``version`` is not what it last saw, so DDL, ``crash()``, ``recover()`` and
+``restore()`` need no invalidation hook.
 
 A write handle called without ``txn`` is a *single-statement transaction*:
 it logs BEGIN, the statement's records and COMMIT, applies the flush policy
@@ -880,15 +884,23 @@ class PreparedSelect(_Prepared):
     __slots__ = ()
 
     def __call__(self, *values, txn: Transaction | None = None,
-                 for_update: bool = False, lock: bool = True, match=None):
+                 for_update: bool = False, lock: bool = True, match=None,
+                 base: bool = True):
+        """The rows matching *values*, each a copy carrying ``_rid``.
+
+        *base* ``False`` leaves out the ``sql_statement_base`` charge: a
+        later key of a set-oriented statement that already paid it.
+        """
+
         db = self.db
         catalog = db.catalog
         if catalog is not self.catalog or catalog.version != self.version:
             self._resolve()
         clock = db.clock
-        amount, meter = db._stmt
-        clock.ticks += amount
-        meter[0] += 1
+        if base:
+            amount, meter = db._stmt
+            clock.ticks += amount
+            meter[0] += 1
         pairs = self._find(values, clock, match)
         if not pairs:
             return []

@@ -248,7 +248,7 @@ class HotspotWorkload:
                 metrics.bump("links_failed")
         self._uploaded = []
 
-    def _handout_wheres(self, read_plan) -> list[dict]:
+    def _read_wheres(self, read_plan) -> list[dict]:
         """The key of each scheduled read that has a target to read."""
 
         wheres = []
@@ -325,7 +325,7 @@ class HotspotWorkload:
             link_plan = self._prefix_chooser.choose_many(
                 config.links_per_round)
             read_urls = [url for url in self._session.get_datalink_many(
-                             DOCS_TABLE, self._handout_wheres(read_plan),
+                             DOCS_TABLE, self._read_wheres(read_plan),
                              "body", access="read", ttl=TOKEN_TTL)
                          if url is not None]
             reads_per_link = max(1, len(read_urls) // max(1, len(link_plan)))

@@ -167,11 +167,14 @@ class WebServerWorkload:
 
         A Zipf read schedule is spread round-robin over ``sessions`` visitor
         sessions, grown where needed so every session issues at least one
-        read.  A session's page tokens are minted up front in one vectorized
-        :meth:`~repro.api.session.Session.get_datalink_many` handout -- the
-        batch a web tier prefetches for its connection pool -- so the pool
-        exists before the handout, whose cost is reported as ``handout_ms``;
-        ``max_mb_read_per_server`` is the busiest file server's share.
+        read.  A session's page tokens are minted up front in one
+        set-oriented :meth:`~repro.api.session.Session.get_datalink_many`
+        handout -- the batch a web tier prefetches for its connection pool,
+        one engine dispatch and one SELECT statement per session -- so the
+        pool exists before the handout.  The handouts run before the pool's
+        measured window opens; their host-clock time is the step's
+        ``handout_ms`` column.  ``max_mb_read_per_server`` is the busiest
+        file server's share.
         """
 
         config = self.config

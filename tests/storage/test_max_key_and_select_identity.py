@@ -4,7 +4,9 @@
 charged at constant cost, and is checked here against a brute-force maximum
 and a fixed charge ledger.  A dict ``where`` is one prepared statement,
 checked against a predicate scan written in the test: same rows, same
-order, same per-label ledger and clock ticks.
+order, same per-label ledger and clock ticks.  A SELECT called with
+``base=False`` is checked against the plain call: the same rows and locks,
+one ``sql_statement_base`` less.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 from repro.simclock import SimClock
 from repro.storage.database import Database
+from repro.storage.lock_manager import LockMode
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 
@@ -159,6 +162,24 @@ class TestMaxKey:
         assert db.max_key("docs") == 20
 
 
+def _make_shapes_db() -> Database:
+    """``docs`` with a primary key, a non-unique index (``v``), a composite
+    one (``w, x``) and a DATALINK-derived one (``link``)."""
+
+    db = Database("shapes", SimClock())
+    db.create_table(TableSchema("docs", [
+        Column("k", DataType.INTEGER, nullable=False),
+        Column("v", DataType.INTEGER),
+        Column("w", DataType.INTEGER),
+        Column("x", DataType.INTEGER),
+        Column("link", DataType.DATALINK),
+    ], primary_key=("k",)))
+    db.create_index("docs_by_v", "docs", ("v",))
+    db.create_index("docs_by_w_x", "docs", ("w", "x"))
+    db.create_index("docs_by_link", "docs", ("link",))
+    return db
+
+
 class TestPointSelectIdentity:
     """A dict ``where`` is one prepared statement, whatever its access path.
 
@@ -187,20 +208,6 @@ class TestPointSelectIdentity:
         {"link": "dlfs://srv/f/7", "w": 2},
     )
 
-    def _make_db(self) -> Database:
-        db = Database("shapes", SimClock())
-        db.create_table(TableSchema("docs", [
-            Column("k", DataType.INTEGER, nullable=False),
-            Column("v", DataType.INTEGER),
-            Column("w", DataType.INTEGER),
-            Column("x", DataType.INTEGER),
-            Column("link", DataType.DATALINK),
-        ], primary_key=("k",)))
-        db.create_index("docs_by_v", "docs", ("v",))
-        db.create_index("docs_by_w_x", "docs", ("w", "x"))
-        db.create_index("docs_by_link", "docs", ("link",))
-        return db
-
     @staticmethod
     def _measured(db, call):
         before, ticks = _stats_cells(db.clock.stats), db.clock.ticks
@@ -214,7 +221,7 @@ class TestPointSelectIdentity:
     @pytest.mark.parametrize("seed", [5, 20260807, 909090])
     def test_dict_where_matches_predicate_scan(self, seed):
         rng = random.Random(seed)
-        db = self._make_db()
+        db = _make_shapes_db()
         for key in range(40):
             db.insert("docs", {"k": key, "v": (key % 10) * 3, "w": key % 5,
                                "x": key % 2,
@@ -248,7 +255,7 @@ class TestPointSelectIdentity:
             assert ticks == owed_ticks, where
 
     def test_locked_transactional_selects_still_lock(self):
-        db = self._make_db()
+        db = _make_shapes_db()
         for key in range(6):
             db.insert("docs", {"k": key, "v": key % 2, "w": 0, "x": 0,
                                "link": None})
@@ -261,3 +268,50 @@ class TestPointSelectIdentity:
             ("row", "docs", row["_rid"]) for row in rows}
         db.commit(txn)
         assert db.locks.locks_of(txn.txn_id) == set()
+
+
+class TestStatementBaseIsPaidOnce:
+    """``stmt(*values, base=False)`` -- a later key of a set-oriented
+    SELECT, whose statement already paid its base -- is ``stmt(*values)``
+    less exactly one ``sql_statement_base``: the same rows (copies carrying
+    ``_rid``) in the same order and, inside a transaction, the same shared
+    locks."""
+
+    @staticmethod
+    def _run(shape, values, in_txn, base):
+        db = _make_shapes_db()
+        for key in range(40):
+            db.insert("docs", {"k": key, "v": (key % 10) * 3, "w": key % 5,
+                               "x": key % 2,
+                               "link": f"dlfs://srv/f/{key % 20}"})
+        db.delete("docs", {"k": 17})
+        txn = db.begin() if in_txn else None
+        stmt = db.prepare_select("docs", shape)
+        rows, moved, ticks = TestPointSelectIdentity._measured(
+            db, lambda: stmt(*values, txn=txn, base=base))
+        locks = {} if txn is None else {
+            resource: db.locks.holders_of(resource)[txn.txn_id]
+            for resource in db.locks.locks_of(txn.txn_id)}
+        return rows, locks, moved, ticks
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    @pytest.mark.parametrize("shape, values", [
+        (("k",), (7,)),                         # primary key
+        (("k",), (17,)),                        # primary key, deleted row
+        (("v",), (9,)),                         # non-unique index
+        (("link",), ("dlfs://srv/f/7",)),       # DATALINK-derived index
+        (("w",), (2,)),                         # no index: heap scan
+    ])
+    def test_no_base_is_one_statement_base_less(self, shape, values, in_txn):
+        rows, locks, moved, ticks = self._run(shape, values, in_txn, False)
+        want_rows, want_locks, owed, owed_ticks = self._run(shape, values,
+                                                            in_txn, True)
+        assert rows == want_rows
+        assert all("_rid" in row for row in rows)
+        assert locks == want_locks
+        if in_txn and rows:
+            assert set(locks.values()) == {LockMode.SHARED}
+        unit = SimClock().unit_ticks("sql_statement_base")
+        assert owed.pop("sql_statement_base") == (1, unit)
+        assert moved == owed
+        assert ticks == owed_ticks - unit

@@ -259,9 +259,12 @@ class TestCommittedLayeredArtifactShape:
     metrics of the runs those digests name."""
 
     #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42; digests
-    #: c55a20abf5cdf450 / 447e7bd9957e5dbf / 78bbb105f1963191 /
-    #: 1f1fb72439ab7e2a in this order.  Version retention moved web_rfd
+    #: c55a20abf5cdf450 / d398864286a4ffd8 / 78bbb105f1963191 /
+    #: 6eb58f15225fca3c in this order.  Version retention moved web_rfd
     #: (fewer version rows read) and edit_uip (one delete per update).
+    #: The set-oriented token handout moved cluster_hotspot (its handout
+    #: runs inside the window) and session_knee's digest, not its
+    #: metrics (its handout runs before the window opens).
     SIMULATED = {
         "web_rfd": (85.12801173999098, 11.292711182022686,
                     11.349244995017216),
@@ -269,8 +272,8 @@ class TestCommittedLayeredArtifactShape:
                          48223.648881357),
         "edit_uip": (48.893912185977605, 28.530742704987233,
                      28.582069457996795),
-        "cluster_hotspot": (91.8978824008268, 10.76865838601293,
-                            16.13148742700332),
+        "cluster_hotspot": (98.42950600542483, 10.76865838599872,
+                            16.13148742698911),
     }
 
     @pytest.fixture(scope="class")
@@ -368,7 +371,9 @@ class TestIntegerTimeStaysOneDesign:
                "keep_versions",
                # An open file keeps its path as opened; no per-read cache
                # of token-stripped spellings.
-               "_normalize_path_for_table")
+               "_normalize_path_for_table",
+               # One token handout, set-oriented: no per-row twin.
+               "_handout")
 
     def test_every_client_gets_its_own_domain(self):
         """No pooling knob: a client count is a domain count."""
@@ -575,6 +580,26 @@ class TestOnePathPerOperation:
                     and target.value.id in imported]
         assert builders == ["runner.py:build_host"], builders
         assert not patches, f"a module global set from outside: {patches}"
+
+    def test_one_token_handout(self):
+        """``DataLinksEngine.get_datalink`` is ``get_datalink_many`` of one
+        ``where`` and calls nothing else: the set-oriented handout stays
+        the only one."""
+
+        import ast
+
+        tree = ast.parse((SRC_ROOT / "repro" / "datalinks" / "engine.py")
+                         .read_text(encoding="utf-8"))
+        engine = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "DataLinksEngine")
+        method = next(node for node in engine.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "get_datalink")
+        called = {call.func.attr if isinstance(call.func, ast.Attribute)
+                  else ast.unparse(call.func)
+                  for call in ast.walk(method) if isinstance(call, ast.Call)}
+        assert called == {"get_datalink_many"}, called
 
     def test_the_message_envelope_module_is_gone(self):
         import importlib.util

@@ -382,13 +382,27 @@ class TestExperimentClaims:
 
     def test_e9_reports_token_cache_hit_rate(self):
         """The web workload runs with the host token cache on by default and
-        the rdd row shows the hot-page hit rate."""
+        the rdd row shows the hot-page hit rate.  A session-sweep row
+        reports its handout in the ``handout_ms`` column, not in its label:
+        labels key ``profile_steps``, so a cost must not move one."""
 
         result = run_experiment("E9", "smoke")
-        assert "token_cache_hit_pct" in result.headers
+        assert {"token_cache_hit_pct", "handout_ms"} <= set(result.headers)
         rdd = next(row for row in result.rows
                    if "rdd" in row["configuration"])
         assert rdd["token_cache_hit_pct"] > 0.0
+        swept = [row for row in result.rows
+                 if "session sweep" in row["configuration"]]
+        assert [row["configuration"] for row in swept] == [
+            f"rdd session sweep, {clients} sessions, admission limit 2"
+            for clients in (2, 4)]
+        assert all(row["handout_ms"] > 0.0 for row in swept)
+        # The mix rows measure no handout: the cell is empty, not a zero
+        # that would drag down the sim_ms mean.
+        assert all(row["handout_ms"] is None for row in result.rows
+                   if row not in swept)
+        assert result.to_dict()["sim_ms"]["handout_ms"] == pytest.approx(
+            sum(row["handout_ms"] for row in swept) / len(swept))
 
     def test_e11_scaleout_beats_baseline_by_1_5x(self):
         result = run_experiment("E11")
