@@ -16,6 +16,8 @@ paper's real testbed machines did.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.datalinks.backup_coordinator import BackupCoordinator, SystemBackup
 from repro.datalinks.dlfm.archive import ArchiveServer
 from repro.datalinks.dlfm.daemons import MainDaemon, UpcallDaemon
@@ -252,26 +254,72 @@ class DataLinksSystem:
 
         return synchronized_call(self.clock, server.clock)
 
-    def run_archiver(self) -> int:
-        """Process pending asynchronous archive jobs on every file server."""
+    def _fan_out(self, steps) -> list:
+        """Run ``steps(server)`` on every file server, overlapped in time.
 
-        jobs = 0
-        for server in self.file_servers.values():
-            with self._at_server(server):
-                jobs += server.process_archive_jobs()
-        return jobs
+        ``steps`` returns an iterator per server; each ``next()`` is one
+        step, run as an admin request (:meth:`_at_server`) inside one
+        scatter-gather window of the host clock.  The next step always goes
+        to the server whose domain is earliest (ties to the server earlier
+        in :attr:`file_servers`) -- the order
+        :meth:`~repro.workloads.clients.ClientPool.run` gives clients --
+        so the host waits for the slowest server, not for the sum, and
+        servers meet only where their work rendezvouses with a shared node.
+        Returns the values the steps yielded, in the order the steps ran
+        (a step yields a value other than ``None``).  An exception from a
+        step propagates and leaves the other servers' remaining steps
+        unrun.
+        """
+
+        done = []
+        push, pop = heapq.heappush, heapq.heappop
+        with self.clock.overlap():
+            start = self.clock.ticks
+            heap = [(max(server.clock.ticks, start), order, server.clock,
+                     self._at_server(server), steps(server))
+                    for order, server in enumerate(self.file_servers.values())]
+            heapq.heapify(heap)
+            while heap:
+                entry = pop(heap)
+                ticks, _, clock, call, step = entry
+                if clock.ticks > ticks:
+                    # Another server's step moved this domain on; its turn
+                    # starts at its new time.
+                    push(heap, (clock.ticks,) + entry[1:])
+                    continue
+                with call:
+                    value = next(step, None)
+                if value is not None:
+                    done.append(value)
+                    push(heap, (clock.ticks,) + entry[1:])
+        return done
+
+    def run_archiver(self) -> int:
+        """Process the pending asynchronous archive jobs of every file server.
+
+        The servers run their jobs side by side in simulated time
+        (:meth:`_fan_out`, one job per step): each server's disk reads
+        overlap the others', the jobs of one server run in queue order,
+        and jobs meet only at the shared archive mover, which serves them
+        in job-start order (:mod:`repro.datalinks.dlfm.archive`).  The
+        host waits for the slowest server.  Returns how many jobs
+        archived a version.
+        """
+
+        return sum(self._fan_out(lambda server: server.dlfm.archive_steps()))
 
     def run_housekeeping(self) -> dict:
         """Run DLFM housekeeping on every file server: purge expired
-        token-registry entries.  Returns per-server counts.  Version
-        retention is not housekeeping: each archive job drops what no
-        retained backup can restore."""
+        token-registry entries.  Returns per-server counts, by server
+        name.  The servers run side by side (:meth:`_fan_out`, one step
+        each), so the host waits for the slowest.  Version retention is
+        not housekeeping: each archive job drops what no retained backup
+        can restore."""
 
-        results = {}
-        for name, server in sorted(self.file_servers.items()):
-            with self._at_server(server):
-                results[name] = server.dlfm.run_housekeeping()
-        return results
+        def purge(server):
+            yield server.name, server.dlfm.run_housekeeping()
+
+        return dict(sorted(self._fan_out(purge)))
 
     def abort_file_update(self, server: str, path: str) -> bool:
         """Administrative rollback of an in-progress file update (Section 4.2)."""

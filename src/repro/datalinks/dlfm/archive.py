@@ -10,6 +10,12 @@ The archive mover is its own simulated node: it runs on the ``archive``
 clock domain, and each store/retrieve rendezvouses with the calling file
 server's domain (the transfer occupies both ends), so archive bandwidth is
 attributed to the archive device rather than smeared over the file servers.
+The archiver runs the file servers' jobs side by side, each step on the
+server whose clock is earliest (:meth:`DataLinksSystem.run_archiver
+<repro.api.system.DataLinksSystem.run_archiver>`), so the mover serves jobs
+in job-start order and is where they serialise: a server waiting for it
+idles on its own domain -- the rendezvous moves its clock forward -- and is
+charged nothing for the wait.
 
 The archive keeps only what a restore can still read.  A DLFM keeps, per
 linked file, its newest committed version and every superseded version some

@@ -694,7 +694,23 @@ class DataLinksFileManager:
 
     # ------------------------------------------------------------------ archiving --
     def process_archive_jobs(self) -> int:
-        """Run pending asynchronous archive jobs; returns how many completed."""
+        """Run every step of :meth:`archive_steps`; returns how many jobs
+        archived a version."""
+
+        return sum(self.archive_steps())
+
+    def archive_steps(self):
+        """Run the pending asynchronous archive jobs one per step.
+
+        A generator: each ``next()`` runs the next job in queue order and
+        yields 1 if it archived a version, 0 if the file was gone.  The
+        queue is read once, by the first step, so a caller may interleave
+        the steps of several servers in simulated time
+        (:meth:`repro.api.system.DataLinksSystem.run_archiver`).  A job
+        queues the archive objects its version drop frees as it completes,
+        so a sequence abandoned when a later job raises loses no release;
+        the last step frees what is already durable and shipped.
+        """
 
         if self.replica is not None:
             # A witness repository is redo-only: its archive_queue rows are
@@ -702,27 +718,25 @@ class DataLinksFileManager:
             # Acting on them here would archive the (possibly stale) mirror
             # and write local transactions into heaps that must keep
             # mirroring the primary's row ids.
-            return 0
-        completed = 0
-        dropped = []
+            return
         for job in self.repository.pending_archive_jobs():
             path = job["path"]
             if not self.files.exists(path):
                 self.repository.complete_archive_job(job["job_id"])
+                yield 0
                 continue
             content = self.files.read(path)
             archive_id = self.archive.store(self.server_name, path, content,
                                             caller_clock=self.clock)
-            dropped += self.repository.add_version(
+            dropped = self.repository.add_version(
                 path, archive_id, job["state_id"], self._backup_state_ids())
             self.repository.complete_archive_job(job["job_id"])
-            completed += 1
-        if dropped:
-            self._releases.append(
-                (self.repository.db.wal.tail_lsn(), dropped))
+            if dropped:
+                self._releases.append(
+                    (self.repository.db.wal.tail_lsn(), dropped))
+            yield 1
         if self._releases:
             self._release_shipped()
-        return completed
 
     def _release_shipped(self) -> None:
         """Free the queued archive objects whose dropping transaction is

@@ -1,0 +1,197 @@
+"""The archiver fans out across file servers in simulated time.
+
+``DataLinksSystem.run_archiver`` always advances the file server whose
+clock domain is earliest, one archive job per step, so disk reads on
+different servers overlap and jobs meet only at the shared archive mover.
+The oracle is the serial schedule, kept here in the test: visit each
+server's ``process_archive_jobs`` as one admin round trip after another.
+Both schedules run the same jobs with the same charges; only the elapsed
+host time differs.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.api.system import DataLinksSystem
+from repro.datalinks.control_modes import ControlMode
+from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
+from repro.datalinks.dlfm.archive import ArchiveServer
+from repro.errors import ReproError
+from repro.storage.schema import Column, TableSchema
+from repro.storage.values import DataType
+from repro.workloads.generator import make_content
+from tests.conftest import ALICE_UID, FILES_TABLE
+
+SERVERS = ("idle", "small", "large")
+#: Files linked per server, and how many of them are updated before the
+#: measured archiver run (one pending job each: a queued job blocks the
+#: next update of its file).
+FILES = {"idle": 0, "small": 4, "large": 7}
+UPDATES = {"idle": 0, "small": 2, "large": 6}
+
+
+def build(seed: int) -> DataLinksSystem:
+    """Three file servers, one idle; the other two hold seeded updates
+    whose archive jobs are pending."""
+
+    rng = random.Random(seed)
+    system = DataLinksSystem()
+    for name in SERVERS:
+        system.add_file_server(name)
+    system.create_table(TableSchema(FILES_TABLE, [
+        Column("doc_id", DataType.INTEGER, nullable=False),
+        datalink_column("body", DatalinkOptions(control_mode=ControlMode.RFD,
+                                                recovery=True)),
+        Column("body_size", DataType.INTEGER),
+        Column("body_mtime", DataType.TIMESTAMP),
+    ], primary_key=("doc_id",)))
+    system.register_metadata_columns(FILES_TABLE, "body", "body_size",
+                                     "body_mtime")
+    alice = system.session("alice", uid=ALICE_UID)
+    docs = {name: [] for name in SERVERS}
+    for name in SERVERS:
+        for index in range(FILES[name]):
+            doc_id = sum(map(len, docs.values()))
+            content = make_content(rng.randrange(1, 64) * 1024,
+                                   tag=f"{name}{index}", version=0)
+            url = alice.put_file(name, f"/docs/{name}{index}.dat", content)
+            alice.insert(FILES_TABLE, {"doc_id": doc_id, "body": url,
+                                       "body_size": len(content),
+                                       "body_mtime": 0.0})
+            docs[name].append(doc_id)
+    system.run_archiver()
+    for name in SERVERS:
+        for version, doc_id in enumerate(
+                rng.sample(docs[name], UPDATES[name]), start=1):
+            url = alice.get_datalink(FILES_TABLE, {"doc_id": doc_id}, "body",
+                                     access="write")
+            with alice.update_file(url, truncate=True) as update:
+                update.replace(make_content(rng.randrange(1, 256) * 1024,
+                                            tag=f"{name}{doc_id}",
+                                            version=version))
+    return system
+
+
+def run_serially(system: DataLinksSystem) -> int:
+    """The serial schedule: each server's whole queue in one admin round
+    trip, one server after another."""
+
+    jobs = 0
+    for server in system.file_servers.values():
+        with system._at_server(server):
+            jobs += server.process_archive_jobs()
+    return jobs
+
+
+def measure(system: DataLinksSystem, schedule) -> dict:
+    """Run *schedule* on *system*; what it did and how long it took."""
+
+    clocks = system.clocks
+    ledger = clocks.stats.ledger()
+    charged = {name: clocks.domain(name).stats.total_ticks()
+               for name in SERVERS + ("archive",)}
+    start = system.clock.ticks
+    jobs = schedule(system)
+    after = clocks.stats.ledger()
+    return {
+        "jobs": jobs,
+        "elapsed": system.clock.ticks - start,
+        "charged": {name: clocks.domain(name).stats.total_ticks() - ticks
+                    for name, ticks in charged.items()},
+        "ledger": {label: (count - ledger.get(label, (0, 0))[0],
+                           ticks - ledger.get(label, (0, 0))[1])
+                   for label, (count, ticks) in after.items()
+                   if (count, ticks) != ledger.get(label, (0, 0))},
+        "times": {name: domain.ticks
+                  for name, domain in clocks.domains.items()},
+    }
+
+
+def end_state(system: DataLinksSystem) -> dict:
+    """Pending jobs, archived content per (server, path, version) and the
+    ``file_versions`` rows of every server.  Archive ids and row times are
+    left out: the schedule decides the order the mover hands out ids and
+    the instant each version is recorded."""
+
+    objects = system.archive._objects
+    state = {"archive": {}, "versions": {}, "queues": {},
+             "objects": len(system.archive)}
+    for name, server in system.file_servers.items():
+        repository = server.dlfm.repository
+        state["queues"][name] = sorted(
+            job["path"] for job in repository.pending_archive_jobs())
+        rows = repository.db.select("file_versions")
+        state["versions"][name] = sorted(
+            (row["path"], row["version_no"], row["state_id"]) for row in rows)
+        for row in rows:
+            state["archive"][(name, row["path"], row["version_no"])] = \
+                objects[row["archive_id"]].content
+    return state
+
+
+def test_fan_out_matches_the_serial_schedule_but_overlaps():
+    fanned, serial = build(42), build(42)
+    fan = measure(fanned, lambda system: system.run_archiver())
+    ref = measure(serial, run_serially)
+
+    assert fan["jobs"] == ref["jobs"] == sum(UPDATES.values())
+    assert end_state(fanned) == end_state(serial)
+    # The same charges, label by label, summed over every domain.
+    assert fan["ledger"] == ref["ledger"]
+    assert fan["charged"] == ref["charged"]
+    # The host waits for the slowest server, not for all of them in turn.
+    busiest = max(fan["charged"][name] for name in SERVERS)
+    assert 0 < busiest <= fan["elapsed"] < ref["elapsed"]
+    assert fan["charged"]["archive"] <= fan["elapsed"]
+
+
+def test_fan_out_is_deterministic():
+    first = measure(build(7), lambda system: system.run_archiver())
+    second = measure(build(7), lambda system: system.run_archiver())
+    assert first == second
+
+
+def test_interrupted_fan_out_loses_no_completed_job(monkeypatch):
+    """A job that raises stops the fan-out; the jobs that finished keep
+    their versions and releases, the rest stay queued, and a second run
+    ends where an uninterrupted one does."""
+
+    system, twin = build(42), build(42)
+    store = ArchiveServer.store
+    calls = {"large": 0}
+
+    def failing_store(self, server, path, content, caller_clock):
+        if server == "large":
+            calls["large"] += 1
+            if calls["large"] == 2:
+                raise ReproError("archive device offline")
+        return store(self, server, path, content, caller_clock)
+
+    monkeypatch.setattr(ArchiveServer, "store", failing_store)
+    with pytest.raises(ReproError):
+        system.run_archiver()
+    monkeypatch.undo()
+    assert system.clock._overlap_frames == []
+    for server in system.file_servers.values():
+        for row in server.dlfm.repository.db.select("file_versions"):
+            assert system.archive.exists(row["archive_id"])
+
+    total = twin.run_archiver()
+    final = end_state(twin)
+    updated = {(name, path) for name, path, version_no in final["archive"]
+               if version_no > 1}
+    interrupted = end_state(system)
+    archived = {(name, path) for name, path, version_no
+                in interrupted["archive"] if version_no > 1}
+    pending = {(name, path) for name, paths in interrupted["queues"].items()
+               for path in paths}
+    # Every job either finished or is still queued on its server; "large"
+    # finished exactly the job before the one that raised.
+    assert archived | pending == updated and not archived & pending
+    assert len(interrupted["queues"]["large"]) == UPDATES["large"] - 1
+
+    assert system.run_archiver() == total - len(archived)
+    assert end_state(system) == final

@@ -150,6 +150,31 @@ class TestHousekeeping:
         assert counts["fs1"]["purged_tokens"] >= 1
         assert dlfm.repository.db.count("token_entries") == 0
 
+    def test_purges_on_two_servers_overlap(self):
+        """The servers purge side by side: the host waits for the slower
+        one, not for both in turn."""
+
+        system, alice, _, _ = build_system(ControlMode.RDD, files=3)
+        system.add_file_server("fs2")
+        url = alice.put_file("fs2", "/library/other.dat",
+                             make_content(4096, tag="other"))
+        alice.insert(FILES_TABLE, {"doc_id": 10, "body": url,
+                                   "body_size": 4096, "body_mtime": 0.0})
+        system.run_archiver()
+        for doc_id in (0, 1, 2, 10):
+            alice.read_url(alice.get_datalink(FILES_TABLE, {"doc_id": doc_id},
+                                              "body", access="read", ttl=0.5))
+        system.clock.advance(5.0)
+        start = system.clock.ticks
+        counts = system.run_housekeeping()
+        assert list(counts) == ["fs1", "fs2"]
+        assert counts["fs1"]["purged_tokens"] == 3
+        assert counts["fs2"]["purged_tokens"] == 1
+        elapsed = {name: system.file_server(name).clock.ticks - start
+                   for name in counts}
+        assert 0 < elapsed["fs2"] < elapsed["fs1"]
+        assert system.clock.ticks - start == elapsed["fs1"]
+
     def test_version_chain_pruned_but_newest_kept(self, rfd_system):
         """Without a backup, each archived update replaces the version it
         supersedes, row and archive object alike."""

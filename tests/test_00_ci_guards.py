@@ -259,21 +259,20 @@ class TestCommittedLayeredArtifactShape:
     metrics of the runs those digests name."""
 
     #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42; digests
-    #: c55a20abf5cdf450 / d398864286a4ffd8 / 78bbb105f1963191 /
-    #: 6eb58f15225fca3c in this order.  Version retention moved web_rfd
-    #: (fewer version rows read) and edit_uip (one delete per update).
-    #: The set-oriented token handout moved cluster_hotspot (its handout
-    #: runs inside the window) and session_knee's digest, not its
-    #: metrics (its handout runs before the window opens).
+    #: 2ddf3c5d28f02f48 / d1de8dcf079053ca / 7d29d3698dd4cc7c /
+    #: 62c13189c841d91c in this order.  The archiver's fan-out across
+    #: file servers moved web_rfd, edit_uip and cluster_hotspot (their
+    #: archiver runs inside the window) and session_knee's digest, not
+    #: its metrics (its archiver runs before the window opens).
     SIMULATED = {
-        "web_rfd": (85.12801173999098, 11.292711182022686,
+        "web_rfd": (85.13525913533013, 11.292711182022686,
                     11.349244995017216),
         "session_knee": (62.78828676495274, 46768.023894838996,
                          48223.648881357),
-        "edit_uip": (48.893912185977605, 28.530742704987233,
-                     28.582069457996795),
-        "cluster_hotspot": (98.42950600542483, 10.76865838599872,
-                            16.13148742698911),
+        "edit_uip": (48.95375069566981, 28.480742704999784,
+                     28.532069457995135),
+        "cluster_hotspot": (106.40390717894455, 10.76865838599872,
+                            16.13148742700332),
     }
 
     @pytest.fixture(scope="class")
@@ -600,6 +599,24 @@ class TestOnePathPerOperation:
                   else ast.unparse(call.func)
                   for call in ast.walk(method) if isinstance(call, ast.Call)}
         assert called == {"get_datalink_many"}, called
+
+    def test_no_serial_visit_of_the_file_servers(self):
+        """No ``for`` loop in ``api/system.py`` enters ``_at_server``: an
+        admin request to several file servers goes through
+        ``DataLinksSystem._fan_out``, which overlaps them in simulated
+        time, never through a loop that waits for each in turn."""
+
+        import ast
+
+        tree = ast.parse((SRC_ROOT / "repro" / "api" / "system.py")
+                         .read_text(encoding="utf-8"))
+        serial = [f"system.py:{loop.lineno}"
+                  for loop in ast.walk(tree)
+                  if isinstance(loop, (ast.For, ast.AsyncFor))
+                  for node in ast.walk(loop)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "_at_server"]
+        assert not serial, f"a serial visit of the file servers: {serial}"
 
     def test_the_message_envelope_module_is_gone(self):
         import importlib.util
