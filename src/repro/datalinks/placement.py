@@ -560,13 +560,15 @@ def sweep_moved_prefix(deployment, prefix: str) -> dict:
             raise PlacementError(
                 f"a source node of {entry['source']!r} is down; deferring "
                 f"the sweep for {prefix!r} until it recovers")
+        # Every source node unlinks at once; the host waits for the slowest.
         swept = 0
-        for node in source_nodes:
-            with synchronized_call(deployment.clock, node.clock):
-                for path in entry["paths"]:
-                    if node.files.exists(path):
-                        node.files.unlink(path)
-                        swept += 1
+        with deployment.clock.overlap():
+            for node in source_nodes:
+                with synchronized_call(deployment.clock, node.clock):
+                    for path in entry["paths"]:
+                        if node.files.exists(path):
+                            node.files.unlink(path)
+                            swept += 1
     except ReproError:
         return {"swept_files": 0, "deferred": True}
     deployment.pending_sweeps.pop(prefix, None)

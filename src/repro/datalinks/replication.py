@@ -913,8 +913,17 @@ class ReplicatedShard:
         lfs.write_file(path, content, root, create=True)
         lfs.chown(path, uid, gid, root)
 
-    def mirror_file(self, path: str, content: bytes, uid: int, gid: int) -> None:
+    def mirror_file(self, caller: SimClock, path: str, content: bytes,
+                    uid: int, gid: int) -> None:
         """Copy a just-ingested file to every subscriber (same path/owner).
+
+        Issued from *caller*'s clock -- the session or host that ingested
+        the file -- inside one overlap window, so the witness copies leave
+        together and *caller* waits for the slowest, not for their sum.
+        Each copy is a cross-node request: the witness pays one
+        ``db_dlfm_message`` of wire latency on its own domain before it
+        writes (the latency-on-callee rule of
+        :meth:`repro.ipc.channel.Channel.request`).
 
         Runs below DLFS (the DLFM-privileged path) so mirroring never
         recurses into DataLinks interception on the witness.  A crashed
@@ -923,17 +932,19 @@ class ReplicatedShard:
         the serving node's copy.
         """
 
-        for node_name in list(self._streams):
-            node = self.nodes[node_name]
-            if not node.running:
-                self.mirror_misses += 1
-                continue
-            # Synchronous mirror: the ingest path waits for the witness copy
-            # (that durability is exactly why promotion can serve the
-            # content), so the witness domain syncs up and the caller merges
-            # back after.
-            with synchronized_call(self.clock, node.clock):
-                self._copy_below_dlfs(node, path, content, uid, gid)
+        with caller.overlap():
+            for node_name in list(self._streams):
+                node = self.nodes[node_name]
+                if not node.running:
+                    self.mirror_misses += 1
+                    continue
+                # Synchronous mirror: the ingest path waits for the witness
+                # copy (that durability is exactly why promotion can serve
+                # the content), so the witness domain syncs up to the
+                # window's start and the caller gathers its finish.
+                with synchronized_call(caller, node.clock):
+                    node.clock.charge("db_dlfm_message")
+                    self._copy_below_dlfs(node, path, content, uid, gid)
 
     def receive_file(self, path: str, content: bytes, uid: int, gid: int) -> None:
         """Ingest a handed-off file: serving-node copy plus witness mirror.
@@ -943,12 +954,15 @@ class ReplicatedShard:
         the same step, so witness placement follows the prefix: a
         promotion *after* the move can serve the moved files from this
         shard's witness set (the repository rows arrive over the normal
-        WAL stream when the hand-off branch commits).
+        WAL stream when the hand-off branch commits).  The serving copy and
+        the mirrors leave together from the host clock; the hand-off waits
+        for the slowest.
         """
 
-        with synchronized_call(self.clock, self.serving.clock):
-            self._copy_below_dlfs(self.serving, path, content, uid, gid)
-        self.mirror_file(path, content, uid, gid)
+        with self.clock.overlap():
+            with synchronized_call(self.clock, self.serving.clock):
+                self._copy_below_dlfs(self.serving, path, content, uid, gid)
+            self.mirror_file(self.clock, path, content, uid, gid)
 
     def _mirror_missing_content(self, node) -> int:
         """Copy linked-file content *node* lacks (or holds stale) from the

@@ -222,19 +222,23 @@ class ShardedDataLinksDeployment:
         Content is written through the shard's current *serving* node (the
         witness, after a failover -- write availability is the point of
         writable failover) and, under replication, mirrored to every
-        witness so a later promotion can serve it.  The returned URL always
-        names the logical shard, so it stays valid across failover and
-        fail-back.
+        witness so a later promotion can serve it.  The serving write and
+        every mirror leave together from the *session's* clock, inside one
+        overlap window: the call returns when the last copy is on disk, so
+        the session waits for the slowest copy, not for their sum.  The
+        returned URL always names the logical shard, so it stays valid
+        across failover and fail-back.
         """
 
         shard = self.shard_of(path)
         serving = self.router.route_write(shard)
         self.router.note_write(path)
-        session.put_file(serving.name, path, content)
         replica = self.replicas.get(shard)
-        if replica is not None:
-            replica.mirror_file(path, content, session.cred.uid,
-                                session.cred.gid)
+        with session.clock.overlap():
+            session.put_file(serving.name, path, content)
+            if replica is not None:
+                replica.mirror_file(session.clock, path, content,
+                                    session.cred.uid, session.cred.gid)
         return format_url(shard, path)
 
     # ------------------------------------------------------------------- reading --

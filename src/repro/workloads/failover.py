@@ -5,8 +5,9 @@ with or without witness replication -- through five phases:
 
 1. **ingest**: link ``files`` token-protected files across the shards
    through the batched pipeline and the group-commit queue (measured, so
-   the replication tax on the write path -- content mirroring plus WAL
-   shipping -- shows up as link throughput);
+   the replication tax on the write path -- each witness copy's wire
+   latency, overlapped with the serving write, plus WAL shipping -- shows
+   up as link throughput);
 2. **reads before**: every file is read through the deployment's routing
    layer with a token handed out by the host database (round-robin over
    the serving node and every eligible witness);

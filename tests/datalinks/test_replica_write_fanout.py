@@ -1,0 +1,304 @@
+"""Replica copies fan out in simulated time.
+
+``ShardedDataLinksDeployment.put_file`` writes the serving copy and every
+witness mirror side by side, ``ReplicatedShard.receive_file`` does the same
+for a rebalance hand-off, and ``sweep_moved_prefix`` unlinks on every
+source node at once: the caller waits for the slowest copy, not for their
+sum.  Each witness copy is a cross-node request and pays one
+``db_dlfm_message`` of wire latency on the witness's domain.
+
+Every check runs against a *twin*: a second deployment built and driven
+identically, on which the test replays the same work the serial way --
+one copy after another, no wire charge (the oracles below).  The twin
+fixes what the fan-out must leave unchanged (the bytes, the owners, every
+charge but the wire) and what it must beat (the serial elapsed time).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.datalinks.control_modes import ControlMode
+from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
+from repro.datalinks.placement import sweep_moved_prefix
+from repro.datalinks.sharding import ShardedDataLinksDeployment
+from repro.simclock import synchronized_call
+from repro.storage.schema import Column, TableSchema
+from repro.storage.values import DataType
+from tests.conftest import InjectedCrash, boom
+
+TABLE = "fanout_docs"
+UID, GID = 6101, 100
+CONTENT = bytes(range(256)) * 24          # 6 KiB: the disk transfer shows
+
+
+def build(witnesses: int):
+    deployment = ShardedDataLinksDeployment(
+        2, replication=True, witnesses=witnesses, flush_policy="immediate",
+        group_commit_window=1)
+    deployment.create_table(TableSchema(TABLE, [
+        Column("doc_id", DataType.INTEGER, nullable=False),
+        datalink_column("body", DatalinkOptions(control_mode=ControlMode.RFD,
+                                                recovery=True)),
+    ], primary_key=("doc_id",)))
+    return deployment, deployment.session("writer", uid=UID, gid=GID)
+
+
+def twins(witnesses: int):
+    """``(fan-out deployment, its session, oracle twin, its session)``."""
+
+    return build(witnesses) + build(witnesses)
+
+
+def path_on(deployment, shard: str, tag: str) -> str:
+    for index in range(1000):
+        path = f"/{tag}{index}/doc.dat"
+        if deployment.shard_of(path) == shard:
+            return path
+    raise AssertionError(f"no prefix lands on {shard}")
+
+
+def ledger_delta(before: dict, after: dict) -> dict:
+    delta = {}
+    for label, (count, ticks) in after.items():
+        was_count, was_ticks = before.get(label, (0, 0))
+        if count != was_count:
+            delta[label] = (count - was_count, ticks - was_ticks)
+    return delta
+
+
+def plus_wire(deployment, ledger: dict, copies: int) -> dict:
+    """*ledger* plus *copies* ``db_dlfm_message`` charges."""
+
+    if not copies:
+        return ledger
+    unit = deployment.clock.unit_ticks("db_dlfm_message")
+    count, ticks = ledger.get("db_dlfm_message", (0, 0))
+    return {**ledger, "db_dlfm_message": (count + copies,
+                                          ticks + copies * unit)}
+
+
+def measured(deployment, caller, nodes, work):
+    """Run *work* from a settled cluster; ``(caller elapsed ticks,
+    {node: ticks its branch took}, ledger delta)``."""
+
+    deployment.clocks.barrier()
+    start = caller.ticks
+    before = deployment.clocks.stats.ledger()
+    work()
+    branches = {node.name: node.clock.ticks - start for node in nodes}
+    return (caller.ticks - start, branches,
+            ledger_delta(before, deployment.clocks.stats.ledger()))
+
+
+# -- the serial oracles: what the copy paths did before they fanned out --------
+def serial_put_file(deployment, session, path: str, content: bytes) -> None:
+    shard = deployment.shard_of(path)
+    serving = deployment.router.route_write(shard)
+    deployment.router.note_write(path)
+    session.put_file(serving.name, path, content)
+    serial_mirror(deployment.replicas[shard], session.clock, path, content,
+                  session.cred.uid, session.cred.gid)
+
+
+def serial_mirror(replica, caller, path, content, uid, gid) -> None:
+    for node in replica.witnesses:
+        if not node.running:
+            replica.mirror_misses += 1
+            continue
+        with synchronized_call(caller, node.clock):
+            replica._copy_below_dlfs(node, path, content, uid, gid)
+
+
+def serial_receive_file(replica, path, content, uid, gid) -> None:
+    with synchronized_call(replica.clock, replica.serving.clock):
+        replica._copy_below_dlfs(replica.serving, path, content, uid, gid)
+    serial_mirror(replica, replica.clock, path, content, uid, gid)
+
+
+def serial_sweep(deployment, prefix: str) -> None:
+    entry = deployment.pending_sweeps.pop(prefix)
+    dst = deployment.router.serving_server(entry["dest"])
+    for path in entry["paths"]:
+        assert dst.files.exists(path)
+        assert dst.dlfm.repository.linked_file(path) is not None
+    for node in deployment.replicas[entry["source"]].nodes.values():
+        with synchronized_call(deployment.clock, node.clock):
+            for path in entry["paths"]:
+                if node.files.exists(path):
+                    node.files.unlink(path)
+
+
+def assert_same_copy_everywhere(nodes, path: str, content: bytes) -> None:
+    for node in nodes:
+        assert node.files.read(path) == content, node.name
+        attrs = node.files.stat(path)
+        assert (attrs.uid, attrs.gid) == (UID, GID), node.name
+
+
+# -- put_file -------------------------------------------------------------------
+@pytest.mark.parametrize("witnesses", [1, 2])
+def test_put_file_waits_for_the_slowest_copy_only(witnesses):
+    fan, session, twin, twin_session = twins(witnesses)
+    path = path_on(fan, "shard0", "put")
+    nodes = list(fan.replicas["shard0"].nodes.values())
+    twin_nodes = list(twin.replicas["shard0"].nodes.values())
+
+    elapsed, branches, ledger = measured(
+        fan, session.clock, nodes,
+        lambda: fan.put_file(session, path, CONTENT))
+    serial, _, serial_ledger = measured(
+        twin, twin_session.clock, twin_nodes,
+        lambda: serial_put_file(twin, twin_session, path, CONTENT))
+
+    assert_same_copy_everywhere(nodes, path, CONTENT)
+    assert_same_copy_everywhere(twin_nodes, path, CONTENT)
+    assert ledger == plus_wire(fan, serial_ledger, witnesses)
+    assert elapsed == max(branches.values())
+    assert elapsed < serial
+
+
+def test_a_crashed_witness_is_a_miss_and_the_serving_write_is_the_wait():
+    fan, session, twin, twin_session = twins(1)
+    path = path_on(fan, "shard0", "crash")
+    replica = fan.replicas["shard0"]
+    fan.crash_witness("shard0")
+    twin.crash_witness("shard0")
+    misses = replica.mirror_misses
+
+    elapsed, branches, ledger = measured(
+        fan, session.clock, [replica.serving, replica.witness],
+        lambda: fan.put_file(session, path, CONTENT))
+    _, _, serial_ledger = measured(
+        twin, twin_session.clock, [],
+        lambda: serial_put_file(twin, twin_session, path, CONTENT))
+
+    assert replica.mirror_misses == misses + 1
+    assert elapsed == branches["shard0"]
+    assert branches["shard0-r"] == 0
+    assert ledger == serial_ledger           # no live copy, no wire
+    assert replica.serving.files.read(path) == CONTENT
+
+
+def test_two_witnesses_one_down_wait_for_the_live_ones():
+    fan, session, twin, twin_session = twins(2)
+    path = path_on(fan, "shard0", "half")
+    replica = fan.replicas["shard0"]
+    fan.crash_witness("shard0", "shard0-r2")
+    twin.crash_witness("shard0", "shard0-r2")
+    live = [replica.serving, replica.nodes["shard0-r"]]
+
+    elapsed, branches, ledger = measured(
+        fan, session.clock, live,
+        lambda: fan.put_file(session, path, CONTENT))
+    serial, _, serial_ledger = measured(
+        twin, twin_session.clock, [],
+        lambda: serial_put_file(twin, twin_session, path, CONTENT))
+
+    assert replica.mirror_misses == 1
+    assert ledger == plus_wire(fan, serial_ledger, 1)
+    assert elapsed == max(branches.values()) < serial
+    assert_same_copy_everywhere(live, path, CONTENT)
+
+
+def test_a_client_domain_ingest_waits_for_its_mirror_not_the_host():
+    """A session on its own clock domain: the mirror is gathered into the
+    *session's* clock, and the host clock does not move."""
+
+    deployment, _ = build(2)
+    clock = deployment.system.client_domains(1)[0]
+    session = deployment.session("client", uid=UID, gid=GID, clock=clock)
+    path = path_on(deployment, "shard0", "client")
+    host = deployment.clock.ticks
+
+    deployment.put_file(session, path, CONTENT)
+
+    written = deployment.replicas["shard0"].nodes.values()
+    assert all(clock.ticks >= node.clock.ticks for node in written)
+    assert deployment.clock.ticks == host
+
+
+# -- receive_file (the rebalance hand-off's content half) -----------------------
+@pytest.mark.parametrize("witnesses", [1, 2])
+def test_receive_file_overlaps_the_serving_copy_with_its_mirrors(witnesses):
+    fan, _, twin, _ = twins(witnesses)
+    replica, twin_replica = fan.replicas["shard1"], twin.replicas["shard1"]
+    path = "/moved/doc.dat"
+    nodes = list(replica.nodes.values())
+
+    elapsed, branches, ledger = measured(
+        fan, fan.clock, nodes,
+        lambda: replica.receive_file(path, CONTENT, UID, GID))
+    serial, _, serial_ledger = measured(
+        twin, twin.clock, [],
+        lambda: serial_receive_file(twin_replica, path, CONTENT, UID, GID))
+
+    assert_same_copy_everywhere(nodes, path, CONTENT)
+    assert ledger == plus_wire(fan, serial_ledger, witnesses)
+    assert elapsed == max(branches.values()) < serial
+
+
+def test_receive_file_with_a_crashed_witness_waits_for_the_serving_copy():
+    fan, _, twin, _ = twins(1)
+    replica = fan.replicas["shard1"]
+    fan.crash_witness("shard1")
+    twin.crash_witness("shard1")
+
+    elapsed, branches, ledger = measured(
+        fan, fan.clock, [replica.serving],
+        lambda: replica.receive_file("/moved/doc.dat", CONTENT, UID, GID))
+    _, _, serial_ledger = measured(
+        twin, twin.clock, [],
+        lambda: serial_receive_file(twin.replicas["shard1"],
+                                    "/moved/doc.dat", CONTENT, UID, GID))
+
+    assert replica.mirror_misses == 1
+    assert elapsed == branches["shard1"]
+    assert ledger == serial_ledger
+
+
+# -- the post-move source sweep --------------------------------------------------
+def deferred_move(deployment, session, prefix: str, files: int) -> str:
+    """Link *files* docs under *prefix*, move the prefix, and stop right
+    after the commit so its source sweep stays pending.  Returns the
+    source shard."""
+
+    for doc_id in range(files):
+        url = deployment.put_file(session, f"{prefix}/doc{doc_id}.dat",
+                                  CONTENT)
+        session.insert(TABLE, {"doc_id": doc_id, "body": url})
+    deployment.system.run_archiver()
+    source = deployment.shard_of(f"{prefix}/doc0.dat")
+    dest = next(name for name in deployment.shard_names if name != source)
+    deployment.engine.failpoints["rebalance:sweep"] = boom()
+    try:
+        with pytest.raises(InjectedCrash):
+            deployment.rebalance_prefix(prefix, dest)
+    finally:
+        deployment.engine.failpoints.clear()
+    assert prefix in deployment.pending_sweeps
+    # What the sweep settles first, settled here, so the measured window
+    # holds the verification and the unlinks only.
+    deployment.drain()
+    deployment.system.flush_logs()
+    return source
+
+
+@pytest.mark.parametrize("witnesses", [1, 2])
+def test_the_source_sweep_unlinks_on_every_node_at_once(witnesses):
+    fan, session, twin, twin_session = twins(witnesses)
+    source = deferred_move(fan, session, "/p", 3)
+    assert deferred_move(twin, twin_session, "/p", 3) == source
+    nodes = list(fan.replicas[source].nodes.values())
+
+    elapsed, branches, ledger = measured(
+        fan, fan.clock, nodes, lambda: sweep_moved_prefix(fan, "/p"))
+    serial, _, serial_ledger = measured(
+        twin, twin.clock, [], lambda: serial_sweep(twin, "/p"))
+
+    assert not fan.pending_sweeps and not twin.pending_sweeps
+    for node in nodes:
+        assert not any(node.files.exists(f"/p/doc{doc_id}.dat")
+                       for doc_id in range(3)), node.name
+    assert ledger == serial_ledger
+    assert elapsed == max(branches.values()) < serial

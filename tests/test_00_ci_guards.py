@@ -260,10 +260,12 @@ class TestCommittedLayeredArtifactShape:
 
     #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42; digests
     #: 2ddf3c5d28f02f48 / d1de8dcf079053ca / 7d29d3698dd4cc7c /
-    #: 62c13189c841d91c in this order.  The archiver's fan-out across
+    #: 79599646a079c381 in this order.  The archiver's fan-out across
     #: file servers moved web_rfd, edit_uip and cluster_hotspot (their
     #: archiver runs inside the window) and session_knee's digest, not
-    #: its metrics (its archiver runs before the window opens).
+    #: its metrics (its archiver runs before the window opens).  The
+    #: replica-copy fan-out moved cluster_hotspot only (was
+    #: 62c13189c841d91c; its put_file waits for the slowest copy).
     SIMULATED = {
         "web_rfd": (85.13525913533013, 11.292711182022686,
                     11.349244995017216),
@@ -271,7 +273,7 @@ class TestCommittedLayeredArtifactShape:
                          48223.648881357),
         "edit_uip": (48.95375069566981, 28.480742704999784,
                      28.532069457995135),
-        "cluster_hotspot": (106.40390717894455, 10.76865838599872,
+        "cluster_hotspot": (117.89831982668106, 10.768658386000496,
                             16.13148742700332),
     }
 
@@ -617,6 +619,60 @@ class TestOnePathPerOperation:
                   if isinstance(node, ast.Attribute)
                   and node.attr == "_at_server"]
         assert not serial, f"a serial visit of the file servers: {serial}"
+
+    def test_replica_copies_leave_inside_an_overlap_window(self):
+        """The replica copy paths -- ``put_file``, ``mirror_file``,
+        ``receive_file`` and the post-move source sweep -- issue every
+        copy (a ``synchronized_call`` or a nested ``put_file`` /
+        ``mirror_file``) inside a ``with <clock>.overlap():`` block, so
+        the caller waits for the slowest copy and a serial copy loop
+        cannot come back."""
+
+        import ast
+
+        copy_calls = {"synchronized_call", "put_file", "mirror_file"}
+        where = {"datalinks/sharding.py": {"put_file"},
+                 "datalinks/replication.py": {"mirror_file", "receive_file"},
+                 "datalinks/placement.py": {"sweep_moved_prefix"}}
+
+        def is_overlap(item):
+            call = item.context_expr
+            return isinstance(call, ast.Call) and \
+                isinstance(call.func, ast.Attribute) and \
+                call.func.attr == "overlap"
+
+        def copies(node, overlapped):
+            """``(name, line, inside an overlap window)`` per copy call."""
+
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name in copy_calls:
+                    yield name, node.lineno, overlapped
+            for field, value in ast.iter_fields(node):
+                inner = overlapped or (
+                    field == "body" and isinstance(node, ast.With)
+                    and any(is_overlap(item) for item in node.items))
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        yield from copies(child, inner)
+
+        serial, found = [], set()
+        for module, names in where.items():
+            tree = ast.parse((SRC_ROOT / "repro" / module)
+                             .read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef) \
+                        or function.name not in names:
+                    continue
+                for body in function.body:
+                    for name, line, overlapped in copies(body, False):
+                        found.add(function.name)
+                        if not overlapped:
+                            serial.append(f"{module}:{line} {name}")
+        assert found == set().union(*where.values()), found
+        assert not serial, f"a replica copy outside an overlap window: {serial}"
 
     def test_the_message_envelope_module_is_gone(self):
         import importlib.util
