@@ -16,8 +16,6 @@ paper's real testbed machines did.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.datalinks.backup_coordinator import BackupCoordinator, SystemBackup
 from repro.datalinks.dlfm.archive import ArchiveServer
 from repro.datalinks.dlfm.daemons import MainDaemon, UpcallDaemon
@@ -34,6 +32,7 @@ from repro.simclock import (
     ClockDomainGroup,
     CostModel,
     SimClock,
+    interleave,
     synchronized_call,
 )
 from repro.storage.database import Database
@@ -257,52 +256,43 @@ class DataLinksSystem:
     def _fan_out(self, steps) -> list:
         """Run ``steps(server)`` on every file server, overlapped in time.
 
-        ``steps`` returns an iterator per server; each ``next()`` is one
-        step, run as an admin request (:meth:`_at_server`) inside one
-        scatter-gather window of the host clock.  The next step always goes
-        to the server whose domain is earliest (ties to the server earlier
-        in :attr:`file_servers`) -- the order
-        :meth:`~repro.workloads.clients.ClientPool.run` gives clients --
-        so the host waits for the slowest server, not for the sum, and
-        servers meet only where their work rendezvouses with a shared node.
-        Returns the values the steps yielded, in the order the steps ran
-        (a step yields a value other than ``None``).  An exception from a
-        step propagates and leaves the other servers' remaining steps
-        unrun.
+        ``steps`` returns an iterator per server.  Every server syncs to the
+        start of one scatter-gather window of the host clock and becomes an
+        actor of :func:`~repro.simclock.interleave` (ties to the server
+        earlier in :attr:`file_servers`), each ``next()`` one admin request
+        (:meth:`_at_server`).  So the host waits for the slowest server, not
+        for the sum, and servers meet only where their work rendezvouses
+        with a shared node.  Returns the values the steps yielded, in the
+        order the steps ran (a step yields a value other than ``None``).
+        An exception from a step propagates and leaves the other servers'
+        remaining steps unrun.
         """
 
-        done = []
-        push, pop = heapq.heappush, heapq.heappop
-        with self.clock.overlap():
-            start = self.clock.ticks
-            heap = [(max(server.clock.ticks, start), order, server.clock,
-                     self._at_server(server), steps(server))
-                    for order, server in enumerate(self.file_servers.values())]
-            heapq.heapify(heap)
-            while heap:
-                entry = pop(heap)
-                ticks, _, clock, call, step = entry
-                if clock.ticks > ticks:
-                    # Another server's step moved this domain on; its turn
-                    # starts at its new time.
-                    push(heap, (clock.ticks,) + entry[1:])
-                    continue
+        def admin(call, work):
+            while True:
                 with call:
-                    value = next(step, None)
-                if value is not None:
-                    done.append(value)
-                    push(heap, (clock.ticks,) + entry[1:])
-        return done
+                    value = next(work, None)
+                if value is None:
+                    return
+                yield value
+
+        with self.clock.overlap():
+            start, actors = self.clock.ticks, []
+            for server in self.file_servers.values():
+                server.clock.sync_ticks(start)
+                actors.append((server.clock, admin(self._at_server(server),
+                                                   steps(server))))
+            return interleave(actors)
 
     def run_archiver(self) -> int:
         """Process the pending asynchronous archive jobs of every file server.
 
         The servers run their jobs side by side in simulated time
-        (:meth:`_fan_out`, one job per step): each server's disk reads
-        overlap the others', the jobs of one server run in queue order,
-        and jobs meet only at the shared archive mover, which serves them
-        in job-start order (:mod:`repro.datalinks.dlfm.archive`).  The
-        host waits for the slowest server.  Returns how many jobs
+        (:meth:`_fan_out`, one job per ``interleave`` step): each server's
+        disk reads overlap the others', the jobs of one server run in
+        queue order, and jobs meet only at the shared archive mover, which
+        serves them in job-start order (:mod:`repro.datalinks.dlfm.archive`).
+        The host waits for the slowest server.  Returns how many jobs
         archived a version.
         """
 
@@ -311,8 +301,8 @@ class DataLinksSystem:
     def run_housekeeping(self) -> dict:
         """Run DLFM housekeeping on every file server: purge expired
         token-registry entries.  Returns per-server counts, by server
-        name.  The servers run side by side (:meth:`_fan_out`, one step
-        each), so the host waits for the slowest.  Version retention is
+        name.  The servers run side by side (:meth:`_fan_out`, one
+        ``interleave`` step each), so the host waits for the slowest.  Version retention is
         not housekeeping: each archive job drops what no retained backup
         can restore."""
 

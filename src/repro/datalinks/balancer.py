@@ -173,7 +173,7 @@ class PlacementBalancer:
         while True:
             source = max(load, key=lambda name: load[name])
             if load[source] <= config.imbalance_tolerance * fair:
-                break
+                return budget
             dest = min(load, key=lambda name: load[name])
             candidates = sorted(by_owner[source],
                                 key=lambda p: by_owner[source][p],
@@ -200,28 +200,26 @@ class PlacementBalancer:
                     by_owner[dest][prefix] = ops
                     moved = True
                     break
-            if moved:
-                continue
-            # No strictly-improving move exists.  If one prefix dominates
-            # the shard, deepen the map under it so the *next* window can
-            # spread its subtrees (at most one split per tick).
-            if not summary["splits"] and candidates:
-                hottest = candidates[0]
-                if by_owner[source][hottest] >= \
-                        config.split_threshold * load[source] \
-                        and hottest not in pmap.split_depths \
-                        and not pmap.is_moving(hottest):
-                    try:
-                        with synchronized_call(self.clock,
-                                               self.deployment.clock):
-                            result = self.deployment.split_prefix(hottest)
-                    except (PlacementError, ReproError):
-                        break
-                    self.splits += 1
-                    summary["splits"].append(
-                        {"prefix": hottest, "depth": result["depth"],
-                         "epoch": result["epoch"]})
-            break
+            if not moved:
+                break
+        # No strictly-improving move exists.  If one prefix dominates the
+        # shard, deepen the map under it so the *next* window can spread
+        # its subtrees (at most one split per tick).
+        if not summary["splits"] and candidates:
+            hottest = candidates[0]
+            if by_owner[source][hottest] >= \
+                    config.split_threshold * load[source] \
+                    and hottest not in pmap.split_depths \
+                    and not pmap.is_moving(hottest):
+                try:
+                    with synchronized_call(self.clock, self.deployment.clock):
+                        result = self.deployment.split_prefix(hottest)
+                except (PlacementError, ReproError):
+                    return budget
+                self.splits += 1
+                summary["splits"].append(
+                    {"prefix": hottest, "depth": result["depth"],
+                     "epoch": result["epoch"]})
         return budget
 
     # ----------------------------------------------------------------- merging --

@@ -168,16 +168,6 @@ class TokenCache:
         self._entries[(server, path, token_type, float(ttl))] = \
             AccessToken.parse(token_text)
 
-    def invalidate(self, server: str | None = None, path: str | None = None) -> int:
-        """Drop matching entries (all of them by default); returns the count."""
-
-        doomed = [key for key in self._entries
-                  if (server is None or key[0] == server)
-                  and (path is None or key[1] == path)]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
-
     def stats(self) -> dict:
         lookups = self.hits + self.misses
         return {"hits": self.hits, "misses": self.misses,

@@ -39,7 +39,7 @@ leave the simulator: :meth:`SimClock.now`, :meth:`SimClock.send_time`,
 :class:`ClockStats`, and the group's ``global_now`` / ``stats_by_domain`` /
 ``times_by_domain``.  Each conversion is one correctly rounded division of
 the exact tick count.  Code that *orders* events (IPC merges, the admission
-heap, the client-pool heap) compares ticks with ticks.
+heap, the :func:`interleave` heap) compares ticks with ticks.
 
 Time is **not** one global serial tape.  The paper's testbed had real
 hardware concurrency -- the host database, each file server's DLFM and the
@@ -99,6 +99,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 
 #: Ticks per simulated second: one tick is one picosecond.
 TICKS_PER_SECOND = 10 ** 12
@@ -688,6 +689,40 @@ def gather(target, clocks) -> float:
     for clock in present:
         clock.sync_ticks(instant)
     return instant / TICKS_PER_SECOND
+
+
+def interleave(actors) -> list:
+    """Run concurrent actors in simulated time, earliest clock first.
+
+    An actor is a ``(clock, steps)`` pair: each ``next(steps)`` is one
+    step, run on that actor's timeline.  The next step always goes to the
+    actor whose clock is earliest, ties to the actor listed first, so no
+    step starts before a step that precedes it in simulated time.  A step
+    may move other actors' clocks on (a rendezvous, or the cluster idle
+    time of :meth:`ClockDomain.advance`): an actor whose clock moved since
+    it was queued re-enters at its new time.  Returns the values other
+    than ``None`` the steps yielded, in the order the steps ran.  An
+    exception from a step propagates and leaves every remaining step
+    unrun.  The one scheduler of the repo: client pools and file-server
+    fan-outs both run on it.
+    """
+
+    heap = [(clock.ticks, order, clock, steps)
+            for order, (clock, steps) in enumerate(actors)]
+    heapify(heap)
+    done = []
+    while heap:
+        ticks, order, clock, steps = heap[0]
+        if clock.ticks <= ticks:
+            try:
+                value = next(steps)
+            except StopIteration:
+                heappop(heap)
+                continue
+            if value is not None:
+                done.append(value)
+        heapreplace(heap, (clock.ticks, order, clock, steps))
+    return done
 
 
 class ClockDomain(SimClock):

@@ -117,25 +117,11 @@ class LockManager:
         return False
 
     # -- release ----------------------------------------------------------------
-    def release(self, txn_id: int, resource: object) -> None:
-        holders_map = self._holders
-        try:
-            holders = holders_map[resource]
-        except KeyError:
-            holders = None
-        if holders and txn_id in holders:
-            del holders[txn_id]
-            if not holders:
-                del holders_map[resource]
-        owned = self._owned
-        if txn_id in owned:
-            owned[txn_id].discard(resource)
-
     def release_all(self, txn_id: int) -> None:
         """Release every lock held by *txn_id* (end of strict 2PL).
 
-        :meth:`release` is inlined into the loop: this runs at the end of
-        every transaction and the per-resource call overhead dominated.
+        Strict 2PL releases nothing earlier, so this is the one release:
+        it drops *txn_id* from each owned resource's holders in one loop.
         ``acquire`` keeps ``_owned`` and ``_holders`` in lockstep, so every
         owned resource is guarded defensively but normally present.
         """

@@ -20,15 +20,12 @@ caller-supplied operation per client with honest closed-loop semantics:
    arrival: queue delay + think + service, the number a real client
    would measure.
 
-Operations across clients are interleaved in simulated-arrival order via
-a min-heap, so admission arrivals are non-decreasing (the FIFO-fairness
-property the admission tests assert).  A popped entry whose domain has
-advanced past it (cluster idle time, :meth:`ClockDomain.advance
-<repro.simclock.ClockDomain.advance>`, moves every domain) is lazily
-re-pushed at the domain's current time, preserving arrival order.  After
-the run the host :func:`~repro.simclock.gather`\\ s every client domain
-in one aggregated merge, so elapsed cluster time is the slowest client's
-completion.
+Each client is one actor of :func:`~repro.simclock.interleave`, one
+operation per step, so operations across clients run in simulated-arrival
+order and admission arrivals are non-decreasing (the FIFO-fairness
+property the admission tests assert).  After the run the host
+:func:`~repro.simclock.gather`\\ s every client domain in one aggregated
+merge, so elapsed cluster time is the slowest client's completion.
 
 :func:`closed_loop_sweep` is the one driver of those sweeps: a pool per
 swept client count, all steps behind one admission gate.
@@ -36,37 +33,30 @@ swept client count, all steps behind one admission gate.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.simclock import TICKS_PER_SECOND, gather, to_ticks
+from repro.simclock import TICKS_PER_SECOND, gather, interleave, to_ticks
 from repro.workloads.generator import OperationStats
 
 
 class ClientPool:
     """``count`` concurrent simulated clients with admission and think time.
 
-    Every client gets its own clock domain; ``think_s`` is per-operation
-    client think time; ``session_factory(username, uid, clock)``
-    overrides session creation (the default goes through
-    ``system.session``).  Admission is whatever ``system.admission`` is
-    configured to -- enable it with
+    Every client gets its own clock domain and a ``system.session`` on
+    it; ``think_s`` is per-operation client think time.  Admission is
+    whatever ``system.admission`` is configured to -- enable it with
     :meth:`~repro.api.system.DataLinksSystem.enable_admission`.
     """
 
     def __init__(self, system, count: int, *, think_s: float = 0.0,
                  prefix: str = "client", username: str = "client",
-                 uid_base: int = 5001, session_factory=None):
+                 uid_base: int = 5001):
         self.system = system
         self.count = count
         self.think_s = think_s
         self._think_ticks = to_ticks(think_s) if think_s > 0.0 else 0
         self.clocks = system.client_domains(count, prefix=prefix)
-        if session_factory is None:
-            def session_factory(name, uid, clock):
-                return system.session(name, uid=uid, clock=clock)
-        self.sessions = [session_factory(f"{username}{index}",
-                                         uid_base + index, self.clocks[index])
-                         for index in range(count)]
+        self.sessions = [system.session(f"{username}{index}",
+                                        uid=uid_base + index, clock=clock)
+                         for index, clock in enumerate(self.clocks)]
         #: Per-operation end-to-end latency / queue delay, simulated seconds.
         self.latency = OperationStats()
         self.queue_delay = OperationStats()
@@ -106,51 +96,12 @@ class ClientPool:
             counts = list(ops_per_client)
             if len(counts) != self.count:
                 raise ValueError("one op count per client required")
-        self._run_interleaved(counts, op, admission)
+        interleave([(self.clocks[index],
+                     _ClientSteps(self, index, count, op, admission))
+                    for index, count in enumerate(counts) if count > 0])
         gather(host, self.clocks)
         self.elapsed_s = (host.ticks - start) / TICKS_PER_SECOND
         return self.elapsed_s
-
-    # ------------------------------------------------------------------ internals --
-    def _run_one(self, index: int, op_index: int, op, admission) -> None:
-        """One client operation: admit -> think -> op -> release."""
-
-        clock = self.clocks[index]
-        arrival = clock.ticks
-        ticket = admission.acquire(clock) if admission is not None else None
-        try:
-            # ``clock.advance_local(self.think_s)``, converted once.
-            clock.ticks += self._think_ticks
-            op(self.sessions[index], index, op_index)
-        finally:
-            if ticket is not None:
-                admission.release(ticket, clock)
-        self.latency.record((clock.ticks - arrival) / TICKS_PER_SECOND)
-        self.queue_delay.record(ticket.queue_delay if ticket is not None
-                                else 0.0)
-
-    def _run_interleaved(self, counts, op, admission) -> None:
-        """Heap-ordered replay: always run the earliest-arriving client."""
-
-        clocks = self.clocks
-        heap = [(clocks[index].ticks, index, 0)
-                for index in range(self.count) if counts[index] > 0]
-        heapq.heapify(heap)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            entry_time, index, op_index = pop(heap)
-            clock = clocks[index]
-            now = clock.ticks
-            if now > entry_time:
-                # Idle time (ClockDomain.advance moves every domain)
-                # passed since the push; this client's turn actually
-                # starts now.  Re-enter in arrival order.
-                push(heap, (now, index, op_index))
-                continue
-            self._run_one(index, op_index, op, admission)
-            next_op = op_index + 1
-            if next_op < counts[index]:
-                push(heap, (clock.ticks, index, next_op))
 
     # -------------------------------------------------------------------- results --
     def summary(self) -> dict:
@@ -168,6 +119,44 @@ class ClientPool:
             "queue_p50_ms": self.queue_delay.p50 * 1000.0,
             "queue_p99_ms": self.queue_delay.p99 * 1000.0,
         }
+
+
+class _ClientSteps:
+    """One client of a :meth:`ClientPool.run` as an
+    :func:`~repro.simclock.interleave` actor: each ``next()`` is one
+    operation, admit -> think -> op -> release.
+
+    A slotted iterator rather than a generator: a suspended generator
+    keeps its frame and its last ticket, about 500 bytes a client, and a
+    3 000-client pool holds them all at once.
+    """
+
+    __slots__ = ("pool", "index", "count", "op", "admission", "op_index")
+
+    def __init__(self, pool: ClientPool, index: int, count: int, op,
+                 admission):
+        self.pool, self.index, self.count = pool, index, count
+        self.op, self.admission, self.op_index = op, admission, 0
+
+    def __next__(self) -> None:
+        op_index = self.op_index
+        if op_index == self.count:
+            raise StopIteration
+        self.op_index = op_index + 1
+        pool, index, admission = self.pool, self.index, self.admission
+        clock = pool.clocks[index]
+        arrival = clock.ticks
+        ticket = admission.acquire(clock) if admission is not None else None
+        try:
+            # ``clock.advance_local(pool.think_s)``, converted once.
+            clock.ticks += pool._think_ticks
+            self.op(pool.sessions[index], index, op_index)
+        finally:
+            if ticket is not None:
+                admission.release(ticket, clock)
+        pool.latency.record((clock.ticks - arrival) / TICKS_PER_SECOND)
+        pool.queue_delay.record(ticket.queue_delay if ticket is not None
+                                else 0.0)
 
 
 def closed_loop_sweep(system, counts, stage, *,

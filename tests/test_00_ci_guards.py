@@ -10,6 +10,7 @@ CI entrypoint's ``python -m compileall src`` + artifact-shape check.
 
 from __future__ import annotations
 
+import ast
 import compileall
 import json
 from pathlib import Path
@@ -71,6 +72,16 @@ def assert_sweeps_obey_the_admission_ceiling(payload: dict, scale: str):
                 f"{name} {row['configuration']!r}: {column} {row[column]} "
                 f"is above the admission ceiling limit/think = {ceiling}")
     assert checked, "no sweep step was checked against its ceiling"
+
+
+@pytest.fixture(scope="module")
+def trees() -> dict:
+    """Every module under ``src/repro/``, parsed once for all the AST
+    guards: ``{"repro/<path>.py": tree}``, in path order."""
+
+    return {path.relative_to(SRC_ROOT).as_posix():
+            ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC_ROOT / "repro").rglob("*.py"))}
 
 
 def test_every_source_file_compiles():
@@ -449,13 +460,9 @@ class TestOnePathPerOperation:
     module-level boolean constant or an environment read is what it would
     have to be made of."""
 
-    def test_no_module_level_boolean_and_no_environment_read(self):
-        import ast
-
+    def test_no_module_level_boolean_and_no_environment_read(self, trees):
         switches, env_reads = [], []
-        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
-            name = path.relative_to(SRC_ROOT).as_posix()
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, tree in trees.items():
             for node in tree.body:
                 if isinstance(node, ast.Assign):
                     targets, value = node.targets, node.value
@@ -488,13 +495,11 @@ class TestOnePathPerOperation:
         ("repro/datalinks/sharding.py", "session"),
     }
 
-    def test_no_component_has_a_clockless_twin(self):
+    def test_no_component_has_a_clockless_twin(self, trees):
         """A constructor-level switch is still a switch: no comparison of
         a clock (a name or attribute ending in ``clock``) with ``None``
         and no ``clock=None`` parameter default under ``src/repro/``,
         outside the four host-clock defaults."""
-
-        import ast
 
         def is_none(node) -> bool:
             return isinstance(node, ast.Constant) and node.value is None
@@ -505,9 +510,7 @@ class TestOnePathPerOperation:
             return word.endswith("clock")
 
         comparisons, defaults = [], []
-        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
-            name = path.relative_to(SRC_ROOT).as_posix()
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, tree in trees.items():
             functions = [node for node in ast.walk(tree) if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef))]
             allowed = set()
@@ -546,18 +549,19 @@ class TestOnePathPerOperation:
         assert not comparisons, \
             f"a clockless twin of a charge site: {comparisons}"
 
-    def test_the_bench_builds_systems_in_one_place_and_patches_no_module(self):
+    def test_the_bench_builds_systems_in_one_place_and_patches_no_module(
+            self, trees):
         """Under ``src/repro/bench/`` exactly one function constructs a
         ``DataLinksSystem`` (the runner context's ``build_host`` -- the
         injection point for a cost model), and no module assigns an
         attribute on another imported module (a harness-to-experiments
         global by another name)."""
 
-        import ast
-
         builders, patches = [], []
-        for path in sorted((SRC_ROOT / "repro" / "bench").glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, tree in trees.items():
+            if not name.startswith("repro/bench/"):
+                continue
+            filename = name.rpartition("/")[2]
             imported = set()
             for node in ast.walk(tree):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -565,7 +569,7 @@ class TestOnePathPerOperation:
                                     for alias in node.names)
                 elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     builders += [
-                        f"{path.name}:{node.name}" for call in ast.walk(node)
+                        f"{filename}:{node.name}" for call in ast.walk(node)
                         if isinstance(call, ast.Call)
                         and isinstance(call.func, ast.Name)
                         and call.func.id == "DataLinksSystem"]
@@ -574,7 +578,7 @@ class TestOnePathPerOperation:
                     else [node.target] if isinstance(
                         node, (ast.AugAssign, ast.AnnAssign)) else []
                 patches += [
-                    f"{path.name}:{node.lineno} {target.value.id}.{target.attr}"
+                    f"{filename}:{node.lineno} {target.value.id}.{target.attr}"
                     for target in targets
                     if isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
@@ -582,16 +586,12 @@ class TestOnePathPerOperation:
         assert builders == ["runner.py:build_host"], builders
         assert not patches, f"a module global set from outside: {patches}"
 
-    def test_one_token_handout(self):
+    def test_one_token_handout(self, trees):
         """``DataLinksEngine.get_datalink`` is ``get_datalink_many`` of one
         ``where`` and calls nothing else: the set-oriented handout stays
         the only one."""
 
-        import ast
-
-        tree = ast.parse((SRC_ROOT / "repro" / "datalinks" / "engine.py")
-                         .read_text(encoding="utf-8"))
-        engine = next(node for node in tree.body
+        engine = next(node for node in trees["repro/datalinks/engine.py"].body
                       if isinstance(node, ast.ClassDef)
                       and node.name == "DataLinksEngine")
         method = next(node for node in engine.body
@@ -601,78 +601,6 @@ class TestOnePathPerOperation:
                   else ast.unparse(call.func)
                   for call in ast.walk(method) if isinstance(call, ast.Call)}
         assert called == {"get_datalink_many"}, called
-
-    def test_no_serial_visit_of_the_file_servers(self):
-        """No ``for`` loop in ``api/system.py`` enters ``_at_server``: an
-        admin request to several file servers goes through
-        ``DataLinksSystem._fan_out``, which overlaps them in simulated
-        time, never through a loop that waits for each in turn."""
-
-        import ast
-
-        tree = ast.parse((SRC_ROOT / "repro" / "api" / "system.py")
-                         .read_text(encoding="utf-8"))
-        serial = [f"system.py:{loop.lineno}"
-                  for loop in ast.walk(tree)
-                  if isinstance(loop, (ast.For, ast.AsyncFor))
-                  for node in ast.walk(loop)
-                  if isinstance(node, ast.Attribute)
-                  and node.attr == "_at_server"]
-        assert not serial, f"a serial visit of the file servers: {serial}"
-
-    def test_replica_copies_leave_inside_an_overlap_window(self):
-        """The replica copy paths -- ``put_file``, ``mirror_file``,
-        ``receive_file`` and the post-move source sweep -- issue every
-        copy (a ``synchronized_call`` or a nested ``put_file`` /
-        ``mirror_file``) inside a ``with <clock>.overlap():`` block, so
-        the caller waits for the slowest copy and a serial copy loop
-        cannot come back."""
-
-        import ast
-
-        copy_calls = {"synchronized_call", "put_file", "mirror_file"}
-        where = {"datalinks/sharding.py": {"put_file"},
-                 "datalinks/replication.py": {"mirror_file", "receive_file"},
-                 "datalinks/placement.py": {"sweep_moved_prefix"}}
-
-        def is_overlap(item):
-            call = item.context_expr
-            return isinstance(call, ast.Call) and \
-                isinstance(call.func, ast.Attribute) and \
-                call.func.attr == "overlap"
-
-        def copies(node, overlapped):
-            """``(name, line, inside an overlap window)`` per copy call."""
-
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) \
-                    else getattr(func, "id", None)
-                if name in copy_calls:
-                    yield name, node.lineno, overlapped
-            for field, value in ast.iter_fields(node):
-                inner = overlapped or (
-                    field == "body" and isinstance(node, ast.With)
-                    and any(is_overlap(item) for item in node.items))
-                for child in value if isinstance(value, list) else [value]:
-                    if isinstance(child, ast.AST):
-                        yield from copies(child, inner)
-
-        serial, found = [], set()
-        for module, names in where.items():
-            tree = ast.parse((SRC_ROOT / "repro" / module)
-                             .read_text(encoding="utf-8"))
-            for function in ast.walk(tree):
-                if not isinstance(function, ast.FunctionDef) \
-                        or function.name not in names:
-                    continue
-                for body in function.body:
-                    for name, line, overlapped in copies(body, False):
-                        found.add(function.name)
-                        if not overlapped:
-                            serial.append(f"{module}:{line} {name}")
-        assert found == set().union(*where.values()), found
-        assert not serial, f"a replica copy outside an overlap window: {serial}"
 
     def test_the_message_envelope_module_is_gone(self):
         import importlib.util
@@ -684,6 +612,163 @@ class TestOnePathPerOperation:
                  for path in (REPO_ROOT / "benchmarks").rglob("*.py")
                  if "layered" not in path.relative_to(REPO_ROOT).parts]
         assert not stray, f"a second bench harness grew back: {stray}"
+
+
+class TestOneScheduler:
+    """Work on several nodes overlaps in simulated time, through one
+    scheduler: :func:`repro.simclock.interleave` runs every set of
+    concurrent actors, and no loop waits for one node after another.
+
+    The guard is one rule over every module of ``src/repro/``: a loop
+    (``for``, ``while`` or a comprehension) issues no cross-domain call
+    (``synchronized_call``, ``_at_server``, ``mirror_file``) unless the
+    loop runs inside a ``with <clock>.overlap():`` body, where every
+    iteration leaves at the window's start, or yields, which makes it an
+    actor that ``interleave`` steps.  In the replica copy paths the
+    serving write and the mirrors also leave in one window: every copy
+    call there is inside an overlap body, loop or not."""
+
+    CROSS_DOMAIN = {"synchronized_call", "_at_server", "mirror_file"}
+    COPY_CALLS = {"synchronized_call", "put_file", "mirror_file"}
+    COPY_PATHS = {"repro/datalinks/sharding.py": {"put_file"},
+                  "repro/datalinks/replication.py": {"mirror_file",
+                                                     "receive_file"},
+                  "repro/datalinks/placement.py": {"sweep_moved_prefix"}}
+    LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+
+    @classmethod
+    def serial_calls(cls, module: str, tree) -> tuple:
+        """``(offenders, copy paths that issue a copy)`` of one module."""
+
+        copy_paths = cls.COPY_PATHS.get(module, set())
+        offenders, seen = [], set()
+
+        def is_overlap(item) -> bool:
+            call = item.context_expr
+            return isinstance(call, ast.Call) and \
+                isinstance(call.func, ast.Attribute) and \
+                call.func.attr == "overlap"
+
+        def visit(node, overlapped, serial, copy_path):
+            if isinstance(node, ast.Call):
+                func = node.func
+                word = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if serial and word in cls.CROSS_DOMAIN:
+                    offenders.append(f"{module}:{node.lineno} {word} "
+                                     f"in a serial loop")
+                if copy_path and word in cls.COPY_CALLS:
+                    seen.add(copy_path)
+                    if not overlapped:
+                        offenders.append(f"{module}:{node.lineno} {word} "
+                                         f"outside an overlap window")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                overlapped = serial = False
+                name = getattr(node, "name", None)
+                copy_path = name if name in copy_paths else copy_path
+            window = isinstance(node, ast.With) \
+                and any(is_overlap(item) for item in node.items)
+            loop = isinstance(node, cls.LOOPS)
+            if loop:    # an actor's loop yields between its calls
+                repeated = not overlapped and not any(
+                    isinstance(step, (ast.Yield, ast.YieldFrom))
+                    for step in ast.walk(node))
+            for field, value in ast.iter_fields(node):
+                inner = overlapped, serial
+                if window and field == "body":
+                    inner = True, serial
+                elif loop and field in ("body", "test", "elt", "key",
+                                        "value"):
+                    inner = overlapped, repeated
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        visit(child, *inner, copy_path)
+
+        visit(tree, False, False, None)
+        return offenders, seen
+
+    def test_no_loop_waits_for_one_node_after_another(self, trees):
+        offenders, seen = [], set()
+        for module, tree in trees.items():
+            found, copy_paths = self.serial_calls(module, tree)
+            offenders += found
+            seen |= copy_paths
+        assert seen == set().union(*self.COPY_PATHS.values()), seen
+        assert not offenders, f"a serial cross-domain call: {offenders}"
+        heaps = [module for module, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and "heapq" in ([alias.name for alias in node.names]
+                                 if isinstance(node, ast.Import)
+                                 else [node.module])]
+        # The admission gate's slot heap is a queue, not a scheduler.
+        assert heaps == ["repro/api/admission.py", "repro/simclock.py"], \
+            f"a second earliest-clock-first loop: {heaps}"
+
+    #: The serial shapes this guard replaced, as they stood in the tree:
+    #: ``{shape: (module, source)}``.  Each must be flagged.
+    SERIAL_SHAPES = {
+        "run_archiver": ("repro/api/system.py", """
+            def run_archiver(self):
+                jobs = 0
+                for server in self.file_servers.values():
+                    with self._at_server(server):
+                        jobs += server.process_archive_jobs()
+                return jobs
+            """),
+        "run_housekeeping": ("repro/api/system.py", """
+            def run_housekeeping(self):
+                results = {}
+                for name, server in sorted(self.file_servers.items()):
+                    with self._at_server(server):
+                        results[name] = server.dlfm.run_housekeeping()
+                return results
+            """),
+        "witness mirror": ("repro/datalinks/replication.py", """
+            def mirror_file(self, path, content, uid, gid):
+                for node_name in list(self._streams):
+                    node = self.nodes[node_name]
+                    if not node.running:
+                        self.mirror_misses += 1
+                        continue
+                    with synchronized_call(self.clock, node.clock):
+                        self._copy_below_dlfs(node, path, content, uid, gid)
+            """),
+        "source sweep": ("repro/datalinks/placement.py", """
+            def sweep_moved_prefix(deployment, prefix):
+                swept = 0
+                for node in source_nodes:
+                    with synchronized_call(deployment.clock, node.clock):
+                        for path in entry["paths"]:
+                            if node.files.exists(path):
+                                node.files.unlink(path)
+                                swept += 1
+                return swept
+            """),
+        "serving write, then mirror": ("repro/datalinks/sharding.py", """
+            def put_file(self, session, path, content):
+                shard = self.shard_of(path)
+                serving = self.router.route_write(shard)
+                self.router.note_write(path)
+                session.put_file(serving.name, path, content)
+                replica = self.replicas.get(shard)
+                if replica is not None:
+                    replica.mirror_file(path, content, session.cred.uid,
+                                        session.cred.gid)
+                return format_url(shard, path)
+            """),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SERIAL_SHAPES))
+    def test_the_guard_flags_a_serial_shape_it_replaced(self, shape):
+        import textwrap
+
+        module, source = self.SERIAL_SHAPES[shape]
+        offenders, _ = self.serial_calls(
+            module, ast.parse(textwrap.dedent(source)))
+        assert offenders, f"the guard misses the serial {shape}"
 
 
 class TestEveryConfigFieldIsTurned:
@@ -713,10 +798,8 @@ class TestEveryConfigFieldIsTurned:
         return configs
 
     @staticmethod
-    def _keywords_by_class(path: Path, classes, sizes: dict) -> dict:
-        """``{class: keywords}`` of the calls to *classes* in *path*."""
-
-        import ast
+    def _keywords_by_class(tree, classes, sizes: dict) -> dict:
+        """``{class: keywords}`` of the calls to *classes* in *tree*."""
 
         def outermost(node):
             for child in ast.iter_child_nodes(node):
@@ -726,7 +809,7 @@ class TestEveryConfigFieldIsTurned:
                     yield from outermost(child)
 
         found: dict = {}
-        for scope in outermost(ast.parse(path.read_text(encoding="utf-8"))):
+        for scope in outermost(tree):
             nodes = list(ast.walk(scope))
             bound = {node.targets[0].id: node.value for node in nodes
                      if isinstance(node, ast.Assign)
@@ -780,19 +863,20 @@ class TestEveryConfigFieldIsTurned:
                         keywords(call, frozenset()))
         return found
 
-    def test_every_field_is_set_by_a_caller_outside_the_tests(self):
+    def test_every_field_is_set_by_a_caller_outside_the_tests(self, trees):
         configs = self._configs()
         assert len(configs) == 7, sorted(configs)
         sizes = {spec.run.__name__: {key for tier in spec.tiers
                                      for key in spec.sizes(tier)}
                  for spec in EXPERIMENTS.values()}
-        callers = [*sorted((SRC_ROOT / "repro").rglob("*.py")),
-                   *sorted((REPO_ROOT / "examples").glob("*.py")),
-                   *sorted((REPO_ROOT / "benchmarks").rglob("*.py"))]
+        callers = [*trees.values(), *(
+            ast.parse(path.read_text(encoding="utf-8"))
+            for path in [*sorted((REPO_ROOT / "examples").glob("*.py")),
+                         *sorted((REPO_ROOT / "benchmarks").rglob("*.py"))])]
         set_by_callers: dict = {name: set() for name in configs}
-        for path in callers:
+        for tree in callers:
             for name, words in self._keywords_by_class(
-                    path, configs, sizes).items():
+                    tree, configs, sizes).items():
                 set_by_callers[name] |= words
         unset = [f"{name}.{field}" for name, fields in configs.items()
                  for field in fields if field not in set_by_callers[name]]
@@ -811,15 +895,12 @@ class TestOneFailpointTable:
     ATTRIBUTE_OWNERS = {("repro/datalinks/engine.py", "failpoints"),
                         ("repro/datalinks/replication.py", "_failpoints")}
 
-    def test_one_fire_one_table_and_only_registered_points(self):
-        import ast
-
+    def test_one_fire_one_table_and_only_registered_points(self, trees):
         from repro.util.failpoints import SCOPED, registered
 
         fires, attributes, parameters, points = [], [], [], []
-        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
-            name = path.relative_to(SRC_ROOT).as_posix()
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for name, tree in trees.items():
+            for node in ast.walk(tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if node.name in ("fire", "_fire"):
                         fires.append(f"{name}:{node.name}")
@@ -864,15 +945,12 @@ class TestTheLogKeepsItsOwnState:
 
     PRIVATE = {"_records", "_flushed_count", "_open", "_next_lsn"}
 
-    def test_no_module_outside_the_wal_touches_its_private_state(self):
-        import ast
-
+    def test_no_module_outside_the_wal_touches_its_private_state(self, trees):
         offenders = []
-        for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
-            name = path.relative_to(SRC_ROOT).as_posix()
+        for name, tree in trees.items():
             if name == "repro/storage/wal.py":
                 continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute) \
                         and node.attr in self.PRIVATE:
                     offenders.append(f"{name}:{node.lineno} .{node.attr}")
@@ -918,11 +996,9 @@ class TestNothingRebuiltPerRead:
                                 ("LogicalFileSystem", "_resolve_parent")},
     }
 
-    def test_no_import_statement_on_the_read_path(self):
-        import ast
-
+    def test_no_import_statement_on_the_read_path(self, trees):
         for relpath, wanted in self.READ_PATH.items():
-            tree = ast.parse((SRC_ROOT / relpath).read_text(encoding="utf-8"))
+            tree = trees[relpath]
             scopes = [(None, tree)] + [
                 (node.name, node) for node in tree.body
                 if isinstance(node, ast.ClassDef)]
@@ -976,12 +1052,12 @@ class TestFileBytesAreStoredOnce:
             (f"fs/ + dlfm/archive.py hold {held} B for "
              f"{self.FILES * self.SIZE} B of content the caller keeps alive")
 
-    def test_nothing_under_fs_builds_a_block_sized_buffer(self):
-        import ast
-
+    def test_nothing_under_fs_builds_a_block_sized_buffer(self, trees):
         offenders = []
-        for path in sorted((SRC_ROOT / "repro" / "fs").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for name, tree in trees.items():
+            if not name.startswith("repro/fs/"):
+                continue
+            for node in ast.walk(tree):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Name)
                         and node.func.id in ("bytes", "bytearray")):
@@ -990,6 +1066,6 @@ class TestFileBytesAreStoredOnce:
                          getattr(inner, "id", None)
                          for arg in node.args for inner in ast.walk(arg)}
                 if "block_size" in words:
-                    offenders.append(f"{path.name}:{node.lineno}")
+                    offenders.append(f"{name.rpartition('/')[2]}:{node.lineno}")
         assert not offenders, \
             f"a zero-filled block payload grew back: {offenders}"

@@ -176,6 +176,126 @@ class TestSynchronizedCallBracket:
         assert run(synchronized_call) == run(_generator_synchronized_call)
 
 
+def _actor(clock, name, costs):
+    """Steps that charge *clock* ``costs[i]`` ticks and yield ``name<i>``."""
+
+    for index, cost in enumerate(costs):
+        clock.ticks += cost
+        yield f"{name}{index}"
+
+
+class TestInterleave:
+    """:func:`repro.simclock.interleave`, the one scheduler: earliest
+    clock first, ties in list order, lazy re-entry of a moved clock."""
+
+    def test_earliest_clock_first_and_ties_in_list_order(self):
+        from repro.simclock import interleave
+
+        a, b, c = SimClock(), SimClock(), SimClock()
+        ran = interleave([(a, _actor(a, "a", [5, 5])),
+                          (b, _actor(b, "b", [3, 9])),
+                          (c, _actor(c, "c", [10]))])
+        # All three start at 0 and run in list order; then b (at 3) runs
+        # before a (at 5), and c (at 10) has no step left.
+        assert ran == ["a0", "b0", "c0", "b1", "a1"]
+        assert interleave([]) == []
+
+    def test_a_clock_moved_by_advance_reenters_at_its_new_time(self):
+        from repro.simclock import interleave
+
+        group = ClockDomainGroup()
+        a, b = group.domain("a"), group.domain("b")
+
+        def idle_then_work():
+            a.advance(0.005)            # cluster idle time: b moves too
+            yield "a0"
+            yield "a1"
+
+        ran = interleave([(a, idle_then_work()), (b, _actor(b, "b", [0]))])
+        # b was queued at 0 but its turn starts at 5 ms, where it ties a,
+        # which is listed first.
+        assert ran == ["a0", "a1", "b0"]
+
+    def test_a_clock_moved_by_another_actors_step_reenters_too(self):
+        from repro.simclock import interleave
+
+        a, b = SimClock(), SimClock()
+
+        def push_b_on():
+            b.sync_ticks(10)            # e.g. a rendezvous b waits for
+            a.ticks += 1
+            yield "a0"
+            a.ticks += 10
+            yield "a1"
+
+        ran = interleave([(a, push_b_on()), (b, _actor(b, "b", [0]))])
+        # b was queued at 0, but a's step moved it to 10: a1 (at 1) runs
+        # first, then b0 (10) before a's end (11).
+        assert ran == ["a0", "a1", "b0"]
+
+    def test_values_come_back_in_run_order_without_none(self):
+        from repro.simclock import interleave
+
+        a, b = SimClock(), SimClock()
+
+        def mixed(clock, values):
+            for value in values:
+                clock.ticks += 2
+                yield value
+
+        ran = interleave([(a, mixed(a, [None, 1, None, 2])),
+                          (b, mixed(b, ["x", None, "y"]))])
+        # Run order: a None, b x, a 1, b None, a None, b y, a 2.
+        assert ran == ["x", 1, "y", 2]
+
+    def test_an_exhausted_actor_is_not_stepped_again(self):
+        from repro.simclock import interleave
+
+        class Steps:
+            def __init__(self, clock, count):
+                self.clock, self.left, self.calls = clock, count, 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                self.calls += 1
+                if self.left == 0:
+                    raise StopIteration
+                self.left -= 1
+                self.clock.ticks += 1
+                return None
+
+        clocks = [SimClock() for _ in range(3)]
+        actors = [Steps(clock, count) for clock, count in zip(clocks, (0, 1, 4))]
+        assert interleave(list(zip(clocks, actors))) == []
+        assert [actor.calls for actor in actors] == [1, 2, 5]
+
+    def test_an_exception_leaves_every_remaining_step_unrun(self):
+        from repro.simclock import interleave
+
+        a, b = SimClock(), SimClock()
+        ran = []
+
+        def failing():
+            a.ticks += 2
+            ran.append("a0")
+            yield
+            raise RuntimeError("step a1")
+
+        def steady():
+            for index in range(4):
+                b.ticks += 1
+                ran.append(f"b{index}")
+                yield
+
+        with pytest.raises(RuntimeError, match="step a1"):
+            interleave([(a, failing()), (b, steady())])
+        # a0 (0), b0 (0), b1 (1), then a1 at 2 ties b2 and is listed
+        # first: it raises, and b2, b3 never run.
+        assert ran == ["a0", "b0", "b1"]
+
+
 class TestDomainGroupProperties:
     def test_random_interleaving_keeps_domains_monotone(self):
         """Charges, one-way syncs and barriers never move any clock back."""
