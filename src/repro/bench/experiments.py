@@ -156,7 +156,7 @@ def e1(context, repeats):
     rows.append(measured("SELECT DATALINK with write-token generation",
                          system_w, retrieval(system_w, "write")))
 
-    # Host-side token cache (ROADMAP read-caching, first slice): repeated
+    # Host-side token cache (a sharded deployment's default): repeated
     # retrievals of the same DATALINK reuse the live token and skip the HMAC.
     system_c, _, _ = context.build_microsystem(ControlMode.RDB, size=4096, files=10)
     cache = system_c.engine.enable_token_cache()

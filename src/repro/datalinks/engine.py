@@ -39,8 +39,11 @@ Scale-out additions (beyond the paper):
   time) runs un-barriered on their own domains;
 * **host-side token cache** -- :meth:`DataLinksEngine.enable_token_cache`
   lets repeated ``get_datalink`` calls for the same (path, access) reuse a
-  still-live token instead of regenerating the HMAC, with hit-rate counters
-  (the first slice of the read-caching roadmap item).
+  still-live token instead of regenerating the HMAC, with hit-rate counters.
+  A :class:`~repro.datalinks.sharding.ShardedDataLinksDeployment` always
+  runs with it on; a plain :class:`~repro.api.system.DataLinksSystem` does
+  not, so E1--E10 measure per-SELECT minting, as the paper does (only E1's
+  cache row and E9's web site turn it on).
 """
 
 from __future__ import annotations

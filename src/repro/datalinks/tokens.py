@@ -23,9 +23,9 @@ seconds); tests that probe exact TTL boundaries use a single clock.
 
 :class:`TokenCache` is the host-side cache in front of token generation:
 tokens are capabilities, not nonces, so a still-live token for the same
-(server, path, access) can be handed out again without recomputing the HMAC
--- the first slice of the read-caching roadmap item.  Hit/miss counters are
-surfaced through :meth:`repro.datalinks.engine.DataLinksEngine.token_cache_stats`.
+(server, path, access) can be handed out again without recomputing the HMAC.
+Hit/miss counters are surfaced through
+:meth:`repro.datalinks.engine.DataLinksEngine.token_cache_stats`.
 """
 
 from __future__ import annotations
@@ -119,7 +119,9 @@ class TokenCache:
         self._clock = clock
         self.min_remaining_fraction = float(min_remaining_fraction)
         self.max_entries = int(max_entries)
-        self._entries: dict[tuple, AccessToken] = {}
+        #: ``key -> (expires_at, token text)``: a hit hands the stored text
+        #: out again as it was issued.
+        self._entries: dict[tuple, tuple[float, str]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -130,15 +132,14 @@ class TokenCache:
 
         key = (server, path, token_type, float(ttl))
         try:
-            token = self._entries[key]
+            expires_at, text = self._entries[key]
         except KeyError:
-            token = None
-        if token is not None:
-            remaining = token.expires_at - \
-                self._clock.ticks / TICKS_PER_SECOND
+            pass
+        else:
+            remaining = expires_at - self._clock.ticks / TICKS_PER_SECOND
             if remaining >= ttl * self.min_remaining_fraction:
                 self.hits += 1
-                return token.render()
+                return text
             del self._entries[key]
             self.evictions += 1
         self.misses += 1
@@ -148,8 +149,8 @@ class TokenCache:
         """Drop every entry whose token has expired; returns the count."""
 
         now = self._clock.now()
-        doomed = [key for key, token in self._entries.items()
-                  if token.expires_at <= now]
+        doomed = [key for key, (expires_at, _) in self._entries.items()
+                  if expires_at <= now]
         for key in doomed:
             del self._entries[key]
         self.evictions += len(doomed)
@@ -166,7 +167,7 @@ class TokenCache:
                 del self._entries[next(iter(self._entries))]
                 self.evictions += 1
         self._entries[(server, path, token_type, float(ttl))] = \
-            AccessToken.parse(token_text)
+            (AccessToken.parse(token_text).expires_at, token_text)
 
     def stats(self) -> dict:
         lookups = self.hits + self.misses

@@ -10,6 +10,9 @@ times the examples, drawn at random.  Every failure a soak finds becomes an
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 from hypothesis import settings
 
@@ -62,6 +65,27 @@ def boom(crash=None, raises=InjectedCrash):
             raise raises
 
     return hook
+
+
+def run_smoke(json_path) -> tuple[list, dict]:
+    """One in-process ``--smoke`` run of every experiment, writing its
+    artifact to *json_path*: ``(results, payload)``, the
+    :class:`ExperimentResult` list and the artifact JSON."""
+
+    from repro.bench.harness import run_all
+
+    results = run_all(scale="smoke", json_path=str(json_path),
+                      stream=io.StringIO())
+    with open(json_path, "r", encoding="utf-8") as stream:
+        return results, json.load(stream)
+
+
+@pytest.fixture(scope="session")
+def smoke_run(tmp_path_factory):
+    """:func:`run_smoke` once per session, shared by every test that reads
+    fresh smoke rows or the fresh smoke artifact."""
+
+    return run_smoke(tmp_path_factory.mktemp("bench") / "bench_fresh.json")
 
 
 @pytest.fixture

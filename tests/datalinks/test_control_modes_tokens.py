@@ -257,7 +257,8 @@ class TestTokenExpiryEdges:
 
 
 class TestTokenCache:
-    """The host-side token cache (read-caching roadmap, first slice)."""
+    """The host-side token cache: reuse of live tokens per
+    (server, path, type, TTL)."""
 
     def _cache(self, default_ttl=60.0):
         from repro.datalinks.tokens import TokenCache, TokenManager

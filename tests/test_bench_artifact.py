@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import run_all
+from tests.conftest import run_smoke
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_ARTIFACT = REPO_ROOT / "BENCH_smoke.json"
@@ -46,13 +47,6 @@ def _is_sim_key(key: str) -> bool:
     return not key.startswith(NON_SIM_KEYS)
 
 
-def _run_smoke(tmp_path: Path, tag: str) -> dict:
-    json_path = tmp_path / f"bench_{tag}.json"
-    run_all(scale="smoke", json_path=str(json_path), stream=io.StringIO())
-    with open(json_path, "r", encoding="utf-8") as stream:
-        return json.load(stream)
-
-
 @pytest.fixture(scope="module")
 def committed() -> dict:
     if not COMMITTED_ARTIFACT.exists():
@@ -62,9 +56,8 @@ def committed() -> dict:
 
 
 @pytest.fixture(scope="module")
-def smoke_payload(tmp_path_factory) -> dict:
-    tmp_path = tmp_path_factory.mktemp("bench")
-    return _run_smoke(tmp_path, "fresh")
+def smoke_payload(smoke_run) -> dict:
+    return smoke_run[1]
 
 
 class TestSimulatedResultsInvariant:
@@ -180,7 +173,8 @@ class TestWallClockBudget:
         # Wall clock is noisy; only repeated misses count as a regression.
         while best > budget and attempt < self.ATTEMPTS:
             attempt += 1
-            best = min(best, self._total(_run_smoke(tmp_path, f"retry{attempt}")))
+            best = min(best, self._total(
+                run_smoke(tmp_path / f"bench_retry{attempt}.json")[1]))
         assert best <= budget, (
             f"--smoke total wall clock regressed: best of {attempt} runs was "
             f"{best:.3f}s against a committed baseline of {baseline:.3f}s "

@@ -59,10 +59,12 @@ class TestHarness:
                     f"{spec.experiment_id} {scale} overrides an unknown size"
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
-    def test_every_experiment_completes_in_smoke_mode(self, experiment_id):
+    def test_every_experiment_completes_in_smoke_mode(self, experiment_id,
+                                                      smoke_run):
         """CI gate: ``python -m repro.bench --smoke`` must cover E1..E14."""
 
-        result = run_experiment(experiment_id, "smoke")
+        result = {result.experiment_id: result
+                  for result in smoke_run[0]}.get(experiment_id)
         assert isinstance(result, ExperimentResult)
         assert result.experiment_id == experiment_id
         assert result.rows
