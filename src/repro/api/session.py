@@ -249,20 +249,6 @@ class Session:
         return self._txn is not None
 
     # ---------------------------------------------------------------- SQL path --
-    def sql(self, statement: str):
-        """Execute a SQL statement against the host database.
-
-        DML routes through the DataLinks engine, so INSERT/UPDATE/DELETE of
-        DATALINK columns link and unlink files exactly like the typed API.
-        Returns rows for SELECT and an affected-row count otherwise.
-        """
-
-        from repro.storage.sql import SQLExecutor
-
-        executor = SQLExecutor(self.system.host_db, engine=self.system.engine)
-        with self._host_barrier:
-            return executor.execute(statement, self._txn)
-
     def insert(self, table: str, row: dict) -> int:
         with self._host_barrier:
             return self.system.engine.insert(table, row, self._txn)

@@ -767,12 +767,6 @@ class ReplicatedShard:
 
         return self._streams.get(self.witness.name)
 
-    @property
-    def applier(self) -> ReplicaApplier | None:
-        """The first home witness's applier, while it is subscribed."""
-
-        return self.witness.dlfm.replica
-
     def is_subscribed(self, node_name: str) -> bool:
         """Is *node_name* a synced subscriber of the serving node's stream?"""
 

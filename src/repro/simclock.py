@@ -288,9 +288,6 @@ class ClockStats:
     def count(self, label: str) -> int:
         return self._entry(label)[0]
 
-    def labels(self) -> list[str]:
-        return sorted(self.ledger())
-
     def total_count(self) -> int:
         """Total charged operations, summed across every label."""
 
@@ -298,13 +295,6 @@ class ClockStats:
         for _, count, _ in self._rows():
             total += count
         return total
-
-    @property
-    def charges(self) -> dict:
-        """``{label: (count, total seconds)}`` -- compatibility view."""
-
-        return {label: (count, ticks / TICKS_PER_SECOND)
-                for label, (count, ticks) in self.ledger().items()}
 
     def as_dict(self) -> dict:
         """``{label: {"count": n, "total_ms": t}}`` for reporting."""

@@ -725,18 +725,6 @@ class Database:
         self._crashed = False
         return summary
 
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
-    # -------------------------------------------------------------------- SQL --
-    def execute(self, sql: str, txn: Transaction | None = None):
-        """Execute one SQL statement (see :mod:`repro.storage.sql` for the dialect)."""
-
-        from repro.storage.sql import SQLExecutor
-
-        return SQLExecutor(self).execute(sql, txn)
-
     # ----------------------------------------------------------------- backup --
     def backup(self, label: str = "") -> BackupImage:
         """Take a full backup tagged with the current state identifier."""
@@ -824,9 +812,9 @@ class _Prepared:
         (module docstring) -- an update replaces it -- so a reference taken
         here stays pre-update even while the statement mutates the table.
         Enumerating candidates is free; only a complete primary key owes an
-        ``index_probe``.  *match* (a row predicate: a callable or
-        ``Condition`` where) replaces the residual equality test -- it
-        implies the bindings it came with.
+        ``index_probe``.  *match* (a row predicate: a callable where, or
+        one a prepared statement's caller passes) replaces the residual
+        equality test -- it implies the bindings it came with.
         """
 
         plan = self.plan

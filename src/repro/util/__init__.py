@@ -1,12 +1,11 @@
 """Small shared utilities: id generation, LSNs and DataLinks URL handling."""
 
-from repro.util.ids import IdGenerator, next_global_id
+from repro.util.ids import IdGenerator
 from repro.util.lsn import LSN
 from repro.util.urls import DatalinkURL, format_url, parse_url
 
 __all__ = [
     "IdGenerator",
-    "next_global_id",
     "LSN",
     "DatalinkURL",
     "format_url",

@@ -27,12 +27,3 @@ class IdGenerator:
         """Return the next id formatted as ``<prefix><number>``."""
 
         return f"{self._prefix}{self.next_int()}"
-
-
-_GLOBAL = IdGenerator()
-
-
-def next_global_id() -> int:
-    """Process-wide unique integer (used only where determinism is not needed)."""
-
-    return _GLOBAL.next_int()

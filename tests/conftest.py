@@ -10,8 +10,10 @@ times the examples, drawn at random.  Every failure a soak finds becomes an
 
 from __future__ import annotations
 
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -86,6 +88,18 @@ def smoke_run(tmp_path_factory):
     fresh smoke rows or the fresh smoke artifact."""
 
     return run_smoke(tmp_path_factory.mktemp("bench") / "bench_fresh.json")
+
+
+@pytest.fixture(scope="session")
+def trees() -> dict:
+    """Every module under ``src/repro/``, parsed once per session for the
+    AST guards and the README's docstring scan: ``{"repro/<path>.py":
+    tree}``, in path order.  Readers must not mutate a tree."""
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {path.relative_to(src).as_posix():
+            ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((src / "repro").rglob("*.py"))}
 
 
 @pytest.fixture

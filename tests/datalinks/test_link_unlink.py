@@ -3,9 +3,10 @@
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
-from repro.datalinks.datalink_type import OnUnlink
+from repro.datalinks.datalink_type import OnUnlink, options_of_column
 from repro.errors import (
     DataLinksError,
+    DuplicateKeyError,
     Errno,
     FileAlreadyLinkedError,
     FileSystemError,
@@ -36,6 +37,15 @@ class TestLinkConstraints:
         attrs = system.file_server("fs1").files.stat(paths[0])
         assert attrs.uid == alice.cred.uid
         assert attrs.mode & 0o200                   # still writable by owner
+
+    @pytest.mark.parametrize("mode", list(ControlMode),
+                             ids=lambda mode: mode.value)
+    def test_link_records_the_column_declared_mode(self, mode):
+        system, _, paths, _ = build_system(mode)
+        column = system.host_db.catalog.schema(FILES_TABLE).column("body")
+        assert options_of_column(column).control_mode is mode
+        linked = system.file_server("fs1").dlfm.repository.linked_file(paths[0])
+        assert linked["control_mode"] == mode.value
 
     def test_linking_missing_file_fails_and_aborts_insert(self):
         system, alice, _, _ = build_system(None)
@@ -154,6 +164,100 @@ class TestUnlink:
         system, alice, paths, urls = rfd_system
         alice.update(FILES_TABLE, {"doc_id": 0}, {"body": urls[0], "title": "same"})
         assert system.file_server("fs1").dlfm.repository.linked_file(paths[0]) is not None
+
+
+class TestMultiRowInsert:
+    """A multi-row INSERT is one statement: ``insert_many`` pays one
+    statement base for its rows and, through the DataLinks engine, one
+    DBMS-to-DLFM link message per enlisted file server."""
+
+    def test_one_link_batch_instead_of_a_message_per_row(self):
+        system, alice, paths, _ = build_system(ControlMode.RFD, files=6,
+                                               link=False)
+        urls = [system.engine.make_url("fs1", path) for path in paths]
+        # DBMS-to-DLFM wire latency accrues on the receiving file server's
+        # clock domain; count it cluster-wide through the merged group stats.
+        stats = system.clocks.stats
+
+        def row(doc_id):
+            return {"doc_id": doc_id, "body": urls[doc_id], "body_size": 0,
+                    "body_mtime": 0.0}
+
+        before = stats.count("db_dlfm_message")
+        alice.insert_many(FILES_TABLE, [row(doc_id) for doc_id in range(3)])
+        batched = stats.count("db_dlfm_message") - before
+
+        before = stats.count("db_dlfm_message")
+        for doc_id in range(3, 6):
+            alice.insert(FILES_TABLE, row(doc_id))
+        per_row = stats.count("db_dlfm_message") - before
+
+        assert batched < per_row
+        dlfm = system.file_server("fs1").dlfm
+        assert all(dlfm.repository.linked_file(path) is not None
+                   for path in paths)
+
+    def test_duplicate_key_links_none_of_the_rows(self):
+        system, alice, paths, urls = build_system(ControlMode.RFD, files=3,
+                                                  link=False)
+        rows = [{"doc_id": doc_id, "body": url}
+                for doc_id, url in zip((0, 1, 0), urls)]
+        with pytest.raises(DuplicateKeyError):
+            alice.insert_many(FILES_TABLE, rows)
+        assert system.host_db.count(FILES_TABLE) == 0
+        repository = system.file_server("fs1").dlfm.repository
+        assert [repository.linked_file(path) for path in paths] == [None] * 3
+
+    def test_aborted_host_transaction_links_none_of_the_rows(self):
+        system, alice, paths, urls = build_system(ControlMode.RFD, files=3,
+                                                  link=False)
+        alice.begin()
+        alice.insert_many(FILES_TABLE, [{"doc_id": doc_id, "body": url}
+                                        for doc_id, url in enumerate(urls)])
+        repository = system.file_server("fs1").dlfm.repository
+        assert all(repository.linked_file(path) is not None for path in paths)
+        alice.abort()
+        assert system.host_db.count(FILES_TABLE) == 0
+        assert [repository.linked_file(path) for path in paths] == [None] * 3
+
+    def test_one_statement_base_instead_of_one_per_row(self, people_db):
+        stats = people_db.clock.stats
+        before = stats.count("sql_statement_base")
+        rids = people_db.insert_many("people", [
+            {"person_id": person_id, "name": f"batch{person_id}"}
+            for person_id in range(40, 44)])
+        batched = stats.count("sql_statement_base") - before
+
+        before = stats.count("sql_statement_base")
+        for person_id in range(50, 54):
+            people_db.insert("people", {"person_id": person_id,
+                                        "name": f"row{person_id}"})
+        per_row = stats.count("sql_statement_base") - before
+
+        assert batched < per_row
+        assert [people_db.select_one("people", {"person_id": person_id})["_rid"]
+                for person_id in range(40, 44)] == rids
+        assert people_db.count("people") == 3 + 8
+
+
+class TestUnsupportedWhere:
+    """The engine's statements refuse a ``where`` that is not ``None``, a
+    dict or a callable before any link or unlink is shipped."""
+
+    @pytest.mark.parametrize("statement", [
+        lambda alice: alice.select(FILES_TABLE, ["doc_id", 0]),
+        lambda alice: alice.update(FILES_TABLE, ["doc_id", 0], {"body": None}),
+        lambda alice: alice.delete(FILES_TABLE, ["doc_id", 0]),
+    ], ids=["select", "update", "delete"])
+    def test_every_statement_kind_refuses_it(self, statement):
+        system, alice, paths, urls = build_system(ControlMode.RFD, files=2)
+        repository = system.file_server("fs1").dlfm.repository
+        linked = [repository.linked_file(path) for path in paths]
+        with pytest.raises(TypeError, match="unsupported where"):
+            statement(alice)
+        assert [row["body"] for row in system.host_db.select(FILES_TABLE)] \
+            == urls
+        assert [repository.linked_file(path) for path in paths] == linked
 
 
 class TestMultiRowUnlink:

@@ -11,7 +11,6 @@ from repro.errors import (
     TableExistsError,
 )
 from repro.storage.lock_manager import LockMode
-from repro.storage.query import And, Eq, Ge, Gt, Le, Like, Lt, Ne, Not, Or
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 
@@ -35,6 +34,25 @@ class TestDDL:
     def test_primary_key_creates_unique_index(self, people_db):
         index = people_db.catalog.index_by_name("people", "people_pk")
         assert index is not None and index.unique
+
+    def test_every_column_type_round_trips(self, db):
+        db.create_table(TableSchema("t", [
+            Column("id", DataType.INTEGER, nullable=False),
+            Column("score", DataType.REAL),
+            Column("label", DataType.TEXT),
+            Column("flag", DataType.BOOLEAN),
+            Column("payload", DataType.BLOB),
+            Column("seen", DataType.TIMESTAMP),
+        ], primary_key=("id",)))
+        assert db.catalog.schema("t").primary_key == ("id",)
+        row = {"id": 1, "score": 2.5, "label": "x", "flag": False,
+               "payload": b"\x00\xff", "seen": 12.25}
+        db.insert("t", row)
+        stored = db.select_one("t", {"id": 1})
+        del stored["_rid"]
+        assert stored == row
+        assert [type(stored[name]) for name in row] == \
+            [int, float, str, bool, bytes, float]
 
 
 class TestInsertSelect:
@@ -63,6 +81,57 @@ class TestInsertSelect:
         rows = people_db.select("people", lambda r: r["age"] > 40)
         assert sorted(r["name"] for r in rows) == ["edsger", "grace"]
 
+    def test_select_returns_every_column(self, people_db):
+        rows = people_db.select("people", {"person_id": 2})
+        assert [{key: value for key, value in row.items() if key != "_rid"}
+                for row in rows] == \
+            [{"person_id": 2, "name": "grace", "age": 45, "active": True}]
+
+    def test_nullable_column_reads_none_when_omitted_or_none(self, people_db):
+        people_db.insert("people", {"person_id": 20, "name": "x"})
+        people_db.insert("people", {"person_id": 21, "name": "y", "age": None})
+        assert [people_db.select_one("people", {"person_id": person_id})["age"]
+                for person_id in (20, 21)] == [None, None]
+        assert people_db.count("people", {"age": None}) == 2
+
+    def test_text_is_stored_verbatim(self, people_db):
+        names = ["o'brien", 'say "hi"', "", "x'; DELETE FROM people; --"]
+        for person_id, name in enumerate(names, start=10):
+            people_db.insert("people", {"person_id": person_id, "name": name})
+        assert [people_db.select_one("people", {"name": name})["person_id"]
+                for name in names] == [10, 11, 12, 13]
+        assert people_db.count("people") == 3 + len(names)
+
+    def test_dict_where_is_a_conjunction_of_equalities(self, people_db):
+        assert len(people_db.select("people", {"name": "ada", "age": 36})) == 1
+        assert people_db.select("people", {"name": "ada", "age": 45}) == []
+        assert len(people_db.select("people", {"active": True})) == 3
+
+    @pytest.mark.parametrize("predicate, names", [
+        (lambda r: r["name"] != "ada", ["edsger", "grace"]),
+        (lambda r: 45 <= r["age"] < 72, ["grace"]),
+        (lambda r: r["age"] >= 36 and not r["name"] == "edsger",
+         ["ada", "grace"]),
+        (lambda r: r["name"] == "ada" or r["name"] == "edsger",
+         ["ada", "edsger"]),
+        (lambda r: "ds" in r["name"], ["edsger"]),
+    ], ids=["not_equal", "range", "and_not", "or", "substring"])
+    def test_callable_where_is_any_row_predicate(self, people_db, predicate,
+                                                 names):
+        rows = people_db.select("people", predicate)
+        assert sorted(r["name"] for r in rows) == names
+
+    def test_dict_where_on_the_primary_key_probes_its_index(self, people_db):
+        stats = people_db.clock.stats
+        before = stats.count("index_probe")
+        assert [r["name"] for r in people_db.select(
+            "people", {"person_id": 2})] == ["grace"]
+        assert stats.count("index_probe") == before + 1
+        before = stats.count("index_probe")
+        assert [r["name"] for r in people_db.select(
+            "people", {"age": 45})] == ["grace"]
+        assert stats.count("index_probe") == before
+
     def test_select_one_returns_none_when_missing(self, people_db):
         assert people_db.select_one("people", {"person_id": 99}) is None
 
@@ -74,38 +143,6 @@ class TestInsertSelect:
         row["person_id"] = 10
         people_db.insert("people", row)   # "_rid" key must be ignored
         assert people_db.select_one("people", {"person_id": 10})["name"] == "ada"
-
-
-class TestConditionWhere:
-    def test_eq_and_ne(self, people_db):
-        assert len(people_db.select("people", Eq("name", "ada"))) == 1
-        assert len(people_db.select("people", Ne("name", "ada"))) == 2
-
-    def test_comparisons(self, people_db):
-        assert len(people_db.select("people", Gt("age", 45))) == 1
-        assert len(people_db.select("people", Ge("age", 45))) == 2
-        assert len(people_db.select("people", Lt("age", 45))) == 1
-        assert len(people_db.select("people", Le("age", 45))) == 2
-
-    def test_boolean_combinators(self, people_db):
-        condition = And(Ge("age", 36), Not(Eq("name", "edsger")))
-        assert sorted(r["name"] for r in people_db.select("people", condition)) == \
-            ["ada", "grace"]
-        either = Or(Eq("name", "ada"), Eq("name", "edsger"))
-        assert len(people_db.select("people", either)) == 2
-
-    def test_operator_overloads(self, people_db):
-        condition = Eq("active", True) & ~Eq("name", "grace")
-        assert len(people_db.select("people", condition)) == 2
-
-    def test_like(self, people_db):
-        assert [r["name"] for r in people_db.select("people", Like("name", "ds"))] == \
-            ["edsger"]
-
-    def test_equality_bindings_use_pk_index(self, people_db):
-        before = people_db.clock.stats.count("index_probe")
-        people_db.select("people", Eq("person_id", 2))
-        assert people_db.clock.stats.count("index_probe") == before + 1
 
 
 class TestUpdateDelete:
@@ -122,6 +159,15 @@ class TestUpdateDelete:
         removed = people_db.delete("people", lambda r: r["age"] > 40)
         assert removed == 2
         assert people_db.count("people") == 1
+
+    def test_update_and_delete_count_every_matching_row(self, people_db):
+        assert people_db.update("people", {"active": True}, {"age": 50}) == 3
+        assert people_db.update("people", lambda r: r["name"] < "f",
+                                {"active": False}) == 2
+        assert people_db.count("people", {"active": False, "age": 50}) == 2
+        assert people_db.delete("people", {"active": False}) == 2
+        assert people_db.delete("people", {"active": False}) == 0
+        assert [r["name"] for r in people_db.select("people")] == ["grace"]
 
     def test_update_maintains_pk_index(self, people_db):
         people_db.update("people", {"person_id": 3}, {"person_id": 30})
@@ -187,12 +233,11 @@ class TestUnknownWhereColumn:
         lambda db: db.select_one("people", {"person_id": 1, "zzz": 0}),
         lambda db: db.update("people", {"zzz": 0}, {"age": 1}),
         lambda db: db.delete("people", {"zzz": 0}),
-        lambda db: db.select("people", Eq("zzz", 0)),
         lambda db: db.prepare_select("people", ("zzz",)),
         lambda db: db.prepare_update("people", ("zzz",)),
         lambda db: db.prepare_delete("people", ("person_id", "zzz")),
-    ], ids=["select", "select_one", "update", "delete", "condition",
-            "prepare_select", "prepare_update", "prepare_delete"])
+    ], ids=["select", "select_one", "update", "delete", "prepare_select",
+            "prepare_update", "prepare_delete"])
     def test_every_statement_kind_refuses_it(self, people_db, statement):
         with pytest.raises(NoSuchColumnError, match="zzz"):
             statement(people_db)
@@ -211,3 +256,24 @@ class TestUnknownWhereColumn:
         people_db.insert("people", {"person_id": 1, "name": "ada"})
         by_id = people_db.prepare_select("people", ("person_id",))
         assert [row["name"] for row in by_id(1)] == ["ada"]
+
+
+class TestUnsupportedWhere:
+    """A ``where`` is ``None``, a dict or a callable; any other shape --
+    SQL text included -- is refused before the statement touches a row."""
+
+    @pytest.mark.parametrize("where", [["person_id", 1], "person_id = 1"],
+                             ids=["list", "sql_text"])
+    @pytest.mark.parametrize("statement", [
+        lambda db, where: db.select("people", where),
+        lambda db, where: db.select_one("people", where),
+        lambda db, where: db.count("people", where),
+        lambda db, where: db.update("people", where, {"age": 1}),
+        lambda db, where: db.delete("people", where),
+    ], ids=["select", "select_one", "count", "update", "delete"])
+    def test_every_statement_kind_refuses_it(self, people_db, statement,
+                                             where):
+        before = people_db.select("people")
+        with pytest.raises(TypeError, match="unsupported where"):
+            statement(people_db, where)
+        assert people_db.select("people") == before

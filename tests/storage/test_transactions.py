@@ -277,6 +277,10 @@ class TestSingleStatementTransactions:
         "multi-row update reaching a duplicate key": (
             None, lambda db, txn: db.prepare_update("people")(
                 {"name": "same"}, txn=txn)),
+        "multi-row insert reaching a duplicate key": (
+            None, lambda db, txn: db.insert_many("people", [
+                {"person_id": 60, "name": "ok"},
+                {"person_id": 60, "name": "dup"}], txn)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

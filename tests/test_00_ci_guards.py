@@ -74,16 +74,6 @@ def assert_sweeps_obey_the_admission_ceiling(payload: dict, scale: str):
     assert checked, "no sweep step was checked against its ceiling"
 
 
-@pytest.fixture(scope="module")
-def trees() -> dict:
-    """Every module under ``src/repro/``, parsed once for all the AST
-    guards: ``{"repro/<path>.py": tree}``, in path order."""
-
-    return {path.relative_to(SRC_ROOT).as_posix():
-            ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted((SRC_ROOT / "repro").rglob("*.py"))}
-
-
 def test_every_source_file_compiles():
     """``python -m compileall src``: no syntax error hides behind an
     untested import path."""

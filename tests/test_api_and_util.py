@@ -71,6 +71,11 @@ class TestSessionAPI:
         assert url == "dlfs://fs1/deep/nested/dir/file.txt"
         assert alice.fs("fs1").read_file("/deep/nested/dir/file.txt") == b"payload"
 
+    def test_select_returns_the_stored_url(self, rfd_system):
+        _, alice, _, urls = rfd_system
+        rows = alice.select(FILES_TABLE, {"doc_id": 0})
+        assert [row["body"] for row in rows] == [urls[0]]
+
     def test_open_url_respects_flags(self, rdd_system):
         system, alice, _, _ = rdd_system
         url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="read")

@@ -14,10 +14,11 @@ from repro.bench.runner import EXPERIMENTS, SCALES, run_experiment
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _section_table() -> str:
+def _section_table(trees: dict) -> str:
     """README's paper-section -> module table, from a scan of the module
-    docstrings under ``src/repro/`` for ``Section N`` / ``Sections N, M and
-    K`` references -- nothing else: no section number is written by hand."""
+    docstrings under ``src/repro/`` (*trees*, the session's parsed source)
+    for ``Section N`` / ``Sections N, M and K`` references -- nothing else:
+    no section number is written by hand."""
 
     import ast
     import re
@@ -25,13 +26,11 @@ def _section_table() -> str:
     number = r"\d+(?:\.\d+)*"
     cites = re.compile(rf"Sections?\s+({number}(?:(?:,\s*|,?\s+and\s+){number})*)")
     modules_of: dict[str, list] = {}
-    root = REPO_ROOT / "src" / "repro"
-    for path in sorted(root.rglob("*.py")):
-        parts = path.relative_to(root).with_suffix("").parts
+    for relpath, tree in trees.items():
+        parts = Path(relpath).with_suffix("").parts[1:]
         module = ".".join(part for part in parts if part != "__init__") \
             or "repro"
-        docstring = ast.get_docstring(
-            ast.parse(path.read_text(encoding="utf-8"))) or ""
+        docstring = ast.get_docstring(tree) or ""
         for section in {section for cited in cites.findall(docstring)
                         for section in re.findall(number, cited)}:
             modules_of.setdefault(section, []).append(module)
@@ -145,7 +144,7 @@ class TestHarness:
             assert "profile_steps" not in entry and "profile" not in entry
 
     def test_listing_runs_nothing_and_is_the_readme_index(
-            self, monkeypatch, capsys):
+            self, monkeypatch, capsys, trees):
         """``--list`` and a walk of the declarations give id, title,
         sections, claim, columns and per-tier sizes without building a
         system; ``README.md`` carries the ``--list`` table verbatim."""
@@ -172,9 +171,9 @@ class TestHarness:
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         assert listing.strip() in readme, \
             "README.md's experiment index is not `python -m repro.bench --list`"
-        assert _section_table() in readme, \
+        assert _section_table(trees) in readme, \
             "README.md's section table is not the docstring scan:\n" \
-            + _section_table()
+            + _section_table(trees)
 
     def test_table_formatting_text_and_markdown(self):
         headers = ["name", "value"]
