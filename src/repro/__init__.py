@@ -10,7 +10,7 @@ update-in-place (UIP) mechanism, together with every substrate it relies on:
 * :mod:`repro.ipc`       -- daemons and latency-charging channels.
 * :mod:`repro.datalinks` -- the DataLinks engine, DLFM, DLFS, tokens, control
   modes, update-in-place, coordinated backup/restore, and the Section 3
-  baselines (check-in/check-out, copy-and-update, unlink/relink, BLOBs).
+  baselines (check-in/check-out, copy-and-update, BLOBs).
 * :mod:`repro.api`       -- :class:`~repro.api.system.DataLinksSystem` and
   :class:`~repro.api.session.Session`, the public entry points.
 * :mod:`repro.workloads` / :mod:`repro.bench` -- workload generators and the

@@ -3,8 +3,9 @@
 A :class:`Session` binds a user (credentials) to a
 :class:`~repro.api.system.DataLinksSystem` and exposes
 
-* the *SQL path*: insert/update/delete/select against the host database with
-  automatic link/unlink of DATALINK values, plus ``get_datalink`` to obtain a
+* the *SQL path*: insert/delete/select against the host database with
+  automatic link/unlink of DATALINK values (a row's DATALINK value changes
+  through a delete and an insert), plus ``get_datalink`` to obtain a
   tokenized URL;
 * the *file-system path*: the ordinary open/read/write/close API against a
   file server's logical file system, including
@@ -23,7 +24,6 @@ import contextlib
 from repro.datalinks.engine import HostTransaction
 from repro.datalinks.uip import (
     FileUpdateTransaction,
-    MultiFileUpdate,
     open_for_read,
     tokenized_path,
 )
@@ -158,9 +158,6 @@ class BoundFileSystem:
     def read(self, fd: int, length: int = -1) -> bytes:
         return self._lfs.read(fd, length)
 
-    def write(self, fd: int, data: bytes) -> int:
-        return self._lfs.write(fd, data)
-
     def lseek(self, fd: int, offset: int) -> int:
         return self._lfs.lseek(fd, offset)
 
@@ -182,9 +179,6 @@ class BoundFileSystem:
     def rename(self, old: str, new: str) -> None:
         self._lfs.rename(old, new, self.cred)
 
-    def mkdir(self, path: str) -> None:
-        self._lfs.mkdir(path, self.cred)
-
     def makedirs(self, path: str) -> None:
         self._lfs.makedirs(path, self.cred)
 
@@ -193,10 +187,6 @@ class BoundFileSystem:
 
     def chmod(self, path: str, mode: int) -> None:
         self._lfs.chmod(path, mode, self.cred)
-
-    @property
-    def lfs(self) -> LogicalFileSystem:
-        return self._lfs
 
 
 class Session:
@@ -258,10 +248,6 @@ class Session:
 
         with self._host_barrier:
             return self.system.engine.insert_many(table, rows, self._txn)
-
-    def update(self, table: str, where, changes: dict) -> int:
-        with self._host_barrier:
-            return self.system.engine.update(table, where, changes, self._txn)
 
     def delete(self, table: str, where) -> int:
         with self._host_barrier:
@@ -358,17 +344,6 @@ class Session:
         return FileUpdateTransaction(
             lfs, url, self.cred, truncate=truncate,
             abort_callback=lambda srv, path: self.system.abort_file_update(server, path))
-
-    def update_files(self, urls: list[str], truncate: bool = False) -> MultiFileUpdate:
-        """Update several write-tokenized URLs as one all-or-nothing unit.
-
-        This is the "nested transaction" usage of Section 3.1: each file's
-        open/close remains its own sub-transaction, and the returned
-        :class:`MultiFileUpdate` commits or rolls back all of them together.
-        """
-
-        return MultiFileUpdate([self.update_file(url, truncate=truncate)
-                                for url in urls])
 
     def open_url(self, url: str, flags: OpenFlags) -> int:
         """Open a tokenized URL with explicit flags; returns the fd."""

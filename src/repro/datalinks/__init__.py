@@ -12,8 +12,8 @@ Layout mirrors the system architecture (Figure 1 of the paper):
   server (repository, daemons, Sync table, versioning, archive, backup);
 * :mod:`repro.datalinks.dlfs` -- the stackable DataLinks File System layer;
 * :mod:`repro.datalinks.uip` -- the update-in-place file-update session;
-* :mod:`repro.datalinks.baselines` -- CICO, CAU, unlink/relink and
-  BLOB-in-database comparators from Section 3;
+* :mod:`repro.datalinks.baselines` -- CICO, CAU and BLOB-in-database
+  comparators from Section 3;
 * :mod:`repro.datalinks.sharding` -- the scale-out layer: hash-partitioned
   multi-DLFM deployments with a group-commit queue and batched link
   pipelines;

@@ -39,7 +39,6 @@ class BackupCoordinator:
     def __init__(self, host_db: Database, managers: dict):
         self._host_db = host_db
         self._managers: dict = {}
-        self._backups: list[SystemBackup] = []
         #: ``state_id`` of every retained backup, ascending.
         self._state_ids: list[int] = []
         self._next_id = 1
@@ -82,7 +81,6 @@ class BackupCoordinator:
             label=label,
         )
         self._next_id += 1
-        self._backups.append(backup)
         insort(self._state_ids, backup.state_id)
         return backup
 
@@ -102,9 +100,3 @@ class BackupCoordinator:
                 continue
             restored[name] = manager.restore(image, host_state_id=backup.state_id)
         return restored
-
-    def backups(self) -> list[SystemBackup]:
-        return list(self._backups)
-
-    def latest(self) -> SystemBackup | None:
-        return self._backups[-1] if self._backups else None

@@ -22,7 +22,7 @@ Design
   the drained delta is the traffic *window* the decisions are based on,
   and a tick costs O(prefixes touched this window).  Ticks whose window is
   thinner than ``window_ops_min`` make no balancing decisions (too little
-  signal), though idle-subtree tracking still advances.
+  signal).
 * **Governed, not greedy.**  At most ``move_budget`` moves per tick, a
   per-prefix ``cooldown_ticks`` re-move lockout, and every move must
   *strictly reduce the maximum shard load* for the window
@@ -36,13 +36,8 @@ Design
   prefix (:meth:`~repro.datalinks.sharding.ShardedDataLinksDeployment.split_prefix`):
   the map's effective routing depth deepens under that subtree, existing
   sub-prefixes stay pinned where they are, and the very next window sees
-  per-sub-prefix counters it can move independently.
-* **Merge when the heat is gone.**  A split subtree whose window traffic
-  stays below ``merge_idle_ops`` for ``merge_idle_ticks`` consecutive
-  ticks is merged back: remaining budget first co-locates its
-  sub-prefixes onto the majority holder, then
-  :meth:`~repro.datalinks.sharding.ShardedDataLinksDeployment.merge_prefix`
-  collapses the split so the map does not accrete depth forever.
+  per-sub-prefix counters it can move independently.  A split is never
+  undone, so the map's depth stays bounded by the directory depth.
 
 Every decision is recorded: per-tick summaries in
 :attr:`PlacementBalancer.history` and cumulative counters in
@@ -54,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.datalinks.placement import path_under
 from repro.errors import PlacementError, ReproError
 from repro.simclock import synchronized_call
 
@@ -66,8 +60,7 @@ class BalancerConfig:
     #: Minimum routed operations in a tick's window before the balancer
     #: acts; thinner windows are noise.
     window_ops_min: int = 16
-    #: Maximum rebalance moves issued per tick (co-location moves for a
-    #: merge count against the same budget).
+    #: Maximum rebalance moves issued per tick.
     move_budget: int = 2
     #: A moved prefix may not move again for this many ticks.
     cooldown_ticks: int = 2
@@ -77,11 +70,6 @@ class BalancerConfig:
     #: Split a prefix when it alone carries at least this fraction of its
     #: shard's window load and moving it whole cannot reduce the maximum.
     split_threshold: float = 0.5
-    #: A split subtree is "idle" in a tick when its window traffic is
-    #: below this many operations.
-    merge_idle_ops: int = 1
-    #: Idle ticks in a row before a split subtree is merged back.
-    merge_idle_ticks: int = 3
 
 
 class PlacementBalancer:
@@ -96,15 +84,12 @@ class PlacementBalancer:
         self.clock = deployment.clocks.domain("balancer")
         #: ``prefix -> first tick at which it may move again``.
         self._cooldown_until: dict[str, int] = {}
-        #: ``split parent -> consecutive idle ticks`` (merge candidates).
-        self._split_idle: dict[str, int] = {}
         self.ticks = 0
         self.moves_issued = 0
         self.moves_refused = 0
         self.moves_skipped_budget = 0
         self.moves_skipped_cooldown = 0
         self.splits = 0
-        self.merges = 0
         #: One summary dict per tick, in order.
         self.history: list[dict] = []
 
@@ -153,11 +138,12 @@ class PlacementBalancer:
         return True
 
     # --------------------------------------------------------------- balancing --
-    def _rebalance(self, window: dict[str, int], budget: int, tick: int,
-                   summary: dict) -> int:
+    def _rebalance(self, window: dict[str, int], tick: int,
+                   summary: dict) -> None:
         """Move hot prefixes off overloaded shards; split when stuck."""
 
         config = self.config
+        budget = config.move_budget
         pmap = self.deployment.router.placement
         shards = self.deployment.shard_names
         load = {name: 0 for name in shards}
@@ -173,7 +159,7 @@ class PlacementBalancer:
         while True:
             source = max(load, key=lambda name: load[name])
             if load[source] <= config.imbalance_tolerance * fair:
-                return budget
+                return
             dest = min(load, key=lambda name: load[name])
             candidates = sorted(by_owner[source],
                                 key=lambda p: by_owner[source][p],
@@ -191,7 +177,7 @@ class PlacementBalancer:
                 if budget <= 0:
                     self.moves_skipped_budget += 1
                     summary["skipped_budget"] += 1
-                    return budget
+                    return
                 if self._move(prefix, dest, tick, summary):
                     budget -= 1
                     load[source] -= ops
@@ -215,78 +201,11 @@ class PlacementBalancer:
                     with synchronized_call(self.clock, self.deployment.clock):
                         result = self.deployment.split_prefix(hottest)
                 except (PlacementError, ReproError):
-                    return budget
+                    return
                 self.splits += 1
                 summary["splits"].append(
                     {"prefix": hottest, "depth": result["depth"],
                      "epoch": result["epoch"]})
-        return budget
-
-    # ----------------------------------------------------------------- merging --
-    def _track_idle_splits(self, window: dict[str, int]) -> list[str]:
-        """Advance idle counters; returns the split parents due a merge."""
-
-        config = self.config
-        pmap = self.deployment.router.placement
-        due = []
-        for parent in list(pmap.split_depths):
-            traffic = sum(ops for prefix, ops in window.items()
-                          if path_under(parent, prefix))
-            if traffic < config.merge_idle_ops:
-                self._split_idle[parent] = self._split_idle.get(parent, 0) + 1
-            else:
-                self._split_idle[parent] = 0
-            if self._split_idle[parent] >= config.merge_idle_ticks:
-                due.append(parent)
-        for parent in list(self._split_idle):
-            if parent not in pmap.split_depths:
-                del self._split_idle[parent]
-        return due
-
-    def _try_merge(self, parent: str, budget: int, tick: int,
-                   summary: dict) -> int:
-        """Merge a cold split subtree, co-locating its pieces first."""
-
-        deployment = self.deployment
-        try:
-            with synchronized_call(self.clock, deployment.clock):
-                result = deployment.merge_prefix(parent)
-        except PlacementError:
-            pass
-        except ReproError:
-            return budget
-        else:
-            self.merges += 1
-            self._split_idle.pop(parent, None)
-            summary["merges"].append(result)
-            return budget
-        # Spread sub-prefixes: move the minority holders' pieces onto the
-        # majority holder (budgeted), then the next idle tick merges.
-        try:
-            holders = {name: [path for path in deployment.linked_paths(name)
-                              if path_under(parent, path)]
-                       for name in deployment.shard_names}
-        except ReproError:
-            return budget
-        holders = {name: paths for name, paths in holders.items() if paths}
-        if not holders:
-            return budget
-        target = max(holders, key=lambda name: len(holders[name]))
-        pmap = deployment.router.placement
-        for name in sorted(holders):
-            if name == target:
-                continue
-            for sub in sorted({pmap.prefix_of(path)
-                               for path in holders[name]}):
-                if budget <= 0:
-                    self.moves_skipped_budget += 1
-                    summary["skipped_budget"] += 1
-                    return budget
-                if not self._movable(sub, tick, summary):
-                    continue
-                if self._move(sub, target, tick, summary):
-                    budget -= 1
-        return budget
 
     # -------------------------------------------------------------------- tick --
     def tick(self) -> dict:
@@ -297,21 +216,13 @@ class PlacementBalancer:
         window = self._window()
         total = sum(window.values())
         summary = {"tick": tick, "window_ops": total, "moves": [],
-                   "splits": [], "merges": [], "refused": 0,
+                   "splits": [], "refused": 0,
                    "skipped_budget": 0, "skipped_cooldown": 0,
                    "acted": total >= self.config.window_ops_min}
-        budget = self.config.move_budget
         if summary["acted"]:
-            budget = self._rebalance(window, budget, tick, summary)
-        for parent in self._track_idle_splits(window):
-            budget = self._try_merge(parent, budget, tick, summary)
+            self._rebalance(window, tick, summary)
         self.history.append(summary)
         return summary
-
-    def run(self, ticks: int) -> list[dict]:
-        """Convenience: *ticks* consecutive passes; returns their summaries."""
-
-        return [self.tick() for _ in range(ticks)]
 
     # ------------------------------------------------------------------- stats --
     def stats(self) -> dict:
@@ -322,7 +233,6 @@ class PlacementBalancer:
             "moves_skipped_budget": self.moves_skipped_budget,
             "moves_skipped_cooldown": self.moves_skipped_cooldown,
             "splits": self.splits,
-            "merges": self.merges,
             "move_budget": self.config.move_budget,
             "max_moves_per_tick": max(
                 (len(entry["moves"]) for entry in self.history), default=0),

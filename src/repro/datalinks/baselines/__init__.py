@@ -7,20 +7,16 @@ These are the comparison points for update-in-place:
 * :mod:`~repro.datalinks.baselines.cau` -- copy-and-update, where every
   application works on a private copy and consistency is the application's
   problem (lost updates included);
-* :mod:`~repro.datalinks.baselines.unlink_relink` -- the only way to update a
-  linked file *before* this paper: unlink, modify, relink;
 * :mod:`~repro.datalinks.baselines.blob_store` -- the Oracle iFS / Informix
   IXFS alternative of storing file content in database LOBs.
 """
 
 from repro.datalinks.baselines.cico import CheckInCheckOutManager
 from repro.datalinks.baselines.cau import CopyAndUpdateManager
-from repro.datalinks.baselines.unlink_relink import UnlinkRelinkUpdater
 from repro.datalinks.baselines.blob_store import BlobFileStore
 
 __all__ = [
     "CheckInCheckOutManager",
     "CopyAndUpdateManager",
-    "UnlinkRelinkUpdater",
     "BlobFileStore",
 ]

@@ -92,8 +92,3 @@ class CheckInCheckOutManager:
         row = self._db.select_one(CHECKOUT_TABLE, {"server": server, "path": path},
                                   lock=False)
         return row["userid"] if row is not None else None
-
-    def outstanding(self) -> list[Checkout]:
-        rows = self._db.select(CHECKOUT_TABLE, lock=False)
-        return [Checkout(row["server"], row["path"], row["userid"],
-                         row["checked_out_at"]) for row in rows]

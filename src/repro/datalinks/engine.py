@@ -2,10 +2,11 @@
 
 The engine extends the host database with DATALINK awareness:
 
-* INSERT/UPDATE/DELETE statements that touch DATALINK columns drive link and
+* INSERT/DELETE statements that touch DATALINK columns drive link and
   unlink operations at the responsible file server's DLFM *inside the same
   transaction* (the DLFM branch is a sub-transaction, committed through
-  two-phase commit with the host database as coordinator);
+  two-phase commit with the host database as coordinator); a DATALINK
+  value changes through a DELETE and an INSERT;
 * SELECTing a DATALINK value can embed a read or write access token in the
   returned URL (Section 4.1);
 * when a managed file update commits, the engine updates registered metadata
@@ -17,7 +18,7 @@ Scale-out additions (beyond the paper):
 * **batched link pipelines** -- multi-row DML collects link/unlink work per
   file server and ships it as one IPC message per server
   (:meth:`DataLinksEngine.insert_many`, and batched unlinks inside
-  ``update``/``delete``) instead of one round trip per row;
+  ``delete``) instead of one round trip per row;
 * **group commit** -- :meth:`DataLinksEngine.commit_group` resolves a batch
   of host transactions with one prepare and one commit message per enlisted
   server and a single host log force
@@ -521,7 +522,8 @@ class DataLinksEngine:
                         owner = self._owner(parsed.server, parsed.path)
                         links.setdefault(owner, []).append(
                             (parsed.path, options))
-            self._ship_batches(active, {}, links)
+            for server in sorted(links):
+                self._dispatch_links(active, server, None, links[server])
             return rids
 
     def delete(self, table: str, where, host_txn: HostTransaction | None = None) -> int:
@@ -543,55 +545,9 @@ class DataLinksEngine:
                         parsed = parse_url(url)
                         owner = self._owner(parsed.server, parsed.path)
                         unlinks.setdefault(owner, []).append(parsed.path)
-            self._ship_batches(active, unlinks, {})
+            for server in sorted(unlinks):
+                self._dispatch_links(active, server, unlinks[server], None)
             return count
-
-    def update(self, table: str, where, changes: dict,
-               host_txn: HostTransaction | None = None) -> int:
-        """UPDATE; changing a DATALINK value unlinks the old file and links the new.
-
-        Link/unlink work is batched per file server (unlinks shipped before
-        links, statement-at-a-time), so a multi-row UPDATE costs at most two
-        IPC round trips per enlisted server.
-        """
-
-        with _StatementTransaction(self, host_txn) as active:
-            schema = self.db.catalog.schema(table)
-            datalink_changes = [column for column in schema.datalink_columns()
-                                if column.name in changes]
-            before = []
-            if datalink_changes:
-                before = self.db.select(table, where, active.txn, for_update=True)
-            count = self.db.update(table, where, changes, active.txn)
-            unlinks: dict[str, list[str]] = {}
-            links: dict[str, list[tuple[str, DatalinkOptions]]] = {}
-            for column in datalink_changes:
-                new_url = changes.get(column.name)
-                options = options_of_column(column)
-                for row in before:
-                    old_url = row.get(column.name)
-                    if old_url == new_url:
-                        continue
-                    if old_url:
-                        parsed = parse_url(old_url)
-                        owner = self._owner(parsed.server, parsed.path)
-                        unlinks.setdefault(owner, []).append(parsed.path)
-                    if new_url:
-                        parsed = parse_url(new_url)
-                        owner = self._owner(parsed.server, parsed.path)
-                        links.setdefault(owner, []).append(
-                            (parsed.path, options))
-            self._ship_batches(active, unlinks, links)
-            return count
-
-    def _ship_batches(self, active: HostTransaction,
-                      unlinks: dict[str, list[str]],
-                      links: dict[str, list[tuple[str, DatalinkOptions]]]) -> None:
-        """Enlist each server and ship its unlink batch, then its link batch."""
-
-        for server in sorted(set(unlinks) | set(links)):
-            self._dispatch_links(active, server, unlinks.get(server),
-                                 links.get(server))
 
     def _dispatch_links(self, active: HostTransaction, server: str,
                         unlink_paths: list[str] | None,

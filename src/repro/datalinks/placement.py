@@ -103,18 +103,17 @@ Two windows the protocol closes explicitly:
   sweep, and a crash between commit and sweep leaves the pending entry for
   recovery to redrive (``ShardedDataLinksDeployment.redrive_sweeps``).
 
-Splits and merges
------------------
+Splits
+------
 A single hot prefix can outgrow any one shard.  :meth:`PlacementMap.split_prefix`
 deepens the *effective* routing depth under one subtree -- ``/hot`` at
 depth 1 splits into ``/hot/a``, ``/hot/b``, ... at depth 2 -- so its
 sub-prefixes can be rebalanced independently.  Every sub-prefix that
 already holds linked files is pinned to the current owner at split time
 (no data teleports on the epoch bump); brand-new sub-prefixes hash freely
-onto the cluster.  :meth:`PlacementMap.merge_prefix` reverses a split once
-the subtree has gone cold and its sub-prefixes are co-located again.  Both
-transitions bump the placement epoch, so stale consumers get the same
-redirect-and-retry treatment as after a move.
+onto the cluster.  A split is never undone, so the effective depth stays
+bounded by the directory depth.  A split bumps the placement epoch, so
+stale consumers get the same redirect-and-retry treatment as after a move.
 """
 
 from __future__ import annotations
@@ -152,7 +151,6 @@ class PlacementMap:
         self.split_depths: dict[str, int] = {}
         self.moves = 0
         self.splits = 0
-        self.merges = 0
         # Memoized effective prefixes; valid until the split set changes
         # (every router lookup and traffic note funnels through prefix_of).
         self._prefix_cache: dict[str, str] = {}
@@ -177,7 +175,7 @@ class PlacementMap:
         # The map's own memo covers the no-split case too, so hot callers
         # (routing's traffic notes, URL owner resolution) can probe
         # ``_prefix_cache`` inline and skip this frame entirely on a warm
-        # path; split/merge transitions clear it (see note_split/note_merge).
+        # path; split_prefix clears it.
         try:
             return self._prefix_cache[path]
         except KeyError:
@@ -297,39 +295,6 @@ class PlacementMap:
         self.splits += 1
         return self.epoch
 
-    def merge_prefix(self, prefix: str, shard: str) -> int:
-        """Reverse a split: route *prefix* shallowly again, owned by *shard*.
-
-        The caller must have co-located every sub-prefix on *shard* first
-        (``ShardedDataLinksDeployment.merge_prefix`` verifies this); the
-        map refuses while any part of the subtree is mid-move or nested
-        splits remain.  Sub-prefix overrides under *prefix* are dropped
-        and replaced by one override for the whole subtree.  Bumps the
-        placement epoch.
-        """
-
-        if prefix not in self.split_depths:
-            raise PlacementError(f"prefix {prefix!r} is not split")
-        for sub in self.moving:
-            if path_under(prefix, sub):
-                raise PlacementError(
-                    f"cannot merge {prefix!r} while {sub!r} is being "
-                    f"rebalanced; retry after the hand-off resolves")
-        for sub in self.split_depths:
-            if sub != prefix and path_under(prefix, sub):
-                raise PlacementError(
-                    f"cannot merge {prefix!r} while nested split {sub!r} "
-                    f"remains; merge it first")
-        del self.split_depths[prefix]
-        self._prefix_cache.clear()
-        for sub in [key for key in self.overrides
-                    if key != prefix and path_under(prefix, key)]:
-            del self.overrides[sub]
-        self.overrides[prefix] = shard
-        self.epoch += 1
-        self.merges += 1
-        return self.epoch
-
     # ---------------------------------------------------------------- validation --
     def check_epoch(self, observed: int) -> None:
         """Reject a request stamped with a placement epoch older than ours."""
@@ -345,7 +310,6 @@ class PlacementMap:
             "epoch": self.epoch,
             "moves": self.moves,
             "splits": self.splits,
-            "merges": self.merges,
             "overrides": dict(self.overrides),
             "moving": dict(self.moving),
             "split_depths": dict(self.split_depths),

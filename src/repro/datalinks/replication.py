@@ -131,12 +131,6 @@ class EpochRegistry:
                 listener()
         return self._epochs[shard]
 
-    def is_current(self, shard: str, node: str) -> bool:
-        try:
-            return self._serving[shard] == node
-        except KeyError:
-            return node is None
-
 
 class EpochGuard:
     """One node's lease on its shard, checked before serving upcalls."""
@@ -148,8 +142,9 @@ class EpochGuard:
 
     @property
     def fenced(self) -> bool:
-        # ``not self.registry.is_current(...)`` with the lookup written out
-        # inline -- this gate runs before every served upcall.
+        # Fenced when another node holds the shard's serving lease (a shard
+        # nobody registered is served by ``None``).  The registry lookup is
+        # inline: this gate runs before every served upcall.
         try:
             return self.registry._serving[self.shard] != self.node
         except KeyError:

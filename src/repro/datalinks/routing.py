@@ -219,10 +219,6 @@ class ReplicationRouter:
     def prefix_of(self, path: str) -> str:
         return self.placement.prefix_of(path)
 
-    @property
-    def placement_epoch(self) -> int:
-        return self.placement.epoch
-
     # ------------------------------------------------------------ traffic notes --
     def note_read(self, path: str) -> None:
         """Count one routed read against *path*'s effective prefix."""
@@ -321,9 +317,6 @@ class ReplicationRouter:
             raise DataLinksError(f"unknown shard {shard!r}")
         return {server.name: NodeRole.SERVING if server.running
                 else NodeRole.DOWN}
-
-    def role_of(self, shard: str, node_name: str) -> str:
-        return self.roles(shard)[node_name]
 
     def serving_node(self, shard: str) -> str:
         """Name of the node currently holding *shard*'s serving lease."""

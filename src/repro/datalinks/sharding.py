@@ -91,8 +91,7 @@ from repro.datalinks.placement import (PlacementGuard, path_under,
                                        rebalance_prefix, sweep_moved_prefix)
 from repro.datalinks.replication import EpochRegistry, ReplicatedShard
 from repro.datalinks.routing import ReplicationRouter, ShardRouter
-from repro.errors import DataLinksError, PlacementError, ReplicationError, \
-    ReproError
+from repro.errors import DataLinksError, ReplicationError, ReproError
 from repro.simclock import TICKS_PER_MS, CostModel, SimClock
 from repro.storage.schema import TableSchema
 from repro.util.lsn import LSN
@@ -187,11 +186,6 @@ class ShardedDataLinksDeployment:
         """The deployment's clock-domain group."""
 
         return self.system.clocks
-
-    def global_now(self) -> float:
-        """Cluster wall-clock time: the max over every node's domain."""
-
-        return self.system.clocks.global_now()
 
     @property
     def host_db(self):
@@ -449,29 +443,6 @@ class ShardedDataLinksDeployment:
         return {"prefix": prefix, "depth": depth, "pins": pins,
                 "epoch": epoch}
 
-    def merge_prefix(self, prefix: str) -> dict:
-        """Merge a split *prefix* back to shallow routing.
-
-        Refuses unless every file under the subtree lives on one shard --
-        co-locate the sub-prefixes with :meth:`rebalance_prefix` first.
-        Bumps the placement epoch.
-        """
-
-        pmap = self.router.placement
-        if prefix not in pmap.split_depths:
-            raise PlacementError(f"prefix {prefix!r} is not split")
-        holders = {name for name in self.shard_names
-                   if any(path_under(prefix, path)
-                          for path in self.linked_paths(name))}
-        if len(holders) > 1:
-            raise PlacementError(
-                f"cannot merge {prefix!r}: its files are spread over "
-                f"{sorted(holders)}; co-locate the sub-prefixes with "
-                f"rebalance_prefix first")
-        shard = holders.pop() if holders else pmap.owner_of(prefix)
-        epoch = pmap.merge_prefix(prefix, shard)
-        return {"prefix": prefix, "shard": shard, "epoch": epoch}
-
     def enable_balancer(self,
                         config: BalancerConfig | None = None) -> PlacementBalancer:
         """Attach the autonomous placement balancer (its own clock domain).
@@ -479,8 +450,7 @@ class ShardedDataLinksDeployment:
         The balancer is caller-ticked like the archiver: each
         :meth:`~repro.datalinks.balancer.PlacementBalancer.tick` diffs the
         router's per-prefix traffic counters and issues budgeted
-        ``rebalance_prefix`` moves (and splits/merges) on its own
-        timeline.
+        ``rebalance_prefix`` moves (and splits) on its own timeline.
         """
 
         self.balancer = PlacementBalancer(self, config or BalancerConfig())

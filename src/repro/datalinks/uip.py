@@ -159,67 +159,3 @@ def open_for_read(lfs: LogicalFileSystem, url: str, cred: Credentials) -> int:
     """Open a (possibly tokenized) DATALINK URL for reading; returns the fd."""
 
     return lfs.open(tokenized_path(url), OpenFlags.READ, cred)
-
-
-class MultiFileUpdate:
-    """Update several linked files as one all-or-nothing unit.
-
-    Section 3.1: "If an application wants to update multiple files within a
-    user transaction, the nested transaction concept can be applied."  Each
-    member file keeps its own open/close (sub-)transaction; this wrapper
-    coordinates them so that either every member commits or every member is
-    rolled back to its last committed version.
-    """
-
-    def __init__(self, updates: list[FileUpdateTransaction]):
-        self._updates = list(updates)
-        self.committed = False
-        self.aborted = False
-
-    def __enter__(self) -> "MultiFileUpdate":
-        self.begin()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self.commit()
-        else:
-            self.abort()
-        return False
-
-    def begin(self) -> "MultiFileUpdate":
-        """Open every member file; if any open fails, none stay open."""
-
-        opened: list[FileUpdateTransaction] = []
-        try:
-            for update in self._updates:
-                update.begin()
-                opened.append(update)
-        except Exception:
-            for update in opened:
-                update.abort()
-            raise
-        return self
-
-    def __iter__(self):
-        return iter(self._updates)
-
-    def __getitem__(self, index: int) -> FileUpdateTransaction:
-        return self._updates[index]
-
-    def __len__(self) -> int:
-        return len(self._updates)
-
-    def commit(self) -> None:
-        if self.committed or self.aborted:
-            return
-        for update in self._updates:
-            update.commit()
-        self.committed = True
-
-    def abort(self) -> None:
-        if self.committed or self.aborted:
-            return
-        for update in self._updates:
-            update.abort()
-        self.aborted = True

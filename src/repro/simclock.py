@@ -782,14 +782,6 @@ class ClockDomainGroup:
 
         return self.ticks / TICKS_PER_SECOND
 
-    # ``now()``/``measure()`` make the group usable wherever a clock-like
-    # object is expected, measuring cluster wall-clock progress.
-    def now(self) -> float:
-        return self.global_now()
-
-    def measure(self) -> "Stopwatch":
-        return Stopwatch(self)
-
     def barrier(self) -> float:
         """Rendezvous every domain (a cluster-wide synchronization point)."""
 
@@ -856,10 +848,9 @@ class ClockDomainGroup:
 class Stopwatch:
     """Measures elapsed simulated time; usable as a context manager.
 
-    Works over a single :class:`SimClock`/:class:`ClockDomain` (elapsed time
-    on that node) or a :class:`ClockDomainGroup` (elapsed cluster wall-clock
-    time, i.e. ``global_now`` deltas).  The interval is taken in ticks and
-    converted once, so it does not lose precision late in a long run.
+    Works over a :class:`SimClock` or :class:`ClockDomain` (elapsed time on
+    that node).  The interval is taken in ticks and converted once, so it
+    does not lose precision late in a long run.
     """
 
     def __init__(self, clock):

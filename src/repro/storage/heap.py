@@ -154,11 +154,3 @@ class HeapTable:
         self._next_rid = snapshot["next_rid"]
         self._sorted_rids = None
         self.mutations += 1
-
-    def clear(self) -> None:
-        """Drop all rows (used to simulate loss of volatile state)."""
-
-        self._rows.clear()
-        self._next_rid = 1
-        self._sorted_rids = None
-        self.mutations += 1

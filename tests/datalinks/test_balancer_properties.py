@@ -3,16 +3,18 @@
 Five governance properties, each driven by deterministic (seeded)
 traffic so failures replay exactly:
 
-* the per-tick move budget is never exceeded -- co-location moves for a
-  merge count against the same budget;
+* the per-tick move budget is never exceeded;
 * a moved prefix is never moved again inside its cooldown window;
 * on a *uniform* workload the balancer converges: once the load is
   within tolerance it issues no further moves, however long the traffic
   keeps running;
-* a split followed by a merge round-trips: every committed link still
-  resolves, and the placement epoch only ever moves forward;
-* a split subtree that goes idle is merged back by the balancer itself,
-  its scattered pieces brought home within the move budget first.
+* a split whose sub-prefix is scattered and brought home round-trips:
+  every committed link still resolves, and the placement epoch only ever
+  moves forward;
+* a split is never undone: an idle split subtree keeps its depth and its
+  pieces, and renewed traffic moves the pieces, never the parent.
+
+``TestSplitRefusals`` checks the map's own split rules directly.
 """
 
 import random
@@ -23,7 +25,8 @@ import pytest
 from repro.datalinks.balancer import BalancerConfig
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
-from repro.datalinks.placement import path_under
+from repro.datalinks.placement import PlacementMap, path_under
+from repro.datalinks.routing import ShardRouter
 from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import PlacementError
 from repro.storage.schema import Column, TableSchema
@@ -227,11 +230,10 @@ class TestBalancerGovernance:
         assert balancer.moves_issued == before
 
 
-class TestSplitMergeRoundTrip:
-    def test_split_move_merge_preserves_every_link(self):
-        """Split a prefix, scatter its sub-prefixes, bring them home,
-        merge -- every committed link readable at every step, epoch
-        strictly monotone."""
+class TestSplitRoundTrip:
+    def test_split_scatter_return_preserves_every_link(self):
+        """Split a prefix, scatter a sub-prefix, bring it home -- every
+        committed link readable at every step, epoch strictly monotone."""
 
         deployment, session, urls = build_deployment(prefixes=3,
                                                      docs_per_prefix=4)
@@ -253,47 +255,26 @@ class TestSplitMergeRoundTrip:
         assert deployment.rebalance_prefix(sub, other)["moved"]
         epochs.append(pmap.epoch)
         assert_all_readable(deployment, session, urls)
-        # a spread subtree refuses to merge
-        with pytest.raises(PlacementError, match="co-locate"):
-            deployment.merge_prefix(prefix)
 
-        # bring it home and merge
+        # bring it home
         assert deployment.rebalance_prefix(sub, owner)["moved"]
         epochs.append(pmap.epoch)
-        merged = deployment.merge_prefix(prefix)
-        epochs.append(pmap.epoch)
-        assert merged["shard"] == owner
-        assert prefix not in pmap.split_depths
-        assert pmap.prefix_of(f"{prefix}/d0/doc0000.dat") == prefix
+        assert pmap.owner_of(sub) == owner
+        assert prefix in pmap.split_depths
         assert_all_readable(deployment, session, urls)
         assert epochs == sorted(set(epochs)), epochs     # strictly monotone
 
-    def test_merged_prefix_is_movable_again(self):
-        deployment, session, urls = build_deployment(prefixes=2,
-                                                     docs_per_prefix=3)
-        pmap = deployment.router.placement
-        prefix = "/b01"
-        owner = pmap.owner_of(prefix)
-        other = next(name for name in deployment.shard_names
-                     if name != owner)
-        deployment.split_prefix(prefix)
-        deployment.merge_prefix(prefix)
-        assert deployment.rebalance_prefix(prefix, other)["moved"]
-        assert pmap.owner_of(prefix) == other
-        assert_all_readable(deployment, session, urls)
 
-
-class TestIdleSplitIsMergedBack:
-    """``PlacementBalancer._try_merge``, reached the way ``tick`` reaches
-    it: one prefix runs hot until the balancer splits it, some of its
-    sub-prefixes are moved away, the traffic stops, and after
-    ``merge_idle_ticks`` quiet ticks the balancer brings the pieces home
-    (budgeted) and collapses the split."""
+class TestBalancerSplitIsNeverUndone:
+    """A split the balancer makes stays: once the traffic is gone, the
+    split subtree keeps its depth and every piece stays where it was put,
+    so the map's depth stays bounded by the directory depth.  When the
+    traffic comes back, the balancer moves the pieces, never the parent."""
 
     PREFIXES = 3
-    IDLE_TICKS = 3
+    IDLE_TICKS = 4
 
-    def split_and_scatter(self, seed, move_budget, scatter):
+    def split_and_scatter(self, seed, scatter):
         """Returns the deployment with one balancer-made split whose
         *scatter* sub-prefixes (seed-chosen) live on other shards."""
 
@@ -302,9 +283,8 @@ class TestIdleSplitIsMergedBack:
         deployment, session, urls = build_deployment(
             prefixes=self.PREFIXES, docs_per_prefix=docs)
         balancer = deployment.enable_balancer(BalancerConfig(
-            window_ops_min=6, move_budget=move_budget, cooldown_ticks=1,
-            imbalance_tolerance=1.05, split_threshold=0.5,
-            merge_idle_ops=1, merge_idle_ticks=self.IDLE_TICKS))
+            window_ops_min=6, move_budget=2, cooldown_ticks=1,
+            imbalance_tolerance=1.05, split_threshold=0.5))
         pmap = deployment.router.placement
         deployment.router.take_traffic_window()   # the ingest is not traffic
         hot = rng.randrange(self.PREFIXES)
@@ -321,95 +301,102 @@ class TestIdleSplitIsMergedBack:
         assert len(pins) == docs and len(set(pins.values())) == 1
         home = next(iter(pins.values()))
         away = [name for name in deployment.shard_names if name != home]
-        scattered = sorted(rng.sample(sorted(pins), scatter))
-        for sub in scattered:
+        for sub in sorted(rng.sample(sorted(pins), scatter)):
             assert deployment.rebalance_prefix(sub,
                                                rng.choice(away))["moved"]
-        return deployment, session, urls, balancer, parent, home, scattered
+        return deployment, session, urls, balancer, parent, hot, docs
 
-    @pytest.mark.parametrize("seed, move_budget, scatter", [
-        (3, 1, 0),              # nothing scattered: merged outright
-        (20261002, 1, 1),       # co-locate one piece, then merge
-        (77, 1, 2),             # two pieces, one per tick
-        (4242, 2, 2),           # two pieces in one tick
+    @pytest.mark.parametrize("seed, scatter", [
+        (3, 0),                 # nothing scattered
+        (20261002, 1),
+        (77, 2),
+        (4242, 3),
     ])
-    def test_pieces_come_home_within_budget_then_the_split_merges(
-            self, seed, move_budget, scatter):
-        deployment, session, urls, balancer, parent, home, scattered = \
-            self.split_and_scatter(seed, move_budget, scatter)
+    def test_an_idle_split_stays_and_its_pieces_stay_put(self, seed, scatter):
+        deployment, session, urls, balancer, parent, _, _ = \
+            self.split_and_scatter(seed, scatter)
         pmap = deployment.router.placement
+        placed = dict(pmap.overrides)
         epoch_before = pmap.epoch
-        idle = balancer.run(self.IDLE_TICKS + 2)
+        idle = [balancer.tick() for _ in range(self.IDLE_TICKS)]
 
-        # Quiet until the subtree has been idle long enough ...
-        for summary in idle[:self.IDLE_TICKS - 1]:
-            assert summary["moves"] == [] and summary["merges"] == []
-        # ... then the minority pieces go to the majority holder, at most
-        # ``move_budget`` per tick, and nothing else moves.
-        moves = [move for summary in idle for move in summary["moves"]]
-        assert all(len(summary["moves"]) <= move_budget for summary in idle)
-        assert sorted(move["prefix"] for move in moves) == scattered
-        assert all(move["dest"] == home for move in moves)
-        # The tick after the last piece arrives merges the parent.
-        colocate_ticks = -(-scatter // move_budget)
-        merged_at = self.IDLE_TICKS + colocate_ticks
-        assert [(summary["tick"] - idle[0]["tick"] + 1, summary["merges"])
-                for summary in idle if summary["merges"]] == \
-            [(merged_at, [{"prefix": parent, "shard": home,
-                           "epoch": pmap.epoch}])]
-        assert balancer.stats()["merges"] == 1
-        assert balancer.stats()["moves_skipped_budget"] == \
-            (1 if scatter > move_budget else 0)
-        assert parent not in pmap.split_depths
-        assert parent not in balancer._split_idle
-        assert pmap.owner_of(parent) == home
-        # One epoch bump per move and one for the merge.
-        assert pmap.epoch == epoch_before + scatter + 1
-        assert all(pmap.prefix_of(path) == parent
-                   for path in deployment.linked_paths(home)
-                   if path_under(parent, path))
-        assert_all_readable(deployment, session, urls)
-        assert audit_committed_links(deployment, session, TABLE, "doc_id",
-                                     "body", 1e9) == 0
-
-    def test_without_budget_the_pieces_stay_and_nothing_merges(self):
-        deployment, session, urls, balancer, parent, home, scattered = \
-            self.split_and_scatter(seed=909, move_budget=0, scatter=1)
-        pmap = deployment.router.placement
-        epoch_before = pmap.epoch
-        idle = balancer.run(self.IDLE_TICKS + 2)
-        assert all(summary["moves"] == [] and summary["merges"] == []
-                   for summary in idle)
-        # Every due tick wanted one co-location move and had no budget.
-        assert [summary["skipped_budget"] for summary in idle] == \
-            [0] * (self.IDLE_TICKS - 1) + [1, 1, 1]
-        assert balancer.stats()["moves_skipped_budget"] == 3
-        assert balancer.stats()["merges"] == 0
-        assert parent in pmap.split_depths
-        assert balancer._split_idle[parent] == self.IDLE_TICKS + 2
-        assert pmap.owner_of(scattered[0]) != home
+        assert all(not summary["acted"] and summary["moves"] == []
+                   and summary["splits"] == [] for summary in idle)
+        assert pmap.split_depths[parent] == 2
+        assert pmap.overrides == placed
         assert pmap.epoch == epoch_before
+        assert balancer.stats()["splits"] == 1
+        # every linked path under the parent still routes by its piece
+        for name in deployment.shard_names:
+            for path in deployment.linked_paths(name):
+                if path_under(parent, path):
+                    assert pmap.prefix_of(path) != parent
+                    assert pmap.shard_of(path) == name
         assert_all_readable(deployment, session, urls)
         assert audit_committed_links(deployment, session, TABLE, "doc_id",
                                      "body", 1e9) == 0
 
-    def test_a_down_shard_defers_the_merge_until_it_is_back(self):
-        """While a shard cannot list its files the subtree's holders are
-        unknown: the due merge is retried every tick, raises nothing and
-        moves nothing, and completes once the shard has recovered."""
-
-        deployment, session, urls, balancer, parent, home, scattered = \
-            self.split_and_scatter(seed=5150, move_budget=1, scatter=1)
+    def test_renewed_traffic_moves_pieces_and_never_the_parent(self):
+        deployment, session, urls, balancer, parent, hot, docs = \
+            self.split_and_scatter(seed=909, scatter=0)
         pmap = deployment.router.placement
-        holder = pmap.owner_of(scattered[0])
-        deployment.crash_shard(holder)
-        down = balancer.run(self.IDLE_TICKS + 1)
-        assert all(summary["moves"] == [] and summary["merges"] == []
-                   and summary["refused"] == 0 for summary in down)
-        deployment.recover_shard(holder)
-        back = balancer.run(2)
-        assert [move["prefix"] for move in back[0]["moves"]] == scattered
-        assert [merge["prefix"] for merge in back[1]["merges"]] == [parent]
+        summaries = []
+        for _ in range(3):
+            drive_reads(deployment, session,
+                        SimpleNamespace(choose=lambda: hot), self.PREFIXES,
+                        12, docs_per_prefix=docs)
+            summaries.append(balancer.tick())
+        moves = [move for summary in summaries for move in summary["moves"]]
+        assert moves
+        assert all(move["prefix"] != parent and path_under(parent,
+                                                           move["prefix"])
+                   for move in moves)
+        assert all(len(summary["moves"]) <= 2 for summary in summaries)
+        assert all(split["prefix"] != parent for summary in summaries
+                   for split in summary["splits"])
+        assert len({pmap.owner_of(move["prefix"]) for move in moves} |
+                   {pmap.owner_of(parent)}) > 1
         assert_all_readable(deployment, session, urls)
         assert audit_committed_links(deployment, session, TABLE, "doc_id",
                                      "body", 1e9) == 0
+
+
+class TestSplitRefusals:
+    """``PlacementMap.split_prefix`` deepens a subtree once, and only
+    deeper; a path shallower than the split keeps its own prefix."""
+
+    def placement(self):
+        return PlacementMap(ShardRouter(["shard0", "shard1", "shard2"]))
+
+    def test_a_second_split_of_one_prefix_is_refused(self):
+        pmap = self.placement()
+        epoch = pmap.split_prefix("/b00", 2, {})
+        with pytest.raises(PlacementError, match="already split"):
+            pmap.split_prefix("/b00", 3, {})
+        assert pmap.split_depths == {"/b00": 2}
+        assert (pmap.epoch, pmap.splits) == (epoch, 1)
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_a_split_that_does_not_deepen_is_refused(self, depth):
+        pmap = self.placement()
+        with pytest.raises(PlacementError, match="does not deepen"):
+            pmap.split_prefix("/b00", depth, {"/b00/d0": "shard1"})
+        assert pmap.split_depths == {} and pmap.overrides == {}
+        assert (pmap.epoch, pmap.splits) == (1, 0)
+
+    def test_a_moving_prefix_is_split_only_after_its_hand_off(self):
+        pmap = self.placement()
+        pmap.begin_move("/b00", "shard1")
+        with pytest.raises(PlacementError, match="being rebalanced"):
+            pmap.split_prefix("/b00", 2, {})
+        pmap.abort_move("/b00")
+        assert pmap.split_prefix("/b00", 2, {"/b00/d0": "shard2"}) == 2
+        assert pmap.shard_of("/b00/d0/doc.dat") == "shard2"
+
+    def test_the_split_depth_is_bounded_by_the_path_depth(self):
+        pmap = self.placement()
+        pmap.split_prefix("/b00", 5, {})
+        assert pmap.prefix_of("/b00/d0/doc.dat") == "/b00/d0/doc.dat"
+        assert pmap.prefix_of("/b00/d1") == "/b00/d1"
+        assert pmap.prefix_of("/b00") == "/b00"
+        assert pmap.prefix_of("/b01/d0/doc.dat") == "/b01"

@@ -5,7 +5,6 @@ import pytest
 from repro.datalinks.baselines.blob_store import BlobFileStore
 from repro.datalinks.baselines.cau import CopyAndUpdateManager
 from repro.datalinks.baselines.cico import CheckInCheckOutManager
-from repro.datalinks.baselines.unlink_relink import UnlinkRelinkUpdater
 from repro.datalinks.control_modes import ControlMode
 from repro.errors import (
     CheckoutConflictError,
@@ -176,17 +175,7 @@ class TestCopyAndUpdate:
         assert cau.lost_updates == 0
 
 
-class TestUnlinkRelinkAndBlob:
-    def test_unlink_relink_update_works_but_opens_a_window(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        updater = UnlinkRelinkUpdater(system)
-        updater.update(alice, FILES_TABLE, {"doc_id": 0}, "body", b"updated the old way")
-        assert system.file_server("fs1").files.read(paths[0]) == b"updated the old way"
-        assert updater.stats.updates == 1
-        assert updater.stats.mean_window > 0.0
-        # during the window the file was not linked; afterwards it is again
-        assert system.file_server("fs1").dlfm.repository.linked_file(paths[0]) is not None
-
+class TestBlobStore:
     def test_blob_store_roundtrip_and_stat(self, clock):
         from repro.storage.database import Database
 

@@ -95,48 +95,6 @@ class TestStrictReadSync:
         assert dlfm.repository.sync_entries("/library/unlinked.txt") == []
 
 
-class TestMultiFileUpdate:
-    def _urls(self, alice, count):
-        return [alice.get_datalink(FILES_TABLE, {"doc_id": i}, "body", access="write")
-                for i in range(count)]
-
-    def test_all_members_commit_together(self):
-        system, alice, paths, _ = build_system(ControlMode.RFD, files=3)
-        with alice.update_files(self._urls(alice, 3), truncate=True) as updates:
-            for index, update in enumerate(updates):
-                update.replace(f"coordinated {index}".encode())
-        for index, path in enumerate(paths):
-            assert alice.fs("fs1").read_file(path) == f"coordinated {index}".encode()
-
-    def test_failure_rolls_back_every_member(self):
-        system, alice, paths, _ = build_system(ControlMode.RFD, files=3)
-        before = [alice.fs("fs1").read_file(path) for path in paths]
-        try:
-            with alice.update_files(self._urls(alice, 3), truncate=True) as updates:
-                updates[0].replace(b"changed first file")
-                updates[1].replace(b"changed second file")
-                raise RuntimeError("fails before the third file is written")
-        except RuntimeError:
-            pass
-        after = [alice.fs("fs1").read_file(path) for path in paths]
-        assert after == before
-
-    def test_failed_begin_leaves_nothing_open(self):
-        system, alice, paths, _ = build_system(ControlMode.RFD, files=2)
-        urls = self._urls(alice, 2)
-        # Occupy the second file so the group open fails part-way through.
-        blocker_url = alice.get_datalink(FILES_TABLE, {"doc_id": 1}, "body",
-                                         access="write")
-        blocker = alice.update_file(blocker_url)
-        blocker.begin()
-        with pytest.raises(FileSystemError):
-            alice.update_files(urls).begin()
-        dlfm = system.file_server("fs1").dlfm
-        # the first file's speculative open was rolled back
-        assert dlfm.repository.sync_entries(paths[0]) == []
-        blocker.commit()
-
-
 class TestHousekeeping:
     def test_expired_tokens_are_purged(self, rdd_system):
         system, alice, _, _ = rdd_system

@@ -152,18 +152,64 @@ class TestUnlink:
         with pytest.raises(FileSystemError):
             alice.fs("fs1").unlink(paths[0])
 
-    def test_update_of_datalink_column_relinks(self, rfd_system):
+
+class TestRelinkByDeleteAndInsert:
+    """A DATALINK value changes through ``delete`` + ``insert``: the old
+    file is unlinked, the new one linked, and inside one host transaction
+    the two steps commit or roll back together."""
+
+    NEW_PATH = "/library/replacement.dat"
+
+    def replace(self, alice, url):
+        alice.delete(FILES_TABLE, {"doc_id": 0})
+        alice.insert(FILES_TABLE, {"doc_id": 0, "title": "Doc 0",
+                                   "body": url})
+
+    def test_the_link_moves_to_the_new_file(self, rfd_system):
         system, alice, paths, _ = rfd_system
-        new_url = alice.put_file("fs1", "/library/replacement.dat", b"new file body")
-        alice.update(FILES_TABLE, {"doc_id": 0}, {"body": new_url})
+        new_url = alice.put_file("fs1", self.NEW_PATH, b"new file body")
+        self.replace(alice, new_url)
         dlfm = system.file_server("fs1").dlfm
         assert dlfm.repository.linked_file(paths[0]) is None
-        assert dlfm.repository.linked_file("/library/replacement.dat") is not None
+        assert dlfm.repository.linked_file(self.NEW_PATH) is not None
+        assert alice.select(FILES_TABLE, {"doc_id": 0})[0]["body"] == new_url
+        # the old file is the user's again, the new one is under control
+        alice.fs("fs1").unlink(paths[0])
+        with pytest.raises(FileSystemError):
+            alice.fs("fs1").unlink(self.NEW_PATH)
 
-    def test_update_to_same_url_is_a_noop_for_linking(self, rfd_system):
+    def test_the_same_url_is_linked_again(self, rfd_system):
         system, alice, paths, urls = rfd_system
-        alice.update(FILES_TABLE, {"doc_id": 0}, {"body": urls[0], "title": "same"})
-        assert system.file_server("fs1").dlfm.repository.linked_file(paths[0]) is not None
+        self.replace(alice, urls[0])
+        assert system.file_server("fs1").dlfm.repository.linked_file(
+            paths[0]) is not None
+        with pytest.raises(FileSystemError):
+            alice.fs("fs1").unlink(paths[0])
+
+    def test_one_transaction_commits_both_steps(self, rfd_system):
+        system, alice, paths, _ = rfd_system
+        new_url = alice.put_file("fs1", self.NEW_PATH, b"new file body")
+        alice.begin()
+        self.replace(alice, new_url)
+        alice.commit()
+        dlfm = system.file_server("fs1").dlfm
+        assert dlfm.repository.linked_file(paths[0]) is None
+        assert dlfm.repository.linked_file(self.NEW_PATH) is not None
+        assert system.host_db.count(FILES_TABLE) == 1
+
+    def test_abort_keeps_the_old_link_and_links_nothing_new(self, rfd_system):
+        system, alice, paths, urls = rfd_system
+        new_url = alice.put_file("fs1", self.NEW_PATH, b"new file body")
+        alice.begin()
+        self.replace(alice, new_url)
+        alice.abort()
+        dlfm = system.file_server("fs1").dlfm
+        assert dlfm.repository.linked_file(paths[0]) is not None
+        assert dlfm.repository.linked_file(self.NEW_PATH) is None
+        assert alice.select(FILES_TABLE, {"doc_id": 0})[0]["body"] == urls[0]
+        with pytest.raises(FileSystemError):
+            alice.fs("fs1").unlink(paths[0])
+        alice.fs("fs1").unlink(self.NEW_PATH)
 
 
 class TestMultiRowInsert:
@@ -246,9 +292,8 @@ class TestUnsupportedWhere:
 
     @pytest.mark.parametrize("statement", [
         lambda alice: alice.select(FILES_TABLE, ["doc_id", 0]),
-        lambda alice: alice.update(FILES_TABLE, ["doc_id", 0], {"body": None}),
         lambda alice: alice.delete(FILES_TABLE, ["doc_id", 0]),
-    ], ids=["select", "update", "delete"])
+    ], ids=["select", "delete"])
     def test_every_statement_kind_refuses_it(self, statement):
         system, alice, paths, urls = build_system(ControlMode.RFD, files=2)
         repository = system.file_server("fs1").dlfm.repository

@@ -767,10 +767,10 @@ class TestOneScheduler:
 
 
 class TestEveryConfigFieldIsTurned:
-    """A workload-config field that no caller sets is a constant in
-    disguise, and every option doubles what tests and benchmarks must
-    cover.  Each field of a ``*Config`` dataclass under
-    ``src/repro/workloads/`` must be set by a caller outside ``tests/``
+    """A config field that no caller sets is a constant in disguise, and
+    every option doubles what tests and benchmarks must cover.  Each field
+    of a ``*Config`` dataclass anywhere under ``src/repro/`` (the workload
+    configs and ``BalancerConfig``) must be set by a caller outside ``tests/``
     (``src/``, ``examples/``, ``benchmarks/``): as a keyword of a call to
     the class, or as a size (any tier) of an experiment that builds the
     class from its ``**sizes``.  A keyword counts through ``**`` of a dict
@@ -778,16 +778,21 @@ class TestEveryConfigFieldIsTurned:
     ``**kwargs`` (then the keywords its callers pass count)."""
 
     @staticmethod
-    def _configs() -> dict:
+    def _configs(trees) -> dict:
         import dataclasses
         import importlib
 
         configs = {}
-        for path in sorted((SRC_ROOT / "repro" / "workloads").glob("*.py")):
-            module = importlib.import_module(f"repro.workloads.{path.stem}")
-            for name, value in vars(module).items():
-                if name.endswith("Config") and dataclasses.is_dataclass(value) \
-                        and value.__module__ == module.__name__:
+        for path, tree in trees.items():
+            names = [node.name for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name.endswith("Config")]
+            if not names:
+                continue
+            module = importlib.import_module(path[:-3].replace("/", "."))
+            for name in names:
+                value = getattr(module, name)
+                if dataclasses.is_dataclass(value):
                     configs[name] = [field.name
                                      for field in dataclasses.fields(value)]
         return configs
@@ -859,8 +864,8 @@ class TestEveryConfigFieldIsTurned:
         return found
 
     def test_every_field_is_set_by_a_caller_outside_the_tests(self, trees):
-        configs = self._configs()
-        assert len(configs) == 7, sorted(configs)
+        configs = self._configs(trees)
+        assert len(configs) == 8, sorted(configs)
         sizes = {spec.run.__name__: {key for tier in spec.tiers
                                      for key in spec.sizes(tier)}
                  for spec in EXPERIMENTS.values()}

@@ -6,7 +6,6 @@ from repro.datalinks.control_modes import ControlMode
 from repro.errors import DataLinksError, MalformedURLError, ReproError
 from repro.fs.vfs import OpenFlags
 from repro.simclock import CostModel, SimClock
-from repro.util.ids import IdGenerator
 from repro.util.lsn import LSN, NULL_LSN
 from tests.conftest import FILES_TABLE, build_system
 
@@ -50,11 +49,6 @@ class TestSimClock:
 
 
 class TestUtilities:
-    def test_id_generator_sequences(self):
-        gen = IdGenerator(start=5, prefix="txn-")
-        assert gen.next_int() == 5
-        assert gen.next_str() == "txn-6"
-
     def test_lsn_ordering_and_hash(self):
         assert LSN(2) > LSN(1)
         assert LSN(3) == 3
@@ -150,8 +144,7 @@ class TestMalformedURLIsATypedError:
         _, alice, _, _ = rfd_system
         for call in (lambda: alice.read_url(text),
                      lambda: alice.open_url(text, OpenFlags.READ),
-                     lambda: alice.update_file(text),
-                     lambda: alice.update_files([text])):
+                     lambda: alice.update_file(text)):
             with pytest.raises(ReproError):
                 call()
 
