@@ -36,8 +36,10 @@ file servers"; this module turns that into an operational scale-out layer:
 With ``replication=True`` every shard additionally gets one or more
 **witness replicas** (``shard0-r``, ``shard0-r2``, ... for ``shard0``):
 linked-file content is mirrored at ingest and the serving node's repository
-WAL stream ships to every witness on every log force.  Routing is owned by
-a :class:`~repro.datalinks.routing.ReplicationRouter`:
+WAL stream ships to every witness on every log force that carries hard
+state (node-local token-registry rows and Sync read entries ride with the
+next one).  Routing is owned by a
+:class:`~repro.datalinks.routing.ReplicationRouter`:
 
 * **writable failover** -- when a primary crashes,
   :meth:`ShardedDataLinksDeployment.fail_over` promotes the best witness to

@@ -14,20 +14,21 @@ from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.replication import EpochGuard, EpochRegistry
 from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import (DaemonUnavailableError, FencedNodeError,
-                          LogFoldedError, ReproError)
+                          FileSystemError, LogFoldedError, ReproError)
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-from repro.storage.wal import FOLD_AT
+from repro.storage.wal import FOLD_AT, LogRecordType
 from repro.util.urls import parse_url
 
 TABLE = "replica_docs"
 
 
 def build_deployment(shards=2, mode=ControlMode.RFF, recovery=False,
-                     flush_policy="immediate", group_commit_window=1):
+                     flush_policy="immediate", group_commit_window=1,
+                     witnesses=1):
     deployment = ShardedDataLinksDeployment(
-        shards, replication=True, flush_policy=flush_policy,
-        group_commit_window=group_commit_window)
+        shards, replication=True, witnesses=witnesses,
+        flush_policy=flush_policy, group_commit_window=group_commit_window)
     deployment.create_table(TableSchema(TABLE, [
         Column("doc_id", DataType.INTEGER, nullable=False),
         datalink_column("body", DatalinkOptions(control_mode=mode,
@@ -729,20 +730,9 @@ class TestFollowerReads:
 
 
 class TestMultiWitness:
-    def build(self, witnesses=2):
-        deployment = ShardedDataLinksDeployment(2, replication=True,
-                                                witnesses=witnesses,
-                                                flush_policy="immediate",
-                                                group_commit_window=1)
-        deployment.create_table(TableSchema(TABLE, [
-            Column("doc_id", DataType.INTEGER, nullable=False),
-            datalink_column("body", DatalinkOptions(
-                control_mode=ControlMode.RDB, recovery=False)),
-        ], primary_key=("doc_id",)))
-        return deployment, deployment.session("alice", uid=1001)
-
     def test_reads_spread_over_all_witnesses(self):
-        deployment, session = self.build()
+        deployment, session = build_deployment(mode=ControlMode.RDB,
+                                               witnesses=2)
         replica = deployment.replicas["shard0"]
         assert [node.name for node in replica.witnesses] == \
             ["shard0-r", "shard0-r2"]
@@ -757,7 +747,8 @@ class TestMultiWitness:
         assert routing["reads_by_role"]["witness"] >= 4
 
     def test_failover_rewires_surviving_witness_to_new_serving(self):
-        deployment, session = self.build()
+        deployment, session = build_deployment(mode=ControlMode.RDB,
+                                               witnesses=2)
         replica = deployment.replicas["shard0"]
         link(deployment, session, 0, path_on(deployment, "shard0", "rw"),
              b"rewire")
@@ -861,3 +852,257 @@ class TestStalenessBoundCoversBufferedCommits:
         for _ in range(2):
             with pytest.raises(ReproError):
                 deployment.read_url(stranger, bare_url)
+
+
+def _soft_opens(repository, path: str, opens: int = 3) -> None:
+    """What a tokenized open writes on a DLFM: a token-registry row and a
+    Sync entry opened and closed, each its own local transaction."""
+
+    for _ in range(opens):
+        repository.add_token_entry(path, 1001, "R", 1e9)
+        repository.add_sync_entry(path, "R", 1001)
+        repository.remove_sync_entry(path, "R", 1001)
+
+
+def _record_batches(monkeypatch, node) -> list:
+    """The LSNs of every WAL batch *node*'s applier receives, per batch."""
+
+    applier = node.dlfm.replica
+    apply = applier.apply
+    batches = []
+
+    def recording(records):
+        batches.append([record.lsn for record in records])
+        return apply(records)
+
+    monkeypatch.setattr(applier, "apply", recording)
+    return batches
+
+
+class TestSoftStateShipsLazily:
+    """Token-registry and Sync rows are node-local soft state: a flush of
+    nothing else posts nothing, and they ride the next hard-state flush or
+    ship once the backlog reaches ``FOLD_AT`` records."""
+
+    def test_a_soft_only_flush_posts_nothing(self, monkeypatch):
+        deployment, session = build_deployment(mode=ControlMode.RDB)
+        replica = deployment.replicas["shard0"]
+        path = path_on(deployment, "shard0", "soft")
+        link(deployment, session, 0, path, b"soft only")
+        shipper = replica.shipper
+        assert shipper.lag() == 0           # the link shipped on its flush
+        batches = _record_batches(monkeypatch, replica.witness)
+        wal = replica.serving.dlfm.repository.db.wal
+        flushes = wal.flush_count
+        _soft_opens(replica.serving.dlfm.repository, path)
+        assert wal.flush_count - flushes == 9   # every soft commit forced
+        assert batches == []
+        assert shipper.lag() == wal.flushed_lsn - shipper.cursor > 0
+        assert shipper.unshipped_hard() == shipper.pending_lag() == 0
+        assert replica.follower_eligible("shard0-r")
+        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                   access="read", ttl=1e9)
+        assert session.read_url(url, server="shard0-r") == b"soft only"
+
+    def test_the_next_hard_flush_ships_the_backlog_in_lsn_order(
+            self, monkeypatch):
+        deployment, session = build_deployment(mode=ControlMode.RDB)
+        replica = deployment.replicas["shard0"]
+        path = path_on(deployment, "shard0", "soft")
+        link(deployment, session, 0, path)
+        shipper = replica.shipper
+        backlog_from = shipper.cursor
+        _soft_opens(replica.serving.dlfm.repository, path)
+        batches = _record_batches(monkeypatch, replica.witness)
+        link(deployment, session, 1, path_on(deployment, "shard0", "hard"))
+        durable = replica.serving.dlfm.repository.durable_lsn()
+        assert batches and batches[0][0] == backlog_from + 1
+        assert [lsn for batch in batches for lsn in batch] == \
+            list(range(backlog_from + 1, durable + 1))
+        assert shipper.lag() == 0
+        assert replica.witness.dlfm.replica.applied_lsn == durable
+        assert _repository_rows(replica.witness) == \
+            _repository_rows(replica.serving)
+
+    def test_a_soft_backlog_ships_once_it_reaches_fold_at(self, monkeypatch):
+        deployment, session = build_deployment()
+        replica = deployment.replicas["shard0"]
+        path = path_on(deployment, "shard0", "soft")
+        link(deployment, session, 0, path)
+        shipper = replica.shipper
+        repository = replica.serving.dlfm.repository
+        wal = repository.db.wal
+        batches = _record_batches(monkeypatch, replica.witness)
+        # One soft transaction (its rows, BEGIN and COMMIT) that leaves the
+        # backlog one record short.
+        repository.db.insert_many("token_entries", [
+            {"entry_id": 10_000 + key, "path": path, "userid": 1001,
+             "token_type": "R", "expires_at": 1e9}
+            for key in range(FOLD_AT - 3)])
+        assert shipper.lag() == FOLD_AT - 1
+        assert batches == [] and len(wal.records()) > FOLD_AT
+        cursor = shipper.cursor
+        repository.add_token_entry(path, 1001, "R", 1e9)
+        assert batches == [list(range(cursor + 1,
+                                      repository.durable_lsn() + 1))]
+        assert len(batches[0]) >= FOLD_AT
+        assert shipper.lag() == 0
+        assert wal.records() == []          # shipped, so the log folded
+        assert _repository_rows(replica.witness) == \
+            _repository_rows(replica.serving)
+
+    def test_a_crash_over_a_soft_backlog_keeps_every_fast_path(self):
+        """Promotion counts hard-state residual lag only: a soft backlog the
+        crash left unshipped neither resyncs the second witness nor voids
+        the deposed node's reversed-ship base (E12's ``failover_ms``)."""
+
+        deployment, session = build_deployment(mode=ControlMode.RDB,
+                                               witnesses=2)
+        replica = deployment.replicas["shard0"]
+        path = path_on(deployment, "shard0", "soft")
+        link(deployment, session, 0, path, b"before the crash")
+        _soft_opens(replica.serving.dlfm.repository, path)
+        streams = [replica._streams[node.name] for node in replica.witnesses]
+        assert all(shipper.lag() > 0 and shipper.unshipped_hard() == 0
+                   for shipper in streams)
+        deployment.crash_shard("shard0")
+        serving = deployment.fail_over("shard0")["serving"]
+        other = next(node.name for node in replica.witnesses
+                     if node.name != serving)
+        assert replica.is_subscribed(other)
+        assert replica.full_resyncs == 0
+
+        summary = deployment.fail_back("shard0")
+        assert summary["rejoin"]["mode"] == "reversed-ship"
+        assert replica.full_resyncs == 0 and replica.reversed_catchups == 1
+        later = path_on(deployment, "shard0", "after")
+        link(deployment, session, 1, later, b"after fail-back")
+        for node in replica.witnesses:
+            assert {row["path"] for row in
+                    node.dlfm.repository.linked_files()} == \
+                deployment.linked_paths("shard0") == {path, later}
+            # The token rows the crash left unshipped on the deposed node
+            # went when it rejoined: every table, soft ones included,
+            # mirrors the serving node's row ids again.
+            assert _repository_rows(node) == \
+                _repository_rows(replica.serving)
+
+    def test_an_aborted_update_frees_the_witness_on_its_own_flush(self):
+        """A Sync write entry is the soft row a follower read consults, so
+        the abort that removes it ships at once: a witness read of the file
+        succeeds with no hard write in between."""
+
+        deployment, session = build_deployment(mode=ControlMode.RDD,
+                                               recovery=True)
+        replica = deployment.replicas["shard0"]
+        path = path_on(deployment, "shard0", "abort")
+        link(deployment, session, 0, path, b"committed bytes")
+        deployment.system.run_archiver()
+        deployment.system.flush_logs()
+        write_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                         access="write", ttl=1e9)
+        update = session.update_file(write_url, truncate=True)
+        update.begin()
+        update.write(b"half done")
+        read_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                        access="read", ttl=1e9)
+        with pytest.raises(FileSystemError, match="being updated"):
+            session.read_url(read_url, server="shard0-r")
+        assert deployment.system.abort_file_update("shard0", path)
+        assert replica.shipper.unshipped_hard() == 0
+        assert replica.witness.dlfm.repository.sync_entries(path) == []
+        assert session.read_url(read_url, server="shard0-r") == \
+            b"committed bytes"
+
+
+def _cold_hard(wal, records) -> int:
+    """Hard-state records among *records*, classified from scratch: a
+    record with a table by that table (a Sync write entry counts as
+    hard), an outcome by whether any record of its transaction in the
+    retained log is hard."""
+
+    def hard(record) -> bool:
+        if record.table in ("token_entries", "sync_entries"):
+            image = record.after or record.before or {}
+            return record.table == "sync_entries" and \
+                image.get("access") == "write"
+        return record.table is not None
+
+    hard_txns = {record.txn_id for record in wal.records() if hard(record)}
+    outcomes = {LogRecordType.PREPARE, LogRecordType.COMMIT,
+                LogRecordType.ABORT}
+    return sum(1 for record in records
+               if (hard(record) if record.table is not None
+                   else record.type in outcomes
+                   and record.txn_id in hard_txns))
+
+
+class TestHardLagMemoMatchesAColdRescan:
+    """Every shipper's running hard-state count equals a cold rescan of
+    its backlog after every step of a seeded history: soft and hard
+    transactions, Sync write entries, group-commit-buffered transactions,
+    pause / resume, crash / recover, and promotion with fail-back."""
+
+    @staticmethod
+    def check(replica) -> None:
+        for name, shipper in replica._streams.items():
+            repository = replica.serving.dlfm.repository
+            wal = repository.db.wal
+            cursor = shipper.cursor
+            assert shipper.unshipped_hard() == _cold_hard(
+                wal, repository.wal_records_since(cursor)), name
+            assert shipper.pending_lag() == _cold_hard(
+                wal, repository.wal_records_pending(cursor)), name
+
+    @pytest.mark.parametrize("seed", [3, 11, 2026])
+    def test_a_seeded_history(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        deployment, session = build_deployment(flush_policy="group",
+                                               group_commit_window=3,
+                                               witnesses=2)
+        replica = deployment.replicas["shard0"]
+        path = path_on(deployment, "shard0", "memo")
+        link(deployment, session, 0, path)
+        deployment.drain()
+        docs = 1
+        steps = ["soft"] * 4 + ["write", "hard", "link", "flush", "pause",
+                                "resume", "crash", "promote"]
+        for _ in range(40):
+            step = rng.choice(steps)
+            repository = replica.serving.dlfm.repository
+            if step == "soft":
+                _soft_opens(repository, path, opens=1)
+            elif step == "write":
+                repository.add_sync_entry(path, "write", 1001)
+                repository.clear_sync_entries(path)
+            elif step == "hard":
+                _pad(repository, 1000 * docs, 1)
+                docs += 1
+            elif step == "link":
+                link(deployment, session, docs,
+                     path_on(deployment, "shard0", f"m{docs}x"))
+                deployment.drain()
+                docs += 1
+            elif step == "flush":
+                deployment.system.flush_logs()
+            elif step == "pause":
+                rng.choice(list(replica._streams.values())).pause()
+            elif step == "resume":
+                for shipper in replica._streams.values():
+                    shipper.resume()
+                    shipper.ship()
+            elif step == "crash":
+                deployment.crash_shard(replica.serving_name)
+                self.check(replica)
+                deployment.recover_shard(replica.serving_name)
+            elif replica.failed_over:
+                deployment.fail_back("shard0")
+            else:
+                for shipper in replica._streams.values():
+                    shipper.resume()
+                deployment.crash_shard("shard0")
+                self.check(replica)
+                deployment.fail_over("shard0")
+            self.check(replica)
