@@ -9,15 +9,12 @@ committed baseline, and commit it whenever a change moves the numbers.  A
 partial run (ids given) or a default-tier run writes an artifact only where
 ``--json PATH`` says.
 
-Wall-clock plumbing: each experiment's ``wall_clock_s`` is measured around
-its run, and when a previous artifact exists at the output path its values
-become the *baseline*: the new artifact carries ``wall_clock_delta_s`` per
-experiment plus a top-level ``wall_clock`` summary (new total, baseline
-total, delta and speedup), so every smoke run reports its perf trajectory
-against the committed numbers.  Keys starting with ``wall_clock`` (and the
-``profile`` tables) are the only non-deterministic fields in the artifact;
-everything else is simulated and must be byte-identical across runs of the
-same code (the tier-1 invariant test enforces this).
+Each experiment's ``wall_clock_s`` is measured around its run, and the
+top-level ``wall_clock`` summary holds their total.  Keys starting with
+``wall_clock`` (and the ``profile`` tables) are the only non-deterministic
+fields in the artifact; everything else is simulated and must be
+byte-identical across runs of the same code (the tier-1 invariant test
+enforces this).
 
 ``--profile`` wraps every experiment in :mod:`cProfile` and attaches the
 top-N cumulative-time rows to the artifact (and prints them), so "what got
@@ -109,37 +106,18 @@ def _render_profile(identifier: str, summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _load_baseline(path: str) -> dict:
-    """Per-experiment ``wall_clock_s`` from the artifact currently at *path*.
-
-    That file is the committed baseline when the bench runs from the
-    repository root; a missing or unreadable file just means no deltas.
-    """
-
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            previous = json.load(stream)
-        return {name: experiment.get("wall_clock_s")
-                for name, experiment in previous.get("experiments", {}).items()}
-    except (OSError, ValueError):
-        return {}
-
-
 def write_artifact(results: list[ExperimentResult], wall_clock: dict,
                    path: str, scale: str,
                    profiles: dict | None = None,
                    wall_clock_samples: dict | None = None) -> None:
     """Write the JSON perf artifact for *results* (run at *scale*) to *path*.
 
-    A pre-existing artifact at *path* supplies the wall-clock baseline the
-    new numbers are diffed against (``wall_clock_delta_s`` per experiment,
-    totals under the top-level ``wall_clock`` key).  ``wall_clock_samples``
-    records *every* timing sample of a best-of-N run (the per-experiment
-    ``wall_clock_s`` is the winner, but the artifact keeps the full sample
-    list so the measurement's spread is auditable, not just its minimum).
+    ``wall_clock_samples`` records *every* timing sample of a best-of-N run
+    (the per-experiment ``wall_clock_s`` is the winner, but the artifact
+    keeps the full sample list so the measurement's spread is auditable,
+    not just its minimum).
     """
 
-    baseline = _load_baseline(path)
     experiments = {}
     for result in results:
         identifier = result.experiment_id
@@ -151,10 +129,6 @@ def write_artifact(results: list[ExperimentResult], wall_clock: dict,
         if samples:
             entry["wall_clock_samples_s"] = [round(sample, 3)
                                              for sample in samples]
-        previous = baseline.get(identifier)
-        if isinstance(previous, (int, float)):
-            entry["wall_clock_delta_s"] = round(
-                entry["wall_clock_s"] - previous, 3)
         if profiles and identifier in profiles:
             entry["profile"] = profiles[identifier]["rows"]
             entry["profile_calls"] = profiles[identifier]["total_calls"]
@@ -166,16 +140,7 @@ def write_artifact(results: list[ExperimentResult], wall_clock: dict,
         "experiments": experiments,
     }
     total = sum(wall_clock.get(result.experiment_id, 0.0) for result in results)
-    summary = {"total_s": round(total, 3)}
-    baseline_totals = [value for value in baseline.values()
-                       if isinstance(value, (int, float))]
-    if baseline_totals and len(baseline_totals) == len(results):
-        baseline_total = sum(baseline_totals)
-        summary["baseline_total_s"] = round(baseline_total, 3)
-        summary["delta_total_s"] = round(total - baseline_total, 3)
-        if total > 0:
-            summary["speedup_vs_baseline"] = round(baseline_total / total, 2)
-    payload["wall_clock"] = summary
+    payload["wall_clock"] = {"total_s": round(total, 3)}
     with open(path, "w", encoding="utf-8") as stream:
         json.dump(payload, stream, indent=2, sort_keys=True, default=str)
         stream.write("\n")

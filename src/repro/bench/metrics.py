@@ -31,32 +31,21 @@ class ExperimentResult:
     notes: str = ""
 
     def _dict_rows(self) -> list[dict]:
-        rows = []
-        for row in self.rows:
-            if isinstance(row, dict):
-                rows.append({str(header): _jsonable(row.get(header))
-                             for header in self.headers})
-            else:
-                rows.append({str(header): _jsonable(value)
-                             for header, value in zip(self.headers, row)})
-        return rows
+        return [{str(header): _jsonable(row.get(header)) for header in self.headers}
+                for row in self.rows]
 
-    def numeric_summary(self) -> dict:
-        """Mean of every numeric column -- the per-experiment perf summary."""
+    def sim_ms_summary(self) -> dict:
+        """Mean of every numeric simulated-millisecond column (``*_ms``, ``*_pct``,
+        ``*per_sim_s*``, ``speedup*``) -- the per-experiment perf summary."""
 
         sums: dict[str, list] = {}
         for row in self._dict_rows():
             for key, value in row.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                        and (key.endswith(("_ms", "_pct")) or "per_sim_s" in key
+                             or key.startswith("speedup")):
                     sums.setdefault(key, []).append(float(value))
         return {key: sum(values) / len(values) for key, values in sums.items()}
-
-    def sim_ms_summary(self) -> dict:
-        """Mean of the simulated-millisecond columns only (``*_ms`` etc.)."""
-
-        return {key: mean for key, mean in self.numeric_summary().items()
-                if key.endswith("_ms") or key.endswith("_pct")
-                or "per_sim_s" in key or key.startswith("speedup")}
 
     def to_dict(self) -> dict:
         return {

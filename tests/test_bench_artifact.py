@@ -47,6 +47,45 @@ def _is_sim_key(key: str) -> bool:
     return not key.startswith(NON_SIM_KEYS)
 
 
+def _drift(golden: dict, fresh: dict) -> list:
+    """The simulated fields where *fresh* differs from *golden*."""
+
+    mismatches = []
+    for name, entry in golden["experiments"].items():
+        run = fresh["experiments"][name]
+        mismatches += [f"{name}.{key}" for key, value in entry.items()
+                       if _is_sim_key(key) and run.get(key) != value]
+        mismatches += [f"{name}.{key} (new field)" for key in run
+                       if _is_sim_key(key) and key not in entry]
+    return mismatches
+
+
+def _worst_total(payload: dict) -> float:
+    """The wall-clock budget's baseline: the *worst* recorded best-of sample
+    per experiment, summed.  A fresh pass is one draw from the same
+    distribution, so comparing it against the committed minimum would flag
+    ordinary variance as a regression."""
+
+    return sum(max(entry.get("wall_clock_samples_s") or [entry["wall_clock_s"]])
+               for entry in payload["experiments"].values())
+
+
+def _steady_state_calls(experiment_id: str, scale: str) -> int:
+    """The Python calls of a warm pass of one experiment (a first pass fills
+    the caches)."""
+
+    import cProfile
+
+    from repro.bench.runner import run_experiment
+
+    run_experiment(experiment_id, scale)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run_experiment(experiment_id, scale)
+    profiler.disable()
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
 @pytest.fixture(scope="module")
 def committed() -> dict:
     if not COMMITTED_ARTIFACT.exists():
@@ -67,17 +106,7 @@ class TestSimulatedResultsInvariant:
         assert set(smoke_payload["experiments"]) == set(committed["experiments"])
 
     def test_simulated_fields_are_identical(self, committed, smoke_payload):
-        mismatches = []
-        for name, golden in committed["experiments"].items():
-            fresh = smoke_payload["experiments"][name]
-            for key, value in golden.items():
-                if not _is_sim_key(key):
-                    continue
-                if fresh.get(key) != value:
-                    mismatches.append(f"{name}.{key}")
-            for key in fresh:
-                if _is_sim_key(key) and key not in golden:
-                    mismatches.append(f"{name}.{key} (new field)")
+        mismatches = _drift(committed, smoke_payload)
         assert not mismatches, (
             "simulated results drifted from the committed BENCH_smoke.json "
             f"baseline: {mismatches}; if the change is intentional, "
@@ -135,46 +164,19 @@ class TestWallClockBudget:
     ALLOWED_REGRESSION = 1.75
     ATTEMPTS = 3
 
-    @staticmethod
-    def _total(payload: dict) -> float:
-        summary = payload.get("wall_clock")
-        if isinstance(summary, dict) and "total_s" in summary:
-            return float(summary["total_s"])
-        return sum(experiment.get("wall_clock_s", 0.0)
-                   for experiment in payload["experiments"].values())
-
-    @classmethod
-    def _baseline_total(cls, payload: dict) -> float:
-        # The committed artifact records every best-of-N sample, not just
-        # the winning minimum.  The budget baseline is the *worst* sample
-        # per experiment: a fresh single pass here is one draw from the
-        # same distribution, so comparing it against the committed
-        # minimum would flag ordinary variance as a regression.
-        experiments = payload.get("experiments")
-        if not experiments:
-            return cls._total(payload)
-        total = 0.0
-        for experiment in experiments.values():
-            samples = experiment.get("wall_clock_samples_s")
-            if samples:
-                total += max(samples)
-            else:
-                total += experiment.get("wall_clock_s", 0.0)
-        return total
-
     def test_total_wall_clock_within_budget(self, committed, smoke_payload,
                                             tmp_path):
-        baseline = self._baseline_total(committed)
+        baseline = _worst_total(committed)
         if baseline <= 0:
             pytest.skip("committed artifact carries no wall-clock baseline")
         budget = baseline * self.ALLOWED_REGRESSION
-        best = self._total(smoke_payload)
+        best = smoke_payload["wall_clock"]["total_s"]
         attempt = 1
         # Wall clock is noisy; only repeated misses count as a regression.
         while best > budget and attempt < self.ATTEMPTS:
             attempt += 1
-            best = min(best, self._total(
-                run_smoke(tmp_path / f"bench_retry{attempt}.json")[1]))
+            best = min(best, run_smoke(
+                tmp_path / f"bench_retry{attempt}.json")[1]["wall_clock"]["total_s"])
         assert best <= budget, (
             f"--smoke total wall clock regressed: best of {attempt} runs was "
             f"{best:.3f}s against a committed baseline of {baseline:.3f}s "
@@ -207,16 +209,7 @@ class TestCallCountBudget:
         if not baseline:
             pytest.skip("committed artifact carries no profile_calls "
                         "baseline; regenerate with --profile")
-        import cProfile
-
-        from repro.bench.runner import run_experiment
-
-        run_experiment(self.EXPERIMENT, "smoke")  # warm the caches
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run_experiment(self.EXPERIMENT, "smoke")
-        profiler.disable()
-        fresh = sum(entry.callcount for entry in profiler.getstats())
+        fresh = _steady_state_calls(self.EXPERIMENT, "smoke")
         budget = int(baseline * self.ALLOWED_GROWTH)
         assert fresh <= budget, (
             f"{self.EXPERIMENT} smoke now executes {fresh} Python calls "
@@ -277,17 +270,7 @@ class TestLargeTierInvariant:
 
     def test_simulated_fields_are_identical(self, committed_large,
                                             large_payload):
-        mismatches = []
-        for name, golden in committed_large["experiments"].items():
-            fresh = large_payload["experiments"][name]
-            for key, value in golden.items():
-                if not _is_sim_key(key):
-                    continue
-                if fresh.get(key) != value:
-                    mismatches.append(f"{name}.{key}")
-            for key in fresh:
-                if _is_sim_key(key) and key not in golden:
-                    mismatches.append(f"{name}.{key} (new field)")
+        mismatches = _drift(committed_large, large_payload)
         assert not mismatches, (
             "large-tier simulated results drifted from the committed "
             f"BENCH_large.json baseline: {mismatches}; if the change is "
@@ -297,10 +280,7 @@ class TestLargeTierInvariant:
 
     def test_wall_clock_within_calibrated_budget(self, committed_large,
                                                  large_payload, tmp_path):
-        baseline = sum(
-            max(entry.get("wall_clock_samples_s")
-                or [entry.get("wall_clock_s", 0.0)])
-            for entry in committed_large["experiments"].values())
+        baseline = _worst_total(committed_large)
         if baseline <= 0:
             pytest.skip("committed BENCH_large.json carries no wall-clock "
                         "baseline")
@@ -325,16 +305,7 @@ class TestLargeTierInvariant:
         if not baseline:
             pytest.skip("committed BENCH_large.json carries no "
                         "profile_calls baseline; regenerate with --profile")
-        import cProfile
-
-        from repro.bench.runner import run_experiment
-
-        run_experiment("E14", scale="large")  # warm the caches
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run_experiment("E14", scale="large")
-        profiler.disable()
-        fresh = sum(entry.callcount for entry in profiler.getstats())
+        fresh = _steady_state_calls("E14", "large")
         budget = int(baseline * 1.10)
         assert fresh <= budget, (
             f"E14-large now executes {fresh} Python calls against the "

@@ -1,4 +1,5 @@
-"""The reproduced experiments must run and reproduce the paper's qualitative claims."""
+"""The experiments run, the harness records them, and every claim of
+:data:`~repro.bench.claims.CLAIMS` holds on the rows that can show it."""
 
 import dataclasses
 import io
@@ -7,11 +8,55 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import harness
+from repro.bench.claims import CLAIMS, Rows, Status
 from repro.bench.harness import run_all
 from repro.bench.metrics import ExperimentResult, format_table
 from repro.bench.runner import EXPERIMENTS, SCALES, run_experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The committed artifacts, by the tier each records.
+ARTIFACT_TIERS = {"BENCH_smoke.json": "smoke", "BENCH_large.json": "large"}
+
+
+class _DefaultRuns(dict):
+    """Default-tier rows by experiment id; each experiment runs on first use."""
+
+    def __missing__(self, experiment_id: str) -> list:
+        rows = self[experiment_id] = run_experiment(experiment_id).rows
+        return rows
+
+
+@pytest.fixture(scope="session")
+def row_sets(smoke_run) -> dict:
+    """``{source: (tier, {experiment id: rows})}``: the session's smoke rows,
+    one default-tier run per experiment and the committed artifacts."""
+
+    sets = {"smoke run": ("smoke", {result.experiment_id: result.rows
+                                    for result in smoke_run[0]}),
+            "default run": ("default", _DefaultRuns())}
+    for name, tier in ARTIFACT_TIERS.items():
+        if not (REPO_ROOT / name).exists():
+            continue
+        payload = json.loads((REPO_ROOT / name).read_text(encoding="utf-8"))
+        sets[name] = (tier, {experiment_id: entry["rows"] for experiment_id,
+                             entry in payload["experiments"].items()})
+    return sets
+
+
+def _smoke_result(smoke_run, experiment_id: str) -> ExperimentResult:
+    return next(result for result in smoke_run[0]
+                if result.experiment_id == experiment_id)
+
+
+def _replay_smoke(monkeypatch, smoke_run) -> None:
+    """Let the harness serve the session's smoke results instead of running
+    the experiments again: for tests of what it writes, not of what an
+    experiment measures."""
+
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda identifier, scale, context:
+                        _smoke_result(smoke_run, identifier))
 
 
 def _section_table(trees: dict) -> str:
@@ -82,19 +127,23 @@ class TestHarness:
         with pytest.raises(KeyError):
             run_experiment("E1", "huge")
 
-    def test_run_experiment_by_id_case_insensitive(self):
-        result = run_experiment("e1")
+    def test_run_experiment_by_id_case_insensitive(self, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "E6", dataclasses.replace(
+            EXPERIMENTS["E6"], run=lambda context: []))
+        result = run_experiment("e6")
         assert isinstance(result, ExperimentResult)
-        assert result.experiment_id == "E1"
+        assert result.experiment_id == "E6"
 
     def test_unknown_experiment_id(self):
         with pytest.raises(KeyError):
             run_experiment("E42")
 
-    def test_smoke_mode_emits_perf_artifact(self, tmp_path):
+    def test_smoke_mode_emits_perf_artifact(self, tmp_path, monkeypatch,
+                                            smoke_run):
         """``python -m repro.bench --smoke`` writes BENCH_smoke.json with a
         per-experiment simulated-ms summary for the perf trajectory."""
 
+        _replay_smoke(monkeypatch, smoke_run)
         artifact = tmp_path / "BENCH_smoke.json"
         run_all(["E1", "E11"], scale="smoke", json_path=str(artifact),
                 stream=io.StringIO())
@@ -109,10 +158,11 @@ class TestHarness:
         json.dumps(payload)
 
     def test_only_a_full_tier_run_defaults_its_artifact_path(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, smoke_run):
         """``python -m repro.bench E9 --smoke`` from the repository root must
         not replace the committed 14-experiment baseline with one entry."""
 
+        _replay_smoke(monkeypatch, smoke_run)
         monkeypatch.chdir(tmp_path)
         run_all(["E1"], scale="smoke", stream=io.StringIO())
         assert list(tmp_path.iterdir()) == []
@@ -121,7 +171,7 @@ class TestHarness:
         payload = json.loads((tmp_path / "BENCH_smoke.json").read_text())
         assert set(payload["experiments"]) == set(EXPERIMENTS)
 
-    def test_profiled_sweeps_attribute_calls_per_step(self, tmp_path):
+    def test_profiled_sweeps_attribute_calls_per_step(self, tmp_path, smoke_run):
         """``--profile`` books each sweep step's deterministic call count
         under the step's row label; an unprofiled run books nothing."""
 
@@ -138,9 +188,8 @@ class TestHarness:
             assert all(type(calls) is int and calls > 0
                        for calls in steps.values()), name
             assert sum(steps.values()) < entry["profile_calls"], name
-        run_all(sweeps, scale="smoke", json_path=str(artifact),
-                stream=io.StringIO())
-        for entry in json.loads(artifact.read_text())["experiments"].values():
+        for name in sweeps:     # the session's unprofiled run
+            entry = smoke_run[1]["experiments"][name]
             assert "profile_steps" not in entry and "profile" not in entry
 
     def test_listing_runs_nothing_and_is_the_readme_index(
@@ -160,7 +209,7 @@ class TestHarness:
         listing = capsys.readouterr().out
         for spec in EXPERIMENTS.values():
             assert spec.title and spec.sections and spec.paper_claim
-            assert len(spec.columns) >= 3
+            assert len(spec.columns) >= 2
             assert all(isinstance(spec.sizes(scale), dict)
                        for scale in spec.tiers)
             row = next(line for line in listing.splitlines()
@@ -187,266 +236,39 @@ class TestHarness:
         assert "### EX" in result.as_markdown()
 
 
-class TestExperimentClaims:
-    def test_e1_datalink_retrieval_under_three_ms(self):
-        result = run_experiment("E1")
-        token_rows = [row for row in result.rows if "token" in row["statement"]]
-        assert token_rows and all(row["within_3ms"] == "yes" for row in token_rows)
+class TestClaims:
+    """Every claim of :data:`CLAIMS` on every row set that can show it."""
 
-    def test_e2_reads_outside_full_control_avoid_upcalls(self):
-        result = run_experiment("E2")
-        by_mode = {row["mode"]: row for row in result.rows}
-        for mode in ("rff", "rfb", "rfd"):
-            assert by_mode[mode]["upcalls_per_open"] == 0
-            assert by_mode[mode]["added_vs_unlinked_ms"] == pytest.approx(0.0, abs=1e-6)
-        for mode in ("rdb", "rdd"):
-            assert by_mode[mode]["upcalls_per_open"] >= 2
-            assert 0.0 < by_mode[mode]["added_vs_unlinked_ms"] < 5.0
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.id)
+    def test_claim_is_reproduced_or_explained(self, claim, row_sets):
+        evaluated = []
+        for source, (tier, runs) in row_sets.items():
+            if tier not in claim.tiers:
+                continue
+            rows = Rows(runs[claim.experiment_id],
+                        EXPERIMENTS[claim.experiment_id].sizes(tier))
+            status, margin = claim.predicate(rows), claim.margin(rows)
+            assert status is Status.REPRODUCED or status in claim.reasons, (
+                f"{claim.id} ({claim.quote!r}) is {status.value} on {source}, "
+                f"margin {margin:.4g}, and no reason says why")
+            evaluated.append(source)
+        assert evaluated, f"{claim.id}: no row set holds its tiers"
 
-    def test_e3_overhead_shrinks_with_file_size_and_blob_does_not(self):
-        result = run_experiment("E3")
-        small, large, _ = result.rows          # 64 KB, 1 MB, 4 MB
-        assert large["fs_overhead_pct"] < small["fs_overhead_pct"]
-        assert large["fs_overhead_pct"] < 3.0
-        assert large["blob_overhead_pct"] > 10 * large["fs_overhead_pct"]
+    def test_e9_sweep_rows_report_their_handout(self, smoke_run):
+        """A session-sweep row reports its handout in the ``handout_ms``
+        column, not in its label: labels key ``profile_steps``, so a cost
+        must not move one.  The mix rows measure no handout: the cell is
+        empty, not a zero that would drag down the sim_ms mean."""
 
-    def test_e5_scheme_comparison_shape(self):
-        result = run_experiment("E5")
-        by_scheme = {row["scheme"]: row for row in result.rows}
-        assert by_scheme["uip"]["lost_updates"] == 0
-        assert by_scheme["cico"]["lost_updates"] == 0
-        assert by_scheme["cau-overwrite"]["lost_updates"] > 0
-        assert by_scheme["cau-detect"]["lost_updates"] == 0
-        assert by_scheme["cau-detect"]["rejected_checkins"] > 0
-
-    def test_e6_atomicity_scenarios_all_pass(self):
-        result = run_experiment("E6")
-        assert all(row["pass"] == "yes" for row in result.rows)
-
-    def test_e7_coordinated_restore_consistency(self):
-        result = run_experiment("E7")
-        assert all(row["file_content_matches"] == "yes" for row in result.rows)
-        assert all(row["metadata_matches"] == "yes" for row in result.rows)
-
-    def test_e8_sync_semantics_match_paper(self):
-        result = run_experiment("E8")
-        assert all(row["matches_paper"] == "yes" for row in result.rows)
-
-    def test_e12_replica_failover_gives_full_availability(self):
-        result = run_experiment("E12")
-        baseline = next(row for row in result.rows
-                        if "no replication" in row["configuration"])
-        replicated = next(row for row in result.rows
-                          if "1 witness" in row["configuration"])
-        two_witness = next(row for row in result.rows
-                           if "2 witnesses" in row["configuration"])
-        # the crashed shard's prefix was actually exercised after the crash
-        assert baseline["victim_reads_after"] > 0
-        assert replicated["victim_reads_after"] > 0
-        # unreplicated: every read of the crashed prefix fails;
-        # replicated: zero failures after promotion
-        assert baseline["victim_availability_pct"] == 0.0
-        assert baseline["victim_failures_after"] == baseline["victim_reads_after"]
-        assert replicated["victim_availability_pct"] == 100.0
-        assert replicated["victim_failures_after"] == 0
-        assert replicated["failover_ms"] > 0
-        # writable failover: victim-prefix link transactions go from a full
-        # outage to full availability once the witness is a full primary
-        assert baseline["write_availability_pct"] == 0.0
-        assert baseline["writes_ok_after"] == 0
-        assert replicated["write_availability_pct"] == 100.0
-        assert replicated["writes_ok_after"] > 0
-        assert two_witness["write_availability_pct"] == 100.0
-        # follower reads: throughput of the concurrent read burst rises
-        # with every witness the router may load-balance over
-        assert replicated["follower_reads_per_sim_s"] > \
-            baseline["follower_reads_per_sim_s"]
-        assert two_witness["follower_reads_per_sim_s"] > \
-            replicated["follower_reads_per_sim_s"]
-        # replication taxes the write path
-        assert replicated["links_per_sim_s"] < baseline["links_per_sim_s"]
-
-    def test_e12_smoke_rows_have_availability_shape(self):
-        """CI gate: the smoke-mode E12 rows (what BENCH_smoke.json records)
-        carry the write-availability and follower-read columns."""
-
-        result = run_experiment("E12", "smoke")
-        required = {"write_availability_pct", "writes_ok_after",
-                    "follower_reads_per_sim_s", "victim_availability_pct",
-                    "failover_ms"}
-        assert required <= set(result.headers)
-        for row in result.rows:
-            assert required <= set(row)
-        baseline = next(row for row in result.rows
-                        if "no replication" in row["configuration"])
-        promoted = [row for row in result.rows
-                    if "writable failover" in row["configuration"]]
-        assert baseline["write_availability_pct"] == 0.0
-        assert promoted and all(row["write_availability_pct"] > 0.0
-                                for row in promoted)
-
-    def test_e13_online_rebalance_keeps_foreground_alive(self):
-        """E13: a prefix moves between shards with zero committed-link loss,
-        nonzero foreground link+read throughput *during* the move, and the
-        moved prefix promotable from the destination's witness set."""
-
-        result = run_experiment("E13")
-        by_phase = {row["phase"]: row for row in result.rows}
-        during = next(row for row in result.rows
-                      if row["phase"].startswith("during move"))
-        failover = next(row for row in result.rows
-                        if "after dest failover" in row["phase"])
-        # the move actually moved something, and lost nothing
-        assert during["moved_files"] > 0
-        for row in result.rows:
-            assert row["committed_links_lost"] == 0
-        assert during["move_ms"] > 0
-        # foreground traffic kept flowing inside the 2PC hand-off; reads
-        # of the moving prefix are dual-served from the pre-export
-        # snapshot, so the move is read-invisible (100%, not merely >0)
-        assert during["reads_ok"] > 0 and during["links_ok"] > 0
-        assert during["read_availability_pct"] == 100.0
-        assert during["link_availability_pct"] > 0
-        # the moving prefix itself was back-pressured, not failed
-        assert during["links_blocked"] > 0
-        # old URLs resolve on the new owner afterwards
-        after = by_phase["after move (old URLs, new owner)"]
-        assert after["read_availability_pct"] == 100.0
-        assert after["link_availability_pct"] == 100.0
-        # witness placement followed the prefix: promotion on the
-        # destination serves the moved files
-        assert failover["reads_ok"] > 0 and failover["reads_failed"] == 0
-        assert failover["move_ms"] > 0      # the promotion was timed
-
-    def test_e13_smoke_rows_have_rebalance_shape(self):
-        """CI gate: the smoke-mode E13 rows (what BENCH_smoke.json records)
-        carry the availability and loss columns, and the dual-served
-        read availability stays at 100% during the move."""
-
-        result = run_experiment("E13", "smoke")
-        required = {"read_availability_pct", "link_availability_pct",
-                    "committed_links_lost", "moved_files", "links_blocked",
-                    "ops_per_sim_s", "move_ms"}
-        assert required <= set(result.headers)
-        for row in result.rows:
-            assert required <= set(row)
-            assert row["committed_links_lost"] == 0
-        during = next(row for row in result.rows
-                      if row["phase"].startswith("during move"))
-        assert during["read_availability_pct"] == 100.0
-        assert during["link_availability_pct"] > 0
-        assert during["ops_per_sim_s"] > 0
-
-    def test_e14_balancer_beats_static_hash(self):
-        """E14: under zipf skew the self-driving balancer beats static
-        hash placement on max-shard load share and p99 link latency,
-        respects its move budget, and loses no committed links."""
-
-        result = run_experiment("E14")
-        by_variant = {row["variant"]: row for row in result.rows}
-        static, balanced = by_variant["static hash"], by_variant["balanced"]
-        # the balancer acted, and entirely on its own initiative
-        assert balanced["moves"] > 0
-        assert balanced["placement_epoch"] > static["placement_epoch"]
-        # governed: never more moves in a tick than the budget allows
-        assert balanced["max_moves_per_tick"] <= balanced["move_budget"]
-        # the win: better balance AND a better tail
-        assert balanced["max_shard_load_share"] \
-            < static["max_shard_load_share"]
-        assert balanced["link_p99_ms"] < static["link_p99_ms"]
-        assert balanced["read_p99_ms"] < static["read_p99_ms"]
-        # and nothing was lost along the way
-        for row in result.rows:
-            assert row["committed_links_lost"] == 0
-
-    def test_e14_smoke_rows_have_balancer_shape(self):
-        """CI gate: the smoke-mode E14 rows (what BENCH_smoke.json
-        records) carry the comparison columns and still show the
-        balanced variant winning within its budget."""
-
-        result = run_experiment("E14", "smoke")
-        required = {"variant", "max_shard_load_share", "link_p99_ms",
-                    "read_p99_ms", "moves", "max_moves_per_tick",
-                    "move_budget", "splits", "links_blocked",
-                    "committed_links_lost", "placement_epoch"}
-        assert required <= set(result.headers)
-        for row in result.rows:
-            assert required <= set(row)
-            assert row["committed_links_lost"] == 0
-        by_variant = {row["variant"]: row for row in result.rows}
-        static, balanced = by_variant["static hash"], by_variant["balanced"]
-        assert balanced["moves"] > 0
-        assert balanced["max_moves_per_tick"] <= balanced["move_budget"]
-        assert balanced["max_shard_load_share"] \
-            < static["max_shard_load_share"]
-        assert balanced["link_p99_ms"] < static["link_p99_ms"]
-
-    def test_e9_reports_token_cache_hit_rate(self):
-        """The web workload runs with the host token cache on by default and
-        the rdd row shows the hot-page hit rate.  A session-sweep row
-        reports its handout in the ``handout_ms`` column, not in its label:
-        labels key ``profile_steps``, so a cost must not move one."""
-
-        result = run_experiment("E9", "smoke")
+        result = _smoke_result(smoke_run, "E9")
         assert {"token_cache_hit_pct", "handout_ms"} <= set(result.headers)
-        rdd = next(row for row in result.rows
-                   if "rdd" in row["configuration"])
-        assert rdd["token_cache_hit_pct"] > 0.0
         swept = [row for row in result.rows
                  if "session sweep" in row["configuration"]]
         assert [row["configuration"] for row in swept] == [
             f"rdd session sweep, {clients} sessions, admission limit 2"
             for clients in (2, 4)]
         assert all(row["handout_ms"] > 0.0 for row in swept)
-        # The mix rows measure no handout: the cell is empty, not a zero
-        # that would drag down the sim_ms mean.
         assert all(row["handout_ms"] is None for row in result.rows
                    if row not in swept)
         assert result.to_dict()["sim_ms"]["handout_ms"] == pytest.approx(
             sum(row["handout_ms"] for row in swept) / len(swept))
-
-    def test_e11_scaleout_beats_baseline_by_1_5x(self):
-        result = run_experiment("E11")
-        by_config = {row["configuration"]: row for row in result.rows}
-        scaled = by_config["8 shards, batched links, group commit"]
-        baseline = by_config["1 server, per-row links, immediate flush"]
-        assert scaled["speedup_vs_baseline"] >= 1.5
-        # group commit visibly reduces host log forces
-        assert scaled["host_log_flushes"] < baseline["host_log_flushes"]
-        # sharding spreads the linked files across servers
-        assert scaled["max_links_per_shard"] < baseline["max_links_per_shard"]
-
-    def test_e11_clock_domains_beat_serial_clock_from_parallelism_alone(self):
-        """With batching and group commit both disabled, 8 shards must win
-        >=1.5x over 1 shard purely from clock-domain overlap, and the
-        per-node clock must never run slower than the old serial model."""
-
-        result = run_experiment("E11")
-        by_config = {row["configuration"]: row for row in result.rows}
-        parallel = by_config["8 shards, per-row links, immediate flush"]
-        one_server = by_config["1 server, per-row links, immediate flush"]
-        serial_8 = by_config[
-            "8 shards, per-row links, immediate flush, serial clock"]
-        serial_1 = by_config[
-            "1 server, per-row links, immediate flush, serial clock"]
-        # parallelism alone: no batching, no group commit, same shard count
-        assert parallel["links_per_sim_s"] >= 1.5 * one_server["links_per_sim_s"]
-        # the clock-domain model must not be slower than the serial baseline
-        assert parallel["links_per_sim_s"] >= serial_8["links_per_sim_s"]
-        assert one_server["links_per_sim_s"] >= serial_1["links_per_sim_s"]
-        # under the serial clock, extra shards only added 2PC fan-out cost --
-        # the regression E11 used to hide
-        assert serial_8["links_per_sim_s"] <= serial_1["links_per_sim_s"]
-
-    def test_e1_token_cache_row_reports_hits(self):
-        result = run_experiment("E1")
-        cache_rows = [row for row in result.rows
-                      if "token cache" in row["statement"]]
-        assert len(cache_rows) == 1
-        # the warm-up call misses; every measured retrieval hits
-        assert "hit rate 0." in cache_rows[0]["statement"] or \
-            "hit rate 1.00" in cache_rows[0]["statement"]
-        generated = [row for row in result.rows
-                     if row["statement"].endswith("read-token generation")]
-        # a cache hit skips HMAC generation, so it must be cheaper
-        assert cache_rows[0]["mean_ms"] < generated[0]["mean_ms"]

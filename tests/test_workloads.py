@@ -7,10 +7,6 @@ from repro.workloads.editors import (
     ALL_SCHEMES,
     ConcurrentEditorsWorkload,
     EditorConfig,
-    SCHEME_CAU_DETECT,
-    SCHEME_CAU_OVERWRITE,
-    SCHEME_CICO,
-    SCHEME_UIP,
 )
 from repro.workloads.generator import (
     OperationStats,
@@ -133,27 +129,6 @@ class TestEditorsWorkload:
         metrics = ConcurrentEditorsWorkload(config).setup().run()
         assert metrics.counters.get("completed_edits", 0) > 0
         assert "aborted_run" not in metrics.counters
-
-    def test_uip_and_cico_never_lose_updates(self):
-        for scheme in (SCHEME_UIP, SCHEME_CICO):
-            config = EditorConfig(editors=4, files=2, edits_per_editor=2, scheme=scheme)
-            metrics = ConcurrentEditorsWorkload(config).setup().run()
-            assert metrics.counters.get("lost_updates", 0) == 0
-            expected = config.editors * config.edits_per_editor
-            assert metrics.counters["completed_edits"] == expected
-
-    def test_cau_overwrite_loses_updates_under_contention(self):
-        config = EditorConfig(editors=4, files=1, edits_per_editor=3,
-                              scheme=SCHEME_CAU_OVERWRITE)
-        metrics = ConcurrentEditorsWorkload(config).setup().run()
-        assert metrics.counters.get("lost_updates", 0) > 0
-
-    def test_cau_detect_rejects_conflicting_checkins_instead(self):
-        config = EditorConfig(editors=4, files=1, edits_per_editor=3,
-                              scheme=SCHEME_CAU_DETECT)
-        metrics = ConcurrentEditorsWorkload(config).setup().run()
-        assert metrics.counters.get("lost_updates", 0) == 0
-        assert metrics.counters.get("rejected_checkins", 0) > 0
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
