@@ -914,9 +914,10 @@ def e11(context, shards, clients, transactions_per_client,
           "Reads use rdb-linked files, so every read needs its token "
           "validated by the node serving it -- failover and follower "
           "reads cover the upcall path, not just raw file content "
-          "(witnesses share the primary's token secret, and their "
-          "follower-read soft state stays out of the redo-only replica "
-          "heaps).  write_availability_pct counts victim-prefix link "
+          "(witnesses share the primary's token secret, and every node "
+          "keeps and charges its own token registry and Sync table, so a "
+          "witness read pays what a serving read pays).  "
+          "write_availability_pct counts victim-prefix link "
           "transactions after the crash: 0% without replication, ~100% "
           "once the witness is promoted to a full primary.  "
           "follower_reads_per_sim_s measures a concurrent read burst "

@@ -19,9 +19,9 @@ enforces this).
 ``--profile`` wraps every experiment in :mod:`cProfile` and attaches the
 top-N cumulative-time rows to the artifact (and prints them), so "what got
 slow" is answered by the artifact itself instead of an ad-hoc rerun.
-Sweep experiments additionally attribute the deterministic call count
-per sweep *step* (``profile_steps`` in the artifact entry, keyed by the
-step's row label): the experiment's
+Sweep experiments additionally attribute the call count per sweep *step*
+(``profile_steps`` in the artifact entry, keyed by the step's row label):
+the experiment's
 :class:`~repro.bench.runner.RunContext` reads the live profiler between
 steps and books the delta each step consumed.
 """
@@ -47,12 +47,14 @@ PROFILE_TOP_N = 15
 
 def _profile_summary(profiler: cProfile.Profile,
                      top_n: int = PROFILE_TOP_N) -> dict:
-    """Profile digest: deterministic total call count + top-N rows.
+    """Profile digest: total call count + top-N rows.
 
     ``total_calls`` is the profiler's total function-call count across the
-    experiment -- unlike the timing columns it is a *deterministic* measure
-    of how much work the hot paths do (the simulator is single-threaded and
-    seeded), so successive artifacts can be diffed call-for-call.  It is
+    experiment -- unlike the timing columns it repeats exactly for one
+    command on one box and interpreter build (the simulator is
+    single-threaded and seeded), so successive artifacts from one box can
+    be diffed call-for-call; across boxes it differs by about 1 %, and it
+    falls as more warm passes fill the caches before it.  It is
     summed over the raw entries of ``getstats()``, as
     :meth:`~repro.bench.runner.RunContext.mark_step` counts: ``pstats``
     keys entries by (file, line, name) and keeps only one of several code
@@ -161,8 +163,8 @@ def run_all(experiment_ids: list[str] | None = None, *,
     otherwise; a partial run writes only where ``json_path`` says, so it
     never replaces a committed all-experiment baseline.
     ``profile=True`` additionally wraps every experiment in
-    :mod:`cProfile` and attaches the deterministic total call count plus
-    the top-N cumulative table to its artifact entry.  ``best_of``
+    :mod:`cProfile` and attaches the total call count plus the top-N
+    cumulative table to its artifact entry.  ``best_of``
     re-times each experiment that many times: ``wall_clock_s`` is the
     fastest sample and the artifact records the full
     ``wall_clock_samples_s`` list (simulated results come from one run;
@@ -276,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
                              "default: default")
     parser.add_argument("--profile", action="store_true",
                         help="wrap each experiment in cProfile and attach the "
-                             "deterministic total call count plus the "
+                             "total call count plus the "
                              f"top-{PROFILE_TOP_N} cumulative-time table to "
                              "the artifact (and print it)")
     parser.add_argument("--best-of", type=int, default=1, metavar="N",

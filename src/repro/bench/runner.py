@@ -130,8 +130,7 @@ class RunContext:
 
     def mark_step(self, label: str | None = None) -> None:
         """Under ``--profile``, book the calls made since the previous mark
-        under *label* -- a sweep step's own deterministic slice of the call
-        count.  Without a label it only opens the first interval: call it
+        under *label* -- a sweep step's own slice of the call count.  Without a label it only opens the first interval: call it
         right before entering the sweep."""
 
         profiler = self._profiler

@@ -20,6 +20,7 @@ from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, OnUnlink
 from repro.datalinks.dlfm.files import FileServerFiles
 from repro.datalinks.dlfm.repository import DLFMRepository
+from repro.datalinks.dlfm.soft_state import SoftState
 from repro.errors import (
     FileAlreadyLinkedError,
     FileNotLinkedError,
@@ -71,9 +72,10 @@ def apply_link_constraints(files: FileServerFiles, txn: Transaction,
 class LinkManager:
     """Implements the link/unlink operations of one DLFM."""
 
-    def __init__(self, repository: DLFMRepository, files: FileServerFiles,
-                 state_id_provider=None):
+    def __init__(self, repository: DLFMRepository, soft: SoftState,
+                 files: FileServerFiles, state_id_provider=None):
         self._repository = repository
+        self._soft = soft
         self._files = files
         # Returns the host database state identifier; set by the manager once
         # the DataLinks engine registers this file server.
@@ -129,7 +131,7 @@ class LinkManager:
         row = self._repository.linked_file(path)
         if row is None:
             raise FileNotLinkedError(f"{path!r} is not linked")
-        open_entries = self._repository.sync_entries(path)
+        open_entries = self._soft.sync_entries(path)
         if open_entries:
             raise LinkConflictError(
                 f"cannot unlink {path!r}: {len(open_entries)} application(s) "

@@ -1,7 +1,8 @@
 """The DataLinks File Manager.
 
 One :class:`DataLinksFileManager` runs on each file server.  It owns the
-repository, the link/unlink logic, the token registry, the Sync table, update
+repository, the link/unlink logic, the token registry and the Sync table (its
+volatile :class:`~repro.datalinks.dlfm.soft_state.SoftState`), update
 tracking, versioning/archiving and coordinated backup/restore, and it exposes
 
 * a *connection* interface used by the DataLinks engine in the host DBMS
@@ -22,6 +23,7 @@ from repro.datalinks.dlfm.branches import BranchManager
 from repro.datalinks.dlfm.files import DEFAULT_DBMS_UID, FileServerFiles
 from repro.datalinks.dlfm.link_manager import LinkManager, apply_link_constraints
 from repro.datalinks.dlfm.repository import DLFMRepository
+from repro.datalinks.dlfm.soft_state import SoftState
 from repro.datalinks.tokens import TokenManager, TokenType
 from repro.errors import (
     AccessDeniedError,
@@ -31,7 +33,6 @@ from repro.errors import (
 from repro.simclock import SimClock, synchronized_call
 from repro.storage.backup import BackupImage
 from repro.storage.database import Database
-from repro.storage.transaction import Transaction
 
 #: Permission given to a taken-over file while an rfd update is in progress.
 _TAKEOVER_WRITE_MODE = 0o600
@@ -57,8 +58,11 @@ class DataLinksFileManager:
         self.repository = DLFMRepository(
             Database(f"dlfm-{server_name}", clock, cost_scale=repository_scale,
                      stats_prefix="dlfm."))
+        #: Token registry and Sync table: volatile, charged like the
+        #: repository, never logged or shipped.
+        self.soft = SoftState(clock, repository_scale)
         self.branches = BranchManager(self.repository.db)
-        self.links = LinkManager(self.repository, files,
+        self.links = LinkManager(self.repository, self.soft, files,
                                  state_id_provider=self._host_state_id)
         self._engine = None
         self._engine_name: str | None = None
@@ -76,7 +80,6 @@ class DataLinksFileManager:
         #: (a healthy witness within the router's staleness bound).
         self.read_gate = None
         self.replica = None
-        self.replica_soft = None
         #: Dual-serve snapshots for prefix hand-offs in flight:
         #: ``host_txn_id -> {ino: linked_file row}``.  The export deletes
         #: the repository rows inside its branch, but reads of the moving
@@ -259,11 +262,12 @@ class DataLinksFileManager:
             path = row["path"]
             if not path_under(prefix, path):
                 continue
-            if self.repository.sync_entries(path):
+            opens = self.soft.sync_entries(path)
+            if opens:
                 raise PlacementError(
                     f"cannot hand {prefix!r} off: {path!r} is open "
-                    f"({len(self.repository.sync_entries(path))} Sync "
-                    f"entries); retry when the opens drain")
+                    f"({len(opens)} Sync entries); retry when the opens "
+                    f"drain")
             if self.repository.tracking(path) is not None:
                 raise PlacementError(
                     f"cannot hand {prefix!r} off: an update of {path!r} is "
@@ -331,57 +335,6 @@ class DataLinksFileManager:
         self.repository.import_version_rows(versions, branch.local_txn)
         return {"imported": imported, "versions": len(versions)}
 
-    # ------------------------------------------------- soft-state dispatch ------
-    # Token-registry and Sync entries are node-local soft state.  On a
-    # serving node they live in the repository (and replicate with its WAL
-    # stream); on a witness serving follower reads they go to the ephemeral
-    # WitnessSoftState instead, because the witness repository is redo-only
-    # and its heaps must keep mirroring the serving node's row ids.  Reads
-    # see the union: entries replicated from the serving node plus the
-    # node's own.
-    def _register_token_entry(self, path: str, userid: int, token_type: str,
-                              expires_at: float) -> None:
-        if self.replica_soft is not None:
-            self.replica_soft.add_token_entry(path, userid, token_type,
-                                               expires_at)
-        else:
-            self.repository.add_token_entry(path, userid, token_type,
-                                            expires_at)
-
-    def _find_token_entry(self, path: str, userid: int, *,
-                          for_write: bool) -> dict | None:
-        now = self.clock.now()
-        if self.replica_soft is not None:
-            entry = self.replica_soft.find_token_entry(
-                path, userid, for_write=for_write, now=now)
-            if entry is not None:
-                return entry
-        return self.repository.find_token_entry(path, userid,
-                                                for_write=for_write, now=now)
-
-    def _sync_entries_of(self, path: str) -> list[dict]:
-        entries = list(self.repository.sync_entries(path))
-        if self.replica_soft is not None:
-            entries.extend(self.replica_soft.sync_entries_for(path))
-        return entries
-
-    def _add_sync_entry(self, path: str, access: str, userid: int) -> None:
-        if self.replica_soft is not None:
-            self.replica_soft.add_sync_entry(path, access, userid)
-        else:
-            self.repository.add_sync_entry(path, access, userid)
-
-    def _remove_sync_entry(self, path: str, access: str, userid: int) -> None:
-        if self.replica_soft is not None:
-            # Never fall through to the repository on a witness: its heap
-            # rows are replicas of the serving node's and are removed by
-            # redo when the serving node's own close ships over.  A close
-            # whose soft entry is gone (e.g. wiped by a stream re-source)
-            # has nothing local left to clean up.
-            self.replica_soft.remove_sync_entry(path, access, userid)
-            return
-        self.repository.remove_sync_entry(path, access, userid)
-
     # -------------------------------------------------- upcall-facing operations --
     def _lookup_link_row(self, ino: int) -> dict | None:
         """A linked-file row by inode, dual-serving hand-offs in flight.
@@ -407,7 +360,7 @@ class DataLinksFileManager:
         The entry is keyed by *user id* (not process id) so that a process-id
         reuse cannot leak access, exactly as argued in Section 4.1.  Served
         by the serving node or -- under the follower-read gate -- a healthy
-        witness, whose entry goes to its local soft state.
+        witness; either registers the entry in its own soft state.
         """
 
         self._check_read_service()
@@ -419,8 +372,8 @@ class DataLinksFileManager:
         # goes through the enum's DynamicClassAttribute descriptor, two
         # frames per read on this per-lookup path.
         token_code = token.token_type._value_
-        self._register_token_entry(row["path"], userid, token_code,
-                                   token.expires_at)
+        self.soft.add_token_entry(row["path"], userid, token_code,
+                                  token.expires_at)
         return {"linked": True, "token_type": token_code,
                 "expires_at": token.expires_at}
 
@@ -505,9 +458,9 @@ class DataLinksFileManager:
         except KeyError:
             mode = ControlMode.from_string(code)
         if was_write:
-            self._remove_sync_entry(path, "write", userid)
+            self.soft.remove_sync_entry(path, "write", userid)
         elif mode.full_control or row.get("strict_read_sync"):
-            self._remove_sync_entry(path, "read", userid)
+            self.soft.remove_sync_entry(path, "read", userid)
         if not was_write:
             return {"linked": True, "modified": False}
 
@@ -530,22 +483,32 @@ class DataLinksFileManager:
         return {"linked": True, "mode": row["control_mode"], "path": row["path"]}
 
     # ------------------------------------------------------- update-in-place core --
+    def _being_updated(self, path: str) -> bool:
+        """Is an update of *path* in progress?
+
+        The serving node reads its Sync table's write entry.  A witness
+        holds only its own reads there; it reads the ``update_tracking``
+        row the update began with, which replicates with the WAL stream,
+        so a follower read is serialized against an in-progress update
+        exactly like a local one (the row exists exactly while the serving
+        node's write entry does).
+        """
+
+        if self.replica is not None:
+            return self.repository.tracking(path) is not None
+        return any(access == "write"
+                   for access, _userid in self.soft.sync_entries(path))
+
     def _begin_read(self, row: dict, mode: ControlMode, userid: int) -> None:
         path = row["path"]
-        if mode.requires_read_token:
-            entry = self._find_token_entry(path, userid, for_write=False)
-            if entry is None:
-                raise AccessDeniedError(
-                    f"no valid read token registered for user {userid} on {path!r}")
-        # Writers are visible on a witness too: the serving node's Sync
-        # entries replicate with the WAL stream, so a follower read is
-        # serialized against an in-progress update exactly like a local one.
-        writers = [entry for entry in self._sync_entries_of(path)
-                   if entry["access"] == "write"]
-        if writers:
+        if mode.requires_read_token and self.soft.find_token_entry(
+                path, userid, for_write=False, now=self.clock.now()) is None:
+            raise AccessDeniedError(
+                f"no valid read token registered for user {userid} on {path!r}")
+        if self._being_updated(path):
             raise UpdateInProgressError(
                 f"{path!r} is being updated; read access is serialized at open time")
-        self._add_sync_entry(path, "read", userid)
+        self.soft.add_sync_entry(path, "read", userid)
 
     def _begin_strict_read(self, row: dict, userid: int) -> None:
         """Strict read synchronization for non-full-control files.
@@ -557,13 +520,11 @@ class DataLinksFileManager:
         """
 
         path = row["path"]
-        writers = [entry for entry in self._sync_entries_of(path)
-                   if entry["access"] == "write"]
-        if writers:
+        if self._being_updated(path):
             raise UpdateInProgressError(
                 f"{path!r} is being updated; strict read synchronization rejects "
                 f"the open")
-        self._add_sync_entry(path, "read", userid)
+        self.soft.add_sync_entry(path, "read", userid)
 
     def _begin_file_update(self, row: dict, mode: ControlMode, userid: int) -> None:
         path = row["path"]
@@ -571,18 +532,18 @@ class DataLinksFileManager:
             raise AccessDeniedError(
                 f"write access to {path!r} is not managed by the database "
                 f"(mode {mode.value})")
-        entry = self.repository.find_token_entry(path, userid, for_write=True,
-                                                 now=self.clock.now())
-        if entry is None:
+        soft = self.soft
+        if soft.find_token_entry(path, userid, for_write=True,
+                                 now=self.clock.now()) is None:
             raise AccessDeniedError(
                 f"no valid write token registered for user {userid} on {path!r}")
-        existing = self.repository.sync_entries(path)
-        writers = [item for item in existing if item["access"] == "write"]
+        existing = soft.sync_entries(path)
+        writers = [user for access, user in existing if access == "write"]
         if writers:
             raise UpdateInProgressError(
-                f"{path!r} is already being updated by user {writers[0]['userid']}")
+                f"{path!r} is already being updated by user {writers[0]}")
         if mode.full_control or row.get("strict_read_sync"):
-            readers = [item for item in existing if item["access"] == "read"]
+            readers = [user for access, user in existing if access == "read"]
             if readers:
                 raise UpdateInProgressError(
                     f"{path!r} is open for read by {len(readers)} application(s); "
@@ -592,7 +553,7 @@ class DataLinksFileManager:
                 f"the previous update of {path!r} is still being archived")
 
         attrs = self.files.stat(path)
-        self.repository.add_sync_entry(path, "write", userid)
+        soft.add_sync_entry(path, "write", userid)
         self.repository.add_tracking({
             "path": path,
             "userid": userid,
@@ -659,7 +620,7 @@ class DataLinksFileManager:
         restored = self.restore_last_committed(path, park_in_flight=True)
         if tracking is not None:
             self.repository.remove_tracking(path)
-        self.repository.clear_sync_entries(path)
+        self.soft.clear_sync_entries(path)
         if row is not None and ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
             self._release_takeover(row)
         return restored
@@ -708,8 +669,13 @@ class DataLinksFileManager:
         the steps of several servers in simulated time
         (:meth:`repro.api.system.DataLinksSystem.run_archiver`).  A job
         queues the archive objects its version drop frees as it completes,
-        so a sequence abandoned when a later job raises loses no release;
-        the last step frees what is already durable and shipped.
+        so a sequence abandoned when a later job raises loses no release.
+        The last step forces the repository log (a log write only when
+        commits are pending, as under group commit), so the run's version
+        rows are durable and shipped when it returns -- no tokenized read
+        commits any more to push them out of the group-commit window, and
+        a witness missing them is not read-eligible -- and then frees what
+        is durable and shipped.
         """
 
         if self.replica is not None:
@@ -735,6 +701,7 @@ class DataLinksFileManager:
                 self._releases.append(
                     (self.repository.db.wal.tail_lsn(), dropped))
             yield 1
+        self.repository.db.force_log()
         if self._releases:
             self._release_shipped()
 
@@ -755,18 +722,12 @@ class DataLinksFileManager:
     def run_housekeeping(self) -> dict:
         """Periodic DLFM maintenance: purge token-registry entries whose
         expiry has passed (the paper's token entries are valid "till time
-        t").  Version retention needs no tick: the archiver drops what no
-        backup can restore as it adds each version."""
+        t"), on every node -- each holds its own.  Version retention needs
+        no tick: the archiver drops what no backup can restore as it adds
+        each version."""
 
-        if self.replica is not None:
-            # Redo-only witness: repository maintenance runs on the serving
-            # node and replicates over (see process_archive_jobs); only the
-            # node-local follower-read soft state is purged here.
-            purged = self.replica_soft.purge_expired_tokens(self.clock.now()) \
-                if self.replica_soft is not None else 0
-            return {"purged_tokens": purged}
         return {"purged_tokens":
-                self.repository.purge_expired_tokens(self.clock.now())}
+                self.soft.purge_expired_tokens(self.clock.now())}
 
     # ------------------------------------------------------------- replica mode --
     def enable_replica_mode(self, shard: str):
@@ -777,43 +738,29 @@ class DataLinksFileManager:
         that :meth:`replica_apply` feeds; the applier rebinds
         ``linked_files`` inode numbers to this node's file system as rows
         arrive, and fires ``replicate:apply:<shard>`` into the attached
-        engine's failpoint table.  Follower-read soft state (token-registry
-        and Sync entries) goes to an ephemeral side store while replica mode
-        is on, keeping the repository heaps redo-only.
+        engine's failpoint table.  The node keeps its token registry but
+        drops its Sync table: a demoted serving node's open updates are
+        rolled back by the node now serving (their tracking rows go), and a
+        close arriving later finds nothing to remove.
         """
 
-        from repro.datalinks.replication import ReplicaApplier, WitnessSoftState
+        from repro.datalinks.replication import ReplicaApplier
 
         self.replica = ReplicaApplier(
             self.repository.db, self._engine.failpoints, shard, files=self.files)
-        self.replica_soft = WitnessSoftState()
+        self.soft.sync.clear()
         return self.replica
 
-    def disable_replica_mode(self) -> dict:
+    def disable_replica_mode(self) -> None:
         """Promote this witness DLFM to a full primary.
 
-        Leaves redo-only mode: archive jobs and housekeeping run locally
-        again, link/unlink branches and 2PC votes are accepted (fencing
-        permitting), and the follower-read soft state accrued while serving
-        as a witness is migrated into the repository -- whose writes now go
-        through this node's own WAL and therefore ship to any subscriber.
+        Leaves redo-only mode: archive jobs run locally again and
+        link/unlink branches and 2PC votes are accepted (fencing
+        permitting).  The token entries and Sync reads it registered as a
+        witness are already in its soft state and stay there.
         """
 
-        soft = self.replica_soft
         self.replica = None
-        self.replica_soft = None
-        migrated = {"token_entries": 0, "sync_entries": 0}
-        if soft is not None:
-            for entry in soft.all_token_entries():
-                self.repository.add_token_entry(entry["path"], entry["userid"],
-                                                entry["token_type"],
-                                                entry["expires_at"])
-                migrated["token_entries"] += 1
-            for entry in soft.all_sync_entries():
-                self.repository.add_sync_entry(entry["path"], entry["access"],
-                                               entry["userid"])
-                migrated["sync_entries"] += 1
-        return migrated
 
     def replica_apply(self, records: list) -> dict:
         """Apply one shipped WAL batch (the ``apply_wal`` daemon operation)."""
@@ -826,13 +773,7 @@ class DataLinksFileManager:
     def replica_status(self) -> dict:
         if self.replica is None:
             return {"replica": False}
-        soft = self.replica_soft
-        return {"replica": True,
-                "soft_token_entries":
-                    len(soft.all_token_entries()) if soft else 0,
-                "soft_sync_entries":
-                    len(soft.all_sync_entries()) if soft else 0,
-                **self.replica.status()}
+        return {"replica": True, **self.replica.status()}
 
     def replica_catch_up(self, outcomes: dict) -> dict:
         """Promotion-time catch-up on the witness.
@@ -847,24 +788,12 @@ class DataLinksFileManager:
             if self.replica is not None else {"committed": [], "aborted": []}
         return {"in_doubt": resolved, **self.replica_rebind()}
 
-    def inherited_sync_entry_ids(self) -> list[int]:
-        """Ids of the Sync entries replicated from the deposed serving node.
-
-        Sampled just before promotion migrates this node's own
-        follower-read soft state into the repository, so the two
-        populations stay distinguishable: inherited entries belong to
-        opens against the *old* serving node and must be rolled back,
-        while migrated soft entries are this node's own live reads.
-        """
-
-        return [row["entry_id"]
-                for row in self.repository.db.select("sync_entries", lock=False)]
-
-    def rollback_inherited_updates(self, sync_entry_ids: list[int]) -> list[str]:
+    def rollback_inherited_updates(self) -> list[str]:
         """Roll back file updates the deposed serving node had open.
 
-        Their Sync "write" entries and update-tracking rows replicated
-        over the WAL stream, but the in-flight bytes never did (writes
+        Their update-tracking rows replicated over the WAL stream (their
+        Sync write entries, soft state, died with that node), but the
+        in-flight bytes never did (writes
         land on the serving node's file system; this node's mirror was
         taken at ingest), so the local copy already *is* the last
         committed version.  Clearing the inherited rows mirrors what
@@ -887,10 +816,6 @@ class DataLinksFileManager:
                     ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
                 self._release_takeover(row)
             rolled_back.append(path)
-        doomed = set(sync_entry_ids)
-        if doomed:
-            self.repository.db.delete(
-                "sync_entries", lambda row: row["entry_id"] in doomed)
         return rolled_back
 
     def replica_rebind(self) -> dict:
@@ -953,9 +878,7 @@ class DataLinksFileManager:
         # The queued LSNs may be lost with the log tail and handed out
         # again to other records.
         self._releases.clear()
-        if self.replica_soft is not None:
-            # Follower-read soft state is volatile, like the branch table.
-            self.replica_soft.clear()
+        self.soft.clear()
         self.running = False
 
     def recover(self) -> dict:
@@ -981,7 +904,7 @@ class DataLinksFileManager:
             if row is not None and ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
                 self._release_takeover(row)
             rolled_back.append(path)
-        self.repository.clear_sync_entries()
+        self.soft.clear()
         self.running = True
         return {"repository": summary, "rolled_back_updates": rolled_back}
 
@@ -1061,7 +984,7 @@ class DataLinksFileManager:
             path = row["path"]
             if self.restore_last_committed(path, max_state_id=host_state_id):
                 restored.append(path)
-        self.repository.clear_sync_entries()
+        self.soft.clear()
         for tracking in self.repository.all_tracking():
             self.repository.remove_tracking(tracking["path"])
         return restored

@@ -10,13 +10,6 @@ Tables
 ------
 ``linked_files``    one row per linked file (control mode, take-over state,
                     original ownership, last known size/mtime).
-``sync_entries``    the Sync table of Section 4.5: one row per open of a
-                    managed file, used to reject conflicting opens and
-                    unlink operations.
-``token_entries``   token registry of Section 4.1: one row per validated
-                    token, keyed by file and user id (not process id) and
-                    indexed on ``(path, userid)`` so the open-time check
-                    examines only the caller's own entries.
 ``update_tracking`` files with an update in progress (Section 4.4) and the
                     pre-update attributes needed to detect modification.
 ``file_versions``   committed versions with their archive object and the
@@ -27,9 +20,14 @@ Tables
                     is deleted, so the table holds unfinished work only; a
                     queued job blocks further updates of the same file.
 
-``sync_entries``, ``token_entries``, ``file_versions`` and ``archive_queue``
-draw their integer keys from ``MAX(key) + 1``, which the store answers from
-the primary-key index at constant cost (:meth:`Database.max_key`).
+``file_versions`` and ``archive_queue`` draw their integer keys from
+``MAX(key) + 1``, which the store answers from the primary-key index at
+constant cost (:meth:`Database.max_key`).
+
+The token registry and the Sync table are not here: they are node-local
+soft state, kept beside the repository in the volatile
+:class:`~repro.datalinks.dlfm.soft_state.SoftState`, so no tokenized open
+writes the repository or its WAL.
 
 Statement catalog
 -----------------
@@ -51,17 +49,6 @@ handle                     shape                           access path
 ``_insert_link``           insert linked_files             --
 ``_update_link``           update linked_files (path)      pk
 ``_delete_link``           delete linked_files (path)      pk
-``_sync_by_path``          select sync_entries (path)      sync_entries_path
-``_sync_exact``            select sync_entries (path,      sync_entries_path,
-                           access, userid)                 residual test
-``_insert_sync``           insert sync_entries             --
-``_delete_sync``           delete sync_entries (entry_id)  pk
-``_delete_sync_by_path``   delete sync_entries (path)      sync_entries_path
-``_delete_all_sync``       delete sync_entries             scan
-``_tokens_by_owner``       select token_entries (path,     token_entries_
-                           userid)                         path_userid
-``_insert_token``          insert token_entries            --
-``_delete_tokens``         delete token_entries, predicate scan
 ``_tracking_by_path``      select update_tracking (path)   pk
 ``_all_tracking``          select update_tracking          scan
 ``_insert_tracking``       insert update_tracking          --
@@ -101,7 +88,7 @@ class _Statement:
     """One entry of the statement catalog, declared on the class: prepared
     against the instance's database on first use and from then on a plain
     instance attribute (a repository built for a short experiment issues a
-    handful of the 28, and pays for those only)."""
+    handful of the 19, and pays for those only)."""
 
     def __init__(self, kind: str, *shape):
         self.prepare = "prepare_" + kind
@@ -125,16 +112,6 @@ class DLFMRepository:
     _insert_link = _Statement("insert", "linked_files")
     _update_link = _Statement("update", "linked_files", ("path",))
     _delete_link = _Statement("delete", "linked_files", ("path",))
-    _sync_by_path = _Statement("select", "sync_entries", ("path",))
-    _sync_exact = _Statement("select", "sync_entries",
-                             ("path", "access", "userid"))
-    _insert_sync = _Statement("insert", "sync_entries")
-    _delete_sync = _Statement("delete", "sync_entries", ("entry_id",))
-    _delete_sync_by_path = _Statement("delete", "sync_entries", ("path",))
-    _delete_all_sync = _Statement("delete", "sync_entries")
-    _tokens_by_owner = _Statement("select", "token_entries", ("path", "userid"))
-    _insert_token = _Statement("insert", "token_entries")
-    _delete_tokens = _Statement("delete", "token_entries")
     _tracking_by_path = _Statement("select", "update_tracking", ("path",))
     _all_tracking = _Statement("select", "update_tracking")
     _insert_tracking = _Statement("insert", "update_tracking")
@@ -172,25 +149,6 @@ class DLFMRepository:
             Column("last_mtime", DataType.TIMESTAMP, nullable=False, default=0.0),
         ], ("path",)))
         db.create_index("linked_files_ino", "linked_files", ("ino",), unique=True)
-
-        db.create_table(_table("sync_entries", [
-            Column("entry_id", DataType.INTEGER, nullable=False),
-            Column("path", DataType.TEXT, nullable=False),
-            Column("access", DataType.TEXT, nullable=False),          # "read" | "write"
-            Column("userid", DataType.INTEGER, nullable=False),
-            Column("opened_at", DataType.TIMESTAMP, nullable=False, default=0.0),
-        ], ("entry_id",)))
-        db.create_index("sync_entries_path", "sync_entries", ("path",))
-
-        db.create_table(_table("token_entries", [
-            Column("entry_id", DataType.INTEGER, nullable=False),
-            Column("path", DataType.TEXT, nullable=False),
-            Column("userid", DataType.INTEGER, nullable=False),
-            Column("token_type", DataType.TEXT, nullable=False),      # "R" | "W"
-            Column("expires_at", DataType.TIMESTAMP, nullable=False),
-        ], ("entry_id",)))
-        db.create_index("token_entries_path_userid", "token_entries",
-                        ("path", "userid"))
 
         db.create_table(_table("update_tracking", [
             Column("path", DataType.TEXT, nullable=False),
@@ -243,17 +201,17 @@ class DLFMRepository:
 
         return self.db.wal.records_from(lsn, durable_only=True)
 
-    def wal_records_pending(self, lsn) -> list:
-        """*All* records past *lsn*, durable or still buffered.
+    def tail_lsn(self):
+        """LSN of the last repository record, durable or still buffered.
 
-        The follower-read staleness bound counts these, not just the
-        durable suffix: under group commit a transaction can be committed
-        and visible on the serving node while its records sit in the WAL
-        buffer, and a witness missing them is behind no matter what the
-        durable frontier says.
+        The follower-read staleness bound counts up to here, not just to
+        the durable frontier: under group commit a transaction can be
+        committed and visible on the serving node while its records sit in
+        the WAL buffer, and a witness missing them is behind no matter what
+        the durable frontier says.
         """
 
-        return self.db.wal.records_from(lsn, durable_only=False)
+        return self.db.wal.tail_lsn()
 
     # ------------------------------------------------------------------ helpers --
     def _next_id(self, table: str) -> int:
@@ -278,68 +236,6 @@ class DLFMRepository:
     def update_linked_file(self, path: str, changes: dict,
                            txn: Transaction | None = None) -> int:
         return self._update_link(changes, path, txn=txn)
-
-    # ------------------------------------------------------------- sync entries --
-    def add_sync_entry(self, path: str, access: str, userid: int,
-                       txn: Transaction | None = None) -> int:
-        entry_id = self._next_id("sync_entries")
-        self._insert_sync({
-            "entry_id": entry_id,
-            "path": path,
-            "access": access,
-            "userid": userid,
-            "opened_at": self.db.now(),
-        }, txn=txn)
-        return entry_id
-
-    def remove_sync_entry(self, path: str, access: str, userid: int,
-                          txn: Transaction | None = None) -> int:
-        """Remove one matching Sync-table entry (opens and closes pair up)."""
-
-        rows = self._sync_exact(path, access, userid)
-        if not rows:
-            return 0
-        return self._delete_sync(rows[0]["entry_id"], txn=txn)
-
-    def sync_entries(self, path: str) -> list[dict]:
-        return self._sync_by_path(path)
-
-    def clear_sync_entries(self, path: str | None = None) -> int:
-        if path is None:
-            return self._delete_all_sync()
-        return self._delete_sync_by_path(path)
-
-    # ------------------------------------------------------------ token entries --
-    def add_token_entry(self, path: str, userid: int, token_type: str,
-                        expires_at: float) -> int:
-        entry_id = self._next_id("token_entries")
-        self._insert_token({
-            "entry_id": entry_id,
-            "path": path,
-            "userid": userid,
-            "token_type": token_type,
-            "expires_at": expires_at,
-        })
-        return entry_id
-
-    def find_token_entry(self, path: str, userid: int, *, for_write: bool,
-                         now: float) -> dict | None:
-        """Find a live token entry authorizing the requested kind of access.
-
-        Served by the ``(path, userid)`` index: only the caller's own
-        entries are examined, first live match in registration order.
-        """
-
-        for row in self._tokens_by_owner(path, userid):
-            if row["expires_at"] < now:
-                continue
-            if for_write and row["token_type"] != "W":
-                continue
-            return row
-        return None
-
-    def purge_expired_tokens(self, now: float) -> int:
-        return self._delete_tokens(match=lambda row: row["expires_at"] < now)
 
     # ---------------------------------------------------------- update tracking --
     def add_tracking(self, row: dict, txn: Transaction | None = None) -> None:

@@ -7,23 +7,20 @@ This module adds a *serving/witness* replication scheme per shard:
 * :class:`WalShipper` streams the serving DLFM repository's **durable** WAL
   records to each witness over a daemon channel
   (:class:`~repro.datalinks.dlfm.daemons.ReplicaDaemon`), triggered by the
-  repository WAL's flush hook -- only flushed records ship, so a witness
-  can never hold a transaction the serving node could lose in a crash, and
-  node-local soft state (token-registry rows, Sync read entries) waits for
-  the next flush that carries hard state;
-  shipping is a *pipelined* send in simulated time (the witness applies
-  batches on its own clock domain; the sender pays only the enqueue cost),
-  so replication overlaps the serving node's foreground work;
+  repository WAL's flush hook -- every flush ships the records it made
+  durable, and only flushed records ship, so a witness can never hold a
+  transaction the serving node could lose in a crash.  Shipping is a
+  *pipelined* send in simulated time (the witness applies batches on its
+  own clock domain; the sender pays only the enqueue cost), so
+  replication overlaps the serving node's foreground work.  Node-local
+  soft state (the token registry and the Sync table,
+  :mod:`repro.datalinks.dlfm.soft_state`) never enters the WAL: each node
+  keeps its own, so a tokenized read ships nothing;
 * :class:`ReplicaApplier` applies the shipped stream on a witness:
   committed transactions are redone into the witness repository, aborted
   ones are dropped, and transactions that shipped a PREPARE vote but no
   outcome are kept *in doubt* until promotion resolves them from the host
   database's durable outcome (two-phase commit across a failover);
-* :class:`WitnessSoftState` holds the node-local soft state a witness
-  accrues while serving *follower reads* (token-registry and Sync entries):
-  the witness repository is redo-only -- its heaps must keep mirroring the
-  serving node's row ids exactly -- so this state lives beside it and is
-  migrated into the repository when the witness is promoted;
 * :class:`EpochRegistry` / :class:`EpochGuard` implement fencing: each
   shard has a monotonically increasing epoch and exactly one serving node;
   promotion bumps the epoch, so a deposed ex-serving node fails every
@@ -41,7 +38,7 @@ This module adds a *serving/witness* replication scheme per shard:
   when it was deposed -- no snapshot resync -- then roles swap back under a
   fence (:meth:`ReplicatedShard.fail_back`).  A snapshot resync remains the
   fallback whenever the deposed node's durable state diverged from the
-  serving lineage (it held hard-state records that never shipped) or the
+  serving lineage (it held durable records that never shipped) or the
   serving log has folded away the records it missed.
 
 Failpoints fire at every replication step, scoped by shard, so the
@@ -67,7 +64,7 @@ from repro.errors import (
 )
 from repro.ipc.channel import Channel
 from repro.simclock import SimClock, rendezvous, synchronized_call
-from repro.storage.wal import FOLD_AT, LogRecordType
+from repro.storage.wal import LogRecordType
 from repro.util.lsn import LSN
 
 
@@ -167,50 +164,6 @@ class EpochGuard:
 _DATA_RECORDS = (LogRecordType.INSERT, LogRecordType.UPDATE,
                  LogRecordType.DELETE, LogRecordType.CLR)
 
-#: Repository tables whose rows are node-local soft state: every node keeps
-#: (and enforces against) its own, so a serving-side write to them does not
-#: make a follower stale -- bar a Sync write entry (:func:`_count_hard`).
-_SOFT_STATE_TABLES = frozenset({"token_entries", "sync_entries"})
-
-_OUTCOME_RECORDS = (LogRecordType.COMMIT, LogRecordType.ABORT,
-                    LogRecordType.PREPARE)
-
-
-def _count_hard(records) -> int:
-    """How many of *records* carry hard state: the one soft/hard rule of
-    WAL shipping.
-
-    A record with a table (data, CLR, DDL) carries hard state unless the
-    table is node-local soft state (:data:`_SOFT_STATE_TABLES`).  The one
-    exception is a Sync entry with ``"write"`` access: a witness refuses a
-    follower read of a file under update on the strength of the serving
-    node's replicated write entry, so adding or removing one (an update
-    that starts, commits or is aborted) must reach it on its own flush.
-    An outcome (PREPARE / COMMIT / ABORT) carries hard state exactly when
-    its transaction wrote some: a walk back over the transaction's own
-    records (``LogRecord.prev``), O(transaction) however long the backlog
-    is.  The dangerous shape is a link whose data and PREPARE shipped
-    while its COMMIT did not.  Anything else (checkpoints, savepoints) has
-    nothing to apply.
-    """
-
-    count = 0
-    for record in records:
-        outcome = record.type in _OUTCOME_RECORDS
-        while record is not None:
-            table = record.table
-            if table is not None and (
-                    table not in _SOFT_STATE_TABLES
-                    or table == "sync_entries"
-                    and (record.after or record.before or {}).get(
-                        "access") == "write"):
-                count += 1
-                break
-            if not outcome:
-                break
-            record = record.prev
-    return count
-
 
 class ReplicaApplier:
     """Applies the primary's shipped WAL stream to the witness repository.
@@ -225,9 +178,7 @@ class ReplicaApplier:
     redo is positional; the one deliberate divergence is the ``ino`` column
     of ``linked_files``, which is rebound to the witness file system's inode
     numbers as rows arrive (the primary's inode numbers are meaningless on
-    another node).  Across a promotion the soft-state tables can part ways
-    (see :meth:`mirror_tables`); every re-sourced subscriber copies them
-    from its new serving node before the stream moves on.
+    another node).
     """
 
     def __init__(self, database, failpoints: dict, shard: str, files=None):
@@ -457,40 +408,6 @@ class ReplicaApplier:
         return {"committed": committed, "aborted": aborted}
 
     # ----------------------------------------------------------------- resync --
-    def mirror_tables(self, source, tables) -> int:
-        """Make *tables* row-for-row copies of the *source* catalog's;
-        returns how many rows were removed or added.
-
-        Redo keeps every table mirrored while one stream flows, but a
-        promotion can leave the soft-state tables apart.  A crash can leave
-        token-registry rows and Sync read entries durable on the deposed
-        node and never shipped (they ship lazily, see :class:`WalShipper`),
-        and the promoted node migrates its follower-read soft state into
-        its repository before the new stream's base.  Copying the tables at
-        the re-source point puts the row ids back in step, so positional
-        redo can neither skip a row nor collide on a primary key.
-        """
-
-        db = self._db
-        catalog = db.catalog
-        changed = 0
-        for table in tables:
-            heap = catalog.heap(table)
-            wanted = dict(source.heap(table).scan_live())
-            for rid, row in heap.scan_live():
-                if wanted.get(rid) != row:
-                    catalog.index_remove(table, row, rid)
-                    heap.delete(rid)
-                    changed += 1
-            for rid, row in wanted.items():
-                if not heap.exists(rid):
-                    heap.insert(row, rid=rid)
-                    catalog.index_insert(table, row, rid)
-                    changed += 1
-        if changed:
-            db._charge_run("row_write", changed)
-        return changed
-
     def reset_from_snapshot(self, snapshot: dict, state_lsn: LSN) -> None:
         """Replace the witness repository with a primary catalog snapshot."""
 
@@ -514,128 +431,27 @@ class ReplicaApplier:
 
 
 # ---------------------------------------------------------------------------
-# witness-local soft state (follower reads)
-# ---------------------------------------------------------------------------
-
-class WitnessSoftState:
-    """Node-local token-registry and Sync entries for follower reads.
-
-    A witness serving reads must register validated tokens (fs_lookup) and
-    Sync entries (open of a full-control file) like any DLFM, but it cannot
-    write them into its repository heaps: those are redo-only and must keep
-    mirroring the serving node's row ids exactly, or positional redo of the
-    shipped stream would corrupt them.  This ephemeral store holds that
-    state beside the repository.  It is volatile -- cleared by a crash,
-    exactly like the branch table -- and migrated into the real repository
-    when the node is promoted to a full primary (whose repository writes go
-    through its own WAL again).
-    """
-
-    def __init__(self):
-        #: ``(path, userid) -> [(token_type, expires_at), ...]`` in
-        #: registration order: a follower read looks at the caller's own
-        #: entries only, like the repository's ``(path, userid)`` index.
-        self.token_entries: dict[tuple, list[tuple]] = {}
-        #: ``path -> [(access, userid), ...]`` in open order.
-        self.sync_entries: dict[str, list[tuple]] = {}
-
-    # ----------------------------------------------------------------- tokens --
-    def add_token_entry(self, path: str, userid: int, token_type: str,
-                        expires_at: float) -> None:
-        self.token_entries.setdefault((path, userid), []).append(
-            (token_type, expires_at))
-
-    def find_token_entry(self, path: str, userid: int, *, for_write: bool,
-                         now: float) -> dict | None:
-        for token_type, expires_at in \
-                self.token_entries.get((path, userid), ()):
-            if expires_at < now:
-                continue
-            if for_write and token_type != "W":
-                continue
-            return {"path": path, "userid": userid,
-                    "token_type": token_type, "expires_at": expires_at}
-        return None
-
-    def purge_expired_tokens(self, now: float) -> int:
-        purged = 0
-        for key, entries in list(self.token_entries.items()):
-            live = [entry for entry in entries if entry[1] >= now]
-            purged += len(entries) - len(live)
-            if live:
-                self.token_entries[key] = live
-            else:
-                del self.token_entries[key]
-        return purged
-
-    def all_token_entries(self) -> list[dict]:
-        """Every token entry, each key's entries in registration order."""
-
-        return [{"path": path, "userid": userid,
-                 "token_type": token_type, "expires_at": expires_at}
-                for (path, userid), entries in self.token_entries.items()
-                for token_type, expires_at in entries]
-
-    # ------------------------------------------------------------ sync entries --
-    def add_sync_entry(self, path: str, access: str, userid: int) -> None:
-        self.sync_entries.setdefault(path, []).append((access, userid))
-
-    def remove_sync_entry(self, path: str, access: str, userid: int) -> int:
-        entries = self.sync_entries.get(path, [])
-        try:
-            entries.remove((access, userid))
-        except ValueError:
-            return 0
-        if not entries:
-            del self.sync_entries[path]
-        return 1
-
-    def sync_entries_for(self, path: str) -> list[dict]:
-        return [{"path": path, "access": access, "userid": userid}
-                for access, userid in self.sync_entries.get(path, ())]
-
-    def all_sync_entries(self) -> list[dict]:
-        """Every Sync entry, each path's entries in open order."""
-
-        return [entry for path in self.sync_entries
-                for entry in self.sync_entries_for(path)]
-
-    def clear(self) -> None:
-        self.token_entries.clear()
-        self.sync_entries.clear()
-
-
-# ---------------------------------------------------------------------------
 # serving-side shipping
 # ---------------------------------------------------------------------------
 
 class WalShipper:
     """Streams the primary repository's durable WAL records to the witness.
 
-    Registered as a flush listener on the primary repository's WAL.  A log
-    force (commit, group-commit drain, prepare vote) that makes *hard
-    state* durable pushes the whole unshipped durable suffix through the
-    replica daemon channel, in LSN order, so a hard-state record ships on
-    the flush that made it durable.  A force of node-local soft state only
-    -- the token-registry and Sync read rows every tokenized open writes,
-    see :func:`_count_hard` -- posts nothing: those records ride the
-    next hard-state flush, an explicit :meth:`ship` (promotion, catch-up),
-    or the flush at which the unshipped backlog reaches
-    :data:`~repro.storage.wal.FOLD_AT` records, whichever comes first.  A
-    witness therefore does not queue its follower reads behind one
-    shipment per serving-side read.
-
-    The shipper keeps a running count of the hard-state records in its
-    unshipped durable backlog (:meth:`unshipped_hard`), classifying each
-    record once, when it first becomes durable; neither the flush hook nor
-    :meth:`pending_lag` rescans the backlog.
+    Registered as a flush listener on the primary repository's WAL, so
+    shipping is continuous: every log force (commit, group-commit drain,
+    prepare vote) pushes the unshipped durable suffix through the replica
+    daemon channel, in LSN order: every durable record ships on the flush
+    that made it durable.  Every record in the log is state a
+    witness needs: the node-local token registry and Sync table never
+    enter it (:mod:`repro.datalinks.dlfm.soft_state`), so a tokenized read
+    neither forces the log nor ships anything.
 
     A witness that is down does not stall the primary -- the cursor simply
     stops advancing and the records ship on the next successful shipment
     (the *replica lag* the failover tests exercise).  The shipper is the
     listener's *reader*: the log folds nothing while the cursor is behind
-    its tail (see :mod:`repro.storage.wal`), so a paused, cut-off or
-    soft-state backlog loses nothing.
+    its tail (see :mod:`repro.storage.wal`), so a paused or cut-off stream
+    loses nothing.
     """
 
     def __init__(self, repository, channel: Channel, failpoints: dict,
@@ -644,26 +460,16 @@ class WalShipper:
         self._channel = channel
         self._failpoints = failpoints
         self._shard = shard
+        #: The witness holds every record up to here.
+        self.cursor: LSN = repository.durable_lsn()
         self.paused = False
         self.shipped_records = 0
         self.ship_errors = 0
-        self.restart_at(repository.durable_lsn())
         repository.add_wal_listener(self._on_flush, reader=self)
-
-    def restart_at(self, lsn: LSN) -> None:
-        """Put the cursor at *lsn*: the witness holds everything up to it."""
-
-        self.cursor = lsn
-        #: The unshipped durable records classified so far end here; the
-        #: hard-state ones among them number :attr:`_hard`.
-        self._classified = lsn
-        self._hard = 0
 
     def _on_flush(self, wal) -> None:
         if self.paused:
             return
-        if not self.unshipped_hard() and self.lag() < FOLD_AT:
-            return          # soft state only: it rides the next shipment
         try:
             self.ship()
         except IPCError:
@@ -682,7 +488,7 @@ class WalShipper:
             fire(self._failpoints, "replicate:ship", self._shard)
         # Pipelined: the primary does not wait for the witness to apply.
         self._channel.post("apply_wal", records=records)
-        self.restart_at(records[-1].lsn)
+        self.cursor = records[-1].lsn
         self.shipped_records += count
         return count
 
@@ -692,23 +498,8 @@ class WalShipper:
 
         return self._repository.durable_lsn() - self.cursor
 
-    def unshipped_hard(self) -> int:
-        """Hard-state records among the durable ones not shipped yet.
-
-        Only records made durable since the last call are classified; the
-        durable prefix never changes (a crash loses only the unflushed
-        tail, and the log folds nothing past this reader's cursor).
-        """
-
-        durable = self._repository.durable_lsn()
-        if self._classified < durable:
-            self._hard += _count_hard(
-                self._repository.wal_records_since(self._classified))
-            self._classified = durable
-        return self._hard
-
     def pending_lag(self) -> int:
-        """Hard-state records the witness has not applied, durable or not.
+        """Records the witness has not received, durable or not.
 
         This is the *staleness* measure follower reads are bounded by: a
         group-commit window can hold committed-and-visible transactions
@@ -717,20 +508,9 @@ class WalShipper:
         mirrored file copies have not had the link-time access constraints
         applied yet, so serving from it would not merely be stale, it would
         skip token enforcement.
-
-        Node-local soft state is excluded (:func:`_count_hard`): a
-        witness validates tokens and read opens against its own store, so
-        neither a serving-side token handout nor the soft-state backlog
-        this shipper holds back disqualifies it.  A Sync write entry
-        counts: a witness missing its removal would refuse reads.  The
-        durable part is the running :meth:`unshipped_hard`; only the
-        not-yet-durable tail -- at most one group-commit window and the
-        open transactions -- is classified per call.
         """
 
-        hard = self.unshipped_hard()
-        buffered = self._repository.wal_records_pending(self._classified)
-        return hard + _count_hard(buffered) if buffered else hard
+        return self._repository.tail_lsn() - self.cursor
 
     def pause(self) -> None:
         self.paused = True
@@ -958,19 +738,12 @@ class ReplicatedShard:
         shipper = WalShipper(self.serving.dlfm.repository, channel,
                              self.engine.failpoints, self.name)
         if base is not None:
-            shipper.restart_at(base)
+            shipper.cursor = base
             applier.applied_lsn = base
         self._streams[node_name] = shipper
         self._synced[node_name] = True
         self._rejoin_base.pop(node_name, None)
         return shipper
-
-    def _mirror_soft_state(self, node_name: str) -> None:
-        """Copy the serving node's soft-state tables to a re-sourced
-        subscriber (:meth:`ReplicaApplier.mirror_tables`)."""
-
-        self.nodes[node_name].dlfm.replica.mirror_tables(
-            self.serving.dlfm.repository.db.catalog, _SOFT_STATE_TABLES)
 
     def _detach_stream(self, node_name: str) -> None:
         shipper = self._streams.pop(node_name, None)
@@ -1108,8 +881,7 @@ class ReplicatedShard:
                     and self._synced.get(name)]
         if eligible:
             # The most caught-up witness loses the least.  Normally they
-            # tie: every stream ships on the same hard-state flushes, so
-            # any soft-state backlog is one that every witness lacks.
+            # tie: every stream ships on the same flushes.
             return max(eligible,
                        key=lambda name: self.nodes[name].dlfm.replica
                        .applied_lsn.value)
@@ -1135,13 +907,11 @@ class ReplicatedShard:
         (resolve shipped in-doubt transactions from the host database's
         durable outcome, restore content, rebind inodes and ownership), bump
         the epoch so every other node is fenced, then turn the target into a
-        **full primary**: it leaves redo-only replica mode (migrating its
-        follower-read soft state into the repository) and checkpoints, so
-        the redo-applied state survives its own crashes.  Finally the
-        remaining subscribers are re-sourced from the new serving node
-        (copying its soft-state tables, see
-        :meth:`ReplicaApplier.mirror_tables`) and the deposed ex-serving
-        node's reversed-ship catch-up point is recorded.
+        **full primary**: it leaves redo-only replica mode and checkpoints,
+        so the redo-applied state survives its own crashes.  Finally the
+        remaining subscribers are re-sourced from the new serving node and
+        the deposed ex-serving node's reversed-ship catch-up point is
+        recorded.
         """
 
         target = self.nodes[target_name]
@@ -1173,11 +943,7 @@ class ReplicatedShard:
                             shipper.ship()
                         except IPCError:
                             pass
-            # Hard state only: a soft-state backlog left behind by a crash
-            # is node-local and voids neither a subscriber nor the deposed
-            # node's reversed-ship base; re-sourcing copies the soft tables
-            # (_mirror_soft_state).
-            residual_lag = {name: shipper.unshipped_hard()
+            residual_lag = {name: shipper.lag()
                             for name, shipper in self._streams.items()}
             for shipper in self._streams.values():
                 shipper.pause()
@@ -1188,14 +954,10 @@ class ReplicatedShard:
             summary = target.dlfm.replica_catch_up(outcomes)
             fire(self.engine.failpoints, "replicate:fence", self.name)
             epoch = self.registry.promote(self.name, target_name)
-            # Past the fence: the target is a full primary now.  Sample the
-            # inherited Sync entries before the soft-state migration so the
-            # post-promotion rollback can tell the deposed node's opens
-            # apart from this node's own live follower reads.
-            inherited_sync = target.dlfm.inherited_sync_entry_ids()
+            # Past the fence: the target is a full primary now.
             self._detach_stream(target_name)
             self._synced.pop(target_name, None)
-            summary["soft_state"] = target.dlfm.disable_replica_mode()
+            target.dlfm.disable_replica_mode()
             target.dlfm.repository.db.checkpoint()
         target_clean = residual_lag.get(target_name, 0) == 0
         base = target.dlfm.repository.db.wal.flushed_lsn
@@ -1211,19 +973,16 @@ class ReplicatedShard:
                 continue
             other.dlfm.replica.resolve_in_doubt(outcomes)
             self._subscribe(other_name, base=base)
-            if other_clean:
-                self._mirror_soft_state(other_name)
-            else:
+            if not other_clean:
                 self._resync_subscriber(other_name)
         # The deposed ex-serving node: remember where a reversed stream can
-        # pick it up.  Divergence (durable hard-state records the target
-        # never received) voids the fast path and forces the snapshot
+        # pick it up.  Divergence (durable records the target never
+        # received) voids the fast path and forces the snapshot
         # fallback.
         if old_serving.running:
             # Planned hand-off (fail-back): the old serving node is alive
             # and fully shipped; it becomes a witness on the spot.
             self._subscribe(old_serving_name, base=base)
-            self._mirror_soft_state(old_serving_name)
         else:
             self._rejoin_base[old_serving_name] = base if target_clean else None
         # Roll back the updates the deposed node had in flight -- only now,
@@ -1232,7 +991,7 @@ class ReplicatedShard:
         # and witness heaps stay positionally identical.
         with synchronized_call(self.clock, target.clock):
             summary["rolled_back_updates"] = \
-                target.dlfm.rollback_inherited_updates(inherited_sync)
+                target.dlfm.rollback_inherited_updates()
             target.dlfm.repository.db.wal.flush()
         summary.update({"promoted": True, "epoch": epoch,
                         "serving": target_name})
@@ -1246,10 +1005,9 @@ class ReplicatedShard:
         stream at the LSN recorded when it was deposed -- its own
         last-applied point in the serving lineage -- and catches up by
         shipping only the records it missed (plus a content delta for files
-        ingested while it was gone, and a copy of the soft-state tables in
-        place of the ones its crash left unshipped).  No snapshot resync.
+        ingested while it was gone).  No snapshot resync.
         The fallback snapshot path runs when the deposed node's durable
-        hard state diverged from the serving lineage, or when the serving
+        state diverged from the serving lineage, or when the serving
         log has folded the records it missed away
         (:class:`~repro.errors.LogFoldedError`).
         """
@@ -1282,12 +1040,9 @@ class ReplicatedShard:
             return {"rejoined": True, "mode": "snapshot", **summary}
         rendezvous(self.clock, self.serving.clock, node.clock)
         before = shipper.shipped_records
-        # The flush ships the missed suffix only if it holds hard state or
-        # reaches FOLD_AT records; the explicit ship() ships the rest.
         self.serving.dlfm.repository.db.wal.flush()
         shipper.ship()
         shipped = shipper.shipped_records - before
-        self._mirror_soft_state(node_name)
         restored_files = self._mirror_missing_content(node)
         rebind = node.dlfm.replica_rebind()
         rendezvous(self.clock, self.serving.clock, node.clock)
@@ -1352,7 +1107,7 @@ class ReplicatedShard:
                                               db.wal.flushed_lsn)
         self._mirror_missing_content(node)
         rebind = node.dlfm.replica_catch_up({})
-        shipper.restart_at(db.wal.flushed_lsn)
+        shipper.cursor = db.wal.flushed_lsn
         shipper.resume()
         self._synced[node_name] = True
         self.full_resyncs += 1

@@ -144,17 +144,16 @@ class ReplicationRouter:
     """Roles and routes for every shard of a deployment.
 
     ``follower_reads`` switches witness read service on or off deployment-wide;
-    ``max_follower_lag`` is the staleness bound, in hard-state WAL records
-    the witness has not applied -- **durable or still buffered** (under
-    group commit a transaction can be committed and visible on the serving
-    node before its records are forced; a witness missing them has neither
-    the rows nor the link-time access constraints on its mirrored files, so
-    it must not count as caught up).  Because every log force that carries
-    hard state ships, pipelined, a quiesced witness sits at lag 0 (the
-    node-local soft state a shipper holds back does not count); a paused
-    stream, an undrained group-commit window or in-flight transactions push
-    it over the bound and the router quietly falls back to the serving node
-    (counted in ``follower_rejects``).
+    ``max_follower_lag`` is the staleness bound, in WAL records the witness
+    has not applied -- **durable or still buffered** (under group commit a
+    transaction can be committed and visible on the serving node before its
+    records are forced; a witness missing them has neither the rows nor the
+    link-time access constraints on its mirrored files, so it must not
+    count as caught up).  Because every log force ships, pipelined, and a
+    tokenized read writes nothing to the log, a quiesced witness sits at
+    lag 0; a paused stream, an undrained group-commit window or in-flight
+    transactions push it over the bound and the router quietly falls back
+    to the serving node (counted in ``follower_rejects``).
     """
 
     def __init__(self, placement, *, follower_reads: bool = True,

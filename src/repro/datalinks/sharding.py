@@ -36,9 +36,9 @@ file servers"; this module turns that into an operational scale-out layer:
 With ``replication=True`` every shard additionally gets one or more
 **witness replicas** (``shard0-r``, ``shard0-r2``, ... for ``shard0``):
 linked-file content is mirrored at ingest and the serving node's repository
-WAL stream ships to every witness on every log force that carries hard
-state (node-local token-registry rows and Sync read entries ride with the
-next one).  Routing is owned by a
+WAL stream ships to every witness on every log force; the token registry
+and the Sync table are node-local soft state, kept by every node for
+itself and never logged or shipped.  Routing is owned by a
 :class:`~repro.datalinks.routing.ReplicationRouter`:
 
 * **writable failover** -- when a primary crashes,

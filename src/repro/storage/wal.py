@@ -37,12 +37,10 @@ through :attr:`LogRecord.prev`, each record's link to the same transaction's
 previous one, starting from a table of the *last record of every transaction
 that has no COMMIT / ABORT yet*.  The table is all the log keeps per
 transaction and an outcome record empties the entry, so a finished
-transaction costs its records and nothing else.  Two readers need the links:
-a recovering DLFM looks up an in-doubt branch's PREPARE
-(:meth:`WriteAheadLog.records_of`; PREPARE keeps the entry), and the WAL
-shipper asks, of each outcome record a witness has not applied, whether its
-transaction wrote hard state -- a walk from that record, O(transaction)
-however long the unshipped backlog is.  The system pseudo-transaction
+transaction costs its records and nothing else.  A recovering DLFM follows
+the links to look up an in-doubt branch's PREPARE
+(:meth:`WriteAheadLog.records_of`; PREPARE keeps the entry).  The system
+pseudo-transaction
 (:data:`SYSTEM_TXN_ID`, which writes only CHECKPOINT records) is not a
 transaction: its records are not linked and it never enters the table.
 

@@ -202,18 +202,17 @@ class TestTokenExpiryEdges:
             manager.validate(token, "/f")
 
     def test_registry_entry_boundary_matches_token_boundary(self):
-        from repro.datalinks.dlfm.repository import DLFMRepository
-        from repro.storage.database import Database
+        from repro.datalinks.dlfm.soft_state import SoftState
 
-        repository = DLFMRepository(Database("dlfm-test", SimClock()))
-        repository.add_token_entry("/f", 1001, "R", expires_at=5.0)
-        assert repository.find_token_entry("/f", 1001, for_write=False,
-                                           now=5.0) is not None
-        assert repository.find_token_entry("/f", 1001, for_write=False,
-                                           now=5.0 + 1e-9) is None
+        registry = SoftState(SimClock(), 1.0)
+        registry.add_token_entry("/f", 1001, "R", expires_at=5.0)
+        assert registry.find_token_entry("/f", 1001, for_write=False,
+                                         now=5.0) is not None
+        assert registry.find_token_entry("/f", 1001, for_write=False,
+                                         now=5.0 + 1e-9) is None
         # housekeeping purges only strictly-expired entries
-        assert repository.purge_expired_tokens(now=5.0) == 0
-        assert repository.purge_expired_tokens(now=5.0 + 1e-9) == 1
+        assert registry.purge_expired_tokens(now=5.0) == 0
+        assert registry.purge_expired_tokens(now=5.0 + 1e-9) == 1
 
     def test_clock_shared_across_shards_expires_tokens_everywhere(self):
         """One SimClock drives every shard: tokens minted against files on

@@ -64,13 +64,18 @@ class TestStrictReadSync:
         update.commit()
 
     def test_strict_reads_record_and_remove_sync_entries(self):
+        """The open records alice's read in the node's Sync table and the
+        close removes it; neither writes a repository log record."""
+
         system, alice, paths = build_strict_rfd_system()
         dlfm = system.file_server("fs1").dlfm
+        wal = dlfm.repository.db.wal
+        records = len(wal)
         fd = system.file_server("fs1").lfs.open(paths[0], OpenFlags.READ, alice.cred)
-        entries = dlfm.repository.sync_entries(paths[0])
-        assert [entry["access"] for entry in entries] == ["read"]
+        assert dlfm.soft.sync == {paths[0]: [("read", 1001)]}
         system.file_server("fs1").lfs.close(fd)
-        assert dlfm.repository.sync_entries(paths[0]) == []
+        assert dlfm.soft.sync == {}
+        assert len(wal) == records
 
     def test_strict_read_blocks_unlink_of_open_file(self):
         system, alice, paths = build_strict_rfd_system()
@@ -92,21 +97,23 @@ class TestStrictReadSync:
         alice.fs("fs1").write_file("/library/unlinked.txt", b"free")
         assert alice.fs("fs1").read_file("/library/unlinked.txt") == b"free"
         dlfm = system.file_server("fs1").dlfm
-        assert dlfm.repository.sync_entries("/library/unlinked.txt") == []
+        assert dlfm.soft.sync == {}
 
 
 class TestHousekeeping:
     def test_expired_tokens_are_purged(self, rdd_system):
-        system, alice, _, _ = rdd_system
+        system, alice, paths, _ = rdd_system
         url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
                                  access="read", ttl=0.5)
         alice.read_url(url)
+        alice.read_url(url)
         dlfm = system.file_server("fs1").dlfm
-        assert dlfm.repository.db.count("token_entries") >= 1
+        # Two validations of alice's read token, one registry entry.
+        assert list(dlfm.soft.tokens) == [(paths[0], 1001, "R")]
         system.clock.advance(5.0)
         counts = system.run_housekeeping()
-        assert counts["fs1"]["purged_tokens"] >= 1
-        assert dlfm.repository.db.count("token_entries") == 0
+        assert counts["fs1"]["purged_tokens"] == 1
+        assert dlfm.soft.tokens == {}
 
     def test_purges_on_two_servers_overlap(self):
         """The servers purge side by side: the host waits for the slower

@@ -10,8 +10,9 @@ the charges the check names.
   out what the loop of per-row ``get_datalink`` calls hands out, checked
   against that loop on twin systems; its ledger is the loop's less exactly
   the charges of one statement per shape and one engine dispatch per call.
-* ``TestSmokeWorkloadLedgerIdentity``: the composite ``(path, userid)``
-  token-registry index moves no simulated charge of the E9 smoke run.
+* ``TestServingAndWitnessReadsChargeAlike``: a tokenized read of one file
+  on a replicated deployment charges the same ledger whichever node serves
+  it (ROADMAP direction 6(b)).
 * ``TestUpdateInPlaceIsTableSizeIndependent``: the file-keyed reference
   index moves no simulated charge, and update-in-place costs the same
   number of Python calls whatever the table size.
@@ -22,8 +23,6 @@ from __future__ import annotations
 import random
 
 import pytest
-
-from repro.storage.database import Database
 
 
 def _group_snapshot(group) -> dict:
@@ -235,56 +234,51 @@ class TestBulkHandoutIsOneStatementPerShape:
                         _group_snapshot(loop.clocks), (mode, access)
 
 
-class TestSmokeWorkloadLedgerIdentity:
-    """The real E9 smoke configuration as the fixture of the
-    composite-index check."""
+class TestServingAndWitnessReadsChargeAlike:
+    """Every node keeps its own token registry and Sync table and charges
+    them alike, so a read served by a witness pays the paper's read-path
+    work exactly as one served by the serving node: the per-label ledger of
+    the read is the same, label for label, count for count, on the first
+    read a node serves and on a repeat."""
 
-    def _run_e9(self) -> dict:
-        from repro.bench.runner import EXPERIMENTS
+    @pytest.mark.parametrize("mode", ["rdb", "rdd", "rfd"])
+    def test_one_file_read_on_each_node(self, mode):
         from repro.datalinks.control_modes import ControlMode
-        from repro.workloads.clients import closed_loop_sweep
-        from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
+        from tests.datalinks.test_replication import (TABLE, build_deployment,
+                                                      link, path_on)
 
-        sizes = EXPERIMENTS["E9"].sizes("smoke")
-        config = WebSiteConfig(pages=sizes["pages"],
-                               operations=sizes["operations"],
-                               page_size=sizes["page_size"],
-                               file_servers=2,
-                               control_mode=ControlMode.RDD,
-                               clients=2)
-        workload = WebServerWorkload(config).setup()
-        workload.run()
-        steps = list(closed_loop_sweep(
-            workload.system, sizes["sweep"], workload.sweep_step,
-            admission_limit=sizes["admission_limit"],
-            think_s=sizes["think_s"]))
-        snapshot = _group_snapshot(workload.system.clocks)
-        snapshot["sweep"] = steps
-        return snapshot
-
-    def test_composite_token_index_moves_no_simulated_charge(self,
-                                                             monkeypatch):
-        """The ``(path, userid)`` index on ``token_entries`` is
-        simulator-only: candidate enumeration is uncharged and the matched
-        rows are the same, so every clock cell of the E9 smoke run (mix
-        plus session sweep) equals the path-only index's bit for bit."""
-
-        composite = self._run_e9()
-        assert "dlfm.row_read" in composite["merged"]
-
-        create_index = Database.create_index
-        narrowed = []
-
-        def path_only(self, index_name, table, columns, **options):
-            if table == "token_entries":
-                narrowed.append(tuple(columns))
-                columns = ("path",)
-            return create_index(self, index_name, table, columns, **options)
-
-        monkeypatch.setattr(Database, "create_index", path_only)
-        reference = self._run_e9()
-        assert narrowed and set(narrowed) == {("path", "userid")}
-        assert composite == reference
+        deployment, session = build_deployment(
+            mode=ControlMode.from_string(mode))
+        link(deployment, session, 0, path_on(deployment, "shard0", "read"),
+             b"served anywhere")
+        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                   access="read", ttl=1e9)
+        stats = deployment.system.clocks.stats
+        ledgers = {}
+        for node in ("shard0", "shard0-r") * 2:
+            before = stats.ledger()
+            assert session.read_url(url, server=node) == b"served anywhere"
+            after = stats.ledger()
+            ledgers.setdefault(node, []).append(
+                {label: (count - before.get(label, (0, 0))[0],
+                         ticks - before.get(label, (0, 0))[1])
+                 for label, (count, ticks) in after.items()
+                 if (count, ticks) != before.get(label)})
+        assert ledgers["shard0"] == ledgers["shard0-r"]
+        first, repeat = ledgers["shard0"]
+        if mode == "rfd":
+            # rfd reads are file-system controlled: no upcall at all.
+            assert not any(label.startswith("dlfm.") for label in first)
+        else:
+            # Three upcalls (lookup, open, close), each with its link-row
+            # probe, plus token upsert, token check, update check, Sync
+            # open and Sync close: no BEGIN, lock or log force.
+            assert first["dlfm.sql_statement_base"][0] == 8
+            assert "dlfm.log_write" not in first
+            assert "dlfm.lock_acquire" not in first
+        # The repeat validates the same token again: the upsert is the same
+        # keyed write whether it inserts the entry or finds it there.
+        assert repeat == first
 
 
 def _update_in_place_mix(files: int, updates: int, seed: int = 42):

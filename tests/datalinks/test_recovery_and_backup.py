@@ -56,7 +56,7 @@ class TestCrashRecovery:
         system.crash_file_server("fs1")
         system.recover_file_server("fs1")
         dlfm = system.file_server("fs1").dlfm
-        assert dlfm.repository.sync_entries(paths[0]) == []
+        assert dlfm.soft.sync == {}
         assert dlfm.repository.all_tracking() == []
         # the writer slot is free again
         url2 = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")

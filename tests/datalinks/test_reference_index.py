@@ -75,8 +75,7 @@ class TestIndexesSurviveCrash:
         before = repository.db.catalog.index_defs()
         assert sorted(d["name"] for defs in before.values() for d in defs
                       if not d["name"].endswith("_pk")) == [
-            "archive_queue_path", "file_versions_path", "linked_files_ino",
-            "sync_entries_path", "token_entries_path_userid"]
+            "archive_queue_path", "file_versions_path", "linked_files_ino"]
         system.flush_logs()
         host.crash()
         host.recover()

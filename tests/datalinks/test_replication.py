@@ -17,7 +17,7 @@ from repro.errors import (DaemonUnavailableError, FencedNodeError,
                           FileSystemError, LogFoldedError, ReproError)
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-from repro.storage.wal import FOLD_AT, LogRecordType
+from repro.storage.wal import FOLD_AT
 from repro.util.urls import parse_url
 
 TABLE = "replica_docs"
@@ -602,27 +602,6 @@ class TestFollowerReads:
         assert routing["reads_by_role"]["serving"] >= 2
         assert routing["reads_by_role"]["witness"] >= 2
 
-    def test_witness_soft_state_stays_out_of_replica_heaps(self):
-        """A follower read registers its token entry in the witness's
-        ephemeral soft state; the redo-only repository heaps keep mirroring
-        the primary's rows exactly."""
-
-        deployment, session = build_deployment(mode=ControlMode.RDB)
-        replica = deployment.replicas["shard0"]
-        link(deployment, session, 0, path_on(deployment, "shard0", "soft"),
-             b"soft state")
-        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
-                                   access="read", ttl=1e9)
-        # read through the witness explicitly
-        assert session.read_url(url, server="shard0-r") == b"soft state"
-        status = replica.witness.dlfm.replica_status()
-        assert status["soft_token_entries"] >= 1
-        deployment.system.flush_logs()
-        primary_repo = deployment.shard("shard0").dlfm.repository
-        witness_repo = replica.witness.dlfm.repository
-        assert len(witness_repo.db.select("token_entries", lock=False)) == \
-            len(primary_repo.db.select("token_entries", lock=False))
-
     def test_stale_follower_is_skipped_and_gated(self):
         """A witness past the staleness bound is skipped by the router and
         refuses direct reads through the DLFM gate."""
@@ -854,16 +833,6 @@ class TestStalenessBoundCoversBufferedCommits:
                 deployment.read_url(stranger, bare_url)
 
 
-def _soft_opens(repository, path: str, opens: int = 3) -> None:
-    """What a tokenized open writes on a DLFM: a token-registry row and a
-    Sync entry opened and closed, each its own local transaction."""
-
-    for _ in range(opens):
-        repository.add_token_entry(path, 1001, "R", 1e9)
-        repository.add_sync_entry(path, "R", 1001)
-        repository.remove_sync_entry(path, "R", 1001)
-
-
 def _record_batches(monkeypatch, node) -> list:
     """The LSNs of every WAL batch *node*'s applier receives, per batch."""
 
@@ -879,92 +848,55 @@ def _record_batches(monkeypatch, node) -> list:
     return batches
 
 
-class TestSoftStateShipsLazily:
-    """Token-registry and Sync rows are node-local soft state: a flush of
-    nothing else posts nothing, and they ride the next hard-state flush or
-    ship once the backlog reaches ``FOLD_AT`` records."""
+class TestReadsLeaveTheLogAlone:
+    """A tokenized read registers its token and opens and closes its Sync
+    entry in the soft state of the node that serves it: no repository log
+    record, no log force and no shipment, whichever node that is."""
 
-    def test_a_soft_only_flush_posts_nothing(self, monkeypatch):
-        deployment, session = build_deployment(mode=ControlMode.RDB)
-        replica = deployment.replicas["shard0"]
-        path = path_on(deployment, "shard0", "soft")
-        link(deployment, session, 0, path, b"soft only")
-        shipper = replica.shipper
-        assert shipper.lag() == 0           # the link shipped on its flush
-        batches = _record_batches(monkeypatch, replica.witness)
-        wal = replica.serving.dlfm.repository.db.wal
-        flushes = wal.flush_count
-        _soft_opens(replica.serving.dlfm.repository, path)
-        assert wal.flush_count - flushes == 9   # every soft commit forced
-        assert batches == []
-        assert shipper.lag() == wal.flushed_lsn - shipper.cursor > 0
-        assert shipper.unshipped_hard() == shipper.pending_lag() == 0
-        assert replica.follower_eligible("shard0-r")
-        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
-                                   access="read", ttl=1e9)
-        assert session.read_url(url, server="shard0-r") == b"soft only"
-
-    def test_the_next_hard_flush_ships_the_backlog_in_lsn_order(
+    def test_a_read_on_either_node_writes_and_ships_nothing(
             self, monkeypatch):
         deployment, session = build_deployment(mode=ControlMode.RDB)
         replica = deployment.replicas["shard0"]
-        path = path_on(deployment, "shard0", "soft")
-        link(deployment, session, 0, path)
+        path = path_on(deployment, "shard0", "quiet")
+        link(deployment, session, 0, path, b"read quietly")
         shipper = replica.shipper
-        backlog_from = shipper.cursor
-        _soft_opens(replica.serving.dlfm.repository, path)
+        assert shipper.lag() == shipper.pending_lag() == 0
         batches = _record_batches(monkeypatch, replica.witness)
-        link(deployment, session, 1, path_on(deployment, "shard0", "hard"))
-        durable = replica.serving.dlfm.repository.durable_lsn()
-        assert batches and batches[0][0] == backlog_from + 1
-        assert [lsn for batch in batches for lsn in batch] == \
-            list(range(backlog_from + 1, durable + 1))
-        assert shipper.lag() == 0
-        assert replica.witness.dlfm.replica.applied_lsn == durable
-        assert _repository_rows(replica.witness) == \
-            _repository_rows(replica.serving)
+        wals = [node.dlfm.repository.db.wal
+                for node in (replica.serving, replica.witness)]
+        before = [(len(wal), wal.flush_count) for wal in wals]
+        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                   access="read", ttl=1e9)
+        for node in ("shard0", "shard0-r") * 3:
+            assert session.read_url(url, server=node) == b"read quietly"
+        assert [(len(wal), wal.flush_count) for wal in wals] == before
+        assert batches == []
+        assert shipper.lag() == shipper.pending_lag() == 0
+        assert replica.follower_eligible("shard0-r")
+        registries = [node.dlfm.soft.tokens
+                      for node in (replica.serving, replica.witness)]
+        assert registries[0] == registries[1]
+        assert list(registries[0]) == [(path, 1001, "R")]
+        assert replica.serving.dlfm.soft.sync == \
+            replica.witness.dlfm.soft.sync == {}
 
-    def test_a_soft_backlog_ships_once_it_reaches_fold_at(self, monkeypatch):
-        deployment, session = build_deployment()
-        replica = deployment.replicas["shard0"]
-        path = path_on(deployment, "shard0", "soft")
-        link(deployment, session, 0, path)
-        shipper = replica.shipper
-        repository = replica.serving.dlfm.repository
-        wal = repository.db.wal
-        batches = _record_batches(monkeypatch, replica.witness)
-        # One soft transaction (its rows, BEGIN and COMMIT) that leaves the
-        # backlog one record short.
-        repository.db.insert_many("token_entries", [
-            {"entry_id": 10_000 + key, "path": path, "userid": 1001,
-             "token_type": "R", "expires_at": 1e9}
-            for key in range(FOLD_AT - 3)])
-        assert shipper.lag() == FOLD_AT - 1
-        assert batches == [] and len(wal.records()) > FOLD_AT
-        cursor = shipper.cursor
-        repository.add_token_entry(path, 1001, "R", 1e9)
-        assert batches == [list(range(cursor + 1,
-                                      repository.durable_lsn() + 1))]
-        assert len(batches[0]) >= FOLD_AT
-        assert shipper.lag() == 0
-        assert wal.records() == []          # shipped, so the log folded
-        assert _repository_rows(replica.witness) == \
-            _repository_rows(replica.serving)
-
-    def test_a_crash_over_a_soft_backlog_keeps_every_fast_path(self):
-        """Promotion counts hard-state residual lag only: a soft backlog the
-        crash left unshipped neither resyncs the second witness nor voids
-        the deposed node's reversed-ship base (E12's ``failover_ms``)."""
+    def test_a_crash_after_reads_keeps_every_fast_path(self):
+        """Reads leave no unshipped record behind, so a crash right after
+        them neither resyncs the second witness nor voids the deposed
+        node's reversed-ship base (E12's ``failover_ms``)."""
 
         deployment, session = build_deployment(mode=ControlMode.RDB,
                                                witnesses=2)
         replica = deployment.replicas["shard0"]
-        path = path_on(deployment, "shard0", "soft")
+        path = path_on(deployment, "shard0", "quiet")
         link(deployment, session, 0, path, b"before the crash")
-        _soft_opens(replica.serving.dlfm.repository, path)
+        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                   access="read", ttl=1e9)
+        for _ in range(3):
+            assert session.read_url(url, server="shard0") == \
+                b"before the crash"
         streams = [replica._streams[node.name] for node in replica.witnesses]
-        assert all(shipper.lag() > 0 and shipper.unshipped_hard() == 0
-                   for shipper in streams)
+        assert all(shipper.lag() == 0 for shipper in streams)
         deployment.crash_shard("shard0")
         serving = deployment.fail_over("shard0")["serving"]
         other = next(node.name for node in replica.witnesses
@@ -981,16 +913,14 @@ class TestSoftStateShipsLazily:
             assert {row["path"] for row in
                     node.dlfm.repository.linked_files()} == \
                 deployment.linked_paths("shard0") == {path, later}
-            # The token rows the crash left unshipped on the deposed node
-            # went when it rejoined: every table, soft ones included,
-            # mirrors the serving node's row ids again.
             assert _repository_rows(node) == \
                 _repository_rows(replica.serving)
 
     def test_an_aborted_update_frees_the_witness_on_its_own_flush(self):
-        """A Sync write entry is the soft row a follower read consults, so
-        the abort that removes it ships at once: a witness read of the file
-        succeeds with no hard write in between."""
+        """A witness refuses a read of a file under update on the strength
+        of the replicated ``update_tracking`` row, so the abort that removes
+        it ships at once: a witness read of the file succeeds with no other
+        write in between."""
 
         deployment, session = build_deployment(mode=ControlMode.RDD,
                                                recovery=True)
@@ -1004,81 +934,70 @@ class TestSoftStateShipsLazily:
         update = session.update_file(write_url, truncate=True)
         update.begin()
         update.write(b"half done")
+        assert replica.witness.dlfm.repository.tracking(path) is not None
         read_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                         access="read", ttl=1e9)
         with pytest.raises(FileSystemError, match="being updated"):
             session.read_url(read_url, server="shard0-r")
         assert deployment.system.abort_file_update("shard0", path)
-        assert replica.shipper.unshipped_hard() == 0
-        assert replica.witness.dlfm.repository.sync_entries(path) == []
+        assert replica.shipper.pending_lag() == 0
+        assert replica.witness.dlfm.repository.tracking(path) is None
         assert session.read_url(read_url, server="shard0-r") == \
             b"committed bytes"
 
 
-def _cold_hard(wal, records) -> int:
-    """Hard-state records among *records*, classified from scratch: a
-    record with a table by that table (a Sync write entry counts as
-    hard), an outcome by whether any record of its transaction in the
-    retained log is hard."""
-
-    def hard(record) -> bool:
-        if record.table in ("token_entries", "sync_entries"):
-            image = record.after or record.before or {}
-            return record.table == "sync_entries" and \
-                image.get("access") == "write"
-        return record.table is not None
-
-    hard_txns = {record.txn_id for record in wal.records() if hard(record)}
-    outcomes = {LogRecordType.PREPARE, LogRecordType.COMMIT,
-                LogRecordType.ABORT}
-    return sum(1 for record in records
-               if (hard(record) if record.table is not None
-                   else record.type in outcomes
-                   and record.txn_id in hard_txns))
-
-
-class TestHardLagMemoMatchesAColdRescan:
-    """Every shipper's running hard-state count equals a cold rescan of
-    its backlog after every step of a seeded history: soft and hard
-    transactions, Sync write entries, group-commit-buffered transactions,
-    pause / resume, crash / recover, and promotion with fail-back."""
+class TestCaughtUpWitnessesMirror:
+    """The staleness bound is honest: after every step of a seeded history
+    -- reads on either node, updates begun and aborted, padding, links,
+    group-commit-buffered transactions, pause / resume, crash / recover,
+    promotion and fail-back -- every running, unpaused subscriber whose
+    pending lag is 0 holds the serving node's repository rows exactly, and
+    its pending lag is never below its durable lag."""
 
     @staticmethod
     def check(replica) -> None:
+        if not replica.serving.running:
+            return
         for name, shipper in replica._streams.items():
-            repository = replica.serving.dlfm.repository
-            wal = repository.db.wal
-            cursor = shipper.cursor
-            assert shipper.unshipped_hard() == _cold_hard(
-                wal, repository.wal_records_since(cursor)), name
-            assert shipper.pending_lag() == _cold_hard(
-                wal, repository.wal_records_pending(cursor)), name
+            assert shipper.pending_lag() >= shipper.lag() >= 0, name
+            if shipper.paused or not replica.nodes[name].running \
+                    or shipper.pending_lag():
+                continue
+            assert _repository_rows(replica.nodes[name]) == \
+                _repository_rows(replica.serving), name
 
     @pytest.mark.parametrize("seed", [3, 11, 2026])
     def test_a_seeded_history(self, seed):
         import random
 
         rng = random.Random(seed)
-        deployment, session = build_deployment(flush_policy="group",
-                                               group_commit_window=3,
-                                               witnesses=2)
+        deployment, session = build_deployment(
+            mode=ControlMode.RDD, flush_policy="group",
+            group_commit_window=3, witnesses=2)
         replica = deployment.replicas["shard0"]
         path = path_on(deployment, "shard0", "memo")
         link(deployment, session, 0, path)
         deployment.drain()
         docs = 1
-        steps = ["soft"] * 4 + ["write", "hard", "link", "flush", "pause",
+        steps = ["read"] * 4 + ["write", "hard", "link", "flush", "pause",
                                 "resume", "crash", "promote"]
         for _ in range(40):
             step = rng.choice(steps)
-            repository = replica.serving.dlfm.repository
-            if step == "soft":
-                _soft_opens(repository, path, opens=1)
+            serving = replica.serving
+            if step == "read":
+                url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                           access="read", ttl=1e9)
+                try:
+                    session.read_url(url, server=rng.choice(
+                        list(replica.nodes)))
+                except ReproError:
+                    pass        # a fenced, stale or down node refuses
             elif step == "write":
-                repository.add_sync_entry(path, "write", 1001)
-                repository.clear_sync_entries(path)
+                serving.dlfm.repository.add_tracking(
+                    {"path": path, "userid": 1001})
+                serving.dlfm.repository.remove_tracking(path)
             elif step == "hard":
-                _pad(repository, 1000 * docs, 1)
+                _pad(serving.dlfm.repository, 1000 * docs, 1)
                 docs += 1
             elif step == "link":
                 link(deployment, session, docs,

@@ -1,32 +1,38 @@
-"""What one tokenized read leaves behind in the DLFM repository, pinned.
+"""What one tokenized read leaves behind in the DLFM, pinned.
 
-A read under ``rdd`` control is three upcalls, each a repository
-transaction (Section 4): 9 log records, two inserted rows, one deleted row.
-The operations are the paper's; what the *simulator* retains for them is
-ours to keep small, because it is what checkpoints, witness mirrors and the
-benchmark's ``peak_rss_mb`` grow by (ROADMAP direction 4).  After the reads,
-with every transaction finished:
+A read under ``rdd`` control is three upcalls (Section 4): the lookup
+registers the token, the open checks it and records a Sync entry, the close
+removes the entry.  Both are node-local soft state
+(:mod:`repro.datalinks.dlfm.soft_state`), so a read writes no repository
+log record.  What the *simulator* retains for an operation is ours to keep
+small, because it is what checkpoints, witness mirrors and the benchmark's
+``peak_rss_mb`` grow by (ROADMAP direction 4).  After the reads, with every
+transaction finished:
 
+* a read wrote no log record, and the registry holds one entry per file
+  read (the token upsert) and no open Sync entry;
 * the log remembers no finished transaction (its open-transaction table is
   empty: a transaction's records are linked, not indexed for ever);
 * every row image exists once -- heap rows and log images together are no
   more distinct dicts than there were INSERT and UPDATE records;
 * a hash index wraps nothing: a one-column key is the bare value and a
   one-row bucket the bare row id, so a unique index holds ints only;
-* the bytes allocated under ``storage/`` and still live, per read, stay
-  under three quarters of what PR 23 retained.
+* the bytes allocated under ``storage/`` and still live, per read, are
+  under a twentieth of the 638.5 a read retained once the log folded
+  while each read inserted a token row (ROADMAP direction 4's bar).
 
-Those reads stay below ``FOLD_AT``.  The folded regime runs ``4 * L`` reads
-on a second system, so the repository log folds into its checkpoint base
-at least four times: the log retains at most ``FOLD_AT`` records after
-``L`` reads and after ``4 * L``, ``len`` of the log still grows by exactly
-nine per read, and the live ``storage/`` bytes per read -- measured over
-one fold cycle, from the read that folded to the read that folded next, so
-the bounded log's sawtooth cancels -- are at most half of what the
-unfolded log retained (2 123.9), and below the 734.9 they were while hash
-index keys and one-row buckets sat in tuples and sets.  This tree reads
-638.5 (CPython 3.11.7): what is left is the token registry's growth, one
-row per read, and the checkpoint base's reference to it.
+The folded regime is driven by logged work: an update opened and closed
+without a change, whose update-tracking row goes in and out of the
+repository in two single-statement transactions (six records) and touches
+nothing else.  ``4 * L`` of them on a second system fold the repository
+log into its checkpoint base at least four times: the log retains at most
+``FOLD_AT`` records after ``L`` operations and after ``4 * L``, ``len`` of
+the log still grows by exactly six per operation, and the live
+``storage/`` bytes per operation -- measured over one fold cycle, from the
+operation that folded to the one that folded next, so the bounded log's
+sawtooth cancels -- are at most a twentieth of what the same operation
+retained while the log still grew (about 1 330 B against 11.5 B on
+CPython 3.11.7).
 
 A superseded file version retains nothing (ROADMAP direction 4(a), its
 steady-state slice for version chains).  ``WebServerWorkload`` (200 pages of
@@ -53,47 +59,50 @@ from repro.storage.wal import FOLD_AT, LogRecordType
 from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
 
 WARM_UP, READS, FILES = 100, 300, 4
-#: Reads per stage of the folded regime.
-L = 500
+#: Operations per stage of the folded regime (six log records each).
+L = 700
+#: Operations measured while the log still grows, after ``WARM_UP``.
+UNFOLDED = 300
 #: Operations of the smaller web-site run (the larger runs four times as
 #: many); the pages and their size are the ROADMAP's measurement's.
 WEB_L, WEB_PAGES, WEB_PAGE_SIZE = 1000, 200, 16 * 1024
 
-#: Live bytes allocated under ``storage/`` per tokenized read at PR 23
-#: (this fixture's own procedure on that tree, CPython 3.11.7): 3 286.4.
-#: This tree reads 2 123.9 (65 %: nine 104-byte records and their nine
-#: 48-byte LSNs are 1 368 of it); the bound is 75 % of the old figure so
-#: that allocator and patch-release differences cannot trip it.
-PARENT_STORAGE_BYTES_PER_READ = 3286
-#: What this fixture's procedure read before the log folded (CPython
-#: 3.11.7), the base of the folded regime's bound.
-UNFOLDED_STORAGE_BYTES_PER_READ = 2124
-#: What the folded regime read while a hash index kept one-column keys as
-#: 1-tuples and one-row buckets as 1-tuples or one-element sets (CPython
-#: 3.11.7): ROADMAP direction 4's bar, which this tree must stay below.
-WRAPPED_FOLDED_STORAGE_BYTES_PER_READ = 734.9
+#: Live bytes allocated under ``storage/`` per tokenized read once the log
+#: folded, while each read inserted a token-registry row and wrote nine log
+#: records (CPython 3.11.7): ROADMAP direction 4's bar.
+TOKEN_ROW_STORAGE_BYTES_PER_READ = 638.5
 
 
-def _reader():
-    """``(repository database, read(at))`` on a small rdd system, warmed."""
+def _microsystem():
+    """``(DLFM, owner session)`` of a small rdd system."""
 
     system, owner, _ = RunContext().build_microsystem(
         ControlMode.RDD, size=512, files=FILES)
+    return system.file_server("fs1").dlfm, owner
 
-    def read(at: int) -> None:
-        url = owner.get_datalink(FILES_TABLE, {"file_id": at % FILES}, "doc",
-                                 access="read")
-        owner.read_url(url)
 
-    for at in range(WARM_UP):
-        read(at)
-    return system.file_server("fs1").dlfm.repository.db, read
+def _read(owner, at: int) -> None:
+    url = owner.get_datalink(FILES_TABLE, {"file_id": at % FILES}, "doc",
+                             access="read")
+    owner.read_url(url)
+
+
+def _open_unchanged(owner, at: int) -> None:
+    """Open a file for update and close it unchanged: the DLFM inserts and
+    deletes its update-tracking row; the host writes nothing."""
+
+    url = owner.get_datalink(FILES_TABLE, {"file_id": at % FILES}, "doc",
+                             access="write")
+    update = owner.update_file(url)
+    update.begin()
+    update.commit()
 
 
 def _storage_bytes_per_read(reads) -> float | None:
-    """Live bytes allocated under ``storage/`` per read while ``reads()``
-    (which returns how many reads it made) runs, or ``None`` when
-    ``tracemalloc`` was already tracing (no clean baseline)."""
+    """Live bytes allocated under ``storage/`` per operation while
+    ``reads()`` (which returns how many operations it made) runs, or
+    ``None`` when ``tracemalloc`` was already tracing (no clean
+    baseline)."""
 
     if tracemalloc.is_tracing():
         reads()
@@ -115,28 +124,35 @@ def _storage_bytes_per_read(reads) -> float | None:
 
 @pytest.fixture(scope="module")
 def after_reads():
-    """``(repository database, storage bytes retained per read or None)``
-    after ``WARM_UP`` + ``READS`` tokenized reads on a small rdd system."""
+    """``(DLFM, log records written by the reads, storage bytes retained
+    per read or None)`` after ``WARM_UP`` + ``READS`` tokenized reads on a
+    small rdd system."""
 
-    db, read = _reader()
+    dlfm, owner = _microsystem()
+    for at in range(WARM_UP):
+        _read(owner, at)
+    wal = dlfm.repository.db.wal
+    start = len(wal)
 
     def reads() -> int:
         for at in range(READS):
-            read(at)
+            _read(owner, at)
         return READS
 
-    return db, _storage_bytes_per_read(reads)
+    per_read = _storage_bytes_per_read(reads)
+    return dlfm, len(wal) - start, per_read
 
 
 @pytest.fixture(scope="module")
-def folded_reads():
-    """The folded regime: ``4 * L`` reads after the warm-up.  Returns the
-    retained record counts after ``L`` and ``4 * L`` reads, the log's
-    growth per read, how many folds happened and the storage bytes per read
-    over one fold cycle (or ``None``)."""
+def folded_ops():
+    """The folded regime: ``4 * L`` unchanged update opens after the
+    warm-up.  Returns the retained record counts after ``L`` and ``4 * L``
+    operations, the log's growth per operation, how many records folded,
+    and the storage bytes per operation while the log grew and over one
+    fold cycle (each ``None`` without a clean baseline)."""
 
-    db, read = _reader()
-    wal = db.wal
+    dlfm, owner = _microsystem()
+    wal = dlfm.repository.db.wal
     start = len(wal)
 
     def folded() -> int:
@@ -144,45 +160,49 @@ def folded_reads():
 
     done = 0
 
-    def read_until(condition) -> int:
+    def run_until(condition) -> int:
         nonlocal done
         count = 0
         while not condition():
-            read(done)
+            _open_unchanged(owner, done)
             done += 1
             count += 1
         return count
 
-    read_until(lambda: done == L)
+    run_until(lambda: done == WARM_UP)
+    unfolded = _storage_bytes_per_read(
+        lambda: run_until(lambda: done == WARM_UP + UNFOLDED))
+    assert folded() == 0
+    run_until(lambda: done == L)
     retained = [len(wal.records())]
     mark = folded()
-    read_until(lambda: folded() != mark)
+    run_until(lambda: folded() != mark)
     mark = folded()
-    per_read = _storage_bytes_per_read(
-        lambda: read_until(lambda: folded() != mark))
-    read_until(lambda: done == 4 * L)
+    per_op = _storage_bytes_per_read(
+        lambda: run_until(lambda: folded() != mark))
+    run_until(lambda: done == 4 * L)
     retained.append(len(wal.records()))
-    return {"retained": retained, "records_per_read": (len(wal) - start) / done,
-            "folded_records": folded(), "bytes_per_read": per_read}
+    return {"retained": retained, "records_per_op": (len(wal) - start) / done,
+            "folded_records": folded(), "unfolded_bytes_per_op": unfolded,
+            "bytes_per_op": per_op}
 
 
-def test_a_read_is_three_transactions_of_nine_records(after_reads):
-    db, _ = after_reads
-    tail = db.wal.records()[-9 * READS:]
-    assert [record.type for record in tail].count(LogRecordType.BEGIN) \
-        == 3 * READS
-    assert tail[0].type is LogRecordType.BEGIN
-    assert tail[-1].type is LogRecordType.COMMIT
+def test_a_read_writes_no_log_record(after_reads):
+    dlfm, records, _ = after_reads
+    assert records == 0
+    paths = {path for path, _userid, _type in dlfm.soft.tokens}
+    assert len(dlfm.soft.tokens) == len(paths) == FILES
+    assert dlfm.soft.sync == {}
 
 
 def test_the_log_retains_no_finished_transaction(after_reads):
-    db, _ = after_reads
+    db = after_reads[0].repository.db
     assert not db.active_transactions() and not db.in_doubt_transactions()
     assert db.wal._open == {}
 
 
 def test_every_row_image_exists_once(after_reads):
-    db, _ = after_reads
+    db = after_reads[0].repository.db
     records = db.wal.records()
     images = {id(image) for record in records
               for image in (record.before, record.after) if image is not None}
@@ -197,7 +217,7 @@ def test_a_unique_bucket_is_a_bare_rid(after_reads):
     """No wrapper in a hash index: a one-column key is the bare value and
     a one-row bucket the bare row id, so a unique index holds ints only."""
 
-    db, _ = after_reads
+    db = after_reads[0].repository.db
     indexes = [index for table in db.catalog.table_names()
                for index in db.catalog.indexes_of(table)
                if isinstance(index, HashIndex) and index.derive is None]
@@ -212,27 +232,28 @@ def test_a_unique_bucket_is_a_bare_rid(after_reads):
 
 
 def test_storage_bytes_retained_per_read(after_reads):
-    _, per_read = after_reads
+    per_read = after_reads[2]
     if per_read is None:
         pytest.skip("tracemalloc was already tracing: no clean baseline")
-    assert per_read <= 0.75 * PARENT_STORAGE_BYTES_PER_READ, per_read
+    assert per_read < 0.05 * TOKEN_ROW_STORAGE_BYTES_PER_READ, per_read
 
 
-def test_the_folded_log_retains_at_most_fold_at_records(folded_reads):
-    assert all(count <= FOLD_AT for count in folded_reads["retained"])
-    assert folded_reads["folded_records"] >= 4 * FOLD_AT
+def test_the_folded_log_retains_at_most_fold_at_records(folded_ops):
+    assert all(count <= FOLD_AT for count in folded_ops["retained"])
+    assert folded_ops["folded_records"] >= 4 * FOLD_AT
 
 
-def test_the_log_still_counts_nine_records_per_read(folded_reads):
-    assert folded_reads["records_per_read"] == 9
+def test_the_log_still_counts_six_records_per_operation(folded_ops):
+    assert folded_ops["records_per_op"] == 6
 
 
-def test_storage_bytes_retained_per_read_once_the_log_folds(folded_reads):
-    per_read = folded_reads["bytes_per_read"]
-    if per_read is None:
+def test_storage_bytes_retained_per_operation_once_the_log_folds(folded_ops):
+    unfolded, per_op = folded_ops["unfolded_bytes_per_op"], \
+        folded_ops["bytes_per_op"]
+    if unfolded is None or per_op is None:
         pytest.skip("tracemalloc was already tracing: no clean baseline")
-    assert per_read <= 0.5 * UNFOLDED_STORAGE_BYTES_PER_READ, per_read
-    assert per_read < WRAPPED_FOLDED_STORAGE_BYTES_PER_READ, per_read
+    assert per_op <= 0.05 * unfolded, (per_op, unfolded)
+    assert per_op < TOKEN_ROW_STORAGE_BYTES_PER_READ, per_op
 
 
 @pytest.fixture(scope="module")

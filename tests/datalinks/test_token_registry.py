@@ -1,18 +1,22 @@
 """The DLFM token registry against oracles that are not the code.
 
-Two checks on the constant-time registry (a third -- the ``(path, userid)``
-index moves no simulated charge -- sits with the other ledger-identity
-suites in ``tests/datalinks/test_ledger_identities.py``):
+Every node keeps its token registry in its volatile soft state
+(:class:`~repro.datalinks.dlfm.soft_state.SoftState`), one entry per
+``(path, userid, token_type)`` whose expiry a repeat validation moves to the
+later of the two (the token upsert).  Three checks:
 
 * a seeded property test drives random register / expire / purge / find
-  sequences through :class:`DLFMRepository` and :class:`WitnessSoftState`
-  and holds both to a brute-force list: the entry returned is the *first
-  live match in registration order*, whatever index serves the lookup;
-* ids handed out by ``MAX(key) + 1`` stay unique among live rows across
-  the events that rebuild or bypass the cached maximum -- crash + recovery,
-  failover with soft-state migration, prefix hand-off (the PR 9 bug class)
-  -- and archive jobs, whose rows live only until the archiver has run
-  them, still complete in enqueue order.
+  sequences through the store and holds it to a brute-force list of every
+  registration: a lookup finds a live entry exactly when a live
+  registration exists, the entry's expiry is the latest registered, the
+  store holds one entry per triple and a lookup examines at most one row
+  per token type;
+* across the events that reset or move a node's state -- crash and
+  recovery, failover, prefix hand-off -- repeated reads and updates leave
+  exactly one entry per live (path, user, type) on the node that served
+  them, and the version ids handed out by ``MAX(key) + 1`` stay unique;
+* archive jobs, whose rows live only until the archiver has run them,
+  complete in enqueue order and leave the queue empty.
 """
 
 from __future__ import annotations
@@ -23,21 +27,20 @@ import pytest
 
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.dlfm.repository import DLFMRepository
-from repro.datalinks.replication import WitnessSoftState
+from repro.datalinks.dlfm.soft_state import SoftState
 from repro.simclock import SimClock
 from repro.storage.database import Database
-from tests.conftest import (FILES_TABLE, SHARD_TABLE, build_deployment,
-                            build_system, link_docs, prefix_on)
-
-ID_COLUMNS = {"token_entries": "entry_id", "sync_entries": "entry_id",
-              "file_versions": "version_id"}
+from repro.util.urls import parse_url
+from tests.conftest import (ALICE_UID, FILES_TABLE, SHARD_TABLE,
+                            build_deployment, build_system, link_docs,
+                            prefix_on)
 
 
 # ---------------------------------------------------------------------------
-# find_token_entry vs a brute-force list
+# the upsert vs a brute-force list
 # ---------------------------------------------------------------------------
 class ListOracle:
-    """The registry as the paper states it: a list, scanned in order."""
+    """Every registration since its triple was last purged, in order."""
 
     def __init__(self):
         self.entries: list[tuple] = []       # (path, userid, type, expires_at)
@@ -45,88 +48,122 @@ class ListOracle:
     def add_token_entry(self, path, userid, token_type, expires_at):
         self.entries.append((path, userid, token_type, expires_at))
 
+    def latest(self, path, userid, token_type):
+        return max((entry[3] for entry in self.entries
+                    if entry[:3] == (path, userid, token_type)), default=None)
+
     def find_token_entry(self, path, userid, *, for_write, now):
-        for entry in self.entries:
-            if entry[0] == path and entry[1] == userid \
-                    and entry[3] >= now \
-                    and (entry[2] == "W" or not for_write):
-                return entry
+        """``(type, expiry)`` a lookup must return: a read prefers a live
+        ``R`` entry to a live ``W`` one."""
+
+        for token_type in ("W",) if for_write else ("R", "W"):
+            latest = self.latest(path, userid, token_type)
+            if latest is not None and latest >= now:
+                return token_type, latest
         return None
+
+    def triples(self) -> set:
+        return {entry[:3] for entry in self.entries}
 
     def purge_expired_tokens(self, now):
-        before = len(self.entries)
-        self.entries = [entry for entry in self.entries if entry[3] >= now]
-        return before - len(self.entries)
+        dead = {triple for triple in self.triples()
+                if self.latest(*triple) < now}
+        self.entries = [entry for entry in self.entries
+                        if entry[:3] not in dead]
+        return len(dead)
 
 
-def _as_tuple(entry):
-    if entry is None:
-        return None
-    return (entry["path"], entry["userid"], entry["token_type"],
-            entry["expires_at"])
-
-
-class TestFindTokenEntryOracle:
+class TestTokenUpsertOracle:
     PATHS = ("/a/hot.html", "/a/warm.html", "/b/cold.html")
     USERS = (3001, 3002, 3003, 3004)
 
     @pytest.mark.parametrize("seed", [7, 20260926, 424242])
-    def test_repository_and_soft_state_match_the_list(self, seed):
+    def test_the_store_matches_the_list(self, seed):
         rng = random.Random(seed)
-        repository = DLFMRepository(Database(
-            "registry", SimClock(), cost_scale=0.1, stats_prefix="dlfm."))
-        soft, oracle = WitnessSoftState(), ListOracle()
+        clock = SimClock()
+        store, oracle = SoftState(clock, 0.1), ListOracle()
+        stats = clock.stats
         now = 0.0
-        finds = hits = 0
+        finds = hits = extended = 0
         for step in range(600):
             action = rng.random()
+            statements = stats.count("dlfm.sql_statement_base")
+            reads = stats.count("dlfm.row_read")
             if action < 0.40:
-                # Every expiry is distinct, so it identifies its entry:
-                # returning a later registration instead of the first live
-                # one cannot pass.
-                expires_at = now + rng.choice((4.0, 20.0, 60.0)) + step * 1e-6
+                # Expiries are drawn, not increasing: a registration may
+                # land before the entry's expiry and must not shorten it.
                 entry = (rng.choice(self.PATHS), rng.choice(self.USERS),
-                         rng.choice("RRW"), expires_at)
-                for store in (repository, soft, oracle):
-                    store.add_token_entry(*entry)
+                         rng.choice("RRW"),
+                         now + rng.choice((4.0, 20.0, 60.0)) + step * 1e-6)
+                before = oracle.latest(*entry[:3])
+                store.add_token_entry(*entry)
+                oracle.add_token_entry(*entry)
+                extended += before is not None and before < entry[3]
             elif action < 0.55:
                 now += rng.uniform(0.0, 6.0)
             elif action < 0.62:
-                purged = oracle.purge_expired_tokens(now)
-                assert repository.purge_expired_tokens(now) == purged
-                assert soft.purge_expired_tokens(now) == purged
+                assert store.purge_expired_tokens(now) == \
+                    oracle.purge_expired_tokens(now)
             else:
                 path, userid = rng.choice(self.PATHS), rng.choice(self.USERS)
                 for_write = rng.random() < 0.4
                 want = oracle.find_token_entry(path, userid,
                                                for_write=for_write, now=now)
-                for store in (repository, soft):
-                    got = store.find_token_entry(path, userid,
-                                                 for_write=for_write, now=now)
-                    assert _as_tuple(got) == want, \
-                        f"step {step}: {type(store).__name__}"
+                got = store.find_token_entry(path, userid,
+                                             for_write=for_write, now=now)
+                assert (got and (got["token_type"], got["expires_at"])) == \
+                    (want or None), f"step {step}"
+                assert stats.count("dlfm.row_read") - reads <= \
+                    (1 if for_write else 2)
                 finds += 1
                 hits += want is not None
-        # The program must exercise both outcomes to mean anything.
-        assert finds > 100 and 0 < hits < finds
-        assert sorted(map(_as_tuple, soft.all_token_entries())) == \
-            sorted(oracle.entries)
+            if action < 0.40 or action >= 0.62:
+                assert stats.count("dlfm.sql_statement_base") == \
+                    statements + 1
+            assert set(store.tokens) == oracle.triples()
+            assert all(expires_at == oracle.latest(*triple)
+                       for triple, expires_at in store.tokens.items())
+        # The program must exercise every outcome to mean anything.
+        assert finds > 100 and 0 < hits < finds and extended > 10
 
 
 # ---------------------------------------------------------------------------
-# id uniqueness across the events that invalidate the cached maximum
+# one entry per live triple across crash, failover and hand-off
 # ---------------------------------------------------------------------------
-def _assert_unique_ids(session, table, doc_ids, repository, run_archiver):
-    """Every id column is duplicate-free, with rows in all four tables.
+def _paths(session, table, doc_ids) -> list[str]:
+    return [parse_url(session.select(table, {"doc_id": doc_id})[0]["body"])
+            .path for doc_id in doc_ids]
 
-    Archive jobs only live until the archiver runs them, so one update per
-    document is left queued: the job ids are distinct and the archiver then
-    completes the jobs in enqueue order (one new version each, in that
-    order) and leaves the queue empty.  Sync entries only live while a
-    file is open, so the other three tables are checked with an update
-    held open on every document (one live ``write`` entry each).
+
+def _assert_one_entry_per_triple(paths, serving, *witnesses) -> None:
+    """Alice read and updated each of *paths*, more than once, on a shard
+    whose nodes are *serving* and *witnesses*: their registries hold her
+    ``R`` and ``W`` entry per file and nothing else of hers -- every write
+    entry on the serving node, each read entry on the node(s) that served
+    her reads -- and every Sync table is empty (each open was closed)."""
+
+    nodes = (serving,) + witnesses
+    held = [key for dlfm in nodes for key in dlfm.soft.tokens
+            if key[0] in paths]
+    assert set(held) == {(path, ALICE_UID, token_type)
+                         for path in paths for token_type in "RW"}
+    assert {(path, ALICE_UID, "W") for path in paths} <= \
+        set(serving.soft.tokens)
+    assert all(not dlfm.soft.sync.get(path)
+               for dlfm in nodes for path in paths)
+
+
+def _assert_unique_ids(session, table, doc_ids, dlfm, run_archiver):
+    """Version ids are duplicate-free and queued archive jobs complete in
+    enqueue order.
+
+    One update per document is left queued: the job ids are distinct and
+    the archiver then completes the jobs in enqueue order (one new version
+    each, in that order) and leaves the queue empty.  Then an update held
+    open on every document shows as one Sync write entry each.
     """
 
+    repository = dlfm.repository
     order = list(doc_ids)[::-1]
     _read_and_edit(session, table, order, lambda: None, "queued")
     jobs = repository.pending_archive_jobs()
@@ -141,6 +178,9 @@ def _assert_unique_ids(session, table, doc_ids, repository, run_archiver):
                        if row["version_id"] > newest_before),
                       key=lambda row: row["version_id"])
     assert [row["path"] for row in archived] == [job["path"] for job in jobs]
+    ids = [row["version_id"]
+           for row in repository.db.select("file_versions", lock=False)]
+    assert len(ids) == len(set(ids)), f"version ids repeat: {sorted(ids)}"
 
     updates = []
     try:
@@ -149,20 +189,16 @@ def _assert_unique_ids(session, table, doc_ids, repository, run_archiver):
                                        access="write", ttl=1e9)
             updates.append(session.update_file(url, truncate=True))
             updates[-1].begin()
-        for name, column in ID_COLUMNS.items():
-            ids = [row[column]
-                   for row in repository.db.select(name, lock=False)]
-            assert ids, f"the scenario left {name} empty"
-            assert len(ids) == len(set(ids)), \
-                f"{name}.{column} repeats: {sorted(ids)}"
+        for path in _paths(session, table, doc_ids):
+            assert dlfm.soft.sync[path] == [("write", ALICE_UID)]
     finally:
         for update in updates:
             update.abort()
 
 
 def _read_and_edit(session, table, doc_ids, run_archiver, tag):
-    """Tokenized reads plus one update-in-place per document: every id
-    sequence (token, Sync, version, archive job) advances."""
+    """A tokenized read plus one update-in-place per document: each
+    validates a fresh read and write token and opens and closes the file."""
 
     for doc_id in doc_ids:
         where = {"doc_id": doc_id}
@@ -175,46 +211,58 @@ def _read_and_edit(session, table, doc_ids, run_archiver, tag):
         run_archiver()
 
 
-class TestIdsStayUnique:
+class TestOneEntryPerTripleAcrossResets:
     def test_across_crash_and_recover(self):
-        system, alice, _, _ = build_system(ControlMode.RDD, files=3)
-        repository = system.file_server("fs1").dlfm.repository
-        _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
-                       "before")
+        system, alice, paths, _ = build_system(ControlMode.RDD, files=3)
+        dlfm = system.file_server("fs1").dlfm
+        for tag in ("before", "again"):
+            _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
+                           tag)
+        _assert_one_entry_per_triple(paths, dlfm)
         system.flush_logs()
         system.crash_file_server("fs1")
+        assert dlfm.soft.tokens == {} and dlfm.soft.sync == {}
         system.recover_file_server("fs1")
-        _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
-                       "after")
-        _assert_unique_ids(alice, FILES_TABLE, range(3), repository,
+        for tag in ("after", "again"):
+            _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
+                           tag)
+        _assert_one_entry_per_triple(paths, dlfm)
+        _assert_unique_ids(alice, FILES_TABLE, range(3), dlfm,
                            system.run_archiver)
 
-    def test_across_failover_soft_state_migration(self):
+    def test_across_failover(self):
+        """The entries a witness registers serving follower reads are its
+        own and stay with it through promotion; the deposed node's die
+        with its crash."""
+
         deployment, session = build_deployment()
         prefix = prefix_on(deployment, "shard0")
         link_docs(deployment, session, prefix, range(3))
         replica = deployment.replicas["shard0"]
         witness = replica.witness
+        paths = _paths(session, SHARD_TABLE, range(3))
         urls = [session.get_datalink(SHARD_TABLE, {"doc_id": doc_id}, "body",
                                      access="read", ttl=1e9)
                 for doc_id in range(3)]
-        # Serving-node entries replicate into the witness heaps; reads
-        # through the witness accrue soft entries beside them.
-        for url in urls:
-            assert deployment.read_url(session, url)
-            assert session.read_url(url, server=witness.name)
-        assert witness.dlfm.replica_status()["soft_token_entries"] >= 3
+        for _ in range(2):
+            for url in urls:
+                assert session.read_url(url, server=witness.name)
+        registered = dict(witness.dlfm.soft.tokens)
+        assert sorted(registered) == sorted((path, ALICE_UID, "R")
+                                            for path in paths)
         deployment.system.flush_logs()
         deployment.crash_shard("shard0")
-        summary = deployment.fail_over("shard0")
-        assert summary["soft_state"]["token_entries"] >= 3
+        assert replica.primary.dlfm.soft.tokens == {}
+        deployment.fail_over("shard0")
+        assert witness.dlfm.soft.tokens == registered
         # The restarted ex-primary stays fenced; it only has to be up for
         # the system-wide archiver pass.
         deployment.recover_shard("shard0")
-        _read_and_edit(session, SHARD_TABLE, range(3),
-                       deployment.system.run_archiver, "promoted")
-        _assert_unique_ids(session, SHARD_TABLE, range(3),
-                           witness.dlfm.repository,
+        for tag in ("promoted", "again"):
+            _read_and_edit(session, SHARD_TABLE, range(3),
+                           deployment.system.run_archiver, tag)
+        _assert_one_entry_per_triple(paths, witness.dlfm)
+        _assert_unique_ids(session, SHARD_TABLE, range(3), witness.dlfm,
                            deployment.system.run_archiver)
 
     def test_across_rebalance_import(self):
@@ -236,14 +284,20 @@ class TestIdsStayUnique:
         deployment.system.backup()
         assert deployment.rebalance_prefix("/moving", dest)["moved"]
         everything = list(range(3)) + list(range(10, 13))
-        _read_and_edit(session, SHARD_TABLE, everything, run_archiver,
-                       "moved")
-        repository = deployment.router.serving_server(dest).dlfm.repository
+        for tag in ("moved", "again"):
+            _read_and_edit(session, SHARD_TABLE, everything, run_archiver,
+                           tag)
+        replica = deployment.replicas[dest]
+        dlfm = replica.serving.dlfm
+        repository = dlfm.repository
         moved = [row for row in repository.db.select("file_versions",
                                                      lock=False)
                  if row["path"].startswith("/moving/")]
         assert len(moved) >= 6          # imported chain + post-move versions
-        _assert_unique_ids(session, SHARD_TABLE, everything, repository,
+        _assert_one_entry_per_triple(
+            _paths(session, SHARD_TABLE, everything), dlfm,
+            *(node.dlfm for node in replica.witnesses))
+        _assert_unique_ids(session, SHARD_TABLE, everything, dlfm,
                            run_archiver)
 
 

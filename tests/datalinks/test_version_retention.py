@@ -113,18 +113,22 @@ class TestReplicatedRelease:
         (initial,) = primary.repository.versions(f"{prefix}/doc000.dat")
         return deployment, session, primary, f"{prefix}/doc000.dat", initial
 
-    def test_no_release_while_a_reader_is_behind_the_drop(self):
+    def test_no_release_while_the_drop_is_not_durable_or_not_shipped(self):
         deployment, session, primary, path, initial = self._linked()
         archive, replica = deployment.system.archive, deployment.replicas["shard0"]
         wal = primary.repository.db.wal
         _update(session, b"first")
-        deployment.system.run_archiver()
-        # The drop's commit waits in the group-commit window: not durable.
+        # Step the archiver by hand: its one job has dropped version 1, and
+        # the drop's commit waits in the group-commit window.
+        steps = primary.archive_steps()
+        assert next(steps) == 1
+        assert wal.flushed_lsn < wal.tail_lsn()
         assert archive.exists(initial["archive_id"])
+        # The run ends by forcing the log: durable now, but the paused
+        # witness has not received it.
         replica.shipper.pause()
-        deployment.system.flush_logs()
-        deployment.system.run_archiver()
-        # Durable now, but the witness has not received it.
+        assert list(steps) == []
+        assert wal.flushed_lsn == wal.tail_lsn()
         assert wal.flushed_lsn > replica.shipper.cursor == wal.shipped_lsn()
         assert archive.exists(initial["archive_id"])
         assert [v["version_no"] for v in
@@ -141,21 +145,16 @@ class TestReplicatedRelease:
         witness = deployment.replicas["shard0"].witness.dlfm
         _update(session, b"first")
         deployment.system.run_archiver()
-        deployment.system.flush_logs()
         _update(session, b"second")
         deployment.system.flush_logs()          # the update and its job ship
-        deployment.system.run_archiver()        # version 3 drops version 2
+        # Version 3 drops version 2; the run's closing log force is the
+        # drop's shipment, and the primary crashes as it leaves.
         deployment.engine.failpoints["replicate:ship:shard0"] = boom(
             lambda: deployment.crash_shard("shard0"))
         with pytest.raises(InjectedCrash):
-            deployment.system.flush_logs()
+            deployment.system.run_archiver()
         deployment.engine.failpoints.clear()
         deployment.fail_over("shard0")
-        # The witness never saw the drop: its newest version is still
-        # version 2, whose object was never freed.  Its bytes are the last
-        # committed content the witness holds a version of (the second
-        # update's version only ever lived on the crashed primary), and
-        # promotion served the file from it.
         (newest,) = witness.repository.versions(path)
         assert newest["version_no"] == 2
         assert deployment.system.archive.retrieve(
