@@ -97,6 +97,16 @@ def _run_once(identifier: str, scale: str,
     return result, time.time() - started, context.profile_steps
 
 
+def steady_state_calls(identifier: str, scale: str) -> int:
+    """The Python calls of one pass of an experiment after one warm pass:
+    the count a ``--profile`` run records as ``profile_calls``."""
+
+    _run_once(identifier, scale)
+    profiler = cProfile.Profile()
+    _run_once(identifier, scale, profiler)
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
 def _render_profile(identifier: str, summary: dict) -> str:
     rows = summary["rows"]
     lines = [f"profile {identifier} (total calls: {summary['total_calls']}; "
@@ -162,9 +172,10 @@ def run_all(experiment_ids: list[str] | None = None, *,
     into the current working directory unless ``json_path`` says
     otherwise; a partial run writes only where ``json_path`` says, so it
     never replaces a committed all-experiment baseline.
-    ``profile=True`` additionally wraps every experiment in
-    :mod:`cProfile` and attaches the total call count plus the top-N
-    cumulative table to its artifact entry.  ``best_of``
+    ``profile=True`` adds one :mod:`cProfile`-instrumented pass of every
+    experiment after its timing passes and attaches that pass's total
+    call count (:func:`steady_state_calls`) plus the top-N cumulative
+    table to its artifact entry.  ``best_of``
     re-times each experiment that many times: ``wall_clock_s`` is the
     fastest sample and the artifact records the full
     ``wall_clock_samples_s`` list (simulated results come from one run;
@@ -191,21 +202,20 @@ def run_all(experiment_ids: list[str] | None = None, *,
     gc.disable()
     try:
         for identifier in ids:
-            profiler = cProfile.Profile() if profile else None
-            if profiler is not None and best_of > 1:
+            result, first, steps = _run_once(identifier, scale)
+            samples = [first] + [_run_once(identifier, scale)[1]
+                                 for _ in range(best_of - 1)]
+            profiler = None
+            if profile:
                 # Timing and profiling want different passes: the
-                # instrumented pass is not a timing sample, and the
-                # profile should count *steady-state* calls (cold
-                # first-run cache fills depend on what ran earlier in
-                # the process).  So all best-of samples come from clean
-                # passes first, and the profiled pass runs last, warm.
-                samples = [_run_once(identifier, scale)[1]
-                           for _ in range(best_of)]
+                # instrumented pass is not a timing sample, and it counts
+                # *steady-state* calls -- cold first-run cache fills depend
+                # on what ran earlier in the process.  So it runs last,
+                # after the timing passes warmed the caches: one warm pass
+                # is enough, and it is the warm-up tier-1's call-count
+                # budget takes too (``steady_state_calls``).
+                profiler = cProfile.Profile()
                 result, _, steps = _run_once(identifier, scale, profiler)
-            else:
-                result, first, steps = _run_once(identifier, scale, profiler)
-                samples = [first] + [_run_once(identifier, scale)[1]
-                                     for _ in range(best_of - 1)]
             elapsed = min(samples)
             wall_clock[identifier] = elapsed
             wall_samples[identifier] = samples
@@ -277,8 +287,9 @@ def main(argv: list[str] | None = None) -> int:
                              "client sessions; not part of tier-1 CI); "
                              "default: default")
     parser.add_argument("--profile", action="store_true",
-                        help="wrap each experiment in cProfile and attach the "
-                             "total call count plus the "
+                        help="run each experiment once more, warm, under "
+                             "cProfile and attach the total call count "
+                             "plus the "
                              f"top-{PROFILE_TOP_N} cumulative-time table to "
                              "the artifact (and print it)")
     parser.add_argument("--best-of", type=int, default=1, metavar="N",

@@ -209,6 +209,11 @@ class DLFMConnection:
     are **barriers** (:meth:`~repro.ipc.channel.Channel.request` -- the
     coordinator waits, and fan-outs across shards overlap through the
     engine's scatter-gather window).
+
+    A close-time commit sends nothing through here: the DLFM's one request
+    to the host carries its vote and the reply its commit
+    (:meth:`~repro.datalinks.engine.DataLinksEngine.commit_file_update`),
+    so no agent dispatches a prepare or a commit for it.
     """
 
     def __init__(self, main_daemon: MainDaemon, clock: SimClock,

@@ -28,6 +28,7 @@ from repro.errors import (
     ReferentialIntegrityError,
 )
 from repro.storage.transaction import Transaction
+from repro.storage.wal import LogRecordType
 
 #: Write-permission bits cleared when a file is marked read-only.
 _WRITE_BITS = 0o222
@@ -67,6 +68,16 @@ def apply_link_constraints(files: FileServerFiles, txn: Transaction,
             return
         files.chmod(path, attrs.mode & ~_WRITE_BITS)
         txn.on_abort.append(lambda: files.chmod(path, attrs.mode))
+
+
+def recovery_links(records) -> list[str]:
+    """The files *records* link with ``recovery``: the ones whose archive
+    job :meth:`LinkManager.link_file` queues when the branch commits."""
+
+    return [record.after["path"] for record in records
+            if record.table == "linked_files"
+            and record.type is LogRecordType.INSERT
+            and record.after["recovery"]]
 
 
 class LinkManager:

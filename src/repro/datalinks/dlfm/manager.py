@@ -10,7 +10,17 @@ tracking, versioning/archiving and coordinated backup/restore, and it exposes
 * an *upcall* interface used by DLFS (token validation at lookup, access
   checks at open, close processing).
 
-This module is the heart of the paper's Section 4 (update in-place).
+This module is the heart of the paper's Section 4 (update in-place).  The
+close of an updated file commits the new version's metadata into the host
+(Sections 4.2 and 4.3) in one round trip: the DLFM writes its branch --
+size/mtime, the tracking row gone, an rfd file handed back to its owner,
+the file's archive job -- forces its
+PREPARE, and sends the host one request that carries its yes-vote; the host
+runs its metadata UPDATE, commits and forces its log, and its reply carries
+the commit's state id, on which the branch commits (2PC's "unsolicited
+vote").  A refusal rolls the update back; a lost reply leaves the branch in
+doubt, resolved from the host's durable outcome like any other branch, and
+a branch committed that way gets the archive jobs it is owed.
 """
 
 from __future__ import annotations
@@ -21,22 +31,39 @@ from repro.datalinks.datalink_type import DatalinkOptions
 from repro.datalinks.dlfm.archive import ArchiveServer
 from repro.datalinks.dlfm.branches import BranchManager
 from repro.datalinks.dlfm.files import DEFAULT_DBMS_UID, FileServerFiles
-from repro.datalinks.dlfm.link_manager import LinkManager, apply_link_constraints
+from repro.datalinks.dlfm.link_manager import (
+    LinkManager,
+    apply_link_constraints,
+    recovery_links,
+)
 from repro.datalinks.dlfm.repository import DLFMRepository
 from repro.datalinks.dlfm.soft_state import SoftState
 from repro.datalinks.tokens import TokenManager, TokenType
 from repro.errors import (
     AccessDeniedError,
     ControlModeError,
+    DaemonUnavailableError,
+    ReproError,
     UpdateInProgressError,
 )
 from repro.simclock import SimClock, synchronized_call
 from repro.storage.backup import BackupImage
 from repro.storage.database import Database
+from repro.storage.wal import LogRecordType
+from repro.util.failpoints import fire
 
 #: Permission given to a taken-over file while an rfd update is in progress.
 _TAKEOVER_WRITE_MODE = 0o600
 _WRITE_BITS = 0o222
+
+
+def closed_paths(records) -> list[str]:
+    """The files whose update-tracking row *records* delete: the files a
+    close branch commits."""
+
+    return [record.before["path"] for record in records
+            if record.table == "update_tracking"
+            and record.type is LogRecordType.DELETE]
 
 
 class DataLinksFileManager:
@@ -96,6 +123,14 @@ class DataLinksFileManager:
         #: transactions up to LSN dropped, freed once that LSN is durable
         #: and shipped.  Volatile: a crash leaks them (harmless).
         self._releases: list[tuple] = []
+        #: ``host_txn_id -> state id`` from the replies to close-time
+        #: commits, for the archive jobs those closes queued.  Volatile: a
+        #: job whose entry a crash lost asks the host's durable outcome.
+        self._commit_states: dict[int, int] = {}
+        #: ``[(path, host_txn_id)]``: archive jobs owed to link branches
+        #: that witness catch-up committed in doubt, queued once this node
+        #: is a full primary (:meth:`rollback_inherited_updates`).
+        self._owed_jobs: list[tuple] = []
 
     # ---------------------------------------------------------------- wiring -----
     def attach_engine(self, engine) -> None:
@@ -469,12 +504,13 @@ class DataLinksFileManager:
         modified = tracking is not None and (
             attrs.mtime > tracking["pre_mtime"] or attrs.size != tracking["pre_size"])
         if modified:
-            self._commit_file_update(row, path, attrs)
-        elif tracking is not None:
+            self._commit_file_update(row, mode, path, attrs)
+            return {"linked": True, "modified": True}
+        if tracking is not None:
             self.repository.remove_tracking(path)
         if mode is ControlMode.RFD:
             self._release_takeover(row)
-        return {"linked": True, "modified": modified}
+        return {"linked": True, "modified": False}
 
     def upcall_is_linked(self, ino: int) -> dict:
         row = self._lookup_link_row(ino)
@@ -568,43 +604,71 @@ class DataLinksFileManager:
             self.files.take_over(path, mode=_TAKEOVER_WRITE_MODE)
             self.repository.update_linked_file(path, {"taken_over": True})
 
-    def _commit_file_update(self, row: dict, path: str, attrs) -> None:
-        """Commit a completed file update: metadata + repository in one transaction."""
+    def _commit_file_update(self, row: dict, mode: ControlMode, path: str,
+                            attrs) -> None:
+        """Commit a closed file update into the host in one round trip.
 
-        if self._engine is not None:
-            # Close processing runs on this file server's clock domain but
-            # drives a host transaction: the host cannot begin it before the
-            # close happened, and the close does not return before the host
-            # commit (the engine's 2PC back to this server merges the rest).
-            with synchronized_call(self.clock, self._engine.clock):
-                host_txn = self._engine.begin()
-                host_txn.servers.add(self.server_name)
-                branch = self.branches.branch_for(host_txn.txn_id)
-                self.repository.update_linked_file(
-                    path, {"last_size": attrs.size, "last_mtime": attrs.mtime},
-                    branch.local_txn)
-                self.repository.remove_tracking(path, branch.local_txn)
-                self._engine.update_file_metadata(self.server_name, path,
-                                                  attrs.size, attrs.mtime,
-                                                  host_txn)
-                self._engine.commit(host_txn)
-        else:
-            local_txn = self.repository.db.begin()
-            self.repository.update_linked_file(
-                path, {"last_size": attrs.size, "last_mtime": attrs.mtime},
-                local_txn)
-            self.repository.remove_tracking(path, local_txn)
-            self.repository.db.commit(local_txn)
-        if row["recovery"]:
-            self.repository.enqueue_archive_job(path, self._host_state_id())
+        The branch -- new size/mtime, an rfd file handed back to its owner,
+        the tracking row gone, the archive job a recovery file is owed --
+        is written and its PREPARE forced (with the host transaction id, as
+        every vote) before the one request goes out; the request carries
+        the vote and the host's reply the commit's state id
+        (:meth:`~repro.datalinks.engine.DataLinksEngine.
+        commit_file_update`).  On the reply the branch commits; on a
+        refusal it aborts and the update rolls back.  With no reply (a
+        crash on either side) the branch stays in doubt.
+        """
+
+        engine = self._engine
+        repository = self.repository
+        # Close processing runs on this file server's clock domain but
+        # drives a host transaction: the host cannot begin it before the
+        # close happened, and the close does not return before the reply.
+        with synchronized_call(self.clock, engine.clock):
+            host_txn = engine.begin()
+            txn_id = host_txn.txn_id
+            local_txn = self.branches.branch_for(txn_id).local_txn
+            changes = {"last_size": attrs.size, "last_mtime": attrs.mtime}
+            if mode is ControlMode.RFD:
+                changes["taken_over"] = False
+                local_txn.on_commit.append(lambda: self._give_back(row))
+            repository.update_linked_file(path, changes, local_txn)
+            repository.remove_tracking(path, local_txn)
+            if row["recovery"]:
+                repository.enqueue_archive_job(path, None, local_txn,
+                                               host_txn_id=txn_id)
+            self.branches.prepare(txn_id)
+            try:
+                with synchronized_call(self.clock, engine.clock):
+                    state_id = engine.commit_file_update(
+                        host_txn, self.server_name, path, attrs.size,
+                        attrs.mtime)
+            except ReproError:
+                self.branches.abort(txn_id)
+                self.abort_file_update(path)
+                raise
+            if not self.running:
+                raise DaemonUnavailableError(
+                    f"file server {self.server_name!r} crashed before the "
+                    f"host's reply; recovery resolves the close from the "
+                    f"host's outcome")
+            self.branches.commit(txn_id)
+            if row["recovery"]:
+                self._commit_states[txn_id] = int(state_id)
+            fire(engine.failpoints, "commit:committed", self.server_name)
 
     def _release_takeover(self, row: dict) -> None:
         """Give an rfd file back to its owner, read-only, after the update."""
 
-        path = row["path"]
-        self.files.restore_ownership(path, row["original_uid"], row["original_gid"],
+        self._give_back(row)
+        self.repository.update_linked_file(row["path"], {"taken_over": False})
+
+    def _give_back(self, row: dict) -> None:
+        """The file-system half of :meth:`_release_takeover`."""
+
+        self.files.restore_ownership(row["path"], row["original_uid"],
+                                     row["original_gid"],
                                      row["original_mode"] & ~_WRITE_BITS)
-        self.repository.update_linked_file(path, {"taken_over": False})
 
     # ----------------------------------------------------------- abort / restore --
     def abort_file_update(self, path: str) -> bool:
@@ -667,7 +731,10 @@ class DataLinksFileManager:
         yields 1 if it archived a version, 0 if the file was gone.  The
         queue is read once, by the first step, so a caller may interleave
         the steps of several servers in simulated time
-        (:meth:`repro.api.system.DataLinksSystem.run_archiver`).  A job
+        (:meth:`repro.api.system.DataLinksSystem.run_archiver`).  A job's
+        version row, the rows it supersedes and the job's own delete are
+        one local transaction, so a crash re-runs a job only if its version
+        never committed.  A job
         queues the archive objects its version drop frees as it completes,
         so a sequence abandoned when a later job raises loses no release.
         The last step forces the repository log (a log write only when
@@ -695,8 +762,8 @@ class DataLinksFileManager:
             archive_id = self.archive.store(self.server_name, path, content,
                                             caller_clock=self.clock)
             dropped = self.repository.add_version(
-                path, archive_id, job["state_id"], self._backup_state_ids())
-            self.repository.complete_archive_job(job["job_id"])
+                path, archive_id, self._job_state_id(job),
+                self._backup_state_ids(), job_id=job["job_id"])
             if dropped:
                 self._releases.append(
                     (self.repository.db.wal.tail_lsn(), dropped))
@@ -704,6 +771,23 @@ class DataLinksFileManager:
         self.repository.db.force_log()
         if self._releases:
             self._release_shipped()
+
+    def _job_state_id(self, job: dict) -> int:
+        """The host state id an archive job's version carries.
+
+        A job queued inside a close branch (or owed to a branch committed
+        in doubt) carries no state id, only its host transaction: the id
+        is that transaction's commit, from the reply to the close when this
+        node still holds it, otherwise from the host's durable outcome.
+        """
+
+        state_id = job["state_id"]
+        if state_id is None:
+            host_txn_id = job["host_txn_id"]
+            state_id = self._commit_states.pop(host_txn_id, None)
+            if state_id is None:
+                state_id = int(self._engine.host_commit_state(host_txn_id))
+        return state_id
 
     def _release_shipped(self) -> None:
         """Free the queued archive objects whose dropping transaction is
@@ -786,6 +870,7 @@ class DataLinksFileManager:
 
         resolved = self.replica.resolve_in_doubt(outcomes) \
             if self.replica is not None else {"committed": [], "aborted": []}
+        self._owed_jobs.extend(resolved.pop("owed_jobs", ()))
         return {"in_doubt": resolved, **self.replica_rebind()}
 
     def rollback_inherited_updates(self) -> list[str]:
@@ -801,12 +886,17 @@ class DataLinksFileManager:
         future update of those files would be refused as "already being
         updated" by a writer that can no longer reach this node.
 
+        The archive jobs owed to the link branches catch-up committed in
+        doubt are queued here too (:meth:`_queue_owed_jobs`).
+
         Must run *after* this node is a full primary and its surviving
-        subscribers are re-sourced from its stream: the deletes then ship
-        like any other repository write, keeping every witness heap
-        positionally identical.
+        subscribers are re-sourced from its stream: the deletes and jobs
+        then ship like any other repository write, keeping every witness
+        heap positionally identical.
         """
 
+        owed, self._owed_jobs = self._owed_jobs, []
+        self._queue_owed_jobs(owed)
         rolled_back = []
         for tracking in self.repository.all_tracking():
             path = tracking["path"]
@@ -878,6 +968,8 @@ class DataLinksFileManager:
         # The queued LSNs may be lost with the log tail and handed out
         # again to other records.
         self._releases.clear()
+        self._commit_states.clear()
+        self._owed_jobs.clear()
         self.soft.clear()
         self.running = False
 
@@ -915,8 +1007,6 @@ class DataLinksFileManager:
         Reads the durable PREPARE record the branch wrote when it voted.
         """
 
-        from repro.storage.wal import LogRecordType
-
         for record in self.repository.db.wal.records_of(local_txn_id,
                                                         durable_only=True):
             if record.type is LogRecordType.PREPARE:
@@ -937,13 +1027,49 @@ class DataLinksFileManager:
         for txn in list(self.repository.db.in_doubt_transactions()):
             host_txn_id = self._host_txn_id_of(txn.txn_id)
             if self._host_outcome(host_txn_id) == "committed":
+                records = list(txn.records)
                 self.repository.db.commit_prepared(txn)
+                self._finish_from_log(records, host_txn_id)
                 committed.append(host_txn_id)
             else:
                 # Presumed abort: no durable COMMIT at the coordinator.
                 self.repository.db.abort_prepared(txn)
                 aborted.append(host_txn_id if host_txn_id is not None else txn.txn_id)
         return {"committed": committed, "aborted": aborted}
+
+    def _finish_from_log(self, records, host_txn_id: int) -> None:
+        """Do what the commit hooks of a branch committed from the log --
+        its *records* -- would have done live: queue the archive job of each
+        file it linked with recovery, and give back each rfd file its
+        close handed back (:meth:`_commit_file_update`)."""
+
+        self._queue_owed_jobs((path, host_txn_id)
+                              for path in recovery_links(records))
+        for record in records:
+            if record.table == "linked_files" and \
+                    record.type is LogRecordType.UPDATE and \
+                    record.before["taken_over"] and \
+                    not record.after["taken_over"]:
+                self._give_back(record.after)
+
+    def _queue_owed_jobs(self, owed) -> None:
+        """Queue the archive jobs owed by link branches committed from the
+        log: *owed* is ``(path, host_txn_id)`` per file linked with
+        recovery.
+
+        A live link branch queues its files' jobs from its ``on_commit``
+        hook; a branch committed at recovery or witness promotion never
+        ran one.  A file that already has a version or a queued job is
+        owed nothing.  The job's state id is the host commit's
+        (:meth:`_job_state_id`).
+        """
+
+        repository = self.repository
+        for path, host_txn_id in owed:
+            if not repository.latest_version_no(path) and \
+                    not repository.pending_archive_jobs(path):
+                repository.enqueue_archive_job(path, None,
+                                               host_txn_id=host_txn_id)
 
     def resolve_in_doubt(self) -> dict:
         """Resolve live branches after a *coordinator* failure.
@@ -964,7 +1090,14 @@ class DataLinksFileManager:
                 self.branches.commit(host_txn_id)
                 committed.append(host_txn_id)
             else:
+                closed = closed_paths(
+                    self.branches.get(host_txn_id).local_txn.records)
                 self.branches.abort(host_txn_id)
+                # An aborted close leaves its file's new bytes behind with
+                # the tracking row back: roll the update back (Section
+                # 4.2), as recovery does for a crashed node.
+                for path in closed:
+                    self.abort_file_update(path)
                 aborted.append(host_txn_id)
         return {"committed": committed, "aborted": aborted}
 

@@ -18,7 +18,9 @@ Tables
                     would restore (:meth:`DLFMRepository.add_version`).
 ``archive_queue``   asynchronous archive jobs not yet run -- a finished job
                     is deleted, so the table holds unfinished work only; a
-                    queued job blocks further updates of the same file.
+                    queued job blocks further updates of the same file.  A
+                    job queued before its host commit (a close branch)
+                    names the host transaction instead of a state id.
 
 ``file_versions`` and ``archive_queue`` draw their integer keys from
 ``MAX(key) + 1``, which the store answers from the primary-key index at
@@ -172,7 +174,8 @@ class DLFMRepository:
         db.create_table(_table("archive_queue", [
             Column("job_id", DataType.INTEGER, nullable=False),
             Column("path", DataType.TEXT, nullable=False),
-            Column("state_id", DataType.INTEGER, nullable=False, default=0),
+            Column("state_id", DataType.INTEGER, nullable=True),
+            Column("host_txn_id", DataType.INTEGER, nullable=True),
             Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
         ], ("job_id",)))
         db.create_index("archive_queue_path", "archive_queue", ("path",))
@@ -253,17 +256,18 @@ class DLFMRepository:
 
     # ------------------------------------------------------------ file versions --
     def add_version(self, path: str, archive_id: int, state_id: int,
-                    backup_state_ids=()) -> list[int]:
-        """Append a version to *path*'s chain and drop every superseded
-        version no retained backup would restore; returns the archive ids
-        of the dropped versions.
+                    backup_state_ids=(), job_id: int | None = None) -> list[int]:
+        """Append a version to *path*'s chain, drop every superseded
+        version no retained backup would restore and delete the archive
+        job *job_id* that cut the version; returns the archive ids of the
+        dropped versions.
 
         Version V, superseded by V', is picked by a restore to state *b*
         iff ``V.state_id <= b < V'.state_id``, so V stays iff one of the
         ascending *backup_state_ids* lies in that interval.  One read of
         the chain gives the next ``version_no`` and the superseded rows.
-        The insert and the deletes are one local transaction; with nothing
-        to drop, the insert is its own statement, as it always was.
+        The insert and the deletes are one local transaction, so a crash
+        leaves either the job or the version, never both.
         """
 
         chain = self._versions_by_path(path)
@@ -286,15 +290,14 @@ class DLFMRepository:
                     backup_state_ids[at] >= successor:
                 dropped.append(version)
             successor = low
-        if not dropped:
-            self._insert_version(row)
-            return []
         db = self.db
         txn = db.begin()
         try:
             self._insert_version(row, txn=txn)
             for version in dropped:
                 self._delete_version(version["version_id"], txn=txn)
+            if job_id is not None:
+                self._delete_job(job_id, txn=txn)
         except BaseException:
             db.abort(txn)
             raise
@@ -341,13 +344,18 @@ class DLFMRepository:
         return len(rows)
 
     # ------------------------------------------------------------ archive queue --
-    def enqueue_archive_job(self, path: str, state_id: int,
-                            txn: Transaction | None = None) -> int:
+    def enqueue_archive_job(self, path: str, state_id: int | None,
+                            txn: Transaction | None = None, *,
+                            host_txn_id: int | None = None) -> int:
+        """Queue an archive job of *path*: at host state *state_id*, or --
+        with ``state_id=None`` -- at the commit of *host_txn_id*."""
+
         job_id = self._next_id("archive_queue")
         self._insert_job({
             "job_id": job_id,
             "path": path,
             "state_id": state_id,
+            "host_txn_id": host_txn_id,
             "created_at": self.db.now(),
         }, txn=txn)
         return job_id

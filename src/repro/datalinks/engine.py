@@ -11,7 +11,10 @@ The engine extends the host database with DATALINK awareness:
   returned URL (Section 4.1);
 * when a managed file update commits, the engine updates registered metadata
   columns (size, modification time) of the rows referencing that file in the
-  same transaction as the DLFM's close processing (Section 4.3).
+  same transaction as the DLFM's close processing (Section 4.3); that
+  transaction commits in one round trip (Section 4.2): the closing DLFM's
+  request carries its yes-vote and the host's reply carries the commit
+  (:meth:`DataLinksEngine.commit_file_update`).
 
 Scale-out additions (beyond the paper):
 
@@ -60,6 +63,7 @@ from repro.errors import (
     DataLinksError,
     IPCError,
     PlacementEpochError,
+    ReproError,
 )
 from repro.simclock import SimClock
 from repro.storage.database import Database
@@ -71,10 +75,17 @@ from repro.util.urls import format_url, parse_url
 
 @dataclass
 class HostTransaction:
-    """A host transaction plus the set of file servers enlisted in it."""
+    """A host transaction plus the set of file servers enlisted in it.
+
+    ``voted`` names the participant whose yes-vote came with its request
+    (a DLFM committing a closed file update, :meth:`DataLinksEngine.
+    commit_file_update`): the prepare fan-out skips it, and its commit or
+    abort rides the reply instead of a message of its own.
+    """
 
     txn: Transaction
     servers: set[str] = field(default_factory=set)
+    voted: str | None = None
 
     @property
     def txn_id(self) -> int:
@@ -216,6 +227,7 @@ class DataLinksEngine:
         self.db = host_db
         self.clock = clock
         self._dispatch = clock.meter("datalink_engine_dispatch")
+        self._message = clock.meter("db_dlfm_message")
         self.default_token_ttl = default_token_ttl
         self._servers: dict[str, _FileServerEntry] = {}
         self._metadata_rules: list[_MetadataRule] = []
@@ -333,8 +345,16 @@ class DataLinksEngine:
         return HostTransaction(txn=self.db.begin())
 
     def commit(self, host_txn: HostTransaction) -> LSN:
-        """Two-phase commit across the host database and every enlisted DLFM."""
+        """Two-phase commit across the host database and every enlisted DLFM.
 
+        A participant whose vote came with its request
+        (``host_txn.voted``) gets no prepare and no commit message: its
+        vote is already in, and its commit rides the reply to that request
+        once this returns.  The coordinator's COMMIT is durable before any
+        participant commits, that one included.
+        """
+
+        voted = host_txn.voted
         if host_txn.servers:
             amount, meter = self._dispatch
             self.clock.ticks += amount
@@ -345,7 +365,8 @@ class DataLinksEngine:
         # for the slowest vote, not the sum of all votes.
         with self.clock.overlap():
             for server in sorted(host_txn.servers):
-                if not self._entry(server).connection.prepare(host_txn.txn_id):
+                if server != voted and \
+                        not self._entry(server).connection.prepare(host_txn.txn_id):
                     # The server is enlisted, so it once held a branch; a
                     # missing branch means the DLFM crashed and lost it.
                     # Refuse to commit a transaction whose file-side effects
@@ -365,9 +386,39 @@ class DataLinksEngine:
         fire(self.failpoints, "commit:after_host_commit")
         with self.clock.overlap():
             for server in sorted(host_txn.servers):
-                self._entry(server).connection.commit(host_txn.txn_id)
-                fire(self.failpoints, "commit:committed", server)
+                if server != voted:
+                    self._entry(server).connection.commit(host_txn.txn_id)
+                    fire(self.failpoints, "commit:committed", server)
         return state_id
+
+    def commit_file_update(self, host_txn: HostTransaction, server: str,
+                           path: str, size: int, mtime: float) -> LSN:
+        """The host side of a close-time commit (Sections 4.2 and 4.3).
+
+        The request of the DLFM on *server*, which has written its branch
+        of *host_txn* and forced its PREPARE, carries its yes-vote and the
+        closed file's size and mtime: one ``db_dlfm_message`` round trip,
+        the only message of the commit.  The host runs the metadata
+        UPDATE, then :meth:`commit` (no prepare to *server*; the COMMIT is
+        forced) and replies with the commit's state id, on which the DLFM
+        commits its branch.  A refusal -- the UPDATE raising a
+        :class:`~repro.errors.ReproError` -- aborts the host transaction
+        and is the reply: the DLFM aborts its prepared branch.  Anything
+        else that raises is a crash, and no reply comes (the branch stays
+        in doubt and is resolved from the host's durable outcome).
+        """
+
+        amount, meter = self._message
+        self.clock.ticks += amount
+        meter[0] += 1
+        host_txn.servers.add(server)
+        host_txn.voted = server
+        try:
+            self.update_file_metadata(server, path, size, mtime, host_txn)
+        except ReproError:
+            self.abort(host_txn)
+            raise
+        return self.commit(host_txn)
 
     def commit_group(self, host_txns: list[HostTransaction]) -> LSN:
         """Group commit: resolve a whole batch of host transactions at once.
@@ -444,10 +495,13 @@ class DataLinksEngine:
     def abort(self, host_txn: HostTransaction) -> None:
         """Abort everywhere.  Unreachable file servers are tolerated: a
         crashed DLFM lost its volatile branch anyway, and a prepared branch
-        it persisted is resolved by presumed abort during its recovery."""
+        it persisted is resolved by presumed abort during its recovery.
+        The ``voted`` participant's abort rides the refusal it is sent."""
 
         with self.clock.overlap():
             for server in sorted(host_txn.servers):
+                if server == host_txn.voted:
+                    continue
                 try:
                     self._entry(server).connection.abort(host_txn.txn_id)
                 except IPCError:
@@ -464,6 +518,13 @@ class DataLinksEngine:
         """
 
         return self.db.txn_outcome(host_txn_id)
+
+    def host_commit_state(self, host_txn_id: int) -> LSN | None:
+        """The state id of a host transaction's durable commit, ``None``
+        when it has none: what a DLFM that lost a close's reply dates the
+        close's archived version by."""
+
+        return self.db.commit_state_of(host_txn_id)
 
     def host_transaction_outcomes(self, host_txn_ids) -> dict:
         """Durable outcomes for a batch of host transactions.

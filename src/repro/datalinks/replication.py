@@ -53,6 +53,7 @@ order).  They fire into the engine's one table; see
 from __future__ import annotations
 
 from repro.datalinks.control_modes import ControlMode
+from repro.datalinks.dlfm.link_manager import recovery_links
 from repro.util.failpoints import fire
 from repro.datalinks.routing import NodeRole
 from repro.errors import (
@@ -393,11 +394,16 @@ class ReplicaApplier:
         ``"aborted"`` / ``"unknown"``; anything but a durable commit is
         presumed aborted, exactly like a recovering participant.  Local
         transactions that never voted cannot have committed and are dropped.
+        ``owed_jobs`` lists ``(path, host_txn_id)`` for each file a
+        committed branch linked with recovery: its archive job was to be
+        queued by a commit hook that ran on no node.
         """
 
-        committed, aborted = [], []
+        committed, aborted, owed = [], [], []
         for txn_id, host_txn_id in sorted(self._prepared.items()):
             if outcomes.get(host_txn_id) == "committed":
+                owed.extend((path, host_txn_id) for path in
+                            recovery_links(self._pending.get(txn_id, ())))
                 self._apply_txn(txn_id)
                 committed.append(host_txn_id)
             else:
@@ -405,7 +411,8 @@ class ReplicaApplier:
                 aborted.append(host_txn_id if host_txn_id is not None else txn_id)
         for txn_id in list(self._pending):
             self._drop_txn(txn_id)
-        return {"committed": committed, "aborted": aborted}
+        return {"committed": committed, "aborted": aborted,
+                "owed_jobs": owed}
 
     # ----------------------------------------------------------------- resync --
     def reset_from_snapshot(self, snapshot: dict, state_lsn: LSN) -> None:

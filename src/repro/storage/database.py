@@ -401,6 +401,12 @@ class Database:
 
         return self.wal.outcome_of(txn_id)
 
+    def commit_state_of(self, txn_id: int) -> LSN | None:
+        """The state identifier *txn_id*'s durable commit produced (the
+        LSN of its COMMIT record), ``None`` when it has no durable commit."""
+
+        return self.wal.commit_lsn_of(txn_id)
+
     # savepoints -------------------------------------------------------------------
     def savepoint(self, txn: Transaction, name: str) -> None:
         txn.require_active()

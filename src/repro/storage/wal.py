@@ -379,18 +379,41 @@ class WriteAheadLog:
         without copying them (this runs on every 2PC in-doubt resolution),
         then answering a folded transaction from the fold horizon."""
 
-        records = self._records
-        for position in range(self._flushed_count - 1, -1, -1):
-            record = records[position]
-            if record.txn_id != txn_id:
-                continue
-            if record.type is LogRecordType.COMMIT:
-                return "committed"
-            if record.type is LogRecordType.ABORT:
-                return "aborted"
+        record = self._outcome_record(txn_id)
+        if record is not None:
+            return "committed" if record.type is LogRecordType.COMMIT \
+                else "aborted"
         if SYSTEM_TXN_ID < txn_id < self._horizon:
             return self._not_committed.get(txn_id, "committed")
         return "unknown"
+
+    def commit_lsn_of(self, txn_id: int) -> LSN | None:
+        """The LSN of *txn_id*'s durable COMMIT, ``None`` when it has none.
+
+        A commit folded away answers the last folded LSN, which it does not
+        follow: the fold keeps outcomes, not their positions.
+        """
+
+        record = self._outcome_record(txn_id)
+        if record is not None:
+            return record.lsn if record.type is LogRecordType.COMMIT \
+                else None
+        if SYSTEM_TXN_ID < txn_id < self._horizon and \
+                txn_id not in self._not_committed:
+            return self._folded
+        return None
+
+    def _outcome_record(self, txn_id: int) -> "LogRecord | None":
+        """*txn_id*'s retained durable COMMIT or ABORT record, if any."""
+
+        records = self._records
+        for position in range(self._flushed_count - 1, -1, -1):
+            record = records[position]
+            if record.txn_id == txn_id and (
+                    record.type is LogRecordType.COMMIT
+                    or record.type is LogRecordType.ABORT):
+                return record
+        return None
 
     # -- crash simulation --------------------------------------------------------
     def lose_unflushed(self) -> int:

@@ -8,6 +8,12 @@ A name ending in ``:<server>`` or ``:<shard>`` is *scoped*: it is armed
 once per file server or shard (``commit:prepared:shard0``) and fired with
 that scope, so a hook crashes one victim and no other.
 
+A close-time commit (Section 4.2) is the same protocol with one message: the
+closing DLFM prepares before its request, which carries the vote, and
+commits on the host's reply; ``commit:prepared`` fires for it as the
+request's vote is counted and ``commit:committed`` as it commits, on the
+DLFM, after the reply.
+
 There is one table per deployment, the engine's
 (:attr:`~repro.datalinks.engine.DataLinksEngine.failpoints`), and every
 firing site -- the commit protocol, every WAL shipper and replica applier,
@@ -21,14 +27,18 @@ firing.
 from __future__ import annotations
 
 POINTS: dict[str, str] = {
-    "commit:begin": "a two-phase commit starts, nothing sent yet",
-    "commit:prepared:<server>": "the server voted yes",
+    "commit:begin": "a two-phase commit starts, nothing sent yet (a "
+                    "closing DLFM's branch is prepared: its vote came "
+                    "with its request)",
+    "commit:prepared:<server>": "the server's yes-vote is in (a closing "
+                                "DLFM's, on its request)",
     "commit:before_host_commit": "every vote is in, the host has not "
                                  "committed",
     "commit:mid_flush": "the host COMMIT is appended, the log not forced",
     "commit:after_host_commit": "the host COMMIT is durable, no participant "
                                 "committed",
-    "commit:committed:<server>": "the server committed its branch",
+    "commit:committed:<server>": "the server committed its branch (a "
+                                 "closing DLFM, on the host's reply)",
     "group:begin": "a commit group starts, nothing sent yet",
     "group:prepared:<server>": "the server voted on the whole group",
     "group:before_host_commit": "every vote is in, the host has not "

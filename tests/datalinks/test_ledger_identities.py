@@ -16,6 +16,8 @@ the charges the check names.
 * ``TestUpdateInPlaceIsTableSizeIndependent``: the file-keyed reference
   index moves no simulated charge, and update-in-place costs the same
   number of Python calls whatever the table size.
+* ``TestCloseCommitIsOneRoundTrip``: the close of an updated file commits
+  with one message between the DLFM and the host.
 """
 
 from __future__ import annotations
@@ -364,3 +366,52 @@ class TestUpdateInPlaceIsTableSizeIndependent:
                                for entry in profile.getstats())
         small, large = calls[100], calls[1600]
         assert abs(large - small) / small < 0.05, calls
+
+
+class TestCloseCommitIsOneRoundTrip:
+    """The close of an updated rdd file on a plain system, against the
+    protocol spelled out: the DLFM writes its branch and forces its PREPARE
+    (one ``dlfm.log_write``), its one request to the host carries the vote
+    (one ``db_dlfm_message``, charged on the host, which has no daemon to
+    dispatch it), the host forces its COMMIT (one ``log_write``) and the
+    reply commits the branch (the second ``dlfm.log_write``).  The only
+    ``daemon_dispatch`` is the close upcall's.  A coordinator-driven
+    two-phase commit charged two messages here, a prepare and a commit
+    (each dispatched by the DLFM's agent), and left the request free."""
+
+    def test_one_close_is_one_message(self):
+        from repro.datalinks.control_modes import ControlMode
+        from repro.storage.wal import LogRecordType
+        from tests.conftest import FILES_TABLE, build_system
+
+        system, alice, paths, _ = build_system(ControlMode.RDD, size=512)
+        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                 access="write")
+        update = alice.update_file(url, truncate=True)
+        update.begin()
+        update.write(b"one round trip")
+        dlfm = system.file_server("fs1").dlfm
+        wal = dlfm.repository.db.wal
+        mark = wal.tail_lsn()
+        before = system.clocks.stats.ledger()
+        host_before = system.clock.stats.ledger()
+        update.commit()
+        after = system.clocks.stats.ledger()
+        counts = {label: count - before.get(label, (0, 0))[0]
+                  for label, (count, _) in after.items()}
+        assert counts["db_dlfm_message"] == 1
+        assert system.clock.stats.ledger()["db_dlfm_message"][0] == \
+            host_before.get("db_dlfm_message", (0, 0))[0] + 1
+        assert counts["daemon_dispatch"] == 1
+        assert counts["log_write"] == 1
+        assert counts["dlfm.log_write"] == 2
+        records = wal.records_from(mark)
+        prepares = [record for record in records
+                    if record.type is LogRecordType.PREPARE]
+        assert len(prepares) == 1
+        host_txn_id = prepares[0].extra["host_txn_id"]
+        assert system.host_db.txn_outcome(host_txn_id) == "committed"
+        # The close's archive job is one of the branch's own writes.
+        assert any(record.table == "archive_queue"
+                   and record.txn_id == prepares[0].txn_id
+                   for record in records)

@@ -114,6 +114,19 @@ def assert_host_dlfm_agreement(system, table=FILES_TABLE, column="body"):
             f"{name}: DLFM has {sorted(linked)}, host says {sorted(expected[name])}")
 
 
+def assert_archive_owed(system):
+    """Every linked recovery file has an archived version or a queued
+    archive job: no committed link or update lost the job it is owed."""
+
+    for name, server in system.file_servers.items():
+        repository = server.dlfm.repository
+        for row in repository.linked_files():
+            if row["recovery"]:
+                assert repository.versions(row["path"]) or \
+                    repository.pending_archive_jobs(row["path"]), \
+                    f"{name}: {row['path']!r} has no version and no job"
+
+
 def _two_server_setup(flush_policy: str = "immediate"):
     """A system with fs1+fs2, one unlinked file on each; returns the URLs."""
 
@@ -174,6 +187,9 @@ class TestCrashMatrix:
         system.resolve_in_doubt()
 
         assert_host_dlfm_agreement(system)
+        # A link branch committed from the log at recovery gets the archive
+        # job its live commit hook would have queued.
+        assert_archive_owed(system)
         rows = system.host_db.select(FILES_TABLE, lock=False)
         outcome = system.host_db.txn_outcome(host_txn.txn_id)
         if expected == "committed":
@@ -247,8 +263,26 @@ class TestCrashMatrix:
         system.resolve_in_doubt()
 
         assert_host_dlfm_agreement(system)
+        assert_archive_owed(system)
         rows = system.host_db.select(FILES_TABLE, lock=False)
         assert bool(rows) == (expected == "committed")
+
+    def test_a_link_under_group_commit_keeps_its_job_across_a_crash(self):
+        """A DLFM crash that loses the unflushed tail after a link commits
+        leaves the branch in doubt; recovery commits it from the host's
+        outcome and queues the archive job its commit hook never did."""
+
+        system, alice, paths, urls = build_system(
+            ControlMode.RDD, link=False, flush_policy="group")
+        system.flush_logs()
+        alice.insert(FILES_TABLE, {"doc_id": 0, "title": "a", "body": urls[0],
+                                   "body_size": 0, "body_mtime": 0.0})
+        system.crash_file_server("fs1")
+        recovered = system.recover_file_server("fs1")
+        assert recovered["repository"]["in_doubt_committed"]
+        assert_host_dlfm_agreement(system)
+        assert_archive_owed(system)
+        assert system.run_archiver() == 1
 
     def test_participant_crash_before_prepare_rolls_branch_back(self):
         """A file server that crashes before voting loses its volatile
@@ -264,6 +298,177 @@ class TestCrashMatrix:
         system.resolve_in_doubt()
         assert_host_dlfm_agreement(system)
         assert system.host_db.select(FILES_TABLE, lock=False) == []
+
+
+NEW_BYTES = b"the new version of the file"
+
+
+def _open_update(system, alice):
+    """An update of doc 0 that wrote NEW_BYTES and is about to close."""
+
+    url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                             access="write")
+    update = alice.update_file(url, truncate=True)
+    update.begin()
+    update.write(NEW_BYTES)
+    return update
+
+
+def assert_one_version(system, alice, path, content):
+    """E6's sentence (Section 4.2) after the dust settles: the file's bytes,
+    the host's metadata columns, the DLFM's link row and its version chain
+    all hold *content*; no update is in progress, no job is left, and the
+    file reads back through a read URL (an rfd file is its owner's again)."""
+
+    server = system.file_server("fs1")
+    repository = server.dlfm.repository
+    assert_archive_owed(system)
+    system.run_archiver()
+    assert server.files.read(path) == content
+    row = system.host_db.select_one(FILES_TABLE, {"doc_id": 0}, lock=False)
+    assert row["body_size"] == len(content)
+    assert repository.linked_file(path)["last_size"] == len(content)
+    assert repository.all_tracking() == []
+    assert repository.pending_archive_jobs() == []
+    latest = repository.latest_version(path)
+    assert server.dlfm.archive.retrieve(latest["archive_id"],
+                                        server.clock) == content
+    url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                             access="read")
+    assert alice.read_url(url) == content
+
+
+class TestCloseCrashMatrix:
+    """A crash of the host, the DLFM or both at every step of a close-time
+    commit: the DLFM writes its branch and forces its PREPARE, its one
+    request carries the vote, and the host's reply carries the commit.
+
+    Whatever crashed where, after recovery the file, the host's metadata
+    and the DLFM's tracking and versions agree on the old version or the
+    new one, a committed new version is archived, and the file takes its
+    next update.  A DLFM crash does not stop the host: the vote it sent
+    is in, so the host commits, and the DLFM learns it when it recovers.
+    """
+
+    #: Protocol order; whether the host's COMMIT is durable there (under
+    #: the immediate flush policy the COMMIT is forced as it is appended).
+    POINTS = {
+        "commit:begin": False,
+        "commit:prepared:fs1": False,
+        "commit:before_host_commit": False,
+        "commit:mid_flush": True,
+        "commit:after_host_commit": True,
+        "commit:committed:fs1": True,
+    }
+
+    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
+                             ids=["rdd", "rfd"])
+    @pytest.mark.parametrize("victim", ["host", "dlfm", "both"])
+    @pytest.mark.parametrize("point", list(POINTS))
+    def test_crash_at_every_step_of_the_close(self, point, victim, mode):
+        system, alice, paths, _ = build_system(mode)
+        old = system.file_server("fs1").files.read(paths[0])
+        update = _open_update(system, alice)
+
+        def crash_dlfm():
+            system.crash_file_server("fs1")
+
+        if victim == "dlfm":
+            system.engine.failpoints[point] = boom(crash_dlfm, raises=None)
+            try:
+                update.commit()
+            except ReproError:
+                pass        # the host's reply found the DLFM down
+        else:
+            crash = system.host_db.crash if victim == "host" else \
+                (lambda: (crash_dlfm(), system.host_db.crash()))
+            system.engine.failpoints[point] = boom(crash)
+            with pytest.raises(InjectedCrash):
+                update.commit()
+        system.engine.failpoints.clear()
+
+        if victim != "dlfm":
+            system.host_db.recover()
+        if victim != "host":
+            system.recover_file_server("fs1")
+        system.resolve_in_doubt()
+
+        committed = victim == "dlfm" or self.POINTS[point]
+        assert_one_version(system, alice, paths[0],
+                           NEW_BYTES if committed else old)
+        versions = system.file_server("fs1").dlfm.repository.versions(paths[0])
+        assert [version["version_no"] for version in versions] == \
+            ([2] if committed else [1])
+        _update(system, alice, 0, b"the next update")
+        assert_one_version(system, alice, paths[0], b"the next update")
+
+    def test_a_host_refusal_after_the_vote_rolls_the_update_back(self):
+        """The host cannot run the metadata UPDATE (another transaction
+        holds the row): its refusal is the reply, the DLFM aborts its
+        prepared branch and the file goes back to the last version."""
+
+        from repro.errors import LockConflictError
+
+        system, alice, paths, _ = build_system(ControlMode.RDD)
+        old = system.file_server("fs1").files.read(paths[0])
+        blocker = system.engine.begin()
+        system.engine.select(FILES_TABLE, {"doc_id": 0}, blocker,
+                             for_update=True)
+        update = _open_update(system, alice)
+        with pytest.raises(LockConflictError):
+            update.commit()
+        system.engine.abort(blocker)
+        dlfm = system.file_server("fs1").dlfm
+        assert dlfm.branches.active_host_transactions() == []
+        assert dlfm.soft.sync == {}
+        assert_one_version(system, alice, paths[0], old)
+        _update(system, alice, 0, b"the next update")
+        assert_one_version(system, alice, paths[0], b"the next update")
+
+    def test_a_close_under_group_commit_keeps_its_job_across_a_crash(self):
+        """The close's archive job is written inside its branch: a DLFM
+        crash that loses the unflushed tail after the close loses neither
+        the update nor the job that archives it."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD,
+                                               flush_policy="group")
+        system.flush_logs()
+        _update(system, alice, 0, NEW_BYTES, archive=False)
+        system.crash_file_server("fs1")
+        system.recover_file_server("fs1")
+        assert_one_version(system, alice, paths[0], NEW_BYTES)
+
+
+class TestArchiveJobRunsOnce:
+    def test_a_crash_after_the_version_commits_does_not_rerun_the_job(self):
+        """The version row, the rows it supersedes and the job's delete
+        are one local transaction: a crash the moment the version is
+        durable leaves no job to re-run, so one update is one version and
+        one archive object."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD)
+        dlfm = system.file_server("fs1").dlfm
+        stores = dlfm.archive._next_id
+        _update(system, alice, 0, NEW_BYTES, archive=False)
+        wal = dlfm.repository.db.wal
+        seen = wal.flushed_lsn
+
+        def crash_once_a_version_is_durable(log):
+            if any(record.table == "file_versions"
+                   for record in log.records_from(seen, durable_only=True)):
+                dlfm.repository.remove_wal_listener(
+                    crash_once_a_version_is_durable)
+                system.crash_file_server("fs1")
+                raise InjectedCrash
+
+        dlfm.repository.add_wal_listener(crash_once_a_version_is_durable)
+        with pytest.raises(InjectedCrash):
+            system.run_archiver()
+        system.recover_file_server("fs1")
+        assert_one_version(system, alice, paths[0], NEW_BYTES)
+        assert [version["version_no"]
+                for version in dlfm.repository.versions(paths[0])] == [2]
+        assert dlfm.archive._next_id == stores + 1
 
 
 REPL_TABLE = "replicated_docs"
@@ -434,6 +639,40 @@ class TestReplicationFailoverMatrix:
 
         deployment.fail_back(self.VICTIM)
         assert_replicated_agreement(deployment)
+
+    def test_a_link_committed_in_doubt_at_promotion_gets_its_job(self):
+        """The primary dies with a recovery link's branch prepared and the
+        host committed: the witness commits the branch at promotion, and
+        the archive job the branch's commit hook would have queued on the
+        primary is queued on the promoted node, which archives it."""
+
+        from tests.conftest import SHARD_TABLE, build_deployment, prefix_on
+
+        deployment, session = build_deployment()
+        path = f"{prefix_on(deployment, self.VICTIM)}/doc.dat"
+        url = deployment.put_file(session, path, b"owed an archive job")
+        host_txn = deployment.begin()
+        deployment.engine.insert(SHARD_TABLE, {
+            "doc_id": 0, "body": url, "body_size": 0, "body_mtime": 0.0},
+            host_txn)
+        deployment.engine.failpoints["commit:after_host_commit"] = boom(
+            lambda: deployment.crash_shard(self.VICTIM))
+        with pytest.raises(InjectedCrash):
+            deployment.engine.commit(host_txn)
+        deployment.engine.failpoints.clear()
+
+        deployment.fail_over(self.VICTIM)
+        serving = deployment.replicas[self.VICTIM].serving
+        assert serving.name != self.VICTIM
+        repository = serving.dlfm.repository
+        assert repository.linked_file(path) is not None
+        assert len(repository.pending_archive_jobs(path)) == 1
+        assert serving.dlfm.process_archive_jobs() == 1
+        (version,) = repository.versions(path)
+        assert serving.dlfm.archive.retrieve(
+            version["archive_id"], serving.clock) == b"owed an archive job"
+        assert version["state_id"] == \
+            deployment.host_db.commit_state_of(host_txn.txn_id)
 
     def test_group_commit_drain_failure_resolves_through_witness(self):
         """A primary crash after the host group commit: the drain redrives

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import run_all
+from repro.bench.harness import run_all, steady_state_calls
 from tests.conftest import run_smoke
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -68,22 +68,6 @@ def _worst_total(payload: dict) -> float:
 
     return sum(max(entry.get("wall_clock_samples_s") or [entry["wall_clock_s"]])
                for entry in payload["experiments"].values())
-
-
-def _steady_state_calls(experiment_id: str, scale: str) -> int:
-    """The Python calls of a warm pass of one experiment (a first pass fills
-    the caches)."""
-
-    import cProfile
-
-    from repro.bench.runner import run_experiment
-
-    run_experiment(experiment_id, scale)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_experiment(experiment_id, scale)
-    profiler.disable()
-    return sum(entry.callcount for entry in profiler.getstats())
 
 
 @pytest.fixture(scope="module")
@@ -192,16 +176,18 @@ class TestCallCountBudget:
     steady-state Python function-call count of an experiment is far less
     so -- the simulator is single-threaded and fully seeded.  The committed
     artifact records it per experiment (``profile_calls``, written by
-    ``--profile``: the profiled pass runs last, after the timing passes
-    warmed the caches).  The count repeats exactly on one box and
-    interpreter build for one command (``--smoke --profile --best-of 3``
-    read E14 222 356 on each of three runs of one tree), but it is not a
-    constant of the code alone: the same tree and command read 220 302 on
-    another box, about 1 % apart, and fewer warm passes before the profiled
-    one raise it (227 528 with one timing pass).  The 10 % headroom covers
-    the box-to-box gap; a fresh warm count above it means a hot path
-    gained per-event work, however quiet the machine, while a regression
-    smaller than that gap cannot be told from it.
+    ``--profile``: a profiled pass after the timing passes), and this test
+    takes it after the same warm-up, through the harness's own pass
+    (:func:`~repro.bench.harness.steady_state_calls`: one unprofiled pass,
+    then the profiled one).  A cold pass counts the cache fills too (E14
+    smoke alone: 225 059 cold, 189 486 on every warm pass after it), and
+    one warm pass is enough: ``--best-of 1`` and ``--best-of 3`` record the
+    same count.  The count repeats exactly on one box and interpreter
+    build, but it is not a constant of the code alone: the same tree and
+    command read about 1 % apart on two boxes.  The 10 % headroom covers
+    that gap; a fresh warm count above it means a hot path gained
+    per-event work, however quiet the machine, while a regression smaller
+    than the gap cannot be told from it.
     """
 
     # Headroom for intentional small additions; regenerating the artifact
@@ -215,7 +201,7 @@ class TestCallCountBudget:
         if not baseline:
             pytest.skip("committed artifact carries no profile_calls "
                         "baseline; regenerate with --profile")
-        fresh = _steady_state_calls(self.EXPERIMENT, "smoke")
+        fresh = steady_state_calls(self.EXPERIMENT, "smoke")
         budget = int(baseline * self.ALLOWED_GROWTH)
         assert fresh <= budget, (
             f"{self.EXPERIMENT} smoke now executes {fresh} Python calls "
@@ -311,7 +297,7 @@ class TestLargeTierInvariant:
         if not baseline:
             pytest.skip("committed BENCH_large.json carries no "
                         "profile_calls baseline; regenerate with --profile")
-        fresh = _steady_state_calls("E14", "large")
+        fresh = steady_state_calls("E14", "large")
         budget = int(baseline * 1.10)
         assert fresh <= budget, (
             f"E14-large now executes {fresh} Python calls against the "
