@@ -5,7 +5,8 @@ This example exercises the guarantees of Sections 4.2 and 4.4:
 
 * an update that fails mid-way leaves no trace -- the last committed version
   is restored from the archive;
-* a file-server crash during an update rolls the file back on recovery;
+* a file-server crash during an update rolls the file back when the
+  server restarts (``system.crash(node)`` / ``system.restart(node)``);
 * a coordinated backup captures the database and the file versions together,
   and restoring it brings metadata and file content back in sync.
 
@@ -64,13 +65,13 @@ def main() -> None:
     after = fs.read_file("/reports/q1.txt")
     print(f"failed update rolled back: content unchanged = {before == after}")
 
-    # --- 2. a crash during an update rolls back on recovery ----------------------
+    # --- 2. a crash during an update rolls back on restart -----------------------
     url = analyst.get_datalink("reports", {"report_id": 1}, "body", access="write")
     in_flight = analyst.update_file(url, truncate=True)
     in_flight.begin()
     in_flight.write(b"power went out right about here")
-    system.crash_file_server("fs1")
-    summary = system.recover_file_server("fs1")
+    system.crash("fs1")
+    summary = system.restart("fs1")
     print(f"crash recovery rolled back in-flight updates: {summary['rolled_back_updates']}")
     print(f"content intact after recovery = {fs.read_file('/reports/q1.txt') == before}")
 

@@ -16,10 +16,11 @@ This walks through the core loop of the paper:
 8. replicate: give every shard a witness replica fed by the primary's
    repository WAL stream.  Healthy witnesses serve *follower reads*
    (load-balanced by the replication-aware router under a staleness
-   bound); a crashed primary fails over to a witness promoted to a **full
-   primary** -- reads *and* link/unlink writes keep flowing -- and
-   fail-back catches the recovered ex-primary up over a *reversed* WAL
-   stream from its last-applied LSN instead of a full resync;
+   bound); a primary downed by ``crash(node)`` fails over to a witness
+   promoted to a **full primary** -- reads *and* link/unlink writes keep
+   flowing -- and fail-back restarts the ex-primary and catches it up
+   over a *reversed* WAL stream from its last-applied LSN instead of a
+   full resync;
 9. rebalance *online*: placement is no longer a hash frozen at deployment
    time but a versioned ``PlacementMap`` with a **placement epoch** --
    ``rebalance_prefix(prefix, dest)`` moves a hot URL prefix to another
@@ -208,7 +209,7 @@ def main() -> None:
     print(f"follower reads: {roles['reads_by_role']} over roles "
           f"{roles['roles'][shard]}")
 
-    replicated.crash_shard(shard)            # primary dies mid-traffic...
+    replicated.crash(shard)                  # primary dies mid-traffic...
     promotion = replicated.fail_over(shard)  # ...witness becomes full primary
     print(f"primary {shard} crashed; witness {promotion['serving']} promoted "
           f"at epoch {promotion['epoch']}")
@@ -223,7 +224,7 @@ def main() -> None:
     print(f"linked {url2} while {shard} was down "
           f"(served by {promotion['serving']})")
 
-    # Fail-back: the recovered ex-primary rejoins over the *reversed* WAL
+    # Fail-back: the ex-primary restarts and rejoins over the *reversed* WAL
     # stream (catching up from its last-applied LSN -- no full resync),
     # then the lease rotates home and the outage-era article is there.
     summary = replicated.fail_back(shard)

@@ -96,6 +96,8 @@ class FileServer:
         back to it.
         """
 
+        if self.running:
+            raise DataLinksError(f"cannot restart {self.name!r}: it is running")
         summary = self.dlfm.recover()
         self.upcall_daemon.start()
         self.main_daemon.start_all()
@@ -114,7 +116,7 @@ class DataLinksSystem:
     can lose the last unflushed window of *host-only* commits; a
     transaction that touched a DLFM always forces the log before the DLFMs
     commit (the two-phase-commit rule), and any branch left in doubt is
-    resolved from the host's durable outcome during recovery.
+    resolved from the host's durable outcome by :meth:`restart`.
 
     The system owns its clocks: one
     :class:`~repro.simclock.ClockDomainGroup` calibrated by ``cost_model``,
@@ -174,7 +176,8 @@ class DataLinksSystem:
         try:
             return self.file_servers[name]
         except KeyError:
-            raise DataLinksError(f"no file server named {name!r}") from None
+            raise DataLinksError(f"no node named {name!r} (known nodes: "
+                                 f"{['host', *self.file_servers]})") from None
 
     # ------------------------------------------------------------------- schema --
     def create_table(self, schema: TableSchema) -> None:
@@ -265,7 +268,8 @@ class DataLinksSystem:
         with a shared node.  Returns the values the steps yielded, in the
         order the steps ran (a step yields a value other than ``None``).
         An exception from a step propagates and leaves the other servers'
-        remaining steps unrun.
+        remaining steps unrun.  A crashed server takes no part: its work
+        waits in its durable queues for the first run after its restart.
         """
 
         def admin(call, work):
@@ -279,6 +283,8 @@ class DataLinksSystem:
         with self.clock.overlap():
             start, actors = self.clock.ticks, []
             for server in self.file_servers.values():
+                if not server.running:
+                    continue
                 server.clock.sync_ticks(start)
                 actors.append((server.clock, admin(self._at_server(server),
                                                    steps(server))))
@@ -341,23 +347,43 @@ class DataLinksSystem:
         finally:
             self.clocks.barrier()
 
-    # ------------------------------------------------------------ fault injection --
-    def crash_file_server(self, name: str) -> None:
-        self.file_server(name).crash()
+    # ------------------------------------------------------------ crash / restart --
+    def crash(self, node: str) -> None:
+        """Crash *node* -- ``"host"`` or a file server's name: its volatile
+        state is lost, its durable log survives."""
 
-    def recover_file_server(self, name: str) -> dict:
-        return self.file_server(name).recover()
+        (self.host_db if node == "host" else self.file_server(node)).crash()
 
-    def resolve_in_doubt(self) -> dict:
-        """Drive prepared DLFM branches to the host's durable outcome.
+    def restart(self, node: str) -> dict:
+        """Restart a crashed *node* and finish its recovery; returns the
+        recovery summary.
 
-        Use after recovering the host database from a crash that interrupted
-        a two-phase commit (coordinator failure); file-server crashes resolve
-        their own in-doubt branches during :meth:`recover_file_server`.
+        A file server recovers from its own log and resolves its in-doubt
+        branches from the host's durable outcome.  The host (the two-phase
+        commit coordinator) recovers from its log, then every running file
+        server drives its live branches to the host's durable outcome
+        (presumed abort), between two cluster-wide clock barriers.
         """
 
+        if node != "host":
+            return self.file_server(node).recover()
+        if not self.host_db.crashed:
+            raise DataLinksError("cannot restart 'host': it is running")
         self.clocks.barrier()
         try:
-            return self.engine.resolve_in_doubt()
+            summary = self.host_db.recover()
+            summary["in_doubt"] = {
+                name: server.dlfm.resolve_in_doubt()
+                for name, server in sorted(self.file_servers.items())
+                if server.running}
+            return summary
         finally:
             self.clocks.barrier()
+
+    def crash_file_server(self, name: str) -> None:
+        # The frozen layered benchmark calls this until ROADMAP 5(e).
+        self.crash(name)
+
+    def recover_file_server(self, name: str) -> dict:
+        # The frozen layered benchmark calls this until ROADMAP 5(e).
+        return self.restart(name)

@@ -392,8 +392,8 @@ def e6(context):
             else "partial update survived"
 
     def crash_and_recover(system) -> None:
-        system.crash_file_server("fs1")
-        system.recover_file_server("fs1")
+        system.crash("fs1")
+        system.restart("fs1")
 
     # 1. explicit abort in the middle of an update
     def fail_mid_update(system, update):

@@ -537,18 +537,6 @@ class DataLinksEngine:
         return {host_txn_id: self.db.txn_outcome(host_txn_id)
                 for host_txn_id in host_txn_ids}
 
-    def resolve_in_doubt(self) -> dict:
-        """Resolve prepared DLFM branches after a coordinator failure.
-
-        Call after the host database has recovered from a crash that
-        interrupted a two-phase commit: every file server drives its prepared
-        branches to the host's durable outcome (presumed abort when the host
-        log has no COMMIT).  Returns per-server resolution summaries.
-        """
-
-        return {name: entry.manager.resolve_in_doubt()
-                for name, entry in sorted(self._servers.items())}
-
     # --------------------------------------------------------------------- DML --
     def insert(self, table: str, row: dict, host_txn: HostTransaction | None = None) -> int:
         """INSERT with link processing for every non-null DATALINK value."""

@@ -101,7 +101,8 @@ Two windows the protocol closes explicitly:
   destination holds every moved path (content and repository row) and only
   then unlinks the source copies; any verification failure defers the
   sweep, and a crash between commit and sweep leaves the pending entry for
-  recovery to redrive (``ShardedDataLinksDeployment.redrive_sweeps``).
+  the next file server restart to re-drive
+  (``ShardedDataLinksDeployment.restart``).
 
 Splits
 ------
@@ -495,7 +496,7 @@ def sweep_moved_prefix(deployment, prefix: str) -> dict:
     node must be up and must hold both the physical content and the
     repository row for every moved path.  Any verification failure or
     unreachable source node defers the whole sweep -- the pending entry
-    stays and ``redrive_sweeps``/shard recovery retries -- rather than
+    stays and the next file server restart retries -- rather than
     risking the only surviving copy (or leaving one source node swept and
     another leaking).
     """

@@ -896,7 +896,7 @@ class ReplicatedShard:
         if not witness.running:
             raise ReplicationError(
                 f"cannot promote shard {self.name!r}: witness "
-                f"{witness.name!r} is down (recover it first)")
+                f"{witness.name!r} is down (restart it first)")
         if not self._synced.get(witness.name):
             raise ReplicationError(
                 f"cannot promote shard {self.name!r}: witness "
@@ -928,7 +928,7 @@ class ReplicatedShard:
         if not target.running:
             raise ReplicationError(
                 f"cannot promote shard {self.name!r}: witness "
-                f"{target_name!r} is down (recover it first)")
+                f"{target_name!r} is down (restart it first)")
         if not self._synced.get(target_name):
             raise ReplicationError(
                 f"cannot promote shard {self.name!r}: witness "
@@ -1005,8 +1005,9 @@ class ReplicatedShard:
         return summary
 
     # ------------------------------------------------------------------- rejoin --
-    def rejoin(self, node_name: str) -> dict:
-        """Re-admit a recovered deposed node as a witness subscriber.
+    def _rejoin(self, node_name: str) -> dict:
+        """Re-admit a running node that is off the stream (a deposed one, or
+        a witness a promotion detached while it was down) as a subscriber.
 
         Fast path: the node subscribes to the current serving node's WAL
         stream at the LSN recorded when it was deposed -- its own
@@ -1020,16 +1021,6 @@ class ReplicatedShard:
         """
 
         node = self.nodes[node_name]
-        if node_name == self.serving_name:
-            raise ReplicationError(
-                f"node {node_name!r} is serving shard {self.name!r}; "
-                f"there is nothing to rejoin")
-        if not node.running:
-            raise ReplicationError(
-                f"cannot rejoin {node_name!r} to shard {self.name!r}: "
-                f"the node is down (recover it first)")
-        if node_name in self._streams:
-            return {"rejoined": False, "already_subscribed": True}
         if not self.serving.running:
             raise ReplicationError(
                 f"cannot rejoin {node_name!r} to shard {self.name!r}: "
@@ -1072,13 +1063,13 @@ class ReplicatedShard:
         if not primary.running:
             raise ReplicationError(
                 f"cannot fail shard {self.name!r} back: primary "
-                f"{primary.name!r} has not recovered")
+                f"{primary.name!r} has not restarted")
         if not self.failed_over:
             return {"serving": self.home_primary, "epoch": self.epoch,
                     "failed_back": False}
         catch_up = None
         if self.home_primary not in self._streams:
-            catch_up = self.rejoin(self.home_primary)
+            catch_up = self._rejoin(self.home_primary)
         summary = self.promote_to(self.home_primary)
         summary["failed_back"] = True
         if catch_up is not None:
@@ -1102,7 +1093,7 @@ class ReplicatedShard:
             # would destroy the subscriber's (possibly only) replica state.
             raise ReplicationError(
                 f"cannot resync shard {self.name!r} from crashed primary "
-                f"{serving.name!r}; recover it first")
+                f"{serving.name!r}; restart it first")
         node = self.nodes[node_name]
         shipper = self._streams[node_name]
         # A full resync is a barrier across the pair (and its initiator).
@@ -1121,56 +1112,50 @@ class ReplicatedShard:
         rendezvous(self.clock, serving.clock, node.clock)
         return {"resynced": True, **rebind}
 
-    def resync(self) -> dict:
-        """Snapshot-resync every running subscriber from the serving node."""
+    # ---------------------------------------------------------- crash / restart --
+    def crash(self, node_name: str) -> None:
+        """Crash one of the shard's nodes: its stream endpoint stops and,
+        whatever its role, its replica state counts as lost."""
 
+        self._daemons[node_name].stop()
+        self.nodes[node_name].crash()
+        self._synced[node_name] = False
+
+    def _owed_catch_up(self, node_name: str) -> bool:
+        """Is *node_name* up but off the serving node's stream, where it
+        belongs?  Every node but the serving one belongs there, except a
+        deposed home primary, which waits for :meth:`fail_back`."""
+
+        return self.nodes[node_name].running and \
+            node_name != self.serving_name and \
+            not self.is_subscribed(node_name) and \
+            (node_name in self._streams or node_name != self.home_primary)
+
+    def _catch_up(self, node_name: str) -> dict:
         if not self.serving.running:
-            raise ReplicationError(
-                f"cannot resync shard {self.name!r} from crashed primary "
-                f"{self.serving_name!r}; recover it first")
-        results = {}
-        for node_name in list(self._streams):
-            if self.nodes[node_name].running:
-                results[node_name] = self._resync_subscriber(node_name)
-        if len(results) == 1:
-            return next(iter(results.values()))
-        return {"resynced": True, "nodes": results}
+            # Nothing safe to copy from: a witness's applied state bypassed
+            # its own WAL by design, so it waits for the serving node.
+            return {"resynced": False, "deferred": "primary is down"}
+        if node_name in self._streams:
+            return self._resync_subscriber(node_name)
+        return self._rejoin(node_name)
 
-    # ------------------------------------------------------------ witness faults --
-    def crash_witness(self, witness_name: str | None = None) -> None:
-        name = witness_name or self.witness.name
-        self._daemons[name].stop()
-        self.nodes[name].crash()
-        self._synced[name] = False
+    def restart(self, node_name: str) -> dict:
+        """Restart a crashed node; then every node owed a place on the
+        serving node's stream catches up: a restarted subscriber, and the
+        subscribers that waited for a restarted serving node.
 
-    def recover_witness(self, witness_name: str | None = None) -> dict:
-        """Restart a witness and, when the serving node is up, resync it.
-
-        With the serving node also down there is nothing safe to resync
-        from; the witness comes back empty-handed (its applied state
-        bypassed its own WAL by design) and catches up once the serving
-        node recovers.  A crashed *serving* witness recovers like any
-        primary: from its own WAL and the promotion-time checkpoint.
+        Every node recovers from its own log (a promoted witness also from
+        its promotion-time checkpoint).  A subscriber resyncs from the
+        serving node, or rejoins when a promotion detached it while it was
+        down; a deposed home primary stays fenced until :meth:`fail_back`.
         """
 
-        name = witness_name or self.witness.name
-        node = self.nodes[name]
-        summary = node.recover()
-        if name == self.serving_name:
-            return summary
-        self._daemons[name].start()
-        if name not in self._streams:
-            if self.serving.running:
-                summary["resync"] = self.rejoin(name)
-            else:
-                summary["resync"] = {"resynced": False,
-                                     "deferred": "primary is down"}
-            return summary
-        if self.serving.running:
-            summary["resync"] = self._resync_subscriber(name)
-        else:
-            summary["resync"] = {"resynced": False,
-                                 "deferred": "primary is down"}
+        summary = self.nodes[node_name].recover()
+        self._daemons[node_name].start()
+        owed = [name for name in self.nodes if self._owed_catch_up(name)]
+        if owed:
+            summary["resync"] = {name: self._catch_up(name) for name in owed}
         return summary
 
     # ------------------------------------------------------------------- status --

@@ -165,8 +165,8 @@ class ShardedDataLinksDeployment:
                 self.shard(name).dlfm.set_placement(guard)
         #: Deferred post-move source sweeps: ``prefix -> sweep entry``.
         #: Entries are recorded before a sweep is attempted and removed
-        #: only when it succeeds, so a crash between commit and sweep is
-        #: redriven by :meth:`redrive_sweeps` / :meth:`recover_shard`.
+        #: only when it succeeds, so a sweep a crash deferred is re-driven
+        #: by the next file server :meth:`restart`.
         self.pending_sweeps: dict[str, dict] = {}
         #: The autonomous placement balancer (off until
         #: :meth:`enable_balancer`).
@@ -328,25 +328,39 @@ class ShardedDataLinksDeployment:
     def pending_commits(self) -> int:
         return len(self._pending)
 
-    # -------------------------------------------------------------- fault injection --
-    def crash_shard(self, name: str) -> None:
-        self.system.crash_file_server(name)
+    # --------------------------------------------------------------- crash / restart --
+    def _owner(self, node: str):
+        """The replicated shard *node* belongs to, else the system."""
 
-    def recover_shard(self, name: str) -> dict:
-        """Restart a crashed primary.
+        return next((replica for replica in self.replicas.values()
+                     if node in replica.nodes), self.system)
 
-        The recovered node resolves its own in-doubt branches but, on a
-        replicated shard that failed over, stays *fenced* until
-        :meth:`fail_back`.  Any post-move source sweep deferred by a crash
-        is redriven now that the node is back.
+    def crash(self, node: str) -> None:
+        """Crash *node*: ``"host"`` or any file server -- a shard's primary
+        or a witness, whatever role it holds now."""
+
+        self._owner(node).crash(node)
+
+    def restart(self, node: str) -> dict:
+        """Restart a crashed *node* and finish its recovery; returns the
+        recovery summary.
+
+        The host and a plain shard restart as in
+        :meth:`~repro.api.system.DataLinksSystem.restart`.  A replicated
+        node also gets what its current role is owed
+        (:meth:`~repro.datalinks.replication.ReplicatedShard.restart`): a
+        deposed ex-primary stays fenced until :meth:`fail_back`.  A file
+        server's restart then re-drives every post-move source sweep a
+        crash deferred.
         """
 
-        summary = self.system.recover_file_server(name)
-        if self.pending_sweeps:
+        summary = self._owner(node).restart(node)
+        if node != "host" and self.pending_sweeps:
+            sweeps = {prefix: sweep_moved_prefix(self, prefix)
+                      for prefix in list(self.pending_sweeps)}
             summary["redriven_sweeps"] = {
                 prefix: sweep["swept_files"]
-                for prefix, sweep in self.redrive_sweeps().items()
-                if not sweep["deferred"]}
+                for prefix, sweep in sweeps.items() if not sweep["deferred"]}
         return summary
 
     # ------------------------------------------------------------------- failover --
@@ -375,7 +389,7 @@ class ShardedDataLinksDeployment:
         return self._replica(name).promote()
 
     def fail_back(self, name: str) -> dict:
-        """Return *name* to its primary (recovering it first if needed).
+        """Return *name* to its primary (restarting it first if needed).
 
         The recovered ex-primary rejoins as a witness fed by the new
         primary's reversed WAL stream and catches up from its last-applied
@@ -385,7 +399,7 @@ class ShardedDataLinksDeployment:
 
         replica = self._replica(name)
         if not replica.primary.running:
-            self.recover_shard(name)
+            self.restart(name)
         return replica.fail_back()
 
     # ---------------------------------------------------------------- rebalancing --
@@ -406,17 +420,6 @@ class ShardedDataLinksDeployment:
         """
 
         return rebalance_prefix(self, prefix, dest_shard)
-
-    def redrive_sweeps(self) -> dict:
-        """Retry every deferred post-move source sweep.
-
-        Returns ``{prefix: sweep summary}``; entries that still cannot be
-        verified (destination down or incomplete, a source node down)
-        stay pending for the next redrive.
-        """
-
-        return {prefix: sweep_moved_prefix(self, prefix)
-                for prefix in list(self.pending_sweeps)}
 
     def split_prefix(self, prefix: str, depth: int | None = None) -> dict:
         """Split *prefix* one level deeper (or to *depth*) in the map.
@@ -457,12 +460,6 @@ class ShardedDataLinksDeployment:
 
         self.balancer = PlacementBalancer(self, config or BalancerConfig())
         return self.balancer
-
-    def crash_witness(self, name: str, witness_name: str | None = None) -> None:
-        self._replica(name).crash_witness(witness_name)
-
-    def recover_witness(self, name: str, witness_name: str | None = None) -> dict:
-        return self._replica(name).recover_witness(witness_name)
 
     # ------------------------------------------------------------------- statistics --
     def linked_paths(self, shard: str) -> set:

@@ -152,7 +152,8 @@ class Database:
         #: the definitions are kept beside the checkpoint and replayed by
         #: :meth:`recover` onto whatever tables redo brings back.
         self._index_defs: dict = {}
-        self._crashed = False
+        #: Crashed and not yet recovered.
+        self.crashed = False
 
     # ------------------------------------------------------------------ utils --
     def now(self) -> float:
@@ -259,7 +260,7 @@ class Database:
     def begin(self) -> Transaction:
         """Start a new transaction."""
 
-        if self._crashed:
+        if self.crashed:
             raise TransactionNotActive(f"database {self.name} crashed; run recover() first")
         transaction = Transaction(txn_id=self._next_txn_id)
         self._next_txn_id += 1
@@ -686,7 +687,7 @@ class Database:
         heap`).  A crashed or recovering database's catalog is not its
         state: it takes nothing and returns ``None``."""
 
-        if self._crashed:
+        if self.crashed:
             return None
         self._checkpoint = {
             "lsn": self.wal.tail_lsn(),
@@ -709,12 +710,12 @@ class Database:
         """Simulate a crash: volatile state and unflushed log records are lost."""
 
         self.wal.lose_unflushed()
-        if not self._crashed:
+        if not self.crashed:
             self._index_defs = self.catalog.index_defs()
         self.reset_catalog()
         self._transactions.clear()
         self.locks.clear()
-        self._crashed = True
+        self.crashed = True
 
     def recover(self) -> dict:
         """Run crash recovery; returns the recovery summary."""
@@ -728,7 +729,7 @@ class Database:
         if checkpoint is not None:
             self._next_txn_id = max(self._next_txn_id, checkpoint["next_txn_id"])
         self._next_txn_id = max(self._next_txn_id, summary["max_txn_id"] + 1)
-        self._crashed = False
+        self.crashed = False
         return summary
 
     # ----------------------------------------------------------------- backup --
@@ -938,7 +939,7 @@ class _PreparedWrite(_Prepared):
 
     def __call__(self, *args, txn: Transaction | None = None, match=None):
         db = self.db
-        if txn is None and db._crashed:
+        if txn is None and db.crashed:
             raise TransactionNotActive(
                 f"database {db.name} crashed; run recover() first")
         catalog = db.catalog

@@ -114,7 +114,7 @@ class FailoverWorkload:
         self._read_phase(metrics, suffix="")
         self._follower_batch(metrics)
 
-        deployment.crash_shard(self.victim)
+        deployment.crash(self.victim)
         if deployment.replicated:
             with clock.measure() as timer:
                 deployment.fail_over(self.victim)

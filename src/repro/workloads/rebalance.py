@@ -262,7 +262,7 @@ class RebalanceWorkload:
 
         # -- witness hand-off probe: promotion serves the moved prefix -------
         deployment.system.flush_logs()
-        deployment.crash_shard(self.dest)
+        deployment.crash(self.dest)
         with clock.measure() as timer:
             promotion = deployment.fail_over(self.dest)
         metrics.record("promotion", timer.elapsed)

@@ -65,7 +65,7 @@ def test_a_rebalanced_prefix_gets_a_token_signed_for_its_destination(linked):
 def test_a_cached_token_reads_on_the_promoted_witness(linked):
     deployment, session, _ = linked
     cached = handout(session, 0)
-    deployment.crash_shard("shard0")
+    deployment.crash("shard0")
     deployment.fail_over("shard0")
     replica = deployment.replicas["shard0"]
     assert replica.serving is replica.witness

@@ -79,7 +79,7 @@ def scenario():
         deployment.system.flush_logs()
         deployment.rebalance_prefix(
             deployment.router.prefix_of(paths["shard0"]), "shard1")
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
     return deployment, fired, tables
 

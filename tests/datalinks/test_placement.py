@@ -269,7 +269,7 @@ class TestSessionRouting:
         shard = deployment.shard_of("/p/doc0000.dat")
         write_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                          access="write", ttl=1e9)
-        deployment.crash_shard(shard)
+        deployment.crash(shard)
         deployment.fail_over(shard)
         with session.update_file(write_url, truncate=True) as update:
             update.replace(b"updated on the promoted witness")
@@ -321,7 +321,7 @@ class TestSessionRouting:
         shard = deployment.shard_of("/p/doc0000.dat")
         tokenized = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                          access="read", ttl=1e9)
-        deployment.crash_shard(shard)
+        deployment.crash(shard)
         deployment.fail_over(shard)
         assert session.read_url(tokenized) == b"doc 0"
 
@@ -430,14 +430,14 @@ class TestSourceSweep:
     def test_sweep_defers_while_a_source_node_is_down(self):
         """The sweep refuses to delete while any source node is down (a
         partially swept prefix would leak on the recovering node); the
-        entry stays pending and redrive_sweeps finishes the job."""
+        entry stays pending and the node's restart finishes the job."""
 
         deployment, session = build_deployment()
         link_docs(deployment, session, "/p", 1)
         source = deployment.shard_of("/p/doc0000.dat")
         dest = other_shard(deployment, source)
         deployment.engine.failpoints["rebalance:sweep"] = boom(
-            lambda: deployment.crash_witness(source), raises=None)
+            lambda: deployment.crash(f"{source}-r"), raises=None)
         try:
             summary = deployment.rebalance_prefix("/p", dest)
         finally:
@@ -446,9 +446,8 @@ class TestSourceSweep:
         assert summary["sweep_deferred"]
         assert "/p" in deployment.pending_sweeps
 
-        deployment.recover_witness(source)
-        redriven = deployment.redrive_sweeps()
-        assert redriven["/p"]["swept_files"] > 0
+        restarted = deployment.restart(f"{source}-r")
+        assert restarted["redriven_sweeps"]["/p"] > 0
         assert not deployment.pending_sweeps
         for node in deployment.replicas[source].nodes.values():
             assert not node.files.exists("/p/doc0000.dat")

@@ -1,9 +1,11 @@
 """File-server crash recovery, the 2PC crash matrix, and backup/restore.
 
-Includes the replication failover matrix: an injected primary crash swept
-through every replication step (ship, apply, promote, catch-up, fence) and
-through every two-phase-commit step with witness replication enabled,
-asserting host/DLFM agreement after recovery in every case.
+Every recovery here is ``crash(node)`` then ``restart(node)``, with no
+other step.  Includes the replication failover matrix: an injected primary
+crash swept through every replication step (ship, apply, promote,
+catch-up, fence) and through every two-phase-commit step with witness
+replication enabled, asserting host/DLFM agreement after recovery in
+every case.
 """
 
 import pytest
@@ -16,6 +18,15 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import parse_url
 from tests.conftest import FILES_TABLE, InjectedCrash, boom, build_system
+
+
+def bounce(system, *nodes) -> dict:
+    """Crash every node of *nodes* at once, then restart them in order;
+    returns the restart summaries by node."""
+
+    for node in nodes:
+        system.crash(node)
+    return {node: system.restart(node) for node in nodes}
 
 
 def _update(system, session, doc_id, content, archive=True):
@@ -34,16 +45,14 @@ class TestCrashRecovery:
         update = alice.update_file(url, truncate=True)
         update.begin()
         update.write(b"doomed")
-        system.crash_file_server("fs1")
-        summary = system.recover_file_server("fs1")
+        summary = bounce(system, "fs1")["fs1"]
         assert paths[0] in summary["rolled_back_updates"]
         assert system.file_server("fs1").files.read(paths[0]) == before
 
     def test_committed_update_survives_crash_before_archiving(self, rfd_system):
         system, alice, paths, _ = rfd_system
         _update(system, alice, 0, b"committed content", archive=False)
-        system.crash_file_server("fs1")
-        system.recover_file_server("fs1")
+        bounce(system, "fs1")
         assert system.file_server("fs1").files.read(paths[0]) == b"committed content"
         # the pending archive job survived the crash and can still run
         assert system.run_archiver() >= 1
@@ -53,8 +62,7 @@ class TestCrashRecovery:
         url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
         update = alice.update_file(url, truncate=True)
         update.begin()
-        system.crash_file_server("fs1")
-        system.recover_file_server("fs1")
+        bounce(system, "fs1")
         dlfm = system.file_server("fs1").dlfm
         assert dlfm.soft.sync == {}
         assert dlfm.repository.all_tracking() == []
@@ -68,15 +76,14 @@ class TestCrashRecovery:
         url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
         update = alice.update_file(url)
         update.begin()
-        system.crash_file_server("fs1")
-        system.recover_file_server("fs1")
+        bounce(system, "fs1")
         attrs = system.file_server("fs1").files.stat(paths[0])
         assert attrs.uid == alice.cred.uid
         assert attrs.mode & 0o222 == 0
 
     def test_upcalls_rejected_while_file_server_down(self, rdd_system):
         system, alice, _, _ = rdd_system
-        system.crash_file_server("fs1")
+        system.crash("fs1")
         url_ok = False
         try:
             url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="read")
@@ -85,12 +92,11 @@ class TestCrashRecovery:
         except (FileSystemError, Exception):
             pass
         assert not url_ok
-        system.recover_file_server("fs1")
+        system.restart("fs1")
 
     def test_link_state_survives_crash(self, rfd_system):
         system, alice, paths, _ = rfd_system
-        system.crash_file_server("fs1")
-        system.recover_file_server("fs1")
+        bounce(system, "fs1")
         dlfm = system.file_server("fs1").dlfm
         row = dlfm.repository.linked_file(paths[0])
         assert row is not None and row["control_mode"] == "rfd"
@@ -149,9 +155,9 @@ def _start_linking_txn(system, url1, url2):
 class TestCrashMatrix:
     """Sweep a coordinator crash through every step of a linking 2PC.
 
-    Each case injects a crash at one protocol point, crashes and recovers
-    the affected components, resolves in-doubt branches, and asserts that
-    the host database and every DLFM agree on the set of linked files.
+    Each case injects a crash at one protocol point, crashes and restarts
+    the affected nodes, and asserts that the host database and every DLFM
+    agree on the set of linked files.
     """
 
     # (failpoint, also crash+recover fs1, expected durable outcome)
@@ -177,14 +183,9 @@ class TestCrashMatrix:
             system.engine.commit(host_txn)
         system.engine.failpoints.clear()
 
-        # The coordinator (host database) crashes and recovers; optionally a
+        # The coordinator (host database) crashes and restarts; optionally a
         # participant crashes too, exercising durable in-doubt resolution.
-        system.host_db.crash()
-        system.host_db.recover()
-        if crash_fs1:
-            system.crash_file_server("fs1")
-            system.recover_file_server("fs1")
-        system.resolve_in_doubt()
+        bounce(system, *(["host", "fs1"] if crash_fs1 else ["host"]))
 
         assert_host_dlfm_agreement(system)
         # A link branch committed from the log at recovery gets the archive
@@ -214,9 +215,7 @@ class TestCrashMatrix:
         system.engine.failpoints.clear()
         assert system.host_db.wal.pending_commits == 1
 
-        system.host_db.crash()
-        system.host_db.recover()
-        system.resolve_in_doubt()
+        bounce(system, "host")
 
         assert_host_dlfm_agreement(system)
         assert system.host_db.select(FILES_TABLE, lock=False) == []
@@ -233,9 +232,7 @@ class TestCrashMatrix:
         system.engine.commit(host_txn)
         assert system.host_db.wal.pending_commits == 0  # forced by the 2PC rule
 
-        system.host_db.crash()
-        system.host_db.recover()
-        system.resolve_in_doubt()
+        bounce(system, "host")
 
         assert_host_dlfm_agreement(system)
         assert len(system.host_db.select(FILES_TABLE, lock=False)) == 2
@@ -256,11 +253,7 @@ class TestCrashMatrix:
             system.engine.commit_group([host_txn])
         system.engine.failpoints.clear()
 
-        system.host_db.crash()
-        system.host_db.recover()
-        system.crash_file_server("fs2")
-        system.recover_file_server("fs2")
-        system.resolve_in_doubt()
+        bounce(system, "host", "fs2")
 
         assert_host_dlfm_agreement(system)
         assert_archive_owed(system)
@@ -277,8 +270,7 @@ class TestCrashMatrix:
         system.flush_logs()
         alice.insert(FILES_TABLE, {"doc_id": 0, "title": "a", "body": urls[0],
                                    "body_size": 0, "body_mtime": 0.0})
-        system.crash_file_server("fs1")
-        recovered = system.recover_file_server("fs1")
+        recovered = bounce(system, "fs1")["fs1"]
         assert recovered["repository"]["in_doubt_committed"]
         assert_host_dlfm_agreement(system)
         assert_archive_owed(system)
@@ -286,16 +278,16 @@ class TestCrashMatrix:
 
     def test_participant_crash_before_prepare_rolls_branch_back(self):
         """A file server that crashes before voting loses its volatile
-        branch; the coordinator's commit fails and aborts cleanly."""
+        branch; the coordinator's commit fails, and restarts presume the
+        transaction aborted everywhere."""
 
         system, alice, url1, url2 = _two_server_setup()
         host_txn = _start_linking_txn(system, url1, url2)
-        system.crash_file_server("fs1")
+        system.crash("fs1")
         with pytest.raises(Exception):
             system.engine.commit(host_txn)
-        system.engine.abort(host_txn)
-        system.recover_file_server("fs1")
-        system.resolve_in_doubt()
+        bounce(system, "host")
+        system.restart("fs1")
         assert_host_dlfm_agreement(system)
         assert system.host_db.select(FILES_TABLE, lock=False) == []
 
@@ -369,29 +361,26 @@ class TestCloseCrashMatrix:
         system, alice, paths, _ = build_system(mode)
         old = system.file_server("fs1").files.read(paths[0])
         update = _open_update(system, alice)
+        nodes = {"host": ["host"], "dlfm": ["fs1"],
+                 "both": ["host", "fs1"]}[victim]
 
-        def crash_dlfm():
-            system.crash_file_server("fs1")
+        def crash():
+            for node in nodes:
+                system.crash(node)
 
         if victim == "dlfm":
-            system.engine.failpoints[point] = boom(crash_dlfm, raises=None)
+            system.engine.failpoints[point] = boom(crash, raises=None)
             try:
                 update.commit()
             except ReproError:
                 pass        # the host's reply found the DLFM down
         else:
-            crash = system.host_db.crash if victim == "host" else \
-                (lambda: (crash_dlfm(), system.host_db.crash()))
             system.engine.failpoints[point] = boom(crash)
             with pytest.raises(InjectedCrash):
                 update.commit()
         system.engine.failpoints.clear()
-
-        if victim != "dlfm":
-            system.host_db.recover()
-        if victim != "host":
-            system.recover_file_server("fs1")
-        system.resolve_in_doubt()
+        for node in nodes:
+            system.restart(node)
 
         committed = victim == "dlfm" or self.POINTS[point]
         assert_one_version(system, alice, paths[0],
@@ -434,8 +423,7 @@ class TestCloseCrashMatrix:
                                                flush_policy="group")
         system.flush_logs()
         _update(system, alice, 0, NEW_BYTES, archive=False)
-        system.crash_file_server("fs1")
-        system.recover_file_server("fs1")
+        bounce(system, "fs1")
         assert_one_version(system, alice, paths[0], NEW_BYTES)
 
 
@@ -458,13 +446,13 @@ class TestArchiveJobRunsOnce:
                    for record in log.records_from(seen, durable_only=True)):
                 dlfm.repository.remove_wal_listener(
                     crash_once_a_version_is_durable)
-                system.crash_file_server("fs1")
+                system.crash("fs1")
                 raise InjectedCrash
 
         dlfm.repository.add_wal_listener(crash_once_a_version_is_durable)
         with pytest.raises(InjectedCrash):
             system.run_archiver()
-        system.recover_file_server("fs1")
+        system.restart("fs1")
         assert_one_version(system, alice, paths[0], NEW_BYTES)
         assert [version["version_no"]
                 for version in dlfm.repository.versions(paths[0])] == [2]
@@ -474,11 +462,12 @@ class TestArchiveJobRunsOnce:
 REPL_TABLE = "replicated_docs"
 
 
-def _replicated_setup(flush_policy="immediate", group_commit_window=1):
-    """A 2-shard replicated deployment plus one path per shard."""
+def _replicated_setup(flush_policy="immediate", group_commit_window=1,
+                      replication=True):
+    """A 2-shard (by default replicated) deployment plus one path per shard."""
 
     deployment = ShardedDataLinksDeployment(
-        2, replication=True, flush_policy=flush_policy,
+        2, replication=replication, flush_policy=flush_policy,
         group_commit_window=group_commit_window)
     deployment.create_table(TableSchema(REPL_TABLE, [
         Column("doc_id", DataType.INTEGER, nullable=False),
@@ -552,22 +541,18 @@ class TestReplicationFailoverMatrix:
 
         host_txn = self._start_txn(deployment, session, paths)
         failpoints[f"{point}:{self.VICTIM}"] = boom(
-            lambda: deployment.crash_shard(self.VICTIM))
+            lambda: deployment.crash(self.VICTIM))
         with pytest.raises(InjectedCrash):
             deployment.engine.commit(host_txn)
         failpoints.clear()
-        try:
-            deployment.engine.abort(host_txn)
-        except ReproError:
-            pass
+        bounce(deployment, "host")
 
         if fail_over:
             deployment.fail_over(self.VICTIM)
             assert_replicated_agreement(deployment)
             deployment.fail_back(self.VICTIM)
         else:
-            deployment.recover_shard(self.VICTIM)
-            deployment.system.resolve_in_doubt()
+            deployment.restart(self.VICTIM)
         assert_replicated_agreement(deployment)
         assert deployment.host_db.select(REPL_TABLE, lock=False) == []
 
@@ -583,7 +568,7 @@ class TestReplicationFailoverMatrix:
             url = deployment.put_file(session, paths[shard], b"stable")
             session.insert(REPL_TABLE, {"doc_id": index, "body": url})
 
-        deployment.crash_shard(self.VICTIM)
+        deployment.crash(self.VICTIM)
         failpoints[f"{point}:{self.VICTIM}"] = boom()
         with pytest.raises(InjectedCrash):
             deployment.fail_over(self.VICTIM)
@@ -616,19 +601,13 @@ class TestReplicationFailoverMatrix:
         deployment, session, paths = _replicated_setup()
         host_txn = self._start_txn(deployment, session, paths)
         deployment.engine.failpoints[point] = boom(
-            lambda: deployment.crash_shard(self.VICTIM))
+            lambda: deployment.crash(self.VICTIM))
         with pytest.raises(InjectedCrash):
             deployment.engine.commit(host_txn)
         deployment.engine.failpoints.clear()
-
-        if expected == "aborted":
-            try:
-                deployment.engine.abort(host_txn)
-            except ReproError:
-                pass
-        else:
-            # The host outcome is durable; surviving shards must commit.
-            deployment.engine.redrive_commit(host_txn)
+        # The coordinator's restart drives the surviving shard's branch to
+        # the durable outcome.
+        bounce(deployment, "host")
 
         deployment.fail_over(self.VICTIM)
         assert_replicated_agreement(deployment)
@@ -656,7 +635,7 @@ class TestReplicationFailoverMatrix:
             "doc_id": 0, "body": url, "body_size": 0, "body_mtime": 0.0},
             host_txn)
         deployment.engine.failpoints["commit:after_host_commit"] = boom(
-            lambda: deployment.crash_shard(self.VICTIM))
+            lambda: deployment.crash(self.VICTIM))
         with pytest.raises(InjectedCrash):
             deployment.engine.commit(host_txn)
         deployment.engine.failpoints.clear()
@@ -683,7 +662,7 @@ class TestReplicationFailoverMatrix:
             flush_policy="group", group_commit_window=4)
         host_txn = self._start_txn(deployment, session, paths)
         deployment.engine.failpoints["group:after_host_commit"] = boom(
-            lambda: deployment.crash_shard(self.VICTIM), raises=None)
+            lambda: deployment.crash(self.VICTIM), raises=None)
         deployment.commit(host_txn)
         with pytest.raises(ReproError):
             deployment.drain()
@@ -697,14 +676,15 @@ class TestReplicationFailoverMatrix:
         assert_replicated_agreement(deployment)
 
 
-def _rebalance_setup():
-    """A replicated 2-shard deployment with one linked file per shard.
+def _rebalance_setup(replication=True):
+    """A 2-shard (by default replicated) deployment with one linked file
+    per shard.
 
     Returns ``(deployment, session, paths, prefix)`` where *prefix* is the
     URL prefix owned by ``shard0`` (the hand-off source of every case).
     """
 
-    deployment, session, paths = _replicated_setup()
+    deployment, session, paths = _replicated_setup(replication=replication)
     for index, shard in enumerate(sorted(paths)):
         url = deployment.put_file(session, paths[shard], b"payload")
         session.insert(REPL_TABLE, {"doc_id": index, "body": url})
@@ -772,7 +752,7 @@ class TestRebalanceCrashMatrix:
     def test_source_crash_during_handoff_rolls_back(self, point, fail_over):
         deployment, session, paths, prefix = _rebalance_setup()
         deployment.engine.failpoints[point] = boom(
-            lambda: deployment.crash_shard(self.SOURCE))
+            lambda: deployment.crash(self.SOURCE))
         with pytest.raises(InjectedCrash):
             deployment.rebalance_prefix(prefix, self.DEST)
         deployment.engine.failpoints.clear()
@@ -783,8 +763,7 @@ class TestRebalanceCrashMatrix:
         if fail_over:
             deployment.fail_over(self.SOURCE)
         else:
-            deployment.recover_shard(self.SOURCE)
-            deployment.system.resolve_in_doubt()
+            deployment.restart(self.SOURCE)
         assert_placement_agreement(deployment)
         _read_all(deployment, session)
 
@@ -800,14 +779,13 @@ class TestRebalanceCrashMatrix:
     def test_dest_crash_at_apply_rolls_back(self, point):
         deployment, session, paths, prefix = _rebalance_setup()
         deployment.engine.failpoints[point] = boom(
-            lambda: deployment.crash_shard(self.DEST))
+            lambda: deployment.crash(self.DEST))
         with pytest.raises(InjectedCrash):
             deployment.rebalance_prefix(prefix, self.DEST)
         deployment.engine.failpoints.clear()
 
         assert deployment.router.placement.epoch == 1
-        deployment.recover_shard(self.DEST)
-        deployment.system.resolve_in_doubt()
+        deployment.restart(self.DEST)
         assert_placement_agreement(deployment)
         _read_all(deployment, session)
 
@@ -826,7 +804,7 @@ class TestRebalanceCrashMatrix:
 
         deployment, session, paths, prefix = _rebalance_setup()
         deployment.engine.failpoints["commit:after_host_commit"] = boom(
-            lambda: deployment.crash_shard(self.DEST), raises=None)
+            lambda: deployment.crash(self.DEST), raises=None)
         summary = deployment.rebalance_prefix(prefix, self.DEST)
         deployment.engine.failpoints.clear()
 
@@ -835,7 +813,7 @@ class TestRebalanceCrashMatrix:
         assert deployment.shard_of(paths[self.SOURCE]) == self.DEST
 
         if recovery == "recover":
-            recovered = deployment.recover_shard(self.DEST)
+            recovered = deployment.restart(self.DEST)
             assert recovered["repository"]["in_doubt_committed"]
         else:
             deployment.fail_over(self.DEST)
@@ -856,7 +834,7 @@ class TestRebalanceCrashMatrix:
         deployment, session, paths, prefix = _rebalance_setup()
         moved_path = paths[self.SOURCE]
         deployment.engine.failpoints["rebalance:sweep"] = boom(
-            lambda: deployment.crash_shard(self.SOURCE))
+            lambda: deployment.crash(self.SOURCE))
         with pytest.raises(InjectedCrash):
             deployment.rebalance_prefix(prefix, self.DEST)
         deployment.engine.failpoints.clear()
@@ -866,7 +844,7 @@ class TestRebalanceCrashMatrix:
         assert deployment.shard_of(moved_path) == self.DEST
         assert prefix in deployment.pending_sweeps
 
-        recovered = deployment.recover_shard(self.SOURCE)
+        recovered = deployment.restart(self.SOURCE)
         assert recovered["redriven_sweeps"].get(prefix, 0) > 0
         assert prefix not in deployment.pending_sweeps
         for node in deployment.replicas[self.SOURCE].nodes.values():

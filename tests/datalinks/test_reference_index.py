@@ -77,10 +77,10 @@ class TestIndexesSurviveCrash:
                       if not d["name"].endswith("_pk")) == [
             "archive_queue_path", "file_versions_path", "linked_files_ino"]
         system.flush_logs()
-        host.crash()
-        host.recover()
-        system.crash_file_server("fs1")
-        system.recover_file_server("fs1")
+        system.crash("host")
+        system.restart("host")
+        system.crash("fs1")
+        system.restart("fs1")
         assert host.catalog.index_defs() == host_before
         assert repository.db.catalog.index_defs() == before
         taken = repository.linked_files()[0]
@@ -102,9 +102,9 @@ class TestIndexesSurviveCrash:
         system, _, _, _ = build_system(ControlMode.RDD)
         host = system.host_db
         before = host.catalog.index_defs()
-        host.crash()
-        host.crash()
-        host.recover()
+        system.crash("host")
+        system.crash("host")
+        system.restart("host")
         assert host.catalog.index_defs() == before
 
 
@@ -268,9 +268,9 @@ class TestRouterCases:
         prefix = prefix_on(deployment, "shard0")
         link_docs(deployment, session, prefix, range(3))
         witness = deployment.replicas["shard0"].witness
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
-        deployment.recover_shard("shard0")
+        deployment.restart("shard0")
         # Each file matches on the shard its URL names and, through the
         # router, on the promoted witness -- and on no other node.
         assert self._check_every_file(deployment, -3) == 6

@@ -162,8 +162,8 @@ def test_a_crashed_witness_is_a_miss_and_the_serving_write_is_the_wait():
     fan, session, twin, twin_session = twins(1)
     path = path_on(fan, "shard0", "crash")
     replica = fan.replicas["shard0"]
-    fan.crash_witness("shard0")
-    twin.crash_witness("shard0")
+    fan.crash("shard0-r")
+    twin.crash("shard0-r")
     misses = replica.mirror_misses
 
     elapsed, branches, ledger = measured(
@@ -184,8 +184,8 @@ def test_two_witnesses_one_down_wait_for_the_live_ones():
     fan, session, twin, twin_session = twins(2)
     path = path_on(fan, "shard0", "half")
     replica = fan.replicas["shard0"]
-    fan.crash_witness("shard0", "shard0-r2")
-    twin.crash_witness("shard0", "shard0-r2")
+    fan.crash("shard0-r2")
+    twin.crash("shard0-r2")
     live = [replica.serving, replica.nodes["shard0-r"]]
 
     elapsed, branches, ledger = measured(
@@ -241,8 +241,8 @@ def test_receive_file_overlaps_the_serving_copy_with_its_mirrors(witnesses):
 def test_receive_file_with_a_crashed_witness_waits_for_the_serving_copy():
     fan, _, twin, _ = twins(1)
     replica = fan.replicas["shard1"]
-    fan.crash_witness("shard1")
-    twin.crash_witness("shard1")
+    fan.crash("shard1-r")
+    twin.crash("shard1-r")
 
     elapsed, branches, ledger = measured(
         fan, fan.clock, [replica.serving],

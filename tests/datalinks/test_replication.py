@@ -112,33 +112,33 @@ class TestWalShipping:
     def test_witness_outage_accumulates_lag_then_resyncs(self):
         deployment, session = build_deployment()
         replica = deployment.replicas["shard0"]
-        deployment.crash_witness("shard0")
+        deployment.crash("shard0-r")
         link(deployment, session, 0, path_on(deployment, "shard0", "down"))
         assert replica.shipper.ship_errors > 0
         assert replica.shipper.lag() > 0
         assert replica.mirror_misses == 1   # a down witness misses the mirror
         # the primary committed regardless of the dead witness
         assert deployment.linked_paths("shard0")
-        deployment.recover_witness("shard0")
+        deployment.restart("shard0-r")
         assert replica.shipper.lag() == 0
         assert {row["path"] for row in
                 replica.witness.dlfm.repository.linked_files()} == \
             deployment.linked_paths("shard0")
 
     def test_witness_and_primary_both_down_does_not_wipe_witness(self):
-        """Recovering a witness while the primary is also down must not copy
+        """Restarting a witness while the primary is also down must not copy
         the crashed primary's (reset) catalog over the witness; the resync
-        is deferred until the primary is back."""
+        waits for the primary's restart, which runs it."""
 
         deployment, session = build_deployment()
         link(deployment, session, 0, path_on(deployment, "shard0", "both"))
-        deployment.crash_witness("shard0")
-        deployment.crash_shard("shard0")
-        summary = deployment.recover_witness("shard0")
-        assert summary["resync"] == {"resynced": False,
-                                     "deferred": "primary is down"}
-        deployment.recover_shard("shard0")
-        deployment.replicas["shard0"].resync()
+        deployment.crash("shard0-r")
+        deployment.crash("shard0")
+        summary = deployment.restart("shard0-r")
+        assert summary["resync"] == {"shard0-r": {
+            "resynced": False, "deferred": "primary is down"}}
+        summary = deployment.restart("shard0")
+        assert summary["resync"]["shard0-r"]["resynced"]
         assert {row["path"] for row in
                 deployment.replicas["shard0"].witness.dlfm.repository
                 .linked_files()} == deployment.linked_paths("shard0")
@@ -183,7 +183,7 @@ class TestFailover:
         url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                    access="read", ttl=1e9)
         assert deployment.read_url(session, url) == b"token protected"
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         with pytest.raises(DaemonUnavailableError):
             deployment.read_url(session, url)
         deployment.fail_over("shard0")
@@ -195,9 +195,9 @@ class TestFailover:
         link(deployment, session, 0, path)
         url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                    access="read", ttl=1e9)
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
-        deployment.recover_shard("shard0")
+        deployment.restart("shard0")
         manager = deployment.shard("shard0").dlfm
         parsed = parse_url(url)
         ino = manager.repository.linked_file(parsed.path)["ino"]
@@ -219,9 +219,9 @@ class TestFailover:
 
         deployment, session = build_deployment()
         link(deployment, session, 0, path_on(deployment, "shard0", "pre"))
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
-        deployment.recover_shard("shard0")
+        deployment.restart("shard0")
 
         # Split-brain guard: talking to the fenced ex-primary directly (as
         # a mis-routed engine would) is refused branch by branch.
@@ -268,14 +268,13 @@ class TestFailover:
 
         deployment, session = build_deployment()
         link(deployment, session, 0, path_on(deployment, "shard0", "sync"))
-        deployment.crash_witness("shard0")
-        deployment.crash_shard("shard0")
-        deployment.recover_witness("shard0")      # resync deferred
+        deployment.crash("shard0-r")
+        deployment.crash("shard0")
+        deployment.restart("shard0-r")      # resync deferred
         with pytest.raises(ReplicationError):
             deployment.fail_over("shard0")
-        deployment.recover_shard("shard0")
-        deployment.replicas["shard0"].resync()
-        deployment.crash_shard("shard0")
+        deployment.restart("shard0")          # re-syncs the witness
+        deployment.crash("shard0")
         summary = deployment.fail_over("shard0")  # now legitimate
         assert summary["promoted"]
         assert deployment.linked_paths("shard0")
@@ -284,7 +283,7 @@ class TestFailover:
         deployment, session = build_deployment(mode=ControlMode.RDB)
         path = path_on(deployment, "shard0", "back")
         link(deployment, session, 0, path, b"original")
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         summary = deployment.fail_back("shard0")
         assert summary["serving"] == "shard0"
@@ -303,7 +302,7 @@ class TestFailover:
         deployment.system.run_archiver()
         # lose the witness's mirrored copy (e.g. the mirror lagged)
         replica.witness.raw_lfs.unlink(path, replica.witness.files.dlfm_cred)
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         summary = deployment.fail_over("shard0")
         assert path in summary["restored_files"]
         url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
@@ -321,7 +320,7 @@ class TestFailover:
         stats = deployment.stats()["replication"]
         assert stats["shard0"]["serving"] == "shard0"
         assert stats["shard0"]["shipped_records"] > 0
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         stats = deployment.stats()["replication"]
         assert stats["shard0"]["serving"] == "shard0-r"
@@ -347,7 +346,7 @@ class TestWritableFailover:
         deployment, session = build_deployment(mode=ControlMode.RDB)
         pre_path = path_on(deployment, "shard0", "pre")
         link(deployment, session, 0, pre_path, b"before crash")
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
 
         # link during failover
@@ -373,9 +372,9 @@ class TestWritableFailover:
         assert routing["writes_routed"] > 0
         assert routing["roles"]["shard0"]["shard0"] == "serving"
         assert routing["roles"]["shard0"]["shard0-r"] == "witness"
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
-        deployment.recover_shard("shard0")
+        deployment.restart("shard0")
         routing = deployment.stats()["routing"]
         assert routing["roles"]["shard0"]["shard0-r"] == "serving"
         # recovered but not rejoined: the deposed ex-primary is fenced
@@ -392,7 +391,7 @@ class TestWritableFailover:
         url = deployment.put_file(session, path, b"in flight")
         host_txn = deployment.begin()
         deployment.engine.insert(TABLE, {"doc_id": 5, "body": url}, host_txn)
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         with pytest.raises(ReproError):
             deployment.engine.commit(host_txn)
@@ -412,7 +411,7 @@ class TestReversedShipFailBack:
         replica = deployment.replicas["shard0"]
         pre_path = path_on(deployment, "shard0", "pre")
         link(deployment, session, 0, pre_path, b"original")
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
 
         during_path = path_on(deployment, "shard0", "fb")
@@ -457,7 +456,7 @@ class TestReversedShipFailBack:
         session.insert(TABLE, {"doc_id": 3, "body": url})
         deployment.system.flush_logs()
         assert replica.shipper.lag() > 0
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
 
         summary = deployment.fail_back("shard0")
@@ -480,14 +479,14 @@ class TestReversedShipFailBack:
         deployment, session = build_deployment(mode=ControlMode.RDB)
         path = path_on(deployment, "shard0", "ck")
         link(deployment, session, 0, path, b"checkpointed")
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         during = path_on(deployment, "shard0", "ck2")
         url = deployment.put_file(session, during, b"post promotion")
         session.insert(TABLE, {"doc_id": 2, "body": url})
 
-        deployment.crash_witness("shard0")
-        deployment.recover_witness("shard0")
+        deployment.crash("shard0-r")
+        deployment.restart("shard0-r")
         witness_repo = deployment.replicas["shard0"].witness.dlfm.repository
         assert witness_repo.linked_file(path) is not None
         assert witness_repo.linked_file(during) is not None
@@ -552,11 +551,11 @@ class TestTheLogFolds:
         deployment, session = build_deployment()
         replica = deployment.replicas["shard0"]
         wal = replica.serving.dlfm.repository.db.wal
-        deployment.crash_witness("shard0")
+        deployment.crash("shard0-r")
         _pad(replica.serving.dlfm.repository, 0)
         assert replica.shipper.ship_errors > 0
         assert len(wal.records()) > FOLD_AT
-        deployment.recover_witness("shard0")        # a snapshot resync
+        deployment.restart("shard0-r")        # a snapshot resync
         _pad(replica.serving.dlfm.repository, FOLD_AT, 1)
         assert wal.records() == []
         assert _repository_rows(replica.witness) == \
@@ -567,7 +566,7 @@ class TestTheLogFolds:
         replica = deployment.replicas["shard0"]
         link(deployment, session, 0, path_on(deployment, "shard0", "pre"),
              b"original")
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         serving = replica.serving
         during_path = path_on(deployment, "shard0", "fb")
@@ -680,7 +679,7 @@ class TestFollowerReads:
         deployment.system.flush_logs()
         assert replica.content_stale("shard0-r", path)
 
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         read_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                         access="read", ttl=1e9)
@@ -731,7 +730,7 @@ class TestMultiWitness:
         replica = deployment.replicas["shard0"]
         link(deployment, session, 0, path_on(deployment, "shard0", "rw"),
              b"rewire")
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         summary = deployment.fail_over("shard0")
         new_serving = summary["serving"]
         assert new_serving in ("shard0-r", "shard0-r2")
@@ -897,7 +896,7 @@ class TestReadsLeaveTheLogAlone:
                 b"before the crash"
         streams = [replica._streams[node.name] for node in replica.witnesses]
         assert all(shipper.lag() == 0 for shipper in streams)
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         serving = deployment.fail_over("shard0")["serving"]
         other = next(node.name for node in replica.witnesses
                      if node.name != serving)
@@ -1013,15 +1012,15 @@ class TestCaughtUpWitnessesMirror:
                     shipper.resume()
                     shipper.ship()
             elif step == "crash":
-                deployment.crash_shard(replica.serving_name)
+                deployment.crash(replica.serving_name)
                 self.check(replica)
-                deployment.recover_shard(replica.serving_name)
+                deployment.restart(replica.serving_name)
             elif replica.failed_over:
                 deployment.fail_back("shard0")
             else:
                 for shipper in replica._streams.values():
                     shipper.resume()
-                deployment.crash_shard("shard0")
+                deployment.crash("shard0")
                 self.check(replica)
                 deployment.fail_over("shard0")
             self.check(replica)

@@ -148,10 +148,7 @@ class _RoutingDriver:
         serving = replica.serving_name
         if not replica.nodes[serving].running:
             return
-        if serving == replica.home_primary:
-            self.deployment.crash_shard(shard)
-        else:
-            self.deployment.crash_witness(shard, serving)
+        self.deployment.crash(serving)
 
     def op_fail_over(self) -> None:
         shard = self._shard()
@@ -172,18 +169,13 @@ class _RoutingDriver:
         if not downed:
             return
         name = self.rng.choice(downed)
-        if name == replica.home_primary:
-            self.deployment.recover_shard(shard)
-        else:
-            self.deployment.recover_witness(shard, name)
+        self.deployment.restart(name)
 
     def op_fail_back(self) -> None:
         shard = self._shard()
         replica = self.deployment.replicas[shard]
         if not replica.failed_over or not replica.serving.running:
             return
-        if not replica.primary.running:
-            self.deployment.recover_shard(shard)
         try:
             self.deployment.fail_back(shard)
         except ReproError:

@@ -142,9 +142,9 @@ class _Driver:
         victim = self.rng.choice(candidates)
         self.deployment.engine.delete(TABLE, {"doc_id": victim})
 
-    def op_crash_recover_shard(self) -> None:
+    def op_crash_and_restart_shard(self) -> None:
         shard = self.rng.choice(self.deployment.shard_names)
-        self.deployment.crash_shard(shard)
+        self.deployment.crash(shard)
         # Connection loss dooms everything in flight: enqueued groups fail
         # at prepare, open transactions abort.
         try:
@@ -158,7 +158,7 @@ class _Driver:
                 self.deployment.abort(host_txn)
             except ReproError:
                 pass
-        self.deployment.recover_shard(shard)
+        self.deployment.restart(shard)
         assert_agreement(self.deployment)
 
     def op_drain(self) -> None:
@@ -168,7 +168,7 @@ class _Driver:
     def step(self) -> None:
         operation = self.rng.choices(
             [self.op_insert_commit, self.op_open_txn, self.op_finish_open,
-             self.op_delete, self.op_drain, self.op_crash_recover_shard],
+             self.op_delete, self.op_drain, self.op_crash_and_restart_shard],
             weights=[8, 3, 4, 4, 2, 1])[0]
         operation()
 
@@ -216,13 +216,13 @@ def test_drain_failure_after_host_commit_redrives_participants():
     victim = enlisted[0]  # sorted first => its commit_many fails first
 
     deployment.engine.failpoints["group:after_host_commit"] = boom(
-        lambda: deployment.crash_shard(victim), raises=None)
+        lambda: deployment.crash(victim), raises=None)
     deployment.commit(host_txn)
     with pytest.raises(ReproError):
         deployment.drain()
     deployment.engine.failpoints.clear()
 
-    deployment.recover_shard(victim)
+    deployment.restart(victim)
     assert_agreement(deployment)
     assert len(deployment.host_db.select(TABLE, lock=False)) == 12
     assert deployment.host_db.txn_outcome(host_txn.txn_id) == "committed"
@@ -260,7 +260,7 @@ class _ReplicatedDriver(_Driver):
     def op_failover_cycle(self) -> None:
         deployment = self.deployment
         shard = self.rng.choice(deployment.shard_names)
-        deployment.crash_shard(shard)
+        deployment.crash(shard)
         self._doom_in_flight()
         deployment.fail_over(shard)
         self.failovers += 1
@@ -270,7 +270,7 @@ class _ReplicatedDriver(_Driver):
 
         # Property: a fenced ex-primary never accepts a token, even a
         # cryptographically valid, unexpired one.
-        deployment.recover_shard(shard)
+        deployment.restart(shard)
         manager = deployment.shard(shard).dlfm
         rows = manager.repository.linked_files()
         if rows:
@@ -288,10 +288,10 @@ class _ReplicatedDriver(_Driver):
         shard = self.rng.choice(deployment.shard_names)
         if deployment.replicas[shard].failed_over:
             return
-        deployment.crash_witness(shard)
+        deployment.crash(f"{shard}-r")
         # the primary keeps serving and committing while the witness is down
         self.op_insert_commit()
-        deployment.recover_witness(shard)
+        deployment.restart(f"{shard}-r")
 
     def op_drain(self) -> None:
         try:

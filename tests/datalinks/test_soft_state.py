@@ -103,8 +103,8 @@ class TestSyncWriteEntryIsTheTrackingRow:
                     with pytest.raises(ReproError, match="being updated"):
                         session.read_url(url, server=node)
             elif action == "crash":
-                deployment.crash_shard("shard0")
-                deployment.recover_shard("shard0")
+                deployment.crash("shard0")
+                deployment.restart("shard0")
                 updates.clear()
                 update = None
             if update is not None:
@@ -182,9 +182,9 @@ class TestADemotedNodeKeepsNoWriteEntry:
         path = path_on(deployment, "shard0", "cut")
         link(deployment, session, 0, path, b"version 0")
         deployment.system.run_archiver()
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
-        deployment.recover_shard("shard0")
+        deployment.restart("shard0")
         url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                    access="write", ttl=1e9)
         session.update_file(url).begin()
@@ -192,7 +192,7 @@ class TestADemotedNodeKeepsNoWriteEntry:
         deployment.fail_back("shard0")
         assert replica.witness.dlfm.repository.tracking(path) is None
         assert replica.witness.dlfm.soft.sync == {}
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                    access="write", ttl=1e9)

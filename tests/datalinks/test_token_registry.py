@@ -220,9 +220,9 @@ class TestOneEntryPerTripleAcrossResets:
                            tag)
         _assert_one_entry_per_triple(paths, dlfm)
         system.flush_logs()
-        system.crash_file_server("fs1")
+        system.crash("fs1")
         assert dlfm.soft.tokens == {} and dlfm.soft.sync == {}
-        system.recover_file_server("fs1")
+        system.restart("fs1")
         for tag in ("after", "again"):
             _read_and_edit(alice, FILES_TABLE, range(3), system.run_archiver,
                            tag)
@@ -251,13 +251,13 @@ class TestOneEntryPerTripleAcrossResets:
         assert sorted(registered) == sorted((path, ALICE_UID, "R")
                                             for path in paths)
         deployment.system.flush_logs()
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         assert replica.primary.dlfm.soft.tokens == {}
         deployment.fail_over("shard0")
         assert witness.dlfm.soft.tokens == registered
         # The restarted ex-primary stays fenced; it only has to be up for
         # the system-wide archiver pass.
-        deployment.recover_shard("shard0")
+        deployment.restart("shard0")
         for tag in ("promoted", "again"):
             _read_and_edit(session, SHARD_TABLE, range(3),
                            deployment.system.run_archiver, tag)
@@ -341,7 +341,7 @@ class TestArchiveQueueDrains:
         assert witness.process_archive_jobs() == 0
         before = {path: witness.repository.latest_version_no(path)
                   for path in paths}
-        deployment.crash_shard("shard0")
+        deployment.crash("shard0")
         deployment.fail_over("shard0")
         assert witness.process_archive_jobs() == 2
         assert _queue(witness.repository) == []

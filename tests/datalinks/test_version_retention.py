@@ -61,8 +61,8 @@ class TestRestoreOracle:
             elif action < 0.9:
                 backups.append((system.backup(f"b{step}"), dict(content)))
             else:
-                system.crash_file_server("fs1")
-                system.recover_file_server("fs1")
+                system.crash("fs1")
+                system.restart("fs1")
             self._check_chains(dlfm, paths, [backup for backup, _ in backups])
             self._check_archive(system, dlfm, [backup for backup, _ in backups])
         assert len(backups) >= 3
@@ -150,7 +150,7 @@ class TestReplicatedRelease:
         # Version 3 drops version 2; the run's closing log force is the
         # drop's shipment, and the primary crashes as it leaves.
         deployment.engine.failpoints["replicate:ship:shard0"] = boom(
-            lambda: deployment.crash_shard("shard0"))
+            lambda: deployment.crash("shard0"))
         with pytest.raises(InjectedCrash):
             deployment.system.run_archiver()
         deployment.engine.failpoints.clear()

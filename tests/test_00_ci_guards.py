@@ -1070,3 +1070,85 @@ class TestSoftStateStaysOutOfTheDatabase:
                      .table_names())
         assert tables == {"linked_files", "update_tracking", "file_versions",
                           "archive_queue"}
+
+
+class TestRecoveryIsRestart:
+    """A node recovers by ``restart(node)`` alone: nothing under ``src/``,
+    ``examples/``, ``tools/`` or ``tests/`` (outside ``tests/storage/``,
+    which drives a bare database) runs a recovery step of its own.  The
+    host database's ``crash`` / ``recover`` and the DLFMs'
+    ``resolve_in_doubt`` run only inside ``DataLinksSystem.crash`` /
+    ``restart``; a replica applier's ``resolve_in_doubt`` (called on a
+    DLFM's ``replica``) is its participant-side step of a promotion."""
+
+    RETIRED = {"resolve_in_doubt", "redrive_sweeps", "resync",
+               "crash_shard", "recover_shard", "crash_witness",
+               "recover_witness", "crash_file_server", "recover_file_server"}
+    HOST_VERBS = {"crash", "recover"}
+    #: Where the host's crash and restart are written, and their names.
+    OWN_MODULE, OWN_VERBS = "src/repro/api/system.py", {"crash", "restart"}
+
+    @classmethod
+    def offenders(cls, module: str, tree) -> list:
+        own = [range(node.lineno, node.end_lineno + 1)
+               for node in ast.walk(tree) if module == cls.OWN_MODULE
+               and isinstance(node, ast.FunctionDef)
+               and node.name in cls.OWN_VERBS]
+        found = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or \
+                    any(node.lineno in lines for lines in own):
+                continue
+            func = node.func
+            word = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            receiver = getattr(func, "value", None)
+            on = receiver.attr if isinstance(receiver, ast.Attribute) \
+                else getattr(receiver, "id", None)
+            if (word in cls.RETIRED and
+                    (word, on) != ("resolve_in_doubt", "replica")) or \
+                    (word in cls.HOST_VERBS and on == "host_db"):
+                found.append(f"{module}:{node.lineno} {on}.{word}")
+        return found
+
+    def test_no_caller_runs_a_recovery_step_of_its_own(self):
+        # Only a file whose text holds such a call is parsed.
+        calls = [f"{word}(" for word in self.RETIRED] + \
+            [f"host_db.{verb}" for verb in self.HOST_VERBS]
+        offenders = []
+        for top in ("src", "tests", "examples", "tools"):
+            for path in sorted((REPO_ROOT / top).rglob("*.py")):
+                module = path.relative_to(REPO_ROOT).as_posix()
+                if module.startswith("tests/storage/"):
+                    continue
+                text = path.read_text(encoding="utf-8")
+                if any(call in text for call in calls):
+                    offenders += self.offenders(module, ast.parse(text))
+        assert not offenders, \
+            f"a recovery step outside restart(node): {offenders}"
+
+    #: The caller-driven recovery shapes ``restart`` replaced, one retired
+    #: call a line: each line must be flagged.
+    PLANTED = {
+        "host by hand": """
+            system.host_db.crash()
+            system.host_db.recover()
+            system.resolve_in_doubt()
+            """,
+        "deferred resync": """
+            deployment.replicas["shard0"].resync()
+            """,
+        "witness verbs": """
+            deployment.crash_witness("shard0")
+            deployment.recover_witness("shard0")
+            deployment.redrive_sweeps()
+            """,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PLANTED))
+    def test_the_guard_flags_a_shape_restart_replaced(self, shape):
+        import textwrap
+
+        source = textwrap.dedent(self.PLANTED[shape])
+        flagged = self.offenders("tests/planted.py", ast.parse(source))
+        assert len(flagged) == len(source.strip().splitlines()), flagged

@@ -453,7 +453,7 @@ class TestShardedDeploymentTime:
         clocks = deployment.clocks
         before = {name: domain.now() for name, domain in clocks.domains.items()}
         global_before = clocks.global_now()
-        deployment.crash_shard(shard)
+        deployment.crash(shard)
         deployment.fail_over(shard)
         assert deployment.read_url(session, url) == b"payload"
         deployment.fail_back(shard)
