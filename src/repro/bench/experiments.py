@@ -23,7 +23,7 @@ measures it: ``run(context, **sizes)`` returns the rows and
 the tiny ``smoke`` sizes every experiment exercises its full code path in a
 fraction of a second (``--smoke``, the fast CI sanity pass).  The ``large``
 sizes exercise the vectorized-schedule fast paths at volume: E14 at ~100x the
-smoke operation count (12 rounds x (120 links + 1080 reads) = 14,400 burst
+smoke operation count (13 rounds x (120 links + 1080 reads) = 15,600 burst
 operations against smoke's 144), E9 spread over 1,200 concurrent reader
 sessions, and 10..10,000-client admission-control sweeps in E9, E11 and E12
 (every client on its own clock domain; the sweep is where the saturation
@@ -1098,7 +1098,7 @@ def e13(context, **cluster):
              "reads_per_round": 24, "file_size": 512},
     smoke={"shards": 3, "prefixes": 6, "rounds": 6, "links_per_round": 6,
            "reads_per_round": 18, "file_size": 256},
-    large={"prefixes": 12, "rounds": 12, "links_per_round": 120,
+    large={"prefixes": 12, "rounds": 13, "links_per_round": 120,
            "reads_per_round": 1080},
     notes="link_ops is the variant's total charged simulated primitive "
           "operations, summed across every clock domain in the cluster "

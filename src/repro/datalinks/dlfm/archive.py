@@ -25,8 +25,13 @@ frees the object of each version it drops (:meth:`ArchiveServer.release`)
 once the transaction that dropped the version's row is durable and shipped
 to every witness (``WriteAheadLog.shipped_lsn``), so no promoted witness can
 still hold a row naming a freed object.  The queue of releases waiting for
-that is volatile: a DLFM crash leaks the objects on it, which costs space
-and never leaves a dangling reference.  Ids are never reused: a stale
+that is volatile, so a restarting DLFM re-derives it: it queues every
+object stored under its name that none of its version rows names
+(:meth:`ArchiveServer.stored_by`), which also frees the object of a job
+that crashed before its version committed.  Where another node's rows may
+name those objects (a witness, an epoched deployment, retained backups) it
+queues nothing, and what a crash lost stays held: that costs space and
+never leaves a dangling reference.  Ids are never reused: a stale
 reference finds no object rather than someone else's bytes.  Release is a
 metadata operation -- an ADSM-style store marks the object deleted and
 reclaims its space offline -- so it charges nothing and there is no cost
@@ -100,6 +105,13 @@ class ArchiveServer:
         the id is never handed out again)."""
 
         del self._objects[archive_id]
+
+    def stored_by(self, server: str) -> list[int]:
+        """The ids of the objects *server* stored and nobody has released:
+        a metadata query, uncharged like :meth:`release`."""
+
+        return [archive_id for archive_id, obj in self._objects.items()
+                if obj.server == server]
 
     def exists(self, archive_id: int) -> bool:
         return archive_id in self._objects

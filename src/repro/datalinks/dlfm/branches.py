@@ -21,6 +21,9 @@ class Branch:
 
     host_txn_id: int
     local_txn: Transaction
+    #: Whether the branch wrote an archive job; such a job is dated by the
+    #: host commit the branch commits on.
+    queued_jobs: bool = False
 
 
 class BranchManager:
@@ -63,14 +66,17 @@ class BranchManager:
         self._db.prepare(branch.local_txn, extra={"host_txn_id": host_txn_id})
         return True
 
-    def commit(self, host_txn_id: int) -> None:
+    def commit(self, host_txn_id: int) -> Branch | None:
+        """Commit the branch; returns it, or ``None`` when there is none."""
+
         if host_txn_id not in self._branches:
-            return
+            return None
         branch = self._branches.pop(host_txn_id)
         if branch.local_txn.state.name == "PREPARED":
             self._db.commit_prepared(branch.local_txn)
         else:
             self._db.commit(branch.local_txn)
+        return branch
 
     def abort(self, host_txn_id: int) -> None:
         if host_txn_id not in self._branches:

@@ -126,8 +126,8 @@ class ChildAgent(Daemon):
         prepared = self._manager.prepare_branch(host_txn_id)
         return {"prepared": prepared}
 
-    def _commit(self, host_txn_id: int) -> dict:
-        self._manager.commit_branch(host_txn_id)
+    def _commit(self, host_txn_id: int, state_id: int) -> dict:
+        self._manager.commit_branch(host_txn_id, state_id)
         return {}
 
     def _abort(self, host_txn_id: int) -> dict:
@@ -141,10 +141,10 @@ class ChildAgent(Daemon):
         return {"prepared": [self._manager.prepare_branch(txn_id)
                              for txn_id in host_txn_ids]}
 
-    def _commit_many(self, host_txn_ids: list) -> dict:
+    def _commit_many(self, host_txn_ids: list, state_id: int) -> dict:
         self._charge_per_item(len(host_txn_ids))
         for txn_id in host_txn_ids:
-            self._manager.commit_branch(txn_id)
+            self._manager.commit_branch(txn_id, state_id)
         return {}
 
 
@@ -266,8 +266,9 @@ class DLFMConnection:
     def prepare(self, host_txn_id: int) -> bool:
         return self._channel.request("prepare", host_txn_id=host_txn_id)["prepared"]
 
-    def commit(self, host_txn_id: int) -> None:
-        self._channel.request("commit", host_txn_id=host_txn_id)
+    def commit(self, host_txn_id: int, state_id: int) -> None:
+        self._channel.request("commit", host_txn_id=host_txn_id,
+                              state_id=state_id)
 
     def abort(self, host_txn_id: int) -> None:
         self._channel.request("abort", host_txn_id=host_txn_id)
@@ -278,5 +279,6 @@ class DLFMConnection:
         return self._channel.request("prepare_many",
                                      host_txn_ids=list(host_txn_ids))["prepared"]
 
-    def commit_many(self, host_txn_ids: list[int]) -> None:
-        self._channel.request("commit_many", host_txn_ids=list(host_txn_ids))
+    def commit_many(self, host_txn_ids: list[int], state_id: int) -> None:
+        self._channel.request("commit_many", host_txn_ids=list(host_txn_ids),
+                              state_id=state_id)

@@ -8,16 +8,19 @@ as the initiating SQL statement.  Later, if the SQL transaction is rolled
 back, the changes made by the DLFM are undone as well." (Section 2.2)
 
 Repository changes are undone automatically because they run inside the
-branch's local transaction; file-system changes (ownership take-over,
-read-only marking) are compensated through the transaction's ``on_abort``
-callbacks, and deferred effects (deleting or restoring an unlinked file,
-archiving the initial version) run from ``on_commit`` callbacks.
+branch's local transaction -- the archive job of a file linked with
+recovery among them, so the job commits, aborts, ships to the witnesses and
+is resolved in doubt with the link itself; file-system changes (ownership
+take-over, read-only marking) are compensated through the transaction's
+``on_abort`` callbacks, and the deferred effects of an unlink (deleting or
+restoring the file) run from ``on_commit`` callbacks.
 """
 
 from __future__ import annotations
 
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, OnUnlink
+from repro.datalinks.dlfm.branches import Branch
 from repro.datalinks.dlfm.files import FileServerFiles
 from repro.datalinks.dlfm.repository import DLFMRepository
 from repro.datalinks.dlfm.soft_state import SoftState
@@ -28,7 +31,6 @@ from repro.errors import (
     ReferentialIntegrityError,
 )
 from repro.storage.transaction import Transaction
-from repro.storage.wal import LogRecordType
 
 #: Write-permission bits cleared when a file is marked read-only.
 _WRITE_BITS = 0o222
@@ -70,35 +72,26 @@ def apply_link_constraints(files: FileServerFiles, txn: Transaction,
         txn.on_abort.append(lambda: files.chmod(path, attrs.mode))
 
 
-def recovery_links(records) -> list[str]:
-    """The files *records* link with ``recovery``: the ones whose archive
-    job :meth:`LinkManager.link_file` queues when the branch commits."""
-
-    return [record.after["path"] for record in records
-            if record.table == "linked_files"
-            and record.type is LogRecordType.INSERT
-            and record.after["recovery"]]
-
-
 class LinkManager:
     """Implements the link/unlink operations of one DLFM."""
 
     def __init__(self, repository: DLFMRepository, soft: SoftState,
-                 files: FileServerFiles, state_id_provider=None):
+                 files: FileServerFiles):
         self._repository = repository
         self._soft = soft
         self._files = files
-        # Returns the host database state identifier; set by the manager once
-        # the DataLinks engine registers this file server.
-        self._state_id_provider = state_id_provider or (lambda: 0)
-
-    def set_state_id_provider(self, provider) -> None:
-        self._state_id_provider = provider
 
     # ---------------------------------------------------------------------- link --
-    def link_file(self, txn: Transaction, path: str, options: DatalinkOptions) -> dict:
-        """Put *path* under database control within the branch transaction *txn*."""
+    def link_file(self, branch: Branch, path: str, options: DatalinkOptions) -> dict:
+        """Put *path* under database control within *branch*.
 
+        A file linked with recovery gets its archive job in the branch too,
+        dated by the host commit the branch commits on
+        (:meth:`~repro.datalinks.dlfm.manager.DataLinksFileManager.
+        commit_branch`).
+        """
+
+        txn = branch.local_txn
         if not self._files.exists(path):
             raise ReferentialIntegrityError(
                 f"cannot link {path!r}: the file does not exist")
@@ -125,10 +118,9 @@ class LinkManager:
         self._repository.insert_linked_file(row, txn)
         self._apply_link_constraints(txn, path, attrs, mode)
         if options.recovery:
-            state_provider = self._state_id_provider
-            repository = self._repository
-            txn.on_commit.append(
-                lambda: repository.enqueue_archive_job(path, int(state_provider())))
+            self._repository.enqueue_archive_job(path, txn,
+                                                 branch.host_txn_id)
+            branch.queued_jobs = True
         return row
 
     def _apply_link_constraints(self, txn: Transaction, path: str, attrs,

@@ -19,8 +19,13 @@ PREPARE, and sends the host one request that carries its yes-vote; the host
 runs its metadata UPDATE, commits and forces its log, and its reply carries
 the commit's state id, on which the branch commits (2PC's "unsolicited
 vote").  A refusal rolls the update back; a lost reply leaves the branch in
-doubt, resolved from the host's durable outcome like any other branch, and
-a branch committed that way gets the archive jobs it is owed.
+doubt, resolved from the host's durable outcome like any other branch.
+
+A file linked with recovery gets its archive job the same way: the link's
+branch writes it (:mod:`repro.datalinks.dlfm.link_manager`), so the job
+commits, aborts, ships and is resolved in doubt with the branch, and
+every participant commit from the host carries the commit's state id, the
+date of the archived version.
 """
 
 from __future__ import annotations
@@ -31,11 +36,7 @@ from repro.datalinks.datalink_type import DatalinkOptions
 from repro.datalinks.dlfm.archive import ArchiveServer
 from repro.datalinks.dlfm.branches import BranchManager
 from repro.datalinks.dlfm.files import DEFAULT_DBMS_UID, FileServerFiles
-from repro.datalinks.dlfm.link_manager import (
-    LinkManager,
-    apply_link_constraints,
-    recovery_links,
-)
+from repro.datalinks.dlfm.link_manager import LinkManager, apply_link_constraints
 from repro.datalinks.dlfm.repository import DLFMRepository
 from repro.datalinks.dlfm.soft_state import SoftState
 from repro.datalinks.tokens import TokenManager, TokenType
@@ -89,8 +90,7 @@ class DataLinksFileManager:
         #: repository, never logged or shipped.
         self.soft = SoftState(clock, repository_scale)
         self.branches = BranchManager(self.repository.db)
-        self.links = LinkManager(self.repository, self.soft, files,
-                                 state_id_provider=self._host_state_id)
+        self.links = LinkManager(self.repository, self.soft, files)
         self._engine = None
         self._engine_name: str | None = None
         self.running = True
@@ -121,23 +121,21 @@ class DataLinksFileManager:
         self._backup_state_ids = tuple
         #: ``[(LSN, archive ids)]``: objects whose last version row the
         #: transactions up to LSN dropped, freed once that LSN is durable
-        #: and shipped.  Volatile: a crash leaks them (harmless).
+        #: and shipped.  Volatile: a restart re-derives what a crash lost
+        #: (:meth:`_reclaim_unnamed_objects`).
         self._releases: list[tuple] = []
-        #: ``host_txn_id -> state id`` from the replies to close-time
-        #: commits, for the archive jobs those closes queued.  Volatile: a
-        #: job whose entry a crash lost asks the host's durable outcome.
+        #: ``host_txn_id -> state id`` from the host's participant commits
+        #: (and the replies to close-time commits) of branches that wrote
+        #: archive jobs, for dating those jobs' versions.  Volatile: a job
+        #: whose entry a crash or a promotion lost asks the host's durable
+        #: outcome (:meth:`_job_state_id`).
         self._commit_states: dict[int, int] = {}
-        #: ``[(path, host_txn_id)]``: archive jobs owed to link branches
-        #: that witness catch-up committed in doubt, queued once this node
-        #: is a full primary (:meth:`rollback_inherited_updates`).
-        self._owed_jobs: list[tuple] = []
 
     # ---------------------------------------------------------------- wiring -----
     def attach_engine(self, engine) -> None:
         """Called by the DataLinks engine when this file server is registered."""
 
         self._engine = engine
-        self.links.set_state_id_provider(self._host_state_id)
 
     def attach_backups(self, state_ids) -> None:
         """Called by the backup coordinator: *state_ids* returns the state
@@ -145,11 +143,6 @@ class DataLinksFileManager:
         retention keeps no pin set of its own for a crash to lose."""
 
         self._backup_state_ids = state_ids
-
-    def _host_state_id(self) -> int:
-        if self._engine is None:
-            return int(self.repository.db.state_identifier())
-        return int(self._engine.state_identifier())
 
     @property
     def dbms_uid(self) -> int:
@@ -245,9 +238,14 @@ class DataLinksFileManager:
         self._check_fencing()
         return self.branches.prepare(host_txn_id)
 
-    def commit_branch(self, host_txn_id: int) -> None:
-        self.branches.commit(host_txn_id)
+    def commit_branch(self, host_txn_id: int, state_id: int) -> None:
+        """Commit the branch on the host's commit, whose state id *state_id*
+        dates the archive jobs the branch wrote."""
+
+        branch = self.branches.commit(host_txn_id)
         self._moving_exports.pop(host_txn_id, None)
+        if branch is not None and branch.queued_jobs:
+            self._commit_states[host_txn_id] = int(state_id)
 
     def abort_branch(self, host_txn_id: int) -> None:
         self.branches.abort(host_txn_id)
@@ -259,8 +257,8 @@ class DataLinksFileManager:
 
         self._check_fencing()
         self.check_placement(path)
-        branch = self.branches.branch_for(host_txn_id)
-        return self.links.link_file(branch.local_txn, path, options)
+        return self.links.link_file(self.branches.branch_for(host_txn_id),
+                                    path, options)
 
     def unlink_file(self, host_txn_id: int, path: str) -> dict:
         """Unlink *path* as part of the host transaction *host_txn_id*."""
@@ -627,7 +625,8 @@ class DataLinksFileManager:
         with synchronized_call(self.clock, engine.clock):
             host_txn = engine.begin()
             txn_id = host_txn.txn_id
-            local_txn = self.branches.branch_for(txn_id).local_txn
+            branch = self.branches.branch_for(txn_id)
+            local_txn = branch.local_txn
             changes = {"last_size": attrs.size, "last_mtime": attrs.mtime}
             if mode is ControlMode.RFD:
                 changes["taken_over"] = False
@@ -635,8 +634,8 @@ class DataLinksFileManager:
             repository.update_linked_file(path, changes, local_txn)
             repository.remove_tracking(path, local_txn)
             if row["recovery"]:
-                repository.enqueue_archive_job(path, None, local_txn,
-                                               host_txn_id=txn_id)
+                repository.enqueue_archive_job(path, local_txn, txn_id)
+                branch.queued_jobs = True
             self.branches.prepare(txn_id)
             try:
                 with synchronized_call(self.clock, engine.clock):
@@ -652,9 +651,7 @@ class DataLinksFileManager:
                     f"file server {self.server_name!r} crashed before the "
                     f"host's reply; recovery resolves the close from the "
                     f"host's outcome")
-            self.branches.commit(txn_id)
-            if row["recovery"]:
-                self._commit_states[txn_id] = int(state_id)
+            self.commit_branch(txn_id, state_id)
             fire(engine.failpoints, "commit:committed", self.server_name)
 
     def _release_takeover(self, row: dict) -> None:
@@ -752,7 +749,8 @@ class DataLinksFileManager:
             # and write local transactions into heaps that must keep
             # mirroring the primary's row ids.
             return
-        for job in self.repository.pending_archive_jobs():
+        jobs = self.repository.pending_archive_jobs()
+        for job in jobs:
             path = job["path"]
             if not self.files.exists(path):
                 self.repository.complete_archive_job(job["job_id"])
@@ -762,31 +760,33 @@ class DataLinksFileManager:
             archive_id = self.archive.store(self.server_name, path, content,
                                             caller_clock=self.clock)
             dropped = self.repository.add_version(
-                path, archive_id, self._job_state_id(job),
+                path, archive_id, self._job_state_id(job["host_txn_id"]),
                 self._backup_state_ids(), job_id=job["job_id"])
             if dropped:
                 self._releases.append(
                     (self.repository.db.wal.tail_lsn(), dropped))
             yield 1
         self.repository.db.force_log()
+        for job in jobs:
+            self._commit_states.pop(job["host_txn_id"], None)
         if self._releases:
             self._release_shipped()
 
-    def _job_state_id(self, job: dict) -> int:
-        """The host state id an archive job's version carries.
+    def _job_state_id(self, host_txn_id: int) -> int:
+        """The host state id an archive job's version carries: the commit of
+        the host transaction whose branch wrote the job.
 
-        A job queued inside a close branch (or owed to a branch committed
-        in doubt) carries no state id, only its host transaction: the id
-        is that transaction's commit, from the reply to the close when this
-        node still holds it, otherwise from the host's durable outcome.
+        It came with the host's commit of the branch; a job whose entry a
+        crash or a promotion lost (its branch committed from the log, or on
+        another node) asks the host's durable outcome, once per transaction.
+        Entries stay until the run that archives their jobs ends: a branch
+        that linked several files wrote a job for each.
         """
 
-        state_id = job["state_id"]
+        state_id = self._commit_states.get(host_txn_id)
         if state_id is None:
-            host_txn_id = job["host_txn_id"]
-            state_id = self._commit_states.pop(host_txn_id, None)
-            if state_id is None:
-                state_id = int(self._engine.host_commit_state(host_txn_id))
+            state_id = self._commit_states[host_txn_id] = int(
+                self._engine.host_commit_state(host_txn_id))
         return state_id
 
     def _release_shipped(self) -> None:
@@ -863,14 +863,14 @@ class DataLinksFileManager:
         """Promotion-time catch-up on the witness.
 
         Resolves the shipped in-doubt transactions against the
-        coordinator's durable ``outcomes``, then runs
-        :meth:`replica_rebind` so this node can actually serve its
-        replicated link state.
+        coordinator's durable ``outcomes`` -- a committed link or close
+        brings its archive jobs, which this node runs once it is primary
+        -- then runs :meth:`replica_rebind` so this node can actually serve
+        its replicated link state.
         """
 
         resolved = self.replica.resolve_in_doubt(outcomes) \
             if self.replica is not None else {"committed": [], "aborted": []}
-        self._owed_jobs.extend(resolved.pop("owed_jobs", ()))
         return {"in_doubt": resolved, **self.replica_rebind()}
 
     def rollback_inherited_updates(self) -> list[str]:
@@ -886,17 +886,12 @@ class DataLinksFileManager:
         future update of those files would be refused as "already being
         updated" by a writer that can no longer reach this node.
 
-        The archive jobs owed to the link branches catch-up committed in
-        doubt are queued here too (:meth:`_queue_owed_jobs`).
-
         Must run *after* this node is a full primary and its surviving
-        subscribers are re-sourced from its stream: the deletes and jobs
-        then ship like any other repository write, keeping every witness
-        heap positionally identical.
+        subscribers are re-sourced from its stream: the deletes then ship
+        like any other repository write, keeping every witness heap
+        positionally identical.
         """
 
-        owed, self._owed_jobs = self._owed_jobs, []
-        self._queue_owed_jobs(owed)
         rolled_back = []
         for tracking in self.repository.all_tracking():
             path = tracking["path"]
@@ -969,7 +964,6 @@ class DataLinksFileManager:
         # again to other records.
         self._releases.clear()
         self._commit_states.clear()
-        self._owed_jobs.clear()
         self.soft.clear()
         self.running = False
 
@@ -996,9 +990,37 @@ class DataLinksFileManager:
             if row is not None and ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
                 self._release_takeover(row)
             rolled_back.append(path)
+        self._reclaim_unnamed_objects()
         self.soft.clear()
         self.running = True
         return {"repository": summary, "rolled_back_updates": rolled_back}
+
+    def _reclaim_unnamed_objects(self) -> None:
+        """Queue for release, at the recovered tail LSN, every archive object
+        stored under this server's name that no version row names.
+
+        A crash loses :attr:`_releases`, and a job that stored its object
+        but crashed before its version committed leaves the object behind;
+        no row names either, and :meth:`_release_shipped` frees them like
+        any other release on the next archiver run.  Charged as the one
+        scan of ``file_versions`` it reads; the archive's listing is
+        uncharged metadata.  Done only where this node's version rows are
+        the only names its objects have: not on a witness (the primary
+        archives), not in an epoched deployment (a prefix hand-off moves
+        version rows naming this node's objects to another node), and not
+        while a backup is retained (after a restore to an older backup, a
+        newer one still names versions the repository no longer holds).
+        """
+
+        if self.replica is not None or self.placement_guard is not None \
+                or self._backup_state_ids():
+            return
+        named = self.repository.named_archive_ids()
+        unnamed = [archive_id for archive_id
+                   in self.archive.stored_by(self.server_name)
+                   if archive_id not in named]
+        if unnamed:
+            self._releases.append((self.repository.db.wal.tail_lsn(), unnamed))
 
     # ------------------------------------------------- in-doubt branch resolution --
     def _host_txn_id_of(self, local_txn_id: int) -> int | None:
@@ -1029,7 +1051,7 @@ class DataLinksFileManager:
             if self._host_outcome(host_txn_id) == "committed":
                 records = list(txn.records)
                 self.repository.db.commit_prepared(txn)
-                self._finish_from_log(records, host_txn_id)
+                self._finish_from_log(records)
                 committed.append(host_txn_id)
             else:
                 # Presumed abort: no durable COMMIT at the coordinator.
@@ -1037,39 +1059,18 @@ class DataLinksFileManager:
                 aborted.append(host_txn_id if host_txn_id is not None else txn.txn_id)
         return {"committed": committed, "aborted": aborted}
 
-    def _finish_from_log(self, records, host_txn_id: int) -> None:
+    def _finish_from_log(self, records) -> None:
         """Do what the commit hooks of a branch committed from the log --
-        its *records* -- would have done live: queue the archive job of each
-        file it linked with recovery, and give back each rfd file its
-        close handed back (:meth:`_commit_file_update`)."""
+        its *records* -- would have done live: give back each rfd file its
+        close handed back (:meth:`_commit_file_update`).  The branch's
+        archive jobs are among its records and committed with it."""
 
-        self._queue_owed_jobs((path, host_txn_id)
-                              for path in recovery_links(records))
         for record in records:
             if record.table == "linked_files" and \
                     record.type is LogRecordType.UPDATE and \
                     record.before["taken_over"] and \
                     not record.after["taken_over"]:
                 self._give_back(record.after)
-
-    def _queue_owed_jobs(self, owed) -> None:
-        """Queue the archive jobs owed by link branches committed from the
-        log: *owed* is ``(path, host_txn_id)`` per file linked with
-        recovery.
-
-        A live link branch queues its files' jobs from its ``on_commit``
-        hook; a branch committed at recovery or witness promotion never
-        ran one.  A file that already has a version or a queued job is
-        owed nothing.  The job's state id is the host commit's
-        (:meth:`_job_state_id`).
-        """
-
-        repository = self.repository
-        for path, host_txn_id in owed:
-            if not repository.latest_version_no(path) and \
-                    not repository.pending_archive_jobs(path):
-                repository.enqueue_archive_job(path, None,
-                                               host_txn_id=host_txn_id)
 
     def resolve_in_doubt(self) -> dict:
         """Resolve live branches after a *coordinator* failure.

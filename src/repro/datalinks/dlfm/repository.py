@@ -18,9 +18,10 @@ Tables
                     would restore (:meth:`DLFMRepository.add_version`).
 ``archive_queue``   asynchronous archive jobs not yet run -- a finished job
                     is deleted, so the table holds unfinished work only; a
-                    queued job blocks further updates of the same file.  A
-                    job queued before its host commit (a close branch)
-                    names the host transaction instead of a state id.
+                    queued job blocks further updates of the same file.
+                    Every job is written by the 2PC branch of a link or a
+                    close, before its host commit, so it names the host
+                    transaction whose commit dates the version.
 
 ``file_versions`` and ``archive_queue`` draw their integer keys from
 ``MAX(key) + 1``, which the store answers from the primary-key index at
@@ -56,6 +57,7 @@ handle                     shape                           access path
 ``_insert_tracking``       insert update_tracking          --
 ``_delete_tracking``       delete update_tracking (path)   pk
 ``_versions_by_path``      select file_versions (path)     file_versions_path
+``_all_versions``          select file_versions            scan
 ``_insert_version``        insert file_versions            --
 ``_delete_version``        delete file_versions            pk
                            (version_id)
@@ -119,6 +121,7 @@ class DLFMRepository:
     _insert_tracking = _Statement("insert", "update_tracking")
     _delete_tracking = _Statement("delete", "update_tracking", ("path",))
     _versions_by_path = _Statement("select", "file_versions", ("path",))
+    _all_versions = _Statement("select", "file_versions")
     _insert_version = _Statement("insert", "file_versions")
     _delete_version = _Statement("delete", "file_versions", ("version_id",))
     _delete_versions = _Statement("delete", "file_versions", ("path",))
@@ -174,8 +177,7 @@ class DLFMRepository:
         db.create_table(_table("archive_queue", [
             Column("job_id", DataType.INTEGER, nullable=False),
             Column("path", DataType.TEXT, nullable=False),
-            Column("state_id", DataType.INTEGER, nullable=True),
-            Column("host_txn_id", DataType.INTEGER, nullable=True),
+            Column("host_txn_id", DataType.INTEGER, nullable=False),
             Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
         ], ("job_id",)))
         db.create_index("archive_queue_path", "archive_queue", ("path",))
@@ -322,6 +324,11 @@ class DLFMRepository:
                 latest = row
         return latest
 
+    def named_archive_ids(self) -> set[int]:
+        """The archive ids the version rows name."""
+
+        return {row["archive_id"] for row in self._all_versions()}
+
     def delete_versions(self, path: str, txn: Transaction | None = None) -> int:
         return self._delete_versions(path, txn=txn)
 
@@ -344,17 +351,15 @@ class DLFMRepository:
         return len(rows)
 
     # ------------------------------------------------------------ archive queue --
-    def enqueue_archive_job(self, path: str, state_id: int | None,
-                            txn: Transaction | None = None, *,
-                            host_txn_id: int | None = None) -> int:
-        """Queue an archive job of *path*: at host state *state_id*, or --
-        with ``state_id=None`` -- at the commit of *host_txn_id*."""
+    def enqueue_archive_job(self, path: str, txn: Transaction,
+                            host_txn_id: int) -> int:
+        """Queue an archive job of *path* in the branch transaction *txn* of
+        the host transaction *host_txn_id*, whose commit dates the version."""
 
         job_id = self._next_id("archive_queue")
         self._insert_job({
             "job_id": job_id,
             "path": path,
-            "state_id": state_id,
             "host_txn_id": host_txn_id,
             "created_at": self.db.now(),
         }, txn=txn)

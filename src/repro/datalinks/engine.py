@@ -318,9 +318,6 @@ class DataLinksEngine:
         except KeyError:
             raise DataLinksError(f"no file server registered under {server!r}") from None
 
-    def state_identifier(self) -> LSN:
-        return self.db.state_identifier()
-
     def register_metadata_columns(self, table: str, column: str,
                                   size_column: str | None = None,
                                   mtime_column: str | None = None) -> None:
@@ -351,7 +348,9 @@ class DataLinksEngine:
         (``host_txn.voted``) gets no prepare and no commit message: its
         vote is already in, and its commit rides the reply to that request
         once this returns.  The coordinator's COMMIT is durable before any
-        participant commits, that one included.
+        participant commits, that one included.  Each commit message
+        carries the commit's state id, which dates the archive jobs the
+        participant's branch wrote.
         """
 
         voted = host_txn.voted
@@ -387,7 +386,8 @@ class DataLinksEngine:
         with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 if server != voted:
-                    self._entry(server).connection.commit(host_txn.txn_id)
+                    self._entry(server).connection.commit(host_txn.txn_id,
+                                                          state_id)
                     fire(self.failpoints, "commit:committed", server)
         return state_id
 
@@ -426,7 +426,8 @@ class DataLinksEngine:
         One ``prepare_many`` and one ``commit_many`` message go to each
         enlisted file server (covering every transaction in the batch that
         touched it), and a single host log force covers all the COMMIT
-        records -- the WAL group commit of the sharded deployment.
+        records -- the WAL group commit of the sharded deployment.  The
+        commit messages carry the group's state id.
         """
 
         if not host_txns:
@@ -454,7 +455,8 @@ class DataLinksEngine:
         fire(self.failpoints, "group:after_host_commit")
         with self.clock.overlap():
             for server in sorted(by_server):
-                self._entry(server).connection.commit_many(by_server[server])
+                self._entry(server).connection.commit_many(by_server[server],
+                                                           state_id)
                 fire(self.failpoints, "group:committed", server)
         return state_id
 
@@ -465,13 +467,16 @@ class DataLinksEngine:
         commits: the host outcome is already durable, so the surviving
         servers must commit (a missing branch is ignored -- it already
         committed) and unreachable servers are left to resolve their
-        in-doubt branches from the host outcome during recovery.
+        in-doubt branches from the host outcome during recovery.  The
+        messages carry the state id of the transaction's durable commit.
         """
 
+        state_id = self.host_commit_state(host_txn.txn_id)
         with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 try:
-                    self._entry(server).connection.commit(host_txn.txn_id)
+                    self._entry(server).connection.commit(host_txn.txn_id,
+                                                          state_id)
                 except IPCError:
                     pass
 
@@ -521,8 +526,8 @@ class DataLinksEngine:
 
     def host_commit_state(self, host_txn_id: int) -> LSN | None:
         """The state id of a host transaction's durable commit, ``None``
-        when it has none: what a DLFM that lost a close's reply dates the
-        close's archived version by."""
+        when it has none: what a DLFM dates an archive job by when a crash
+        or a promotion lost the commit message that carried it."""
 
         return self.db.commit_state_of(host_txn_id)
 

@@ -20,7 +20,9 @@ This module adds a *serving/witness* replication scheme per shard:
   committed transactions are redone into the witness repository, aborted
   ones are dropped, and transactions that shipped a PREPARE vote but no
   outcome are kept *in doubt* until promotion resolves them from the host
-  database's durable outcome (two-phase commit across a failover);
+  database's durable outcome (two-phase commit across a failover) --
+  archive jobs included, since a link or close writes its job in its
+  branch;
 * :class:`EpochRegistry` / :class:`EpochGuard` implement fencing: each
   shard has a monotonically increasing epoch and exactly one serving node;
   promotion bumps the epoch, so a deposed ex-serving node fails every
@@ -53,7 +55,6 @@ order).  They fire into the engine's one table; see
 from __future__ import annotations
 
 from repro.datalinks.control_modes import ControlMode
-from repro.datalinks.dlfm.link_manager import recovery_links
 from repro.util.failpoints import fire
 from repro.datalinks.routing import NodeRole
 from repro.errors import (
@@ -394,16 +395,13 @@ class ReplicaApplier:
         ``"aborted"`` / ``"unknown"``; anything but a durable commit is
         presumed aborted, exactly like a recovering participant.  Local
         transactions that never voted cannot have committed and are dropped.
-        ``owed_jobs`` lists ``(path, host_txn_id)`` for each file a
-        committed branch linked with recovery: its archive job was to be
-        queued by a commit hook that ran on no node.
+        A committed branch's archive jobs are among its records: the
+        promoted node runs them, dated by the host commit's state id.
         """
 
-        committed, aborted, owed = [], [], []
+        committed, aborted = [], []
         for txn_id, host_txn_id in sorted(self._prepared.items()):
             if outcomes.get(host_txn_id) == "committed":
-                owed.extend((path, host_txn_id) for path in
-                            recovery_links(self._pending.get(txn_id, ())))
                 self._apply_txn(txn_id)
                 committed.append(host_txn_id)
             else:
@@ -411,8 +409,7 @@ class ReplicaApplier:
                 aborted.append(host_txn_id if host_txn_id is not None else txn_id)
         for txn_id in list(self._pending):
             self._drop_txn(txn_id)
-        return {"committed": committed, "aborted": aborted,
-                "owed_jobs": owed}
+        return {"committed": committed, "aborted": aborted}
 
     # ----------------------------------------------------------------- resync --
     def reset_from_snapshot(self, snapshot: dict, state_lsn: LSN) -> None:

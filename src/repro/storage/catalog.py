@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.errors import NoSuchTableError, TableExistsError
 from repro.storage.heap import HeapTable
-from repro.storage.index import HashIndex, OrderedIndex, referenced_file
+from repro.storage.index import HashIndex, referenced_file
 from repro.storage.schema import TableSchema
 from repro.storage.values import DataType
 
@@ -69,10 +69,9 @@ class Catalog:
 
     # -- indexes ------------------------------------------------------------------
     def create_index(self, index_name: str, table: str, columns, *,
-                     unique: bool = False, ordered: bool = False):
+                     unique: bool = False):
         self._require(table)
         self.version += 1
-        index_cls = OrderedIndex if ordered else HashIndex
         columns = tuple(columns)
         # DATALINK columns are keyed by the file they reference (see
         # repro.storage.index); the schema decides, so index definitions in
@@ -82,7 +81,7 @@ class Catalog:
             referenced_file
             if schema.column(column).dtype is DataType.DATALINK else None
             for column in columns)
-        index = index_cls(index_name, table, columns, unique=unique,
+        index = HashIndex(index_name, table, columns, unique=unique,
                           derive=derive if any(derive) else None)
         for rid, row in self._heaps[table].scan_live():
             index.insert(row, rid)
@@ -149,7 +148,6 @@ class Catalog:
                     "name": index.name,
                     "columns": index.columns,
                     "unique": index.unique,
-                    "ordered": isinstance(index, OrderedIndex),
                 }
                 for index in indexes
             ]
@@ -166,8 +164,7 @@ class Catalog:
                 if (table, definition["name"]) not in self._index_by_name:
                     self.create_index(definition["name"], table,
                                       definition["columns"],
-                                      unique=definition["unique"],
-                                      ordered=definition["ordered"])
+                                      unique=definition["unique"])
 
     def snapshot(self) -> dict:
         """Schemas, heap contents and index definitions -- the checkpoint

@@ -462,10 +462,10 @@ class Database:
         return heap
 
     def create_index(self, index_name: str, table: str, columns, *,
-                     unique: bool = False, ordered: bool = False):
+                     unique: bool = False):
         self._charge("sql_statement_base")
         return self.catalog.create_index(index_name, table, columns,
-                                         unique=unique, ordered=ordered)
+                                         unique=unique)
 
     # ------------------------------------------------------------------- DML --
     def _prepared(self, kind, table: str, columns: tuple):
@@ -614,8 +614,8 @@ class Database:
     def _check_unique(self, table: str, row: dict, exclude_rid: int | None,
                       plan: _TablePlan) -> None:
         for index, columns, entries in plan.unique_plans:
-            # A unique hash index's bucket is a bare row id; a derived or
-            # ordered one answers through ``bucket()`` (see ``index.py``).
+            # A unique index's bucket is a bare row id; a derived one
+            # answers through ``bucket()`` (see ``index.py``).
             if entries is not None:
                 bucket = entries.get(index.key_of(row), ())
             else:

@@ -1,4 +1,4 @@
-"""Secondary indexes: hash indexes for equality and an ordered index for ranges.
+"""Secondary indexes: hash indexes for equality.
 
 An index over a ``DATALINK`` column is keyed by the *file the value
 references* (:func:`referenced_file`), not by the URL's spelling: the catalog
@@ -21,7 +21,6 @@ rows they index, and some tables gain a row per read.
 
 from __future__ import annotations
 
-import bisect
 from operator import itemgetter
 
 from repro.errors import DuplicateKeyError
@@ -38,15 +37,6 @@ def referenced_file(value):
     if value is None or value[:1] == "/":
         return value
     return parse_url(value).path
-
-
-def _key(values, derive: tuple | None) -> tuple:
-    """The ordered-index key for stored column *values* (in column order)."""
-
-    if derive is None:
-        return tuple(values)
-    return tuple(value if function is None else function(value)
-                 for value, function in zip(values, derive))
 
 
 def _hash_key(values, derive: tuple | None):
@@ -150,89 +140,3 @@ class HashIndex:
     def __len__(self) -> int:
         return sum(1 if type(bucket) is int else len(bucket)
                    for bucket in self._entries.values())
-
-
-class OrderedIndex:
-    """A sorted (key, rid) index supporting range scans.
-
-    Backed by a sorted list with binary search -- adequate for the table
-    sizes the reproduction works with and entirely deterministic.  With
-    ``derive`` (see :class:`HashIndex`) the order, and the bounds of
-    :meth:`range_scan`, are those of the derived keys.
-    """
-
-    def __init__(self, name: str, table: str, columns: tuple[str, ...],
-                 unique: bool = False, derive: tuple | None = None):
-        self.name = name
-        self.table = table
-        self.columns = tuple(columns)
-        self.unique = unique
-        self.derive = derive
-        self.raw_entries = None     # no key -> rids dict: use :meth:`bucket`
-        self._keys: list[tuple] = []
-        self._rids: list[int] = []
-
-    def key_of(self, row: dict) -> tuple:
-        return _key([row[column] for column in self.columns], self.derive)
-
-    def insert(self, row: dict, rid: int) -> None:
-        key = self.key_of(row)
-        position = bisect.bisect_left(self._keys, key)
-        if self.unique:
-            if position < len(self._keys) and self._keys[position] == key \
-                    and self._rids[position] != rid:
-                raise DuplicateKeyError(
-                    f"index {self.name}: duplicate key {key!r} on table {self.table}")
-        self._keys.insert(position, key)
-        self._rids.insert(position, rid)
-
-    def remove(self, row: dict, rid: int) -> None:
-        key = self.key_of(row)
-        position = bisect.bisect_left(self._keys, key)
-        while position < len(self._keys) and self._keys[position] == key:
-            if self._rids[position] == rid:
-                del self._keys[position]
-                del self._rids[position]
-                return
-            position += 1
-
-    def lookup(self, key: tuple) -> set[int]:
-        key = _key(key, self.derive)
-        result: set[int] = set()
-        position = bisect.bisect_left(self._keys, key)
-        while position < len(self._keys) and self._keys[position] == key:
-            result.add(self._rids[position])
-            position += 1
-        return result
-
-    def bucket(self, key: tuple):
-        """The rid collection for *key* (same contract as ``HashIndex.bucket``)."""
-
-        return self.lookup(key)
-
-    def range_scan(self, low: tuple | None = None, high: tuple | None = None,
-                   include_low: bool = True, include_high: bool = True):
-        """Iterate ``(key, rid)`` pairs with keys in ``[low, high]``."""
-
-        if low is None:
-            start = 0
-        else:
-            low = tuple(low)
-            start = bisect.bisect_left(self._keys, low) if include_low \
-                else bisect.bisect_right(self._keys, low)
-        for position in range(start, len(self._keys)):
-            key = self._keys[position]
-            if high is not None:
-                high_t = tuple(high)
-                if include_high and key > high_t:
-                    break
-                if not include_high and key >= high_t:
-                    break
-            yield key, self._rids[position]
-
-    def clear(self) -> None:
-        self._keys.clear()
-        self._rids.clear()
-
-    def __len__(self) -> int:
-        return len(self._keys)

@@ -18,6 +18,8 @@ the charges the check names.
   number of Python calls whatever the table size.
 * ``TestCloseCommitIsOneRoundTrip``: the close of an updated file commits
   with one message between the DLFM and the host.
+* ``TestLinkJobIsABranchWrite``: a file linked with recovery gets its
+  archive job inside the link's branch, dated by the host commit.
 """
 
 from __future__ import annotations
@@ -415,3 +417,97 @@ class TestCloseCommitIsOneRoundTrip:
         assert any(record.table == "archive_queue"
                    and record.txn_id == prepares[0].txn_id
                    for record in records)
+
+
+class TestLinkJobIsABranchWrite:
+    """The archive job of a file linked with recovery is one of the link
+    branch's own writes, as a close's is: its ``archive_queue`` INSERT is
+    logged in the branch before the PREPARE, and no other repository
+    transaction runs.  The link's ``fs1`` ledger is the pin below; a job
+    queued after the commit as a transaction of its own charged one more
+    ``dlfm.sql_statement_base`` (its BEGIN) and one more ``dlfm.log_write``
+    (its COMMIT force).  The archived version carries the state id of the
+    host commit the branch committed on, which the commit message brought:
+    the host's log is never asked."""
+
+    #: ``fs1``'s ledger of one rdd link with recovery: label -> (count,
+    #: picoseconds).
+    PIN = {
+        "syscall_base": (4, 200_000_000),
+        "vfs_op": (12, 240_000_000),
+        "fs_metadata_update": (2, 100_000_000),
+        "directory_lookup": (8, 240_000_000),
+        "daemon_dispatch": (3, 60_000_000),
+        "db_dlfm_message": (3, 1_800_000_000),
+        "dlfm.sql_statement_base": (5, 250_000_000),
+        "dlfm.index_probe": (2, 4_000_000),
+        "dlfm.row_read": (1, 5_000_000),
+        "dlfm.row_write": (2, 20_000_000),
+        "dlfm.lock_acquire": (4, 4_000_000),
+        "dlfm.log_write": (2, 40_000_000),
+    }
+
+    @staticmethod
+    def _row(doc_id: int, url: str) -> dict:
+        return {"doc_id": doc_id, "title": "t", "body": url, "body_size": 0,
+                "body_mtime": 0.0}
+
+    def test_the_job_is_written_before_the_prepare_at_the_pinned_cost(self):
+        from repro.datalinks.control_modes import ControlMode
+        from repro.storage.wal import LogRecordType
+        from tests.conftest import FILES_TABLE, build_system
+
+        system, alice, _, urls = build_system(ControlMode.RDD, size=512,
+                                              link=False)
+        wal = system.file_server("fs1").dlfm.repository.db.wal
+        mark = wal.tail_lsn()
+        fs1 = system.clocks.domains["fs1"]
+        before = fs1.stats.ledger()
+        alice.insert(FILES_TABLE, self._row(0, urls[0]))
+        charged = {label: (count - before.get(label, (0, 0))[0],
+                           ticks - before.get(label, (0, 0))[1])
+                   for label, (count, ticks) in fs1.stats.ledger().items()
+                   if (count, ticks) != before.get(label)}
+        assert charged == self.PIN
+        records = wal.records_from(mark)
+        assert {record.txn_id for record in records} == {records[0].txn_id}
+        kinds = [record.type for record in records]
+        prepare = kinds.index(LogRecordType.PREPARE)
+        assert [record.table for record in records[:prepare]
+                if record.type is LogRecordType.INSERT] == \
+            ["linked_files", "archive_queue"]
+        assert kinds[prepare + 1:] == [LogRecordType.COMMIT]
+
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["commit", "commit_group"])
+    def test_the_version_carries_the_host_commits_state_id(self, grouped,
+                                                           monkeypatch):
+        from repro.datalinks.control_modes import ControlMode
+        from tests.conftest import FILES_TABLE, build_system
+
+        system, _, paths, urls = build_system(ControlMode.RDD, size=512,
+                                              files=3, link=False)
+        engine = system.engine
+        # Two files in one branch (two jobs of one host transaction), one
+        # in another.
+        first, second = engine.begin(), engine.begin()
+        engine.insert_many(FILES_TABLE, [self._row(0, urls[0]),
+                                         self._row(1, urls[1])], first)
+        engine.insert(FILES_TABLE, self._row(2, urls[2]), second)
+
+        def asked(host_txn_id):
+            raise AssertionError("the commit message carries the state id")
+
+        monkeypatch.setattr(engine, "host_commit_state", asked)
+        if grouped:
+            state_ids = [engine.commit_group([first, second])] * 2
+            # The group's state id is not the first transaction's own
+            # COMMIT record: the version is dated by the message.
+            assert system.host_db.commit_state_of(first.txn_id) < \
+                state_ids[0]
+        else:
+            state_ids = [engine.commit(first), engine.commit(second)]
+        assert system.run_archiver() == 3
+        repository = system.file_server("fs1").dlfm.repository
+        assert [repository.versions(path)[0]["state_id"] for path in paths] \
+            == [state_ids[0], state_ids[0], state_ids[1]]

@@ -432,7 +432,10 @@ class TestArchiveJobRunsOnce:
         """The version row, the rows it supersedes and the job's delete
         are one local transaction: a crash the moment the version is
         durable leaves no job to re-run, so one update is one version and
-        one archive object."""
+        one archive object.  The release of the superseded version's
+        object, queued in memory, dies with the crash; the restart finds
+        the object named by no version row and frees it, so the archive
+        holds exactly the chain's objects."""
 
         system, alice, paths, _ = build_system(ControlMode.RDD)
         dlfm = system.file_server("fs1").dlfm
@@ -457,6 +460,51 @@ class TestArchiveJobRunsOnce:
         assert [version["version_no"]
                 for version in dlfm.repository.versions(paths[0])] == [2]
         assert dlfm.archive._next_id == stores + 1
+        chain = [version["archive_id"]
+                 for version in dlfm.repository.versions(paths[0])]
+        assert dlfm.archive.stored_by("fs1") == chain
+
+
+class TestRestartFreesOnlyUnnamedObjects:
+    """A restart frees the objects its own version rows no longer name, and
+    no object another name still reaches."""
+
+    def test_a_newer_backup_keeps_its_versions_across_an_older_restore(
+            self, rfd_system):
+        """After a restore to an older backup the repository no longer
+        names the versions a newer backup picks; a restart then must not
+        free them, or the restore to the newer backup reads nothing."""
+
+        system, alice, paths, _ = rfd_system
+        backups = {}
+        for version in (1, 2):
+            _update(system, alice, 0, f"version {version}".encode())
+            backups[version] = system.backup(f"v{version}")
+        system.restore(backups[1])
+        bounce(system, "fs1")
+        system.run_archiver()
+        system.restore(backups[2])
+        assert system.file_server("fs1").files.read(paths[0]) == b"version 2"
+
+    def test_a_hand_off_source_keeps_the_objects_it_moved(self):
+        """A prefix hand-off moves version rows naming the source's objects
+        to the destination: the source's restart must not free them."""
+
+        from tests.datalinks.test_placement import (build_deployment,
+                                                    link_docs, other_shard)
+
+        deployment, session = build_deployment(mode=ControlMode.RDB)
+        link_docs(deployment, session, "/p", 2)
+        source = deployment.shard_of("/p/doc0000.dat")
+        dest = other_shard(deployment, source)
+        deployment.rebalance_prefix("/p", dest)
+        deployment.crash(source)
+        deployment.restart(source)
+        deployment.system.run_archiver()
+        serving = deployment.replicas[dest].serving.dlfm
+        for doc_id in range(2):
+            version = serving.repository.latest_version(f"/p/doc{doc_id:04d}.dat")
+            assert serving.archive.exists(version["archive_id"])
 
 
 REPL_TABLE = "replicated_docs"

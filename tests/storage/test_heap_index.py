@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from repro.errors import DuplicateKeyError, NoSuchRowError
 from repro.storage.heap import HeapTable
-from repro.storage.index import HashIndex, OrderedIndex, referenced_file
+from repro.storage.index import HashIndex, referenced_file
 from tests.conftest import examples
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
@@ -171,38 +171,6 @@ class TestHashIndexModel:
                        for stored_key in index.raw_entries)
 
 
-class TestOrderedIndex:
-    def test_range_scan_inclusive(self):
-        index = OrderedIndex("idx", "t", ("k",))
-        for value, rid in ((10, 1), (20, 2), (30, 3), (20, 4)):
-            index.insert({"k": value}, rid)
-        hits = list(index.range_scan(low=(20,), high=(30,)))
-        assert sorted(rid for key, rid in hits if key == (20,)) == [2, 4]
-        assert [rid for key, rid in hits if key == (30,)] == [3]
-        assert [key for key, _ in hits] == sorted(key for key, _ in hits)
-
-    def test_range_scan_exclusive_bounds(self):
-        index = OrderedIndex("idx", "t", ("k",))
-        for value, rid in ((10, 1), (20, 2), (30, 3)):
-            index.insert({"k": value}, rid)
-        hits = list(index.range_scan(low=(10,), high=(30,),
-                                     include_low=False, include_high=False))
-        assert [rid for _, rid in hits] == [2]
-
-    def test_unique_violation(self):
-        index = OrderedIndex("idx", "t", ("k",), unique=True)
-        index.insert({"k": 1}, 1)
-        with pytest.raises(DuplicateKeyError):
-            index.insert({"k": 1}, 2)
-
-    def test_remove_specific_rid_among_duplicates(self):
-        index = OrderedIndex("idx", "t", ("k",))
-        index.insert({"k": 1}, 1)
-        index.insert({"k": 1}, 2)
-        index.remove({"k": 1}, 1)
-        assert index.lookup((1,)) == {2}
-
-
 class TestDatalinkIndexes:
     """An index over a DATALINK column is keyed by the referenced file."""
 
@@ -222,21 +190,15 @@ class TestDatalinkIndexes:
     URLS = ("dlfs://a/x", "http://b/x", "dlfs://a/x;token=t", "dlfs://a/y",
             None)
 
-    @pytest.mark.parametrize("index_cls", [HashIndex, OrderedIndex])
-    def test_spellings_of_one_path_share_a_bucket(self, index_cls):
-        from repro.storage.index import referenced_file
-
-        index = index_cls("idx", "t", ("k", "url"),
+    def test_spellings_of_one_path_share_a_bucket(self):
+        index = HashIndex("idx", "t", ("k", "url"),
                           derive=(None, referenced_file))
-        # (The ordered index cannot sort NULL keys, derived or not.)
-        urls = self.URLS if index_cls is HashIndex else self.URLS[:-1]
-        for rid, url in enumerate(urls, 1):
+        for rid, url in enumerate(self.URLS, 1):
             index.insert({"k": 0, "url": url}, rid)
         assert index.lookup((0, "/x")) == {1, 2, 3}
         assert index.lookup((0, "dlfs://elsewhere/x")) == {1, 2, 3}
         assert index.lookup((0, "dlfs://a/y")) == {4}
-        if index_cls is HashIndex:
-            assert index.lookup((0, None)) == {5}
+        assert index.lookup((0, None)) == {5}
         assert index.lookup((1, "/x")) == set()
         index.remove({"k": 0, "url": "http://b/x"}, 2)
         assert index.lookup((0, "/x")) == {1, 3}
