@@ -293,13 +293,10 @@ class DataLinksSystem:
     def run_archiver(self) -> int:
         """Process the pending asynchronous archive jobs of every file server.
 
-        The servers run their jobs side by side in simulated time
-        (:meth:`_fan_out`, one job per ``interleave`` step): each server's
-        disk reads overlap the others', the jobs of one server run in
-        queue order, and jobs meet only at the shared archive mover, which
-        serves them in job-start order (:mod:`repro.datalinks.dlfm.archive`).
-        The host waits for the slowest server.  Returns how many jobs
-        archived a version.
+        The servers run side by side in simulated time (:meth:`_fan_out`),
+        each with one transfer in flight to the shared archive mover
+        (:mod:`repro.datalinks.dlfm.archive`); the host waits for the
+        slowest.  Returns how many jobs archived a version.
         """
 
         return sum(self._fan_out(lambda server: server.dlfm.archive_steps()))

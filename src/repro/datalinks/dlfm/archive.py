@@ -6,17 +6,18 @@ blocked until the archiving completes" (Sections 4.2 and 4.4).  The archive
 server is shared by all file servers of a system (an ADSM-style store); each
 archived object is immutable and addressed by an integer archive id.
 
-The archive mover is its own simulated node: it runs on the ``archive``
-clock domain, and each store/retrieve rendezvouses with the calling file
-server's domain (the transfer occupies both ends), so archive bandwidth is
-attributed to the archive device rather than smeared over the file servers.
-The archiver runs each file server's jobs as one actor of
-:func:`repro.simclock.interleave` (:meth:`DataLinksSystem.run_archiver
-<repro.api.system.DataLinksSystem.run_archiver>`), so every job starts on
-the server whose clock is earliest, and the mover serves jobs in job-start
-order and is where they serialise: a server waiting for it idles on its own
-domain -- the rendezvous moves its clock forward -- and is charged nothing
-for the wait.
+The archive mover is its own simulated node on the ``archive`` clock
+domain, so archive bandwidth is attributed to the archive device, not to the
+file servers.  A store is a send: the mover starts the transfer no earlier
+than the sender sent it and charges it on its own domain, and the sender
+waits for it only before it commits the version row naming the object.  So
+no row names an object not yet stored, and a file server reads its next
+job's file while the mover stores the last one.  The archiver runs each
+server's jobs as one actor of :func:`repro.simclock.interleave`
+(:meth:`DataLinksSystem.run_archiver
+<repro.api.system.DataLinksSystem.run_archiver>`); the mover serialises
+transfers in the order they are sent.  A retrieve is synchronous: both
+domains rendezvous around it.
 
 The archive keeps only what a restore can still read.  A DLFM keeps, per
 linked file, its newest committed version and every superseded version some
@@ -69,17 +70,14 @@ class ArchiveServer:
             raise TypeError(f"ArchiveServer needs a SimClock, got {self.clock!r}")
 
     def store(self, server: str, path: str, content: bytes,
-              caller_clock: SimClock) -> int:
-        """Archive *content*; returns the archive id.
+              caller_clock: SimClock) -> tuple[int, int]:
+        """Send *content* to the mover; returns the archive id and the tick
+        the transfer completes at, which the sender (``caller_clock``)
+        waits for before anything names the id."""
 
-        ``caller_clock`` is the storing node's clock domain: the transfer is
-        synchronous, so both domains rendezvous around it.
-        """
-
-        rendezvous(self.clock, caller_clock)
+        self.clock.sync_ticks(caller_clock.send_ticks())
         self.clock.charge("archive_job_overhead")
         self.clock.charge("archive_per_byte", nbytes=len(content))
-        rendezvous(self.clock, caller_clock)
         obj = ArchiveObject(
             archive_id=self._next_id,
             server=server,
@@ -89,7 +87,7 @@ class ArchiveServer:
         )
         self._objects[obj.archive_id] = obj
         self._next_id += 1
-        return obj.archive_id
+        return obj.archive_id, self.clock.ticks
 
     def retrieve(self, archive_id: int, caller_clock: SimClock) -> bytes:
         """Fetch the archived content for *archive_id*."""

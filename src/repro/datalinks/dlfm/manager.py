@@ -130,6 +130,8 @@ class DataLinksFileManager:
         #: whose entry a crash or a promotion lost asks the host's durable
         #: outcome (:meth:`_job_state_id`).
         self._commit_states: dict[int, int] = {}
+        #: ``(job, archive id, tick stored)`` the archiver has not committed.
+        self._in_flight: tuple | None = None
 
     # ---------------------------------------------------------------- wiring -----
     def attach_engine(self, engine) -> None:
@@ -722,26 +724,32 @@ class DataLinksFileManager:
         return sum(self.archive_steps())
 
     def archive_steps(self):
-        """Run the pending asynchronous archive jobs one per step.
+        """Run the pending asynchronous archive jobs, one transfer in flight.
 
-        A generator: each ``next()`` runs the next job in queue order and
-        yields 1 if it archived a version, 0 if the file was gone.  The
-        queue is read once, by the first step, so a caller may interleave
-        the steps of several servers in simulated time
+        A generator: each ``next()`` sends the next job's file to the
+        archive mover, then commits the previous job's version once it is
+        stored and yields 1 for it (0 if the file was gone).  The queue is
+        read once, by the first step, so a caller may interleave the steps
+        of several servers in simulated time
         (:meth:`repro.api.system.DataLinksSystem.run_archiver`).  A job's
         version row, the rows it supersedes and the job's own delete are
         one local transaction, so a crash re-runs a job only if its version
-        never committed.  A job
-        queues the archive objects its version drop frees as it completes,
-        so a sequence abandoned when a later job raises loses no release.
-        The last step forces the repository log (a log write only when
-        commits are pending, as under group commit), so the run's version
-        rows are durable and shipped when it returns -- no tokenized read
-        commits any more to push them out of the group-commit window, and
-        a witness missing them is not read-eligible -- and then frees what
-        is durable and shipped.
+        never committed.  A read or send that raises commits the job in
+        flight first (a run abandoned between steps leaves it in
+        :attr:`_in_flight`, for the next run to free and redo), and a job
+        queues the objects its version drop frees as it commits: no
+        completed job and no release is lost.  The last step forces the
+        repository log (a log write only when commits are pending, as under
+        group commit), so the run's version rows are durable and shipped
+        when it returns -- no tokenized read commits any more to push them
+        out of the group-commit window, and a witness missing them is not
+        read-eligible -- and then frees what is durable and shipped.
         """
 
+        if self._in_flight is not None:
+            # An abandoned run's: no row names the object, the job is queued.
+            self.archive.release(self._in_flight[1])
+            self._in_flight = None
         if self.replica is not None:
             # A witness repository is redo-only: its archive_queue rows are
             # replicas of the primary's, and the primary runs those jobs.
@@ -756,21 +764,37 @@ class DataLinksFileManager:
                 self.repository.complete_archive_job(job["job_id"])
                 yield 0
                 continue
-            content = self.files.read(path)
-            archive_id = self.archive.store(self.server_name, path, content,
-                                            caller_clock=self.clock)
-            dropped = self.repository.add_version(
-                path, archive_id, self._job_state_id(job["host_txn_id"]),
-                self._backup_state_ids(), job_id=job["job_id"])
-            if dropped:
-                self._releases.append(
-                    (self.repository.db.wal.tail_lsn(), dropped))
-            yield 1
+            try:
+                content = self.files.read(path)
+                sent = job, *self.archive.store(self.server_name, path,
+                                                content, caller_clock=self.clock)
+            except BaseException:
+                if self._in_flight is not None:
+                    self._commit_in_flight()
+                raise
+            if self._in_flight is None:
+                self._in_flight = sent
+            else:
+                yield self._commit_in_flight(sent)
+        if self._in_flight is not None:
+            yield self._commit_in_flight()
         self.repository.db.force_log()
         for job in jobs:
             self._commit_states.pop(job["host_txn_id"], None)
         if self._releases:
             self._release_shipped()
+
+    def _commit_in_flight(self, sent: tuple | None = None) -> int:
+        """Commit the stored transfer in flight; *sent* goes in flight next."""
+
+        (job, archive_id, stored), self._in_flight = self._in_flight, sent
+        self.clock.receive_ticks(stored)
+        dropped = self.repository.add_version(
+            job["path"], archive_id, self._job_state_id(job["host_txn_id"]),
+            self._backup_state_ids(), job_id=job["job_id"])
+        if dropped:
+            self._releases.append((self.repository.db.wal.tail_lsn(), dropped))
+        return 1
 
     def _job_state_id(self, host_txn_id: int) -> int:
         """The host state id an archive job's version carries: the commit of
@@ -964,6 +988,7 @@ class DataLinksFileManager:
         # again to other records.
         self._releases.clear()
         self._commit_states.clear()
+        self._in_flight = None
         self.soft.clear()
         self.running = False
 

@@ -3,10 +3,14 @@
 ``DataLinksSystem.run_archiver`` always advances the file server whose
 clock domain is earliest, one archive job per step, so disk reads on
 different servers overlap and jobs meet only at the shared archive mover.
+Within a server one transfer is in flight: a store is a send, and a job's
+version commits only once the mover has stored it, so the server reads its
+next file while the mover stores the last one.
 The oracle is the serial schedule, kept here in the test: visit each
 server's ``process_archive_jobs`` as one admin round trip after another.
 Both schedules run the same jobs with the same charges; only the elapsed
-host time differs.
+host time differs.  The schedule tests pin what the synchronous store
+(both ends rendezvous around every transfer) took for the same runs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.errors import ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.workloads.generator import make_content
-from tests.conftest import ALICE_UID, FILES_TABLE
+from tests.conftest import ALICE_UID, FILES_TABLE, InjectedCrash
 
 SERVERS = ("idle", "small", "large")
 #: Files linked per server, and how many of them are updated before the
@@ -33,9 +37,9 @@ FILES = {"idle": 0, "small": 4, "large": 7}
 UPDATES = {"idle": 0, "small": 2, "large": 6}
 
 
-def build(seed: int) -> DataLinksSystem:
+def build(seed: int, updates: dict = UPDATES) -> DataLinksSystem:
     """Three file servers, one idle; the other two hold seeded updates
-    whose archive jobs are pending."""
+    (*updates* per server) whose archive jobs are pending."""
 
     rng = random.Random(seed)
     system = DataLinksSystem()
@@ -65,7 +69,7 @@ def build(seed: int) -> DataLinksSystem:
     system.run_archiver()
     for name in SERVERS:
         for version, doc_id in enumerate(
-                rng.sample(docs[name], UPDATES[name]), start=1):
+                rng.sample(docs[name], updates[name]), start=1):
             url = alice.get_datalink(FILES_TABLE, {"doc_id": doc_id}, "body",
                                      access="write")
             with alice.update_file(url, truncate=True) as update:
@@ -195,3 +199,88 @@ def test_interrupted_fan_out_loses_no_completed_job(monkeypatch):
 
     assert system.run_archiver() == total - len(archived)
     assert end_state(system) == final
+
+
+def record_transfers(monkeypatch) -> list:
+    """Wrap ``ArchiveServer.store``: the list it returns fills with the
+    ticks the mover spends on each transfer."""
+
+    store, transfers = ArchiveServer.store, []
+
+    def recording(self, server, path, content, caller_clock):
+        begins = max(self.clock.ticks, caller_clock.ticks)
+        archive_id, stored = store(self, server, path, content, caller_clock)
+        transfers.append(stored - begins)
+        return archive_id, stored
+
+    monkeypatch.setattr(ArchiveServer, "store", recording)
+    return transfers
+
+
+#: Host ticks of ``run_archiver`` on ``build(42, {"large": N})`` with the
+#: synchronous store: the server's own charges plus all N transfers.
+SERIAL_ELAPSED = {1: 71_305_859_375, 6: 179_206_250_000}
+
+
+@pytest.mark.parametrize("jobs", sorted(SERIAL_ELAPSED))
+def test_a_server_waits_for_at_most_one_transfer(monkeypatch, jobs):
+    system = build(42, {"idle": 0, "small": 0, "large": jobs})
+    transfers = record_transfers(monkeypatch)
+    run = measure(system, lambda system: system.run_archiver())
+
+    assert run["jobs"] == len(transfers) == jobs
+    own = run["charged"]["large"]
+    assert run["charged"]["archive"] == sum(transfers)
+    assert SERIAL_ELAPSED[jobs] == own + sum(transfers)
+    # Every transfer but the last overlaps the server's next read and
+    # commit; one job has nothing to overlap, so it takes what it took.
+    assert own < run["elapsed"] <= own + max(transfers)
+    assert (run["elapsed"] == SERIAL_ELAPSED[jobs]) is (jobs == 1)
+
+
+def test_a_crash_with_a_transfer_in_flight_reruns_the_uncommitted_jobs(
+        monkeypatch):
+    """A plain DLFM crashes once the mover stored its third job and before
+    its second job's version commits.  After ``restart`` and another run,
+    every version chain is an uninterrupted run's, and the archive holds
+    exactly the objects those chains name."""
+
+    system, twin = build(42), build(42)
+    store = ArchiveServer.store
+    calls = {"large": 0}
+
+    def crashing_store(self, server, path, content, caller_clock):
+        stored = store(self, server, path, content, caller_clock)
+        if server == "large":
+            calls["large"] += 1
+            if calls["large"] == 3:
+                system.crash("large")
+                raise InjectedCrash
+        return stored
+
+    monkeypatch.setattr(ArchiveServer, "store", crashing_store)
+    with pytest.raises(InjectedCrash):
+        system.run_archiver()
+    monkeypatch.undo()
+    system.restart("large")
+    # Only the first job's version committed: the second's waited for the
+    # third's send.  No row names those two objects, nor the one the first
+    # version dropped (the crash lost its queued release).
+    queues = end_state(system)["queues"]
+    assert len(queues["large"]) == UPDATES["large"] - 1
+    assert len(set(system.archive.stored_by("large"))
+               - set(named_ids(system, "large"))) == 3
+    twin.run_archiver()
+
+    assert system.run_archiver() == sum(map(len, queues.values()))
+    assert end_state(system) == end_state(twin)
+    for name in SERVERS:
+        assert sorted(system.archive.stored_by(name)) == \
+            named_ids(system, name), name
+
+
+def named_ids(system: DataLinksSystem, server: str) -> list:
+    """The archive ids *server*'s version rows name, ascending."""
+
+    return sorted(row["archive_id"] for row in system.file_server(
+        server).dlfm.repository.db.select("file_versions"))
