@@ -172,10 +172,11 @@ CLAIMS = (
           interpreted="roughly 1 ms: within 0.5 ms of it in rdb and in rdd; between "
                       "0.5 and 2 ms, a factor of two, is Partial",
           reasons={Status.PARTIAL: (
-              "Each tokenized open and close makes three upcall round trips, and every "
-              "validation inserts a token-registry row that later lookups by the same "
-              "user read again, so the added cost is about twice 1 ms and grows with "
-              "the number of repeats.")}),
+              "Each tokenized open and close makes three upcall round trips and six "
+              "DLFM statements (link-row probe and token upsert at lookup; link-row "
+              "probe, update check and admission at open; Sync removal at close), "
+              "1.465 ms over an unlinked open on every tier and every repeat; a cost "
+              "model that charges more per round trip or statement lands here.")}),
     Claim("E2.b", "3.2", "modes not under full control avoid upcalls on read opens",
           lambda rows: -_e2(rows, "upcalls_per_open", "rff rfb rfd")),
     Claim("E2.c", "3.2", "rff/rfb/rfd reads bypass the DLFM entirely",
@@ -189,9 +190,9 @@ CLAIMS = (
           partial=lambda rows: rows.one("size_kb", "1024")["fs_overhead_pct"] < 3.0
           and any(row["fs_overhead_pct"] < 1.0 for row in rows if row["size_kb"] > 1024),
           reasons={Status.PARTIAL: (
-              "The file-server side adds E2's per-open cost, about twice 'about 1 ms', "
-              "so the 1 % point lies between the 1 MB and the 4 MB file; the 1 MB "
-              "overhead is held under 3 %.")}),
+              "The file-server side adds E2's per-open cost, 1.465 ms on a 128.55 ms "
+              "plain read of 1 MB (1.14 %), so the 1 % point lies between the 1 MB and "
+              "the 4 MB file (0.30 %); the 1 MB overhead is held under 3 %.")}),
     Claim("E3.b", "3.2", "Both are fixed per open, so they shrink as the file grows",
           lambda rows: min(_drops([row[column] for row in rows]) for column in
                            ("fs_overhead_pct", "total_overhead_pct")),

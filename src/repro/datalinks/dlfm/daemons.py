@@ -44,8 +44,9 @@ class UpcallDaemon(Daemon):
     def _write_open_fallback(self, ino: int, userid: int) -> dict:
         return self._manager.upcall_write_open_fallback(ino, userid)
 
-    def _file_closed(self, ino: int, was_write: bool, userid: int) -> dict:
-        return self._manager.upcall_file_closed(ino, was_write, userid)
+    def _file_closed(self, ino: int, was_write: bool, userid: int,
+                     path: str | None) -> dict:
+        return self._manager.upcall_file_closed(ino, was_write, userid, path)
 
     def _is_linked(self, ino: int) -> dict:
         return self._manager.upcall_is_linked(ino)

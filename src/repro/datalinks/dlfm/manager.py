@@ -442,11 +442,13 @@ class DataLinksFileManager:
             self._begin_file_update(row, mode, userid)
             return {"linked": True, "open_as_dbms": True, "mode": mode._value_}
         if mode.full_control:
-            self._begin_read(row, mode, userid)
-            return {"linked": True, "open_as_dbms": True, "mode": mode._value_}
+            self._begin_read(row["path"], "RW", userid)
+            return {"linked": True, "open_as_dbms": True,
+                    "mode": mode._value_, "path": row["path"]}
         if row.get("strict_read_sync"):
-            self._begin_strict_read(row, userid)
-            return {"linked": True, "open_as_dbms": False, "mode": mode._value_}
+            self._begin_read(row["path"], "", userid)
+            return {"linked": True, "open_as_dbms": False,
+                    "mode": mode._value_, "path": row["path"]}
         return {"linked": False}
 
     def upcall_write_open_fallback(self, ino: int, userid: int) -> dict:
@@ -470,18 +472,23 @@ class DataLinksFileManager:
         self._begin_file_update(row, mode, userid)
         return {"linked": True, "open_as_dbms": True, "mode": mode._value_}
 
-    def upcall_file_closed(self, ino: int, was_write: bool, userid: int) -> dict:
+    def upcall_file_closed(self, ino: int, was_write: bool, userid: int,
+                           path: str | None = None) -> dict:
         """fs_close-time processing: Sync cleanup, metadata update, archiving.
 
-        Fencing applies here too: only the serving node may commit
-        close-time metadata into the host database; read closes pass the
-        follower-read gate (a witness only cleans its local Sync entry).
+        A read close names the *path* its open was admitted on and only
+        removes its Sync entry -- no link-row lookup, so it finds the entry
+        even after the file's row left this node (a prefix handed off while
+        the file was open).  It passes the follower-read gate.  A write
+        close looks the row up; fencing applies to it: only the serving
+        node may commit close-time metadata into the host database.
         """
 
-        if was_write:
-            self._check_fencing()
-        else:
+        if not was_write:
             self._check_read_service()
+            self.soft.remove_sync_entry(path, "read", userid)
+            return {"linked": True, "modified": False}
+        self._check_fencing()
         row = self._lookup_link_row(ino)
         if row is None:
             return {"linked": False, "modified": False}
@@ -492,12 +499,7 @@ class DataLinksFileManager:
             mode = _MODES[code]
         except KeyError:
             mode = ControlMode.from_string(code)
-        if was_write:
-            self.soft.remove_sync_entry(path, "write", userid)
-        elif mode.full_control or row.get("strict_read_sync"):
-            self.soft.remove_sync_entry(path, "read", userid)
-        if not was_write:
-            return {"linked": True, "modified": False}
+        self.soft.remove_sync_entry(path, "write", userid)
 
         tracking = self.repository.tracking(path)
         attrs = self.files.stat(path)
@@ -535,32 +537,20 @@ class DataLinksFileManager:
         return any(access == "write"
                    for access, _userid in self.soft.sync_entries(path))
 
-    def _begin_read(self, row: dict, mode: ControlMode, userid: int) -> None:
-        path = row["path"]
-        if mode.requires_read_token and self.soft.find_token_entry(
-                path, userid, for_write=False, now=self.clock.now()) is None:
-            raise AccessDeniedError(
-                f"no valid read token registered for user {userid} on {path!r}")
+    def _begin_read(self, path: str, token_types: str, userid: int) -> None:
+        """Record a read open in the Sync table: a full-control read with
+        its read token (``"RW"``: an ``R`` entry, else a ``W`` one), or a
+        strict read of a file the file system controls (no token: this is
+        the paper's sketched fix for the rfd window, which serializes
+        writers and unlink against the reader)."""
+
+        refusal = None
         if self._being_updated(path):
-            raise UpdateInProgressError(
-                f"{path!r} is being updated; read access is serialized at open time")
-        self.soft.add_sync_entry(path, "read", userid)
-
-    def _begin_strict_read(self, row: dict, userid: int) -> None:
-        """Strict read synchronization for non-full-control files.
-
-        This is the paper's sketched fix for the rfd window: record a read
-        entry in the Sync table (so writers and unlink are serialized against
-        this reader) without requiring a read token, since read access itself
-        remains file-system controlled.
-        """
-
-        path = row["path"]
-        if self._being_updated(path):
-            raise UpdateInProgressError(
-                f"{path!r} is being updated; strict read synchronization rejects "
-                f"the open")
-        self.soft.add_sync_entry(path, "read", userid)
+            refusal = UpdateInProgressError(
+                f"{path!r} is being updated; read access is serialized at "
+                f"open time")
+        self.soft.admit(path, "read", userid, token_types, self.clock.now(),
+                        refusal=refusal)
 
     def _begin_file_update(self, row: dict, mode: ControlMode, userid: int) -> None:
         path = row["path"]
@@ -568,28 +558,15 @@ class DataLinksFileManager:
             raise AccessDeniedError(
                 f"write access to {path!r} is not managed by the database "
                 f"(mode {mode.value})")
-        soft = self.soft
-        if soft.find_token_entry(path, userid, for_write=True,
-                                 now=self.clock.now()) is None:
-            raise AccessDeniedError(
-                f"no valid write token registered for user {userid} on {path!r}")
-        existing = soft.sync_entries(path)
-        writers = [user for access, user in existing if access == "write"]
-        if writers:
-            raise UpdateInProgressError(
-                f"{path!r} is already being updated by user {writers[0]}")
-        if mode.full_control or row.get("strict_read_sync"):
-            readers = [user for access, user in existing if access == "read"]
-            if readers:
-                raise UpdateInProgressError(
-                    f"{path!r} is open for read by {len(readers)} application(s); "
-                    f"write access is serialized at open time")
+        refusal = None
         if self.repository.pending_archive_jobs(path):
-            raise UpdateInProgressError(
+            refusal = UpdateInProgressError(
                 f"the previous update of {path!r} is still being archived")
-
+        self.soft.admit(path, "write", userid, "W", self.clock.now(),
+                        exclusive=mode.full_control
+                        or row.get("strict_read_sync"),
+                        refusal=refusal)
         attrs = self.files.stat(path)
-        soft.add_sync_entry(path, "write", userid)
         self.repository.add_tracking({
             "path": path,
             "userid": userid,

@@ -23,9 +23,17 @@ user id rather than process id as Section 4.1 argues.  Validating a token
 the registry already holds for that triple moves the entry's expiry to the
 later of the two (the *token upsert*), so the registry is bounded by the
 live triples and an open examines at most one entry per token type.
+
+An open is admitted by one statement, :meth:`SoftState.admit`: it checks
+the user's token entry, for a write open the path's conflicting opens, and
+inserts the open's Sync entry.  A read open's update check stays its own
+statement (a witness reads the replicated tracking row for it instead),
+and a read close removes its entry on the path its open was admitted on.
 """
 
 from __future__ import annotations
+
+from repro.errors import AccessDeniedError, UpdateInProgressError
 
 
 class SoftState:
@@ -67,26 +75,6 @@ class SoftState:
             self.tokens[key] = expires_at
         self._charge(writes=1)
 
-    def find_token_entry(self, path: str, userid: int, *, for_write: bool,
-                         now: float) -> dict | None:
-        """A live entry authorizing the access: a read takes an ``R`` entry,
-        else a ``W`` one; a write takes a ``W`` entry only."""
-
-        probes = reads = 0
-        found = None
-        for token_type in ("W",) if for_write else ("R", "W"):
-            probes += 1
-            expires_at = self.tokens.get((path, userid, token_type))
-            if expires_at is None:
-                continue
-            reads += 1
-            if expires_at >= now:
-                found = {"path": path, "userid": userid,
-                         "token_type": token_type, "expires_at": expires_at}
-                break
-        self._charge(probes, reads)
-        return found
-
     def purge_expired_tokens(self, now: float) -> int:
         """Drop every entry whose expiry has passed (a scan)."""
 
@@ -105,9 +93,51 @@ class SoftState:
         self._charge(reads=len(entries))
         return list(entries)
 
-    def add_sync_entry(self, path: str, access: str, userid: int) -> None:
+    def admit(self, path: str, access: str, userid: int, token_types: str,
+              now: float, *, exclusive: bool = False,
+              refusal: Exception | None = None) -> None:
+        """The admission statement: admit an open of *path* and insert its
+        ``(access, userid)`` Sync entry, or raise why not.
+
+        Refusals come in this order: no live token entry of one of
+        *token_types* (tried in order; an empty string needs none); for a
+        write open, the path's write entry, then its read entries when the
+        write is *exclusive* of readers; last, *refusal*, what the caller's
+        own check found (a read's update check, a write's pending archive
+        job).  One keyed statement: a probe per token type tried and one
+        for the path, a row read per entry examined and the inserted row.
+        """
+
+        probes = reads = 0
+        if token_types:
+            for token_type in token_types:
+                probes += 1
+                expires_at = self.tokens.get((path, userid, token_type))
+                if expires_at is not None:
+                    reads += 1
+                    if expires_at >= now:
+                        break
+            else:
+                self._charge(probes, reads)
+                raise AccessDeniedError(f"no valid {access} token registered "
+                                        f"for user {userid} on {path!r}")
+        probes += 1
+        if access == "write":
+            entries = self.sync.get(path, ())
+            reads += len(entries)
+            writers = [user for kind, user in entries if kind == "write"]
+            if writers:
+                refusal = UpdateInProgressError(
+                    f"{path!r} is already being updated by user {writers[0]}")
+            elif entries and exclusive:
+                refusal = UpdateInProgressError(
+                    f"{path!r} is open for read by {len(entries)} "
+                    f"application(s); write access is serialized at open time")
+        if refusal is not None:
+            self._charge(probes, reads)
+            raise refusal
         self.sync.setdefault(path, []).append((access, userid))
-        self._charge(writes=1)
+        self._charge(probes, reads, 1)
 
     def remove_sync_entry(self, path: str, access: str, userid: int) -> int:
         """Remove the first matching open of *path* (opens and closes pair

@@ -18,7 +18,9 @@ The interception logic implements Section 4 of the paper:
   fallback: the DLFM verifies the mode and write token, takes the file over,
   and DLFS retries the open (Section 4.2);
 * ``fs_close`` notifies the DLFM so it can update metadata, trigger archiving
-  and release the take-over;
+  and release the take-over; a read close names the path its open was
+  admitted on (the open's reply carries it), so the DLFM removes the read's
+  Sync entry without looking the link row up again;
 * ``fs_remove``/``fs_rename`` of a linked file are rejected so the database
   never holds a dangling reference.
 """
@@ -180,7 +182,8 @@ class DataLinksFileSystem(FilterVFS):
                 lambda: self.upcall.check_open(vnode.ino, False, cred.uid))
             if reply.get("linked"):
                 handle = self.lower.fs_open(vnode, flags, cred)
-                state.update(linked=True, open_as_dbms=False, mode=reply.get("mode"))
+                state.update(linked=True, open_as_dbms=False,
+                             mode=reply.get("mode"), path=reply["path"])
                 handle.layer_state[LAYER_KEY] = state
                 return handle
 
@@ -201,7 +204,8 @@ class DataLinksFileSystem(FilterVFS):
 
     def _open_as_dbms(self, vnode, flags, cred, state, reply) -> OpenHandle:
         handle = self.lower.fs_open(vnode, flags, self.dbms_cred)
-        state.update(linked=True, open_as_dbms=True, mode=reply.get("mode"))
+        state.update(linked=True, open_as_dbms=True, mode=reply.get("mode"),
+                     path=reply.get("path"))
         handle.layer_state[LAYER_KEY] = state
         if flags.wants_write:
             # Belt and braces: the Sync table already serializes writers, but
@@ -225,9 +229,12 @@ class DataLinksFileSystem(FilterVFS):
             request = LockRequest(kind=LockKind.UNLOCK,
                                   owner=self._lock_owner(handle.vnode, cred))
             self.lower.fs_lockctl(handle.vnode, request, self.dbms_cred)
+        # A read close sends back the path its open was admitted on: the
+        # DLFM removes its Sync entry without a link-row lookup.
         try:
             self.upcall.file_closed(handle.vnode.ino, state.get("write", False),
-                                    state.get("userid", cred.uid))
+                                    state.get("userid", cred.uid),
+                                    state.get("path"))
         except DataLinksError as error:
             raise _translate(error) from error
 

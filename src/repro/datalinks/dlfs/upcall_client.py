@@ -33,9 +33,10 @@ class UpcallClient:
     def write_open_fallback(self, ino: int, userid: int) -> dict:
         return self._channel.request("write_open_fallback", ino=ino, userid=userid)
 
-    def file_closed(self, ino: int, was_write: bool, userid: int) -> dict:
+    def file_closed(self, ino: int, was_write: bool, userid: int,
+                    path: str | None) -> dict:
         return self._channel.request("file_closed", ino=ino, was_write=was_write,
-                                     userid=userid)
+                                     userid=userid, path=path)
 
     def is_linked(self, ino: int) -> dict:
         return self._channel.request("is_linked", ino=ino)

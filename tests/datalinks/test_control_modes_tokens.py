@@ -11,6 +11,7 @@ from repro.datalinks.datalink_type import (
 )
 from repro.datalinks.tokens import AccessToken, TokenManager, TokenType
 from repro.errors import (
+    AccessDeniedError,
     ControlModeError,
     FileSystemError,
     InvalidTokenError,
@@ -206,10 +207,10 @@ class TestTokenExpiryEdges:
 
         registry = SoftState(SimClock(), 1.0)
         registry.add_token_entry("/f", 1001, "R", expires_at=5.0)
-        assert registry.find_token_entry("/f", 1001, for_write=False,
-                                         now=5.0) is not None
-        assert registry.find_token_entry("/f", 1001, for_write=False,
-                                         now=5.0 + 1e-9) is None
+        registry.admit("/f", "read", 1001, "RW", now=5.0)
+        assert registry.sync["/f"] == [("read", 1001)]
+        with pytest.raises(AccessDeniedError):
+            registry.admit("/f", "read", 1001, "RW", now=5.0 + 1e-9)
         # housekeeping purges only strictly-expired entries
         assert registry.purge_expired_tokens(now=5.0) == 0
         assert registry.purge_expired_tokens(now=5.0 + 1e-9) == 1

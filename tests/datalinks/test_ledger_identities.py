@@ -274,10 +274,12 @@ class TestServingAndWitnessReadsChargeAlike:
             # rfd reads are file-system controlled: no upcall at all.
             assert not any(label.startswith("dlfm.") for label in first)
         else:
-            # Three upcalls (lookup, open, close), each with its link-row
-            # probe, plus token upsert, token check, update check, Sync
-            # open and Sync close: no BEGIN, lock or log force.
-            assert first["dlfm.sql_statement_base"][0] == 8
+            # Three upcalls: the lookup's link-row probe and token upsert;
+            # the open's link-row probe, update check and admission (token
+            # check and Sync insert in one statement); the close's Sync
+            # removal, on the path the open named.  No BEGIN, lock or log
+            # force.
+            assert first["dlfm.sql_statement_base"][0] == 6
             assert "dlfm.log_write" not in first
             assert "dlfm.lock_acquire" not in first
         # The repeat validates the same token again: the upsert is the same

@@ -11,9 +11,11 @@ update-in-place through the router across failover, and the retryable
 
 import pytest
 
+from repro.api.session import synced_lfs
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.sharding import ShardedDataLinksDeployment
+from repro.datalinks.uip import open_for_read
 from repro.errors import (
     LeaseMovedError,
     PlacementEpochError,
@@ -395,6 +397,34 @@ class TestDualServe:
         tokenized = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                          access="read", ttl=1e9)
         assert deployment.read_url(session, tokenized) == b"doc 0"
+
+    def test_read_open_across_the_move_closes_its_sync_entry(self):
+        """A read opened on the source inside the hand-off window and
+        closed after the move committed removes its Sync entry there,
+        although the file's row has left the source: the close names the
+        path its open was admitted on.  A leaked entry would refuse every
+        later hand-off of the prefix off the source for good."""
+
+        deployment, session = build_deployment(mode=ControlMode.RDB)
+        link_docs(deployment, session, "/p", 1)
+        source = deployment.shard_of("/p/doc0000.dat")
+        dest = other_shard(deployment, source)
+        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
+                                   access="read", ttl=1e9)
+        serving = deployment.router.serving_server(source)
+        lfs = synced_lfs(deployment.system, serving.name, session.clock)
+        opened = []
+        deployment.engine.failpoints["rebalance:import"] = \
+            lambda: opened.append(open_for_read(lfs, url, session.cred))
+        try:
+            assert deployment.rebalance_prefix("/p", dest)["moved"]
+        finally:
+            deployment.engine.failpoints.clear()
+        assert serving.dlfm.soft.sync == {"/p/doc0000.dat": [("read", 6001)]}
+        lfs.close(opened.pop())
+        assert serving.dlfm.soft.sync == {}
+        assert deployment.rebalance_prefix("/p", source)["moved"]
+        assert deployment.rebalance_prefix("/p", dest)["moved"]
 
 
 class TestSourceSweep:

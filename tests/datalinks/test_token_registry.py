@@ -5,12 +5,12 @@ Every node keeps its token registry in its volatile soft state
 ``(path, userid, token_type)`` whose expiry a repeat validation moves to the
 later of the two (the token upsert).  Three checks:
 
-* a seeded property test drives random register / expire / purge / find
-  sequences through the store and holds it to a brute-force list of every
-  registration: a lookup finds a live entry exactly when a live
-  registration exists, the entry's expiry is the latest registered, the
-  store holds one entry per triple and a lookup examines at most one row
-  per token type;
+* a seeded property test drives random register / expire / purge /
+  admission sequences through the store and holds it to a brute-force list
+  of every registration: an open is admitted exactly when a live
+  registration of a type it accepts exists, the entry's expiry is the
+  latest registered, the store holds one entry per triple and an admission
+  examines at most one row per token type, a read trying ``R`` first;
 * across the events that reset or move a node's state -- crash and
   recovery, failover, prefix hand-off -- repeated reads and updates leave
   exactly one entry per live (path, user, type) on the node that served
@@ -28,6 +28,7 @@ import pytest
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.dlfm.repository import DLFMRepository
 from repro.datalinks.dlfm.soft_state import SoftState
+from repro.errors import AccessDeniedError, UpdateInProgressError
 from repro.simclock import SimClock
 from repro.storage.database import Database
 from repro.util.urls import parse_url
@@ -52,15 +53,22 @@ class ListOracle:
         return max((entry[3] for entry in self.entries
                     if entry[:3] == (path, userid, token_type)), default=None)
 
-    def find_token_entry(self, path, userid, *, for_write, now):
-        """``(type, expiry)`` a lookup must return: a read prefers a live
-        ``R`` entry to a live ``W`` one."""
+    def admission(self, path, userid, *, for_write, now):
+        """``(type, probes, rows)`` of the token check of an admission: the
+        type of the entry that authorizes it (a read prefers a live ``R``
+        entry to a live ``W`` one, ``None`` when none does), the token
+        types it probes and the entries it examines on the way."""
 
+        probes = rows = 0
         for token_type in ("W",) if for_write else ("R", "W"):
+            probes += 1
             latest = self.latest(path, userid, token_type)
-            if latest is not None and latest >= now:
-                return token_type, latest
-        return None
+            if latest is None:
+                continue
+            rows += 1
+            if latest >= now:
+                return token_type, probes, rows
+        return None, probes, rows
 
     def triples(self) -> set:
         return {entry[:3] for entry in self.entries}
@@ -107,16 +115,28 @@ class TestTokenUpsertOracle:
             else:
                 path, userid = rng.choice(self.PATHS), rng.choice(self.USERS)
                 for_write = rng.random() < 0.4
-                want = oracle.find_token_entry(path, userid,
-                                               for_write=for_write, now=now)
-                got = store.find_token_entry(path, userid,
-                                             for_write=for_write, now=now)
-                assert (got and (got["token_type"], got["expires_at"])) == \
-                    (want or None), f"step {step}"
-                assert stats.count("dlfm.row_read") - reads <= \
-                    (1 if for_write else 2)
+                access = "write" if for_write else "read"
+                want, probes, rows = oracle.admission(
+                    path, userid, for_write=for_write, now=now)
+                before = stats.count("dlfm.index_probe")
+                try:
+                    store.admit(path, access, userid,
+                                "W" if for_write else "RW", now)
+                except AccessDeniedError:
+                    admitted = False
+                else:
+                    # The admitted open's Sync entry, closed again so the
+                    # next write admission does not meet it.
+                    assert store.sync.pop(path) == [(access, userid)]
+                    admitted = True
+                assert admitted == (want is not None), f"step {step}"
+                # One probe per token type tried, plus the path's when
+                # admitted; one row read per entry examined.
+                assert stats.count("dlfm.index_probe") - before == \
+                    probes + admitted
+                assert stats.count("dlfm.row_read") - reads == rows
                 finds += 1
-                hits += want is not None
+                hits += admitted
             if action < 0.40 or action >= 0.62:
                 assert stats.count("dlfm.sql_statement_base") == \
                     statements + 1
@@ -125,6 +145,156 @@ class TestTokenUpsertOracle:
                        for triple, expires_at in store.tokens.items())
         # The program must exercise every outcome to mean anything.
         assert finds > 100 and 0 < hits < finds and extended > 10
+
+
+# ---------------------------------------------------------------------------
+# the admission statement decides as the three statements it replaced
+# ---------------------------------------------------------------------------
+OTHER_UID = 7002
+TOKENS = {"live R": {"R": 100.0}, "live W": {"W": 100.0},
+          "expired": {"R": -1.0, "W": -1.0}, "absent": {}}
+OPENS = {"none": [], "read": [("read", OTHER_UID)],
+         "write": [("write", OTHER_UID)]}
+
+
+def reference_open(mode, strict, access, tokens, opens, pending, path):
+    """``(error, Sync entries after)`` of an open as the DLFM decided it
+    with a token lookup, a Sync read and a Sync insert, one statement each;
+    *error* is ``(type, message)`` or ``None``.  *tokens* maps a token type
+    to its expiry relative to now; *opens* is the path's Sync entries."""
+
+    def refused(error, message):
+        return (error, message), opens
+
+    def holds(types):
+        return any(tokens.get(token_type, -1.0) >= 0.0
+                   for token_type in types)
+
+    if access == "read":
+        if not mode.full_control and not strict:
+            return None, opens          # not linked for DLFS: no admission
+        if mode.full_control and not holds("RW"):
+            return refused(AccessDeniedError, "no valid read token registered "
+                           f"for user {ALICE_UID} on {path!r}")
+        if any(kind == "write" for kind, _user in opens):
+            return refused(UpdateInProgressError, f"{path!r} is being updated; "
+                           "read access is serialized at open time")
+        return None, opens + [("read", ALICE_UID)]
+    if not mode.supports_update:
+        return refused(AccessDeniedError, f"write access to {path!r} is not "
+                       f"managed by the database (mode {mode.value})")
+    if not holds("W"):
+        return refused(AccessDeniedError, "no valid write token registered "
+                       f"for user {ALICE_UID} on {path!r}")
+    writers = [user for kind, user in opens if kind == "write"]
+    if writers:
+        return refused(UpdateInProgressError, f"{path!r} is already being "
+                       f"updated by user {writers[0]}")
+    if (mode.full_control or strict) and opens:
+        return refused(UpdateInProgressError, f"{path!r} is open for read by "
+                       f"{len(opens)} application(s); write access is "
+                       "serialized at open time")
+    if pending:
+        return refused(UpdateInProgressError, f"the previous update of "
+                       f"{path!r} is still being archived")
+    return None, opens + [("write", ALICE_UID)]
+
+
+class _Node:
+    """One linked file in *mode* on a plain file server, opened by upcall
+    with the soft state the case sets."""
+
+    def __init__(self, mode, strict):
+        self.system, self.alice, (self.path,), _ = build_system(mode)
+        self.mode, self.strict = mode, strict
+        self.dlfm = self.system.file_server("fs1").dlfm
+        if strict:
+            self.dlfm.repository.update_linked_file(
+                self.path, {"strict_read_sync": True})
+        self.ino = self.dlfm.repository.linked_file(self.path)["ino"]
+
+    def open(self, access, tokens, opens, monkeypatch):
+        """``(error, Sync entries after, soft statements charged)``."""
+
+        dlfm, soft = self.dlfm, self.dlfm.soft
+        now = self.system.file_server("fs1").clock.now()
+        soft.tokens = {(self.path, ALICE_UID, token_type): now + expiry
+                       for token_type, expiry in tokens.items()}
+        soft.sync = {self.path: list(opens)} if opens else {}
+        statements = []
+        charge = soft._charge
+        monkeypatch.setattr(soft, "_charge", lambda *args, **kwargs: (
+            statements.append(args or kwargs), charge(*args, **kwargs)))
+        error = None
+        try:
+            if access == "read":
+                dlfm.upcall_check_open(self.ino, False, ALICE_UID)
+            elif self.mode.full_control or not self.mode.supports_update:
+                dlfm.upcall_check_open(self.ino, True, ALICE_UID)
+            else:
+                dlfm.upcall_write_open_fallback(self.ino, ALICE_UID)
+        except (AccessDeniedError, UpdateInProgressError) as refusal:
+            error = (type(refusal), str(refusal))
+        monkeypatch.undo()
+        after = list(soft.sync.get(self.path, ()))
+        if error is None and access == "write":
+            # Close the update unmodified: the tracking row and an rfd
+            # take-over go again.
+            dlfm.upcall_file_closed(self.ino, True, ALICE_UID)
+        return error, after, len(statements)
+
+
+class TestAdmissionMatchesTheSequenceItReplaced:
+    """Every (mode, access, token, Sync entries) case decides -- error
+    type, message, hence refusal order, and the Sync table afterwards --
+    as the token-lookup / Sync-read / Sync-insert sequence did, and an
+    admitted open charges one soft-state statement for it (a read one more
+    for its update check, which stays its own statement)."""
+
+    MODES = {"rdb": (ControlMode.RDB, False), "rdd": (ControlMode.RDD, False),
+             "rfd take-over": (ControlMode.RFD, False),
+             "strict read": (ControlMode.RFD, True)}
+
+    @pytest.mark.parametrize("mode_name", MODES)
+    def test_grid(self, mode_name, monkeypatch):
+        mode, strict = self.MODES[mode_name]
+        node = _Node(mode, strict)
+        outcomes = set()
+        for access in ("read", "write"):
+            for token_name, tokens in TOKENS.items():
+                for opens_name, opens in OPENS.items():
+                    case = (mode_name, access, token_name, opens_name)
+                    want = reference_open(mode, strict, access, tokens, opens,
+                                          False, node.path)
+                    error, after, statements = node.open(access, tokens,
+                                                         opens, monkeypatch)
+                    assert (error, after) == want, case
+                    if error is None and after != opens:
+                        assert statements == (2 if access == "read" else 1), \
+                            case
+                    outcomes.add(error and error[1].split()[-1])
+        # The grid reaches an admission and a refusal in every mode.
+        assert None in outcomes and len(outcomes) > 1
+
+    def test_refusal_order_with_a_pending_archive_job(self, monkeypatch):
+        """Token, then writer, then readers, then the pending archive job:
+        the caller's check that found the job is raised last."""
+
+        node = _Node(ControlMode.RDD, False)
+        url = node.alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                      access="write", ttl=1e9)
+        with node.alice.update_file(url, truncate=True) as update:
+            update.replace(b"queued")
+        assert node.dlfm.repository.pending_archive_jobs(node.path)
+        for token_name in ("absent", "live W"):
+            for opens_name, opens in OPENS.items():
+                want = reference_open(ControlMode.RDD, False, "write",
+                                      TOKENS[token_name], opens, True,
+                                      node.path)
+                assert want[0] is not None
+                assert node.open("write", TOKENS[token_name], opens,
+                                 monkeypatch)[:2] == want, (token_name,
+                                                            opens_name)
 
 
 # ---------------------------------------------------------------------------
