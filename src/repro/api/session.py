@@ -292,6 +292,10 @@ class Session:
     def put_file(self, server: str, path: str, content: bytes) -> str:
         """Create *path* on *server* with *content* (before linking it).
 
+        A send (:meth:`~repro.simclock.SimClock.posted`): the server does
+        the writes on its own domain while the session pays one
+        ``message_send`` and goes on; the link is the barrier, reaching
+        the server only after the write.
         Returns the bare DATALINK URL to store in the database.  Parent
         directories are created with superuser credentials so examples and
         workloads do not need to pre-create a directory tree.
@@ -299,10 +303,13 @@ class Session:
 
         lfs = synced_lfs(self.system, server, self.clock)
         directory = path.rsplit("/", 1)[0] or "/"
-        if directory != "/":
-            lfs.makedirs(directory, _ROOT_CRED)
-            lfs.chown(directory, self.cred.uid, self.cred.gid, _ROOT_CRED)
-        lfs.write_file(path, content, self.cred)
+        with self.clock.posted():
+            if isinstance(lfs, SyncedFileSystem):     # crosses domains
+                self.clock.charge("message_send")
+            if directory != "/":
+                lfs.makedirs(directory, _ROOT_CRED)
+                lfs.chown(directory, self.cred.uid, self.cred.gid, _ROOT_CRED)
+            lfs.write_file(path, content, self.cred)
         return self.system.engine.make_url(server, path)
 
     def read_url(self, url: str, *, server: str | None = None) -> bytes:

@@ -888,8 +888,8 @@ def e11(context, shards, clients, transactions_per_client,
                 "prefix), and healthy witnesses serving bounded-"
                 "staleness follower reads should raise read throughput "
                 "with every witness added; the cost is a lower link "
-                "ingest rate (each witness copy's wire latency plus WAL "
-                "shipping -- the mirror overlaps the serving write, it "
+                "ingest rate (each witness copy's send plus WAL "
+                "shipping -- the mirror leaves with the serving write, it "
                 "is not a second serial disk write).",
     columns=("configuration", "links_per_sim_s", "victim_reads_after",
              "victim_failures_after", "victim_availability_pct",
@@ -906,11 +906,11 @@ def e11(context, shards, clients, transactions_per_client,
            "think_s": 0.02},
     large={"sweep": (10, 100, 1000, 10000), "admission_limit": 256,
            "think_s": 0.2},
-    notes="links_per_sim_s is the ingest rate: each file's serving "
-          "write and witness mirrors leave together and the ingest waits "
-          "for the slowest, and every witness copy pays one "
-          "db_dlfm_message of wire latency, so replication's tax is that "
-          "wire cost plus WAL shipping, not a second serial disk write.  "
+    notes="links_per_sim_s is the ingest rate: a put is a send (one "
+          "message_send per copy, the link is the barrier) and every "
+          "witness copy pays one db_dlfm_message of wire latency on the "
+          "witness, so replication's tax is the sends plus WAL shipping, "
+          "not a second serial disk write.  "
           "Reads use rdb-linked files, so every read needs its token "
           "validated by the node serving it -- failover and follower "
           "reads cover the upcall path, not just raw file content "

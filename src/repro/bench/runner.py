@@ -124,6 +124,7 @@ class RunContext:
             if mode is not None:
                 owner.insert(FILES_TABLE, {"file_id": index, "doc": url,
                                            "doc_size": len(content), "doc_mtime": 0.0})
+        system.clocks.barrier()     # staged copies settle before measuring
         if mode is not None:
             system.run_archiver()
         return system, owner, paths

@@ -771,12 +771,14 @@ class ReplicatedShard:
         lfs.chown(path, uid, gid, root)
 
     def mirror_file(self, caller: SimClock, path: str, content: bytes,
-                    uid: int, gid: int) -> None:
-        """Copy a just-ingested file to every subscriber (same path/owner).
+                    uid: int, gid: int) -> int:
+        """Copy a just-ingested file to every subscriber (same path/owner);
+        returns how many copies were sent.
 
         Issued from *caller*'s clock -- the session or host that ingested
         the file -- inside one overlap window, so the witness copies leave
-        together and *caller* waits for the slowest, not for their sum.
+        together and gather into the slowest; the caller's window decides
+        whether it waits (a put's send window does not, a hand-off does).
         Each copy is a cross-node request: the witness pays one
         ``db_dlfm_message`` of wire latency on its own domain before it
         writes (the latency-on-callee rule of
@@ -789,19 +791,18 @@ class ReplicatedShard:
         the serving node's copy.
         """
 
+        sent = 0
         with caller.overlap():
             for node_name in list(self._streams):
                 node = self.nodes[node_name]
                 if not node.running:
                     self.mirror_misses += 1
                     continue
-                # Synchronous mirror: the ingest path waits for the witness
-                # copy (that durability is exactly why promotion can serve
-                # the content), so the witness domain syncs up to the
-                # window's start and the caller gathers its finish.
                 with synchronized_call(caller, node.clock):
                     node.clock.charge("db_dlfm_message")
                     self._copy_below_dlfs(node, path, content, uid, gid)
+                sent += 1
+        return sent
 
     def receive_file(self, path: str, content: bytes, uid: int, gid: int) -> None:
         """Ingest a handed-off file: serving-node copy plus witness mirror.

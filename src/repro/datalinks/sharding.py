@@ -228,22 +228,24 @@ class ShardedDataLinksDeployment:
         witness, after a failover -- write availability is the point of
         writable failover) and, under replication, mirrored to every
         witness so a later promotion can serve it.  The serving write and
-        every mirror leave together from the *session's* clock, inside one
-        overlap window: the call returns when the last copy is on disk, so
-        the session waits for the slowest copy, not for their sum.  The
-        returned URL always names the logical shard, so it stays valid
-        across failover and fail-back.
+        every mirror leave together from the *session's* clock in one
+        :meth:`~repro.simclock.SimClock.posted` window: the session pays
+        a ``message_send`` per copy and waits for none.  The link is the
+        barrier -- a node serves its domain in order, so no row names a
+        copy a node does not hold yet.  The returned URL always names the
+        logical shard, so it stays valid across failover and fail-back.
         """
 
         shard = self.shard_of(path)
         serving = self.router.route_write(shard)
         self.router.note_write(path)
         replica = self.replicas.get(shard)
-        with session.clock.overlap():
+        clock = session.clock
+        with clock.posted():
             session.put_file(serving.name, path, content)
             if replica is not None:
-                replica.mirror_file(session.clock, path, content,
-                                    session.cred.uid, session.cred.gid)
+                clock.charge_run("message_send", replica.mirror_file(
+                    clock, path, content, session.cred.uid, session.cred.gid))
         return format_url(shard, path)
 
     # ------------------------------------------------------------------- reading --

@@ -13,7 +13,9 @@ where simulated time synchronizes (see :mod:`repro.simclock`):
 * :meth:`Channel.post` is a pipelined send -- the caller pays only the
   ``message_send`` cost and does *not* wait; the callee still syncs to the
   send time and does the work on its own timeline.  Link batches and WAL
-  shipping use this, so shard work and replication overlap the sender.
+  shipping use this, so shard work and replication overlap the sender; a
+  file put is the same send to a file server's file system, inside a
+  :meth:`~repro.simclock.SimClock.posted` window.
 
 When caller and callee share one clock (an upcall within a file server)
 both methods degrade to one latency charge plus the handler's work on the

@@ -66,6 +66,10 @@ so the simulation models one :class:`ClockDomain` per node, grouped in a
   at statement time, so the sender's clock merges up to the receiver's
   completion exactly like a synchronous round trip (only successful posts
   stay fire-and-forget);
+* a *send window* (:meth:`SimClock.posted`) gathers nothing: the work
+  stays on the callees' domains until a later request waits for it (a
+  file put, whose link is its barrier); a nested window of either kind
+  leaves at the outer window's start;
 * :meth:`ClockDomainGroup.global_now` (the max over domains) is the cluster
   wall clock used for experiment reporting.
 
@@ -100,6 +104,8 @@ import functools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
+
+from repro.errors import ReproError
 
 #: Ticks per simulated second: one tick is one picosecond.
 TICKS_PER_SECOND = 10 ** 12
@@ -442,9 +448,18 @@ class SimClock:
 
     def overlap(self) -> "_OverlapWindow":
         """``with clock.overlap():`` -- a scatter-gather window anchored at
-        the current time; closing it advances to the max gathered reply."""
+        the send time; closing it advances to the max gathered reply."""
 
-        return _OverlapWindow(self)
+        return _OverlapWindow(self, True)
+
+    def posted(self) -> "_OverlapWindow":
+        """``with clock.posted():`` -- an :meth:`overlap` window whose close
+        gathers nothing; the caller charges itself a ``message_send`` per
+        copy, as :meth:`Channel.post <repro.ipc.channel.Channel.post>`
+        does, and goes on.  A :class:`~repro.errors.ReproError` out of the
+        body gathers after all: the caller waited for the failure."""
+
+        return _OverlapWindow(self, False)
 
     # -- cost charging -------------------------------------------------------
     def unit_ticks(self, primitive: str, scale: float = 1.0) -> int:
@@ -599,21 +614,26 @@ class SimClock:
 
 
 class _OverlapWindow:
-    """One scatter-gather window of a clock (see :meth:`SimClock.overlap`)."""
+    """One scatter-gather window of a clock (see :meth:`SimClock.overlap`),
+    or one send window when it does not *gather* (:meth:`SimClock.posted`)."""
 
-    __slots__ = ("_clock",)
+    __slots__ = ("_clock", "_gather")
 
-    def __init__(self, clock: SimClock):
+    def __init__(self, clock: SimClock, gather: bool):
         self._clock = clock
+        self._gather = gather
 
     def __enter__(self) -> SimClock:
         clock = self._clock
-        clock._overlap_frames.append([clock.ticks, clock.ticks])
+        clock._overlap_frames.append([clock.send_ticks(), clock.ticks])
         return clock
 
     def __exit__(self, exc_type, exc, tb) -> None:
         clock = self._clock
-        clock.receive_ticks(clock._overlap_frames.pop()[1])
+        replies = clock._overlap_frames.pop()[1]
+        if self._gather or exc_type is not None and \
+                issubclass(exc_type, ReproError):
+            clock.receive_ticks(replies)
 
 
 class synchronized_call:
@@ -818,7 +838,8 @@ class ClockDomainGroup:
         <repro.ipc.channel.Channel.post>` across domains books
         ``message_send`` on the sender where a shared clock books
         nothing extra (the latency and the handler's work land on the
-        one timeline either way).  So the group ledger minus its
+        one timeline either way); a posted file put books it the same
+        way.  So the group ledger minus its
         ``message_send`` ticks is the one-timeline elapsed time, and a
         difference of two readings is that time for the work between
         them, provided that in the interval

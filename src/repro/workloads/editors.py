@@ -121,6 +121,7 @@ class ConcurrentEditorsWorkload:
                     "doc_id": doc_id, "body": url,
                     "body_size": len(content), "body_mtime": 0.0,
                 })
+        self.system.clocks.barrier()    # staged copies settle before the run
         if link:
             self.system.run_archiver()
 

@@ -113,6 +113,7 @@ class ScaleOutWorkload:
                     rows.append((doc_id, path))
                     doc_id += 1
                 self._staged.append(rows)
+        deployment.clocks.barrier()     # a put is a send: settle the copies
         return self
 
     # ---------------------------------------------------------------------- run --
@@ -198,6 +199,7 @@ class ScaleOutWorkload:
                                 "body": deployment.url_for(path),
                                 "body_size": config.file_size})
             staged.append(payload)
+        deployment.clocks.barrier()
         pool = yield f"ingest{step_index}c", FIRST_CLIENT_UID + 1000
         flushes_before = system.host_db.wal.flush_count
         linked_before = dict(deployment.stats()["linked_files_per_shard"])

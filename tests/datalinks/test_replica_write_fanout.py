@@ -1,35 +1,44 @@
 """Replica copies fan out in simulated time.
 
-``ShardedDataLinksDeployment.put_file`` writes the serving copy and every
-witness mirror side by side, ``ReplicatedShard.receive_file`` does the same
-for a rebalance hand-off, and ``sweep_moved_prefix`` unlinks on every
-source node at once: the caller waits for the slowest copy, not for their
-sum.  Each witness copy is a cross-node request and pays one
-``db_dlfm_message`` of wire latency on the witness's domain.
+``ShardedDataLinksDeployment.put_file`` is a send: the serving copy and
+every witness mirror leave together in one posted window, the client pays
+one ``message_send`` per copy and waits for none, and the link is the
+barrier -- each node serves its domain in order, so the link reaches a
+node only after that node's copy.  ``ReplicatedShard.receive_file`` (a
+rebalance hand-off) and ``sweep_moved_prefix`` still wait, for the
+slowest copy and not for their sum.  Each witness copy is a cross-node
+request and pays one ``db_dlfm_message`` of wire latency on the witness's
+domain.
 
 Every check runs against a *twin*: a second deployment built and driven
 identically, on which the test replays the same work the serial way --
-one copy after another, no wire charge (the oracles below).  The twin
-fixes what the fan-out must leave unchanged (the bytes, the owners, every
-charge but the wire) and what it must beat (the serial elapsed time).
+one copy after another, each waited for, no wire or send charge (the
+oracles below).  The twin fixes what the fan-out must leave unchanged (the
+bytes, the owners, every charge but the wire and the sends) and what a
+waiting fan-out must beat (the serial elapsed time).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api.session import synced_lfs
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.placement import sweep_moved_prefix
 from repro.datalinks.sharding import ShardedDataLinksDeployment
+from repro.errors import DaemonUnavailableError, ReproError
+from repro.fs.vfs import Credentials
 from repro.simclock import synchronized_call
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
+from repro.workloads.audit import audit_committed_links
 from tests.conftest import InjectedCrash, boom
 
 TABLE = "fanout_docs"
 UID, GID = 6101, 100
 CONTENT = bytes(range(256)) * 24          # 6 KiB: the disk transfer shows
+ROOT = Credentials(uid=0, gid=0, username="root")
 
 
 def build(witnesses: int):
@@ -96,7 +105,11 @@ def serial_put_file(deployment, session, path: str, content: bytes) -> None:
     shard = deployment.shard_of(path)
     serving = deployment.router.route_write(shard)
     deployment.router.note_write(path)
-    session.put_file(serving.name, path, content)
+    lfs = synced_lfs(deployment.system, serving.name, session.clock)
+    directory = path.rsplit("/", 1)[0]
+    lfs.makedirs(directory, ROOT)
+    lfs.chown(directory, UID, GID, ROOT)
+    lfs.write_file(path, content, session.cred)
     serial_mirror(deployment.replicas[shard], session.clock, path, content,
                   session.cred.uid, session.cred.gid)
 
@@ -136,86 +149,163 @@ def assert_same_copy_everywhere(nodes, path: str, content: bytes) -> None:
         assert (attrs.uid, attrs.gid) == (UID, GID), node.name
 
 
-# -- put_file -------------------------------------------------------------------
+# -- put_file: a send, and the link is its barrier ------------------------------
+def plus_sends(deployment, ledger: dict, copies: int) -> dict:
+    """*ledger* plus *copies* ``message_send`` charges."""
+
+    unit = deployment.clock.unit_ticks("message_send")
+    count, ticks = ledger.get("message_send", (0, 0))
+    return {**ledger, "message_send": (count + copies,
+                                       ticks + copies * unit)}
+
+
 @pytest.mark.parametrize("witnesses", [1, 2])
-def test_put_file_waits_for_the_slowest_copy_only(witnesses):
-    fan, session, twin, twin_session = twins(witnesses)
+def test_a_put_is_a_send_and_each_node_carries_its_copy(witnesses):
+    """The client -- here on its own domain -- pays one ``message_send``
+    per copy and nothing else; every node's clock moved by exactly its
+    copy's work, from the put's departure; the host did not move."""
+
+    fan, _, twin, _ = twins(witnesses)
+    session, twin_session = (
+        deployment.session("client", uid=UID, gid=GID,
+                           clock=deployment.system.client_domains(1)[0])
+        for deployment in (fan, twin))
     path = path_on(fan, "shard0", "put")
     nodes = list(fan.replicas["shard0"].nodes.values())
     twin_nodes = list(twin.replicas["shard0"].nodes.values())
+    charged = [node.clock.stats.total_ticks() for node in nodes]
 
     elapsed, branches, ledger = measured(
         fan, session.clock, nodes,
         lambda: fan.put_file(session, path, CONTENT))
-    serial, _, serial_ledger = measured(
+    charged = [node.clock.stats.total_ticks() - was
+               for node, was in zip(nodes, charged)]
+    _, _, serial_ledger = measured(
         twin, twin_session.clock, twin_nodes,
         lambda: serial_put_file(twin, twin_session, path, CONTENT))
 
+    copies = 1 + witnesses
     assert_same_copy_everywhere(nodes, path, CONTENT)
     assert_same_copy_everywhere(twin_nodes, path, CONTENT)
-    assert ledger == plus_wire(fan, serial_ledger, witnesses)
-    assert elapsed == max(branches.values())
-    assert elapsed < serial
+    assert ledger == plus_sends(fan, plus_wire(fan, serial_ledger, witnesses),
+                                copies)
+    assert elapsed == copies * fan.clock.unit_ticks("message_send")
+    assert list(branches.values()) == charged
+    assert elapsed < min(branches.values())
+    assert fan.clock.ticks == session.clock.ticks - elapsed    # host idle
 
 
-def test_a_crashed_witness_is_a_miss_and_the_serving_write_is_the_wait():
-    fan, session, twin, twin_session = twins(1)
+def test_the_link_commits_no_earlier_than_the_serving_copy():
+    deployment, session = build(1)
+    path = path_on(deployment, "shard0", "link")
+    serving = deployment.replicas["shard0"].serving
+    deployment.clocks.barrier()
+
+    url = deployment.put_file(session, path, CONTENT)
+    copy_done, put_returned = serving.clock.ticks, session.clock.ticks
+    session.insert(TABLE, {"doc_id": 1, "body": url})
+
+    assert put_returned < copy_done < session.clock.ticks
+    assert serving.dlfm.repository.linked_file(path) is not None
+
+
+def test_a_witness_applies_the_link_no_earlier_than_its_mirror():
+    """The witness is busy when the put arrives, so its mirror completes
+    after the serving node has linked the file and shipped the records:
+    the apply still waits for the mirror (the witness serves its domain
+    in order)."""
+
+    deployment, session = build(1)
+    path = path_on(deployment, "shard0", "ship")
+    replica = deployment.replicas["shard0"]
+    deployment.clocks.barrier()
+    replica.witness.clock.advance_local(0.5)          # a backlog of its own
+    stamps = {}
+    deployment.engine.failpoints["replicate:ship:shard0"] = \
+        lambda: stamps.setdefault("shipped", replica.serving.clock.ticks)
+    deployment.engine.failpoints["replicate:apply:shard0"] = \
+        lambda: stamps.setdefault("applied", replica.witness.clock.ticks)
+
+    url = deployment.put_file(session, path, CONTENT)
+    mirror_done = replica.witness.clock.ticks
+    session.insert(TABLE, {"doc_id": 1, "body": url})
+
+    assert stamps["shipped"] < mirror_done <= stamps["applied"]
+    assert replica.witness.dlfm.repository.linked_file(path) is not None
+    assert replica.witness.files.read(path) == CONTENT
+
+
+@pytest.mark.parametrize("witnesses,down", [(1, "shard0-r"), (2, "shard0-r2")])
+def test_a_crashed_witness_is_a_counted_miss_that_costs_no_wait(witnesses,
+                                                               down):
+    fan, session, twin, twin_session = twins(witnesses)
     path = path_on(fan, "shard0", "crash")
     replica = fan.replicas["shard0"]
-    fan.crash("shard0-r")
-    twin.crash("shard0-r")
-    misses = replica.mirror_misses
+    fan.crash(down)
+    twin.crash(down)
+    live = [node for node in replica.nodes.values() if node.name != down]
 
     elapsed, branches, ledger = measured(
-        fan, session.clock, [replica.serving, replica.witness],
+        fan, session.clock, [*live, replica.nodes[down]],
         lambda: fan.put_file(session, path, CONTENT))
     _, _, serial_ledger = measured(
         twin, twin_session.clock, [],
         lambda: serial_put_file(twin, twin_session, path, CONTENT))
 
-    assert replica.mirror_misses == misses + 1
-    assert elapsed == branches["shard0"]
-    assert branches["shard0-r"] == 0
-    assert ledger == serial_ledger           # no live copy, no wire
-    assert replica.serving.files.read(path) == CONTENT
-
-
-def test_two_witnesses_one_down_wait_for_the_live_ones():
-    fan, session, twin, twin_session = twins(2)
-    path = path_on(fan, "shard0", "half")
-    replica = fan.replicas["shard0"]
-    fan.crash("shard0-r2")
-    twin.crash("shard0-r2")
-    live = [replica.serving, replica.nodes["shard0-r"]]
-
-    elapsed, branches, ledger = measured(
-        fan, session.clock, live,
-        lambda: fan.put_file(session, path, CONTENT))
-    serial, _, serial_ledger = measured(
-        twin, twin_session.clock, [],
-        lambda: serial_put_file(twin, twin_session, path, CONTENT))
-
     assert replica.mirror_misses == 1
-    assert ledger == plus_wire(fan, serial_ledger, 1)
-    assert elapsed == max(branches.values()) < serial
+    assert branches[down] == 0
+    assert ledger == plus_sends(fan, plus_wire(fan, serial_ledger,
+                                               len(live) - 1), len(live))
+    assert elapsed == len(live) * fan.clock.unit_ticks("message_send")
     assert_same_copy_everywhere(live, path, CONTENT)
 
 
-def test_a_client_domain_ingest_waits_for_its_mirror_not_the_host():
-    """A session on its own clock domain: the mirror is gathered into the
-    *session's* clock, and the host clock does not move."""
+def test_a_put_that_raises_merges_the_caller_up_to_the_failure():
+    """Another user's file: the serving write is refused after the parent
+    directory work, no mirror leaves, and the caller waited for the
+    refusal."""
 
-    deployment, _ = build(2)
-    clock = deployment.system.client_domains(1)[0]
-    session = deployment.session("client", uid=UID, gid=GID, clock=clock)
-    path = path_on(deployment, "shard0", "client")
-    host = deployment.clock.ticks
+    deployment, owner = build(1)
+    path = path_on(deployment, "shard0", "taken")
+    deployment.put_file(owner, path, CONTENT)
+    intruder = deployment.session("intruder", uid=UID + 1, gid=GID + 1)
+    replica = deployment.replicas["shard0"]
+    deployment.clocks.barrier()
+    start = intruder.clock.ticks
+    mirrored = replica.witness.clock.ticks
 
-    deployment.put_file(session, path, CONTENT)
+    with pytest.raises(ReproError):
+        deployment.put_file(intruder, path, b"not yours")
 
-    written = deployment.replicas["shard0"].nodes.values()
-    assert all(clock.ticks >= node.clock.ticks for node in written)
-    assert deployment.clock.ticks == host
+    assert intruder.clock.ticks == replica.serving.clock.ticks > start
+    assert replica.witness.clock.ticks == mirrored
+    assert replica.serving.files.read(path) == CONTENT
+
+
+def test_a_serving_crash_between_put_and_link_loses_nothing():
+    """The serving node crashes after the put and before its link: the
+    link fails typed and the host aborts, no committed row is lost, and
+    after the restart the same URL links and reads back."""
+
+    deployment, session = build(1)
+    path = path_on(deployment, "shard0", "gap")
+    url = deployment.put_file(session, path, CONTENT)
+    deployment.crash("shard0")
+
+    with pytest.raises(DaemonUnavailableError):
+        session.insert(TABLE, {"doc_id": 1, "body": url})
+    assert not session.in_transaction
+    assert deployment.host_db.select(TABLE, lock=False) == []
+    assert audit_committed_links(deployment, session, TABLE, "doc_id",
+                                 "body", ttl=60.0) == 0
+
+    deployment.restart("shard0")
+    session.insert(TABLE, {"doc_id": 1, "body": url})
+    tokenized = session.get_datalink(TABLE, {"doc_id": 1}, "body",
+                                     access="read", ttl=60.0)
+    assert deployment.read_url(session, tokenized) == CONTENT
+    assert audit_committed_links(deployment, session, TABLE, "doc_id",
+                                 "body", ttl=60.0) == 0
 
 
 # -- receive_file (the rebalance hand-off's content half) -----------------------

@@ -409,6 +409,7 @@ class TestMultiClientInvariants:
         system.add_file_server("cap0")
         session = system.session("seed", uid=910)
         url = session.put_file("cap0", "/cap/doc.dat", b"y" * 1024)
+        system.clocks.barrier()     # the seed copy is staging, not load
         admission = system.enable_admission(1)
         pool = ClientPool(system, 4, think_s=0.05, prefix="cap",
                           username="cap", uid_base=911)
