@@ -27,7 +27,7 @@ from repro.datalinks.uip import (
     open_for_read,
     tokenized_path,
 )
-from repro.errors import DataLinksError
+from repro.errors import DaemonUnavailableError, DataLinksError
 from repro.fs.inode import FileAttributes
 from repro.fs.logical import LogicalFileSystem
 from repro.fs.vfs import Credentials, OpenFlags
@@ -301,6 +301,8 @@ class Session:
         workloads do not need to pre-create a directory tree.
         """
 
+        if not self.system.file_server(server).running:
+            raise DaemonUnavailableError(f"file server {server!r} is down")
         lfs = synced_lfs(self.system, server, self.clock)
         directory = path.rsplit("/", 1)[0] or "/"
         with self.clock.posted():

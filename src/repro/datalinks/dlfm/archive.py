@@ -19,24 +19,27 @@ server's jobs as one actor of :func:`repro.simclock.interleave`
 transfers in the order they are sent.  A retrieve is synchronous: both
 domains rendezvous around it.
 
-The archive keeps only what a restore can still read.  A DLFM keeps, per
-linked file, its newest committed version and every superseded version some
-retained backup would pick (:mod:`repro.datalinks.backup_coordinator`), and
-frees the object of each version it drops (:meth:`ArchiveServer.release`)
-once the transaction that dropped the version's row is durable and shipped
-to every witness (``WriteAheadLog.shipped_lsn``), so no promoted witness can
-still hold a row naming a freed object.  The queue of releases waiting for
-that is volatile, so a restarting DLFM re-derives it: it queues every
-object stored under its name that none of its version rows names
-(:meth:`ArchiveServer.stored_by`), which also frees the object of a job
-that crashed before its version committed.  Where another node's rows may
-name those objects (a witness, an epoched deployment, retained backups) it
-queues nothing, and what a crash lost stays held: that costs space and
-never leaves a dangling reference.  Ids are never reused: a stale
-reference finds no object rather than someone else's bytes.  Release is a
+The archive keeps what a rollback or a restore can still read: an object
+is freed once no version row, retained backup image or transfer in flight
+of any DLFM names it (reachability, as a tracing collector frees what no
+root reaches); each DLFM registers in :attr:`ArchiveServer.namers`.  A
+store marks its path *unsettled* for the storing server, and a serving
+node drops a version row only in the job that stores the path's next
+object (:meth:`~repro.datalinks.dlfm.repository.DLFMRepository.
+add_version`), so the mark exists before the drop and no crash loses it.
+Each archiver run ends, after its closing log force, with
+:meth:`ArchiveServer.sweep`: it frees every object of the server's
+unsettled paths that nothing names, and settles a path once a serving
+node's rows or a backup name each object left.  A witness drops a row
+only when it applies its primary's drop, so an object only a witness
+still names keeps the path for a later sweep: the shipped-LSN horizon is
+the rule's, not a check beside it.  While a DLFM is down or holds commits
+a crash could undo, a sweep frees nothing.  Ids are never reused: a stale
+reference finds no object rather than someone else's bytes.  Freeing is a
 metadata operation -- an ADSM-style store marks the object deleted and
-reclaims its space offline -- so it charges nothing and there is no cost
-primitive for it; the bandwidth model covers store and retrieve only.
+reclaims its space offline -- and the names are read without a charge, so
+there is no cost primitive for it; the bandwidth model covers store and
+retrieve only.
 """
 
 from __future__ import annotations
@@ -51,10 +54,7 @@ class ArchiveObject:
     """One immutable archived file version."""
 
     archive_id: int
-    server: str
-    path: str
     content: bytes
-    created_at: float
 
 
 @dataclass
@@ -62,7 +62,13 @@ class ArchiveServer:
     """Stores archived file versions and accounts for archive bandwidth."""
 
     clock: SimClock
+    #: The DLFMs whose names keep objects held (module docstring).
+    namers: list = field(default_factory=list)
     _objects: dict[int, ArchiveObject] = field(default_factory=dict)
+    #: ``path -> ids`` of the held objects archived from *path*.
+    _by_path: dict[str, list[int]] = field(default_factory=dict)
+    #: ``server -> paths`` it stored and no sweep of its has settled.
+    _unsettled: dict[str, set[str]] = field(default_factory=dict)
     _next_id: int = 1
 
     def __post_init__(self) -> None:
@@ -78,16 +84,12 @@ class ArchiveServer:
         self.clock.sync_ticks(caller_clock.send_ticks())
         self.clock.charge("archive_job_overhead")
         self.clock.charge("archive_per_byte", nbytes=len(content))
-        obj = ArchiveObject(
-            archive_id=self._next_id,
-            server=server,
-            path=path,
-            content=bytes(content),
-            created_at=self.clock.now(),
-        )
-        self._objects[obj.archive_id] = obj
+        archive_id = self._next_id
         self._next_id += 1
-        return obj.archive_id, self.clock.ticks
+        self._objects[archive_id] = ArchiveObject(archive_id, bytes(content))
+        self._by_path.setdefault(path, []).append(archive_id)
+        self._unsettled.setdefault(server, set()).add(path)
+        return archive_id, self.clock.ticks
 
     def retrieve(self, archive_id: int, caller_clock: SimClock) -> bytes:
         """Fetch the archived content for *archive_id*."""
@@ -98,21 +100,48 @@ class ArchiveServer:
         rendezvous(self.clock, caller_clock)
         return obj.content
 
-    def release(self, archive_id: int) -> None:
-        """Free the object *archive_id* (module docstring: uncharged, and
-        the id is never handed out again)."""
+    def sweep(self, sweeper) -> None:
+        """Free what nothing names on the paths *sweeper* left unsettled,
+        and settle those a serving node or a backup covers (module
+        docstring).  Uncharged."""
 
-        del self._objects[archive_id]
-
-    def stored_by(self, server: str) -> list[int]:
-        """The ids of the objects *server* stored and nobody has released:
-        a metadata query, uncharged like :meth:`release`."""
-
-        return [archive_id for archive_id, obj in self._objects.items()
-                if obj.server == server]
+        paths = self._unsettled.get(sweeper.server_name)
+        if not paths:
+            return
+        serving, witnesses = [sweeper], []
+        for namer in self.namers:
+            if not namer.running or namer.repository.db.wal.pending_commits:
+                return
+            if namer.replica is not None:
+                witnesses.append(namer)
+            elif namer is not sweeper:
+                serving.append(namer)
+        # A fresh set: one emptied by discards keeps its table, and
+        # iterating it costs what it once held.
+        kept = self._unsettled[sweeper.server_name] = set()
+        for path in paths:
+            held = self._by_path[path]
+            loose = _unnamed(path, held, serving)
+            unnamed = _unnamed(path, loose, witnesses)
+            for archive_id in unnamed:
+                del self._objects[archive_id]
+                held.remove(archive_id)
+            if len(unnamed) != len(loose):
+                kept.add(path)
 
     def exists(self, archive_id: int) -> bool:
         return archive_id in self._objects
 
     def __len__(self) -> int:
         return len(self._objects)
+
+
+def _unnamed(path: str, ids: list[int], namers: list) -> list[int]:
+    """Those of *ids* (of *path*) that none of *namers* names."""
+
+    for namer in namers:
+        if not ids:
+            break
+        names = namer.archive_names(path)
+        ids = [archive_id for archive_id in ids if archive_id not in names]
+    return ids

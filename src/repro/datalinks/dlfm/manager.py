@@ -77,6 +77,7 @@ class DataLinksFileManager:
         self.clock = clock
         self.files = files
         self.archive = archive
+        archive.namers.append(self)
         self.token_secret = token_secret or f"dlfm-secret-{server_name}"
         self.tokens = TokenManager(self.token_secret, clock)
         repository_scale = clock.costs.dlfm_repository_scale
@@ -119,11 +120,6 @@ class DataLinksFileManager:
         #: when a new version supersedes an old one; none until a backup
         #: coordinator attaches (:meth:`attach_backups`).
         self._backup_state_ids = tuple
-        #: ``[(LSN, archive ids)]``: objects whose last version row the
-        #: transactions up to LSN dropped, freed once that LSN is durable
-        #: and shipped.  Volatile: a restart re-derives what a crash lost
-        #: (:meth:`_reclaim_unnamed_objects`).
-        self._releases: list[tuple] = []
         #: ``host_txn_id -> state id`` from the host's participant commits
         #: (and the replies to close-time commits) of branches that wrote
         #: archive jobs, for dating those jobs' versions.  Volatile: a job
@@ -713,20 +709,16 @@ class DataLinksFileManager:
         one local transaction, so a crash re-runs a job only if its version
         never committed.  A read or send that raises commits the job in
         flight first (a run abandoned between steps leaves it in
-        :attr:`_in_flight`, for the next run to free and redo), and a job
-        queues the objects its version drop frees as it commits: no
-        completed job and no release is lost.  The last step forces the
-        repository log (a log write only when commits are pending, as under
-        group commit), so the run's version rows are durable and shipped
-        when it returns -- no tokenized read commits any more to push them
-        out of the group-commit window, and a witness missing them is not
-        read-eligible -- and then frees what is durable and shipped.
+        :attr:`_in_flight`, for the next run to redo): no completed job is
+        lost.  The last step forces the repository log (a log write only
+        when commits are pending, as under group commit), so the run's
+        version rows are durable and shipped when it returns -- no
+        tokenized read commits any more to push them out of the
+        group-commit window, and a witness missing them is not
+        read-eligible -- and then sweeps (:meth:`ArchiveServer.sweep`).
         """
 
-        if self._in_flight is not None:
-            # An abandoned run's: no row names the object, the job is queued.
-            self.archive.release(self._in_flight[1])
-            self._in_flight = None
+        self._in_flight = None      # an abandoned run's: the sweep frees it
         if self.replica is not None:
             # A witness repository is redo-only: its archive_queue rows are
             # replicas of the primary's, and the primary runs those jobs.
@@ -758,20 +750,25 @@ class DataLinksFileManager:
         self.repository.db.force_log()
         for job in jobs:
             self._commit_states.pop(job["host_txn_id"], None)
-        if self._releases:
-            self._release_shipped()
+        self.archive.sweep(self)
 
     def _commit_in_flight(self, sent: tuple | None = None) -> int:
         """Commit the stored transfer in flight; *sent* goes in flight next."""
 
         (job, archive_id, stored), self._in_flight = self._in_flight, sent
         self.clock.receive_ticks(stored)
-        dropped = self.repository.add_version(
+        self.repository.add_version(
             job["path"], archive_id, self._job_state_id(job["host_txn_id"]),
             self._backup_state_ids(), job_id=job["job_id"])
-        if dropped:
-            self._releases.append((self.repository.db.wal.tail_lsn(), dropped))
         return 1
+
+    def archive_names(self, path: str) -> list[int]:
+        """The archive ids of *path* this node names: the archive's roots."""
+
+        names = self.repository.archive_ids(path)
+        if self._in_flight is not None and self._in_flight[0]["path"] == path:
+            names.append(self._in_flight[1])
+        return names
 
     def _job_state_id(self, host_txn_id: int) -> int:
         """The host state id an archive job's version carries: the commit of
@@ -789,17 +786,6 @@ class DataLinksFileManager:
             state_id = self._commit_states[host_txn_id] = int(
                 self._engine.host_commit_state(host_txn_id))
         return state_id
-
-    def _release_shipped(self) -> None:
-        """Free the queued archive objects whose dropping transaction is
-        durable and on every witness: no node can still restore a version
-        row that names them (:mod:`repro.datalinks.dlfm.archive`)."""
-
-        horizon = self.repository.db.wal.shipped_lsn()
-        releases = self._releases
-        while releases and releases[0][0] <= horizon:
-            for archive_id in releases.pop(0)[1]:
-                self.archive.release(archive_id)
 
     def has_pending_archives(self, path: str | None = None) -> bool:
         return bool(self.repository.pending_archive_jobs(path))
@@ -961,9 +947,6 @@ class DataLinksFileManager:
         self.repository.db.crash()
         self.branches.clear()
         self._moving_exports.clear()
-        # The queued LSNs may be lost with the log tail and handed out
-        # again to other records.
-        self._releases.clear()
         self._commit_states.clear()
         self._in_flight = None
         self.soft.clear()
@@ -992,37 +975,9 @@ class DataLinksFileManager:
             if row is not None and ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
                 self._release_takeover(row)
             rolled_back.append(path)
-        self._reclaim_unnamed_objects()
         self.soft.clear()
         self.running = True
         return {"repository": summary, "rolled_back_updates": rolled_back}
-
-    def _reclaim_unnamed_objects(self) -> None:
-        """Queue for release, at the recovered tail LSN, every archive object
-        stored under this server's name that no version row names.
-
-        A crash loses :attr:`_releases`, and a job that stored its object
-        but crashed before its version committed leaves the object behind;
-        no row names either, and :meth:`_release_shipped` frees them like
-        any other release on the next archiver run.  Charged as the one
-        scan of ``file_versions`` it reads; the archive's listing is
-        uncharged metadata.  Done only where this node's version rows are
-        the only names its objects have: not on a witness (the primary
-        archives), not in an epoched deployment (a prefix hand-off moves
-        version rows naming this node's objects to another node), and not
-        while a backup is retained (after a restore to an older backup, a
-        newer one still names versions the repository no longer holds).
-        """
-
-        if self.replica is not None or self.placement_guard is not None \
-                or self._backup_state_ids():
-            return
-        named = self.repository.named_archive_ids()
-        unnamed = [archive_id for archive_id
-                   in self.archive.stored_by(self.server_name)
-                   if archive_id not in named]
-        if unnamed:
-            self._releases.append((self.repository.db.wal.tail_lsn(), unnamed))
 
     # ------------------------------------------------- in-doubt branch resolution --
     def _host_txn_id_of(self, local_txn_id: int) -> int | None:

@@ -57,7 +57,6 @@ handle                     shape                           access path
 ``_insert_tracking``       insert update_tracking          --
 ``_delete_tracking``       delete update_tracking (path)   pk
 ``_versions_by_path``      select file_versions (path)     file_versions_path
-``_all_versions``          select file_versions            scan
 ``_insert_version``        insert file_versions            --
 ``_delete_version``        delete file_versions            pk
                            (version_id)
@@ -121,7 +120,6 @@ class DLFMRepository:
     _insert_tracking = _Statement("insert", "update_tracking")
     _delete_tracking = _Statement("delete", "update_tracking", ("path",))
     _versions_by_path = _Statement("select", "file_versions", ("path",))
-    _all_versions = _Statement("select", "file_versions")
     _insert_version = _Statement("insert", "file_versions")
     _delete_version = _Statement("delete", "file_versions", ("version_id",))
     _delete_versions = _Statement("delete", "file_versions", ("path",))
@@ -258,11 +256,10 @@ class DLFMRepository:
 
     # ------------------------------------------------------------ file versions --
     def add_version(self, path: str, archive_id: int, state_id: int,
-                    backup_state_ids=(), job_id: int | None = None) -> list[int]:
+                    backup_state_ids=(), job_id: int | None = None) -> None:
         """Append a version to *path*'s chain, drop every superseded
         version no retained backup would restore and delete the archive
-        job *job_id* that cut the version; returns the archive ids of the
-        dropped versions.
+        job *job_id* that cut the version.
 
         Version V, superseded by V', is picked by a restore to state *b*
         iff ``V.state_id <= b < V'.state_id``, so V stays iff one of the
@@ -304,7 +301,6 @@ class DLFMRepository:
             db.abort(txn)
             raise
         db.commit(txn)
-        return [version["archive_id"] for version in dropped]
 
     def latest_version_no(self, path: str) -> int:
         best = 0
@@ -324,10 +320,22 @@ class DLFMRepository:
                 latest = row
         return latest
 
-    def named_archive_ids(self) -> set[int]:
-        """The archive ids the version rows name."""
+    def archive_ids(self, path: str) -> list[int]:
+        """The archive ids *path*'s version rows and retained backups name:
+        no statement, a peek at the index bucket that charges nothing."""
 
-        return {row["archive_id"] for row in self._all_versions()}
+        catalog = self.db.catalog
+        rids = catalog.index_by_name(
+            "file_versions", "file_versions_path").raw_entries.get(path, ())
+        heap = catalog.heap("file_versions")
+        names = [heap.get(rid)["archive_id"] for rid in
+                 ((rids,) if type(rids) is int else rids)]
+        for image in self.db.backups.images():
+            names.extend(
+                row["archive_id"] for row in image.catalog_snapshot[
+                    "heaps"]["file_versions"]["rows"].values()
+                if row["path"] == path)
+        return names
 
     def delete_versions(self, path: str, txn: Transaction | None = None) -> int:
         return self._delete_versions(path, txn=txn)

@@ -56,8 +56,7 @@ LSN it has consumed -- it ships from (each
 tail, paused or with its witness unreachable, *pins* the log: nothing
 folds until it has caught up, so nothing it has not shipped is dropped.
 :meth:`WriteAheadLog.shipped_lsn` is that horizon -- durable, and consumed
-by every reader -- and a fold needs it at the tail; the DLFM frees an
-archive object only once the drop of its last version row is below it.
+by every reader -- and a fold needs it at the tail.
 To fold, the database takes its checkpoint base at the tail -- the snapshot
 recovery starts from -- and the log drops every record up to that LSN.  A
 fold appends no record and charges nothing.

@@ -217,14 +217,15 @@ SHARD_TABLE = "registry_docs"
 
 
 def build_deployment(flush_policy: str = "immediate",
-                     group_commit_window: int = 1) -> tuple:
-    """A 2-shard replicated deployment with an rdd/recovery files table and
-    metadata rules; returns ``(deployment, alice_session)``."""
+                     group_commit_window: int = 1,
+                     replication: bool = True) -> tuple:
+    """A 2-shard (by default replicated) deployment with an rdd/recovery
+    files table and metadata rules; returns ``(deployment, alice_session)``."""
 
     from repro.datalinks.sharding import ShardedDataLinksDeployment
 
     deployment = ShardedDataLinksDeployment(
-        2, replication=True, flush_policy=flush_policy,
+        2, replication=replication, flush_policy=flush_policy,
         group_commit_window=group_commit_window)
     deployment.create_table(TableSchema(SHARD_TABLE, [
         Column("doc_id", DataType.INTEGER, nullable=False),
@@ -236,6 +237,31 @@ def build_deployment(flush_policy: str = "immediate",
     deployment.register_metadata_columns(SHARD_TABLE, "body", "body_size",
                                          "body_mtime")
     return deployment, deployment.session("alice", uid=ALICE_UID)
+
+
+def assert_archive_reachable(system) -> None:
+    """The archive holds exactly the objects something can still read: the
+    union of every file server's version rows and retained backup images
+    (*system* is a :class:`DataLinksSystem` or a sharded deployment).
+    While a server is down its rows are unknown, and the archive holds at
+    least what the others name."""
+
+    system = getattr(system, "system", system)
+    named, servers = set(), system.file_servers.values()
+    for server in servers:
+        if not server.running:
+            continue
+        db = server.dlfm.repository.db
+        named.update(row["archive_id"] for _, row
+                     in db.catalog.heap("file_versions").scan_live())
+        for image in db.backups.images():
+            named.update(row["archive_id"] for row in image.catalog_snapshot[
+                "heaps"]["file_versions"]["rows"].values())
+    held = set(system.archive._objects)
+    if all(server.running for server in servers):
+        assert held == named
+    else:
+        assert named <= held
 
 
 def prefix_on(deployment, shard: str, stem: str = "/f") -> str:

@@ -17,7 +17,9 @@ from repro.errors import FileSystemError, PlacementEpochError, ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import parse_url
-from tests.conftest import FILES_TABLE, InjectedCrash, boom, build_system
+from tests.conftest import (FILES_TABLE, SHARD_TABLE, InjectedCrash,
+                            assert_archive_reachable, boom, build_deployment,
+                            build_system, link_docs, prefix_on)
 
 
 def bounce(system, *nodes) -> dict:
@@ -427,47 +429,138 @@ class TestCloseCrashMatrix:
         assert_one_version(system, alice, paths[0], NEW_BYTES)
 
 
+def crash_once_a_version_is_durable(system, node: str) -> None:
+    """Run the archiver of *system* (a system or a sharded deployment) and
+    crash *node* the moment one of its version transactions is durable,
+    before the run reaches its sweep."""
+
+    dlfm = getattr(system, "system", system).file_server(node).dlfm
+    seen = dlfm.repository.db.wal.flushed_lsn
+
+    def listener(log):
+        if any(record.table == "file_versions"
+               for record in log.records_from(seen, durable_only=True)):
+            dlfm.repository.remove_wal_listener(listener)
+            system.crash(node)
+            raise InjectedCrash
+
+    dlfm.repository.add_wal_listener(listener)
+    with pytest.raises(InjectedCrash):
+        getattr(system, "system", system).run_archiver()
+
+
 class TestArchiveJobRunsOnce:
     def test_a_crash_after_the_version_commits_does_not_rerun_the_job(self):
         """The version row, the rows it supersedes and the job's delete
         are one local transaction: a crash the moment the version is
         durable leaves no job to re-run, so one update is one version and
-        one archive object.  The release of the superseded version's
-        object, queued in memory, dies with the crash; the restart finds
-        the object named by no version row and frees it, so the archive
-        holds exactly the chain's objects."""
+        one archive object.  The crash comes before the run's sweep, but
+        the store marked the path, so the next run frees the superseded
+        version's object: the archive holds exactly the chain's objects."""
 
         system, alice, paths, _ = build_system(ControlMode.RDD)
         dlfm = system.file_server("fs1").dlfm
         stores = dlfm.archive._next_id
         _update(system, alice, 0, NEW_BYTES, archive=False)
-        wal = dlfm.repository.db.wal
-        seen = wal.flushed_lsn
-
-        def crash_once_a_version_is_durable(log):
-            if any(record.table == "file_versions"
-                   for record in log.records_from(seen, durable_only=True)):
-                dlfm.repository.remove_wal_listener(
-                    crash_once_a_version_is_durable)
-                system.crash("fs1")
-                raise InjectedCrash
-
-        dlfm.repository.add_wal_listener(crash_once_a_version_is_durable)
-        with pytest.raises(InjectedCrash):
-            system.run_archiver()
+        crash_once_a_version_is_durable(system, "fs1")
         system.restart("fs1")
         assert_one_version(system, alice, paths[0], NEW_BYTES)
         assert [version["version_no"]
                 for version in dlfm.repository.versions(paths[0])] == [2]
         assert dlfm.archive._next_id == stores + 1
-        chain = [version["archive_id"]
-                 for version in dlfm.repository.versions(paths[0])]
-        assert dlfm.archive.stored_by("fs1") == chain
+        assert_archive_reachable(system)
 
 
 class TestRestartFreesOnlyUnnamedObjects:
-    """A restart frees the objects its own version rows no longer name, and
-    no object another name still reaches."""
+    """The archive frees, after a crash too, the objects no version row,
+    backup or transfer names any more, on every kind of node, and no
+    object another name still reaches or a crash could name again."""
+
+    @staticmethod
+    def _updated(replication: bool = True):
+        """A 2-shard deployment with one linked file on ``shard0``, updated
+        once: its archive job is pending.  Returns the deployment and the
+        archive id of the file's first version."""
+
+        deployment, session = build_deployment(replication=replication)
+        prefix = prefix_on(deployment, "shard0")
+        link_docs(deployment, session, prefix, [0])
+        (first,) = deployment.system.file_server(
+            "shard0").dlfm.repository.versions(f"{prefix}/doc000.dat")
+        url = session.get_datalink(SHARD_TABLE, {"doc_id": 0}, "body",
+                                   access="write")
+        with session.update_file(url, truncate=True) as update:
+            update.replace(NEW_BYTES)
+        return deployment, first["archive_id"]
+
+    @pytest.mark.parametrize("replication", [False, True],
+                             ids=["sharded", "replicated"])
+    def test_a_shard_crash_before_the_sweep_leaks_nothing(self, replication):
+        deployment, first = self._updated(replication)
+        crash_once_a_version_is_durable(deployment, "shard0")
+        deployment.restart("shard0")
+        deployment.system.run_archiver()
+        assert not deployment.system.archive.exists(first)
+        assert_archive_reachable(deployment)
+
+    def test_a_drop_a_crash_may_undo_keeps_its_object(self):
+        """fs1 and fs2 hold the same path.  fs2's version is committed and
+        its drop not yet durable (group commit) when fs1's run ends: fs1's
+        sweep frees nothing, and fs2's crash, which undoes the drop, finds
+        the object its restored row names."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD,
+                                               flush_policy="group")
+        system.add_file_server("fs2")
+        url = alice.put_file("fs2", paths[0], b"the other copy")
+        alice.insert(FILES_TABLE, {"doc_id": 1, "body": url})
+        system.run_archiver()
+        dlfm = system.file_server("fs2").dlfm
+        (first,) = dlfm.repository.versions(paths[0])
+        for doc_id in (0, 1):
+            _update(system, alice, doc_id, NEW_BYTES, archive=False)
+        system.flush_logs()
+        fs2_run = dlfm.archive_steps()
+        assert next(fs2_run) == 1
+        assert list(system.file_server("fs1").dlfm.archive_steps()) == [1]
+        system.crash("fs2")
+        system.restart("fs2")
+        assert dlfm.repository.versions(paths[0]) == [first]
+        assert system.archive.exists(first["archive_id"])
+        system.run_archiver()
+        assert_archive_reachable(system)
+
+    def test_a_transfer_in_flight_names_its_object(self):
+        """fs1 and fs2 hold the same path, and fs2's run ends while fs1's
+        transfer of it is stored and its version not yet committed: the
+        transfer names the object, so the version fs1 commits next finds
+        it."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD, files=2)
+        system.add_file_server("fs2")
+        url = alice.put_file("fs2", paths[1], b"the other copy")
+        alice.insert(FILES_TABLE, {"doc_id": 2, "body": url})
+        system.run_archiver()
+        for doc_id in (0, 1, 2):
+            _update(system, alice, doc_id, NEW_BYTES, archive=False)
+        fs1_run = system.file_server("fs1").dlfm.archive_steps()
+        assert next(fs1_run) == 1       # doc 1's transfer is in flight
+        assert system.file_server("fs2").process_archive_jobs() == 1
+        assert list(fs1_run) == [1]
+        assert_archive_reachable(system)
+
+    def test_a_down_witness_holds_every_object_until_its_restart(self):
+        """A down witness's rows are unknown, so the sweep frees nothing;
+        after its restart one run frees what it no longer names."""
+
+        deployment, first = self._updated()
+        deployment.crash("shard0-r")
+        deployment.system.run_archiver()
+        assert deployment.system.archive.exists(first)
+        deployment.restart("shard0-r")
+        deployment.system.run_archiver()
+        assert not deployment.system.archive.exists(first)
+        assert_archive_reachable(deployment)
 
     def test_a_newer_backup_keeps_its_versions_across_an_older_restore(
             self, rfd_system):

@@ -10,8 +10,9 @@ import pytest
 
 from repro.datalinks.routing import NodeRole
 from repro.errors import DataLinksError
-from tests.conftest import (SHARD_TABLE, InjectedCrash, boom,
-                            build_deployment, prefix_on)
+from tests.conftest import (SHARD_TABLE, InjectedCrash,
+                            assert_archive_reachable, boom, build_deployment,
+                            prefix_on)
 from tests.datalinks.test_recovery_and_backup import (
     REPL_TABLE, _read_all, _rebalance_setup, _start_linking_txn,
     _two_server_setup, assert_archive_owed, assert_host_dlfm_agreement,
@@ -76,6 +77,7 @@ class TestRestartIsRecovery:
             self._link(deployment, session, serving)
             linked = len(serving)
         deployment.restart(node)
+        assert_archive_reachable(deployment)
 
         if replicated:
             assert deployment.router.roles("shard0") == roles

@@ -561,7 +561,7 @@ class TestVersionChainOrder:
             "/f", max_state_id=25)["version_no"] == 2
         assert repository.latest_version("/f", max_state_id=5) is None
         # Version 4 supersedes 3; a backup at state 25 picks version 2.
-        assert repository.add_version("/f", 104, 40, [25]) == [103, 101]
+        repository.add_version("/f", 104, 40, [25])
         assert [(row["version_no"], row["archive_id"])
                 for row in repository.versions("/f")] == [(2, 102), (4, 104)]
         assert repository.latest_version_no("/other") == 0

@@ -23,16 +23,11 @@ import random
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
-from tests.conftest import (FILES_TABLE, SHARD_TABLE, InjectedCrash, boom,
-                            build_deployment, build_system, link_docs,
-                            prefix_on)
+from tests.conftest import (FILES_TABLE, SHARD_TABLE, InjectedCrash,
+                            assert_archive_reachable, boom, build_deployment,
+                            build_system, link_docs, prefix_on)
 
 FILES, STEPS = 3, 60
-
-
-def _image_archive_ids(image) -> set:
-    rows = image.catalog_snapshot["heaps"]["file_versions"]["rows"]
-    return {row["archive_id"] for row in rows.values()}
 
 
 class TestRestoreOracle:
@@ -64,7 +59,7 @@ class TestRestoreOracle:
                 system.crash("fs1")
                 system.restart("fs1")
             self._check_chains(dlfm, paths, [backup for backup, _ in backups])
-            self._check_archive(system, dlfm, [backup for backup, _ in backups])
+            assert_archive_reachable(system)
         assert len(backups) >= 3
         for backup, recorded in rng.sample(backups, len(backups)):
             system.restore(backup)
@@ -83,16 +78,6 @@ class TestRestoreOracle:
             for version, successor in zip(chain, chain[1:]):
                 assert any(version["state_id"] <= state < successor["state_id"]
                            for state in states), (path, version, states)
-
-    @staticmethod
-    def _check_archive(system, dlfm, backups) -> None:
-        named = {row["archive_id"] for row in
-                 dlfm.repository.db.select("file_versions", lock=False)}
-        for backup in backups:
-            named |= _image_archive_ids(backup.dlfm_images["fs1"])
-        # Immediate commit and no witness: every release is due at once,
-        # so nothing waits in the queue and nothing leaks.
-        assert set(system.archive._objects) == named
 
 
 def _update(session, content: bytes) -> None:

@@ -1293,6 +1293,20 @@ class TestRetiredNamesStayGone:
         "_begin_strict_read": "one DLFM statement per open decision: a "
                               "strict read is a read admitted without "
                               "a token",
+        "_releases": "archive space by reachability: one sweep frees what "
+                     "nothing names, no release queue",
+        "_release_shipped": "archive space by reachability: the shipped-LSN "
+                            "horizon falls out of the names",
+        "_reclaim_unnamed_objects": "archive space by reachability: a "
+                                    "crash loses no release to reclaim",
+        "stored_by": "archive space by reachability: the sweep reads a "
+                     "path's objects, not a server's",
+        "archive.release(": "archive space by reachability: only the "
+                            "sweep frees an object",
+        "named_archive_ids": "archive space by reachability: names are "
+                             "read per path, uncharged",
+        "_all_versions": "archive space by reachability: no scan of "
+                         "file_versions is left",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
-from repro.errors import DataLinksError, MalformedURLError, ReproError
+from repro.errors import (DaemonUnavailableError, DataLinksError,
+                          MalformedURLError, ReproError)
 from repro.fs.vfs import OpenFlags
 from repro.simclock import CostModel, SimClock
 from repro.util.lsn import LSN, NULL_LSN
@@ -64,6 +65,22 @@ class TestSessionAPI:
         url = alice.put_file("fs1", "/deep/nested/dir/file.txt", b"payload")
         assert url == "dlfs://fs1/deep/nested/dir/file.txt"
         assert alice.fs("fs1").read_file("/deep/nested/dir/file.txt") == b"payload"
+
+    def test_put_file_to_a_down_server_is_refused(self, rfd_system):
+        """A crashed plain file server takes no put: nothing reaches its
+        disk and its clock does not move.  After its restart the put goes."""
+
+        system, alice, _, _ = rfd_system
+        server = system.file_server("fs1")
+        system.crash("fs1")
+        ticks = server.clock.ticks
+        with pytest.raises(DaemonUnavailableError, match="fs1"):
+            alice.put_file("fs1", "/down/file.txt", b"payload")
+        assert server.clock.ticks == ticks
+        assert not server.files.exists("/down/file.txt")
+        system.restart("fs1")
+        alice.put_file("fs1", "/down/file.txt", b"payload")
+        assert server.files.read("/down/file.txt") == b"payload"
 
     def test_select_returns_the_stored_url(self, rfd_system):
         _, alice, _, urls = rfd_system

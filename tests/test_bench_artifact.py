@@ -104,25 +104,32 @@ class TestHashSeedDeterminism:
     Index buckets are sets and several registries are keyed by tuples of
     strings, whose iteration order follows ``PYTHONHASHSEED``.  The seed is
     fixed at interpreter start, so this runs ``python -m repro.bench
-    --smoke`` in two fresh processes and compares every simulated field.
+    --smoke`` in two fresh processes, side by side, and compares every
+    simulated field.
     """
 
     def test_smoke_is_identical_under_two_hash_seeds(self, tmp_path):
         source = str(REPO_ROOT / "src")
         inherited = os.environ.get("PYTHONPATH")
-        payloads = []
+        runs = []
         for hash_seed in ("0", "1"):
             json_path = tmp_path / f"hashseed{hash_seed}.json"
             env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                        PYTHONPATH=source + (os.pathsep + inherited
                                             if inherited else ""))
-            subprocess.run(
+            runs.append((json_path, subprocess.Popen(
                 [sys.executable, "-m", "repro.bench", "--smoke",
                  "--json", str(json_path)],
-                cwd=tmp_path, env=env, check=True, timeout=300,
-                stdout=subprocess.DEVNULL)
-            with open(json_path, "r", encoding="utf-8") as stream:
-                payloads.append(json.load(stream)["experiments"])
+                cwd=tmp_path, env=env, stdout=subprocess.DEVNULL)))
+        payloads = []
+        try:
+            for json_path, process in runs:
+                assert process.wait(timeout=300) == 0
+                with open(json_path, "r", encoding="utf-8") as stream:
+                    payloads.append(json.load(stream)["experiments"])
+        finally:
+            for _, process in runs:
+                process.kill()      # a no-op once it has exited
         first, second = payloads
         assert set(first) == set(second)
         differing = [f"{name}.{key}"
