@@ -60,35 +60,23 @@ class ChildAgent(Daemon):
                          clock=clock)
         self._manager = manager
         self.epoch_gate = manager.check_placement_epoch
-        self.register("link_file", self._link_file)
-        self.register("unlink_file", self._unlink_file)
-        self.register("link_batch", self._link_batch)
-        self.register("unlink_batch", self._unlink_batch)
+        self.register("link", self._link)
+        self.register("unlink", self._unlink)
         self.register("rebalance_export", self._rebalance_export)
         self.register("rebalance_import", self._rebalance_import)
         self.register("prepare", self._prepare)
         self.register("commit", self._commit)
         self.register("abort", self._abort)
-        self.register("prepare_many", self._prepare_many)
-        self.register("commit_many", self._commit_many)
 
     def _charge_per_item(self, count: int) -> None:
-        # A batch crosses the process boundary once but is still demultiplexed
-        # item by item inside the agent.
+        # A list crosses the process boundary once but is still demultiplexed
+        # item by item inside the agent: a list of one charges what one
+        # message does.
         if count > 1:
             self.clock.charge("daemon_dispatch", times=count - 1)
 
-    def _link_file(self, host_txn_id: int, path: str, options: dict) -> dict:
-        parsed = DatalinkOptions.from_dict(options)
-        row = self._manager.link_file(host_txn_id, path, parsed)
-        return {"path": row["path"], "ino": row["ino"]}
-
-    def _unlink_file(self, host_txn_id: int, path: str) -> dict:
-        row = self._manager.unlink_file(host_txn_id, path)
-        return {"path": row["path"]}
-
-    def _link_batch(self, host_txn_id: int, items: list) -> dict:
-        """Link several files in one IPC round trip (pipelined multi-row DML).
+    def _link(self, host_txn_id: int, items: list) -> dict:
+        """Link a statement's files on this server in one IPC message.
 
         Items are processed in order; the first failure aborts the batch by
         raising through the reply, leaving the branch's uncommitted changes to
@@ -103,8 +91,8 @@ class ChildAgent(Daemon):
             results.append({"path": row["path"], "ino": row["ino"]})
         return {"results": results}
 
-    def _unlink_batch(self, host_txn_id: int, paths: list) -> dict:
-        """Unlink several files in one IPC round trip."""
+    def _unlink(self, host_txn_id: int, paths: list) -> dict:
+        """Unlink a statement's files on this server in one IPC message."""
 
         self._charge_per_item(len(paths))
         results = [{"path": self._manager.unlink_file(host_txn_id, path)["path"]}
@@ -123,29 +111,21 @@ class ChildAgent(Daemon):
         self._charge_per_item(len(rows))
         return self._manager.rebalance_import(host_txn_id, rows, versions)
 
-    def _prepare(self, host_txn_id: int) -> dict:
-        prepared = self._manager.prepare_branch(host_txn_id)
-        return {"prepared": prepared}
-
-    def _commit(self, host_txn_id: int, state_id: int) -> dict:
-        self._manager.commit_branch(host_txn_id, state_id)
-        return {}
-
-    def _abort(self, host_txn_id: int) -> dict:
-        self._manager.abort_branch(host_txn_id)
-        return {}
-
-    def _prepare_many(self, host_txn_ids: list) -> dict:
-        """Vote on a batch of branches in one round trip (group commit)."""
+    def _prepare(self, host_txn_ids: list) -> dict:
+        """Vote on every listed branch in one round trip."""
 
         self._charge_per_item(len(host_txn_ids))
         return {"prepared": [self._manager.prepare_branch(txn_id)
                              for txn_id in host_txn_ids]}
 
-    def _commit_many(self, host_txn_ids: list, state_id: int) -> dict:
+    def _commit(self, host_txn_ids: list, state_id: int) -> dict:
         self._charge_per_item(len(host_txn_ids))
         for txn_id in host_txn_ids:
             self._manager.commit_branch(txn_id, state_id)
+        return {}
+
+    def _abort(self, host_txn_id: int) -> dict:
+        self._manager.abort_branch(host_txn_id)
         return {}
 
 
@@ -211,6 +191,11 @@ class DLFMConnection:
     coordinator waits, and fan-outs across shards overlap through the
     engine's scatter-gather window).
 
+    Each protocol step is one message whatever its size: ``link_files`` /
+    ``unlink_files`` carry a statement's work on this server, ``prepare``
+    and ``commit`` every transaction of a commit group that enlisted it.
+    A list of one charges what one item always did.
+
     A close-time commit sends nothing through here: the DLFM's one request
     to the host carries its vote and the reply its commit
     (:meth:`~repro.datalinks.engine.DataLinksEngine.commit_file_update`),
@@ -227,29 +212,15 @@ class DLFMConnection:
         self._channel = Channel(agent, clock, latency_primitive="db_dlfm_message",
                                 epoch_provider=epoch_provider)
 
-    def link_file(self, host_txn_id: int, path: str, options: DatalinkOptions) -> dict:
-        return self._channel.post("link_file", host_txn_id=host_txn_id,
-                                  path=path, options=options.to_dict())
-
-    def unlink_file(self, host_txn_id: int, path: str) -> dict:
-        return self._channel.post("unlink_file", host_txn_id=host_txn_id, path=path)
-
-    # Batched pipelines: a multi-row statement ships one message per file
-    # server instead of one round trip per row.
     def link_files(self, host_txn_id: int,
                    items: list[tuple[str, DatalinkOptions]]) -> list[dict]:
-        if len(items) == 1:
-            path, options = items[0]
-            return [self.link_file(host_txn_id, path, options)]
         payload = [{"path": path, "options": options.to_dict()}
                    for path, options in items]
-        return self._channel.post("link_batch", host_txn_id=host_txn_id,
+        return self._channel.post("link", host_txn_id=host_txn_id,
                                   items=payload)["results"]
 
     def unlink_files(self, host_txn_id: int, paths: list[str]) -> list[dict]:
-        if len(paths) == 1:
-            return [self.unlink_file(host_txn_id, paths[0])]
-        return self._channel.post("unlink_batch", host_txn_id=host_txn_id,
+        return self._channel.post("unlink", host_txn_id=host_txn_id,
                                   paths=list(paths))["results"]
 
     # Prefix hand-off: both sides are coordinator-driven barriers (the
@@ -264,22 +235,13 @@ class DLFMConnection:
                                      host_txn_id=host_txn_id,
                                      rows=rows, versions=versions)
 
-    def prepare(self, host_txn_id: int) -> bool:
-        return self._channel.request("prepare", host_txn_id=host_txn_id)["prepared"]
+    def prepare(self, host_txn_ids: list[int]) -> list[bool]:
+        return self._channel.request("prepare",
+                                     host_txn_ids=list(host_txn_ids))["prepared"]
 
-    def commit(self, host_txn_id: int, state_id: int) -> None:
-        self._channel.request("commit", host_txn_id=host_txn_id,
+    def commit(self, host_txn_ids: list[int], state_id: int) -> None:
+        self._channel.request("commit", host_txn_ids=list(host_txn_ids),
                               state_id=state_id)
 
     def abort(self, host_txn_id: int) -> None:
         self._channel.request("abort", host_txn_id=host_txn_id)
-
-    # Batched two-phase commit: the group-commit queue resolves a whole batch
-    # of host transactions with one prepare and one commit message per server.
-    def prepare_many(self, host_txn_ids: list[int]) -> list[bool]:
-        return self._channel.request("prepare_many",
-                                     host_txn_ids=list(host_txn_ids))["prepared"]
-
-    def commit_many(self, host_txn_ids: list[int], state_id: int) -> None:
-        self._channel.request("commit_many", host_txn_ids=list(host_txn_ids),
-                              state_id=state_id)

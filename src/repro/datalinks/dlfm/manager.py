@@ -994,18 +994,17 @@ class DataLinksFileManager:
                     return int(host_txn_id)
         return None
 
-    def _host_outcome(self, host_txn_id: int | None) -> str:
-        if host_txn_id is None or self._engine is None:
-            return "unknown"
-        return self._engine.host_transaction_outcome(host_txn_id)
-
     def _resolve_recovered_in_doubt(self) -> dict:
         """Commit or abort the in-doubt transactions reinstated by recovery."""
 
         committed, aborted = [], []
-        for txn in list(self.repository.db.in_doubt_transactions()):
-            host_txn_id = self._host_txn_id_of(txn.txn_id)
-            if self._host_outcome(host_txn_id) == "committed":
+        in_doubt = [(txn, self._host_txn_id_of(txn.txn_id))
+                    for txn in self.repository.db.in_doubt_transactions()]
+        outcomes = self._engine.host_transaction_outcomes(
+            [host_txn_id for _, host_txn_id in in_doubt
+             if host_txn_id is not None])
+        for txn, host_txn_id in in_doubt:
+            if outcomes.get(host_txn_id) == "committed":
                 records = list(txn.records)
                 self.repository.db.commit_prepared(txn)
                 self._finish_from_log(records)
@@ -1041,10 +1040,10 @@ class DataLinksFileManager:
         """
 
         committed, aborted = [], []
-        prepared = set(self.branches.prepared_host_transactions())
+        outcomes = self._engine.host_transaction_outcomes(
+            self.branches.prepared_host_transactions())
         for host_txn_id in list(self.branches.active_host_transactions()):
-            if host_txn_id in prepared and \
-                    self._host_outcome(host_txn_id) == "committed":
+            if outcomes.get(host_txn_id) == "committed":
                 self.branches.commit(host_txn_id)
                 committed.append(host_txn_id)
             else:

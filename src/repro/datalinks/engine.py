@@ -18,13 +18,13 @@ The engine extends the host database with DATALINK awareness:
 
 Scale-out additions (beyond the paper):
 
-* **batched link pipelines** -- multi-row DML collects link/unlink work per
-  file server and ships it as one IPC message per server
-  (:meth:`DataLinksEngine.insert_many`, and batched unlinks inside
-  ``delete``) instead of one round trip per row;
-* **group commit** -- :meth:`DataLinksEngine.commit_group` resolves a batch
-  of host transactions with one prepare and one commit message per enlisted
-  server and a single host log force
+* **batched link pipelines** -- a statement collects its link/unlink work
+  per file server and ships it as one IPC message per server
+  (:meth:`DataLinksEngine.insert_many`, and the unlinks of ``delete``)
+  instead of one round trip per row;
+* **group commit** -- :meth:`DataLinksEngine.commit` resolves a group of
+  host transactions (one transaction is a group of one) with one prepare
+  and one commit message per enlisted server and a single host log force
   (:meth:`~repro.storage.database.Database.commit_many`);
 * **failpoints** -- named crash-injection hooks inside the two-phase commit
   so the crash-matrix tests can stop the coordinator at every protocol step
@@ -341,20 +341,30 @@ class DataLinksEngine:
     def begin(self) -> HostTransaction:
         return HostTransaction(txn=self.db.begin())
 
-    def commit(self, host_txn: HostTransaction) -> LSN:
-        """Two-phase commit across the host database and every enlisted DLFM.
+    def commit(self, *host_txns: HostTransaction) -> LSN:
+        """Two-phase commit of a group of host transactions across the host
+        database and every DLFM they enlisted; one transaction is a group
+        of one.
 
-        A participant whose vote came with its request
-        (``host_txn.voted``) gets no prepare and no commit message: its
-        vote is already in, and its commit rides the reply to that request
-        once this returns.  The coordinator's COMMIT is durable before any
-        participant commits, that one included.  Each commit message
-        carries the commit's state id, which dates the archive jobs the
-        participant's branch wrote.
+        Each enlisted server gets one ``prepare`` and one ``commit``
+        message listing the group's transactions it holds a branch of.  A
+        participant whose vote came with its request (``voted``) is left
+        out of both for that transaction: its vote is already in, and its
+        commit rides the reply to that request once this returns.  When
+        any server is enlisted the group's COMMITs are appended and forced
+        once (:meth:`~repro.storage.database.Database.commit_many`), before
+        any participant commits; otherwise each transaction commits under
+        the flush policy.  Each commit message carries the commit's state
+        id, which dates the archive jobs the participant's branches wrote.
         """
 
-        voted = host_txn.voted
-        if host_txn.servers:
+        by_server: dict[str, list[int]] = {}
+        for host_txn in host_txns:
+            for server in host_txn.servers:
+                txn_ids = by_server.setdefault(server, [])
+                if server != host_txn.voted:
+                    txn_ids.append(host_txn.txn_id)
+        if by_server:
             amount, meter = self._dispatch
             self.clock.ticks += amount
             meter[0] += 1
@@ -363,30 +373,34 @@ class DataLinksEngine:
         # request departs at the window's start and the coordinator waits
         # for the slowest vote, not the sum of all votes.
         with self.clock.overlap():
-            for server in sorted(host_txn.servers):
-                if server != voted and \
-                        not self._entry(server).connection.prepare(host_txn.txn_id):
-                    # The server is enlisted, so it once held a branch; a
-                    # missing branch means the DLFM crashed and lost it.
-                    # Refuse to commit a transaction whose file-side effects
-                    # are gone.
-                    raise DataLinksError(
-                        f"file server {server!r} lost the branch of transaction "
-                        f"{host_txn.txn_id} (restarted?); the transaction must abort")
+            for server in sorted(by_server):
+                txn_ids = by_server[server]
+                if txn_ids:
+                    votes = self._entry(server).connection.prepare(txn_ids)
+                    if not all(votes):
+                        # The server is enlisted, so it once held a branch;
+                        # a missing branch means the DLFM crashed and lost
+                        # it.  Refuse to commit a transaction whose
+                        # file-side effects are gone.
+                        lost = [txn_id for txn_id, vote in zip(txn_ids, votes)
+                                if not vote]
+                        raise DataLinksError(
+                            f"file server {server!r} lost the branches of "
+                            f"transactions {lost} (restarted?); the commit "
+                            f"must abort")
                 fire(self.failpoints, "commit:prepared", server)
         fire(self.failpoints, "commit:before_host_commit")
-        state_id = self.db.commit(host_txn.txn)
-        fire(self.failpoints, "commit:mid_flush")
-        if host_txn.servers:
-            # The coordinator's COMMIT record must be durable before any
-            # participant commits; under group commit this force piggybacks
-            # every pending commit in the window.
-            self.db.force_log()
+        if by_server:
+            state_id = self.db.commit_many([host_txn.txn
+                                            for host_txn in host_txns])
+        else:
+            for host_txn in host_txns:
+                state_id = self.db.commit(host_txn.txn)
         fire(self.failpoints, "commit:after_host_commit")
         with self.clock.overlap():
-            for server in sorted(host_txn.servers):
-                if server != voted:
-                    self._entry(server).connection.commit(host_txn.txn_id,
+            for server in sorted(by_server):
+                if by_server[server]:
+                    self._entry(server).connection.commit(by_server[server],
                                                           state_id)
                     fire(self.failpoints, "commit:committed", server)
         return state_id
@@ -420,46 +434,6 @@ class DataLinksEngine:
             raise
         return self.commit(host_txn)
 
-    def commit_group(self, host_txns: list[HostTransaction]) -> LSN:
-        """Group commit: resolve a whole batch of host transactions at once.
-
-        One ``prepare_many`` and one ``commit_many`` message go to each
-        enlisted file server (covering every transaction in the batch that
-        touched it), and a single host log force covers all the COMMIT
-        records -- the WAL group commit of the sharded deployment.  The
-        commit messages carry the group's state id.
-        """
-
-        if not host_txns:
-            return self.db.state_identifier()
-        amount, meter = self._dispatch
-        self.clock.ticks += amount
-        meter[0] += 1
-        by_server: dict[str, list[int]] = {}
-        for host_txn in host_txns:
-            for server in host_txn.servers:
-                by_server.setdefault(server, []).append(host_txn.txn_id)
-        fire(self.failpoints, "group:begin")
-        with self.clock.overlap():
-            for server in sorted(by_server):
-                votes = self._entry(server).connection.prepare_many(by_server[server])
-                if not all(votes):
-                    lost = [txn_id for txn_id, vote in zip(by_server[server], votes)
-                            if not vote]
-                    raise DataLinksError(
-                        f"file server {server!r} lost the branches of transactions "
-                        f"{lost} (restarted?); the commit group must abort")
-                fire(self.failpoints, "group:prepared", server)
-        fire(self.failpoints, "group:before_host_commit")
-        state_id = self.db.commit_many([host_txn.txn for host_txn in host_txns])
-        fire(self.failpoints, "group:after_host_commit")
-        with self.clock.overlap():
-            for server in sorted(by_server):
-                self._entry(server).connection.commit_many(by_server[server],
-                                                           state_id)
-                fire(self.failpoints, "group:committed", server)
-        return state_id
-
     def redrive_commit(self, host_txn: HostTransaction) -> None:
         """Re-send participant commits for a durably committed transaction.
 
@@ -475,7 +449,7 @@ class DataLinksEngine:
         with self.clock.overlap():
             for server in sorted(host_txn.servers):
                 try:
-                    self._entry(server).connection.commit(host_txn.txn_id,
+                    self._entry(server).connection.commit([host_txn.txn_id],
                                                           state_id)
                 except IPCError:
                     pass
@@ -515,15 +489,6 @@ class DataLinksEngine:
             self.db.abort(host_txn.txn)
 
     # ------------------------------------------------- in-doubt resolution --
-    def host_transaction_outcome(self, host_txn_id: int) -> str:
-        """Durable outcome of a host transaction: committed/aborted/unknown.
-
-        File servers call this (conceptually over the DBMS-DLFM connection)
-        to resolve in-doubt branches after a crash.
-        """
-
-        return self.db.txn_outcome(host_txn_id)
-
     def host_commit_state(self, host_txn_id: int) -> LSN | None:
         """The state id of a host transaction's durable commit, ``None``
         when it has none: what a DLFM dates an archive job by when a crash

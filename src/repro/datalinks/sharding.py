@@ -22,8 +22,8 @@ file servers"; this module turns that into an operational scale-out layer:
   :class:`~repro.api.system.DataLinksSystem` with N file-server shards,
   routes file placement through the router, and runs a **group-commit
   queue**: transactions enqueue at commit time and a whole batch is resolved
-  with one ``prepare_many``/``commit_many`` message per enlisted shard plus a
-  single host log force (:meth:`~repro.datalinks.engine.DataLinksEngine.commit_group`);
+  with one ``prepare`` and one ``commit`` message per enlisted shard plus a
+  single host log force (:meth:`~repro.datalinks.engine.DataLinksEngine.commit`);
 * the host **token cache** is always on: a repeated handout of the same
   (path, access, TTL) gets the still-live token back instead of a freshly
   minted one.  The cache key carries the prefix's owner shard, so a
@@ -65,8 +65,7 @@ Knobs
 ``flush_policy``          WAL commit flush policy for host + shard
                           repositories (``"group"`` by default here)
 ``group_commit_window``   commits buffered before the queue auto-drains;
-                          ``1`` disables the queue (classic per-transaction
-                          two-phase commit)
+                          ``1`` drains every commit at once (a group of one)
 ``replication``           add witness replicas per shard, fed by the
                           serving node's repository WAL stream
 ``witnesses``             witness replicas per shard (default 1, at least 1
@@ -278,15 +277,13 @@ class ShardedDataLinksDeployment:
     def commit(self, host_txn: HostTransaction) -> LSN | None:
         """Commit through the group-commit queue.
 
-        With a window of 1 this is a plain per-transaction two-phase commit.
-        Otherwise the transaction enqueues; once the window fills the whole
-        batch is resolved with one prepare and one commit message per
-        enlisted shard and a single host log force.  Returns the commit LSN
-        when a batch was driven to disk, ``None`` while enqueued.
+        The transaction enqueues; once the window fills the whole batch is
+        resolved with one prepare and one commit message per enlisted
+        shard and a single host log force (a window of 1 drains each
+        commit at once).  Returns the commit LSN when a batch was driven
+        to disk, ``None`` while enqueued.
         """
 
-        if self.group_commit_window <= 1:
-            return self.engine.commit(host_txn)
         self._pending.append(host_txn)
         if len(self._pending) >= self.group_commit_window:
             return self.drain()
@@ -314,7 +311,7 @@ class ShardedDataLinksDeployment:
         if not batch:
             return None
         try:
-            return self.engine.commit_group(batch)
+            return self.engine.commit(*batch)
         except ReproError:
             for host_txn in batch:
                 if self.host_db.txn_outcome(host_txn.txn_id) == "committed":

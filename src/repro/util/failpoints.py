@@ -18,8 +18,8 @@ There is one table per deployment, the engine's
 (:attr:`~repro.datalinks.engine.DataLinksEngine.failpoints`), and every
 firing site -- the commit protocol, every WAL shipper and replica applier,
 promotion and the rebalance hand-off -- fires into it.  A test arms a point
-by assigning a hook, ``engine.failpoints["commit:mid_flush"] = hook``; a
-hook that raises simulates a crash at that step.  The table refuses a name
+by assigning a hook, ``engine.failpoints["commit:after_host_commit"] =
+hook``; a hook that raises simulates a crash at that step.  The table refuses a name
 that is not registered, so a misspelled point cannot pass a test without
 firing.
 """
@@ -27,24 +27,17 @@ firing.
 from __future__ import annotations
 
 POINTS: dict[str, str] = {
-    "commit:begin": "a two-phase commit starts, nothing sent yet (a "
-                    "closing DLFM's branch is prepared: its vote came "
-                    "with its request)",
-    "commit:prepared:<server>": "the server's yes-vote is in (a closing "
+    "commit:begin": "a two-phase commit of a group of transactions "
+                    "starts, nothing sent yet (a closing DLFM's branch is "
+                    "prepared: its vote came with its request)",
+    "commit:prepared:<server>": "the server's yes-votes are in (a closing "
                                 "DLFM's, on its request)",
     "commit:before_host_commit": "every vote is in, the host has not "
                                  "committed",
-    "commit:mid_flush": "the host COMMIT is appended, the log not forced",
-    "commit:after_host_commit": "the host COMMIT is durable, no participant "
-                                "committed",
-    "commit:committed:<server>": "the server committed its branch (a "
+    "commit:after_host_commit": "the host COMMITs are durable, no "
+                                "participant committed",
+    "commit:committed:<server>": "the server committed its branches (a "
                                  "closing DLFM, on the host's reply)",
-    "group:begin": "a commit group starts, nothing sent yet",
-    "group:prepared:<server>": "the server voted on the whole group",
-    "group:before_host_commit": "every vote is in, the host has not "
-                                "committed the group",
-    "group:after_host_commit": "the group's host COMMITs are durable",
-    "group:committed:<server>": "the server committed the group's branches",
     "replicate:ship:<shard>": "a durable WAL batch is about to ship to a "
                               "witness",
     "replicate:apply:<shard>": "a witness is about to apply a shipped batch",

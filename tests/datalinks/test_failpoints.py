@@ -25,7 +25,7 @@ FIRING_MODULES = (engine_module, placement, replication)
 
 @pytest.fixture(scope="module")
 def scenario():
-    """A commit, a group commit, a rebalance and a fail-over on a replicated
+    """A commit of a group of two, a rebalance and a fail-over on a replicated
     two-shard deployment, every registered point armed with a counting hook
     and every ``fire`` call's table recorded.
 
@@ -74,8 +74,7 @@ def scenario():
     with pytest.MonkeyPatch.context() as patch:
         for module in FIRING_MODULES:
             patch.setattr(module, "fire", recording)
-        deployment.engine.commit(link_both(0))
-        deployment.engine.commit_group([link_both(2)])
+        deployment.engine.commit(link_both(0), link_both(2))
         deployment.system.flush_logs()
         deployment.rebalance_prefix(
             deployment.router.prefix_of(paths["shard0"]), "shard1")
@@ -90,7 +89,7 @@ def test_every_registered_point_fires(scenario):
 
 
 @pytest.mark.parametrize("name", [
-    "commit:mid_flsh",              # a typo
+    "commit:befor_host_commit",     # a typo
     "commit:prepared",              # a scoped point without its scope
     "commit:prepared:",             # ... with an empty scope
     "commit:begin:shard0",          # a scope on an unscoped point

@@ -481,7 +481,7 @@ class TestLinkJobIsABranchWrite:
         assert kinds[prepare + 1:] == [LogRecordType.COMMIT]
 
     @pytest.mark.parametrize("grouped", [False, True],
-                             ids=["commit", "commit_group"])
+                             ids=["commit", "group"])
     def test_the_version_carries_the_host_commits_state_id(self, grouped,
                                                            monkeypatch):
         from repro.datalinks.control_modes import ControlMode
@@ -502,7 +502,7 @@ class TestLinkJobIsABranchWrite:
 
         monkeypatch.setattr(engine, "host_commit_state", asked)
         if grouped:
-            state_ids = [engine.commit_group([first, second])] * 2
+            state_ids = [engine.commit(first, second)] * 2
             # The group's state id is not the first transaction's own
             # COMMIT record: the version is dated by the message.
             assert system.host_db.commit_state_of(first.txn_id) < \

@@ -307,7 +307,7 @@ class TestUnsupportedWhere:
 
 class TestMultiRowUnlink:
     """``engine.delete`` pays one IPC round trip per enlisted server: a
-    multi-row DELETE ships one ``unlink_batch``, and it unlinks, commits
+    multi-row DELETE ships one ``unlink`` message, and it unlinks, commits
     and rolls back exactly as the same rows deleted one at a time."""
 
     ROWS = 3
@@ -362,8 +362,8 @@ class TestMultiRowUnlink:
             posted, [lambda row: True])
         _, _, _, row_kinds, per_row = self._delete(
             posted, [{"doc_id": doc_id} for doc_id in range(self.ROWS)])
-        assert batch_kinds == ["unlink_batch"]
-        assert row_kinds == ["unlink_file"] * self.ROWS
+        assert batch_kinds == ["unlink"]
+        assert row_kinds == ["unlink"] * self.ROWS
 
         # The file server does the same work for the rows; the batch
         # saves ROWS - 1 engine <-> DLFM messages, and the agent still
@@ -390,7 +390,7 @@ class TestMultiRowUnlink:
     def test_aborted_batch_leaves_every_file_linked(self, posted):
         system, paths, linked, kinds, _ = self._delete(posted, [None],
                                                        commit=False)
-        assert kinds == ["unlink_batch"]
+        assert kinds == ["unlink"]
         server = system.file_server("fs1")
         assert system.host_db.count(FILES_TABLE) == self.ROWS
         for path, row in zip(paths, linked):

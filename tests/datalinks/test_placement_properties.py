@@ -216,9 +216,9 @@ class _PlacementDriver:
         rows_before = len(repo.linked_files())
         probe_txn = 10_000_000 + self.next_doc
         with pytest.raises(PlacementEpochError) as excinfo:
-            connection.link_file(
-                probe_txn, "/stale/probe.dat",
-                DatalinkOptions(control_mode=ControlMode.RFF, recovery=False))
+            connection.link_files(probe_txn, [(
+                "/stale/probe.dat",
+                DatalinkOptions(control_mode=ControlMode.RFF, recovery=False))])
         assert excinfo.value.epoch == pmap.epoch
         assert len(repo.linked_files()) == rows_before
         assert not node.dlfm.has_branch(probe_txn)
@@ -281,7 +281,7 @@ def test_stale_epoch_rejected_even_when_the_map_would_agree():
                                 epoch_provider=lambda: holder["epoch"])
     holder["epoch"] = 1
     with pytest.raises(PlacementEpochError):
-        connection.link_file(
-            9_999_999, other_path,
-            DatalinkOptions(control_mode=ControlMode.RFF, recovery=False))
+        connection.link_files(9_999_999, [(
+            other_path,
+            DatalinkOptions(control_mode=ControlMode.RFF, recovery=False))])
     assert not node.dlfm.has_branch(9_999_999)

@@ -135,27 +135,30 @@ def assert_archive_owed(system):
                     f"{name}: {row['path']!r} has no version and no job"
 
 
-def _two_server_setup(flush_policy: str = "immediate"):
-    """A system with fs1+fs2, one unlinked file on each; returns the URLs."""
+def _two_server_setup(flush_policy: str = "immediate", files: int = 1):
+    """A system with fs1+fs2 and *files* unlinked files on each; returns
+    the system, the session and, file by file, its fs1 and fs2 URLs."""
 
-    system, alice, paths, urls = build_system(None, files=1,
+    system, alice, paths, urls = build_system(None, files=files,
                                               flush_policy=flush_policy)
     system.add_file_server("fs2")
-    url2 = alice.put_file("fs2", "/mirror/doc.dat", b"mirror copy")
-    return system, alice, urls[0], url2
+    mirrors = [alice.put_file("fs2", f"/mirror/doc{index}.dat", b"mirror copy")
+               for index in range(files)]
+    return (system, alice, *(url for pair in zip(urls, mirrors) for url in pair))
 
 
-def _start_linking_txn(system, url1, url2):
+def _start_linking_txn(system, url1, url2, first_id=0):
     host_txn = system.engine.begin()
     system.engine.insert_many(FILES_TABLE, [
-        {"doc_id": 0, "title": "a", "body": url1, "body_size": 0, "body_mtime": 0.0},
-        {"doc_id": 1, "title": "b", "body": url2, "body_size": 0, "body_mtime": 0.0},
+        {"doc_id": first_id, "title": "a", "body": url1, "body_size": 0, "body_mtime": 0.0},
+        {"doc_id": first_id + 1, "title": "b", "body": url2, "body_size": 0, "body_mtime": 0.0},
     ], host_txn)
     return host_txn
 
 
 class TestCrashMatrix:
-    """Sweep a coordinator crash through every step of a linking 2PC.
+    """Sweep a coordinator crash through every step of a linking 2PC, of
+    one transaction and of a group of two over the same two servers.
 
     Each case injects a crash at one protocol point, crashes and restarts
     the affected nodes, and asserts that the host database and every DLFM
@@ -176,13 +179,17 @@ class TestCrashMatrix:
         ("commit:committed:fs1", True, "committed"),
     ]
 
+    @pytest.mark.parametrize("group", [1, 2])
     @pytest.mark.parametrize("point,crash_fs1,expected", CRASH_POINTS)
-    def test_coordinator_crash_at_every_2pc_step(self, point, crash_fs1, expected):
-        system, alice, url1, url2 = _two_server_setup()
-        host_txn = _start_linking_txn(system, url1, url2)
+    def test_coordinator_crash_at_every_2pc_step(self, point, crash_fs1,
+                                                 expected, group):
+        system, alice, *urls = _two_server_setup(files=group)
+        host_txns = [_start_linking_txn(system, *urls[2 * index:2 * index + 2],
+                                        first_id=2 * index)
+                     for index in range(group)]
         system.engine.failpoints[point] = boom()
         with pytest.raises(InjectedCrash):
-            system.engine.commit(host_txn)
+            system.engine.commit(*host_txns)
         system.engine.failpoints.clear()
 
         # The coordinator (host database) crashes and restarts; optionally a
@@ -194,39 +201,21 @@ class TestCrashMatrix:
         # job its live commit hook would have queued.
         assert_archive_owed(system)
         rows = system.host_db.select(FILES_TABLE, lock=False)
-        outcome = system.host_db.txn_outcome(host_txn.txn_id)
+        outcomes = {system.host_db.txn_outcome(host_txn.txn_id)
+                    for host_txn in host_txns}
         if expected == "committed":
-            assert {row["doc_id"] for row in rows} == {0, 1}
-            assert outcome == "committed"
+            assert {row["doc_id"] for row in rows} == set(range(2 * group))
+            assert outcomes == {"committed"}
         else:
             assert rows == []
             # "unknown" when no record of the transaction survived the crash:
             # presumed abort, the same resolution as a durable ABORT.
-            assert outcome in ("aborted", "unknown")
-
-    def test_crash_mid_flush_loses_group_committed_txn(self):
-        """Group commit: host crashes after COMMIT is appended but before the
-        group flush -- the commit is lost and every branch rolls back."""
-
-        system, alice, url1, url2 = _two_server_setup("group")
-        system.flush_logs()     # the set-up's own commits are durable
-        host_txn = _start_linking_txn(system, url1, url2)
-        system.engine.failpoints["commit:mid_flush"] = boom()
-        with pytest.raises(InjectedCrash):
-            system.engine.commit(host_txn)
-        system.engine.failpoints.clear()
-        assert system.host_db.wal.pending_commits == 1
-
-        bounce(system, "host")
-
-        assert_host_dlfm_agreement(system)
-        assert system.host_db.select(FILES_TABLE, lock=False) == []
-        assert system.host_db.txn_outcome(host_txn.txn_id) != "committed"
+            assert outcomes <= {"aborted", "unknown"}
 
     def test_group_commit_forces_log_before_participant_commits(self):
-        """The positive control for the mid-flush point: a completed commit
-        forced the host log before any DLFM committed, so the same crash
-        preserves the transaction everywhere."""
+        """Under group commit an enlisted commit still forces the host log
+        before any DLFM commits, so a host crash right after it preserves
+        the transaction everywhere."""
 
         system, alice, url1, url2 = _two_server_setup("group")
         system.flush_logs()     # the set-up's own commits are durable
@@ -239,28 +228,6 @@ class TestCrashMatrix:
         assert_host_dlfm_agreement(system)
         assert len(system.host_db.select(FILES_TABLE, lock=False)) == 2
         assert system.host_db.txn_outcome(host_txn.txn_id) == "committed"
-
-    @pytest.mark.parametrize("point,expected", [
-        ("group:begin", "aborted"),
-        ("group:prepared:fs1", "aborted"),
-        ("group:before_host_commit", "aborted"),
-        ("group:after_host_commit", "committed"),
-        ("group:committed:fs1", "committed"),
-    ])
-    def test_coordinator_crash_during_group_commit(self, point, expected):
-        system, alice, url1, url2 = _two_server_setup()
-        host_txn = _start_linking_txn(system, url1, url2)
-        system.engine.failpoints[point] = boom()
-        with pytest.raises(InjectedCrash):
-            system.engine.commit_group([host_txn])
-        system.engine.failpoints.clear()
-
-        bounce(system, "host", "fs2")
-
-        assert_host_dlfm_agreement(system)
-        assert_archive_owed(system)
-        rows = system.host_db.select(FILES_TABLE, lock=False)
-        assert bool(rows) == (expected == "committed")
 
     def test_a_link_under_group_commit_keeps_its_job_across_a_crash(self):
         """A DLFM crash that loses the unflushed tail after a link commits
@@ -350,7 +317,6 @@ class TestCloseCrashMatrix:
         "commit:begin": False,
         "commit:prepared:fs1": False,
         "commit:before_host_commit": False,
-        "commit:mid_flush": True,
         "commit:after_host_commit": True,
         "commit:committed:fs1": True,
     }
@@ -802,7 +768,7 @@ class TestReplicationFailoverMatrix:
         deployment, session, paths = _replicated_setup(
             flush_policy="group", group_commit_window=4)
         host_txn = self._start_txn(deployment, session, paths)
-        deployment.engine.failpoints["group:after_host_commit"] = boom(
+        deployment.engine.failpoints["commit:after_host_commit"] = boom(
             lambda: deployment.crash(self.VICTIM), raises=None)
         deployment.commit(host_txn)
         with pytest.raises(ReproError):

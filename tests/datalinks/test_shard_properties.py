@@ -190,13 +190,15 @@ def test_random_interleavings_preserve_host_dlfm_agreement(seed):
     assert driver.next_doc > 40
 
 
-def test_drain_failure_after_host_commit_redrives_participants():
+@pytest.mark.parametrize("window", [1, 4])
+def test_drain_failure_after_host_commit_redrives_participants(window):
     """A shard crash *after* the host commit must not roll the batch back:
     the host outcome is durable, so surviving shards get their commits
     re-driven and the crashed shard resolves its in-doubt branch on
-    recovery -- agreement holds with the rows present."""
+    recovery -- agreement holds with the rows present.  A window of 1
+    drains at once, through the same redrive."""
 
-    deployment = ShardedDataLinksDeployment(4, group_commit_window=4)
+    deployment = ShardedDataLinksDeployment(4, group_commit_window=window)
     deployment.create_table(TableSchema(TABLE, [
         Column("doc_id", DataType.INTEGER, nullable=False),
         datalink_column("body", DatalinkOptions(
@@ -213,14 +215,17 @@ def test_drain_failure_after_host_commit_redrives_participants():
     deployment.engine.insert_many(TABLE, rows, host_txn)
     enlisted = sorted(host_txn.servers)
     assert len(enlisted) >= 2
-    victim = enlisted[0]  # sorted first => its commit_many fails first
+    victim = enlisted[0]  # sorted first => its commit fails first
 
-    deployment.engine.failpoints["group:after_host_commit"] = boom(
+    deployment.engine.failpoints["commit:after_host_commit"] = boom(
         lambda: deployment.crash(victim), raises=None)
-    deployment.commit(host_txn)
     with pytest.raises(ReproError):
+        deployment.commit(host_txn)
         deployment.drain()
     deployment.engine.failpoints.clear()
+    for shard in enlisted[1:]:
+        assert host_txn.txn_id not in \
+            deployment.shard(shard).dlfm.branches.active_host_transactions()
 
     deployment.restart(victim)
     assert_agreement(deployment)

@@ -1307,6 +1307,26 @@ class TestRetiredNamesStayGone:
                              "read per path, uncharged",
         "_all_versions": "archive space by reachability: no scan of "
                          "file_versions is left",
+        "commit_group": "one two-phase commit: a commit is a group of one",
+        "group:begin": "one two-phase commit: commit:* serves every group",
+        "group:prepared": "one two-phase commit: commit:* serves every group",
+        "group:before_host_commit": "one two-phase commit: commit:* again",
+        "group:after_host_commit": "one two-phase commit: commit:* again",
+        "group:committed": "one two-phase commit: commit:* again",
+        "commit:mid_flush": "one two-phase commit: append and force at once",
+        "prepare_many": "one two-phase commit: one list-valued prepare",
+        "_prepare_many": "one two-phase commit: one list-valued prepare",
+        "_commit_many": "one two-phase commit: one list-valued commit",
+        "link_batch": "one two-phase commit: one list-valued link",
+        "unlink_batch": "one two-phase commit: one list-valued unlink",
+        "_link_batch": "one two-phase commit: one list-valued link",
+        "_unlink_batch": "one two-phase commit: one list-valued unlink",
+        "_link_file": "one two-phase commit: one list-valued link",
+        "_unlink_file": "one two-phase commit: one list-valued unlink",
+        "connection.link_file(": "one two-phase commit: link_files",
+        "connection.unlink_file(": "one two-phase commit: unlink_files",
+        "host_transaction_outcome": "one two-phase commit: one outcome query",
+        "_host_outcome": "one two-phase commit: one outcome query",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).
@@ -1357,11 +1377,22 @@ class TestRetiredNamesStayGone:
             run_experiment("E9", serial=True)
             system.crash_file_server("fs1")
             """,
+        "two commit paths": """
+            engine.commit_group([first, second])
+            engine.failpoints["group:after_host_commit"] = hook
+            engine.failpoints["commit:mid_flush"] = hook
+            connection.link_file(txn_id, path, options)
+            outcome = self._host_outcome(host_txn_id)
+            """,
     }
     ALLOWED = """
         # a full resync; a snapshot-resync fallback
         device.write_blocked(ino)
         header_cells, serial_ticks = [], group.serial_ticks()
+        state_id = self.db.commit_many(txns)
+        connection.link_files(txn_id, [(path, options)])
+        row = self._manager.link_file(txn_id, path, options)
+        outcomes = engine.host_transaction_outcomes(txn_ids)
         """
 
     @pytest.mark.parametrize("shape", sorted(PLANTED))
