@@ -80,19 +80,19 @@ def _measure_open_close(system, open_path, flags, cred, repeats: int) -> tuple:
     file server fs1.
 
     open/close (and its upcalls) run entirely on the file server's node,
-    so measure on that clock domain and count upcalls in the cluster-wide
-    merged statistics.
+    so measure on that clock domain and count upcalls in a ledger window
+    over every domain.
     """
 
     server = system.file_server("fs1")
-    stats = system.clocks.stats
 
     def open_close():
         server.lfs.close(server.lfs.open(open_path(), flags, cred))
 
-    before_upcalls = stats.count("upcall_round_trip")
-    mean_ms = _measure(server.clock, open_close, repeats)
-    return mean_ms, (stats.count("upcall_round_trip") - before_upcalls) / repeats
+    with system.clocks.window() as window:
+        mean_ms = _measure(server.clock, open_close, repeats)
+    upcalls, _ = window.merged.get("upcall_round_trip", (0, 0))
+    return mean_ms, upcalls / repeats
 
 
 def _sweep_rows(context, system, stage, label: str, cells: dict,

@@ -434,23 +434,29 @@ class DataLinksEngine:
             raise
         return self.commit(host_txn)
 
-    def redrive_commit(self, host_txn: HostTransaction) -> None:
-        """Re-send participant commits for a durably committed transaction.
+    def redrive_commit(self, *host_txns: HostTransaction) -> None:
+        """Re-send participant commits for durably committed transactions.
 
         Used when a commit batch failed partway through its participant
         commits: the host outcome is already durable, so the surviving
         servers must commit (a missing branch is ignored -- it already
         committed) and unreachable servers are left to resolve their
-        in-doubt branches from the host outcome during recovery.  The
-        messages carry the state id of the transaction's durable commit.
+        in-doubt branches from the host outcome during recovery.  Each
+        enlisted server gets one ``commit`` listing its transactions; it
+        carries the group's state id, the latest of their COMMIT records,
+        which is what :meth:`commit` sent the group.
         """
 
-        state_id = self.host_commit_state(host_txn.txn_id)
+        state_id = max((self.host_commit_state(host_txn.txn_id)
+                        for host_txn in host_txns), default=None)
+        by_server: dict[str, list[int]] = {}
+        for host_txn in host_txns:
+            for server in host_txn.servers:
+                by_server.setdefault(server, []).append(host_txn.txn_id)
         with self.clock.overlap():
-            for server in sorted(host_txn.servers):
+            for server, txn_ids in sorted(by_server.items()):
                 try:
-                    self._entry(server).connection.commit([host_txn.txn_id],
-                                                          state_id)
+                    self._entry(server).connection.commit(txn_ids, state_id)
                 except IPCError:
                     pass
 

@@ -303,8 +303,9 @@ class ShardedDataLinksDeployment:
         the failure strikes *after* the host commit -- mid participant
         commits -- the batch's transactions are already durably committed
         and must not be rolled back: their participant commits are
-        re-driven on the surviving shards, and a crashed shard resolves its
-        in-doubt branches from the host outcome when it recovers.
+        re-driven on the surviving shards, one ``commit`` per shard for the
+        whole batch, and a crashed shard resolves its in-doubt branches
+        from the host outcome when it recovers.
         """
 
         batch, self._pending = self._pending, []
@@ -313,14 +314,16 @@ class ShardedDataLinksDeployment:
         try:
             return self.engine.commit(*batch)
         except ReproError:
+            committed = []
             for host_txn in batch:
                 if self.host_db.txn_outcome(host_txn.txn_id) == "committed":
-                    self.engine.redrive_commit(host_txn)
+                    committed.append(host_txn)
                     continue
                 try:
                     self.engine.abort(host_txn)
                 except ReproError:
                     pass
+            self.engine.redrive_commit(*committed)
             raise
 
     @property

@@ -70,6 +70,9 @@ so the simulation models one :class:`ClockDomain` per node, grouped in a
   stays on the callees' domains until a later request waits for it (a
   file put, whose link is its barrier); a nested window of either kind
   leaves at the outer window's start;
+* a *ledger window* (:meth:`ClockDomainGroup.window`, :meth:`SimClock.window`)
+  moves no clock: it diffs the ledgers at its two ends, per domain and
+  merged, and hooks no charge site, so an unused window costs nothing;
 * :meth:`ClockDomainGroup.global_now` (the max over domains) is the cluster
   wall clock used for experiment reporting.
 
@@ -179,9 +182,11 @@ class CostModel:
     dlfm_repository_scale: float = 0.1
 
     def scaled(self, factor: float) -> "CostModel":
-        """Return a copy of this model with every cost multiplied by *factor*."""
+        """Return a copy of this model with every cost multiplied by *factor*
+        (``dlfm_repository_scale`` is a ratio, not a cost)."""
 
         values = {f.name: getattr(self, f.name) * factor for f in fields(self)}
+        values["dlfm_repository_scale"] = self.dlfm_repository_scale
         return CostModel(**values)
 
 
@@ -461,6 +466,11 @@ class SimClock:
 
         return _OverlapWindow(self, False)
 
+    def window(self) -> "LedgerWindow":
+        """A :class:`LedgerWindow` over this clock alone, under its name."""
+
+        return LedgerWindow({self.name: self})
+
     # -- cost charging -------------------------------------------------------
     def unit_ticks(self, primitive: str, scale: float = 1.0) -> int:
         """Ticks of one *primitive* at *scale* -- the scaled unit is rounded
@@ -636,6 +646,41 @@ class _OverlapWindow:
             clock.receive_ticks(replies)
 
 
+class LedgerWindow:
+    """``with clocks.window() as w:`` -- what the clocks charged inside it.
+
+    Exit diffs each clock's ledger and ticks against entry, keeps no
+    snapshot and sets ``w.domains`` (``{name: {label: (count, ticks)}}``,
+    ``{}`` for an idle clock), ``w.merged`` (those summed) and
+    ``w.elapsed`` (``{name: ticks}`` each clock moved).  A domain created
+    inside the window counts from an empty ledger at tick 0."""
+
+    __slots__ = ("_clocks", "_start", "domains", "merged", "elapsed")
+
+    def __init__(self, clocks: dict):
+        self._clocks = clocks       # a group's live ``domains``: read at exit
+
+    def __enter__(self) -> "LedgerWindow":
+        self._start = {name: (clock.ticks, clock.stats.ledger())
+                       for name, clock in self._clocks.items()}
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.domains, self.merged, self.elapsed = {}, {}, {}
+        for name, clock in self._clocks.items():
+            ticks, before = self._start.get(name, (0, {}))
+            self.elapsed[name] = clock.ticks - ticks
+            delta = self.domains[name] = {}
+            for label, (count, amount) in clock.stats.ledger().items():
+                was_count, was_amount = before.get(label, (0, 0))
+                if count != was_count:
+                    delta[label] = (count - was_count, amount - was_amount)
+                    total = self.merged.get(label, (0, 0))
+                    self.merged[label] = (total[0] + count - was_count,
+                                          total[1] + amount - was_amount)
+        self._clocks = self._start = None
+
+
 class synchronized_call:
     """Two-way merge around a synchronous cross-domain call.
 
@@ -806,6 +851,11 @@ class ClockDomainGroup:
         """Rendezvous every domain (a cluster-wide synchronization point)."""
 
         return rendezvous(*self.domains.values())
+
+    def window(self) -> LedgerWindow:
+        """A :class:`LedgerWindow` over every domain, new ones included."""
+
+        return LedgerWindow(self.domains)
 
     def session_domains(self, count: int, base=None, *,
                         prefix: str = "client") -> list:

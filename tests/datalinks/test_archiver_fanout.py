@@ -94,24 +94,17 @@ def run_serially(system: DataLinksSystem) -> int:
 def measure(system: DataLinksSystem, schedule) -> dict:
     """Run *schedule* on *system*; what it did and how long it took."""
 
-    clocks = system.clocks
-    ledger = clocks.stats.ledger()
-    charged = {name: clocks.domain(name).stats.total_ticks()
-               for name in SERVERS + ("archive",)}
-    start = system.clock.ticks
-    jobs = schedule(system)
-    after = clocks.stats.ledger()
+    with system.clocks.window() as window:
+        jobs = schedule(system)
     return {
         "jobs": jobs,
-        "elapsed": system.clock.ticks - start,
-        "charged": {name: clocks.domain(name).stats.total_ticks() - ticks
-                    for name, ticks in charged.items()},
-        "ledger": {label: (count - ledger.get(label, (0, 0))[0],
-                           ticks - ledger.get(label, (0, 0))[1])
-                   for label, (count, ticks) in after.items()
-                   if (count, ticks) != ledger.get(label, (0, 0))},
+        "elapsed": window.elapsed[system.clock.name],
+        "charged": {name: sum(ticks for _, ticks in
+                              window.domains[name].values())
+                    for name in SERVERS + ("archive",)},
+        "ledger": window.merged,
         "times": {name: domain.ticks
-                  for name, domain in clocks.domains.items()},
+                  for name, domain in system.clocks.domains.items()},
     }
 
 

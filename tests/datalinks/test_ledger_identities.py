@@ -257,17 +257,11 @@ class TestServingAndWitnessReadsChargeAlike:
              b"served anywhere")
         url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                    access="read", ttl=1e9)
-        stats = deployment.system.clocks.stats
         ledgers = {}
         for node in ("shard0", "shard0-r") * 2:
-            before = stats.ledger()
-            assert session.read_url(url, server=node) == b"served anywhere"
-            after = stats.ledger()
-            ledgers.setdefault(node, []).append(
-                {label: (count - before.get(label, (0, 0))[0],
-                         ticks - before.get(label, (0, 0))[1])
-                 for label, (count, ticks) in after.items()
-                 if (count, ticks) != before.get(label)})
+            with deployment.system.clocks.window() as window:
+                assert session.read_url(url, server=node) == b"served anywhere"
+            ledgers.setdefault(node, []).append(window.merged)
         assert ledgers["shard0"] == ledgers["shard0-r"]
         first, repeat = ledgers["shard0"]
         if mode == "rfd":
@@ -397,15 +391,11 @@ class TestCloseCommitIsOneRoundTrip:
         dlfm = system.file_server("fs1").dlfm
         wal = dlfm.repository.db.wal
         mark = wal.tail_lsn()
-        before = system.clocks.stats.ledger()
-        host_before = system.clock.stats.ledger()
-        update.commit()
-        after = system.clocks.stats.ledger()
-        counts = {label: count - before.get(label, (0, 0))[0]
-                  for label, (count, _) in after.items()}
+        with system.clocks.window() as window:
+            update.commit()
+        counts = {label: count for label, (count, _) in window.merged.items()}
         assert counts["db_dlfm_message"] == 1
-        assert system.clock.stats.ledger()["db_dlfm_message"][0] == \
-            host_before.get("db_dlfm_message", (0, 0))[0] + 1
+        assert window.domains["host"]["db_dlfm_message"][0] == 1
         assert counts["daemon_dispatch"] == 1
         assert counts["log_write"] == 1
         assert counts["dlfm.log_write"] == 2
@@ -463,14 +453,9 @@ class TestLinkJobIsABranchWrite:
                                               link=False)
         wal = system.file_server("fs1").dlfm.repository.db.wal
         mark = wal.tail_lsn()
-        fs1 = system.clocks.domains["fs1"]
-        before = fs1.stats.ledger()
-        alice.insert(FILES_TABLE, self._row(0, urls[0]))
-        charged = {label: (count - before.get(label, (0, 0))[0],
-                           ticks - before.get(label, (0, 0))[1])
-                   for label, (count, ticks) in fs1.stats.ledger().items()
-                   if (count, ticks) != before.get(label)}
-        assert charged == self.PIN
+        with system.clocks.window() as window:
+            alice.insert(FILES_TABLE, self._row(0, urls[0]))
+        assert window.domains["fs1"] == self.PIN
         records = wal.records_from(mark)
         assert {record.txn_id for record in records} == {records[0].txn_id}
         kinds = [record.type for record in records]

@@ -337,25 +337,16 @@ class TestMultiRowUnlink:
                                                files=self.ROWS)
         repository = system.file_server("fs1").dlfm.repository
         linked = [repository.linked_file(path) for path in paths]
-        domains = system.clocks.domains
-        before = {name: domain.stats.ledger()
-                  for name, domain in domains.items()}
         posted.clear()
-        alice.begin()
-        for where in wheres:
-            alice.delete(FILES_TABLE, where)
-        if commit:
-            alice.commit()
-        else:
-            alice.abort()
-        charged = {}
-        for name, domain in domains.items():
-            start = before.get(name, {})
-            charged[name] = {
-                label: (count - start.get(label, (0, 0))[0],
-                        ticks - start.get(label, (0, 0))[1])
-                for label, (count, ticks) in domain.stats.ledger().items()}
-        return system, paths, linked, list(posted), charged
+        with system.clocks.window() as window:
+            alice.begin()
+            for where in wheres:
+                alice.delete(FILES_TABLE, where)
+            if commit:
+                alice.commit()
+            else:
+                alice.abort()
+        return system, paths, linked, list(posted), window.domains
 
     def test_one_unlink_batch_instead_of_a_message_per_row(self, posted):
         _, _, _, batch_kinds, batched = self._delete(

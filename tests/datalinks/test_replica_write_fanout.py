@@ -67,15 +67,6 @@ def path_on(deployment, shard: str, tag: str) -> str:
     raise AssertionError(f"no prefix lands on {shard}")
 
 
-def ledger_delta(before: dict, after: dict) -> dict:
-    delta = {}
-    for label, (count, ticks) in after.items():
-        was_count, was_ticks = before.get(label, (0, 0))
-        if count != was_count:
-            delta[label] = (count - was_count, ticks - was_ticks)
-    return delta
-
-
 def plus_wire(deployment, ledger: dict, copies: int) -> dict:
     """*ledger* plus *copies* ``db_dlfm_message`` charges."""
 
@@ -92,12 +83,11 @@ def measured(deployment, caller, nodes, work):
     {node: ticks its branch took}, ledger delta)``."""
 
     deployment.clocks.barrier()
-    start = caller.ticks
-    before = deployment.clocks.stats.ledger()
-    work()
-    branches = {node.name: node.clock.ticks - start for node in nodes}
-    return (caller.ticks - start, branches,
-            ledger_delta(before, deployment.clocks.stats.ledger()))
+    with deployment.clocks.window() as window:
+        work()
+    return (window.elapsed[caller.name],
+            {node.name: window.elapsed[node.clock.name] for node in nodes},
+            window.merged)
 
 
 # -- the serial oracles: what the copy paths did before they fanned out --------

@@ -233,6 +233,49 @@ def test_drain_failure_after_host_commit_redrives_participants(window):
     assert deployment.host_db.txn_outcome(host_txn.txn_id) == "committed"
 
 
+def test_drain_redrive_sends_one_commit_per_shard(monkeypatch):
+    """A window-4 drain over 4 shards whose first participant crashed after
+    the host commit: the failed commit reached the crashed shard once, and
+    the redrive sends one ``commit`` per shard for the whole batch, not
+    one per transaction."""
+
+    from repro.ipc.channel import Channel
+    from tests.conftest import prefix_on
+
+    deployment = ShardedDataLinksDeployment(4, group_commit_window=4)
+    deployment.create_table(TableSchema(TABLE, [
+        Column("doc_id", DataType.INTEGER, nullable=False),
+        datalink_column("body", DatalinkOptions(
+            control_mode=ControlMode.RFF, recovery=False)),
+    ], primary_key=("doc_id",)))
+    user = deployment.session("user", uid=4002)
+    shards = sorted(deployment.shard_names)
+    batch = [deployment.begin() for _ in range(4)]
+    for txn, host_txn in enumerate(batch):
+        for index, shard in enumerate(shards):
+            url = deployment.put_file(
+                user, f"{prefix_on(deployment, shard)}/doc{txn}.dat", b"x")
+            deployment.engine.insert(
+                TABLE, {"doc_id": 4 * txn + index, "body": url}, host_txn)
+        assert sorted(host_txn.servers) == shards
+    sent = {}
+    request = Channel.request
+
+    def recording(channel, kind, **payload):
+        if kind == "commit":
+            name = channel._callee_clock.name
+            sent[name] = sent.get(name, 0) + 1
+        return request(channel, kind, **payload)
+
+    monkeypatch.setattr(Channel, "request", recording)
+    deployment.engine.failpoints["commit:after_host_commit"] = boom(
+        lambda: deployment.crash(shards[0]), raises=None)
+    with pytest.raises(ReproError):
+        for host_txn in batch:
+            deployment.commit(host_txn)
+    assert sent == {shards[0]: 2, **{shard: 1 for shard in shards[1:]}}
+
+
 class _ReplicatedDriver(_Driver):
     """The random driver over a deployment with witness replication.
 

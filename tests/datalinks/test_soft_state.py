@@ -132,16 +132,11 @@ def _e2_loop(mode: ControlMode, opens: int):
                                        access="read", ttl=10_000.0))
     path = f"{url.directory}/{url.filename};token={url.token}"
     server = system.file_server("fs1")
-    stats = system.clocks.stats
     ledgers = []
     for _ in range(opens):
-        before = stats.ledger()
-        server.lfs.close(server.lfs.open(path, OpenFlags.READ, owner.cred))
-        after = stats.ledger()
-        ledgers.append({label: (count - before.get(label, (0, 0))[0],
-                                ticks - before.get(label, (0, 0))[1])
-                        for label, (count, ticks) in after.items()
-                        if (count, ticks) != before.get(label)})
+        with system.clocks.window() as window:
+            server.lfs.close(server.lfs.open(path, OpenFlags.READ, owner.cred))
+        ledgers.append(window.merged)
     return server.dlfm, paths[0], owner.cred.uid, ledgers
 
 

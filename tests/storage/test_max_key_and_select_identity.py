@@ -22,12 +22,6 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 
 
-def _stats_cells(stats) -> dict:
-    """``{label: (count, ticks)}`` -- exact integers."""
-
-    return stats.ledger()
-
-
 def _make_docs_db(clock=None) -> Database:
     db = Database("fastpaths", clock if clock is not None else SimClock())
     db.create_table(TableSchema("docs", [
@@ -102,12 +96,10 @@ class TestMaxKey:
         costs = db.clock.costs
         for key in range(rows):
             db.insert("docs", {"k": key, "v": key, "w": None})
-        before, started = _stats_cells(db.clock.stats), db.clock.now()
-        assert db.max_key("docs") == (rows - 1 if rows else None)
-        after = _stats_cells(db.clock.stats)
-        moved = {label: (cell[0] - before.get(label, (0, 0.0))[0])
-                 for label, cell in after.items()
-                 if cell != before.get(label)}
+        started = db.clock.now()
+        with db.clock.window() as window:
+            assert db.max_key("docs") == (rows - 1 if rows else None)
+        moved = {label: count for label, (count, _) in window.merged.items()}
         assert moved == {"sql_statement_base": 1, "index_probe": 1,
                          "row_read": 1}
         assert db.clock.now() - started == pytest.approx(
@@ -210,13 +202,9 @@ class TestPointSelectIdentity:
 
     @staticmethod
     def _measured(db, call):
-        before, ticks = _stats_cells(db.clock.stats), db.clock.ticks
-        rows = call()
-        after = _stats_cells(db.clock.stats)
-        moved = {label: (cell[0] - before.get(label, (0, 0))[0],
-                         cell[1] - before.get(label, (0, 0))[1])
-                 for label, cell in after.items() if cell != before.get(label)}
-        return rows, moved, db.clock.ticks - ticks
+        with db.clock.window() as window:
+            rows = call()
+        return rows, window.merged, window.elapsed[db.clock.name]
 
     @pytest.mark.parametrize("seed", [5, 20260807, 909090])
     def test_dict_where_matches_predicate_scan(self, seed):

@@ -421,6 +421,70 @@ class TestIntegerTimeStaysOneDesign:
         assert charged > 100
 
 
+class TestOneLedgerWindow:
+    """What work charged is read off one window
+    (:meth:`~repro.simclock.ClockDomainGroup.window`,
+    :meth:`~repro.simclock.SimClock.window`): no function under ``src/``,
+    ``tests/``, ``tools/`` or ``examples/`` outside ``simclock.py`` takes
+    two ``.ledger()`` snapshots of one receiver to diff them by hand.  The
+    helpers the window replaced are retired names
+    (:class:`TestRetiredNamesStayGone`)."""
+
+    @staticmethod
+    def offenders(module: str, text: str) -> list:
+        found = []
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                receivers = [ast.dump(call.func.value)
+                             for call in ast.walk(node)
+                             if isinstance(call, ast.Call)
+                             and getattr(call.func, "attr", None) == "ledger"]
+                if len(receivers) > len(set(receivers)):
+                    found.append(f"{module}:{node.lineno} {node.name}")
+        return found
+
+    def test_no_function_diffs_two_ledger_snapshots(self, scanned):
+        offenders = [found for module, text in scanned.items()
+                     if module != "src/repro/simclock.py"
+                     and text.count(".ledger()") > 1
+                     for found in self.offenders(module, text)]
+        assert not offenders, f"a hand-written ledger diff: {offenders}"
+
+    #: The diffs the window replaced, as they stood in the tree.  Each must
+    #: be flagged.
+    DIFF_SHAPES = {
+        "measured": """
+            def measured(deployment, caller, nodes, work):
+                deployment.clocks.barrier()
+                start = caller.ticks
+                before = deployment.clocks.stats.ledger()
+                work()
+                branches = {node.name: node.clock.ticks - start
+                            for node in nodes}
+                return (caller.ticks - start, branches,
+                        ledger_delta(before, deployment.clocks.stats.ledger()))
+            """,
+        "per-domain diff": """
+            def _delete(self, wheres):
+                before = {name: domain.stats.ledger()
+                          for name, domain in domains.items()}
+                run(wheres)
+                return {name: {label: (count - before[name][label][0],
+                                       ticks - before[name][label][1])
+                               for label, (count, ticks)
+                               in domain.stats.ledger().items()}
+                        for name, domain in domains.items()}
+            """,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DIFF_SHAPES))
+    def test_the_guard_flags_a_hand_written_diff(self, shape):
+        import textwrap
+
+        source = textwrap.dedent(self.DIFF_SHAPES[shape])
+        assert self.offenders("tests/planted.py", source), shape
+
+
 class TestOnePathPerOperation:
     """No switch selects between two implementations of one operation.
     Structural, not a list of names: whatever a future flag is called, a
@@ -1327,6 +1391,8 @@ class TestRetiredNamesStayGone:
         "connection.unlink_file(": "one two-phase commit: unlink_files",
         "host_transaction_outcome": "one two-phase commit: one outcome query",
         "_host_outcome": "one two-phase commit: one outcome query",
+        "ledger_delta": "one ledger window: window() takes every diff",
+        "_stats_cells": "one ledger window: window() takes every diff",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).

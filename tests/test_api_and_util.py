@@ -47,6 +47,10 @@ class TestSimClock:
         doubled = model.scaled(2.0)
         assert doubled.disk_seek == pytest.approx(model.disk_seek * 2)
         assert model.disk_seek == CostModel().disk_seek   # original untouched
+        # A DLFM statement scales by the factor, not its square.
+        base, half = SimClock(model), SimClock(model.scaled(0.5))
+        assert 2 * half.unit_ticks("row_write", half.costs.dlfm_repository_scale) \
+            == base.unit_ticks("row_write", model.dlfm_repository_scale)
 
 
 class TestUtilities:

@@ -351,6 +351,23 @@ class TestDomainGroupProperties:
         assert by_domain["a"]["row_write"]["count"] == 1
         assert by_domain["b"]["dlfm.row_write"]["count"] == 1
 
+    def test_a_window_diffs_every_domain_and_counts_a_new_one_from_zero(self):
+        group = ClockDomainGroup(CostModel())
+        a, b = group.domain("a"), group.domain("b")
+        a.charge("row_write")
+        with group.window() as window:
+            a.charge("row_write", times=2)
+            group.domain("c").charge("row_write")
+        unit = a.unit_ticks("row_write")
+        assert window.domains == {"a": {"row_write": (1, 2 * unit)}, "b": {},
+                                  "c": {"row_write": (1, unit)}}
+        assert window.merged == {"row_write": (2, 3 * unit)}
+        assert window.elapsed == {"a": 2 * unit, "b": 0, "c": unit}
+        with b.window() as alone:
+            b.charge("row_write")
+        assert (alone.merged, alone.elapsed) == (
+            {"row_write": (1, unit)}, {"b": unit})
+
 
 class TestShardedDeploymentTime:
     def test_global_now_never_regresses_across_random_shard_interleavings(self):
