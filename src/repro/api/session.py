@@ -28,7 +28,6 @@ from repro.datalinks.uip import (
     tokenized_path,
 )
 from repro.errors import DaemonUnavailableError, DataLinksError
-from repro.fs.inode import FileAttributes
 from repro.fs.logical import LogicalFileSystem
 from repro.fs.vfs import Credentials, OpenFlags
 from repro.simclock import synchronized_call
@@ -97,9 +96,8 @@ def _bracketed(syscall):
 
 
 for _name in ("open", "close", "read", "write", "lseek", "stat", "fstat",
-              "exists", "unlink", "rename", "mkdir", "makedirs", "rmdir",
-              "listdir", "chmod", "chown", "truncate", "lock_file",
-              "unlock_file", "read_file", "write_file"):
+              "exists", "unlink", "rename", "mkdir", "makedirs", "chmod",
+              "chown", "read_file", "write_file"):
     setattr(SyncedFileSystem, _name,
             _bracketed(getattr(LogicalFileSystem, _name)))
 del _name
@@ -149,24 +147,6 @@ class BoundFileSystem:
         self.cred = cred
 
     # Thin, credential-carrying wrappers over the LFS system calls.
-    def open(self, path: str, flags: OpenFlags, mode: int = 0o644) -> int:
-        return self._lfs.open(path, flags, self.cred, mode)
-
-    def close(self, fd: int) -> None:
-        self._lfs.close(fd)
-
-    def read(self, fd: int, length: int = -1) -> bytes:
-        return self._lfs.read(fd, length)
-
-    def lseek(self, fd: int, offset: int) -> int:
-        return self._lfs.lseek(fd, offset)
-
-    def stat(self, path: str) -> FileAttributes:
-        return self._lfs.stat(path, self.cred)
-
-    def exists(self, path: str) -> bool:
-        return self._lfs.exists(path, self.cred)
-
     def read_file(self, path: str) -> bytes:
         return self._lfs.read_file(path, self.cred)
 
@@ -178,15 +158,6 @@ class BoundFileSystem:
 
     def rename(self, old: str, new: str) -> None:
         self._lfs.rename(old, new, self.cred)
-
-    def makedirs(self, path: str) -> None:
-        self._lfs.makedirs(path, self.cred)
-
-    def listdir(self, path: str) -> list[str]:
-        return self._lfs.listdir(path, self.cred)
-
-    def chmod(self, path: str, mode: int) -> None:
-        self._lfs.chmod(path, mode, self.cred)
 
 
 class Session:

@@ -248,6 +248,9 @@ CLAIMS = (
           ("b", "rdd serializes readers and writers at open time", "rdd:"),
           ("c", "rfd leaves a read/write window", "rfd:"),
           ("d", "a link can succeed while the file is open", "link while the file"))),
+    Claim("E8.e", "2.3", "DLFS rejects a remove or rename of a linked file",
+          lambda rows: _every(rows.where("scenario", "a linked file"),
+                              lambda row: row["observed"] == "rejected: EBUSY")),
 
     Claim("E9.a", "1", "keeps the read path almost free of database involvement",
           lambda rows: -max(row["host_db_read_mb"] for row in

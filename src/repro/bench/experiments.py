@@ -499,11 +499,13 @@ def e7(context):
 
 @experiment(
     "E8", "Synchronization of file access with link/unlink; rfd consistency window",
-    sections="4.5, 5",
+    sections="2.3, 4.5, 5",
     paper_claim="Unlink is rejected while a Sync-table entry exists; rdd "
                 "serializes readers and writers at open time; rfd leaves a "
                 "read/write window; a link can succeed while the file is open "
-                "(Sections 4.5 and 5).",
+                "(Sections 4.5 and 5). DLFS rejects a remove or rename of a "
+                "linked file, so the database never holds a dangling "
+                "reference (Section 2.3).",
     columns=("scenario", "paper", "observed", "matches_paper"))
 def e8(context):
     rows = []
@@ -521,7 +523,9 @@ def e8(context):
             record(name, paper_expectation, allowed, not paper_refuses)
         except errors as error:
             record(name, paper_expectation,
-                   refused.format(error=type(error).__name__), paper_refuses)
+                   refused.format(error=type(error).__name__,
+                                  errno=getattr(error, "errno", None)),
+                   paper_refuses)
 
     # a. unlink rejected while the file is open (rdd read)
     system, owner, paths = context.build_microsystem(ControlMode.RDD, size=4096)
@@ -589,6 +593,16 @@ def e8(context):
             (DataLinksError, FileSystemError),
             "link succeeded", "link rejected", False)
     lfs.close(open_fd)
+
+    # f. DLFS keeps a linked file's name: remove and rename are refused
+    system, owner, paths = context.build_microsystem(ControlMode.RDD, size=4096)
+    files = owner.fs("fs1")
+    attempt("remove a linked file (rdd)", "rejected by DLFS (EBUSY)",
+            lambda: files.unlink(paths[0]), FileSystemError,
+            "remove succeeded", "rejected: {errno.value}", True)
+    attempt("rename a linked file (rdd)", "rejected by DLFS (EBUSY)",
+            lambda: files.rename(paths[0], "/data/renamed.bin"), FileSystemError,
+            "rename succeeded", "rejected: {errno.value}", True)
     return rows
 
 

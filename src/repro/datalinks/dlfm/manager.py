@@ -841,11 +841,6 @@ class DataLinksFileManager:
                 f"DLFM {self.server_name!r} is not a witness replica")
         return self.replica.apply(records)
 
-    def replica_status(self) -> dict:
-        if self.replica is None:
-            return {"replica": False}
-        return {"replica": True, **self.replica.status()}
-
     def replica_catch_up(self, outcomes: dict) -> dict:
         """Promotion-time catch-up on the witness.
 

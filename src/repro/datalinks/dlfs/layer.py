@@ -1,11 +1,14 @@
 """The DataLinks File System layer.
 
 DLFS sits between the logical file system and the native file system as a
-stackable VFS filter.  It intercepts ``fs_lookup``, ``fs_open``, ``fs_close``,
-``fs_remove`` and ``fs_rename`` (Section 2.3); read and write calls are *not*
-intercepted, which is the key performance property of the DataLinks design
-("it is only involved in open and close of the file and does not interfere in
-read/write accesses").
+VFS filter: it holds the native file system as ``lower`` and defines every
+entry point the logical layer calls.  It intercepts ``fs_lookup``,
+``fs_open``, ``fs_close``, ``fs_remove`` and ``fs_rename`` (Section 2.3);
+``root_vnode``, ``fs_mkdir``, ``fs_readwrite``, ``fs_getattr`` and
+``fs_setattr`` pass straight through to ``lower``.  Read and write calls are
+*not* intercepted, which is the key performance property of the DataLinks
+design ("it is only involved in open and close of the file and does not
+interfere in read/write accesses").
 
 The interception logic implements Section 4 of the paper:
 
@@ -44,7 +47,6 @@ from repro.errors import (
 from repro.fs.vfs import (
     WRITE_MASK,
     Credentials,
-    FilterVFS,
     LockKind,
     LockRequest,
     OpenFlags,
@@ -82,13 +84,14 @@ def _translate(error: DataLinksError) -> FileSystemError:
     return fs_error(Errno.EACCES, str(error))
 
 
-class DataLinksFileSystem(FilterVFS):
+class DataLinksFileSystem:
     """The DLFS interposition layer for one file server."""
 
     def __init__(self, lower, upcall_client, dbms_uid: int, clock: SimClock,
                  dbms_cred: Credentials | None = None,
                  strict_read_upcalls: bool = False):
-        super().__init__(lower, fs_id=f"dlfs({lower.fs_id})")
+        self.lower = lower
+        self.fs_id = f"dlfs({lower.fs_id})"
         self.upcall = upcall_client
         self.dbms_uid = dbms_uid
         self.clock = clock
@@ -274,5 +277,21 @@ class DataLinksFileSystem(FilterVFS):
                            f"leave a dangling DATALINK reference")
         return self.lower.fs_rename(src_dir, bare_src, dst_dir, bare_dst, cred)
 
-    # fs_readwrite is intentionally *not* overridden: DataLinks does not
+    # -------------------------------------------------------------- pass-through --
+    # fs_readwrite is deliberately *not* intercepted: DataLinks does not
     # interfere in the read/write data path (Section 1).
+    def root_vnode(self) -> Vnode:
+        return self.lower.root_vnode()
+
+    def fs_mkdir(self, dir_vnode, name, mode, cred):
+        return self.lower.fs_mkdir(dir_vnode, name, mode, cred)
+
+    def fs_readwrite(self, vnode, offset, *, data=None, length=0, write, cred):
+        return self.lower.fs_readwrite(vnode, offset, data=data, length=length,
+                                       write=write, cred=cred)
+
+    def fs_getattr(self, vnode, cred):
+        return self.lower.fs_getattr(vnode, cred)
+
+    def fs_setattr(self, vnode, cred, **attrs):
+        return self.lower.fs_setattr(vnode, cred, **attrs)

@@ -134,7 +134,7 @@ class PlacementMap:
     """The versioned prefix-to-shard map.
 
     Layers moved-prefix overrides over a stable base hash (any object with
-    ``shard_of``/``prefix_of``/``shard_names``/``prefix_depth`` --
+    ``shard_of``/``prefix_of``/``prefix_depth`` --
     normally a :class:`~repro.datalinks.routing.ShardRouter`) and stamps
     the whole map with a monotonically increasing epoch.  Epoch 1 is the
     deployment-time hash placement; every committed move bumps it.
@@ -157,10 +157,6 @@ class PlacementMap:
         self._prefix_cache: dict[str, str] = {}
 
     # --------------------------------------------------------- base passthrough --
-    @property
-    def shard_names(self) -> list[str]:
-        return self.base.shard_names
-
     @property
     def prefix_depth(self) -> int:
         return self.base.prefix_depth

@@ -228,9 +228,6 @@ class ReplicaApplier:
                 schema = record.extra["schema"]
                 if not self._db.catalog.has_table(schema.name):
                     self._db.catalog.create_table(schema.copy())
-            elif record.type is LogRecordType.DROP_TABLE:
-                if self._db.catalog.has_table(record.table):
-                    self._db.catalog.drop_table(record.table)
             if record.lsn > self.applied_lsn:
                 self.applied_lsn = record.lsn
         return {"commits": commits, "aborts": aborts,

@@ -73,7 +73,8 @@ class LockError(StorageError):
 
 
 class LockConflictError(LockError):
-    """A lock could not be granted immediately and waiting was not allowed.
+    """A lock could not be granted: the lock manager never waits (no-wait
+    strict 2PL), so a conflict raises at once.
 
     ``holders`` lists the transaction ids currently holding the resource in
     a conflicting mode so that simulated schedulers can decide what to do.
@@ -84,10 +85,6 @@ class LockConflictError(LockError):
         self.resource = resource
         self.mode = mode
         self.holders = tuple(holders)
-
-
-class DeadlockError(LockError):
-    """Granting the request would create a cycle in the wait-for graph."""
 
 
 class RecoveryError(StorageError):
@@ -120,7 +117,6 @@ class Errno(enum.Enum):
     EROFS = "EROFS"          # read-only file (system)
     EISDIR = "EISDIR"        # is a directory
     ENOTDIR = "ENOTDIR"      # not a directory
-    ENOTEMPTY = "ENOTEMPTY"  # directory not empty
     EBADF = "EBADF"          # bad file descriptor
     EBUSY = "EBUSY"          # resource busy (e.g. linked file)
     EINVAL = "EINVAL"        # invalid argument

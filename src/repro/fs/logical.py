@@ -3,8 +3,9 @@
 Applications use this layer exactly like the POSIX API: ``open`` returns a
 file descriptor, ``read``/``write`` move an offset, ``close`` releases it.
 Internally ``open`` is decoupled into ``fs_lookup`` followed by ``fs_open``
-against the mounted VFS stack, which is the structural property DataLinks
-token handling has to work around (Section 4.1 of the paper).
+against the mounted VFS -- any object with the entry points listed in
+:mod:`repro.fs.vfs` -- which is the structural property DataLinks token
+handling has to work around (Section 4.1 of the paper).
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ from repro.fs.vfs import (
     READ_MASK,
     WRITE_MASK,
     Credentials,
-    LockKind,
-    LockRequest,
     OpenFlags,
     OpenHandle,
-    VFSOperations,
     Vnode,
 )
 from repro.simclock import SimClock
@@ -39,7 +37,7 @@ class OpenFile:
 
     fd: int
     path: str
-    vfs: VFSOperations
+    vfs: object
     vnode: Vnode
     handle: OpenHandle
     flags: OpenFlags
@@ -50,7 +48,7 @@ class OpenFile:
 @dataclass(slots=True)
 class _Mount:
     prefix: str
-    vfs: VFSOperations
+    vfs: object
 
 
 #: Sentinel distinguishing "profile not computed yet" from "VFS opted out".
@@ -87,7 +85,7 @@ class LogicalFileSystem:
         # final component, the one a token rides in, is resolved live),
         # so the keys are the namespace's few hundred directories plus
         # mount roots; the bound is a backstop.  Invalidated on mount().
-        self._resolve_cache: dict[str, tuple[VFSOperations, str]] = {}
+        self._resolve_cache: dict[str, tuple[object, str]] = {}
         self._split_cache: dict[str, list[str]] = {}
         # Mounted prefixes other than "/" (none on a system that mounts
         # only "/"): a path naming one has no final component in its own
@@ -114,10 +112,10 @@ class LogicalFileSystem:
         # and never holds a token-carrying path (its validation upcall
         # must stay live), so its keys are token-free too.
         self._lookup_cache: dict[tuple, tuple] = {}
-        self._walk_profiles: dict[VFSOperations, tuple | None] = {}
+        self._walk_profiles: dict[object, tuple | None] = {}
 
     # ------------------------------------------------------------------ mounts --
-    def mount(self, prefix: str, vfs: VFSOperations) -> None:
+    def mount(self, prefix: str, vfs: object) -> None:
         """Mount *vfs* at *prefix* (longest-prefix match wins at resolution)."""
 
         prefix = _normalize(prefix)
@@ -130,7 +128,7 @@ class LogicalFileSystem:
         self._lookup_cache.clear()
         self._walk_profiles.clear()
 
-    def mounted_vfs(self, path: str) -> tuple[VFSOperations, str]:
+    def mounted_vfs(self, path: str) -> tuple[object, str]:
         """Return ``(vfs, path relative to the mount root)`` for *path*."""
 
         normalized = _normalize(path)
@@ -152,7 +150,7 @@ class LogicalFileSystem:
         raise fs_error(Errno.ENOENT, f"no file system mounted for {path!r}")
 
     # -------------------------------------------------------------- resolution --
-    def _walk(self, vfs: VFSOperations, relative: str,
+    def _walk(self, vfs: object, relative: str,
               cred: Credentials) -> Vnode:
         """Walk every component of *relative* inside *vfs*."""
 
@@ -169,7 +167,7 @@ class LogicalFileSystem:
             vnode = vfs.fs_lookup(vnode, part, cred)
         return vnode
 
-    def _compile_walk_profile(self, vfs: VFSOperations) -> tuple | None:
+    def _compile_walk_profile(self, vfs: object) -> tuple | None:
         """Resolve and memoize *vfs*'s per-lookup charge pattern."""
 
         raw = vfs.walk_profile()
@@ -263,7 +261,7 @@ class LogicalFileSystem:
         cache[(path, cred.uid)] = (anchor, anchor.dir_version, bversion, vfs,
                                    vnode, clock, compiled, depth + 1, cred)
 
-    def _lookup(self, path: str, cred: Credentials) -> tuple[VFSOperations, Vnode]:
+    def _lookup(self, path: str, cred: Credentials) -> tuple[object, Vnode]:
         """Resolve *path* to its final vnode through the full cache.
 
         A hit replays the walk's entire charge pattern (every component
@@ -288,7 +286,7 @@ class LogicalFileSystem:
         self._store_lookup(path, cred, vfs, vnode, depth)
         return vfs, vnode
 
-    def _resolve(self, path: str, cred: Credentials) -> tuple[VFSOperations, Vnode]:
+    def _resolve(self, path: str, cred: Credentials) -> tuple[object, Vnode]:
         # Full resolution is parent resolution plus one live ``fs_lookup``
         # of the final component: the charge sequence is identical to
         # walking every component (pattern x (depth-1), then pattern x 1).
@@ -451,16 +449,6 @@ class LogicalFileSystem:
                 if error.errno is not Errno.EEXIST:
                     raise
 
-    def rmdir(self, path: str, cred: Credentials) -> None:
-        self.clock.charge("syscall_base")
-        vfs, parent, name, _ = self._resolve_parent(path, cred)
-        vfs.fs_rmdir(parent, name, cred)
-
-    def listdir(self, path: str, cred: Credentials) -> list[str]:
-        self.clock.charge("syscall_base")
-        vfs, vnode = self._resolve(path, cred)
-        return vfs.fs_readdir(vnode, cred)
-
     def chmod(self, path: str, mode: int, cred: Credentials) -> None:
         amount, meter = self._syscall
         self.clock.ticks += amount
@@ -474,26 +462,6 @@ class LogicalFileSystem:
         meter[0] += 1
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, uid=uid, gid=gid)
-
-    def truncate(self, path: str, size: int, cred: Credentials) -> None:
-        self.clock.charge("syscall_base")
-        vfs, vnode = self._resolve(path, cred)
-        vfs.fs_setattr(vnode, cred, size=size)
-
-    def lock_file(self, fd: int, exclusive: bool = True) -> bool:
-        """Take a whole-file advisory lock on behalf of this descriptor."""
-
-        self.clock.charge("syscall_base")
-        open_file = self._require_fd(fd)
-        kind = LockKind.EXCLUSIVE if exclusive else LockKind.SHARED
-        request = LockRequest(kind=kind, owner=("fd", fd))
-        return open_file.vfs.fs_lockctl(open_file.vnode, request, open_file.cred)
-
-    def unlock_file(self, fd: int) -> None:
-        self.clock.charge("syscall_base")
-        open_file = self._require_fd(fd)
-        request = LockRequest(kind=LockKind.UNLOCK, owner=("fd", fd))
-        open_file.vfs.fs_lockctl(open_file.vnode, request, open_file.cred)
 
     # --------------------------------------------------------------- convenience --
     def read_file(self, path: str, cred: Credentials) -> bytes:
@@ -515,14 +483,6 @@ class LogicalFileSystem:
             return self.write(fd, data)
         finally:
             self.close(fd)
-
-    def open_file_entry(self, fd: int) -> OpenFile:
-        """Expose an open-file-table entry (used by tests and the DataLinks API)."""
-
-        return self._require_fd(fd)
-
-    def open_descriptors(self) -> list[int]:
-        return sorted(self._open_files)
 
     def _require_fd(self, fd: int) -> OpenFile:
         try:

@@ -1,8 +1,8 @@
 """The physical (native) file system -- the JFS/UFS stand-in.
 
-Implements every VFS entry point over inodes and a block device, with
-standard UNIX permission checks.  This is the layer DLFS sits on top of; it
-knows nothing about DataLinks.
+Implements the VFS entry points (listed in :mod:`repro.fs.vfs`) over inodes
+and a block device, with standard UNIX permission checks.  This is the layer
+DLFS sits on top of; it knows nothing about DataLinks.
 
 A file's bytes are one immutable ``bytes`` on its inode; the device only
 allocates blocks and counts the ones a request touches.  So a read is the
@@ -36,7 +36,6 @@ from repro.fs.vfs import (
     LockRequest,
     OpenFlags,
     OpenHandle,
-    VFSOperations,
     Vnode,
 )
 from repro.simclock import TICKS_PER_SECOND, SimClock
@@ -44,7 +43,7 @@ from repro.simclock import TICKS_PER_SECOND, SimClock
 ROOT_INO = 1
 
 
-class PhysicalFileSystem(VFSOperations):
+class PhysicalFileSystem:
     """An inode-based file system on a simulated block device."""
 
     def __init__(self, name: str = "pfs0", device: BlockDevice | None = None,
@@ -235,24 +234,6 @@ class PhysicalFileSystem(VFSOperations):
             del self._inodes[inode.ino]
         clock.charge("fs_metadata_update")
 
-    def fs_rmdir(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
-        self.clock.charge("vfs_op")
-        directory = self._inode_of(dir_vnode)
-        self._require_dir(directory)
-        self._check(directory, cred, write=True, exec_=True)
-        if name not in directory.entries:
-            raise fs_error(Errno.ENOENT, f"no entry {name!r}")
-        target = self.inode(directory.entries[name])
-        self._require_dir(target)
-        if target.entries:
-            raise fs_error(Errno.ENOTEMPTY, f"directory {name!r} is not empty")
-        self.dir_version += 1
-        self.bind_version += 1
-        del directory.entries[name]
-        del self._inodes[target.ino]
-        directory.mtime = self.clock.now()
-        self.clock.charge("fs_metadata_update")
-
     def fs_rename(self, src_dir: Vnode, src_name: str, dst_dir: Vnode,
                   dst_name: str, cred: Credentials) -> None:
         self.clock.charge("vfs_op")
@@ -273,17 +254,6 @@ class PhysicalFileSystem(VFSOperations):
         source.mtime = self.clock.now()
         destination.mtime = self.clock.now()
         self.clock.charge("fs_metadata_update")
-
-    def fs_readdir(self, dir_vnode: Vnode, cred: Credentials) -> list[str]:
-        self.clock.charge("vfs_op")
-        try:
-            directory = self._inodes[dir_vnode.ino]
-        except KeyError:
-            raise fs_error(Errno.ENOENT, f"stale inode {dir_vnode.ino}") from None
-        if directory.ftype is not FileType.DIRECTORY:
-            raise fs_error(Errno.ENOTDIR, f"inode {directory.ino} is not a directory")
-        self._check(directory, cred, read=True)
-        return sorted(directory.entries)
 
     # ------------------------------------------------------------------ file ops --
     def fs_open(self, vnode: Vnode, flags: OpenFlags, cred: Credentials) -> OpenHandle:
@@ -462,17 +432,3 @@ class PhysicalFileSystem(VFSOperations):
         inode.content = inode.content[:size].ljust(size, b"\0")
         inode.size = size
         inode.mtime = self.clock.now()
-
-    # ------------------------------------------------------------------- utility --
-    def read_whole_file(self, ino: int) -> bytes:
-        """Read a file's full contents directly (archive/version helpers)."""
-
-        inode = self.inode(ino)
-        return self._read_range(inode, 0, inode.size)
-
-    def write_whole_file(self, ino: int, data: bytes) -> None:
-        """Replace a file's contents directly (restore helpers)."""
-
-        inode = self.inode(ino)
-        self._truncate(inode, 0)
-        self._write_range(inode, 0, data)

@@ -1,15 +1,39 @@
-"""The virtual file system interface and stackable filter layers.
+"""The virtual file system interface: its value types and entry points.
 
-The VFS entry points deliberately mirror the ones the paper names
-(``fs_lookup``, ``fs_open``, ``fs_close``, ``fs_readwrite``, ``fs_remove``,
-``fs_rename``, ``fs_lookup``, ``fs_lockctl``) and preserve the property that
-makes DataLinks access control hard: ``fs_lookup`` sees the *name* (and hence
-the embedded token) but not the open mode, while ``fs_open`` sees the open
-mode but only a vnode, not the name (Section 4.1).
+A VFS is any object with the entry points below; there is no base class.
+Two implement them: :class:`~repro.fs.physical.PhysicalFileSystem` (the
+native file system) and DLFS
+(:class:`~repro.datalinks.dlfs.layer.DataLinksFileSystem`), a filter that
+holds the native file system as ``lower`` and forwards to it.  The logical
+file system calls, on the VFS mounted at a path:
 
-:class:`FilterVFS` is the stacking mechanism: a filter holds a reference to
-the lower VFS and forwards everything by default.  DLFS subclasses it and
-overrides only the entry points it needs to intercept.
+* ``root_vnode()``;
+* ``fs_lookup(dir_vnode, name, cred)``, ``fs_create(dir_vnode, name, mode,
+  cred)``, ``fs_mkdir(dir_vnode, name, mode, cred)``,
+  ``fs_remove(dir_vnode, name, cred)`` and ``fs_rename(src_dir, src_name,
+  dst_dir, dst_name, cred)``;
+* ``fs_open(vnode, flags, cred)`` (returns an :class:`OpenHandle`),
+  ``fs_close(handle, cred)``, ``fs_readwrite(vnode, offset, *, data=None,
+  length=0, write, cred)``, ``fs_getattr(vnode, cred)`` and
+  ``fs_setattr(vnode, cred, **attrs)``;
+* ``walk_profile()``, for the logical layer's resolution cache: ``None``
+  (resolve every component live), or a ``(clock, charge_events, anchor)``
+  triple when every successful ``fs_lookup`` charges one fixed sequence of
+  ``(primitive, scale, label)`` events to *clock* and the ``anchor``'s
+  monotone ``dir_version`` counter changes whenever a directory binding or
+  a directory's permissions change (its ``bind_version`` counter, when it
+  has one, changes on every create, remove and rename).
+
+DLFS also calls the native file system's ``fs_lockctl(vnode, request,
+cred)`` with a :class:`LockRequest`.  Every entry point raises
+:class:`repro.errors.FileSystemError` on failure.
+
+The entry points mirror the ones the paper names (``fs_lookup``,
+``fs_open``, ``fs_close``, ``fs_readwrite``, ``fs_remove``, ``fs_rename``,
+``fs_lockctl``) and preserve the property that makes DataLinks access
+control hard: ``fs_lookup`` sees the *name* (and hence the embedded token)
+but not the open mode, while ``fs_open`` sees the open mode but only a
+vnode, not the name (Section 4.1).
 """
 
 from __future__ import annotations
@@ -17,8 +41,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from repro.fs.inode import FileAttributes
 
 
 class OpenFlags(enum.Flag):
@@ -111,141 +133,3 @@ class OpenHandle:
     vnode: Vnode
     flags: OpenFlags
     layer_state: dict = field(default_factory=dict)
-
-
-class VFSOperations:
-    """Abstract VFS entry points.
-
-    Concrete file systems (and filter layers) implement these.  All methods
-    raise :class:`repro.errors.FileSystemError` on failure.
-    """
-
-    fs_id: str = "vfs"
-
-    def walk_profile(self):
-        """Support for the logical layer's resolution cache.
-
-        A VFS whose successful ``fs_lookup`` calls charge a *fixed* event
-        sequence to one clock and whose namespace bindings (entries, modes,
-        ownership) change only through its mutating entry points returns a
-        ``(clock, charge_events, anchor)`` triple:
-
-        * ``charge_events`` -- the ``(primitive, scale, label)`` tuples one
-          lookup charges, in order, across every layer of the stack;
-        * ``anchor`` -- an object exposing a monotone ``dir_version``
-          counter that changes whenever a directory binding or a
-          directory's permissions change.  Cached walks resolve directory
-          chains only (the final path component is always looked up
-          live), so ``dir_version`` fully guards their validity and file
-          creates, removes and renames never invalidate anything.
-
-        Returning ``None`` (the default) marks walks through this VFS as
-        non-replayable, and the logical layer resolves every component
-        live.
-        """
-
-        return None
-
-    # directory-level operations -------------------------------------------------
-    def root_vnode(self) -> Vnode:
-        raise NotImplementedError
-
-    def fs_lookup(self, dir_vnode: Vnode, name: str, cred: Credentials) -> Vnode:
-        raise NotImplementedError
-
-    def fs_create(self, dir_vnode: Vnode, name: str, mode: int,
-                  cred: Credentials) -> Vnode:
-        raise NotImplementedError
-
-    def fs_mkdir(self, dir_vnode: Vnode, name: str, mode: int,
-                 cred: Credentials) -> Vnode:
-        raise NotImplementedError
-
-    def fs_remove(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
-        raise NotImplementedError
-
-    def fs_rmdir(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
-        raise NotImplementedError
-
-    def fs_rename(self, src_dir: Vnode, src_name: str, dst_dir: Vnode,
-                  dst_name: str, cred: Credentials) -> None:
-        raise NotImplementedError
-
-    def fs_readdir(self, dir_vnode: Vnode, cred: Credentials) -> list[str]:
-        raise NotImplementedError
-
-    # file-level operations ---------------------------------------------------------
-    def fs_open(self, vnode: Vnode, flags: OpenFlags, cred: Credentials) -> OpenHandle:
-        raise NotImplementedError
-
-    def fs_close(self, handle: OpenHandle, cred: Credentials) -> None:
-        raise NotImplementedError
-
-    def fs_readwrite(self, vnode: Vnode, offset: int, *, data: bytes | None = None,
-                     length: int = 0, write: bool, cred: Credentials) -> bytes | int:
-        raise NotImplementedError
-
-    def fs_getattr(self, vnode: Vnode, cred: Credentials) -> FileAttributes:
-        raise NotImplementedError
-
-    def fs_setattr(self, vnode: Vnode, cred: Credentials, **attrs) -> FileAttributes:
-        raise NotImplementedError
-
-    def fs_lockctl(self, vnode: Vnode, request: LockRequest, cred: Credentials) -> bool:
-        raise NotImplementedError
-
-
-class FilterVFS(VFSOperations):
-    """A stackable layer that forwards every entry point to the layer below.
-
-    This is the VFS-stacking mechanism DLFS is built on: subclasses override
-    only the entry points they interpose on and call ``self.lower`` for the
-    real work, exactly like a vnode-stacking filter in a UNIX kernel.
-    """
-
-    def __init__(self, lower: VFSOperations, fs_id: str | None = None):
-        self.lower = lower
-        self.fs_id = fs_id if fs_id is not None else f"filter({lower.fs_id})"
-
-    def root_vnode(self) -> Vnode:
-        return self.lower.root_vnode()
-
-    def fs_lookup(self, dir_vnode, name, cred):
-        return self.lower.fs_lookup(dir_vnode, name, cred)
-
-    def fs_create(self, dir_vnode, name, mode, cred):
-        return self.lower.fs_create(dir_vnode, name, mode, cred)
-
-    def fs_mkdir(self, dir_vnode, name, mode, cred):
-        return self.lower.fs_mkdir(dir_vnode, name, mode, cred)
-
-    def fs_remove(self, dir_vnode, name, cred):
-        return self.lower.fs_remove(dir_vnode, name, cred)
-
-    def fs_rmdir(self, dir_vnode, name, cred):
-        return self.lower.fs_rmdir(dir_vnode, name, cred)
-
-    def fs_rename(self, src_dir, src_name, dst_dir, dst_name, cred):
-        return self.lower.fs_rename(src_dir, src_name, dst_dir, dst_name, cred)
-
-    def fs_readdir(self, dir_vnode, cred):
-        return self.lower.fs_readdir(dir_vnode, cred)
-
-    def fs_open(self, vnode, flags, cred):
-        return self.lower.fs_open(vnode, flags, cred)
-
-    def fs_close(self, handle, cred):
-        return self.lower.fs_close(handle, cred)
-
-    def fs_readwrite(self, vnode, offset, *, data=None, length=0, write, cred):
-        return self.lower.fs_readwrite(vnode, offset, data=data, length=length,
-                                       write=write, cred=cred)
-
-    def fs_getattr(self, vnode, cred):
-        return self.lower.fs_getattr(vnode, cred)
-
-    def fs_setattr(self, vnode, cred, **attrs):
-        return self.lower.fs_setattr(vnode, cred, **attrs)
-
-    def fs_lockctl(self, vnode, request, cred):
-        return self.lower.fs_lockctl(vnode, request, cred)

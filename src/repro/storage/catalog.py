@@ -20,7 +20,7 @@ class Catalog:
         # ``(schema, heap, pk_index, indexes)`` per table, built lazily:
         # the query planner asks for all four on every statement.
         self._plan_cache: dict[str, tuple] = {}
-        #: Bumped on every DDL change (create/drop table, create index,
+        #: Bumped on every DDL change (create table, create index,
         #: snapshot load).  Callers holding derived per-table plans (the
         #: database's extended plan cache) validate against this counter
         #: instead of re-probing the catalog per statement.
@@ -39,15 +39,6 @@ class Catalog:
             self.create_index(f"{schema.name}_pk", schema.name,
                               schema.primary_key, unique=True)
         return heap
-
-    def drop_table(self, name: str) -> None:
-        self._require(name)
-        self.version += 1
-        del self._schemas[name]
-        del self._heaps[name]
-        self._plan_cache.pop(name, None)
-        for index in self._indexes.pop(name):
-            self._index_by_name.pop((name, index.name), None)
 
     def has_table(self, name: str) -> bool:
         return name in self._schemas
@@ -89,10 +80,6 @@ class Catalog:
         self._index_by_name[(table, index_name)] = index
         self._plan_cache.pop(table, None)
         return index
-
-    def indexes_of(self, table: str) -> list:
-        self._require(table)
-        return list(self._indexes[table])
 
     def iter_indexes(self, table: str):
         """The internal index list for *table* (no copy; do not mutate)."""

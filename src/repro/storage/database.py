@@ -6,7 +6,7 @@ and of the DLFM's private repository on each file server.  It provides:
 * typed tables with primary keys and secondary indexes;
 * strict two-phase locking at row granularity;
 * write-ahead logging with explicit flush, ARIES-style recovery after a
-  simulated crash, savepoints, and two-phase-commit participation
+  simulated crash, and two-phase-commit participation
   (``prepare`` / ``commit_prepared`` / ``abort_prepared``);
 * full backups tagged with the tail LSN -- the *database state identifier*
   the paper uses to coordinate file and database restore.
@@ -47,9 +47,8 @@ owes.  Checking equals taking here: the simulation is single-threaded,
 nothing runs between the statement's first row and its COMMIT, and COMMIT
 would release the locks, so "does anyone hold this?" is all a lock could
 decide.  On a held resource the handle calls ``locks.acquire`` so the
-conflict or deadlock error and the wait-for edge are a real transaction's,
-and any failure after BEGIN takes :meth:`Database.abort` (undo, ABORT
-record, forced flush).
+conflict error is a real transaction's, and any failure after BEGIN takes
+:meth:`Database.abort` (undo, ABORT record, forced flush).
 
 Row images
 ----------
@@ -408,57 +407,20 @@ class Database:
 
         return self.wal.commit_lsn_of(txn_id)
 
-    # savepoints -------------------------------------------------------------------
-    def savepoint(self, txn: Transaction, name: str) -> None:
-        txn.require_active()
-        self.wal.append(txn.txn_id, LogRecordType.SAVEPOINT, extra={"name": name})
-        txn.add_savepoint(name)
-
-    def rollback_to_savepoint(self, txn: Transaction, name: str) -> None:
-        """Undo every change made after the named savepoint."""
-
-        txn.require_active()
-        savepoint = txn.find_savepoint(name)
-        if savepoint is None:
-            raise TransactionNotActive(
-                f"transaction {txn.txn_id}: no savepoint named {name!r}")
-        while len(txn.records) > savepoint.record_count:
-            record = txn.records.pop()
-            self.apply_undo(record)
-        txn.drop_savepoints_after(savepoint)
-
     # ------------------------------------------------------------------- DDL --
-    def create_table(self, schema: TableSchema, txn: Transaction | None = None):
-        """Create a table (auto-committed when no transaction is supplied)."""
+    def create_table(self, schema: TableSchema):
+        """Create a table, in a transaction of its own."""
 
-        return self._ddl(schema.name, schema, txn)
-
-    def drop_table(self, name: str, txn: Transaction | None = None) -> None:
-        self._ddl(name, None, txn)
-
-    def _ddl(self, name: str, schema: TableSchema | None,
-             txn: Transaction | None):
-        """Create table *name* from *schema* (or drop it: no schema) in
-        *txn*, or in a plain ``begin`` / ``commit`` of its own."""
-
-        active = self.begin() if txn is None else txn
+        txn = self.begin()
         try:
             self._charge("sql_statement_base")
-            if schema is not None:
-                kind = LogRecordType.CREATE_TABLE
-                heap = self.catalog.create_table(schema)
-            else:
-                kind = LogRecordType.DROP_TABLE
-                schema = self.catalog.schema(name)
-                heap = self.catalog.drop_table(name)
-            self.wal.append(active.txn_id, kind, name,
-                            extra={"schema": schema.copy()})
+            heap = self.catalog.create_table(schema)
+            self.wal.append(txn.txn_id, LogRecordType.CREATE_TABLE,
+                            schema.name, extra={"schema": schema.copy()})
         except BaseException:
-            if txn is None:
-                self.abort(active)
+            self.abort(txn)
             raise
-        if txn is None:
-            self.commit(active)
+        self.commit(txn)
         return heap
 
     def create_index(self, index_name: str, table: str, columns, *,
@@ -590,9 +552,6 @@ class Database:
             match, where = compile_where(where)
         return self.prepare_delete(table, where)(
             *where.values(), txn=txn, match=match)
-
-    def count(self, table: str, where=None) -> int:
-        return len(self.select(table, where, txn=None, lock=False))
 
     # ------------------------------------------------------------ DML helpers --
     def _settle_write_charges(self, finished: int, acquired_pending: bool) -> None:

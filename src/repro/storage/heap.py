@@ -10,8 +10,8 @@ replica's heap adopts it from the shipped record: one object, held by all
 four.  The rule that makes the sharing safe: **a row image is never mutated
 after ``validate_row`` returns it; whoever wants a changed row copies it
 first** (an UPDATE builds its new row from a copy).  What is handed
-*out* is a copy the caller owns -- :meth:`HeapTable.get`, :meth:`HeapTable.
-scan`, select results.  :meth:`HeapTable.snapshot` (checkpoint bases,
+*out* is a copy the caller owns -- :meth:`HeapTable.get` and select
+results.  :meth:`HeapTable.snapshot` (checkpoint bases,
 backup images) holds the stored images themselves, in a dict of its own;
 :meth:`HeapTable.load_snapshot` copies them row by row on the way back, so a
 heap rebuilt from a snapshot shares no image with the heap it was taken
@@ -107,19 +107,6 @@ class HeapTable:
         self.mutations += 1
         self._sorted_rids = None
         return row
-
-    def _scan_order(self) -> list[int]:
-        order = self._sorted_rids
-        if order is None:
-            order = self._sorted_rids = sorted(self._rows)
-        return order
-
-    def scan(self):
-        """Iterate ``(rid, row copy)`` over all live rows (stable order)."""
-
-        rows = self._rows
-        for rid in self._scan_order():
-            yield rid, dict(rows[rid])
 
     def scan_live(self):
         """``(rid, stored row)`` pairs in stable (sorted rid) order -- the

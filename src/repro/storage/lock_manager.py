@@ -1,19 +1,21 @@
-"""Strict two-phase locking with deadlock detection.
+"""Strict two-phase locking, no-wait.
 
 The reproduction runs in a single Python thread: "concurrency" is simulated
 by workload drivers that interleave operations of several logical
 transactions.  Consequently the lock manager never blocks; an acquisition
 that cannot be granted raises :class:`LockConflictError` (carrying the
-current holders) and the caller decides whether to retry later, abort or
-escalate.  Wait-for edges are recorded on conflict so cycles are detected and
-reported as :class:`DeadlockError`, mirroring a conventional detector.
+current holders) and the caller decides whether to retry later or abort.
+No transaction ever waits for a lock, so no waits-for cycle can form:
+no-wait locking is deadlock-free by construction (Bernstein, Hadzilacos &
+Goodman, *Concurrency Control and Recovery in Database Systems*, 1987,
+ch. 3), and the manager keeps no waits-for graph.
 """
 
 from __future__ import annotations
 
 import enum
 
-from repro.errors import DeadlockError, LockConflictError
+from repro.errors import LockConflictError
 
 
 class LockMode(enum.Enum):
@@ -35,16 +37,13 @@ class LockManager:
         self._holders: dict[object, dict[int, LockMode]] = {}
         # txn_id -> set of resources
         self._owned: dict[int, set[object]] = {}
-        # waits-for edges recorded on conflict: waiter -> set of holders
-        self._waits_for: dict[int, set[int]] = {}
 
     # -- acquisition -----------------------------------------------------------
     def acquire(self, txn_id: int, resource: object, mode: LockMode) -> bool:
         """Grant *resource* to *txn_id* in *mode* or raise.
 
-        Returns ``True`` on success.  Raises :class:`DeadlockError` when the
-        implied wait would close a cycle and :class:`LockConflictError` when
-        the lock is simply unavailable.
+        Returns ``True`` on success.  Raises :class:`LockConflictError`
+        when the lock is unavailable.
         """
 
         holders_map = self._holders
@@ -65,13 +64,11 @@ class LockManager:
                 if not others:
                     holders[txn_id] = LockMode.EXCLUSIVE
                     return True
-                self._record_wait(txn_id, others)
                 raise LockConflictError(resource, mode, others)
 
             conflicting = [other for other, held in holders.items()
                            if other != txn_id and not held.compatible_with(mode)]
             if conflicting:
-                self._record_wait(txn_id, conflicting)
                 raise LockConflictError(resource, mode, conflicting)
 
         holders[txn_id] = mode
@@ -80,41 +77,7 @@ class LockManager:
             owned[txn_id].add(resource)
         except KeyError:
             owned[txn_id] = {resource}
-        if txn_id in self._waits_for:
-            del self._waits_for[txn_id]
         return True
-
-    def try_acquire(self, txn_id: int, resource: object, mode: LockMode) -> bool:
-        """Like :meth:`acquire` but returns ``False`` instead of raising on conflict."""
-
-        try:
-            return self.acquire(txn_id, resource, mode)
-        except (LockConflictError, DeadlockError):
-            return False
-
-    def _record_wait(self, waiter: int, holders: list[int]) -> None:
-        waits = self._waits_for
-        try:
-            waits[waiter].update(holders)
-        except KeyError:
-            waits[waiter] = set(holders)
-        if self._has_cycle(waiter):
-            self._waits_for.pop(waiter, None)
-            raise DeadlockError(
-                f"transaction {waiter} would deadlock waiting for {sorted(holders)}")
-
-    def _has_cycle(self, start: int) -> bool:
-        seen: set[int] = set()
-        stack = list(self._waits_for.get(start, ()))
-        while stack:
-            node = stack.pop()
-            if node == start:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self._waits_for.get(node, ()))
-        return False
 
     # -- release ----------------------------------------------------------------
     def release_all(self, txn_id: int) -> None:
@@ -138,12 +101,6 @@ class LockManager:
                         del holders[txn_id]
                         if not holders:
                             del holders_map[resource]
-        waits = self._waits_for
-        if txn_id in waits:
-            del waits[txn_id]
-        if waits:
-            for waiters in waits.values():
-                waiters.discard(txn_id)
 
     # -- inspection ---------------------------------------------------------------
     def holders_of(self, resource: object) -> dict[int, LockMode]:
@@ -163,4 +120,3 @@ class LockManager:
     def clear(self) -> None:
         self._holders.clear()
         self._owned.clear()
-        self._waits_for.clear()

@@ -78,9 +78,6 @@ class RecoveryManager:
                 schema = record.extra["schema"]
                 if not db.catalog.has_table(schema.name):
                     db.catalog.create_table(schema.copy())
-            elif record.type is LogRecordType.DROP_TABLE:
-                if db.catalog.has_table(record.table):
-                    db.catalog.drop_table(record.table)
             elif record.type in (LogRecordType.INSERT, LogRecordType.UPDATE,
                                  LogRecordType.DELETE, LogRecordType.CLR):
                 self._apply_redo(record)

@@ -1,8 +1,8 @@
 """Transaction objects and their state machine.
 
 The database (see :mod:`repro.storage.database`) owns the transaction life
-cycle; this module defines the per-transaction bookkeeping: state, the chain
-of log records written on its behalf (used for rollback), and savepoints.
+cycle; this module defines the per-transaction bookkeeping: its state and
+the chain of log records written on its behalf (used for rollback).
 Two-phase commit is supported through the PREPARED state so a DLFM can act as
 a transactional resource manager for the host database, exactly as the paper
 describes ("the operations done in DLFM are treated as a sub-transaction of
@@ -12,7 +12,6 @@ the host database transaction").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import TransactionNotActive
 from repro.storage.wal import LogRecord
@@ -25,19 +24,10 @@ class TxnState(enum.Enum):
     ABORTED = "ABORTED"
 
 
-@dataclass
-class Savepoint:
-    """Marks a position in the transaction's undo chain."""
-
-    name: str
-    record_count: int
-
-
 class Transaction:
     """One database transaction."""
 
-    __slots__ = ("txn_id", "state", "records", "savepoints", "on_commit",
-                 "on_abort")
+    __slots__ = ("txn_id", "state", "records", "on_commit", "on_abort")
 
     def __init__(self, txn_id: int, state: TxnState = TxnState.ACTIVE,
                  records: list[LogRecord] | None = None):
@@ -45,7 +35,6 @@ class Transaction:
         self.state = state
         #: Data log records written on the transaction's behalf (undo chain).
         self.records = [] if records is None else records
-        self.savepoints: list[Savepoint] = []
         # Callbacks run after commit / after abort (used by higher layers to
         # release external resources such as file ownership).
         self.on_commit: list = []
@@ -70,18 +59,3 @@ class Transaction:
         """Remember a data log record for potential rollback."""
 
         self.records.append(record)
-
-    def add_savepoint(self, name: str) -> Savepoint:
-        savepoint = Savepoint(name=name, record_count=len(self.records))
-        self.savepoints.append(savepoint)
-        return savepoint
-
-    def find_savepoint(self, name: str) -> Savepoint | None:
-        for savepoint in reversed(self.savepoints):
-            if savepoint.name == name:
-                return savepoint
-        return None
-
-    def drop_savepoints_after(self, savepoint: Savepoint) -> None:
-        while self.savepoints and self.savepoints[-1] is not savepoint:
-            self.savepoints.pop()

@@ -117,10 +117,8 @@ class LogRecordType(enum.Enum):
     UPDATE = "UPDATE"
     DELETE = "DELETE"
     CREATE_TABLE = "CREATE_TABLE"
-    DROP_TABLE = "DROP_TABLE"
     CLR = "CLR"                    # compensation record written during undo
     CHECKPOINT = "CHECKPOINT"
-    SAVEPOINT = "SAVEPOINT"
 
 
 #: The ``extra`` of every record that carries none, shared: readers only

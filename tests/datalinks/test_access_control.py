@@ -112,8 +112,9 @@ class TestWriteAccess:
         url0 = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
         token = url0.rsplit(";token=", 1)[1]
         with pytest.raises(FileSystemError):
-            alice.fs("fs1").open(f"{paths[1]};token={token}",
-                                 OpenFlags.READ | OpenFlags.WRITE)
+            system.file_server("fs1").lfs.open(
+                f"{paths[1]};token={token}", OpenFlags.READ | OpenFlags.WRITE,
+                alice.cred)
 
     def test_unlinked_file_with_token_suffix_opens_normally(self):
         system, alice, _, _ = build_system(None)

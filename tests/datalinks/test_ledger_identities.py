@@ -341,7 +341,7 @@ class TestUpdateInPlaceIsTableSizeIndependent:
         system, run = _update_in_place_mix(files=12, updates=30)
         assert skipped == [f"{FILES_TABLE}_body_file"]
         assert [index.name for index in
-                system.host_db.catalog.indexes_of(FILES_TABLE)] == \
+                system.host_db.catalog.iter_indexes(FILES_TABLE)] == \
             [f"{FILES_TABLE}_pk"]
         run()
         assert _group_snapshot(system.clocks) == indexed

@@ -106,13 +106,13 @@ class TestReferentialIntegrity:
         system, alice, _, _ = rfd_system
         alice.fs("fs1").write_file("/library/scratch.txt", b"temporary")
         alice.fs("fs1").unlink("/library/scratch.txt")
-        assert not alice.fs("fs1").exists("/library/scratch.txt")
+        assert not system.file_server("fs1").files.exists("/library/scratch.txt")
 
     def test_nff_mode_does_not_guarantee_integrity(self):
         system, alice, paths, _ = build_system(ControlMode.NFF)
         # nff: no referential integrity, the file system may remove the file
         alice.fs("fs1").unlink(paths[0])
-        assert not alice.fs("fs1").exists(paths[0])
+        assert not system.file_server("fs1").files.exists(paths[0])
 
 
 class TestUnlink:
@@ -195,7 +195,7 @@ class TestRelinkByDeleteAndInsert:
         dlfm = system.file_server("fs1").dlfm
         assert dlfm.repository.linked_file(paths[0]) is None
         assert dlfm.repository.linked_file(self.NEW_PATH) is not None
-        assert system.host_db.count(FILES_TABLE) == 1
+        assert len(system.host_db.select(FILES_TABLE, lock=False)) == 1
 
     def test_abort_keeps_the_old_link_and_links_nothing_new(self, rfd_system):
         system, alice, paths, urls = rfd_system
@@ -250,7 +250,7 @@ class TestMultiRowInsert:
                 for doc_id, url in zip((0, 1, 0), urls)]
         with pytest.raises(DuplicateKeyError):
             alice.insert_many(FILES_TABLE, rows)
-        assert system.host_db.count(FILES_TABLE) == 0
+        assert len(system.host_db.select(FILES_TABLE, lock=False)) == 0
         repository = system.file_server("fs1").dlfm.repository
         assert [repository.linked_file(path) for path in paths] == [None] * 3
 
@@ -263,7 +263,7 @@ class TestMultiRowInsert:
         repository = system.file_server("fs1").dlfm.repository
         assert all(repository.linked_file(path) is not None for path in paths)
         alice.abort()
-        assert system.host_db.count(FILES_TABLE) == 0
+        assert len(system.host_db.select(FILES_TABLE, lock=False)) == 0
         assert [repository.linked_file(path) for path in paths] == [None] * 3
 
     def test_one_statement_base_instead_of_one_per_row(self, people_db):
@@ -283,7 +283,7 @@ class TestMultiRowInsert:
         assert batched < per_row
         assert [people_db.select_one("people", {"person_id": person_id})["_rid"]
                 for person_id in range(40, 44)] == rids
-        assert people_db.count("people") == 3 + 8
+        assert len(people_db.select("people", lock=False)) == 3 + 8
 
 
 class TestUnsupportedWhere:
@@ -383,7 +383,7 @@ class TestMultiRowUnlink:
                                                        commit=False)
         assert kinds == ["unlink"]
         server = system.file_server("fs1")
-        assert system.host_db.count(FILES_TABLE) == self.ROWS
+        assert len(system.host_db.select(FILES_TABLE, lock=False)) == self.ROWS
         for path, row in zip(paths, linked):
             assert server.dlfm.repository.linked_file(path) == row
             attrs = server.files.stat(path)

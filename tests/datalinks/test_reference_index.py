@@ -7,7 +7,7 @@ the referenced *path*.  Two checks:
 * secondary indexes -- that one and every DLFM repository index, with its
   unique constraint -- survive crash + recover (index DDL is not
   WAL-logged);
-* a seeded property test drives random DML, rollbacks, savepoints, crashes
+* a seeded property test drives random DML, aborted transactions, crashes
   and restores through a host table and holds ``update_file_metadata`` to
   a brute-force scan with the pre-index ``references`` test, and equality
   SELECTs by URL to a brute-force comparison -- including with a router
@@ -204,19 +204,11 @@ class TestUpdateFileMetadataOracle:
             action = rng.random()
             if action < 0.50:
                 self._mutate(db, rng, None, next_id)
-            elif action < 0.65:
+            elif action < 0.80:
                 txn = db.begin()
                 for _ in range(rng.randrange(1, 5)):
                     self._mutate(db, rng, txn, next_id)
                 db.abort(txn)
-            elif action < 0.80:
-                txn = db.begin()
-                self._mutate(db, rng, txn, next_id)
-                db.savepoint(txn, "sp")
-                for _ in range(rng.randrange(1, 4)):
-                    self._mutate(db, rng, txn, next_id)
-                db.rollback_to_savepoint(txn, "sp")
-                db.commit(txn)
             elif action < 0.90:
                 if rng.random() < 0.5:
                     db.checkpoint()

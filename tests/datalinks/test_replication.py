@@ -514,7 +514,7 @@ def _repository_rows(node) -> dict:
     db = node.dlfm.repository.db
     return {table: {rid: {column: value for column, value in row.items()
                           if column != "ino"}
-                    for rid, row in db.catalog.heap(table).scan()}
+                    for rid, row in db.catalog.heap(table).scan_live()}
             for table in db.catalog.table_names()}
 
 

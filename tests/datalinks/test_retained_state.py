@@ -219,7 +219,7 @@ def test_a_unique_bucket_is_a_bare_rid(after_reads):
 
     db = after_reads[0].repository.db
     indexes = [index for table in db.catalog.table_names()
-               for index in db.catalog.indexes_of(table)
+               for index in db.catalog.iter_indexes(table)
                if isinstance(index, HashIndex) and index.derive is None]
     unique = [index for index in indexes if index.unique]
     assert unique and sum(map(len, unique))

@@ -216,9 +216,12 @@ class TestAtomicityAndVersions:
             pass
         assert alice.fs("fs1").read_file(paths[0]) == before
         # and the in-flight content was parked, not silently dropped
-        parked = system.file_server("fs1").raw_lfs.listdir(
-            "/.dlfm_tmp", system.file_server("fs1").files.dlfm_cred)
-        assert parked != []
+        server = system.file_server("fs1")
+        (committed,) = server.dlfm.repository.versions(paths[0])
+        parked = (f"/.dlfm_tmp/{paths[0].strip('/').replace('/', '__')}"
+                  f".{committed['version_no'] + 1}")
+        assert server.raw_lfs.read_file(
+            parked, server.files.dlfm_cred) == b"partial"
 
     def test_each_committed_update_creates_a_new_version(self, rfd_system):
         system, alice, paths, _ = rfd_system

@@ -28,7 +28,7 @@ from repro.fs.blockdev import BlockDevice
 from repro.fs.inode import FileAttributes, FileType
 from repro.fs.logical import LogicalFileSystem
 from repro.fs.physical import PhysicalFileSystem
-from repro.fs.vfs import Credentials, FilterVFS, OpenFlags, Vnode
+from repro.fs.vfs import Credentials, OpenFlags, Vnode
 from repro.simclock import SimClock
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
@@ -86,7 +86,7 @@ class TestVnodeIdentity:
         created = pfs.fs_create(directory, "f.txt", 0o644, ROOT)
         dlfs = DataLinksFileSystem(pfs, upcall_client=None, dbms_uid=77,
                                    clock=clock)
-        for layer in (pfs, FilterVFS(pfs), dlfs):
+        for layer in (pfs, dlfs):
             root = layer.root_vnode()
             assert root == pfs.root_vnode() == Vnode("pfs0", 1)
             found = layer.fs_lookup(layer.fs_lookup(root, "d", ROOT),
@@ -176,7 +176,6 @@ _SIZES = st.one_of(st.integers(0, 100),
 _STEPS = st.lists(st.one_of(
     st.tuples(st.just("write"), _OFFSETS, _PAYLOADS),
     st.tuples(st.just("append"), _PAYLOADS),
-    st.tuples(st.just("truncate"), _SIZES),
     st.tuples(st.just("setattr_size"), _SIZES),
     st.tuples(st.just("open_truncating")),
     st.tuples(st.just("read"), st.integers(0, 150), st.integers(-2, 150)),
@@ -185,8 +184,10 @@ _STEPS = st.lists(st.one_of(
 
 class TestReadRange:
     @given(steps=_STEPS)
-    @example(steps=[("append", b"AB"), ("truncate", 1), ("truncate", 3)])
-    @example(steps=[("append", b"AB"), ("truncate", 1), ("write", 2, b"C")])
+    @example(steps=[("append", b"AB"), ("setattr_size", 1),
+                    ("setattr_size", 3)])
+    @example(steps=[("append", b"AB"), ("setattr_size", 1),
+                    ("write", 2, b"C")])
     @examples(250)
     def test_a_history_matches_a_bytearray_and_closed_form_counters(
             self, steps):
@@ -234,11 +235,9 @@ class TestReadRange:
                 lfs.write(fd, step[1])
                 lfs.close(fd)
                 written(len(model), step[1])
-            elif kind in ("truncate", "setattr_size", "open_truncating"):
+            elif kind in ("setattr_size", "open_truncating"):
                 size = step[1] if len(step) > 1 else 0
-                if kind == "truncate":
-                    lfs.truncate("/f", size, ROOT)
-                elif kind == "setattr_size":
+                if kind == "setattr_size":
                     pfs.fs_setattr(vnode, ROOT, size=size)
                 else:
                     lfs.close(lfs.open(
@@ -259,8 +258,7 @@ class TestReadRange:
             # After every step: the whole file, its size, its block count.
             assert lfs.read_file("/f", ROOT) == bytes(model), step
             touched(0, len(model))
-            assert pfs.read_whole_file(vnode.ino) == bytes(model)
-            touched(0, len(model))
+            assert inode.content == bytes(model)
             assert inode.size == len(model)
             assert len(inode.blocks) == _blocks_of(len(model)) \
                 == pfs.device.allocated_blocks

@@ -59,7 +59,7 @@ class TestHeapTable:
         heap = HeapTable(simple_schema())
         heap.insert({"k": 2, "v": "b"}, rid=7)
         heap.insert({"k": 1, "v": "a"}, rid=3)
-        assert [rid for rid, _ in heap.scan()] == [3, 7]
+        assert [rid for rid, _ in heap.scan_live()] == [3, 7]
 
     def test_snapshot_roundtrip(self):
         heap = HeapTable(simple_schema())

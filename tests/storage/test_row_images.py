@@ -13,15 +13,16 @@ Two kinds of check:
   (``is``), and a ``linked_files`` row on a witness is the one deliberate
   copy (its ``ino`` is rebound);
 * a model-based history (the first slice of ROADMAP direction 2(a)): a
-  ``hypothesis`` sequence of DML, transactions with savepoints, checkpoints,
-  crashes, backups and restores drives a primary :class:`Database` feeding a
-  witness through :class:`ReplicaApplier`, and after every step both agree
-  with a dict model, no image ever seen in the log has changed,
-  ``records_of`` equals a filter over the log, and ``outcome_of`` of every
-  transaction id ever handed out is what a scan of every record ever made
-  durable says.  A second strategy adds bulk single-statement writes and
-  two-phase-commit votes and runs with a small fold threshold, so the
-  history crosses it many times: the log folds under the same checks.
+  ``hypothesis`` sequence of DML, committed and aborted transactions,
+  checkpoints, crashes, backups and restores drives a primary
+  :class:`Database` feeding a witness through :class:`ReplicaApplier`, and
+  after every step both agree with a dict model, no image ever seen in the
+  log has changed, ``records_of`` equals a filter over the log, and
+  ``outcome_of`` of every transaction id ever handed out is what a scan of
+  every record ever made durable says. A second strategy adds bulk
+  single-statement writes and two-phase-commit votes and runs with a small
+  fold threshold, so the history crosses it many times: the log folds under
+  the same checks.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class TestOneImagePerRow:
         heap = db.catalog.heap(TABLE)
         stored = heap._rows[rid]
         handed_out = [db.select(TABLE, {"k": 1}, lock=False)[0],
-                      heap.get(rid), dict(heap.scan())[rid]]
+                      heap.get(rid)]
         for row in handed_out:
             assert row is not stored
             row["v"] = "hacked"
@@ -273,9 +274,9 @@ _STEP = (
     st.tuples(st.just("insert_many"), st.lists(_ROW, min_size=1, max_size=3)),
     st.tuples(st.just("update"), _WHERE, _CHANGES),
     st.tuples(st.just("delete"), _WHERE),
-    st.tuples(st.sampled_from(["begin", "savepoint", "commit", "abort",
-                               "checkpoint", "crash", "backup"])),
-    st.tuples(st.sampled_from(["rollback", "restore"]), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["begin", "commit", "abort", "checkpoint",
+                               "crash", "backup"])),
+    st.tuples(st.just("restore"), st.integers(0, 3)),
 )
 _STEPS = st.lists(st.one_of(*_STEP), min_size=1, max_size=30)
 #: The fold threshold the folding history runs at: a bulk step moves the
@@ -287,8 +288,7 @@ _FOLD_STEPS = st.lists(st.one_of(
     st.tuples(st.just("prepare")),
 ), min_size=1, max_size=40)
 #: What a prepared transaction may no longer do.
-_ACTIVE_ONLY = {"insert", "insert_many", "update", "delete", "savepoint",
-                "rollback", "prepare"}
+_ACTIVE_ONLY = {"insert", "insert_many", "update", "delete", "prepare"}
 
 
 def _copy(state: dict) -> dict:
@@ -347,7 +347,6 @@ class _History:
         self.prepared = False
         #: ``working`` as of the vote: what an in-doubt branch holds.
         self.prepared_state: dict[int, dict] | None = None
-        self.savepoints: list[tuple[str, dict]] = []
         self.backups: list[tuple] = []
         #: ``{id(record): (record, before, after)}`` with the images deep
         #: copied the first time the record was seen in the log.
@@ -455,21 +454,6 @@ class _History:
         if self.txn is None:
             self.txn = self.primary.begin()
             self.working = _copy(self.committed)
-            self.savepoints = []
-
-    def _savepoint(self) -> None:
-        if self.txn is not None:
-            name = f"s{len(self.savepoints)}"
-            self.primary.savepoint(self.txn, name)
-            self.savepoints.append((name, _copy(self.working)))
-
-    def _rollback(self, pick: int) -> None:
-        if self.savepoints:
-            at = pick % len(self.savepoints)
-            name, state = self.savepoints[at]
-            self.primary.rollback_to_savepoint(self.txn, name)
-            self.working = _copy(state)
-            del self.savepoints[at + 1:]
 
     def _prepare(self) -> None:
         if self.txn is not None:
@@ -489,7 +473,6 @@ class _History:
             outcome(self.txn)
             self.txn = self.working = None
             self.prepared = False
-            self.savepoints = []
 
     def _commit(self) -> None:
         if self.txn is not None:
@@ -505,7 +488,6 @@ class _History:
     def _crash(self) -> None:
         self.primary.crash()
         self.primary.recover()
-        self.savepoints = []
         self.committed = _copy(self.durable)
         in_doubt = self.primary.in_doubt_transactions()
         if in_doubt:
@@ -545,10 +527,10 @@ class _History:
     def _check_database(db: Database, state: dict, step) -> None:
         where = (db.name, step)
         heap = db.catalog.heap(TABLE)
-        assert dict(heap.scan()) == state, where
+        assert dict(heap.scan_live()) == state, where
         assert db.max_key(TABLE) == max(
             (row["k"] for row in state.values()), default=None), where
-        for index in db.catalog.indexes_of(TABLE):
+        for index in db.catalog.iter_indexes(TABLE):
             column, = index.columns
             assert len(index) == len(state), where
             for value in {row[column] for row in state.values()} | {-1, "z"}:
@@ -594,12 +576,12 @@ class TestHistoryAgainstADictModel:
     @given(steps=_STEPS, policy=st.sampled_from(["immediate", "group"]),
            window=st.integers(2, 3))
     # A key change, a multi-row update that trips over a unique key half
-    # way, a rollback and a crash with the transaction still open.
+    # way, an abort and a crash with a transaction still open.
     @example(steps=[("insert_many", [_ROW_A, _ROW_B]), ("begin",),
-                    ("update", {"k": 1}, {"k": 5}), ("savepoint",),
-                    ("update", {"g": 0}, {"u": "c"}), ("rollback", 0),
-                    ("checkpoint",), ("delete", {"u": "b"}), ("crash",),
-                    ("update", None, {"v": 3})],
+                    ("update", {"k": 1}, {"k": 5}),
+                    ("update", {"g": 0}, {"u": "c"}), ("abort",),
+                    ("checkpoint",), ("begin",), ("delete", {"u": "b"}),
+                    ("crash",), ("update", None, {"v": 3})],
              policy="immediate", window=2)
     # A commit the group window still holds is lost with the crash; a
     # restore takes both databases back behind it.

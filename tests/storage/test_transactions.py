@@ -1,4 +1,4 @@
-"""Unit tests for transactions: commit, abort, savepoints, two-phase commit."""
+"""Unit tests for transactions: commit, abort, two-phase commit."""
 
 import pytest
 
@@ -68,35 +68,6 @@ class TestCommitAbort:
         txn2.on_abort.append(lambda: events.append("abort2"))
         people_db.abort(txn2)
         assert events == ["commit", "abort2"]
-
-
-class TestSavepoints:
-    def test_rollback_to_savepoint_undoes_later_changes_only(self, people_db):
-        txn = people_db.begin()
-        people_db.update("people", {"person_id": 1}, {"age": 40}, txn)
-        people_db.savepoint(txn, "s1")
-        people_db.insert("people", {"person_id": 50, "name": "temp"}, txn)
-        people_db.rollback_to_savepoint(txn, "s1")
-        people_db.commit(txn)
-        assert people_db.select_one("people", {"person_id": 50}) is None
-        assert people_db.select_one("people", {"person_id": 1})["age"] == 40
-
-    def test_unknown_savepoint_raises(self, people_db):
-        txn = people_db.begin()
-        with pytest.raises(TransactionNotActive):
-            people_db.rollback_to_savepoint(txn, "missing")
-        people_db.abort(txn)
-
-    def test_nested_savepoints(self, people_db):
-        txn = people_db.begin()
-        people_db.savepoint(txn, "a")
-        people_db.insert("people", {"person_id": 60, "name": "one"}, txn)
-        people_db.savepoint(txn, "b")
-        people_db.insert("people", {"person_id": 61, "name": "two"}, txn)
-        people_db.rollback_to_savepoint(txn, "b")
-        people_db.commit(txn)
-        assert people_db.select_one("people", {"person_id": 60}) is not None
-        assert people_db.select_one("people", {"person_id": 61}) is None
 
 
 class TestTwoPhaseCommit:
@@ -227,8 +198,8 @@ def _observable_state(db) -> dict:
         "heap": heap.snapshot(),
         "indexes": {index.name: (len(index), [
             sorted(index.lookup([row[column] for column in index.columns]))
-            for _, row in heap.scan()])
-            for index in db.catalog.indexes_of("people")},
+            for _, row in heap.scan_live()])
+            for index in db.catalog.iter_indexes("people")},
         "max_key": db.max_key("people"),
         "wal": [(int(r.lsn), r.txn_id, r.type, r.table, r.rid, r.before,
                  r.after, {key: value for key, value in r.extra.items()
@@ -238,7 +209,6 @@ def _observable_state(db) -> dict:
         "ticks": db.clock.ticks,
         "locks": {resource: dict(holders)
                   for resource, holders in db.locks._holders.items()},
-        "waits": dict(db.locks._waits_for),
         "transactions": sorted(db._transactions),
     }
 
@@ -349,7 +319,7 @@ class TestSingleStatementTransactions:
         check([1, 4])
         insert({"person_id": 5, "name": "late", "age": 36})
         check([1, 4, 5])
-        for index in db.catalog.indexes_of("people"):
+        for index in db.catalog.iter_indexes("people"):
             assert len(index) == 5
         db.restore(image)
         check([1, 4])

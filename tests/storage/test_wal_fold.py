@@ -47,7 +47,7 @@ def _bulk(db: Database, start: int, count: int = FOLD_AT) -> None:
 
 
 def _state(db: Database) -> dict:
-    return {"rows": dict(db.catalog.heap(TABLE).scan()),
+    return {"rows": dict(db.catalog.heap(TABLE).scan_live()),
             "by_v": {value: db.catalog.index_by_name(TABLE, "t_by_v")
                      .lookup((value,)) for value in range(7)},
             "max_key": db.max_key(TABLE)}

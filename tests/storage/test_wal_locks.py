@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import DeadlockError, LockConflictError
+from repro.errors import LockConflictError
 from repro.storage.lock_manager import LockManager, LockMode
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
@@ -134,37 +134,9 @@ class TestLockManager:
         assert locks.acquire(2, "a", LockMode.EXCLUSIVE)
         assert locks.acquire(2, "b", LockMode.EXCLUSIVE)
 
-    def test_deadlock_detected_on_cycle(self):
-        locks = LockManager()
-        locks.acquire(1, "a", LockMode.EXCLUSIVE)
-        locks.acquire(2, "b", LockMode.EXCLUSIVE)
-        # txn 1 waits for b (held by 2)
-        with pytest.raises(LockConflictError):
-            locks.acquire(1, "b", LockMode.EXCLUSIVE)
-        # txn 2 waiting for a (held by 1) would close the cycle
-        with pytest.raises(DeadlockError):
-            locks.acquire(2, "a", LockMode.EXCLUSIVE)
-
-    def test_try_acquire_returns_false_on_conflict(self):
-        locks = LockManager()
-        locks.acquire(1, "r", LockMode.EXCLUSIVE)
-        assert locks.try_acquire(2, "r", LockMode.SHARED) is False
-        assert locks.try_acquire(1, "r", LockMode.EXCLUSIVE) is True
-
     def test_holders_of_reports_modes(self):
         locks = LockManager()
         locks.acquire(1, "r", LockMode.SHARED)
         locks.acquire(2, "r", LockMode.SHARED)
         holders = locks.holders_of("r")
         assert holders == {1: LockMode.SHARED, 2: LockMode.SHARED}
-
-    def test_wait_edges_cleared_after_release(self):
-        locks = LockManager()
-        locks.acquire(1, "a", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError):
-            locks.acquire(2, "a", LockMode.EXCLUSIVE)
-        locks.release_all(1)
-        # no stale wait-for edge: acquiring in the other direction is fine
-        assert locks.acquire(2, "a", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError):
-            locks.acquire(1, "a", LockMode.EXCLUSIVE)

@@ -1393,6 +1393,50 @@ class TestRetiredNamesStayGone:
         "_host_outcome": "one two-phase commit: one outcome query",
         "ledger_delta": "one ledger window: window() takes every diff",
         "_stats_cells": "one ledger window: window() takes every diff",
+        ".savepoint(": "what the system uses: no savepoints",
+        "rollback_to_savepoint": "what the system uses: no savepoints",
+        "add_savepoint": "what the system uses: no savepoints",
+        "find_savepoint": "what the system uses: no savepoints",
+        "drop_savepoints_after": "what the system uses: no savepoints",
+        ".savepoints": "what the system uses: no savepoints",
+        "Savepoint": "what the system uses: no savepoints",
+        "SAVEPOINT": "what the system uses: no savepoints",
+        ".drop_table(": "what the system uses: no DROP TABLE",
+        "DROP_TABLE": "what the system uses: no DROP TABLE",
+        "_waits_for": "what the system uses: no-wait locking forms no cycle",
+        "_record_wait": "what the system uses: no-wait locking forms no cycle",
+        "_has_cycle": "what the system uses: no-wait locking forms no cycle",
+        "try_acquire": "what the system uses: no-wait locking forms no cycle",
+        "DeadlockError": "what the system uses: "
+                         "no-wait locking forms no cycle",
+        "db.count(": "what the system uses: len(select(...)) counts rows",
+        "host_db.count(": "what the system uses: len(select(...)) counts rows",
+        "def count(self, table": "what the system uses: "
+                                 "len(select(...)) counts rows",
+        ".scan(": "what the system uses: scan_live is the one heap scan",
+        "_scan_order": "what the system uses: scan_live is the one heap scan",
+        "indexes_of": "what the system uses: "
+                      "iter_indexes is the one index list",
+        "VFSOperations": "what the system uses: no abstract VFS",
+        "FilterVFS": "what the system uses: "
+                     "DLFS holds lower and forwards itself",
+        "fs_rmdir": "what the system uses: no rmdir",
+        "ENOTEMPTY": "what the system uses: no rmdir",
+        ".rmdir(": "what the system uses: no rmdir",
+        "fs_readdir": "what the system uses: no readdir",
+        ".listdir(": "what the system uses: no readdir",
+        ".truncate(": "what the system uses: truncate is fs_setattr(size=...)",
+        "lock_file": "what the system uses: DLFS alone calls fs_lockctl",
+        "unlock_file": "what the system uses: DLFS alone calls fs_lockctl",
+        "open_file_entry": "what the system uses: no descriptor-table readers",
+        "open_descriptors": "what the system uses: "
+                            "no descriptor-table readers",
+        "read_whole_file": "what the system uses: "
+                           "a file's bytes are inode.content",
+        "write_whole_file": "what the system uses: "
+                            "a file's bytes are inode.content",
+        "replica_status": "what the system uses: "
+                          "ReplicatedShard.status reports a witness",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).
@@ -1421,6 +1465,17 @@ class TestRetiredNamesStayGone:
             for name in names:
                 assert f"def {name}(" in scanned[module], (module, name)
 
+    def test_the_bound_file_system_keeps_what_its_callers_use(self):
+        """``Session.fs`` dropped its other pass-throughs (open, close,
+        read, lseek, stat, exists, listdir, chmod, makedirs); the logical
+        file system keeps those names, so the table cannot list them."""
+
+        from repro.api.session import BoundFileSystem
+
+        assert sorted(name for name in vars(BoundFileSystem)
+                      if not name.startswith("_")) == [
+            "read_file", "rename", "unlink", "write_file"]
+
     #: Shapes the table refuses, one offence a line; the words it must
     #: let through.
     PLANTED = {
@@ -1443,6 +1498,20 @@ class TestRetiredNamesStayGone:
             run_experiment("E9", serial=True)
             system.crash_file_server("fs1")
             """,
+        "storage and fs generality": """
+            db.savepoint(txn, "sp")
+            db.rollback_to_savepoint(txn, "sp")
+            db.drop_table("t")
+            locks.try_acquire(2, "r", LockMode.SHARED)
+            raise DeadlockError("cycle")
+            assert system.host_db.count(FILES_TABLE) == 1
+            rows = dict(heap.scan())
+            for index in db.catalog.indexes_of(table):
+            lfs.mount("/", FilterVFS(pfs))
+            names = lfs.listdir("/d", cred)
+            lfs.truncate("/f", 2, cred)
+            pfs.write_whole_file(vnode.ino, b"v2")
+            """,
         "two commit paths": """
             engine.commit_group([first, second])
             engine.failpoints["group:after_host_commit"] = hook
@@ -1459,6 +1528,11 @@ class TestRetiredNamesStayGone:
         connection.link_files(txn_id, [(path, options)])
         row = self._manager.link_file(txn_id, path, options)
         outcomes = engine.host_transaction_outcomes(txn_ids)
+        if self._try_acquire(editor, target, metrics):
+        before = stats.count("index_probe")
+        rows = dict(heap.scan_live())
+        for index in db.catalog.iter_indexes(table):
+        self._truncate(inode, 0)
         """
 
     @pytest.mark.parametrize("shape", sorted(PLANTED))

@@ -98,23 +98,6 @@ class TestSessionAPI:
         assert len(system.file_server("fs1").lfs.read(fd, 10)) == 10
         system.file_server("fs1").lfs.close(fd)
 
-    def test_bound_fs_operations(self, rfd_system):
-        system, alice, _, _ = rfd_system
-        fs = alice.fs("fs1")
-        fs.makedirs("/library/scratch/a")
-        fs.write_file("/library/scratch/a/x.txt", b"abc")
-        assert fs.listdir("/library/scratch/a") == ["x.txt"]
-        assert fs.stat("/library/scratch/a/x.txt").size == 3
-        fs.rename("/library/scratch/a/x.txt", "/library/scratch/a/y.txt")
-        fd = fs.open("/library/scratch/a/y.txt", OpenFlags.READ)
-        assert fs.read(fd) == b"abc"
-        fs.lseek(fd, 1)
-        assert fs.read(fd) == b"bc"
-        fs.close(fd)
-        fs.chmod("/library/scratch/a/y.txt", 0o600)
-        fs.unlink("/library/scratch/a/y.txt")
-        assert not fs.exists("/library/scratch/a/y.txt")
-
     def test_duplicate_file_server_name_rejected(self, rfd_system):
         system, _, _, _ = rfd_system
         with pytest.raises(DataLinksError):

@@ -239,12 +239,14 @@ class TestFileSystemProperties:
 
     @SETTINGS
     @given(names=st.lists(_names, min_size=1, max_size=8, unique=True))
-    def test_created_names_are_exactly_what_readdir_lists(self, names):
+    def test_each_created_name_looks_up_to_its_own_file(self, names):
         pfs = PhysicalFileSystem("prop", clock=SimClock())
         root = Credentials(uid=0)
-        for name in names:
-            pfs.fs_create(pfs.root_vnode(), name, 0o644, root)
-        assert pfs.fs_readdir(pfs.root_vnode(), root) == sorted(names)
+        created = [pfs.fs_create(pfs.root_vnode(), name, 0o644, root)
+                   for name in names]
+        assert [pfs.fs_lookup(pfs.root_vnode(), name, root)
+                for name in names] == created
+        assert len(set(created)) == len(names)
         with pytest.raises(FileSystemError):
             pfs.fs_create(pfs.root_vnode(), names[0], 0o644, root)
 

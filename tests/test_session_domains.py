@@ -172,9 +172,8 @@ class _ClosureProxy:
 
 class TestSyncedFileSystemProxy:
     BRACKETED = ("open", "close", "read", "write", "lseek", "stat", "fstat",
-                 "exists", "unlink", "rename", "mkdir", "makedirs", "rmdir",
-                 "listdir", "chmod", "chown", "truncate", "lock_file",
-                 "unlock_file", "read_file", "write_file")
+                 "exists", "unlink", "rename", "mkdir", "makedirs", "chmod",
+                 "chown", "read_file", "write_file")
 
     def test_pooled_proxies_hold_three_references_and_no_functions(self):
         from repro.api.session import SyncedFileSystem, synced_lfs
@@ -201,8 +200,8 @@ class TestSyncedFileSystemProxy:
         # Everything else is the LFS's own.
         proxy = proxies[0]
         assert proxy.clock is servers[0].lfs.clock
-        assert proxy.open_descriptors() == []
-        assert proxy.open_file_entry.__self__ is servers[0].lfs
+        assert proxy._open_files == {}
+        assert proxy.mounted_vfs.__self__ is servers[0].lfs
         with pytest.raises(AttributeError):
             proxy.no_such_syscall
 
