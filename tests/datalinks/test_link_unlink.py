@@ -115,6 +115,44 @@ class TestReferentialIntegrity:
         assert not system.file_server("fs1").files.exists(paths[0])
 
 
+    def test_nff_mode_leaves_rename_free(self):
+        system, alice, paths, _ = build_system(ControlMode.NFF)
+        alice.fs("fs1").rename(paths[0], "/library/renamed.dat")
+        files = system.file_server("fs1").files
+        assert files.exists("/library/renamed.dat")
+        assert not files.exists(paths[0])
+
+    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RDB],
+                             ids=["rdd", "rdb"])
+    def test_every_integrity_mode_guards_the_namespace(self, mode):
+        system, alice, paths, _ = build_system(mode)
+        with pytest.raises(FileSystemError) as removed:
+            alice.fs("fs1").unlink(paths[0])
+        with pytest.raises(FileSystemError) as renamed:
+            alice.fs("fs1").rename(paths[0], "/library/renamed.dat")
+        assert (removed.value.errno, renamed.value.errno) == (Errno.EBUSY,
+                                                              Errno.EBUSY)
+        assert system.file_server("fs1").files.exists(paths[0])
+
+    def test_the_data_path_of_a_linked_file_is_not_intercepted(self,
+                                                                rfd_system):
+        # DLFS guards the namespace only: reads and writes of a linked
+        # file's blocks go straight to the native file system (Section 1).
+        system, _, paths, _ = rfd_system
+        server = system.file_server("fs1")
+        dbms = server.dlfs.dbms_cred
+        vnode = server.physical.fs_lookup(
+            server.physical.fs_lookup(server.physical.root_vnode(),
+                                      "library", dbms),
+            paths[0].rsplit("/", 1)[1], dbms)
+        filtered = server.clock.stats.count("dlfs_filter")
+        assert server.dlfs.fs_readwrite(vnode, 0, length=4096, write=False,
+                                        cred=dbms) == server.files.read(paths[0])
+        assert server.dlfs.fs_readwrite(vnode, 0, data=b"XY", write=True,
+                                        cred=dbms) == 2
+        assert server.files.read(paths[0])[:2] == b"XY"
+        assert server.clock.stats.count("dlfs_filter") == filtered
+
 class TestUnlink:
     def test_delete_row_unlinks_and_restores_ownership(self, rdd_system):
         system, alice, paths, _ = rdd_system

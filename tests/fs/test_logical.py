@@ -159,6 +159,21 @@ class TestMountsAndStacking:
         assert info.value.errno is Errno.EXDEV
 
 
+    def test_dlfs_is_transparent_for_unlinked_files(self, root_cred):
+        system = DataLinksSystem()
+        system.add_file_server("fs1")
+        server = system.file_server("fs1")
+        lfs = server.lfs
+        lfs.makedirs("/d", root_cred)
+        lfs.write_file("/d/f.txt", b"through the filter", root_cred)
+        assert lfs.read_file("/d/f.txt", root_cred) == b"through the filter"
+        assert lfs.stat("/d/f.txt", root_cred).size == 18
+        assert server.dlfs.root_vnode() == server.physical.root_vnode()
+        lfs.rename("/d/f.txt", "/d/g.txt", root_cred)
+        assert server.files.read("/d/g.txt") == b"through the filter"
+        lfs.unlink("/d/g.txt", root_cred)
+        assert not server.files.exists("/d/g.txt")
+
 class TestDirectoryIdentityInvalidation:
     """``dir_version`` drops cached walks only when a directory's owner or
     mode really changes -- naming the value it already has is not a change."""

@@ -127,9 +127,25 @@ class TestDataPath:
         assert pfs.fs_getattr(vnode, root).size == 0
 
 
-def _truncate(pfs, path, size, cred):
-    vnode = pfs.fs_lookup(pfs.root_vnode(), path.lstrip("/"), cred)
-    pfs.fs_setattr(vnode, cred, size=size)
+def _truncate(vfs, path, size, cred):
+    vnode = vfs.fs_lookup(vfs.root_vnode(), path.lstrip("/"), cred)
+    vfs.fs_setattr(vnode, cred, size=size)
+
+
+@pytest.fixture(params=["physical", "dlfs"])
+def truncating_stack(request, fs_stack):
+    """The layer a truncate's ``fs_setattr`` goes to, and the LFS over it:
+    the native file system itself, or a file server's DLFS, which passes
+    ``fs_setattr`` through to the native file system below it."""
+
+    if request.param == "physical":
+        return fs_stack
+    from repro.api.system import DataLinksSystem
+
+    system = DataLinksSystem()
+    system.add_file_server("fs1")
+    server = system.file_server("fs1")
+    return server.dlfs, server.lfs
 
 
 class TestTruncatedBytesStayGone:
@@ -137,17 +153,18 @@ class TestTruncatedBytesStayGone:
     or writing past the cut, reads zeros there (POSIX), also inside the
     block the cut fell in."""
 
-    def test_shrink_then_grow_reads_zeros(self, fs_stack, root):
-        pfs, lfs = fs_stack
+    def test_shrink_then_grow_reads_zeros(self, truncating_stack, root):
+        vfs, lfs = truncating_stack
         lfs.write_file("/f", b"A" * 100, root)
-        _truncate(pfs, "/f", 10, root)
-        _truncate(pfs, "/f", 50, root)
+        _truncate(vfs, "/f", 10, root)
+        _truncate(vfs, "/f", 50, root)
         assert lfs.read_file("/f", root) == b"A" * 10 + bytes(40)
 
-    def test_shrink_then_write_past_the_cut_reads_zeros(self, fs_stack, root):
-        pfs, lfs = fs_stack
+    def test_shrink_then_write_past_the_cut_reads_zeros(self, truncating_stack,
+                                                        root):
+        vfs, lfs = truncating_stack
         lfs.write_file("/g", b"B" * 100, root)
-        _truncate(pfs, "/g", 10, root)
+        _truncate(vfs, "/g", 10, root)
         fd = lfs.open("/g", OpenFlags.WRITE, root)
         lfs.lseek(fd, 40)
         lfs.write(fd, b"ZZ")

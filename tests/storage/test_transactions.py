@@ -70,6 +70,43 @@ class TestCommitAbort:
         assert events == ["commit", "abort2"]
 
 
+class TestAbortUndoesTheWholeTransaction:
+    def test_abort_undoes_every_statement_of_the_transaction(self, people_db):
+        before = people_db.select("people")
+        txn = people_db.begin()
+        people_db.update("people", {"person_id": 1}, {"age": 40}, txn)
+        people_db.insert("people", {"person_id": 50, "name": "temp"}, txn)
+        people_db.delete("people", {"person_id": 2}, txn)
+        people_db.abort(txn)
+        assert people_db.select("people") == before
+        assert people_db.select_one("people", {"person_id": 50}) is None
+
+    def test_abort_keeps_what_an_earlier_transaction_committed(self,
+                                                               people_db):
+        first = people_db.begin()
+        people_db.update("people", {"person_id": 1}, {"age": 40}, first)
+        people_db.insert("people", {"person_id": 60, "name": "one"}, first)
+        people_db.commit(first)
+        second = people_db.begin()
+        people_db.update("people", {"person_id": 1}, {"age": 41}, second)
+        people_db.insert("people", {"person_id": 61, "name": "two"}, second)
+        people_db.abort(second)
+        assert people_db.select_one("people", {"person_id": 1})["age"] == 40
+        assert people_db.select_one("people", {"person_id": 60}) is not None
+        assert people_db.select_one("people", {"person_id": 61}) is None
+
+    def test_abort_releases_locks(self, people_db):
+        txn = people_db.begin()
+        people_db.update("people", {"person_id": 1}, {"age": 1}, txn)
+        assert people_db.locks.locks_of(txn.txn_id) != set()
+        people_db.abort(txn)
+        assert people_db.locks.locks_of(txn.txn_id) == set()
+        other = people_db.begin()
+        people_db.update("people", {"person_id": 1}, {"age": 2}, other)
+        people_db.commit(other)
+        assert people_db.select_one("people", {"person_id": 1})["age"] == 2
+
+
 class TestTwoPhaseCommit:
     def test_prepare_then_commit(self, people_db):
         txn = people_db.begin()

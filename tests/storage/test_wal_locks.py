@@ -134,6 +134,42 @@ class TestLockManager:
         assert locks.acquire(2, "a", LockMode.EXCLUSIVE)
         assert locks.acquire(2, "b", LockMode.EXCLUSIVE)
 
+    def test_a_would_be_cycle_is_refused_at_once(self):
+        locks = LockManager()
+        locks.acquire(1, "a", LockMode.EXCLUSIVE)
+        locks.acquire(2, "b", LockMode.EXCLUSIVE)
+        # No-wait: each request that would close a cycle raises at once,
+        # naming the holder, and neither transaction is left waiting.
+        with pytest.raises(LockConflictError) as first:
+            locks.acquire(1, "b", LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError) as second:
+            locks.acquire(2, "a", LockMode.EXCLUSIVE)
+        assert first.value.holders == (2,)
+        assert second.value.holders == (1,)
+        assert locks.locks_of(1) == {"a"} and locks.locks_of(2) == {"b"}
+
+    def test_a_refused_acquire_grants_nothing(self):
+        locks = LockManager()
+        locks.acquire(1, "r", LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError):
+            locks.acquire(2, "r", LockMode.SHARED)
+        assert not locks.holds(2, "r")
+        assert locks.locks_of(2) == set()
+        assert locks.holders_of("r") == {1: LockMode.EXCLUSIVE}
+
+    def test_release_all_leaves_no_trace_of_a_refusal(self):
+        locks = LockManager()
+        locks.acquire(1, "a", LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError):
+            locks.acquire(2, "a", LockMode.EXCLUSIVE)
+        locks.release_all(1)
+        # The refused request left nothing behind: the other direction
+        # is granted, and the first holder is now the one refused.
+        assert locks.acquire(2, "a", LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError):
+            locks.acquire(1, "a", LockMode.EXCLUSIVE)
+        assert locks.holders_of("a") == {2: LockMode.EXCLUSIVE}
+
     def test_holders_of_reports_modes(self):
         locks = LockManager()
         locks.acquire(1, "r", LockMode.SHARED)

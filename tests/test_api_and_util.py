@@ -98,6 +98,18 @@ class TestSessionAPI:
         assert len(system.file_server("fs1").lfs.read(fd, 10)) == 10
         system.file_server("fs1").lfs.close(fd)
 
+    def test_bound_fs_operations(self, rfd_system):
+        system, alice, _, _ = rfd_system
+        fs = alice.fs("fs1")
+        assert fs.write_file("/library/x.txt", b"abc") == 3
+        assert fs.read_file("/library/x.txt") == b"abc"
+        fs.write_file("/library/x.txt", b"abcd", create=False)
+        fs.rename("/library/x.txt", "/library/y.txt")
+        assert fs.read_file("/library/y.txt") == b"abcd"
+        assert not system.file_server("fs1").files.exists("/library/x.txt")
+        fs.unlink("/library/y.txt")
+        assert not system.file_server("fs1").files.exists("/library/y.txt")
+
     def test_duplicate_file_server_name_rejected(self, rfd_system):
         system, _, _, _ = rfd_system
         with pytest.raises(DataLinksError):
