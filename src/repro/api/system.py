@@ -84,6 +84,7 @@ class FileServer:
         """Simulate a crash of the file server node (DLFM state is volatile)."""
 
         self.running = False
+        self.physical.locks.clear()
         self.dlfm.crash()
         self.upcall_daemon.stop()
         self.main_daemon.stop_all()

@@ -118,9 +118,9 @@ class ChildAgent(Daemon):
         return {"prepared": [self._manager.prepare_branch(txn_id)
                              for txn_id in host_txn_ids]}
 
-    def _commit(self, host_txn_ids: list, state_id: int) -> dict:
+    def _commit(self, host_txn_ids: list, state_ids: list) -> dict:
         self._charge_per_item(len(host_txn_ids))
-        for txn_id in host_txn_ids:
+        for txn_id, state_id in zip(host_txn_ids, state_ids):
             self._manager.commit_branch(txn_id, state_id)
         return {}
 
@@ -239,9 +239,9 @@ class DLFMConnection:
         return self._channel.request("prepare",
                                      host_txn_ids=list(host_txn_ids))["prepared"]
 
-    def commit(self, host_txn_ids: list[int], state_id: int) -> None:
+    def commit(self, host_txn_ids: list[int], state_ids: list[int]) -> None:
         self._channel.request("commit", host_txn_ids=list(host_txn_ids),
-                              state_id=state_id)
+                              state_ids=list(state_ids))
 
     def abort(self, host_txn_id: int) -> None:
         self._channel.request("abort", host_txn_id=host_txn_id)

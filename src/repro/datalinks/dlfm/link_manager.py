@@ -140,18 +140,19 @@ class LinkManager:
                 f"cannot unlink {path!r}: {len(open_entries)} application(s) "
                 f"currently have it open")
         self._repository.delete_linked_file(path, txn)
-
-        files = self._files
-        mode = ControlMode.from_string(row["control_mode"])
-        on_unlink = OnUnlink(row["on_unlink"])
-        original = (row["original_uid"], row["original_gid"], row["original_mode"])
-
-        def _finalize() -> None:
-            if on_unlink is OnUnlink.DELETE:
-                files.unlink(path)
-                return
-            if mode.takes_over_on_link or mode.made_read_only_on_link:
-                files.restore_ownership(path, *original)
-
-        txn.on_commit.append(_finalize)
+        txn.on_commit.append(lambda: self.finish_unlink(row))
         return row
+
+    def finish_unlink(self, row: dict) -> None:
+        """The file-system half of the unlink of *row*, once it committed:
+        delete the file or give it back as it was before its link."""
+
+        path = row["path"]
+        if OnUnlink(row["on_unlink"]) is OnUnlink.DELETE:
+            self._files.unlink(path)
+            return
+        mode = ControlMode.from_string(row["control_mode"])
+        if mode.takes_over_on_link or mode.made_read_only_on_link:
+            self._files.restore_ownership(path, row["original_uid"],
+                                          row["original_gid"],
+                                          row["original_mode"])

@@ -571,6 +571,9 @@ class DataLinksFileManager:
             "pre_size": attrs.size,
             "restore_version": self.repository.latest_version_no(path),
         })
+        # The tracking row is what recovery rolls the update back by: it is
+        # durable before the file can change, under group commit too.
+        self.repository.db.force_log()
         if mode is ControlMode.RFD and not row["taken_over"]:
             # Temporarily take the file over so concurrent readers are kept
             # out by the file system's own access control (Section 4.2).
@@ -1006,19 +1009,50 @@ class DataLinksFileManager:
                 committed.append(host_txn_id)
             else:
                 # Presumed abort: no durable COMMIT at the coordinator.
+                records = list(txn.records)
                 self.repository.db.abort_prepared(txn)
+                self._undo_links_from_log(records)
                 aborted.append(host_txn_id if host_txn_id is not None else txn.txn_id)
         return {"committed": committed, "aborted": aborted}
+
+    def _undo_links_from_log(self, records) -> None:
+        """Do what the abort hooks of a branch aborted from the log -- its
+        *records* -- would have done live: give each file it linked back
+        as it was (:func:`apply_link_constraints`).  A prefix hand-off's
+        import, which inserts the version rows of the links it inserts,
+        leaves its copies to the sweep."""
+
+        if any(record.table == "file_versions" for record in records):
+            return
+        for record in records:
+            if record.table == "linked_files" and \
+                    record.type is LogRecordType.INSERT:
+                row = record.after
+                mode = ControlMode.from_string(row["control_mode"])
+                if mode.takes_over_on_link or mode.made_read_only_on_link:
+                    self.files.restore_ownership(
+                        row["path"], row["original_uid"],
+                        row["original_gid"], row["original_mode"])
 
     def _finish_from_log(self, records) -> None:
         """Do what the commit hooks of a branch committed from the log --
         its *records* -- would have done live: give back each rfd file its
-        close handed back (:meth:`_commit_file_update`).  The branch's
-        archive jobs are among its records and committed with it."""
+        close handed back (:meth:`_commit_file_update`) and finish each
+        unlink (:meth:`LinkManager.finish_unlink`); a prefix hand-off,
+        which deletes the version rows of the links it deletes, leaves its
+        files to the sweep.  The branch's archive jobs are among its
+        records and committed with it."""
 
+        handed_off = any(record.table == "file_versions" and
+                         record.type is LogRecordType.DELETE
+                         for record in records)
         for record in records:
-            if record.table == "linked_files" and \
-                    record.type is LogRecordType.UPDATE and \
+            if record.table != "linked_files":
+                continue
+            if record.type is LogRecordType.DELETE:
+                if not handed_off:
+                    self.links.finish_unlink(record.before)
+            elif record.type is LogRecordType.UPDATE and \
                     record.before["taken_over"] and \
                     not record.after["taken_over"]:
                 self._give_back(record.after)

@@ -49,7 +49,6 @@ from repro.fs.vfs import (
     Credentials,
     LockKind,
     LockRequest,
-    OpenFlags,
     OpenHandle,
     Vnode,
 )

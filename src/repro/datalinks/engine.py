@@ -163,7 +163,9 @@ class _ColumnPlan:
 class _StatementTransaction:
     """``with _StatementTransaction(engine, host_txn) as active``: the
     caller's transaction, or one begun for this statement alone -- committed
-    when the block ends, aborted when it raises an ``Exception``."""
+    when the block ends, aborted when it raises an ``Exception``.  A commit
+    that fails is finished too: aborted when the host did not commit, its
+    participant commits re-sent when it did."""
 
     __slots__ = ("_engine", "_given", "_own")
 
@@ -184,7 +186,14 @@ class _StatementTransaction:
         if own is None:
             return
         if exc_type is None:
-            self._engine.commit(own)
+            try:
+                self._engine.commit(own)
+            except ReproError:
+                if own.txn.is_finished:
+                    self._engine.redrive_commit(own)
+                else:
+                    self._engine.abort(own)
+                raise
         elif issubclass(exc_type, Exception):
             self._engine.abort(own)
 
@@ -354,8 +363,10 @@ class DataLinksEngine:
         any server is enlisted the group's COMMITs are appended and forced
         once (:meth:`~repro.storage.database.Database.commit_many`), before
         any participant commits; otherwise each transaction commits under
-        the flush policy.  Each commit message carries the commit's state
-        id, which dates the archive jobs the participant's branches wrote.
+        the flush policy.  Each commit message carries the state id of
+        every transaction it lists, its own COMMIT record's LSN, which dates
+        the archive jobs that transaction's branch wrote.  Returns the last
+        transaction's state id.
         """
 
         by_server: dict[str, list[int]] = {}
@@ -391,19 +402,22 @@ class DataLinksEngine:
                 fire(self.failpoints, "commit:prepared", server)
         fire(self.failpoints, "commit:before_host_commit")
         if by_server:
-            state_id = self.db.commit_many([host_txn.txn
-                                            for host_txn in host_txns])
+            state_ids = self.db.commit_many([host_txn.txn
+                                             for host_txn in host_txns])
         else:
-            for host_txn in host_txns:
-                state_id = self.db.commit(host_txn.txn)
+            state_ids = [self.db.commit(host_txn.txn)
+                         for host_txn in host_txns]
         fire(self.failpoints, "commit:after_host_commit")
+        dated = dict(zip((host_txn.txn_id for host_txn in host_txns),
+                         state_ids))
         with self.clock.overlap():
             for server in sorted(by_server):
-                if by_server[server]:
-                    self._entry(server).connection.commit(by_server[server],
-                                                          state_id)
+                txn_ids = by_server[server]
+                if txn_ids:
+                    self._entry(server).connection.commit(
+                        txn_ids, [dated[txn_id] for txn_id in txn_ids])
                     fire(self.failpoints, "commit:committed", server)
-        return state_id
+        return state_ids[-1]
 
     def commit_file_update(self, host_txn: HostTransaction, server: str,
                            path: str, size: int, mtime: float) -> LSN:
@@ -442,21 +456,21 @@ class DataLinksEngine:
         servers must commit (a missing branch is ignored -- it already
         committed) and unreachable servers are left to resolve their
         in-doubt branches from the host outcome during recovery.  Each
-        enlisted server gets one ``commit`` listing its transactions; it
-        carries the group's state id, the latest of their COMMIT records,
-        which is what :meth:`commit` sent the group.
+        enlisted server gets one ``commit`` listing its transactions, each
+        with its own COMMIT record's state id, as :meth:`commit` sends it.
         """
 
-        state_id = max((self.host_commit_state(host_txn.txn_id)
-                        for host_txn in host_txns), default=None)
+        dated: dict[int, LSN] = {}
         by_server: dict[str, list[int]] = {}
         for host_txn in host_txns:
+            dated[host_txn.txn_id] = self.host_commit_state(host_txn.txn_id)
             for server in host_txn.servers:
                 by_server.setdefault(server, []).append(host_txn.txn_id)
         with self.clock.overlap():
             for server, txn_ids in sorted(by_server.items()):
                 try:
-                    self._entry(server).connection.commit(txn_ids, state_id)
+                    self._entry(server).connection.commit(
+                        txn_ids, [dated[txn_id] for txn_id in txn_ids])
                 except IPCError:
                     pass
 

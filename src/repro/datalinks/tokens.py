@@ -90,6 +90,13 @@ class AccessToken(NamedTuple):
         return cls(token_type, expires_at, signature)
 
 
+#: A cached token is handed out again only while this share of its
+#: requested TTL remains.
+MIN_REMAINING_FRACTION = 0.5
+#: Entries a :class:`TokenCache` holds before a store evicts.
+MAX_ENTRIES = 4096
+
+
 class TokenCache:
     """Host-side cache of handed-out tokens, keyed by
     (server, path, type, requested TTL).
@@ -97,28 +104,24 @@ class TokenCache:
     The requested TTL is part of the key, so a caller asking for a
     short-lived capability can never receive a longer-lived cached one (and
     vice versa) -- each TTL class caches its own token.  Within a class a
-    token is reused only while at least ``min_remaining_fraction`` of the
+    token is reused only while at least :data:`MIN_REMAINING_FRACTION` of the
     TTL remains, so callers never receive a token about to expire out from
     under them; staler entries are dropped on lookup.
 
     The cache is bounded: expired entries are swept whenever the entry count
-    reaches ``max_entries`` on a store, and if the sweep is not enough the
+    reaches :data:`MAX_ENTRIES` on a store, and if the sweep is not enough the
     oldest entries are dropped FIFO until the new token fits.  Without this
     the cache grew without bound -- every distinct (server, path, type, ttl)
     ever asked for stayed resident forever.  Evicting an *expired* entry can
     never change hit/miss accounting (a lookup of an expired entry was
     already a miss); evicting a live entry can turn a future hit into a
-    miss, so ``max_entries`` should stay generously above the working set.
+    miss, so :data:`MAX_ENTRIES` should stay generously above the working set.
     """
 
-    def __init__(self, clock: SimClock,
-                 min_remaining_fraction: float = 0.5,
-                 max_entries: int = 4096):
+    def __init__(self, clock: SimClock):
         if not isinstance(clock, SimClock):
             raise TypeError(f"TokenCache needs a SimClock, got {clock!r}")
         self._clock = clock
-        self.min_remaining_fraction = float(min_remaining_fraction)
-        self.max_entries = int(max_entries)
         #: ``key -> (expires_at, token text)``: a hit hands the stored text
         #: out again as it was issued.
         self._entries: dict[tuple, tuple[float, str]] = {}
@@ -137,7 +140,7 @@ class TokenCache:
             pass
         else:
             remaining = expires_at - self._clock.ticks / TICKS_PER_SECOND
-            if remaining >= ttl * self.min_remaining_fraction:
+            if remaining >= ttl * MIN_REMAINING_FRACTION:
                 self.hits += 1
                 return text
             del self._entries[key]
@@ -158,9 +161,9 @@ class TokenCache:
 
     def store(self, server: str, path: str, token_type: TokenType,
               ttl: float, token_text: str) -> None:
-        if len(self._entries) >= self.max_entries:
+        if len(self._entries) >= MAX_ENTRIES:
             self.evict_expired()
-            while len(self._entries) >= self.max_entries:
+            while len(self._entries) >= MAX_ENTRIES:
                 # Dicts iterate in insertion order, so this drops the oldest
                 # stored (not most recently used) entry -- FIFO is enough to
                 # bound the cache without per-lookup bookkeeping.
@@ -174,7 +177,7 @@ class TokenCache:
         return {"hits": self.hits, "misses": self.misses,
                 "entries": len(self._entries),
                 "evictions": self.evictions,
-                "max_entries": self.max_entries,
+                "max_entries": MAX_ENTRIES,
                 "hit_rate": self.hits / lookups if lookups else 0.0}
 
 

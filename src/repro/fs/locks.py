@@ -55,5 +55,10 @@ class FileLockTable:
         if not holders:
             del self._locks[ino]
 
+    def clear(self) -> None:
+        """Drop every lock: the node crashed, and its holders with it."""
+
+        self._locks.clear()
+
     def holders(self, ino: int) -> list[object]:
         return [lock.owner for lock in self._locks.get(ino, ())]

@@ -11,7 +11,7 @@ handling has to work around (Section 4.1 of the paper).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import Errno, FileSystemError, fs_error
 from repro.fs.inode import DEFAULT_DIR_MODE, DEFAULT_FILE_MODE, FileAttributes

@@ -17,9 +17,6 @@ class Catalog:
         self._heaps: dict[str, HeapTable] = {}
         self._indexes: dict[str, list] = {}
         self._index_by_name: dict[tuple[str, str], object] = {}
-        # ``(schema, heap, pk_index, indexes)`` per table, built lazily:
-        # the query planner asks for all four on every statement.
-        self._plan_cache: dict[str, tuple] = {}
         #: Bumped on every DDL change (create table, create index,
         #: snapshot load).  Callers holding derived per-table plans (the
         #: database's extended plan cache) validate against this counter
@@ -78,7 +75,6 @@ class Catalog:
             index.insert(row, rid)
         self._indexes[table].append(index)
         self._index_by_name[(table, index_name)] = index
-        self._plan_cache.pop(table, None)
         return index
 
     def iter_indexes(self, table: str):
@@ -90,20 +86,13 @@ class Catalog:
         return self._index_by_name.get((table, index_name))
 
     def plan_info(self, table: str) -> tuple:
-        """``(schema, heap, pk_index, indexes)`` for *table*, cached.
+        """``(schema, heap, pk_index, indexes)`` for *table*: what the
+        database's plan cache builds a table's plan from."""
 
-        One dict probe replaces the four separate catalog lookups every
-        DML/SELECT statement performs; invalidated on any DDL.
-        """
-
-        info = self._plan_cache.get(table)
-        if info is None:
-            self._require(table)
-            info = (self._schemas[table], self._heaps[table],
-                    self._index_by_name.get((table, f"{table}_pk")),
-                    tuple(self._indexes[table]))
-            self._plan_cache[table] = info
-        return info
+        self._require(table)
+        return (self._schemas[table], self._heaps[table],
+                self._index_by_name.get((table, f"{table}_pk")),
+                tuple(self._indexes[table]))
 
     # -- maintenance hooks ----------------------------------------------------------
     def index_insert(self, table: str, row: dict, rid: int) -> None:
@@ -172,7 +161,6 @@ class Catalog:
         self._heaps = {}
         self._indexes = {}
         self._index_by_name = {}
-        self._plan_cache = {}
         for name, schema in snapshot["schemas"].items():
             self._schemas[name] = schema.copy()
             heap = HeapTable(self._schemas[name])

@@ -66,7 +66,6 @@ from operator import itemgetter
 
 from repro.errors import (
     DuplicateKeyError,
-    NoSuchTableError,
     PreparedStateError,
     TransactionNotActive,
 )
@@ -316,25 +315,27 @@ class Database:
             callbacks.clear()
         return self.wal.tail_lsn()
 
-    def commit_many(self, txns: list[Transaction]) -> LSN:
+    def commit_many(self, txns: list[Transaction]) -> list[LSN]:
         """Group-commit a batch: one log force covers every transaction.
 
         This is the explicit form of group commit used by the sharded
         deployment's commit queue; it forces the log exactly once no matter
         how many transactions are in the batch (and regardless of policy).
+        Returns each transaction's state id, its COMMIT record's LSN, in
+        order.
         """
 
         for txn in txns:
             txn.require_active_or_prepared()
-        for txn in txns:
-            self.wal.append(txn.txn_id, LogRecordType.COMMIT)
+        state_ids = [self.wal.append(txn.txn_id, LogRecordType.COMMIT).lsn
+                     for txn in txns]
         if txns:
             self.wal.flush()
             self._charge("log_write")
         for txn in txns:
             txn.state = TxnState.COMMITTED
             self._finish(txn, txn.on_commit)
-        return self.wal.tail_lsn()
+        return state_ids
 
     def abort(self, txn: Transaction) -> None:
         """Roll back *txn*: undo its effects, force the log, release locks."""

@@ -6,11 +6,12 @@ handed out by the host database are embedded in the file name so that
 applications keep using the ordinary file-system API; DLFS strips and
 validates the token during ``fs_lookup``.
 
-Parsing and formatting are memoized: the engine re-parses the same URL text
-on every operation (token minting, routing, open, update, unlink all start
-from the URL), and :class:`DatalinkURL` is immutable (a named tuple, see
+Parsing is memoized: the engine re-parses the same URL text on every
+operation (token minting, routing, open, update, unlink all start from the
+URL), and :class:`DatalinkURL` is immutable (a named tuple, see
 :mod:`repro.fs.inode`), so cached instances are safely shared between call
-sites.
+sites.  Formatting is not: a URL is mostly formatted once, when its file
+is staged.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ def parse_url(text: str) -> DatalinkURL:
     return DatalinkURL(scheme, server, path, token)
 
 
-@functools.lru_cache(maxsize=8192)
 def format_url(server: str, path: str, *, scheme: str = DEFAULT_SCHEME,
                token: str | None = None) -> str:
     """Build DATALINK URL text from components."""

@@ -51,7 +51,7 @@ Links refused mid-move with a retryable
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.datalinks.balancer import BalancerConfig
 from repro.datalinks.control_modes import ControlMode

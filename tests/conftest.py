@@ -239,12 +239,13 @@ def build_deployment(flush_policy: str = "immediate",
     return deployment, deployment.session("alice", uid=ALICE_UID)
 
 
-def assert_archive_reachable(system) -> None:
+def assert_archive_reachable(system, settled: bool = True) -> None:
     """The archive holds exactly the objects something can still read: the
     union of every file server's version rows and retained backup images
     (*system* is a :class:`DataLinksSystem` or a sharded deployment).
     While a server is down its rows are unknown, and the archive holds at
-    least what the others name."""
+    least what the others name; so it does until an archiver run ends
+    after a crash (not *settled*), whose sweep frees what the crash left."""
 
     system = getattr(system, "system", system)
     named, servers = set(), system.file_servers.values()
@@ -258,10 +259,30 @@ def assert_archive_reachable(system) -> None:
             named.update(row["archive_id"] for row in image.catalog_snapshot[
                 "heaps"]["file_versions"]["rows"].values())
     held = set(system.archive._objects)
-    if all(server.running for server in servers):
+    if settled and all(server.running for server in servers):
         assert held == named
     else:
         assert named <= held
+
+
+def crash_once_a_version_is_durable(system, node: str) -> None:
+    """Run the archiver of *system* (a system or a sharded deployment) and
+    crash *node* the moment one of its version transactions is durable,
+    before the run reaches its sweep."""
+
+    dlfm = getattr(system, "system", system).file_server(node).dlfm
+    seen = dlfm.repository.db.wal.flushed_lsn
+
+    def listener(log):
+        if any(record.table == "file_versions"
+               for record in log.records_from(seen, durable_only=True)):
+            dlfm.repository.remove_wal_listener(listener)
+            system.crash(node)
+            raise InjectedCrash
+
+    dlfm.repository.add_wal_listener(listener)
+    with pytest.raises(InjectedCrash):
+        getattr(system, "system", system).run_archiver()
 
 
 def prefix_on(deployment, shard: str, stem: str = "/f") -> str:

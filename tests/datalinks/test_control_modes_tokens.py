@@ -9,6 +9,7 @@ from repro.datalinks.datalink_type import (
     datalink_column,
     options_of_column,
 )
+from repro.datalinks import tokens
 from repro.datalinks.tokens import AccessToken, TokenManager, TokenType
 from repro.errors import (
     AccessDeniedError,
@@ -284,7 +285,7 @@ class TestTokenCache:
         assert cache.lookup("fs1", "/f", TokenType.READ, 1.0) is None
         assert cache.stats() == {"hits": 0, "misses": 1, "entries": 0,
                                  "hit_rate": 0.0, "evictions": 1,
-                                 "max_entries": cache.max_entries}
+                                 "max_entries": tokens.MAX_ENTRIES}
 
     def test_short_ttl_request_never_gets_long_lived_token(self):
         """A caller asking for a short-lived capability must not receive a
@@ -312,6 +313,30 @@ class TestTokenCache:
             assert cache.lookup("fs1", "/f", TokenType.READ,
                                 60.0) == short_lived
         assert cache.stats()["hits"] == 6 and cache.stats()["misses"] == 0
+
+    def test_a_full_cache_sweeps_expired_entries_before_dropping_the_oldest(
+            self, monkeypatch):
+        """A store into a full cache first drops every expired entry; only
+        if none expired does it drop the oldest stored entry (FIFO)."""
+
+        monkeypatch.setattr(tokens, "MAX_ENTRIES", 3)
+        cache, manager, clock = self._cache()
+        for path, ttl in (("/a", 1.0), ("/b", 100.0), ("/c", 1.0)):
+            cache.store("fs1", path, TokenType.READ, ttl,
+                        manager.generate(path, TokenType.READ, ttl))
+        clock.advance(2.0)      # /a and /c expired, /b is live
+        cache.store("fs1", "/d", TokenType.READ, 100.0,
+                    manager.generate("/d", TokenType.READ, 100.0))
+        assert cache.stats()["evictions"] == 2
+        assert [key[1] for key in cache._entries] == ["/b", "/d"]
+
+        cache.store("fs1", "/e", TokenType.READ, 100.0,
+                    manager.generate("/e", TokenType.READ, 100.0))
+        cache.store("fs1", "/f", TokenType.READ, 100.0,
+                    manager.generate("/f", TokenType.READ, 100.0))
+        assert cache.stats()["evictions"] == 3     # none expired: /b went
+        assert [key[1] for key in cache._entries] == ["/d", "/e", "/f"]
+        assert cache.lookup("fs1", "/b", TokenType.READ, 100.0) is None
 
     def test_engine_cache_respects_requested_ttl(self):
         from tests.conftest import FILES_TABLE, build_system

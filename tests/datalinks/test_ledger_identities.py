@@ -487,14 +487,56 @@ class TestLinkJobIsABranchWrite:
 
         monkeypatch.setattr(engine, "host_commit_state", asked)
         if grouped:
-            state_ids = [engine.commit(first, second)] * 2
-            # The group's state id is not the first transaction's own
-            # COMMIT record: the version is dated by the message.
-            assert system.host_db.commit_state_of(first.txn_id) < \
-                state_ids[0]
+            assert engine.commit(first, second) == \
+                system.host_db.commit_state_of(second.txn_id)
         else:
-            state_ids = [engine.commit(first), engine.commit(second)]
+            engine.commit(first)
+            engine.commit(second)
+        # In a group too, each transaction's versions carry its own COMMIT
+        # record's LSN, as a branch resolved in doubt dates them.
+        state_ids = [system.host_db.commit_state_of(host_txn.txn_id)
+                     for host_txn in (first, second)]
+        assert state_ids[0] < state_ids[1]
         assert system.run_archiver() == 3
         repository = system.file_server("fs1").dlfm.repository
         assert [repository.versions(path)[0]["state_id"] for path in paths] \
             == [state_ids[0], state_ids[0], state_ids[1]]
+
+    def test_a_group_resolved_in_doubt_dates_each_version_alike(self):
+        """A window-2 drain over two shards, the first shard crashed once
+        the host COMMITs are durable: the live shard's commit comes from
+        the redrive and the restarted shard's from its in-doubt branches;
+        both date each transaction's versions by its own COMMIT."""
+
+        from repro.errors import ReproError
+        from tests.conftest import (SHARD_TABLE, boom, build_deployment,
+                                    prefix_on)
+
+        deployment, alice = build_deployment(group_commit_window=2,
+                                             replication=False)
+        prefixes = [prefix_on(deployment, shard) for shard in
+                    ("shard0", "shard1")]
+        host_txns = []
+        for doc in range(2):
+            host_txn = deployment.begin()
+            deployment.engine.insert_many(SHARD_TABLE, [
+                {"doc_id": 2 * doc + index, "body_size": 0,
+                 "body_mtime": 0.0, "body": deployment.put_file(
+                     alice, f"{prefix}/doc{doc}.dat", b"payload")}
+                for index, prefix in enumerate(prefixes)], host_txn)
+            host_txns.append(host_txn)
+        deployment.engine.failpoints["commit:after_host_commit"] = boom(
+            lambda: deployment.crash("shard0"), raises=None)
+        assert deployment.commit(host_txns[0]) is None
+        with pytest.raises(ReproError):
+            deployment.commit(host_txns[1])
+        deployment.engine.failpoints.clear()
+        deployment.restart("shard0")
+        deployment.system.run_archiver()
+
+        host_db = deployment.system.host_db
+        for doc, host_txn in enumerate(host_txns):
+            dates = [deployment.system.file_server(shard).dlfm.repository
+                     .versions(f"{prefix}/doc{doc}.dat")[0]["state_id"]
+                     for shard, prefix in zip(("shard0", "shard1"), prefixes)]
+            assert dates == [host_db.commit_state_of(host_txn.txn_id)] * 2

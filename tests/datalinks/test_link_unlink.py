@@ -1,4 +1,9 @@
-"""Link/unlink semantics: constraints applied, transactionality, integrity."""
+"""Link/unlink semantics: constraints applied, transactionality, integrity.
+
+A single link and unlink of an rdd, rdb or rfd file -- the constraint it
+applies and takes back, its archive job, the refusal to remove a linked
+file, and their crashes -- are enumerated against the reference model in
+``test_protocol_model.py``; the cases here are the ones it does not play."""
 
 import pytest
 
@@ -19,19 +24,6 @@ from tests.conftest import FILES_TABLE, build_system
 
 
 class TestLinkConstraints:
-    def test_rfd_link_marks_file_read_only(self):
-        system, alice, paths, _ = build_system(ControlMode.RFD)
-        attrs = system.file_server("fs1").files.stat(paths[0])
-        assert attrs.mode & 0o222 == 0              # write bits cleared
-        assert attrs.uid == alice.cred.uid           # ownership unchanged
-
-    def test_rdd_link_takes_over_ownership(self):
-        system, _, paths, _ = build_system(ControlMode.RDD)
-        server = system.file_server("fs1")
-        attrs = server.files.stat(paths[0])
-        assert attrs.uid == server.dbms_uid
-        assert attrs.mode == 0o400
-
     def test_rff_link_leaves_file_untouched(self):
         system, alice, paths, _ = build_system(ControlMode.RFF)
         attrs = system.file_server("fs1").files.stat(paths[0])
@@ -77,11 +69,6 @@ class TestLinkConstraints:
         assert after.mode == before.mode
         assert system.file_server("fs1").dlfm.repository.linked_file(paths[0]) is None
 
-    def test_link_commit_schedules_initial_archive(self):
-        system, _, paths, _ = build_system(ControlMode.RFD, recovery=True)
-        dlfm = system.file_server("fs1").dlfm
-        assert dlfm.repository.versions(paths[0]) != []
-
     def test_link_without_recovery_archives_nothing(self):
         system, _, paths, _ = build_system(ControlMode.RFD, recovery=False)
         dlfm = system.file_server("fs1").dlfm
@@ -90,12 +77,6 @@ class TestLinkConstraints:
 
 
 class TestReferentialIntegrity:
-    def test_remove_of_linked_file_rejected(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        with pytest.raises(FileSystemError) as info:
-            alice.fs("fs1").unlink(paths[0])
-        assert info.value.errno is Errno.EBUSY
-
     def test_rename_of_linked_file_rejected(self, rfd_system):
         system, alice, paths, _ = rfd_system
         with pytest.raises(FileSystemError) as info:
@@ -154,16 +135,6 @@ class TestReferentialIntegrity:
         assert server.clock.stats.count("dlfs_filter") == filtered
 
 class TestUnlink:
-    def test_delete_row_unlinks_and_restores_ownership(self, rdd_system):
-        system, alice, paths, _ = rdd_system
-        alice.delete(FILES_TABLE, {"doc_id": 0})
-        dlfm = system.file_server("fs1").dlfm
-        assert dlfm.repository.linked_file(paths[0]) is None
-        attrs = system.file_server("fs1").files.stat(paths[0])
-        assert attrs.uid == alice.cred.uid
-        # the owner can write to the file again
-        alice.fs("fs1").write_file(paths[0], b"mine again", create=False)
-
     def test_unlink_with_delete_option_removes_file(self):
         system, alice, paths, _ = build_system(ControlMode.RFD,
                                                on_unlink=OnUnlink.DELETE)
@@ -179,16 +150,6 @@ class TestUnlink:
         system.file_server("fs1").lfs.close(fd)
         # once closed, the unlink goes through
         assert alice.delete(FILES_TABLE, {"doc_id": 0}) == 1
-
-    def test_unlink_rollback_keeps_file_linked(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        alice.begin()
-        alice.delete(FILES_TABLE, {"doc_id": 0})
-        alice.abort()
-        assert system.file_server("fs1").dlfm.repository.linked_file(paths[0]) is not None
-        # constraints still in force after the rollback
-        with pytest.raises(FileSystemError):
-            alice.fs("fs1").unlink(paths[0])
 
 
 class TestRelinkByDeleteAndInsert:

@@ -1,11 +1,16 @@
-"""File-server crash recovery, the 2PC crash matrix, and backup/restore.
+"""Crash recovery beyond the protocol model, replication, rebalance and
+backup/restore.
 
 Every recovery here is ``crash(node)`` then ``restart(node)``, with no
-other step.  Includes the replication failover matrix: an injected primary
-crash swept through every replication step (ship, apply, promote,
-catch-up, fence) and through every two-phase-commit step with witness
-replication enabled, asserting host/DLFM agreement after recovery in
-every case.
+other step.  The crashes of one host and its file servers at every step
+and every two-phase-commit point of link, unlink and update in place are
+enumerated against the reference model in ``test_protocol_model.py``;
+what stays here is what that model does not play: a read while a server
+is down, the archive sweep across crashes, the replication failover matrix
+(an injected primary crash swept through every replication step -- ship,
+apply, promote, catch-up, fence -- and through every two-phase-commit step
+with witness replication enabled), the rebalance crash matrix and
+coordinated backup/restore.
 """
 
 import pytest
@@ -13,13 +18,14 @@ import pytest
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.sharding import ShardedDataLinksDeployment
-from repro.errors import FileSystemError, PlacementEpochError, ReproError
+from repro.errors import PlacementEpochError, ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from repro.util.urls import parse_url
 from tests.conftest import (FILES_TABLE, SHARD_TABLE, InjectedCrash,
                             assert_archive_reachable, boom, build_deployment,
-                            build_system, link_docs, prefix_on)
+                            build_system, crash_once_a_version_is_durable,
+                            link_docs, prefix_on)
 
 
 def bounce(system, *nodes) -> dict:
@@ -39,402 +45,20 @@ def _update(system, session, doc_id, content, archive=True):
         system.run_archiver()
 
 
-class TestCrashRecovery:
-    def test_in_flight_update_rolled_back_on_recovery(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        before = system.file_server("fs1").files.read(paths[0])
-        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
-        update = alice.update_file(url, truncate=True)
-        update.begin()
-        update.write(b"doomed")
-        summary = bounce(system, "fs1")["fs1"]
-        assert paths[0] in summary["rolled_back_updates"]
-        assert system.file_server("fs1").files.read(paths[0]) == before
+def test_upcalls_rejected_while_file_server_down(rdd_system):
+    """A read needs the file server's DLFM: while it is down the read is
+    refused, and after its restart it is served again."""
 
-    def test_committed_update_survives_crash_before_archiving(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        _update(system, alice, 0, b"committed content", archive=False)
-        bounce(system, "fs1")
-        assert system.file_server("fs1").files.read(paths[0]) == b"committed content"
-        # the pending archive job survived the crash and can still run
-        assert system.run_archiver() >= 1
-
-    def test_recovery_clears_sync_entries_and_allows_new_updates(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
-        update = alice.update_file(url, truncate=True)
-        update.begin()
-        bounce(system, "fs1")
-        dlfm = system.file_server("fs1").dlfm
-        assert dlfm.soft.sync == {}
-        assert dlfm.repository.all_tracking() == []
-        # the writer slot is free again
-        url2 = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
-        with alice.update_file(url2, truncate=True) as retry:
-            retry.replace(b"after recovery")
-
-    def test_rfd_takeover_released_by_recovery(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
-        update = alice.update_file(url)
-        update.begin()
-        bounce(system, "fs1")
-        attrs = system.file_server("fs1").files.stat(paths[0])
-        assert attrs.uid == alice.cred.uid
-        assert attrs.mode & 0o222 == 0
-
-    def test_upcalls_rejected_while_file_server_down(self, rdd_system):
-        system, alice, _, _ = rdd_system
-        system.crash("fs1")
-        url_ok = False
-        try:
-            url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="read")
-            alice.read_url(url)
-            url_ok = True
-        except (FileSystemError, Exception):
-            pass
-        assert not url_ok
-        system.restart("fs1")
-
-    def test_link_state_survives_crash(self, rfd_system):
-        system, alice, paths, _ = rfd_system
-        bounce(system, "fs1")
-        dlfm = system.file_server("fs1").dlfm
-        row = dlfm.repository.linked_file(paths[0])
-        assert row is not None and row["control_mode"] == "rfd"
-        # integrity still enforced after recovery
-        with pytest.raises(FileSystemError):
-            alice.fs("fs1").unlink(paths[0])
-
-
-def assert_host_dlfm_agreement(system, table=FILES_TABLE, column="body"):
-    """The linked files on every DLFM equal the DATALINK column contents."""
-
-    expected = {name: set() for name in system.file_servers}
-    for row in system.host_db.select(table, lock=False):
-        url = row.get(column)
-        if url:
-            parsed = parse_url(url)
-            expected[parsed.server].add(parsed.path)
-    for name, server in system.file_servers.items():
-        linked = {row["path"] for row in server.dlfm.repository.linked_files()}
-        assert linked == expected[name], (
-            f"{name}: DLFM has {sorted(linked)}, host says {sorted(expected[name])}")
-
-
-def assert_archive_owed(system):
-    """Every linked recovery file has an archived version or a queued
-    archive job: no committed link or update lost the job it is owed."""
-
-    for name, server in system.file_servers.items():
-        repository = server.dlfm.repository
-        for row in repository.linked_files():
-            if row["recovery"]:
-                assert repository.versions(row["path"]) or \
-                    repository.pending_archive_jobs(row["path"]), \
-                    f"{name}: {row['path']!r} has no version and no job"
-
-
-def _two_server_setup(flush_policy: str = "immediate", files: int = 1):
-    """A system with fs1+fs2 and *files* unlinked files on each; returns
-    the system, the session and, file by file, its fs1 and fs2 URLs."""
-
-    system, alice, paths, urls = build_system(None, files=files,
-                                              flush_policy=flush_policy)
-    system.add_file_server("fs2")
-    mirrors = [alice.put_file("fs2", f"/mirror/doc{index}.dat", b"mirror copy")
-               for index in range(files)]
-    return (system, alice, *(url for pair in zip(urls, mirrors) for url in pair))
-
-
-def _start_linking_txn(system, url1, url2, first_id=0):
-    host_txn = system.engine.begin()
-    system.engine.insert_many(FILES_TABLE, [
-        {"doc_id": first_id, "title": "a", "body": url1, "body_size": 0, "body_mtime": 0.0},
-        {"doc_id": first_id + 1, "title": "b", "body": url2, "body_size": 0, "body_mtime": 0.0},
-    ], host_txn)
-    return host_txn
-
-
-class TestCrashMatrix:
-    """Sweep a coordinator crash through every step of a linking 2PC, of
-    one transaction and of a group of two over the same two servers.
-
-    Each case injects a crash at one protocol point, crashes and restarts
-    the affected nodes, and asserts that the host database and every DLFM
-    agree on the set of linked files.
-    """
-
-    # (failpoint, also crash+recover fs1, expected durable outcome)
-    CRASH_POINTS = [
-        ("commit:begin", False, "aborted"),
-        ("commit:begin", True, "aborted"),
-        ("commit:prepared:fs1", False, "aborted"),
-        ("commit:prepared:fs1", True, "aborted"),
-        ("commit:before_host_commit", False, "aborted"),
-        ("commit:before_host_commit", True, "aborted"),
-        ("commit:after_host_commit", False, "committed"),
-        ("commit:after_host_commit", True, "committed"),
-        ("commit:committed:fs1", False, "committed"),
-        ("commit:committed:fs1", True, "committed"),
-    ]
-
-    @pytest.mark.parametrize("group", [1, 2])
-    @pytest.mark.parametrize("point,crash_fs1,expected", CRASH_POINTS)
-    def test_coordinator_crash_at_every_2pc_step(self, point, crash_fs1,
-                                                 expected, group):
-        system, alice, *urls = _two_server_setup(files=group)
-        host_txns = [_start_linking_txn(system, *urls[2 * index:2 * index + 2],
-                                        first_id=2 * index)
-                     for index in range(group)]
-        system.engine.failpoints[point] = boom()
-        with pytest.raises(InjectedCrash):
-            system.engine.commit(*host_txns)
-        system.engine.failpoints.clear()
-
-        # The coordinator (host database) crashes and restarts; optionally a
-        # participant crashes too, exercising durable in-doubt resolution.
-        bounce(system, *(["host", "fs1"] if crash_fs1 else ["host"]))
-
-        assert_host_dlfm_agreement(system)
-        # A link branch committed from the log at recovery gets the archive
-        # job its live commit hook would have queued.
-        assert_archive_owed(system)
-        rows = system.host_db.select(FILES_TABLE, lock=False)
-        outcomes = {system.host_db.txn_outcome(host_txn.txn_id)
-                    for host_txn in host_txns}
-        if expected == "committed":
-            assert {row["doc_id"] for row in rows} == set(range(2 * group))
-            assert outcomes == {"committed"}
-        else:
-            assert rows == []
-            # "unknown" when no record of the transaction survived the crash:
-            # presumed abort, the same resolution as a durable ABORT.
-            assert outcomes <= {"aborted", "unknown"}
-
-    def test_group_commit_forces_log_before_participant_commits(self):
-        """Under group commit an enlisted commit still forces the host log
-        before any DLFM commits, so a host crash right after it preserves
-        the transaction everywhere."""
-
-        system, alice, url1, url2 = _two_server_setup("group")
-        system.flush_logs()     # the set-up's own commits are durable
-        host_txn = _start_linking_txn(system, url1, url2)
-        system.engine.commit(host_txn)
-        assert system.host_db.wal.pending_commits == 0  # forced by the 2PC rule
-
-        bounce(system, "host")
-
-        assert_host_dlfm_agreement(system)
-        assert len(system.host_db.select(FILES_TABLE, lock=False)) == 2
-        assert system.host_db.txn_outcome(host_txn.txn_id) == "committed"
-
-    def test_a_link_under_group_commit_keeps_its_job_across_a_crash(self):
-        """A DLFM crash that loses the unflushed tail after a link commits
-        leaves the branch in doubt; recovery commits it from the host's
-        outcome and queues the archive job its commit hook never did."""
-
-        system, alice, paths, urls = build_system(
-            ControlMode.RDD, link=False, flush_policy="group")
-        system.flush_logs()
-        alice.insert(FILES_TABLE, {"doc_id": 0, "title": "a", "body": urls[0],
-                                   "body_size": 0, "body_mtime": 0.0})
-        recovered = bounce(system, "fs1")["fs1"]
-        assert recovered["repository"]["in_doubt_committed"]
-        assert_host_dlfm_agreement(system)
-        assert_archive_owed(system)
-        assert system.run_archiver() == 1
-
-    def test_participant_crash_before_prepare_rolls_branch_back(self):
-        """A file server that crashes before voting loses its volatile
-        branch; the coordinator's commit fails, and restarts presume the
-        transaction aborted everywhere."""
-
-        system, alice, url1, url2 = _two_server_setup()
-        host_txn = _start_linking_txn(system, url1, url2)
-        system.crash("fs1")
-        with pytest.raises(Exception):
-            system.engine.commit(host_txn)
-        bounce(system, "host")
-        system.restart("fs1")
-        assert_host_dlfm_agreement(system)
-        assert system.host_db.select(FILES_TABLE, lock=False) == []
+    system, alice, _, _ = rdd_system
+    url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="read")
+    system.crash("fs1")
+    with pytest.raises(ReproError):
+        alice.read_url(url)
+    system.restart("fs1")
+    assert len(alice.read_url(url)) == 4096
 
 
 NEW_BYTES = b"the new version of the file"
-
-
-def _open_update(system, alice):
-    """An update of doc 0 that wrote NEW_BYTES and is about to close."""
-
-    url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
-                             access="write")
-    update = alice.update_file(url, truncate=True)
-    update.begin()
-    update.write(NEW_BYTES)
-    return update
-
-
-def assert_one_version(system, alice, path, content):
-    """E6's sentence (Section 4.2) after the dust settles: the file's bytes,
-    the host's metadata columns, the DLFM's link row and its version chain
-    all hold *content*; no update is in progress, no job is left, and the
-    file reads back through a read URL (an rfd file is its owner's again)."""
-
-    server = system.file_server("fs1")
-    repository = server.dlfm.repository
-    assert_archive_owed(system)
-    system.run_archiver()
-    assert server.files.read(path) == content
-    row = system.host_db.select_one(FILES_TABLE, {"doc_id": 0}, lock=False)
-    assert row["body_size"] == len(content)
-    assert repository.linked_file(path)["last_size"] == len(content)
-    assert repository.all_tracking() == []
-    assert repository.pending_archive_jobs() == []
-    latest = repository.latest_version(path)
-    assert server.dlfm.archive.retrieve(latest["archive_id"],
-                                        server.clock) == content
-    url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
-                             access="read")
-    assert alice.read_url(url) == content
-
-
-class TestCloseCrashMatrix:
-    """A crash of the host, the DLFM or both at every step of a close-time
-    commit: the DLFM writes its branch and forces its PREPARE, its one
-    request carries the vote, and the host's reply carries the commit.
-
-    Whatever crashed where, after recovery the file, the host's metadata
-    and the DLFM's tracking and versions agree on the old version or the
-    new one, a committed new version is archived, and the file takes its
-    next update.  A DLFM crash does not stop the host: the vote it sent
-    is in, so the host commits, and the DLFM learns it when it recovers.
-    """
-
-    #: Protocol order; whether the host's COMMIT is durable there (under
-    #: the immediate flush policy the COMMIT is forced as it is appended).
-    POINTS = {
-        "commit:begin": False,
-        "commit:prepared:fs1": False,
-        "commit:before_host_commit": False,
-        "commit:after_host_commit": True,
-        "commit:committed:fs1": True,
-    }
-
-    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
-                             ids=["rdd", "rfd"])
-    @pytest.mark.parametrize("victim", ["host", "dlfm", "both"])
-    @pytest.mark.parametrize("point", list(POINTS))
-    def test_crash_at_every_step_of_the_close(self, point, victim, mode):
-        system, alice, paths, _ = build_system(mode)
-        old = system.file_server("fs1").files.read(paths[0])
-        update = _open_update(system, alice)
-        nodes = {"host": ["host"], "dlfm": ["fs1"],
-                 "both": ["host", "fs1"]}[victim]
-
-        def crash():
-            for node in nodes:
-                system.crash(node)
-
-        if victim == "dlfm":
-            system.engine.failpoints[point] = boom(crash, raises=None)
-            try:
-                update.commit()
-            except ReproError:
-                pass        # the host's reply found the DLFM down
-        else:
-            system.engine.failpoints[point] = boom(crash)
-            with pytest.raises(InjectedCrash):
-                update.commit()
-        system.engine.failpoints.clear()
-        for node in nodes:
-            system.restart(node)
-
-        committed = victim == "dlfm" or self.POINTS[point]
-        assert_one_version(system, alice, paths[0],
-                           NEW_BYTES if committed else old)
-        versions = system.file_server("fs1").dlfm.repository.versions(paths[0])
-        assert [version["version_no"] for version in versions] == \
-            ([2] if committed else [1])
-        _update(system, alice, 0, b"the next update")
-        assert_one_version(system, alice, paths[0], b"the next update")
-
-    def test_a_host_refusal_after_the_vote_rolls_the_update_back(self):
-        """The host cannot run the metadata UPDATE (another transaction
-        holds the row): its refusal is the reply, the DLFM aborts its
-        prepared branch and the file goes back to the last version."""
-
-        from repro.errors import LockConflictError
-
-        system, alice, paths, _ = build_system(ControlMode.RDD)
-        old = system.file_server("fs1").files.read(paths[0])
-        blocker = system.engine.begin()
-        system.engine.select(FILES_TABLE, {"doc_id": 0}, blocker,
-                             for_update=True)
-        update = _open_update(system, alice)
-        with pytest.raises(LockConflictError):
-            update.commit()
-        system.engine.abort(blocker)
-        dlfm = system.file_server("fs1").dlfm
-        assert dlfm.branches.active_host_transactions() == []
-        assert dlfm.soft.sync == {}
-        assert_one_version(system, alice, paths[0], old)
-        _update(system, alice, 0, b"the next update")
-        assert_one_version(system, alice, paths[0], b"the next update")
-
-    def test_a_close_under_group_commit_keeps_its_job_across_a_crash(self):
-        """The close's archive job is written inside its branch: a DLFM
-        crash that loses the unflushed tail after the close loses neither
-        the update nor the job that archives it."""
-
-        system, alice, paths, _ = build_system(ControlMode.RDD,
-                                               flush_policy="group")
-        system.flush_logs()
-        _update(system, alice, 0, NEW_BYTES, archive=False)
-        bounce(system, "fs1")
-        assert_one_version(system, alice, paths[0], NEW_BYTES)
-
-
-def crash_once_a_version_is_durable(system, node: str) -> None:
-    """Run the archiver of *system* (a system or a sharded deployment) and
-    crash *node* the moment one of its version transactions is durable,
-    before the run reaches its sweep."""
-
-    dlfm = getattr(system, "system", system).file_server(node).dlfm
-    seen = dlfm.repository.db.wal.flushed_lsn
-
-    def listener(log):
-        if any(record.table == "file_versions"
-               for record in log.records_from(seen, durable_only=True)):
-            dlfm.repository.remove_wal_listener(listener)
-            system.crash(node)
-            raise InjectedCrash
-
-    dlfm.repository.add_wal_listener(listener)
-    with pytest.raises(InjectedCrash):
-        getattr(system, "system", system).run_archiver()
-
-
-class TestArchiveJobRunsOnce:
-    def test_a_crash_after_the_version_commits_does_not_rerun_the_job(self):
-        """The version row, the rows it supersedes and the job's delete
-        are one local transaction: a crash the moment the version is
-        durable leaves no job to re-run, so one update is one version and
-        one archive object.  The crash comes before the run's sweep, but
-        the store marked the path, so the next run frees the superseded
-        version's object: the archive holds exactly the chain's objects."""
-
-        system, alice, paths, _ = build_system(ControlMode.RDD)
-        dlfm = system.file_server("fs1").dlfm
-        stores = dlfm.archive._next_id
-        _update(system, alice, 0, NEW_BYTES, archive=False)
-        crash_once_a_version_is_durable(system, "fs1")
-        system.restart("fs1")
-        assert_one_version(system, alice, paths[0], NEW_BYTES)
-        assert [version["version_no"]
-                for version in dlfm.repository.versions(paths[0])] == [2]
-        assert dlfm.archive._next_id == stores + 1
-        assert_archive_reachable(system)
 
 
 class TestRestartFreesOnlyUnnamedObjects:

@@ -10,13 +10,60 @@ import pytest
 
 from repro.datalinks.routing import NodeRole
 from repro.errors import DataLinksError
-from tests.conftest import (SHARD_TABLE, InjectedCrash,
+from repro.util.urls import parse_url
+from tests.conftest import (FILES_TABLE, SHARD_TABLE, InjectedCrash,
                             assert_archive_reachable, boom, build_deployment,
-                            prefix_on)
+                            build_system, prefix_on)
 from tests.datalinks.test_recovery_and_backup import (
-    REPL_TABLE, _read_all, _rebalance_setup, _start_linking_txn,
-    _two_server_setup, assert_archive_owed, assert_host_dlfm_agreement,
-    assert_placement_agreement, assert_replicated_agreement)
+    REPL_TABLE, _read_all, _rebalance_setup, assert_placement_agreement,
+    assert_replicated_agreement)
+
+
+def assert_host_dlfm_agreement(system, table=FILES_TABLE, column="body"):
+    """The linked files on every DLFM equal the DATALINK column contents."""
+
+    expected = {name: set() for name in system.file_servers}
+    for row in system.host_db.select(table, lock=False):
+        url = row.get(column)
+        if url:
+            parsed = parse_url(url)
+            expected[parsed.server].add(parsed.path)
+    for name, server in system.file_servers.items():
+        linked = {row["path"] for row in server.dlfm.repository.linked_files()}
+        assert linked == expected[name], (
+            f"{name}: DLFM has {sorted(linked)}, host says {sorted(expected[name])}")
+
+
+def assert_archive_owed(system):
+    """Every linked recovery file has an archived version or a queued
+    archive job: no committed link or update lost the job it is owed."""
+
+    for name, server in system.file_servers.items():
+        repository = server.dlfm.repository
+        for row in repository.linked_files():
+            if row["recovery"]:
+                assert repository.versions(row["path"]) or \
+                    repository.pending_archive_jobs(row["path"]), \
+                    f"{name}: {row['path']!r} has no version and no job"
+
+
+def _two_server_setup():
+    """A system with fs1 and fs2 and an unlinked file on each; returns the
+    system, the session and the two files' URLs."""
+
+    system, alice, _, (url,) = build_system(None)
+    system.add_file_server("fs2")
+    return system, alice, url, alice.put_file("fs2", "/mirror/doc0.dat",
+                                              b"mirror copy")
+
+
+def _start_linking_txn(system, url1, url2):
+    host_txn = system.engine.begin()
+    system.engine.insert_many(FILES_TABLE, [
+        {"doc_id": 0, "title": "a", "body": url1, "body_size": 0, "body_mtime": 0.0},
+        {"doc_id": 1, "title": "b", "body": url2, "body_size": 0, "body_mtime": 0.0},
+    ], host_txn)
+    return host_txn
 
 
 class TestRestartIsRecovery:

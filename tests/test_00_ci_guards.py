@@ -1544,3 +1544,46 @@ class TestRetiredNamesStayGone:
         lines = {entry.split()[0] for entry in flagged}
         assert len(lines) == len(source.splitlines()), flagged
         assert not self.offenders("tests/planted.py", self.ALLOWED)
+
+
+class TestEveryImportIsLoaded:
+    """No module-level import binds a name that no ``src/`` module loads:
+    neither the importing module nor a module importing the name from it.
+    An ``__init__.py`` re-exports its package's names and is exempt."""
+
+    @staticmethod
+    def unused(trees: dict) -> list[str]:
+        exported = {(node.module, alias.name) for tree in trees.values()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        flagged = []
+        for path, tree in trees.items():
+            if path.endswith("/__init__.py"):
+                continue
+            module = path.removesuffix(".py").replace("/", ".")
+            loaded = {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load)}
+            for node in tree.body:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                        getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in loaded and \
+                            (module, bound) not in exported:
+                        flagged.append(f"{path}: {bound}")
+        return flagged
+
+    def test_no_module_imports_a_name_nothing_loads(self, trees):
+        assert not self.unused(trees), self.unused(trees)
+
+    def test_the_guard_flags_an_unused_import_and_passes_a_re_export(self):
+        trees = {"repro/a.py": ast.parse(
+                     "from dataclasses import dataclass, field\n"
+                     "from repro.b import helper\n@dataclass\nclass A: pass"),
+                 "repro/b.py": ast.parse("import os\nhelper = os.sep"),
+                 "repro/c.py": ast.parse("from repro.a import helper"),
+                 "repro/__init__.py": ast.parse("from repro.b import helper")}
+        assert self.unused(trees) == ["repro/a.py: field", "repro/c.py: helper"]
