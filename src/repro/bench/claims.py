@@ -213,8 +213,8 @@ CLAIMS = (
           reasons={Status.PARTIAL: (
               "The managed case charges everything Section 4 adds to an update -- "
               "write-token generation at the host database, three upcalls, the "
-              "Sync-table and tracking rows and the archiver's pass -- about ten to "
-              "twelve times the plain open; the paper gives no number to hold these "
+              "Sync-table and tracking rows and the archiver's pass -- about eight to "
+              "eleven times the plain open; the paper gives no number to hold these "
               "to.")}),
 
     Claim("E5.a", "3", "CAU avoids locks but admits lost updates", lambda rows: min(

@@ -17,6 +17,7 @@ daemon boundary costs simulated IPC latency through a channel.
 from __future__ import annotations
 
 from repro.datalinks.datalink_type import DatalinkOptions
+from repro.fs.inode import FileAttributes
 from repro.ipc.channel import Channel
 from repro.ipc.daemon import Daemon
 from repro.simclock import SimClock
@@ -38,15 +39,17 @@ class UpcallDaemon(Daemon):
     def _validate_token(self, ino: int, token: str, userid: int) -> dict:
         return self._manager.upcall_validate_token(ino, token, userid)
 
-    def _check_open(self, ino: int, wants_write: bool, userid: int) -> dict:
-        return self._manager.upcall_check_open(ino, wants_write, userid)
+    def _check_open(self, ino: int, wants_write: bool, userid: int,
+                    attrs: FileAttributes) -> dict:
+        return self._manager.upcall_check_open(ino, wants_write, userid, attrs)
 
-    def _write_open_fallback(self, ino: int, userid: int) -> dict:
-        return self._manager.upcall_write_open_fallback(ino, userid)
+    def _write_open_fallback(self, ino: int, userid: int,
+                             attrs: FileAttributes) -> dict:
+        return self._manager.upcall_write_open_fallback(ino, userid, attrs)
 
     def _file_closed(self, ino: int, was_write: bool, userid: int,
-                     path: str | None) -> dict:
-        return self._manager.upcall_file_closed(ino, was_write, userid, path)
+                     path: str | None, attrs: FileAttributes | None) -> dict:
+        return self._manager.upcall_file_closed(ino, was_write, userid, path, attrs)
 
     def _is_linked(self, ino: int) -> dict:
         return self._manager.upcall_is_linked(ino)

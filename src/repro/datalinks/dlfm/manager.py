@@ -44,9 +44,12 @@ from repro.errors import (
     AccessDeniedError,
     ControlModeError,
     DaemonUnavailableError,
+    Errno,
+    FileSystemError,
     ReproError,
     UpdateInProgressError,
 )
+from repro.fs.inode import FileAttributes
 from repro.simclock import SimClock, synchronized_call
 from repro.storage.backup import BackupImage
 from repro.storage.database import Database
@@ -348,11 +351,12 @@ class DataLinksFileManager:
                 raise PlacementError(
                     f"cannot import {path!r}: already linked on "
                     f"{self.server_name!r}")
-            if not self.files.exists(path):
+            try:
+                attrs = self.files.stat(path)
+            except FileSystemError as error:
                 raise PlacementError(
                     f"content hand-off incomplete: {path!r} has no local "
-                    f"copy on {self.server_name!r}")
-            attrs = self.files.stat(path)
+                    f"copy on {self.server_name!r}") from error
             row["ino"] = attrs.ino
             mode = ControlMode.from_string(row["control_mode"])
             row["taken_over"] = mode.takes_over_on_link
@@ -408,7 +412,8 @@ class DataLinksFileManager:
         return {"linked": True, "token_type": token_code,
                 "expires_at": token.expires_at}
 
-    def upcall_check_open(self, ino: int, wants_write: bool, userid: int) -> dict:
+    def upcall_check_open(self, ino: int, wants_write: bool, userid: int,
+                          attrs: FileAttributes) -> dict:
         """fs_open-time access check.
 
         Invoked for files under full database control (owned by the DBMS) and,
@@ -416,6 +421,7 @@ class DataLinksFileManager:
         any file.  Non-full-control reads without strict synchronization are
         reported as unlinked so DLFS stays out of the data path.  Write opens
         require the serving lease; read opens pass the follower-read gate.
+        *attrs* are the open's own ``fs_getattr``: an update's pre-open state.
         """
 
         if wants_write:
@@ -435,7 +441,7 @@ class DataLinksFileManager:
             # A write open of a moved (or moving) prefix must not start an
             # update this shard can no longer commit.
             self.check_placement(row["path"])
-            self._begin_file_update(row, mode, userid)
+            self._begin_file_update(row, mode, userid, attrs)
             return {"linked": True, "open_as_dbms": True, "mode": mode._value_}
         if mode.full_control:
             self._begin_read(row["path"], "RW", userid)
@@ -447,12 +453,13 @@ class DataLinksFileManager:
                     "mode": mode._value_, "path": row["path"]}
         return {"linked": False}
 
-    def upcall_write_open_fallback(self, ino: int, userid: int) -> dict:
+    def upcall_write_open_fallback(self, ino: int, userid: int,
+                                   attrs: FileAttributes) -> dict:
         """Handles the rfd path: a write open failed because the file is read-only.
 
         DLFM verifies the file is linked in an update mode, checks the write
         token, takes the file over to grant write permission, and approves the
-        retry (Section 4.2).
+        retry (Section 4.2).  *attrs* are the pre-open attributes DLFS read.
         """
 
         self._check_fencing()
@@ -465,19 +472,20 @@ class DataLinksFileManager:
                 f"{row['path']!r} is linked in {mode.value} mode; "
                 f"updates are not managed by the database")
         self.check_placement(row["path"])
-        self._begin_file_update(row, mode, userid)
+        self._begin_file_update(row, mode, userid, attrs)
         return {"linked": True, "open_as_dbms": True, "mode": mode._value_}
 
     def upcall_file_closed(self, ino: int, was_write: bool, userid: int,
-                           path: str | None = None) -> dict:
+                           path: str | None, attrs: FileAttributes | None) -> dict:
         """fs_close-time processing: Sync cleanup, metadata update, archiving.
 
         A read close names the *path* its open was admitted on and only
         removes its Sync entry -- no link-row lookup, so it finds the entry
         even after the file's row left this node (a prefix handed off while
         the file was open).  It passes the follower-read gate.  A write
-        close looks the row up; fencing applies to it: only the serving
-        node may commit close-time metadata into the host database.
+        close carries the closed file's *attrs* and looks the row up;
+        fencing applies to it: only the serving node may commit close-time
+        metadata into the host database.
         """
 
         if not was_write:
@@ -498,7 +506,6 @@ class DataLinksFileManager:
         self.soft.remove_sync_entry(path, "write", userid)
 
         tracking = self.repository.tracking(path)
-        attrs = self.files.stat(path)
         modified = tracking is not None and (
             attrs.mtime > tracking["pre_mtime"] or attrs.size != tracking["pre_size"])
         if modified:
@@ -548,7 +555,8 @@ class DataLinksFileManager:
         self.soft.admit(path, "read", userid, token_types, self.clock.now(),
                         refusal=refusal)
 
-    def _begin_file_update(self, row: dict, mode: ControlMode, userid: int) -> None:
+    def _begin_file_update(self, row: dict, mode: ControlMode, userid: int,
+                           attrs: FileAttributes) -> None:
         path = row["path"]
         if not mode.supports_update:
             raise AccessDeniedError(
@@ -562,14 +570,12 @@ class DataLinksFileManager:
                         exclusive=mode.full_control
                         or row.get("strict_read_sync"),
                         refusal=refusal)
-        attrs = self.files.stat(path)
         self.repository.add_tracking({
             "path": path,
             "userid": userid,
             "started_at": self.clock.now(),
             "pre_mtime": attrs.mtime,
             "pre_size": attrs.size,
-            "restore_version": self.repository.latest_version_no(path),
         })
         # The tracking row is what recovery rolls the update back by: it is
         # durable before the file can change, under group commit too.
@@ -710,8 +716,8 @@ class DataLinksFileManager:
         (:meth:`repro.api.system.DataLinksSystem.run_archiver`).  A job's
         version row, the rows it supersedes and the job's own delete are
         one local transaction, so a crash re-runs a job only if its version
-        never committed.  A read or send that raises commits the job in
-        flight first (a run abandoned between steps leaves it in
+        never committed.  A read or send error other than ENOENT commits
+        the job in flight first (a run abandoned between steps leaves it in
         :attr:`_in_flight`, for the next run to redo): no completed job is
         lost.  The last step forces the repository log (a log write only
         when commits are pending, as under group commit), so the run's
@@ -732,15 +738,15 @@ class DataLinksFileManager:
         jobs = self.repository.pending_archive_jobs()
         for job in jobs:
             path = job["path"]
-            if not self.files.exists(path):
-                self.repository.complete_archive_job(job["job_id"])
-                yield 0
-                continue
             try:
                 content = self.files.read(path)
                 sent = job, *self.archive.store(self.server_name, path,
                                                 content, caller_clock=self.clock)
-            except BaseException:
+            except BaseException as error:
+                if isinstance(error, FileSystemError) and error.errno is Errno.ENOENT:
+                    self.repository.complete_archive_job(job["job_id"])
+                    yield 0
+                    continue
                 if self._in_flight is not None:
                     self._commit_in_flight()
                 raise

@@ -159,7 +159,6 @@ class DLFMRepository:
             Column("started_at", DataType.TIMESTAMP, nullable=False, default=0.0),
             Column("pre_mtime", DataType.TIMESTAMP, nullable=False, default=0.0),
             Column("pre_size", DataType.INTEGER, nullable=False, default=0),
-            Column("restore_version", DataType.INTEGER, nullable=True),
         ], ("path",)))
 
         db.create_table(_table("file_versions", [
@@ -301,13 +300,6 @@ class DLFMRepository:
             db.abort(txn)
             raise
         db.commit(txn)
-
-    def latest_version_no(self, path: str) -> int:
-        best = 0
-        for row in self._versions_by_path(path):
-            if row["version_no"] > best:
-                best = row["version_no"]
-        return best
 
     def versions(self, path: str) -> list[dict]:
         return sorted(self._versions_by_path(path), key=_version_no)

@@ -19,11 +19,13 @@ The interception logic implements Section 4 of the paper:
   table; approved opens are performed with the DBMS credentials;
 * a *failed* write open of a file not owned by the DBMS triggers the rfd
   fallback: the DLFM verifies the mode and write token, takes the file over,
-  and DLFS retries the open (Section 4.2);
+  and DLFS retries the open (Section 4.2); both open upcalls carry the
+  attributes the open read, which hold an update's pre-open size and mtime;
 * ``fs_close`` notifies the DLFM so it can update metadata, trigger archiving
   and release the take-over; a read close names the path its open was
   admitted on (the open's reply carries it), so the DLFM removes the read's
-  Sync entry without looking the link row up again;
+  Sync entry without looking the link row up again, and a write close
+  carries the closed file's attributes (one ``fs_getattr``);
 * ``fs_remove``/``fs_rename`` of a linked file are rejected so the database
   never holds a dangling reference.
 """
@@ -173,7 +175,7 @@ class DataLinksFileSystem:
         if attrs.is_regular and attrs.uid == self.dbms_uid:
             try:
                 reply = self.upcall.check_open(vnode.ino, wants_write,
-                                               cred.uid)
+                                               cred.uid, attrs)
             except DataLinksError as error:
                 raise _translate(error) from error
             if reply.get("linked"):
@@ -181,7 +183,7 @@ class DataLinksFileSystem:
         elif (self.strict_read_upcalls and attrs.is_regular
               and not wants_write):
             reply = self._upcall(
-                lambda: self.upcall.check_open(vnode.ino, False, cred.uid))
+                lambda: self.upcall.check_open(vnode.ino, False, cred.uid, attrs))
             if reply.get("linked"):
                 handle = self.lower.fs_open(vnode, flags, cred)
                 state.update(linked=True, open_as_dbms=False,
@@ -195,7 +197,7 @@ class DataLinksFileSystem:
             if not wants_write or error.errno not in (Errno.EACCES, Errno.EROFS):
                 raise
             try:
-                reply = self.upcall.write_open_fallback(vnode.ino, cred.uid)
+                reply = self.upcall.write_open_fallback(vnode.ino, cred.uid, attrs)
             except DataLinksError as fallback_error:
                 raise _translate(fallback_error) from fallback_error
             if not reply.get("linked"):
@@ -231,12 +233,14 @@ class DataLinksFileSystem:
             request = LockRequest(kind=LockKind.UNLOCK,
                                   owner=self._lock_owner(handle.vnode, cred))
             self.lower.fs_lockctl(handle.vnode, request, self.dbms_cred)
-        # A read close sends back the path its open was admitted on: the
-        # DLFM removes its Sync entry without a link-row lookup.
+        # A read close sends back the path its open was admitted on (the
+        # DLFM needs no link-row lookup), a write close the file's attributes.
+        attrs = (self.lower.fs_getattr(handle.vnode, self.dbms_cred)
+                 if state.get("write") else None)
         try:
             self.upcall.file_closed(handle.vnode.ino, state.get("write", False),
                                     state.get("userid", cred.uid),
-                                    state.get("path"))
+                                    state.get("path"), attrs)
         except DataLinksError as error:
             raise _translate(error) from error
 

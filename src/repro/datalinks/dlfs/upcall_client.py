@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.fs.inode import FileAttributes
 from repro.ipc.channel import Channel
 from repro.simclock import SimClock
 
@@ -26,17 +27,20 @@ class UpcallClient:
         return self._channel.request("validate_token", ino=ino, token=token,
                                      userid=userid)
 
-    def check_open(self, ino: int, wants_write: bool, userid: int) -> dict:
+    def check_open(self, ino: int, wants_write: bool, userid: int,
+                   attrs: FileAttributes) -> dict:
         return self._channel.request("check_open", ino=ino, wants_write=wants_write,
-                                     userid=userid)
+                                     userid=userid, attrs=attrs)
 
-    def write_open_fallback(self, ino: int, userid: int) -> dict:
-        return self._channel.request("write_open_fallback", ino=ino, userid=userid)
+    def write_open_fallback(self, ino: int, userid: int,
+                            attrs: FileAttributes) -> dict:
+        return self._channel.request("write_open_fallback", ino=ino, userid=userid,
+                                     attrs=attrs)
 
     def file_closed(self, ino: int, was_write: bool, userid: int,
-                    path: str | None) -> dict:
+                    path: str | None, attrs: FileAttributes | None) -> dict:
         return self._channel.request("file_closed", ino=ino, was_write=was_write,
-                                     userid=userid, path=path)
+                                     userid=userid, path=path, attrs=attrs)
 
     def is_linked(self, ino: int) -> dict:
         return self._channel.request("is_linked", ino=ino)

@@ -429,11 +429,17 @@ def rebalance_prefix(deployment, prefix: str, dest: str) -> dict:
 
             fire(engine.failpoints, "rebalance:archive")
             copied = 0
+            # The source reads from the hand-off's send on; a copy waits for its read.
+            src_server.clock.sync_ticks(deployment.clock.send_ticks())
             for row in rows:
                 path = row["path"]
-                if not src_server.files.exists(path):
-                    continue
-                content = src_server.files.read(path)
+                try:
+                    content = src_server.files.read(path)
+                except ReproError as error:
+                    raise PlacementError(
+                        f"content hand-off incomplete: cannot read {path!r} "
+                        f"on {source!r}") from error
+                deployment.clock.receive_ticks(src_server.clock.ticks)
                 dst_replica.receive_file(path, content,
                                          row["original_uid"],
                                          row["original_gid"])

@@ -213,7 +213,7 @@ def record_transfers(monkeypatch) -> list:
 
 #: Host ticks of ``run_archiver`` on ``build(42, {"large": N})`` with the
 #: synchronous store: the server's own charges plus all N transfers.
-SERIAL_ELAPSED = {1: 71_305_859_375, 6: 179_206_250_000}
+SERIAL_ELAPSED = {1: 71_135_859_375, 6: 178_186_250_000}
 
 
 @pytest.mark.parametrize("jobs", sorted(SERIAL_ELAPSED))

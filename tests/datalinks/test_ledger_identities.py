@@ -20,6 +20,8 @@ the charges the check names.
   with one message between the DLFM and the host.
 * ``TestLinkJobIsABranchWrite``: a file linked with recovery gets its
   archive job inside the link's branch, dated by the host commit.
+* ``TestAnUpdateResolvesItsFileOnce``: an update's open, close and archive
+  job walk no path the DLFS upcalls already resolved.
 """
 
 from __future__ import annotations
@@ -540,3 +542,54 @@ class TestLinkJobIsABranchWrite:
                      .versions(f"{prefix}/doc{doc}.dat")[0]["state_id"]
                      for shard, prefix in zip(("shard0", "shard1"), prefixes)]
             assert dates == [host_db.commit_state_of(host_txn.txn_id)] * 2
+
+
+class TestAnUpdateResolvesItsFileOnce:
+    """One rdd update (open, write, close) and its archive job, on the file
+    server's domain.  DLFS hands the DLFM the attributes it read: the open
+    upcall carries the pre-open ``fs_getattr``, the write close one
+    ``fs_getattr`` of the closed vnode (one ``vfs_op``), and the archive
+    job reads its file once, ENOENT being its "file gone".  Each path walk
+    the DLFM made instead -- a ``stat`` at the open, a ``stat`` at the
+    close, an ``exists`` before the archive read -- charged one
+    ``syscall_base``, two ``directory_lookup`` and three ``vfs_op``; the
+    open also read the chain's latest version number for a column nothing
+    read (one ``dlfm.sql_statement_base``, one ``dlfm.row_read``)."""
+
+    #: ``fs1``'s ledger of the update and its archive job: label ->
+    #: (count, picoseconds).
+    PIN = {
+        "daemon_dispatch": (3, 60_000_000),
+        "directory_lookup": (4, 120_000_000),
+        "disk_seek": (2, 16_000_000_000),
+        "disk_transfer_per_byte": (2, 2_975_464),
+        "dlfm.index_probe": (11, 22_000_000),
+        "dlfm.lock_acquire": (10, 10_000_000),
+        "dlfm.log_write": (4, 80_000_000),
+        "dlfm.row_read": (9, 45_000_000),
+        "dlfm.row_write": (10, 100_000_000),
+        "dlfm.sql_statement_base": (22, 1_100_000_000),
+        "dlfs_filter": (4, 200_000_000),
+        "syscall_base": (6, 300_000_000),
+        "token_validate": (1, 300_000_000),
+        "upcall_round_trip": (3, 750_000_000),
+        "vfs_op": (15, 300_000_000),
+    }
+
+    def test_the_update_and_its_archive_job_at_the_pinned_cost(self):
+        from repro.datalinks.control_modes import ControlMode
+        from tests.conftest import FILES_TABLE, build_system
+
+        system, alice, paths, _ = build_system(ControlMode.RDD, size=512)
+        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                 access="write")
+        system.clocks.barrier()
+        with system.clocks.window() as window:
+            with alice.update_file(url, truncate=True) as update:
+                update.write(b"resolved once")
+            assert system.run_archiver() == 1
+        assert window.domains["fs1"] == self.PIN
+        assert window.elapsed["fs1"] == 23_286_835_129
+        repository = system.file_server("fs1").dlfm.repository
+        assert repository.linked_file(paths[0])["last_size"] == 13
+        assert repository.pending_archive_jobs() == []

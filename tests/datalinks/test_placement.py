@@ -481,3 +481,94 @@ class TestSourceSweep:
         assert not deployment.pending_sweeps
         for node in deployment.replicas[source].nodes.values():
             assert not node.files.exists("/p/doc0000.dat")
+
+
+class TestHandOffCopy:
+    """The content half of a hand-off: the source reads each file once the
+    hand-off was sent, and a copy is written only after its read ended."""
+
+    def test_no_copy_is_written_before_its_source_read_ends(self,
+                                                            monkeypatch):
+        from repro.datalinks.replication import ReplicatedShard
+
+        deployment, session = build_deployment()
+        link_docs(deployment, session, "/p", 4)
+        source = deployment.shard_of("/p/doc0000.dat")
+        src = deployment.router.serving_server(source)
+        read, copy = src.files.read, ReplicatedShard._copy_below_dlfs
+        read_ends, write_starts = {}, {}
+
+        def timed_read(path):
+            content = read(path)
+            read_ends[path] = src.clock.ticks
+            return content
+
+        def timed_copy(self, node, path, *args):
+            write_starts.setdefault(path, []).append(node.clock.ticks)
+            return copy(self, node, path, *args)
+
+        monkeypatch.setattr(src.files, "read", timed_read)
+        monkeypatch.setattr(ReplicatedShard, "_copy_below_dlfs", timed_copy)
+        summary = deployment.rebalance_prefix(
+            "/p", other_shard(deployment, source))
+        assert summary["copied_files"] == 4
+        assert sorted(write_starts) == sorted(read_ends)
+        early = {path: (read_ends[path], min(starts))
+                 for path, starts in write_starts.items()
+                 if min(starts) < read_ends[path]}
+        assert early == {}
+
+    def test_a_file_gone_from_the_source_refuses_the_move_at_its_read(
+            self, monkeypatch):
+        """The copy loop reads each file once; a file gone from the source
+        leaves the hand-off incomplete, so the move aborts at that read --
+        nothing after it is read or copied -- with the placement unchanged.
+        Restored from its archived version, the file moves with the rest."""
+
+        deployment, session = build_deployment()
+        link_docs(deployment, session, "/p", 3)
+        source = deployment.shard_of("/p/doc0000.dat")
+        dest = other_shard(deployment, source)
+        src = deployment.router.serving_server(source)
+        src.files.unlink("/p/doc0001.dat")
+        read, reads = src.files.read, []
+
+        def logged_read(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(src.files, "read", logged_read)
+        with pytest.raises(PlacementError, match="hand-off incomplete: "
+                           "cannot read '/p/doc0001.dat'"):
+            deployment.rebalance_prefix("/p", dest)
+        assert reads[-1] == "/p/doc0001.dat"
+        assert deployment.router.placement.epoch == 1
+        assert deployment.shard_of("/p/doc0001.dat") == source
+        assert src.dlfm.restore_last_committed("/p/doc0001.dat",
+                                               create_missing=True)
+        summary = deployment.rebalance_prefix("/p", dest)
+        assert (summary["moved"], summary["copied_files"]) == (True, 3)
+        assert deployment.shard_of("/p/doc0001.dat") == dest
+
+    def test_a_copy_missing_on_the_destination_refuses_the_import(
+            self, monkeypatch):
+        """The destination stats each imported path once; a copy that never
+        arrived is the import's refusal, and the move aborts."""
+
+        from repro.datalinks.replication import ReplicatedShard
+
+        deployment, session = build_deployment()
+        link_docs(deployment, session, "/p", 3)
+        source = deployment.shard_of("/p/doc0000.dat")
+        receive = ReplicatedShard.receive_file
+
+        def lossy_receive(self, path, *args):
+            if path != "/p/doc0001.dat":
+                return receive(self, path, *args)
+
+        monkeypatch.setattr(ReplicatedShard, "receive_file", lossy_receive)
+        with pytest.raises(PlacementError, match="hand-off incomplete: "
+                           "'/p/doc0001.dat' has no local copy"):
+            deployment.rebalance_prefix("/p", other_shard(deployment, source))
+        assert deployment.router.placement.epoch == 1
+        assert deployment.shard_of("/p/doc0001.dat") == source

@@ -201,14 +201,15 @@ class TestFailover:
         manager = deployment.shard("shard0").dlfm
         parsed = parse_url(url)
         ino = manager.repository.linked_file(parsed.path)["ino"]
+        attrs = manager.files.stat(parsed.path)
         with pytest.raises(FencedNodeError):
             manager.upcall_validate_token(ino, parsed.token, 1001)
         with pytest.raises(FencedNodeError):
-            manager.upcall_check_open(ino, False, 1001)
+            manager.upcall_check_open(ino, False, 1001, attrs)
         # close processing is fenced too: an ex-primary must not commit
         # close-time metadata into the host database while the witness serves
         with pytest.raises(FencedNodeError):
-            manager.upcall_file_closed(ino, True, 1001)
+            manager.upcall_file_closed(ino, True, 1001, None, attrs)
 
     def test_fenced_ex_primary_refuses_link_writes(self):
         """Engine-facing ops are fenced at the DLFM: a link branch taken on

@@ -226,13 +226,14 @@ class _Node:
         monkeypatch.setattr(soft, "_charge", lambda *args, **kwargs: (
             statements.append(args or kwargs), charge(*args, **kwargs)))
         error = None
+        attrs = dlfm.files.stat(self.path)
         try:
             if access == "read":
-                dlfm.upcall_check_open(self.ino, False, ALICE_UID)
+                dlfm.upcall_check_open(self.ino, False, ALICE_UID, attrs)
             elif self.mode.full_control or not self.mode.supports_update:
-                dlfm.upcall_check_open(self.ino, True, ALICE_UID)
+                dlfm.upcall_check_open(self.ino, True, ALICE_UID, attrs)
             else:
-                dlfm.upcall_write_open_fallback(self.ino, ALICE_UID)
+                dlfm.upcall_write_open_fallback(self.ino, ALICE_UID, attrs)
         except (AccessDeniedError, UpdateInProgressError) as refusal:
             error = (type(refusal), str(refusal))
         monkeypatch.undo()
@@ -240,7 +241,7 @@ class _Node:
         if error is None and access == "write":
             # Close the update unmodified: the tracking row and an rfd
             # take-over go again.
-            dlfm.upcall_file_closed(self.ino, True, ALICE_UID)
+            dlfm.upcall_file_closed(self.ino, True, ALICE_UID, None, attrs)
         return error, after, len(statements)
 
 
@@ -509,13 +510,13 @@ class TestArchiveQueueDrains:
         paths = [job["path"] for job in witness.repository.pending_archive_jobs()]
         assert len(paths) == 2          # replicated, and left alone: redo-only
         assert witness.process_archive_jobs() == 0
-        before = {path: witness.repository.latest_version_no(path)
+        before = {path: witness.repository.latest_version(path)["version_no"]
                   for path in paths}
         deployment.crash("shard0")
         deployment.fail_over("shard0")
         assert witness.process_archive_jobs() == 2
         assert _queue(witness.repository) == []
-        assert {path: witness.repository.latest_version_no(path)
+        assert {path: witness.repository.latest_version(path)["version_no"]
                 for path in paths} == {path: number + 1
                                        for path, number in before.items()}
 
@@ -555,7 +556,7 @@ class TestVersionChainOrder:
         assert repository.import_version_rows(imported) == 3
         assert [row["version_no"] for row in repository.versions("/f")] \
             == [1, 2, 3]
-        assert repository.latest_version_no("/f") == 3
+        assert repository.latest_version("/f")["version_no"] == 3
         assert repository.latest_version("/f")["archive_id"] == 103
         assert repository.latest_version(
             "/f", max_state_id=25)["version_no"] == 2
@@ -564,4 +565,4 @@ class TestVersionChainOrder:
         repository.add_version("/f", 104, 40, [25])
         assert [(row["version_no"], row["archive_id"])
                 for row in repository.versions("/f")] == [(2, 102), (4, 104)]
-        assert repository.latest_version_no("/other") == 0
+        assert repository.latest_version("/other") is None

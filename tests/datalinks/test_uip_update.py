@@ -120,3 +120,51 @@ class TestAtomicityAndVersions:
             system.run_archiver()
         state_ids = [v["state_id"] for v in dlfm.repository.versions(paths[0])]
         assert state_ids == sorted(state_ids)
+
+
+class TestTheUpcallsCarryTheAttributes:
+    """The DLFM records an update from the attributes DLFS read: the
+    tracking row from the open's own ``fs_getattr``, taken before a
+    truncating open truncates (through ``check_open`` for rdd, the write
+    fallback for rfd), and the new size and mtime from the closed vnode."""
+
+    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
+                             ids=["check_open", "write_open_fallback"])
+    def test_a_truncating_update_tracks_the_pre_truncate_size(self, mode):
+        system, alice, paths, _ = build_system(mode, size=512)
+        dlfm = system.file_server("fs1").dlfm
+        before = dlfm.files.stat(paths[0])
+        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                 access="write")
+        update = alice.update_file(url, truncate=True).begin()
+        assert dlfm.files.stat(paths[0]).size == 0
+        tracking = dlfm.repository.tracking(paths[0])
+        assert (tracking["pre_size"], tracking["pre_mtime"]) == \
+            (512, before.mtime)
+        update.write(b"new")
+        update.commit()
+        after = dlfm.files.stat(paths[0])
+        row = dlfm.repository.linked_file(paths[0])
+        assert (row["last_size"], row["last_mtime"]) == (3, after.mtime)
+        assert dlfm.repository.tracking(paths[0]) is None
+
+
+class TestAnArchiveJobWhoseFileIsGone:
+    def test_it_completes_with_nothing_archived_and_leaves_no_job(self):
+        """The middle of three jobs lost its file below DLFS: its step
+        yields 0 while the first job's transfer is in flight, its row goes,
+        and the other two archive their versions."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD, files=3)
+        dlfm = system.file_server("fs1").dlfm
+        for doc in range(3):
+            url = alice.get_datalink(FILES_TABLE, {"doc_id": doc}, "body",
+                                     access="write")
+            with alice.update_file(url, truncate=True) as update:
+                update.replace(b"v2")
+        assert len(dlfm.repository.pending_archive_jobs()) == 3
+        dlfm.files.unlink(paths[1])
+        assert list(dlfm.archive_steps()) == [0, 1, 1]
+        assert dlfm.repository.pending_archive_jobs() == []
+        assert [dlfm.repository.latest_version(path)["version_no"]
+                for path in paths] == [2, 1, 2]

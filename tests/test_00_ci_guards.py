@@ -233,8 +233,8 @@ class TestCommittedLayeredArtifactShape:
     metrics of the runs those digests name."""
 
     #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42; digests
-    #: 533f239d1a7a76ed / 4ea2fa5b2b66f24e / a4de0fc294ef2ed3 /
-    #: 7be010cbc3b81733 in this order.  The archiver's fan-out across
+    #: fd2538f47eadea87 / cfe23669ebe747e8 / d0a36a73daddb672 /
+    #: cd99586f8f9f34b6 in this order.  The archiver's fan-out across
     #: file servers moved web_rfd, edit_uip and cluster_hotspot (their
     #: archiver runs inside the window) and session_knee's digest, not
     #: its metrics (its archiver runs before the window opens).  The
@@ -285,15 +285,24 @@ class TestCommittedLayeredArtifactShape:
     #: timing moved, the first three workloads' sim_* metrics and
     #: cluster_hotspot's p50 and p99 are the same to the last digit, and
     #: cluster_hotspot's ingest client stops waiting for its copies
-    #: (sim_ops_per_s was 128.68228675190406).
+    #: (sim_ops_per_s was 128.68228675190406).  DLFS's upcalls carrying
+    #: the attributes it read, one path walk per archive job and the
+    #: causal hand-off copy moved all four (were 533f239d1a7a76ed /
+    #: 4ea2fa5b2b66f24e / a4de0fc294ef2ed3 / 7be010cbc3b81733): an update
+    #: walks no path at its open, its close or its archive job;
+    #: session_knee's sim_* metrics and web_rfd's and cluster_hotspot's
+    #: p50 and p99 are the same to the last digit, and sim_ops_per_s was
+    #: 85.3728670240611 / 51.32023380508916 / 140.90433295417185 for
+    #: web_rfd / edit_uip / cluster_hotspot (edit_uip's p50 and p99 were
+    #: 27.083370774001025 and 27.13469752499975).
     SIMULATED = {
-        "web_rfd": (85.3728670240611, 11.292711182022686,
+        "web_rfd": (85.4523859595603, 11.292711182022686,
                     11.349244995017216),
         "session_knee": (62.81117134924346, 46738.171172795,
                          48214.985881357),
-        "edit_uip": (51.32023380508916, 27.083370774001025,
-                     27.13469752499975),
-        "cluster_hotspot": (140.90433295417185, 10.348802795000722,
+        "edit_uip": (52.04992045324173, 26.53837077399146,
+                     26.589697525011502),
+        "cluster_hotspot": (141.00175198142784, 10.348802795000722,
                             10.356241454999804),
     }
 
@@ -1437,6 +1446,10 @@ class TestRetiredNamesStayGone:
                             "a file's bytes are inode.content",
         "replica_status": "what the system uses: "
                           "ReplicatedShard.status reports a witness",
+        "restore_version": "resolve each file once: a tracking column "
+                           "nothing read",
+        "latest_version_no": "resolve each file once: its one caller "
+                             "filled restore_version",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).
@@ -1498,6 +1511,9 @@ class TestRetiredNamesStayGone:
             run_experiment("E9", serial=True)
             system.crash_file_server("fs1")
             """,
+        "dead tracking column": """
+            "restore_version": self.repository.latest_version_no(path),
+            """,
         "storage and fs generality": """
             db.savepoint(txn, "sp")
             db.rollback_to_savepoint(txn, "sp")
@@ -1544,6 +1560,59 @@ class TestRetiredNamesStayGone:
         lines = {entry.split()[0] for entry in flagged}
         assert len(lines) == len(source.splitlines()), flagged
         assert not self.offenders("tests/planted.py", self.ALLOWED)
+
+
+class TestEachFileStepResolvesOnce:
+    """DLFS hands the DLFM the attributes it read at open and at close, so
+    no upcall handler and no ``_begin_file_update`` in
+    ``datalinks/dlfm/manager.py`` walks the file's path again: none calls
+    ``self.files.stat`` or ``self.files.exists``."""
+
+    MODULE = "repro/datalinks/dlfm/manager.py"
+
+    @staticmethod
+    def offenders(tree) -> list[str]:
+        found = []
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef) or not (
+                    function.name.startswith("upcall_")
+                    or function.name == "_begin_file_update"):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and \
+                        isinstance(node.func, ast.Attribute) and \
+                        node.func.attr in ("stat", "exists") and \
+                        ast.unparse(node.func.value) == "self.files":
+                    found.append(f"{function.name}:{node.lineno} "
+                                 f"self.files.{node.func.attr}")
+        return found
+
+    def test_no_upcall_walks_a_path_dlfs_resolved(self, trees):
+        tree = trees[self.MODULE]
+        handlers = {node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("upcall_")}
+        assert {"upcall_check_open", "upcall_write_open_fallback",
+                "upcall_file_closed"} <= handlers
+        assert not self.offenders(tree), self.offenders(tree)
+
+    def test_the_guard_flags_a_second_walk(self):
+        import textwrap
+
+        tree = ast.parse(textwrap.dedent("""
+            class Manager:
+                def upcall_file_closed(self, ino, was_write, userid, path):
+                    attrs = self.files.stat(path)
+                def _begin_file_update(self, row, mode, userid):
+                    if self.files.exists(row["path"]):
+                        pass
+                def archive_steps(self):
+                    if self.files.exists(path):
+                        content = self.files.read(path)
+            """))
+        assert self.offenders(tree) == [
+            "upcall_file_closed:4 self.files.stat",
+            "_begin_file_update:6 self.files.exists"]
 
 
 class TestEveryImportIsLoaded:
