@@ -4,12 +4,16 @@
 database transaction" (Section 2.2).  A *branch* pairs a host transaction id
 with a local transaction in the DLFM repository; the DataLinks engine drives
 the branch through prepare/commit/abort as the two-phase-commit coordinator.
+The branch's file-system half follows its outcome: a commit or an abort
+settles its records (:func:`~repro.datalinks.dlfm.link_manager.settle`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.datalinks.dlfm.files import FileServerFiles
+from repro.datalinks.dlfm.link_manager import HANDOFF, settle
 from repro.errors import TransactionNotActive
 from repro.storage.database import Database
 from repro.storage.transaction import Transaction
@@ -24,13 +28,17 @@ class Branch:
     #: Whether the branch wrote an archive job; such a job is dated by the
     #: host commit the branch commits on.
     queued_jobs: bool = False
+    #: The prefix the branch hands off (a rebalance export), named in its
+    #: vote so that every outcome path leaves the files to the sweep.
+    handoff: str | None = None
 
 
 class BranchManager:
     """Tracks the branches the DLFM holds for host transactions."""
 
-    def __init__(self, database: Database):
+    def __init__(self, database: Database, files: FileServerFiles):
         self._db = database
+        self._files = files
         self._branches: dict[int, Branch] = {}
 
     def branch_for(self, host_txn_id: int) -> Branch:
@@ -63,7 +71,10 @@ class BranchManager:
         if host_txn_id not in self._branches:
             return False
         branch = self._branches[host_txn_id]
-        self._db.prepare(branch.local_txn, extra={"host_txn_id": host_txn_id})
+        vote = {"host_txn_id": host_txn_id}
+        if branch.handoff is not None:
+            vote[HANDOFF] = branch.handoff
+        self._db.prepare(branch.local_txn, extra=vote)
         return True
 
     def commit(self, host_txn_id: int) -> Branch | None:
@@ -76,16 +87,20 @@ class BranchManager:
             self._db.commit_prepared(branch.local_txn)
         else:
             self._db.commit(branch.local_txn)
+        settle(self._files, branch.local_txn.records, committed=True)
         return branch
 
     def abort(self, host_txn_id: int) -> None:
         if host_txn_id not in self._branches:
             return
-        branch = self._branches.pop(host_txn_id)
-        if branch.local_txn.state.name == "PREPARED":
-            self._db.abort_prepared(branch.local_txn)
-        elif not branch.local_txn.is_finished:
-            self._db.abort(branch.local_txn)
+        txn = self._branches.pop(host_txn_id).local_txn
+        if txn.state.name == "PREPARED":
+            self._db.abort_prepared(txn)
+        elif txn.is_finished:
+            return
+        else:
+            self._db.abort(txn)
+        settle(self._files, txn.records, committed=False)
 
     def clear(self) -> None:
         """Forget all in-memory branch state (after a crash)."""

@@ -1,4 +1,4 @@
-"""Link and unlink processing.
+"""Link and unlink processing, and what a link does to its file.
 
 "When a file is linked to the database, DLFM applies the constraints for
 referential integrity, access control, and backup and recovery as specified
@@ -10,66 +10,128 @@ back, the changes made by the DLFM are undone as well." (Section 2.2)
 Repository changes are undone automatically because they run inside the
 branch's local transaction -- the archive job of a file linked with
 recovery among them, so the job commits, aborts, ships to the witnesses and
-is resolved in doubt with the link itself; file-system changes (ownership
-take-over, read-only marking) are compensated through the transaction's
-``on_abort`` callbacks, and the deferred effects of an unlink (deleting or
-restoring the file) run from ``on_commit`` callbacks.
+is resolved in doubt with the link itself.  The file-system half follows
+one rule, written once here: a link (or a prefix import) applies its
+constraint at once (:func:`constrain`), and a finished branch's log
+records say what its outcome does to the files they name
+(:func:`settle`).  Every outcome path calls :func:`settle` with the
+records it finished -- a live commit or abort
+(:class:`~repro.datalinks.dlfm.branches.BranchManager`), an in-doubt
+branch resolved at restart, a loser the restart undid, a transaction a
+witness applies -- so a branch does the same to its files whichever way
+it ends.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, OnUnlink
-from repro.datalinks.dlfm.branches import Branch
 from repro.datalinks.dlfm.files import FileServerFiles
 from repro.datalinks.dlfm.repository import DLFMRepository
 from repro.datalinks.dlfm.soft_state import SoftState
 from repro.errors import (
+    Errno,
     FileAlreadyLinkedError,
     FileNotLinkedError,
+    FileSystemError,
     LinkConflictError,
     ReferentialIntegrityError,
 )
+from repro.fs.inode import FileAttributes
 from repro.storage.transaction import Transaction
+from repro.storage.wal import LogRecordType
+
+if TYPE_CHECKING:
+    from repro.datalinks.dlfm.branches import Branch
 
 #: Write-permission bits cleared when a file is marked read-only.
 _WRITE_BITS = 0o222
+#: Permission given to a taken-over file while an rfd update is in progress.
+_UPDATE_MODE = 0o600
+#: The key of a prefix hand-off's export in its branch's PREPARE vote.
+HANDOFF = "handoff"
 
 
-def apply_link_constraints(files: FileServerFiles, txn: Transaction,
-                           path: str, attrs, mode: ControlMode, *,
-                           restore_to: tuple | None = None,
-                           only_if_needed: bool = False) -> None:
-    """Apply link-time access constraints to *path*, with abort compensation.
+def constrain(files: FileServerFiles, row: dict, attrs: FileAttributes) -> bool:
+    """Apply *row*'s link constraint to its file, whose attributes are
+    *attrs*, unless it is already in effect; returns whether it changed
+    the file.
 
-    The one protocol both a fresh link and a prefix-rebalance import
-    follow: full-control modes take the file over (DBMS ownership,
-    read-only), rfb/rfd strip the write bits; either way the transaction's
-    ``on_abort`` restores *restore_to* -- the file's current attributes by
-    default (the fresh-link case), or the pre-link originals recorded in
-    the repository row (the import case, whose copy was created with
-    them).  ``only_if_needed`` skips constraints already in effect, so
-    re-constraining an imported copy is idempotent.
+    Full-control modes take the file over (DBMS ownership, read-only;
+    Section 2.2, rdb, extended to rdd by the paper); rfb/rfd strip the
+    write bits, "effectively making it read-only".  A fresh link, a prefix
+    import's copy, a witness's mirror and a promoted witness's rebind all
+    come through here.
     """
 
-    if restore_to is None:
-        restore_to = (attrs.uid, attrs.gid, attrs.mode)
-    if mode.takes_over_on_link:
-        # Full-control modes: the DBMS takes over the file by changing its
-        # ownership and marking it read-only (Section 2.2, rdb; extended
-        # to rdd by the paper).
-        if only_if_needed and attrs.uid == files.dbms_uid \
-                and not attrs.mode & _WRITE_BITS:
-            return
-        files.take_over(path, mode=0o400)
-        txn.on_abort.append(lambda: files.restore_ownership(path, *restore_to))
-    elif mode.made_read_only_on_link:
-        # rfb / rfd: ownership is unchanged but write permission is
-        # disabled, "effectively making it read-only".
-        if only_if_needed and not attrs.mode & _WRITE_BITS:
-            return
-        files.chmod(path, attrs.mode & ~_WRITE_BITS)
-        txn.on_abort.append(lambda: files.chmod(path, attrs.mode))
+    mode = ControlMode.from_string(row["control_mode"])
+    takes_over = mode.takes_over_on_link
+    if not (takes_over or mode.made_read_only_on_link):
+        return False
+    if not attrs.mode & _WRITE_BITS and (
+            not takes_over or attrs.uid == files.dbms_uid):
+        return False
+    if takes_over:
+        files.take_over(row["path"], mode=0o400)
+    else:
+        files.chmod(row["path"], attrs.mode & ~_WRITE_BITS)
+    return True
+
+
+def give_back(files: FileServerFiles, row: dict) -> None:
+    """Give *row*'s file back to its owner as it was before its link."""
+
+    mode = ControlMode.from_string(row["control_mode"])
+    if mode.takes_over_on_link or mode.made_read_only_on_link:
+        files.restore_ownership(row["path"], row["original_uid"],
+                                row["original_gid"], row["original_mode"])
+
+
+def hand_back(files: FileServerFiles, row: dict) -> None:
+    """Give an rfd file taken over for an update back to its owner,
+    read-only: it is still linked."""
+
+    files.restore_ownership(row["path"], row["original_uid"],
+                            row["original_gid"],
+                            row["original_mode"] & ~_WRITE_BITS)
+
+
+def settle(files: FileServerFiles, records, committed: bool) -> None:
+    """Do to the files what the outcome of a branch whose log records are
+    *records* owes them.
+
+    Committed, an unlink deletes its file or gives it back (its
+    ``on_unlink``) and an rfd close hands its file back; aborted, a link or
+    a prefix import gives its file back.  A prefix hand-off's export does
+    nothing to its files, whose bytes the source sweep owns: its vote, the
+    last record a branch writes, names it (:data:`HANDOFF`).  A file this
+    node holds no copy of (a witness whose mirror never arrived) has
+    nothing owed.
+    """
+
+    if not records or HANDOFF in records[-1].extra:
+        return
+    for record in records:
+        if record.table != "linked_files":
+            continue
+        try:
+            if not committed:
+                if record.type is LogRecordType.INSERT:
+                    give_back(files, record.after)
+            elif record.type is LogRecordType.DELETE:
+                if OnUnlink(record.before["on_unlink"]) is OnUnlink.DELETE:
+                    files.unlink(record.before["path"])
+                else:
+                    give_back(files, record.before)
+            elif record.type is LogRecordType.UPDATE and \
+                    record.before["taken_over"] and \
+                    not record.after["taken_over"]:
+                hand_back(files, record.after)
+        except FileSystemError as error:
+            if error.errno is not Errno.ENOENT:
+                raise
 
 
 class LinkManager:
@@ -116,20 +178,17 @@ class LinkManager:
             "last_mtime": attrs.mtime,
         }
         self._repository.insert_linked_file(row, txn)
-        self._apply_link_constraints(txn, path, attrs, mode)
+        constrain(self._files, row, attrs)
         if options.recovery:
             self._repository.enqueue_archive_job(path, txn,
                                                  branch.host_txn_id)
             branch.queued_jobs = True
         return row
 
-    def _apply_link_constraints(self, txn: Transaction, path: str, attrs,
-                                mode: ControlMode) -> None:
-        apply_link_constraints(self._files, txn, path, attrs, mode)
-
     # --------------------------------------------------------------------- unlink --
     def unlink_file(self, txn: Transaction, path: str) -> dict:
-        """Remove *path* from database control within the branch transaction."""
+        """Remove *path* from database control within the branch
+        transaction; its commit settles the file (:func:`settle`)."""
 
         row = self._repository.linked_file(path)
         if row is None:
@@ -140,19 +199,23 @@ class LinkManager:
                 f"cannot unlink {path!r}: {len(open_entries)} application(s) "
                 f"currently have it open")
         self._repository.delete_linked_file(path, txn)
-        txn.on_commit.append(lambda: self.finish_unlink(row))
         return row
 
-    def finish_unlink(self, row: dict) -> None:
-        """The file-system half of the unlink of *row*, once it committed:
-        delete the file or give it back as it was before its link."""
+    # -------------------------------------------------------------- rfd updates --
+    def take_over_for_update(self, row: dict) -> None:
+        """Take an rfd file over while it is updated, so concurrent readers
+        are kept out by the file system's own access control (Section
+        4.2)."""
 
-        path = row["path"]
-        if OnUnlink(row["on_unlink"]) is OnUnlink.DELETE:
-            self._files.unlink(path)
-            return
-        mode = ControlMode.from_string(row["control_mode"])
-        if mode.takes_over_on_link or mode.made_read_only_on_link:
-            self._files.restore_ownership(path, row["original_uid"],
-                                          row["original_gid"],
-                                          row["original_mode"])
+        if not row["taken_over"]:
+            self._files.take_over(row["path"], mode=_UPDATE_MODE)
+            self._repository.update_linked_file(row["path"],
+                                                {"taken_over": True})
+
+    def end_update(self, row: dict) -> None:
+        """Hand an rfd file back after an update that wrote nothing or
+        was rolled back; a committed close hands it back through its
+        branch (:func:`settle`)."""
+
+        hand_back(self._files, row)
+        self._repository.update_linked_file(row["path"], {"taken_over": False})

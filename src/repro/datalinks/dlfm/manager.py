@@ -13,13 +13,20 @@ tracking, versioning/archiving and coordinated backup/restore, and it exposes
 This module is the heart of the paper's Section 4 (update in-place).  The
 close of an updated file commits the new version's metadata into the host
 (Sections 4.2 and 4.3) in one round trip: the DLFM writes its branch --
-size/mtime, the tracking row gone, an rfd file handed back to its owner,
-the file's archive job -- forces its
+size/mtime, the tracking row gone, an rfd file's take-over ended, the
+file's archive job -- forces its
 PREPARE, and sends the host one request that carries its yes-vote; the host
 runs its metadata UPDATE, commits and forces its log, and its reply carries
 the commit's state id, on which the branch commits (2PC's "unsolicited
 vote").  A refusal rolls the update back; a lost reply leaves the branch in
 doubt, resolved from the host's durable outcome like any other branch.
+
+A branch's file half -- a link's constraint undone, an unlink's file
+deleted or given back, an rfd file handed back after its close -- is not
+run by this module: every way a branch ends (commit, abort, in-doubt
+resolution at restart, a loser the restart undid) settles the branch's
+log records (:func:`~repro.datalinks.dlfm.link_manager.settle`), so the
+live and the recovered outcome do the same to the files.
 
 A file linked with recovery gets its archive job the same way: the link's
 branch writes it (:mod:`repro.datalinks.dlfm.link_manager`), so the job
@@ -35,8 +42,8 @@ from repro.datalinks.control_modes import _MODES_BY_CODE as _MODES
 from repro.datalinks.datalink_type import DatalinkOptions
 from repro.datalinks.dlfm.archive import ArchiveServer
 from repro.datalinks.dlfm.branches import BranchManager
-from repro.datalinks.dlfm.files import DEFAULT_DBMS_UID, FileServerFiles
-from repro.datalinks.dlfm.link_manager import LinkManager, apply_link_constraints
+from repro.datalinks.dlfm.files import FileServerFiles
+from repro.datalinks.dlfm.link_manager import LinkManager, constrain, settle
 from repro.datalinks.dlfm.repository import DLFMRepository
 from repro.datalinks.dlfm.soft_state import SoftState
 from repro.datalinks.tokens import TokenManager, TokenType
@@ -55,19 +62,6 @@ from repro.storage.backup import BackupImage
 from repro.storage.database import Database
 from repro.storage.wal import LogRecordType
 from repro.util.failpoints import fire
-
-#: Permission given to a taken-over file while an rfd update is in progress.
-_TAKEOVER_WRITE_MODE = 0o600
-_WRITE_BITS = 0o222
-
-
-def closed_paths(records) -> list[str]:
-    """The files whose update-tracking row *records* delete: the files a
-    close branch commits."""
-
-    return [record.before["path"] for record in records
-            if record.table == "update_tracking"
-            and record.type is LogRecordType.DELETE]
 
 
 class DataLinksFileManager:
@@ -93,7 +87,7 @@ class DataLinksFileManager:
         #: Token registry and Sync table: volatile, charged like the
         #: repository, never logged or shipped.
         self.soft = SoftState(clock, repository_scale)
-        self.branches = BranchManager(self.repository.db)
+        self.branches = BranchManager(self.repository.db, files)
         self.links = LinkManager(self.repository, self.soft, files)
         self._engine = None
         self._engine_name: str | None = None
@@ -144,10 +138,6 @@ class DataLinksFileManager:
         retention keeps no pin set of its own for a crash to lose."""
 
         self._backup_state_ids = state_ids
-
-    @property
-    def dbms_uid(self) -> int:
-        return self.files.dbms_uid if self.files is not None else DEFAULT_DBMS_UID
 
     # -------------------------------------------------------------- fencing -----
     def set_fencing(self, guard) -> None:
@@ -291,6 +281,7 @@ class DataLinksFileManager:
 
         self._check_fencing()
         branch = self.branches.branch_for(host_txn_id)
+        branch.handoff = prefix
         rows, versions = [], []
         for row in self.repository.linked_files():
             path = row["path"]
@@ -334,7 +325,7 @@ class DataLinksFileManager:
         The file content must already have been copied (below DLFS) by the
         coordinator; inode numbers are rebound to this node's file system,
         link-time access constraints are re-applied to the local copies
-        (with abort compensation, like a fresh link), and the version
+        (an abort gives them back, like a fresh link's), and the version
         chain re-attaches to the same shared-archive objects.
         """
 
@@ -358,14 +349,10 @@ class DataLinksFileManager:
                     f"content hand-off incomplete: {path!r} has no local "
                     f"copy on {self.server_name!r}") from error
             row["ino"] = attrs.ino
-            mode = ControlMode.from_string(row["control_mode"])
-            row["taken_over"] = mode.takes_over_on_link
+            row["taken_over"] = ControlMode.from_string(
+                row["control_mode"]).takes_over_on_link
             self.repository.insert_linked_file(row, branch.local_txn)
-            apply_link_constraints(
-                self.files, branch.local_txn, path, attrs, mode,
-                restore_to=(row["original_uid"], row["original_gid"],
-                            row["original_mode"]),
-                only_if_needed=True)
+            constrain(self.files, row, attrs)
             imported += 1
         self.repository.import_version_rows(versions, branch.local_txn)
         return {"imported": imported, "versions": len(versions)}
@@ -514,7 +501,7 @@ class DataLinksFileManager:
         if tracking is not None:
             self.repository.remove_tracking(path)
         if mode is ControlMode.RFD:
-            self._release_takeover(row)
+            self.links.end_update(row)
         return {"linked": True, "modified": False}
 
     def upcall_is_linked(self, ino: int) -> dict:
@@ -580,18 +567,16 @@ class DataLinksFileManager:
         # The tracking row is what recovery rolls the update back by: it is
         # durable before the file can change, under group commit too.
         self.repository.db.force_log()
-        if mode is ControlMode.RFD and not row["taken_over"]:
-            # Temporarily take the file over so concurrent readers are kept
-            # out by the file system's own access control (Section 4.2).
-            self.files.take_over(path, mode=_TAKEOVER_WRITE_MODE)
-            self.repository.update_linked_file(path, {"taken_over": True})
+        if mode is ControlMode.RFD:
+            self.links.take_over_for_update(row)
 
     def _commit_file_update(self, row: dict, mode: ControlMode, path: str,
                             attrs) -> None:
         """Commit a closed file update into the host in one round trip.
 
-        The branch -- new size/mtime, an rfd file handed back to its owner,
-        the tracking row gone, the archive job a recovery file is owed --
+        The branch -- new size/mtime, an rfd file's take-over ended (its
+        commit hands the file back), the tracking row gone, the archive job
+        a recovery file is owed --
         is written and its PREPARE forced (with the host transaction id, as
         every vote) before the one request goes out; the request carries
         the vote and the host's reply the commit's state id
@@ -614,7 +599,6 @@ class DataLinksFileManager:
             changes = {"last_size": attrs.size, "last_mtime": attrs.mtime}
             if mode is ControlMode.RFD:
                 changes["taken_over"] = False
-                local_txn.on_commit.append(lambda: self._give_back(row))
             repository.update_linked_file(path, changes, local_txn)
             repository.remove_tracking(path, local_txn)
             if row["recovery"]:
@@ -638,19 +622,6 @@ class DataLinksFileManager:
             self.commit_branch(txn_id, state_id)
             fire(engine.failpoints, "commit:committed", self.server_name)
 
-    def _release_takeover(self, row: dict) -> None:
-        """Give an rfd file back to its owner, read-only, after the update."""
-
-        self._give_back(row)
-        self.repository.update_linked_file(row["path"], {"taken_over": False})
-
-    def _give_back(self, row: dict) -> None:
-        """The file-system half of :meth:`_release_takeover`."""
-
-        self.files.restore_ownership(row["path"], row["original_uid"],
-                                     row["original_gid"],
-                                     row["original_mode"] & ~_WRITE_BITS)
-
     # ----------------------------------------------------------- abort / restore --
     def abort_file_update(self, path: str) -> bool:
         """Roll back an in-progress (or just-closed, uncommitted) file update.
@@ -667,7 +638,7 @@ class DataLinksFileManager:
             self.repository.remove_tracking(path)
         self.soft.clear_sync_entries(path)
         if row is not None and ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
-            self._release_takeover(row)
+            self.links.end_update(row)
         return restored
 
     def restore_last_committed(self, path: str, *, max_state_id: int | None = None,
@@ -890,7 +861,7 @@ class DataLinksFileManager:
             row = self.repository.linked_file(path)
             if row is not None and row["taken_over"] and \
                     ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
-                self._release_takeover(row)
+                self.links.end_update(row)
             rolled_back.append(path)
         return rolled_back
 
@@ -899,11 +870,11 @@ class DataLinksFileManager:
 
         Walks the linked files to make this node able to serve them:
         missing file content is restored from the shared archive, inode
-        numbers are rebound to the local file system, and full-control /
-        read-only link constraints are re-applied to the local copies (the
-        link ran on another node, so its ownership changes never touched
-        this node's files).  Used by promotion and by the reversed-ship
-        rejoin, which has no in-doubt work to resolve.
+        numbers are rebound to the local file system, and the link
+        constraints not in effect on the local copies are applied
+        (:func:`~repro.datalinks.dlfm.link_manager.constrain`).  Used by
+        promotion and by the reversed-ship rejoin, which has no in-doubt
+        work to resolve.
         """
 
         restored, rebound, constrained = [], 0, 0
@@ -934,13 +905,7 @@ class DataLinksFileManager:
             if attrs.ino != row["ino"]:
                 self.repository.update_linked_file(path, {"ino": attrs.ino})
                 rebound += 1
-            mode = ControlMode.from_string(row["control_mode"])
-            if mode.takes_over_on_link and attrs.uid != self.dbms_uid:
-                self.files.take_over(path, mode=0o400)
-                constrained += 1
-            elif mode.made_read_only_on_link and attrs.mode & _WRITE_BITS:
-                self.files.chmod(path, attrs.mode & ~_WRITE_BITS)
-                constrained += 1
+            constrained += constrain(self.files, row, attrs)
         return {"restored_files": restored,
                 "rebound_inos": rebound, "constrained_files": constrained}
 
@@ -959,6 +924,8 @@ class DataLinksFileManager:
     def recover(self) -> dict:
         """Restart after a crash: repository recovery plus file-update rollback.
 
+        Each loser the repository's recovery undid (a branch whose records
+        a flush made durable before it voted) settles as an abort.
         In-doubt branches (durable PREPARE, no durable outcome) are resolved
         from the coordinator: the durable PREPARE record carries the host
         transaction id, and the host database's log says whether that
@@ -966,102 +933,45 @@ class DataLinksFileManager:
         presumed aborted.
         """
 
-        summary = self.repository.db.recover()
+        db = self.repository.db
+        summary = db.recover()
+        for txn_id in summary["losers_undone"]:
+            settle(self.files, db.wal.records_of(txn_id, durable_only=True),
+                   committed=False)
         resolved = self._resolve_recovered_in_doubt()
         summary["in_doubt_committed"] = resolved["committed"]
         summary["in_doubt_aborted"] = resolved["aborted"]
         rolled_back = []
         for tracking in self.repository.all_tracking():
-            path = tracking["path"]
-            self.restore_last_committed(path, park_in_flight=True)
-            self.repository.remove_tracking(path)
-            row = self.repository.linked_file(path)
-            if row is not None and ControlMode.from_string(row["control_mode"]) is ControlMode.RFD:
-                self._release_takeover(row)
-            rolled_back.append(path)
+            self.abort_file_update(tracking["path"])
+            rolled_back.append(tracking["path"])
         self.soft.clear()
         self.running = True
         return {"repository": summary, "rolled_back_updates": rolled_back}
 
     # ------------------------------------------------- in-doubt branch resolution --
-    def _host_txn_id_of(self, local_txn_id: int) -> int | None:
-        """Map a repository transaction back to its host transaction id.
+    def _resolve_recovered_in_doubt(self) -> dict:
+        """Commit or abort the in-doubt transactions reinstated by recovery.
 
-        Reads the durable PREPARE record the branch wrote when it voted.
+        Each is a branch whose last record is its durable vote, which names
+        its host transaction (:meth:`BranchManager.prepare`).
         """
 
-        for record in self.repository.db.wal.records_of(local_txn_id,
-                                                        durable_only=True):
-            if record.type is LogRecordType.PREPARE:
-                host_txn_id = record.extra.get("host_txn_id")
-                if host_txn_id is not None:
-                    return int(host_txn_id)
-        return None
-
-    def _resolve_recovered_in_doubt(self) -> dict:
-        """Commit or abort the in-doubt transactions reinstated by recovery."""
-
-        committed, aborted = [], []
-        in_doubt = [(txn, self._host_txn_id_of(txn.txn_id))
-                    for txn in self.repository.db.in_doubt_transactions()]
-        outcomes = self._engine.host_transaction_outcomes(
-            [host_txn_id for _, host_txn_id in in_doubt
-             if host_txn_id is not None])
-        for txn, host_txn_id in in_doubt:
-            if outcomes.get(host_txn_id) == "committed":
-                records = list(txn.records)
-                self.repository.db.commit_prepared(txn)
-                self._finish_from_log(records)
-                committed.append(host_txn_id)
+        db = self.repository.db
+        in_doubt = {txn.records[-1].extra["host_txn_id"]: txn
+                    for txn in db.in_doubt_transactions()}
+        outcomes = self._engine.host_transaction_outcomes(list(in_doubt))
+        resolved = {"committed": [], "aborted": []}
+        for host_txn_id, txn in in_doubt.items():
+            won = outcomes.get(host_txn_id) == "committed"
+            if won:
+                db.commit_prepared(txn)
             else:
                 # Presumed abort: no durable COMMIT at the coordinator.
-                records = list(txn.records)
-                self.repository.db.abort_prepared(txn)
-                self._undo_links_from_log(records)
-                aborted.append(host_txn_id if host_txn_id is not None else txn.txn_id)
-        return {"committed": committed, "aborted": aborted}
-
-    def _undo_links_from_log(self, records) -> None:
-        """Do what the abort hooks of a branch aborted from the log -- its
-        *records* -- would have done live: give each file it linked back
-        as it was (:func:`apply_link_constraints`).  A prefix hand-off's
-        import, which inserts the version rows of the links it inserts,
-        leaves its copies to the sweep."""
-
-        if any(record.table == "file_versions" for record in records):
-            return
-        for record in records:
-            if record.table == "linked_files" and \
-                    record.type is LogRecordType.INSERT:
-                row = record.after
-                mode = ControlMode.from_string(row["control_mode"])
-                if mode.takes_over_on_link or mode.made_read_only_on_link:
-                    self.files.restore_ownership(
-                        row["path"], row["original_uid"],
-                        row["original_gid"], row["original_mode"])
-
-    def _finish_from_log(self, records) -> None:
-        """Do what the commit hooks of a branch committed from the log --
-        its *records* -- would have done live: give back each rfd file its
-        close handed back (:meth:`_commit_file_update`) and finish each
-        unlink (:meth:`LinkManager.finish_unlink`); a prefix hand-off,
-        which deletes the version rows of the links it deletes, leaves its
-        files to the sweep.  The branch's archive jobs are among its
-        records and committed with it."""
-
-        handed_off = any(record.table == "file_versions" and
-                         record.type is LogRecordType.DELETE
-                         for record in records)
-        for record in records:
-            if record.table != "linked_files":
-                continue
-            if record.type is LogRecordType.DELETE:
-                if not handed_off:
-                    self.links.finish_unlink(record.before)
-            elif record.type is LogRecordType.UPDATE and \
-                    record.before["taken_over"] and \
-                    not record.after["taken_over"]:
-                self._give_back(record.after)
+                db.abort_prepared(txn)
+            settle(self.files, txn.records, committed=won)
+            resolved["committed" if won else "aborted"].append(host_txn_id)
+        return resolved
 
     def resolve_in_doubt(self) -> dict:
         """Resolve live branches after a *coordinator* failure.
@@ -1082,12 +992,14 @@ class DataLinksFileManager:
                 self.branches.commit(host_txn_id)
                 committed.append(host_txn_id)
             else:
-                closed = closed_paths(
-                    self.branches.get(host_txn_id).local_txn.records)
-                self.branches.abort(host_txn_id)
                 # An aborted close leaves its file's new bytes behind with
                 # the tracking row back: roll the update back (Section
                 # 4.2), as recovery does for a crashed node.
+                closed = [record.before["path"] for record
+                          in self.branches.get(host_txn_id).local_txn.records
+                          if record.table == "update_tracking"
+                          and record.type is LogRecordType.DELETE]
+                self.branches.abort(host_txn_id)
                 for path in closed:
                     self.abort_file_update(path)
                 aborted.append(host_txn_id)

@@ -54,7 +54,7 @@ order).  They fire into the engine's one table; see
 
 from __future__ import annotations
 
-from repro.datalinks.control_modes import ControlMode
+from repro.datalinks.dlfm.link_manager import constrain, settle
 from repro.util.failpoints import fire
 from repro.datalinks.routing import NodeRole
 from repro.errors import (
@@ -103,11 +103,7 @@ class EpochRegistry:
         """Grant the initial lease for *shard* to *node* (epoch 1)."""
 
         if shard not in self._epochs:
-            self._epochs[shard] = 1
-            self._serving[shard] = node
-            self.version += 1
-            for listener in self._listeners:
-                listener()
+            self._grant(shard, node)
         return self._epochs[shard]
 
     def current_epoch(self, shard: str) -> int:
@@ -122,15 +118,18 @@ class EpochRegistry:
         Idempotent: promoting the node that already serves does not bump.
         """
 
-        if shard not in self._epochs:
-            return self.register(shard, node)
-        if self._serving[shard] != node:
-            self._epochs[shard] += 1
-            self._serving[shard] = node
-            self.version += 1
-            for listener in self._listeners:
-                listener()
+        if self._serving.get(shard) != node:
+            self._grant(shard, node)
         return self._epochs[shard]
+
+    def _grant(self, shard: str, node: str) -> None:
+        """Give *shard*'s lease to *node* under the next epoch."""
+
+        self._epochs[shard] = self._epochs.get(shard, 0) + 1
+        self._serving[shard] = node
+        self.version += 1
+        for listener in self._listeners:
+            listener()
 
 
 class EpochGuard:
@@ -163,8 +162,10 @@ class EpochGuard:
 # witness-side apply
 # ---------------------------------------------------------------------------
 
-_DATA_RECORDS = (LogRecordType.INSERT, LogRecordType.UPDATE,
-                 LogRecordType.DELETE, LogRecordType.CLR)
+#: What a witness buffers per transaction until its outcome: the data
+#: records and the vote (which holds it in doubt).
+_BUFFERED = (LogRecordType.INSERT, LogRecordType.UPDATE,
+             LogRecordType.DELETE, LogRecordType.CLR, LogRecordType.PREPARE)
 
 
 class ReplicaApplier:
@@ -172,15 +173,16 @@ class ReplicaApplier:
 
     Data records are buffered per transaction and redone only once the
     transaction's COMMIT arrives (the witness never exposes uncommitted
-    primary state).  A transaction whose PREPARE shipped but whose outcome
-    did not is held in doubt; :meth:`resolve_in_doubt` drives it to the
-    coordinator's durable outcome during promotion.
+    primary state).  A transaction whose PREPARE shipped (buffered last)
+    but whose outcome did not is held in doubt; :meth:`resolve_in_doubt`
+    drives it to the coordinator's durable outcome during promotion.
 
     The witness repository's heaps mirror the primary's row ids exactly, so
     redo is positional; the one deliberate divergence is the ``ino`` column
     of ``linked_files``, which is rebound to the witness file system's inode
     numbers as rows arrive (the primary's inode numbers are meaningless on
-    another node).
+    another node).  Each applied COMMIT then does the transaction's file
+    half on this node's copies (:meth:`_settle`).
     """
 
     def __init__(self, database, failpoints: dict, shard: str, files=None):
@@ -189,7 +191,6 @@ class ReplicaApplier:
         self._failpoints = failpoints
         self._shard = shard
         self._pending: dict[int, list] = {}
-        self._prepared: dict[int, int | None] = {}
         self.applied_lsn = LSN(0)
         self.applied_commits = 0
         self.applied_records = 0
@@ -211,13 +212,11 @@ class ReplicaApplier:
         commits = aborts = 0
         pending = self._pending
         for record in records:
-            if record.type in _DATA_RECORDS:
+            if record.type in _BUFFERED:
                 try:
                     pending[record.txn_id].append(record)
                 except KeyError:
                     pending[record.txn_id] = [record]
-            elif record.type is LogRecordType.PREPARE:
-                self._prepared[record.txn_id] = record.extra.get("host_txn_id")
             elif record.type is LogRecordType.COMMIT:
                 self._apply_txn(record.txn_id)
                 commits += 1
@@ -242,43 +241,34 @@ class ReplicaApplier:
         except KeyError:
             records = None
         if records:
-            db = self._db
-            redo = self._redo
-            files = self._files
-            applied = 0
-            run = 0
-            for record in records:
-                if files is not None and record.table == "linked_files":
-                    # Redoing a link row can touch the local file system
-                    # (its charges would interleave with deferred
-                    # ``row_write`` charges), so flush the batched run
-                    # first and charge this record's write in place.
-                    if run:
-                        db._charge_run("row_write", run)
-                        run = 0
-                    if redo(record):
-                        applied += 1
-                        db._charge("row_write")
-                elif redo(record):
-                    applied += 1
-                    run += 1
-            if run:
-                db._charge_run("row_write", run)
+            applied = sum(map(self._redo, records))
+            self._db._charge_run("row_write", applied)
             self.applied_records += applied
-        try:
-            del self._prepared[txn_id]
-        except KeyError:
-            pass
+            if self._files is not None:
+                self._settle(records)
         self.applied_commits += 1
+
+    def _settle(self, records: list) -> None:
+        """The file half of an applied transaction: the link ran on the
+        primary, so its constraint never touched this node's copy, and each
+        link row it wrote constrains the mirror; then its outcome settles
+        like any other.  Without this, a bare URL read through the witness
+        would bypass the token checks that guard the primary's copy."""
+
+        files = self._files
+        for record in records:
+            if record.table == "linked_files" and record.after is not None:
+                try:
+                    attrs = files.stat(record.after["path"])
+                except FileSystemError:
+                    continue        # no mirror yet: promotion constrains it
+                constrain(files, record.after, attrs)
+        settle(files, records, committed=True)
 
     def _drop_txn(self, txn_id: int) -> None:
         try:
             del self._pending[txn_id]
             self.dropped_txns += 1
-        except KeyError:
-            pass
-        try:
-            del self._prepared[txn_id]
         except KeyError:
             pass
 
@@ -317,8 +307,6 @@ class ReplicaApplier:
             else:
                 heap.insert(after, rid=record.rid)
             db.catalog.index_insert(record.table, after, record.rid)
-            if is_link_row:
-                self._constrain_local_file(after)
         elif effective is LogRecordType.DELETE:
             if heap.exists(record.rid):
                 before = heap.get(record.rid)
@@ -326,43 +314,7 @@ class ReplicaApplier:
                 heap.delete(record.rid)
                 if is_link_row:
                     self.stale_paths.discard(before["path"])
-                    self._release_local_file(before)
         return True
-
-    def _constrain_local_file(self, row: dict) -> None:
-        """Apply the link's access constraints to the mirrored copy.
-
-        The link ran on the primary, so its ownership takeover / read-only
-        marking never touched this node's files -- without this, a bare URL
-        read through the witness would bypass the token checks that guard
-        the primary's copy.
-        """
-
-        path = row["path"]
-        if not self._files.exists(path):
-            return
-        mode = ControlMode.from_string(row["control_mode"])
-        if mode.takes_over_on_link:
-            self._files.take_over(path, mode=0o400)
-        elif mode.made_read_only_on_link:
-            attrs = self._files.stat(path)
-            if attrs.mode & 0o222:
-                self._files.chmod(path, attrs.mode & ~0o222)
-
-    def _release_local_file(self, row: dict) -> None:
-        """Undo the local constraints when an unlink replicates over."""
-
-        path = row["path"]
-        if not self._files.exists(path):
-            return
-        if row.get("on_unlink") == "DELETE":
-            self._files.unlink(path)
-            return
-        mode = ControlMode.from_string(row["control_mode"])
-        if mode.takes_over_on_link or mode.made_read_only_on_link:
-            self._files.restore_ownership(path, row["original_uid"],
-                                          row["original_gid"],
-                                          row["original_mode"])
 
     def _local_ino(self, path: str, rid: int) -> int:
         """The witness inode for *path*, or a placeholder while it is absent.
@@ -379,10 +331,18 @@ class ReplicaApplier:
             return -rid
 
     # --------------------------------------------------------------- in doubt --
+    def _voted(self) -> list[tuple]:
+        """``(txn_id, host_txn_id)`` of each transaction whose PREPARE
+        shipped but whose outcome did not, in transaction order."""
+
+        return sorted((txn_id, records[-1].extra.get("host_txn_id"))
+                      for txn_id, records in self._pending.items()
+                      if records[-1].type is LogRecordType.PREPARE)
+
     def in_doubt_host_txns(self) -> list[int]:
         """Host transaction ids whose PREPARE shipped but whose outcome did not."""
 
-        return sorted(host_txn_id for host_txn_id in self._prepared.values()
+        return sorted(host_txn_id for _, host_txn_id in self._voted()
                       if host_txn_id is not None)
 
     def resolve_in_doubt(self, outcomes: dict) -> dict:
@@ -397,7 +357,7 @@ class ReplicaApplier:
         """
 
         committed, aborted = [], []
-        for txn_id, host_txn_id in sorted(self._prepared.items()):
+        for txn_id, host_txn_id in self._voted():
             if outcomes.get(host_txn_id) == "committed":
                 self._apply_txn(txn_id)
                 committed.append(host_txn_id)
@@ -418,7 +378,6 @@ class ReplicaApplier:
         # validate against them (see Database.reset_catalog).
         self._db._max_keys.clear()
         self._pending.clear()
-        self._prepared.clear()
         self.applied_lsn = state_lsn
 
     def status(self) -> dict:

@@ -285,7 +285,7 @@ class Database:
         self._next_txn_id = max(self._next_txn_id, transaction.txn_id + 1)
 
     def commit(self, txn: Transaction) -> LSN:
-        """Commit *txn*: force the log (per flush policy), run callbacks, release locks.
+        """Commit *txn*: force the log (per flush policy), release locks.
 
         Under the ``group`` flush policy the COMMIT record may stay in the
         unflushed log tail until the group window fills (or an explicit
@@ -308,11 +308,6 @@ class Database:
         except KeyError:      # begun before a crash() emptied the table
             pass
         self.locks.release_all(txn.txn_id)
-        callbacks = txn.on_commit
-        if callbacks:
-            for callback in callbacks:
-                callback()
-            callbacks.clear()
         return self.wal.tail_lsn()
 
     def commit_many(self, txns: list[Transaction]) -> list[LSN]:
@@ -334,7 +329,7 @@ class Database:
             self._charge("log_write")
         for txn in txns:
             txn.state = TxnState.COMMITTED
-            self._finish(txn, txn.on_commit)
+            self._finish(txn)
         return state_ids
 
     def abort(self, txn: Transaction) -> None:
@@ -348,16 +343,13 @@ class Database:
         self.wal.flush()
         self._charge("log_write")
         txn.state = TxnState.ABORTED
-        self._finish(txn, txn.on_abort)
+        self._finish(txn)
 
-    def _finish(self, txn: Transaction, callbacks: list) -> None:
+    def _finish(self, txn: Transaction) -> None:
         # A finished transaction leaves the table: only active and prepared
         # (in-doubt) ones are ever looked up again.
         self._transactions.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
-        for callback in callbacks:
-            callback()
-        callbacks.clear()
 
     # two-phase commit -----------------------------------------------------------
     def prepare(self, txn: Transaction, extra: dict | None = None) -> None:
@@ -369,8 +361,8 @@ class Database:
         """
 
         txn.require_active()
-        self.wal.append(txn.txn_id, LogRecordType.PREPARE,
-                        extra=dict(extra) if extra else {})
+        txn.note_record(self.wal.append(txn.txn_id, LogRecordType.PREPARE,
+                                        extra=dict(extra) if extra else {}))
         self.wal.flush()
         self._charge("log_write")
         txn.state = TxnState.PREPARED

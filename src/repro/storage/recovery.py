@@ -155,8 +155,10 @@ class RecoveryManager:
                 if record.txn_id != txn_id:
                     continue
                 if record.type in (LogRecordType.INSERT, LogRecordType.UPDATE,
-                                   LogRecordType.DELETE):
+                                   LogRecordType.DELETE, LogRecordType.PREPARE):
                     transaction.note_record(record)
-                    db.locks.acquire(txn_id, ("row", record.table, record.rid),
-                                     LockMode.EXCLUSIVE)
+                    if record.table is not None:    # the vote locks nothing
+                        db.locks.acquire(txn_id, ("row", record.table,
+                                                  record.rid),
+                                         LockMode.EXCLUSIVE)
             db.register_recovered_transaction(transaction)

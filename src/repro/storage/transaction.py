@@ -2,7 +2,10 @@
 
 The database (see :mod:`repro.storage.database`) owns the transaction life
 cycle; this module defines the per-transaction bookkeeping: its state and
-the chain of log records written on its behalf (used for rollback).
+the log records written on its behalf -- its data records (the chain used
+for rollback) and its PREPARE vote.  A finished transaction runs nothing:
+a layer above that owes external work on an outcome reads it from these
+records, as it would from the log after a crash.
 Two-phase commit is supported through the PREPARED state so a DLFM can act as
 a transactional resource manager for the host database, exactly as the paper
 describes ("the operations done in DLFM are treated as a sub-transaction of
@@ -27,18 +30,15 @@ class TxnState(enum.Enum):
 class Transaction:
     """One database transaction."""
 
-    __slots__ = ("txn_id", "state", "records", "on_commit", "on_abort")
+    __slots__ = ("txn_id", "state", "records")
 
     def __init__(self, txn_id: int, state: TxnState = TxnState.ACTIVE,
                  records: list[LogRecord] | None = None):
         self.txn_id = txn_id
         self.state = state
-        #: Data log records written on the transaction's behalf (undo chain).
+        #: Log records written on the transaction's behalf: its data
+        #: records (the undo chain) and its PREPARE.
         self.records = [] if records is None else records
-        # Callbacks run after commit / after abort (used by higher layers to
-        # release external resources such as file ownership).
-        self.on_commit: list = []
-        self.on_abort: list = []
 
     @property
     def is_finished(self) -> bool:
@@ -56,6 +56,6 @@ class Transaction:
 
     # -- undo chain -------------------------------------------------------------
     def note_record(self, record: LogRecord) -> None:
-        """Remember a data log record for potential rollback."""
+        """Remember a log record: a data record for rollback, or the vote."""
 
         self.records.append(record)

@@ -483,6 +483,48 @@ class TestSourceSweep:
             assert not node.files.exists("/p/doc0000.dat")
 
 
+class TestHandOffLeavesTheSourceCopiesToTheSweep:
+    """A committed hand-off export gives nothing back on any source node,
+    whichever way its branch commits: the sweep owns those bytes."""
+
+    @pytest.mark.parametrize("recovery", [True, False],
+                             ids=["recovery", "no recovery"])
+    @pytest.mark.parametrize("path", ["live", "from the log"])
+    def test_no_source_node_gives_a_moved_file_back(self, monkeypatch,
+                                                     recovery, path):
+        from repro.datalinks.dlfm.files import FileServerFiles
+
+        deployment, session = build_deployment(mode=ControlMode.RDD,
+                                               recovery=recovery)
+        link_docs(deployment, session, "/p", 2)
+        source = deployment.shard_of("/p/doc0000.dat")
+        dest = other_shard(deployment, source)
+        given_back = []
+        restore = FileServerFiles.restore_ownership
+
+        def recording(self, moved, *attrs):
+            given_back.append(moved)
+            restore(self, moved, *attrs)
+
+        monkeypatch.setattr(FileServerFiles, "restore_ownership", recording)
+        if path == "from the log":
+            # The source's branch commits at its restart, from its log.
+            deployment.engine.failpoints["commit:after_host_commit"] = boom(
+                lambda: deployment.crash(source))
+        try:
+            summary = deployment.rebalance_prefix("/p", dest)
+        finally:
+            deployment.engine.failpoints.clear()
+        if path == "from the log":
+            assert summary["redriven_commit"] and summary["sweep_deferred"]
+            deployment.restart(source)
+        assert summary["moved"]
+        assert given_back == []
+        assert not deployment.pending_sweeps
+        for node in deployment.replicas[source].nodes.values():
+            assert not node.files.exists("/p/doc0000.dat")
+
+
 class TestHandOffCopy:
     """The content half of a hand-off: the source reads each file once the
     hand-off was sent, and a copy is written only after its read ended."""

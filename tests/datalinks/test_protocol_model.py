@@ -405,8 +405,8 @@ def test_the_system_does_what_the_model_says(mode, policy, batch):
 @pytest.mark.xfail(strict=True, reason=(
     "a link whose branch its file server lost in a crash before the vote "
     "leaves the file taken over: nothing durable records the constraint "
-    "the link applied, and the callback that gives the file back died "
-    "with the branch"))
+    "the link applied, so no record of it survives for the restart to "
+    "settle"))
 @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
                          ids=lambda mode: mode.value)
 @pytest.mark.parametrize("victims", ["fs1", "both"])

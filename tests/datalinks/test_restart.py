@@ -8,10 +8,11 @@ nothing else is left for the caller to run.
 
 import pytest
 
+from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.routing import NodeRole
-from repro.errors import DataLinksError
+from repro.errors import DataLinksError, ReproError
 from repro.util.urls import parse_url
-from tests.conftest import (FILES_TABLE, SHARD_TABLE, InjectedCrash,
+from tests.conftest import (ALICE_UID, FILES_TABLE, SHARD_TABLE, InjectedCrash,
                             assert_archive_reachable, boom, build_deployment,
                             build_system, prefix_on)
 from tests.datalinks.test_recovery_and_backup import (
@@ -173,3 +174,35 @@ class TestRestartIsRecovery:
         deployment.fail_over("shard0")
         assert deployment.system.run_archiver() == 1
         assert "shard0" not in deployment.system.run_housekeeping()
+
+
+class TestALoserGivesItsFileBack:
+    """A link branch whose records another branch's flush made durable
+    before it voted is a loser at restart: recovery undoes its row, and
+    the file goes back to its owner as it was before the link."""
+
+    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
+                             ids=lambda mode: mode.value)
+    def test_a_link_undone_at_restart_gives_its_file_back(self, mode):
+        system, _, paths, urls = build_system(mode, files=2, link=False)
+        engine = system.engine
+        lost = engine.begin()
+        engine.insert(FILES_TABLE, {"doc_id": 0, "body": urls[0]}, lost)
+        # fs1's prepare of this commit forces the lost link's records too.
+        done = engine.begin()
+        engine.insert(FILES_TABLE, {"doc_id": 1, "body": urls[1]}, done)
+        engine.commit(done)
+
+        system.crash("fs1")
+        summary = system.restart("fs1")["repository"]
+        assert summary["losers_undone"] and summary["undo_records"] == 2
+        with pytest.raises(ReproError, match="must abort"):
+            engine.commit(lost)
+        engine.abort(lost)
+
+        dlfm = system.file_server("fs1").dlfm
+        assert dlfm.repository.linked_file(paths[0]) is None
+        attrs = dlfm.files.stat(paths[0])
+        assert (attrs.uid, attrs.mode) == (ALICE_UID, 0o644)
+        assert dlfm.repository.linked_file(paths[1]) is not None
+        assert_host_dlfm_agreement(system)

@@ -171,8 +171,10 @@ class TestOneImagePerRow:
             def ino_of(self, path):
                 return 4242
 
-            def exists(self, path):
-                return False
+            def stat(self, path):
+                from repro.errors import Errno, FileSystemError
+
+                raise FileSystemError(Errno.ENOENT, path)
 
         def with_link_table(name):
             db = _make_db(name)

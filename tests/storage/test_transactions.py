@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PreparedStateError, TransactionNotActive
 from repro.storage.transaction import TxnState
+from repro.storage.wal import LogRecordType
 
 
 class TestCommitAbort:
@@ -55,19 +56,20 @@ class TestCommitAbort:
         people_db.commit(txn)
         assert people_db.locks.locks_of(txn.txn_id) == set()
 
-    def test_on_commit_and_on_abort_callbacks(self, people_db):
-        events = []
-        txn = people_db.begin()
-        txn.on_commit.append(lambda: events.append("commit"))
-        txn.on_abort.append(lambda: events.append("abort"))
-        people_db.commit(txn)
-        assert events == ["commit"]
+    def test_a_prepared_transaction_keeps_its_vote_with_its_records(
+            self, people_db):
+        """The PREPARE joins the records a layer above reads an outcome
+        from, and an abort undoes the data records around it."""
 
-        txn2 = people_db.begin()
-        txn2.on_commit.append(lambda: events.append("commit2"))
-        txn2.on_abort.append(lambda: events.append("abort2"))
-        people_db.abort(txn2)
-        assert events == ["commit", "abort2"]
+        before = people_db.select("people")
+        txn = people_db.begin()
+        people_db.update("people", {"person_id": 1}, {"age": 40}, txn)
+        people_db.prepare(txn, extra={"host_txn_id": 7})
+        assert [record.type for record in txn.records] == [
+            LogRecordType.UPDATE, LogRecordType.PREPARE]
+        assert txn.records[-1].extra == {"host_txn_id": 7}
+        people_db.abort_prepared(txn)
+        assert people_db.select("people") == before
 
 
 class TestAbortUndoesTheWholeTransaction:

@@ -234,7 +234,7 @@ class TestCommittedLayeredArtifactShape:
 
     #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42; digests
     #: fd2538f47eadea87 / cfe23669ebe747e8 / d0a36a73daddb672 /
-    #: cd99586f8f9f34b6 in this order.  The archiver's fan-out across
+    #: 2347c70267aab08e in this order.  The archiver's fan-out across
     #: file servers moved web_rfd, edit_uip and cluster_hotspot (their
     #: archiver runs inside the window) and session_knee's digest, not
     #: its metrics (its archiver runs before the window opens).  The
@@ -294,7 +294,11 @@ class TestCommittedLayeredArtifactShape:
     #: p50 and p99 are the same to the last digit, and sim_ops_per_s was
     #: 85.3728670240611 / 51.32023380508916 / 140.90433295417185 for
     #: web_rfd / edit_uip / cluster_hotspot (edit_uip's p50 and p99 were
-    #: 27.083370774001025 and 27.13469752499975).
+    #: 27.083370774001025 and 27.13469752499975).  A hand-off export that
+    #: gives nothing back on its source witnesses moved cluster_hotspot
+    #: only (was cd99586f8f9f34b6): the witnesses' clocks run less, its p50
+    #: and p99 are the same to the last digit, and sim_ops_per_s was
+    #: 141.00175198142784.
     SIMULATED = {
         "web_rfd": (85.4523859595603, 11.292711182022686,
                     11.349244995017216),
@@ -302,7 +306,7 @@ class TestCommittedLayeredArtifactShape:
                          48214.985881357),
         "edit_uip": (52.04992045324173, 26.53837077399146,
                      26.589697525011502),
-        "cluster_hotspot": (141.00175198142784, 10.348802795000722,
+        "cluster_hotspot": (141.11435725378345, 10.348802795000722,
                             10.356241454999804),
     }
 
@@ -1285,6 +1289,57 @@ class TestOneArchiveJobPath:
         assert len(flagged) == len(source.splitlines()), flagged
 
 
+class TestOneRuleForWhatALinkDoesToItsFile:
+    """A file's ownership and mode change only through the link rule
+    (``dlfm/link_manager.py``: ``constrain``, ``settle`` and the rfd
+    update's take-over and hand-back) over ``dlfm/files.py``'s privileged
+    calls: no other module calls ``take_over``, ``restore_ownership`` or
+    ``chmod`` on a :class:`~repro.datalinks.dlfm.files.FileServerFiles`
+    (a receiver named ``files`` or ``_files``).  The commit/abort
+    callbacks that used to carry a second copy of the rule are retired
+    names (:class:`TestRetiredNamesStayGone`)."""
+
+    OWNERS = ("repro/datalinks/dlfm/link_manager.py",
+              "repro/datalinks/dlfm/files.py")
+    CALLS = ("take_over", "restore_ownership", "chmod")
+
+    @classmethod
+    def offenders(cls, module: str, tree) -> list[str]:
+        if module in cls.OWNERS:
+            return []
+        return [f"{module}:{node.lineno} {ast.unparse(node.func)}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in cls.CALLS
+                and ast.unparse(node.func.value).rpartition(".")[2]
+                in ("files", "_files")]
+
+    def test_only_the_link_rule_changes_a_file_s_owner_or_mode(self, trees):
+        offenders = [found for module, tree in trees.items()
+                     for found in self.offenders(module, tree)]
+        assert not offenders, f"a second copy of the link rule: {offenders}"
+
+    def test_the_guard_flags_a_file_changed_elsewhere(self):
+        import textwrap
+
+        planted = textwrap.dedent("""
+            self.files.take_over(path, mode=0o400)
+            self._files.chmod(path, attrs.mode & ~0o222)
+            node.files.restore_ownership(path, 1001, 1001, 0o644)
+            files.take_over(path)
+            """).strip()
+        allowed = textwrap.dedent("""
+            file_server.raw_lfs.chmod(path, 0o664, owner_cred(system))
+            self.lfs.chmod(path, mode, self.dlfm_cred)
+            constrain(self.files, row, attrs)
+            """).strip()
+        flagged = self.offenders("repro/planted.py", ast.parse(planted))
+        assert len(flagged) == len(planted.splitlines()), flagged
+        assert not self.offenders("repro/planted.py", ast.parse(allowed))
+        assert not self.offenders(self.OWNERS[0], ast.parse(planted))
+
+
 class TestRetiredNamesStayGone:
     """Retired machinery that no structural guard would catch coming back,
     in one table (:attr:`RETIRED`), matched as a word (a call or keyword
@@ -1450,6 +1505,29 @@ class TestRetiredNamesStayGone:
                            "nothing read",
         "latest_version_no": "resolve each file once: its one caller "
                              "filled restore_version",
+        "on_commit": "one rule for what a link does to its file: an "
+                     "outcome settles its records, no callbacks",
+        "on_abort": "one rule for what a link does to its file: an "
+                    "outcome settles its records, no callbacks",
+        "only_if_needed": "one rule for what a link does to its file: "
+                          "constrain skips what is in effect",
+        "_constrain_local_file": "one rule for what a link does to its "
+                                 "file: a witness constrains like a link",
+        "_release_local_file": "one rule for what a link does to its "
+                               "file: a witness settles its commits",
+        "_finish_from_log": "one rule for what a link does to its file: "
+                            "the log and the live outcome settle alike",
+        "_undo_links_from_log": "one rule for what a link does to its "
+                                "file: the log and the live outcome "
+                                "settle alike",
+        "_give_back": "one rule for what a link does to its file: "
+                      "link_manager hands an rfd file back",
+        "_release_takeover": "one rule for what a link does to its file: "
+                             "link_manager hands an rfd file back",
+        "apply_link_constraints": "one rule for what a link does to its "
+                                  "file: constrain, no abort callback",
+        "_apply_link_constraints": "one rule for what a link does to its "
+                                   "file: constrain, no abort callback",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).
@@ -1528,6 +1606,17 @@ class TestRetiredNamesStayGone:
             lfs.truncate("/f", 2, cred)
             pfs.write_whole_file(vnode.ino, b"v2")
             """,
+        "file callbacks": """
+            txn.on_commit.append(lambda: self.finish_unlink(row))
+            txn.on_abort.append(lambda: files.chmod(path, attrs.mode))
+            apply_link_constraints(files, txn, path, attrs, mode, only_if_needed=True)
+            self._constrain_local_file(after)
+            self._release_local_file(before)
+            self._finish_from_log(records)
+            self._undo_links_from_log(records)
+            local_txn.on_commit.append(lambda: self._give_back(row))
+            self._release_takeover(row)
+            """,
         "two commit paths": """
             engine.commit_group([first, second])
             engine.failpoints["group:after_host_commit"] = hook
@@ -1549,6 +1638,9 @@ class TestRetiredNamesStayGone:
         rows = dict(heap.scan_live())
         for index in db.catalog.iter_indexes(table):
         self._truncate(inode, 0)
+        settle(self._files, txn.records, committed=True)
+        give_back(files, record.after)
+        fire(engine.failpoints, "commit:after_host_commit")
         """
 
     @pytest.mark.parametrize("shape", sorted(PLANTED))
