@@ -9,10 +9,11 @@ archived object is immutable and addressed by an integer archive id.
 The archive mover is its own simulated node on the ``archive`` clock
 domain, so archive bandwidth is attributed to the archive device, not to the
 file servers.  A store is a send: the mover starts the transfer no earlier
-than the sender sent it and charges it on its own domain, and the sender
-waits for it only before it commits the version row naming the object.  So
-no row names an object not yet stored, and a file server reads its next
-job's file while the mover stores the last one.  The archiver runs each
+than the sender sent it and charges it on its own domain; the sender
+writes the version row naming the object during the transfer and waits
+for it only to commit that row.  So no committed row names an object not
+yet stored, and a file server reads its next job's file while the mover
+stores the last one.  The archiver runs each
 server's jobs as one actor of :func:`repro.simclock.interleave`
 (:meth:`DataLinksSystem.run_archiver
 <repro.api.system.DataLinksSystem.run_archiver>`); the mover serialises

@@ -10,7 +10,7 @@ settles its records (:func:`~repro.datalinks.dlfm.link_manager.settle`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.datalinks.dlfm.files import FileServerFiles
 from repro.datalinks.dlfm.link_manager import HANDOFF, settle
@@ -31,6 +31,9 @@ class Branch:
     #: The prefix the branch hands off (a rebalance export), named in its
     #: vote so that every outcome path leaves the files to the sweep.
     handoff: str | None = None
+    #: The link rows the branch deleted, by path: a link of one of them
+    #: in the branch starts from the file its unlink gives back.
+    unlinked: dict[str, dict] = field(default_factory=dict)
 
 
 class BranchManager:

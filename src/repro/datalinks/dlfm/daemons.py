@@ -48,8 +48,10 @@ class UpcallDaemon(Daemon):
         return self._manager.upcall_write_open_fallback(ino, userid, attrs)
 
     def _file_closed(self, ino: int, was_write: bool, userid: int,
-                     path: str | None, attrs: FileAttributes | None) -> dict:
-        return self._manager.upcall_file_closed(ino, was_write, userid, path, attrs)
+                     path: str | None, attrs: FileAttributes | None,
+                     opened: FileAttributes | None) -> dict:
+        return self._manager.upcall_file_closed(ino, was_write, userid, path,
+                                                attrs, opened)
 
     def _is_linked(self, ino: int) -> dict:
         return self._manager.upcall_is_linked(ino)

@@ -40,7 +40,6 @@ from repro.errors import (
     ReferentialIntegrityError,
 )
 from repro.fs.inode import FileAttributes
-from repro.storage.transaction import Transaction
 from repro.storage.wal import LogRecordType
 
 if TYPE_CHECKING:
@@ -102,24 +101,34 @@ def settle(files: FileServerFiles, records, committed: bool) -> None:
     """Do to the files what the outcome of a branch whose log records are
     *records* owes them.
 
-    Committed, an unlink deletes its file or gives it back (its
-    ``on_unlink``) and an rfd close hands its file back; aborted, a link or
-    a prefix import gives its file back.  A prefix hand-off's export does
-    nothing to its files, whose bytes the source sweep owns: its vote, the
-    last record a branch writes, names it (:data:`HANDOFF`).  A file this
-    node holds no copy of (a witness whose mirror never arrived) has
-    nothing owed.
+    Each path's records fold into one net effect, its last record's when
+    committed and its first's when aborted.  Committed, an unlink deletes
+    its file or gives it back (its ``on_unlink``) and an rfd close hands
+    its file back; aborted, a link or a prefix import gives its file back
+    and a relinked path goes back under its old row's constraint.  A
+    prefix hand-off's export does nothing to its files, whose bytes the
+    source sweep owns: its vote, the last record a branch writes, names it
+    (:data:`HANDOFF`).  A file this node holds no copy of (a witness whose
+    mirror never arrived) has nothing owed.
     """
 
     if not records or HANDOFF in records[-1].extra:
         return
-    for record in records:
-        if record.table != "linked_files":
-            continue
+    net, linked = {}, {}
+    for record in records if committed else reversed(records):
+        if record.table == "linked_files":
+            path = (record.after or record.before)["path"]
+            net[path] = record
+            if record.type is LogRecordType.INSERT:
+                linked.setdefault(path, record.after)
+    for path, record in net.items():
         try:
             if not committed:
                 if record.type is LogRecordType.INSERT:
                     give_back(files, record.after)
+                elif path in linked:    # relinked: back under its old row
+                    give_back(files, linked[path])
+                    constrain(files, record.before, files.stat(path))
             elif record.type is LogRecordType.DELETE:
                 if OnUnlink(record.before["on_unlink"]) is OnUnlink.DELETE:
                     files.unlink(record.before["path"])
@@ -160,6 +169,8 @@ class LinkManager:
         if self._repository.linked_file(path) is not None:
             raise FileAlreadyLinkedError(f"{path!r} is already linked")
 
+        if path in branch.unlinked:     # relinked: start from the owner's file
+            give_back(self._files, branch.unlinked[path])
         attrs = self._files.stat(path)
         mode = options.control_mode
         row = {
@@ -186,9 +197,9 @@ class LinkManager:
         return row
 
     # --------------------------------------------------------------------- unlink --
-    def unlink_file(self, txn: Transaction, path: str) -> dict:
-        """Remove *path* from database control within the branch
-        transaction; its commit settles the file (:func:`settle`)."""
+    def unlink_file(self, branch: Branch, path: str) -> dict:
+        """Remove *path* from database control within *branch*; its commit
+        settles the file (:func:`settle`)."""
 
         row = self._repository.linked_file(path)
         if row is None:
@@ -198,7 +209,8 @@ class LinkManager:
             raise LinkConflictError(
                 f"cannot unlink {path!r}: {len(open_entries)} application(s) "
                 f"currently have it open")
-        self._repository.delete_linked_file(path, txn)
+        self._repository.delete_linked_file(path, branch.local_txn)
+        branch.unlinked[path] = row
         return row
 
     # -------------------------------------------------------------- rfd updates --

@@ -256,8 +256,8 @@ class DataLinksFileManager:
 
         self._check_fencing()
         self.check_placement(path)
-        branch = self.branches.branch_for(host_txn_id)
-        return self.links.unlink_file(branch.local_txn, path)
+        return self.links.unlink_file(self.branches.branch_for(host_txn_id),
+                                      path)
 
     # ------------------------------------------------- prefix hand-off ----------
     # The two participant sides of an online prefix rebalance (see
@@ -463,15 +463,18 @@ class DataLinksFileManager:
         return {"linked": True, "open_as_dbms": True, "mode": mode._value_}
 
     def upcall_file_closed(self, ino: int, was_write: bool, userid: int,
-                           path: str | None, attrs: FileAttributes | None) -> dict:
+                           path: str | None, attrs: FileAttributes | None,
+                           opened: FileAttributes | None) -> dict:
         """fs_close-time processing: Sync cleanup, metadata update, archiving.
 
         A read close names the *path* its open was admitted on and only
         removes its Sync entry -- no link-row lookup, so it finds the entry
         even after the file's row left this node (a prefix handed off while
         the file was open).  It passes the follower-read gate.  A write
-        close carries the closed file's *attrs* and looks the row up;
-        fencing applies to it: only the serving node may commit close-time
+        close carries the closed file's *attrs* and those its open read
+        (*opened*) and looks the row up; it changed the file if its write
+        entry (:meth:`_being_updated`) was there and the two differ.
+        Fencing applies to it: only the serving node may commit close-time
         metadata into the host database.
         """
 
@@ -483,22 +486,13 @@ class DataLinksFileManager:
         row = self._lookup_link_row(ino)
         if row is None:
             return {"linked": False, "modified": False}
-        path = row["path"]
-        code = row["control_mode"]
-        try:
-            # from_string's canonical-code probe, inline (hot upcall path).
-            mode = _MODES[code]
-        except KeyError:
-            mode = ControlMode.from_string(code)
-        self.soft.remove_sync_entry(path, "write", userid)
-
-        tracking = self.repository.tracking(path)
-        modified = tracking is not None and (
-            attrs.mtime > tracking["pre_mtime"] or attrs.size != tracking["pre_size"])
-        if modified:
+        path, mode = row["path"], ControlMode.from_string(row["control_mode"])
+        updating = self.soft.remove_sync_entry(path, "write", userid)
+        if updating and (attrs.mtime > opened.mtime
+                         or attrs.size != opened.size):
             self._commit_file_update(row, mode, path, attrs)
             return {"linked": True, "modified": True}
-        if tracking is not None:
+        if updating:
             self.repository.remove_tracking(path)
         if mode is ControlMode.RFD:
             self.links.end_update(row)
@@ -518,8 +512,9 @@ class DataLinksFileManager:
         holds only its own reads there; it reads the ``update_tracking``
         row the update began with, which replicates with the WAL stream,
         so a follower read is serialized against an in-progress update
-        exactly like a local one (the row exists exactly while the serving
-        node's write entry does).
+        exactly like a local one.  The row exists exactly while the serving
+        node's write entry does (an open writes both; a close, an abort and
+        a restart remove both), so a write close needs no read of it.
         """
 
         if self.replica is not None:
@@ -686,14 +681,15 @@ class DataLinksFileManager:
         of several servers in simulated time
         (:meth:`repro.api.system.DataLinksSystem.run_archiver`).  A job's
         version row, the rows it supersedes and the job's own delete are
-        one local transaction, so a crash re-runs a job only if its version
-        never committed.  A read or send error other than ENOENT commits
-        the job in flight first (a run abandoned between steps leaves it in
-        :attr:`_in_flight`, for the next run to redo): no completed job is
-        lost.  The last step forces the repository log (a log write only
-        when commits are pending, as under group commit), so the run's
-        version rows are durable and shipped when it returns -- no
-        tokenized read commits any more to push them out of the
+        one local transaction, written during the transfer
+        (:meth:`_commit_in_flight`), so a crash re-runs a job only if its
+        version never committed.  A read or send error other than ENOENT
+        commits the job in flight first (a run abandoned between steps
+        leaves it in :attr:`_in_flight`, for the next run to redo): no
+        completed job is lost.  The last step forces the repository log (a
+        log write only when commits are pending, as under group commit), so
+        the run's version rows are durable and shipped when it returns --
+        no tokenized read commits any more to push them out of the
         group-commit window, and a witness missing them is not
         read-eligible -- and then sweeps (:meth:`ArchiveServer.sweep`).
         """
@@ -733,13 +729,17 @@ class DataLinksFileManager:
         self.archive.sweep(self)
 
     def _commit_in_flight(self, sent: tuple | None = None) -> int:
-        """Commit the stored transfer in flight; *sent* goes in flight next."""
+        """Write the version of the transfer in flight while the mover
+        stores its object, and commit it once it has; *sent* goes in
+        flight next.  The write and the commit are one step, so no other
+        server's step sees the version uncommitted."""
 
         (job, archive_id, stored), self._in_flight = self._in_flight, sent
-        self.clock.receive_ticks(stored)
-        self.repository.add_version(
+        staged = self.repository.add_version(
             job["path"], archive_id, self._job_state_id(job["host_txn_id"]),
             self._backup_state_ids(), job_id=job["job_id"])
+        self.clock.receive_ticks(stored)
+        self.repository.db.commit(staged)
         return 1
 
     def archive_names(self, path: str) -> list[int]:

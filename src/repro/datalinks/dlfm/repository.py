@@ -255,17 +255,19 @@ class DLFMRepository:
 
     # ------------------------------------------------------------ file versions --
     def add_version(self, path: str, archive_id: int, state_id: int,
-                    backup_state_ids=(), job_id: int | None = None) -> None:
+                    backup_state_ids=(), job_id: int | None = None
+                    ) -> Transaction:
         """Append a version to *path*'s chain, drop every superseded
         version no retained backup would restore and delete the archive
-        job *job_id* that cut the version.
+        job *job_id* that cut the version, in one local transaction
+        returned open: the archiver commits it once *archive_id* is
+        stored, and a crash leaves either the job or the version, never
+        both.
 
         Version V, superseded by V', is picked by a restore to state *b*
         iff ``V.state_id <= b < V'.state_id``, so V stays iff one of the
         ascending *backup_state_ids* lies in that interval.  One read of
         the chain gives the next ``version_no`` and the superseded rows.
-        The insert and the deletes are one local transaction, so a crash
-        leaves either the job or the version, never both.
         """
 
         chain = self._versions_by_path(path)
@@ -299,7 +301,7 @@ class DLFMRepository:
         except BaseException:
             db.abort(txn)
             raise
-        db.commit(txn)
+        return txn
 
     def versions(self, path: str) -> list[dict]:
         return sorted(self._versions_by_path(path), key=_version_no)

@@ -25,7 +25,7 @@ The interception logic implements Section 4 of the paper:
   and release the take-over; a read close names the path its open was
   admitted on (the open's reply carries it), so the DLFM removes the read's
   Sync entry without looking the link row up again, and a write close
-  carries the closed file's attributes (one ``fs_getattr``);
+  carries the closed file's attributes (one ``fs_getattr``) and its open's;
 * ``fs_remove``/``fs_rename`` of a linked file are rejected so the database
   never holds a dangling reference.
 """
@@ -170,7 +170,8 @@ class DataLinksFileSystem:
         meter[0] += 1
         attrs = self.lower.fs_getattr(vnode, self.dbms_cred)
         wants_write = (flags._value_ & WRITE_MASK) != 0
-        state = {"linked": False, "write": wants_write, "userid": cred.uid}
+        state = {"linked": False, "write": wants_write, "userid": cred.uid,
+                 "opened": attrs}
 
         if attrs.is_regular and attrs.uid == self.dbms_uid:
             try:
@@ -234,13 +235,14 @@ class DataLinksFileSystem:
                                   owner=self._lock_owner(handle.vnode, cred))
             self.lower.fs_lockctl(handle.vnode, request, self.dbms_cred)
         # A read close sends back the path its open was admitted on (the
-        # DLFM needs no link-row lookup), a write close the file's attributes.
+        # DLFM needs no link-row lookup), a write close both attribute sets.
         attrs = (self.lower.fs_getattr(handle.vnode, self.dbms_cred)
                  if state.get("write") else None)
         try:
             self.upcall.file_closed(handle.vnode.ino, state.get("write", False),
                                     state.get("userid", cred.uid),
-                                    state.get("path"), attrs)
+                                    state.get("path"), attrs,
+                                    state.get("opened"))
         except DataLinksError as error:
             raise _translate(error) from error
 

@@ -38,9 +38,11 @@ class UpcallClient:
                                      attrs=attrs)
 
     def file_closed(self, ino: int, was_write: bool, userid: int,
-                    path: str | None, attrs: FileAttributes | None) -> dict:
+                    path: str | None, attrs: FileAttributes | None,
+                    opened: FileAttributes | None) -> dict:
         return self._channel.request("file_closed", ino=ino, was_write=was_write,
-                                     userid=userid, path=path, attrs=attrs)
+                                     userid=userid, path=path, attrs=attrs,
+                                     opened=opened)
 
     def is_linked(self, ino: int) -> dict:
         return self._channel.request("is_linked", ino=ino)

@@ -54,7 +54,7 @@ order).  They fire into the engine's one table; see
 
 from __future__ import annotations
 
-from repro.datalinks.dlfm.link_manager import constrain, settle
+from repro.datalinks.dlfm.link_manager import constrain, give_back, settle
 from repro.util.failpoints import fire
 from repro.datalinks.routing import NodeRole
 from repro.errors import (
@@ -255,14 +255,21 @@ class ReplicaApplier:
         like any other.  Without this, a bare URL read through the witness
         would bypass the token checks that guard the primary's copy."""
 
-        files = self._files
+        files, unlinked = self._files, {}
         for record in records:
-            if record.table == "linked_files" and record.after is not None:
-                try:
-                    attrs = files.stat(record.after["path"])
-                except FileSystemError:
-                    continue        # no mirror yet: promotion constrains it
-                constrain(files, record.after, attrs)
+            if record.table != "linked_files":
+                continue
+            if record.after is None:
+                unlinked[record.before["path"]] = record.before
+                continue
+            path = record.after["path"]
+            try:
+                if path in unlinked:    # relinked, as on the primary
+                    give_back(files, unlinked.pop(path))
+                attrs = files.stat(path)
+            except FileSystemError:
+                continue        # no mirror yet: promotion constrains it
+            constrain(files, record.after, attrs)
         settle(files, records, committed=True)
 
     def _drop_txn(self, txn_id: int) -> None:

@@ -52,6 +52,7 @@ class FileUpdateTransaction:
             if truncate:
                 flags |= OpenFlags.TRUNCATE
         self._flags = flags
+        self._fresh = OpenFlags.TRUNCATE in flags
         self._abort_callback = abort_callback
         self._fd: int | None = None
         self.committed = False
@@ -132,6 +133,7 @@ class FileUpdateTransaction:
         return self._lfs.read(self.fd, length)
 
     def write(self, data: bytes) -> int:
+        self._fresh = False
         return self._lfs.write(self.fd, data)
 
     def seek(self, offset: int) -> int:
@@ -142,13 +144,14 @@ class FileUpdateTransaction:
 
         The file must have been opened with ``truncate=True`` when the new
         content may be shorter than the old; otherwise a stale tail would
-        survive the rewrite and this method refuses to guess.
+        survive the rewrite and this method refuses to guess (an ``fstat``)
+        unless the file was empty: truncated at the open, not written since.
         """
 
+        fresh = self._fresh
         self.seek(0)
         written = self.write(data)
-        attrs = self._lfs.fstat(self.fd)
-        if attrs.size > len(data):
+        if not fresh and self._lfs.fstat(self.fd).size > len(data):
             raise DataLinksError(
                 "replace() with shorter content requires opening the update "
                 "with truncate=True")

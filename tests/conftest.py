@@ -285,6 +285,28 @@ def crash_once_a_version_is_durable(system, node: str) -> None:
         getattr(system, "system", system).run_archiver()
 
 
+def crash_once_a_version_is_staged(system, node: str) -> None:
+    """Run the archiver of *system* (a system or a sharded deployment) and
+    crash *node* the moment its run has staged its first version: the
+    object is sent, the version row written and not committed."""
+
+    plain = getattr(system, "system", system)
+    repository = plain.file_server(node).dlfm.repository
+    stage = repository.add_version
+
+    def staged(*args, **kwargs):
+        stage(*args, **kwargs)
+        system.crash(node)
+        raise InjectedCrash
+
+    repository.add_version = staged
+    try:
+        with pytest.raises(InjectedCrash):
+            plain.run_archiver()
+    finally:
+        del repository.add_version
+
+
 def prefix_on(deployment, shard: str, stem: str = "/f") -> str:
     """A top-level directory that static hashing places on *shard*."""
 

@@ -15,7 +15,8 @@ state, as the paper's guarantees say it must.
 * A file linked with recovery owes an archive job for its link and for
   every close that changed it, and a write open waits while one is owed
   (Section 4.4).  The archiver turns each job into the next version, once
-  even if it crashes (with no backup taken the chain keeps the newest).
+  even if it crashes (with no backup taken the chain keeps the newest); a
+  crash before the version commits leaves the job owed.
 * One writer at a time (Section 4.2).  rdd refuses a reader while a writer
   holds the file, rfd takes the file over so the file system refuses a new
   reader, and rdb refuses write tokens.  An unlink waits for every open, a
@@ -44,6 +45,10 @@ COMMITS = {"link": ("fs1",), "link2": ("fs1", "fs2"),
            "unlink": ("fs1", "fs2"), "close": ("fs1",)}
 #: The bytes each file holds when it is created.
 INITIAL = {"f": b"f00", "g": b"g00"}
+#: The crash points of an archiver run: fs1 crashes while the run's first
+#: version is staged (its object sent, its row not committed), or once
+#: that version is durable.
+STAGED, VERSION = "a version is staged", "a version is durable"
 
 
 class Step(NamedTuple):
@@ -124,6 +129,8 @@ def step(state: State, move: Step) -> tuple[tuple, State]:
 
     kind, f, g, update = move.kind, state.f, state.g, state.update
     after = state
+    if kind == "archive" and move.point == STAGED:  # before f's 1st version
+        return CRASHED, replace(state, update=None)
     if kind == "archive" and move.point:    # fs1 crashes at f's 1st version
         return CRASHED, replace(state, update=None, f=replace(
             f, versions=f.versions + 1, archived=f.content, owed=f.owed - 1))

@@ -4,8 +4,9 @@
 clock domain is earliest, one archive job per step, so disk reads on
 different servers overlap and jobs meet only at the shared archive mover.
 Within a server one transfer is in flight: a store is a send, and a job's
-version commits only once the mover has stored it, so the server reads its
-next file while the mover stores the last one.
+version is written while the mover stores it and commits only once the
+mover has, so the server reads its next file and writes the last one's
+version while the mover stores the last one.
 The oracle is the serial schedule, kept here in the test: visit each
 server's ``process_archive_jobs`` as one admin round trip after another.
 Both schedules run the same jobs with the same charges; only the elapsed
@@ -226,10 +227,11 @@ def test_a_server_waits_for_at_most_one_transfer(monkeypatch, jobs):
     own = run["charged"]["large"]
     assert run["charged"]["archive"] == sum(transfers)
     assert SERIAL_ELAPSED[jobs] == own + sum(transfers)
-    # Every transfer but the last overlaps the server's next read and
-    # commit; one job has nothing to overlap, so it takes what it took.
+    # Every transfer overlaps the server's own work: the next job's read
+    # and the writing of its own version, so even one job finishes before
+    # the synchronous store would have.
     assert own < run["elapsed"] <= own + max(transfers)
-    assert (run["elapsed"] == SERIAL_ELAPSED[jobs]) is (jobs == 1)
+    assert run["elapsed"] < SERIAL_ELAPSED[jobs]
 
 
 def test_a_crash_with_a_transfer_in_flight_reruns_the_uncommitted_jobs(

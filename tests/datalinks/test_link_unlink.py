@@ -8,7 +8,8 @@ file, and their crashes -- are enumerated against the reference model in
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
-from repro.datalinks.datalink_type import OnUnlink, options_of_column
+from repro.datalinks.datalink_type import (DatalinkOptions, OnUnlink,
+                                           datalink_column, options_of_column)
 from repro.errors import (
     DataLinksError,
     DuplicateKeyError,
@@ -20,7 +21,9 @@ from repro.errors import (
 )
 from repro.fs.vfs import OpenFlags
 from repro.ipc.channel import Channel
-from tests.conftest import FILES_TABLE, build_system
+from repro.storage.schema import Column, TableSchema
+from repro.storage.values import DataType
+from tests.conftest import ALICE_UID, FILES_TABLE, build_system
 
 
 class TestLinkConstraints:
@@ -209,6 +212,83 @@ class TestRelinkByDeleteAndInsert:
         with pytest.raises(FileSystemError):
             alice.fs("fs1").unlink(paths[0])
         alice.fs("fs1").unlink(self.NEW_PATH)
+
+
+class TestRelinkInOneTransaction:
+    """Doc 0's row deleted and doc 5 inserted with the same URL in one host
+    transaction: the file is linked before and after it, so it stays
+    constrained whether the transaction commits or aborts, and the new row
+    keeps the owner and mode the file had before its first link, which a
+    later unlink gives back."""
+
+    #: ``(owner, mode)`` of a file under each mode's link constraint.
+    CONSTRAINED = {ControlMode.RDD: ("dbms", 0o400),
+                   ControlMode.RFD: (ALICE_UID, 0o444),
+                   ControlMode.RFF: (ALICE_UID, 0o644)}
+
+    @staticmethod
+    def relink(alice, url: str, commit: bool) -> None:
+        alice.begin()
+        alice.delete(FILES_TABLE, {"doc_id": 0})
+        alice.insert(FILES_TABLE, {"doc_id": 5, "title": "Doc 5",
+                                   "body": url})
+        alice.commit() if commit else alice.abort()
+
+    @staticmethod
+    def owner(system, path: str) -> tuple:
+        server = system.file_server("fs1")
+        attrs = server.files.stat(path)
+        return ("dbms" if attrs.uid == server.dbms_uid else attrs.uid,
+                attrs.mode & 0o777)
+
+    @pytest.mark.parametrize("commit", [True, False],
+                             ids=["committed", "aborted"])
+    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
+                             ids=lambda mode: mode.value)
+    def test_the_file_stays_constrained(self, mode, commit):
+        system, alice, paths, urls = build_system(mode)
+        self.relink(alice, urls[0], commit)
+        assert self.owner(system, paths[0]) == self.CONSTRAINED[mode]
+        row = system.file_server("fs1").dlfm.repository.linked_file(paths[0])
+        assert (row["original_uid"], row["original_mode"]) == \
+            (ALICE_UID, 0o644)
+        assert [doc["doc_id"] for doc in alice.select(FILES_TABLE)] == \
+            [5 if commit else 0]
+
+    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
+                             ids=lambda mode: mode.value)
+    def test_a_later_unlink_gives_the_file_back(self, mode):
+        system, alice, paths, urls = build_system(mode)
+        self.relink(alice, urls[0], commit=True)
+        assert alice.delete(FILES_TABLE, {"doc_id": 5}) == 1
+        assert self.owner(system, paths[0]) == (ALICE_UID, 0o644)
+
+    @pytest.mark.parametrize("commit", [True, False],
+                             ids=["committed", "aborted"])
+    @pytest.mark.parametrize("old, new", [
+        (ControlMode.RDD, ControlMode.RFD), (ControlMode.RFD, ControlMode.RDD),
+        (ControlMode.RDD, ControlMode.RFF), (ControlMode.RFF, ControlMode.RDD),
+    ], ids=lambda mode: mode.value)
+    def test_a_relink_into_another_mode(self, old, new, commit):
+        """Doc 0's row deleted and the URL inserted into a column of
+        another mode: the file ends under the constraint of the row the
+        outcome keeps, and that row's unlink gives it back as it was."""
+
+        system, alice, paths, urls = build_system(old)
+        system.create_table(TableSchema("other_docs", [
+            Column("doc_id", DataType.INTEGER, nullable=False),
+            datalink_column("body", DatalinkOptions(control_mode=new,
+                                                    recovery=True)),
+        ], primary_key=("doc_id",)))
+        alice.begin()
+        alice.delete(FILES_TABLE, {"doc_id": 0})
+        alice.insert("other_docs", {"doc_id": 0, "body": urls[0]})
+        alice.commit() if commit else alice.abort()
+        assert self.owner(system, paths[0]) == \
+            self.CONSTRAINED[new if commit else old]
+        kept = "other_docs" if commit else FILES_TABLE
+        assert alice.delete(kept, {"doc_id": 0}) == 1
+        assert self.owner(system, paths[0]) == (ALICE_UID, 0o644)
 
 
 class TestMultiRowInsert:

@@ -6,7 +6,8 @@ close -- runs on a fresh system through :class:`~repro.api.session.Session`:
 as it is, with each crash of the host, fs1 or both after its last step, and
 with each crash inside its last step's commit at every ``commit:*``
 failpoint; a close also with the host refusing it, and an archiver run also
-with fs1 crashing once the run's first version is durable.  Every crashed
+with fs1 crashing while the run's first version is staged (its object sent,
+its row written, not committed) and once it is durable.  Every crashed
 node then restarts.  A step that changes nothing
 in the model (a read, a refusal, a rolled-back link or unlink) is not
 enumerated; every run ends with each of them instead (:func:`probe`), then
@@ -38,10 +39,12 @@ from repro.errors import FileSystemError, ReproError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 from tests.conftest import (ALICE_UID, BOB_UID, assert_archive_reachable,
-                            crash_once_a_version_is_durable)
+                            crash_once_a_version_is_durable,
+                            crash_once_a_version_is_staged)
 from tests.datalinks.protocol_model import (CRASHED, INITIAL, NO_ROW, OK,
-                                            VICTIMS, State, Step, crash_points,
-                                            refused, step, written)
+                                            STAGED, VICTIMS, VERSION, State,
+                                            Step, crash_points, refused, step,
+                                            written)
 
 TABLE = "docs"
 #: Each file: its server, path and row.
@@ -56,10 +59,6 @@ PROBES = tuple(Step(kind) for kind in ("read", "link", "unlink", "rollback",
 #: read-only), linked in rfd (read-only) and taken over for an rfd update.
 CREATED, CONTROLLED, READ_ONLY, TAKEN_OVER = (
     (ALICE_UID, 0o644), ("dbms", 0o400), (ALICE_UID, 0o444), ("dbms", 0o600))
-
-#: The crash point of an archiver run: fs1 crashes once the run's first
-#: version is durable.
-VERSION = "a version is durable"
 
 
 class ProcessDied(BaseException):
@@ -114,8 +113,9 @@ def runs(mode: ControlMode, policy: str) -> dict[str, list[list[Step]]]:
         if last.kind == "close" and before.update.written:
             variants.append(prefix + [Step("refused_close")])
         if last.kind == "archive" and before.f.owed and not before.g.linked:
-            variants.append(prefix + [Step("archive", point=VERSION,
-                                           victims="fs1")])
+            variants += [prefix + [Step("archive", point=point,
+                                        victims="fs1")]
+                         for point in (STAGED, VERSION)]
         found[name(sequence)] = [
             run for run in variants if policy == "immediate"
             or "fs1" in VICTIMS.get(run[-1].victims, ())]
@@ -165,7 +165,7 @@ class System:
             if "host" in nodes:
                 raise ProcessDied
 
-        if move.point not in (None, VERSION):
+        if move.point not in (None, STAGED, VERSION):
             system.engine.failpoints[move.point] = crash
         try:
             seen = getattr(self, move.kind)(move) or OK
@@ -270,6 +270,9 @@ class System:
             engine.abort(blocker)
 
     def archive(self, move):
+        if move.point == STAGED:
+            crash_once_a_version_is_staged(self.system, "fs1")
+            return CRASHED
         if move.point == VERSION:
             crash_once_a_version_is_durable(self.system, "fs1")
             return CRASHED

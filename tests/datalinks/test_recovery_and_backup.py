@@ -25,7 +25,8 @@ from repro.util.urls import parse_url
 from tests.conftest import (FILES_TABLE, SHARD_TABLE, InjectedCrash,
                             assert_archive_reachable, boom, build_deployment,
                             build_system, crash_once_a_version_is_durable,
-                            link_docs, prefix_on)
+                            crash_once_a_version_is_staged, link_docs,
+                            prefix_on)
 
 
 def bounce(system, *nodes) -> dict:
@@ -118,6 +119,63 @@ class TestRestartFreesOnlyUnnamedObjects:
         assert dlfm.repository.versions(paths[0]) == [first]
         assert system.archive.exists(first["archive_id"])
         system.run_archiver()
+        assert_archive_reachable(system)
+
+    def test_a_crash_while_a_version_is_staged_leaves_its_job_owed(self):
+        """fs1 crashes once its run has sent the file and written the
+        version row, before the commit: after its restart the job is still
+        owed, no row names the sent object, and the next run archives
+        exactly one version."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD)
+        _update(system, alice, 0, NEW_BYTES, archive=False)
+        repository = system.file_server("fs1").dlfm.repository
+        ((job_id, first),) = [(job["job_id"], repository.versions(job["path"]))
+                              for job in repository.pending_archive_jobs()]
+        crash_once_a_version_is_staged(system, "fs1")
+        system.restart("fs1")
+        assert [job["job_id"] for job in repository.pending_archive_jobs()] \
+            == [job_id]
+        assert repository.versions(paths[0]) == first
+        assert_archive_reachable(system, settled=False)
+        assert system.run_archiver() == 1
+        assert [version["version_no"] for version
+                in repository.versions(paths[0])] == [2]
+        assert system.file_server("fs1").dlfm.archive.retrieve(
+            repository.latest_version(paths[0])["archive_id"],
+            system.clock) == NEW_BYTES
+        assert_archive_reachable(system)
+
+    def test_a_sweep_between_steps_sees_no_uncommitted_version(self):
+        """fs1 and fs2 hold the same path, and fs2's run sweeps it between
+        fs1's steps, with fs1's next version of it in flight: fs1 writes a
+        version only inside the step that commits it, so the sweep finds
+        the row that version will drop still committed and frees neither
+        its object nor the one in flight; an abandoned run drops nothing."""
+
+        system, alice, paths, _ = build_system(ControlMode.RDD, files=2)
+        system.add_file_server("fs2")
+        url = alice.put_file("fs2", paths[1], b"the other copy")
+        alice.insert(FILES_TABLE, {"doc_id": 2, "body": url})
+        system.run_archiver()
+        fs1 = system.file_server("fs1").dlfm
+        (dropped,) = fs1.repository.versions(paths[1])
+        for doc_id in (0, 1, 2):
+            _update(system, alice, doc_id, NEW_BYTES, archive=False)
+        fs1_run = fs1.archive_steps()
+        assert next(fs1_run) == 1       # doc 1's transfer is in flight
+        assert fs1.repository.versions(paths[1]) == [dropped]
+        (in_flight,) = set(fs1.archive_names(paths[1])) - {
+            dropped["archive_id"]}
+        assert system.file_server("fs2").process_archive_jobs() == 1
+        for archive_id in (in_flight, dropped["archive_id"]):
+            assert system.archive.exists(archive_id)
+        fs1_run.close()
+        assert fs1.repository.versions(paths[1]) == [dropped]
+        assert_archive_reachable(system, settled=False)
+        assert system.run_archiver() == 1
+        assert [version["version_no"] for version
+                in fs1.repository.versions(paths[1])] == [2]
         assert_archive_reachable(system)
 
     def test_a_transfer_in_flight_names_its_object(self):

@@ -209,7 +209,7 @@ class TestFailover:
         # close processing is fenced too: an ex-primary must not commit
         # close-time metadata into the host database while the witness serves
         with pytest.raises(FencedNodeError):
-            manager.upcall_file_closed(ino, True, 1001, None, attrs)
+            manager.upcall_file_closed(ino, True, 1001, None, attrs, attrs)
 
     def test_fenced_ex_primary_refuses_link_writes(self):
         """Engine-facing ops are fenced at the DLFM: a link branch taken on
@@ -1025,3 +1025,36 @@ class TestCaughtUpWitnessesMirror:
                 self.check(replica)
                 deployment.fail_over("shard0")
             self.check(replica)
+
+
+class TestAWitnessMirrorsARelink:
+    #: ``(owner, mode)`` of a file under each mode's link constraint.
+    CONSTRAINED = {ControlMode.RDD: ("dbms", 0o400),
+                   ControlMode.RFD: (1001, 0o444)}
+
+    @pytest.mark.parametrize("old, new", [
+        (ControlMode.RDD, ControlMode.RFD), (ControlMode.RFD, ControlMode.RDD),
+    ], ids=lambda mode: mode.value)
+    def test_the_mirror_ends_under_the_new_row(self, old, new):
+        """A file unlinked and linked into a column of another mode in one
+        transaction: the witness's mirror ends under the new row's
+        constraint, as the serving copy does."""
+
+        deployment, alice = build_deployment(mode=old)
+        deployment.create_table(TableSchema("other_docs", [
+            Column("doc_id", DataType.INTEGER, nullable=False),
+            datalink_column("body", DatalinkOptions(control_mode=new)),
+        ], primary_key=("doc_id",)))
+        path = path_on(deployment, "shard0")
+        url = link(deployment, alice, 0, path)
+        alice.begin()
+        alice.delete(TABLE, {"doc_id": 0})
+        alice.insert("other_docs", {"doc_id": 0, "body": url})
+        alice.commit()
+        owners = {}
+        for name, node in deployment.replicas["shard0"].nodes.items():
+            attrs = node.files.stat(path)
+            owners[name] = ("dbms" if attrs.uid == node.dbms_uid
+                            else attrs.uid, attrs.mode & 0o777)
+        assert owners == dict.fromkeys(("shard0", "shard0-r"),
+                                       self.CONSTRAINED[new])

@@ -108,19 +108,20 @@ def _storage_bytes_per_read(reads) -> float | None:
     if tracemalloc.is_tracing():
         reads()
         return None
-    under_storage = [tracemalloc.Filter(
-        True, os.path.join(os.path.dirname(repro.storage.__file__), "*"))]
+    storage = os.path.join(os.path.dirname(repro.storage.__file__), "")
     gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.take_snapshot().filter_traces(under_storage)
+        before = tracemalloc.take_snapshot()
         count = reads()
         gc.collect()
-        after = tracemalloc.take_snapshot().filter_traces(under_storage)
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    return sum(stat.size_diff for stat in
-               after.compare_to(before, "filename")) / count
+    # Grouped by file first: one prefix test per file, not a pattern
+    # match per allocation.
+    return sum(stat.size_diff for stat in after.compare_to(before, "filename")
+               if stat.traceback[0].filename.startswith(storage)) / count
 
 
 @pytest.fixture(scope="module")

@@ -241,7 +241,8 @@ class _Node:
         if error is None and access == "write":
             # Close the update unmodified: the tracking row and an rfd
             # take-over go again.
-            dlfm.upcall_file_closed(self.ino, True, ALICE_UID, None, attrs)
+            dlfm.upcall_file_closed(self.ino, True, ALICE_UID, None, attrs,
+                                    attrs)
         return error, after, len(statements)
 
 

@@ -4,6 +4,8 @@ open, aborts, version dating and the rfd consistency window.  One file's
 updates, their serialization and their crashes are enumerated against the
 reference model in ``test_protocol_model.py``."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
@@ -30,6 +32,42 @@ class TestBasicUpdate:
         url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body", access="write")
         with pytest.raises(DataLinksError):
             with alice.update_file(url) as update:
+                update.replace(b"short")
+
+
+    @pytest.mark.parametrize("truncate", [True, False],
+                             ids=["truncating", "non-truncating"])
+    def test_only_a_non_truncating_replace_checks_the_tail(
+            self, rfd_system, monkeypatch, truncate):
+        """Right after a truncating open the file is empty, so ``replace``
+        knows its size without an ``fstat``; otherwise it checks for a
+        stale tail."""
+
+        system, alice, paths, _ = rfd_system
+        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                 access="write")
+        update, calls = alice.update_file(url, truncate=truncate), []
+        fstat = update._lfs.fstat
+        monkeypatch.setattr(update, "_lfs", SimpleNamespace(
+            **{name: getattr(update._lfs, name)
+               for name in ("open", "close", "write", "lseek")},
+            fstat=lambda fd: (calls.append(fd), fstat(fd))[1]))
+        content = b"x" * 8192       # longer than the file: no stale tail
+        with update:
+            update.replace(content)
+        assert len(calls) == (0 if truncate else 1)
+        assert alice.fs("fs1").read_file(paths[0]) == content
+
+    def test_a_replace_after_a_longer_write_still_checks_the_tail(
+            self, rfd_system):
+        from repro.errors import DataLinksError
+
+        system, alice, _, _ = rfd_system
+        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                 access="write")
+        with pytest.raises(DataLinksError):
+            with alice.update_file(url, truncate=True) as update:
+                update.write(b"a longer first draft")
                 update.replace(b"short")
 
 
