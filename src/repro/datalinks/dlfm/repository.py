@@ -83,8 +83,49 @@ def _version_no(row: dict) -> int:
     return row["version_no"]
 
 
-def _table(name: str, columns: list[Column], pk: tuple[str, ...]) -> TableSchema:
-    return TableSchema(name, columns, primary_key=pk)
+#: The repository's tables in creation order, each with its secondary
+#: indexes ``(name, columns, unique)``.  Built once: a schema is immutable,
+#: so every repository shares them.
+_TABLES = (
+    (TableSchema("linked_files", [
+        Column("path", DataType.TEXT, nullable=False),
+        Column("ino", DataType.INTEGER, nullable=False),
+        Column("control_mode", DataType.TEXT, nullable=False),
+        Column("recovery", DataType.BOOLEAN, nullable=False, default=True),
+        Column("on_unlink", DataType.TEXT, nullable=False, default="RESTORE"),
+        Column("taken_over", DataType.BOOLEAN, nullable=False, default=False),
+        Column("strict_read_sync", DataType.BOOLEAN, nullable=False,
+               default=False),
+        Column("original_uid", DataType.INTEGER, nullable=False),
+        Column("original_gid", DataType.INTEGER, nullable=False),
+        Column("original_mode", DataType.INTEGER, nullable=False),
+        Column("linked_at", DataType.TIMESTAMP, nullable=False, default=0.0),
+        Column("last_size", DataType.INTEGER, nullable=False, default=0),
+        Column("last_mtime", DataType.TIMESTAMP, nullable=False, default=0.0),
+    ], primary_key=("path",)), (("linked_files_ino", ("ino",), True),)),
+    (TableSchema("update_tracking", [
+        Column("path", DataType.TEXT, nullable=False),
+        Column("userid", DataType.INTEGER, nullable=False),
+        Column("started_at", DataType.TIMESTAMP, nullable=False, default=0.0),
+        Column("pre_mtime", DataType.TIMESTAMP, nullable=False, default=0.0),
+        Column("pre_size", DataType.INTEGER, nullable=False, default=0),
+    ], primary_key=("path",)), ()),
+    (TableSchema("file_versions", [
+        Column("version_id", DataType.INTEGER, nullable=False),
+        Column("path", DataType.TEXT, nullable=False),
+        Column("version_no", DataType.INTEGER, nullable=False),
+        Column("archive_id", DataType.INTEGER, nullable=False),
+        Column("state_id", DataType.INTEGER, nullable=False, default=0),
+        Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
+    ], primary_key=("version_id",)), (("file_versions_path", ("path",),
+                                       False),)),
+    (TableSchema("archive_queue", [
+        Column("job_id", DataType.INTEGER, nullable=False),
+        Column("path", DataType.TEXT, nullable=False),
+        Column("host_txn_id", DataType.INTEGER, nullable=False),
+        Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
+    ], primary_key=("job_id",)), (("archive_queue_path", ("path",), False),)),
+)
 
 
 class _Statement:
@@ -136,48 +177,10 @@ class DLFMRepository:
     # ------------------------------------------------------------------ schema --
     def _create_tables(self) -> None:
         db = self.db
-        db.create_table(_table("linked_files", [
-            Column("path", DataType.TEXT, nullable=False),
-            Column("ino", DataType.INTEGER, nullable=False),
-            Column("control_mode", DataType.TEXT, nullable=False),
-            Column("recovery", DataType.BOOLEAN, nullable=False, default=True),
-            Column("on_unlink", DataType.TEXT, nullable=False, default="RESTORE"),
-            Column("taken_over", DataType.BOOLEAN, nullable=False, default=False),
-            Column("strict_read_sync", DataType.BOOLEAN, nullable=False, default=False),
-            Column("original_uid", DataType.INTEGER, nullable=False),
-            Column("original_gid", DataType.INTEGER, nullable=False),
-            Column("original_mode", DataType.INTEGER, nullable=False),
-            Column("linked_at", DataType.TIMESTAMP, nullable=False, default=0.0),
-            Column("last_size", DataType.INTEGER, nullable=False, default=0),
-            Column("last_mtime", DataType.TIMESTAMP, nullable=False, default=0.0),
-        ], ("path",)))
-        db.create_index("linked_files_ino", "linked_files", ("ino",), unique=True)
-
-        db.create_table(_table("update_tracking", [
-            Column("path", DataType.TEXT, nullable=False),
-            Column("userid", DataType.INTEGER, nullable=False),
-            Column("started_at", DataType.TIMESTAMP, nullable=False, default=0.0),
-            Column("pre_mtime", DataType.TIMESTAMP, nullable=False, default=0.0),
-            Column("pre_size", DataType.INTEGER, nullable=False, default=0),
-        ], ("path",)))
-
-        db.create_table(_table("file_versions", [
-            Column("version_id", DataType.INTEGER, nullable=False),
-            Column("path", DataType.TEXT, nullable=False),
-            Column("version_no", DataType.INTEGER, nullable=False),
-            Column("archive_id", DataType.INTEGER, nullable=False),
-            Column("state_id", DataType.INTEGER, nullable=False, default=0),
-            Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
-        ], ("version_id",)))
-        db.create_index("file_versions_path", "file_versions", ("path",))
-
-        db.create_table(_table("archive_queue", [
-            Column("job_id", DataType.INTEGER, nullable=False),
-            Column("path", DataType.TEXT, nullable=False),
-            Column("host_txn_id", DataType.INTEGER, nullable=False),
-            Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
-        ], ("job_id",)))
-        db.create_index("archive_queue_path", "archive_queue", ("path",))
+        for schema, indexes in _TABLES:
+            db.create_table(schema)
+            for name, columns, unique in indexes:
+                db.create_index(name, schema.name, columns, unique=unique)
 
     # ------------------------------------------------------- WAL-shipping hooks --
     # A shard primary replicates by streaming this repository's durable WAL

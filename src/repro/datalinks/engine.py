@@ -529,15 +529,10 @@ class DataLinksEngine:
 
     # --------------------------------------------------------------------- DML --
     def insert(self, table: str, row: dict, host_txn: HostTransaction | None = None) -> int:
-        """INSERT with link processing for every non-null DATALINK value."""
+        """INSERT with link processing for every non-null DATALINK value:
+        ``insert_many(table, [row])[0]``."""
 
-        with _StatementTransaction(self, host_txn) as active:
-            rid = self.db.insert(table, row, active.txn)
-            for column in self.db.catalog.schema(table).datalink_columns():
-                url = row.get(column.name)
-                if url:
-                    self._link(active, column, url)
-            return rid
+        return self.insert_many(table, [row], host_txn)[0]
 
     def insert_many(self, table: str, rows: list[dict],
                     host_txn: HostTransaction | None = None) -> list[int]:
@@ -611,6 +606,8 @@ class DataLinksEngine:
         """
 
         entry = self._entry(server)
+        paths = list(unlink_paths or []) + \
+            [path for path, _ in (link_items or [])]
         try:
             if unlink_paths:
                 entry.connection.unlink_files(active.txn_id, unlink_paths)
@@ -618,8 +615,6 @@ class DataLinksEngine:
                 entry.connection.link_files(active.txn_id, link_items)
         except PlacementEpochError as error:
             owner = error.owner
-            paths = list(unlink_paths or []) + \
-                [path for path, _ in (link_items or [])]
             if redirected or self.router is None or owner is None \
                     or owner == server \
                     or {self.router.prefix_of(path) for path in paths} \
@@ -635,8 +630,7 @@ class DataLinksEngine:
         else:
             active.servers.add(server)
             if self.router is not None:
-                for path in list(unlink_paths or []) + \
-                        [path for path, _ in (link_items or [])]:
+                for path in paths:
                     self.router.note_write(path)
 
     def select(self, table: str, where=None, host_txn: HostTransaction | None = None,
@@ -764,13 +758,6 @@ class DataLinksEngine:
                 changes, path, txn=host_txn.txn,
                 match=_references_file(self.router, rule.column, server, path))
         return touched
-
-    # ------------------------------------------------------------- link plumbing --
-    def _link(self, host_txn: HostTransaction, column, url: str) -> None:
-        parsed = parse_url(url)
-        options = options_of_column(column)
-        owner = self._owner(parsed.server, parsed.path)
-        self._dispatch_links(host_txn, owner, None, [(parsed.path, options)])
 
     # --------------------------------------------------------------- convenience --
     def make_url(self, server: str, path: str) -> str:

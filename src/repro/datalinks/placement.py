@@ -1,16 +1,17 @@
 """Epoched placement: the versioned prefix-to-shard map and online rebalancing.
 
-Before this module, placement was a pure function: :class:`ShardRouter`
-hashed a URL prefix to a shard once and forever, so the cluster could
-neither absorb a skewed prefix nor grow without a rebuild.  This module
-makes placement *dynamic* while keeping it a single source of truth:
+Placement answers one question -- which shard owns a URL path -- in one
+place, and keeps the answer a single source of truth while prefixes move:
 
 * :class:`PlacementMap` is the versioned map every placement consumer
-  reads.  It layers an override table (prefixes that have been moved) over
-  the stable hash and stamps the whole map with a monotonically increasing
-  **placement epoch**.  The epoch is threaded through the DataLinks
-  engine's DLFM connections, sharded-deployment dispatch and the daemon
-  IPC (:meth:`~repro.ipc.daemon.Daemon.dispatch` takes it beside the
+  reads.  A path routes by its first component (its *prefix*), so a
+  directory subtree co-locates on one shard.  The deployment-time owner
+  of a prefix is a stable hash (SHA-1 of the prefix modulo the shard
+  count); an override table records the prefixes that have been moved,
+  and a monotonically increasing **placement epoch** stamps the whole
+  map.  The epoch is threaded through the DataLinks engine's DLFM
+  connections, sharded-deployment dispatch and the daemon IPC
+  (:meth:`~repro.ipc.daemon.Daemon.dispatch` takes it beside the
   payload), so a consumer acting on a stale map gets a
   :class:`~repro.errors.PlacementEpochError` redirect-and-retry instead of
   silently writing to the wrong owner;
@@ -119,9 +120,12 @@ stale consumers get the same redirect-and-retry treatment as after a move.
 
 from __future__ import annotations
 
-from repro.util.failpoints import fire
-from repro.errors import PlacementEpochError, PlacementError, ReproError
+import hashlib
+
+from repro.errors import (DataLinksError, PlacementEpochError,
+                          PlacementError, ReproError)
 from repro.simclock import synchronized_call
+from repro.util.failpoints import fire
 
 
 def path_under(prefix: str, path: str) -> bool:
@@ -133,18 +137,18 @@ def path_under(prefix: str, path: str) -> bool:
 class PlacementMap:
     """The versioned prefix-to-shard map.
 
-    Layers moved-prefix overrides over a stable base hash (any object with
-    ``shard_of``/``prefix_of``/``prefix_depth`` --
-    normally a :class:`~repro.datalinks.routing.ShardRouter`) and stamps
-    the whole map with a monotonically increasing epoch.  Epoch 1 is the
-    deployment-time hash placement; every committed move bumps it.
+    Epoch 1 is the deployment-time hash placement over *shard_names*;
+    moved-prefix overrides layer over it, and every committed move or
+    split bumps the epoch.
     """
 
-    def __init__(self, base):
-        self.base = base
+    def __init__(self, shard_names: list[str]):
+        if not shard_names:
+            raise DataLinksError("a placement map needs at least one shard")
+        self.shard_names = list(shard_names)
         self.epoch = 1
         #: Moved prefixes: ``prefix -> owning shard``.  Absence means the
-        #: base hash still decides.
+        #: hash still decides.
         self.overrides: dict[str, str] = {}
         #: Prefixes with a hand-off in flight: ``prefix -> destination``.
         self.moving: dict[str, str] = {}
@@ -152,45 +156,28 @@ class PlacementMap:
         self.split_depths: dict[str, int] = {}
         self.moves = 0
         self.splits = 0
-        # Memoized effective prefixes; valid until the split set changes
-        # (every router lookup and traffic note funnels through prefix_of).
+        # Memos of pure functions, cleared when full rather than evicted:
+        # path -> effective prefix (valid until the split set changes;
+        # every router lookup and traffic note funnels through it) and
+        # prefix -> hashed shard.
         self._prefix_cache: dict[str, str] = {}
-
-    # --------------------------------------------------------- base passthrough --
-    @property
-    def prefix_depth(self) -> int:
-        return self.base.prefix_depth
+        self._hashed: dict[str, str] = {}
 
     def prefix_of(self, path: str) -> str:
         """The *effective* routing prefix of *path* (split-aware).
 
-        Starts from the base depth and deepens while the current prefix
-        has a split recorded, so nested splits compose.  A path with fewer
-        components than a split's depth keeps the shallower prefix.
+        Starts from the first path component and deepens while the current
+        prefix has a split recorded, so nested splits compose.  A path with
+        fewer components than a split's depth keeps the shallower prefix.
         """
 
-        # The map's own memo covers the no-split case too, so hot callers
-        # (routing's traffic notes, URL owner resolution) can probe
-        # ``_prefix_cache`` inline and skip this frame entirely on a warm
-        # path; split_prefix clears it.
         try:
             return self._prefix_cache[path]
         except KeyError:
             pass
-        # Base-router memo hit probed inline as well (its prefix_of is a
-        # pure function of the fixed shard list/depth).
-        base = self.base
-        try:
-            prefix = base._prefix_cache[path]
-        except KeyError:
-            prefix = base.prefix_of(path)
-        if not self.split_depths:
-            if len(self._prefix_cache) > 8192:
-                self._prefix_cache.clear()
-            self._prefix_cache[path] = prefix
-            return prefix
         components = [part for part in path.split("/") if part]
-        depth = self.base.prefix_depth
+        depth = 1
+        prefix = "/" + "/".join(components[:depth])
         while prefix in self.split_depths:
             deeper = min(self.split_depths[prefix], len(components))
             if deeper <= depth:
@@ -202,20 +189,37 @@ class PlacementMap:
         self._prefix_cache[path] = prefix
         return prefix
 
+    def hashed_shard(self, prefix: str) -> str:
+        """The epoch-1 owner of *prefix*: SHA-1 of the prefix, modulo the
+        shard count (stable across runs and processes).
+
+        Takes an already-derived prefix, so a deepened split sub-prefix
+        hashes as itself rather than being re-shallowed by
+        :meth:`prefix_of`.
+        """
+
+        try:
+            return self._hashed[prefix]
+        except KeyError:
+            pass
+        digest = hashlib.sha1(prefix.encode("utf-8")).digest()
+        shard = self.shard_names[
+            int.from_bytes(digest[:8], "big") % len(self.shard_names)]
+        if len(self._hashed) > 8192:
+            self._hashed.clear()
+        self._hashed[prefix] = shard
+        return shard
+
     # ------------------------------------------------------------------ lookups --
     def shard_of(self, path: str) -> str:
         """The shard currently owning *path* (override- and split-aware)."""
 
-        try:
-            prefix = self._prefix_cache[path]
-        except KeyError:
-            prefix = self.prefix_of(path)
+        prefix = self.prefix_of(path)
         override = self.overrides.get(prefix)
-        return override if override is not None \
-            else self.base.shard_of_key(prefix)
+        return override if override is not None else self.hashed_shard(prefix)
 
     def owner_of(self, prefix: str, default: str | None = None) -> str:
-        """Current owner of *prefix*; *default* overrides the base hash.
+        """Current owner of *prefix*; *default* overrides the hash.
 
         The *default* matters for URLs: a DATALINK URL names the shard
         that owned the prefix when the link was made, which is
@@ -228,7 +232,7 @@ class PlacementMap:
         if override is not None:
             return override
         return default if default is not None \
-            else self.base.shard_of_key(prefix)
+            else self.hashed_shard(prefix)
 
     def is_moving(self, prefix: str) -> bool:
         return prefix in self.moving
@@ -366,7 +370,7 @@ def _validate(deployment, prefix: str, dest: str):
         raise PlacementError(
             f"cannot rebalance {prefix!r} to {dest!r}: no such shard "
             f"(known shards: {deployment.shard_names})")
-    if dest not in deployment.replicas:
+    if not deployment.replicas[dest].witnesses:
         raise PlacementError(
             f"cannot rebalance {prefix!r} to {dest!r}: the destination has "
             f"no witness replica because the deployment was built with "
@@ -375,8 +379,8 @@ def _validate(deployment, prefix: str, dest: str):
     normalized = pmap.prefix_of(prefix)
     if normalized != prefix:
         raise PlacementError(
-            f"{prefix!r} is not a routed prefix at prefix depth "
-            f"{pmap.prefix_depth}; did you mean {normalized!r}?")
+            f"{prefix!r} is not a routed prefix; did you mean "
+            f"{normalized!r}?")
     return pmap, pmap.owner_of(prefix)
 
 
@@ -400,8 +404,7 @@ def rebalance_prefix(deployment, prefix: str, dest: str) -> dict:
     if not preview and prefix not in pmap.overrides:
         raise PlacementError(
             f"unknown prefix {prefix!r}: shard {source!r} has no linked "
-            f"files under it (prefix depth {pmap.prefix_depth}); nothing "
-            f"to rebalance")
+            f"files under it; nothing to rebalance")
     if source == dest:
         raise PlacementError(
             f"prefix {prefix!r} already lives on {dest!r} (placement epoch "
@@ -520,9 +523,7 @@ def sweep_moved_prefix(deployment, prefix: str) -> dict:
                 raise PlacementError(
                     f"destination {entry['dest']!r} does not hold {path!r}; "
                     f"deferring the source sweep for {prefix!r}")
-        replica = deployment.replicas.get(entry["source"])
-        source_nodes = list(replica.nodes.values()) if replica is not None \
-            else [router.serving_server(entry["source"])]
+        source_nodes = list(deployment.replicas[entry["source"]].nodes.values())
         if not all(node.running for node in source_nodes):
             raise PlacementError(
                 f"a source node of {entry['source']!r} is down; deferring "

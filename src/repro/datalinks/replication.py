@@ -503,7 +503,8 @@ class ReplicatedShard:
     promotion back to the home primary after a reversed-ship catch-up.  The
     :class:`~repro.datalinks.routing.ReplicationRouter` reads roles from
     here; the DLFMs enforce them through epoch fencing plus the follower
-    read gate.
+    read gate.  A shard with no witness is an unreplicated shard: its one
+    node serves under epoch 1 for ever, and it cannot fail over.
     """
 
     def __init__(self, name: str, primary, witnesses, registry: EpochRegistry,
@@ -589,15 +590,17 @@ class ReplicatedShard:
 
     @property
     def witness(self):
-        """The first home witness (single-witness compatibility surface)."""
+        """The first home witness; ``None`` for a shard with no witness."""
 
-        return self.witnesses[0]
+        return next(iter(self.witnesses), None)
 
     @property
     def shipper(self) -> WalShipper | None:
         """The stream feeding the first home witness, while one exists."""
 
-        return self._streams.get(self.witness.name)
+        witness = self.witness
+        return self._streams.get(witness.name) if witness is not None \
+            else None
 
     def is_subscribed(self, node_name: str) -> bool:
         """Is *node_name* a synced subscriber of the serving node's stream?"""
@@ -854,11 +857,11 @@ class ReplicatedShard:
                        key=lambda name: self.nodes[name].dlfm.replica
                        .applied_lsn.value)
         witness = self.witness
-        if not witness.running:
+        if witness is not None and not witness.running:
             raise ReplicationError(
                 f"cannot promote shard {self.name!r}: witness "
                 f"{witness.name!r} is down (restart it first)")
-        if not self._synced.get(witness.name):
+        if witness is not None and not self._synced.get(witness.name):
             raise ReplicationError(
                 f"cannot promote shard {self.name!r}: witness "
                 f"{witness.name!r} lost its replica state and has not "
@@ -1131,7 +1134,8 @@ class ReplicatedShard:
                                                for shipper in self._streams.values())
 
     def status(self) -> dict:
-        home_witness = self.witness.name
+        witness = self.witness
+        home_witness = witness.name if witness is not None else None
         home_stream = self._streams.get(home_witness)
         status = {
             "serving": self.serving_name,
@@ -1146,7 +1150,6 @@ class ReplicatedShard:
             "full_resyncs": self.full_resyncs,
             "reversed_catchups": self.reversed_catchups,
         }
-        applier = self.witness.dlfm.replica
-        if applier is not None:
-            status.update(applier.status())
+        if witness is not None and witness.dlfm.replica is not None:
+            status.update(witness.dlfm.replica.status())
         return status

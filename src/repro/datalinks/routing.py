@@ -1,35 +1,29 @@
-"""Replication-aware routing: epoched placement, per-node roles, read/write routes.
+"""Replication-aware routing: per-node roles and read/write routes.
 
-Before this layer existed, read/write routing logic was smeared across
-:class:`~repro.datalinks.sharding.ShardedDataLinksDeployment` (hard-wired
-``replica.serving`` pointers), :class:`~repro.datalinks.replication.ReplicatedShard`
-(role bookkeeping) and the engine's connection plumbing (URLs name the
-*logical* shard, but a failed-over shard's traffic must reach the serving
-node).  This module centralizes all of it:
+:class:`ReplicationRouter` answers every routing question of a sharded
+deployment on top of its placement:
 
-* :class:`ShardRouter` owns the **base placement**: stable hash
-  partitioning of URL path prefixes onto logical shard names (moved here
-  from ``sharding.py``; re-exported there for compatibility).  Since the
-  epoched-placement refactor it is only the *first layer* of placement:
-  the router wraps it in a versioned
-  :class:`~repro.datalinks.placement.PlacementMap`, which overlays the
-  prefixes that ``rebalance_prefix`` has moved and stamps every placement
-  answer with the current **placement epoch**.  Placement consumers no
-  longer "read a dict" -- they validate an epoch: the engine stamps its
-  DLFM messages with the epoch it routed by, every DLFM checks arriving
-  envelopes and refuses link/unlink work for prefixes it no longer owns
-  with a :class:`~repro.errors.PlacementEpochError` naming the current
-  owner, and the engine redirects and retries
-  (:meth:`ReplicationRouter.owner_shard` is the resolution every consumer
-  goes through);
-* :class:`ReplicationRouter` owns **roles and routes** on top of placement.
-  Every node of a shard has a dynamic role -- :data:`NodeRole.SERVING` (holds
-  the epoch lease; the only node that may take link/unlink branches and vote
-  in two-phase commit), :data:`NodeRole.WITNESS` (healthy subscriber of the
-  serving node's WAL stream; may serve bounded-staleness follower reads),
-  :data:`NodeRole.FENCED` (deposed ex-serving node that has not rejoined the
-  stream; refuses everything) and :data:`NodeRole.DOWN` (crashed) -- and the
-  router answers three questions:
+* **placement** -- which shard owns a path.  The router holds the
+  deployment's versioned :class:`~repro.datalinks.placement.PlacementMap`
+  and stamps every placement answer with the map's current **placement
+  epoch**.  Placement consumers validate an epoch rather than read a
+  dict: the engine stamps its DLFM messages with the epoch it routed by,
+  every DLFM checks arriving envelopes and refuses link/unlink work for
+  prefixes it no longer owns with a
+  :class:`~repro.errors.PlacementEpochError` naming the current owner, and
+  the engine redirects and retries (:meth:`ReplicationRouter.owner_shard`
+  is the resolution every consumer goes through);
+* **roles** -- every node of a shard has a dynamic role:
+  :data:`NodeRole.SERVING` (holds the epoch lease; the only node that may
+  take link/unlink branches and vote in two-phase commit),
+  :data:`NodeRole.WITNESS` (healthy subscriber of the serving node's WAL
+  stream; may serve bounded-staleness follower reads),
+  :data:`NodeRole.FENCED` (deposed ex-serving node that has not rejoined
+  the stream; refuses everything) and :data:`NodeRole.DOWN` (crashed).
+  Every shard is a :class:`~repro.datalinks.replication.ReplicatedShard`;
+  an unreplicated one is a shard with no witness, whose one node serves
+  or is down;
+* **routes** --
 
   - :meth:`ReplicationRouter.writable_node` -- which physical node takes
     *write* traffic addressed to a logical shard.  The DataLinks engine
@@ -66,8 +60,6 @@ Two epoch spaces coexist deliberately: the per-shard **lease epoch**
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.datalinks.placement import PlacementMap
 from repro.errors import DaemonUnavailableError, DataLinksError
 
@@ -81,63 +73,11 @@ class NodeRole:
     DOWN = "down"          # crashed
 
 
-class ShardRouter:
-    """Stable hash placement of file paths onto named shards.
+class _Shards(dict):
+    """``shard -> ReplicatedShard``; indexing an unknown shard raises."""
 
-    Paths are keyed by their first ``prefix_depth`` components, so files in
-    the same directory subtree land on the same shard (cheap directory
-    listings, one enlisted shard for subtree-local transactions).
-    """
-
-    def __init__(self, shard_names: list[str], prefix_depth: int = 1):
-        if not shard_names:
-            raise DataLinksError("a shard router needs at least one shard")
-        self.shard_names = list(shard_names)
-        self.prefix_depth = max(1, int(prefix_depth))
-        # Both maps memoize pure functions of the (fixed) shard list and
-        # depth; workloads hammer a small set of paths, so hit rates are
-        # high.  Cleared when full rather than evicted -- cheap and bounded.
-        self._prefix_cache: dict[str, str] = {}
-        self._key_cache: dict[str, str] = {}
-
-    def prefix_of(self, path: str) -> str:
-        try:
-            return self._prefix_cache[path]
-        except KeyError:
-            pass
-        components = [part for part in path.split("/") if part]
-        prefix = "/" + "/".join(components[: self.prefix_depth])
-        if len(self._prefix_cache) > 8192:
-            self._prefix_cache.clear()
-        self._prefix_cache[path] = prefix
-        return prefix
-
-    def shard_of_key(self, key: str) -> str:
-        """Hash an already-derived routing key (a prefix) onto a shard.
-
-        Exposed separately from :meth:`shard_of` so an overlay that deepens
-        the effective prefix of one subtree (a *split* in the
-        :class:`~repro.datalinks.placement.PlacementMap`) can hash the
-        deeper prefix directly -- running it back through
-        :meth:`prefix_of` would re-shallow it.
-        """
-
-        try:
-            return self._key_cache[key]
-        except KeyError:
-            pass
-        digest = hashlib.sha1(key.encode("utf-8")).digest()
-        index = int.from_bytes(digest[:8], "big") % len(self.shard_names)
-        shard = self.shard_names[index]
-        if len(self._key_cache) > 8192:
-            self._key_cache.clear()
-        self._key_cache[key] = shard
-        return shard
-
-    def shard_of(self, path: str) -> str:
-        """The shard responsible for *path* (stable across runs/processes)."""
-
-        return self.shard_of_key(self.prefix_of(path))
+    def __missing__(self, shard: str):
+        raise DataLinksError(f"unknown shard {shard!r}")
 
 
 class ReplicationRouter:
@@ -156,16 +96,13 @@ class ReplicationRouter:
     to the serving node (counted in ``follower_rejects``).
     """
 
-    def __init__(self, placement, *, follower_reads: bool = True,
-                 max_follower_lag: int = 0):
-        #: The versioned placement map.  A bare :class:`ShardRouter` is
-        #: wrapped, so every consumer sees the epoch-stamped overlay.
-        self.placement = placement if isinstance(placement, PlacementMap) \
-            else PlacementMap(placement)
+    def __init__(self, placement: PlacementMap, *,
+                 follower_reads: bool = True, max_follower_lag: int = 0):
+        #: The versioned placement map every consumer reads.
+        self.placement = placement
         self.follower_reads = follower_reads
         self.max_follower_lag = max(0, int(max_follower_lag))
-        self._singles: dict[str, object] = {}     # shard -> FileServer
-        self._replicas: dict[str, object] = {}    # shard -> ReplicatedShard
+        self._replicas = _Shards()
         self._round_robin: dict[str, int] = {}
         #: Candidate membership (node names) the round-robin position was
         #: advanced against, per shard; a membership change resets the
@@ -194,21 +131,15 @@ class ReplicationRouter:
         self.window_writes: dict[str, int] = {}
 
     # -------------------------------------------------------------- registration --
-    def register_shard(self, shard: str, server) -> None:
-        """Register an unreplicated shard: one node, always serving."""
-
-        self._singles[shard] = server
-
     def register_replicated(self, shard: str, replica) -> None:
-        """Register a replicated shard; roles are derived from *replica*."""
+        """Register a shard; roles are derived from *replica*."""
 
         self._replicas[shard] = replica
         replica.router = self
-        self._singles.pop(shard, None)
 
     @property
     def shards(self) -> list[str]:
-        return sorted(set(self._singles) | set(self._replicas))
+        return sorted(self._replicas)
 
     # ----------------------------------------------------------------- placement --
     def shard_of(self, path: str) -> str:
@@ -223,40 +154,17 @@ class ReplicationRouter:
     def note_read(self, path: str) -> None:
         """Count one routed read against *path*'s effective prefix."""
 
-        placement = self.placement
-        try:
-            prefix = placement._prefix_cache[path]
-        except KeyError:
-            prefix = placement.prefix_of(path)
-        reads = self.prefix_reads
-        try:
-            reads[prefix] += 1
-        except KeyError:
-            reads[prefix] = 1
-        window = self.window_reads
-        try:
-            window[prefix] += 1
-        except KeyError:
-            window[prefix] = 1
+        self._note(path, self.prefix_reads, self.window_reads)
 
     def note_write(self, path: str) -> None:
         """Count one routed write (link/unlink/ingest) against *path*'s prefix."""
 
-        placement = self.placement
-        try:
-            prefix = placement._prefix_cache[path]
-        except KeyError:
-            prefix = placement.prefix_of(path)
-        writes = self.prefix_writes
-        try:
-            writes[prefix] += 1
-        except KeyError:
-            writes[prefix] = 1
-        window = self.window_writes
-        try:
-            window[prefix] += 1
-        except KeyError:
-            window[prefix] = 1
+        self._note(path, self.prefix_writes, self.window_writes)
+
+    def _note(self, path: str, cumulative: dict, window: dict) -> None:
+        prefix = self.placement.prefix_of(path)
+        cumulative[prefix] = cumulative.get(prefix, 0) + 1
+        window[prefix] = window.get(prefix, 0) + 1
 
     def take_traffic_window(self) -> dict[str, int]:
         """Drain and return the per-prefix deltas since the last drain.
@@ -290,14 +198,10 @@ class ReplicationRouter:
         and non-shard servers resolve to themselves.
         """
 
-        if server not in self._singles and server not in self._replicas:
+        if server not in self._replicas:
             return server
         placement = self.placement
-        try:
-            prefix = placement._prefix_cache[path]
-        except KeyError:
-            prefix = placement.prefix_of(path)
-        return placement.owner_of(prefix, default=server)
+        return placement.owner_of(placement.prefix_of(path), default=server)
 
     # --------------------------------------------------------------------- roles --
     def roles(self, shard: str) -> dict[str, str]:
@@ -309,26 +213,12 @@ class ReplicationRouter:
         accounting.
         """
 
-        replica = self._replicas.get(shard)
-        if replica is not None:
-            return replica.roles()
-        server = self._singles.get(shard)
-        if server is None:
-            raise DataLinksError(f"unknown shard {shard!r}")
-        return {server.name: NodeRole.SERVING if server.running
-                else NodeRole.DOWN}
+        return self._replicas[shard].roles()
 
     def serving_node(self, shard: str) -> str:
         """Name of the node currently holding *shard*'s serving lease."""
 
-        try:
-            return self._replicas[shard].serving_name
-        except KeyError:
-            pass
-        server = self._singles.get(shard)
-        if server is None:
-            raise DataLinksError(f"unknown shard {shard!r}")
-        return server.name
+        return self._replicas[shard].serving_name
 
     def writable_node(self, name: str) -> str:
         """Resolve a logical server name to the physical node taking writes.
@@ -338,9 +228,8 @@ class ReplicationRouter:
         can resolve every connection lookup through this unconditionally.
         """
 
-        try:
-            replica = self._replicas[name]
-        except KeyError:
+        replica = self._replicas.get(name)
+        if replica is None:
             return name
         serving = replica.serving_name
         if serving != name:
@@ -351,18 +240,10 @@ class ReplicationRouter:
     def serving_server(self, shard: str):
         """The serving node of *shard*; raises when it is down."""
 
-        try:
-            replica = self._replicas[shard]
-        except KeyError:
-            replica = None
-        if replica is not None:
-            server = replica.nodes[replica.serving_name]
-        else:
-            server = self._singles.get(shard)
-            if server is None:
-                raise DataLinksError(f"unknown shard {shard!r}")
+        replica = self._replicas[shard]
+        server = replica.nodes[replica.serving_name]
         if not server.running:
-            hint = "; fail_over() promotes a witness" if replica is not None \
+            hint = "; fail_over() promotes a witness" if replica.witnesses \
                 else ""
             raise DaemonUnavailableError(
                 f"file server {server.name!r} is down{hint}")
@@ -394,10 +275,7 @@ class ReplicationRouter:
 
         if not self.follower_reads:
             return False
-        try:
-            replica = self._replicas[shard]
-        except KeyError:
-            return False
+        replica = self._replicas[shard]
         if not replica.follower_eligible(node_name,
                                          max_lag=self.max_follower_lag):
             return False
@@ -409,13 +287,7 @@ class ReplicationRouter:
     def read_candidates(self, shard: str, path: str | None = None) -> list:
         """Read-eligible nodes, serving node first (may be empty)."""
 
-        try:
-            replica = self._replicas[shard]
-        except KeyError:
-            server = self._singles.get(shard)
-            if server is None:
-                raise DataLinksError(f"unknown shard {shard!r}") from None
-            return [server] if server.running else []
+        replica = self._replicas[shard]
         serving_name = replica.serving_name
         serving = replica.nodes[serving_name]
         candidates = []
@@ -470,10 +342,7 @@ class ReplicationRouter:
     def follower_lag(self, shard: str, node_name: str) -> int | None:
         """Stream lag (records) of one subscriber, or ``None`` off-stream."""
 
-        replica = self._replicas.get(shard)
-        if replica is None:
-            return None
-        return replica.subscriber_lag(node_name)
+        return self._replicas[shard].subscriber_lag(node_name)
 
     # --------------------------------------------------------------------- stats --
     def stats(self) -> dict:

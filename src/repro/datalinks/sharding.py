@@ -3,12 +3,11 @@
 The paper's architecture already allows "files [to] be spread over multiple
 file servers"; this module turns that into an operational scale-out layer:
 
-* :class:`ShardRouter` hash-partitions linked files across N file servers by
-  **URL path prefix** (the first path component), so whole directories
-  co-locate on one shard.  The hash is only the *initial*
-  placement: the deployment wraps it in a versioned
-  :class:`~repro.datalinks.placement.PlacementMap` whose **placement
-  epoch** stamps every routing decision, and
+* a versioned :class:`~repro.datalinks.placement.PlacementMap`
+  hash-partitions linked files across N file servers by **URL path
+  prefix** (the first path component), so whole directories co-locate on
+  one shard.  The hash is only the *initial* placement: the map's
+  **placement epoch** stamps every routing decision, and
   :meth:`ShardedDataLinksDeployment.rebalance_prefix` moves a prefix to
   another shard online -- a two-phase-commit hand-off of the prefix's
   linked-file rows, archived version chain and file content, with the
@@ -33,12 +32,15 @@ file servers"; this module turns that into an operational scale-out layer:
   the cache off, so E1--E10 measure per-SELECT minting, as the paper does
   (only E1's cache row and E9's web site turn it on).
 
-With ``replication=True`` every shard additionally gets one or more
-**witness replicas** (``shard0-r``, ``shard0-r2``, ... for ``shard0``):
-linked-file content is mirrored at ingest and the serving node's repository
-WAL stream ships to every witness on every log force; the token registry
-and the Sync table are node-local soft state, kept by every node for
-itself and never logged or shipped.  Routing is owned by a
+Every shard is a :class:`~repro.datalinks.replication.ReplicatedShard`.
+Without replication it has no witness: its one node serves, holds the
+shard's epoch lease for ever and is simply down while it is crashed.
+With ``replication=True`` every shard also gets one or more **witness
+replicas** (``shard0-r``, ``shard0-r2``, ... for ``shard0``): linked-file
+content is mirrored at ingest and the serving node's repository WAL
+stream ships to every witness on every log force; the token registry and
+the Sync table are node-local soft state, kept by every node for itself
+and never logged or shipped.  Routing is owned by a
 :class:`~repro.datalinks.routing.ReplicationRouter`:
 
 * **writable failover** -- when a primary crashes,
@@ -67,9 +69,11 @@ Knobs
 ``group_commit_window``   commits buffered before the queue auto-drains;
                           ``1`` drains every commit at once (a group of one)
 ``replication``           add witness replicas per shard, fed by the
-                          serving node's repository WAL stream
-``witnesses``             witness replicas per shard (default 1, at least 1
-                          under replication), named ``-r``, ``-r2``, ...
+                          serving node's repository WAL stream; without
+                          it every shard is a shard with no witness
+``witnesses``             witness replicas per shard under
+                          ``replication=True`` (default 1, at least 1),
+                          named ``-r``, ``-r2``, ...; ignored without it
 ``follower_reads``        let healthy witnesses serve reads (default on)
 ``max_follower_lag``      staleness bound for follower reads, in shipped
                           WAL records (default 0: fully caught up)
@@ -88,17 +92,18 @@ from __future__ import annotations
 from repro.api.system import DataLinksSystem, FileServer
 from repro.datalinks.balancer import BalancerConfig, PlacementBalancer
 from repro.datalinks.engine import HostTransaction
-from repro.datalinks.placement import (PlacementGuard, path_under,
-                                       rebalance_prefix, sweep_moved_prefix)
+from repro.datalinks.placement import (PlacementGuard, PlacementMap,
+                                       path_under, rebalance_prefix,
+                                       sweep_moved_prefix)
 from repro.datalinks.replication import EpochRegistry, ReplicatedShard
-from repro.datalinks.routing import ReplicationRouter, ShardRouter
+from repro.datalinks.routing import ReplicationRouter
 from repro.errors import DataLinksError, ReplicationError, ReproError
 from repro.simclock import TICKS_PER_MS, CostModel, SimClock
 from repro.storage.schema import TableSchema
 from repro.util.lsn import LSN
 from repro.util.urls import format_url, parse_url
 
-__all__ = ["ShardRouter", "ShardedDataLinksDeployment"]
+__all__ = ["ShardedDataLinksDeployment"]
 
 
 class ShardedDataLinksDeployment:
@@ -124,44 +129,32 @@ class ShardedDataLinksDeployment:
         for name in self.shard_names:
             self.system.add_file_server(name)
         self.router = ReplicationRouter(
-            ShardRouter(self.shard_names),
+            PlacementMap(self.shard_names),
             follower_reads=follower_reads, max_follower_lag=max_follower_lag)
         self.engine.set_router(self.router)
         self.engine.enable_token_cache()
         self.group_commit_window = max(1, int(group_commit_window))
         self._pending: list[HostTransaction] = []
         self.replicas: dict[str, ReplicatedShard] = {}
-        self.epochs: EpochRegistry | None = None
-        if replication:
-            self.epochs = EpochRegistry()
-            for name in self.shard_names:
-                witness_nodes = []
-                for index in range(1, witnesses + 1):
-                    suffix = "-r" if index == 1 else f"-r{index}"
-                    witness_nodes.append(self.system.add_file_server(
-                        f"{name}{suffix}",
-                        token_secret=self.shard(name).dlfm.token_secret))
-                replica = ReplicatedShard(
-                    name, primary=self.shard(name), witnesses=witness_nodes,
-                    registry=self.epochs, engine=self.engine,
-                    clock=self.clock)
-                self.replicas[name] = replica
-                self.router.register_replicated(name, replica)
-        else:
-            for name in self.shard_names:
-                self.router.register_shard(name, self.shard(name))
-        # Every DLFM of a shard -- serving node and witnesses alike --
-        # enforces placement against the *same* epoched map the router
-        # reads, so a rebalanced prefix is fenced on its old owner the
-        # instant the map commits (no propagation step to lose).
+        self.epochs = EpochRegistry()
         for name in self.shard_names:
+            witness_nodes = [
+                self.system.add_file_server(
+                    name + ("-r" if index == 1 else f"-r{index}"),
+                    token_secret=self.shard(name).dlfm.token_secret)
+                for index in range(1, (witnesses if replication else 0) + 1)]
+            replica = ReplicatedShard(
+                name, primary=self.shard(name), witnesses=witness_nodes,
+                registry=self.epochs, engine=self.engine, clock=self.clock)
+            self.replicas[name] = replica
+            self.router.register_replicated(name, replica)
+            # Every DLFM of a shard -- serving node and witnesses alike --
+            # enforces placement against the *same* epoched map the router
+            # reads, so a rebalanced prefix is fenced on its old owner the
+            # instant the map commits (no propagation step to lose).
             guard = PlacementGuard(self.router.placement, name)
-            replica = self.replicas.get(name)
-            if replica is not None:
-                for node in replica.nodes.values():
-                    node.dlfm.set_placement(guard)
-            else:
-                self.shard(name).dlfm.set_placement(guard)
+            for node in replica.nodes.values():
+                node.dlfm.set_placement(guard)
         #: Deferred post-move source sweeps: ``prefix -> sweep entry``.
         #: Entries are recorded before a sweep is attempted and removed
         #: only when it succeeds, so a sweep a crash deferred is re-driven
@@ -238,19 +231,17 @@ class ShardedDataLinksDeployment:
         shard = self.shard_of(path)
         serving = self.router.route_write(shard)
         self.router.note_write(path)
-        replica = self.replicas.get(shard)
         clock = session.clock
         with clock.posted():
             session.put_file(serving.name, path, content)
-            if replica is not None:
-                clock.charge_run("message_send", replica.mirror_file(
-                    clock, path, content, session.cred.uid, session.cred.gid))
+            clock.charge_run("message_send", self.replicas[shard].mirror_file(
+                clock, path, content, session.cred.uid, session.cred.gid))
         return format_url(shard, path)
 
     # ------------------------------------------------------------------- reading --
     @property
     def replicated(self) -> bool:
-        return bool(self.replicas)
+        return any(replica.witnesses for replica in self.replicas.values())
 
     def read_url(self, session, url: str) -> bytes:
         """Read a (tokenized) DATALINK URL through the routing layer.
@@ -332,7 +323,7 @@ class ShardedDataLinksDeployment:
 
     # --------------------------------------------------------------- crash / restart --
     def _owner(self, node: str):
-        """The replicated shard *node* belongs to, else the system."""
+        """The shard *node* belongs to, else the system."""
 
         return next((replica for replica in self.replicas.values()
                      if node in replica.nodes), self.system)
@@ -347,9 +338,9 @@ class ShardedDataLinksDeployment:
         """Restart a crashed *node* and finish its recovery; returns the
         recovery summary.
 
-        The host and a plain shard restart as in
-        :meth:`~repro.api.system.DataLinksSystem.restart`.  A replicated
-        node also gets what its current role is owed
+        The host restarts as in
+        :meth:`~repro.api.system.DataLinksSystem.restart`.  A shard's node
+        also gets what its current role is owed
         (:meth:`~repro.datalinks.replication.ReplicatedShard.restart`): a
         deposed ex-primary stays fenced until :meth:`fail_back`.  A file
         server's restart then re-drives every post-move source sweep a
@@ -367,17 +358,17 @@ class ShardedDataLinksDeployment:
 
     # ------------------------------------------------------------------- failover --
     def _replica(self, name: str) -> ReplicatedShard:
-        try:
-            return self.replicas[name]
-        except KeyError:
-            if name not in self.shard_names:
-                raise ReplicationError(
-                    f"cannot fail over/back shard {name!r}: no such shard "
-                    f"(known shards: {self.shard_names})") from None
+        replica = self.replicas.get(name)
+        if replica is None:
+            raise ReplicationError(
+                f"cannot fail over/back shard {name!r}: no such shard "
+                f"(known shards: {self.shard_names})")
+        if not replica.witnesses:
             raise ReplicationError(
                 f"cannot fail over/back shard {name!r}: it has no witness "
                 f"replica because the deployment was built with "
-                f"replication=False") from None
+                f"replication=False")
+        return replica
 
     def fail_over(self, name: str) -> dict:
         """Promote *name*'s best witness to a **full primary**.
@@ -467,8 +458,7 @@ class ShardedDataLinksDeployment:
     def linked_paths(self, shard: str) -> set:
         """Linked files of *shard*, read from its current serving node."""
 
-        replica = self.replicas.get(shard)
-        server = replica.serving if replica is not None else self.shard(shard)
+        server = self.replicas[shard].serving
         return {row["path"] for row in server.dlfm.repository.linked_files()}
 
     def _linked_count(self, name: str) -> int | None:

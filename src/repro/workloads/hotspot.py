@@ -191,10 +191,8 @@ class HotspotWorkload:
         (serving node plus witnesses -- mirroring is part of the write)."""
 
         deployment = self.deployment
-        replica = deployment.replicas.get(shard)
-        names = [node.name for node in replica.nodes.values()] \
-            if replica is not None else [shard]
-        return [deployment.system.clocks.domain(name) for name in names]
+        return [deployment.system.clocks.domain(name)
+                for name in deployment.replicas[shard].nodes]
 
     def _burst_link(self, prefix_index: int, metrics: WorkloadMetrics,
                     kind: str, loads: dict[str, int]) -> None:

@@ -22,6 +22,10 @@ state, as the paper's guarantees say it must.
   reader, and rdb refuses write tokens.  An unlink waits for every open, a
   rolled-back link or unlink changes nothing, and the file system refuses
   to remove a linked file.
+* A host transaction may hold several statements, and what it owes is
+  their net effect: a relink (unlink ``f``, then link it again) leaves
+  ``f`` linked, and a link then unlink of ``f`` leaves it unlinked; each
+  link owes its archive job all the same.
 
 Two files exist, unlinked, before the first step: ``f`` on fs1 (row 0) and
 ``g`` on fs2 (row 1).  Only the host and fs1 crash.  The users are
@@ -42,7 +46,8 @@ POINTS = ("commit:begin", "commit:prepared:{}", "commit:before_host_commit",
           "commit:after_host_commit", "commit:committed:{}")
 #: The servers of each step's commit (an unlink's: of the files it unlinks).
 COMMITS = {"link": ("fs1",), "link2": ("fs1", "fs2"),
-           "unlink": ("fs1", "fs2"), "close": ("fs1",)}
+           "unlink": ("fs1", "fs2"), "close": ("fs1",), "relink": ("fs1",),
+           "link_unlink": ("fs1",)}
 #: The bytes each file holds when it is created.
 INITIAL = {"f": b"f00", "g": b"g00"}
 #: The crash points of an archiver run: fs1 crashes while the run's first
@@ -137,12 +142,17 @@ def step(state: State, move: Step) -> tuple[tuple, State]:
     if kind == "archive":
         return ("archived", f.owed + g.owed), replace(
             state, f=_archived(f), g=_archived(g))
-    if kind in ("link", "link2"):
+    if kind in ("link", "link2", "link_unlink"):
         if f.linked or kind == "link2" and g.linked:
             return refused("DuplicateKeyError"), state
-        after = replace(state, f=replace(f, linked=True, owed=f.owed + 1))
+        after = replace(state, f=replace(f, linked=kind != "link_unlink",
+                                         owed=f.owed + 1))
         if kind == "link2":
             after = replace(after, g=replace(g, linked=True, owed=g.owed + 1))
+    elif kind == "relink":              # unlink f, then link it again
+        if update is not None:
+            return refused("LinkConflictError"), state
+        after = replace(state, f=replace(f, linked=True, owed=f.owed + 1))
     elif kind in ("unlink", "rollback"):
         if update is not None and (f.linked or kind == "unlink"):
             return refused("LinkConflictError"), state

@@ -26,7 +26,6 @@ from repro.datalinks.balancer import BalancerConfig
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
 from repro.datalinks.placement import PlacementMap, path_under
-from repro.datalinks.routing import ShardRouter
 from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import PlacementError
 from repro.storage.schema import Column, TableSchema
@@ -366,7 +365,7 @@ class TestSplitRefusals:
     deeper; a path shallower than the split keeps its own prefix."""
 
     def placement(self):
-        return PlacementMap(ShardRouter(["shard0", "shard1", "shard2"]))
+        return PlacementMap(["shard0", "shard1", "shard2"])
 
     def test_a_second_split_of_one_prefix_is_refused(self):
         pmap = self.placement()

@@ -1,8 +1,10 @@
 """The system against the reference model of Section 4, exhaustively.
 
 Every sequence of state-changing steps -- link, the group link of ``f`` and
-``g`` across fs1 and fs2, unlink, archive, and an update's open, write and
-close -- runs on a fresh system through :class:`~repro.api.session.Session`:
+``g`` across fs1 and fs2, unlink, archive, an update's open, write and
+close, and the two-statement transactions relink (unlink ``f``, link it
+again) and link_unlink (link ``f``, unlink it) -- runs on a fresh system
+through :class:`~repro.api.session.Session`:
 as it is, with each crash of the host, fs1 or both after its last step, and
 with each crash inside its last step's commit at every ``commit:*``
 failpoint; a close also with the host refusing it, and an archiver run also
@@ -19,13 +21,18 @@ and after the probe, what every node holds must be what the model says
 The other prunings, which leave no sequence longer than eight steps:
 users are interchangeable, so alice writes first; ``g`` on fs2 never
 crashes, so the group link is a sequence's first step, followed by its
-unlink at most; one update and one unlink per sequence, which ends at a
-relink (the probe continues it); a crash inside a commit only for a close,
-a sequence's first link and an unlink of both files, and not for rfd's
-group link, which commits as rdd's; rdb, which links and unlinks as rdd
-does, runs each sequence once, without a crash; and the group flush
-policy, which differs only in what an fs1 crash loses, only where fs1
-crashes.
+unlink at most; one update and one unlink per sequence, which ends at the
+link after that unlink (the probe continues it); a two-statement
+transaction only as a sequence's last step, link_unlink as its first and
+relink right after its first link; a crash inside a commit only for a
+close, a sequence's first link, an unlink of both files and a
+two-statement transaction, and not for rfd's group link, which commits as
+rdd's; rdb, which links and unlinks as rdd does, runs each sequence once,
+without a crash; and the group flush policy, which differs only in what an
+fs1 crash loses, only where fs1 crashes and not for a two-statement
+transaction, whose branch a crash leaves in doubt under either policy.  A
+two-statement transaction's refusals are its first statement's, which the
+probe's link and unlink make.
 """
 
 from __future__ import annotations
@@ -52,7 +59,10 @@ FILES = {"f": ("fs1", "/data/f.dat", 0), "g": ("fs2", "/data/g.dat", 1)}
 UIDS = {"alice": ALICE_UID, "bob": BOB_UID}
 MODES = (ControlMode.RDD, ControlMode.RDB, ControlMode.RFD)
 MOVES = tuple(Step(kind) for kind in ("link", "link2", "unlink", "archive",
-                                      "open", "write", "close"))
+                                      "open", "write", "close", "relink",
+                                      "link_unlink"))
+#: The steps of more than one statement in one host transaction.
+MULTI = {"relink", "link_unlink"}
 PROBES = tuple(Step(kind) for kind in ("read", "link", "unlink", "rollback",
                                        "open")) + (Step("open", "bob"),)
 #: A file's owner and mode: as created, under full control (the DBMS's,
@@ -77,7 +87,9 @@ def sequences(mode: ControlMode) -> list[tuple[list[Step], State]]:
         for move in MOVES:
             kind = move.kind
             if "unlink" in kinds[:-1] or "link2" in kinds and kind != "unlink" \
-                    or kind == "link2" and prefix \
+                    or kind == "link2" and prefix or MULTI & set(kinds) \
+                    or kind == "link_unlink" and prefix \
+                    or kind == "relink" and kinds != ["link"] \
                     or kind in ("open", "unlink") and kind in kinds \
                     or kind in ("write", "close") and state.update is None \
                     or kind == "write" and state.update.written:
@@ -102,12 +114,15 @@ def runs(mode: ControlMode, policy: str) -> dict[str, list[list[Step]]]:
             if policy == "immediate":
                 found[name(sequence)] = [sequence]
             continue
+        if last.kind in MULTI and policy == "group":
+            continue
         variants = [sequence] + [sequence + [Step("crash", victims=victims)]
                                  for victims in VICTIMS]
         if last.kind == "close" and before.update.written \
                 or last.kind == "unlink" and before.g.linked \
                 or last.kind == "link" and Step("link") not in prefix \
-                or last.kind == "link2" and mode is ControlMode.RDD:
+                or last.kind == "link2" and mode is ControlMode.RDD \
+                or last.kind in MULTI:
             variants += [prefix + [last._replace(point=point, victims=victims)]
                          for point, victims in crash_points(last.kind)]
         if last.kind == "close" and before.update.written:
@@ -216,6 +231,37 @@ class System:
 
     def unlink(self, move):
         self.sessions["alice"].delete(TABLE, None)
+
+    def relink(self, move):
+        """Unlink ``f`` and link it again, in one host transaction."""
+
+        self._transaction(("delete", "insert"))
+
+    def link_unlink(self, move):
+        """Link ``f`` and unlink it, in one host transaction."""
+
+        self._transaction(("insert", "delete"))
+
+    def _transaction(self, statements):
+        """Run *statements* on ``f``'s row in one host transaction.  A
+        failure aborts it if the host did not commit it, and re-sends its
+        commits if it did."""
+
+        engine = self.system.engine
+        host_txn = engine.begin()
+        try:
+            for statement in statements:
+                if statement == "insert":
+                    engine.insert(TABLE, self._row("f"), host_txn)
+                else:
+                    engine.delete(TABLE, {"doc_id": 0}, host_txn)
+            engine.commit(host_txn)
+        except ReproError:
+            if host_txn.txn.is_finished:
+                engine.redrive_commit(host_txn)
+            else:
+                engine.abort(host_txn)
+            raise
 
     def rollback(self, move):
         """Unlink every file, or link ``f`` when nothing is, and abort."""
@@ -381,12 +427,13 @@ def play(mode: ControlMode, policy: str, run: list[Step],
 
 
 def loses_compensation(run: list[Step]) -> bool:
-    """Whether *run* ends in a link whose branch fs1 lost before it voted:
-    the file's owner is left out of such a run's comparison (see
+    """Whether *run* ends in a link whose branch fs1 lost before it voted
+    (a link_unlink's too): the file's owner is left out of such a run's
+    comparison (see
     :func:`test_a_link_lost_before_its_vote_gives_its_file_back`)."""
 
     last = run[-1]
-    return last.kind in ("link", "link2") and \
+    return last.kind in ("link", "link2", "link_unlink") and \
         last.point == "commit:begin" and "fs1" in VICTIMS[last.victims]
 
 
@@ -405,14 +452,30 @@ def test_the_system_does_what_the_model_says(mode, policy, batch):
     assert not failed, failed
 
 
-@pytest.mark.xfail(strict=True, reason=(
+#: A link whose branch its file server loses before the vote leaves the
+#: file taken over (ROADMAP 21(c)); a link_unlink's link does the same.
+lost_before_the_vote = pytest.mark.xfail(strict=True, reason=(
     "a link whose branch its file server lost in a crash before the vote "
     "leaves the file taken over: nothing durable records the constraint "
     "the link applied, so no record of it survives for the restart to "
     "settle"))
-@pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
-                         ids=lambda mode: mode.value)
-@pytest.mark.parametrize("victims", ["fs1", "both"])
+taken_over_modes = pytest.mark.parametrize(
+    "mode", [ControlMode.RDD, ControlMode.RFD], ids=lambda mode: mode.value)
+fs1_victims = pytest.mark.parametrize("victims", ["fs1", "both"])
+
+
+@lost_before_the_vote
+@taken_over_modes
+@fs1_victims
 def test_a_link_lost_before_its_vote_gives_its_file_back(mode, victims):
     play(mode, "immediate",
          [Step("link", point="commit:begin", victims=victims)])
+
+
+@lost_before_the_vote
+@taken_over_modes
+@fs1_victims
+def test_a_link_unlink_lost_before_its_vote_gives_its_file_back(mode,
+                                                                victims):
+    play(mode, "immediate",
+         [Step("link_unlink", point="commit:begin", victims=victims)])

@@ -769,6 +769,44 @@ class TestReplicationErrors:
             deployment.fail_back("shard0")
         assert "shard0" in str(excinfo.value)
 
+    def test_a_crashed_shard_with_no_witness_is_down_until_restart(self):
+        """An unreplicated shard is a shard with no witness: its crash
+        makes its reads fail without the fail-over hint, and its restart
+        serves them again."""
+
+        from repro.errors import DaemonUnavailableError
+
+        deployment = ShardedDataLinksDeployment(2)
+        deployment.create_table(TableSchema(TABLE, [
+            Column("doc_id", DataType.INTEGER, nullable=False),
+            datalink_column("body", DatalinkOptions(
+                control_mode=ControlMode.RDD)),
+        ], primary_key=("doc_id",)))
+        session = deployment.session("alice", uid=1001)
+        path = path_on(deployment, "shard0", "solo")
+        url = deployment.put_file(session, path, b"one node")
+        session.insert(TABLE, {"doc_id": 0, "body": url})
+        read = session.get_datalink(TABLE, {"doc_id": 0}, "body")
+        assert deployment.replicas["shard0"].witness is None
+        assert "replication" not in deployment.stats()
+        deployment.crash("shard0")
+        assert deployment.router.roles("shard0") == {"shard0": "down"}
+        with pytest.raises(DaemonUnavailableError) as excinfo:
+            deployment.read_url(session, read)
+        assert "is down" in str(excinfo.value)
+        assert "fail_over" not in str(excinfo.value)
+        deployment.restart("shard0")
+        assert deployment.read_url(session, read) == b"one node"
+        assert deployment.router.roles("shard0") == {"shard0": "serving"}
+
+    def test_routing_to_an_unknown_shard_names_the_shard(self):
+        from repro.errors import DataLinksError
+
+        router = ShardedDataLinksDeployment(2).router
+        with pytest.raises(DataLinksError, match="unknown shard 'shard9'"):
+            router.route_read("shard9")
+        assert router.writable_node("shard9") == "shard9"
+
     def test_failover_on_unknown_shard_names_the_shard(self):
         from repro.errors import ReplicationError
 

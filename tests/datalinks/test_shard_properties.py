@@ -10,13 +10,15 @@ DLFM repositories are two independently-maintained views that two-phase
 commit promises to keep identical, and the assertion compares them directly.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
-from repro.datalinks.sharding import ShardedDataLinksDeployment, ShardRouter
+from repro.datalinks.placement import PlacementMap
+from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.datalinks.tokens import TokenType
 from repro.errors import FencedNodeError, ReproError
 from repro.storage.schema import Column, TableSchema
@@ -392,9 +394,34 @@ def test_random_failovers_converge_primary_and_replica(seed):
     assert driver.fenced_validations > 0
 
 
-def test_router_is_stable_and_prefix_local():
-    router = ShardRouter([f"s{i}" for i in range(8)], prefix_depth=1)
-    assert router.shard_of("/a/x.dat") == router.shard_of("/a/deep/y.dat")
-    assert router.shard_of("/a/x.dat") == router.shard_of("/a/x.dat")
-    spread = {router.shard_of(f"/dir{i}/f.dat") for i in range(64)}
+def test_placement_is_stable_and_prefix_local():
+    pmap = PlacementMap([f"s{i}" for i in range(8)])
+    assert pmap.shard_of("/a/x.dat") == pmap.shard_of("/a/deep/y.dat")
+    assert pmap.shard_of("/a/x.dat") == pmap.shard_of("/a/x.dat")
+    spread = {pmap.shard_of(f"/dir{i}/f.dat") for i in range(64)}
     assert len(spread) >= 4  # 64 prefixes land on many of the 8 shards
+
+
+#: Paths whose epoch-1 placement is pinned: the root, a one-component
+#: path, a deep path, and a spread of first components.
+PINNED_PATHS = ["/", "/solo", "/a/b/c/d/e/f.dat", "/a/x.dat", "/data/f.dat",
+                "//doubled//slashes.dat"] + [f"/dir{i}/f.dat"
+                                             for i in range(24)]
+
+
+@pytest.mark.parametrize("count", [3, 8])
+def test_epoch_one_placement_is_the_prefix_hash(count):
+    """Epoch 1 places a path by SHA-1 of its first component (the first
+    eight digest bytes, big-endian) modulo the shard count, computed here
+    without the map: a change to the hash moves every deployed file."""
+
+    names = [f"shard{i}" for i in range(count)]
+    pmap = PlacementMap(names)
+    for path in PINNED_PATHS:
+        first = [part for part in path.split("/") if part][:1]
+        prefix = "/" + "".join(first)
+        digest = hashlib.sha1(prefix.encode("utf-8")).digest()
+        expected = names[int.from_bytes(digest[:8], "big") % count]
+        assert pmap.prefix_of(path) == prefix, path
+        assert pmap.shard_of(path) == expected, path
+    assert pmap.epoch == 1

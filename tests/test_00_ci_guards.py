@@ -1538,6 +1538,13 @@ class TestRetiredNamesStayGone:
                                   "file: constrain, no abort callback",
         "_apply_link_constraints": "one rule for what a link does to its "
                                    "file: constrain, no abort callback",
+        "ShardRouter": "one placement map: PlacementMap owns the prefix "
+                       "hash",
+        "shard_of_key": "one placement map: PlacementMap.hashed_shard "
+                        "hashes a derived prefix",
+        "register_shard": "one shard shape: an unreplicated shard is a "
+                          "ReplicatedShard with no witness",
+        "_singles": "one shard shape: the router keeps one shard table",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).
@@ -1634,6 +1641,12 @@ class TestRetiredNamesStayGone:
             connection.link_file(txn_id, path, options)
             outcome = self._host_outcome(host_txn_id)
             """,
+        "two placement shapes": """
+            router = ShardRouter(["shard0", "shard1"])
+            shard = base.shard_of_key(prefix)
+            self.router.register_shard(name, self.shard(name))
+            server = self._singles.get(shard)
+            """,
     }
     ALLOWED = """
         # a full resync; a snapshot-resync fallback
@@ -1642,6 +1655,8 @@ class TestRetiredNamesStayGone:
         state_id = self.db.commit_many(txns)
         connection.link_files(txn_id, [(path, options)])
         row = self._manager.link_file(txn_id, path, options)
+        shard = self.placement.hashed_shard(prefix)
+        self.router.register_replicated(name, replica)
         outcomes = engine.host_transaction_outcomes(txn_ids)
         if self._try_acquire(editor, target, metrics):
         before = stats.count("index_probe")
@@ -1662,6 +1677,43 @@ class TestRetiredNamesStayGone:
         lines = {entry.split()[0] for entry in flagged}
         assert len(lines) == len(source.splitlines()), flagged
         assert not self.offenders("tests/planted.py", self.ALLOWED)
+
+
+class TestOnePlacementMemo:
+    """The path-to-prefix memo is :class:`~repro.datalinks.placement.
+    PlacementMap`'s own: no file under ``src/`` but ``placement.py`` names
+    ``_prefix_cache``, so a caller asks ``prefix_of`` and a second memo or
+    an inline probe of the map's cannot grow back."""
+
+    OWNER = "src/repro/datalinks/placement.py"
+
+    @classmethod
+    def offenders(cls, module: str, text: str) -> list[str]:
+        if module == cls.OWNER or not module.startswith("src/"):
+            return []
+        return [f"{module}:{number} _prefix_cache"
+                for number, line in enumerate(text.splitlines(), 1)
+                if "_prefix_cache" in line]
+
+    def test_only_the_placement_map_names_its_memo(self, scanned):
+        assert "_prefix_cache" in scanned[self.OWNER]
+        offenders = [found for module, text in scanned.items()
+                     for found in self.offenders(module, text)]
+        assert not offenders, f"a second prefix memo: {offenders}"
+
+    def test_the_guard_flags_an_inline_probe(self):
+        import textwrap
+
+        planted = textwrap.dedent("""
+            prefix = placement._prefix_cache[path]
+            self._prefix_cache: dict[str, str] = {}
+            """).strip()
+        assert len(self.offenders("src/repro/datalinks/routing.py",
+                                  planted)) == 2
+        assert not self.offenders(self.OWNER, planted)
+        assert not self.offenders(
+            "src/repro/datalinks/routing.py",
+            "prefix = self.placement.prefix_of(path)")
 
 
 class TestEachFileStepResolvesOnce:

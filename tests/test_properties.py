@@ -267,9 +267,10 @@ class TestRoundRobinFairness:
     _pool = ["n0", "n1", "n2", "n3"]
 
     def _router(self):
-        from repro.datalinks.routing import ReplicationRouter, ShardRouter
+        from repro.datalinks.placement import PlacementMap
+        from repro.datalinks.routing import ReplicationRouter
 
-        return ReplicationRouter(ShardRouter(["shard0"]))
+        return ReplicationRouter(PlacementMap(["shard0"]))
 
     @SETTINGS
     @given(phases=st.lists(
