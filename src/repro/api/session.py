@@ -243,8 +243,8 @@ class Session:
 
         Returns one (tokenized) URL -- or ``None`` -- per ``where`` in
         *wheres*, in order.  The call is charged one engine dispatch and
-        one SELECT statement per distinct ``where`` shape; each row still
-        pays its own access path, row reads and token (see
+        one SELECT statement per distinct ``where`` shape; each distinct
+        key pays its own access path, row reads and token once (see
         :meth:`repro.datalinks.engine.DataLinksEngine.get_datalink_many`).
         """
 

@@ -25,9 +25,9 @@ class Branch:
 
     host_txn_id: int
     local_txn: Transaction
-    #: Whether the branch wrote an archive job; such a job is dated by the
-    #: host commit the branch commits on.
-    queued_jobs: bool = False
+    #: The archive jobs the branch wrote, job id by path; such a job is
+    #: dated by the host commit the branch commits on.
+    jobs: dict[str, int] = field(default_factory=dict)
     #: The prefix the branch hands off (a rebalance export), named in its
     #: vote so that every outcome path leaves the files to the sweep.
     handoff: str | None = None

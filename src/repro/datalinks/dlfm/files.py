@@ -40,9 +40,6 @@ class FileServerFiles:
     def exists(self, path: str) -> bool:
         return self.lfs.exists(path, self.dlfm_cred)
 
-    def ino_of(self, path: str) -> int:
-        return self.stat(path).ino
-
     def read(self, path: str) -> bytes:
         return self.lfs.read_file(path, self.dlfm_cred)
 

@@ -159,7 +159,9 @@ class LinkManager:
         A file linked with recovery gets its archive job in the branch too,
         dated by the host commit the branch commits on
         (:meth:`~repro.datalinks.dlfm.manager.DataLinksFileManager.
-        commit_branch`).
+        commit_branch`), unless the branch relinks *path* and a job of it is
+        still queued: no update rewrote the file since, so that job archives
+        the same bytes.
         """
 
         txn = branch.local_txn
@@ -190,16 +192,18 @@ class LinkManager:
         }
         self._repository.insert_linked_file(row, txn)
         constrain(self._files, row, attrs)
-        if options.recovery:
-            self._repository.enqueue_archive_job(path, txn,
-                                                 branch.host_txn_id)
-            branch.queued_jobs = True
+        if options.recovery and not (
+                path in branch.unlinked
+                and self._repository.pending_archive_jobs(path)):
+            branch.jobs[path] = self._repository.enqueue_archive_job(
+                path, txn, branch.host_txn_id)
         return row
 
     # --------------------------------------------------------------------- unlink --
     def unlink_file(self, branch: Branch, path: str) -> dict:
-        """Remove *path* from database control within *branch*; its commit
-        settles the file (:func:`settle`)."""
+        """Remove *path* from database control within *branch*, and the
+        archive job the branch's link of it queued; its commit settles the
+        file (:func:`settle`)."""
 
         row = self._repository.linked_file(path)
         if row is None:
@@ -210,6 +214,9 @@ class LinkManager:
                 f"cannot unlink {path!r}: {len(open_entries)} application(s) "
                 f"currently have it open")
         self._repository.delete_linked_file(path, branch.local_txn)
+        if path in branch.jobs:
+            self._repository.complete_archive_job(branch.jobs.pop(path),
+                                                  branch.local_txn)
         branch.unlinked[path] = row
         return row
 

@@ -235,7 +235,7 @@ class DataLinksFileManager:
 
         branch = self.branches.commit(host_txn_id)
         self._moving_exports.pop(host_txn_id, None)
-        if branch is not None and branch.queued_jobs:
+        if branch is not None and branch.jobs:
             self._commit_states[host_txn_id] = int(state_id)
 
     def abort_branch(self, host_txn_id: int) -> None:
@@ -597,8 +597,8 @@ class DataLinksFileManager:
             repository.update_linked_file(path, changes, local_txn)
             repository.remove_tracking(path, local_txn)
             if row["recovery"]:
-                repository.enqueue_archive_job(path, local_txn, txn_id)
-                branch.queued_jobs = True
+                branch.jobs[path] = repository.enqueue_archive_job(
+                    path, local_txn, txn_id)
             self.branches.prepare(txn_id)
             try:
                 with synchronized_call(self.clock, engine.clock):

@@ -376,8 +376,9 @@ class DLFMRepository:
         rows = self._all_jobs() if path is None else self._jobs_by_path(path)
         return sorted(rows, key=lambda row: row["job_id"])
 
-    def complete_archive_job(self, job_id: int) -> int:
-        return self._delete_job(job_id)
+    def complete_archive_job(self, job_id: int,
+                             txn: Transaction | None = None) -> int:
+        return self._delete_job(job_id, txn=txn)
 
     def cancel_archive_jobs(self, path: str) -> int:
         return self._delete_jobs_by_path(path)

@@ -663,11 +663,12 @@ class DataLinksEngine:
         The cost rule of a set-oriented SELECT: one
         ``datalink_engine_dispatch`` per call and one statement per
         distinct dict-``where`` shape -- its ``sql_statement_base`` once,
-        while each key pays its own access path, row reads and locks.  A
-        ``where`` that is not a dict is its own ``db.select``.  Each
-        ``where`` in turn is selected and, if its row carries a URL, gets
-        its own token (or a live cached one); a refused *access* raises at
-        the first such row, before any later ``where`` is selected.
+        while each *distinct* key pays its access path, row reads and
+        locks.  A ``where`` that is not a dict is its own ``db.select``.
+        Each ``where`` in turn is selected and, if its row carries a URL,
+        gets its own token (or a live cached one) -- but a dict ``where``
+        repeating an earlier one's items gets that one's URL or ``None``;
+        a refused *access* raises at the first such row.
         """
 
         amount, meter = self._dispatch
@@ -682,9 +683,20 @@ class DataLinksEngine:
         db = self.db
         selects = plan.selects
         charged = set()     # the shapes whose statement base is paid
+        # A dict where's items -> its first index (one where repeats none).
+        firsts = {} if len(wheres) > 1 else None
         urls = []
         for where in wheres:
             if type(where) is dict:
+                if firsts is not None:
+                    count = len(urls)
+                    try:
+                        first = firsts.setdefault(tuple(where.items()), count)
+                    except TypeError:   # an unhashable value: no repeat
+                        first = count
+                    if first != count:
+                        urls.append(urls[first])
+                        continue
                 shape = tuple(where)
                 try:
                     select = selects[shape]

@@ -54,6 +54,8 @@ order).  They fire into the engine's one table; see
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.datalinks.dlfm.link_manager import constrain, give_back, settle
 from repro.util.failpoints import fire
 from repro.datalinks.routing import NodeRole
@@ -181,8 +183,9 @@ class ReplicaApplier:
     redo is positional; the one deliberate divergence is the ``ino`` column
     of ``linked_files``, which is rebound to the witness file system's inode
     numbers as rows arrive (the primary's inode numbers are meaningless on
-    another node).  Each applied COMMIT then does the transaction's file
-    half on this node's copies (:meth:`_settle`).
+    another node).  Each applied COMMIT stats each link row's copy on this
+    node once: that one stat constrains the copy and gives the inode
+    (:meth:`_constrain`), and the outcome then settles the copies.
     """
 
     def __init__(self, database, failpoints: dict, shard: str, files=None):
@@ -241,21 +244,23 @@ class ReplicaApplier:
         except KeyError:
             records = None
         if records:
-            applied = sum(map(self._redo, records))
+            inos = None if self._files is None else self._constrain(records)
+            applied = sum(map(self._redo, records, repeat(inos)))
             self._db._charge_run("row_write", applied)
             self.applied_records += applied
-            if self._files is not None:
-                self._settle(records)
+            if inos is not None:
+                settle(self._files, records, committed=True)
         self.applied_commits += 1
 
-    def _settle(self, records: list) -> None:
-        """The file half of an applied transaction: the link ran on the
-        primary, so its constraint never touched this node's copy, and each
-        link row it wrote constrains the mirror; then its outcome settles
-        like any other.  Without this, a bare URL read through the witness
-        would bypass the token checks that guard the primary's copy."""
+    def _constrain(self, records: list) -> dict:
+        """The link ran on the primary, so its constraint never touched this
+        node's copy: each link row it wrote constrains the mirror, which is
+        stat'ed once (after a relink's give-back, which changes what
+        :func:`constrain` reads); returns ``{path: ino}`` for :meth:`_redo`.
+        Else a bare URL read through the witness would bypass the token
+        checks that guard the primary's copy."""
 
-        files, unlinked = self._files, {}
+        files, unlinked, inos = self._files, {}, {}
         for record in records:
             if record.table != "linked_files":
                 continue
@@ -269,8 +274,9 @@ class ReplicaApplier:
                 attrs = files.stat(path)
             except FileSystemError:
                 continue        # no mirror yet: promotion constrains it
+            inos[path] = attrs.ino
             constrain(files, record.after, attrs)
-        settle(files, records, committed=True)
+        return inos
 
     def _drop_txn(self, txn_id: int) -> None:
         try:
@@ -279,11 +285,15 @@ class ReplicaApplier:
         except KeyError:
             pass
 
-    def _redo(self, record) -> bool:
+    def _redo(self, record, inos: dict | None) -> bool:
         """Redo one data record into the witness heaps, maintaining indexes.
 
-        Returns whether the record was applied (its ``row_write`` cost is
-        charged by the caller, batched across the transaction).
+        A link row takes its file's witness inode from *inos*, else
+        ``-rid`` (the primary's would collide with a real witness inode in
+        the unique ``linked_files_ino`` index; ``-rid`` is negative and
+        unique per row, and promotion rebinds the real one).  Returns
+        whether the record was applied (its ``row_write`` cost is charged
+        by the caller, batched across the transaction).
         """
 
         db = self._db
@@ -296,9 +306,9 @@ class ReplicaApplier:
         # The witness row *is* the primary's image (nobody mutates one; see
         # repro.storage.heap) -- except a link row, copied to rebind ``ino``.
         after = record.after
-        is_link_row = record.table == "linked_files" and self._files is not None
+        is_link_row = inos is not None and record.table == "linked_files"
         if after is not None and is_link_row:
-            after = dict(after, ino=self._local_ino(after["path"], record.rid))
+            after = dict(after, ino=inos.get(after["path"], -record.rid))
         if effective in (LogRecordType.INSERT, LogRecordType.UPDATE):
             if heap.exists(record.rid):
                 before = heap.get(record.rid)
@@ -322,20 +332,6 @@ class ReplicaApplier:
                 if is_link_row:
                     self.stale_paths.discard(before["path"])
         return True
-
-    def _local_ino(self, path: str, rid: int) -> int:
-        """The witness inode for *path*, or a placeholder while it is absent.
-
-        Keeping the primary's inode would eventually collide with a real
-        witness inode in the unique ``linked_files_ino`` index; ``-rid`` is
-        negative (no real inode is) and unique per row.  Promotion rebinds
-        the real inode once the content is restored.
-        """
-
-        try:
-            return self._files.ino_of(path)
-        except FileSystemError:
-            return -rid
 
     # --------------------------------------------------------------- in doubt --
     def _voted(self) -> list[tuple]:

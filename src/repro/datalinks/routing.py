@@ -151,20 +151,12 @@ class ReplicationRouter:
         return self.placement.prefix_of(path)
 
     # ------------------------------------------------------------ traffic notes --
-    def note_read(self, path: str) -> None:
-        """Count one routed read against *path*'s effective prefix."""
-
-        self._note(path, self.prefix_reads, self.window_reads)
-
     def note_write(self, path: str) -> None:
         """Count one routed write (link/unlink/ingest) against *path*'s prefix."""
 
-        self._note(path, self.prefix_writes, self.window_writes)
-
-    def _note(self, path: str, cumulative: dict, window: dict) -> None:
         prefix = self.placement.prefix_of(path)
-        cumulative[prefix] = cumulative.get(prefix, 0) + 1
-        window[prefix] = window.get(prefix, 0) + 1
+        self.prefix_writes[prefix] = self.prefix_writes.get(prefix, 0) + 1
+        self.window_writes[prefix] = self.window_writes.get(prefix, 0) + 1
 
     def take_traffic_window(self) -> dict[str, int]:
         """Drain and return the per-prefix deltas since the last drain.
@@ -202,6 +194,20 @@ class ReplicationRouter:
             return server
         placement = self.placement
         return placement.owner_of(placement.prefix_of(path), default=server)
+
+    def route_url_read(self, server: str, path: str) -> tuple:
+        """``(owner shard, node)`` of one read of a URL's ``(server, path)``:
+        :meth:`owner_shard` and :meth:`route_read`, and the read counted
+        against the prefix, which is looked up once for both."""
+
+        placement = self.placement
+        prefix = placement.prefix_of(path)
+        shard = placement.owner_of(prefix, default=server) \
+            if server in self._replicas else server
+        node = self.route_read(shard, path=path)
+        self.prefix_reads[prefix] = self.prefix_reads.get(prefix, 0) + 1
+        self.window_reads[prefix] = self.window_reads.get(prefix, 0) + 1
+        return shard, node
 
     # --------------------------------------------------------------------- roles --
     def roles(self, shard: str) -> dict[str, str]:

@@ -256,9 +256,7 @@ class ShardedDataLinksDeployment:
         """
 
         parsed = parse_url(url)
-        shard = self.router.owner_shard(parsed.server, parsed.path)
-        server = self.router.route_read(shard, path=parsed.path)
-        self.router.note_read(parsed.path)
+        _, server = self.router.route_url_read(parsed.server, parsed.path)
         return session.read_url(url, server=server.name)
 
     # --------------------------------------------------------- group-commit queue --

@@ -273,11 +273,9 @@ class HotspotWorkload:
         deployment = self.deployment
         router = deployment.router
         parsed = parse_url(url)
-        shard = router.owner_shard(parsed.server, parsed.path)
         fork = deployment.clock.send_time()
         try:
-            server = router.route_read(shard, path=parsed.path)
-            router.note_read(parsed.path)
+            shard, server = router.route_url_read(parsed.server, parsed.path)
             loads[shard] = loads.get(shard, 0) + 1
             self._session.read_url(url, server=server.name)
         except ReproError:

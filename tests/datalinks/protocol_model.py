@@ -24,8 +24,9 @@ state, as the paper's guarantees say it must.
   to remove a linked file.
 * A host transaction may hold several statements, and what it owes is
   their net effect: a relink (unlink ``f``, then link it again) leaves
-  ``f`` linked, and a link then unlink of ``f`` leaves it unlinked; each
-  link owes its archive job all the same.
+  ``f`` linked and owes a job unless one is still owed, whose run
+  archives the same bytes, and a link then unlink of ``f`` leaves it
+  unlinked and owes nothing.
 
 Two files exist, unlinked, before the first step: ``f`` on fs1 (row 0) and
 ``g`` on fs2 (row 1).  Only the host and fs1 crash.  The users are
@@ -145,14 +146,16 @@ def step(state: State, move: Step) -> tuple[tuple, State]:
     if kind in ("link", "link2", "link_unlink"):
         if f.linked or kind == "link2" and g.linked:
             return refused("DuplicateKeyError"), state
-        after = replace(state, f=replace(f, linked=kind != "link_unlink",
-                                         owed=f.owed + 1))
+        after = replace(state, f=replace(
+            f, linked=kind != "link_unlink",
+            owed=f.owed + (kind != "link_unlink")))
         if kind == "link2":
             after = replace(after, g=replace(g, linked=True, owed=g.owed + 1))
     elif kind == "relink":              # unlink f, then link it again
         if update is not None:
             return refused("LinkConflictError"), state
-        after = replace(state, f=replace(f, linked=True, owed=f.owed + 1))
+        after = replace(state, f=replace(f, linked=True,
+                                         owed=max(f.owed, 1)))
     elif kind in ("unlink", "rollback"):
         if update is not None and (f.linked or kind == "unlink"):
             return refused("LinkConflictError"), state

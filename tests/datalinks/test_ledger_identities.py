@@ -7,9 +7,13 @@ timestamp) that is the reference's exactly, or differs from it by exactly
 the charges the check names.
 
 * ``TestBulkHandoutIsOneStatementPerShape``: ``get_datalink_many`` hands
-  out what the loop of per-row ``get_datalink`` calls hands out, checked
-  against that loop on twin systems; its ledger is the loop's less exactly
-  the charges of one statement per shape and one engine dispatch per call.
+  out what the loop of per-row ``get_datalink`` calls over its distinct
+  keys hands out, checked against that loop on twin systems, and a
+  repeated key its first occurrence's URL; its ledger is the loop's less
+  exactly the charges of one statement per shape and one engine dispatch
+  per call.
+* ``TestARepeatedKeyIsReadOnce``: k copies of one key cost one row read,
+  one index probe and one token.
 * ``TestServingAndWitnessReadsChargeAlike``: a tokenized read of one file
   on a replicated deployment charges the same ledger whichever node serves
   it (ROADMAP direction 6(b)).
@@ -44,19 +48,21 @@ def _group_snapshot(group) -> dict:
 
 class TestBulkHandoutIsOneStatementPerShape:
     """``get_datalink_many(wheres)`` against the loop ``[get_datalink(where)
-    for where in wheres]`` on a twin system.
+    for where in distinct]`` on a twin system, *distinct* being *wheres*
+    less each dict ``where`` whose items repeat an earlier one's.
 
-    Per ``where``: the same outcome -- ``None``, the same bare URL, or a
-    token of the same type for the same path that validates on its owner
-    server -- the same refusal at the same ``where``, and equal token-cache
-    counters.  A call is one set-oriented SELECT: one
+    Per ``where``: the loop's outcome for its first occurrence -- ``None``,
+    the same bare URL, or a token of the same type for the same path that
+    validates on its owner server -- and a repeat the very URL its first
+    occurrence got; the same refusal at the same ``where``, and equal
+    token-cache counters.  A call is one set-oriented SELECT: one
     ``datalink_engine_dispatch`` and one ``sql_statement_base`` per
     statement (per distinct dict shape, per non-dict ``where``), so the
-    bulk host ledger is the loop's less ``len(wheres) - 1`` dispatches and
-    ``len(wheres) - statements`` bases; every other label, and every other
-    domain, is the loop's.  Inside a host transaction both hold the same
-    locks.  A refused call is compared with the loop up to and including
-    the refused ``where``: nothing after it is selected.
+    bulk host ledger is the loop's less ``len(distinct) - 1`` dispatches
+    and ``len(distinct) - statements`` bases; every other label, and every
+    other domain, is the loop's.  Inside a host transaction both hold the
+    same locks.  A refused call is compared with the loop up to and
+    including the refused ``where``: nothing after it is selected.
     """
 
     #: file_ids 0..5 are linked files, 50 holds a NULL url, 99 is no row.
@@ -97,6 +103,21 @@ class TestBulkHandoutIsOneStatementPerShape:
                 # Repeats included: they are what the token cache serves.
                 wheres.append({"file_id": rng.randrange(self.FILES)})
         return wheres
+
+    @staticmethod
+    def _distinct(wheres) -> tuple[list, list]:
+        """``(distinct, firsts)``: *wheres* less each dict ``where`` whose
+        items repeat an earlier one's, and per ``where`` the index in
+        *distinct* of its first occurrence."""
+
+        distinct, firsts, seen = [], [], {}
+        for where in wheres:
+            key = tuple(where.items()) if type(where) is dict else where
+            if key not in seen:
+                seen[key] = len(distinct)
+                distinct.append(where)
+            firsts.append(seen[key])
+        return distinct, firsts
 
     @staticmethod
     def _statements(wheres) -> int:
@@ -173,11 +194,13 @@ class TestBulkHandoutIsOneStatementPerShape:
         from repro.datalinks.control_modes import ControlMode
 
         rng = random.Random(seed)
-        seen = {"token": 0, "bare": 0, "none": 0, "refused": 0, "locked": 0}
+        seen = {"token": 0, "bare": 0, "none": 0, "refused": 0, "locked": 0,
+                "repeated": 0}
         for mode in (ControlMode.RDB, ControlMode.RFD, ControlMode.RDD):
             for access in ("read", "write", "append"):
                 for in_txn in (False, True):
                     wheres = self._wheres(rng, 14, mixed)
+                    distinct, firsts = self._distinct(wheres)
                     bulk = self._twin(mode, token_cache)
                     loop = self._twin(mode, token_cache)
                     bulk_txn = bulk.engine.begin() if in_txn else None
@@ -186,7 +209,7 @@ class TestBulkHandoutIsOneStatementPerShape:
                         FILES_TABLE, wheres, "doc", access=access,
                         host_txn=bulk_txn, ttl=ttl))
                     want = []
-                    for where in wheres:
+                    for where in distinct:
                         want.append(self._call(
                             lambda: loop.engine.get_datalink(
                                 FILES_TABLE, where, "doc", access=access,
@@ -195,7 +218,7 @@ class TestBulkHandoutIsOneStatementPerShape:
                             break
                     # The loop stops at a refusal; so must the bulk call:
                     # ledger and locks are the loop's through that where.
-                    self._assert_ledgers(bulk, loop, wheres[:len(want)])
+                    self._assert_ledgers(bulk, loop, distinct[:len(want)])
                     locks = self._locks(bulk, bulk_txn)
                     assert locks == self._locks(loop, loop_txn), (mode, access)
                     seen["locked"] += bool(locks)
@@ -206,8 +229,11 @@ class TestBulkHandoutIsOneStatementPerShape:
                         seen["refused"] += 1
                         continue
                     outcomes = [self._outcome(bulk, url) for url in got]
-                    assert outcomes == [self._outcome(loop, url)
-                                        for url in want]
+                    assert outcomes == [self._outcome(loop, want[first])
+                                        for first in firsts]
+                    assert got == [got[firsts.index(first)]
+                                   for first in firsts]
+                    seen["repeated"] += len(wheres) - len(distinct)
                     for outcome in outcomes:
                         kind = "none" if outcome is None else \
                             "bare" if type(outcome) is str else "token"
@@ -238,6 +264,49 @@ class TestBulkHandoutIsOneStatementPerShape:
                     assert got == want, (mode, access)
                     assert _group_snapshot(bulk.clocks) == \
                         _group_snapshot(loop.clocks), (mode, access)
+
+
+class TestARepeatedKeyIsReadOnce:
+    """``get_datalink_many`` of *k* copies of one key: one ``row_read``,
+    one ``index_probe`` and one ``token_generate``, and *k* identical URLs,
+    on a plain system (which mints per SELECT) and on a sharded deployment
+    (which runs the token cache)."""
+
+    COPIES = 5
+
+    def _copies(self) -> list:
+        """Equal wheres, not one object: a repeat is told by its items."""
+
+        return [{"doc_id": 0} for _ in range(self.COPIES)]
+
+    def _assert_read_once(self, clocks, handout) -> None:
+        labels = ("row_read", "index_probe", "token_generate")
+        with clocks.window() as window:
+            urls = handout()
+        assert {label: window.merged[label][0] for label in labels} == \
+            dict.fromkeys(labels, 1)
+        assert len(urls) == self.COPIES and len(set(urls)) == 1
+        assert urls[0] is not None
+
+    def test_a_plain_system(self):
+        from repro.datalinks.control_modes import ControlMode
+        from tests.conftest import FILES_TABLE, build_system
+
+        system, alice, _, _ = build_system(ControlMode.RDD)
+        self._assert_read_once(system.clocks, lambda: alice.get_datalink_many(
+            FILES_TABLE, self._copies(), "body"))
+
+    def test_a_sharded_deployment(self):
+        from tests.conftest import (SHARD_TABLE, build_deployment, link_docs,
+                                    prefix_on)
+
+        deployment, session = build_deployment()
+        link_docs(deployment, session, prefix_on(deployment, "shard0"), [0])
+        self._assert_read_once(
+            deployment.system.clocks, lambda: session.get_datalink_many(
+                SHARD_TABLE, self._copies(), "body",
+                ttl=600.0))
+        assert deployment.stats()["token_cache"]["hits"] == 0
 
 
 class TestServingAndWitnessReadsChargeAlike:

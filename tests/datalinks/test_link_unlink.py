@@ -291,6 +291,48 @@ class TestRelinkInOneTransaction:
         assert self.owner(system, paths[0]) == (ALICE_UID, 0o644)
 
 
+class TestOneArchiveJobPerLinkedFile:
+    """A link with recovery owes one archive job for its bytes: a link
+    undone in its own transaction owes none, and a relink while the
+    file's job is still pending owes no second one."""
+
+    modes = pytest.mark.parametrize(
+        "mode", [ControlMode.RDD, ControlMode.RFD, ControlMode.RDB],
+        ids=lambda mode: mode.value)
+
+    @staticmethod
+    def _row(doc_id: int, url: str) -> dict:
+        return {"doc_id": doc_id, "title": "t", "body": url,
+                "body_size": 0, "body_mtime": 0.0}
+
+    @modes
+    def test_a_link_unlinked_in_its_transaction_archives_nothing(self, mode):
+        system, alice, paths, urls = build_system(mode, link=False)
+        alice.begin()
+        alice.insert(FILES_TABLE, self._row(0, urls[0]))
+        alice.delete(FILES_TABLE, {"doc_id": 0})
+        alice.commit()
+        repository = system.file_server("fs1").dlfm.repository
+        assert repository.pending_archive_jobs() == []
+        system.run_archiver()
+        assert repository.versions(paths[0]) == []
+        assert len(system.archive) == 0
+
+    @modes
+    def test_a_relink_with_its_job_pending_queues_no_second(self, mode):
+        system, alice, paths, urls = build_system(mode, link=False)
+        alice.insert(FILES_TABLE, self._row(0, urls[0]))
+        alice.begin()
+        alice.delete(FILES_TABLE, {"doc_id": 0})
+        alice.insert(FILES_TABLE, self._row(5, urls[0]))
+        alice.commit()
+        repository = system.file_server("fs1").dlfm.repository
+        assert len(repository.pending_archive_jobs(paths[0])) == 1
+        system.run_archiver()
+        assert [version["version_no"]
+                for version in repository.versions(paths[0])] == [1]
+
+
 class TestMultiRowInsert:
     """A multi-row INSERT is one statement: ``insert_many`` pays one
     statement base for its rows and, through the DataLinks engine, one

@@ -12,7 +12,9 @@ with fs1 crashing while the run's first version is staged (its object sent,
 its row written, not committed) and once it is durable.  Every crashed
 node then restarts.  A step that changes nothing
 in the model (a read, a refusal, a rolled-back link or unlink) is not
-enumerated; every run ends with each of them instead (:func:`probe`), then
+enumerated (a two-statement transaction is, though its second statement
+undoes its first); every run ends with each of them instead
+(:func:`probe`), then
 aborts an open update, archives and lets bob take the next update, which
 must succeed wherever the file is linked in an update mode.  After the run
 and after the probe, what every node holds must be what the model says
@@ -95,7 +97,7 @@ def sequences(mode: ControlMode) -> list[tuple[list[Step], State]]:
                     or kind == "write" and state.update.written:
                 continue
             after = step(state, move)[1]
-            if after != state:
+            if after != state or kind in MULTI:
                 found.append((prefix + [move], state))
                 extend(after, prefix + [move])
 

@@ -1096,3 +1096,37 @@ class TestAWitnessMirrorsARelink:
                             else attrs.uid, attrs.mode & 0o777)
         assert owners == dict.fromkeys(("shard0", "shard0-r"),
                                        self.CONSTRAINED[new])
+
+
+class TestAWitnessStatsEachLinkRowOnce:
+    """An applied transaction stats each link row's mirror once: the stat
+    that picks the constraint also gives the inode the row is rebound to,
+    and a relinked path is stat'ed after its give-back."""
+
+    @pytest.mark.parametrize("mode", [ControlMode.RDD, ControlMode.RFD],
+                             ids=lambda mode: mode.value)
+    def test_one_stat_per_applied_link_row(self, mode, monkeypatch):
+        deployment, alice = build_deployment(mode=mode)
+        witness = deployment.replicas["shard0"].witness
+        paths = [path_on(deployment, "shard0", tag) for tag in "abc"]
+        urls = [deployment.put_file(alice, path, b"mirrored")
+                for path in paths]
+        stat, stats = witness.files.stat, []
+
+        def counted(path):
+            stats.append(path)
+            return stat(path)
+
+        monkeypatch.setattr(witness.files, "stat", counted)
+        alice.insert_many(TABLE, [{"doc_id": doc_id, "body": url}
+                                  for doc_id, url in enumerate(urls)])
+        assert sorted(stats) == sorted(paths)
+        del stats[:]
+        alice.begin()                           # a relink: one row written
+        alice.delete(TABLE, {"doc_id": 0})
+        alice.insert(TABLE, {"doc_id": 5, "body": urls[0]})
+        alice.commit()
+        assert stats == [paths[0]]
+        for path in paths:
+            row = witness.dlfm.repository.linked_file(path)
+            assert row["ino"] == stat(path).ino

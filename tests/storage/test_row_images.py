@@ -164,35 +164,36 @@ class TestOneImagePerRow:
         """``linked_files.ino`` is rebound to the witness's inode number, so
         that row -- and only that row -- is a distinct dict."""
 
-        class _Files:
-            """The two calls redo makes for a link row whose file is not
-            mirrored yet."""
+        from repro.fs.inode import FileAttributes, FileType
 
-            def ino_of(self, path):
-                return 4242
+        class _Files:
+            """The one call an applied link row makes: a stat of the
+            witness's copy, inode 4242, already read-only."""
 
             def stat(self, path):
-                from repro.errors import Errno, FileSystemError
-
-                raise FileSystemError(Errno.ENOENT, path)
+                return FileAttributes(4242, FileType.REGULAR, 0o444, 0, 0,
+                                      0, 1, 0.0, 0.0, 0.0)
 
         def with_link_table(name):
             db = _make_db(name)
             db.create_table(TableSchema("linked_files", [
                 Column("path", DataType.TEXT, nullable=False),
                 Column("ino", DataType.INTEGER),
+                Column("control_mode", DataType.TEXT),
             ], primary_key=("path",)))
             db.wal.flush()
             return db
 
         primary, witness = with_link_table("primary"), with_link_table("witness")
         _feed(primary, _applier(witness, files=_Files()))
-        rid = primary.insert("linked_files", {"path": "/f", "ino": 7})
+        rid = primary.insert("linked_files", {"path": "/f", "ino": 7,
+                                              "control_mode": "rff"})
         inserted, = _records(primary, LogRecordType.INSERT)
         row = witness.catalog.heap("linked_files")._rows[rid]
         assert row is not inserted.after
-        assert row == {"path": "/f", "ino": 4242}
-        assert inserted.after == {"path": "/f", "ino": 7}
+        assert row == {"path": "/f", "ino": 4242, "control_mode": "rff"}
+        assert inserted.after == {"path": "/f", "ino": 7,
+                                  "control_mode": "rff"}
         assert primary.catalog.heap("linked_files")._rows[rid] is inserted.after
 
 

@@ -233,8 +233,8 @@ class TestCommittedLayeredArtifactShape:
     metrics of the runs those digests name."""
 
     #: ``(sim_ops_per_s, sim_p50_ms, sim_p99_ms)`` at seed 42; digests
-    #: 631e333f3d240653 / e4bf3d56d9ca89cf / d93ec392bd489c4e /
-    #: d4f365138df588ab in this order.  The archiver's fan-out across
+    #: 631e333f3d240653 / 8b0cabef9afb4fb6 / d93ec392bd489c4e /
+    #: 3ad69e86463595ad in this order.  The archiver's fan-out across
     #: file servers moved web_rfd, edit_uip and cluster_hotspot (their
     #: archiver runs inside the window) and session_knee's digest, not
     #: its metrics (its archiver runs before the window opens).  The
@@ -308,7 +308,13 @@ class TestCommittedLayeredArtifactShape:
     #: sim_ops_per_s was 85.4523859595603 (its updates), cluster_hotspot's
     #: 141.11435725378345 (its archiver runs inside the window) and
     #: edit_uip's sim_* were 52.04992045324173 / 26.53837077399146 /
-    #: 26.589697525011502.
+    #: 26.589697525011502.  A handout that selects and tokenizes each
+    #: distinct key once, with a witness's one stat per applied link row,
+    #: moved session_knee and cluster_hotspot (were e4bf3d56d9ca89cf /
+    #: d4f365138df588ab): session_knee's handout runs before the window,
+    #: so its sim_* metrics are the same to the last digit;
+    #: cluster_hotspot's round handouts shrank, its p50 and p99 are the
+    #: same to the last digit, and sim_ops_per_s was 141.12563433932016.
     SIMULATED = {
         "web_rfd": (85.5147915225278, 11.292711182022686,
                     11.349244995017216),
@@ -316,7 +322,7 @@ class TestCommittedLayeredArtifactShape:
                          48214.985881357),
         "edit_uip": (52.63483335609756, 26.111370773989506,
                      26.16269752500955),
-        "cluster_hotspot": (141.12563433932016, 10.348802795000722,
+        "cluster_hotspot": (141.52135373261237, 10.348802795000722,
                             10.356241454999804),
     }
 
@@ -1545,6 +1551,10 @@ class TestRetiredNamesStayGone:
         "register_shard": "one shard shape: an unreplicated shard is a "
                           "ReplicatedShard with no witness",
         "_singles": "one shard shape: the router keeps one shard table",
+        "_local_ino": "each step once: a witness's one stat of a link "
+                      "row's path gives the inode redo rebinds the row to",
+        "note_read": "each step once: route_url_read counts a routed read "
+                     "on the prefix it resolved the owner shard by",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).
@@ -1767,6 +1777,57 @@ class TestEachFileStepResolvesOnce:
         assert self.offenders(tree) == [
             "upcall_file_closed:4 self.files.stat",
             "_begin_file_update:6 self.files.exists"]
+
+
+class TestARoutedReadResolvesItsPrefixOnce:
+    """A routed read resolves its path's prefix once: no function under
+    ``src/`` calls both ``owner_shard`` and a router method that counts a
+    read against that prefix (:attr:`COUNTING`), which resolves it again;
+    ``ReplicationRouter.route_url_read`` is the one call that does both."""
+
+    COUNTING = ("route_url_read", "note_read")
+
+    @classmethod
+    def offenders(cls, tree) -> list[str]:
+        found = []
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            called = {node.func.attr for node in ast.walk(function)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)}
+            if "owner_shard" in called and called & set(cls.COUNTING):
+                found.append(f"{function.name}:{function.lineno}")
+        return found
+
+    def test_no_function_resolves_a_read_s_prefix_twice(self, trees):
+        offenders = [f"{module}:{found}" for module, tree in trees.items()
+                     for found in self.offenders(tree)]
+        assert not offenders, offenders
+        callers = {module for module, tree in trees.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "route_url_read"}
+        assert {"repro/datalinks/sharding.py",
+                "repro/workloads/hotspot.py"} <= callers
+
+    def test_the_guard_flags_a_second_resolution(self):
+        import textwrap
+
+        tree = ast.parse(textwrap.dedent("""
+            class Workload:
+                def _burst_read(self, router, parsed):
+                    shard = router.owner_shard(parsed.server, parsed.path)
+                    server = router.route_read(shard, path=parsed.path)
+                    router.note_read(parsed.path)
+                def read_url(self, router, parsed):
+                    shard = router.owner_shard(parsed.server, parsed.path)
+                    return router.route_url_read(parsed.server, parsed.path)
+                def _route_url(self, router, parsed):
+                    shard = router.owner_shard(parsed.server, parsed.path)
+                    return router.route_read(shard).name
+            """))
+        assert self.offenders(tree) == ["_burst_read:3", "read_url:7"]
 
 
 class TestEveryImportIsLoaded:
