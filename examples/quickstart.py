@@ -15,8 +15,8 @@ This walks through the core loop of the paper:
    and batched link pipelines;
 8. replicate: give every shard a witness replica fed by the primary's
    repository WAL stream.  Healthy witnesses serve *follower reads*
-   (load-balanced by the replication-aware router under a staleness
-   bound); a primary downed by ``crash(node)`` fails over to a witness
+   (load-balanced by the replication-aware router over every witness
+   with nothing unapplied); a primary downed by ``crash(node)`` fails over to a witness
    promoted to a **full primary** -- reads *and* link/unlink writes keep
    flowing -- and fail-back restarts the ex-primary and catches it up
    over a *reversed* WAL stream from its last-applied LSN instead of a
@@ -55,7 +55,8 @@ Scale-out knobs (step 7):
 * ``ShardedDataLinksDeployment(..., replication=True, witnesses=N)`` adds
   witness replicas per shard and a ``ReplicationRouter`` that owns roles
   and routes: reads round-robin over the serving node plus every witness
-  within ``max_follower_lag`` shipped records; ``fail_over(shard)``
+  with nothing unapplied and a current copy of the file
+  (``ReplicatedShard.serves_read``); ``fail_over(shard)``
   promotes the best witness to a full primary (epoch-fenced, so the
   deposed ex-primary cannot serve stale tokens -- or take split-brain
   writes) and ``fail_back(shard)`` rejoins the recovered ex-primary over
@@ -199,7 +200,7 @@ def main() -> None:
     replicated.system.flush_logs()   # drain group commit: witness catches up
 
     # Follower reads: the router round-robins token-validated reads over
-    # the primary and every caught-up witness (staleness bound: shipper lag).
+    # the primary and every witness with nothing unapplied.
     shard = replicated.shard_of(path)
     read_url = carol.get_datalink("articles", {"article_id": 1}, "body",
                                   access="read", ttl=1e9)

@@ -290,16 +290,22 @@ class Session:
 
         ``server`` overrides the node the URL names; without it the
         session resolves the node through the system's replication-aware
-        router when one is attached (the URL stays *logical*): reads are
-        load-balanced over the owner shard's serving node and eligible
-        witnesses, so a URL keeps working across failover and prefix
-        rebalancing.  The token embedded in the URL stays valid because a
+        router when one is attached (the URL stays *logical*):
+        :meth:`~repro.datalinks.routing.ReplicationRouter.route_url_read`
+        load-balances the read of the URL's path over the owner shard's
+        serving node and the witnesses that may serve it, so a URL keeps
+        working across failover and prefix rebalancing.  Plain systems --
+        and URLs naming servers the router does not manage -- read from the
+        URL's server.  The token embedded in the URL stays valid because a
         witness shares its primary's signing secret.
         """
 
-        lfs = synced_lfs(self.system,
-                         server or self._route_url(url, write=False),
-                         self.clock)
+        if server is None:
+            parsed = parse_url(url)
+            router = self.system.engine.router
+            server = parsed.server if router is None else \
+                router.route_url_read(parsed.server, parsed.path)[1]
+        lfs = synced_lfs(self.system, server, self.clock)
         fd = open_for_read(lfs, url, self.cred)
         try:
             return lfs.read(fd)
@@ -319,7 +325,7 @@ class Session:
         against the new serving node.
         """
 
-        server = self._route_url(url, write=True)
+        server = self._route_write(url)
         lfs = synced_lfs(self.system, server, self.clock)
         return FileUpdateTransaction(
             lfs, url, self.cred, truncate=truncate,
@@ -334,16 +340,14 @@ class Session:
     def _server_of(self, url: str) -> str:
         return parse_url(url).server
 
-    def _route_url(self, url: str, *, write: bool) -> str:
-        """Resolve a logical URL to the physical node serving it right now.
+    def _route_write(self, url: str) -> str:
+        """Resolve a logical URL to the physical node taking its writes now.
 
         Goes through the engine's replication-aware router when one is
         attached: the URL's ``(server, path)`` maps to the prefix's
         current owner shard (epoched placement), then to that shard's
-        serving node for writes or a read-eligible node (serving or
-        witness, round-robin) for reads.  Plain systems -- and URLs naming
-        servers the router does not manage -- resolve to the URL's server,
-        the pre-routing behavior.
+        serving node.  Plain systems -- and URLs naming servers the router
+        does not manage -- resolve to the URL's server.
         """
 
         parsed = parse_url(url)
@@ -353,6 +357,4 @@ class Session:
         shard = router.owner_shard(parsed.server, parsed.path)
         if shard not in router.shards:
             return shard
-        if write:
-            return router.route_write(shard).name
-        return router.route_read(shard).name
+        return router.route_write(shard).name

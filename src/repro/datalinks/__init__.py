@@ -19,7 +19,7 @@ Layout mirrors the system architecture (Figure 1 of the paper):
   pipelines;
 * :mod:`repro.datalinks.routing` -- the replication-aware routing layer:
   per-prefix placement, per-node roles (serving/witness/fenced) and
-  load-balanced read routes with a follower-read staleness bound;
+  load-balanced read routes over witnesses with nothing unapplied;
 * :mod:`repro.datalinks.placement` -- epoched placement: the versioned
   :class:`~repro.datalinks.placement.PlacementMap` every placement
   consumer validates an epoch against, and the online

@@ -102,7 +102,8 @@ class DataLinksFileManager:
         self.placement_guard = None
         #: Follower-read gate: a callable that says whether this node may
         #: serve read-path upcalls *despite* not holding the serving lease
-        #: (a healthy witness within the router's staleness bound).
+        #: (a caught-up witness,
+        #: :meth:`~repro.datalinks.replication.ReplicatedShard.serves_read`).
         self.read_gate = None
         self.replica = None
         #: Dual-serve snapshots for prefix hand-offs in flight:
@@ -189,8 +190,8 @@ class DataLinksFileManager:
         """Fencing for the read path: serving nodes and eligible witnesses.
 
         Write-path operations always require the serving lease, but a
-        healthy witness within the router's staleness bound may serve
-        token validation and read opens -- that is the follower-read path.
+        witness its read gate admits (nothing unapplied) may serve token
+        validation and read opens -- that is the follower-read path.
         A deposed node (no lease, not back on the stream) still raises
         :class:`~repro.errors.FencedNodeError` here.
         """

@@ -54,6 +54,7 @@ order).  They fire into the engine's one table; see
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 
 from repro.datalinks.dlfm.link_manager import constrain, give_back, settle
@@ -202,8 +203,9 @@ class ReplicaApplier:
         #: the serving node: the ``linked_files`` row (new ``last_size`` /
         #: ``last_mtime``) replicated over the stream, but the rewritten
         #: content did not -- the mirror copy was taken at ingest.  The
-        #: router skips these witnesses for follower reads of the file;
-        #: rejoin/resync/promotion refresh the copy and clear the mark.
+        #: witness serves no read of such a file
+        #: (:meth:`ReplicatedShard.serves_read`); rejoin/resync/promotion
+        #: refresh the copy and clear the mark.
         self.stale_paths: set[str] = set()
 
     # ------------------------------------------------------------------ apply --
@@ -497,10 +499,11 @@ class ReplicatedShard:
     the lease to a caught-up witness (which then takes writes -- link and
     unlink branches, 2PC votes -- like any primary), and fail-back is just a
     promotion back to the home primary after a reversed-ship catch-up.  The
-    :class:`~repro.datalinks.routing.ReplicationRouter` reads roles from
-    here; the DLFMs enforce them through epoch fencing plus the follower
-    read gate.  A shard with no witness is an unreplicated shard: its one
-    node serves under epoch 1 for ever, and it cannot fail over.
+    :class:`~repro.datalinks.routing.ReplicationRouter` reads roles and
+    read eligibility (:meth:`serves_read`) from here; the DLFMs enforce
+    them through epoch fencing plus the same rule as their read gate.  A
+    shard with no witness is an unreplicated shard: its one node serves
+    under epoch 1 for ever, and it cannot fail over.
     """
 
     def __init__(self, name: str, primary, witnesses, registry: EpochRegistry,
@@ -514,9 +517,6 @@ class ReplicatedShard:
         self.registry = registry
         self.engine = engine
         self.clock = clock
-        #: Set by :meth:`ReplicationRouter.register_replicated`; provides the
-        #: follower-read policy (on/off switch and staleness bound).
-        self.router = None
         self.home_primary = primary.name
         self.nodes = {primary.name: primary}
         for node in witnesses:
@@ -530,8 +530,7 @@ class ReplicatedShard:
         self._daemons = {}
         for node in self.nodes.values():
             node.dlfm.set_fencing(EpochGuard(registry, name, node.name))
-            node.dlfm.set_read_gate(
-                lambda node_name=node.name: self._read_gate(node_name))
+            node.dlfm.set_read_gate(partial(self.serves_read, node.name))
             # Every node gets a replication endpoint up front: the home
             # primary needs one the moment it is deposed and rejoins as a
             # witness fed by the reversed stream.
@@ -546,6 +545,8 @@ class ReplicatedShard:
         self._retired_shipped = 0
         self._retired_ship_errors = 0
         self.mirror_misses = 0
+        #: Reads :meth:`serves_read` refused a witness for its stale copy.
+        self.stale_content_skips = 0
         self.full_resyncs = 0
         self.reversed_catchups = 0
         for node in witnesses:
@@ -637,55 +638,43 @@ class ReplicatedShard:
         return {name: self.role_of(name) for name in self.nodes}
 
     # ---------------------------------------------------------- follower reads --
-    def follower_eligible(self, node_name: str, max_lag: int = 0) -> bool:
-        """May *node_name* serve a bounded-staleness read right now?
+    def serves_read(self, node_name: str, path: str | None = None) -> bool:
+        """May *node_name* serve a read of this shard (of *path*) right now?
 
-        Requires a live stream end to end: the node is a synced subscriber
-        with its daemon up, the serving node is running (the staleness
-        bound is derived from shipper lag, which is only meaningful against
-        a live source), shipping is not paused, and the lag is within
-        *max_lag* records.
+        The one rule for which node serves a read: the router's candidate
+        pick asks it with the read's path, each node's DLFM read gate
+        without one.  The serving node may.  Any other node may only while
+        the stream feeding it is live end to end and it has nothing
+        unapplied: it is a synced subscriber, it and its replica daemon are
+        up, the serving node is up, shipping is not paused, and it has not
+        missed a record, durable or still buffered
+        (:meth:`WalShipper.pending_lag` is 0).  With *path*, its copy of
+        that file must also not predate a committed update-in-place (the
+        stream ships the metadata row, not the bytes; see
+        :attr:`ReplicaApplier.stale_paths`); such a refusal is counted in
+        :attr:`stale_content_skips`.
         """
 
-        try:
-            node = self.nodes[node_name]
-        except KeyError:
-            return False
-        if not node.running:
-            return False
         serving_name = self.serving_name
         if node_name == serving_name:
-            return False
-        # ``is_subscribed`` written out inline (this gate runs per routed
-        # follower read): a synced subscriber has a stream, a live applier
-        # and a True entry in the synced map.
+            return True
         try:
+            node = self.nodes[node_name]
             shipper = self._streams[node_name]
-        except KeyError:
-            return False
-        if node.dlfm.replica is None:
-            return False
-        try:
             if not self._synced[node_name]:
                 return False
         except KeyError:
             return False
-        if not self._daemons[node_name].running:
+        applier = node.dlfm.replica
+        if applier is None or not node.running \
+                or not self._daemons[node_name].running \
+                or not self.nodes[serving_name].running \
+                or shipper.paused or shipper.pending_lag() > 0:
             return False
-        if not self.nodes[serving_name].running:
+        if path is not None and path in applier.stale_paths:
+            self.stale_content_skips += 1
             return False
-        if shipper.paused:
-            return False
-        return shipper.pending_lag() <= max_lag
-
-    def _read_gate(self, node_name: str) -> bool:
-        """DLFM-side gate: may this node accept read-path upcalls?"""
-
-        if node_name == self.serving_name:
-            return True
-        if self.router is not None:
-            return self.router.follower_ok(self.name, node_name)
-        return self.follower_eligible(node_name)
+        return True
 
     # ------------------------------------------------------- stream management --
     def _subscribe(self, node_name: str, base: LSN | None = None) -> WalShipper:
@@ -819,17 +808,6 @@ class ReplicatedShard:
                 applier.stale_paths.discard(path)
             copied += 1
         return copied
-
-    def content_stale(self, node_name: str, path: str) -> bool:
-        """Does *node_name*'s copy of *path* predate a committed
-        update-in-place?  Router-facing (see
-        :attr:`ReplicaApplier.stale_paths`)."""
-
-        node = self.nodes.get(node_name)
-        if node is None:
-            return False
-        applier = node.dlfm.replica
-        return applier is not None and path in applier.stale_paths
 
     # ----------------------------------------------------------------- failover --
     def promote(self) -> dict:

@@ -17,7 +17,7 @@ deployment on top of its placement:
   :data:`NodeRole.SERVING` (holds the epoch lease; the only node that may
   take link/unlink branches and vote in two-phase commit),
   :data:`NodeRole.WITNESS` (healthy subscriber of the serving node's WAL
-  stream; may serve bounded-staleness follower reads),
+  stream; may serve follower reads while it has nothing unapplied),
   :data:`NodeRole.FENCED` (deposed ex-serving node that has not rejoined
   the stream; refuses everything) and :data:`NodeRole.DOWN` (crashed).
   Every shard is a :class:`~repro.datalinks.replication.ReplicatedShard`;
@@ -32,9 +32,15 @@ deployment on top of its placement:
     prepare/commit for ``shard0`` transparently reach ``shard0-r``;
   - :meth:`ReplicationRouter.route_read` -- which node serves the next read.
     Reads are load-balanced round-robin over the serving node plus every
-    *eligible* witness: a witness is eligible only while the serving node is
-    up (the staleness bound is derived from the shipper's lag against the
-    live stream) and its lag is within ``max_follower_lag`` records;
+    witness that may serve the read.  The bound is *nothing unapplied*: a
+    witness qualifies only while its stream from the live serving node has
+    no record it has not applied and its copy of the file is current.  The
+    rule lives in one place,
+    :meth:`~repro.datalinks.replication.ReplicatedShard.serves_read`, which
+    each DLFM's read gate asks too;
+  - :meth:`ReplicationRouter.route_url_read` -- the owner shard and node of
+    one read of a URL, every routed read's entry (a URL naming a server
+    that is not a registered shard resolves to that server);
   - :meth:`ReplicationRouter.route_write` -- the serving node, or a
     :class:`~repro.errors.DaemonUnavailableError` naming the cure.
 
@@ -83,25 +89,24 @@ class _Shards(dict):
 class ReplicationRouter:
     """Roles and routes for every shard of a deployment.
 
-    ``follower_reads`` switches witness read service on or off deployment-wide;
-    ``max_follower_lag`` is the staleness bound, in WAL records the witness
-    has not applied -- **durable or still buffered** (under group commit a
-    transaction can be committed and visible on the serving node before its
-    records are forced; a witness missing them has neither the rows nor the
-    link-time access constraints on its mirrored files, so it must not
-    count as caught up).  Because every log force ships, pipelined, and a
-    tokenized read writes nothing to the log, a quiesced witness sits at
-    lag 0; a paused stream, an undrained group-commit window or in-flight
-    transactions push it over the bound and the router quietly falls back
-    to the serving node (counted in ``follower_rejects``).
+    A witness serves a read only while it has nothing unapplied: no WAL
+    record it has not applied, **durable or still buffered** (under group
+    commit a transaction can be committed and visible on the serving node
+    before its records are forced; a witness missing them has neither the
+    rows nor the link-time access constraints on its mirrored files, so it
+    must not count as caught up).  Because every log force ships,
+    pipelined, and a tokenized read writes nothing to the log, a quiesced
+    witness has nothing unapplied; a paused stream, an undrained
+    group-commit window or in-flight transactions hold it back and the
+    router quietly falls back to the serving node (counted in
+    ``follower_rejects``).  The rule is the shard's
+    (:meth:`~repro.datalinks.replication.ReplicatedShard.serves_read`); the
+    router only asks it.
     """
 
-    def __init__(self, placement: PlacementMap, *,
-                 follower_reads: bool = True, max_follower_lag: int = 0):
+    def __init__(self, placement: PlacementMap):
         #: The versioned placement map every consumer reads.
         self.placement = placement
-        self.follower_reads = follower_reads
-        self.max_follower_lag = max(0, int(max_follower_lag))
         self._replicas = _Shards()
         self._round_robin: dict[str, int] = {}
         #: Candidate membership (node names) the round-robin position was
@@ -114,7 +119,6 @@ class ReplicationRouter:
         self.follower_rejects = 0
         self.failover_rewrites = 0   # writes that reached a non-home serving node
         self.stale_epoch_redirects = 0   # writes re-routed after a PlacementEpochError
-        self.stale_content_skips = 0     # witnesses skipped for a stale file copy
         #: Per-prefix routed traffic, keyed by the *effective* routing
         #: prefix at the time of the operation.  They are counters, not
         #: a log, so a prefix split simply starts new (deeper) keys.
@@ -135,7 +139,6 @@ class ReplicationRouter:
         """Register a shard; roles are derived from *replica*."""
 
         self._replicas[shard] = replica
-        replica.router = self
 
     @property
     def shards(self) -> list[str]:
@@ -195,19 +198,22 @@ class ReplicationRouter:
         placement = self.placement
         return placement.owner_of(placement.prefix_of(path), default=server)
 
-    def route_url_read(self, server: str, path: str) -> tuple:
-        """``(owner shard, node)`` of one read of a URL's ``(server, path)``:
-        :meth:`owner_shard` and :meth:`route_read`, and the read counted
-        against the prefix, which is looked up once for both."""
+    def route_url_read(self, server: str, path: str) -> tuple[str, str]:
+        """``(owner shard, node name)`` of one read of a URL's
+        ``(server, path)``: :meth:`owner_shard` and :meth:`route_read` of
+        *path*, and the read counted against the prefix, which is looked up
+        once for both.  A server that is not a registered shard is its own
+        owner and node, and its read is not counted."""
 
+        if server not in self._replicas:
+            return server, server
         placement = self.placement
         prefix = placement.prefix_of(path)
-        shard = placement.owner_of(prefix, default=server) \
-            if server in self._replicas else server
+        shard = placement.owner_of(prefix, default=server)
         node = self.route_read(shard, path=path)
         self.prefix_reads[prefix] = self.prefix_reads.get(prefix, 0) + 1
         self.window_reads[prefix] = self.window_reads.get(prefix, 0) + 1
-        return shard, node
+        return shard, node.name
 
     # --------------------------------------------------------------------- roles --
     def roles(self, shard: str) -> dict[str, str]:
@@ -262,36 +268,9 @@ class ReplicationRouter:
         self.writes_routed += 1
         return server
 
-    def follower_ok(self, shard: str, node_name: str,
-                    path: str | None = None) -> bool:
-        """May *node_name* serve a follower read of *shard* right now?
-
-        This is also the DLFM-side read gate: a witness only accepts
-        read-path upcalls while the router would have routed a read to it,
-        so routing policy and fencing enforcement cannot drift apart.
-
-        With *path*, the witness is additionally disqualified when its
-        physical copy of that file is stale: an update-in-place rewrites
-        bytes on the serving node, but the WAL stream carries only the
-        metadata row, so until the witness re-mirrors (rejoin, resync or
-        promotion) its copy is the pre-update content.  Such reads fall
-        back to the serving node and are counted in
-        ``stale_content_skips``.
-        """
-
-        if not self.follower_reads:
-            return False
-        replica = self._replicas[shard]
-        if not replica.follower_eligible(node_name,
-                                         max_lag=self.max_follower_lag):
-            return False
-        if path is not None and replica.content_stale(node_name, path):
-            self.stale_content_skips += 1
-            return False
-        return True
-
     def read_candidates(self, shard: str, path: str | None = None) -> list:
-        """Read-eligible nodes, serving node first (may be empty)."""
+        """Nodes that may serve a read (of *path*), serving node first (may
+        be empty); the shard's ``serves_read`` decides for each witness."""
 
         replica = self._replicas[shard]
         serving_name = replica.serving_name
@@ -302,12 +281,11 @@ class ReplicationRouter:
         for name, node in replica.nodes.items():
             if name == serving_name:
                 continue
-            if self.follower_ok(shard, name, path=path):
+            if replica.serves_read(name, path):
                 candidates.append(node)
             elif node.running and replica.is_subscribed(name):
-                # A healthy subscriber skipped only by the staleness bound
-                # (stream lag or a stale physical copy, or the policy
-                # switch) is a rejected follower read.
+                # A healthy subscriber skipped for something unapplied or a
+                # stale copy of the file is a rejected follower read.
                 self.follower_rejects += 1
         return candidates
 
@@ -345,24 +323,18 @@ class ReplicationRouter:
         self.reads_by_role[role] += 1
         return chosen
 
-    def follower_lag(self, shard: str, node_name: str) -> int | None:
-        """Stream lag (records) of one subscriber, or ``None`` off-stream."""
-
-        return self._replicas[shard].subscriber_lag(node_name)
-
     # --------------------------------------------------------------------- stats --
     def stats(self) -> dict:
         """Per-role routing counters plus the current role map."""
 
         return {
-            "follower_reads": self.follower_reads,
-            "max_follower_lag": self.max_follower_lag,
             "reads_by_role": dict(self.reads_by_role),
             "writes_routed": self.writes_routed,
             "follower_rejects": self.follower_rejects,
             "failover_rewrites": self.failover_rewrites,
             "stale_epoch_redirects": self.stale_epoch_redirects,
-            "stale_content_skips": self.stale_content_skips,
+            "stale_content_skips": sum(replica.stale_content_skips
+                                       for replica in self._replicas.values()),
             "prefix_traffic": {"reads": dict(self.prefix_reads),
                                "writes": dict(self.prefix_writes)},
             "placement": self.placement.stats(),

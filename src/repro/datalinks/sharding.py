@@ -54,7 +54,8 @@ and never logged or shipped.  Routing is owned by a
   resync, then rotates the lease back under a fence;
 * **follower reads** -- :meth:`ShardedDataLinksDeployment.read_url`
   load-balances token-validated reads round-robin over the serving node and
-  every healthy witness within the ``max_follower_lag`` staleness bound.
+  every healthy witness with nothing unapplied and a current copy of the
+  file (:meth:`~repro.datalinks.replication.ReplicatedShard.serves_read`).
 
 An epoch/fencing scheme (:class:`~repro.datalinks.replication.EpochRegistry`)
 guarantees a deposed ex-primary refuses to serve until it rejoins the
@@ -74,9 +75,6 @@ Knobs
 ``witnesses``             witness replicas per shard under
                           ``replication=True`` (default 1, at least 1),
                           named ``-r``, ``-r2``, ...; ignored without it
-``follower_reads``        let healthy witnesses serve reads (default on)
-``max_follower_lag``      staleness bound for follower reads, in shipped
-                          WAL records (default 0: fully caught up)
 
 Every shard, witness and the archive run on their own clock domain and
 genuinely overlap (see :mod:`repro.simclock`).
@@ -101,7 +99,7 @@ from repro.errors import DataLinksError, ReplicationError, ReproError
 from repro.simclock import TICKS_PER_MS, CostModel, SimClock
 from repro.storage.schema import TableSchema
 from repro.util.lsn import LSN
-from repro.util.urls import format_url, parse_url
+from repro.util.urls import format_url
 
 __all__ = ["ShardedDataLinksDeployment"]
 
@@ -114,9 +112,7 @@ class ShardedDataLinksDeployment:
                  flush_policy: str = "group",
                  group_commit_window: int = 8,
                  replication: bool = False,
-                 witnesses: int = 1,
-                 follower_reads: bool = True,
-                 max_follower_lag: int = 0):
+                 witnesses: int = 1):
         if shards < 1:
             raise DataLinksError("a sharded deployment needs at least one shard")
         if replication and witnesses < 1:
@@ -128,9 +124,7 @@ class ShardedDataLinksDeployment:
         self.shard_names = [f"shard{index}" for index in range(shards)]
         for name in self.shard_names:
             self.system.add_file_server(name)
-        self.router = ReplicationRouter(
-            PlacementMap(self.shard_names),
-            follower_reads=follower_reads, max_follower_lag=max_follower_lag)
+        self.router = ReplicationRouter(PlacementMap(self.shard_names))
         self.engine.set_router(self.router)
         self.engine.enable_token_cache()
         self.group_commit_window = max(1, int(group_commit_window))
@@ -244,20 +238,19 @@ class ShardedDataLinksDeployment:
         return any(replica.witnesses for replica in self.replicas.values())
 
     def read_url(self, session, url: str) -> bytes:
-        """Read a (tokenized) DATALINK URL through the routing layer.
+        """Read a (tokenized) DATALINK URL through the routing layer:
+        *session*'s routed :meth:`~repro.api.session.Session.read_url`.
 
         The URL's ``(server, path)`` pair first resolves to the prefix's
         *current owner* (old URLs stay valid across a rebalance), then the
         router load-balances round-robin over that shard's serving node
-        and every healthy witness within the follower-read staleness
-        bound; the token embedded in the URL stays valid on any of them
-        because witnesses share their primary's signing secret (tokens for
-        a moved prefix are signed by the destination shard).
+        and every witness that may serve the read; the token embedded in
+        the URL stays valid on any of them because witnesses share their
+        primary's signing secret (tokens for a moved prefix are signed by
+        the destination shard).
         """
 
-        parsed = parse_url(url)
-        _, server = self.router.route_url_read(parsed.server, parsed.path)
-        return session.read_url(url, server=server.name)
+        return session.read_url(url)
 
     # --------------------------------------------------------- group-commit queue --
     def begin(self) -> HostTransaction:

@@ -62,10 +62,6 @@ class Inode:
     #: inode, made with it: neither half of it can change.
     vnode: tuple | None = None
 
-    @property
-    def is_directory(self) -> bool:
-        return self.ftype is FileType.DIRECTORY
-
     def attributes(self) -> "FileAttributes":
         return FileAttributes(self.ino, self.ftype, self.mode, self.uid,
                               self.gid, self.size, self.nlink, self.atime,

@@ -59,6 +59,3 @@ class FileLockTable:
         """Drop every lock: the node crashed, and its holders with it."""
 
         self._locks.clear()
-
-    def holders(self, ino: int) -> list[object]:
-        return [lock.owner for lock in self._locks.get(ino, ())]

@@ -257,24 +257,14 @@ class FailoverWorkload:
             path = f"{prefix}/after{index:05d}.dat"
             content = make_content(config.file_size, tag=f"after{index}",
                                    version=0)
-            host_txn = None
             try:
                 with clock.measure() as timer:
                     url = deployment.put_file(self._session, path, content)
-                    host_txn = deployment.engine.begin()
                     deployment.engine.insert(DOCS_TABLE,
-                                             {"doc_id": doc_id, "body": url},
-                                             host_txn)
-                    deployment.engine.commit(host_txn)
-                    host_txn = None
+                                             {"doc_id": doc_id, "body": url})
                 metrics.record("write_after", timer.elapsed)
                 metrics.bump("writes_ok_after")
             except ReproError:
-                if host_txn is not None:
-                    try:
-                        deployment.engine.abort(host_txn)
-                    except ReproError:
-                        pass
                 metrics.bump("writes_failed_after")
 
     # ------------------------------------------------------------------ derived --

@@ -156,35 +156,20 @@ class HotspotWorkload:
         self._next_doc += 1
         content = make_content(self.config.file_size, tag=f"doc{doc_id}",
                                version=0)
-        host_txn = None
         try:
             with deployment.clock.measure() as timer:
                 url = deployment.put_file(self._session, path, content)
-                host_txn = deployment.engine.begin()
                 deployment.engine.insert(DOCS_TABLE,
-                                         {"doc_id": doc_id, "body": url},
-                                         host_txn)
-                deployment.engine.commit(host_txn)
-                host_txn = None
+                                         {"doc_id": doc_id, "body": url})
             metrics.record(kind, timer.elapsed)
             metrics.bump("links_ok")
             self._doc_urls[doc_id] = url
             self._docs_by_prefix[prefix_index].append(doc_id)
         except PlacementError:
             # The prefix is mid-move: retryable back-pressure.
-            if host_txn is not None:
-                self._abort_quietly(host_txn)
             metrics.bump("links_blocked")
         except ReproError:
-            if host_txn is not None:
-                self._abort_quietly(host_txn)
             metrics.bump("links_failed")
-
-    def _abort_quietly(self, host_txn) -> None:
-        try:
-            self.deployment.engine.abort(host_txn)
-        except ReproError:
-            pass
 
     def _shard_domains(self, shard: str) -> list:
         """Clock domains of every node an upload to *shard* touches
@@ -231,18 +216,12 @@ class HotspotWorkload:
 
         deployment = self.deployment
         for doc_id, url, prefix_index in self._uploaded:
-            host_txn = None
             try:
-                host_txn = deployment.engine.begin()
                 deployment.engine.insert(DOCS_TABLE,
-                                         {"doc_id": doc_id, "body": url},
-                                         host_txn)
-                deployment.engine.commit(host_txn)
+                                         {"doc_id": doc_id, "body": url})
                 self._doc_urls[doc_id] = url
                 self._docs_by_prefix[prefix_index].append(doc_id)
             except ReproError:
-                if host_txn is not None:
-                    self._abort_quietly(host_txn)
                 metrics.bump("links_failed")
         self._uploaded = []
 
@@ -275,13 +254,13 @@ class HotspotWorkload:
         parsed = parse_url(url)
         fork = deployment.clock.send_time()
         try:
-            shard, server = router.route_url_read(parsed.server, parsed.path)
+            shard, node = router.route_url_read(parsed.server, parsed.path)
             loads[shard] = loads.get(shard, 0) + 1
-            self._session.read_url(url, server=server.name)
+            self._session.read_url(url, server=node)
         except ReproError:
             metrics.bump("reads_failed")
             return
-        domain = deployment.system.clocks.domain(server.name)
+        domain = deployment.system.clocks.domain(node)
         metrics.record(kind, max(0.0, domain.now() - fork))
         metrics.bump("reads_ok")
 

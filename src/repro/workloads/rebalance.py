@@ -126,16 +126,11 @@ class RebalanceWorkload:
         deployment = self.deployment
         content = make_content(self.config.file_size, tag=f"doc{doc_id}",
                                version=0)
-        host_txn = None
         try:
             with deployment.clock.measure() as timer:
                 url = deployment.put_file(self._session, path, content)
-                host_txn = deployment.engine.begin()
                 deployment.engine.insert(DOCS_TABLE,
-                                         {"doc_id": doc_id, "body": url},
-                                         host_txn)
-                deployment.engine.commit(host_txn)
-                host_txn = None
+                                         {"doc_id": doc_id, "body": url})
             metrics.record(f"link_{phase}", timer.elapsed)
             metrics.bump(f"links_ok_{phase}")
             self._doc_urls[doc_id] = url
@@ -143,19 +138,9 @@ class RebalanceWorkload:
             # The moving prefix refuses new links until the hand-off
             # commits: retryable back-pressure, counted apart from real
             # failures.
-            if host_txn is not None:
-                self._abort_quietly(host_txn)
             metrics.bump(f"links_blocked_{phase}")
         except ReproError:
-            if host_txn is not None:
-                self._abort_quietly(host_txn)
             metrics.bump(f"links_failed_{phase}")
-
-    def _abort_quietly(self, host_txn) -> None:
-        try:
-            self.deployment.engine.abort(host_txn)
-        except ReproError:
-            pass
 
     def _read(self, doc_id: int, metrics: WorkloadMetrics, phase: str) -> None:
         deployment = self.deployment

@@ -29,12 +29,10 @@ TABLE = "moved_docs"
 
 
 def build_deployment(shards=2, witnesses=1, replication=True,
-                     mode=ControlMode.RFD, recovery=True,
-                     follower_reads=True):
+                     mode=ControlMode.RFD, recovery=True):
     deployment = ShardedDataLinksDeployment(
         shards, replication=replication, witnesses=witnesses,
-        flush_policy="immediate", group_commit_window=1,
-        follower_reads=follower_reads)
+        flush_policy="immediate", group_commit_window=1)
     deployment.create_table(TableSchema(TABLE, [
         Column("doc_id", DataType.INTEGER, nullable=False),
         datalink_column("body", DatalinkOptions(control_mode=mode,
@@ -283,10 +281,9 @@ class TestSessionRouting:
         assert row["body_size"] == len(b"updated on the promoted witness")
 
     def test_lease_moving_mid_update_aborts_with_retryable_error(self):
-        # Follower reads off: in-place updates do not ship file bytes to
-        # witnesses yet (the "mirror the data path" ROADMAP item), so the
-        # post-retry reads must deterministically hit the serving node.
-        deployment, session = build_deployment(follower_reads=False)
+        # In-place updates do not ship file bytes to witnesses; a routed
+        # read skips a witness whose copy of the file is stale.
+        deployment, session = build_deployment()
         link_docs(deployment, session, "/p", 1)
         shard = deployment.shard_of("/p/doc0000.dat")
         write_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",

@@ -626,12 +626,18 @@ class TestFollowerReads:
         replica.shipper.ship()
         assert session.read_url(url, server="shard0-r") == b"stale test"
 
-    def test_update_in_place_disqualifies_stale_witness_copy(self):
+    @pytest.mark.parametrize("read", [
+        lambda deployment, session, url: deployment.read_url(session, url),
+        lambda deployment, session, url: session.read_url(url),
+    ], ids=["deployment", "session"])
+    def test_update_in_place_disqualifies_stale_witness_copy(self, read):
         """Regression: after an update-in-place commit, the witness's
         mirrored copy still holds the old bytes (the data path is not in
         the WAL stream; only the linked_files metadata row ships).  The
         router must disqualify that witness for reads of that file, so a
-        routed read never returns stale content."""
+        routed read -- through the deployment or a session's own routing
+        -- never returns stale content, and each is counted on the
+        file's prefix."""
 
         deployment, session = build_deployment(mode=ControlMode.RDD,
                                                recovery=True)
@@ -650,16 +656,22 @@ class TestFollowerReads:
         read_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                         access="read", ttl=1e9)
         # the witness's copy is known-stale for exactly this path...
-        assert replica.content_stale("shard0-r", path)
+        assert replica.serves_read("shard0-r")
+        assert not replica.serves_read("shard0-r", path)
         assert session.read_url(read_url, server="shard0-r") \
             == b"old bytes v0"
         # ...so every *routed* read returns the committed bytes
+        router = deployment.router
+        prefix = router.prefix_of(path)
+        reads = router.prefix_reads.get(prefix, 0)
+        skips = replica.stale_content_skips
         for _ in range(4):
-            assert deployment.read_url(session, read_url) \
+            assert read(deployment, session, read_url) \
                 == b"new bytes v1 - longer"
         routing = deployment.stats()["routing"]
-        assert routing["stale_content_skips"] > 0
+        assert routing["stale_content_skips"] == skips + 4
         assert routing["reads_by_role"]["witness"] == 0
+        assert router.prefix_reads[prefix] == reads + 4
 
     def test_promotion_refreshes_stale_witness_copy_from_archive(self):
         """At promotion the witness restores archived versions of its
@@ -678,34 +690,15 @@ class TestFollowerReads:
             update.write(b"archived new bytes")
         deployment.system.run_archiver()   # the updated version is archived
         deployment.system.flush_logs()
-        assert replica.content_stale("shard0-r", path)
+        assert replica.serves_read("shard0-r")
+        assert not replica.serves_read("shard0-r", path)
 
         deployment.crash("shard0")
         deployment.fail_over("shard0")
         read_url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
                                         access="read", ttl=1e9)
         assert deployment.read_url(session, read_url) == b"archived new bytes"
-        assert not replica.content_stale("shard0-r", path)
-
-    def test_follower_reads_can_be_disabled(self):
-        deployment = ShardedDataLinksDeployment(2, replication=True,
-                                                follower_reads=False)
-        deployment.create_table(TableSchema(TABLE, [
-            Column("doc_id", DataType.INTEGER, nullable=False),
-            datalink_column("body", DatalinkOptions(
-                control_mode=ControlMode.RDB, recovery=False)),
-        ], primary_key=("doc_id",)))
-        session = deployment.session("alice", uid=1001)
-        link(deployment, session, 0, path_on(deployment, "shard0", "off"),
-             b"primary only")
-        url = session.get_datalink(TABLE, {"doc_id": 0}, "body",
-                                   access="read", ttl=1e9)
-        for _ in range(4):
-            deployment.read_url(session, url)
-        routing = deployment.stats()["routing"]
-        assert routing["reads_by_role"]["witness"] == 0
-        with pytest.raises(ReproError):
-            session.read_url(url, server="shard0-r")
+        assert replica.serves_read("shard0-r", path)
 
 
 class TestMultiWitness:
@@ -855,7 +848,7 @@ class TestStalenessBoundCoversBufferedCommits:
         replica = deployment.replicas["shard0"]
         # the branch COMMIT is buffered: witness is behind despite lag()==0
         assert replica.shipper.pending_lag() > 0
-        assert not replica.follower_eligible("shard0-r")
+        assert not replica.serves_read("shard0-r")
         for _ in range(4):
             with pytest.raises(ReproError):
                 deployment.read_url(stranger, bare_url)
@@ -865,7 +858,7 @@ class TestStalenessBoundCoversBufferedCommits:
         # mirrored copy is constrained, so the tokenless read still fails
         deployment.system.flush_logs()
         assert replica.shipper.pending_lag() == 0
-        assert replica.follower_eligible("shard0-r")
+        assert replica.serves_read("shard0-r")
         for _ in range(2):
             with pytest.raises(ReproError):
                 deployment.read_url(stranger, bare_url)
@@ -910,7 +903,7 @@ class TestReadsLeaveTheLogAlone:
         assert [(len(wal), wal.flush_count) for wal in wals] == before
         assert batches == []
         assert shipper.lag() == shipper.pending_lag() == 0
-        assert replica.follower_eligible("shard0-r")
+        assert replica.serves_read("shard0-r")
         registries = [node.dlfm.soft.tokens
                       for node in (replica.serving, replica.witness)]
         assert registries[0] == registries[1]

@@ -12,9 +12,9 @@ invariants must hold after every step:
    the stream is never a read candidate and refuses token validation even
    for a cryptographically valid token;
 3. **Follower reads never exceed the staleness bound** -- every non-serving
-   read candidate the router offers is a synced subscriber whose stream lag
-   is within ``max_follower_lag`` records, and reads routed while a stream
-   is stalled silently fall back to the serving node.
+   read candidate the router offers is a synced subscriber with nothing
+   unapplied, and reads routed while a stream is stalled silently fall
+   back to the serving node.
 
 The test never models the expected roles itself: it replays the registry,
 the router and the DLFM fences against each other and asserts they agree.
@@ -34,7 +34,6 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
 
 TABLE = "routed_docs"
-MAX_FOLLOWER_LAG = 0
 
 
 def assert_routing_invariants(deployment):
@@ -77,8 +76,7 @@ def assert_routing_invariants(deployment):
             if name == lease_holder:
                 continue
             assert roles[name] == NodeRole.WITNESS
-            lag = router.follower_lag(shard, name)
-            assert lag is not None and lag <= MAX_FOLLOWER_LAG
+            assert replica.subscriber_lag(name) == 0
 
 
 class _RoutingDriver:
@@ -92,8 +90,7 @@ class _RoutingDriver:
         # probing role rotations, not group-commit settling.
         self.deployment = ShardedDataLinksDeployment(
             shards, replication=True, witnesses=witnesses,
-            flush_policy="immediate", group_commit_window=1,
-            max_follower_lag=MAX_FOLLOWER_LAG)
+            flush_policy="immediate", group_commit_window=1)
         self.deployment.create_table(TableSchema(TABLE, [
             Column("doc_id", DataType.INTEGER, nullable=False),
             datalink_column("body", DatalinkOptions(
@@ -228,8 +225,7 @@ def test_follower_reads_never_served_past_the_staleness_bound():
 
     deployment = ShardedDataLinksDeployment(2, replication=True,
                                             flush_policy="immediate",
-                                            group_commit_window=1,
-                                            max_follower_lag=MAX_FOLLOWER_LAG)
+                                            group_commit_window=1)
     deployment.create_table(TableSchema(TABLE, [
         Column("doc_id", DataType.INTEGER, nullable=False),
         datalink_column("body", DatalinkOptions(

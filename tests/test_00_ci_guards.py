@@ -1081,9 +1081,8 @@ class TestNothingRebuiltPerRead:
     #: Functions every read runs: ``{file: {(class or None, function)}}``.
     READ_PATH = {
         "repro/api/session.py": {
-            ("Session", "read_url"), ("Session", "_route_url"),
-            ("Session", "_server_of"), ("Session", "get_datalink"),
-            ("Session", "get_datalink_many")},
+            ("Session", "read_url"), ("Session", "_server_of"),
+            ("Session", "get_datalink"), ("Session", "get_datalink_many")},
         "repro/datalinks/uip.py": {
             (None, "tokenized_path"), (None, "open_for_read")},
         "repro/fs/logical.py": {("LogicalFileSystem", "open"),
@@ -1555,6 +1554,18 @@ class TestRetiredNamesStayGone:
                       "row's path gives the inode redo rebinds the row to",
         "note_read": "each step once: route_url_read counts a routed read "
                      "on the prefix it resolved the owner shard by",
+        "max_follower_lag": "one rule for which node serves a read: the "
+                            "bound is nothing unapplied, not a knob",
+        "follower_reads=": "one rule for which node serves a read: "
+                           "witnesses always serve follower reads",
+        "follower_ok": "one rule for which node serves a read: "
+                       "ReplicatedShard.serves_read decides",
+        "follower_eligible": "one rule for which node serves a read: "
+                             "ReplicatedShard.serves_read decides",
+        "_read_gate": "one rule for which node serves a read: a DLFM's "
+                      "read gate is ReplicatedShard.serves_read",
+        "follower_lag(": "one rule for which node serves a read: "
+                         "ReplicatedShard.subscriber_lag reads the lag",
     }
     #: ``{module: names}`` still written there: the frozen layered
     #: benchmark calls the two until ROADMAP 5(e).
@@ -1808,7 +1819,7 @@ class TestARoutedReadResolvesItsPrefixOnce:
                    for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute)
                    and node.attr == "route_url_read"}
-        assert {"repro/datalinks/sharding.py",
+        assert {"repro/api/session.py",
                 "repro/workloads/hotspot.py"} <= callers
 
     def test_the_guard_flags_a_second_resolution(self):
